@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-envelope cover bench bench-concurrency bench-parallel bench-shard bench-mmap bench-envelope fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-envelope race-build cover bench bench-concurrency bench-parallel bench-shard bench-mmap bench-envelope fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -51,7 +51,7 @@ check: build vet lint test race
 # targets, the server smoke drill, the linter over its own sources, the
 # fixture golden diff, and the machine-readable lint gate (any finding
 # fails the run; the JSON lines feed CI annotations).
-ci: check race-concurrency race-parallel race-shard race-mmap race-envelope fuzz-ci smoke lint-self lint-wire lint-golden
+ci: check race-concurrency race-parallel race-shard race-mmap race-envelope race-build fuzz-ci smoke lint-self lint-wire lint-golden
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on
@@ -91,6 +91,15 @@ race-mmap:
 # must survive create, build+merge, and rewrite round trips.
 race-envelope:
 	$(GO) test -race -count=2 -run 'TestEnvelope|TestQuickLowerBoundChain|TestEncodingV3|TestBuildEncodingV3|TestRewriteV3|TestFormatStability' ./internal/dtw/ ./internal/core/ ./internal/disktree/ ./seqdb/
+
+# Index construction under -race, serial and concurrent: phase 1 of
+# disktree.Build spills its batch trees on up to GOMAXPROCS goroutines, so
+# every build and merge test of the three packages that construct trees runs
+# once with one goroutine and once with four — the determinism test pins the
+# bytes across the two.
+race-build:
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|Merge' ./internal/disktree ./internal/core ./internal/multivar
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|Merge' ./internal/disktree ./internal/core ./internal/multivar
 
 # End-to-end server drill under the race detector: boot twsearchd on an
 # ephemeral port, stream matches over concurrent client connections,

@@ -354,6 +354,47 @@ func TestInMemoryIndex(t *testing.T) {
 	}
 }
 
+// A disk index built from many small batches (concurrent spill, one k-way
+// merge) is the same tree as the in-memory index: same answers, same
+// traversal work.
+func TestBuildBatchedMatchesInMemory(t *testing.T) {
+	rng := rand.New(rand.NewSource(463))
+	data := randomWalkDataset(rng, 11, 30)
+	opts := Options{Kind: categorize.KindMaxEntropy, Categories: 6}
+	mem, err := Build(data, "", Options{Kind: opts.Kind, Categories: opts.Categories, InMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	opts.Build.BatchSize = 2
+	disk, err := Build(data, filepath.Join(t.TempDir(), "batched.twt"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if bs := disk.BuildStats; bs.Batches != 6 || bs.MergeRounds != 1 || bs.Merges != 1 {
+		t.Errorf("BuildStats = %+v, want 6 batches merged in one pass", bs)
+	}
+	for trial := 0; trial < 5; trial++ {
+		q := randomQuery(rng, 6)
+		got, gotStats, err := disk.Search(q, 8.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := mem.Search(q, 8.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesEqual(got, want) {
+			t.Fatalf("trial %d: batched index %d matches, in-memory %d", trial, len(got), len(want))
+		}
+		if gotStats.NodesVisited != wantStats.NodesVisited || gotStats.FilterCells != wantStats.FilterCells {
+			t.Fatalf("trial %d: batched index visited %d nodes / %d cells, in-memory %d / %d", trial,
+				gotStats.NodesVisited, gotStats.FilterCells, wantStats.NodesVisited, wantStats.FilterCells)
+		}
+	}
+}
+
 // SearchVisit streams exactly the Search answer set (order aside) and
 // honors early stop.
 func TestSearchVisit(t *testing.T) {

@@ -22,44 +22,26 @@ func benchStore(b *testing.B, nSeq, seqLen, alphabet int) *suffixtree.TextStore 
 	return ts
 }
 
-func BenchmarkBuildPipeline(b *testing.B) {
-	ts := benchStore(b, 64, 232, 12)
+// BenchmarkBuild times the whole construction pipeline — concurrent batch
+// spill, k-way merge, rename, reopen — on 256 sequences in 16 batches, and
+// reports the cost per output node and the number of merge passes.
+func BenchmarkBuild(b *testing.B) {
+	ts := benchStore(b, 256, 232, 12)
 	seqs := allSeqs(ts)
 	dir := b.TempDir()
+	var stats BuildStats
+	var nodes uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := Build(ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{BatchSize: 16, PoolPages: 64})
+		f, err := Build(ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{BatchSize: 16, PoolPages: 64, Stats: &stats})
 		if err != nil {
 			b.Fatal(err)
 		}
+		nodes = f.NumNodes()
 		f.Close()
 	}
-}
-
-func BenchmarkMergeFiles(b *testing.B) {
-	ts := benchStore(b, 32, 232, 12)
-	all := allSeqs(ts)
-	dir := b.TempDir()
-	aPath := filepath.Join(dir, "a.twt")
-	bPath := filepath.Join(dir, "b.twt")
-	af, err := Create(aPath, suffixtree.BuildMerged(ts, all[:16], false), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	af.Close()
-	bf, err := Create(bPath, suffixtree.BuildMerged(ts, all[16:], false), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bf.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := MergeFiles(ts, aPath, bPath, filepath.Join(dir, "out.twt"), 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+	b.ReportMetric(float64(stats.MergeRounds), "passes")
 }
 
 func BenchmarkReadNode(b *testing.B) {

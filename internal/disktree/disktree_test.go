@@ -119,78 +119,6 @@ func TestQuickDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a disk merge of two disk trees equals the in-memory merged tree.
-func TestQuickMergeFilesEqualsMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(211))
-	dir := t.TempDir()
-	iter := 0
-	f := func() bool {
-		iter++
-		ts := randomTexts(rng, 2+rng.Intn(6), 25, 1+rng.Intn(4))
-		sparse := rng.Intn(2) == 0
-		// Split sequences into two disjoint halves.
-		all := allSeqs(ts)
-		cut := 1 + rng.Intn(len(all)-1)
-		aSeqs, bSeqs := all[:cut], all[cut:]
-
-		aPath := filepath.Join(dir, "a.twt")
-		bPath := filepath.Join(dir, "b.twt")
-		outPath := filepath.Join(dir, "out.twt")
-		at := suffixtree.BuildNaive(ts, aSeqs, sparse)
-		bt := suffixtree.BuildNaive(ts, bSeqs, sparse)
-		af, err := Create(aPath, at, 8)
-		if err != nil {
-			return false
-		}
-		af.Close()
-		bf, err := Create(bPath, bt, 8)
-		if err != nil {
-			return false
-		}
-		bf.Close()
-
-		mf, err := MergeFiles(ts, aPath, bPath, outPath, 1+rng.Intn(8))
-		if err != nil {
-			return false
-		}
-		defer mf.Close()
-		got, err := mf.Load(ts)
-		if err != nil {
-			return false
-		}
-		want := suffixtree.BuildNaive(ts, all, sparse)
-		if !suffixtree.Equal(want, got) {
-			return false
-		}
-		return got.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeFilesRejectsMixedSparsity(t *testing.T) {
-	dir := t.TempDir()
-	ts := suffixtree.NewTextStore()
-	ts.Add([]Symbol{1, 2})
-	ts.Add([]Symbol{2, 1})
-	a := suffixtree.BuildNaive(ts, []int{0}, false)
-	b := suffixtree.BuildNaive(ts, []int{1}, true)
-	af, err := Create(filepath.Join(dir, "a"), a, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	af.Close()
-	bf, err := Create(filepath.Join(dir, "b"), b, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-	if _, err := MergeFiles(ts, filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "out"), 8); err == nil {
-		t.Fatal("mixed sparsity merge accepted")
-	}
-}
-
 // Build must equal the naive in-memory tree regardless of batch size, and
 // must clean up its temp files.
 func TestBuildPipeline(t *testing.T) {
@@ -466,9 +394,9 @@ func TestBuildStats(t *testing.T) {
 	if stats.Batches != 5 {
 		t.Errorf("batches = %d, want 5", stats.Batches)
 	}
-	// 5 batches merge in 3 rounds (5 -> 3 -> 2 -> 1) with 4 merges total.
-	if stats.MergeRounds != 3 || stats.Merges != 4 {
-		t.Errorf("rounds = %d merges = %d, want 3/4", stats.MergeRounds, stats.Merges)
+	// 5 batches are within the fan-in: one pass, one 5-way merge.
+	if stats.MergeRounds != 1 || stats.Merges != 1 {
+		t.Errorf("passes = %d merges = %d, want 1/1", stats.MergeRounds, stats.Merges)
 	}
 	if stats.Elapsed <= 0 {
 		t.Error("Elapsed not recorded")

@@ -101,28 +101,6 @@ func TestBuildEncodingV2(t *testing.T) {
 	}
 }
 
-func TestMergeFilesRejectsMixedEncoding(t *testing.T) {
-	dir := t.TempDir()
-	ts := suffixtree.NewTextStore()
-	ts.Add([]Symbol{1, 2})
-	ts.Add([]Symbol{2, 1})
-	a := suffixtree.BuildNaive(ts, []int{0}, false)
-	b := suffixtree.BuildNaive(ts, []int{1}, false)
-	af, err := CreateEncoded(filepath.Join(dir, "a"), a, 8, LayoutReference, EncodingV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	af.Close()
-	bf, err := CreateEncoded(filepath.Join(dir, "b"), b, 8, LayoutReference, EncodingV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-	if _, err := MergeFiles(ts, filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "out"), 8); err == nil {
-		t.Fatal("mixed encoding merge accepted")
-	}
-}
-
 // TestRewrite: re-encoding a file in place of its tree is lossless in both
 // directions, and v1→v2 shrinks the file.
 func TestRewrite(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package disktree implements the disk-based suffix tree of Section 4.1:
 // tree nodes serialized into a paged file, read back through an LRU buffer
 // pool, and — the paper's central construction idea, after Bieganski et
-// al. — binary merges of two disk-resident trees into a third with bounded
-// main memory.
+// al. — merges of disk-resident trees into a new one with bounded main
+// memory: one k-way pass over all batch trees, of which the paper's binary
+// merge is the two-input case.
 //
 // Node records live at arbitrary byte offsets (records may cross page
 // boundaries), so a node with thousands of children — the root of the

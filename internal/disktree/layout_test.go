@@ -43,72 +43,6 @@ func TestQuickInlineRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: inline disk merges produce the same tree as the in-memory
-// merge, and reopened inline files keep their layout.
-func TestQuickInlineMergeEqualsMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(607))
-	dir := t.TempDir()
-	f := func() bool {
-		ts := randomTexts(rng, 2+rng.Intn(5), 20, 1+rng.Intn(3))
-		all := allSeqs(ts)
-		cut := 1 + rng.Intn(len(all)-1)
-		sparse := rng.Intn(2) == 0
-
-		aPath := filepath.Join(dir, "a.twt")
-		bPath := filepath.Join(dir, "b.twt")
-		outPath := filepath.Join(dir, "out.twt")
-		af, err := CreateLayout(aPath, suffixtree.BuildNaive(ts, all[:cut], sparse), 8, LayoutInline)
-		if err != nil {
-			return false
-		}
-		af.Close()
-		bf, err := CreateLayout(bPath, suffixtree.BuildNaive(ts, all[cut:], sparse), 8, LayoutInline)
-		if err != nil {
-			return false
-		}
-		bf.Close()
-		mf, err := MergeFiles(ts, aPath, bPath, outPath, 1+rng.Intn(8))
-		if err != nil {
-			return false
-		}
-		defer mf.Close()
-		if mf.Layout() != LayoutInline {
-			return false
-		}
-		if _, err := mf.Validate(ts); err != nil {
-			return false
-		}
-		got, err := mf.Load(ts)
-		if err != nil {
-			return false
-		}
-		return suffixtree.Equal(suffixtree.BuildNaive(ts, all, sparse), got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMergeRejectsMixedLayouts(t *testing.T) {
-	ts := suffixtree.NewTextStore()
-	ts.Add([]Symbol{1, 2})
-	ts.Add([]Symbol{2, 1})
-	dir := t.TempDir()
-	a, err := CreateLayout(filepath.Join(dir, "a"), suffixtree.BuildNaive(ts, []int{0}, false), 8, LayoutReference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
-	b, err := CreateLayout(filepath.Join(dir, "b"), suffixtree.BuildNaive(ts, []int{1}, false), 8, LayoutInline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	if _, err := MergeFiles(ts, filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "out"), 8); err == nil {
-		t.Fatal("mixed layout merge accepted")
-	}
-}
-
 // Inline files are larger exactly when labels outweigh the reference
 // overhead — which is the paper's Table 1 effect on real data shapes.
 func TestInlineLargerOnDeepTrees(t *testing.T) {

@@ -1,438 +1,315 @@
 package disktree
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
-// edge is a (possibly trimmed) edge into a source tree during a merge: the
-// node at ptr in file f, with the label overridden by (seq, start, length)
-// for reference-layout trees or by syms for inline-layout trees.
+// maxFanIn is how many tree files one merge pass reads at once. A merge
+// holds one buffer pool per input plus one for the output, so construction
+// memory is bounded by (maxFanIn+1) pools of BuildOptions.PoolPages pages
+// (33 MiB at the 256-page default) however large the tree grows; more than
+// maxFanIn batches merge in ⌈log₃₂ B⌉ passes.
+const maxFanIn = 32
+
+// edge is an edge into a source tree during a merge: the decoded node it
+// leads to, whose label fields are trimmed in place as the merge consumes
+// their prefix. The edge owns its node until merge or copySubtree recycles
+// it, so every input record is decoded exactly once.
 type edge struct {
-	f                  *File
-	ptr                Ptr
-	seq, start, length int32
-	syms               []Symbol // inline layout only; len(syms) == length
+	f   *File
+	n   *Node
+	sym Symbol // first symbol of the (trimmed) label; set when edges are grouped
 }
 
-// sym reads label symbol i of the (trimmed) edge.
-func (e edge) sym(store *suffixtree.TextStore, i int32) Symbol {
-	if e.syms != nil {
-		return e.syms[i]
-	}
-	return store.Sym(int(e.seq), int(e.start+i))
-}
-
-// trim drops the first l label symbols.
-func (e *edge) trim(l int32) {
-	e.start += l
-	e.length -= l
-	if e.syms != nil {
-		e.syms = e.syms[l:]
-	}
-}
-
-func (e edge) firstSym(store *suffixtree.TextStore) Symbol {
-	return e.sym(store, 0)
-}
-
-// merger merges two disk trees into a third with memory bounded by the
-// three buffer pools plus a recursion stack proportional to tree depth.
+// merger writes one output tree from any number of source trees with memory
+// bounded by the buffer pools plus a recursion stack proportional to tree
+// depth. Rewrite is the one-source case.
 type merger struct {
 	store     *suffixtree.TextStore
 	out       *File
 	app       *appender
-	layout    Layout
-	enc       Encoding
 	scratch   []byte
 	nodes     uint64
 	leaves    uint64
 	labelSyms uint64
 	// hulls turns on subtree-envelope aggregation for EncodingV3 output:
-	// every copy/merge path returns its subtree's horizon-limited hull
+	// merge and copySubtree return their subtree's horizon-limited hull
 	// vector so parents stamp child table entries, mirroring createOn's
-	// bottom-up pass.
+	// bottom-up pass. When it is off every hull pointer is nil and no hull
+	// is computed or copied.
 	hulls bool
+	// free recycles decoded nodes (and their child-table capacity).
+	free []*Node
 }
 
-// prependEdge folds a (possibly trimmed) edge's label symbols in front of
-// the below-the-edge hull vector, or returns the empty vector when
-// aggregation is off. Reference-layout labels need the text store; the
-// merge path always has one, and Rewrite demands one before targeting v3.
-func (m *merger) prependEdge(e edge, below depthHull) depthHull {
-	if !m.hulls {
-		return emptyDepthHull
-	}
-	return prependLabel(e.length, func(i int32) Symbol { return e.sym(m.store, i) }, below)
-}
-
-// MergeFiles merges the trees in aPath and bPath (over the same text store,
-// disjoint sequence sets) into a new tree file at outPath — the paper's
-// disk-based binary merge. poolPages bounds each file's buffer pool.
-func MergeFiles(store *suffixtree.TextStore, aPath, bPath, outPath string, poolPages int) (*File, error) {
-	a, err := Open(aPath, poolPages, true)
-	if err != nil {
-		return nil, fmt.Errorf("disktree: opening %s: %w", aPath, err)
-	}
-	defer a.Close()
-	b, err := Open(bPath, poolPages, true)
-	if err != nil {
-		return nil, fmt.Errorf("disktree: opening %s: %w", bPath, err)
-	}
-	defer b.Close()
-	if a.Sparse() != b.Sparse() {
-		return nil, fmt.Errorf("disktree: merging sparse with dense tree")
-	}
-	if a.MinSuffixLen() != b.MinSuffixLen() {
-		return nil, fmt.Errorf("disktree: merging trees with different length filters (%d vs %d)",
-			a.MinSuffixLen(), b.MinSuffixLen())
-	}
-	if a.Layout() != b.Layout() {
-		return nil, fmt.Errorf("disktree: merging %s with %s layout", a.Layout(), b.Layout())
-	}
-	if a.Encoding() != b.Encoding() {
-		return nil, fmt.Errorf("disktree: merging %s with %s encoding", a.Encoding(), b.Encoding())
-	}
-
+// newMerger creates the output file at outPath with mt's shape fields
+// (sparseness, length filter, layout, encoding).
+func newMerger(store *suffixtree.TextStore, outPath string, poolPages int, mt meta) (*merger, error) {
 	pf, err := storage.CreateFile(outPath)
 	if err != nil {
 		return nil, err
 	}
+	m := &merger{store: store, out: &File{pf: pf, meta: mt}, hulls: mt.enc == EncodingV3}
 	pool, err := storage.NewPool(pf, poolPages)
 	if err != nil {
-		pf.Close()
-		return nil, err
+		return nil, m.fail(err)
 	}
-	out := &File{pf: pf, src: pool, pool: pool, meta: meta{
-		sparse: a.Sparse(), minSuffixLen: a.meta.minSuffixLen, layout: a.Layout(), enc: a.Encoding(),
-	}}
-	app, err := newAppender(pool)
-	if err != nil {
-		pf.Close()
-		return nil, err
+	m.out.src, m.out.pool = pool, pool
+	if m.app, err = newAppender(pool); err != nil {
+		return nil, m.fail(err)
 	}
-	m := &merger{store: store, out: out, app: app, layout: a.Layout(), enc: a.Encoding(),
-		hulls: a.Encoding() == EncodingV3}
-
-	rootPtr, err := m.mergeRoots(a, b)
-	app.close()
-	if err != nil {
-		pf.Close()
-		os.Remove(outPath)
-		return nil, err
-	}
-	out.meta.root = rootPtr
-	out.meta.nodes = m.nodes
-	out.meta.leaves = m.leaves
-	out.meta.labelSyms = m.labelSyms
-	if err := out.finish(); err != nil {
-		pf.Close()
-		os.Remove(outPath)
-		return nil, err
-	}
-	return out, nil
+	return m, nil
 }
 
-// emit writes a node record and returns its offset.
-func (m *merger) emit(n *Node) (Ptr, error) {
+// fail is the one cleanup path: it closes and removes the half-written
+// output and returns err.
+func (m *merger) fail(err error) error {
+	if m.app != nil {
+		m.app.close()
+	}
+	m.out.pf.Close()
+	os.Remove(m.out.Path())
+	return err
+}
+
+// finish persists the counters and the meta blob and returns the open
+// output file.
+func (m *merger) finish(root Ptr) (*File, error) {
+	m.app.close()
+	m.out.meta.root = root
+	m.out.meta.nodes = m.nodes
+	m.out.meta.leaves = m.leaves
+	m.out.meta.labelSyms = m.labelSyms
+	if err := m.out.finish(); err != nil {
+		return nil, m.fail(err)
+	}
+	return m.out, nil
+}
+
+// MergeFiles merges the trees in inPaths (over the same text store, pairwise
+// disjoint sequence sets) into a new tree file at outPath in one pass — the
+// paper's disk-based binary merge is the two-input case. poolPages bounds
+// each file's buffer pool. Ties between inputs resolve towards the earlier
+// path, so the output depends only on the inputs and their order.
+func MergeFiles(store *suffixtree.TextStore, inPaths []string, outPath string, poolPages int) (*File, error) {
+	if len(inPaths) == 0 {
+		return nil, errors.New("disktree: merging no trees")
+	}
+	roots := make([]edge, 0, len(inPaths))
+	defer func() {
+		for _, r := range roots {
+			r.f.Close()
+		}
+	}()
+	for _, path := range inPaths {
+		f, err := Open(path, poolPages, true)
+		if err != nil {
+			return nil, fmt.Errorf("disktree: opening %s: %w", path, err)
+		}
+		roots = append(roots, edge{f: f})
+		a := roots[0].f
+		switch {
+		case a.Sparse() != f.Sparse():
+			return nil, errors.New("disktree: merging sparse with dense tree")
+		case a.MinSuffixLen() != f.MinSuffixLen():
+			return nil, fmt.Errorf("disktree: merging trees with different length filters (%d vs %d)",
+				a.MinSuffixLen(), f.MinSuffixLen())
+		case a.Layout() != f.Layout():
+			return nil, fmt.Errorf("disktree: merging %s with %s layout", a.Layout(), f.Layout())
+		case a.Encoding() != f.Encoding():
+			return nil, fmt.Errorf("disktree: merging %s with %s encoding", a.Encoding(), f.Encoding())
+		}
+	}
+	a := roots[0].f
+	m, err := newMerger(store, outPath, poolPages, meta{
+		sparse: a.Sparse(), minSuffixLen: a.meta.minSuffixLen, layout: a.Layout(), enc: a.Encoding(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range roots {
+		if roots[i].n, err = m.read(roots[i].f, roots[i].f.Root()); err != nil {
+			return nil, m.fail(err)
+		}
+	}
+	root, _, err := m.merge(roots)
+	if err != nil {
+		return nil, m.fail(err)
+	}
+	return m.finish(root)
+}
+
+// newNode returns a recycled (or fresh) node; its fields are stale.
+func (m *merger) newNode() *Node {
+	if k := len(m.free); k > 0 {
+		n := m.free[k-1]
+		m.free = m.free[:k-1]
+		return n
+	}
+	return new(Node)
+}
+
+// read decodes the node at p of f.
+func (m *merger) read(f *File, p Ptr) (*Node, error) {
+	n := m.newNode()
+	return n, f.ReadNodeInto(p, n)
+}
+
+// sym reads symbol i of n's (trimmed) label.
+func (m *merger) sym(n *Node, i int32) Symbol {
+	if m.out.meta.layout == LayoutInline {
+		return n.Label[i]
+	}
+	return m.store.Sym(int(n.LabelSeq), int(n.LabelStart+i))
+}
+
+// emit writes n's record, recycles n, and returns the record's offset plus
+// the hull vector of the subtree entered over n's label, below being the
+// union over n's children (nil, and nil back, when aggregation is off).
+// Reference-layout labels need the text store; the merge path always has
+// one, and Rewrite demands one before targeting v3.
+func (m *merger) emit(n *Node, below *depthHull) (Ptr, *depthHull, error) {
 	m.nodes++
 	m.labelSyms += uint64(n.LabelLen)
 	if n.Leaf {
 		m.leaves++
 	}
 	ptr := m.app.offset()
-	m.scratch = encodeNode(m.scratch[:0], n, m.layout, m.enc)
+	m.scratch = encodeNode(m.scratch[:0], n, m.out.meta.layout, m.out.meta.enc)
 	if err := m.app.write(m.scratch); err != nil {
-		return NilPtr, err
+		return NilPtr, nil, err
 	}
-	return ptr, nil
+	if m.hulls {
+		*below = prependLabel(n.LabelLen, func(i int32) Symbol { return m.sym(n, i) }, *below)
+	}
+	m.free = append(m.free, n)
+	return ptr, below, nil
 }
 
-// copySubtree copies the subtree at e.ptr into the output, with e's
-// (possibly trimmed) label on the top edge. Children are copied with their
-// stored labels. It returns the copied subtree's hull vector (top label
-// included) so the caller can stamp its child table entry.
-func (m *merger) copySubtree(e edge) (Ptr, depthHull, error) {
-	var n Node
-	if err := e.f.ReadNodeInto(e.ptr, &n); err != nil {
-		return NilPtr, emptyDepthHull, err
-	}
-	out := Node{
-		LabelSeq:   e.seq,
-		LabelStart: e.start,
-		LabelLen:   e.length,
-		Label:      e.syms,
-		Leaf:       n.Leaf,
-		Pos:        n.Pos,
-		RunLen:     n.RunLen,
-	}
-	if n.Leaf && m.layout == LayoutInline {
-		out.LabelSeq = n.LabelSeq // the suffix's owning sequence
-	}
-	below := emptyDepthHull
-	if !n.Leaf {
-		out.Children = make([]ChildRef, len(n.Children))
-		for i, c := range n.Children {
-			childEdge, err := m.childEdge(e.f, c)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			ptr, chHull, err := m.copySubtree(childEdge)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			out.Children[i] = hullRef(ChildRef{Sym: c.Sym, Ptr: ptr}, chHull)
-			below = below.union(chHull)
-		}
-	}
-	ptr, err := m.emit(&out)
-	return ptr, m.prependEdge(e, below), err
-}
-
-// childEdge builds the untrimmed edge of a child reference.
-func (m *merger) childEdge(f *File, c ChildRef) (edge, error) {
-	var n Node
-	if err := f.ReadNodeInto(c.Ptr, &n); err != nil {
-		return edge{}, err
-	}
-	e := edge{f: f, ptr: c.Ptr, seq: n.LabelSeq, start: n.LabelStart, length: n.LabelLen}
-	if f.Layout() == LayoutInline {
-		// n is a fresh local Node, so its Label slice is not shared.
-		e.syms = n.Label
-	}
-	return e, nil
-}
-
-// mergeRoots zips the two root child tables and emits the new root.
-func (m *merger) mergeRoots(a, b *File) (Ptr, error) {
-	var an, bn Node
-	if err := a.ReadNodeInto(a.Root(), &an); err != nil {
-		return NilPtr, err
-	}
-	if err := b.ReadNodeInto(b.Root(), &bn); err != nil {
-		return NilPtr, err
-	}
-	children, _, err := m.zipChildren(a, an.Children, b, bn.Children)
-	if err != nil {
-		return NilPtr, err
-	}
-	return m.emit(&Node{Children: children})
-}
-
-// zipChildren merges two sorted child tables, recursing on equal symbols.
-// It returns the union hull vector over every emitted entry (the merged
-// node's below-the-label hulls).
-func (m *merger) zipChildren(aF *File, as []ChildRef, bF *File, bs []ChildRef) ([]ChildRef, depthHull, error) {
-	out := make([]ChildRef, 0, len(as)+len(bs))
-	hull := emptyDepthHull
-	copyOne := func(f *File, c ChildRef) error {
-		e, err := m.childEdge(f, c)
-		if err != nil {
-			return err
-		}
-		ptr, chHull, err := m.copySubtree(e)
-		if err != nil {
-			return err
-		}
-		out = append(out, hullRef(ChildRef{Sym: c.Sym, Ptr: ptr}, chHull))
-		hull = hull.union(chHull)
+// newHull starts a node's below-the-label hull vector.
+func (m *merger) newHull() *depthHull {
+	if !m.hulls {
 		return nil
 	}
-	i, j := 0, 0
-	for i < len(as) && j < len(bs) {
-		switch {
-		case as[i].Sym < bs[j].Sym:
-			if err := copyOne(aF, as[i]); err != nil {
-				return nil, emptyDepthHull, err
-			}
-			i++
-		case as[i].Sym > bs[j].Sym:
-			if err := copyOne(bF, bs[j]); err != nil {
-				return nil, emptyDepthHull, err
-			}
-			j++
-		default:
-			ae, err := m.childEdge(aF, as[i])
-			if err != nil {
-				return nil, emptyDepthHull, err
-			}
-			be, err := m.childEdge(bF, bs[j])
-			if err != nil {
-				return nil, emptyDepthHull, err
-			}
-			ptr, chHull, err := m.mergeEdge(ae, be)
-			if err != nil {
-				return nil, emptyDepthHull, err
-			}
-			out = append(out, hullRef(ChildRef{Sym: as[i].Sym, Ptr: ptr}, chHull))
-			hull = hull.union(chHull)
-			i++
-			j++
-		}
-	}
-	for ; i < len(as); i++ {
-		if err := copyOne(aF, as[i]); err != nil {
-			return nil, emptyDepthHull, err
-		}
-	}
-	for ; j < len(bs); j++ {
-		if err := copyOne(bF, bs[j]); err != nil {
-			return nil, emptyDepthHull, err
-		}
-	}
-	return out, hull, nil
+	h := emptyDepthHull
+	return &h
 }
 
-// mergeEdge merges two edges that start with the same symbol, returning the
-// merged subtree's hull vector alongside its offset.
-func (m *merger) mergeEdge(a, b edge) (Ptr, depthHull, error) {
-	// Common label prefix length.
-	maxL := a.length
-	if b.length < maxL {
-		maxL = b.length
-	}
-	l := int32(1)
-	for l < maxL && a.sym(m.store, l) == b.sym(m.store, l) {
-		l++
-	}
-
-	switch {
-	case l == a.length && l == b.length:
-		// Same full label: merge the two nodes' child tables.
-		var an, bn Node
-		if err := a.f.ReadNodeInto(a.ptr, &an); err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		if err := b.f.ReadNodeInto(b.ptr, &bn); err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		if an.Leaf || bn.Leaf {
-			return NilPtr, emptyDepthHull, fmt.Errorf("disktree: leaf collision during merge (overlapping sequence sets?)")
-		}
-		children, chHull, err := m.zipChildren(a.f, an.Children, b.f, bn.Children)
-		if err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		ptr, err := m.emit(&Node{
-			LabelSeq: a.seq, LabelStart: a.start, LabelLen: a.length,
-			Label: a.syms, Children: children,
-		})
-		return ptr, m.prependEdge(a, chHull), err
-
-	case l == a.length:
-		// b's label extends past a's: push the trimmed b edge into a's node.
-		b.trim(l)
-		return m.mergeInto(a, b)
-
-	case l == b.length:
-		a.trim(l)
-		return m.mergeInto(b, a)
-
-	default:
-		// Labels diverge inside both: new internal node with the common
-		// prefix and the two trimmed subtrees as children.
-		prefix := a
-		prefix.length = l
-		if prefix.syms != nil {
-			prefix.syms = prefix.syms[:l]
-		}
-		a.trim(l)
-		b.trim(l)
-		aPtr, aHull, err := m.copySubtree(a)
-		if err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		bPtr, bHull, err := m.copySubtree(b)
-		if err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		ca := hullRef(ChildRef{Sym: a.firstSym(m.store), Ptr: aPtr}, aHull)
-		cb := hullRef(ChildRef{Sym: b.firstSym(m.store), Ptr: bPtr}, bHull)
-		if cb.Sym < ca.Sym {
-			ca, cb = cb, ca
-		}
-		ptr, err := m.emit(&Node{
-			LabelSeq:   prefix.seq,
-			LabelStart: prefix.start,
-			LabelLen:   l,
-			Label:      prefix.syms,
-			Children:   []ChildRef{ca, cb},
-		})
-		return ptr, m.prependEdge(prefix, aHull.union(bHull)), err
+// stamp records a just-written child subtree's hull on its child table entry
+// and folds it into the parent's below vector.
+func (m *merger) stamp(ref *ChildRef, below, child *depthHull) {
+	if m.hulls {
+		*ref = hullRef(*ref, *child)
+		*below = below.union(*child)
 	}
 }
 
-// mergeInto merges the trimmed edge extra into the node at base (whose
-// label is fully consumed) and emits the combined node, returning its
-// subtree hull vector.
-func (m *merger) mergeInto(base, extra edge) (Ptr, depthHull, error) {
-	var bn Node
-	if err := base.f.ReadNodeInto(base.ptr, &bn); err != nil {
-		return NilPtr, emptyDepthHull, err
-	}
-	if bn.Leaf {
-		// extra extends strictly below a leaf: impossible with per-sequence
-		// terminators unless the sequence sets overlap.
-		return NilPtr, emptyDepthHull, fmt.Errorf("disktree: edge extends below a leaf (overlapping sequence sets?)")
-	}
-	sym := extra.firstSym(m.store)
-	out := make([]ChildRef, 0, len(bn.Children)+1)
-	below := emptyDepthHull
-	addEntry := func(s Symbol, ptr Ptr, h depthHull) {
-		out = append(out, hullRef(ChildRef{Sym: s, Ptr: ptr}, h))
-		below = below.union(h)
-	}
-	merged := false
-	for _, c := range bn.Children {
-		switch {
-		case c.Sym == sym:
-			ce, err := m.childEdge(base.f, c)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			ptr, chHull, err := m.mergeEdge(ce, extra)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			addEntry(sym, ptr, chHull)
-			merged = true
-		case !merged && c.Sym > sym:
-			ptr, exHull, err := m.copySubtree(extra)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			addEntry(sym, ptr, exHull)
-			merged = true
-			fallthrough
-		default:
-			ce, err := m.childEdge(base.f, c)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			ptr, chHull, err := m.copySubtree(ce)
-			if err != nil {
-				return NilPtr, emptyDepthHull, err
-			}
-			addEntry(c.Sym, ptr, chHull)
-		}
-	}
-	if !merged {
-		ptr, exHull, err := m.copySubtree(extra)
+// copySubtree copies the subtree below e into the output with e's (possibly
+// trimmed) label on the top edge; children keep their stored labels. The
+// decoded node doubles as the output record: only its child offsets (and
+// hulls) change.
+func (m *merger) copySubtree(e edge) (Ptr, *depthHull, error) {
+	n := e.n
+	below := m.newHull()
+	for i := range n.Children {
+		ref := &n.Children[i]
+		c, err := m.read(e.f, ref.Ptr)
 		if err != nil {
-			return NilPtr, emptyDepthHull, err
+			return NilPtr, nil, err
 		}
-		addEntry(sym, ptr, exHull)
+		var h *depthHull
+		if ref.Ptr, h, err = m.copySubtree(edge{f: e.f, n: c}); err != nil {
+			return NilPtr, nil, err
+		}
+		m.stamp(ref, below, h)
 	}
-	ptr, err := m.emit(&Node{
-		LabelSeq: base.seq, LabelStart: base.start, LabelLen: base.length,
-		Label: base.syms, Children: out,
-	})
-	return ptr, m.prependEdge(base, below), err
+	return m.emit(n, below)
+}
+
+// merge writes the union of a group of edges that start with the same
+// symbol (or, for the roots, all have the empty label): the common label
+// prefix of the group becomes the merged node's label, every edge whose
+// label the prefix consumes is replaced by its node's children, and the
+// remaining edges regroup by their next symbol — a singleton group is a
+// plain copy. The merged node takes its label from the first edge, and the
+// regrouping is stable, so input order decides every tie.
+func (m *merger) merge(es []edge) (Ptr, *depthHull, error) {
+	if len(es) == 1 {
+		return m.copySubtree(es[0])
+	}
+	first := es[0].n
+	l := first.LabelLen
+	for _, e := range es[1:] {
+		l = min(l, e.n.LabelLen)
+		for i := int32(1); i < l; i++ { // first symbols are known equal
+			if m.sym(first, i) != m.sym(e.n, i) {
+				l = i
+				break
+			}
+		}
+	}
+	out := m.newNode()
+	*out = Node{LabelSeq: first.LabelSeq, LabelStart: first.LabelStart, LabelLen: l,
+		Label: out.Label[:0], Children: out.Children[:0]}
+	if m.out.meta.layout == LayoutInline {
+		out.Label = append(out.Label, first.Label[:l]...)
+	}
+
+	var kids []edge
+	for _, e := range es {
+		n := e.n
+		if n.LabelLen > l {
+			n.LabelStart += l
+			n.LabelLen -= l
+			if m.out.meta.layout == LayoutInline {
+				n.Label = n.Label[l:]
+			}
+			kids = append(kids, edge{f: e.f, n: n, sym: m.sym(n, 0)})
+			continue
+		}
+		if n.Leaf {
+			// Another edge spells the same suffix or extends below it:
+			// impossible with per-sequence terminators unless the sequence
+			// sets overlap.
+			return NilPtr, nil, errors.New("disktree: leaf collision during merge (overlapping sequence sets?)")
+		}
+		for i := range n.Children {
+			c, err := m.read(e.f, n.Children[i].Ptr)
+			if err != nil {
+				return NilPtr, nil, err
+			}
+			kids = append(kids, edge{f: e.f, n: c, sym: n.Children[i].Sym})
+		}
+		m.free = append(m.free, n)
+	}
+	slices.SortStableFunc(kids, func(a, b edge) int { return cmp.Compare(a.sym, b.sym) })
+
+	below := m.newHull()
+	for i := 0; i < len(kids); {
+		j := i + 1
+		for j < len(kids) && kids[j].sym == kids[i].sym {
+			j++
+		}
+		ptr, h, err := m.merge(kids[i:j])
+		if err != nil {
+			return NilPtr, nil, err
+		}
+		out.Children = append(out.Children, ChildRef{Sym: kids[i].sym, Ptr: ptr})
+		m.stamp(&out.Children[len(out.Children)-1], below, h)
+		i = j
+	}
+	return m.emit(out, below)
 }
 
 // BuildOptions controls the disk-based construction pipeline.
@@ -463,9 +340,10 @@ type BuildOptions struct {
 type BuildStats struct {
 	// Batches is the number of initial in-memory trees spilled to disk.
 	Batches int
-	// MergeRounds is the number of pairwise merge rounds.
+	// MergeRounds is the number of merge passes over the whole tree: 0 for
+	// a single batch, 1 for up to 32 batches.
 	MergeRounds int
-	// Merges is the total number of binary disk merges performed.
+	// Merges is the total number of k-way disk merges performed.
 	Merges int
 	// Elapsed is the wall-clock construction time.
 	Elapsed time.Duration
@@ -485,10 +363,14 @@ func (o BuildOptions) withDefaults() BuildOptions {
 }
 
 // Build constructs the disk-based suffix tree of the given sequences at
-// outPath: in-memory trees for small batches are spilled to disk, then
-// merged pairwise in rounds of increasing size — the paper's "series of
-// binary merges of suffix trees of increasing size". Temp files live next
-// to outPath and are removed as they are consumed.
+// outPath: in-memory trees for batches of BatchSize sequences are spilled
+// to disk concurrently, then merged in one k-way pass (one pass per factor
+// of maxFanIn batches) — the paper's "series of binary merges of suffix
+// trees of increasing size" collapsed into its k-input generalization.
+// Every intermediate lives in one scratch directory next to outPath that is
+// removed on return; only the finished tree is renamed out of it, so a
+// failed build leaves the directory as it found it. The output bytes do not
+// depend on GOMAXPROCS or scheduling.
 func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOptions) (*File, error) {
 	opts = opts.withDefaults()
 	started := time.Now()
@@ -499,78 +381,76 @@ func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOp
 			*opts.Stats = stats
 		}
 	}()
-	dir := filepath.Dir(outPath)
-
-	// Phase 1: spill batch trees.
-	var paths []string
-	cleanup := func() {
-		for _, p := range paths {
-			os.Remove(p)
-		}
+	scratch, err := os.MkdirTemp(filepath.Dir(outPath), ".twtree-build-*")
+	if err != nil {
+		return nil, err
 	}
-	for start := 0; start < len(seqs); start += opts.BatchSize {
-		end := start + opts.BatchSize
-		if end > len(seqs) {
-			end = len(seqs)
-		}
-		t := suffixtree.BuildMergedFiltered(store, seqs[start:end], opts.Sparse, opts.MinSuffixLen)
-		path := filepath.Join(dir, fmt.Sprintf(".twtree-batch-%d.tmp", len(paths)))
-		f, err := CreateEncoded(path, t, opts.PoolPages, opts.Layout, opts.Encoding)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		// A failed close means the batch never fully flushed; merging a
-		// truncated batch would silently drop suffixes from the index.
-		if err := f.Close(); err != nil {
-			cleanup()
-			return nil, err
-		}
-		paths = append(paths, path)
+	defer os.RemoveAll(scratch)
+
+	paths, err := spillBatches(store, seqs, scratch, opts)
+	if err != nil {
+		return nil, err
 	}
 	stats.Batches = len(paths)
-	if len(paths) == 0 {
-		// Empty database: a root-only tree.
-		t := &suffixtree.Tree{
-			Store: store, Root: &suffixtree.Node{},
-			Sparse: opts.Sparse, MinSuffixLen: opts.MinSuffixLen,
-		}
-		return CreateEncoded(outPath, t, opts.PoolPages, opts.Layout, opts.Encoding)
-	}
-
-	// Phase 2: rounds of pairwise disk merges.
-	gen := 0
-	for len(paths) > 1 {
+	for ; len(paths) > 1; stats.MergeRounds++ {
 		var next []string
-		for i := 0; i+1 < len(paths); i += 2 {
-			out := filepath.Join(dir, fmt.Sprintf(".twtree-merge-%d-%d.tmp", gen, i/2))
-			f, err := MergeFiles(store, paths[i], paths[i+1], out, opts.PoolPages)
+		for i := 0; i < len(paths); i += maxFanIn {
+			group := paths[i:min(i+maxFanIn, len(paths))]
+			if len(group) == 1 {
+				next = append(next, group[0]) // odd one out: rides along to the next pass
+				continue
+			}
+			out := filepath.Join(scratch, fmt.Sprintf("merge-%d-%d", stats.MergeRounds, len(next)))
+			f, err := MergeFiles(store, group, out, opts.PoolPages)
 			if err != nil {
-				paths = append(paths, next...) // clean finished outputs too
-				cleanup()
 				return nil, err
 			}
 			if err := f.Close(); err != nil {
-				paths = append(append(paths, next...), out)
-				cleanup()
 				return nil, err
 			}
-			os.Remove(paths[i])
-			os.Remove(paths[i+1])
+			for _, p := range group {
+				os.Remove(p) // consumed; frees the disk space before the next pass
+			}
 			next = append(next, out)
 			stats.Merges++
 		}
-		if len(paths)%2 == 1 {
-			next = append(next, paths[len(paths)-1])
-		}
 		paths = next
-		gen++
 	}
-	stats.MergeRounds = gen
-
 	if err := os.Rename(paths[0], outPath); err != nil {
-		cleanup()
 		return nil, err
 	}
 	return Open(outPath, opts.PoolPages, false)
+}
+
+// spillBatches is phase 1 of Build: batch i is the in-memory tree of
+// seqs[i*BatchSize:(i+1)*BatchSize], serialized to its own file in dir. The
+// batches are independent and equally sized, so they are dealt round-robin
+// to up to GOMAXPROCS goroutines (that many batch trees are resident
+// together); which goroutine builds a batch does not affect its bytes. An
+// empty seqs yields one root-only batch.
+func spillBatches(store *suffixtree.TextStore, seqs []int, dir string, opts BuildOptions) ([]string, error) {
+	paths := make([]string, max(1, (len(seqs)+opts.BatchSize-1)/opts.BatchSize))
+	errs := make([]error, len(paths))
+	workers := min(runtime.GOMAXPROCS(0), len(paths))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(paths); i += workers {
+				batch := seqs[min(i*opts.BatchSize, len(seqs)):min((i+1)*opts.BatchSize, len(seqs))]
+				t := suffixtree.BuildMergedFiltered(store, batch, opts.Sparse, opts.MinSuffixLen)
+				paths[i] = filepath.Join(dir, fmt.Sprintf("batch-%d", i))
+				f, err := CreateEncoded(paths[i], t, opts.PoolPages, opts.Layout, opts.Encoding)
+				if err == nil {
+					// A failed close means the batch never fully flushed; merging a
+					// truncated batch would silently drop suffixes from the index.
+					err = f.Close()
+				}
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	return paths, errors.Join(errs...)
 }

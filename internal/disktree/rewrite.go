@@ -2,9 +2,7 @@ package disktree
 
 import (
 	"fmt"
-	"os"
 
-	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
@@ -32,59 +30,24 @@ func Rewrite(inPath, outPath string, poolPages int, enc Encoding, store *suffixt
 		return nil, fmt.Errorf("disktree: rewriting a reference-layout tree to v3 needs the text store (envelope hulls read edge labels)")
 	}
 
-	pf, err := storage.CreateFile(outPath)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := storage.NewPool(pf, poolPages)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
-	out := &File{pf: pf, src: pool, pool: pool, meta: meta{
-		sparse: in.Sparse(), minSuffixLen: in.meta.minSuffixLen, layout: in.Layout(), enc: enc,
-	}}
-	app, err := newAppender(pool)
-	if err != nil {
-		pf.Close()
-		os.Remove(outPath)
-		return nil, err
-	}
 	// The merger's copySubtree is exactly the re-encode pass: it reads every
 	// node through the input's decoder and emits it through the output's
 	// encoder. The text store is consulted only when v3 hull aggregation
 	// must expand reference labels; the pure copy path never compares
 	// labels, so nil is safe everywhere else.
-	m := &merger{store: store, out: out, app: app, layout: in.Layout(), enc: enc,
-		hulls: enc == EncodingV3}
-
-	var rn Node
-	if err := in.ReadNodeInto(in.Root(), &rn); err != nil {
-		app.close()
-		pf.Close()
-		os.Remove(outPath)
-		return nil, err
-	}
-	rootEdge := edge{f: in, ptr: in.Root(), seq: rn.LabelSeq, start: rn.LabelStart, length: rn.LabelLen}
-	if in.Layout() == LayoutInline {
-		// rn is a local Node, so its Label slice is not shared with anything.
-		rootEdge.syms = rn.Label
-	}
-	rootPtr, _, err := m.copySubtree(rootEdge)
-	app.close()
+	m, err := newMerger(store, outPath, poolPages, meta{
+		sparse: in.Sparse(), minSuffixLen: in.meta.minSuffixLen, layout: in.Layout(), enc: enc,
+	})
 	if err != nil {
-		pf.Close()
-		os.Remove(outPath)
 		return nil, err
 	}
-	out.meta.root = rootPtr
-	out.meta.nodes = m.nodes
-	out.meta.leaves = m.leaves
-	out.meta.labelSyms = m.labelSyms
-	if err := out.finish(); err != nil {
-		pf.Close()
-		os.Remove(outPath)
-		return nil, err
+	root, err := m.read(in, in.Root())
+	if err != nil {
+		return nil, m.fail(err)
 	}
-	return out, nil
+	rootPtr, _, err := m.copySubtree(edge{f: in, n: root})
+	if err != nil {
+		return nil, m.fail(err)
+	}
+	return m.finish(rootPtr)
 }

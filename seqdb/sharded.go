@@ -213,13 +213,20 @@ func (s *ShardedDB) Values(id string) []float64 {
 	return nil
 }
 
-// BuildIndex builds the named index on every shard, shard by shard. On
-// failure the already-built shards keep their index — rerunning after
-// fixing the cause fails on the existing ones; DropIndex cleans up.
+// BuildIndex builds the named index on every shard, shard by shard. It is
+// all or nothing: when a shard fails, the index is dropped again from the
+// shards this call had already built, so the call can simply be repeated
+// after fixing the cause. Shards that had the index before the call keep it.
 func (s *ShardedDB) BuildIndex(name string, spec IndexSpec) error {
 	for i, d := range s.shards {
 		if err := d.BuildIndex(name, spec); err != nil {
-			return fmt.Errorf("seqdb: building index %q on shard %d: %w", name, i, err)
+			errs := []error{fmt.Errorf("seqdb: building index %q on shard %d: %w", name, i, err)}
+			for j, built := range s.shards[:i] {
+				if err := built.DropIndex(name); err != nil {
+					errs = append(errs, fmt.Errorf("seqdb: rolling back index %q on shard %d: %w", name, j, err))
+				}
+			}
+			return errors.Join(errs...)
 		}
 	}
 	return nil

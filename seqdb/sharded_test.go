@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"twsearch/internal/shard"
@@ -264,6 +265,64 @@ func TestShardedIndexLifecycle(t *testing.T) {
 	}
 	if err := sdb.DropIndex("ix"); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("double drop: want ErrNoIndex, got %v", err)
+	}
+}
+
+// TestShardedBuildIndexRetryable: a build that fails on a later shard rolls
+// the earlier shards back, leaves no scratch behind, and succeeds when
+// repeated after the cause is fixed. The failure is a directory squatting on
+// the last shard's tree path (the final rename cannot replace it) — unlike a
+// read-only directory it also stops a root test runner.
+func TestShardedBuildIndexRetryable(t *testing.T) {
+	db := newTestDB(t, 9, 40, 6)
+	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 8}
+	sdb, err := db.PartitionInto(filepath.Join(t.TempDir(), "s"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	block := sdb.Shard(2).treePath("ix")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.BuildIndex("ix", spec); err == nil {
+		t.Fatal("build over a blocked shard succeeded")
+	}
+	for i := 0; i < sdb.Shards(); i++ {
+		if got := sdb.Shard(i).Indexes(); len(got) != 0 {
+			t.Errorf("shard %d keeps indexes %v after the failed build", i, got)
+		}
+		entries, err := os.ReadDir(sdb.Shard(i).Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			blocker := filepath.Join(sdb.Shard(i).Dir(), e.Name()) == block
+			if strings.HasPrefix(e.Name(), ".twtree-") || (strings.HasPrefix(e.Name(), "idx-") && !blocker) {
+				t.Errorf("shard %d: failed build left %s behind", i, e.Name())
+			}
+		}
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.BuildIndex("ix", spec); err != nil {
+		t.Fatalf("retry after fixing the shard: %v", err)
+	}
+	if err := db.BuildIndex("ix", spec); err != nil {
+		t.Fatal(err)
+	}
+	q := db.Values("seq-0")[:8]
+	want, _, err := db.Search("ix", q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := sdb.Search("ix", q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("rebuilt sharded index returns %d matches, unsharded %d", len(got), len(want))
 	}
 }
 
