@@ -40,8 +40,12 @@ lint-golden:
 lint-golden-update:
 	-$(GO) run ./cmd/twlint -json internal/lint/testdata/src/*/bad > internal/lint/testdata/golden.jsonl
 
+# Serial and concurrent: the buffer pool, the build's sorting goroutines and
+# the shared-handle search paths behave differently with one scheduler
+# thread and with several, so the suite must be green at both ends.
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test ./...
+	GOMAXPROCS=4 $(GO) test ./...
 
 # The documented pre-PR gate: everything that must be green before review.
 check: build vet lint test race
@@ -88,18 +92,19 @@ race-mmap:
 # Envelope-cascade invisibility under -race, run twice for warm pools: the
 # cascade (tier-B row gates and tier-A subtree hulls, serial and parallel)
 # must change only work counters, never answers, and the v3 hull profiles
-# must survive create, build+merge, and rewrite round trips.
+# must survive create, build, and rewrite round trips.
 race-envelope:
-	$(GO) test -race -count=2 -run 'TestEnvelope|TestQuickLowerBoundChain|TestEncodingV3|TestBuildEncodingV3|TestRewriteV3|TestFormatStability' ./internal/dtw/ ./internal/core/ ./internal/disktree/ ./seqdb/
+	$(GO) test -race -count=2 -run 'TestEnvelope|TestQuickLowerBoundChain|TestEncodingV3|TestBuildEqualsReference|TestRewriteV3|TestFormatStability' ./internal/dtw/ ./internal/core/ ./internal/disktree/ ./seqdb/
 
 # Index construction under -race, serial and concurrent: phase 1 of
-# disktree.Build spills its batch trees on up to GOMAXPROCS goroutines, so
-# every build and merge test of the three packages that construct trees runs
+# disktree.Build sorts its suffix buckets on up to GOMAXPROCS goroutines, so
+# every build test of the three packages that construct trees (the
+# differential, determinism, failure and fuzz-seed tests among them) runs
 # once with one goroutine and once with four — the determinism test pins the
 # bytes across the two.
 race-build:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|Merge' ./internal/disktree ./internal/core ./internal/multivar
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|Merge' ./internal/disktree ./internal/core ./internal/multivar
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/core ./internal/multivar
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/core ./internal/multivar
 
 # End-to-end server drill under the race detector: boot twsearchd on an
 # ephemeral port, stream matches over concurrent client connections,
@@ -108,13 +113,14 @@ race-build:
 smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
-# Bounded fuzzing for CI: the distance-kernel, engine-equivalence and
-# wire round-trip targets, 10s each, seeds + corpus only.
+# Bounded fuzzing for CI: the distance-kernel, engine-equivalence, wire
+# round-trip and build-versus-naive targets, 10s each, seeds + corpus only.
 fuzz-ci:
 	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzIntervalLowerBound -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
 
 race:
 	$(GO) test -race ./...
@@ -169,6 +175,7 @@ fuzz:
 	$(GO) test -fuzz FuzzValidateCorruption -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzNodeCodecV3 -fuzztime 10s ./internal/disktree/
+	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 20s ./internal/core/
 

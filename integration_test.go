@@ -180,7 +180,7 @@ func TestIntegrationArtificialScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := db.BuildIndex("sst", seqdb.IndexSpec{
-		Method: seqdb.MethodMaxEntropy, Categories: 10, Sparse: true, BatchSize: 16,
+		Method: seqdb.MethodMaxEntropy, Categories: 10, Sparse: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

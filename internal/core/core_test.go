@@ -191,7 +191,6 @@ func TestNoFalseDismissals(t *testing.T) {
 		for vi, v := range variants() {
 			path := filepath.Join(dir, fmt.Sprintf("ix-%d-%d.twt", trial, vi))
 			opts := v.opts
-			opts.Build.BatchSize = 1 + rng.Intn(4)
 			ix, err := Build(data, path, opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: Build: %v", trial, v.name, err)

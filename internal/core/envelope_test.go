@@ -44,7 +44,6 @@ func TestEnvelopeCascadeIdentity(t *testing.T) {
 					opts := v.opts
 					opts.Window = window
 					opts.Encoding = enc
-					opts.Build.BatchSize = 2
 					path := filepath.Join(dir, fmt.Sprintf("ix-%d-%d-%d-%s.twt", trial, vi, window, enc))
 					ix, err := Build(data, path, opts)
 					if err != nil {

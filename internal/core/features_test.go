@@ -354,10 +354,9 @@ func TestInMemoryIndex(t *testing.T) {
 	}
 }
 
-// A disk index built from many small batches (concurrent spill, one k-way
-// merge) is the same tree as the in-memory index: same answers, same
-// traversal work.
-func TestBuildBatchedMatchesInMemory(t *testing.T) {
+// A disk index is the same tree as the in-memory index — one construction
+// onto two backings: same answers, same traversal work.
+func TestBuildDiskMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(463))
 	data := randomWalkDataset(rng, 11, 30)
 	opts := Options{Kind: categorize.KindMaxEntropy, Categories: 6}
@@ -366,14 +365,13 @@ func TestBuildBatchedMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	opts.Build.BatchSize = 2
-	disk, err := Build(data, filepath.Join(t.TempDir(), "batched.twt"), opts)
+	disk, err := Build(data, filepath.Join(t.TempDir(), "disk.twt"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	if bs := disk.BuildStats; bs.Batches != 6 || bs.MergeRounds != 1 || bs.Merges != 1 {
-		t.Errorf("BuildStats = %+v, want 6 batches merged in one pass", bs)
+	if bs := disk.BuildStats; bs.Suffixes != int(disk.Tree.NumLeaves()) || bs.Nodes != int(disk.Tree.NumNodes()) || bs.Nodes != mem.BuildStats.Nodes {
+		t.Errorf("BuildStats = %+v (in-memory %+v), tree has %d leaves / %d nodes", bs, mem.BuildStats, disk.Tree.NumLeaves(), disk.Tree.NumNodes())
 	}
 	for trial := 0; trial < 5; trial++ {
 		q := randomQuery(rng, 6)
@@ -386,10 +384,10 @@ func TestBuildBatchedMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !matchesEqual(got, want) {
-			t.Fatalf("trial %d: batched index %d matches, in-memory %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: disk index %d matches, in-memory %d", trial, len(got), len(want))
 		}
 		if gotStats.NodesVisited != wantStats.NodesVisited || gotStats.FilterCells != wantStats.FilterCells {
-			t.Fatalf("trial %d: batched index visited %d nodes / %d cells, in-memory %d / %d", trial,
+			t.Fatalf("trial %d: disk index visited %d nodes / %d cells, in-memory %d / %d", trial,
 				gotStats.NodesVisited, gotStats.FilterCells, wantStats.NodesVisited, wantStats.FilterCells)
 		}
 	}

@@ -57,11 +57,10 @@ type Options struct {
 	// v2 compact varints).
 	Encoding disktree.Encoding
 	// InMemory builds the index into an in-memory page file instead of the
-	// given path — no filesystem footprint, no persistence. The tree is
-	// built wholly in memory (no spill-and-merge pipeline), so this is for
-	// datasets whose tree fits in RAM.
+	// given path — no filesystem footprint, no persistence; the same
+	// construction, so this is for datasets whose tree fits in RAM.
 	InMemory bool
-	// Build tunes the disk construction pipeline.
+	// Build tunes the disk construction.
 	Build disktree.BuildOptions
 }
 
@@ -169,12 +168,7 @@ func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path str
 	var tree *disktree.File
 	var err error
 	if opts.InMemory {
-		mem := suffixtree.BuildMergedFiltered(store, seqs, opts.Sparse, opts.MinAnswerLen)
-		poolPages := opts.Build.PoolPages
-		if poolPages <= 0 {
-			poolPages = 256
-		}
-		tree, err = disktree.CreateMemEncoded(mem, poolPages, opts.Layout, opts.Encoding)
+		tree, err = disktree.BuildMem(store, seqs, opts.Build)
 	} else {
 		tree, err = disktree.Build(store, seqs, path, opts.Build)
 	}

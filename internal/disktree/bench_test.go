@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"twsearch/internal/suffixtree"
 )
@@ -22,26 +23,42 @@ func benchStore(b *testing.B, nSeq, seqLen, alphabet int) *suffixtree.TextStore 
 	return ts
 }
 
-// BenchmarkBuild times the whole construction pipeline — concurrent batch
-// spill, k-way merge, rename, reopen — on 256 sequences in 16 batches, and
-// reports the cost per output node and the number of merge passes.
+// BenchmarkBuild times the whole construction — suffix sort, streamed write,
+// rename, reopen — and reports the cost per output node on a random input
+// and on a repetitive one (constant runs, where the suffixes' common
+// prefixes are as long as the runs and a string sort is at its worst), with
+// the share of each build spent sorting.
 func BenchmarkBuild(b *testing.B) {
-	ts := benchStore(b, 256, 232, 12)
-	seqs := allSeqs(ts)
-	dir := b.TempDir()
-	var stats BuildStats
-	var nodes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := Build(ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{BatchSize: 16, PoolPages: 64, Stats: &stats})
-		if err != nil {
-			b.Fatal(err)
+	runs := suffixtree.NewTextStore()
+	for i := 0; i < 256; i++ {
+		text := make([]Symbol, 232)
+		for j := range text {
+			text[j] = Symbol((j / 58) % 3)
 		}
-		nodes = f.NumNodes()
-		f.Close()
+		runs.Add(text)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
-	b.ReportMetric(float64(stats.MergeRounds), "passes")
+	for _, in := range []struct {
+		name string
+		ts   *suffixtree.TextStore
+	}{{"random", benchStore(b, 256, 232, 12)}, {"runs", runs}} {
+		b.Run(in.name, func(b *testing.B) {
+			seqs := allSeqs(in.ts)
+			dir := b.TempDir()
+			var stats BuildStats
+			var sorting time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := Build(in.ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{PoolPages: 64, Stats: &stats})
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Close()
+				sorting += stats.SortElapsed
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(stats.Nodes), "ns/node")
+			b.ReportMetric(100*float64(sorting)/float64(b.Elapsed()), "%sort")
+		})
+	}
 }
 
 func BenchmarkReadNode(b *testing.B) {

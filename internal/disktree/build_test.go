@@ -1,0 +1,275 @@
+package disktree
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"twsearch/internal/storage"
+	"twsearch/internal/suffixtree"
+)
+
+func sameFile(t *testing.T, a, b string) bool {
+	t.Helper()
+	ar, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ar, br)
+}
+
+// The sort-and-stream build writes the tree the paper's construction —
+// Ukkonen per sequence plus binary merges — produces, in every cell of
+// alphabet × suffix set × layout × encoding, with an empty and a duplicated
+// text in the store: same nodes, same labels, same counters; the very bytes
+// where records hold no label references (inline), the very size where
+// references are fixed-width (reference v1).
+func TestBuildEqualsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	dir := t.TempDir()
+	shapes := []struct {
+		name   string
+		sparse bool
+		minLen int
+	}{{"dense", false, 0}, {"sparse", true, 0}, {"minlen", false, 4}}
+	for _, alphabet := range []int{2, 5, 40} {
+		for _, shape := range shapes {
+			ts := randomTexts(rng, 12, 30, alphabet)
+			ts.Add(nil)
+			ts.Add(append([]Symbol(nil), ts.Text(3)...))
+			want := suffixtree.BuildMergedFiltered(ts, allSeqs(ts), shape.sparse, shape.minLen)
+			wantStats := want.ComputeStats()
+			for _, layout := range []Layout{LayoutReference, LayoutInline} {
+				for _, enc := range []Encoding{EncodingV1, EncodingV2, EncodingV3} {
+					name := fmt.Sprintf("alphabet=%d/%s/%s/%s", alphabet, shape.name, layout, enc)
+					out := filepath.Join(dir, "out.twt")
+					var stats BuildStats
+					f, err := Build(ts, allSeqs(ts), out, BuildOptions{
+						Sparse: shape.sparse, MinSuffixLen: shape.minLen, PoolPages: 1 + rng.Intn(8),
+						Layout: layout, Encoding: enc, Stats: &stats,
+					})
+					if err != nil {
+						t.Fatalf("%s: Build: %v", name, err)
+					}
+					if f.Layout() != layout || f.Encoding() != enc || f.Sparse() != shape.sparse || f.MinSuffixLen() != want.MinSuffixLen {
+						t.Fatalf("%s: build lost the file shape", name)
+					}
+					if _, err := f.Validate(ts); err != nil {
+						t.Fatalf("%s: Validate: %v", name, err)
+					}
+					if enc == EncodingV3 {
+						checkHulls(t, f, ts)
+					}
+					got, err := f.Load(ts)
+					if err != nil {
+						t.Fatalf("%s: Load: %v", name, err)
+					}
+					if !suffixtree.Equal(want, got) {
+						t.Fatalf("%s: built tree differs from the reference construction", name)
+					}
+					if int(f.NumNodes()) != wantStats.Nodes || int(f.NumLeaves()) != wantStats.Leaves ||
+						int(f.TotalLabelSymbols()) != wantStats.TotalLabel {
+						t.Fatalf("%s: counters %d/%d/%d, reference %d/%d/%d", name, f.NumNodes(), f.NumLeaves(),
+							f.TotalLabelSymbols(), wantStats.Nodes, wantStats.Leaves, wantStats.TotalLabel)
+					}
+					if stats.Suffixes != wantStats.Leaves || stats.Nodes != wantStats.Nodes {
+						t.Fatalf("%s: BuildStats %+v, reference has %d leaves / %d nodes", name, stats, wantStats.Leaves, wantStats.Nodes)
+					}
+					if pinned := f.PinnedPages(); pinned != 0 {
+						t.Fatalf("%s: %d frames still pinned", name, pinned)
+					}
+					size := f.SizeBytes()
+					f.Close()
+
+					direct := filepath.Join(dir, "direct.twt")
+					df, err := CreateEncoded(direct, want, 8, layout, enc)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					directSize := df.SizeBytes()
+					df.Close()
+					if layout == LayoutInline && !sameFile(t, direct, out) {
+						t.Fatalf("%s: built file is not byte-identical to the serialized reference tree", name)
+					}
+					if layout == LayoutReference && enc == EncodingV1 && size != directSize {
+						t.Fatalf("%s: built file is %d bytes, the serialized reference tree %d", name, size, directSize)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Build's bytes depend on the inputs alone: not on how many goroutines
+// sort the buckets, and not on the run.
+func TestBuildDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(293))
+	ts := randomTexts(rng, 40, 40, 4)
+	var want []byte
+	for _, procs := range []int{1, 4, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		path := filepath.Join(t.TempDir(), "det.twt")
+		f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: EncodingV3})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = raw
+		} else if !bytes.Equal(want, raw) {
+			t.Fatalf("Build at GOMAXPROCS=%d differs from the GOMAXPROCS=1 file", procs)
+		}
+	}
+}
+
+// A build that fails — here on a sequence listed twice, whose suffixes tie
+// through their terminators — reports which suffix and leaves the index
+// directory exactly as it found it.
+func TestBuildFailureLeavesNoScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(311))
+	ts := randomTexts(rng, 4, 20, 3)
+	dir := t.TempDir()
+	keep := filepath.Join(dir, "bystander")
+	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Build(ts, []int{0, 1, 2, 3, 0, 1}, filepath.Join(dir, "fail.twt"), BuildOptions{PoolPages: 8})
+	var dup *DuplicateSuffixError
+	if !errors.As(err, &dup) || dup.Seq > 1 {
+		t.Fatalf("sequences listed twice: err = %v, want a DuplicateSuffixError on sequence 0 or 1", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "bystander" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("failed build left %v in the index directory", names)
+	}
+	if _, err := BuildMem(ts, []int{2, 2}, BuildOptions{}); !errors.As(err, &dup) || dup.Seq != 2 {
+		t.Fatalf("BuildMem of {2, 2}: err = %v, want a DuplicateSuffixError on sequence 2", err)
+	}
+}
+
+// A page the sequential writer cannot append is an error from whatever was
+// writing the tree, not a silently short file.
+func TestWriteFailureSurfaces(t *testing.T) {
+	ts := suffixtree.NewTextStore()
+	ts.Add([]Symbol{1, 2, 1})
+	path := filepath.Join(t.TempDir(), "ro.twt")
+	pf, err := storage.CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.Close()
+	readOnly := func() *storage.File {
+		pf, err := storage.OpenFile(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pf
+	}
+	if _, err := createOn(readOnly(), suffixtree.BuildNaive(ts, []int{0}, false), 8, LayoutReference, EncodingV1); err == nil {
+		t.Error("createOn onto a file that rejects appends succeeded")
+	}
+	if _, err := buildOn(readOnly(), ts, []int{0}, BuildOptions{PoolPages: 8}); err == nil {
+		t.Error("buildOn onto a file that rejects appends succeeded")
+	}
+}
+
+func TestBuildStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(239))
+	ts := randomTexts(rng, 10, 20, 3)
+	var stats BuildStats
+	f, err := Build(ts, allSeqs(ts), filepath.Join(t.TempDir(), "st.twt"), BuildOptions{PoolPages: 8, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if stats.Suffixes != int(f.NumLeaves()) || stats.Nodes != int(f.NumNodes()) {
+		t.Errorf("stats count %d suffixes / %d nodes, the file %d / %d", stats.Suffixes, stats.Nodes, f.NumLeaves(), f.NumNodes())
+	}
+	if stats.SortElapsed <= 0 || stats.WriteElapsed <= 0 || stats.Elapsed < stats.SortElapsed+stats.WriteElapsed {
+		t.Errorf("phase times %v + %v do not fit in Elapsed %v", stats.SortElapsed, stats.WriteElapsed, stats.Elapsed)
+	}
+}
+
+// FuzzBuildVsNaive splits arbitrary bytes into short texts over a small
+// alphabet and requires Build to produce the tree suffix insertion does.
+func FuzzBuildVsNaive(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 1, 1, 0xFF, 2, 1, 1}, byte(3), false, byte(0))
+	f.Add([]byte{5, 5, 5, 5, 0xFF, 5, 5, 5, 5, 0xFF, 0xFF, 5}, byte(1), true, byte(2))
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, byte(200), false, byte(5))
+	f.Fuzz(func(t *testing.T, raw []byte, alphabet byte, sparse bool, minLen byte) {
+		if len(raw) > 256 {
+			raw = raw[:256]
+		}
+		ts := suffixtree.NewTextStore()
+		for _, part := range bytes.Split(raw, []byte{0xFF}) {
+			text := make([]Symbol, len(part))
+			for i, c := range part {
+				text[i] = Symbol(int(c) % (int(alphabet) + 1))
+			}
+			ts.Add(text)
+		}
+		want := suffixtree.BuildFiltered(ts, allSeqs(ts), sparse, int(minLen%8))
+		df, err := BuildMem(ts, allSeqs(ts), BuildOptions{Sparse: sparse, MinSuffixLen: int(minLen % 8), Encoding: EncodingV3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer df.Close()
+		if _, err := df.Validate(ts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := df.Load(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !suffixtree.Equal(want, got) {
+			t.Fatal("built tree differs from suffix insertion")
+		}
+	})
+}
+
+// An alphabet wider than the counting sort's table is bucketed by high
+// bits, so one bucket holds several first symbols and sorts from symbol 0.
+func TestBuildWideAlphabet(t *testing.T) {
+	rng := rand.New(rand.NewSource(313))
+	ts := suffixtree.NewTextStore()
+	for i := 0; i < 20; i++ {
+		text := make([]Symbol, 1+rng.Intn(40))
+		for j := range text {
+			text[j] = Symbol(rng.Intn(4) + (maxBuckets+5)*rng.Intn(3))
+		}
+		ts.Add(text)
+	}
+	f, err := BuildMem(ts, allSeqs(ts), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := f.Load(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !suffixtree.Equal(suffixtree.BuildNaive(ts, allSeqs(ts), false), got) {
+		t.Fatal("wide-alphabet build differs from suffix insertion")
+	}
+}

@@ -77,30 +77,6 @@ func TestEncodingV2Smaller(t *testing.T) {
 	}
 }
 
-// TestBuildEncodingV2: the batched build+merge pipeline threads the encoding
-// through spills and merge rounds and still equals the naive in-memory tree.
-func TestBuildEncodingV2(t *testing.T) {
-	rng := rand.New(rand.NewSource(257))
-	ts := randomTexts(rng, 13, 30, 3)
-	want := suffixtree.BuildNaive(ts, allSeqs(ts), false)
-	out := filepath.Join(t.TempDir(), "v2build.twt")
-	f, err := Build(ts, allSeqs(ts), out, BuildOptions{BatchSize: 3, PoolPages: 16, Encoding: EncodingV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.Encoding() != EncodingV2 {
-		t.Errorf("built Encoding() = %s, want v2", f.Encoding())
-	}
-	got, err := f.Load(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !suffixtree.Equal(want, got) {
-		t.Fatal("v2 Build differs from naive tree")
-	}
-}
-
 // TestRewrite: re-encoding a file in place of its tree is lossless in both
 // directions, and v1→v2 shrinks the file.
 func TestRewrite(t *testing.T) {
@@ -217,7 +193,7 @@ func writeRecordFile(t *testing.T, raw []byte, layout Layout, enc Encoding) *Fil
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &File{pf: pf, src: pool, pool: pool, meta: meta{root: Ptr(storage.PageSize), layout: layout, enc: enc}}
+	f := &File{pf: pf, src: pool, meta: meta{root: Ptr(storage.PageSize), layout: layout, enc: enc}}
 	t.Cleanup(func() { f.Close() })
 	return f
 }

@@ -123,46 +123,6 @@ func TestEncodingV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestBuildEncodingV3: the batched build+merge pipeline recomputes hulls on
-// every merge round — the built file must equal the naive tree AND carry
-// sound hulls even though no node survives from the original batches.
-func TestBuildEncodingV3(t *testing.T) {
-	rng := rand.New(rand.NewSource(277))
-	ts := randomTexts(rng, 13, 30, 3)
-	want := suffixtree.BuildNaive(ts, allSeqs(ts), false)
-	out := filepath.Join(t.TempDir(), "v3build.twt")
-	f, err := Build(ts, allSeqs(ts), out, BuildOptions{BatchSize: 3, PoolPages: 16, Encoding: EncodingV3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.Encoding() != EncodingV3 {
-		t.Errorf("built Encoding() = %s, want v3", f.Encoding())
-	}
-	got, err := f.Load(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !suffixtree.Equal(want, got) {
-		t.Fatal("v3 Build differs from naive tree")
-	}
-	checkHulls(t, f, ts)
-}
-
-// TestBuildEncodingV3Sparse: hulls must stay sound for the sparse tree,
-// whose suffix set (and thus subtree contents) differs from the full tree.
-func TestBuildEncodingV3Sparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(281))
-	ts := randomTexts(rng, 9, 35, 4)
-	out := filepath.Join(t.TempDir(), "v3sparse.twt")
-	f, err := Build(ts, allSeqs(ts), out, BuildOptions{BatchSize: 4, PoolPages: 16, Encoding: EncodingV3, Sparse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	checkHulls(t, f, ts)
-}
-
 // TestRewriteV3: migrating v2→v3 aggregates sound hulls without touching the
 // logical tree; migrating v3→v2 drops them and lands byte-identical to a
 // directly-created v2 file; and the reference-layout v3 migration refuses a

@@ -12,27 +12,18 @@ import (
 // lock-striped LRU buffer pool by default, or a zero-copy mmap source. The
 // read path (ReadNode, ReadNodeInto, ReadAhead) is safe for any number of
 // concurrent goroutines; one open File serves all searches on an index.
-// Creation is single-writer and always goes through a pool (the only source
-// that writes).
+// Files come into being through a treeWriter, which appends pages straight
+// to the page file; sources only read.
 type File struct {
-	pf  *storage.File
-	src storage.PageSource
-	// pool is set when src is the buffer pool (always during creation);
-	// nil for mmap/pread sources.
-	pool *storage.Pool
+	pf   *storage.File
+	src  storage.PageSource
 	meta meta
 }
 
 // Create serializes an in-memory tree to path in the reference layout and
-// returns the open file. poolPages bounds the buffer pool during the write
-// (and afterwards).
+// returns the open file. poolPages bounds the returned file's buffer pool.
 func Create(path string, tree *suffixtree.Tree, poolPages int) (*File, error) {
 	return CreateEncoded(path, tree, poolPages, LayoutReference, EncodingV1)
-}
-
-// CreateLayout is Create with an explicit node record layout.
-func CreateLayout(path string, tree *suffixtree.Tree, poolPages int, layout Layout) (*File, error) {
-	return CreateEncoded(path, tree, poolPages, layout, EncodingV1)
 }
 
 // CreateEncoded is Create with an explicit layout and record encoding.
@@ -44,124 +35,51 @@ func CreateEncoded(path string, tree *suffixtree.Tree, poolPages int, layout Lay
 	return createOn(pf, tree, poolPages, layout, enc)
 }
 
-// CreateMem serializes a tree into an in-memory page file — an index with
-// no filesystem footprint, for ephemeral use and tests. Everything else
-// (search, Validate, Load) works identically.
-func CreateMem(tree *suffixtree.Tree, poolPages int, layout Layout) (*File, error) {
-	return CreateMemEncoded(tree, poolPages, layout, EncodingV1)
-}
-
-// CreateMemEncoded is CreateMem with an explicit record encoding.
-func CreateMemEncoded(tree *suffixtree.Tree, poolPages int, layout Layout, enc Encoding) (*File, error) {
-	pf, err := storage.CreateMemFile()
-	if err != nil {
-		return nil, err
-	}
-	return createOn(pf, tree, poolPages, layout, enc)
-}
-
 func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Layout, enc Encoding) (*File, error) {
-	if enc == 0 {
-		enc = EncodingV1
-	}
-	pool, err := storage.NewPool(pf, poolPages)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
-	minLen := uint32(0)
-	if tree.MinSuffixLen > 1 {
-		minLen = uint32(tree.MinSuffixLen)
-	}
-	f := &File{pf: pf, src: pool, pool: pool, meta: meta{sparse: tree.Sparse, minSuffixLen: minLen, layout: layout, enc: enc}}
-	app, err := newAppender(pool)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
+	w := newTreeWriter(pf, meta{sparse: tree.Sparse, minSuffixLen: lengthFilter(tree.MinSuffixLen), layout: layout, enc: enc})
 
-	// v3 files persist per-child subtree envelopes. The write is post-order
-	// (children before parents), so each recursion returns its subtree's
-	// horizon-limited hull vector and the parent stamps the persisted bound
-	// onto the child table entry — one bottom-up pass, no second walk.
-	hulls := enc == EncodingV3
-	var scratch []byte
-	var writeNode func(n *suffixtree.Node) (Ptr, depthHull, error)
-	writeNode = func(n *suffixtree.Node) (Ptr, depthHull, error) {
-		out := Node{
-			LabelSeq:   n.LabelSeq,
-			LabelStart: n.LabelStart,
-			LabelLen:   n.LabelLen,
+	// The write is post-order (children before parents): each recursion
+	// returns its node's entry for the parent's child table, with — for v3 —
+	// the subtree's envelope stamped on it and folded into the parent's
+	// accumulator, so hulls aggregate bottom-up in the same pass.
+	var out Node
+	var kids []ChildRef // child entries of the nodes on the recursion path
+	var writeNode func(n *suffixtree.Node, parent *depthHull) (ChildRef, error)
+	writeNode = func(n *suffixtree.Node, parent *depthHull) (ChildRef, error) {
+		below := emptyDepthHull
+		first := len(kids)
+		for _, c := range n.Children {
+			ref, err := writeNode(c, &below)
+			if err != nil {
+				return ChildRef{}, err
+			}
+			kids = append(kids, ref)
 		}
+		out = Node{LabelSeq: n.LabelSeq, LabelStart: n.LabelStart, LabelLen: n.LabelLen, Children: kids[first:]}
 		if layout == LayoutInline {
 			out.Label = tree.LabelSymbols(n)
 		}
-		below := emptyDepthHull
 		if n.Leaf != nil {
 			out.Leaf = true
 			out.LabelSeq = n.Leaf.Seq
 			out.Pos = n.Leaf.Pos
 			out.RunLen = n.Leaf.RunLen
-			f.meta.leaves++
-		} else {
-			out.Children = make([]ChildRef, len(n.Children))
-			for i, c := range n.Children {
-				ptr, chHull, err := writeNode(c)
-				if err != nil {
-					return NilPtr, emptyDepthHull, err
-				}
-				ref := ChildRef{
-					Sym: tree.Store.Sym(int(c.LabelSeq), int(c.LabelStart)),
-					Ptr: ptr,
-				}
-				if hulls {
-					ref = hullRef(ref, chHull)
-					below = below.union(chHull)
-				}
-				out.Children[i] = ref
-			}
 		}
-		hull := emptyDepthHull
-		if hulls {
-			// Fold this node's own edge label in (n's fields, not out's: a
-			// leaf's out.LabelSeq was just repointed at the suffix owner).
-			hull = prependLabel(n.LabelLen, func(i int32) Symbol {
-				return tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart+i))
-			}, below)
+		ptr, err := w.emit(&out)
+		kids = kids[:first]
+		if err != nil || parent == nil {
+			return ChildRef{Ptr: ptr}, err
 		}
-		f.meta.nodes++
-		f.meta.labelSyms += uint64(n.LabelLen)
-		ptr := app.offset()
-		scratch = encodeNode(scratch[:0], &out, layout, enc)
-		if err := app.write(scratch); err != nil {
-			return NilPtr, emptyDepthHull, err
-		}
-		return ptr, hull, nil
+		// The label is n's own (a leaf's out.LabelSeq was repointed at the
+		// suffix owner).
+		label := func(i int32) Symbol { return tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart+i)) }
+		return w.entry(label(0), ptr, n.LabelLen, label, &below, parent), nil
 	}
-
-	root, _, err := writeNode(tree.Root)
-	app.close()
+	root, err := writeNode(tree.Root, nil)
 	if err != nil {
-		pf.Close()
-		return nil, err
+		return nil, w.abort(err)
 	}
-	f.meta.root = root
-	if err := f.finish(); err != nil {
-		pf.Close()
-		return nil, err
-	}
-	return f, nil
-}
-
-// finish flushes dirty pages and persists the meta blob.
-func (f *File) finish() error {
-	if err := f.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := f.pf.SetMeta(encodeMeta(f.meta)); err != nil {
-		return err
-	}
-	return f.pf.Sync()
+	return w.finish(root.Ptr, poolPages)
 }
 
 // Open opens an existing tree file through the buffer pool.
@@ -192,11 +110,7 @@ func OpenBackend(path string, poolPages int, readOnly bool, backend storage.Back
 		pf.Close()
 		return nil, err
 	}
-	f := &File{pf: pf, src: src, meta: m}
-	if p, ok := src.(*storage.Pool); ok {
-		f.pool = p
-	}
-	return f, nil
+	return &File{pf: pf, src: src, meta: m}, nil
 }
 
 // Close closes the page source and the underlying page file.
@@ -241,6 +155,15 @@ func (f *File) PoolStats() storage.PoolStats { return f.src.Stats() }
 // PoolShardStats returns per-stripe counters, in stripe order; unstriped
 // sources report a single entry.
 func (f *File) PoolShardStats() []storage.PoolStats { return f.src.ShardStats() }
+
+// PinnedPages returns how many buffer pool frames are pinned right now —
+// zero whenever no read is in flight; sources without pinning report zero.
+func (f *File) PinnedPages() int {
+	if pool, ok := f.src.(*storage.Pool); ok {
+		return pool.PinnedCount()
+	}
+	return 0
+}
 
 // PagesRead returns physical page reads since open.
 func (f *File) PagesRead() uint64 { return f.pf.PagesRead() }

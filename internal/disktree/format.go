@@ -1,9 +1,9 @@
 // Package disktree implements the disk-based suffix tree of Section 4.1:
-// tree nodes serialized into a paged file, read back through an LRU buffer
-// pool, and — the paper's central construction idea, after Bieganski et
-// al. — merges of disk-resident trees into a new one with bounded main
-// memory: one k-way pass over all batch trees, of which the paper's binary
-// merge is the two-input case.
+// tree nodes serialized into a paged file and read back through an LRU
+// buffer pool. Where the paper constructs the file by merging disk-resident
+// trees (after Bieganski et al.), Build streams it out of the sorted list
+// of suffix starts in one pass — the same tree, never held in memory and
+// never rewritten.
 //
 // Node records live at arbitrary byte offsets (records may cross page
 // boundaries), so a node with thousands of children — the root of the
@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
@@ -130,7 +129,6 @@ func ParseEncoding(s string) (Encoding, error) {
 // flags byte is unchanged. Any float payloads a future record grows must
 // stay raw little-endian for bit-exactness; v2 compresses only integers.
 const (
-	nodeHeaderSize = 13
 	leafBodySize   = 8
 	childEntrySize = 12
 	flagLeaf       = 1
@@ -362,7 +360,8 @@ func encodeNodeV1(buf []byte, n *Node, layout Layout) []byte {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(n.Children)))
 	buf = append(buf, cnt[:]...)
-	for _, c := range n.Children {
+	for i := range n.Children {
+		c := &n.Children[i] // entries carry their hull profile: do not copy
 		var ent [childEntrySize]byte
 		binary.LittleEndian.PutUint32(ent[0:], uint32(c.Sym))
 		binary.LittleEndian.PutUint64(ent[4:], uint64(c.Ptr))
@@ -414,7 +413,8 @@ func encodeNodeCompact(buf []byte, n *Node, layout Layout, hulls bool) []byte {
 	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
 	prevSym, prevPtr := int64(0), uint64(0)
-	for _, c := range n.Children {
+	for i := range n.Children {
+		c := &n.Children[i]
 		buf = binary.AppendVarint(buf, int64(c.Sym)-prevSym)
 		buf = binary.AppendVarint(buf, int64(uint64(c.Ptr)-prevPtr))
 		prevSym, prevPtr = int64(c.Sym), uint64(c.Ptr)
@@ -503,53 +503,4 @@ func decodeMeta(buf []byte) (meta, error) {
 		layout:       Layout(buf[45]),
 		enc:          enc,
 	}, nil
-}
-
-// appender writes a byte stream into consecutive pages of a pool-backed
-// file, returning absolute offsets.
-type appender struct {
-	pool  *storage.Pool
-	frame *storage.Frame
-	used  int // bytes used in the current frame
-}
-
-func newAppender(pool *storage.Pool) (*appender, error) {
-	fr, err := pool.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	fr.MarkDirty()
-	return &appender{pool: pool, frame: fr}, nil
-}
-
-// offset returns the absolute byte offset the next write lands at.
-func (a *appender) offset() Ptr {
-	return Ptr(uint64(a.frame.ID())*storage.PageSize + uint64(a.used))
-}
-
-func (a *appender) write(b []byte) error {
-	for len(b) > 0 {
-		if a.used == storage.PageSize {
-			a.pool.Release(a.frame)
-			fr, err := a.pool.Alloc()
-			if err != nil {
-				a.frame = nil
-				return err
-			}
-			fr.MarkDirty()
-			a.frame = fr
-			a.used = 0
-		}
-		n := copy(a.frame.Data()[a.used:], b)
-		a.used += n
-		b = b[n:]
-	}
-	return nil
-}
-
-func (a *appender) close() {
-	if a.frame != nil {
-		a.pool.Release(a.frame)
-		a.frame = nil
-	}
 }

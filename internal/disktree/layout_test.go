@@ -21,7 +21,7 @@ func TestQuickInlineRoundTrip(t *testing.T) {
 		sparse := rng.Intn(2) == 0
 		tree := suffixtree.BuildNaive(ts, allSeqs(ts), sparse)
 		path := filepath.Join(dir, "il.twt")
-		df, err := CreateLayout(path, tree, 1+rng.Intn(16), LayoutInline)
+		df, err := CreateEncoded(path, tree, 1+rng.Intn(16), LayoutInline, EncodingV1)
 		if err != nil {
 			return false
 		}
@@ -57,12 +57,12 @@ func TestInlineLargerOnDeepTrees(t *testing.T) {
 	}
 	tree := suffixtree.BuildNaive(ts, allSeqs(ts), false)
 	dir := t.TempDir()
-	ref, err := CreateLayout(filepath.Join(dir, "r.twt"), tree, 64, LayoutReference)
+	ref, err := CreateEncoded(filepath.Join(dir, "r.twt"), tree, 64, LayoutReference, EncodingV1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	inl, err := CreateLayout(filepath.Join(dir, "i.twt"), tree, 64, LayoutInline)
+	inl, err := CreateEncoded(filepath.Join(dir, "i.twt"), tree, 64, LayoutInline, EncodingV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,29 +74,5 @@ func TestInlineLargerOnDeepTrees(t *testing.T) {
 	if inl.NumNodes() != ref.NumNodes() || inl.NumLeaves() != ref.NumLeaves() ||
 		inl.TotalLabelSymbols() != ref.TotalLabelSymbols() {
 		t.Fatal("meta counters differ between layouts")
-	}
-}
-
-func TestInlineBuildPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(617))
-	ts := randomTexts(rng, 11, 25, 3)
-	want := suffixtree.BuildNaive(ts, allSeqs(ts), true)
-	out := filepath.Join(t.TempDir(), "inline.twt")
-	f, err := Build(ts, allSeqs(ts), out, BuildOptions{
-		Sparse: true, BatchSize: 3, PoolPages: 8, Layout: LayoutInline,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.Layout() != LayoutInline {
-		t.Fatal("pipeline lost the layout")
-	}
-	got, err := f.Load(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !suffixtree.Equal(want, got) {
-		t.Fatal("inline pipeline differs from naive tree")
 	}
 }

@@ -2,7 +2,9 @@ package disktree
 
 import (
 	"fmt"
+	"os"
 
+	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
@@ -15,12 +17,9 @@ import (
 // edge labels, so store must hold the categorized texts the tree was built
 // over (inline-layout trees carry their labels and may pass nil, as may any
 // rewrite to v1/v2 — hulls already present in a v3 input are simply
-// dropped). poolPages bounds the two buffer pools. The open output file is
-// returned.
+// dropped). poolPages bounds the input's buffer pool and the returned
+// file's. A failed rewrite leaves no output file.
 func Rewrite(inPath, outPath string, poolPages int, enc Encoding, store *suffixtree.TextStore) (*File, error) {
-	if enc == 0 {
-		enc = EncodingV1
-	}
 	in, err := Open(inPath, poolPages, true)
 	if err != nil {
 		return nil, err
@@ -29,25 +28,60 @@ func Rewrite(inPath, outPath string, poolPages int, enc Encoding, store *suffixt
 	if enc == EncodingV3 && in.Layout() == LayoutReference && store == nil {
 		return nil, fmt.Errorf("disktree: rewriting a reference-layout tree to v3 needs the text store (envelope hulls read edge labels)")
 	}
-
-	// The merger's copySubtree is exactly the re-encode pass: it reads every
-	// node through the input's decoder and emits it through the output's
-	// encoder. The text store is consulted only when v3 hull aggregation
-	// must expand reference labels; the pure copy path never compares
-	// labels, so nil is safe everywhere else.
-	m, err := newMerger(store, outPath, poolPages, meta{
-		sparse: in.Sparse(), minSuffixLen: in.meta.minSuffixLen, layout: in.Layout(), enc: enc,
-	})
+	pf, err := storage.CreateFile(outPath)
 	if err != nil {
 		return nil, err
 	}
-	root, err := m.read(in, in.Root())
+	c := copier{in: in, store: store, w: newTreeWriter(pf, meta{
+		sparse: in.Sparse(), minSuffixLen: in.meta.minSuffixLen, layout: in.Layout(), enc: enc,
+	})}
+	root, err := c.copySubtree(ChildRef{Ptr: in.Root()}, nil)
 	if err != nil {
-		return nil, m.fail(err)
+		os.Remove(outPath)
+		return nil, c.w.abort(err)
 	}
-	rootPtr, _, err := m.copySubtree(edge{f: in, n: root})
+	out, err := c.w.finish(root.Ptr, poolPages)
 	if err != nil {
-		return nil, m.fail(err)
+		os.Remove(outPath)
 	}
-	return m.finish(rootPtr)
+	return out, err
+}
+
+// copier re-encodes one tree file into a treeWriter with memory bounded by
+// the input's pool plus a recursion stack proportional to tree depth.
+type copier struct {
+	in    *File
+	store *suffixtree.TextStore
+	w     *treeWriter
+}
+
+// copySubtree copies the subtree its parent's entry at points to into the
+// output and returns the entry rewritten: new offset and, for v3 output, the
+// hull, also folded into parent as in createOn. The decoded node doubles as
+// the output record: only its child entries change.
+func (c *copier) copySubtree(at ChildRef, parent *depthHull) (ChildRef, error) {
+	var n Node
+	if err := c.in.ReadNodeInto(at.Ptr, &n); err != nil {
+		return ChildRef{}, err
+	}
+	below := emptyDepthHull
+	for i := range n.Children {
+		ref, err := c.copySubtree(n.Children[i], &below)
+		if err != nil {
+			return ChildRef{}, err
+		}
+		n.Children[i] = ref
+	}
+	ptr, err := c.w.emit(&n)
+	if err != nil || parent == nil {
+		return ChildRef{Ptr: ptr}, err
+	}
+	// Reference-layout labels need the text store; Rewrite demands one
+	// before targeting v3, the only output that reads labels.
+	return c.w.entry(at.Sym, ptr, n.LabelLen, func(i int32) Symbol {
+		if c.in.Layout() == LayoutInline {
+			return n.Label[i]
+		}
+		return c.store.Sym(int(n.LabelSeq), int(n.LabelStart+i))
+	}, &below, parent), nil
 }

@@ -12,18 +12,10 @@ func benchPool(b *testing.B, capacity, nPages int) (*Pool, []PageID) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { pf.Close() })
+	ids := fillPages(b, pf, nPages)
 	pool, err := NewPool(pf, capacity)
 	if err != nil {
 		b.Fatal(err)
-	}
-	ids := make([]PageID, nPages)
-	for i := range ids {
-		fr, err := pool.Alloc()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = fr.ID()
-		pool.Release(fr)
 	}
 	return pool, ids
 }

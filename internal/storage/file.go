@@ -1,10 +1,10 @@
 // Package storage provides the disk substrate for the disk-based suffix
-// tree: a page-addressed file and an LRU buffer pool with pin counting.
+// tree: a page-addressed file that writers extend sequentially, and an LRU
+// buffer pool with pin counting that readers share.
 //
-// The paper's construction (Section 4.1, after Bieganski et al.) merges
-// disk-resident suffix trees with limited main memory; the buffer pool is
-// what bounds that memory, and its hit/miss counters feed the benchmark
-// harness's I/O accounting.
+// The paper (Section 4.1) keeps the tree on disk so that searches run in
+// limited main memory; the buffer pool is what bounds that memory, and its
+// hit/miss counters feed the benchmark harness's I/O accounting.
 package storage
 
 import (
@@ -66,10 +66,10 @@ func (m *memBacking) ReadAt(p []byte, off int64) (int, error) {
 
 func (m *memBacking) WriteAt(p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
-	if int64(len(m.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, m.data)
-		m.data = grown
+	if grow := end - int64(len(m.data)); grow > 0 {
+		// append's amortized doubling: a tree streamed out in chunks must
+		// not recopy the whole backing on every extension.
+		m.data = append(m.data, make([]byte, grow)...)
 	}
 	return copy(m.data[off:], p), nil
 }
@@ -82,9 +82,9 @@ const MemoryPath = ":memory:"
 
 // File is a page-addressed file. Reads (ReadPage, Meta, Copy) are safe for
 // concurrent use — they go through ReaderAt and atomic counters — so any
-// number of searches may share one File through a Pool. Mutations (Alloc,
-// WritePage, SetMeta) are single-writer: the build pipeline owns the file
-// exclusively while it writes.
+// number of searches may share one File through a Pool. Mutations
+// (AppendPages, Alloc, WritePage, SetMeta) are single-writer: a build owns
+// the file exclusively while it writes.
 type File struct {
 	f        backing
 	path     string
@@ -189,6 +189,27 @@ func (pf *File) Alloc() (PageID, error) {
 	}
 	pf.numPages++
 	pf.pagesWritten.Add(1)
+	return id, nil
+}
+
+// AppendPages extends the file by len(buf)/PageSize pages holding buf (a
+// whole number of pages) and returns the id of the first. It is the
+// sequential writers' path: each page reaches the backing exactly once,
+// where Alloc plus WritePage touch it twice.
+func (pf *File) AppendPages(buf []byte) (PageID, error) {
+	if pf.readOnly {
+		return InvalidPage, errors.New("storage: AppendPages on read-only file")
+	}
+	if len(buf)%PageSize != 0 {
+		return InvalidPage, fmt.Errorf("storage: AppendPages buffer is %d bytes", len(buf))
+	}
+	id := pf.numPages
+	if _, err := pf.f.WriteAt(buf, int64(id)*PageSize); err != nil {
+		return InvalidPage, fmt.Errorf("storage: appending at page %d: %w", id, err)
+	}
+	n := len(buf) / PageSize
+	pf.numPages += PageID(n)
+	pf.pagesWritten.Add(uint64(n))
 	return id, nil
 }
 

@@ -3,20 +3,17 @@ package storage
 import (
 	"container/list"
 	"errors"
-	"fmt"
 	"sync"
 )
 
 // Frame is a pinned page in the buffer pool. Callers must Release every
 // frame they Get; a pinned frame is never evicted. The frame's fields are
-// guarded by its shard's mutex; the page bytes themselves may be read by
-// any number of goroutines while the frame is pinned (writers require the
-// single-writer discipline of the build pipeline).
+// guarded by its shard's mutex; the page bytes themselves are read-only and
+// may be read by any number of goroutines while the frame is pinned.
 type Frame struct {
 	id    PageID
 	data  []byte
 	pins  int
-	dirty bool
 	shard *poolShard
 	elem  *list.Element // position in the shard's LRU list, for the frame's lifetime
 	// releaseFn is the frame's unpin closure, built once at frame creation
@@ -32,19 +29,15 @@ func (fr *Frame) ID() PageID { return fr.id }
 // frame is released and evicted; do not retain it past Release.
 func (fr *Frame) Data() []byte { return fr.data }
 
-// MarkDirty records that the frame's bytes were modified and must be
-// written back before eviction.
-func (fr *Frame) MarkDirty() {
-	fr.shard.mu.Lock()
-	fr.dirty = true
-	fr.shard.mu.Unlock()
-}
-
 // PoolStats counts buffer pool activity since creation.
 type PoolStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// Overflows counts frames installed beyond a shard's capacity because
+	// every frame it held was pinned — concurrent readers outnumbering a
+	// small stripe. The shard shrinks back as they release.
+	Overflows uint64
 }
 
 // Add accumulates other into s.
@@ -52,6 +45,7 @@ func (s *PoolStats) Add(other PoolStats) {
 	s.Hits += other.Hits
 	s.Misses += other.Misses
 	s.Evictions += other.Evictions
+	s.Overflows += other.Overflows
 }
 
 // maxPoolShards caps the lock striping of a Pool. Eight shards keep
@@ -70,12 +64,15 @@ type poolShard struct {
 	stats    PoolStats
 }
 
-// Pool is a lock-striped LRU buffer pool over one page File, safe for any
+// Pool is a lock-striped LRU read cache over one page File, safe for any
 // number of concurrent readers: pages are partitioned over shards by id, so
 // goroutines contend only when they touch the same stripe, and a miss holds
 // only its own shard's lock while the page is read from disk. The total
 // capacity is split across the shards (each holding at least one frame);
-// eviction is LRU per shard.
+// eviction is LRU per shard. Capacity bounds the unpinned frames a shard
+// keeps, not the readers it serves: when every frame of a shard is pinned a
+// miss installs one more (PoolStats.Overflows) instead of failing the read,
+// and the shard evicts back down as the pins are released.
 type Pool struct {
 	file   *File
 	shards []poolShard
@@ -156,47 +153,30 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 		return fr, nil
 	}
 	sh.stats.Misses++
-	fr, err := sh.newFrame(id)
-	if err != nil {
-		return nil, err
-	}
+	fr := sh.newFrame(id)
 	if err := p.file.ReadPage(id, fr.data); err != nil {
-		delete(sh.frames, id)
+		sh.drop(fr)
 		return nil, err
 	}
 	return fr, nil
 }
 
-// Alloc extends the file by one page and returns it pinned and zeroed.
-// Alloc is part of the single-writer build path and must not race other
-// mutations.
-func (p *Pool) Alloc() (*Frame, error) {
-	id, err := p.file.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	sh := p.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.newFrame(id)
-}
-
-// newFrame makes room and installs a pinned, zeroed frame for id. The
-// caller holds sh.mu.
-func (sh *poolShard) newFrame(id PageID) (*Frame, error) {
+// newFrame installs a pinned, zeroed frame for id, evicting down to make
+// room; if every frame is pinned the shard runs over capacity until release
+// trims it. The caller holds sh.mu.
+func (sh *poolShard) newFrame(id PageID) *Frame {
+	sh.trim(sh.capacity - 1)
 	if len(sh.frames) >= sh.capacity {
-		if err := sh.evictOne(); err != nil {
-			return nil, err
-		}
+		sh.stats.Overflows++
 	}
 	fr := &Frame{id: id, data: make([]byte, PageSize), pins: 1, shard: sh}
 	fr.releaseFn = fr.release
 	fr.elem = sh.lru.PushFront(fr)
 	sh.frames[id] = fr
-	return fr, nil
+	return fr
 }
 
-// Release unpins a frame obtained from Get or Alloc.
+// Release unpins a frame obtained from Get.
 func (p *Pool) Release(fr *Frame) { fr.release() }
 
 // release unpins the frame; it is both Release's body and the cached
@@ -212,6 +192,7 @@ func (fr *Frame) release() {
 	fr.pins--
 	if fr.pins == 0 {
 		sh.lru.MoveToFront(fr.elem)
+		sh.trim(sh.capacity)
 	}
 }
 
@@ -227,9 +208,7 @@ func (p *Pool) View(id PageID) ([]byte, func(), error) {
 	return fr.data, fr.releaseFn, nil
 }
 
-// Close closes the underlying page file. Dirty frames are not flushed —
-// writers flush explicitly (FlushAll) before closing, and read-only pools
-// have nothing to write back.
+// Close closes the underlying page file.
 func (p *Pool) Close() error { return p.file.Close() }
 
 // pin marks a frame in use and refreshes its recency. The frame keeps its
@@ -241,45 +220,24 @@ func (sh *poolShard) pin(fr *Frame) {
 	sh.lru.MoveToFront(fr.elem)
 }
 
-// evictOne writes back and drops the least recently used unpinned frame of
-// this shard; pinned frames are skipped in place. The caller holds sh.mu.
-func (sh *poolShard) evictOne() error {
-	for e := sh.lru.Back(); e != nil; e = e.Prev() {
-		fr := e.Value.(*Frame)
-		if fr.pins > 0 {
-			continue
+// trim evicts least recently used unpinned frames until the shard holds at
+// most n; pinned frames are skipped in place, so a fully pinned shard stays
+// as it is. The caller holds sh.mu.
+func (sh *poolShard) trim(n int) {
+	for e := sh.lru.Back(); e != nil && len(sh.frames) > n; {
+		fr, prev := e.Value.(*Frame), e.Prev()
+		if fr.pins == 0 {
+			sh.drop(fr)
+			sh.stats.Evictions++
 		}
-		if fr.dirty {
-			if err := sh.file.WritePage(fr.id, fr.data); err != nil {
-				return err
-			}
-			fr.dirty = false
-		}
-		sh.lru.Remove(e)
-		delete(sh.frames, fr.id)
-		sh.stats.Evictions++
-		return nil
+		e = prev
 	}
-	return fmt.Errorf("storage: pool shard of %d frames fully pinned", sh.capacity)
 }
 
-// FlushAll writes back every dirty frame (pinned or not) without evicting.
-func (p *Pool) FlushAll() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, fr := range sh.frames {
-			if fr.dirty {
-				if err := p.file.WritePage(fr.id, fr.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				fr.dirty = false
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
+// drop removes a frame from the shard. The caller holds sh.mu.
+func (sh *poolShard) drop(fr *Frame) {
+	sh.lru.Remove(fr.elem)
+	delete(sh.frames, fr.id)
 }
 
 // PinnedCount returns the number of currently pinned frames; used by tests

@@ -139,80 +139,133 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// fillPages appends n pages to pf, page k of them holding byte k at offset
+// 0, and returns their ids.
+func fillPages(t testing.TB, pf *File, n int) []PageID {
+	t.Helper()
+	buf := make([]byte, n*PageSize)
+	for k := 0; k < n; k++ {
+		buf[k*PageSize] = byte(k)
+	}
+	first, err := pf.AppendPages(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]PageID, n)
+	for k := range ids {
+		ids[k] = first + PageID(k)
+	}
+	return ids
+}
+
+func TestAppendPages(t *testing.T) {
+	pf := tempFile(t)
+	ids := fillPages(t, pf, 3)
+	if ids[0] != 1 || pf.NumPages() != 4 || pf.PagesWritten() != 3 {
+		t.Fatalf("first id %d, %d pages, %d written; want 1, 4, 3", ids[0], pf.NumPages(), pf.PagesWritten())
+	}
+	buf := make([]byte, PageSize)
+	if err := pf.ReadPage(ids[2], buf); err != nil || buf[0] != 2 {
+		t.Fatalf("page 3 reads %d, %v", buf[0], err)
+	}
+	if _, err := pf.AppendPages(make([]byte, PageSize+1)); err == nil {
+		t.Error("a partial page was appended")
+	}
+	pf.Close()
+	ro, err := OpenFile(pf.Path(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if _, err := ro.AppendPages(buf); err == nil {
+		t.Error("AppendPages on a read-only file succeeded")
+	}
+}
+
 func TestPoolHitMissEvict(t *testing.T) {
 	pf := tempFile(t)
+	ids := fillPages(t, pf, 3) // three pages, capacity two
 	pool, err := NewPool(pf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three pages, capacity two.
-	var ids []PageID
-	for i := 0; i < 3; i++ {
-		fr, err := pool.Alloc()
+	for _, id := range ids {
+		fr, err := pool.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr.Data()[0] = byte('a' + i)
-		fr.MarkDirty()
-		ids = append(ids, fr.ID())
 		pool.Release(fr)
 	}
-	// Page ids[0] was evicted (written back); re-fetching it is a miss but
-	// content must survive.
+	// Page ids[0] was evicted; re-fetching it is a miss with the same
+	// content.
 	fr, err := pool.Get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Data()[0] != 'a' {
-		t.Fatalf("evicted page lost content: %q", fr.Data()[0])
+	if fr.Data()[0] != 0 || fr.ID() != ids[0] {
+		t.Fatalf("evicted page came back as %d holding %d", fr.ID(), fr.Data()[0])
 	}
 	pool.Release(fr)
 	st := pool.Stats()
 	if st.Evictions == 0 {
 		t.Error("no evictions recorded")
 	}
-	if st.Misses == 0 {
-		t.Error("no misses recorded")
+	if st.Misses != 4 {
+		t.Errorf("misses = %d, want 4", st.Misses)
 	}
 	// Immediate re-get is a hit.
-	before := pool.Stats().Hits
 	fr, err = pool.Get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Release(fr)
-	if pool.Stats().Hits != before+1 {
+	if pool.Stats().Hits != 1 {
 		t.Error("re-get did not hit")
 	}
 }
 
-func TestPoolPinPreventsEviction(t *testing.T) {
+// A pinned frame is never evicted; a read that finds its whole stripe
+// pinned is served from a frame beyond capacity, and the stripe shrinks
+// back once the pins are gone.
+func TestPoolOverflowsWhenFullyPinned(t *testing.T) {
 	pf := tempFile(t)
+	ids := fillPages(t, pf, 3)
 	pool, err := NewPool(pf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := pool.Alloc()
-	if err != nil {
-		t.Fatal(err)
+	var held []*Frame
+	for k, id := range ids {
+		fr, err := pool.Get(id)
+		if err != nil {
+			t.Fatalf("Get with %d frames pinned: %v", k, err)
+		}
+		held = append(held, fr)
 	}
-	// Pool is full with a pinned frame: the next alloc must fail, not evict.
-	if _, err := pool.Alloc(); err == nil {
-		t.Fatal("alloc evicted a pinned frame")
+	for k, fr := range held {
+		if fr.Data()[0] != byte(k) {
+			t.Fatalf("pinned page %d was overwritten: holds %d", fr.ID(), fr.Data()[0])
+		}
 	}
-	pool.Release(fr)
-	if _, err := pool.Alloc(); err != nil {
-		t.Fatalf("alloc after release failed: %v", err)
+	if st := pool.Stats(); st.Overflows != 2 || st.Evictions != 0 || pool.PinnedCount() != 3 {
+		t.Fatalf("stats %+v with %d pinned; want 2 overflows, no evictions, 3 pinned", st, pool.PinnedCount())
 	}
-	if pool.PinnedCount() != 1 {
-		t.Fatalf("pinned = %d, want 1", pool.PinnedCount())
+	for _, fr := range held {
+		pool.Release(fr)
+	}
+	if n := len(pool.shards[0].frames); n != 1 || pool.PinnedCount() != 0 {
+		t.Fatalf("after release the stripe holds %d frames (%d pinned), want its capacity of 1", n, pool.PinnedCount())
+	}
+	if st := pool.Stats(); st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want the 2 overflow frames", st.Evictions)
 	}
 }
 
 func TestPoolDoubleReleasePanics(t *testing.T) {
 	pf := tempFile(t)
+	ids := fillPages(t, pf, 1)
 	pool, _ := NewPool(pf, 2)
-	fr, err := pool.Alloc()
+	fr, err := pool.Get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,40 +278,6 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 	pool.Release(fr)
 }
 
-func TestPoolFlushAll(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f.bin")
-	pf, err := CreateFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, _ := NewPool(pf, 4)
-	fr, err := pool.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(fr.Data(), "dirty data")
-	fr.MarkDirty()
-	pool.Release(fr)
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-
-	pf2, err := OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf2.Close()
-	buf := make([]byte, PageSize)
-	if err := pf2.ReadPage(1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf, []byte("dirty data")) {
-		t.Fatal("FlushAll did not persist dirty page")
-	}
-}
-
 func TestNewPoolBadCapacity(t *testing.T) {
 	pf := tempFile(t)
 	if _, err := NewPool(pf, 0); err == nil {
@@ -266,56 +285,44 @@ func TestNewPoolBadCapacity(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of writes through a small pool and reads after
-// a full flush observes exactly the bytes last written per page — the pool
-// is a transparent cache.
+// Property: any interleaving of pins and releases through a small pool —
+// including more pins than frames — reads exactly the file's bytes, and
+// once everything is released the pool is back within capacity: it is a
+// transparent cache.
 func TestQuickPoolTransparency(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	f := func() bool {
 		pf := mustCreate(t)
 		defer pf.Close()
-		pool, err := NewPool(pf, 1+rng.Intn(4))
+		ids := fillPages(t, pf, 1+rng.Intn(10))
+		capacity := 1 + rng.Intn(4)
+		pool, err := NewPool(pf, capacity)
 		if err != nil {
 			return false
 		}
-		nPages := 1 + rng.Intn(10)
-		want := make(map[PageID]byte)
-		var ids []PageID
-		for i := 0; i < nPages; i++ {
-			fr, err := pool.Alloc()
-			if err != nil {
-				return false
-			}
-			ids = append(ids, fr.ID())
-			pool.Release(fr)
-		}
-		// Random writes.
+		var held []*Frame
 		for op := 0; op < 50; op++ {
-			id := ids[rng.Intn(len(ids))]
-			fr, err := pool.Get(id)
-			if err != nil {
+			if len(held) > 0 && rng.Intn(2) == 0 {
+				k := rng.Intn(len(held))
+				pool.Release(held[k])
+				held = append(held[:k], held[k+1:]...)
+				continue
+			}
+			k := rng.Intn(len(ids))
+			fr, err := pool.Get(ids[k])
+			if err != nil || fr.Data()[0] != byte(k) {
 				return false
 			}
-			b := byte(rng.Intn(256))
-			fr.Data()[17] = b
-			fr.MarkDirty()
-			want[id] = b
+			held = append(held, fr)
+		}
+		for _, fr := range held {
 			pool.Release(fr)
 		}
-		if err := pool.FlushAll(); err != nil {
-			return false
+		frames := 0
+		for i := range pool.shards {
+			frames += len(pool.shards[i].frames)
 		}
-		// Verify against the raw file, bypassing the pool.
-		buf := make([]byte, PageSize)
-		for id, b := range want {
-			if err := pf.ReadPage(id, buf); err != nil {
-				return false
-			}
-			if buf[17] != b {
-				return false
-			}
-		}
-		return pool.PinnedCount() == 0
+		return pool.PinnedCount() == 0 && frames <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,8 @@
 // suffixes.
 //
 // The disk-resident representation lives in internal/disktree; it
-// serializes trees produced here and merges them on disk.
+// serializes trees produced here, and its production builder — which sorts
+// suffixes instead of merging trees — is tested against them.
 package suffixtree
 
 import (

@@ -278,3 +278,49 @@ func TestConcurrentBuildDrop(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentSearchesTinyPool: sixteen queries at once through a 4-page
+// pool — four one-frame stripes, so readers collide on fully pinned stripes
+// all the time. The pool serves them from overflow frames instead of
+// failing the query: every answer equals the serial run, and afterwards
+// nothing is pinned.
+func TestConcurrentSearchesTinyPool(t *testing.T) {
+	db := newTestDB(t, 12, 80, 31)
+	if err := db.BuildIndex("tiny", IndexSpec{Method: MethodMaxEntropy, Categories: 12, PoolPages: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	queries := make([][]float64, 16)
+	want := make([][]Match, len(queries))
+	for i := range queries {
+		queries[i] = testValues(rng, 8)
+		ms, _, err := db.SearchWith(context.Background(), "tiny", queries[i], 10, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ms
+	}
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				ms, _, err := db.SearchWith(context.Background(), "tiny", q, 10, SearchOptions{})
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+					return
+				}
+				if !sameMatches(ms, want[i]) {
+					t.Errorf("query %d: concurrent answers differ from serial", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tree := db.indexes["tiny"].ix.Tree
+	if n := tree.PinnedPages(); n != 0 {
+		t.Fatalf("%d pages still pinned after the searches", n)
+	}
+	t.Logf("pool: %+v", tree.PoolStats())
+}

@@ -45,9 +45,7 @@ type IndexSpec struct {
 	// shorter than this (the conclusion's other space optimization);
 	// Search then returns only answers of at least this length.
 	MinAnswerLen int
-	// BatchSize and PoolPages tune the disk build pipeline (sequences per
-	// in-memory tree; buffer pool pages per file).
-	BatchSize int
+	// PoolPages bounds the tree file's buffer pool (default 256).
 	PoolPages int
 	// Encoding selects the node record serialization of the tree file
 	// (zero value = EncodingV1; EncodingV2 is the compact varint format;
@@ -117,10 +115,7 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 		Window:       spec.Window,
 		MinAnswerLen: spec.MinAnswerLen,
 		Encoding:     spec.Encoding,
-		Build: disktree.BuildOptions{
-			BatchSize: spec.BatchSize,
-			PoolPages: spec.PoolPages,
-		},
+		Build:        disktree.BuildOptions{PoolPages: spec.PoolPages},
 	})
 	if err != nil {
 		return err
