@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-envelope race-build cover bench bench-concurrency bench-parallel bench-shard bench-mmap bench-envelope fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-envelope race-build cover bench profile-search bench-concurrency bench-parallel bench-shard bench-mmap bench-envelope fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -61,16 +61,25 @@ ci: check race-concurrency race-parallel race-shard race-mmap race-envelope race
 # The concurrent-search suite under -race, run twice: many goroutines on
 # one index handle must return byte-identical answers, and the pooled query
 # contexts must leak no state between queries. -count=2 reruns with warm
-# sync.Pools, the state-reuse case a single pass misses.
+# sync.Pools, the state-reuse case a single pass misses. Each search holds
+# one page pinned through its node reader and the pool recycles the frames
+# it evicts, so the suite — with the tests that every path out of a search
+# unpins and that a recycled frame is never a pinned one — runs with one
+# scheduler thread and with four.
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestSetEpochReuse|TestSearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/pending/ ./internal/disktree/
 race-concurrency:
-	$(GO) test -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestSetEpochReuse' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/pending/
+	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
+	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)
 
 # Intra-query parallelism determinism under -race, run twice for warm
 # sync.Pools: every worker count must return answers byte-identical to the
 # serial traversal, across both engines, the seqdb layer, and the server's
-# request-hint path.
+# request-hint path — and every worker's node reader must be closed when
+# the search returns. With one scheduler thread and with four.
+RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestSearchWithDeterministic|TestServerParallelHint|TestSearchReleasesReader' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
 race-parallel:
-	$(GO) test -race -count=2 -run 'TestParallel|TestMultivarParallel|TestSearchWithDeterministic|TestServerParallelHint' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
+	GOMAXPROCS=1 $(GO) test $(RACE_PARALLEL)
+	GOMAXPROCS=4 $(GO) test $(RACE_PARALLEL)
 
 # Horizontal-sharding determinism under -race, run twice: at shard counts
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
@@ -132,6 +141,19 @@ cover:
 # captured run.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
+
+# Where a query's time goes: CPU profiles of BenchmarkSearchSelective and
+# BenchmarkSearchBroad (internal/core: fixed walks and queries shaped like
+# the benchmark's two single-client workloads, ns/node and ns/cell beside
+# ns/op), written with the test binary to PROFILE_DIR; the top of each is
+# printed.
+PROFILE_DIR ?= /tmp/twsearch-profile
+profile-search:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'SearchSelective$$' -benchtime 1000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/selective.prof ./internal/core
+	$(GO) test -run '^$$' -bench 'SearchBroad$$' -benchtime 300x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/broad.prof ./internal/core
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
 
 # Concurrent-search throughput on one shared handle: queries/sec at 1, 4,
 # and GOMAXPROCS workers, written to BENCH_concurrency.json.

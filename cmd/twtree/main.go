@@ -202,15 +202,16 @@ func envelopeStats(f *disktree.File) (entries int64, bytes int64, err error) {
 		if n.Leaf {
 			return nil
 		}
-		kids := make([]disktree.ChildRef, len(n.Children))
-		copy(kids, n.Children)
-		for _, c := range kids {
+		for _, h := range n.Hulls {
 			entries++
-			for _, g := range c.Seg {
+			for _, g := range h.Seg {
 				w := binary.PutVarint(scratch[:], int64(g.Lo))
 				w += binary.PutVarint(scratch[:], int64(g.Hi)-int64(g.Lo))
 				bytes += int64(w)
 			}
+		}
+		// n is overwritten by the reads below.
+		for _, c := range append([]disktree.ChildRef(nil), n.Children...) {
 			if err := walk(c.Ptr); err != nil {
 				return err
 			}

@@ -60,6 +60,13 @@ type Scheme struct {
 	// uppers[i] is the assignment upper boundary of category i (== cats[i].Hi);
 	// kept separately for binary search.
 	uppers []float64
+	// grid narrows that search: the boundary range is cut into
+	// len(grid)-2 equal cells (plus one for everything above) and grid[c]
+	// counts the boundaries in the cells before c, so a value in cell c
+	// belongs to a category in grid[c]..grid[c+1]. Nil when the boundaries
+	// span no range. See cell.
+	grid              []int32
+	gridLo, gridScale float64
 }
 
 // ErrNoValues is returned when a categorizer is fitted on an empty value set.
@@ -81,12 +88,70 @@ func (s *Scheme) Category(i int) Category { return s.cats[i] }
 // boundary map to category 0 and values above the last map to the final
 // category, so encoding is total.
 func (s *Scheme) Symbol(v float64) Symbol {
-	// First category whose upper boundary admits v.
-	i := sort.SearchFloat64s(s.uppers, v)
-	if i >= len(s.cats) {
-		i = len(s.cats) - 1
+	// First category whose upper boundary admits v, the last one failing
+	// that: sort.SearchFloat64s over uppers, clamped — but every value is
+	// categorized on every fit, build and open, and a binary search over a
+	// few hundred boundaries mispredicts most of its branches, so the grid
+	// first narrows it to the boundaries in v's cell, usually none or one.
+	lo, hi := 0, len(s.uppers)-1
+	if s.grid != nil {
+		c := s.cell(v)
+		lo, hi = min(int(s.grid[c]), hi), min(int(s.grid[c+1]), hi)
 	}
-	return Symbol(i)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.uppers[mid] >= v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return Symbol(lo)
+}
+
+// gridPerCategory is how many grid cells a scheme gets per category: enough
+// that cells of a skewed scheme mostly hold one boundary or none.
+const gridPerCategory = 4
+
+// withGrid indexes the boundaries for Symbol. Boundaries read from a damaged
+// file may be unordered or not numbers: the grid is then meaningless but
+// still non-decreasing, so Symbol stays total.
+func (s *Scheme) withGrid() *Scheme {
+	if len(s.uppers) < 2 {
+		return s
+	}
+	lo, hi := s.uppers[0], s.uppers[len(s.uppers)-1]
+	cells := gridPerCategory * len(s.uppers)
+	scale := float64(cells) / (hi - lo)
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return s
+	}
+	s.gridLo, s.gridScale = lo, scale
+	s.grid = make([]int32, cells+2)
+	for _, u := range s.uppers {
+		s.grid[s.cell(u)+1]++
+	}
+	for c := 1; c < len(s.grid); c++ {
+		s.grid[c] += s.grid[c-1]
+	}
+	return s
+}
+
+// cell maps a value to its grid cell, 0..len(grid)-2. It never decreases as
+// v grows — subtracting a constant, scaling by a positive one and
+// truncating all keep order — which is all Symbol needs: a boundary in an
+// earlier cell than v's is below v, one in a later cell above it, whatever
+// the rounding did at the cell edges. NaN goes to the last cell with
+// everything above the range, and from there to the last category.
+func (s *Scheme) cell(v float64) int {
+	x := (v - s.gridLo) * s.gridScale
+	if top := len(s.grid) - 2; !(x < float64(top)) {
+		return top
+	}
+	if x < 0 {
+		return 0
+	}
+	return int(x)
 }
 
 // Interval returns the observed value interval [B.lb, B.ub] of a symbol,
@@ -134,7 +199,7 @@ func newScheme(kind Kind, values []float64, lowers, uppers []float64) *Scheme {
 	for i := range cats {
 		cats[i] = Category{Lo: lowers[i], Hi: uppers[i], ObsLo: math.Inf(1), ObsHi: math.Inf(-1)}
 	}
-	s := &Scheme{kind: kind, cats: cats, uppers: uppers}
+	s := (&Scheme{kind: kind, cats: cats, uppers: uppers}).withGrid()
 	for _, v := range values {
 		i := s.Symbol(v)
 		c := &s.cats[i]

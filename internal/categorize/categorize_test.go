@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,45 @@ func TestSymbolTotal(t *testing.T) {
 	}
 	if int(s.Symbol(100)) != s.NumCategories()-1 {
 		t.Error("above-range value not clamped to last category")
+	}
+}
+
+// Property: Symbol's grid-narrowed search picks the category
+// sort.SearchFloat64s over the upper boundaries picks (clamped to the last),
+// for every kind of scheme — as fitted and as read back from its file — and
+// every kind of value: fitted values, values on and next to a boundary,
+// out-of-range values, ±Inf and NaN.
+func TestQuickSymbolMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	f := func() bool {
+		vals := randValues(rng, 1+rng.Intn(200))
+		s, err := Fit([]Kind{KindEqualLength, KindMaxEntropy, KindKMeans, KindIdentity}[rng.Intn(4)], vals, 1+rng.Intn(12), 1)
+		if err != nil {
+			return false
+		}
+		var file bytes.Buffer
+		if err := s.Write(&file); err != nil {
+			return false
+		}
+		reread, err := ReadScheme(&file)
+		if err != nil {
+			return false
+		}
+		probes := append([]float64{math.Inf(-1), math.Inf(1), math.NaN(), -1e300, 1e300}, vals...)
+		for _, u := range s.uppers {
+			probes = append(probes, u, math.Nextafter(u, math.Inf(-1)), math.Nextafter(u, math.Inf(1)))
+		}
+		for _, v := range probes {
+			want := min(sort.SearchFloat64s(s.uppers, v), s.NumCategories()-1)
+			if int(s.Symbol(v)) != want || int(reread.Symbol(v)) != want {
+				t.Logf("%s scheme, %d categories: Symbol(%v) = %d (%d reread), sort.SearchFloat64s says %d", s.Kind(), s.NumCategories(), v, s.Symbol(v), reread.Symbol(v), want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -105,5 +105,5 @@ func ReadScheme(r io.Reader) (*Scheme, error) {
 		cats[i] = Category{Lo: f[0], Hi: f[1], ObsLo: f[2], ObsHi: f[3], Count: int(n)}
 		uppers[i] = f[1]
 	}
-	return &Scheme{kind: kind, cats: cats, uppers: uppers}, nil
+	return (&Scheme{kind: kind, cats: cats, uppers: uppers}).withGrid(), nil
 }

@@ -130,7 +130,7 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 	defer ix.queries.release(s)
 
 	root := s.node(0)
-	if err := ix.Tree.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, SearchStats{}, err
 	}
 	s.stats.NodesVisited++
@@ -141,7 +141,7 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 		for i := range root.Children {
 			// Tier A on the fanout frontier: pruned subtrees never become
 			// tasks, so serial and parallel visit (and count) identically.
-			if s.pruneChild(root.Children[i], 0) {
+			if s.pruneChild(root, i, 0) {
 				continue
 			}
 			s.tasks = append(s.tasks, parTask{ptr: root.Children[i].Ptr, prefix: prefix})
@@ -152,7 +152,7 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 			if s.stopped {
 				break
 			}
-			if s.pruneChild(root.Children[i], 0) {
+			if s.pruneChild(root, i, 0) {
 				continue
 			}
 			if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
@@ -329,7 +329,7 @@ func (s *searcher) spawnSubtreeTasks(n *disktree.Node, runBroken bool, firstRun 
 		envSum = s.envSums[s.table.Depth()]
 	}
 	for i := range n.Children {
-		if s.pruneChild(n.Children[i], edgeBound) {
+		if s.pruneChild(n, i, edgeBound) {
 			continue
 		}
 		s.tasks = append(s.tasks, parTask{

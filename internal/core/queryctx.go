@@ -50,6 +50,7 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	}
 
 	s.ix = ix
+	s.rd.Reset(ix.Tree)
 	s.ctx = ctx
 	s.ctxErr = nil
 	s.q = q
@@ -78,8 +79,8 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 
 	// The envelope cascade runs under the same window as the filter table,
 	// so its bounds are never tighter than what the table itself enforces.
-	// Tier A (subtree hulls) additionally needs the v3 tree format: older
-	// files decode the hull fields as zeros, which look like real hulls.
+	// Tier A (subtree hulls) additionally needs the v3 tree format: nodes of
+	// older files carry no hulls.
 	s.envOn = !ix.DisableEnvelopes
 	s.hullOn = s.envOn && ix.Tree.Encoding() == disktree.EncodingV3
 	s.env.Bind(q, filterWindow)
@@ -101,9 +102,11 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	return s
 }
 
-// release returns a searcher to the pool, dropping references to
-// caller-owned state so nothing outlives the call it belongs to.
+// release returns a searcher to the pool, unpinning the page its reader
+// still holds and dropping references to caller-owned state so nothing
+// outlives the call it belongs to.
 func (qp *queryPool) release(s *searcher) {
+	s.rd.Reset(nil)
 	s.ix = nil
 	s.ctx = nil
 	s.visit = nil

@@ -74,7 +74,7 @@ func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit fun
 	defer ix.queries.release(s)
 
 	root := s.node(0)
-	if err := ix.Tree.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, SearchStats{}, err
 	}
 	s.stats.NodesVisited++
@@ -82,7 +82,7 @@ func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit fun
 		if s.stopped {
 			break
 		}
-		if s.pruneChild(root.Children[i], 0) {
+		if s.pruneChild(root, i, 0) {
 			continue
 		}
 		if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
@@ -151,6 +151,10 @@ type searcher struct {
 	// allocation-free after warmup.
 	nodes        []*disktree.Node
 	collectNodes []*disktree.Node
+	// rd reads every node of the traversal, holding the page of the last
+	// one between reads; queryPool.release closes it, so no path out of a
+	// search leaves a page pinned.
+	rd disktree.Reader
 
 	// firstSym and base0 describe the current root-to-here path's first
 	// symbol: base0 = D_base-lb(q[0], interval(firstSym)) is the per-shift
@@ -170,8 +174,7 @@ type searcher struct {
 	// envelope bound, playing base0's role (each shifted-away leading-run
 	// row contributed exactly envBase0 to the sum). envOn gates the tier;
 	// hullOn additionally gates the tier-A subtree-hull skip, which needs
-	// the v3 on-disk format (older files decode hull fields as zero, which
-	// would falsely claim symbol 0).
+	// the v3 on-disk format (nodes of older files carry no hulls).
 	env      dtw.Envelope
 	envSums  []float64
 	envBase0 float64
@@ -264,7 +267,7 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 //twlint:steady-state
 func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firstRun int) error {
 	n := s.node(level)
-	if err := s.ix.Tree.ReadNodeInto(ptr, n); err != nil {
+	if err := s.rd.ReadNodeInto(ptr, n); err != nil {
 		return err
 	}
 	s.stats.NodesVisited++
@@ -447,7 +450,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 				if s.stopped {
 					break
 				}
-				if s.pruneChild(n.Children[i], edgeBound) {
+				if s.pruneChild(n, i, edgeBound) {
 					continue
 				}
 				if err := s.processEdge(n.Children[i].Ptr, level+1, runBroken, firstRun); err != nil {
@@ -462,8 +465,8 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 }
 
 // pruneChild is the envelope cascade's tier A: gap evaluations against the
-// persisted subtree hull decide whether any answer can lie under child c —
-// before reading c's node. Every candidate below c contains at least one
+// persisted subtree hull decide whether any answer can lie under c, the
+// i'th child of parent — before reading c's node. Every candidate below c contains at least one
 // row within the hull's horizon whose symbol sits inside c's hull (its
 // first row past this depth — for a shifted sparse candidate either the
 // continuation of the leading run or the row right below this node, both
@@ -475,8 +478,8 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 // node — on value-clustered data this is where most of the tree disappears.
 // A child whose persisted hull is empty holds only terminators — its
 // suffixes end at the current depth, which this edge's rows already emitted
-// — so it is skipped outright. Requires the v3 format (hullOn): older files
-// decode the hull fields as zeros, which would falsely claim symbol 0.
+// — so it is skipped outright. Requires the v3 format (hullOn): nodes of
+// older files carry no hulls.
 //
 // Under a band the hull profile also charges the whole query tail (the
 // part Theorem 1 cannot see yet). Any answer's warping path must cover
@@ -502,10 +505,11 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 // alignment this argument would not survive.
 //
 //twlint:steady-state
-func (s *searcher) pruneChild(c disktree.ChildRef, edgeBound float64) bool {
+func (s *searcher) pruneChild(parent *disktree.Node, i int, edgeBound float64) bool {
 	if !s.hullOn || s.ix.DisablePruning {
 		return false
 	}
+	c := &parent.Hulls[i]
 	if c.MaxSym < c.MinSym {
 		s.stats.EnvelopePruned++
 		return true
@@ -536,7 +540,7 @@ func (s *searcher) pruneChild(c disktree.ChildRef, edgeBound float64) bool {
 			// bound.
 			sum := 0.0
 			for x := 0; x < end; x++ {
-				sum += s.hullGap(&c, 0, x, w)
+				sum += s.hullGap(c, 0, x, w)
 				s.stats.LBCells++
 				if sum > s.eps {
 					s.stats.EnvelopePruned++
@@ -566,7 +570,7 @@ func (s *searcher) pruneChild(c disktree.ChildRef, edgeBound float64) bool {
 				break
 			}
 			if j < end {
-				tail += s.hullGap(&c, d, j, w)
+				tail += s.hullGap(c, d, j, w)
 				s.stats.LBCells++
 			}
 		}
@@ -591,7 +595,7 @@ func (s *searcher) pruneChild(c disktree.ChildRef, edgeBound float64) bool {
 // HullHorizon) via their end clip.
 //
 //twlint:steady-state
-func (s *searcher) hullGap(c *disktree.ChildRef, d, x, w int) float64 {
+func (s *searcher) hullGap(c *disktree.Hull, d, x, w int) float64 {
 	kHi := x + w - d
 	if kHi < 0 {
 		// The band puts every row that could match column x above this
@@ -641,7 +645,7 @@ func (s *searcher) collect(n *disktree.Node, d int, dist float64) error {
 func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64) error {
 	for i := range n.Children {
 		c := s.collectNode(level)
-		if err := s.ix.Tree.ReadNodeInto(n.Children[i].Ptr, c); err != nil {
+		if err := s.rd.ReadNodeInto(n.Children[i].Ptr, c); err != nil {
 			return err
 		}
 		if c.Leaf {

@@ -150,12 +150,11 @@ type builder struct {
 	sa    []suffix
 	lcp   []int32
 
-	// Stream state: the open nodes on the path to the current suffix, their
-	// hull accumulators (v3 only), and the child entries they have
-	// collected so far, the deepest node's last.
+	// Stream state: the open nodes on the path to the current suffix and
+	// their hull accumulators (v3 only); the child entries they have
+	// collected so far are on the writer's stack.
 	open  []openNode
 	below []depthHull
-	kids  []ChildRef
 	node  Node
 }
 
@@ -280,7 +279,7 @@ func (b *builder) sortRange(lo, hi int, d int32) error {
 type openNode struct {
 	lead  suffix // leftmost suffix below; the node's label references it
 	depth int32  // symbols on the path from the root
-	kids  int    // index of its first entry in builder.kids
+	kids  int    // mark of its first entry on the writer's stack
 }
 
 // push opens a node; its hull accumulator rides a parallel stack, so the
@@ -329,11 +328,11 @@ func (b *builder) stream() (Ptr, error) {
 // child.
 func (b *builder) closeTo(leaf suffix, branch int32) error {
 	if branch > b.open[len(b.open)-1].depth {
-		b.push(openNode{lead: leaf, depth: branch, kids: len(b.kids)})
+		b.push(openNode{lead: leaf, depth: branch, kids: len(b.w.kids)})
 	}
 	// The leaf's path ends with its terminator.
 	end := int32(len(b.store.Text(int(leaf.seq)))) - leaf.pos + 1
-	if err := b.attach(leaf, end, true, len(b.kids), &emptyDepthHull); err != nil {
+	if err := b.attach(leaf, end, true, len(b.w.kids), &emptyDepthHull); err != nil {
 		return err
 	}
 	for b.open[len(b.open)-1].depth > branch {
@@ -350,8 +349,9 @@ func (b *builder) closeTo(leaf suffix, branch int32) error {
 
 // attach writes the node that ends at depth on lead's path — its label
 // starts at the depth of the open node on top of the stack, its parent; its
-// children are b.kids[kids:] and below the union of their hulls — and
-// replaces those entries with the node's own in the parent's child table.
+// children are the entries from the mark kids on and below the union of
+// their hulls — and replaces those entries with the node's own in the
+// parent's child table.
 func (b *builder) attach(lead suffix, depth int32, leaf bool, kids int, below *depthHull) error {
 	from := b.open[len(b.open)-1].depth
 	ptr, err := b.write(lead, from, depth, leaf, kids)
@@ -362,16 +362,16 @@ func (b *builder) attach(lead suffix, depth int32, leaf bool, kids int, below *d
 	if b.w.hulls() {
 		parent = &b.below[len(b.below)-1]
 	}
-	b.kids = append(b.kids, b.w.entry(b.sym(lead, from), ptr, depth-from, func(i int32) Symbol { return b.sym(lead, from+i) }, below, parent))
+	b.w.attach(b.sym(lead, from), ptr, depth-from, func(i int32) Symbol { return b.sym(lead, from+i) }, below, parent)
 	return nil
 }
 
 // write emits the record of the node spanning symbols [from, to) of lead's
-// path and drops its child entries b.kids[kids:].
+// path, its child entries those from the mark kids on.
 func (b *builder) write(lead suffix, from, to int32, leaf bool, kids int) (Ptr, error) {
 	n := &b.node
 	n.LabelSeq, n.LabelStart, n.LabelLen = lead.seq, lead.pos+from, to-from
-	n.Leaf, n.Children = leaf, b.kids[kids:]
+	n.Leaf = leaf
 	if leaf {
 		n.Pos = lead.pos
 		n.RunLen = int32(categorize.RunLengthAt(b.store.Text(int(lead.seq)), int(lead.pos)))
@@ -382,7 +382,5 @@ func (b *builder) write(lead suffix, from, to int32, leaf bool, kids int) (Ptr, 
 			n.Label = append(n.Label, b.sym(lead, d))
 		}
 	}
-	ptr, err := b.w.emit(n)
-	b.kids = b.kids[:kids]
-	return ptr, err
+	return b.w.emit(n, kids)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twsearch/internal/storage"
@@ -199,91 +200,104 @@ func writeRecordFile(t *testing.T, raw []byte, layout Layout, enc Encoding) *Fil
 }
 
 // FuzzNodeCodecV2: decode∘encode is the identity for arbitrary nodes in the
-// compact encoding, and feeding v2 bytes to the v1 decoder (the cross-decode
-// a version-confused reader would attempt) terminates without panicking.
+// compact encoding, every strict prefix of the record asks for more bytes,
+// and feeding v2 bytes to the v1 decoder (the cross-decode a
+// version-confused reader would attempt) terminates without panicking.
 func FuzzNodeCodecV2(f *testing.F) {
 	f.Add([]byte{0}, false, false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true, false)
 	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false, true)
 	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true, true)
 	f.Fuzz(func(t *testing.T, data []byte, leaf, inline bool) {
-		if len(data) == 0 {
-			data = []byte{0}
-		}
-		// Derive a node deterministically from the fuzz bytes.
-		next := func(i int) int32 {
-			var v int32
-			for k := 0; k < 4; k++ {
-				v = v<<8 | int32(data[(i*4+k)%len(data)])
-			}
-			return v
-		}
-		layout := LayoutReference
-		if inline {
-			layout = LayoutInline
-		}
-		in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2), Leaf: leaf}
-		if inline {
-			n := int(uint32(next(3)) % 200)
-			in.Label = make([]Symbol, n)
-			for i := range in.Label {
-				in.Label[i] = Symbol(next(4 + i))
-			}
-		}
-		if leaf {
-			in.Pos = next(5)
-			in.RunLen = next(6)
-		} else {
-			n := int(uint32(next(7)) % 200)
-			in.Children = make([]ChildRef, n)
-			for i := range in.Children {
-				in.Children[i] = ChildRef{Sym: Symbol(next(8 + i)), Ptr: Ptr(uint64(uint32(next(9 + i))))}
-			}
-		}
-
-		raw := encodeNodeV2(nil, &in, layout)
-		df := writeRecordFile(t, raw, layout, EncodingV2)
-		var got Node
-		if err := df.ReadNodeInto(Ptr(storage.PageSize), &got); err != nil {
-			t.Fatalf("decoding our own encoding: %v", err)
-		}
-
-		// What the decoder is specified to produce for this input.
-		want := in
-		if inline {
-			want.LabelLen = int32(len(in.Label))
-			want.LabelStart = -1
-			if !leaf {
-				want.LabelSeq = -1
-			}
-		}
-		if !nodesEqual(&want, &got) {
-			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", want, got)
-		}
-
-		// Cross-decode: the v1 decoder over v2 bytes must terminate with an
-		// error or garbage, never panic or hang.
-		dfx := writeRecordFile(t, raw, layout, EncodingV1)
-		var junk Node
-		_ = dfx.ReadNodeInto(Ptr(storage.PageSize), &junk)
+		checkCodec(t, data, leaf, inline, EncodingV2)
 	})
+}
+
+// checkCodec derives a node deterministically from the fuzz bytes, encodes
+// it and drives the slice decoders directly: the whole record (followed by
+// bytes that are not part of it) must decode to the node, every strict
+// prefix must come back errShort — never a node, never a verdict on a
+// record that more bytes would complete — and the older decoders over the
+// same bytes must terminate with an error or garbage, never panic or hang.
+func checkCodec(t *testing.T, data []byte, leaf, inline bool, enc Encoding) {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	next := func(i int) int32 {
+		var v int32
+		for k := 0; k < 4; k++ {
+			v = v<<8 | int32(data[(i*4+k)%len(data)])
+		}
+		return v
+	}
+	layout := LayoutReference
+	if inline {
+		layout = LayoutInline
+	}
+	in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2), Leaf: leaf}
+	if inline {
+		in.Label = make([]Symbol, uint32(next(3))%200)
+		for i := range in.Label {
+			in.Label[i] = Symbol(next(4 + i))
+		}
+	}
+	if leaf {
+		in.Pos = next(5)
+		in.RunLen = next(6)
+	} else {
+		in.Children = make([]ChildRef, uint32(next(7))%200)
+		for i := range in.Children {
+			in.Children[i] = ChildRef{Sym: Symbol(next(8 + i)), Ptr: Ptr(uint64(uint32(next(9 + i))))}
+		}
+		if enc == EncodingV3 {
+			in.Hulls = make([]Hull, len(in.Children))
+			for i := range in.Hulls {
+				h := &in.Hulls[i]
+				for s := range h.Seg {
+					h.Seg[s] = HullRange{
+						Lo: Symbol(next(10 + 2*(i*HullSegs+s))),
+						Hi: Symbol(next(11 + 2*(i*HullSegs+s))),
+					}
+				}
+				h.setOverall()
+			}
+		}
+	}
+
+	raw := encodeNode(nil, &in, layout, enc)
+	f := &File{meta: meta{layout: layout, enc: enc}}
+	var got Node
+	if err := f.decode(append(raw[:len(raw):len(raw)], 0xAB, 0xCD), &got, 0); err != nil {
+		t.Fatalf("decoding our own encoding: %v", err)
+	}
+	// What the decoder is specified to produce for this input.
+	want := in
+	if inline {
+		want.LabelLen = int32(len(in.Label))
+		want.LabelStart = -1
+		if !leaf {
+			want.LabelSeq = -1
+		}
+	}
+	if !nodesEqual(&want, &got) {
+		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", want, got)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if err := f.decode(raw[:cut:cut], &got, 0); err != errShort {
+			t.Fatalf("the first %d of %d bytes decoded with error %v, want errShort", cut, len(raw), err)
+		}
+	}
+	for older := enc - 1; older >= EncodingV1; older-- {
+		fx := &File{meta: meta{layout: layout, enc: older}}
+		var junk Node
+		_ = fx.decode(raw, &junk, 0)
+	}
 }
 
 func nodesEqual(a, b *Node) bool {
 	if a.LabelSeq != b.LabelSeq || a.LabelStart != b.LabelStart || a.LabelLen != b.LabelLen ||
-		a.Leaf != b.Leaf || a.Pos != b.Pos || a.RunLen != b.RunLen ||
-		len(a.Label) != len(b.Label) || len(a.Children) != len(b.Children) {
+		a.Leaf != b.Leaf || a.Pos != b.Pos || a.RunLen != b.RunLen {
 		return false
 	}
-	for i := range a.Label {
-		if a.Label[i] != b.Label[i] {
-			return false
-		}
-	}
-	for i := range a.Children {
-		if a.Children[i] != b.Children[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Label, b.Label) && slices.Equal(a.Children, b.Children) && slices.Equal(a.Hulls, b.Hulls)
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
@@ -53,8 +52,8 @@ func checkHulls(t *testing.T, f *File, ts *suffixtree.TextStore) {
 		if err := f.ReadNodeInto(p, &n); err != nil {
 			t.Fatalf("ReadNodeInto(%d): %v", p, err)
 		}
-		kids := append([]ChildRef(nil), n.Children...)
-		for _, c := range kids {
+		for i, c := range n.Children {
+			h := n.Hulls[i]
 			var acc [HullHorizon]symHull
 			for i := range acc {
 				acc[i] = emptyHull
@@ -67,14 +66,14 @@ func checkHulls(t *testing.T, f *File, ts *suffixtree.TextStore) {
 					want = want.union(acc[k])
 				}
 				all = all.union(want)
-				if c.Seg[s].Lo != want.lo || c.Seg[s].Hi != want.hi {
+				if h.Seg[s].Lo != want.lo || h.Seg[s].Hi != want.hi {
 					t.Fatalf("child %d of node %d: stored segment %d [%d,%d], recomputed [%d,%d]",
-						c.Sym, p, s, c.Seg[s].Lo, c.Seg[s].Hi, want.lo, want.hi)
+						c.Sym, p, s, h.Seg[s].Lo, h.Seg[s].Hi, want.lo, want.hi)
 				}
 			}
-			if c.MinSym != all.lo || c.MaxSym != all.hi {
+			if h.MinSym != all.lo || h.MaxSym != all.hi {
 				t.Fatalf("child %d of node %d: stored hull [%d,%d], recomputed [%d,%d]",
-					c.Sym, p, c.MinSym, c.MaxSym, all.lo, all.hi)
+					c.Sym, p, h.MinSym, h.MaxSym, all.lo, all.hi)
 			}
 			walk(c.Ptr)
 		}
@@ -192,83 +191,15 @@ func TestRewriteV3(t *testing.T) {
 // including arbitrary (even inverted or negative) segment hull pairs,
 // which the signed span varints must carry exactly; the decoder re-derives
 // the overall MinSym/MaxSym as the segments' union, so the expectation
-// does the same — and v3 bytes fed to the v2/v1 decoders (a
-// version-confused reader) terminate without panicking.
+// does the same — every strict prefix of the record asks for more bytes,
+// and v3 bytes fed to the v2/v1 decoders (a version-confused reader)
+// terminate without panicking.
 func FuzzNodeCodecV3(f *testing.F) {
 	f.Add([]byte{0}, false, false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true, false)
 	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false, true)
 	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true, true)
 	f.Fuzz(func(t *testing.T, data []byte, leaf, inline bool) {
-		if len(data) == 0 {
-			data = []byte{0}
-		}
-		next := func(i int) int32 {
-			var v int32
-			for k := 0; k < 4; k++ {
-				v = v<<8 | int32(data[(i*4+k)%len(data)])
-			}
-			return v
-		}
-		layout := LayoutReference
-		if inline {
-			layout = LayoutInline
-		}
-		in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2), Leaf: leaf}
-		if inline {
-			n := int(uint32(next(3)) % 200)
-			in.Label = make([]Symbol, n)
-			for i := range in.Label {
-				in.Label[i] = Symbol(next(4 + i))
-			}
-		}
-		if leaf {
-			in.Pos = next(5)
-			in.RunLen = next(6)
-		} else {
-			n := int(uint32(next(7)) % 200)
-			in.Children = make([]ChildRef, n)
-			for i := range in.Children {
-				c := ChildRef{
-					Sym: Symbol(next(8 + i)),
-					Ptr: Ptr(uint64(uint32(next(9 + i)))),
-				}
-				for s := range c.Seg {
-					c.Seg[s] = HullRange{
-						Lo: Symbol(next(10 + 2*(i*HullSegs+s))),
-						Hi: Symbol(next(11 + 2*(i*HullSegs+s))),
-					}
-				}
-				c.setOverall()
-				in.Children[i] = c
-			}
-		}
-
-		raw := encodeNodeV3(nil, &in, layout)
-		df := writeRecordFile(t, raw, layout, EncodingV3)
-		var got Node
-		if err := df.ReadNodeInto(Ptr(storage.PageSize), &got); err != nil {
-			t.Fatalf("decoding our own encoding: %v", err)
-		}
-
-		want := in
-		if inline {
-			want.LabelLen = int32(len(in.Label))
-			want.LabelStart = -1
-			if !leaf {
-				want.LabelSeq = -1
-			}
-		}
-		if !nodesEqual(&want, &got) {
-			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", want, got)
-		}
-
-		// Cross-decode: older decoders over v3 bytes must terminate with an
-		// error or garbage, never panic or hang.
-		for _, enc := range []Encoding{EncodingV2, EncodingV1} {
-			dfx := writeRecordFile(t, raw, layout, enc)
-			var junk Node
-			_ = dfx.ReadNodeInto(Ptr(storage.PageSize), &junk)
-		}
+		checkCodec(t, data, leaf, inline, EncodingV3)
 	})
 }

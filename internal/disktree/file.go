@@ -1,7 +1,6 @@
 package disktree
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"twsearch/internal/storage"
@@ -10,8 +9,9 @@ import (
 
 // File is a disk-resident suffix tree, read through a PageSource — the
 // lock-striped LRU buffer pool by default, or a zero-copy mmap source. The
-// read path (ReadNode, ReadNodeInto, ReadAhead) is safe for any number of
-// concurrent goroutines; one open File serves all searches on an index.
+// read path (ReadNode, ReadNodeInto, ReadAhead, any number of Readers) is
+// safe for any number of concurrent goroutines; one open File serves all
+// searches on an index.
 // Files come into being through a treeWriter, which appends pages straight
 // to the page file; sources only read.
 type File struct {
@@ -39,47 +39,44 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Lay
 	w := newTreeWriter(pf, meta{sparse: tree.Sparse, minSuffixLen: lengthFilter(tree.MinSuffixLen), layout: layout, enc: enc})
 
 	// The write is post-order (children before parents): each recursion
-	// returns its node's entry for the parent's child table, with — for v3 —
-	// the subtree's envelope stamped on it and folded into the parent's
-	// accumulator, so hulls aggregate bottom-up in the same pass.
+	// leaves its node's entry on the writer's stack for the parent's child
+	// table, with — for v3 — the subtree's envelope beside it and folded
+	// into the parent's accumulator, so hulls aggregate bottom-up in the
+	// same pass.
 	var out Node
-	var kids []ChildRef // child entries of the nodes on the recursion path
-	var writeNode func(n *suffixtree.Node, parent *depthHull) (ChildRef, error)
-	writeNode = func(n *suffixtree.Node, parent *depthHull) (ChildRef, error) {
+	var writeNode func(n *suffixtree.Node, parent *depthHull) (Ptr, error)
+	writeNode = func(n *suffixtree.Node, parent *depthHull) (Ptr, error) {
 		below := emptyDepthHull
-		first := len(kids)
+		first := len(w.kids)
 		for _, c := range n.Children {
-			ref, err := writeNode(c, &below)
-			if err != nil {
-				return ChildRef{}, err
+			if _, err := writeNode(c, &below); err != nil {
+				return NilPtr, err
 			}
-			kids = append(kids, ref)
 		}
-		out = Node{LabelSeq: n.LabelSeq, LabelStart: n.LabelStart, LabelLen: n.LabelLen, Children: kids[first:]}
+		out.LabelSeq, out.LabelStart, out.LabelLen, out.Leaf = n.LabelSeq, n.LabelStart, n.LabelLen, n.Leaf != nil
 		if layout == LayoutInline {
 			out.Label = tree.LabelSymbols(n)
 		}
 		if n.Leaf != nil {
-			out.Leaf = true
 			out.LabelSeq = n.Leaf.Seq
 			out.Pos = n.Leaf.Pos
 			out.RunLen = n.Leaf.RunLen
 		}
-		ptr, err := w.emit(&out)
-		kids = kids[:first]
+		ptr, err := w.emit(&out, first)
 		if err != nil || parent == nil {
-			return ChildRef{Ptr: ptr}, err
+			return ptr, err
 		}
 		// The label is n's own (a leaf's out.LabelSeq was repointed at the
 		// suffix owner).
 		label := func(i int32) Symbol { return tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart+i)) }
-		return w.entry(label(0), ptr, n.LabelLen, label, &below, parent), nil
+		w.attach(label(0), ptr, n.LabelLen, label, &below, parent)
+		return ptr, nil
 	}
 	root, err := writeNode(tree.Root, nil)
 	if err != nil {
 		return nil, w.abort(err)
 	}
-	return w.finish(root.Ptr, poolPages)
+	return w.finish(root, poolPages)
 }
 
 // Open opens an existing tree file through the buffer pool.
@@ -178,7 +175,7 @@ var readAheadSink atomic.Uint32
 // before descending into a node's children: one worker blocked on the
 // batched physical reads overlaps with the other workers' DP rows, instead
 // of every child edge paying its page fault in the middle of table work.
-// Best-effort: a read error is left for ReadNodeInto to surface.
+// Best-effort: a read error is left for the node read to surface.
 func (f *File) ReadAhead(children []ChildRef) {
 	last := storage.PageID(0)
 	var sink byte
@@ -198,231 +195,14 @@ func (f *File) ReadAhead(children []ChildRef) {
 	readAheadSink.Store(uint32(sink))
 }
 
-// ReadNodeInto decodes the node at p into n, reusing n's Children and Label
-// slices plus its embedded page cursor: a warm scratch node makes the read
-// allocation-free. The record is decoded directly from borrowed page views;
-// nothing is retained past the final cursor close.
+// ReadNodeInto decodes the node at p into n — one record through n's own
+// Reader, opened and closed around it, so nothing stays borrowed. A
+// traversal that reads many nodes holds a Reader of its own instead.
 func (f *File) ReadNodeInto(p Ptr, n *Node) error {
-	n.Children = n.Children[:0]
-	n.Label = n.Label[:0]
-	if err := n.cur.open(f.src, p); err != nil {
-		return err
-	}
-	var err error
-	switch f.meta.enc {
-	case EncodingV3:
-		err = decodeNodeV3(&n.cur, n, f.meta.layout, p)
-	case EncodingV2:
-		err = decodeNodeV2(&n.cur, n, f.meta.layout, p)
-	default:
-		err = decodeNodeV1(&n.cur, n, f.meta.layout, p)
-	}
-	n.cur.close()
+	n.rd.Reset(f)
+	err := n.rd.ReadNodeInto(p, n)
+	n.rd.Close()
 	return err
-}
-
-// decodeNodeV1 reads a fixed-width v1 record through the cursor.
-func decodeNodeV1(c *pageCursor, n *Node, layout Layout, p Ptr) error {
-	var flags byte
-	if layout == LayoutInline {
-		labelLen, err := c.u32()
-		if err != nil {
-			return err
-		}
-		if labelLen > 1<<24 {
-			return fmt.Errorf("disktree: implausible label length %d at %d", labelLen, p)
-		}
-		for i := 0; i < int(labelLen); i++ {
-			s, err := c.u32()
-			if err != nil {
-				return err
-			}
-			n.Label = append(n.Label, Symbol(int32(s)))
-		}
-		n.LabelLen = int32(labelLen)
-		n.LabelSeq = -1
-		n.LabelStart = -1
-		if flags, err = c.readByte(); err != nil {
-			return err
-		}
-	} else {
-		seq, err := c.u32()
-		if err != nil {
-			return err
-		}
-		start, err := c.u32()
-		if err != nil {
-			return err
-		}
-		length, err := c.u32()
-		if err != nil {
-			return err
-		}
-		n.LabelSeq = int32(seq)
-		n.LabelStart = int32(start)
-		n.LabelLen = int32(length)
-		if flags, err = c.readByte(); err != nil {
-			return err
-		}
-	}
-	n.Leaf = flags&flagLeaf != 0
-	if n.Leaf {
-		if layout == LayoutInline {
-			seq, err := c.u32()
-			if err != nil {
-				return err
-			}
-			n.LabelSeq = int32(seq)
-		}
-		pos, err := c.u32()
-		if err != nil {
-			return err
-		}
-		runLen, err := c.u32()
-		if err != nil {
-			return err
-		}
-		n.Pos = int32(pos)
-		n.RunLen = int32(runLen)
-		return nil
-	}
-	count, err := c.u32()
-	if err != nil {
-		return err
-	}
-	if count > 1<<24 {
-		return fmt.Errorf("disktree: implausible child count %d at %d", count, p)
-	}
-	for i := 0; i < int(count); i++ {
-		sym, err := c.u32()
-		if err != nil {
-			return err
-		}
-		ptr, err := c.u64()
-		if err != nil {
-			return err
-		}
-		n.Children = append(n.Children, ChildRef{Sym: Symbol(int32(sym)), Ptr: Ptr(ptr)})
-	}
-	return nil
-}
-
-// decodeNodeV2 reads a compact varint record through the cursor, undoing
-// the delta coding of encodeNodeV2 with the same wrapping arithmetic.
-func decodeNodeV2(c *pageCursor, n *Node, layout Layout, p Ptr) error {
-	return decodeNodeCompact(c, n, layout, p, false)
-}
-
-// decodeNodeV3 reads a compact record plus the per-child envelope hulls —
-// still zero-copy through the same borrowed page views as v2; the hulls are
-// just two more varints per child entry.
-func decodeNodeV3(c *pageCursor, n *Node, layout Layout, p Ptr) error {
-	return decodeNodeCompact(c, n, layout, p, true)
-}
-
-// decodeNodeCompact is the shared v2/v3 decoder; hulls selects the v3
-// child-entry envelope tail.
-func decodeNodeCompact(c *pageCursor, n *Node, layout Layout, p Ptr, hulls bool) error {
-	var flags byte
-	if layout == LayoutInline {
-		labelLen, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if labelLen > 1<<24 {
-			return fmt.Errorf("disktree: implausible label length %d at %d", labelLen, p)
-		}
-		for i := 0; i < int(labelLen); i++ {
-			s, err := c.varint()
-			if err != nil {
-				return err
-			}
-			n.Label = append(n.Label, Symbol(int32(s)))
-		}
-		n.LabelLen = int32(labelLen)
-		n.LabelSeq = -1
-		n.LabelStart = -1
-		if flags, err = c.readByte(); err != nil {
-			return err
-		}
-	} else {
-		seq, err := c.varint()
-		if err != nil {
-			return err
-		}
-		start, err := c.varint()
-		if err != nil {
-			return err
-		}
-		length, err := c.varint()
-		if err != nil {
-			return err
-		}
-		n.LabelSeq = int32(seq)
-		n.LabelStart = int32(start)
-		n.LabelLen = int32(length)
-		if flags, err = c.readByte(); err != nil {
-			return err
-		}
-	}
-	n.Leaf = flags&flagLeaf != 0
-	if n.Leaf {
-		if layout == LayoutInline {
-			seq, err := c.varint()
-			if err != nil {
-				return err
-			}
-			n.LabelSeq = int32(seq)
-		}
-		pos, err := c.varint()
-		if err != nil {
-			return err
-		}
-		runLen, err := c.varint()
-		if err != nil {
-			return err
-		}
-		n.Pos = int32(pos)
-		n.RunLen = int32(runLen)
-		return nil
-	}
-	count, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if count > 1<<24 {
-		return fmt.Errorf("disktree: implausible child count %d at %d", count, p)
-	}
-	prevSym, prevPtr := int64(0), uint64(0)
-	for i := 0; i < int(count); i++ {
-		dSym, err := c.varint()
-		if err != nil {
-			return err
-		}
-		dPtr, err := c.varint()
-		if err != nil {
-			return err
-		}
-		prevSym += dSym
-		prevPtr += uint64(dPtr)
-		ref := ChildRef{Sym: Symbol(int32(prevSym)), Ptr: Ptr(prevPtr)}
-		if hulls {
-			for s := range ref.Seg {
-				lo, err := c.varint()
-				if err != nil {
-					return err
-				}
-				span, err := c.varint()
-				if err != nil {
-					return err
-				}
-				ref.Seg[s] = HullRange{Lo: Symbol(int32(lo)), Hi: Symbol(int32(lo + span))}
-			}
-			ref.setOverall()
-		}
-		n.Children = append(n.Children, ref)
-	}
-	return nil
 }
 
 // ReadNode decodes the node at p into a fresh Node.

@@ -140,14 +140,19 @@ const (
 type ChildRef struct {
 	Sym Symbol
 	Ptr Ptr
+}
+
+// Hull is the envelope of one child's subtree, persisted only by
+// EncodingV3: a decoded v3 node carries one per child table entry in
+// Node.Hulls, a v1/v2 node none, so readers gate hull use on the file's
+// encoding.
+type Hull struct {
 	// MinSym and MaxSym bound every non-terminator symbol within the first
 	// HullHorizon rows of every path in the child's subtree — the edge
 	// label's leading symbols plus everything below, cut off at the
 	// horizon. They are the union of Seg, derived on decode rather than
-	// stored. Persisted only by EncodingV3; v1/v2 decodes leave the hull
-	// fields zero, so readers gate hull use on the file's encoding.
-	// MaxSym < MinSym is the explicit empty hull (a subtree holding only
-	// terminator symbols).
+	// stored. MaxSym < MinSym is the explicit empty hull (a subtree holding
+	// only terminator symbols).
 	MinSym, MaxSym Symbol
 	// Seg is the subtree's segmented depth profile: Seg[s] bounds the
 	// non-terminator symbols at relative depths s*HullSegLen ..
@@ -268,29 +273,29 @@ func (h symHull) union(o symHull) symHull {
 	return h
 }
 
-// hullRef stamps a subtree's depth profile onto a child table entry: the
-// persisted segments plus the derived overall hull.
-func hullRef(c ChildRef, d depthHull) ChildRef {
-	for s := 0; s < HullSegs; s++ {
-		h := emptyHull
+// newHull is the persisted form of a subtree's depth profile: the segments
+// plus the derived overall hull.
+func newHull(d *depthHull) (h Hull) {
+	for s := range h.Seg {
+		g := emptyHull
 		for k := s * HullSegLen; k < (s+1)*HullSegLen; k++ {
-			h = h.union(d.p[k])
+			g = g.union(d.p[k])
 		}
-		c.Seg[s] = HullRange{Lo: h.lo, Hi: h.hi}
+		h.Seg[s] = HullRange{Lo: g.lo, Hi: g.hi}
 	}
-	c.setOverall()
-	return c
+	h.setOverall()
+	return h
 }
 
 // setOverall derives MinSym/MaxSym as the union of the segment hulls — the
 // same derivation the decoder applies, since the overall hull is not
 // stored.
-func (c *ChildRef) setOverall() {
-	h := emptyHull
-	for _, g := range c.Seg {
-		h = h.union(symHull{lo: g.Lo, hi: g.Hi})
+func (h *Hull) setOverall() {
+	all := emptyHull
+	for _, g := range h.Seg {
+		all = all.union(symHull{lo: g.Lo, hi: g.Hi})
 	}
-	c.MinSym, c.MaxSym = h.lo, h.hi
+	h.MinSym, h.MaxSym = all.lo, all.hi
 }
 
 // Node is a decoded node record. For reference-layout files the label is
@@ -306,16 +311,19 @@ type Node struct {
 	Pos        int32 // leaf only: suffix start position
 	RunLen     int32 // leaf only: equal-symbol run length at Pos
 	Children   []ChildRef
+	// Hulls[i] is the subtree envelope of Children[i]: filled by the v3
+	// decoder and read by the v3 encoder, empty in every other node.
+	Hulls []Hull
 
-	// cur is ReadNodeInto's page cursor, kept on the node so a reused
-	// scratch node decodes without allocating. It holds borrowed page
-	// views only for the duration of one decode.
-	cur pageCursor
+	// rd serves File.ReadNodeInto's one-shot reads, kept on the node so a
+	// reused scratch node keeps its page-crossing scratch. It holds a
+	// borrowed page view only for the duration of one decode.
+	rd Reader
 }
 
 // encodeNode appends n's record bytes to buf in the given layout and
 // encoding, returning the extended slice. For LayoutInline, n.Label must
-// be filled.
+// be filled; for EncodingV3, n.Hulls must parallel n.Children.
 func encodeNode(buf []byte, n *Node, layout Layout, enc Encoding) []byte {
 	switch enc {
 	case EncodingV3:
@@ -360,8 +368,7 @@ func encodeNodeV1(buf []byte, n *Node, layout Layout) []byte {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(n.Children)))
 	buf = append(buf, cnt[:]...)
-	for i := range n.Children {
-		c := &n.Children[i] // entries carry their hull profile: do not copy
+	for _, c := range n.Children {
 		var ent [childEntrySize]byte
 		binary.LittleEndian.PutUint32(ent[0:], uint32(c.Sym))
 		binary.LittleEndian.PutUint64(ent[4:], uint64(c.Ptr))
@@ -413,13 +420,12 @@ func encodeNodeCompact(buf []byte, n *Node, layout Layout, hulls bool) []byte {
 	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
 	prevSym, prevPtr := int64(0), uint64(0)
-	for i := range n.Children {
-		c := &n.Children[i]
+	for i, c := range n.Children {
 		buf = binary.AppendVarint(buf, int64(c.Sym)-prevSym)
 		buf = binary.AppendVarint(buf, int64(uint64(c.Ptr)-prevPtr))
 		prevSym, prevPtr = int64(c.Sym), uint64(c.Ptr)
 		if hulls {
-			for _, g := range c.Seg {
+			for _, g := range n.Hulls[i].Seg {
 				buf = binary.AppendVarint(buf, int64(g.Lo))
 				buf = binary.AppendVarint(buf, int64(g.Hi)-int64(g.Lo))
 			}

@@ -40,7 +40,7 @@ func Rewrite(inPath, outPath string, poolPages int, enc Encoding, store *suffixt
 		os.Remove(outPath)
 		return nil, c.w.abort(err)
 	}
-	out, err := c.w.finish(root.Ptr, poolPages)
+	out, err := c.w.finish(root, poolPages)
 	if err != nil {
 		os.Remove(outPath)
 	}
@@ -56,32 +56,32 @@ type copier struct {
 }
 
 // copySubtree copies the subtree its parent's entry at points to into the
-// output and returns the entry rewritten: new offset and, for v3 output, the
-// hull, also folded into parent as in createOn. The decoded node doubles as
-// the output record: only its child entries change.
-func (c *copier) copySubtree(at ChildRef, parent *depthHull) (ChildRef, error) {
+// output, attaches its new entry — for v3 output with the hull, also folded
+// into parent as in createOn — and returns its new offset. The decoded node
+// doubles as the output record: only its child table is replaced.
+func (c *copier) copySubtree(at ChildRef, parent *depthHull) (Ptr, error) {
 	var n Node
 	if err := c.in.ReadNodeInto(at.Ptr, &n); err != nil {
-		return ChildRef{}, err
+		return NilPtr, err
 	}
 	below := emptyDepthHull
-	for i := range n.Children {
-		ref, err := c.copySubtree(n.Children[i], &below)
-		if err != nil {
-			return ChildRef{}, err
+	first := len(c.w.kids)
+	for _, kid := range n.Children {
+		if _, err := c.copySubtree(kid, &below); err != nil {
+			return NilPtr, err
 		}
-		n.Children[i] = ref
 	}
-	ptr, err := c.w.emit(&n)
+	ptr, err := c.w.emit(&n, first)
 	if err != nil || parent == nil {
-		return ChildRef{Ptr: ptr}, err
+		return ptr, err
 	}
 	// Reference-layout labels need the text store; Rewrite demands one
 	// before targeting v3, the only output that reads labels.
-	return c.w.entry(at.Sym, ptr, n.LabelLen, func(i int32) Symbol {
+	c.w.attach(at.Sym, ptr, n.LabelLen, func(i int32) Symbol {
 		if c.in.Layout() == LayoutInline {
 			return n.Label[i]
 		}
 		return c.store.Sym(int(n.LabelSeq), int(n.LabelStart+i))
-	}, &below, parent), nil
+	}, &below, parent)
+	return ptr, nil
 }

@@ -73,6 +73,13 @@ type treeWriter struct {
 	app     appender
 	meta    meta
 	scratch []byte
+	// kids stacks the child entries of the nodes not yet written, the
+	// deepest node's last: a writer notes len(kids) when it starts on a
+	// node's children, attaches each child as it is written, and emits the
+	// node with everything from that mark on as its child table. kidHulls
+	// parallels kids for v3 output and stays empty otherwise.
+	kids     []ChildRef
+	kidHulls []Hull
 }
 
 // newTreeWriter starts a tree of mt's shape (sparseness, length filter,
@@ -97,8 +104,15 @@ func lengthFilter(minSuffixLen int) uint32 {
 // writers must aggregate them bottom-up.
 func (w *treeWriter) hulls() bool { return w.meta.enc == EncodingV3 }
 
-// emit appends n's record and returns its offset.
-func (w *treeWriter) emit(n *Node) (Ptr, error) {
+// emit appends n's record, with the entries attached since the mark first
+// as its child table, pops them, and returns the record's offset.
+func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
+	n.Children = w.kids[first:]
+	w.kids = w.kids[:first]
+	if w.hulls() {
+		n.Hulls = w.kidHulls[first:]
+		w.kidHulls = w.kidHulls[:first]
+	}
 	w.meta.nodes++
 	w.meta.labelSyms += uint64(n.LabelLen)
 	if n.Leaf {
@@ -109,19 +123,18 @@ func (w *treeWriter) emit(n *Node) (Ptr, error) {
 	return ptr, w.app.write(w.scratch)
 }
 
-// entry returns the child-table entry of the node just written at ptr,
-// whose label starts with first. For v3 output it stamps the subtree's hull
-// on the entry — the label's l symbols, read through label, over below, the
+// attach pushes the child-table entry of the node just written at ptr,
+// whose label starts with first. For v3 output it pushes the subtree's hull
+// beside it — the label's l symbols, read through label, over below, the
 // union of the node's own children's hulls — and folds it into parent, the
 // parent's accumulator; other encodings touch none of the three.
-func (w *treeWriter) entry(first Symbol, ptr Ptr, l int32, label func(int32) Symbol, below, parent *depthHull) ChildRef {
-	ref := ChildRef{Sym: first, Ptr: ptr}
+func (w *treeWriter) attach(first Symbol, ptr Ptr, l int32, label func(int32) Symbol, below, parent *depthHull) {
+	w.kids = append(w.kids, ChildRef{Sym: first, Ptr: ptr})
 	if w.hulls() {
 		hull := prependLabel(l, label, *below)
-		ref = hullRef(ref, hull)
 		*parent = parent.union(hull)
+		w.kidHulls = append(w.kidHulls, newHull(&hull))
 	}
-	return ref
 }
 
 // finish flushes the records, persists the meta blob naming root, syncs,

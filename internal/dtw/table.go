@@ -163,8 +163,9 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 	prev := t.rows[(x-1)*n : x*n : x*n]
 	y := bandLo
 	// left and diag carry curr[y-1] and prev[y-1] in registers, so the loop
-	// body reads prev exactly once per cell. Out-of-band neighbours hold
-	// Inf, so the three-way min is safe at band edges.
+	// body reads prev exactly once per cell. The one out-of-band neighbour
+	// it reads, up at the band's right edge, holds the Inf the previous
+	// row's bandFill wrote, so the three-way min is safe at band edges.
 	left := Inf
 	if y == 0 {
 		c := Base(v, q[0]) + prev[0]
@@ -250,21 +251,17 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 	return curr[n-1], minDist
 }
 
-// LastRow returns a read-only view of the deepest row's cumulative costs
-// (Inf in out-of-band columns) — the DP frontier a lookahead bound can
-// splice per-column tail charges onto. It panics via slice bounds at depth
-// 0; callers handle the no-rows-yet case themselves. The view is
-// invalidated by the next AddRow/Truncate/Bind.
-func (t *Table) LastRow() []float64 {
-	n := len(t.q)
-	return t.rows[(t.depth-1)*n : t.depth*n]
-}
+// LastRow returns the deepest row's cumulative costs (Inf in out-of-band
+// columns) — the DP frontier a lookahead bound can splice per-column tail
+// charges onto. It panics via slice bounds at depth 0; callers handle the
+// no-rows-yet case themselves. See Row.
+func (t *Table) LastRow() []float64 { return t.Row(t.depth - 1) }
 
 // growRow extends the row storage by one row of n cells and returns the new
 // row as a full slice expression (appends beyond it can never reach older
-// rows). Growing within capacity is safe even on a rebound table: every cell
-// of the row is written by the caller (Inf for out-of-band columns), so
-// stale bytes from a previous binding are never observed.
+// rows). Growing within capacity is safe even on a rebound table: the caller
+// writes every in-band cell and bandFill the out-of-band cells that are
+// read, so stale bytes from a previous binding are never observed.
 func (t *Table) growRow(n, x int) []float64 {
 	if need := (x + 1) * n; need <= cap(t.rows) {
 		t.rows = t.rows[:need]
@@ -274,35 +271,49 @@ func (t *Table) growRow(n, x int) []float64 {
 	return t.rows[x*n : (x+1)*n : (x+1)*n]
 }
 
-// bandFill computes the Sakoe–Chiba band [bandLo, bandHi) of row x and
-// writes Inf into every out-of-band cell of curr, so the recurrence loop can
-// read neighbours unconditionally. Without a window the band is [0, n).
+// band returns the Sakoe–Chiba band [bandLo, bandHi) of row x: the columns
+// within the window of the diagonal, [0, n) without a window, empty
+// (bandLo == bandHi == n) once the row lies wholly past the band.
+func (t *Table) band(n, x int) (bandLo, bandHi int) {
+	if t.window < 0 {
+		return 0, n
+	}
+	return min(max(x-t.window, 0), n), min(x+t.window+1, n)
+}
+
+// bandFill returns the band of row x and writes Inf into the only two
+// out-of-band cells of curr anything reads raw: curr[bandHi], the "up"
+// neighbour of the last cell of the next row, whose band ends one column
+// further right (its first cell's "left" is carried in a register and its
+// "diag" lies inside this band), and curr[n-1], the row's distance to the
+// whole query. Every other out-of-band cell keeps whatever the storage held
+// — a banded row costs O(window), not O(n) — and is presented as Inf by Row.
 func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
-	bandLo, bandHi = 0, n
-	if t.window >= 0 {
-		if bandLo = x - t.window; bandLo < 0 {
-			bandLo = 0
-		} else if bandLo > n {
-			bandLo = n
-		}
-		if bandHi = x + t.window + 1; bandHi > n {
-			bandHi = n
-		}
+	bandLo, bandHi = t.band(n, x)
+	if bandHi < n {
+		curr[bandHi] = Inf
 	}
-	for y := 0; y < bandLo; y++ {
-		curr[y] = Inf
-	}
-	for y := bandHi; y < n; y++ {
-		curr[y] = Inf
+	if bandHi < n || bandLo == n {
+		curr[n-1] = Inf
 	}
 	return bandLo, bandHi
 }
 
-// Row returns the cells of row r (0-based). The slice aliases the table's
-// storage and is invalidated by the next AddRow*/Pop.
+// Row returns the cells of row r (0-based), Inf in out-of-band columns: the
+// kernels leave those undefined, so Row fills them in, at O(n) per call.
+// The slice aliases the table's storage, is for reading only, and is
+// invalidated by the next AddRow*/Pop/Truncate/Bind.
 func (t *Table) Row(r int) []float64 {
 	n := len(t.q)
-	return t.rows[r*n : (r+1)*n]
+	row := t.rows[r*n : (r+1)*n]
+	bandLo, bandHi := t.band(n, r)
+	for y := range row[:bandLo] {
+		row[y] = Inf
+	}
+	for y := bandHi; y < n; y++ {
+		row[y] = Inf
+	}
+	return row
 }
 
 // LastColumn returns the final column of row r: the cumulative distance

@@ -37,20 +37,40 @@ func refAddRow(q []float64, window int, rows [][]float64, base func(q float64) f
 	return curr[n-1], minDist, curr
 }
 
+// poisoned returns a table bound to q under window w whose row storage was
+// last used by a wider, deeper table and has since been filled with a value
+// that would win every min: a kernel that reads a cell it — or bandFill —
+// did not write comes out hugely negative.
+func poisoned(q []float64, w, rows int) *Table {
+	tab := NewTable(make([]float64, len(q)+9))
+	for x := 0; x < rows; x++ {
+		tab.AddRowValue(float64(x))
+	}
+	stale := tab.rows[:cap(tab.rows)]
+	for i := range stale {
+		stale[i] = -1e300
+	}
+	tab.Bind(q, w)
+	return tab
+}
+
 // The tightened kernel must agree with the reference recurrence bit for bit
 // for every window width, including bands narrower than the query and rows
-// past the end of the band.
+// wholly past the band — in what it returns, in the raw in-band cells (all a
+// banded row is obliged to write), and, through Row, in the whole table with
+// the out-of-band cells presented as Inf — on storage full of stale values.
 func TestAddRowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 3, 7, 20} {
-		for _, w := range []int{-1, 0, 1, 3, n, 5 * n} {
+		for _, w := range []int{-1, 0, 1, 2, 5, n, 5 * n} {
 			q := make([]float64, n)
 			for i := range q {
 				q[i] = rng.NormFloat64()
 			}
-			tab := NewTableWindow(q, w)
+			depth := 2*n + 2*max(w, 1) + 3
+			tab := poisoned(q, w, depth)
 			var refRows [][]float64
-			for x := 0; x < 2*n+2*max(w, 1)+3; x++ {
+			for x := 0; x < depth; x++ {
 				var d, m float64
 				var base func(float64) float64
 				if x%2 == 0 {
@@ -68,11 +88,24 @@ func TestAddRowMatchesReference(t *testing.T) {
 				if math.Float64bits(d) != math.Float64bits(rd) || math.Float64bits(m) != math.Float64bits(rm) {
 					t.Fatalf("n=%d w=%d row %d: kernel (%v, %v) != reference (%v, %v)", n, w, x, d, m, rd, rm)
 				}
-				for y := 0; y < n; y++ {
-					if math.Float64bits(tab.Row(x)[y]) != math.Float64bits(row[y]) {
-						t.Fatalf("n=%d w=%d cell (%d,%d): kernel %v != reference %v", n, w, x, y, tab.Row(x)[y], row[y])
+				if got := tab.LastColumn(x); math.Float64bits(got) != math.Float64bits(rd) {
+					t.Fatalf("n=%d w=%d row %d: LastColumn %v != reference %v", n, w, x, got, rd)
+				}
+				for y := 0; y < n; y++ { // raw: Row would overwrite what the next row must not read
+					if raw := tab.rows[x*n+y]; (w < 0 || abs(x-y) <= w) && math.Float64bits(raw) != math.Float64bits(row[y]) {
+						t.Fatalf("n=%d w=%d in-band cell (%d,%d): kernel %v != reference %v", n, w, x, y, raw, row[y])
 					}
 				}
+			}
+			for x, row := range refRows {
+				for y, want := range row {
+					if got := tab.Row(x)[y]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d w=%d Row(%d)[%d]: %v != reference %v", n, w, x, y, got, want)
+					}
+				}
+			}
+			if last := tab.LastRow(); &last[0] != &tab.Row(depth - 1)[0] {
+				t.Fatalf("n=%d w=%d: LastRow is not the deepest row", n, w)
 			}
 		}
 	}

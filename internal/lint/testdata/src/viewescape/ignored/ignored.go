@@ -9,7 +9,7 @@ func (s *source) View(id uint64) ([]byte, func(), error) {
 }
 
 // cursor holds one borrowed view between open and close, the audited
-// ownership pattern the disktree page cursor uses.
+// ownership pattern the disktree Reader uses.
 type cursor struct {
 	page    []byte
 	release func()

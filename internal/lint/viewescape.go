@@ -23,10 +23,10 @@ import (
 //   - a release function discarded with the blank identifier (the pin is
 //     never dropped; on the pool backend the frame leaks)
 //
-// Deliberate retention — the disktree page cursor holds one view in struct
-// fields between open and close, releasing it on every decode return path —
-// is audited in place with //lint:ignore viewescape <reason>, so each
-// ownership argument is written down where it holds. Interprocedural
+// Deliberate retention — the disktree Reader holds one view in struct
+// fields until the next view or Close, and its owners close it on every
+// return path — is audited in place with //lint:ignore viewescape <reason>,
+// so each ownership argument is written down where it holds. Interprocedural
 // retention (passing the view to a function that stashes it) is out of this
 // analyzer's reach and belongs to the same audit discipline.
 var ViewEscape = &Analyzer{

@@ -94,7 +94,7 @@ func (ix *Index) searchParallel(q [][]float64, eps float64, visit func(Match) bo
 	defer ix.queries.release(s)
 
 	root := s.node(0)
-	if err := ix.Tree.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, Stats{}, err
 	}
 	s.stats.NodesVisited++

@@ -124,6 +124,9 @@ func TestMultivarParallelDeterministic(t *testing.T) {
 				}
 			}
 		}
+		if n := ix.Tree.PinnedPages(); n != 0 {
+			t.Fatalf("%s: %d pages pinned after the searches: a node reader was left open", v.name, n)
+		}
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +173,9 @@ func TestMultivarParallelVisitorEarlyStop(t *testing.T) {
 		}
 		if !mMatchesBitIdentical(got, all[:stopAfter]) {
 			t.Fatalf("par=%d: pre-stop deliveries are not the serial prefix", par)
+		}
+		if n := ix.Tree.PinnedPages(); n != 0 {
+			t.Fatalf("par=%d: %d pages pinned after the visitor stopped the search", par, n)
 		}
 	}
 }

@@ -243,7 +243,7 @@ func (ix *Index) search(q [][]float64, eps float64, visit func(Match) bool) ([]M
 	s := ix.queries.acquire(ix, q, eps, visit)
 	defer ix.queries.release(s)
 	root := s.node(0)
-	if err := ix.Tree.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, Stats{}, err
 	}
 	s.stats.NodesVisited++
@@ -291,6 +291,7 @@ func (qp *mqueryPool) acquire(ix *Index, q [][]float64, eps float64, visit func(
 		filterWindow = -1
 	}
 	s.ix = ix
+	s.rd.Reset(ix.Tree)
 	s.q = q
 	s.eps = eps
 	s.sparse = sparse
@@ -338,8 +339,10 @@ func (qp *mqueryPool) acquire(ix *Index, q [][]float64, eps float64, visit func(
 	return s
 }
 
-// release returns an msearcher to the pool, dropping caller-owned refs.
+// release returns an msearcher to the pool, unpinning the page its reader
+// still holds and dropping caller-owned refs.
 func (qp *mqueryPool) release(s *msearcher) {
+	s.rd.Reset(nil)
 	s.ix = nil
 	s.visit = nil
 	s.matches = nil
@@ -448,6 +451,9 @@ type msearcher struct {
 
 	nodes        []*disktree.Node
 	collectNodes []*disktree.Node
+	// rd reads every node of the traversal; release closes it (see core's
+	// searcher).
+	rd disktree.Reader
 
 	firstSym suffixtree.Symbol
 	base0    float64
@@ -517,7 +523,7 @@ func (s *msearcher) collectNode(level int) *disktree.Node {
 
 func (s *msearcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firstRun int) error {
 	n := s.node(level)
-	if err := s.ix.Tree.ReadNodeInto(ptr, n); err != nil {
+	if err := s.rd.ReadNodeInto(ptr, n); err != nil {
 		return err
 	}
 	s.stats.NodesVisited++
@@ -671,7 +677,7 @@ func (s *msearcher) collect(n *disktree.Node, d int, dist float64) error {
 func (s *msearcher) collectChildren(n *disktree.Node, level, d int, dist float64) error {
 	for i := range n.Children {
 		c := s.collectNode(level)
-		if err := s.ix.Tree.ReadNodeInto(n.Children[i].Ptr, c); err != nil {
+		if err := s.rd.ReadNodeInto(n.Children[i].Ptr, c); err != nil {
 			return err
 		}
 		if c.Leaf {

@@ -94,10 +94,20 @@ func (t *Table) CopyFrom(src *Table) {
 	copy(t.rows, src.rows)
 }
 
-// Row returns row r's cells (read-only view; valid until the next mutation).
+// Row returns row r's cells, Inf in out-of-band columns: the kernels leave
+// those undefined, so Row fills them in, at O(n) per call. The view is for
+// reading only and valid until the next mutation.
 func (t *Table) Row(r int) []float64 {
 	n := len(t.q)
-	return t.rows[r*n : (r+1)*n]
+	row := t.rows[r*n : (r+1)*n]
+	bandLo, bandHi := t.band(n, r)
+	for y := range row[:bandLo] {
+		row[y] = dtw.Inf
+	}
+	for y := bandHi; y < n; y++ {
+		row[y] = dtw.Inf
+	}
+	return row
 }
 
 // AddRowPoint appends the row for a data point using the exact base
@@ -133,8 +143,9 @@ func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
 	prev := t.rows[(x-1)*n : x*n : x*n]
 	y := bandLo
 	// left and diag carry curr[y-1] and prev[y-1] in registers, so the loop
-	// body reads prev exactly once per cell. Out-of-band neighbours hold
-	// Inf, so the three-way min is safe at band edges.
+	// body reads prev exactly once per cell. The one out-of-band neighbour
+	// it reads, up at the band's right edge, holds the Inf the previous
+	// row's bandFill wrote, so the three-way min is safe at band edges.
 	left := dtw.Inf
 	if y == 0 {
 		c := Base(p, q[0]) + prev[0]
@@ -221,9 +232,9 @@ func (t *Table) AddRowBox(b Box) (dist, minDist float64) {
 
 // growRow extends the row storage by one row of n cells and returns the new
 // row as a full slice expression. Growing within capacity is safe even on a
-// rebound table: every cell of the row is written by the caller (Inf for
-// out-of-band columns), so stale bytes from a previous binding are never
-// observed.
+// rebound table: the caller writes every in-band cell and bandFill the
+// out-of-band cells that are read, so stale bytes from a previous binding
+// are never observed.
 func (t *Table) growRow(n, x int) []float64 {
 	if need := (x + 1) * n; need <= cap(t.rows) {
 		t.rows = t.rows[:need]
@@ -233,26 +244,30 @@ func (t *Table) growRow(n, x int) []float64 {
 	return t.rows[x*n : (x+1)*n : (x+1)*n]
 }
 
-// bandFill computes the Sakoe–Chiba band [bandLo, bandHi) of row x and
-// writes Inf into every out-of-band cell of curr, so the recurrence loop can
-// read neighbours unconditionally. Without a window the band is [0, n).
+// band returns the Sakoe–Chiba band [bandLo, bandHi) of row x: the columns
+// within the window of the diagonal, [0, n) without a window, empty
+// (bandLo == bandHi == n) once the row lies wholly past the band.
+func (t *Table) band(n, x int) (bandLo, bandHi int) {
+	if t.window < 0 {
+		return 0, n
+	}
+	return min(max(x-t.window, 0), n), min(x+t.window+1, n)
+}
+
+// bandFill returns the band of row x and writes dtw.Inf into the only two
+// out-of-band cells of curr anything reads raw: curr[bandHi], the "up"
+// neighbour of the last cell of the next row, whose band ends one column
+// further right (its first cell's "left" is carried in a register and its
+// "diag" lies inside this band), and curr[n-1], the row's distance to the
+// whole query. Every other out-of-band cell keeps whatever the storage held
+// — a banded row costs O(window), not O(n) — and is presented as dtw.Inf by Row.
 func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
-	bandLo, bandHi = 0, n
-	if t.window >= 0 {
-		if bandLo = x - t.window; bandLo < 0 {
-			bandLo = 0
-		} else if bandLo > n {
-			bandLo = n
-		}
-		if bandHi = x + t.window + 1; bandHi > n {
-			bandHi = n
-		}
+	bandLo, bandHi = t.band(n, x)
+	if bandHi < n {
+		curr[bandHi] = dtw.Inf
 	}
-	for y := 0; y < bandLo; y++ {
-		curr[y] = dtw.Inf
-	}
-	for y := bandHi; y < n; y++ {
-		curr[y] = dtw.Inf
+	if bandHi < n || bandLo == n {
+		curr[n-1] = dtw.Inf
 	}
 	return bandLo, bandHi
 }

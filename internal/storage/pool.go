@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 )
@@ -15,10 +14,11 @@ type Frame struct {
 	data  []byte
 	pins  int
 	shard *poolShard
-	elem  *list.Element // position in the shard's LRU list, for the frame's lifetime
+	// prev and next link the frame into its shard's LRU ring while it holds
+	// a page.
+	prev, next *Frame
 	// releaseFn is the frame's unpin closure, built once at frame creation
-	// so the pool's View hands it out without allocating per call — the
-	// same steady-state discipline as the LRU element above.
+	// so the pool's View hands it out without allocating per call.
 	releaseFn func()
 }
 
@@ -60,8 +60,15 @@ type poolShard struct {
 	file     *File
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // all frames, front = most recently used; eviction skips pinned
-	stats    PoolStats
+	// lru is the sentinel of a ring holding every frame in frames:
+	// lru.next is the most recently used, lru.prev the least; eviction
+	// skips pinned frames.
+	lru Frame
+	// spare is the last frame dropped from the shard — buffer, Frame and
+	// release closure — kept for the next miss, which in the steady state
+	// is the very miss that evicted it.
+	spare *Frame
+	stats PoolStats
 }
 
 // Pool is a lock-striped LRU read cache over one page File, safe for any
@@ -99,7 +106,7 @@ func NewPool(file *File, capacity int) (*Pool, error) {
 		}
 		sh.file = file
 		sh.frames = make(map[PageID]*Frame, sh.capacity)
-		sh.lru = list.New()
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	}
 	return p, nil
 }
@@ -161,18 +168,34 @@ func (p *Pool) Get(id PageID) (*Frame, error) {
 	return fr, nil
 }
 
-// newFrame installs a pinned, zeroed frame for id, evicting down to make
-// room; if every frame is pinned the shard runs over capacity until release
-// trims it. The caller holds sh.mu.
+// newFrame installs a pinned frame for id, whose bytes the caller must
+// fill, evicting down to make room; if every frame is pinned the shard runs
+// over capacity until release trims it. The frame is the one the eviction
+// just dropped whenever there was one, so a miss on a full shard allocates
+// nothing. The caller holds sh.mu.
+//
+//twlint:steady-state
 func (sh *poolShard) newFrame(id PageID) *Frame {
 	sh.trim(sh.capacity - 1)
 	if len(sh.frames) >= sh.capacity {
 		sh.stats.Overflows++
 	}
-	fr := &Frame{id: id, data: make([]byte, PageSize), pins: 1, shard: sh}
-	fr.releaseFn = fr.release
-	fr.elem = sh.lru.PushFront(fr)
+	fr := sh.spare
+	if fr == nil {
+		fr = sh.allocFrame()
+	}
+	sh.spare = nil
+	fr.id, fr.pins = id, 1
+	sh.pushFront(fr)
 	sh.frames[id] = fr
+	return fr
+}
+
+// allocFrame builds a frame for a shard still growing to its capacity (or
+// past it, on overflow).
+func (sh *poolShard) allocFrame() *Frame {
+	fr := &Frame{data: make([]byte, PageSize), shard: sh}
+	fr.releaseFn = fr.release
 	return fr
 }
 
@@ -191,15 +214,16 @@ func (fr *Frame) release() {
 	}
 	fr.pins--
 	if fr.pins == 0 {
-		sh.lru.MoveToFront(fr.elem)
+		sh.unlink(fr)
+		sh.pushFront(fr)
 		sh.trim(sh.capacity)
 	}
 }
 
 // View implements PageSource over the pool: it pins the page's frame and
 // returns the frame's bytes with the frame's cached unpin closure. On the
-// hit path nothing allocates; a miss allocates the frame (and its closure)
-// once for the frame's lifetime.
+// hit path nothing allocates, and neither does a miss that recycles the
+// frame it evicts.
 func (p *Pool) View(id PageID) ([]byte, func(), error) {
 	fr, err := p.Get(id)
 	if err != nil {
@@ -211,33 +235,46 @@ func (p *Pool) View(id PageID) ([]byte, func(), error) {
 // Close closes the underlying page file.
 func (p *Pool) Close() error { return p.file.Close() }
 
-// pin marks a frame in use and refreshes its recency. The frame keeps its
-// list element for its whole lifetime — pin/unpin cycles move it, never
-// reallocate it — so the steady-state hot path is allocation-free. The
-// caller holds sh.mu.
+// pin marks a frame in use and refreshes its recency. The caller holds
+// sh.mu.
 func (sh *poolShard) pin(fr *Frame) {
 	fr.pins++
-	sh.lru.MoveToFront(fr.elem)
+	sh.unlink(fr)
+	sh.pushFront(fr)
+}
+
+// pushFront links fr in as the most recently used frame.
+func (sh *poolShard) pushFront(fr *Frame) {
+	fr.prev, fr.next = &sh.lru, sh.lru.next
+	fr.prev.next, fr.next.prev = fr, fr
+}
+
+// unlink takes fr out of the LRU ring.
+func (sh *poolShard) unlink(fr *Frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
 }
 
 // trim evicts least recently used unpinned frames until the shard holds at
 // most n; pinned frames are skipped in place, so a fully pinned shard stays
 // as it is. The caller holds sh.mu.
 func (sh *poolShard) trim(n int) {
-	for e := sh.lru.Back(); e != nil && len(sh.frames) > n; {
-		fr, prev := e.Value.(*Frame), e.Prev()
+	for fr := sh.lru.prev; fr != &sh.lru && len(sh.frames) > n; {
+		prev := fr.prev
 		if fr.pins == 0 {
 			sh.drop(fr)
 			sh.stats.Evictions++
 		}
-		e = prev
+		fr = prev
 	}
 }
 
-// drop removes a frame from the shard. The caller holds sh.mu.
+// drop removes a frame from the shard and keeps it as the spare: no reader
+// holds it (it is unpinned, or its page read just failed under this lock),
+// so its bytes are free to be overwritten. The caller holds sh.mu.
 func (sh *poolShard) drop(fr *Frame) {
-	sh.lru.Remove(fr.elem)
+	sh.unlink(fr)
 	delete(sh.frames, fr.id)
+	sh.spare = fr
 }
 
 // PinnedCount returns the number of currently pinned frames; used by tests

@@ -261,6 +261,88 @@ func TestPoolOverflowsWhenFullyPinned(t *testing.T) {
 	}
 }
 
+// A miss on a full shard reuses the frame it evicts — buffer, Frame and
+// release closure — so a steady stream of misses allocates nothing; a pinned
+// frame is never the one reused; and a page that fails to read hands its
+// frame back clean.
+func TestPoolRecyclesFrames(t *testing.T) {
+	pf := tempFile(t)
+	const capacity = 16
+	ids := fillPages(t, pf, 2*capacity)
+	pool, err := NewPool(pf, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		for k, id := range ids {
+			page, release, err := pool.View(id)
+			if err != nil || page[0] != byte(k) {
+				t.Fatalf("page %d: holds %d, %v", id, page[0], err)
+			}
+			release()
+		}
+	}
+	cycle() // warm-up: every shard grows to its capacity
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("a cycle of %d misses allocates %v times, want 0", len(ids), allocs)
+	}
+	if st := pool.Stats(); st.Hits != 0 || st.Evictions != st.Misses-capacity {
+		t.Errorf("stats %+v: want no hits and an eviction per miss past the first %d", st, capacity)
+	}
+
+	// One frame of capacity, held: the misses beside it overflow, and the
+	// second reuses the first's frame, never the pinned one.
+	one, err := NewPool(pf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := one.Get(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := one.Get(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Release(first)
+	second, err := one.Get(ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first || second == held || second.ID() != ids[2] || second.Data()[0] != 2 {
+		t.Errorf("the miss after an eviction got frame %p holding page %d (evicted %p, pinned %p)", second, second.ID(), first, held)
+	}
+	if held.ID() != ids[0] || held.Data()[0] != 0 {
+		t.Errorf("the pinned frame now holds page %d, first byte %d", held.ID(), held.Data()[0])
+	}
+	one.Release(second)
+
+	// A read that fails: the frame goes back to being the spare, nothing
+	// stays pinned or cached under the failed id, and the next miss gets
+	// the frame with the right bytes in it.
+	if err := os.Truncate(pf.Path(), int64(ids[len(ids)-1])*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one.Get(ids[len(ids)-1]); err == nil {
+		t.Fatal("reading a page past the end of the truncated file succeeded")
+	}
+	if n := one.PinnedCount(); n != 1 {
+		t.Errorf("%d frames pinned after the failed read, want only the held one", n)
+	}
+	third, err := one.Get(ids[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != first || third.Data()[0] != 3 {
+		t.Errorf("the miss after a failed read got frame %p holding %d, want the spare %p holding 3", third, third.Data()[0], first)
+	}
+	one.Release(third)
+	one.Release(held)
+	if n := one.PinnedCount(); n != 0 {
+		t.Errorf("%d frames pinned at the end", n)
+	}
+}
+
 func TestPoolDoubleReleasePanics(t *testing.T) {
 	pf := tempFile(t)
 	ids := fillPages(t, pf, 1)

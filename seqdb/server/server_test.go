@@ -263,6 +263,11 @@ func TestServerDeadline(t *testing.T) {
 	if !errors.As(err, &we) || we.Code != wire.CodeDeadline {
 		t.Fatalf("err = %v, want typed wire deadline error", err)
 	}
+	// The server counts a request once its response is flushed, which the
+	// client may see first.
+	for counted := time.Now().Add(5 * time.Second); s.Metrics().Deadlines != 1 && time.Now().Before(counted); {
+		time.Sleep(time.Millisecond)
+	}
 	if m := s.Metrics(); m.Deadlines != 1 {
 		t.Fatalf("deadline not counted: %+v", m)
 	}
