@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-envelope race-build cover bench profile-search bench-concurrency bench-parallel bench-shard bench-mmap bench-envelope fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -55,7 +55,7 @@ check: build vet lint test race
 # targets, the server smoke drill, the linter over its own sources, the
 # fixture golden diff, and the machine-readable lint gate (any finding
 # fails the run; the JSON lines feed CI annotations).
-ci: check race-concurrency race-parallel race-shard race-mmap race-envelope race-build fuzz-ci smoke lint-self lint-wire lint-golden
+ci: check race-concurrency race-parallel race-shard race-mmap race-build fuzz-ci smoke lint-self lint-wire lint-golden
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on
@@ -75,8 +75,10 @@ race-concurrency:
 # sync.Pools: every worker count must return answers byte-identical to the
 # serial traversal, across both engines, the seqdb layer, and the server's
 # request-hint path — and every worker's node reader must be closed when
-# the search returns. With one scheduler thread and with four.
-RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestSearchWithDeterministic|TestServerParallelHint|TestSearchReleasesReader' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
+# the search returns. The envelope row gate rides the same suites: serial
+# and parallel, on and off, it must change only work counters, never
+# answers. With one scheduler thread and with four.
+RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestSearchWithDeterministic|TestServerParallelHint|TestSearchReleasesReader|TestEnvelope|TestMultivarEnvelope' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
 race-parallel:
 	GOMAXPROCS=1 $(GO) test $(RACE_PARALLEL)
 	GOMAXPROCS=4 $(GO) test $(RACE_PARALLEL)
@@ -93,17 +95,10 @@ race-shard:
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from
 # 8 goroutines through the buffer pool, mmap, and auto backends — over both
 # node record encodings — must return answers byte-identical to the pool
-# baseline, the PageSource contract and view-concurrency suites must hold
-# for every backend, and a v1<->v2 rewrite must be lossless.
+# baseline, and the PageSource contract and view-concurrency suites must
+# hold for every backend.
 race-mmap:
-	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestRewrite|TestEncodingV2' ./seqdb/ ./internal/storage/ ./internal/disktree/
-
-# Envelope-cascade invisibility under -race, run twice for warm pools: the
-# cascade (tier-B row gates and tier-A subtree hulls, serial and parallel)
-# must change only work counters, never answers, and the v3 hull profiles
-# must survive create, build, and rewrite round trips.
-race-envelope:
-	$(GO) test -race -count=2 -run 'TestEnvelope|TestQuickLowerBoundChain|TestEncodingV3|TestBuildEqualsReference|TestRewriteV3|TestFormatStability' ./internal/dtw/ ./internal/core/ ./internal/disktree/ ./seqdb/
+	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2' ./seqdb/ ./internal/storage/ ./internal/disktree/
 
 # Index construction under -race, serial and concurrent: phase 1 of
 # disktree.Build sorts its suffix buckets on up to GOMAXPROCS goroutines, so
@@ -123,13 +118,15 @@ smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
 # Bounded fuzzing for CI: the distance-kernel, engine-equivalence, wire
-# round-trip and build-versus-naive targets, 10s each, seeds + corpus only.
+# round-trip, build-versus-naive and node-codec targets, 10s each, seeds +
+# corpus only.
 fuzz-ci:
 	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzIntervalLowerBound -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
+	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
 
 race:
 	$(GO) test -race ./...
@@ -137,8 +134,8 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Quick benchmark pass (one iteration each); see bench_output.txt for a
-# captured run.
+# Quick pass over the in-package Go benchmarks (one iteration each). The
+# repository's benchmark is `go run ./bench`; see bench/README.md.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x ./...
 
@@ -155,37 +152,6 @@ profile-search:
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
 
-# Concurrent-search throughput on one shared handle: queries/sec at 1, 4,
-# and GOMAXPROCS workers, written to BENCH_concurrency.json.
-bench-concurrency:
-	$(GO) run ./cmd/benchconc
-
-# Single-query latency under intra-query parallelism: mean/p99 at 1, 2, 4,
-# and GOMAXPROCS workers per search, written to BENCH_parallel_query.json.
-# Speedup needs real cores; see the report's gomaxprocs field.
-bench-parallel:
-	$(GO) run ./cmd/benchpar
-
-# Sharded query throughput and latency: queries/sec plus avg/p50/p95
-# per-query latency at 1, 2, 4, and 8 shards against the unsharded
-# baseline, written to BENCH_shard.json. Shard fan-out needs real cores;
-# see the report's gomaxprocs field.
-bench-shard:
-	$(GO) run ./cmd/benchshard
-
-# Storage backend and encoding comparison: cold-start latency plus
-# steady-state throughput for every (encoding, backend) pair, and bytes per
-# node for the v1 and v2 files, written to BENCH_mmap.json.
-bench-mmap:
-	$(GO) run ./cmd/benchmmap
-
-# Envelope lower-bound cascade scoreboard: FilterCells/NodesVisited with
-# the cascade on vs off over every (encoding, backend, parallelism) cell,
-# with a byte-identity cross-check of the answers, written to
-# BENCH_envelope.json.
-bench-envelope:
-	$(GO) run ./cmd/benchlb
-
 # Short fuzz session over every fuzz target.
 fuzz:
 	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
@@ -196,7 +162,6 @@ fuzz:
 	$(GO) test -fuzz FuzzFit -fuzztime 10s ./internal/categorize/
 	$(GO) test -fuzz FuzzValidateCorruption -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzNodeCodecV3 -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 20s ./internal/core/

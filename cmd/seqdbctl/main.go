@@ -6,7 +6,7 @@
 //	seqdbctl gen     -db DIR [-kind stocks|artificial] [-n N] [-len L] [-seed S]
 //	seqdbctl import  -db DIR -csv FILE
 //	seqdbctl stats   -db DIR [-backend pool|mmap|auto]
-//	seqdbctl index   -db DIR -name NAME [-method me|el|kmeans|exact] [-cats N] [-sparse] [-window W] [-encoding v1|v2|v3]
+//	seqdbctl index   -db DIR -name NAME [-method me|el|kmeans|exact] [-cats N] [-sparse] [-window W] [-encoding v1|v2]
 //	seqdbctl drop    -db DIR -name NAME
 //	seqdbctl query   -db DIR -name NAME -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl scan    -db DIR -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
@@ -516,7 +516,7 @@ func cmdIndex(args []string) error {
 	cats := fs.Int("cats", 20, "number of categories")
 	sparse := fs.Bool("sparse", false, "sparse suffix tree (SSTc)")
 	window := fs.Int("window", 0, "warping window half-width (0 = none)")
-	encName := fs.String("encoding", "", "node record encoding: v1 (default), v2 (compact varint), or v3 (varint + envelope hulls)")
+	encName := fs.String("encoding", "", "node record encoding: v1 (default) or v2 (compact varint)")
 	backend := backendFlag(fs)
 	envmode := envelopesFlag(fs)
 	fs.Parse(args)

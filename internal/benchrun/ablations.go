@@ -7,7 +7,6 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
-	"twsearch/internal/disktree"
 	"twsearch/internal/workload"
 )
 
@@ -117,9 +116,8 @@ func AblationPruning(cfg Config) ([]AblationPruningRow, error) {
 }
 
 // AblationWindowRow compares warping-window constraints (the conclusion
-// extension), each measured with the envelope lower-bound cascade on
-// (Result) and off (NoEnvelope) so band wins and cascade wins stay
-// separable in the report.
+// extension), each measured with the envelope row gate on (Result) and off
+// (NoEnvelope) so band wins and gate wins stay separable in the report.
 type AblationWindowRow struct {
 	Window     int // -1 = unconstrained
 	Result     AlgoResult
@@ -127,9 +125,7 @@ type AblationWindowRow struct {
 }
 
 // AblationWindow measures how a Sakoe–Chiba band changes work and answers,
-// and what the envelope cascade saves on top at each band width. Indexes
-// are built with EncodingV3 so both cascade tiers (subtree hulls and
-// per-row envelope bounds) are in play.
+// and what the envelope row gate saves on top at each band width.
 func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 	cfg = cfg.effective()
 	data, queries := cfg.stockWorkload()
@@ -137,7 +133,6 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 	for _, window := range []int{-1, 20, 10, 5} {
 		ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-win.twt"), core.Options{
 			Kind: categorize.KindMaxEntropy, Categories: 40, Window: window,
-			Encoding: disktree.EncodingV3,
 		})
 		if err != nil {
 			return nil, err
@@ -156,7 +151,7 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 		rows = append(rows, row)
 	}
 
-	fmt.Fprintln(cfg.Out, "Ablation: warping-window constraint × envelope cascade (STc ME-40 v3, eps=30)")
+	fmt.Fprintln(cfg.Out, "Ablation: warping-window constraint × envelope row gate (STc ME-40, eps=30)")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "window\tenv t\tno-env t\tenv cells\tno-env cells\tpruned/q\tanswers/q\t")
 	for _, r := range rows {

@@ -11,9 +11,9 @@ import (
 	"twsearch/internal/disktree"
 )
 
-// matchesIdentical is matchesEqual with no tolerance: the envelope cascade
+// matchesIdentical is matchesEqual with no tolerance: the envelope row gate
 // only skips work, it never reroutes a surviving candidate through different
-// arithmetic, so answers must be bit-identical across every tier toggle.
+// arithmetic, so answers must be bit-identical with the gate on and off.
 func matchesIdentical(a, b []Match) bool {
 	if len(a) != len(b) {
 		return false
@@ -40,10 +40,10 @@ func TestEnvelopeCascadeIdentity(t *testing.T) {
 		queries := [][]float64{randomQuery(rng, 8), randomQuery(rng, 4)}
 		for vi, v := range variants() {
 			for _, window := range []int{-1, 3} {
-				for _, enc := range []disktree.Encoding{disktree.EncodingV2, disktree.EncodingV3} {
+				for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 					opts := v.opts
 					opts.Window = window
-					opts.Encoding = enc
+					opts.Build.Encoding = enc
 					path := filepath.Join(dir, fmt.Sprintf("ix-%d-%d-%d-%s.twt", trial, vi, window, enc))
 					ix, err := Build(data, path, opts)
 					if err != nil {
@@ -110,9 +110,8 @@ func TestEnvelopeCascadeIdentity(t *testing.T) {
 	}
 }
 
-// TestEnvelopeCascadeReducesWork: on a selective query the cascade must
-// actually fire, and the v3 subtree hulls must additionally cut node reads
-// — the headline effect the format exists for.
+// TestEnvelopeCascadeReducesWork: on a selective query the row gate must
+// actually fire and cut filter cells.
 func TestEnvelopeCascadeReducesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(337))
 	data := randomWalkDataset(rng, 12, 60)
@@ -121,9 +120,9 @@ func TestEnvelopeCascadeReducesWork(t *testing.T) {
 	// cascade should win.
 	const eps = 2.5
 	dir := t.TempDir()
-	for _, enc := range []disktree.Encoding{disktree.EncodingV2, disktree.EncodingV3} {
+	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 		ix, err := Build(data, filepath.Join(dir, "ix-"+enc.String()+".twt"), Options{
-			Kind: categorize.KindMaxEntropy, Categories: 8, Encoding: enc,
+			Kind: categorize.KindMaxEntropy, Categories: 8, Build: disktree.BuildOptions{Encoding: enc},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,9 +141,6 @@ func TestEnvelopeCascadeReducesWork(t *testing.T) {
 		}
 		if on.FilterCells >= off.FilterCells {
 			t.Errorf("%s: cascade did not cut filter cells: %d vs %d", enc, on.FilterCells, off.FilterCells)
-		}
-		if enc == disktree.EncodingV3 && on.NodesVisited >= off.NodesVisited {
-			t.Errorf("v3: subtree hulls did not cut node reads: %d vs %d", on.NodesVisited, off.NodesVisited)
 		}
 		if err := ix.RemoveFile(); err != nil {
 			t.Fatal(err)

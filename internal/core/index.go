@@ -53,14 +53,12 @@ type Options struct {
 	// Layout selects the disk node format: reference (default, compact) or
 	// inline (the paper's storage model; Table 1's sizes).
 	Layout disktree.Layout
-	// Encoding selects the record serialization (v1 fixed-width by default;
-	// v2 compact varints).
-	Encoding disktree.Encoding
 	// InMemory builds the index into an in-memory page file instead of the
 	// given path — no filesystem footprint, no persistence; the same
 	// construction, so this is for datasets whose tree fits in RAM.
 	InMemory bool
-	// Build tunes the disk construction.
+	// Build tunes the disk construction (pool size, record encoding); its
+	// Sparse, MinSuffixLen and Layout are set from the fields above.
 	Build disktree.BuildOptions
 }
 
@@ -80,7 +78,6 @@ func (o Options) withDefaults() Options {
 	o.Build.Sparse = o.Sparse
 	o.Build.MinSuffixLen = o.MinAnswerLen
 	o.Build.Layout = o.Layout
-	o.Build.Encoding = o.Encoding
 	return o
 }
 
@@ -103,10 +100,10 @@ type Index struct {
 	// It exists only for the ablation benchmarks; results are unchanged,
 	// only the work done.
 	DisablePruning bool
-	// DisableEnvelopes turns off the envelope lower-bound cascade (the
-	// O(1)-per-row prefilter and, on v3 trees, the per-child subtree hull
-	// skip). Like DisablePruning it changes only the work done, never the
-	// answers; the ablation benchmarks toggle it to measure the cascade.
+	// DisableEnvelopes turns off the envelope row gate (the O(1)-per-row
+	// prefilter in front of the table). Like DisablePruning it changes only
+	// the work done, never the answers; the ablation benchmarks toggle it to
+	// measure the gate.
 	DisableEnvelopes bool
 	// BuildStats records how the disk tree was constructed (zero for
 	// indexes attached with Open).

@@ -65,10 +65,10 @@ type parTask struct {
 	firstSym  suffixtree.Symbol
 	base0     float64
 
-	// envSum is the envelope cascade's LB_Keogh prefix sum at the fork
+	// envSum is the envelope row gate's LB_Keogh prefix sum at the fork
 	// depth, and envBase0 its per-shift discount unit — the two scalars a
-	// worker needs to resume tier B exactly where the serial descent would
-	// have been.
+	// worker needs to resume the gate exactly where the serial descent
+	// would have been.
 	envSum   float64
 	envBase0 float64
 
@@ -139,11 +139,6 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 	if len(root.Children) >= frontierRootFanout*par {
 		prefix := s.table.Fork(0)
 		for i := range root.Children {
-			// Tier A on the fanout frontier: pruned subtrees never become
-			// tasks, so serial and parallel visit (and count) identically.
-			if s.pruneChild(root, i, 0) {
-				continue
-			}
 			s.tasks = append(s.tasks, parTask{ptr: root.Children[i].Ptr, prefix: prefix})
 		}
 	} else {
@@ -151,9 +146,6 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 		for i := range root.Children {
 			if s.stopped {
 				break
-			}
-			if s.pruneChild(root, i, 0) {
-				continue
 			}
 			if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
 				return nil, SearchStats{}, err
@@ -319,19 +311,14 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 // spawnSubtreeTasks queues every child of n as a parallel task. The prefix
 // rows computed so far are forked once and shared read-only by all of n's
 // children; each task snapshots the path state a serial descent would carry
-// into that child. The envelope tier-A check runs here, on the frontier
-// goroutine, so a child the serial traversal would skip never becomes a
-// task — keeping counters and answers byte-identical to serial.
-func (s *searcher) spawnSubtreeTasks(n *disktree.Node, runBroken bool, firstRun int, edgeBound float64) {
+// into that child.
+func (s *searcher) spawnSubtreeTasks(n *disktree.Node, runBroken bool, firstRun int) {
 	prefix := s.table.Fork(s.table.Depth())
 	var envSum float64
 	if s.envOn {
 		envSum = s.envSums[s.table.Depth()]
 	}
 	for i := range n.Children {
-		if s.pruneChild(n, i, edgeBound) {
-			continue
-		}
 		s.tasks = append(s.tasks, parTask{
 			ptr:          n.Children[i].Ptr,
 			prefix:       prefix,

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"twsearch/internal/categorize"
-	"twsearch/internal/disktree"
 	"twsearch/internal/dtw"
 )
 
@@ -79,10 +78,7 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 
 	// The envelope cascade runs under the same window as the filter table,
 	// so its bounds are never tighter than what the table itself enforces.
-	// Tier A (subtree hulls) additionally needs the v3 tree format: nodes of
-	// older files carry no hulls.
 	s.envOn = !ix.DisableEnvelopes
-	s.hullOn = s.envOn && ix.Tree.Encoding() == disktree.EncodingV3
 	s.env.Bind(q, filterWindow)
 	if len(s.envSums) == 0 {
 		s.envSums = append(s.envSums, 0)

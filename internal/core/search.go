@@ -82,9 +82,6 @@ func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit fun
 		if s.stopped {
 			break
 		}
-		if s.pruneChild(root, i, 0) {
-			continue
-		}
 		if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
 			return nil, SearchStats{}, err
 		}
@@ -162,24 +159,21 @@ type searcher struct {
 	firstSym suffixtree.Symbol
 	base0    float64
 
-	// The envelope lower-bound cascade. env is the query's Sakoe–Chiba
-	// envelope under the filter window (constant on sparse trees, whose
-	// filter is always unconstrained — which is exactly what makes the bound
-	// shift-safe for D_tw-lb2 candidates). envSums[d] is the running
-	// LB_Keogh prefix: the sum of per-row envelope gaps over the current
-	// path's first d rows; it lower-bounds every filter distance at depth
-	// >= d, so a row whose new sum (minus the sparse shift discount) exceeds
-	// eps is cut before its O(|Q|) table row is computed (tier B). envBase0
-	// is the first row's envelope gap — the per-shift discount unit of the
-	// envelope bound, playing base0's role (each shifted-away leading-run
-	// row contributed exactly envBase0 to the sum). envOn gates the tier;
-	// hullOn additionally gates the tier-A subtree-hull skip, which needs
-	// the v3 on-disk format (nodes of older files carry no hulls).
+	// The envelope row gate. env is the query's Sakoe–Chiba envelope under
+	// the filter window (constant on sparse trees, whose filter is always
+	// unconstrained — which is exactly what makes the bound shift-safe for
+	// D_tw-lb2 candidates). envSums[d] is the running LB_Keogh prefix: the
+	// sum of per-row envelope gaps over the current path's first d rows; it
+	// lower-bounds every filter distance at depth >= d, so a row whose new
+	// sum (minus the sparse shift discount) exceeds eps is cut before its
+	// O(|Q|) table row is computed. envBase0 is the first row's envelope
+	// gap — the per-shift discount unit of the envelope bound, playing
+	// base0's role (each shifted-away leading-run row contributed exactly
+	// envBase0 to the sum). envOn switches the gate.
 	env      dtw.Envelope
 	envSums  []float64
 	envBase0 float64
 	envOn    bool
-	hullOn   bool
 
 	// visit, when set, receives answers as they are found instead of
 	// accumulating them in matches; stopped records an early stop request.
@@ -277,10 +271,6 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 
 	entryDepth := s.table.Depth()
 	descend := true
-	// lastMin is the last added row's column minimum — by Theorem 1 a lower
-	// bound on every deeper filter distance, which the tier-A subtree-hull
-	// skip charges extra envelope gaps on top of.
-	lastMin := 0.0
 	// Deferred emission: on non-exact indexes a candidate only contributes
 	// its start and a max end to the pending table, so one collect per edge
 	// at the deepest qualifying depth (with the smallest qualifying filter
@@ -316,7 +306,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 			}
 		}
 
-		// Envelope cascade, tier B: the row's envelope gap extends the
+		// Envelope row gate: the row's envelope gap extends the
 		// LB_Keogh prefix sum, which lower-bounds every filter distance at
 		// this depth or deeper — for shifted sparse candidates after
 		// discounting envBase0 per shifted-away leading-run row. When the
@@ -354,7 +344,6 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		}
 
 		dist, minDist := s.table.AddRowInterval(iv.Lo, iv.Hi)
-		lastMin = minDist
 		d := s.table.Depth()
 
 		// Candidate emission. For dense trees only dist counts; for sparse
@@ -421,24 +410,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 	}
 
 	if descend && !n.Leaf && !s.stopped {
-		// edgeBound lower-bounds every filter distance below this node
-		// (Theorem 1's row minimum, discounted for the sparse shift) — what
-		// the tier-A subtree-hull check charges each child's envelope gap
-		// on top of.
-		edgeBound := lastMin
-		if s.sparse {
-			j := firstRun - 1
-			if !runBroken {
-				j = s.ix.maxRun - 1
-			}
-			if j > 0 {
-				edgeBound -= float64(j) * s.base0
-			}
-		}
 		if s.spawnLevel > 0 && level == s.spawnLevel {
 			// Parallel frontier: each child subtree becomes a task carrying
 			// a fork of the shared prefix rows instead of being walked here.
-			s.spawnSubtreeTasks(n, runBroken, firstRun, edgeBound)
+			s.spawnSubtreeTasks(n, runBroken, firstRun)
 		} else {
 			if s.readAhead && len(n.Children) > 1 {
 				s.ix.Tree.ReadAhead(n.Children)
@@ -450,9 +425,6 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 				if s.stopped {
 					break
 				}
-				if s.pruneChild(n, i, edgeBound) {
-					continue
-				}
 				if err := s.processEdge(n.Children[i].Ptr, level+1, runBroken, firstRun); err != nil {
 					return err
 				}
@@ -462,171 +434,6 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 
 	s.table.Truncate(entryDepth)
 	return nil
-}
-
-// pruneChild is the envelope cascade's tier A: gap evaluations against the
-// persisted subtree hull decide whether any answer can lie under c, the
-// i'th child of parent — before reading c's node. Every candidate below c contains at least one
-// row within the hull's horizon whose symbol sits inside c's hull (its
-// first row past this depth — for a shifted sparse candidate either the
-// continuation of the leading run or the row right below this node, both
-// within the horizon), and every row lands at a position covered by the
-// envelope's suffix hull; so every deeper filter distance is at least
-// edgeBound plus the hull-vs-suffix gap. At the root (no rows yet) the same argument holds
-// with edgeBound 0: a whole top-level subtree whose value hull sits further
-// than eps from the query envelope is dismissed without reading a single
-// node — on value-clustered data this is where most of the tree disappears.
-// A child whose persisted hull is empty holds only terminators — its
-// suffixes end at the current depth, which this edge's rows already emitted
-// — so it is skipped outright. Requires the v3 format (hullOn): nodes of
-// older files carry no hulls.
-//
-// Under a band the hull profile also charges the whole query tail (the
-// part Theorem 1 cannot see yet). Any answer's warping path must cover
-// every query column to reach the final corner; a column matched by a row
-// below this node is matched within the band, at a relative depth whose
-// persisted segment hulls bound the row's symbol. Distinct columns are
-// matched by distinct table cells, so their gaps add. This is where the
-// cascade beats Theorem 1 by more than a row: a candidate can track the
-// query perfectly for the whole prefix, yet its subtree's depth profile
-// already proves it cannot follow where the query goes next — the DP would
-// grind through every row until the mismatch accrues; the tail charge sees
-// it at the boundary. The segmentation is what gives the charge teeth:
-// one whole-subtree hull conflates a near-track prefix with its divergent
-// continuations and covers the query everywhere, while per-depth segments
-// expose the divergence. An empty segment range even yields an infinite
-// charge — every path in the subtree provably ends above the depths that
-// column needs, so nothing below can be an answer. Stored profiles only
-// cover the first disktree.HullHorizon rows below the node, so the charge
-// stops at columns whose band reaches past the horizon; for the engine's
-// workloads the horizon exceeds |Q|+w and the clamp rarely bites. Sparse
-// trees always filter unconstrained (Window() < 0, see queryctx), so the
-// tail charge never applies to shifted candidates — whose row-to-column
-// alignment this argument would not survive.
-//
-//twlint:steady-state
-func (s *searcher) pruneChild(parent *disktree.Node, i int, edgeBound float64) bool {
-	if !s.hullOn || s.ix.DisablePruning {
-		return false
-	}
-	c := &parent.Hulls[i]
-	if c.MaxSym < c.MinSym {
-		s.stats.EnvelopePruned++
-		return true
-	}
-	lo := s.intervals[c.MinSym].Lo
-	hi := s.intervals[c.MaxSym].Hi
-	elo, ehi := s.env.SuffixAt(s.table.Depth())
-	g := dtw.GapInterval(lo, hi, elo, ehi)
-	s.stats.LBCells++
-	if edgeBound+g > s.eps {
-		s.stats.EnvelopePruned++
-		return true
-	}
-	if w := s.env.Window(); w >= 0 {
-		d := s.table.Depth()
-		n := len(s.q)
-		// Per-column charges are only valid while the matching row is inside
-		// the hull's horizon: under the band, column x is matched at a row
-		// r <= x+w, so the charge stops at x >= d+HullHorizon-w.
-		end := n
-		if m := d + disktree.HullHorizon - w; m < end {
-			end = m
-		}
-		if d == 0 {
-			// No rows yet: an answer under c covers every query column with
-			// rows whose symbols sit in c's profile, so the LB_Keogh of the
-			// band-reachable segments against the whole query is a lower
-			// bound.
-			sum := 0.0
-			for x := 0; x < end; x++ {
-				sum += s.hullGap(c, 0, x, w)
-				s.stats.LBCells++
-				if sum > s.eps {
-					s.stats.EnvelopePruned++
-					return true
-				}
-			}
-			return false
-		}
-		// Frontier splice: an answer's warping path leaves the last computed
-		// row at some column j (cumulative cost row[j]), after which every
-		// column right of j is matched by a row below this node — symbols in
-		// c's hull — and distinct columns by distinct cells, so their gaps
-		// add. min_j (row[j] + tail(j)) therefore lower-bounds every answer
-		// below c. This dominates charging the global row minimum: the
-		// columns that produce the small minimum are exactly the ones that
-		// still owe the whole tail. Scanning j right-to-left accumulates
-		// tail(j) incrementally; once the tail alone clears eps no smaller j
-		// can come in under it, so the scan stops early.
-		row := s.table.LastRow()
-		best := dtw.Inf
-		tail := 0.0
-		for j := n - 1; j >= 0; j-- {
-			if v := row[j] + tail; v < best {
-				best = v
-			}
-			if tail > s.eps {
-				break
-			}
-			if j < end {
-				tail += s.hullGap(c, d, j, w)
-				s.stats.LBCells++
-			}
-		}
-		if best > s.eps {
-			s.stats.EnvelopePruned++
-			return true
-		}
-	}
-	return false
-}
-
-// hullGap is the tail charge for one query column x, from the current
-// table depth d under band half-width w: the gap between q[x] and the
-// union of c's segment hulls over the relative depths the band allows a
-// matching row to sit at ([x-w-d, x+w-d], clipped to the profile). A row
-// below this node that matches column x must lie at one of those depths,
-// so its base distance to q[x] is at least this gap. When every reachable
-// segment is empty no such row exists in c's subtree at all — empties form
-// a suffix of the profile, so every path ends above the needed depth — and
-// the charge is infinite: nothing below c can cover column x. Callers
-// guarantee the band's upper reach stays inside the horizon (x+w-d <
-// HullHorizon) via their end clip.
-//
-//twlint:steady-state
-func (s *searcher) hullGap(c *disktree.Hull, d, x, w int) float64 {
-	kHi := x + w - d
-	if kHi < 0 {
-		// The band puts every row that could match column x above this
-		// node; a path descending into c can no longer cover x.
-		return dtw.Inf
-	}
-	kLo := x - w - d
-	if kLo < 0 {
-		kLo = 0
-	}
-	lo, hi := suffixtree.Symbol(0), suffixtree.Symbol(-1)
-	for si := kLo / disktree.HullSegLen; si <= kHi/disktree.HullSegLen; si++ {
-		seg := c.Seg[si]
-		if seg.Hi < seg.Lo {
-			continue
-		}
-		if hi < lo {
-			lo, hi = seg.Lo, seg.Hi
-			continue
-		}
-		if seg.Lo < lo {
-			lo = seg.Lo
-		}
-		if seg.Hi > hi {
-			hi = seg.Hi
-		}
-	}
-	if hi < lo {
-		return dtw.Inf
-	}
-	return dtw.BaseInterval(s.q[x], s.intervals[lo].Lo, s.intervals[hi].Hi)
 }
 
 // collect emits candidates for every leaf in the subtree rooted at the node

@@ -52,13 +52,12 @@ type SearchStats struct {
 	FalseAlarms uint64
 	// Answers counts returned matches.
 	Answers uint64
-	// EnvelopePruned counts envelope-cascade prune events: edge rows cut
-	// before their table row was computed (tier B) and child subtrees
-	// skipped before their node was read (tier A).
+	// EnvelopePruned counts envelope row-gate prune events: edge rows cut
+	// before their table row was computed.
 	EnvelopePruned uint64
-	// LBCells counts envelope gap evaluations — the O(1) work the cascade
+	// LBCells counts envelope gap evaluations — the O(1) work the gate
 	// spends to avoid O(|Q|) table rows. Compare against the FilterCells it
-	// saves: the cascade pays one LBCell per row or child it examines.
+	// saves: the gate pays one LBCell per row it examines.
 	LBCells uint64
 	// PagesRead counts physical page reads; PoolHits/PoolMisses count
 	// buffer pool activity during this search.

@@ -150,12 +150,10 @@ type builder struct {
 	sa    []suffix
 	lcp   []int32
 
-	// Stream state: the open nodes on the path to the current suffix and
-	// their hull accumulators (v3 only); the child entries they have
-	// collected so far are on the writer's stack.
-	open  []openNode
-	below []depthHull
-	node  Node
+	// Stream state: the open nodes on the path to the current suffix; the
+	// child entries they have collected so far are on the writer's stack.
+	open []openNode
+	node Node
 }
 
 // sym reads symbol d of suffix s; d == the suffix's length is its
@@ -282,25 +280,6 @@ type openNode struct {
 	kids  int    // mark of its first entry on the writer's stack
 }
 
-// push opens a node; its hull accumulator rides a parallel stack, so the
-// v1/v2 walk never copies a hull.
-func (b *builder) push(n openNode) {
-	b.open = append(b.open, n)
-	if b.w.hulls() {
-		b.below = append(b.below, emptyDepthHull)
-	}
-}
-
-// pop closes the deepest open node, returning it with the union of its
-// children's hulls (v3 only).
-func (b *builder) pop() (n openNode, below depthHull) {
-	n, b.open = b.open[len(b.open)-1], b.open[:len(b.open)-1]
-	if b.w.hulls() {
-		below, b.below = b.below[len(b.below)-1], b.below[:len(b.below)-1]
-	}
-	return n, below
-}
-
 // stream is phase 2: one walk over the sorted suffixes with the stack of
 // open nodes on the path to the current one. Between suffix i and suffix
 // i+1 the tree branches at depth lcp[i+1]: leaf i and every open node
@@ -309,7 +288,7 @@ func (b *builder) pop() (n openNode, below depthHull) {
 // parent's depth, which is why a leaf is written only once the next lcp
 // says where its parent is. It returns the root's offset.
 func (b *builder) stream() (Ptr, error) {
-	b.push(openNode{})
+	b.open = append(b.open, openNode{})
 	for i, leaf := range b.sa {
 		branch := int32(0) // after the last suffix everything closes
 		if i+1 < len(b.sa) {
@@ -328,19 +307,20 @@ func (b *builder) stream() (Ptr, error) {
 // child.
 func (b *builder) closeTo(leaf suffix, branch int32) error {
 	if branch > b.open[len(b.open)-1].depth {
-		b.push(openNode{lead: leaf, depth: branch, kids: len(b.w.kids)})
+		b.open = append(b.open, openNode{lead: leaf, depth: branch, kids: len(b.w.kids)})
 	}
 	// The leaf's path ends with its terminator.
 	end := int32(len(b.store.Text(int(leaf.seq)))) - leaf.pos + 1
-	if err := b.attach(leaf, end, true, len(b.w.kids), &emptyDepthHull); err != nil {
+	if err := b.attach(leaf, end, true, len(b.w.kids)); err != nil {
 		return err
 	}
 	for b.open[len(b.open)-1].depth > branch {
-		top, below := b.pop()
+		top := b.open[len(b.open)-1]
+		b.open = b.open[:len(b.open)-1]
 		if b.open[len(b.open)-1].depth < branch {
-			b.push(openNode{lead: top.lead, depth: branch, kids: top.kids})
+			b.open = append(b.open, openNode{lead: top.lead, depth: branch, kids: top.kids})
 		}
-		if err := b.attach(top.lead, top.depth, false, top.kids, &below); err != nil {
+		if err := b.attach(top.lead, top.depth, false, top.kids); err != nil {
 			return err
 		}
 	}
@@ -349,20 +329,15 @@ func (b *builder) closeTo(leaf suffix, branch int32) error {
 
 // attach writes the node that ends at depth on lead's path — its label
 // starts at the depth of the open node on top of the stack, its parent; its
-// children are the entries from the mark kids on and below the union of
-// their hulls — and replaces those entries with the node's own in the
-// parent's child table.
-func (b *builder) attach(lead suffix, depth int32, leaf bool, kids int, below *depthHull) error {
+// children are the entries from the mark kids on — and replaces those
+// entries with the node's own in the parent's child table.
+func (b *builder) attach(lead suffix, depth int32, leaf bool, kids int) error {
 	from := b.open[len(b.open)-1].depth
 	ptr, err := b.write(lead, from, depth, leaf, kids)
 	if err != nil {
 		return err
 	}
-	var parent *depthHull
-	if b.w.hulls() {
-		parent = &b.below[len(b.below)-1]
-	}
-	b.w.attach(b.sym(lead, from), ptr, depth-from, func(i int32) Symbol { return b.sym(lead, from+i) }, below, parent)
+	b.w.attach(b.sym(lead, from), ptr)
 	return nil
 }
 

@@ -49,7 +49,7 @@ func TestBuildEqualsReference(t *testing.T) {
 			want := suffixtree.BuildMergedFiltered(ts, allSeqs(ts), shape.sparse, shape.minLen)
 			wantStats := want.ComputeStats()
 			for _, layout := range []Layout{LayoutReference, LayoutInline} {
-				for _, enc := range []Encoding{EncodingV1, EncodingV2, EncodingV3} {
+				for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 					name := fmt.Sprintf("alphabet=%d/%s/%s/%s", alphabet, shape.name, layout, enc)
 					out := filepath.Join(dir, "out.twt")
 					var stats BuildStats
@@ -65,9 +65,6 @@ func TestBuildEqualsReference(t *testing.T) {
 					}
 					if _, err := f.Validate(ts); err != nil {
 						t.Fatalf("%s: Validate: %v", name, err)
-					}
-					if enc == EncodingV3 {
-						checkHulls(t, f, ts)
 					}
 					got, err := f.Load(ts)
 					if err != nil {
@@ -118,7 +115,7 @@ func TestBuildDeterministic(t *testing.T) {
 	for _, procs := range []int{1, 4, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		path := filepath.Join(t.TempDir(), "det.twt")
-		f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: EncodingV3})
+		f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: EncodingV2})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +227,7 @@ func FuzzBuildVsNaive(f *testing.F) {
 			ts.Add(text)
 		}
 		want := suffixtree.BuildFiltered(ts, allSeqs(ts), sparse, int(minLen%8))
-		df, err := BuildMem(ts, allSeqs(ts), BuildOptions{Sparse: sparse, MinSuffixLen: int(minLen % 8), Encoding: EncodingV3})
+		df, err := BuildMem(ts, allSeqs(ts), BuildOptions{Sparse: sparse, MinSuffixLen: int(minLen % 8), Encoding: EncodingV2})
 		if err != nil {
 			t.Fatal(err)
 		}

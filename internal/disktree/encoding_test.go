@@ -1,10 +1,12 @@
 package disktree
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"twsearch/internal/storage"
@@ -76,71 +78,26 @@ func TestEncodingV2Smaller(t *testing.T) {
 	if v2.SizeBytes() >= v1.SizeBytes() {
 		t.Fatalf("v2 file (%d bytes) not smaller than v1 (%d bytes)", v2.SizeBytes(), v1.SizeBytes())
 	}
-}
-
-// TestRewrite: re-encoding a file in place of its tree is lossless in both
-// directions, and v1→v2 shrinks the file.
-func TestRewrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(263))
-	for _, layout := range []Layout{LayoutReference, LayoutInline} {
-		ts := randomTexts(rng, 8, 40, 3)
-		tree := suffixtree.BuildMerged(ts, allSeqs(ts), false)
-		dir := t.TempDir()
-		v1Path := filepath.Join(dir, "v1.twt")
-		f, err := CreateEncoded(v1Path, tree, 32, layout, EncodingV1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1Size := f.SizeBytes()
-		f.Close()
-
-		v2Path := filepath.Join(dir, "v2.twt")
-		rw, err := Rewrite(v1Path, v2Path, 32, EncodingV2, nil)
-		if err != nil {
-			t.Fatalf("%s: Rewrite to v2: %v", layout, err)
-		}
-		if rw.Encoding() != EncodingV2 {
-			t.Errorf("%s: rewritten Encoding() = %s, want v2", layout, rw.Encoding())
-		}
-		got, err := rw.Load(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !suffixtree.Equal(tree, got) {
-			t.Fatalf("%s: v1→v2 rewrite changed the tree", layout)
-		}
-		if _, err := rw.Validate(ts); err != nil {
-			t.Fatalf("%s: Validate after rewrite: %v", layout, err)
-		}
-		if layout == LayoutReference && rw.SizeBytes() >= v1Size {
-			t.Errorf("%s: rewrite did not shrink: %d → %d bytes", layout, v1Size, rw.SizeBytes())
-		}
-		rw.Close()
-
-		// And back: v2 → v1 restores a byte-identical v1 file.
-		backPath := filepath.Join(dir, "back.twt")
-		back, err := Rewrite(v2Path, backPath, 32, EncodingV1, nil)
-		if err != nil {
-			t.Fatalf("%s: Rewrite back to v1: %v", layout, err)
-		}
-		back.Close()
-		origRaw, err := os.ReadFile(v1Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backRaw, err := os.ReadFile(backPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(origRaw) != string(backRaw) {
-			t.Fatalf("%s: v1→v2→v1 round trip is not byte-identical", layout)
-		}
+	// And stay as small as they are: a field that grows a compact record
+	// fails here, not in a benchmark. The ceiling is the measured size.
+	_, nodes := allNodes(t, v2)
+	recordBytes := 0
+	for i := range nodes {
+		recordBytes += len(encodeNode(nil, &nodes[i], LayoutReference, EncodingV2))
+	}
+	const ceiling = 8.26 // bytes per node; 8.255 measured
+	if perNode := float64(recordBytes) / float64(len(nodes)); perNode > ceiling {
+		t.Fatalf("v2 records take %.3f B/node, ceiling %v", perNode, ceiling)
 	}
 }
 
+// retiredVersions are meta-blob version bytes no supported encoding uses:
+// 3 is the retired format v3, the others were never written.
+var retiredVersions = []byte{3, 0, 4, 0xFF}
+
 // TestDecodeMetaRejectsUnknownEncoding: a meta blob carrying an encoding
-// byte outside the known range must be refused — how a pre-v2 reader's
-// "bad meta blob" rejection looks from this side.
+// byte outside the supported set is refused with the typed error, naming
+// the version found and the remedy.
 func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 	blob := encodeMeta(meta{root: Ptr(storage.PageSize), layout: LayoutReference, enc: EncodingV2})
 	if len(blob) != metaBaseSize+1 {
@@ -149,10 +106,14 @@ func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 	if _, err := decodeMeta(blob); err != nil {
 		t.Fatalf("valid v2 blob rejected: %v", err)
 	}
-	for _, bad := range []byte{0, 4, 0xFF} {
+	for _, bad := range retiredVersions {
 		blob[metaBaseSize] = bad
-		if _, err := decodeMeta(blob); err == nil {
-			t.Fatalf("encoding byte %d accepted", bad)
+		_, err := decodeMeta(blob)
+		if !errors.Is(err, ErrUnsupportedEncoding) {
+			t.Fatalf("encoding byte %d: %v, want ErrUnsupportedEncoding", bad, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", bad)) || !strings.Contains(msg, "rebuild the index") {
+			t.Errorf("encoding byte %d: error %q names neither the version nor the remedy", bad, msg)
 		}
 	}
 	// And the legacy 46-byte blob still decodes as v1.
@@ -162,6 +123,73 @@ func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 	}
 	if m.enc != EncodingV1 {
 		t.Fatalf("legacy blob decoded as %s, want v1", m.enc)
+	}
+}
+
+// TestOpenRefusesRetiredEncodings: a tree file whose meta page names a
+// retired or unknown record encoding is refused by every way of opening it
+// with the typed error, and the refusal holds nothing open — the file can
+// be replaced and opened again.
+func TestOpenRefusesRetiredEncodings(t *testing.T) {
+	rng := rand.New(rand.NewSource(271))
+	ts := randomTexts(rng, 5, 40, 3)
+	tree := suffixtree.BuildMerged(ts, allSeqs(ts), false)
+	path := filepath.Join(t.TempDir(), "tree.twt")
+	create := func() {
+		t.Helper()
+		f, err := CreateEncoded(path, tree, 8, LayoutReference, EncodingV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opens := map[string]func() (*File, error){
+		"Open":             func() (*File, error) { return Open(path, 8, true) },
+		"OpenBackend/pool": func() (*File, error) { return OpenBackend(path, 8, true, storage.BackendPool) },
+		"OpenBackend/mmap": func() (*File, error) { return OpenBackend(path, 8, true, storage.BackendMmap) },
+	}
+	for _, version := range retiredVersions {
+		create()
+		pf, err := storage.OpenFile(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := pf.Meta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[metaBaseSize] = version
+		if err := pf.SetMeta(blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, open := range opens {
+			f, err := open()
+			if !errors.Is(err, ErrUnsupportedEncoding) {
+				if f != nil {
+					f.Close()
+				}
+				t.Fatalf("version %d, %s: %v, want ErrUnsupportedEncoding", version, name, err)
+			}
+		}
+		create() // replaces the refused file
+		for name, open := range opens {
+			f, err := open()
+			if err != nil {
+				t.Fatalf("version %d, %s after the file was replaced: %v", version, name, err)
+			}
+			if _, err := f.Validate(ts); err != nil {
+				t.Errorf("version %d, %s after the file was replaced: Validate: %v", version, name, err)
+			}
+			if pinned := f.PinnedPages(); pinned != 0 {
+				t.Errorf("version %d, %s: %d pages pinned", version, name, pinned)
+			}
+			f.Close()
+		}
 	}
 }
 
@@ -209,17 +237,18 @@ func FuzzNodeCodecV2(f *testing.F) {
 	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false, true)
 	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true, true)
 	f.Fuzz(func(t *testing.T, data []byte, leaf, inline bool) {
-		checkCodec(t, data, leaf, inline, EncodingV2)
+		checkCodec(t, data, leaf, inline)
 	})
 }
 
 // checkCodec derives a node deterministically from the fuzz bytes, encodes
-// it and drives the slice decoders directly: the whole record (followed by
-// bytes that are not part of it) must decode to the node, every strict
-// prefix must come back errShort — never a node, never a verdict on a
-// record that more bytes would complete — and the older decoders over the
-// same bytes must terminate with an error or garbage, never panic or hang.
-func checkCodec(t *testing.T, data []byte, leaf, inline bool, enc Encoding) {
+// it as a v2 record and drives the slice decoders directly: the whole
+// record (followed by bytes that are not part of it) must decode to the
+// node, every strict prefix must come back errShort — never a node, never
+// a verdict on a record that more bytes would complete — and the v1 decoder
+// over v2 bytes must terminate with an error or garbage, never panic or
+// hang.
+func checkCodec(t *testing.T, data []byte, leaf, inline bool) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
@@ -249,23 +278,10 @@ func checkCodec(t *testing.T, data []byte, leaf, inline bool, enc Encoding) {
 		for i := range in.Children {
 			in.Children[i] = ChildRef{Sym: Symbol(next(8 + i)), Ptr: Ptr(uint64(uint32(next(9 + i))))}
 		}
-		if enc == EncodingV3 {
-			in.Hulls = make([]Hull, len(in.Children))
-			for i := range in.Hulls {
-				h := &in.Hulls[i]
-				for s := range h.Seg {
-					h.Seg[s] = HullRange{
-						Lo: Symbol(next(10 + 2*(i*HullSegs+s))),
-						Hi: Symbol(next(11 + 2*(i*HullSegs+s))),
-					}
-				}
-				h.setOverall()
-			}
-		}
 	}
 
-	raw := encodeNode(nil, &in, layout, enc)
-	f := &File{meta: meta{layout: layout, enc: enc}}
+	raw := encodeNode(nil, &in, layout, EncodingV2)
+	f := &File{meta: meta{layout: layout, enc: EncodingV2}}
 	var got Node
 	if err := f.decode(append(raw[:len(raw):len(raw)], 0xAB, 0xCD), &got, 0); err != nil {
 		t.Fatalf("decoding our own encoding: %v", err)
@@ -287,11 +303,9 @@ func checkCodec(t *testing.T, data []byte, leaf, inline bool, enc Encoding) {
 			t.Fatalf("the first %d of %d bytes decoded with error %v, want errShort", cut, len(raw), err)
 		}
 	}
-	for older := enc - 1; older >= EncodingV1; older-- {
-		fx := &File{meta: meta{layout: layout, enc: older}}
-		var junk Node
-		_ = fx.decode(raw, &junk, 0)
-	}
+	fx := &File{meta: meta{layout: layout, enc: EncodingV1}}
+	var junk Node
+	_ = fx.decode(raw, &junk, 0)
 }
 
 func nodesEqual(a, b *Node) bool {
@@ -299,5 +313,5 @@ func nodesEqual(a, b *Node) bool {
 		a.Leaf != b.Leaf || a.Pos != b.Pos || a.RunLen != b.RunLen {
 		return false
 	}
-	return slices.Equal(a.Label, b.Label) && slices.Equal(a.Children, b.Children) && slices.Equal(a.Hulls, b.Hulls)
+	return slices.Equal(a.Label, b.Label) && slices.Equal(a.Children, b.Children)
 }

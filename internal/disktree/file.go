@@ -40,16 +40,13 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Lay
 
 	// The write is post-order (children before parents): each recursion
 	// leaves its node's entry on the writer's stack for the parent's child
-	// table, with — for v3 — the subtree's envelope beside it and folded
-	// into the parent's accumulator, so hulls aggregate bottom-up in the
-	// same pass.
+	// table.
 	var out Node
-	var writeNode func(n *suffixtree.Node, parent *depthHull) (Ptr, error)
-	writeNode = func(n *suffixtree.Node, parent *depthHull) (Ptr, error) {
-		below := emptyDepthHull
+	var writeNode func(n *suffixtree.Node) (Ptr, error)
+	writeNode = func(n *suffixtree.Node) (Ptr, error) {
 		first := len(w.kids)
 		for _, c := range n.Children {
-			if _, err := writeNode(c, &below); err != nil {
+			if _, err := writeNode(c); err != nil {
 				return NilPtr, err
 			}
 		}
@@ -63,16 +60,15 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Lay
 			out.RunLen = n.Leaf.RunLen
 		}
 		ptr, err := w.emit(&out, first)
-		if err != nil || parent == nil {
+		if err != nil || n == tree.Root {
 			return ptr, err
 		}
 		// The label is n's own (a leaf's out.LabelSeq was repointed at the
 		// suffix owner).
-		label := func(i int32) Symbol { return tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart+i)) }
-		w.attach(label(0), ptr, n.LabelLen, label, &below, parent)
+		w.attach(tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart)), ptr)
 		return ptr, nil
 	}
-	root, err := writeNode(tree.Root, nil)
+	root, err := writeNode(tree.Root)
 	if err != nil {
 		return nil, w.abort(err)
 	}

@@ -14,6 +14,7 @@ package disktree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"twsearch/internal/suffixtree"
@@ -56,7 +57,7 @@ type Encoding uint8
 
 const (
 	// EncodingV1 is the original fixed-width little-endian record format —
-	// what every pre-v2 file holds, and what a zero Encoding value means.
+	// what a zero Encoding value means.
 	EncodingV1 Encoding = 1
 	// EncodingV2 is the compact format: varint counts and labels, zigzag
 	// deltas for the child table's symbols and pointers. Children are
@@ -64,24 +65,10 @@ const (
 	// of a real file are small positive numbers that varint-encode in a
 	// byte or two instead of eight.
 	EncodingV2 Encoding = 2
-	// EncodingV3 extends v2 with per-child subtree envelopes: each child
-	// table entry additionally stores a segmented depth profile of the
-	// child's subtree — HullSegs hulls, each bounding the non-terminator
-	// symbols at HullSegLen consecutive relative depths (edge labels
-	// included), covering the first HullHorizon rows below the child's
-	// parent. Each segment is coded as zigzag(Lo) plus zigzag(Hi-Lo). The
-	// search engine's lower-bound cascade charges each query column against
-	// only the segments its warping band can reach, dismissing whole
-	// subtrees before reading the child node. v1/v2 records are otherwise
-	// unchanged.
-	EncodingV3 Encoding = 3
 )
 
 func (e Encoding) String() string {
-	switch e {
-	case EncodingV3:
-		return "v3"
-	case EncodingV2:
+	if e == EncodingV2 {
 		return "v2"
 	}
 	return "v1"
@@ -95,11 +82,15 @@ func ParseEncoding(s string) (Encoding, error) {
 		return EncodingV1, nil
 	case "v2", "2":
 		return EncodingV2, nil
-	case "v3", "3":
-		return EncodingV3, nil
 	}
-	return 0, fmt.Errorf("disktree: unknown encoding %q (want v1, v2 or v3)", s)
+	return 0, fmt.Errorf("disktree: unknown encoding %q (want v1 or v2)", s)
 }
+
+// ErrUnsupportedEncoding reports a tree file whose meta page names a record
+// encoding this build does not read — format v3 (per-child subtree hulls)
+// is retired, and no other version was ever written. Nothing migrates such
+// a file: rebuild the index from the data.
+var ErrUnsupportedEncoding = errors.New("disktree: unsupported record encoding")
 
 // Node record layout, encoding v1 (little endian, fixed width).
 //
@@ -142,162 +133,6 @@ type ChildRef struct {
 	Ptr Ptr
 }
 
-// Hull is the envelope of one child's subtree, persisted only by
-// EncodingV3: a decoded v3 node carries one per child table entry in
-// Node.Hulls, a v1/v2 node none, so readers gate hull use on the file's
-// encoding.
-type Hull struct {
-	// MinSym and MaxSym bound every non-terminator symbol within the first
-	// HullHorizon rows of every path in the child's subtree — the edge
-	// label's leading symbols plus everything below, cut off at the
-	// horizon. They are the union of Seg, derived on decode rather than
-	// stored. MaxSym < MinSym is the explicit empty hull (a subtree holding
-	// only terminator symbols).
-	MinSym, MaxSym Symbol
-	// Seg is the subtree's segmented depth profile: Seg[s] bounds the
-	// non-terminator symbols at relative depths s*HullSegLen ..
-	// (s+1)*HullSegLen-1 below the child's parent (the child's own edge
-	// label occupying the leading depths). A path shorter than a segment's
-	// depth range contributes nothing to it, so an empty segment (Hi < Lo)
-	// proves every path in the subtree ends above that segment — empties
-	// always form a suffix of Seg. The profile is what lets a banded
-	// search charge each query column against only the depths its warping
-	// band can reach, instead of one hull that conflates a whole subtree's
-	// near-track prefix with its divergent continuations.
-	Seg [HullSegs]HullRange
-}
-
-// HullRange is one persisted segment hull: an inclusive symbol range, empty
-// when Hi < Lo.
-type HullRange struct{ Lo, Hi Symbol }
-
-// Segmented-hull geometry: a stored child profile covers the symbols at
-// relative depths 0..HullHorizon-1 below the child's parent, split into
-// HullSegs segments of HullSegLen depths each. Readers that charge one gap
-// per query column (the search engine's banded tail charge) must stop
-// charging at columns whose band reaches past the horizon. The horizon
-// comfortably exceeds |Q|+w for the workloads the engine targets; it exists
-// to keep deep-suffix hulls from absorbing value range the DP could never
-// reach, and the segmentation keeps a near-track subtree's prefix from
-// widening the bound on its tail.
-const (
-	HullSegLen  = 2
-	HullSegs    = 24
-	HullHorizon = HullSegs * HullSegLen
-)
-
-// symHull accumulates the [lo, hi] symbol bound of a subtree while its
-// records are written. The empty hull is hi < lo; users must start from
-// emptyHull, not the zero value (which would claim symbol 0 is present).
-type symHull struct{ lo, hi Symbol }
-
-var emptyHull = symHull{lo: 0, hi: -1}
-
-// depthHull is the bottom-up aggregation state of a horizon-limited hull
-// profile: p[k] bounds the non-terminator symbols at relative depth exactly
-// k over every path in the subtree (paths shorter than k contribute
-// nothing). As with symHull, the zero value is wrong — start from
-// emptyDepthHull.
-type depthHull struct{ p [HullHorizon]symHull }
-
-var emptyDepthHull = func() depthHull {
-	var d depthHull
-	for i := range d.p {
-		d.p[i] = emptyHull
-	}
-	return d
-}()
-
-func (d depthHull) union(o depthHull) depthHull {
-	for i := range d.p {
-		d.p[i] = d.p[i].union(o.p[i])
-	}
-	return d
-}
-
-// prependLabel is the one step of bottom-up hull aggregation: the profile
-// for a subtree entered over an edge of l label symbols (sym(i) reads the
-// i'th) whose below-the-edge profile is below. Depths 0..l-1 are the
-// label's own symbols; deeper slots splice in below's profile shifted by
-// the label length. Terminators only occur at the end of leaf edges
-// (nothing below them), so folding them as empty slots keeps the shift
-// arithmetic exact. The loop is horizon-bounded, not label-bounded — long
-// leaf edges cost O(HullHorizon), and their tail symbols stay out of the
-// profile by design.
-func prependLabel(l int32, sym func(int32) Symbol, below depthHull) depthHull {
-	var out depthHull
-	for k := int32(0); k < HullHorizon; k++ {
-		if k < l {
-			out.p[k] = emptyHull.add(sym(k))
-		} else {
-			out.p[k] = below.p[k-l]
-		}
-	}
-	return out
-}
-
-func (h symHull) empty() bool { return h.hi < h.lo }
-
-// add widens the hull with one symbol; terminators never enter a hull (the
-// cascade compares hulls against query-value envelopes, and terminators
-// carry no value).
-func (h symHull) add(s Symbol) symHull {
-	if suffixtree.IsTerminator(s) {
-		return h
-	}
-	if h.empty() {
-		return symHull{lo: s, hi: s}
-	}
-	if s < h.lo {
-		h.lo = s
-	}
-	if s > h.hi {
-		h.hi = s
-	}
-	return h
-}
-
-func (h symHull) union(o symHull) symHull {
-	if o.empty() {
-		return h
-	}
-	if h.empty() {
-		return o
-	}
-	if o.lo < h.lo {
-		h.lo = o.lo
-	}
-	if o.hi > h.hi {
-		h.hi = o.hi
-	}
-	return h
-}
-
-// newHull is the persisted form of a subtree's depth profile: the segments
-// plus the derived overall hull.
-func newHull(d *depthHull) (h Hull) {
-	for s := range h.Seg {
-		g := emptyHull
-		for k := s * HullSegLen; k < (s+1)*HullSegLen; k++ {
-			g = g.union(d.p[k])
-		}
-		h.Seg[s] = HullRange{Lo: g.lo, Hi: g.hi}
-	}
-	h.setOverall()
-	return h
-}
-
-// setOverall derives MinSym/MaxSym as the union of the segment hulls — the
-// same derivation the decoder applies, since the overall hull is not
-// stored.
-func (h *Hull) setOverall() {
-	all := emptyHull
-	for _, g := range h.Seg {
-		all = all.union(symHull{lo: g.Lo, hi: g.Hi})
-	}
-	h.MinSym, h.MaxSym = all.lo, all.hi
-}
-
 // Node is a decoded node record. For reference-layout files the label is
 // (LabelSeq, LabelStart, LabelLen) into the text store and Label is nil;
 // for inline-layout files Label holds the symbols and LabelSeq is
@@ -311,9 +146,6 @@ type Node struct {
 	Pos        int32 // leaf only: suffix start position
 	RunLen     int32 // leaf only: equal-symbol run length at Pos
 	Children   []ChildRef
-	// Hulls[i] is the subtree envelope of Children[i]: filled by the v3
-	// decoder and read by the v3 encoder, empty in every other node.
-	Hulls []Hull
 
 	// rd serves File.ReadNodeInto's one-shot reads, kept on the node so a
 	// reused scratch node keeps its page-crossing scratch. It holds a
@@ -323,13 +155,10 @@ type Node struct {
 
 // encodeNode appends n's record bytes to buf in the given layout and
 // encoding, returning the extended slice. For LayoutInline, n.Label must
-// be filled; for EncodingV3, n.Hulls must parallel n.Children.
+// be filled.
 func encodeNode(buf []byte, n *Node, layout Layout, enc Encoding) []byte {
-	switch enc {
-	case EncodingV3:
-		return encodeNodeV3(buf, n, layout)
-	case EncodingV2:
-		return encodeNodeV2(buf, n, layout)
+	if enc == EncodingV2 {
+		return encodeNodeCompact(buf, n, layout)
 	}
 	return encodeNodeV1(buf, n, layout)
 }
@@ -377,28 +206,11 @@ func encodeNodeV1(buf []byte, n *Node, layout Layout) []byte {
 	return buf
 }
 
-// encodeNodeV2 is the compact varint record encoder. Deltas are computed
+// encodeNodeCompact is the v2 varint record encoder. Deltas are computed
 // with wrapping uint64 arithmetic, so the encode∘decode round trip is the
 // identity for any Node, not just well-formed trees (FuzzNodeCodecV2 pins
 // this).
-func encodeNodeV2(buf []byte, n *Node, layout Layout) []byte {
-	return encodeNodeCompact(buf, n, layout, false)
-}
-
-// encodeNodeV3 is the v2 compact encoder plus per-child envelope hulls
-// (FuzzNodeCodecV3 pins the round trip).
-func encodeNodeV3(buf []byte, n *Node, layout Layout) []byte {
-	return encodeNodeCompact(buf, n, layout, true)
-}
-
-// encodeNodeCompact is the shared v2/v3 varint encoder; hulls selects the
-// v3 child-entry envelope tail: HullSegs segment hulls per child, each as
-// zigzag(Lo) plus zigzag(Hi-Lo). On a real file a span is a small
-// non-negative number (or -1 for the empty segment), and the int64
-// difference of two int32 fields is exact, so the round trip is the
-// identity for any segment array; the overall MinSym/MaxSym hull is not
-// written — the decoder re-derives it as the segments' union.
-func encodeNodeCompact(buf []byte, n *Node, layout Layout, hulls bool) []byte {
+func encodeNodeCompact(buf []byte, n *Node, layout Layout) []byte {
 	if layout == LayoutInline {
 		buf = binary.AppendUvarint(buf, uint64(len(n.Label)))
 		for _, s := range n.Label {
@@ -420,16 +232,10 @@ func encodeNodeCompact(buf []byte, n *Node, layout Layout, hulls bool) []byte {
 	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
 	prevSym, prevPtr := int64(0), uint64(0)
-	for i, c := range n.Children {
+	for _, c := range n.Children {
 		buf = binary.AppendVarint(buf, int64(c.Sym)-prevSym)
 		buf = binary.AppendVarint(buf, int64(uint64(c.Ptr)-prevPtr))
 		prevSym, prevPtr = int64(c.Sym), uint64(c.Ptr)
-		if hulls {
-			for _, g := range n.Hulls[i].Seg {
-				buf = binary.AppendVarint(buf, int64(g.Lo))
-				buf = binary.AppendVarint(buf, int64(g.Hi)-int64(g.Lo))
-			}
-		}
 	}
 	return buf
 }
@@ -492,8 +298,8 @@ func decodeMeta(buf []byte) (meta, error) {
 	enc := EncodingV1
 	if len(buf) == metaBaseSize+1 {
 		enc = Encoding(buf[metaBaseSize])
-		if enc < EncodingV1 || enc > EncodingV3 {
-			return meta{}, fmt.Errorf("disktree: unknown encoding %d", buf[metaBaseSize])
+		if enc != EncodingV1 && enc != EncodingV2 {
+			return meta{}, fmt.Errorf("disktree: tree file has record encoding version %d: %w; rebuild the index", buf[metaBaseSize], ErrUnsupportedEncoding)
 		}
 	}
 	if buf[45] > 1 {

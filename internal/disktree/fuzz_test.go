@@ -5,18 +5,21 @@ import (
 	"path/filepath"
 	"testing"
 
-	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
 // FuzzValidateCorruption writes a valid small tree, applies an arbitrary
-// byte mutation from the fuzzer, and requires Validate to terminate without
-// panicking: it must either still pass (mutation hit slack space) or return
-// an error — never crash, never loop.
+// byte mutation from the fuzzer — anywhere in the file, meta page included —
+// and requires Open and Validate to terminate without panicking: the file
+// is refused at Open, or Validate returns an error, or (mutation hit slack
+// space) it still passes — never a crash, never a loop.
 func FuzzValidateCorruption(f *testing.F) {
 	f.Add(uint32(4100), byte(0xFF))
 	f.Add(uint32(4096), byte(0x01))
 	f.Add(uint32(5000), byte(0x80))
+	// The meta blob's length prefix, 46 → 47: the blob grows a version byte
+	// of 0, an encoding no build ever wrote (ErrUnsupportedEncoding).
+	f.Add(uint32(8), byte(0x01))
 	f.Fuzz(func(t *testing.T, offset uint32, xor byte) {
 		if xor == 0 {
 			return // identity mutation
@@ -37,10 +40,7 @@ func FuzzValidateCorruption(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Mutate one byte past the meta page (meta corruption is covered by
-		// decodeMeta's own checks at Open).
-		pos := storage.PageSize + int(offset)%(len(raw)-storage.PageSize)
-		raw[pos] ^= xor
+		raw[int(offset)%len(raw)] ^= xor
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -66,8 +66,8 @@ func (r *Reader) view(id storage.PageID) error {
 	return nil
 }
 
-// ReadNodeInto decodes the node at p into n, reusing n's Children, Hulls
-// and Label storage: with warm scratch nodes a read allocates nothing.
+// ReadNodeInto decodes the node at p into n, reusing n's Children and
+// Label storage: with warm scratch nodes a read allocates nothing.
 // Nothing in n references the page.
 //
 //twlint:steady-state
@@ -114,11 +114,11 @@ func (r *Reader) readSpilled(head []byte, p Ptr, n *Node) error {
 //
 //twlint:steady-state
 func (f *File) decode(b []byte, n *Node, p Ptr) error {
-	n.Children, n.Hulls, n.Label = n.Children[:0], n.Hulls[:0], n.Label[:0]
+	n.Children, n.Label = n.Children[:0], n.Label[:0]
 	if f.meta.enc == EncodingV1 {
 		return decodeV1(b, n, f.meta.layout, p)
 	}
-	return decodeCompact(b, n, f.meta.layout, p, f.meta.enc == EncodingV3)
+	return decodeCompact(b, n, f.meta.layout, p)
 }
 
 // resized returns s with n elements of undefined content, reallocating only
@@ -256,13 +256,11 @@ func (v *varints) flags() byte {
 	return 0
 }
 
-// decodeCompact decodes a v2 record — undoing the delta coding of
-// encodeNodeCompact with the same wrapping arithmetic — or, with hulls, a
-// v3 record: the same fields plus HullSegs varint pairs per child entry,
-// which go to n.Hulls.
+// decodeCompact decodes a v2 record, undoing the delta coding of
+// encodeNodeCompact with the same wrapping arithmetic.
 //
 //twlint:steady-state
-func decodeCompact(b []byte, n *Node, layout Layout, p Ptr, hulls bool) error {
+func decodeCompact(b []byte, n *Node, layout Layout, p Ptr) error {
 	v := varints{b: b}
 	if layout == LayoutInline {
 		labelLen := v.uvarint()
@@ -298,30 +296,15 @@ func decodeCompact(b []byte, n *Node, layout Layout, p Ptr, hulls bool) error {
 	if count > maxCount {
 		return implausible("child count", count, p)
 	}
-	entry := uint64(2) // the fewest bytes a child entry takes
-	if hulls {
-		entry += 2 * HullSegs
-	}
-	if count*entry > uint64(len(b)-v.off) {
+	if 2*count > uint64(len(b)-v.off) { // an entry takes two bytes or more
 		return errShort
 	}
 	n.Children = resized(n.Children, int(count))
-	if hulls {
-		n.Hulls = resized(n.Hulls, int(count))
-	}
 	prevSym, prevPtr := int64(0), uint64(0)
 	for i := range n.Children {
 		prevSym += v.varint()
 		prevPtr += uint64(v.varint())
 		n.Children[i] = ChildRef{Sym: Symbol(int32(prevSym)), Ptr: Ptr(prevPtr)}
-		if hulls {
-			h := &n.Hulls[i]
-			for s := range h.Seg {
-				lo := v.varint()
-				h.Seg[s] = HullRange{Lo: Symbol(int32(lo)), Hi: Symbol(int32(lo + v.varint()))}
-			}
-			h.setOverall()
-		}
 	}
 	return v.err
 }

@@ -56,7 +56,7 @@ func allNodes(t *testing.T, f *File) (ptrs []Ptr, nodes []Node) {
 func TestReaderEqualsReadNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	ts := wideStore(rng)
-	for _, enc := range []Encoding{EncodingV1, EncodingV2, EncodingV3} {
+	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		for _, layout := range []Layout{LayoutReference, LayoutInline} {
 			path := filepath.Join(t.TempDir(), "wide.twt")
 			built, err := Build(ts, allSeqs(ts), path, BuildOptions{Layout: layout, Encoding: enc})
@@ -65,8 +65,8 @@ func TestReaderEqualsReadNode(t *testing.T) {
 			}
 			ptrs, want := allNodes(t, built)
 			built.Close()
-			if kids := len(want[0].Children); kids < 400 || (enc == EncodingV3) != (len(want[0].Hulls) == kids) {
-				t.Fatalf("%s/%s: root has %d children and %d hulls", enc, layout, kids, len(want[0].Hulls))
+			if kids := len(want[0].Children); kids < 400 {
+				t.Fatalf("%s/%s: root has %d children, want a root wider than a page", enc, layout, kids)
 			}
 			orders := map[string][]int{"dfs": make([]int, len(ptrs)), "reverse": make([]int, len(ptrs)), "random": rng.Perm(len(ptrs))}
 			for i := range ptrs {
@@ -114,13 +114,8 @@ func TestReaderEqualsReadNode(t *testing.T) {
 // both pages and decodes to the node that was encoded, in each encoding.
 func TestReaderStraddle(t *testing.T) {
 	in := Node{LabelSeq: 3, LabelStart: 70000, LabelLen: 9, Children: []ChildRef{{1, 4096}, {7, 5000}, {300, 1 << 33}}}
-	in.Hulls = make([]Hull, len(in.Children))
-	for i := range in.Hulls {
-		in.Hulls[i].Seg[0] = HullRange{Lo: Symbol(i), Hi: Symbol(i + 2)}
-		in.Hulls[i].setOverall()
-	}
 	leaf := Node{LabelSeq: 1, LabelStart: 2, LabelLen: 300, Leaf: true, Pos: 129, RunLen: 4}
-	for _, enc := range []Encoding{EncodingV1, EncodingV2, EncodingV3} {
+	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		for _, want := range []*Node{&in, &leaf} {
 			rec := encodeNode(nil, want, LayoutReference, enc)
 			for before := 1; before <= 12 && before < len(rec); before++ {
@@ -129,9 +124,6 @@ func TestReaderStraddle(t *testing.T) {
 				var got Node
 				if err := f.ReadNodeInto(Ptr(2*storage.PageSize-before), &got); err != nil {
 					t.Fatalf("%s, %d bytes before the boundary: %v", enc, before, err)
-				}
-				if enc != EncodingV3 {
-					got.Hulls = want.Hulls // only v3 carries them
 				}
 				if !nodesEqual(want, &got) {
 					t.Fatalf("%s, %d bytes before the boundary:\n got: %+v\nwant: %+v", enc, before, got, *want)
@@ -148,7 +140,7 @@ func TestReaderStraddle(t *testing.T) {
 // reads as ErrTruncated: no panic, no wrong node, no pin left behind.
 func TestReaderTruncatedFile(t *testing.T) {
 	ts := wideStore(rand.New(rand.NewSource(1702)))
-	for _, enc := range []Encoding{EncodingV1, EncodingV2, EncodingV3} {
+	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		path := filepath.Join(t.TempDir(), "cut.twt")
 		built, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc})
 		if err != nil {

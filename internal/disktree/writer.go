@@ -63,11 +63,11 @@ func (a *appender) close() error {
 	return a.flush()
 }
 
-// treeWriter is the output half of every construction — createOn's
-// serialization of an in-memory tree, Build's sort-and-stream pass and
-// Rewrite's re-encode: node records appended in post-order (children before
-// their parent, so every child offset is known when the parent is encoded),
-// with the meta counters kept alongside.
+// treeWriter is the output half of both constructions — createOn's
+// serialization of an in-memory tree and Build's sort-and-stream pass: node
+// records appended in post-order (children before their parent, so every
+// child offset is known when the parent is encoded), with the meta counters
+// kept alongside.
 type treeWriter struct {
 	pf      *storage.File
 	app     appender
@@ -76,10 +76,8 @@ type treeWriter struct {
 	// kids stacks the child entries of the nodes not yet written, the
 	// deepest node's last: a writer notes len(kids) when it starts on a
 	// node's children, attaches each child as it is written, and emits the
-	// node with everything from that mark on as its child table. kidHulls
-	// parallels kids for v3 output and stays empty otherwise.
-	kids     []ChildRef
-	kidHulls []Hull
+	// node with everything from that mark on as its child table.
+	kids []ChildRef
 }
 
 // newTreeWriter starts a tree of mt's shape (sparseness, length filter,
@@ -100,19 +98,11 @@ func lengthFilter(minSuffixLen int) uint32 {
 	return 0
 }
 
-// hulls reports whether the output persists per-child subtree envelopes, so
-// writers must aggregate them bottom-up.
-func (w *treeWriter) hulls() bool { return w.meta.enc == EncodingV3 }
-
 // emit appends n's record, with the entries attached since the mark first
 // as its child table, pops them, and returns the record's offset.
 func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
 	n.Children = w.kids[first:]
 	w.kids = w.kids[:first]
-	if w.hulls() {
-		n.Hulls = w.kidHulls[first:]
-		w.kidHulls = w.kidHulls[:first]
-	}
 	w.meta.nodes++
 	w.meta.labelSyms += uint64(n.LabelLen)
 	if n.Leaf {
@@ -124,17 +114,9 @@ func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
 }
 
 // attach pushes the child-table entry of the node just written at ptr,
-// whose label starts with first. For v3 output it pushes the subtree's hull
-// beside it — the label's l symbols, read through label, over below, the
-// union of the node's own children's hulls — and folds it into parent, the
-// parent's accumulator; other encodings touch none of the three.
-func (w *treeWriter) attach(first Symbol, ptr Ptr, l int32, label func(int32) Symbol, below, parent *depthHull) {
+// whose label starts with first.
+func (w *treeWriter) attach(first Symbol, ptr Ptr) {
 	w.kids = append(w.kids, ChildRef{Sym: first, Ptr: ptr})
-	if w.hulls() {
-		hull := prependLabel(l, label, *below)
-		*parent = parent.union(hull)
-		w.kidHulls = append(w.kidHulls, newHull(&hull))
-	}
 }
 
 // finish flushes the records, persists the meta blob naming root, syncs,

@@ -22,21 +22,14 @@ package dtw
 // allocations for it.
 
 // Envelope is the per-position value hull of a query under a Sakoe–Chiba
-// band (constant without one), plus the suffix hulls the subtree-pruning
-// tier looks ahead with. It is not safe for concurrent use; parallel search
-// workers bind one each.
+// band (constant without one). It is not safe for concurrent use; parallel
+// search workers bind one each.
 type Envelope struct {
-	q      []float64
-	window int
-
 	// lo/hi are the envelope per candidate position. With a window they
 	// have length len(q)+window (positions beyond are unreachable under the
 	// band); without one they are the single global hull entry. Readers
 	// clamp their index — see At.
 	lo, hi []float64
-	// sufLo/sufHi are suffix hulls: sufLo[x] = min(lo[x:]), sufHi[x] =
-	// max(hi[x:]) — the widest envelope any row at depth >= x can see.
-	sufLo, sufHi []float64
 
 	deq []int32 // sliding-window deque scratch, reused across Bind calls
 }
@@ -56,8 +49,6 @@ func (e *Envelope) Bind(q []float64, w int) {
 		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any envelope exists
 		panic("dtw: empty query")
 	}
-	e.q = q
-	e.window = w
 	n := len(q)
 	if w < 0 {
 		// Unconstrained: one global hull entry serves every position.
@@ -72,8 +63,6 @@ func (e *Envelope) Bind(q []float64, w int) {
 		}
 		e.lo = append(e.lo[:0], minQ)
 		e.hi = append(e.hi[:0], maxQ)
-		e.sufLo = append(e.sufLo[:0], minQ)
-		e.sufHi = append(e.sufHi[:0], maxQ)
 		return
 	}
 	m := n + w // positions 0 .. n-1+w are reachable under the band
@@ -81,13 +70,6 @@ func (e *Envelope) Bind(q []float64, w int) {
 	e.hi = grow(e.hi, m)
 	e.slide(q, w, e.lo, true)
 	e.slide(q, w, e.hi, false)
-	e.sufLo = grow(e.sufLo, m)
-	e.sufHi = grow(e.sufHi, m)
-	e.sufLo[m-1], e.sufHi[m-1] = e.lo[m-1], e.hi[m-1]
-	for x := m - 2; x >= 0; x-- {
-		e.sufLo[x] = min(e.lo[x], e.sufLo[x+1])
-		e.sufHi[x] = max(e.hi[x], e.sufHi[x+1])
-	}
 }
 
 // slide fills out[x] with the min (or max) of q over the band around x using
@@ -129,13 +111,6 @@ func grow(s []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// Window returns the band half-width the envelope was bound with (< 0 means
-// unconstrained).
-func (e *Envelope) Window() int { return e.window }
-
-// Query returns the query the envelope was bound to.
-func (e *Envelope) Query() []float64 { return e.q }
-
 // At returns the envelope interval at candidate position x, clamping x past
 // the last reachable position (rows out there are unreachable under the
 // band, so any interval is a sound stand-in). The slices returned by Bounds
@@ -147,22 +122,10 @@ func (e *Envelope) At(x int) (lo, hi float64) {
 	return e.lo[x], e.hi[x]
 }
 
-// SuffixAt returns the hull of the envelope over every position >= x, with
-// the same clamping as At.
-func (e *Envelope) SuffixAt(x int) (lo, hi float64) {
-	if m := len(e.sufLo) - 1; x > m {
-		x = m
-	}
-	return e.sufLo[x], e.sufHi[x]
-}
-
 // Bounds returns the per-position envelope slices (length 1 when the
 // envelope is constant). The slices alias the envelope's storage and are
 // invalidated by the next Bind.
 func (e *Envelope) Bounds() (lo, hi []float64) { return e.lo, e.hi }
-
-// SuffixBounds returns the suffix-hull slices, aliasing like Bounds.
-func (e *Envelope) SuffixBounds() (lo, hi []float64) { return e.sufLo, e.sufHi }
 
 // GapInterval returns the smallest possible city-block distance between any
 // value in [aLo, aHi] and any value in [bLo, bHi] — zero when the intervals
@@ -216,55 +179,4 @@ func LBKeogh(c []float64, e *Envelope) float64 {
 		sum += g
 	}
 	return sum
-}
-
-// LBScratch is the reusable buffer of LBImproved's second pass: the
-// projection of the candidate onto the envelope and that projection's own
-// envelope. A pooled scratch makes repeated LBImproved calls allocation-free
-// after warmup.
-type LBScratch struct {
-	h   []float64
-	env Envelope
-}
-
-// LBImproved returns Lemire's two-pass envelope bound: LB_Keogh(c, Env(Q))
-// plus LB_Keogh(Q, Env(H)), where H is c clamped into Q's envelope. The
-// second term re-spends exactly the distance the first term already charged,
-// so LB_Keogh <= LB_Improved <= D_tw. Both series must have the same length
-// (Lemire's setting); the engine's traversal never calls this — a
-// progressive scan cannot use it because the second term is not monotone in
-// the candidate's end — so it serves the one-shot kernels and benchmarks.
-// scratch may be nil for one-shot use.
-func LBImproved(c []float64, e *Envelope, scratch *LBScratch) float64 {
-	if len(c) != len(e.q) {
-		//lint:ignore panicpath precondition assertion: the two-pass bound is defined for equal lengths; a silent partial projection would overstate the bound and dismiss true answers
-		panic("dtw: LBImproved length mismatch")
-	}
-	if scratch == nil {
-		scratch = &LBScratch{}
-	}
-	lo, hi := e.lo, e.hi
-	m := len(lo) - 1
-	scratch.h = grow(scratch.h, len(c))
-	var sum float64
-	for x, v := range c {
-		ix := x
-		if ix > m {
-			ix = m
-		}
-		h := v
-		below := lo[ix] - v
-		above := v - hi[ix]
-		switch {
-		case below > 0:
-			sum += below
-			h = lo[ix]
-		case above > 0:
-			sum += above
-			h = hi[ix]
-		}
-		scratch.h[x] = h
-	}
-	scratch.env.Bind(scratch.h, e.window)
-	return sum + LBKeogh(e.q, &scratch.env)
 }

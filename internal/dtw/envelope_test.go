@@ -60,22 +60,6 @@ func TestEnvelopeMatchesNaive(t *testing.T) {
 				t.Fatal("At did not clamp")
 			}
 		}
-		// Suffix hulls are the running min/max of the tails.
-		sufLo, sufHi := e.SuffixBounds()
-		for x := range sufLo {
-			wlo, whi := Inf, -Inf
-			for y := x; y < len(lo); y++ {
-				if lo[y] < wlo {
-					wlo = lo[y]
-				}
-				if hi[y] > whi {
-					whi = hi[y]
-				}
-			}
-			if sufLo[x] != wlo || sufHi[x] != whi {
-				t.Fatalf("suffix hull at %d: [%v,%v], want [%v,%v]", x, sufLo[x], sufHi[x], wlo, whi)
-			}
-		}
 	}
 }
 
@@ -87,9 +71,6 @@ func TestEnvelopeUnconstrained(t *testing.T) {
 	}
 	if l, h := e.At(100); l != 1 || h != 5 {
 		t.Fatal("constant envelope At wrong")
-	}
-	if l, h := e.SuffixAt(100); l != 1 || h != 5 {
-		t.Fatal("constant envelope SuffixAt wrong")
 	}
 }
 
@@ -111,12 +92,11 @@ func TestGapInterval(t *testing.T) {
 	}
 }
 
-// TestQuickLowerBoundChain pins the cascade's ordering property on equal
-// lengths: LB_Keogh <= LB_Improved <= D_tw under the window the envelope was
-// bound with, for both banded and unconstrained envelopes.
+// TestQuickLowerBoundChain pins the row gate's ordering property on equal
+// lengths: LB_Keogh <= D_tw under the window the envelope was bound with,
+// for both banded and unconstrained envelopes.
 func TestQuickLowerBoundChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
-	scratch := &LBScratch{}
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(24)
 		q := randSeries(rng, n)
@@ -127,7 +107,6 @@ func TestQuickLowerBoundChain(t *testing.T) {
 		}
 		e := NewEnvelope(q, w)
 		lbk := LBKeogh(c, e)
-		lbi := LBImproved(c, e, scratch)
 		var d float64
 		if w < 0 {
 			d = Distance(c, q)
@@ -135,11 +114,8 @@ func TestQuickLowerBoundChain(t *testing.T) {
 			d = DistanceWindow(c, q, w)
 		}
 		const slack = 1e-9 // float sums associate differently across kernels
-		if lbk > lbi+slack {
-			t.Fatalf("|q|=%d w=%d: LB_Keogh %v > LB_Improved %v", n, w, lbk, lbi)
-		}
-		if lbi > d+slack {
-			t.Fatalf("|q|=%d w=%d: LB_Improved %v > D_tw %v", n, w, lbi, d)
+		if lbk > d+slack {
+			t.Fatalf("|q|=%d w=%d: LB_Keogh %v > D_tw %v", n, w, lbk, d)
 		}
 	}
 }
@@ -170,15 +146,6 @@ func TestQuickLBKeoghUnequalLengths(t *testing.T) {
 	}
 }
 
-func TestLBImprovedLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	LBImproved([]float64{1, 2}, NewEnvelope([]float64{1, 2, 3}, -1), nil)
-}
-
 func TestEnvelopePanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -188,23 +155,20 @@ func TestEnvelopePanicsOnEmpty(t *testing.T) {
 	NewEnvelope(nil, 3)
 }
 
-// TestEnvelopeBindNoAllocs: rebinding a pooled envelope and running both
-// kernels is allocation-free after warmup — the steady-state contract the
+// TestEnvelopeBindNoAllocs: rebinding a pooled envelope and running the
+// kernel is allocation-free after warmup — the steady-state contract the
 // per-query context relies on.
 func TestEnvelopeBindNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	q := randSeries(rng, 64)
 	c := randSeries(rng, 64)
 	e := NewEnvelope(q, 8)
-	scratch := &LBScratch{}
 	// Warm up every growth path.
 	e.Bind(q, 8)
 	LBKeogh(c, e)
-	LBImproved(c, e, scratch)
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Bind(q, 8)
 		LBKeogh(c, e)
-		LBImproved(c, e, scratch)
 		e.Bind(q, -1)
 		LBKeogh(c, e)
 	})

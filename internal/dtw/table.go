@@ -251,12 +251,6 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 	return curr[n-1], minDist
 }
 
-// LastRow returns the deepest row's cumulative costs (Inf in out-of-band
-// columns) — the DP frontier a lookahead bound can splice per-column tail
-// charges onto. It panics via slice bounds at depth 0; callers handle the
-// no-rows-yet case themselves. See Row.
-func (t *Table) LastRow() []float64 { return t.Row(t.depth - 1) }
-
 // growRow extends the row storage by one row of n cells and returns the new
 // row as a full slice expression (appends beyond it can never reach older
 // rows). Growing within capacity is safe even on a rebound table: the caller

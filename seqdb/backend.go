@@ -24,31 +24,30 @@ const (
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // Encoding selects the on-disk node record serialization of an index tree:
-// v1 fixed-width (the default, readable by every version), v2 compact
-// varints (smaller files), or v3 compact varints plus per-child envelope
-// hulls (enables subtree-level lower-bound pruning). Existing indexes can
-// be migrated either way with the twtree rewrite subcommand.
+// v1 fixed-width (the default) or v2 compact varints (files about a third
+// of the size). An index is built in one encoding; to change it, drop the
+// index and build it again.
 type Encoding = disktree.Encoding
 
 // The available record encodings. The zero value means EncodingV1.
 const (
 	EncodingV1 = disktree.EncodingV1
 	EncodingV2 = disktree.EncodingV2
-	EncodingV3 = disktree.EncodingV3
 )
 
 // ParseEncoding validates an encoding name from a flag or config value; the
 // empty string means EncodingV1.
 func ParseEncoding(s string) (Encoding, error) { return disktree.ParseEncoding(s) }
 
-// EnvelopeMode selects whether searches run the envelope lower-bound
-// cascade before the DTW filter tables. The cascade never changes answers
-// — only how much work a search does — so the zero value enables it.
+// EnvelopeMode selects whether searches run the envelope lower-bound gate:
+// one O(1) check per tree-edge row, in front of the DTW filter table. The
+// gate never changes answers — only how much work a search does — so the
+// zero value enables it.
 type EnvelopeMode int
 
-// The envelope-cascade modes. EnvelopesAuto and EnvelopesOn both run the
-// cascade (Auto is the zero value, so the default is on); EnvelopesOff
-// disables it, mainly for ablation runs and work-counter baselines.
+// The envelope modes. EnvelopesAuto and EnvelopesOn both run the gate
+// (Auto is the zero value, so the default is on); EnvelopesOff disables
+// it, mainly for ablation runs and work-counter baselines.
 const (
 	EnvelopesAuto EnvelopeMode = iota
 	EnvelopesOff
@@ -75,7 +74,7 @@ type OpenOptions struct {
 	// Backend selects the page source for every index tree ("" = pool).
 	Backend Backend
 
-	// Envelopes toggles the envelope lower-bound cascade on every index
+	// Envelopes toggles the envelope lower-bound gate on every index
 	// opened or built through this handle (zero value = on).
 	Envelopes EnvelopeMode
 }

@@ -1,10 +1,17 @@
 package seqdb
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"twsearch/internal/disktree"
+	"twsearch/internal/storage"
 )
 
 // buildBackendDB creates a small database with one index per encoding so the
@@ -160,5 +167,61 @@ func TestOpenWithRestoresEncoding(t *testing.T) {
 		if info.Spec.Encoding != enc {
 			t.Fatalf("index %s: encoding = %v, want %v", name, info.Spec.Encoding, enc)
 		}
+	}
+}
+
+// TestOpenRefusesRetiredEncoding: a database whose catalog names a tree
+// file of a retired record encoding (format v3) fails to open with the
+// typed error naming the index, holds nothing open — the index can be
+// dropped on disk and the database opened — and BuildIndex refuses to write
+// such a file in the first place.
+func TestOpenRefusesRetiredEncoding(t *testing.T) {
+	dir := buildBackendDB(t)
+	treePath := filepath.Join(dir, "idx-ix-v2.twt")
+	pf, err := storage.OpenFile(treePath, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := pf.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-1] = 3 // the version byte ends a v2 meta blob
+	if err := pf.SetMeta(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, backend := range []Backend{BackendPool, BackendMmap} {
+		db, err := OpenWith(dir, OpenOptions{Backend: backend})
+		if !errors.Is(err, disktree.ErrUnsupportedEncoding) {
+			if db != nil {
+				db.Close()
+			}
+			t.Fatalf("%s: OpenWith: %v, want ErrUnsupportedEncoding", backend, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"ix-v2"`) || !strings.Contains(msg, "rebuild the index") {
+			t.Errorf("%s: error %q names neither the index nor the remedy", backend, msg)
+		}
+	}
+
+	for _, ext := range []string{".twt", ".cat", ".meta"} {
+		if err := os.Remove(filepath.Join(dir, "idx-ix-v2"+ext)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after dropping the refused index: %v", err)
+	}
+	defer db.Close()
+	err = db.BuildIndex("ix-v3", IndexSpec{Method: MethodMaxEntropy, Categories: 8, Encoding: 3})
+	if !errors.Is(err, disktree.ErrUnsupportedEncoding) {
+		t.Fatalf("BuildIndex with encoding 3: %v, want ErrUnsupportedEncoding", err)
+	}
+	if got := len(db.Indexes()); got != 1 {
+		t.Fatalf("%d indexes after the refused build, want 1", got)
 	}
 }

@@ -48,8 +48,8 @@ type IndexSpec struct {
 	// PoolPages bounds the tree file's buffer pool (default 256).
 	PoolPages int
 	// Encoding selects the node record serialization of the tree file
-	// (zero value = EncodingV1; EncodingV2 is the compact varint format;
-	// EncodingV3 adds per-child envelope hulls for subtree pruning).
+	// (zero value = EncodingV1; EncodingV2 is the compact varint format).
+	// BuildIndex rejects any other value.
 	Encoding Encoding
 }
 
@@ -108,14 +108,16 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 		return errors.New("seqdb: cannot index an empty database")
 	}
 	spec = spec.withDefaults()
+	if spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
+		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
+	}
 	ix, err := core.Build(db.data, db.treePath(name), core.Options{
 		Kind:         categorize.Kind(spec.Method),
 		Categories:   spec.Categories,
 		Sparse:       spec.Sparse,
 		Window:       spec.Window,
 		MinAnswerLen: spec.MinAnswerLen,
-		Encoding:     spec.Encoding,
-		Build:        disktree.BuildOptions{PoolPages: spec.PoolPages},
+		Build:        disktree.BuildOptions{PoolPages: spec.PoolPages, Encoding: spec.Encoding},
 	})
 	if err != nil {
 		return err
