@@ -64,21 +64,22 @@ ci: check race-concurrency race-parallel race-shard race-mmap race-build fuzz-ci
 # sync.Pools, the state-reuse case a single pass misses. Each search holds
 # one page pinned through its node reader and the pool recycles the frames
 # it evicts, so the suite — with the tests that every path out of a search
-# unpins and that a recycled frame is never a pinned one — runs with one
-# scheduler thread and with four.
-RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestSetEpochReuse|TestSearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/pending/ ./internal/disktree/
+# unpins (over the scalar and the vector kernel) and that a recycled frame
+# is never a pinned one — runs with one scheduler thread and with four.
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestSetEpochReuse|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/multivar/ ./internal/storage/ ./internal/pending/ ./internal/disktree/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)
 
 # Intra-query parallelism determinism under -race, run twice for warm
 # sync.Pools: every worker count must return answers byte-identical to the
-# serial traversal, across both engines, the seqdb layer, and the server's
-# request-hint path — and every worker's node reader must be closed when
-# the search returns. The envelope row gate rides the same suites: serial
-# and parallel, on and off, it must change only work counters, never
-# answers. With one scheduler thread and with four.
-RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestSearchWithDeterministic|TestServerParallelHint|TestSearchReleasesReader|TestEnvelope|TestMultivarEnvelope' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
+# serial traversal, over both row kernels of the one engine, the seqdb
+# layer, and the server's request-hint path — doing exactly the pinned work
+# — and every worker's node reader must be closed when the search returns.
+# The envelope row gate rides the same suites: serial and parallel, on and
+# off, it must change only work counters, never answers. With one scheduler
+# thread and with four.
+RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestEngineWorkPinned|TestSearchWithDeterministic|TestServerParallelHint|SearchReleasesReader|TestEnvelope|TestMultivarEnvelope' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
 race-parallel:
 	GOMAXPROCS=1 $(GO) test $(RACE_PARALLEL)
 	GOMAXPROCS=4 $(GO) test $(RACE_PARALLEL)
@@ -117,13 +118,16 @@ race-build:
 smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
-# Bounded fuzzing for CI: the distance-kernel, engine-equivalence, wire
-# round-trip, build-versus-naive and node-codec targets, 10s each, seeds +
-# corpus only.
+# Bounded fuzzing for CI: the distance-kernel, engine-equivalence (scalar
+# and vector kernel), wire round-trip, build-versus-naive, node-codec,
+# scheme-reader and file-corruption targets, 10s each, seeds + corpus only.
 fuzz-ci:
 	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzIntervalLowerBound -fuzztime 10s ./internal/dtw/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 10s ./internal/core/
+	$(GO) test -fuzz FuzzVectorSearchMatchesScan -fuzztime 10s ./internal/multivar/
+	$(GO) test -fuzz FuzzReadScheme -fuzztime 10s ./internal/categorize/
+	$(GO) test -fuzz FuzzValidateCorruption -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
@@ -165,6 +169,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 20s ./internal/core/
+	$(GO) test -fuzz FuzzVectorSearchMatchesScan -fuzztime 20s ./internal/multivar/
 
 # Regenerate the paper's tables and figures at full scale (minutes).
 tables:

@@ -36,7 +36,7 @@ func TestExitCodes(t *testing.T) {
 func TestNegativeFixtures(t *testing.T) {
 	for _, dir := range []string{
 		"panicpath", "errwrap", "floateq", "closecheck", "globalrand", "ctxloop",
-		"boundscontract", "boundmark", "lockbalance", "goleak", "deferinloop",
+		"boundscontract", "boundmark", "boundiface", "lockbalance", "goleak", "deferinloop",
 		"poolbalance", "atomicmix", "joinbarrier",
 		"wireconform", "ctxflow", "steadystate",
 	} {

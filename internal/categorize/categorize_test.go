@@ -2,6 +2,7 @@ package categorize
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -446,5 +447,11 @@ func TestReadSchemeErrors(t *testing.T) {
 	}
 	if _, err := ReadScheme(bytes.NewReader([]byte("XXXXXXXXrest"))); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// A header declaring 10⁹ categories over a stream holding one: a typed
+	// error, and no allocation sized by the declared count.
+	huge := append([]byte("TWCATSC1\x01\x00\xca\x9a\x3b"), make([]byte, 40)...)
+	if _, err := ReadScheme(bytes.NewReader(huge)); !errors.Is(err, ErrTruncatedScheme) {
+		t.Errorf("truncated stream: %v, want ErrTruncatedScheme", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Scheme binary format:
@@ -22,6 +23,10 @@ var schemeMagic = [8]byte{'T', 'W', 'C', 'A', 'T', 'S', 'C', '1'}
 
 // ErrBadSchemeFile reports a malformed scheme stream.
 var ErrBadSchemeFile = errors.New("categorize: not a TWCATSC1 scheme stream")
+
+// ErrTruncatedScheme reports a scheme stream that ends before the
+// categories its header declares.
+var ErrTruncatedScheme = errors.New("categorize: scheme stream ends before its declared categories")
 
 var kindCodes = map[Kind]uint8{
 	KindEqualLength: 0,
@@ -89,21 +94,27 @@ func ReadScheme(r io.Reader) (*Scheme, error) {
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("categorize: reading category count: %w", err)
 	}
-	cats := make([]Category, count)
-	uppers := make([]float64, count)
-	for i := range cats {
+	// The count is whatever the stream says, so storage grows as records
+	// actually arrive: a corrupt count costs a short read, not count × 40
+	// bytes of allocation.
+	prealloc := min(count, 1<<10)
+	cats := make([]Category, 0, prealloc)
+	uppers := make([]float64, 0, prealloc)
+	var rec [40]byte
+	for i := uint32(0); i < count; i++ {
+		if _, err := io.ReadFull(r, rec[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("%w: %d declared, %d present", ErrTruncatedScheme, count, i)
+			}
+			return nil, fmt.Errorf("categorize: category %d: %w", i, err)
+		}
 		var f [4]float64
 		for j := range f {
-			if err := binary.Read(r, binary.LittleEndian, &f[j]); err != nil {
-				return nil, fmt.Errorf("categorize: category %d: %w", i, err)
-			}
+			f[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*j:]))
 		}
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("categorize: category %d count: %w", i, err)
-		}
-		cats[i] = Category{Lo: f[0], Hi: f[1], ObsLo: f[2], ObsHi: f[3], Count: int(n)}
-		uppers[i] = f[1]
+		n := binary.LittleEndian.Uint64(rec[32:])
+		cats = append(cats, Category{Lo: f[0], Hi: f[1], ObsLo: f[2], ObsHi: f[3], Count: int(n)})
+		uppers = append(uppers, f[1])
 	}
 	return (&Scheme{kind: kind, cats: cats, uppers: uppers}).withGrid(), nil
 }

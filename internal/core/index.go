@@ -82,59 +82,31 @@ func (o Options) withDefaults() Options {
 }
 
 // Index bundles everything a search needs: the raw data (for
-// post-processing), the categorization scheme (for symbol intervals), the
-// categorized texts, and the disk-resident tree. All of it is immutable at
-// query time, and the per-query mutable state lives in pooled query
-// contexts, so one Index serves any number of concurrent searches.
+// post-processing), the categorization scheme (for symbol intervals), and —
+// in the embedded Engine — the categorized texts and the disk-resident
+// tree. All of it is immutable at query time, and the per-query mutable
+// state lives in pooled query contexts, so one Index serves any number of
+// concurrent searches.
 type Index struct {
+	Engine
 	Data   *sequence.Dataset
 	Scheme *categorize.Scheme
-	Store  *suffixtree.TextStore
-	Tree   *disktree.File
 	// Exact records that filtering distances are exact (identity scheme):
 	// stored-suffix candidates skip post-processing.
 	Exact bool
-	// Window is the warping-window half-width, or -1.
-	Window int
-	// DisablePruning turns off the Theorem-1 branch pruning (R_p -> 1).
-	// It exists only for the ablation benchmarks; results are unchanged,
-	// only the work done.
-	DisablePruning bool
-	// DisableEnvelopes turns off the envelope row gate (the O(1)-per-row
-	// prefilter in front of the table). Like DisablePruning it changes only
-	// the work done, never the answers; the ablation benchmarks toggle it to
-	// measure the gate.
-	DisableEnvelopes bool
 	// BuildStats records how the disk tree was constructed (zero for
 	// indexes attached with Open).
 	BuildStats disktree.BuildStats
-	// minAnswerLen mirrors the tree's suffix length filter: Search emits
-	// only answers of at least this length.
-	minAnswerLen int
-	// maxRun is the longest equal-symbol run in any categorized sequence;
-	// it bounds the D_tw-lb2 shift during sparse branch pruning.
-	maxRun int
-	// seqOffsets[i] is the global element offset of sequence i; searches
-	// use it to key their pending candidate sets. totalElements is the sum
-	// of all sequence lengths.
-	seqOffsets    []int
-	totalElements int
-	// queries recycles per-query execution state. Behind a pointer so Dup's
-	// shallow copy shares the pool instead of copying a sync.Pool.
-	queries *queryPool
 }
 
-// computeOffsets fills seqOffsets and totalElements from the dataset and
-// equips the index with its query-context pool.
-func (ix *Index) computeOffsets() {
-	ix.seqOffsets = make([]int, ix.Data.Len())
-	off := 0
-	for i := 0; i < ix.Data.Len(); i++ {
-		ix.seqOffsets[i] = off
-		off += len(ix.Data.Values(i))
+// newIndex wraps an opened tree and its texts into a searchable index.
+func newIndex(data *sequence.Dataset, scheme *categorize.Scheme, store *suffixtree.TextStore, tree *disktree.File, window int) *Index {
+	return &Index{
+		Engine: NewEngine(tree, store, window, func() Kernel { return newScalarKernel(data, scheme) }),
+		Data:   data,
+		Scheme: scheme,
+		Exact:  scheme.Kind() == categorize.KindIdentity,
 	}
-	ix.totalElements = off
-	ix.queries = &queryPool{}
 }
 
 // Build fits the categorizer on the dataset, encodes every sequence, and
@@ -155,7 +127,7 @@ func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 // when several indexes must share one scheme, or when reopening).
 func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path string, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
-	store, maxRun := encodeAll(data, scheme)
+	store := encodeAll(data, scheme)
 	seqs := make([]int, data.Len())
 	for i := range seqs {
 		seqs[i] = i
@@ -172,18 +144,8 @@ func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path str
 	if err != nil {
 		return nil, fmt.Errorf("core: building tree: %w", err)
 	}
-	ix := &Index{
-		Data:         data,
-		Scheme:       scheme,
-		Store:        store,
-		Tree:         tree,
-		Exact:        scheme.Kind() == categorize.KindIdentity,
-		Window:       opts.Window,
-		BuildStats:   buildStats,
-		maxRun:       maxRun,
-		minAnswerLen: tree.MinSuffixLen(),
-	}
-	ix.computeOffsets()
+	ix := newIndex(data, scheme, store, tree, opts.Window)
+	ix.BuildStats = buildStats
 	return ix, nil
 }
 
@@ -202,24 +164,8 @@ func OpenWith(data *sequence.Dataset, scheme *categorize.Scheme, treePath string
 	if err != nil {
 		return nil, err
 	}
-	store, maxRun := encodeAll(data, scheme)
-	ix := &Index{
-		Data:         data,
-		Scheme:       scheme,
-		Store:        store,
-		Tree:         tree,
-		Exact:        scheme.Kind() == categorize.KindIdentity,
-		Window:       window,
-		maxRun:       maxRun,
-		minAnswerLen: tree.MinSuffixLen(),
-	}
-	ix.computeOffsets()
-	return ix, nil
+	return newIndex(data, scheme, encodeAll(data, scheme), tree, window), nil
 }
-
-// MinAnswerLen returns the answer length floor the index was built with
-// (0 = unrestricted).
-func (ix *Index) MinAnswerLen() int { return ix.minAnswerLen }
 
 // Dup returns an independent handle on the same index file with its own
 // buffer pool. An Index is already safe for concurrent searches — per-query
@@ -229,20 +175,14 @@ func (ix *Index) MinAnswerLen() int { return ix.minAnswerLen }
 // cannot disturb). The duplicate shares the immutable dataset, scheme,
 // categorized texts and query-context pool; Close it independently.
 func (ix *Index) Dup(poolPages int) (*Index, error) {
-	if poolPages <= 0 {
-		poolPages = 256
-	}
-	tree, err := disktree.Open(ix.Tree.Path(), poolPages, true)
+	engine, err := ix.Reopen(poolPages)
 	if err != nil {
 		return nil, err
 	}
 	dup := *ix
-	dup.Tree = tree
+	dup.Engine = engine
 	return &dup, nil
 }
-
-// Close releases the underlying tree file.
-func (ix *Index) Close() error { return ix.Tree.Close() }
 
 // SizeBytes returns the on-disk index size (Table 1's metric).
 func (ix *Index) SizeBytes() int64 { return ix.Tree.SizeBytes() }
@@ -260,25 +200,11 @@ func (ix *Index) RemoveFile() error {
 	return os.Remove(filepath.Clean(path))
 }
 
-// encodeAll categorizes every sequence and returns the text store and the
-// longest equal-symbol run.
-func encodeAll(data *sequence.Dataset, scheme *categorize.Scheme) (*suffixtree.TextStore, int) {
+// encodeAll categorizes every sequence into a text store.
+func encodeAll(data *sequence.Dataset, scheme *categorize.Scheme) *suffixtree.TextStore {
 	store := suffixtree.NewTextStore()
-	maxRun := 1
 	for i := 0; i < data.Len(); i++ {
-		syms := scheme.Encode(data.Values(i))
-		store.Add(syms)
-		run := 1
-		for j := 1; j < len(syms); j++ {
-			if syms[j] == syms[j-1] {
-				run++
-				if run > maxRun {
-					maxRun = run
-				}
-			} else {
-				run = 1
-			}
-		}
+		store.Add(scheme.Encode(data.Values(i)))
 	}
-	return store, maxRun
+	return store
 }

@@ -37,40 +37,45 @@ func (ix *Index) SearchKNNCtx(ctx context.Context, q []float64, k int) ([]Match,
 // rounds — and therefore the result and the accumulated stats — are
 // byte-identical to the serial call at every parallelism level.
 func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
+	step := 0.0
+	for i := 1; i < len(q); i++ {
+		step += math.Abs(q[i] - q[i-1])
+	}
+	return RunKNN(ctx, k, step/float64(len(q)), func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+		return ix.run(ctx, q, eps, nil, opts)
+	})
+}
+
+// RunKNN is the threshold-expansion loop behind every k-NN entry point:
+// search runs one complete range search under ctx at the threshold it is
+// given, so as soon as a round yields at least k answers the k smallest of
+// them are exactly the k nearest neighbors. The first threshold is step —
+// the query's mean step, so exact occurrences surface in the first round or
+// two — and it quadruples until enough answers appear. The stats of every
+// round accumulate. Query validation is search's: an empty query fails the
+// first round.
+func RunKNN(ctx context.Context, k int, step float64, search func(ctx context.Context, eps float64) ([]Match, SearchStats, error)) ([]Match, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("core: k must be positive")
 	}
-	if len(q) == 0 {
-		return nil, SearchStats{}, errors.New("core: empty query")
-	}
-
-	// Initial threshold: one typical step of the query, so exact occurrences
-	// surface in the first round or two.
-	eps := 0.0
-	for i := 1; i < len(q); i++ {
-		eps += math.Abs(q[i] - q[i-1])
-	}
-	eps = eps/float64(len(q)) + 1e-9
-
+	eps := step + 1e-9
 	var total SearchStats
 	for {
-		matches, stats, err := ix.SearchOpts(ctx, q, eps, opts)
+		matches, stats, err := search(ctx, eps)
 		total.Add(stats)
 		if err != nil {
 			return nil, total, err
 		}
-		if len(matches) >= k {
+		// Termination: enough answers, or a threshold past any plausible
+		// distance — everything reachable has been found (window/length
+		// constraints can exclude the rest).
+		if len(matches) >= k || eps > 1e18 {
 			sort.SliceStable(matches, func(i, j int) bool {
 				return matches[i].Distance < matches[j].Distance
 			})
-			matches = matches[:k]
-			sortMatches(matches)
-			total.Answers = uint64(len(matches))
-			return matches, total, nil
-		}
-		// Termination: past any plausible distance, everything reachable
-		// has been found (window/length constraints can exclude the rest).
-		if eps > 1e18 {
+			if len(matches) > k {
+				matches = matches[:k]
+			}
 			sortMatches(matches)
 			total.Answers = uint64(len(matches))
 			return matches, total, nil

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"twsearch/internal/disktree"
 	"twsearch/internal/dtw"
@@ -24,32 +21,6 @@ type SearchOptions struct {
 	Parallelism int
 }
 
-// SearchOpts is SearchCtx with execution options; see SearchOptions.
-// Results — matches, distances, order, and the machine-independent stats —
-// are byte-identical to the serial SearchCtx at every parallelism level.
-func (ix *Index) SearchOpts(ctx context.Context, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	if opts.Parallelism <= 1 {
-		return ix.search(ctx, q, eps, nil)
-	}
-	return ix.searchParallel(ctx, q, eps, nil, opts.Parallelism)
-}
-
-// SearchVisitOpts is SearchVisitCtx with execution options. fn is always
-// called from the calling goroutine, never concurrently, and sees answers
-// in exactly the order the serial traversal would deliver them: filter-pass
-// answers in DFS order, then post-processed answers in (seq, start) order.
-func (ix *Index) SearchVisitOpts(ctx context.Context, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
-	if fn == nil {
-		return SearchStats{}, errors.New("core: nil visitor")
-	}
-	if opts.Parallelism <= 1 {
-		_, stats, err := ix.search(ctx, q, eps, fn)
-		return stats, err
-	}
-	_, stats, err := ix.searchParallel(ctx, q, eps, fn, opts.Parallelism)
-	return stats, err
-}
-
 // parTask is one unit of parallel work: a subtree hanging off the frontier,
 // plus everything a worker needs to resume the traversal there exactly as
 // the serial DFS would have entered it — the forked prefix rows of the
@@ -58,7 +29,7 @@ func (ix *Index) SearchVisitOpts(ctx context.Context, q []float64, eps float64, 
 // index is its DFS rank, which the merge uses to reassemble serial order.
 type parTask struct {
 	ptr    disktree.Ptr
-	prefix *dtw.Table // read-only once published; workers CopyFrom it
+	prefix *dtw.Rows // read-only once published; workers CopyFrom it
 
 	runBroken bool
 	firstRun  int
@@ -92,8 +63,9 @@ type parResult struct {
 // root edges.
 const frontierRootFanout = 4
 
-// searchParallel runs one search across par worker goroutines and merges
-// their results back into serial order. The phases:
+// searchParallel is the filter pass across par worker goroutines, merged back
+// into serial order; Run's single ordered exact pass follows it on the
+// driver s. The phases:
 //
 //  1. Frontier expansion (this goroutine): walk the tree down to a shallow
 //     frontier exactly like the serial DFS, but queue each subtree below it
@@ -101,43 +73,26 @@ const frontierRootFanout = 4
 //     table's prefix rows, so the shared-prefix work is done (and counted)
 //     exactly once.
 //  2. Work stealing: workers pull tasks from an atomic cursor, rebuild the
-//     entry state with Table.CopyFrom, and run the unmodified serial
+//     entry state with the kernel's CopyFrom, and run the unmodified serial
 //     processEdge over their subtree. Theorem 1/2/3 pruning decisions are
 //     path-local, so every task prunes exactly as serial would.
 //  3. Ordered merge (this goroutine): completed tasks are stitched back in
 //     DFS-rank order — interleaved with the frontier's own matches at each
 //     task's frontierMark — so a visitor sees the serial delivery order.
 //     Candidate shards merge onto the driver's pending set (order-
-//     independent by construction) before the single ordered exact pass.
-func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, visit func(Match) bool, par int) ([]Match, SearchStats, error) {
-	if len(q) == 0 {
-		return nil, SearchStats{}, errors.New("core: empty query")
-	}
-	if eps < 0 {
-		return nil, SearchStats{}, errors.New("core: negative distance threshold")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, SearchStats{}, err
-	}
-	started := time.Now()
-	// Pool counters are index-wide: the deltas attribute every concurrent
-	// goroutine's traffic, including our own workers'. See SearchStats for
-	// which counters stay exact under parallelism.
-	poolBefore := ix.Tree.PoolStats()
-	pagesBefore := ix.Tree.PagesRead()
-
-	s := ix.queries.acquire(ix, ctx, q, eps, nil)
-	defer ix.queries.release(s)
-
+//     independent by construction), and the driver is left holding the
+//     visitor and the stitched matches for the exact pass.
+func (s *searcher) searchParallel(bind BindFunc, visit func(Match) bool, par int) error {
+	e := s.e
 	root := s.node(0)
-	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
-		return nil, SearchStats{}, err
+	if err := s.rd.ReadNodeInto(e.Tree.Root(), root); err != nil {
+		return err
 	}
 	s.stats.NodesVisited++
 
 	// Phase 1: frontier expansion.
 	if len(root.Children) >= frontierRootFanout*par {
-		prefix := s.table.Fork(0)
+		prefix := s.kern.Fork(0)
 		for i := range root.Children {
 			s.tasks = append(s.tasks, parTask{ptr: root.Children[i].Ptr, prefix: prefix})
 		}
@@ -147,8 +102,8 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 			if s.stopped {
 				break
 			}
-			if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
-				return nil, SearchStats{}, err
+			if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0); err != nil {
+				return err
 			}
 		}
 		s.spawnLevel = 0
@@ -167,7 +122,7 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 	}
 	workers := make([]*searcher, nw)
 	for i := range workers {
-		w := ix.queries.acquire(ix, ctx, q, eps, nil)
+		w := e.queries.acquire(e, s.ctx, bind, s.eps)
 		w.extStop = &stop
 		w.readAhead = true
 		workers[i] = w
@@ -185,13 +140,14 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 					return
 				}
 				t := &tasks[k]
-				w.table.CopyFrom(t.prefix)
+				depth := t.prefix.Depth()
+				w.kern.CopyFrom(t.prefix)
 				w.firstSym = t.firstSym
 				w.base0 = t.base0
 				w.envBase0 = t.envBase0
-				w.setEnvSum(w.table.Depth(), t.envSum)
+				w.setEnvSum(depth, t.envSum)
 				from := len(w.matches)
-				err := w.processEdge(t.ptr, 1, t.runBroken, t.firstRun)
+				err := w.processEdge(t.ptr, 1, depth, t.runBroken, t.firstRun)
 				results[k] = parResult{
 					matches: w.matches[from:len(w.matches):len(w.matches)],
 					err:     err,
@@ -209,7 +165,7 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 		close(done)
 	}()
 
-	// Phase 3a: stitched delivery in DFS-rank order while workers run.
+	// Phase 3: stitched delivery in DFS-rank order while workers run.
 	// deliver never touches stats — filter-pass answers were counted by
 	// whichever searcher emitted them.
 	var out []Match
@@ -254,69 +210,47 @@ func (ix *Index) searchParallel(ctx context.Context, q []float64, eps float64, v
 			break
 		}
 	}
-	ctxErr := s.ctxErr
-	filterCells := s.table.Cells()
 	for _, w := range workers {
-		if ctxErr == nil {
-			ctxErr = w.ctxErr
+		if s.ctxErr == nil {
+			s.ctxErr = w.ctxErr
 		}
-		filterCells += w.table.Cells()
+		filterCells, _ := w.kern.Cells()
+		s.stats.FilterCells += filterCells
 		s.stats.NodesVisited += w.stats.NodesVisited
 		s.stats.Candidates += w.stats.Candidates
 		s.stats.Answers += w.stats.Answers
 		s.stats.EnvelopePruned += w.stats.EnvelopePruned
 		s.stats.LBCells += w.stats.LBCells
 		s.pend.MergeFrom(&w.pend)
-		ix.queries.release(w)
+		e.queries.release(w)
 	}
 	if taskErr != nil {
-		return nil, SearchStats{}, taskErr
+		return taskErr
 	}
 
 	// Remaining frontier matches follow the last task's subtree in serial
 	// order. On cancellation or visitor stop nothing further is delivered,
-	// matching the serial early-stop path.
-	s.stopped = visitorStopped || ctxErr != nil
-	s.ctxErr = ctxErr
+	// matching the serial early-stop path — the exact pass included, which
+	// emits straight to the visitor (serial order) or onto the stitched
+	// result slice.
+	s.stopped = visitorStopped || s.ctxErr != nil
 	if !s.stopped {
 		deliver(frontier[frontDelivered:])
 	}
-
-	// Phase 3b: the single ordered exact pass over the merged candidate
-	// set, emitting straight to the visitor (serial order) or onto the
-	// stitched result slice.
 	s.visit = visit
 	s.matches = out
-	s.postProcess()
-	out = s.matches
-	if ctxErr == nil {
-		ctxErr = s.ctxErr // a cancellation first observed during post-processing
-	}
-
-	s.stats.FilterCells = filterCells
-	s.stats.PostCells = s.post.Cells()
-	poolAfter := ix.Tree.PoolStats()
-	s.stats.PoolHits = poolAfter.Hits - poolBefore.Hits
-	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
-	s.stats.PagesRead = ix.Tree.PagesRead() - pagesBefore
-	s.stats.Elapsed = time.Since(started)
-	if ctxErr != nil {
-		return nil, s.stats, ctxErr
-	}
-	sortMatches(out)
-	s.matches = nil // ownership transfers to the caller; release must not pool it
-	return out, s.stats, nil
+	return nil
 }
 
 // spawnSubtreeTasks queues every child of n as a parallel task. The prefix
 // rows computed so far are forked once and shared read-only by all of n's
 // children; each task snapshots the path state a serial descent would carry
 // into that child.
-func (s *searcher) spawnSubtreeTasks(n *disktree.Node, runBroken bool, firstRun int) {
-	prefix := s.table.Fork(s.table.Depth())
+func (s *searcher) spawnSubtreeTasks(n *disktree.Node, depth int, runBroken bool, firstRun int) {
+	prefix := s.kern.Fork(depth)
 	var envSum float64
 	if s.envOn {
-		envSum = s.envSums[s.table.Depth()]
+		envSum = s.envSums[depth]
 	}
 	for i := range n.Children {
 		s.tasks = append(s.tasks, parTask{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"twsearch/internal/categorize"
 	"twsearch/internal/dtw"
 )
 
@@ -12,25 +11,25 @@ import (
 // searches of one index. The index itself is immutable at query time — the
 // tree, scheme, texts and raw data never change during a search — so all
 // mutation lives in the pooled searcher, and any number of goroutines can
-// search one Index concurrently, each holding its own searcher for the
+// search one Engine concurrently, each holding its own searcher for the
 // duration of the call.
 //
-// The pool lives behind a pointer on Index (not inline) so Dup's shallow
-// copy shares it instead of copying a sync.Pool; Dup handles see the same
-// scheme and dataset, so their searchers are interchangeable.
+// The pool lives behind a pointer on Engine (not inline) so Reopen's copy
+// shares it instead of copying a sync.Pool; Dup handles see the same scheme
+// and dataset, so their searchers — kernels included — are interchangeable.
 type queryPool struct {
 	p sync.Pool
 }
 
 // acquire returns a searcher bound to this query, reusing a pooled one's
-// allocations (tables, interval cache, scratch nodes, pending set) when
-// available. Callers must release it when the search finishes.
+// allocations (the kernel's tables and caches, scratch nodes, pending set)
+// when available. Callers must release it when the search finishes.
 //
 //twlint:pool-transfer the searcher is handed to the caller; release returns it via qp.p.Put
-func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps float64, visit func(Match) bool) *searcher {
+func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps float64) *searcher {
 	s, _ := qp.p.Get().(*searcher)
 	if s == nil {
-		s = &searcher{}
+		s = &searcher{kern: e.newKernel()}
 	}
 
 	// On sparse trees the D_tw-lb2 shift moves a candidate's rows relative
@@ -42,22 +41,20 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	// post-processing enforce the exact semantics; an explicit
 	// answer-length cutoff (conclusion section) replaces the band's depth
 	// pruning.
-	filterWindow := ix.Window
-	sparse := ix.Tree.Sparse()
-	if sparse && ix.Window >= 0 {
+	filterWindow := e.Window
+	sparse := e.Tree.Sparse()
+	if sparse && e.Window >= 0 {
 		filterWindow = -1
 	}
 
-	s.ix = ix
-	s.rd.Reset(ix.Tree)
+	s.e = e
+	s.rd.Reset(e.Tree)
 	s.ctx = ctx
 	s.ctxErr = nil
-	s.q = q
 	s.eps = eps
 	s.sparse = sparse
-	s.exactStored = ix.Exact && filterWindow == ix.Window
-	s.seqOffsets = ix.seqOffsets
-	s.visit = visit
+	s.seqOffsets = e.seqOffsets
+	s.visit = nil
 	s.stopped = false
 	s.stats = SearchStats{}
 	s.matches = nil // ownership of the previous slice passed to its caller
@@ -67,48 +64,33 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	s.extStop = nil
 	s.readAhead = false
 
-	if s.table == nil {
-		s.table = dtw.NewTableWindow(q, filterWindow)
-		s.post = dtw.NewTableWindow(q, ix.Window)
-	} else {
-		s.table.Bind(q, filterWindow)
-		s.post.Bind(q, ix.Window)
-	}
-	s.pend.Reset(ix.totalElements)
-
-	// The envelope cascade runs under the same window as the filter table,
-	// so its bounds are never tighter than what the table itself enforces.
-	s.envOn = !ix.DisableEnvelopes
-	s.env.Bind(q, filterWindow)
+	// The envelope gate runs under the same window as the filter table, so
+	// its bounds are never tighter than what the table itself enforces.
+	s.envOn = !e.DisableEnvelopes
+	bind(s.kern, filterWindow, e.Window, s.envOn)
+	s.qLen = s.kern.QueryLen()
+	s.exactStored = s.kern.Exact() && filterWindow == e.Window
+	s.pend.Reset(e.totalElements)
 	if len(s.envSums) == 0 {
 		s.envSums = append(s.envSums, 0)
 	}
 	s.envSums[0] = 0
 	s.envBase0 = 0
-
-	// The symbol→interval cache depends only on the scheme, which is
-	// immutable and shared by every handle that shares this pool, so a
-	// pooled searcher computes it once and keeps it.
-	if len(s.intervals) != ix.Scheme.NumCategories() {
-		s.intervals = make([]dtw.Interval, ix.Scheme.NumCategories())
-		for i := range s.intervals {
-			s.intervals[i] = ix.Scheme.Interval(categorize.Symbol(i))
-		}
-	}
 	return s
 }
 
 // release returns a searcher to the pool, unpinning the page its reader
 // still holds and dropping references to caller-owned state so nothing
-// outlives the call it belongs to.
+// outlives the call it belongs to. (The kernel keeps the last query's
+// slice header until its next bind; it is never read in between.)
 func (qp *queryPool) release(s *searcher) {
 	s.rd.Reset(nil)
-	s.ix = nil
+	s.e = nil
 	s.ctx = nil
 	s.visit = nil
 	s.matches = nil
 	s.seqOffsets = nil
-	s.tasks = nil // tasks reference forked tables; don't pin them in the pool
+	s.tasks = nil // tasks reference forked rows; don't pin them in the pool
 	s.extStop = nil
 	qp.p.Put(s)
 }

@@ -1,0 +1,156 @@
+package core
+
+import (
+	"context"
+	"errors"
+
+	"twsearch/internal/categorize"
+	"twsearch/internal/dtw"
+	"twsearch/internal/sequence"
+	"twsearch/internal/suffixtree"
+)
+
+// scalarKernel is the univariate Kernel: symbols are categories with value
+// intervals, filter rows use D_base-lb against the interval (Definition 3),
+// verification rows the exact base distance against the raw value, and the
+// gate one Sakoe–Chiba envelope of the query.
+type scalarKernel struct {
+	data *sequence.Dataset
+	// exact records that the scheme is the identity categorization, so
+	// interval rows are exact rows.
+	exact bool
+	// intervals caches the scheme's symbol→interval map. It depends only on
+	// the scheme, which is immutable and shared by every handle that shares
+	// the searcher pool, so a pooled kernel computes it once.
+	intervals []dtw.Interval
+
+	q     []float64
+	table dtw.Table
+	post  dtw.Table
+	env   dtw.Envelope
+	// vals is the sequence under verification (PostReset).
+	vals []float64
+}
+
+func newScalarKernel(data *sequence.Dataset, scheme *categorize.Scheme) *scalarKernel {
+	k := &scalarKernel{
+		data:      data,
+		exact:     scheme.Kind() == categorize.KindIdentity,
+		intervals: make([]dtw.Interval, scheme.NumCategories()),
+	}
+	for i := range k.intervals {
+		k.intervals[i] = scheme.Interval(categorize.Symbol(i))
+	}
+	return k
+}
+
+func (k *scalarKernel) bind(q []float64, filterWindow, window int, envelopes bool) {
+	k.q = q
+	k.table.Bind(q, filterWindow)
+	k.post.Bind(q, window)
+	if envelopes {
+		k.env.Bind(q, filterWindow)
+	}
+}
+
+func (k *scalarKernel) QueryLen() int { return len(k.q) }
+func (k *scalarKernel) Exact() bool   { return k.exact }
+
+func (k *scalarKernel) Base0(sym suffixtree.Symbol) float64 {
+	iv := k.intervals[sym]
+	return dtw.BaseInterval(k.q[0], iv.Lo, iv.Hi)
+}
+
+//twlint:steady-state
+func (k *scalarKernel) Gap(x int, sym suffixtree.Symbol) float64 {
+	iv := k.intervals[sym]
+	elo, ehi := k.env.At(x)
+	return dtw.GapInterval(iv.Lo, iv.Hi, elo, ehi)
+}
+
+//twlint:steady-state
+func (k *scalarKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
+	iv := k.intervals[sym]
+	return k.table.AddRowInterval(iv.Lo, iv.Hi)
+}
+
+//twlint:steady-state
+func (k *scalarKernel) Truncate(depth int) { k.table.Truncate(depth) }
+
+func (k *scalarKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
+func (k *scalarKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
+
+//twlint:steady-state
+func (k *scalarKernel) PostReset(seq int) {
+	k.post.Truncate(0)
+	k.vals = k.data.Values(seq)
+}
+
+//twlint:steady-state
+func (k *scalarKernel) PostAddRow(pos int) (dist, minDist float64) {
+	return k.post.AddRowValue(k.vals[pos])
+}
+
+func (k *scalarKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.post.Cells() }
+
+// run is the typed front of Engine.Run: it rejects what only this layer can
+// see (an empty query) and supplies the bind that points a pooled scalar
+// kernel at q.
+func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
+	if len(q) == 0 {
+		return nil, SearchStats{}, errors.New("core: empty query")
+	}
+	return ix.Run(ctx, func(k Kernel, filterWindow, window int, envelopes bool) {
+		k.(*scalarKernel).bind(q, filterWindow, window, envelopes)
+	}, eps, visit, opts)
+}
+
+// Search finds every subsequence whose time warping distance from q is at
+// most eps; see Engine.Run. Results are sorted by (sequence, start, end),
+// and the returned set is exactly what SeqScan returns.
+//
+//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable searches use SearchCtx
+func (ix *Index) Search(q []float64, eps float64) ([]Match, SearchStats, error) {
+	return ix.run(context.Background(), q, eps, nil, SearchOptions{})
+}
+
+// SearchCtx is Search with cancellation: when ctx is canceled or its
+// deadline passes the search aborts and ctx.Err() is returned.
+func (ix *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return ix.run(ctx, q, eps, nil, SearchOptions{})
+}
+
+// SearchOpts is SearchCtx with execution options; see SearchOptions.
+// Results — matches, distances, order, and the machine-independent stats —
+// are byte-identical to the serial SearchCtx at every parallelism level.
+func (ix *Index) SearchOpts(ctx context.Context, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
+	return ix.run(ctx, q, eps, nil, opts)
+}
+
+// SearchVisit streams answers to fn instead of materializing them: fn is
+// called once per answer, in no particular order; returning false stops the
+// search early. Use it when a permissive threshold would produce answer
+// sets too large to hold in memory.
+//
+//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable streaming uses SearchVisitCtx
+func (ix *Index) SearchVisit(q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+	return ix.SearchVisitOpts(context.Background(), q, eps, fn, SearchOptions{})
+}
+
+// SearchVisitCtx is SearchVisit with cancellation; see SearchCtx. After a
+// cancellation no further answers are delivered to fn.
+func (ix *Index) SearchVisitCtx(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+	return ix.SearchVisitOpts(ctx, q, eps, fn, SearchOptions{})
+}
+
+// SearchVisitOpts is SearchVisitCtx with execution options. fn is always
+// called from the calling goroutine, never concurrently, and sees answers
+// in exactly the order the serial traversal would deliver them: filter-pass
+// answers in DFS order, then post-processed answers in (seq, start) order.
+func (ix *Index) SearchVisitOpts(ctx context.Context, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
+	if fn == nil {
+		return SearchStats{}, errors.New("core: nil visitor")
+	}
+	_, stats, err := ix.run(ctx, q, eps, fn, opts)
+	return stats, err
+}

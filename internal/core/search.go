@@ -13,50 +13,22 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-// Search finds every subsequence whose time warping distance from q is at
-// most eps — the paper's SimSearch-ST / SimSearch-ST_C / SimSearch-SST_C,
-// selected by how the index was built. Results are sorted by (sequence,
-// start, end). The guarantee is no false dismissals: the returned set is
-// exactly what SeqScan returns.
+// Run executes one range search: every subsequence whose time warping
+// distance from the query bind supplies is at most eps — the paper's
+// SimSearch-ST / SimSearch-ST_C / SimSearch-SST_C, selected by how the index
+// was built. With a nil visit the answers are returned sorted by (sequence,
+// start, end); otherwise they stream to visit (returning false stops the
+// search) from the calling goroutine, filter-pass answers in DFS order, then
+// verified answers in (seq, start) order. The guarantee is no false
+// dismissals, and matches, order and the traversal counters are
+// byte-identical at every opts.Parallelism.
 //
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable searches use SearchCtx
-func (ix *Index) Search(q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.search(context.Background(), q, eps, nil)
-}
-
-// SearchCtx is Search with cancellation: when ctx is canceled or its
-// deadline passes, the traversal aborts through the same early-stop path a
-// visitor uses and ctx.Err() is returned. Cancellation is checked every few
-// tree nodes and once per post-processing group, so an abort costs at most
-// one group's verification scan.
-func (ix *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.search(ctx, q, eps, nil)
-}
-
-// SearchVisit streams answers to fn instead of materializing them: fn is
-// called once per answer, in no particular order; returning false stops the
-// search early. Use it when a permissive threshold would produce answer
-// sets too large to hold in memory.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable streaming uses SearchVisitCtx
-func (ix *Index) SearchVisit(q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return ix.SearchVisitCtx(context.Background(), q, eps, fn)
-}
-
-// SearchVisitCtx is SearchVisit with cancellation; see SearchCtx. After a
-// cancellation no further answers are delivered to fn.
-func (ix *Index) SearchVisitCtx(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	if fn == nil {
-		return SearchStats{}, errors.New("core: nil visitor")
-	}
-	_, stats, err := ix.search(ctx, q, eps, fn)
-	return stats, err
-}
-
-func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
-	if len(q) == 0 {
-		return nil, SearchStats{}, errors.New("core: empty query")
-	}
+// When ctx is canceled or its deadline passes, the traversal aborts through
+// the same early-stop path a visitor uses, no further answer is delivered
+// and ctx.Err() is returned. Cancellation is checked every few tree nodes
+// and once per post-processing group, so an abort costs at most one group's
+// verification scan.
+func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
 	if eps < 0 {
 		return nil, SearchStats{}, errors.New("core: negative distance threshold")
 	}
@@ -64,37 +36,34 @@ func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit fun
 		return nil, SearchStats{}, err
 	}
 	started := time.Now()
-	// Pool counters are index-wide: under concurrent searches the deltas
-	// attribute other goroutines' traffic too. Matches stay byte-identical;
-	// only these advisory counters blur.
-	poolBefore := ix.Tree.PoolStats()
-	pagesBefore := ix.Tree.PagesRead()
+	// Pool counters are index-wide: under concurrent searches (and this
+	// search's own workers) the deltas attribute other goroutines' traffic
+	// too. Matches stay byte-identical; only these advisory counters blur.
+	poolBefore := e.Tree.PoolStats()
+	pagesBefore := e.Tree.PagesRead()
 
-	s := ix.queries.acquire(ix, ctx, q, eps, visit)
-	defer ix.queries.release(s)
+	s := e.queries.acquire(e, ctx, bind, eps)
+	defer e.queries.release(s)
 
-	root := s.node(0)
-	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	var err error
+	if opts.Parallelism > 1 {
+		err = s.searchParallel(bind, visit, opts.Parallelism)
+	} else {
+		s.visit = visit
+		err = s.walk()
+	}
+	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	s.stats.NodesVisited++
-	for i := range root.Children {
-		if s.stopped {
-			break
-		}
-		if err := s.processEdge(root.Children[i].Ptr, 1, false, 0); err != nil {
-			return nil, SearchStats{}, err
-		}
-	}
-
 	s.postProcess()
 
-	s.stats.FilterCells = s.table.Cells()
-	s.stats.PostCells = s.post.Cells()
-	poolAfter := ix.Tree.PoolStats()
+	filterCells, postCells := s.kern.Cells()
+	s.stats.FilterCells += filterCells // searchParallel has added the workers'
+	s.stats.PostCells = postCells
+	poolAfter := e.Tree.PoolStats()
 	s.stats.PoolHits = poolAfter.Hits - poolBefore.Hits
 	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
-	s.stats.PagesRead = ix.Tree.PagesRead() - pagesBefore
+	s.stats.PagesRead = e.Tree.PagesRead() - pagesBefore
 	s.stats.Elapsed = time.Since(started)
 	if s.ctxErr != nil {
 		return nil, s.stats, s.ctxErr
@@ -106,30 +75,30 @@ func (ix *Index) search(ctx context.Context, q []float64, eps float64, visit fun
 }
 
 // searcher is the pooled per-query execution context: every piece of
-// mutable search state lives here, so the Index it runs against stays
+// mutable search state lives here, so the Engine it runs against stays
 // read-only and shareable across goroutines. One cumulative distance table
-// is shared by the whole traversal: descend = AddRow, backtrack = Pop — the
-// paper's R_d table-sharing. A searcher is reused across queries via
-// queryPool; acquire rebinds everything per call.
+// (the kernel's) is shared by the whole traversal: descend = AddRow,
+// backtrack = Truncate — the paper's R_d table-sharing. A searcher is reused
+// across queries via queryPool; acquire rebinds everything per call.
 type searcher struct {
-	ix *Index
+	e *Engine
 	// ctx carries the caller's cancellation; checkCancel folds it into the
 	// stopped flag so aborts flow through the one early-stop path shared
 	// with visitors. ctxErr records the reason for the final error return.
 	ctx    context.Context
 	ctxErr error
-	q      []float64
 	eps    float64
-	table  *dtw.Table
-	post   *dtw.Table
+	// kern holds the query, its two tables and its envelope; qLen is the
+	// query's length.
+	kern   Kernel
+	qLen   int
 	sparse bool
 	// exactStored marks stored-suffix filter distances as exact answers
 	// (identity categorization with a band-consistent filter table).
 	exactStored bool
 
-	intervals []dtw.Interval
-	stats     SearchStats
-	matches   []Match
+	stats   SearchStats
+	matches []Match
 
 	// pend groups unverified candidates by (seq, start), keeping only the
 	// furthest end per start (key: seqOffsets[seq]+start). PostProcess then
@@ -159,18 +128,19 @@ type searcher struct {
 	firstSym suffixtree.Symbol
 	base0    float64
 
-	// The envelope row gate. env is the query's Sakoe–Chiba envelope under
-	// the filter window (constant on sparse trees, whose filter is always
-	// unconstrained — which is exactly what makes the bound shift-safe for
-	// D_tw-lb2 candidates). envSums[d] is the running LB_Keogh prefix: the
-	// sum of per-row envelope gaps over the current path's first d rows; it
-	// lower-bounds every filter distance at depth >= d, so a row whose new
-	// sum (minus the sparse shift discount) exceeds eps is cut before its
-	// O(|Q|) table row is computed. envBase0 is the first row's envelope
-	// gap — the per-shift discount unit of the envelope bound, playing
-	// base0's role (each shifted-away leading-run row contributed exactly
-	// envBase0 to the sum). envOn switches the gate.
-	env      dtw.Envelope
+	// The envelope row gate. The kernel holds the query's Sakoe–Chiba
+	// envelope under the filter window (constant on sparse trees, whose
+	// filter is always unconstrained — which is exactly what makes the bound
+	// shift-safe for D_tw-lb2 candidates; one envelope per dimension for
+	// vectors, whose base distance and gap both sum over dimensions).
+	// envSums[d] is the running LB_Keogh prefix: the sum of per-row envelope
+	// gaps over the current path's first d rows; it lower-bounds every
+	// filter distance at depth >= d, so a row whose new sum (minus the
+	// sparse shift discount) exceeds eps is cut before its O(|Q|) table row
+	// is computed. envBase0 is the first row's envelope gap — the per-shift
+	// discount unit of the envelope bound, playing base0's role (each
+	// shifted-away leading-run row contributed exactly envBase0 to the
+	// sum). envOn switches the gate.
 	envSums  []float64
 	envBase0 float64
 	envOn    bool
@@ -219,6 +189,24 @@ func (s *searcher) checkCancel() {
 // cancelMask thins traversal-side cancellation checks to one per 64 nodes.
 const cancelMask = 63
 
+// walk is the serial filter pass: the depth-first traversal from the root.
+func (s *searcher) walk() error {
+	root := s.node(0)
+	if err := s.rd.ReadNodeInto(s.e.Tree.Root(), root); err != nil {
+		return err
+	}
+	s.stats.NodesVisited++
+	for i := range root.Children {
+		if s.stopped {
+			break
+		}
+		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // emit delivers one verified answer, either into the result slice or to the
 // streaming visitor. After an early stop nothing further is delivered.
 //
@@ -255,11 +243,13 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 // processEdge walks the edge label into the node at ptr, adding one table
 // row per symbol, emitting candidates whenever a row qualifies, pruning by
 // Theorem 1 (adjusted for the sparse shift discount), and recursing into
-// children. runBroken/firstRun describe the path's leading equal-symbol
-// run on entry; the table is restored to its entry depth before returning.
+// children. depth is the number of filter rows on entry — the traversal
+// counts them itself rather than asking the kernel — and runBroken/firstRun
+// describe the path's leading equal-symbol run; the table is restored to
+// its entry depth before returning.
 //
 //twlint:steady-state
-func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firstRun int) error {
+func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken bool, firstRun int) error {
 	n := s.node(level)
 	if err := s.rd.ReadNodeInto(ptr, n); err != nil {
 		return err
@@ -269,7 +259,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		s.checkCancel()
 	}
 
-	entryDepth := s.table.Depth()
+	entryDepth := depth
 	descend := true
 	// Deferred emission: on non-exact indexes a candidate only contributes
 	// its start and a max end to the pending table, so one collect per edge
@@ -284,7 +274,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		if len(n.Label) > 0 {
 			sym = n.Label[i] // inline layout: label travels with the record
 		} else {
-			sym = s.ix.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
+			sym = s.e.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
 		}
 		if suffixtree.IsTerminator(sym) {
 			// The suffix ends here; all its prefixes were handled at
@@ -292,11 +282,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 			descend = false
 			break
 		}
-		iv := s.intervals[sym]
-		x := s.table.Depth() // 0-based position of the row about to be added
+		x := depth // 0-based position of the row about to be added
 		if x == 0 {
 			s.firstSym = sym
-			s.base0 = dtw.BaseInterval(s.q[0], iv.Lo, iv.Hi)
+			s.base0 = s.kern.Base0(sym)
 			firstRun = 1
 		} else if !runBroken {
 			if sym == s.firstSym {
@@ -314,8 +303,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		// everything below) is provably fruitless and is cut for the price
 		// of one gap evaluation.
 		if s.envOn {
-			elo, ehi := s.env.At(x)
-			g := dtw.GapInterval(iv.Lo, iv.Hi, elo, ehi)
+			g := s.kern.Gap(x, sym)
 			s.stats.LBCells++
 			if x == 0 {
 				s.envBase0 = g
@@ -325,13 +313,13 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 			if s.sparse {
 				j := firstRun - 1
 				if !runBroken {
-					j = s.ix.maxRun - 1
+					j = s.e.maxRun - 1
 				}
 				if j > 0 {
 					envBound = newSum - float64(j)*s.envBase0
 				}
 			}
-			if envBound > s.eps && !s.ix.DisablePruning {
+			if envBound > s.eps && !s.e.DisablePruning {
 				s.stats.EnvelopePruned++
 				descend = false
 				break
@@ -343,8 +331,9 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 			s.envSums[x+1] = newSum
 		}
 
-		dist, minDist := s.table.AddRowInterval(iv.Lo, iv.Hi)
-		d := s.table.Depth()
+		dist, minDist := s.kern.AddRow(sym)
+		depth++
+		d := depth
 
 		// Candidate emission. For dense trees only dist counts; for sparse
 		// trees a shifted start can lower the bound by up to
@@ -376,13 +365,13 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		if s.sparse {
 			j := firstRun - 1
 			if !runBroken {
-				j = s.ix.maxRun - 1
+				j = s.e.maxRun - 1
 			}
 			if j > 0 {
 				pruneBound = minDist - float64(j)*s.base0
 			}
 		}
-		if pruneBound > s.eps && !s.ix.DisablePruning {
+		if pruneBound > s.eps && !s.e.DisablePruning {
 			descend = false
 			break
 		}
@@ -391,12 +380,12 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		// depth-d row can produce has length d minus the largest shift; once
 		// that exceeds |Q|+w every deeper candidate is infeasible under the
 		// band. (Dense trees get this pruning from the banded table itself.)
-		if s.sparse && s.ix.Window >= 0 {
+		if s.sparse && s.e.Window >= 0 {
 			j := firstRun - 1
 			if !runBroken {
-				j = s.ix.maxRun - 1
+				j = s.e.maxRun - 1
 			}
-			if d-j > len(s.q)+s.ix.Window {
+			if d-j > s.qLen+s.e.Window {
 				descend = false
 				break
 			}
@@ -413,10 +402,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 		if s.spawnLevel > 0 && level == s.spawnLevel {
 			// Parallel frontier: each child subtree becomes a task carrying
 			// a fork of the shared prefix rows instead of being walked here.
-			s.spawnSubtreeTasks(n, runBroken, firstRun)
+			s.spawnSubtreeTasks(n, depth, runBroken, firstRun)
 		} else {
 			if s.readAhead && len(n.Children) > 1 {
-				s.ix.Tree.ReadAhead(n.Children)
+				s.e.Tree.ReadAhead(n.Children)
 			}
 			// n's Children may be overwritten by deeper levels reusing
 			// scratch; deeper levels use level+1 though, and collect uses
@@ -425,14 +414,16 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level int, runBroken bool, firs
 				if s.stopped {
 					break
 				}
-				if err := s.processEdge(n.Children[i].Ptr, level+1, runBroken, firstRun); err != nil {
+				if err := s.processEdge(n.Children[i].Ptr, level+1, depth, runBroken, firstRun); err != nil {
 					return err
 				}
 			}
 		}
 	}
 
-	s.table.Truncate(entryDepth)
+	if depth > entryDepth {
+		s.kern.Truncate(entryDepth)
+	}
 	return nil
 }
 
@@ -501,7 +492,7 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int, lb float64, exact bool) {
-	if end-start < s.ix.minAnswerLen {
+	if end-start < s.e.minAnswerLen {
 		return
 	}
 	s.stats.Candidates++
@@ -533,16 +524,15 @@ func (s *searcher) postProcess() {
 		if s.stopped {
 			break
 		}
-		for seq+1 < s.ix.Data.Len() && int(off) >= s.seqOffsets[seq+1] {
+		for seq+1 < len(s.seqOffsets) && int(off) >= s.seqOffsets[seq+1] {
 			seq++
 		}
-		vals := s.ix.Data.Values(seq)
 		start := int(off) - s.seqOffsets[seq]
 		maxEnd := int(s.pend.MaxEnd(off))
-		s.post.Truncate(0)
+		s.kern.PostReset(seq)
 		for e := start; e < maxEnd && !s.stopped; e++ {
-			dist, minDist := s.post.AddRowValue(vals[e])
-			if dist <= s.eps && e+1-start >= s.ix.minAnswerLen {
+			dist, minDist := s.kern.PostAddRow(e)
+			if dist <= s.eps && e+1-start >= s.e.minAnswerLen {
 				s.emit(Match{
 					Ref:      sequence.Ref{Seq: seq, Start: start, End: e + 1},
 					Distance: dist,

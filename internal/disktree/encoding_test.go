@@ -3,6 +3,7 @@ package disktree
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -263,7 +264,8 @@ func checkCodec(t *testing.T, data []byte, leaf, inline bool) {
 	if inline {
 		layout = LayoutInline
 	}
-	in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2), Leaf: leaf}
+	// No node has a negative label length; the decoders refuse one.
+	in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2) & math.MaxInt32, Leaf: leaf}
 	if inline {
 		in.Label = make([]Symbol, uint32(next(3))%200)
 		for i := range in.Label {

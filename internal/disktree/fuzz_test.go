@@ -20,6 +20,9 @@ func FuzzValidateCorruption(f *testing.F) {
 	// The meta blob's length prefix, 46 → 47: the blob grows a version byte
 	// of 0, an encoding no build ever wrote (ErrUnsupportedEncoding).
 	f.Add(uint32(8), byte(0x01))
+	// The root record's label length, 0 → negative: Validate let it through
+	// and Load panicked sizing the label.
+	f.Add(uint32(4645), byte(0x94))
 	f.Fuzz(func(t *testing.T, offset uint32, xor byte) {
 		if xor == 0 {
 			return // identity mutation

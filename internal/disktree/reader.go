@@ -131,7 +131,10 @@ func resized[T any](s []T, n int) []T {
 }
 
 // implausible rejects a count no real record carries before anything is
-// sized by it.
+// sized by it. Kept out of line: the decoders are the traversal's hottest
+// code after the row kernels, and this is their cold exit.
+//
+//go:noinline
 func implausible(what string, v uint64, p Ptr) error {
 	return fmt.Errorf("disktree: implausible %s %d at %d", what, v, p)
 }
@@ -167,6 +170,9 @@ func decodeV1(b []byte, n *Node, layout Layout, p Ptr) error {
 			return errShort
 		}
 		n.LabelSeq, n.LabelStart, n.LabelLen = int32(le.Uint32(b)), int32(le.Uint32(b[4:])), int32(le.Uint32(b[8:]))
+		if n.LabelLen < 0 {
+			return implausible("label length", uint64(le.Uint32(b[8:])), p)
+		}
 		b = b[12:]
 	}
 	if len(b) < 1 {
@@ -279,7 +285,11 @@ func decodeCompact(b []byte, n *Node, layout Layout, p Ptr) error {
 		}
 		n.LabelSeq, n.LabelStart, n.LabelLen = -1, -1, int32(labelLen)
 	} else {
-		n.LabelSeq, n.LabelStart, n.LabelLen = int32(v.varint()), int32(v.varint()), int32(v.varint())
+		n.LabelSeq, n.LabelStart = int32(v.varint()), int32(v.varint())
+		n.LabelLen = int32(v.varint())
+		if n.LabelLen < 0 {
+			return implausible("label length", uint64(uint32(n.LabelLen)), p)
+		}
 	}
 	n.Leaf = v.flags()&flagLeaf != 0
 	if n.Leaf {

@@ -38,6 +38,9 @@ func (f *File) Validate(store *suffixtree.TextStore) (ValidateStats, error) {
 		if depth > st.MaxDepth {
 			st.MaxDepth = depth
 		}
+		if p == f.meta.root && n.LabelLen != 0 {
+			return fmt.Errorf("disktree: root at %d has a label of %d symbols", p, n.LabelLen)
+		}
 		if f.meta.layout == LayoutInline {
 			path = append(path, n.Label...)
 		} else {

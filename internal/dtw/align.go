@@ -31,7 +31,7 @@ func Align(a, b []float64) (float64, []Pair) {
 			case y == 0:
 				cum[x*nb+y] = base + at(x-1, y)
 			default:
-				cum[x*nb+y] = base + min3(at(x, y-1), at(x-1, y), at(x-1, y-1))
+				cum[x*nb+y] = base + Min3(at(x, y-1), at(x-1, y), at(x-1, y-1))
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func distance(a, b []float64, w int) float64 {
 			case y == 0:
 				curr[y] = base + prev[y]
 			default:
-				curr[y] = base + min3(curr[y-1], prev[y], prev[y-1])
+				curr[y] = base + Min3(curr[y-1], prev[y], prev[y-1])
 			}
 		}
 		prev, curr = curr, prev
@@ -110,7 +110,7 @@ func DistanceEarlyAbandon(a, b []float64, eps float64) (float64, bool) {
 			case y == 0:
 				curr[y] = base + prev[y]
 			default:
-				curr[y] = base + min3(curr[y-1], prev[y], prev[y-1])
+				curr[y] = base + Min3(curr[y-1], prev[y], prev[y-1])
 			}
 			if curr[y] < rowMin {
 				rowMin = curr[y]
@@ -158,7 +158,7 @@ func DistanceIntervals(a []float64, ivs []Interval) float64 {
 			case y == 0:
 				curr[y] = base + prev[y]
 			default:
-				curr[y] = base + min3(curr[y-1], prev[y], prev[y-1])
+				curr[y] = base + Min3(curr[y-1], prev[y], prev[y-1])
 			}
 		}
 		prev, curr = curr, prev
@@ -178,7 +178,9 @@ func MinMaxAnswerLength(qLen, w int) (minLen, maxLen int) {
 	return minLen, qLen + w
 }
 
-func min3(a, b, c float64) float64 {
+// Min3 returns the smallest of three cells — the recurrence's choice of
+// predecessor, shared by every row kernel (multivar's included).
+func Min3(a, b, c float64) float64 {
 	m := a
 	if b < m {
 		m = b

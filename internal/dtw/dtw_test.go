@@ -25,7 +25,7 @@ func naiveDistance(a, b []float64) float64 {
 		if i == len(a)-1 && j == len(b)-1 {
 			rest = 0
 		} else {
-			rest = min3(rec(i, j+1), rec(i+1, j), rec(i+1, j+1))
+			rest = Min3(rec(i, j+1), rec(i+1, j), rec(i+1, j+1))
 		}
 		memo[key{i, j}] = base + rest
 		return base + rest

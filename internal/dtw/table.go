@@ -14,9 +14,20 @@ package dtw
 // A Table is not safe for concurrent use; searches that run in parallel use
 // one Table each.
 type Table struct {
-	q      []float64
+	q []float64
+	Rows
+}
+
+// Rows is the row storage of a cumulative distance table: depth rows of one
+// cell per query element under an optional Sakoe–Chiba band, pushed and
+// popped by a depth-first traversal. It knows nothing of the element type —
+// Table embeds it for scalar queries and multivar.Table for vector ones, so
+// the band arithmetic, the growth policy and the parallel frontier's
+// Fork/CopyFrom exist once.
+type Rows struct {
+	n      int       // cells per row: the query length
 	window int       // Sakoe–Chiba half-width; <0 means unconstrained
-	rows   []float64 // depth*len(q) cells, row-major
+	rows   []float64 // depth*n cells, row-major
 	depth  int
 	cells  uint64 // number of DP cells computed since Reset
 }
@@ -30,38 +41,44 @@ func NewTable(q []float64) *Table {
 // NewTableWindow returns a table whose rows apply a Sakoe–Chiba band of
 // half-width w; pass w < 0 for no constraint.
 func NewTableWindow(q []float64, w int) *Table {
-	if len(q) == 0 {
-		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any table exists
-		panic("dtw: empty query")
-	}
-	return &Table{q: q, window: w}
+	t := &Table{}
+	t.Bind(q, w)
+	return t
 }
 
 // Bind re-targets the table at a new query and window, dropping all rows
 // but keeping the row storage. Pooled query contexts use it so a reused
 // table serves its next search without reallocating.
 func (t *Table) Bind(q []float64, w int) {
-	if len(q) == 0 {
-		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any table exists
-		panic("dtw: empty query")
-	}
 	t.q = q
-	t.window = w
-	t.Reset()
+	t.Rows.Bind(len(q), w)
 }
 
 // Query returns the query sequence the table was built for.
 func (t *Table) Query() []float64 { return t.q }
 
+// Bind re-targets the storage at rows of n cells under window w, dropping
+// all rows and zeroing the cell counter but keeping the capacity. It panics
+// on n == 0: an empty query has no table.
+func (t *Rows) Bind(n, w int) {
+	if n == 0 {
+		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any table exists
+		panic("dtw: empty query")
+	}
+	t.n = n
+	t.window = w
+	t.Reset()
+}
+
 // Depth returns the number of rows currently in the table.
-func (t *Table) Depth() int { return t.depth }
+func (t *Rows) Depth() int { return t.depth }
 
 // Cells returns the number of DP cells computed since the last Reset — the
 // machine-independent work counter used by the benchmark harness.
-func (t *Table) Cells() uint64 { return t.cells }
+func (t *Rows) Cells() uint64 { return t.cells }
 
 // Reset drops all rows and zeroes the cell counter.
-func (t *Table) Reset() {
+func (t *Rows) Reset() {
 	t.rows = t.rows[:0]
 	t.depth = 0
 	t.cells = 0
@@ -70,54 +87,57 @@ func (t *Table) Reset() {
 // Pop removes the most recently added row. It panics on an empty table.
 //
 //twlint:steady-state
-func (t *Table) Pop() {
+func (t *Rows) Pop() {
 	if t.depth == 0 {
 		//lint:ignore panicpath row-discipline assertion: an unmatched Pop means AddRow/Pop bookkeeping is already corrupt, so lower bounds can no longer be trusted
 		panic("dtw: Pop on empty table")
 	}
 	t.depth--
-	t.rows = t.rows[:t.depth*len(t.q)]
+	t.rows = t.rows[:t.depth*t.n]
 }
 
-// Truncate pops rows until exactly depth rows remain.
+// Truncate pops rows until exactly depth rows remain (the cell counter keeps
+// accumulating).
 //
 //twlint:steady-state
-func (t *Table) Truncate(depth int) {
+func (t *Rows) Truncate(depth int) {
 	if depth < 0 || depth > t.depth {
 		//lint:ignore panicpath row-discipline assertion: truncating past the stack means traversal bookkeeping is already corrupt
 		panic("dtw: bad Truncate depth")
 	}
 	t.depth = depth
-	t.rows = t.rows[:depth*len(t.q)]
+	t.rows = t.rows[:depth*t.n]
 }
 
-// Fork returns a new table over the same query and window whose first depth
-// rows are copies of t's — the paper's R_d prefix sharing cut at a parallel
-// frontier: one traversal computes the shared prefix once, and each subtree
-// task extends its own fork of it. The fork owns separate row storage and
-// starts with a zero cell counter, so prefix cells are counted exactly once,
-// by the table that computed them.
-func (t *Table) Fork(depth int) *Table {
+// Fork returns a copy of the first depth rows — the paper's R_d prefix
+// sharing cut at a parallel frontier: one traversal computes the shared
+// prefix once, and each subtree task extends its own copy of it (see
+// CopyFrom). The fork owns separate storage and starts with a zero cell
+// counter, so prefix cells are counted exactly once, by the table that
+// computed them.
+func (t *Rows) Fork(depth int) *Rows {
 	if depth < 0 || depth > t.depth {
 		//lint:ignore panicpath row-discipline assertion: forking past the stack means traversal bookkeeping is already corrupt
 		panic("dtw: bad Fork depth")
 	}
-	n := len(t.q)
-	f := &Table{q: t.q, window: t.window, depth: depth}
-	f.rows = append(f.rows, t.rows[:depth*n]...)
+	f := &Rows{n: t.n, window: t.window, depth: depth}
+	f.rows = append(f.rows, t.rows[:depth*t.n]...)
 	return f
 }
 
-// CopyFrom makes t a row-for-row copy of src — same query, window, and
-// depth — reusing t's row storage when it is large enough. The cell counter
-// is left untouched: copied rows were computed (and counted) elsewhere, so a
-// worker table keeps accumulating only the cells it computes itself across
-// the tasks it executes.
-func (t *Table) CopyFrom(src *Table) {
-	t.q = src.q
-	t.window = src.window
+// CopyFrom makes t's rows a copy of src's, reusing t's storage when it is
+// large enough; src must come from a table over the same query and window
+// (a worker's table is bound like the driver's before it takes a fork).
+// The cell counter is left untouched: copied rows were computed (and
+// counted) elsewhere, so a worker table keeps accumulating only the cells
+// it computes itself across the tasks it executes.
+func (t *Rows) CopyFrom(src *Rows) {
+	if src.n != t.n || src.window != t.window {
+		//lint:ignore panicpath row-discipline assertion: rows of another query's shape under this table's kernels would yield distances that bound nothing
+		panic("dtw: CopyFrom across differently bound tables")
+	}
 	t.depth = src.depth
-	need := src.depth * len(src.q)
+	need := src.depth * src.n
 	if cap(t.rows) >= need {
 		t.rows = t.rows[:need]
 	} else {
@@ -137,11 +157,10 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 	q := t.q
 	n := len(q)
 	x := t.depth // row index of the new row
-	curr := t.growRow(n, x)
-	bandLo, bandHi := t.bandFill(curr, n, x)
+	curr := t.GrowRow(n, x)
+	bandLo, bandHi := t.BandFill(curr, n, x)
 	minDist = Inf
-	t.cells += uint64(n)
-	t.depth++
+	t.CountRow(n)
 	if bandLo >= bandHi {
 		return curr[n-1], minDist
 	}
@@ -160,12 +179,12 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 		}
 		return curr[n-1], minDist
 	}
-	prev := t.rows[(x-1)*n : x*n : x*n]
+	prev := t.PrevRow(n, x)
 	y := bandLo
 	// left and diag carry curr[y-1] and prev[y-1] in registers, so the loop
 	// body reads prev exactly once per cell. The one out-of-band neighbour
 	// it reads, up at the band's right edge, holds the Inf the previous
-	// row's bandFill wrote, so the three-way min is safe at band edges.
+	// row's BandFill wrote, so the three-way min is safe at band edges.
 	left := Inf
 	if y == 0 {
 		c := Base(v, q[0]) + prev[0]
@@ -181,7 +200,7 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
 		for ; y < len(qb); y++ {
 			up := pb[y]
-			c := Base(v, qb[y]) + min3(left, up, diag)
+			c := Base(v, qb[y]) + Min3(left, up, diag)
 			cb[y] = c
 			if c < minDist {
 				minDist = c
@@ -203,11 +222,10 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 	q := t.q
 	n := len(q)
 	x := t.depth // row index of the new row
-	curr := t.growRow(n, x)
-	bandLo, bandHi := t.bandFill(curr, n, x)
+	curr := t.GrowRow(n, x)
+	bandLo, bandHi := t.BandFill(curr, n, x)
 	minDist = Inf
-	t.cells += uint64(n)
-	t.depth++
+	t.CountRow(n)
 	if bandLo >= bandHi {
 		return curr[n-1], minDist
 	}
@@ -224,7 +242,7 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 		}
 		return curr[n-1], minDist
 	}
-	prev := t.rows[(x-1)*n : x*n : x*n]
+	prev := t.PrevRow(n, x)
 	y := bandLo
 	left := Inf
 	if y == 0 {
@@ -239,7 +257,7 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
 		for ; y < len(qb); y++ {
 			up := pb[y]
-			c := BaseInterval(qb[y], lo, hi) + min3(left, up, diag)
+			c := BaseInterval(qb[y], lo, hi) + Min3(left, up, diag)
 			cb[y] = c
 			if c < minDist {
 				minDist = c
@@ -251,12 +269,30 @@ func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 	return curr[n-1], minDist
 }
 
-// growRow extends the row storage by one row of n cells and returns the new
+// A row kernel — dtw's two and multivar's two — appends a row in four
+// inlinable steps: GrowRow for the storage, BandFill for the band and the
+// out-of-band cells that are read raw, CountRow to charge the cells and
+// advance the depth, and PrevRow for the row the recurrence reads; then it
+// writes the band.
+
+// CountRow charges one row of n cells to the counter and makes it current.
+func (t *Rows) CountRow(n int) {
+	t.cells += uint64(n)
+	t.depth++
+}
+
+// PrevRow returns row x-1 as the recurrence reads it (raw: out-of-band
+// cells other than the two BandFill writes are undefined).
+func (t *Rows) PrevRow(n, x int) []float64 {
+	return t.rows[(x-1)*n : x*n : x*n]
+}
+
+// GrowRow extends the row storage by one row of n cells and returns the new
 // row as a full slice expression (appends beyond it can never reach older
 // rows). Growing within capacity is safe even on a rebound table: the caller
-// writes every in-band cell and bandFill the out-of-band cells that are
+// writes every in-band cell and BandFill the out-of-band cells that are
 // read, so stale bytes from a previous binding are never observed.
-func (t *Table) growRow(n, x int) []float64 {
+func (t *Rows) GrowRow(n, x int) []float64 {
 	if need := (x + 1) * n; need <= cap(t.rows) {
 		t.rows = t.rows[:need]
 	} else {
@@ -268,21 +304,21 @@ func (t *Table) growRow(n, x int) []float64 {
 // band returns the Sakoe–Chiba band [bandLo, bandHi) of row x: the columns
 // within the window of the diagonal, [0, n) without a window, empty
 // (bandLo == bandHi == n) once the row lies wholly past the band.
-func (t *Table) band(n, x int) (bandLo, bandHi int) {
+func (t *Rows) band(n, x int) (bandLo, bandHi int) {
 	if t.window < 0 {
 		return 0, n
 	}
 	return min(max(x-t.window, 0), n), min(x+t.window+1, n)
 }
 
-// bandFill returns the band of row x and writes Inf into the only two
+// BandFill returns the band of row x and writes Inf into the only two
 // out-of-band cells of curr anything reads raw: curr[bandHi], the "up"
 // neighbour of the last cell of the next row, whose band ends one column
 // further right (its first cell's "left" is carried in a register and its
 // "diag" lies inside this band), and curr[n-1], the row's distance to the
 // whole query. Every other out-of-band cell keeps whatever the storage held
 // — a banded row costs O(window), not O(n) — and is presented as Inf by Row.
-func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
+func (t *Rows) BandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 	bandLo, bandHi = t.band(n, x)
 	if bandHi < n {
 		curr[bandHi] = Inf
@@ -297,8 +333,8 @@ func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 // kernels leave those undefined, so Row fills them in, at O(n) per call.
 // The slice aliases the table's storage, is for reading only, and is
 // invalidated by the next AddRow*/Pop/Truncate/Bind.
-func (t *Table) Row(r int) []float64 {
-	n := len(t.q)
+func (t *Rows) Row(r int) []float64 {
+	n := t.n
 	row := t.rows[r*n : (r+1)*n]
 	bandLo, bandHi := t.band(n, r)
 	for y := range row[:bandLo] {
@@ -313,7 +349,7 @@ func (t *Table) Row(r int) []float64 {
 // LastColumn returns the final column of row r: the cumulative distance
 // between the full query and the first r+1 elements of the matched
 // subsequence.
-func (t *Table) LastColumn(r int) float64 {
-	n := len(t.q)
+func (t *Rows) LastColumn(r int) float64 {
+	n := t.n
 	return t.rows[r*n+n-1]
 }

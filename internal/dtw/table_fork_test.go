@@ -28,7 +28,7 @@ func refAddRow(q []float64, window int, rows [][]float64, base func(q float64) f
 		case y == 0:
 			curr[y] = b + rows[x-1][y]
 		default:
-			curr[y] = b + min3(curr[y-1], rows[x-1][y], rows[x-1][y-1])
+			curr[y] = b + Min3(curr[y-1], rows[x-1][y], rows[x-1][y-1])
 		}
 		if curr[y] < minDist {
 			minDist = curr[y]
@@ -39,7 +39,7 @@ func refAddRow(q []float64, window int, rows [][]float64, base func(q float64) f
 
 // poisoned returns a table bound to q under window w whose row storage was
 // last used by a wider, deeper table and has since been filled with a value
-// that would win every min: a kernel that reads a cell it — or bandFill —
+// that would win every min: a kernel that reads a cell it — or BandFill —
 // did not write comes out hugely negative.
 func poisoned(q []float64, w, rows int) *Table {
 	tab := NewTable(make([]float64, len(q)+9))
@@ -122,13 +122,15 @@ func TestTableForkContinuesIdentically(t *testing.T) {
 		for _, v := range vals[:5] {
 			tab.AddRowValue(v)
 		}
-		fork := tab.Fork(3)
-		if fork.Depth() != 3 {
-			t.Fatalf("fork depth = %d, want 3", fork.Depth())
+		prefix := tab.Fork(3)
+		if prefix.Depth() != 3 {
+			t.Fatalf("fork depth = %d, want 3", prefix.Depth())
 		}
-		if fork.Cells() != 0 {
-			t.Fatalf("fork cell counter = %d, want 0 (prefix cells are counted by the parent)", fork.Cells())
+		if prefix.Cells() != 0 {
+			t.Fatalf("fork cell counter = %d, want 0 (prefix cells are counted by the parent)", prefix.Cells())
 		}
+		fork := NewTableWindow(q, w)
+		fork.CopyFrom(prefix)
 		// Rewind the parent to the fork point; both must now evolve in
 		// lockstep on the same suffix of rows.
 		tab.Truncate(3)
@@ -173,8 +175,8 @@ func TestTableCopyFrom(t *testing.T) {
 	}
 	prefix := src.Fork(src.Depth())
 
-	dst := NewTable([]float64{9, 9}) // different query: Bind-style reuse
-	dst.AddRowValue(1)               // leave a counted cell behind
+	dst := NewTable(q)
+	dst.AddRowValue(1) // leave a stale row and a counted cell behind
 	cellsBefore := dst.Cells()
 	dst.CopyFrom(prefix)
 	if dst.Depth() != 3 {

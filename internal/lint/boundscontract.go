@@ -73,7 +73,8 @@ func runBoundsContract(pass *Pass) {
 
 // validateBoundMarkers treats every //twlint:bound-source as a checked
 // assertion against the inferred summaries: markers that declare nothing,
-// name impossible positions, float free of any function declaration,
+// name impossible positions, float free of any function declaration or
+// interface method,
 // understate what inference proves, or restate what inference derives
 // without them are all findings.
 func validateBoundMarkers(pass *Pass, an *pkgAnalysis) {
@@ -88,7 +89,7 @@ func validateBoundMarkers(pass *Pass, an *pkgAnalysis) {
 		for _, group := range file.Comments {
 			for _, c := range group.List {
 				if strings.HasPrefix(c.Text, "//twlint:bound-source") && !attached[c] {
-					pass.ReportPos(c.Pos(), "stale //twlint:bound-source: the directive is not the doc comment of a function declaration, so it declares nothing; move it onto the producer or delete it")
+					pass.ReportPos(c.Pos(), "stale //twlint:bound-source: the directive is not the doc comment of a function declaration or interface method, so it declares nothing; move it onto the producer or delete it")
 				}
 			}
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // CtxlessLoop reports condition-less `for {}` loops with no reachable exit
-// in the search packages (core, multivar). The threshold-expansion loops in
-// SearchKNN are intentionally unbounded in their loop header; their safety
+// in the search packages (core, multivar). The threshold-expansion loop
+// (core.RunKNN) is intentionally unbounded in its loop header; its safety
 // argument is the in-body limit check (eps > 1e18 → return). This analyzer
 // pins that discipline: every `for {` in a search path must contain a
 // break, a return, or a labeled exit of its own, so a future edit cannot

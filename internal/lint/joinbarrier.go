@@ -9,14 +9,13 @@ import (
 )
 
 // JoinBarrier enforces the merged-at-the-join-barrier ownership protocol
-// the parallel search drivers rely on (core/parallel.go,
-// multivar/mparallel.go): a type marked
+// the parallel search driver relies on (core/parallel.go): a type marked
 //
 //	//twlint:join-merged
 //
-// in its doc comment (SearchStats, multivar.Stats, pending.Set) holds
-// counters or shards that workers own privately while they run and the
-// driver merges only after all workers have exited. In any function that
+// in its doc comment (SearchStats, pending.Set) holds counters or shards
+// that workers own privately while they run and the driver merges only
+// after all workers have exited. In any function that
 // spawns goroutines, the driver side may therefore touch such state only
 // before the first spawn or after a join barrier — a sync.WaitGroup.Wait
 // call or the completion of a `for ... range ch` drain over a channel.

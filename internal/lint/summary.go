@@ -37,13 +37,12 @@ func (s *FuncSummary) covers(m *FuncSummary) bool {
 }
 
 // markerInfo is one //twlint:bound-source directive resolved against the
-// function it documents. The raw declaration is kept alongside the mask so
-// the checker can verify the marker as an assertion: out-of-range indices,
-// unknown parameter names, redundancy and understatement all become
-// findings.
+// function or interface method it documents. The raw declaration is kept
+// alongside the mask so the checker can verify the marker as an assertion:
+// out-of-range indices, unknown parameter names, redundancy and
+// understatement all become findings.
 type markerInfo struct {
 	fn      *types.Func
-	decl    *ast.FuncDecl
 	comment *ast.Comment
 	mask    *FuncSummary // only in-range results and resolvable params
 
@@ -68,66 +67,91 @@ func boundSourceComment(doc *ast.CommentGroup) *ast.Comment {
 }
 
 // collectBoundMarkers parses every //twlint:bound-source directive attached
-// to a function declaration of the package's non-test files.
+// to a function declaration or to a method of an interface type declared in
+// the package's non-test files. A marked interface method is a bodyless
+// producer: calls through the interface resolve to it, so a bound born
+// behind the interface (a row kernel's AddRow) taints the caller's values
+// exactly as a direct call to the concrete producer would.
 func collectBoundMarkers(fset *token.FileSet, files []*ast.File, info *types.Info) []markerInfo {
 	var out []markerInfo
+	add := func(doc *ast.CommentGroup, name *ast.Ident, ftype *ast.FuncType) {
+		c := boundSourceComment(doc)
+		if c == nil {
+			return
+		}
+		if mi, ok := parseBoundMarker(info, c, name, ftype); ok {
+			out = append(out, mi)
+		}
+	}
 	for _, file := range files {
 		if isTestFile(fset.Position(file.Pos())) {
 			continue
 		}
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				add(fd.Doc, fd.Name, fd.Type)
 			}
-			c := boundSourceComment(fd.Doc)
-			if c == nil {
-				continue
-			}
-			mi := markerInfo{decl: fd, comment: c}
-			mi.fn, _ = info.Defs[fd.Name].(*types.Func)
-			if mi.fn == nil {
-				continue
-			}
-			sig := mi.fn.Type().(*types.Signature)
-			mi.mask = &FuncSummary{
-				Results: make([]bool, sig.Results().Len()),
-				Params:  make([]bool, sig.Params().Len()),
-			}
-			rest := strings.TrimPrefix(c.Text, "//twlint:bound-source")
-			for _, field := range strings.Fields(rest) {
-				if v, ok := strings.CutPrefix(field, "results="); ok {
-					mi.declResults = true
-					for _, s := range strings.Split(v, ",") {
-						i, err := strconv.Atoi(s)
-						if err != nil || i < 0 || i >= len(mi.mask.Results) {
-							mi.badResults = append(mi.badResults, s)
-							continue
-						}
-						mi.mask.Results[i] = true
-					}
-				}
-				if v, ok := strings.CutPrefix(field, "params="); ok {
-					mi.declParams = true
-					for _, name := range strings.Split(v, ",") {
-						idx := -1
-						for i, p := range fieldObjs(info, fd.Type.Params) {
-							if p != nil && p.Name() == name {
-								idx = i
-							}
-						}
-						if idx < 0 {
-							mi.badParams = append(mi.badParams, name)
-							continue
-						}
-						mi.mask.Params[idx] = true
-					}
-				}
-			}
-			out = append(out, mi)
 		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			it, ok := n.(*ast.InterfaceType)
+			if !ok {
+				return true
+			}
+			for _, m := range it.Methods.List {
+				if ftype, ok := m.Type.(*ast.FuncType); ok && len(m.Names) == 1 {
+					add(m.Doc, m.Names[0], ftype)
+				}
+			}
+			return true
+		})
 	}
 	return out
+}
+
+// parseBoundMarker resolves one directive against the function or interface
+// method it documents; ok is false when the name has no function object.
+func parseBoundMarker(info *types.Info, c *ast.Comment, name *ast.Ident, ftype *ast.FuncType) (mi markerInfo, ok bool) {
+	mi = markerInfo{comment: c}
+	mi.fn, _ = info.Defs[name].(*types.Func)
+	if mi.fn == nil {
+		return mi, false
+	}
+	sig := mi.fn.Type().(*types.Signature)
+	mi.mask = &FuncSummary{
+		Results: make([]bool, sig.Results().Len()),
+		Params:  make([]bool, sig.Params().Len()),
+	}
+	rest := strings.TrimPrefix(c.Text, "//twlint:bound-source")
+	for _, field := range strings.Fields(rest) {
+		if v, ok := strings.CutPrefix(field, "results="); ok {
+			mi.declResults = true
+			for _, s := range strings.Split(v, ",") {
+				i, err := strconv.Atoi(s)
+				if err != nil || i < 0 || i >= len(mi.mask.Results) {
+					mi.badResults = append(mi.badResults, s)
+					continue
+				}
+				mi.mask.Results[i] = true
+			}
+		}
+		if v, ok := strings.CutPrefix(field, "params="); ok {
+			mi.declParams = true
+			for _, name := range strings.Split(v, ",") {
+				idx := -1
+				for i, p := range fieldObjs(info, ftype.Params) {
+					if p != nil && p.Name() == name {
+						idx = i
+					}
+				}
+				if idx < 0 {
+					mi.badParams = append(mi.badParams, name)
+					continue
+				}
+				mi.mask.Params[idx] = true
+			}
+		}
+	}
+	return mi, true
 }
 
 // markerMasks merges the marker declarations into per-function seed masks,

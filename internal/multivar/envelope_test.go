@@ -32,17 +32,17 @@ func TestMultivarEnvelopeCascade(t *testing.T) {
 				}
 				for _, eps := range []float64{1.5, 8.5} {
 					label := fmt.Sprintf("trial=%d dim=%d sparse=%v w=%d eps=%v", trial, dim, sparse, window, eps)
-					on, onStats, err := ix.Search(q, eps)
+					on, onStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					ix.DisableEnvelopes = true
-					off, offStats, err := ix.Search(q, eps)
+					off, offStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 					ix.DisableEnvelopes = false
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, parStats, err := ix.SearchOpts(q, eps, SearchOptions{Parallelism: 3})
+					par, parStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{Parallelism: 3})
 					if err != nil {
 						t.Fatal(err)
 					}

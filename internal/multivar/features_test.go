@@ -123,7 +123,7 @@ func TestMultivarWindowedNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ix.Search(q, eps)
+			got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 			ix.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +158,7 @@ func TestMultivarMinAnswerLen(t *testing.T) {
 		if ix.MinAnswerLen() != minLen {
 			t.Fatalf("MinAnswerLen = %d", ix.MinAnswerLen())
 		}
-		got, _, err := ix.Search(q, eps)
+		got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 		ix.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -194,12 +194,33 @@ func TestMultivarKNN(t *testing.T) {
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
 	k := 7
-	got, _, err := ix.SearchKNN(q, k)
+	got, gotStats, err := ix.SearchKNNOpts(bg, q, k, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != k {
 		t.Fatalf("kNN returned %d", len(got))
+	}
+	// The stats are every expansion round's, summed — the envelope gate's
+	// counters included: replay the rounds as plain range searches.
+	step := 0.0
+	for i := 1; i < len(q); i++ {
+		step += Base(q[i], q[i-1])
+	}
+	var want Stats
+	for eps := step/float64(len(q)) + 1e-9; ; eps *= 4 {
+		ms, st, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(st)
+		if len(ms) >= k {
+			break
+		}
+	}
+	want.Answers = uint64(k)
+	if mExactStats(gotStats) != mExactStats(want) || want.LBCells == 0 || want.EnvelopePruned == 0 {
+		t.Fatalf("kNN stats %v, want the rounds' sum %v", mExactStats(gotStats), mExactStats(want))
 	}
 	all, _, err := SeqScan(data, q, 1e18, -1)
 	if err != nil {
@@ -212,10 +233,10 @@ func TestMultivarKNN(t *testing.T) {
 			t.Fatalf("kNN distance %v beyond true kth %v", m.Distance, kth)
 		}
 	}
-	if _, _, err := ix.SearchKNN(q, 0); err == nil {
+	if _, _, err := ix.SearchKNNOpts(bg, q, 0, SearchOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ix.SearchKNN(nil, 2); err == nil {
+	if _, _, err := ix.SearchKNNOpts(bg, nil, 2, SearchOptions{}); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -231,7 +252,7 @@ func TestMultivarOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.Search(q, 9.5)
+	want, _, err := ix.SearchOpts(bg, q, 9.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +271,7 @@ func TestMultivarOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, _, err := re.Search(q, 9.5)
+	got, _, err := re.SearchOpts(bg, q, 9.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +355,7 @@ func TestMultivarBuildOptionErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if _, _, err := ix.Search([][]float64{{2}}, 1); err != nil {
+		if _, _, err := ix.SearchOpts(bg, [][]float64{{2}}, 1, SearchOptions{}); err != nil {
 			t.Fatalf("%+v: search: %v", opts, err)
 		}
 		ix.Close()
@@ -360,7 +381,7 @@ func TestMultivarDup(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.Search(q, 8.5)
+	want, _, err := ix.SearchOpts(bg, q, 8.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +390,7 @@ func TestMultivarDup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dup.Close()
-	got, _, err := dup.Search(q, 8.5)
+	got, _, err := dup.SearchOpts(bg, q, 8.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,18 +413,27 @@ func TestMultivarSearchVisit(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.Search(q, 9.5)
+	want, _, err := ix.SearchOpts(bg, q, 9.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Match
-	if _, err := ix.SearchVisit(q, 9.5, func(m Match) bool {
+	if _, err := ix.SearchVisitOpts(bg, q, 9.5, func(m Match) bool {
 		got = append(got, m)
 		return true
-	}); err != nil {
+	}, SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	sortMatches(got)
+	sort.Slice(got, func(i, j int) bool {
+		a, b := got[i].Ref, got[j].Ref
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.End < b.End
+	})
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d, Search %d", len(got), len(want))
 	}
@@ -414,17 +444,17 @@ func TestMultivarSearchVisit(t *testing.T) {
 	}
 	if len(want) > 2 {
 		count := 0
-		if _, err := ix.SearchVisit(q, 9.5, func(Match) bool {
+		if _, err := ix.SearchVisitOpts(bg, q, 9.5, func(Match) bool {
 			count++
 			return count < 2
-		}); err != nil {
+		}, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if count != 2 {
 			t.Fatalf("early stop delivered %d", count)
 		}
 	}
-	if _, err := ix.SearchVisit(q, 9.5, nil); err == nil {
+	if _, err := ix.SearchVisitOpts(bg, q, 9.5, nil, SearchOptions{}); err == nil {
 		t.Error("nil visitor accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package multivar
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,8 @@ import (
 
 	"twsearch/internal/categorize"
 )
+
+var bg = context.Background()
 
 func randomVecDataset(rng *rand.Rand, nSeq, maxLen, dim int) *Dataset {
 	d := NewDataset(dim)
@@ -161,7 +164,7 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := ix.Search(q, eps)
+			got, stats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,13 +194,13 @@ func TestSearchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, _, err := ix.Search(nil, 1); err == nil {
+	if _, _, err := ix.SearchOpts(bg, nil, 1, SearchOptions{}); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := ix.Search([][]float64{{1}}, 1); err == nil {
+	if _, _, err := ix.SearchOpts(bg, [][]float64{{1}}, 1, SearchOptions{}); err == nil {
 		t.Error("wrong-dim query accepted")
 	}
-	if _, _, err := ix.Search([][]float64{{1, 2}}, -1); err == nil {
+	if _, _, err := ix.SearchOpts(bg, [][]float64{{1, 2}}, -1, SearchOptions{}); err == nil {
 		t.Error("negative eps accepted")
 	}
 }

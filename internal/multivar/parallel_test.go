@@ -25,13 +25,13 @@ func mMatchesBitIdentical(a, b []Match) bool {
 }
 
 // mExactStats strips Stats to the counters that are exact under parallelism
-// (everything but wall clock — the multivariate engine has no pool fields).
-func mExactStats(s Stats) [6]uint64 {
-	return [6]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers}
+// (everything but wall clock and the index-wide pool deltas).
+func mExactStats(s Stats) [8]uint64 {
+	return [8]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers, s.EnvelopePruned, s.LBCells}
 }
 
-// TestMultivarParallelDeterministic mirrors core's tentpole contract for the
-// multivariate engine: every worker count returns matches, order, and exact
+// TestMultivarParallelDeterministic holds the vector kernel to the parallel
+// driver's contract: every worker count returns matches, order, and exact
 // stats byte-identical to the serial traversal, across dense/sparse and
 // windowed index shapes.
 func TestMultivarParallelDeterministic(t *testing.T) {
@@ -58,19 +58,19 @@ func TestMultivarParallelDeterministic(t *testing.T) {
 			q := randomVecQuery(rng, 8, 2)
 			eps := float64(rng.Intn(8)) + 0.5
 
-			wantM, wantS, err := ix.Search(q, eps)
+			wantM, wantS, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial Search: %v", v.name, err)
 			}
 			var wantVisit []Match
-			wantVS, err := ix.SearchVisit(q, eps, func(m Match) bool {
+			wantVS, err := ix.SearchVisitOpts(bg, q, eps, func(m Match) bool {
 				wantVisit = append(wantVisit, m)
 				return true
-			})
+			}, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial SearchVisit: %v", v.name, err)
 			}
-			wantK, wantKS, err := ix.SearchKNN(q, 4)
+			wantK, wantKS, err := ix.SearchKNNOpts(bg, q, 4, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial SearchKNN: %v", v.name, err)
 			}
@@ -81,7 +81,7 @@ func TestMultivarParallelDeterministic(t *testing.T) {
 			for _, par := range workerCounts {
 				opts := SearchOptions{Parallelism: par}
 
-				gotM, gotS, err := ix.SearchOpts(q, eps, opts)
+				gotM, gotS, err := ix.SearchOpts(bg, q, eps, opts)
 				if err != nil {
 					t.Fatalf("%s par=%d: SearchOpts: %v", v.name, par, err)
 				}
@@ -95,7 +95,7 @@ func TestMultivarParallelDeterministic(t *testing.T) {
 				}
 
 				var gotVisit []Match
-				gotVS, err := ix.SearchVisitOpts(q, eps, func(m Match) bool {
+				gotVS, err := ix.SearchVisitOpts(bg, q, eps, func(m Match) bool {
 					gotVisit = append(gotVisit, m)
 					return true
 				}, opts)
@@ -111,7 +111,7 @@ func TestMultivarParallelDeterministic(t *testing.T) {
 						v.name, par, qi, mExactStats(gotVS), mExactStats(wantVS))
 				}
 
-				gotK, gotKS, err := ix.SearchKNNOpts(q, 4, opts)
+				gotK, gotKS, err := ix.SearchKNNOpts(bg, q, 4, opts)
 				if err != nil {
 					t.Fatalf("%s par=%d: SearchKNNOpts: %v", v.name, par, err)
 				}
@@ -148,10 +148,10 @@ func TestMultivarParallelVisitorEarlyStop(t *testing.T) {
 	const eps = 14.5
 
 	var all []Match
-	if _, err := ix.SearchVisit(q, eps, func(m Match) bool {
+	if _, err := ix.SearchVisitOpts(bg, q, eps, func(m Match) bool {
 		all = append(all, m)
 		return true
-	}); err != nil {
+	}, SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(all) < 4 {
@@ -161,7 +161,7 @@ func TestMultivarParallelVisitorEarlyStop(t *testing.T) {
 	for _, par := range []int{2, 3} {
 		stopAfter := len(all) / 2
 		var got []Match
-		_, err := ix.SearchVisitOpts(q, eps, func(m Match) bool {
+		_, err := ix.SearchVisitOpts(bg, q, eps, func(m Match) bool {
 			got = append(got, m)
 			return len(got) < stopAfter
 		}, SearchOptions{Parallelism: par})

@@ -1,0 +1,136 @@
+package multivar
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"twsearch/internal/categorize"
+	"twsearch/internal/core"
+	"twsearch/internal/sequence"
+)
+
+// workScalarData is a fixed-seed set of integer random walks and a query.
+func workScalarData() (*sequence.Dataset, []float64) {
+	rng := rand.New(rand.NewSource(2001))
+	data := sequence.NewDataset()
+	for i := 0; i < 16; i++ {
+		vals := make([]float64, 60+rng.Intn(40))
+		v := float64(rng.Intn(20))
+		for j := range vals {
+			v += float64(rng.Intn(5) - 2)
+			vals[j] = v
+		}
+		data.MustAdd(sequence.Sequence{ID: fmt.Sprintf("s%d", i), Values: vals})
+	}
+	q := make([]float64, 10)
+	v := 10.0
+	for j := range q {
+		v += float64(rng.Intn(5) - 2)
+		q[j] = v
+	}
+	return data, q
+}
+
+// workVectorData is its 2-D counterpart; the query is a stretch of one
+// trajectory, nudged.
+func workVectorData() (*Dataset, [][]float64) {
+	rng := rand.New(rand.NewSource(2003))
+	data := NewDataset(2)
+	walk := func(n int) [][]float64 {
+		x, y := float64(rng.Intn(12)), float64(rng.Intn(12))
+		out := make([][]float64, n)
+		for j := range out {
+			x += float64(rng.Intn(3) - 1)
+			y += float64(rng.Intn(3) - 1)
+			out[j] = []float64{x, y}
+		}
+		return out
+	}
+	for i := 0; i < 16; i++ {
+		data.MustAdd(Sequence{ID: fmt.Sprintf("v%d", i), Points: walk(60 + rng.Intn(40))})
+	}
+	q := make([][]float64, 9)
+	for j := range q {
+		p := data.Points(3)[10+j]
+		q[j] = []float64{p[0] + float64(rng.Intn(3)-1), p[1]}
+	}
+	return data, q
+}
+
+// TestEngineWorkPinned pins the work, not just the answers: on fixed-seed
+// data, each kernel × index shape must visit the nodes, compute the cells,
+// raise the candidates and cut the rows that core.Index.Search and
+// multivar.Index.Search did at the commit before the two engines became one
+// (the literals were captured there), serially and with 2 and 4 workers.
+// No benchmark workload exposes the vector kernel's counters, so this is
+// what shows the shared traversal does the same work for vectors.
+func TestEngineWorkPinned(t *testing.T) {
+	dir := t.TempDir()
+	sdata, sq := workScalarData()
+	vdata, vq := workVectorData()
+	const seps, veps = 9, 13.5
+	// NodesVisited, FilterCells, PostCells, Candidates, FalseAlarms,
+	// Answers, EnvelopePruned, LBCells.
+	type counters [8]uint64
+	rows := []struct {
+		name   string
+		scalar *core.Options
+		vector *Options
+		want   counters
+	}{
+		{"scalar/dense", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 12}, nil,
+			counters{668, 25250, 17270, 756, 475, 281, 110, 2635}},
+		{"scalar/sparse", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true}, nil,
+			counters{472, 17570, 25260, 1294, 1013, 281, 168, 1925}},
+		{"scalar/sparse+window", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true, Window: 4}, nil,
+			counters{472, 15790, 23570, 1294, 1165, 129, 145, 1724}},
+		{"scalar/identity", &core.Options{Kind: categorize.KindIdentity}, nil,
+			counters{725, 19100, 0, 281, 0, 281, 128, 2038}},
+		{"vector/dense", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 4},
+			counters{862, 62514, 13437, 958, 913, 45, 144, 7090}},
+		{"vector/sparse", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 3, Sparse: true},
+			counters{423, 21555, 20169, 2089, 2044, 45, 134, 2529}},
+		{"vector/sparse+window", nil, &Options{Kind: categorize.KindEqualLength, CatsPerDim: 4, Sparse: true, Window: 4},
+			counters{317, 10395, 21510, 2654, 2614, 40, 112, 1267}},
+		{"vector/identity", nil, &Options{Kind: categorize.KindIdentity},
+			counters{1287, 18747, 918, 9, 0, 45, 489, 2572}},
+	}
+	for i, r := range rows {
+		path := filepath.Join(dir, fmt.Sprintf("w%d.twt", i))
+		var search func(opts SearchOptions) (Stats, error)
+		if r.scalar != nil {
+			ix, err := core.Build(sdata, path, *r.scalar)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			defer ix.Close()
+			search = func(opts SearchOptions) (Stats, error) {
+				_, st, err := ix.SearchOpts(bg, sq, seps, opts)
+				return st, err
+			}
+		} else {
+			ix, err := Build(vdata, path, *r.vector)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			defer ix.Close()
+			search = func(opts SearchOptions) (Stats, error) {
+				_, st, err := ix.SearchOpts(bg, vq, veps, opts)
+				return st, err
+			}
+		}
+		for _, par := range []int{1, 2, 4} {
+			st, err := search(SearchOptions{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s par=%d: %v", r.name, par, err)
+			}
+			got := counters{st.NodesVisited, st.FilterCells, st.PostCells, st.Candidates,
+				st.FalseAlarms, st.Answers, st.EnvelopePruned, st.LBCells}
+			if got != r.want {
+				t.Errorf("%s par=%d: counters %v, want %v", r.name, par, got, r.want)
+			}
+		}
+	}
+}

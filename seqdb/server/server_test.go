@@ -323,6 +323,11 @@ func TestServerOverloadFastFail(t *testing.T) {
 	if err := <-firstDone; err != nil {
 		t.Fatalf("admitted search failed: %v", err)
 	}
+	// As in TestServerDeadline: counted once the response is flushed, which
+	// the client may see first.
+	for counted := time.Now().Add(5 * time.Second); s.Metrics().Overloaded != 1 && time.Now().Before(counted); {
+		time.Sleep(time.Millisecond)
+	}
 	if m := s.Metrics(); m.Overloaded != 1 {
 		t.Fatalf("overload not counted: %+v", m)
 	}

@@ -1,6 +1,7 @@
 package seqdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -270,12 +271,14 @@ func (db *VectorDB) Indexes() []string {
 
 // Search returns every subsequence within time warping distance eps of the
 // vector query, with no false dismissals.
+//
+//twlint:ctx-root the vector API has no context forms yet; the engine below takes one
 func (db *VectorDB) Search(indexName string, q [][]float64, eps float64) ([]VectorMatch, error) {
 	oi, ok := db.indexes[indexName]
 	if !ok {
 		return nil, fmt.Errorf("seqdb: no vector index %q", indexName)
 	}
-	ms, _, err := oi.ix.Search(q, eps)
+	ms, _, err := oi.ix.SearchOpts(context.Background(), q, eps, multivar.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +286,14 @@ func (db *VectorDB) Search(indexName string, q [][]float64, eps float64) ([]Vect
 }
 
 // SearchKNN returns the k nearest vector subsequences.
+//
+//twlint:ctx-root the vector API has no context forms yet; the engine below takes one
 func (db *VectorDB) SearchKNN(indexName string, q [][]float64, k int) ([]VectorMatch, error) {
 	oi, ok := db.indexes[indexName]
 	if !ok {
 		return nil, fmt.Errorf("seqdb: no vector index %q", indexName)
 	}
-	ms, _, err := oi.ix.SearchKNN(q, k)
+	ms, _, err := oi.ix.SearchKNNOpts(context.Background(), q, k, multivar.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}
