@@ -25,9 +25,9 @@ lint-self:
 	$(GO) run ./cmd/twlint ./cmd/twlint ./internal/lint ./internal/lint/cfg
 
 # Protocol-symmetry gate on the wire codecs alone: the wireconform analyzer
-# proves every encoder's field order, widths, loops and version gates are
-# mirrored by its decoder, so codec skew fails fast without running the
-# whole suite.
+# proves every encoder's field order, widths and loops are mirrored by its
+# decoder and that no layout is data-dependent, so codec skew fails fast
+# without running the whole suite.
 lint-wire:
 	$(GO) run ./cmd/twlint -only wireconform ./internal/wire
 
@@ -88,16 +88,18 @@ race-parallel:
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
 # answers byte-identical to the unsharded database — in process, through a
 # sharded twsearchd mount, through the routing tier (remote and mixed
-# legs), and over the v4 batch RPC. Also covers the scatter-gather
-# coordinator's partial-failure and merge paths.
+# legs), and over the batch RPC. Also covers the scatter-gather
+# coordinator's partial-failure and merge paths; the partial-failure test
+# orders its shards with gates, and fifty runs hold it to that.
 race-shard:
 	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestServerBatch|TestRouterThroughDaemons|TestPartialFailure|TestSearch|TestScanMerges|TestManifest' ./internal/shard/ ./seqdb/ ./seqdb/server/
+	$(GO) test -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from
-# 8 goroutines through the buffer pool, mmap, and auto backends — over both
-# node record encodings — must return answers byte-identical to the pool
+# 8 goroutines through the buffer pool and mmap backends — over both node
+# record encodings — must return answers byte-identical to the pool
 # baseline, and the PageSource contract and view-concurrency suites must
-# hold for every backend.
+# hold for both (mmap on a file that cannot be mapped is the pool).
 race-mmap:
 	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2' ./seqdb/ ./internal/storage/ ./internal/disktree/
 
@@ -118,19 +120,34 @@ race-build:
 smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
-# Bounded fuzzing for CI: the distance-kernel, engine-equivalence (scalar
-# and vector kernel), wire round-trip, build-versus-naive, node-codec,
-# scheme-reader and file-corruption targets, 10s each, seeds + corpus only.
+# The fuzz targets CI runs, as package:target pairs — the distance-kernel,
+# engine-equivalence (scalar and vector kernel), wire round-trip,
+# build-versus-naive, node-codec, scheme-reader and file-corruption targets.
+# A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
+# giving the two engine-equivalence targets twice the time.
+FUZZ_ENGINE = \
+	./internal/core/:FuzzSearchMatchesScan \
+	./internal/multivar/:FuzzVectorSearchMatchesScan
+FUZZ_CI = \
+	./internal/dtw/:FuzzDistanceProperties \
+	./internal/dtw/:FuzzIntervalLowerBound \
+	$(FUZZ_ENGINE) \
+	./internal/categorize/:FuzzReadScheme \
+	./internal/disktree/:FuzzValidateCorruption \
+	./internal/wire/:FuzzFrameRoundTrip \
+	./internal/disktree/:FuzzBuildVsNaive \
+	./internal/disktree/:FuzzNodeCodecV2
+FUZZ_EXTRA = \
+	./internal/sequence/:FuzzReadBinary \
+	./internal/sequence/:FuzzReadCSV \
+	./internal/categorize/:FuzzFit
+# $(call fuzz-each,pairs,time): one bounded `go test -fuzz` per pair, seeds +
+# corpus only, stopping at the first failure.
+fuzz-each = set -e; for pt in $(1); do $(GO) test -fuzz "^$${pt\#\#*:}$$" -fuzztime $(2) "$${pt%%:*}"; done
+
+# Bounded fuzzing for CI: every FUZZ_CI target, 10s each.
 fuzz-ci:
-	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
-	$(GO) test -fuzz FuzzIntervalLowerBound -fuzztime 10s ./internal/dtw/
-	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 10s ./internal/core/
-	$(GO) test -fuzz FuzzVectorSearchMatchesScan -fuzztime 10s ./internal/multivar/
-	$(GO) test -fuzz FuzzReadScheme -fuzztime 10s ./internal/categorize/
-	$(GO) test -fuzz FuzzValidateCorruption -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
-	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
+	$(call fuzz-each,$(FUZZ_CI),10s)
 
 race:
 	$(GO) test -race ./...
@@ -156,20 +173,11 @@ profile-search:
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
 
-# Short fuzz session over every fuzz target.
+# Short fuzz session over every fuzz target: 10s each, 20s for the engine
+# pair.
 fuzz:
-	$(GO) test -fuzz FuzzDistanceProperties -fuzztime 10s ./internal/dtw/
-	$(GO) test -fuzz FuzzIntervalLowerBound -fuzztime 10s ./internal/dtw/
-	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/sequence/
-	$(GO) test -fuzz FuzzReadCSV -fuzztime 10s ./internal/sequence/
-	$(GO) test -fuzz FuzzReadScheme -fuzztime 10s ./internal/categorize/
-	$(GO) test -fuzz FuzzFit -fuzztime 10s ./internal/categorize/
-	$(GO) test -fuzz FuzzValidateCorruption -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzNodeCodecV2 -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzBuildVsNaive -fuzztime 10s ./internal/disktree/
-	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire/
-	$(GO) test -fuzz FuzzSearchMatchesScan -fuzztime 20s ./internal/core/
-	$(GO) test -fuzz FuzzVectorSearchMatchesScan -fuzztime 20s ./internal/multivar/
+	$(call fuzz-each,$(filter-out $(FUZZ_ENGINE),$(FUZZ_CI)) $(FUZZ_EXTRA),10s)
+	$(call fuzz-each,$(FUZZ_ENGINE),20s)
 
 # Regenerate the paper's tables and figures at full scale (minutes).
 tables:

@@ -1,6 +1,7 @@
 package twsearch_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -191,7 +192,7 @@ func BenchmarkSearchSparseEps5(b *testing.B) {
 	ix, queries := benchStockIndex(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Search(queries[i%len(queries)], 5); err != nil {
+		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 5, core.SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkSearchSparseEps30(b *testing.B) {
 	ix, queries := benchStockIndex(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Search(queries[i%len(queries)], 30); err != nil {
+		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 30, core.SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func BenchmarkSearchDenseEps5(b *testing.B) {
 	ix, queries := benchStockIndex(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.Search(queries[i%len(queries)], 5); err != nil {
+		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 5, core.SearchOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //	seqdbctl create  -db DIR
 //	seqdbctl gen     -db DIR [-kind stocks|artificial] [-n N] [-len L] [-seed S]
 //	seqdbctl import  -db DIR -csv FILE
-//	seqdbctl stats   -db DIR [-backend pool|mmap|auto]
+//	seqdbctl stats   -db DIR [-backend pool|mmap]
 //	seqdbctl index   -db DIR -name NAME [-method me|el|kmeans|exact] [-cats N] [-sparse] [-window W] [-encoding v1|v2]
 //	seqdbctl drop    -db DIR -name NAME
 //	seqdbctl query   -db DIR -name NAME -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
@@ -118,8 +118,8 @@ type database interface {
 	PoolStats() []seqdb.IndexPoolStats
 	BuildIndex(name string, spec seqdb.IndexSpec) error
 	DropIndex(name string) error
-	SearchCtx(ctx context.Context, name string, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error)
-	SearchKNNCtx(ctx context.Context, name string, q []float64, k int) ([]seqdb.Match, seqdb.SearchStats, error)
+	SearchWith(ctx context.Context, name string, q []float64, eps float64, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error)
+	SearchKNNWith(ctx context.Context, name string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error)
 	SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error)
 }
 
@@ -145,7 +145,7 @@ func openAny(dir, backendName, envName string) (database, error) {
 
 // backendFlag registers the shared -backend flag on a subcommand FlagSet.
 func backendFlag(fs *flag.FlagSet) *string {
-	return fs.String("backend", "", "storage backend for index trees: pool (default), mmap, or auto")
+	return fs.String("backend", "", "storage backend for index trees: pool (default) or mmap")
 }
 
 // envelopesFlag registers the shared -envelopes flag on a subcommand
@@ -331,7 +331,7 @@ func cmdKNN(args []string) error {
 			return err
 		}
 		defer c.Close()
-		matches, stats, err = c.SearchKNN(ctx, *dbName, *name, q, *k)
+		matches, stats, err = c.SearchKNNWith(ctx, *dbName, *name, q, *k, seqdb.SearchOptions{})
 		if err != nil {
 			return err
 		}
@@ -354,7 +354,7 @@ func cmdKNN(args []string) error {
 		return fmt.Errorf("knn: query range out of bounds")
 	}
 	q := append([]float64(nil), vals[*start:*start+*qlen]...)
-	matches, stats, err = d.SearchKNNCtx(ctx, *name, q, *k)
+	matches, stats, err = d.SearchKNNWith(ctx, *name, q, *k, seqdb.SearchOptions{})
 	if err != nil {
 		return err
 	}
@@ -614,7 +614,7 @@ func cmdQuery(args []string, useIndex bool) error {
 		}
 		defer c.Close()
 		if useIndex {
-			matches, stats, err = c.Search(ctx, *dbName, *name, q, *eps)
+			matches, stats, err = c.SearchWith(ctx, *dbName, *name, q, *eps, seqdb.SearchOptions{})
 		} else {
 			matches, stats, err = c.SeqScan(ctx, *dbName, q, *eps)
 		}
@@ -651,7 +651,7 @@ func cmdQuery(args []string, useIndex bool) error {
 	}
 
 	if useIndex {
-		matches, stats, err = d.SearchCtx(ctx, *name, q, *eps)
+		matches, stats, err = d.SearchWith(ctx, *name, q, *eps, seqdb.SearchOptions{})
 	} else {
 		matches, stats, err = d.SeqScanCtx(ctx, q, *eps)
 	}

@@ -120,7 +120,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	maxPar := fs.Int("max-par", 0, "max worker goroutines one search may use; caps the client hint (0 = serial only)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "drop connections idle this long (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-	backendName := fs.String("backend", "", "storage backend for local index trees: pool (default), mmap, or auto")
+	backendName := fs.String("backend", "", "storage backend for local index trees: pool (default) or mmap")
 	envName := fs.String("envelopes", "", "envelope lower-bound cascade for local searches: auto (default, on), on, or off")
 	quiet := fs.Bool("q", false, "suppress per-request access logs")
 	if err := fs.Parse(args); err != nil {

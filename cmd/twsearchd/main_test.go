@@ -44,7 +44,7 @@ func buildTestDB(t *testing.T) (dir string, query []float64, want []seqdb.Match)
 		t.Fatal(err)
 	}
 	query = append([]float64(nil), db.Values("stock-05")[8:28]...)
-	want, _, err = db.Search("fast", query, 3)
+	want, _, err = db.SearchWith(context.Background(), "fast", query, 3, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDaemonSmoke(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			got, _, err := c.Search(context.Background(), "main", "fast", query, 3)
+			got, _, err := c.SearchWith(context.Background(), "main", "fast", query, 3, seqdb.SearchOptions{})
 			if err != nil {
 				errs[w] = err
 				return

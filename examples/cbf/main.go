@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -64,7 +65,7 @@ func main() {
 	for _, class := range classes {
 		for trial := 0; trial < 10; trial++ {
 			q := workload.CBFInstance(rng, class, 128, 0.5)
-			nn, _, err := db.SearchKNN("cbf", q, 1)
+			nn, _, err := db.SearchKNNWith(context.Background(), "cbf", q, 1, seqdb.SearchOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -101,7 +102,7 @@ func main() {
 	query := beat(beat(nil, 18, 2.2), 18, 2.2)
 
 	eps := 4.0
-	matches, stats, err := db.Search("beats", query, eps)
+	matches, stats, err := db.SearchWith(context.Background(), "beats", query, eps, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func main() {
 		Sparse:     true,
 		Window:     10,
 	}))
-	wMatches, wStats, err := db.Search("beats-windowed", query, eps)
+	wMatches, wStats, err := db.SearchWith(context.Background(), "beats-windowed", query, eps, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

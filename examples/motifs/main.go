@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -84,7 +85,7 @@ func main() {
 			// Range search with a moderate radius; self-overlapping hits
 			// (trivial matches) are discarded and the closest survivor
 			// becomes this window's motif partner.
-			matches, _, err := db.Search("m", q, 10)
+			matches, _, err := db.SearchWith(context.Background(), "m", q, 10, seqdb.SearchOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

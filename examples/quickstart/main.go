@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,9 +43,12 @@ func main() {
 
 	// 3. Search. Under the Euclidean distance these two series can't even
 	// be compared (different lengths); under time warping they are
-	// identical, so the whole "daily" sequence matches at distance 0.
+	// identical, so the whole "daily" sequence matches at distance 0. Every
+	// search takes a context (its deadline or cancellation aborts the
+	// traversal) and execution options (the zero value is serial).
+	ctx := context.Background()
 	query := []float64{20, 21, 20, 23}
-	matches, stats, err := db.Search("main", query, 1.0)
+	matches, stats, err := db.SearchWith(ctx, "main", query, 1.0, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func main() {
 	}
 
 	// 4. The guarantee: the index returns exactly what a full scan does.
-	scan, _, err := db.SeqScan(query, 1.0)
+	scan, _, err := db.SeqScanCtx(ctx, query, 1.0)
 	if err != nil {
 		log.Fatal(err)
 	}

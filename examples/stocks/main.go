@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -74,7 +75,7 @@ func main() {
 		}
 		eps += gap
 	}
-	matches, stats, err := db.Search("sst", pattern, eps)
+	matches, stats, err := db.SearchWith(context.Background(), "sst", pattern, eps, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func main() {
 	}
 
 	// Work comparison against both baselines.
-	_, scanStats, err := db.SeqScan(pattern, eps)
+	_, scanStats, err := db.SeqScanCtx(context.Background(), pattern, eps)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -80,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	matches, stats, err := db.Search("tuned", queries[0], 5)
+	matches, stats, err := db.SearchWith(context.Background(), "tuned", queries[0], 5, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package twsearch_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -51,12 +52,12 @@ func TestIntegrationLifecycle(t *testing.T) {
 	// Every unwindowed index agrees with the scan; the windowed one is a
 	// subset of it (band constraints only remove answers).
 	for _, q := range queries {
-		want, _, err := db.SeqScan(q, eps)
+		want, _, err := db.SeqScanCtx(context.Background(), q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"exact", "el-dense", "me-sst", "km-sst"} {
-			got, _, err := db.Search(name, q, eps)
+			got, _, err := db.SearchWith(context.Background(), name, q, eps, seqdb.SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -64,7 +65,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 				t.Fatalf("%s: %d matches, scan %d", name, len(got), len(want))
 			}
 		}
-		windowed, _, err := db.Search("windowed", q, eps)
+		windowed, _, err := db.SearchWith(context.Background(), "windowed", q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 
 	// kNN: for each query, its own location must be the nearest neighbor.
 	q := queries[0]
-	knn, _, err := db.SearchKNN("me-sst", q, 3)
+	knn, _, err := db.SearchKNNWith(context.Background(), "me-sst", q, 3, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +106,12 @@ func TestIntegrationLifecycle(t *testing.T) {
 	}
 
 	// Parallel search equals serial search.
-	par, err := db.SearchParallel("me-sst", queries, eps, 3)
+	par, err := db.SearchParallel(context.Background(), "me-sst", queries, eps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want, _, err := db.Search("me-sst", q, eps)
+		want, _, err := db.SearchWith(context.Background(), "me-sst", q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 	// Reopen and re-verify one query per index.
 	preClose := map[string][]seqdb.Match{}
 	for name := range specs {
-		preClose[name], _, err = db.Search(name, q, eps)
+		preClose[name], _, err = db.SearchWith(context.Background(), name, q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 		t.Fatalf("reopened %d indexes, want %d", len(re.Indexes()), len(specs))
 	}
 	for name := range specs {
-		got, _, err := re.Search(name, q, eps)
+		got, _, err := re.SearchWith(context.Background(), name, q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatalf("%s after reopen: %v", name, err)
 		}
@@ -191,11 +192,11 @@ func TestIntegrationArtificialScale(t *testing.T) {
 		start := rng.Intn(len(vals) - 20)
 		q := append([]float64(nil), vals[start:start+15]...)
 		eps := 3.0 + float64(rng.Intn(10))
-		want, _, err := db.SeqScan(q, eps)
+		want, _, err := db.SeqScanCtx(context.Background(), q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := db.Search("sst", q, eps)
+		got, stats, err := db.SearchWith(context.Background(), "sst", q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package benchrun
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -129,10 +130,12 @@ func average(total core.SearchStats, n int) AlgoResult {
 }
 
 // runIndexQueries averages index searches over the query set.
+//
+//twlint:ctx-root offline measurement loop: the tables average whole searches, so every query runs to completion
 func runIndexQueries(ix *core.Index, queries [][]float64, eps float64) (AlgoResult, error) {
 	var total core.SearchStats
 	for _, q := range queries {
-		_, stats, err := ix.Search(q, eps)
+		_, stats, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
 		if err != nil {
 			return AlgoResult{}, err
 		}

@@ -29,7 +29,7 @@ func benchSearch(b *testing.B, sequences, qlen int, eps float64, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := ix.Search(queries[i%len(queries)], eps)
+		_, st, err := search(ix, queries[i%len(queries)], eps)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,16 +1,50 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/dtw"
 	"twsearch/internal/sequence"
 )
+
+// search, searchVisit and searchKNN are the serial, uncancellable form of
+// the index's three entry points, which most tests here want.
+func search(ix *Index, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return ix.SearchOpts(context.Background(), q, eps, SearchOptions{})
+}
+
+func searchVisit(ix *Index, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+	return ix.SearchVisitOpts(context.Background(), q, eps, fn, SearchOptions{})
+}
+
+func searchKNN(ix *Index, q []float64, k int) ([]Match, SearchStats, error) {
+	return ix.SearchKNNOpts(context.Background(), q, k, SearchOptions{})
+}
+
+// TestSearchSurface pins the index's search entry points: one
+// (ctx, …, opts) form per operation. A re-added ctx-less or options-less
+// shim changes the list and fails here.
+func TestSearchSurface(t *testing.T) {
+	var got []string
+	typ := reflect.TypeOf((*Index)(nil))
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.HasPrefix(name, "Search") || strings.HasPrefix(name, "SeqScan") {
+			got = append(got, name)
+		}
+	}
+	want := []string{"SearchKNNOpts", "SearchOpts", "SearchVisitOpts"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("*Index search methods = %v, want %v", got, want)
+	}
+}
 
 // randomWalkDataset builds integer-valued random walks; integer values keep
 // distance arithmetic exact so index results can be compared to the
@@ -143,10 +177,10 @@ func TestSearchInputErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, _, err := ix.Search(nil, 5); err == nil {
+	if _, _, err := search(ix, nil, 5); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := ix.Search([]float64{1}, -1); err == nil {
+	if _, _, err := search(ix, []float64{1}, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
 	if _, _, err := SeqScan(data, nil, 5, -1); err == nil {
@@ -201,7 +235,7 @@ func TestNoFalseDismissals(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, stats, err := ix.Search(q, eps)
+					got, stats, err := search(ix, q, eps)
 					if err != nil {
 						t.Fatalf("trial %d %s: Search: %v", trial, v.name, err)
 					}
@@ -246,7 +280,7 @@ func TestNoFalseDismissalsWindowed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ix.Search(q, eps)
+			got, _, err := search(ix, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +303,7 @@ func TestIdentityIndexSkipsPostProcessing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	_, stats, err := ix.Search(randomQuery(rng, 5), 6.5)
+	_, stats, err := search(ix, randomQuery(rng, 5), 6.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +327,7 @@ func TestReportedDistancesExact(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomQuery(rng, 6)
-	matches, _, err := ix.Search(q, 12.5)
+	matches, _, err := search(ix, q, 12.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +351,11 @@ func TestPruningReducesWork(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomQuery(rng, 10)
-	_, small, err := ix.Search(q, 0.5)
+	_, small, err := search(ix, q, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, large, err := ix.Search(q, 1e9)
+	_, large, err := search(ix, q, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +383,7 @@ func TestHugeEpsReturnsAllSubsequences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		matches, _, err := ix.Search(randomQuery(rng, 4), 1e12)
+		matches, _, err := search(ix, randomQuery(rng, 4), 1e12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +404,7 @@ func TestOpenExistingIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randomQuery(rng, 5)
-	want, _, err := ix.Search(q, 7.5)
+	want, _, err := search(ix, q, 7.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +416,7 @@ func TestOpenExistingIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, _, err := re.Search(q, 7.5)
+	got, _, err := search(re, q, 7.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +441,7 @@ func TestStatsPagesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	_, stats, err := re.Search(randomQuery(rng, 8), 20.5)
+	_, stats, err := search(re, randomQuery(rng, 8), 20.5)
 	if err != nil {
 		t.Fatal(err)
 	}

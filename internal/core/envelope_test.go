@@ -53,12 +53,12 @@ func TestEnvelopeCascadeIdentity(t *testing.T) {
 						for _, eps := range []float64{1.5, 9.5} {
 							label := fmt.Sprintf("%s w=%d %s eps=%v |q|=%d", v.name, window, enc, eps, len(q))
 
-							on, onStats, err := ix.Search(q, eps)
+							on, onStats, err := search(ix, q, eps)
 							if err != nil {
 								t.Fatalf("%s: Search: %v", label, err)
 							}
 							ix.DisableEnvelopes = true
-							off, offStats, err := ix.Search(q, eps)
+							off, offStats, err := search(ix, q, eps)
 							ix.DisableEnvelopes = false
 							if err != nil {
 								t.Fatalf("%s: Search (cascade off): %v", label, err)
@@ -127,12 +127,12 @@ func TestEnvelopeCascadeReducesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, on, err := ix.Search(q, eps)
+		_, on, err := search(ix, q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix.DisableEnvelopes = true
-		_, off, err := ix.Search(q, eps)
+		_, off, err := search(ix, q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}

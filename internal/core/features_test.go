@@ -34,7 +34,7 @@ func TestMinAnswerLenNoFalseDismissals(t *testing.T) {
 			if ix.MinAnswerLen() != minLen {
 				t.Fatalf("MinAnswerLen = %d, want %d", ix.MinAnswerLen(), minLen)
 			}
-			got, _, err := ix.Search(q, eps)
+			got, _, err := search(ix, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestSearchKNN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := ix.SearchKNN(q, k)
+		got, stats, err := searchKNN(ix, q, k)
 		ix.RemoveFile()
 		if err != nil {
 			t.Fatal(err)
@@ -155,10 +155,10 @@ func TestSearchKNNErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, _, err := ix.SearchKNN([]float64{1}, 0); err == nil {
+	if _, _, err := searchKNN(ix, []float64{1}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ix.SearchKNN(nil, 3); err == nil {
+	if _, _, err := searchKNN(ix, nil, 3); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestSearchKNNExhaustsDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	got, _, err := ix.SearchKNN(randomQuery(rng, 4), total+10)
+	got, _, err := searchKNN(ix, randomQuery(rng, 4), total+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDupConcurrentSearches(t *testing.T) {
 	}
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		want[i], _, err = ix.Search(q, 8.5)
+		want[i], _, err = search(ix, q, 8.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestDupConcurrentSearches(t *testing.T) {
 		go func(i int, d *Index) {
 			defer wg.Done()
 			defer d.Close()
-			got[i], _, errs[i] = d.Search(queries[i], 8.5)
+			got[i], _, errs[i] = search(d, queries[i], 8.5)
 		}(i, dup)
 	}
 	wg.Wait()
@@ -287,7 +287,7 @@ func TestInlineLayoutNoFalseDismissals(t *testing.T) {
 		if ix.Tree.Layout() != disktree.LayoutInline {
 			t.Fatal("layout not applied")
 		}
-		got, _, err := ix.Search(q, eps)
+		got, _, err := search(ix, q, eps)
 		ix.RemoveFile()
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestInMemoryIndex(t *testing.T) {
 	if mem.Tree.Path() != ":memory:" {
 		t.Fatalf("path = %q", mem.Tree.Path())
 	}
-	got, _, err := mem.Search(q, 8.5)
+	got, _, err := search(mem, q, 8.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestInMemoryIndex(t *testing.T) {
 		t.Fatalf("in-memory index %d matches, scan %d", len(got), len(want))
 	}
 	// kNN and length floors work too.
-	if _, _, err := mem.SearchKNN(q, 3); err != nil {
+	if _, _, err := searchKNN(mem, q, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.RemoveFile(); err != nil {
@@ -343,7 +343,7 @@ func TestInMemoryIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem2.Close()
-	got2, _, err := mem2.Search(q, 8.5)
+	got2, _, err := search(mem2, q, 8.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +375,11 @@ func TestBuildDiskMatchesInMemory(t *testing.T) {
 	}
 	for trial := 0; trial < 5; trial++ {
 		q := randomQuery(rng, 6)
-		got, gotStats, err := disk.Search(q, 8.5)
+		got, gotStats, err := search(disk, q, 8.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats, err := mem.Search(q, 8.5)
+		want, wantStats, err := search(mem, q, 8.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,13 +406,13 @@ func TestSearchVisit(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomQuery(rng, 6)
-	want, _, err := ix.Search(q, 12.5)
+	want, _, err := search(ix, q, 12.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var streamed []Match
-	stats, err := ix.SearchVisit(q, 12.5, func(m Match) bool {
+	stats, err := searchVisit(ix, q, 12.5, func(m Match) bool {
 		streamed = append(streamed, m)
 		return true
 	})
@@ -431,7 +431,7 @@ func TestSearchVisit(t *testing.T) {
 	// emit is the last).
 	if len(want) > 3 {
 		count := 0
-		if _, err := ix.SearchVisit(q, 12.5, func(Match) bool {
+		if _, err := searchVisit(ix, q, 12.5, func(Match) bool {
 			count++
 			return count < 3
 		}); err != nil {
@@ -441,7 +441,7 @@ func TestSearchVisit(t *testing.T) {
 			t.Fatalf("early stop delivered %d answers, want 3", count)
 		}
 	}
-	if _, err := ix.SearchVisit(q, 12.5, nil); err == nil {
+	if _, err := searchVisit(ix, q, 12.5, nil); err == nil {
 		t.Error("nil visitor accepted")
 	}
 
@@ -451,12 +451,12 @@ func TestSearchVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exact.Close()
-	wantExact, _, err := exact.Search(q, 12.5)
+	wantExact, _, err := search(exact, q, 12.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Match
-	if _, err := exact.SearchVisit(q, 12.5, func(m Match) bool {
+	if _, err := searchVisit(exact, q, 12.5, func(m Match) bool {
 		got = append(got, m)
 		return true
 	}); err != nil {

@@ -48,7 +48,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 			t.Fatalf("build: %v", err)
 		}
 		defer ix.Close()
-		got, _, err := ix.Search(q, eps)
+		got, _, err := search(ix, q, eps)
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}

@@ -7,7 +7,7 @@ import (
 	"sort"
 )
 
-// SearchKNN returns the k subsequences with the smallest time warping
+// SearchKNNOpts returns the k subsequences with the smallest time warping
 // distance to q (ties broken by position), found by iterative threshold
 // expansion: the range search at a threshold ε is complete, so as soon as
 // it yields at least k answers the k smallest of them are exactly the k
@@ -20,20 +20,8 @@ import (
 // (a narrow band can make every distance infinite), the reachable ones are
 // returned.
 //
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable k-NN uses SearchKNNCtx
-func (ix *Index) SearchKNN(q []float64, k int) ([]Match, SearchStats, error) {
-	return ix.SearchKNNCtx(context.Background(), q, k)
-}
-
-// SearchKNNCtx is SearchKNN with cancellation: each expansion round runs
-// under ctx, so a cancellation aborts mid-round through the range search's
-// early-stop path and returns ctx.Err().
-func (ix *Index) SearchKNNCtx(ctx context.Context, q []float64, k int) ([]Match, SearchStats, error) {
-	return ix.SearchKNNOpts(ctx, q, k, SearchOptions{})
-}
-
-// SearchKNNOpts is SearchKNNCtx with execution options: every threshold-
-// expansion round runs as one (possibly parallel) range search, so the
+// Every expansion round runs under ctx as one (possibly parallel) range
+// search, so a cancellation aborts mid-round and returns ctx.Err(), and the
 // rounds — and therefore the result and the accumulated stats — are
 // byte-identical to the serial call at every parallelism level.
 func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {

@@ -63,19 +63,19 @@ func TestParallelSearchDeterministic(t *testing.T) {
 			q := randomQuery(rng, 10)
 			eps := float64(rng.Intn(10)) + 0.5
 
-			wantM, wantS, err := ix.SearchCtx(ctx, q, eps)
+			wantM, wantS, err := ix.SearchOpts(ctx, q, eps, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial Search: %v", v.name, err)
 			}
 			var wantVisit []Match
-			wantVS, err := ix.SearchVisitCtx(ctx, q, eps, func(m Match) bool {
+			wantVS, err := ix.SearchVisitOpts(ctx, q, eps, func(m Match) bool {
 				wantVisit = append(wantVisit, m)
 				return true
-			})
+			}, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial SearchVisit: %v", v.name, err)
 			}
-			wantK, wantKS, err := ix.SearchKNNCtx(ctx, q, 5)
+			wantK, wantKS, err := ix.SearchKNNOpts(ctx, q, 5, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: serial SearchKNN: %v", v.name, err)
 			}
@@ -154,10 +154,10 @@ func TestParallelVisitorEarlyStop(t *testing.T) {
 	const eps = 20.5
 
 	var all []Match
-	if _, err := ix.SearchVisitCtx(context.Background(), q, eps, func(m Match) bool {
+	if _, err := ix.SearchVisitOpts(context.Background(), q, eps, func(m Match) bool {
 		all = append(all, m)
 		return true
-	}); err != nil {
+	}, SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(all) < 4 {

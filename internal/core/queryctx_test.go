@@ -34,7 +34,7 @@ func TestQueryCtxReuse(t *testing.T) {
 	baseline := make([][]Match, len(probes))
 	for i := range probes {
 		probes[i] = probe{q: randomQuery(rng, 8), eps: float64(2 + rng.Intn(12))}
-		ms, _, err := ix.Search(probes[i].q, probes[i].eps)
+		ms, _, err := search(ix, probes[i].q, probes[i].eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestQueryCtxReuse(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		order := rng.Perm(len(probes))
 		for _, i := range order {
-			ms, _, err := ix.Search(probes[i].q, probes[i].eps)
+			ms, _, err := search(ix, probes[i].q, probes[i].eps)
 			if err != nil {
 				t.Fatalf("round %d probe %d: %v", round, i, err)
 			}
@@ -73,7 +73,7 @@ func TestQueryCtxReuse(t *testing.T) {
 func bytesPerSearch(t *testing.T, ix *Index, q []float64, eps float64) float64 {
 	t.Helper()
 	run := func() {
-		if _, err := ix.SearchVisit(q, eps, func(Match) bool { return true }); err != nil {
+		if _, err := searchVisit(ix, q, eps, func(Match) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,25 +42,25 @@ func TestSearchReleasesReader(t *testing.T) {
 		}
 	}
 
-	ms, _, err := ix.Search(q, eps)
+	ms, _, err := search(ix, q, eps)
 	if err != nil || len(ms) == 0 {
 		t.Fatalf("search: %d matches, %v", len(ms), err)
 	}
 	unpinned("a search")
 
 	seen := 0
-	if _, err := ix.SearchVisit(q, eps, func(Match) bool { seen++; return false }); err != nil || seen != 1 {
+	if _, err := searchVisit(ix, q, eps, func(Match) bool { seen++; return false }); err != nil || seen != 1 {
 		t.Fatalf("stopping visitor saw %d matches, %v", seen, err)
 	}
 	unpinned("a visitor stop")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = ix.SearchVisitCtx(ctx, q, eps, func(Match) bool { cancel(); return true })
+	_, err = ix.SearchVisitOpts(ctx, q, eps, func(Match) bool { cancel(); return true }, SearchOptions{})
 	if err != context.Canceled {
 		t.Fatalf("search cancelled from its visitor: %v", err)
 	}
 	unpinned("a cancellation during the search")
-	if _, _, err := ix.SearchCtx(ctx, q, eps); err != context.Canceled {
+	if _, _, err := ix.SearchOpts(ctx, q, eps, SearchOptions{}); err != context.Canceled {
 		t.Fatalf("search under a cancelled context: %v", err)
 	}
 	unpinned("a cancelled context")
@@ -72,7 +72,7 @@ func TestSearchReleasesReader(t *testing.T) {
 		}
 		unpinned("a parallel search")
 	}
-	if _, _, err := ix.SearchKNN(q, 3); err != nil {
+	if _, _, err := searchKNN(ix, q, 3); err != nil {
 		t.Fatal(err)
 	}
 	unpinned("a k-NN search")

@@ -105,48 +105,23 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	}, eps, visit, opts)
 }
 
-// Search finds every subsequence whose time warping distance from q is at
-// most eps; see Engine.Run. Results are sorted by (sequence, start, end),
-// and the returned set is exactly what SeqScan returns.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable searches use SearchCtx
-func (ix *Index) Search(q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.run(context.Background(), q, eps, nil, SearchOptions{})
-}
-
-// SearchCtx is Search with cancellation: when ctx is canceled or its
-// deadline passes the search aborts and ctx.Err() is returned.
-func (ix *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.run(ctx, q, eps, nil, SearchOptions{})
-}
-
-// SearchOpts is SearchCtx with execution options; see SearchOptions.
+// SearchOpts finds every subsequence whose time warping distance from q is
+// at most eps; see Engine.Run. Results are sorted by (sequence, start, end),
+// and the returned set is exactly what SeqScan returns. When ctx is canceled
+// or its deadline passes the search aborts and ctx.Err() is returned.
 // Results — matches, distances, order, and the machine-independent stats —
-// are byte-identical to the serial SearchCtx at every parallelism level.
+// are byte-identical at every parallelism level; see SearchOptions.
 func (ix *Index) SearchOpts(ctx context.Context, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
 	return ix.run(ctx, q, eps, nil, opts)
 }
 
-// SearchVisit streams answers to fn instead of materializing them: fn is
-// called once per answer, in no particular order; returning false stops the
-// search early. Use it when a permissive threshold would produce answer
-// sets too large to hold in memory.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable streaming uses SearchVisitCtx
-func (ix *Index) SearchVisit(q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return ix.SearchVisitOpts(context.Background(), q, eps, fn, SearchOptions{})
-}
-
-// SearchVisitCtx is SearchVisit with cancellation; see SearchCtx. After a
-// cancellation no further answers are delivered to fn.
-func (ix *Index) SearchVisitCtx(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return ix.SearchVisitOpts(ctx, q, eps, fn, SearchOptions{})
-}
-
-// SearchVisitOpts is SearchVisitCtx with execution options. fn is always
+// SearchVisitOpts streams answers to fn instead of materializing them;
+// returning false stops the search early. Use it when a permissive threshold
+// would produce answer sets too large to hold in memory. fn is always
 // called from the calling goroutine, never concurrently, and sees answers
 // in exactly the order the serial traversal would deliver them: filter-pass
 // answers in DFS order, then post-processed answers in (seq, start) order.
+// After a cancellation no further answers are delivered to fn.
 func (ix *Index) SearchVisitOpts(ctx context.Context, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, errors.New("core: nil visitor")

@@ -15,7 +15,7 @@ import (
 // Its exact answers double as the ground truth the index searches are
 // verified against. window < 0 disables the warping-window constraint.
 //
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable scans use SeqScanCtx
+//twlint:ctx-root the benchmark's probes and the ground-truth tests call this form; cancellable scans use SeqScanCtx
 func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
 	return seqScan(context.Background(), data, q, eps, window, true)
 }

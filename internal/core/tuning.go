@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -16,6 +17,8 @@ import (
 // the given threshold) and the storage cost C_s (index kilobytes), and
 // return the candidate minimizing W_t·C_t + W_s·C_s. Trial index files are
 // created in dir and removed.
+//
+//twlint:ctx-root offline measurement loop: each trial query is timed to completion, an aborted one would skew C_t
 func SelectCategories(
 	data *sequence.Dataset,
 	queries [][]float64,
@@ -41,7 +44,7 @@ func SelectCategories(
 		}
 		start := time.Now()
 		for _, q := range queries {
-			if _, _, err := ix.Search(q, eps); err != nil {
+			if _, _, err := ix.SearchOpts(context.Background(), q, eps, SearchOptions{}); err != nil {
 				ix.RemoveFile()
 				return categorize.Measure{}, nil, err
 			}

@@ -81,8 +81,8 @@ func Open(path string, poolPages int, readOnly bool) (*File, error) {
 }
 
 // OpenBackend opens an existing tree file through the chosen page source.
-// poolPages bounds the buffer pool when the pool backend is selected (or
-// picked by auto).
+// poolPages bounds the buffer pool when the pool backend is selected, or
+// when mmap falls back to it.
 func OpenBackend(path string, poolPages int, readOnly bool, backend storage.Backend) (*File, error) {
 	pf, err := storage.OpenFile(path, readOnly)
 	if err != nil {
@@ -142,7 +142,7 @@ func (f *File) SizeBytes() int64 { return f.pf.SizeBytes() }
 func (f *File) Path() string { return f.pf.Path() }
 
 // PoolStats returns the page source's unified counters (cache hits, misses
-// and evictions for the pool; view counts for mmap/pread sources).
+// and evictions for the pool; view counts for the mmap source).
 func (f *File) PoolStats() storage.PoolStats { return f.src.Stats() }
 
 // PoolShardStats returns per-stripe counters, in stripe order; unstriped

@@ -26,11 +26,13 @@ import (
 //     a server-lifetime context). A function that already receives a ctx
 //     parameter can never justify one: cancellation it was handed would be
 //     silently dropped, marker or not.
+//
 //  2. A request-path function must not call a re-rooter: a callee without a
 //     ctx parameter whose summary shows Background/TODO beneath it discards
 //     the caller's deadline, marker or not — the marker audits the wrapper's
 //     existence for outside callers, not its use on a request path. Call the
-//     *Ctx variant instead.
+//     ctx-taking form instead.
+//
 //  3. A condition-less `for {}` loop on a request path must poll for
 //     cancellation each iteration: touch the context (ctx.Err(), ctx.Done(),
 //     passing ctx to a callee), select/receive on a channel, or call a
@@ -45,7 +47,7 @@ var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "request-path context discipline: context.Background()/TODO() " +
 		"re-roots and poll-free unbounded loops drop cancellation; thread ctx " +
-		"through a *Ctx variant or audit the wrapper with //twlint:ctx-root <reason>",
+		"through the ctx-taking form or audit the wrapper with //twlint:ctx-root <reason>",
 	Run: runCtxFlow,
 }
 
@@ -292,7 +294,7 @@ func checkCtxFunc(pass *Pass, an *pkgAnalysis, dep func(*types.Func) *ctxSummary
 				// its own rule-1 finding at the root; repeat only audited or
 				// transitive re-rooters, where the call site is the bug.
 				if cs != nil && cs.reRoots && !(local && cs.direct && !ctxMarkedDecl(an, fn)) {
-					pass.Report(call, "request path calls %s, which re-roots the context beneath it; call a *Ctx variant or thread ctx through so cancellation propagates", fn.Name())
+					pass.Report(call, "request path calls %s, which re-roots the context beneath it; call the ctx-taking form or thread ctx through so cancellation propagates", fn.Name())
 				}
 			}
 		}

@@ -1,6 +1,6 @@
 // Package bad must trigger wireconform twice: the Header decoder reads the
-// nonce at the wrong width, and the Req encoder version-gates a field the
-// decoder reads unconditionally.
+// nonce at the wrong width, and the Req encoder writes a field only for
+// some peers — a layout the decoder cannot know how to parse.
 package bad
 
 import "encoding/binary"
@@ -45,14 +45,14 @@ func DecodeHeader(r *Reader) Header {
 	return h
 }
 
-// Req gained Flags in version 3.
+// Req carries an optional Flags word.
 type Req struct {
 	ID    uint32
 	Flags uint32
 }
 
-// EncodeReqAt writes Flags only for v3+ peers.
-func EncodeReqAt(b []byte, m Req, version uint16) []byte {
+// EncodeReq writes Flags only for v3+ peers: a data-dependent layout.
+func EncodeReq(b []byte, m Req, version uint16) []byte {
 	b = binary.LittleEndian.AppendUint32(b, m.ID)
 	if version >= 3 {
 		b = binary.LittleEndian.AppendUint32(b, m.Flags)
@@ -60,8 +60,8 @@ func EncodeReqAt(b []byte, m Req, version uint16) []byte {
 	return b
 }
 
-// DecodeReqAt reads Flags unconditionally, desynchronizing v2 frames.
-func DecodeReqAt(r *Reader, version uint16) Req {
+// DecodeReq reads Flags unconditionally, desynchronizing the other frames.
+func DecodeReq(r *Reader) Req {
 	var m Req
 	m.ID = r.U32()
 	m.Flags = r.U32()

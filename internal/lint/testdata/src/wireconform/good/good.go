@@ -1,6 +1,6 @@
 // Package good lays out every frame symmetrically: the boolean if/else
-// collapses, the version gate is mirrored, the repeated group pairs loop
-// with loop, and the fixed-size range unrolls to the decoder's scalar reads.
+// collapses, the repeated group pairs loop with loop, and the fixed-size
+// range unrolls to the decoder's scalar reads.
 package good
 
 import "encoding/binary"
@@ -29,7 +29,7 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Req is a frame with a flag, a repeated group, and a gated tail field.
+// Req is a frame with a flag, a repeated group, and a tail field.
 type Req struct {
 	ID     uint32
 	Sparse bool
@@ -37,8 +37,8 @@ type Req struct {
 	Flags  uint32
 }
 
-// EncodeReqAt writes id, flag byte, count-prefixed items, and the v3 tail.
-func EncodeReqAt(b []byte, m Req, version uint16) []byte {
+// EncodeReq writes id, flag byte, count-prefixed items, and the tail.
+func EncodeReq(b []byte, m Req) []byte {
 	b = binary.LittleEndian.AppendUint32(b, m.ID)
 	if m.Sparse {
 		b = append(b, 1)
@@ -49,14 +49,11 @@ func EncodeReqAt(b []byte, m Req, version uint16) []byte {
 	for _, v := range m.Items {
 		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	if version >= 3 {
-		b = binary.LittleEndian.AppendUint32(b, m.Flags)
-	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, m.Flags)
 }
 
-// DecodeReqAt mirrors the layout field for field, gate for gate.
-func DecodeReqAt(r *Reader, version uint16) Req {
+// DecodeReq mirrors the layout field for field.
+func DecodeReq(r *Reader) Req {
 	var m Req
 	m.ID = r.U32()
 	m.Sparse = r.U8() == 1
@@ -64,9 +61,7 @@ func DecodeReqAt(r *Reader, version uint16) Req {
 	for i := 0; i < n; i++ {
 		m.Items = append(m.Items, r.U64())
 	}
-	if version >= 3 {
-		m.Flags = r.U32()
-	}
+	m.Flags = r.U32()
 	return m
 }
 

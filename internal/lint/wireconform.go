@@ -10,25 +10,23 @@ import (
 
 // WireConform verifies encode/decode symmetry for wire messages by parsing
 // the two sides of each pair as AST twins. An encoder is a method named
-// Encode/EncodeAt (paired by receiver type) or a free function Encode<T>;
-// its twin is the package function Decode<T> / Decode<T>At. Each body is
-// lowered to a sequence of wire operations — fixed-width scalars by width
-// class (a float64 and a uint64 are both 8 wire bytes), length-prefixed
-// strings and float slices, loops over repeated groups, and version gates —
-// and the two sequences must agree operation for operation. Loops over
-// fixed-size composite literals unroll; if/else branches that write the
-// same layout on both arms collapse (the `if b { append 1 } else
-// { append 0 }` boolean idiom); and a field guarded by `version >= N` on
-// one side must be guarded by the same condition at the same position on
-// the other. Any other data-dependent branch in a codec is itself a
-// finding: a wire layout must be unconditional or version-gated, or the
-// peer cannot parse it. Protocol skew thus becomes a lint finding instead
-// of a wire_test escape.
+// Encode (paired by receiver type) or a free function Encode<T>; its twin
+// is the package function Decode<T>. Each body is lowered to a sequence of
+// wire operations — fixed-width scalars by width class (a float64 and a
+// uint64 are both 8 wire bytes), length-prefixed strings and float slices,
+// and loops over repeated groups — and the two sequences must agree
+// operation for operation. Loops over fixed-size composite literals unroll,
+// and if/else branches that write the same layout on both arms collapse
+// (the `if b { append 1 } else { append 0 }` boolean idiom). Any other
+// data-dependent branch in a codec is itself a finding: the protocol has
+// one version and one layout per message, so a field that is on the wire
+// only sometimes is a field the peer cannot parse. Protocol skew thus
+// becomes a lint finding instead of a wire_test escape.
 var WireConform = &Analyzer{
 	Name: "wireconform",
-	Doc: "encode/decode wire skew: the decoder's field order, widths, loops " +
-		"or version gates do not mirror the encoder's; fix whichever side is " +
-		"wrong before the frames disagree on the wire",
+	Doc: "encode/decode wire skew: the decoder's field order, widths or " +
+		"loops do not mirror the encoder's; fix whichever side is wrong " +
+		"before the frames disagree on the wire",
 	Run: runWireConform,
 }
 
@@ -39,11 +37,10 @@ var WireConform = &Analyzer{
 //	floats       u32-count-prefixed []float64
 //	bytes        variable-length raw bytes (spread append)
 //	loop         dynamically repeated group (sub)
-//	gate         version-guarded group (key is the condition, sub/subElse)
-//	cond         any other data-dependent group that did not collapse
+//	cond         data-dependent group that did not collapse (sub/subElse)
 type wireOp struct {
 	kind    string
-	key     string // canonical condition text for gate/cond
+	key     string // canonical condition text for cond
 	pos     token.Pos
 	read    bool // extracted from a decoder
 	sub     []wireOp
@@ -69,8 +66,6 @@ func wireKindDesc(kind string) string {
 		return "variable raw bytes"
 	case "loop":
 		return "a repeated group"
-	case "gate":
-		return "a version-gated group"
 	}
 	return kind
 }
@@ -89,12 +84,6 @@ func runWireConform(pass *Pass) {
 			keys = append(keys, key)
 		}
 	}
-	atKey := func(base string) string {
-		if rest, ok := strings.CutSuffix(base, "At"); ok && rest != "" {
-			return rest + "@at"
-		}
-		return base
-	}
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset.Position(file.Pos())) {
 			continue
@@ -106,30 +95,19 @@ func runWireConform(pass *Pass) {
 			}
 			name := fd.Name.Name
 			if fd.Recv != nil {
-				if name != "Encode" && name != "EncodeAt" {
-					continue
+				if recv := recvTypeName(fd); name == "Encode" && recv != "" {
+					encs[recv] = fd
+					note(recv)
 				}
-				recv := recvTypeName(fd)
-				if recv == "" {
-					continue
-				}
-				key := recv
-				if name == "EncodeAt" {
-					key += "@at"
-				}
-				encs[key] = fd
-				note(key)
 				continue
 			}
 			if rest, ok := strings.CutPrefix(name, "Encode"); ok && rest != "" {
-				key := atKey(rest)
-				encs[key] = fd
-				note(key)
+				encs[rest] = fd
+				note(rest)
 			}
 			if rest, ok := strings.CutPrefix(name, "Decode"); ok && rest != "" {
-				key := atKey(rest)
-				decs[key] = fd
-				note(key)
+				decs[rest] = fd
+				note(rest)
 			}
 		}
 	}
@@ -140,8 +118,7 @@ func runWireConform(pass *Pass) {
 		}
 		encOps := (&wireSide{pass: pass}).stmts(enc.Body.List)
 		decOps := (&wireSide{pass: pass, decode: true}).stmts(dec.Body.List)
-		msg := strings.TrimSuffix(key, "@at")
-		if m := findWireMismatch(msg, encOps, decOps); m != nil {
+		if m := findWireMismatch(key, encOps, decOps); m != nil {
 			pos := m.pos
 			if pos == token.NoPos {
 				pos = dec.Name.Pos()
@@ -202,21 +179,16 @@ func endsInReturn(b *ast.BlockStmt) bool {
 	return ok
 }
 
-// branch folds a two-armed layout split into ops: a version gate, a
-// wire-invisible collapse, or an opaque data-dependent cond.
+// branch folds a two-armed layout split into ops: a wire-invisible
+// collapse, or an opaque data-dependent cond.
 func (ws *wireSide) branch(cond ast.Expr, body, alt []wireOp) []wireOp {
-	switch {
-	case isVersionCond(cond):
-		return []wireOp{{kind: "gate", key: types.ExprString(cond),
-			pos: cond.Pos(), read: ws.decode, sub: body, subElse: alt}}
-	case wireOpsEqual(body, alt):
+	if wireOpsEqual(body, alt) {
 		// Both arms lay out the same bytes (the boolean 0/1 idiom, or
 		// two op-free error guards): the branch is wire-invisible.
 		return body
-	default:
-		return []wireOp{{kind: "cond", key: types.ExprString(cond),
-			pos: cond.Pos(), read: ws.decode, sub: body, subElse: alt}}
 	}
+	return []wireOp{{kind: "cond", key: types.ExprString(cond),
+		pos: cond.Pos(), read: ws.decode, sub: body, subElse: alt}}
 }
 
 func (ws *wireSide) stmt(s ast.Stmt) []wireOp {
@@ -372,26 +344,6 @@ func literalLen(e ast.Expr) (int, bool) {
 	return len(lit.Elts), true
 }
 
-// isVersionCond reports whether a branch condition mentions a protocol
-// version: any identifier or field whose name contains "version".
-func isVersionCond(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		name := ""
-		switch n := n.(type) {
-		case *ast.Ident:
-			name = n.Name
-		case *ast.SelectorExpr:
-			name = n.Sel.Name
-		}
-		if strings.Contains(strings.ToLower(name), "version") {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // wireOpsEqual compares two op sequences structurally (positions ignored).
 func wireOpsEqual(a, b []wireOp) bool {
 	if len(a) != len(b) {
@@ -426,34 +378,11 @@ func findWireMismatch(msg string, enc, dec []wireOp) *wireMismatch {
 			return condMismatch(msg, d)
 		}
 		if e.kind != d.kind {
-			switch {
-			case e.kind == "gate":
-				return &wireMismatch{pos: d.pos, text: fmt.Sprintf(
-					"wire skew in %s: field %d is written only under %q but read unconditionally; mirror the version gate in the decoder",
-					msg, i, e.key)}
-			case d.kind == "gate":
-				return &wireMismatch{pos: d.pos, text: fmt.Sprintf(
-					"wire skew in %s: field %d is read only under %q but written unconditionally; mirror the version gate in the encoder",
-					msg, i, d.key)}
-			}
 			return &wireMismatch{pos: d.pos, text: fmt.Sprintf(
 				"wire skew in %s: field %d is written as %s but read as %s",
 				msg, i, wireKindDesc(e.kind), wireKindDesc(d.kind))}
 		}
-		switch e.kind {
-		case "gate":
-			if e.key != d.key {
-				return &wireMismatch{pos: d.pos, text: fmt.Sprintf(
-					"asymmetric version gate in %s: the encoder guards field %d with %q, the decoder with %q",
-					msg, i, e.key, d.key)}
-			}
-			if m := findWireMismatch(msg, e.sub, d.sub); m != nil {
-				return m
-			}
-			if m := findWireMismatch(msg, e.subElse, d.subElse); m != nil {
-				return m
-			}
-		case "loop":
+		if e.kind == "loop" {
 			if m := findWireMismatch(msg, e.sub, d.sub); m != nil {
 				return m
 			}
@@ -473,15 +402,13 @@ func findWireMismatch(msg string, enc, dec []wireOp) *wireMismatch {
 	return nil
 }
 
-// condMismatch reports a data-dependent branch that is neither a version
-// gate nor wire-invisible.
+// condMismatch reports a data-dependent branch that is not wire-invisible.
 func condMismatch(msg string, op wireOp) *wireMismatch {
 	side := "written"
 	if op.read {
 		side = "read"
 	}
 	return &wireMismatch{pos: op.pos, text: fmt.Sprintf(
-		"data-dependent wire layout in %s: fields are %s only when %q; a layout must be unconditional or version-gated, or the peer cannot parse it",
+		"data-dependent wire layout in %s: fields are %s only when %q; a layout must be unconditional, or the peer cannot parse it",
 		msg, side, op.key)}
 }
-

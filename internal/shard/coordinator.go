@@ -182,9 +182,10 @@ func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64
 	}, fn)
 }
 
-// Search materializes a range search's full answer set in global order.
+// Search materializes a range search's full answer set in global order. Like
+// the unsharded search, an empty answer set is an empty slice, not nil.
 func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps float64, opts Options) ([]Match, Stats, error) {
-	var out []Match
+	out := []Match{}
 	stats, err := c.SearchVisit(ctx, index, q, eps, func(m Match) bool {
 		out = append(out, m)
 		return true
@@ -197,7 +198,7 @@ func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps
 
 // Scan fans the exhaustive sequential-scan baseline out over the shards.
 func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
-	var out []Match
+	out := []Match{}
 	stats, err := c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
 		return b.Scan(ctx, q, eps)
 	}, func(m Match) bool {
@@ -304,14 +305,15 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 		return nil, merged, &PartialError{Answered: answered, Failed: failed, Cause: firstErr}
 	}
 	out := h.take()
-	sort.Slice(out, func(i, j int) bool { return positionLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return PositionLess(out[i], out[j]) })
 	merged.Answers = uint64(len(out))
 	return out, merged, nil
 }
 
-// positionLess orders matches by (sequence, start, end) — the engine's
-// deterministic output order.
-func positionLess(a, b Match) bool {
+// PositionLess orders matches by (sequence, start, end) — the engine's
+// deterministic output order, and the one comparison every layer that sorts
+// matches (coordinator, client, routing tier) shares.
+func PositionLess(a, b Match) bool {
 	if a.Seq != b.Seq {
 		return a.Seq < b.Seq
 	}
@@ -332,7 +334,7 @@ func knnWorse(a, b Match) bool {
 	if a.Distance < b.Distance {
 		return false
 	}
-	return positionLess(b, a)
+	return PositionLess(b, a)
 }
 
 // knnHeap is the bounded merge heap of the k best candidates seen so far,
@@ -345,7 +347,9 @@ type knnHeap struct {
 	ms []Match
 }
 
-func newKNNHeap(k int) *knnHeap { return &knnHeap{k: k} }
+// newKNNHeap starts from an empty, non-nil slice: what take returns when no
+// shard found anything must equal the unsharded search's empty answer set.
+func newKNNHeap(k int) *knnHeap { return &knnHeap{k: k, ms: []Match{}} }
 
 // bound returns the current kth-best distance and whether the heap is full;
 // the bound is only meaningful when full is true.

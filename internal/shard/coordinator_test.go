@@ -12,13 +12,31 @@ import (
 // distances. Search returns the matches within eps in local (sequence,
 // start, end) order, mimicking the engine's exact threshold search; err
 // makes every call fail, exercising mid-stream shard loss while the other
-// shards succeed.
+// shards succeed. gate and returned let a test order the shards' outcomes
+// instead of racing them.
 type fakeBackend struct {
 	ms  []Match // local sequence numbers, any order
 	err error   // returned by every Search/Scan when set
+	// gate, when set, holds a call until it is closed; a call whose context
+	// is canceled first gives up with the context's error, as a search that
+	// was still running would.
+	gate <-chan struct{}
+	// returned, when set, is closed as the call returns (single-call tests
+	// only).
+	returned chan struct{}
 }
 
 func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps float64, opts Options) ([]Match, Stats, error) {
+	if b.returned != nil {
+		defer close(b.returned)
+	}
+	if b.gate != nil {
+		select {
+		case <-b.gate:
+		case <-ctx.Done():
+			return nil, Stats{}, ctx.Err()
+		}
+	}
 	if b.err != nil {
 		return nil, Stats{NodesVisited: 1}, b.err
 	}
@@ -31,7 +49,7 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return positionLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return PositionLess(out[i], out[j]) })
 	return out, Stats{NodesVisited: 1, Answers: uint64(len(out))}, nil
 }
 
@@ -112,33 +130,60 @@ func TestSearchVisitEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSearchPartialFailure pins both outcomes of losing shard 1 of 3. A
+// shard the failure cancels did not answer, so which siblings count as
+// answered depends on whether they had finished — the fakes' gates fix that
+// order instead of leaving it to the scheduler.
 func TestSearchPartialFailure(t *testing.T) {
 	cause := errors.New("disk gone")
-	b0 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}}
-	b1 := &fakeBackend{err: cause}
-	b2 := &fakeBackend{ms: []Match{{Seq: 0, Start: 4, End: 6, Distance: 1}}}
-	c := mkCoord(t, b0, b1, b2)
+	for _, tc := range []struct {
+		name     string
+		b2Done   bool // shard 2 returns before shard 1 fails
+		answered []int
+		failed   []int
+	}{
+		{"siblings answered", true, []int{0, 2}, []int{1}},
+		{"sibling still running", false, []int{0}, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b0 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}, returned: make(chan struct{})}
+			b2 := &fakeBackend{ms: []Match{{Seq: 0, Start: 4, End: 6, Distance: 1}}, returned: make(chan struct{})}
+			fail := make(chan struct{})
+			b1 := &fakeBackend{err: cause, gate: fail}
+			if !tc.b2Done {
+				b2.gate = make(chan struct{}) // never opens: only cancellation ends the call
+			}
+			go func() {
+				<-b0.returned
+				if tc.b2Done {
+					<-b2.returned
+				}
+				close(fail)
+			}()
+			c := mkCoord(t, b0, b1, b2)
 
-	var streamed []Match
-	_, err := c.SearchVisit(context.Background(), "ix", []float64{1}, 5, func(m Match) bool {
-		streamed = append(streamed, m)
-		return true
-	}, Options{})
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PartialError, got %v", err)
-	}
-	if !reflect.DeepEqual(pe.Answered, []int{0, 2}) || !reflect.DeepEqual(pe.Failed, []int{1}) {
-		t.Errorf("answered=%v failed=%v, want [0 2] and [1]", pe.Answered, pe.Failed)
-	}
-	if !errors.Is(err, cause) {
-		t.Error("errors.Is must see through PartialError to the cause")
-	}
-	// Delivery is strictly in shard order, so the matches streamed before
-	// the failure are exactly shard 0's — an exact prefix of the global
-	// answer stream, never a gapped subset.
-	if len(streamed) != 1 || streamed[0].Seq != 0 {
-		t.Errorf("streamed %v, want exactly shard 0's match", streamed)
+			var streamed []Match
+			_, err := c.SearchVisit(context.Background(), "ix", []float64{1}, 5, func(m Match) bool {
+				streamed = append(streamed, m)
+				return true
+			}, Options{})
+			var pe *PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("want *PartialError, got %v", err)
+			}
+			if !reflect.DeepEqual(pe.Answered, tc.answered) || !reflect.DeepEqual(pe.Failed, tc.failed) {
+				t.Errorf("answered=%v failed=%v, want %v and %v", pe.Answered, pe.Failed, tc.answered, tc.failed)
+			}
+			if !errors.Is(err, cause) {
+				t.Error("errors.Is must see through PartialError to the cause")
+			}
+			// Delivery is strictly in shard order, so the matches streamed
+			// before the failure are exactly shard 0's — an exact prefix of
+			// the global answer stream, never a gapped subset.
+			if len(streamed) != 1 || streamed[0].Seq != 0 {
+				t.Errorf("streamed %v, want exactly shard 0's match", streamed)
+			}
+		})
 	}
 }
 

@@ -42,9 +42,10 @@ type Range struct {
 // End returns the exclusive upper bound of the range.
 func (r Range) End() int { return r.Start + r.Count }
 
-// Match is one answer as the coordinator sees it: identical to the public
-// seqdb.Match shape, with Seq already mapped to the global sequence
-// numbering.
+// Match is one answer subsequence — the type behind the public seqdb.Match.
+// Start/End index the sequence's values as a half-open interval; Distance is
+// the exact time warping distance from the query. A shard reports Seq in its
+// own numbering; the coordinator maps it to the global one.
 type Match struct {
 	SeqID    string
 	Seq      int

@@ -22,8 +22,7 @@ type PageSource interface {
 	File() *File
 	// Stats returns the source's unified counters: for a Pool, cache hits,
 	// misses and evictions; for an mmap source, Hits counts views served
-	// from the mapping; for the pread fallback, Misses counts views (every
-	// view is a physical read).
+	// from the mapping.
 	Stats() PoolStats
 	// ShardStats returns per-stripe counters in stripe order; sources
 	// without internal striping report a single entry.
@@ -39,13 +38,10 @@ const (
 	// BackendPool reads through the lock-striped LRU buffer pool — the
 	// portable default with strictly bounded memory.
 	BackendPool Backend = "pool"
-	// BackendMmap maps the whole file and serves zero-copy views. On
-	// platforms (or backings) that cannot map, it degrades to a per-view
-	// pread source.
+	// BackendMmap maps the whole file and serves zero-copy views. Where the
+	// file cannot be mapped (a non-unix platform, an in-memory backing, a
+	// failed mmap call) it falls back to the pool.
 	BackendMmap Backend = "mmap"
-	// BackendAuto picks mmap when the file is mappable and the pool
-	// otherwise.
-	BackendAuto Backend = "auto"
 )
 
 // ParseBackend validates a backend name from a flag or option. The empty
@@ -56,10 +52,8 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendPool, nil
 	case BackendMmap:
 		return BackendMmap, nil
-	case BackendAuto:
-		return BackendAuto, nil
 	}
-	return "", fmt.Errorf("storage: unknown backend %q (want pool, mmap or auto)", s)
+	return "", fmt.Errorf("storage: unknown backend %q (want pool or mmap)", s)
 }
 
 func (b Backend) String() string {
@@ -70,7 +64,7 @@ func (b Backend) String() string {
 }
 
 // NewSource opens a PageSource over f. poolPages bounds the buffer pool
-// when the pool backend is selected (or chosen by auto).
+// when the pool backend is selected, or when mmap falls back to it.
 func NewSource(f *File, backend Backend, poolPages int) (PageSource, error) {
 	switch backend {
 	case "", BackendPool:
@@ -80,13 +74,8 @@ func NewSource(f *File, backend Backend, poolPages int) (PageSource, error) {
 			return src, nil
 		}
 		// Not mappable here (non-unix platform, in-memory backing, or the
-		// map call failed): fall back to per-view preads so the mmap
-		// backend works everywhere, just without the zero-copy win.
-		return &preadSource{f: f}, nil
-	case BackendAuto:
-		if src, err := newMappedSource(f); err == nil {
-			return src, nil
-		}
+		// map call failed): the bounded pool serves the file instead, so
+		// the mmap backend works everywhere, just without the zero-copy win.
 		return NewPool(f, poolPages)
 	}
 	return nil, fmt.Errorf("storage: unknown backend %q", string(backend))
@@ -144,29 +133,3 @@ func (s *mmapSource) Close() error {
 	}
 	return err
 }
-
-// preadSource is the portable degradation of the mmap backend: every view
-// is a fresh PageSize read through the file's ReaderAt. No cache, no
-// zero-copy — correct everywhere, including in-memory backings and
-// platforms without mmap.
-type preadSource struct {
-	f     *File
-	views atomic.Uint64
-}
-
-func (s *preadSource) View(id PageID) ([]byte, func(), error) {
-	buf := make([]byte, PageSize)
-	if err := s.f.ReadPage(id, buf); err != nil {
-		return nil, nil, err
-	}
-	s.views.Add(1)
-	return buf, noopRelease, nil
-}
-
-func (s *preadSource) File() *File { return s.f }
-
-// Stats reports every view as a miss: each one paid a physical read.
-func (s *preadSource) Stats() PoolStats        { return PoolStats{Misses: s.views.Load()} }
-func (s *preadSource) ShardStats() []PoolStats { return []PoolStats{s.Stats()} }
-
-func (s *preadSource) Close() error { return s.f.Close() }

@@ -50,7 +50,7 @@ func sourceFixture(t *testing.T, pages int) (*File, [][]byte) {
 // fail cleanly.
 func TestPageSourceContract(t *testing.T) {
 	const pages = 6
-	for _, backend := range []Backend{BackendPool, BackendMmap, BackendAuto} {
+	for _, backend := range []Backend{BackendPool, BackendMmap} {
 		t.Run(string(backend), func(t *testing.T) {
 			pf, want := sourceFixture(t, pages)
 			src, err := NewSource(pf, backend, 4)
@@ -92,9 +92,9 @@ func TestPageSourceContract(t *testing.T) {
 	}
 }
 
-// TestNewSourceSelection: the mmap backend degrades to preads on unmappable
-// files (in-memory backing), auto falls back to the pool, and unknown names
-// are rejected.
+// TestNewSourceSelection: on an unmappable file (in-memory backing) the mmap
+// backend falls back to the bounded pool — a re-read is a cache hit, not a
+// second physical read — and unknown names are rejected.
 func TestNewSourceSelection(t *testing.T) {
 	mem, err := CreateMemFile()
 	if err != nil {
@@ -109,27 +109,21 @@ func TestNewSourceSelection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mmap over mem backing: %v", err)
 	}
-	if _, ok := src.(*preadSource); !ok {
-		t.Fatalf("mmap over mem backing gave %T, want *preadSource", src)
+	if _, ok := src.(*Pool); !ok {
+		t.Fatalf("mmap over mem backing gave %T, want *Pool", src)
 	}
-	page, release, err := src.View(1)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		page, release, err := src.View(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page) != PageSize {
+			t.Fatalf("fallback view is %d bytes", len(page))
+		}
+		release()
 	}
-	if len(page) != PageSize {
-		t.Fatalf("pread view is %d bytes", len(page))
-	}
-	release()
-	if st := src.Stats(); st.Misses != 1 {
-		t.Fatalf("pread stats = %+v, want 1 miss", st)
-	}
-
-	auto, err := NewSource(mem, BackendAuto, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := auto.(*Pool); !ok {
-		t.Fatalf("auto over mem backing gave %T, want *Pool", auto)
+	if st := src.Stats(); st.Misses != 1 || st.Hits == 0 {
+		t.Fatalf("fallback stats = %+v, want 1 miss then a hit", st)
 	}
 
 	if _, err := NewSource(mem, Backend("bogus"), 4); err == nil {
@@ -180,7 +174,7 @@ func TestParseBackend(t *testing.T) {
 		{"", BackendPool, true},
 		{"pool", BackendPool, true},
 		{"mmap", BackendMmap, true},
-		{"auto", BackendAuto, true},
+		{"auto", "", false},
 		{"zero-copy", "", false},
 	} {
 		got, err := ParseBackend(tc.in)
@@ -252,7 +246,7 @@ func TestViewConcurrent(t *testing.T) {
 		goroutines = 8
 		iters      = 400
 	)
-	for _, backend := range []Backend{BackendPool, BackendMmap, BackendAuto} {
+	for _, backend := range []Backend{BackendPool, BackendMmap} {
 		t.Run(string(backend), func(t *testing.T) {
 			pf, want := sourceFixture(t, pages)
 			src, err := NewSource(pf, backend, 4)

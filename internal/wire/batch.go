@@ -1,14 +1,12 @@
 package wire
 
-// The protocol-version-4 batch RPC: one TBatch frame carries many queries,
-// and the server answers with a multiplexed stream — every response frame
-// names the item it belongs to, so answers for different items may
-// interleave. The stream ends with exactly one TDone (aggregate work
-// counters for the whole batch) or one TError (the batch as a whole
-// failed: overload, deadline, malformed frame). An individual item's
-// failure is a TBatchItemError for that item; the rest of the batch still
-// runs. Every v4 message body is version-gated whole, so the versioned
-// codecs parse an empty body for protocol versions that predate the frame.
+// The batch RPC: one TBatch frame carries many queries, and the server
+// answers with a multiplexed stream — every response frame names the item
+// it belongs to, so answers for different items may interleave. The stream
+// ends with exactly one TDone (aggregate work counters for the whole batch)
+// or one TError (the batch as a whole failed: overload, deadline, malformed
+// frame). An individual item's failure is a TBatchItemError for that item;
+// the rest of the batch still runs.
 
 import (
 	"encoding/binary"
@@ -45,55 +43,50 @@ type BatchReq struct {
 	Items       []BatchItem
 }
 
-// Encode appends the request body to b at the current protocol version.
-func (m *BatchReq) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the request body as protocol version `version` lays it
-// out: the batch RPC exists only at version >= 4.
-func (m *BatchReq) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = appendString(b, m.DB)
-		b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Items)))
-		for _, it := range m.Items {
-			b = append(b, it.Op)
-			b = appendString(b, it.Index)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(it.Eps))
-			b = binary.LittleEndian.AppendUint32(b, uint32(it.K))
-			b = appendFloats(b, it.Query)
-		}
+// Encode appends the request body to b.
+func (m *BatchReq) Encode(b []byte) []byte {
+	b = appendString(b, m.DB)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Items)))
+	for _, it := range m.Items {
+		b = append(b, it.Op)
+		b = appendString(b, it.Index)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(it.Eps))
+		b = binary.LittleEndian.AppendUint32(b, uint32(it.K))
+		b = appendFloats(b, it.Query)
 	}
 	return b
 }
 
-// DecodeBatchReq parses a TBatch body at the current protocol version.
+// DecodeBatchReq parses a TBatch body, refusing an item whose K checkK
+// rejects.
 func DecodeBatchReq(body []byte) (BatchReq, error) {
-	return DecodeBatchReqAt(body, Version)
-}
-
-// DecodeBatchReqAt parses a TBatch body as protocol version `version` lays
-// it out, mirroring EncodeAt gate for gate.
-func DecodeBatchReqAt(body []byte, version uint16) (BatchReq, error) {
 	r := NewReader(body)
 	var m BatchReq
-	if version >= 4 {
-		m.DB = r.String()
-		m.Timeout = time.Duration(r.I64())
-		m.Parallelism = int(r.U32())
-		n := r.U32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			it := BatchItem{
-				Op:    r.U8(),
-				Index: r.String(),
-				Eps:   r.F64(),
-				K:     int(r.U32()),
-			}
-			it.Query = r.Floats()
-			m.Items = append(m.Items, it)
+	m.DB = r.String()
+	m.Timeout = time.Duration(r.I64())
+	m.Parallelism = int(r.U32())
+	n := r.U32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		it := BatchItem{
+			Op:    r.U8(),
+			Index: r.String(),
+			Eps:   r.F64(),
+			K:     int(r.U32()),
+		}
+		it.Query = r.Floats()
+		m.Items = append(m.Items, it)
+	}
+	if err := r.Err(); err != nil {
+		return m, err
+	}
+	for _, it := range m.Items {
+		if err := checkK(it.K, it.Op == BatchOpKNN); err != nil {
+			return m, err
 		}
 	}
-	return m, r.Err()
+	return m, nil
 }
 
 // BatchMatch is one streamed answer of one batch item: a Match plus the
@@ -107,42 +100,26 @@ type BatchMatch struct {
 	Distance float64
 }
 
-// Encode appends the match body to b at the current protocol version.
-func (m *BatchMatch) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the match body as protocol version `version` lays it
-// out: the batch RPC exists only at version >= 4.
-func (m *BatchMatch) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
-		b = appendString(b, m.SeqID)
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Seq))
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Start))
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.End))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Distance))
-	}
-	return b
+// Encode appends the match body to b.
+func (m *BatchMatch) Encode(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
+	b = appendString(b, m.SeqID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Seq))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Start))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.End))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Distance))
 }
 
-// DecodeBatchMatch parses a TBatchMatch body at the current protocol
-// version.
+// DecodeBatchMatch parses a TBatchMatch body.
 func DecodeBatchMatch(body []byte) (BatchMatch, error) {
-	return DecodeBatchMatchAt(body, Version)
-}
-
-// DecodeBatchMatchAt parses a TBatchMatch body as protocol version
-// `version` lays it out, mirroring EncodeAt gate for gate.
-func DecodeBatchMatchAt(body []byte, version uint16) (BatchMatch, error) {
 	r := NewReader(body)
 	var m BatchMatch
-	if version >= 4 {
-		m.ID = int(r.U32())
-		m.SeqID = r.String()
-		m.Seq = int(r.U32())
-		m.Start = int(r.U32())
-		m.End = int(r.U32())
-		m.Distance = r.F64()
-	}
+	m.ID = int(r.U32())
+	m.SeqID = r.String()
+	m.Seq = int(r.U32())
+	m.Start = int(r.U32())
+	m.End = int(r.U32())
+	m.Distance = r.F64()
 	return m, r.Err()
 }
 
@@ -153,59 +130,37 @@ type BatchItemDone struct {
 	Stats core.SearchStats
 }
 
-// Encode appends the body to b at the current protocol version.
-func (m *BatchItemDone) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the body as protocol version `version` lays it out: the
-// batch RPC exists only at version >= 4; the envelope-cascade counters
-// ship only at version >= 5.
-func (m *BatchItemDone) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
-		s := m.Stats
-		for _, v := range []uint64{
-			s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates,
-			s.FalseAlarms, s.Answers, s.PagesRead, s.PoolHits, s.PoolMisses,
-		} {
-			b = binary.LittleEndian.AppendUint64(b, v)
-		}
-		if version >= 5 {
-			b = binary.LittleEndian.AppendUint64(b, s.EnvelopePruned)
-			b = binary.LittleEndian.AppendUint64(b, s.LBCells)
-		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(s.Elapsed))
+// Encode appends the body to b.
+func (m *BatchItemDone) Encode(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
+	s := m.Stats
+	for _, v := range []uint64{
+		s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates,
+		s.FalseAlarms, s.Answers, s.PagesRead, s.PoolHits, s.PoolMisses,
+		s.EnvelopePruned, s.LBCells,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	return b
+	return binary.LittleEndian.AppendUint64(b, uint64(s.Elapsed))
 }
 
-// DecodeBatchItemDone parses a TBatchItemDone body at the current protocol
-// version.
+// DecodeBatchItemDone parses a TBatchItemDone body.
 func DecodeBatchItemDone(body []byte) (BatchItemDone, error) {
-	return DecodeBatchItemDoneAt(body, Version)
-}
-
-// DecodeBatchItemDoneAt parses a TBatchItemDone body as protocol version
-// `version` lays it out, mirroring EncodeAt gate for gate.
-func DecodeBatchItemDoneAt(body []byte, version uint16) (BatchItemDone, error) {
 	r := NewReader(body)
 	var m BatchItemDone
-	if version >= 4 {
-		m.ID = int(r.U32())
-		m.Stats.NodesVisited = r.U64()
-		m.Stats.FilterCells = r.U64()
-		m.Stats.PostCells = r.U64()
-		m.Stats.Candidates = r.U64()
-		m.Stats.FalseAlarms = r.U64()
-		m.Stats.Answers = r.U64()
-		m.Stats.PagesRead = r.U64()
-		m.Stats.PoolHits = r.U64()
-		m.Stats.PoolMisses = r.U64()
-		if version >= 5 {
-			m.Stats.EnvelopePruned = r.U64()
-			m.Stats.LBCells = r.U64()
-		}
-		m.Stats.Elapsed = time.Duration(r.I64())
-	}
+	m.ID = int(r.U32())
+	m.Stats.NodesVisited = r.U64()
+	m.Stats.FilterCells = r.U64()
+	m.Stats.PostCells = r.U64()
+	m.Stats.Candidates = r.U64()
+	m.Stats.FalseAlarms = r.U64()
+	m.Stats.Answers = r.U64()
+	m.Stats.PagesRead = r.U64()
+	m.Stats.PoolHits = r.U64()
+	m.Stats.PoolMisses = r.U64()
+	m.Stats.EnvelopePruned = r.U64()
+	m.Stats.LBCells = r.U64()
+	m.Stats.Elapsed = time.Duration(r.I64())
 	return m, r.Err()
 }
 
@@ -217,36 +172,20 @@ type BatchItemError struct {
 	Msg  string
 }
 
-// Encode appends the body to b at the current protocol version.
-func (m *BatchItemError) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the body as protocol version `version` lays it out: the
-// batch RPC exists only at version >= 4.
-func (m *BatchItemError) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
-		b = append(b, byte(m.Code))
-		b = appendString(b, m.Msg)
-	}
-	return b
+// Encode appends the body to b.
+func (m *BatchItemError) Encode(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.ID))
+	b = append(b, byte(m.Code))
+	return appendString(b, m.Msg)
 }
 
-// DecodeBatchItemError parses a TBatchItemError body at the current
-// protocol version.
+// DecodeBatchItemError parses a TBatchItemError body.
 func DecodeBatchItemError(body []byte) (BatchItemError, error) {
-	return DecodeBatchItemErrorAt(body, Version)
-}
-
-// DecodeBatchItemErrorAt parses a TBatchItemError body as protocol version
-// `version` lays it out, mirroring EncodeAt gate for gate.
-func DecodeBatchItemErrorAt(body []byte, version uint16) (BatchItemError, error) {
 	r := NewReader(body)
 	var m BatchItemError
-	if version >= 4 {
-		m.ID = int(r.U32())
-		m.Code = Code(r.U8())
-		m.Msg = r.String()
-	}
+	m.ID = int(r.U32())
+	m.Code = Code(r.U8())
+	m.Msg = r.String()
 	return m, r.Err()
 }
 
@@ -255,31 +194,13 @@ func DecodeBatchItemErrorAt(body []byte, version uint16) (BatchItemError, error)
 // answers with one range covering everything.
 type ShardsReq struct{ DB string }
 
-// Encode appends the request body to b at the current protocol version.
-func (m *ShardsReq) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
+// Encode appends the request body to b.
+func (m *ShardsReq) Encode(b []byte) []byte { return appendString(b, m.DB) }
 
-// EncodeAt appends the request body as protocol version `version` lays it
-// out: the shards RPC exists only at version >= 4.
-func (m *ShardsReq) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = appendString(b, m.DB)
-	}
-	return b
-}
-
-// DecodeShardsReq parses a TShards body at the current protocol version.
+// DecodeShardsReq parses a TShards body.
 func DecodeShardsReq(body []byte) (ShardsReq, error) {
-	return DecodeShardsReqAt(body, Version)
-}
-
-// DecodeShardsReqAt parses a TShards body as protocol version `version`
-// lays it out, mirroring EncodeAt gate for gate.
-func DecodeShardsReqAt(body []byte, version uint16) (ShardsReq, error) {
 	r := NewReader(body)
-	var m ShardsReq
-	if version >= 4 {
-		m.DB = r.String()
-	}
+	m := ShardsReq{DB: r.String()}
 	return m, r.Err()
 }
 
@@ -293,41 +214,26 @@ type ShardRange struct {
 // ShardsResp answers TShards.
 type ShardsResp struct{ Ranges []ShardRange }
 
-// Encode appends the body to b at the current protocol version.
-func (m *ShardsResp) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the body as protocol version `version` lays it out: the
-// shards RPC exists only at version >= 4.
-func (m *ShardsResp) EncodeAt(b []byte, version uint16) []byte {
-	if version >= 4 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Ranges)))
-		for _, sr := range m.Ranges {
-			b = binary.LittleEndian.AppendUint64(b, uint64(sr.Start))
-			b = binary.LittleEndian.AppendUint64(b, uint64(sr.Count))
-		}
+// Encode appends the body to b.
+func (m *ShardsResp) Encode(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Ranges)))
+	for _, sr := range m.Ranges {
+		b = binary.LittleEndian.AppendUint64(b, uint64(sr.Start))
+		b = binary.LittleEndian.AppendUint64(b, uint64(sr.Count))
 	}
 	return b
 }
 
-// DecodeShardsResp parses a TShardsResp body at the current protocol
-// version.
+// DecodeShardsResp parses a TShardsResp body.
 func DecodeShardsResp(body []byte) (ShardsResp, error) {
-	return DecodeShardsRespAt(body, Version)
-}
-
-// DecodeShardsRespAt parses a TShardsResp body as protocol version
-// `version` lays it out, mirroring EncodeAt gate for gate.
-func DecodeShardsRespAt(body []byte, version uint16) (ShardsResp, error) {
 	r := NewReader(body)
 	var m ShardsResp
-	if version >= 4 {
-		n := r.U32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			m.Ranges = append(m.Ranges, ShardRange{
-				Start: int(r.I64()),
-				Count: int(r.I64()),
-			})
-		}
+	n := r.U32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		m.Ranges = append(m.Ranges, ShardRange{
+			Start: int(r.I64()),
+			Count: int(r.I64()),
+		})
 	}
 	return m, r.Err()
 }

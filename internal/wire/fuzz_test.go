@@ -9,14 +9,12 @@ import (
 )
 
 // FuzzFrameRoundTrip is the dynamic counterpart to the wireconform static
-// analyzer: for every message type and protocol version, any body the
-// decoder accepts must re-encode to the identical bytes. Because Reader
-// rejects trailing bytes and non-canonical booleans, every field layout is
-// bijective on valid frames — a skew between an encode/decode pair (wrong
-// width, wrong order, asymmetric version gate) shows up as a byte diff.
+// analyzer: for every message type, any body the decoder accepts must
+// re-encode to the identical bytes. Because Reader rejects trailing bytes
+// and non-canonical booleans, every field layout is bijective on valid
+// frames — a skew between an encode/decode pair (wrong width, wrong order)
+// shows up as a byte diff.
 func FuzzFrameRoundTrip(f *testing.F) {
-	// Seed one well-formed body per frame type, both protocol versions for
-	// the version-gated requests.
 	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second,
 		Parallelism: 4, Query: []float64{1, 2, 3}}
 	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second,
@@ -36,48 +34,47 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	shresp := ShardsResp{Ranges: []ShardRange{{Start: 0, Count: 3}, {Start: 3, Count: 2}}}
 	partial := &Error{Code: CodeShardUnavailable, Msg: "shard 1 lost", Answered: []int{0, 2}}
 
-	f.Add(TSearch, uint16(Version), sreq.Encode(nil))
-	f.Add(TSearch, uint16(MinVersion), sreq.EncodeAt(nil, MinVersion))
-	f.Add(TKNN, uint16(Version), kreq.Encode(nil))
-	f.Add(TKNN, uint16(MinVersion), kreq.EncodeAt(nil, MinVersion))
-	f.Add(TScan, uint16(Version), screq.Encode(nil))
-	f.Add(TStats, uint16(Version), (&StatsReq{DB: "db"}).Encode(nil))
-	f.Add(TListIndexes, uint16(Version), (&ListIndexesReq{DB: "db"}).Encode(nil))
-	f.Add(TMatch, uint16(Version), match.Encode(nil))
-	f.Add(TDone, uint16(Version), done.Encode(nil))
-	f.Add(TError, uint16(Version), EncodeError(nil, ErrOverloaded))
-	f.Add(TError, uint16(Version), EncodeErrorAt(nil, partial, Version))
-	f.Add(TError, uint16(MinVersion), EncodeErrorAt(nil, partial, MinVersion))
-	f.Add(TStatsResp, uint16(Version), stats.Encode(nil))
-	f.Add(TIndexes, uint16(Version), idx.Encode(nil))
-	// The protocol-v4 batch and shard-topology messages: their whole bodies
-	// sit behind the version gate, so the MinVersion seeds are empty bodies
-	// and the identity must hold at every clamped version.
-	f.Add(TBatch, uint16(Version), breq.Encode(nil))
-	f.Add(TBatch, uint16(MinVersion), breq.EncodeAt(nil, MinVersion))
-	f.Add(TBatchMatch, uint16(Version), bmatch.Encode(nil))
-	f.Add(TBatchItemDone, uint16(Version), bdone.Encode(nil))
-	f.Add(TBatchItemError, uint16(Version), berr.Encode(nil))
-	f.Add(TShards, uint16(Version), (&ShardsReq{DB: "db"}).Encode(nil))
-	f.Add(TShardsResp, uint16(Version), shresp.Encode(nil))
-	f.Add(TShardsResp, uint16(MinVersion), shresp.EncodeAt(nil, MinVersion))
+	// One well-formed body per frame type.
+	f.Add(TSearch, sreq.Encode(nil))
+	f.Add(TKNN, kreq.Encode(nil))
+	f.Add(TScan, screq.Encode(nil))
+	f.Add(TStats, (&StatsReq{DB: "db"}).Encode(nil))
+	f.Add(TListIndexes, (&ListIndexesReq{DB: "db"}).Encode(nil))
+	f.Add(TMatch, match.Encode(nil))
+	f.Add(TDone, done.Encode(nil))
+	f.Add(TError, EncodeError(nil, ErrOverloaded))
+	f.Add(TError, EncodeError(nil, partial))
+	f.Add(TStatsResp, stats.Encode(nil))
+	f.Add(TIndexes, idx.Encode(nil))
+	f.Add(TBatch, breq.Encode(nil))
+	f.Add(TBatchMatch, bmatch.Encode(nil))
+	f.Add(TBatchItemDone, bdone.Encode(nil))
+	f.Add(TBatchItemError, berr.Encode(nil))
+	f.Add(TShards, (&ShardsReq{DB: "db"}).Encode(nil))
+	f.Add(TShardsResp, shresp.Encode(nil))
+	// Bodies one edit away from well-formed that the decoders must refuse:
+	// the layouts of retired protocol versions and the k-NN counts no sender
+	// can mean. They start the fuzzer at the boundary between accepted and
+	// rejected frames.
+	f.Add(TSearch, oldSearchReq(&sreq))
+	f.Add(TKNN, (&KNNReq{DB: "db", Index: "ix", K: -1, Query: []float64{4}}).Encode(nil))
+	f.Add(TError, oldError(partial))
+	f.Add(TBatch, (&BatchReq{DB: "db", Items: []BatchItem{{Op: BatchOpKNN, Index: "ix", Query: []float64{4}}}}).Encode(nil))
+	f.Add(TShardsResp, []byte{})
 
-	f.Fuzz(func(t *testing.T, typ byte, version uint16, body []byte) {
-		// Clamp the fuzzed version into the codec-supported window so the
-		// gated requests exercise both layouts.
-		v := MinVersion + version%(Version-MinVersion+1)
+	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
 		var reenc []byte
 		var err error
 		switch typ {
 		case TSearch:
 			var m SearchReq
-			if m, err = DecodeSearchReqAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeSearchReq(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TKNN:
 			var m KNNReq
-			if m, err = DecodeKNNReqAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeKNNReq(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TScan:
 			var m ScanReq
@@ -106,8 +103,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		case TError:
 			var e *Error
-			if e, err = DecodeErrorAt(body, v); err == nil {
-				reenc = EncodeErrorAt(nil, e, v)
+			if e, err = DecodeError(body); err == nil {
+				reenc = EncodeError(nil, e)
 			}
 		case TStatsResp:
 			var m StatsResp
@@ -121,33 +118,33 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		case TBatch:
 			var m BatchReq
-			if m, err = DecodeBatchReqAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeBatchReq(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TBatchMatch:
 			var m BatchMatch
-			if m, err = DecodeBatchMatchAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeBatchMatch(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TBatchItemDone:
 			var m BatchItemDone
-			if m, err = DecodeBatchItemDoneAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeBatchItemDone(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TBatchItemError:
 			var m BatchItemError
-			if m, err = DecodeBatchItemErrorAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeBatchItemError(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TShards:
 			var m ShardsReq
-			if m, err = DecodeShardsReqAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeShardsReq(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		case TShardsResp:
 			var m ShardsResp
-			if m, err = DecodeShardsRespAt(body, v); err == nil {
-				reenc = m.EncodeAt(nil, v)
+			if m, err = DecodeShardsResp(body); err == nil {
+				reenc = m.Encode(nil)
 			}
 		default:
 			return
@@ -155,12 +152,23 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected: nothing to compare
 		}
-		if len(body) == 0 && len(reenc) == 0 {
-			return
-		}
 		if !bytes.Equal(reenc, body) {
-			t.Fatalf("type %#x v%d: decode∘encode not identity:\n in:  %x\n out: %x",
-				typ, v, body, reenc)
+			t.Fatalf("type %#x: decode∘encode not identity:\n in:  %x\n out: %x",
+				typ, body, reenc)
 		}
 	})
+}
+
+// oldSearchReq lays m out as protocol version 2 did: the current body
+// without the 4-byte parallelism word in front of the query.
+func oldSearchReq(m *SearchReq) []byte {
+	b := m.Encode(nil)
+	at := len(b) - (4 + 8*len(m.Query)) - 4
+	return append(b[:at:at], b[at+4:]...)
+}
+
+// oldError lays e out as protocol versions before 4 did: code and message,
+// no answered-shards list.
+func oldError(e *Error) []byte {
+	return appendString([]byte{byte(e.Code)}, e.Msg)
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -25,39 +26,25 @@ type SearchReq struct {
 	Query       []float64
 }
 
-// Encode appends the request body to b at the current protocol version.
-func (m *SearchReq) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the request body as protocol version `version` lays it
-// out: the Parallelism hint ships only at version >= 3.
-func (m *SearchReq) EncodeAt(b []byte, version uint16) []byte {
+// Encode appends the request body to b.
+func (m *SearchReq) Encode(b []byte) []byte {
 	b = appendString(b, m.DB)
 	b = appendString(b, m.Index)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Eps))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-	if version >= 3 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
 	return appendFloats(b, m.Query)
 }
 
-// DecodeSearchReq parses a TSearch body at the current protocol version.
+// DecodeSearchReq parses a TSearch body.
 func DecodeSearchReq(body []byte) (SearchReq, error) {
-	return DecodeSearchReqAt(body, Version)
-}
-
-// DecodeSearchReqAt parses a TSearch body as protocol version `version`
-// lays it out, mirroring EncodeAt gate for gate.
-func DecodeSearchReqAt(body []byte, version uint16) (SearchReq, error) {
 	r := NewReader(body)
 	m := SearchReq{
-		DB:      r.String(),
-		Index:   r.String(),
-		Eps:     r.F64(),
-		Timeout: time.Duration(r.I64()),
-	}
-	if version >= 3 {
-		m.Parallelism = int(r.U32())
+		DB:          r.String(),
+		Index:       r.String(),
+		Eps:         r.F64(),
+		Timeout:     time.Duration(r.I64()),
+		Parallelism: int(r.U32()),
 	}
 	m.Query = r.Floats()
 	return m, r.Err()
@@ -74,42 +61,42 @@ type KNNReq struct {
 	Query       []float64
 }
 
-// Encode appends the request body to b at the current protocol version.
-func (m *KNNReq) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the request body as protocol version `version` lays it
-// out: the Parallelism hint ships only at version >= 3.
-func (m *KNNReq) EncodeAt(b []byte, version uint16) []byte {
+// Encode appends the request body to b.
+func (m *KNNReq) Encode(b []byte) []byte {
 	b = appendString(b, m.DB)
 	b = appendString(b, m.Index)
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.K))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-	if version >= 3 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
-	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
 	return appendFloats(b, m.Query)
 }
 
-// DecodeKNNReq parses a TKNN body at the current protocol version.
+// DecodeKNNReq parses a TKNN body, refusing a K that checkK rejects.
 func DecodeKNNReq(body []byte) (KNNReq, error) {
-	return DecodeKNNReqAt(body, Version)
-}
-
-// DecodeKNNReqAt parses a TKNN body as protocol version `version` lays it
-// out, mirroring EncodeAt gate for gate.
-func DecodeKNNReqAt(body []byte, version uint16) (KNNReq, error) {
 	r := NewReader(body)
 	m := KNNReq{
-		DB:      r.String(),
-		Index:   r.String(),
-		K:       int(r.U32()),
-		Timeout: time.Duration(r.I64()),
-	}
-	if version >= 3 {
-		m.Parallelism = int(r.U32())
+		DB:          r.String(),
+		Index:       r.String(),
+		K:           int(r.U32()),
+		Timeout:     time.Duration(r.I64()),
+		Parallelism: int(r.U32()),
 	}
 	m.Query = r.Floats()
-	return m, r.Err()
+	if err := r.Err(); err != nil {
+		return m, err
+	}
+	return m, checkK(m.K, true)
+}
+
+// checkK refuses a K no sender can mean. K travels as a uint32, so a
+// negative int on the sending side arrives above math.MaxInt32 (or negative
+// where int is 32 bits) and would pass every k <= 0 check downstream; a
+// k-NN request also needs at least one neighbor.
+func checkK(k int, knn bool) error {
+	if k < 0 || k > math.MaxInt32 || (knn && k == 0) {
+		return fmt.Errorf("wire: bad frame: k = %d (k must be positive)", uint32(k))
+	}
+	return nil
 }
 
 // ScanReq asks for the exhaustive sequential-scan baseline.
@@ -202,32 +189,21 @@ func DecodeMatch(body []byte) (Match, error) {
 // Done terminates a match stream, carrying the search's work counters.
 type Done struct{ Stats core.SearchStats }
 
-// Encode appends the done body to b at the current protocol version.
-func (m *Done) Encode(b []byte) []byte { return m.EncodeAt(b, Version) }
-
-// EncodeAt appends the done body as protocol version `version` lays it
-// out: the envelope-cascade counters ship only at version >= 5.
-func (m *Done) EncodeAt(b []byte, version uint16) []byte {
+// Encode appends the done body to b.
+func (m *Done) Encode(b []byte) []byte {
 	s := m.Stats
 	for _, v := range []uint64{
 		s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates,
 		s.FalseAlarms, s.Answers, s.PagesRead, s.PoolHits, s.PoolMisses,
+		s.EnvelopePruned, s.LBCells,
 	} {
 		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	if version >= 5 {
-		b = binary.LittleEndian.AppendUint64(b, s.EnvelopePruned)
-		b = binary.LittleEndian.AppendUint64(b, s.LBCells)
 	}
 	return binary.LittleEndian.AppendUint64(b, uint64(s.Elapsed))
 }
 
-// DecodeDone parses a TDone body at the current protocol version.
-func DecodeDone(body []byte) (Done, error) { return DecodeDoneAt(body, Version) }
-
-// DecodeDoneAt parses a TDone body as protocol version `version` lays it
-// out, mirroring EncodeAt gate for gate.
-func DecodeDoneAt(body []byte, version uint16) (Done, error) {
+// DecodeDone parses a TDone body.
+func DecodeDone(body []byte) (Done, error) {
 	r := NewReader(body)
 	var m Done
 	m.Stats.NodesVisited = r.U64()
@@ -239,57 +215,39 @@ func DecodeDoneAt(body []byte, version uint16) (Done, error) {
 	m.Stats.PagesRead = r.U64()
 	m.Stats.PoolHits = r.U64()
 	m.Stats.PoolMisses = r.U64()
-	if version >= 5 {
-		m.Stats.EnvelopePruned = r.U64()
-		m.Stats.LBCells = r.U64()
-	}
+	m.Stats.EnvelopePruned = r.U64()
+	m.Stats.LBCells = r.U64()
 	m.Stats.Elapsed = time.Duration(r.I64())
 	return m, r.Err()
 }
 
-// EncodeError appends a TError body for err to b at the current protocol
-// version.
-func EncodeError(b []byte, err error) []byte { return EncodeErrorAt(b, err, Version) }
-
-// EncodeErrorAt appends a TError body as protocol version `version` lays it
-// out: the answered-shards list ships only at version >= 4.
-func EncodeErrorAt(b []byte, err error, version uint16) []byte {
+// EncodeError appends a TError body for err to b.
+func EncodeError(b []byte, err error) []byte {
 	b = append(b, byte(CodeOf(err)))
 	// A typed *Error ships its bare message: Error() adds the daemon
 	// prefix and code suffix, which the receiving side adds again.
 	var we *Error
+	var answered []int
 	if errors.As(err, &we) {
 		b = appendString(b, we.Msg)
+		answered = we.Answered
 	} else {
 		b = appendString(b, err.Error())
 	}
-	if version >= 4 {
-		var answered []int
-		if we != nil {
-			answered = we.Answered
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(answered)))
-		for _, s := range answered {
-			b = binary.LittleEndian.AppendUint32(b, uint32(s))
-		}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(answered)))
+	for _, s := range answered {
+		b = binary.LittleEndian.AppendUint32(b, uint32(s))
 	}
 	return b
 }
 
-// DecodeError parses a TError body into the typed *Error at the current
-// protocol version.
-func DecodeError(body []byte) (*Error, error) { return DecodeErrorAt(body, Version) }
-
-// DecodeErrorAt parses a TError body as protocol version `version` lays it
-// out, mirroring EncodeErrorAt gate for gate.
-func DecodeErrorAt(body []byte, version uint16) (*Error, error) {
+// DecodeError parses a TError body into the typed *Error.
+func DecodeError(body []byte) (*Error, error) {
 	r := NewReader(body)
 	e := &Error{Code: Code(r.U8()), Msg: r.String()}
-	if version >= 4 {
-		n := r.U32()
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			e.Answered = append(e.Answered, int(r.U32()))
-		}
+	n := r.U32()
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		e.Answered = append(e.Answered, int(r.U32()))
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -310,8 +268,8 @@ type PoolInfo struct {
 	Shards []PoolShard
 }
 
-// StatsResp answers TStats with the dataset's summary statistics and, since
-// protocol version 2, each open index's buffer-pool shard counters.
+// StatsResp answers TStats with the dataset's summary statistics and each
+// open index's buffer-pool shard counters.
 type StatsResp struct {
 	Stats sequence.Stats
 	Pools []PoolInfo

@@ -34,22 +34,11 @@ import (
 	"math"
 )
 
-// Version is the protocol version this package speaks. A server rejects
-// hellos with a different version: the framing makes no compatibility
-// promises across versions. Version 2 extended StatsResp with per-index
-// buffer-pool shard counters; version 3 added the per-request Parallelism
-// hint to SearchReq and KNNReq; version 4 added the batch-query RPC
-// (TBatch and its per-item response frames), the shard-topology RPC
-// (TShards), and the answered-shards list on TError; version 5 extended
-// Done with the envelope-cascade counters (EnvelopePruned, LBCells).
+// Version is the protocol version this package speaks, and the only layout
+// the codecs know: the handshake refuses a peer with any other version, so
+// every message has one Encode and one Decode. Changing a layout means
+// bumping Version and rebuilding both sides.
 const Version = 5
-
-// MinVersion is the oldest protocol version the versioned codecs
-// (EncodeAt / Decode*At) can still produce and parse. The live framing
-// negotiates Version exactly — the handshake makes no cross-version
-// promises — but the gated codecs keep the version-2 layouts encodable
-// so recorded frames and migration tooling can round-trip old captures.
-const MinVersion = 2
 
 // magic identifies a twsearchd connection.
 var magic = [4]byte{'T', 'W', 'S', 'D'}
@@ -66,18 +55,18 @@ const (
 	TScan        byte = 0x03 // ScanReq: exhaustive sequential scan
 	TStats       byte = 0x04 // StatsReq: dataset summary statistics
 	TListIndexes byte = 0x05 // ListIndexesReq: open indexes of a DB
-	TBatch       byte = 0x06 // BatchReq: many queries in one round-trip (v4)
-	TShards      byte = 0x07 // ShardsReq: shard topology of a DB (v4)
+	TBatch       byte = 0x06 // BatchReq: many queries in one round-trip
+	TShards      byte = 0x07 // ShardsReq: shard topology of a DB
 
 	TMatch          byte = 0x10 // Match: one streamed answer
 	TDone           byte = 0x11 // Done: end of a match stream, with stats
 	TError          byte = 0x12 // ErrorFrame: request failed
 	TStatsResp      byte = 0x13 // StatsResp: answer to TStats
 	TIndexes        byte = 0x14 // IndexesResp: answer to TListIndexes
-	TBatchMatch     byte = 0x15 // BatchMatch: one answer of one batch item (v4)
-	TBatchItemDone  byte = 0x16 // BatchItemDone: one batch item finished (v4)
-	TBatchItemError byte = 0x17 // BatchItemError: one batch item failed (v4)
-	TShardsResp     byte = 0x18 // ShardsResp: answer to TShards (v4)
+	TBatchMatch     byte = 0x15 // BatchMatch: one answer of one batch item
+	TBatchItemDone  byte = 0x16 // BatchItemDone: one batch item finished
+	TBatchItemError byte = 0x17 // BatchItemError: one batch item failed
+	TShardsResp     byte = 0x18 // ShardsResp: answer to TShards
 )
 
 // ErrBadMagic reports a handshake that is not a twsearchd hello.
@@ -164,7 +153,7 @@ const (
 	CodeDeadline         Code = 4 // request deadline exceeded mid-search
 	CodeShutdown         Code = 5 // server draining; the search was canceled
 	CodeInternal         Code = 6 // anything else
-	CodeShardUnavailable Code = 7 // a sharded search lost one or more shards (v4)
+	CodeShardUnavailable Code = 7 // a sharded search lost one or more shards
 )
 
 func (c Code) String() string {
@@ -191,9 +180,8 @@ func (c Code) String() string {
 // of a TError frame; equality for errors.Is is by Code, and CodeDeadline /
 // CodeShutdown errors additionally match context.DeadlineExceeded /
 // context.Canceled so context-shaped callers need no wire-specific checks.
-// Answered, set on CodeShardUnavailable errors since protocol version 4,
-// lists the shards that returned complete results before the search lost
-// the rest.
+// Answered, set on CodeShardUnavailable errors, lists the shards that
+// returned complete results before the search lost the rest.
 type Error struct {
 	Code     Code
 	Msg      string

@@ -41,9 +41,13 @@ func TestHelloBadVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	b[4], b[5] = 0xFF, 0xFF
-	if _, err := ReadHello(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+	// The neighbors of the one supported version are refused like any other.
+	for _, v := range []uint16{Version - 1, Version + 1, 0xFFFF} {
+		b[4], b[5] = byte(v), byte(v>>8)
+		got, err := ReadHello(bytes.NewReader(b))
+		if !errors.Is(err, ErrVersion) || got != v {
+			t.Fatalf("version %d: got (%d, %v), want ErrVersion", v, got, err)
+		}
 	}
 }
 
@@ -275,5 +279,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	badFloats = append(badFloats, 0xFF, 0xFF, 0xFF, 0x7F)
 	if _, err := DecodeScanReq(badFloats); err == nil {
 		t.Fatal("oversized float count decoded successfully")
+	}
+	// A body in a retired version's layout (version 2 had no parallelism
+	// word) is refused by the reader, not mis-parsed.
+	old := oldSearchReq(&SearchReq{DB: "d", Index: "i", Eps: 1, Query: []float64{1, 2, 3}})
+	if _, err := DecodeSearchReq(old); err == nil || !strings.Contains(err.Error(), "wire:") {
+		t.Fatalf("version-2 SearchReq body: err = %v, want a reader error", err)
+	}
+	// K travels as a uint32: zero and anything above MaxInt32 (a negative k
+	// on the sending side: -1 is 0xFFFFFFFF, MinInt32 is MaxInt32+1) must be
+	// refused, not searched.
+	for _, k := range []int{0, -1, math.MinInt32} {
+		body := (&KNNReq{DB: "d", Index: "i", K: k, Query: []float64{1}}).Encode(nil)
+		if _, err := DecodeKNNReq(body); err == nil || !strings.Contains(err.Error(), "k must be positive") {
+			t.Errorf("KNNReq k=%d: err = %v, want k must be positive", k, err)
+		}
+		batch := (&BatchReq{DB: "d", Items: []BatchItem{
+			{Op: BatchOpSearch, Index: "i", Eps: 1, Query: []float64{1}},
+			{Op: BatchOpKNN, Index: "i", K: k, Query: []float64{1}},
+		}}).Encode(nil)
+		if _, err := DecodeBatchReq(batch); err == nil || !strings.Contains(err.Error(), "k must be positive") {
+			t.Errorf("BatchReq k-NN item k=%d: err = %v, want k must be positive", k, err)
+		}
+	}
+	if _, err := DecodeKNNReq((&KNNReq{DB: "d", Index: "i", K: math.MaxInt32, Query: []float64{1}}).Encode(nil)); err != nil {
+		t.Errorf("KNNReq k=MaxInt32: %v", err)
 	}
 }

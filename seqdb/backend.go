@@ -8,15 +8,15 @@ import (
 )
 
 // Backend selects the page source index files are read through: the
-// lock-striped LRU buffer pool (portable, bounded memory), a zero-copy mmap
-// of the whole file, or automatic selection.
+// lock-striped LRU buffer pool (portable, bounded memory) or a zero-copy
+// mmap of the whole file, which falls back to the pool where the file
+// cannot be mapped.
 type Backend = storage.Backend
 
 // The available storage backends. The zero value ("") means BackendPool.
 const (
 	BackendPool = storage.BackendPool
 	BackendMmap = storage.BackendMmap
-	BackendAuto = storage.BackendAuto
 )
 
 // ParseBackend validates a backend name from a flag or config value; the

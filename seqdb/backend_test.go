@@ -34,7 +34,7 @@ func buildBackendDB(t *testing.T) string {
 }
 
 // TestBackendByteIdentical checks the storage-layer contract end to end:
-// the same queries through the buffer pool, mmap, and auto backends — over
+// the same queries through the buffer pool and mmap backends — over
 // both node record encodings — return byte-identical answers, including
 // under concurrent mixed Search/SearchKNN load.
 func TestBackendByteIdentical(t *testing.T) {
@@ -77,11 +77,11 @@ func TestBackendByteIdentical(t *testing.T) {
 	for _, name := range indexNames {
 		for _, q := range queries {
 			vals := cut(base, q)
-			ms, _, err := base.Search(name, vals, q.eps)
+			ms, _, err := search(base, name, vals, q.eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kms, _, err := base.SearchKNN(name, vals, q.k)
+			kms, _, err := searchKNN(base, name, vals, q.k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestBackendByteIdentical(t *testing.T) {
 		}
 	}
 
-	for _, backend := range []Backend{BackendPool, BackendMmap, BackendAuto} {
+	for _, backend := range []Backend{BackendPool, BackendMmap} {
 		t.Run(string(backend), func(t *testing.T) {
 			db, err := OpenWith(dir, OpenOptions{Backend: backend})
 			if err != nil {
@@ -118,7 +118,7 @@ func TestBackendByteIdentical(t *testing.T) {
 						q := queries[qi]
 						vals := cut(base, q)
 						if (g+r)%2 == 0 {
-							ms, _, err := db.Search(name, vals, q.eps)
+							ms, _, err := search(db, name, vals, q.eps)
 							if err != nil {
 								errCh <- err
 								return
@@ -128,7 +128,7 @@ func TestBackendByteIdentical(t *testing.T) {
 								return
 							}
 						} else {
-							ms, _, err := db.SearchKNN(name, vals, q.k)
+							ms, _, err := searchKNN(db, name, vals, q.k)
 							if err != nil {
 								errCh <- err
 								return

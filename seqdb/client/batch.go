@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"twsearch/internal/shard"
 	"twsearch/internal/wire"
 	"twsearch/seqdb"
 )
@@ -18,16 +19,7 @@ import (
 // sortMatches puts matches in the deterministic (sequence, start, end)
 // order the in-process seqdb API returns.
 func sortMatches(ms []seqdb.Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.End < b.End
-	})
+	sort.Slice(ms, func(i, j int) bool { return shard.PositionLess(ms[i], ms[j]) })
 }
 
 // BatchQuery is one query of a Batch call: a range search (K == 0, Eps is
@@ -55,21 +47,25 @@ type BatchResult struct {
 // (transport, overload, deadline, unknown DB). The returned stats are the
 // batch-wide aggregate the server measured.
 func (c *Client) Batch(ctx context.Context, db string, queries []BatchQuery, opts seqdb.SearchOptions) ([]BatchResult, seqdb.SearchStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var agg seqdb.SearchStats
-	hint, err := c.begin(ctx)
-	if err != nil {
-		return nil, agg, err
-	}
-	req := wire.BatchReq{DB: db, Timeout: hint, Parallelism: opts.Parallelism}
-	for _, q := range queries {
+	items := make([]wire.BatchItem, len(queries))
+	for i, q := range queries {
+		if q.K < 0 { // the wire carries K as a uint32
+			return nil, agg, fmt.Errorf("client: batch query %d: negative k", i)
+		}
 		op := wire.BatchOpSearch
 		if q.K > 0 {
 			op = wire.BatchOpKNN
 		}
-		req.Items = append(req.Items, wire.BatchItem{Op: op, Index: q.Index, Eps: q.Eps, K: q.K, Query: q.Query})
+		items[i] = wire.BatchItem{Op: op, Index: q.Index, Eps: q.Eps, K: q.K, Query: q.Query}
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	hint, err := c.begin(ctx)
+	if err != nil {
+		return nil, agg, err
+	}
+	req := wire.BatchReq{DB: db, Timeout: hint, Parallelism: opts.Parallelism, Items: items}
 	if err := c.send(ctx, wire.TBatch, req.Encode(nil)); err != nil {
 		return nil, agg, err
 	}

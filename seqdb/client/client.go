@@ -12,6 +12,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -174,18 +175,13 @@ func (c *Client) finish() {
 	}
 }
 
-// SearchVisit streams a range search's answers to fn as they arrive from
-// the server; returning false stops the stream. Stopping early drops the
-// connection — that is the wire's cancellation signal; the server aborts
-// the search when its next write fails — and the client redials on the
-// next call.
-func (c *Client) SearchVisit(ctx context.Context, db, index string, q []float64, eps float64, fn func(seqdb.Match) bool) (seqdb.SearchStats, error) {
-	return c.SearchVisitWith(ctx, db, index, q, eps, fn, seqdb.SearchOptions{})
-}
-
-// SearchVisitWith is SearchVisit with execution options. The parallelism
-// hint travels with the request; the server caps it at its own configured
-// maximum, and answers are byte-identical either way.
+// SearchVisitWith streams a range search's answers to fn as they arrive
+// from the server; returning false stops the stream. Stopping early drops
+// the connection — that is the wire's cancellation signal; the server
+// aborts the search when its next write fails — and the client redials on
+// the next call. The parallelism hint travels with the request; the server
+// caps it at its own configured maximum, and answers are byte-identical
+// either way.
 func (c *Client) SearchVisitWith(ctx context.Context, db, index string, q []float64, eps float64, fn func(seqdb.Match) bool, opts seqdb.SearchOptions) (seqdb.SearchStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -241,14 +237,9 @@ func (c *Client) readMatchStream(ctx context.Context, fn func(seqdb.Match) bool)
 	}
 }
 
-// Search runs a range search and returns the full answer set sorted by
+// SearchWith runs a range search and returns the full answer set sorted by
 // (sequence, start, end) — the same order, distances and stats the
-// in-process seqdb.DB.Search produces.
-func (c *Client) Search(ctx context.Context, db, index string, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error) {
-	return c.SearchWith(ctx, db, index, q, eps, seqdb.SearchOptions{})
-}
-
-// SearchWith is Search with execution options; see SearchVisitWith.
+// in-process seqdb.DB.SearchWith produces. See SearchVisitWith for opts.
 func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, eps float64, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
 	var ms []seqdb.Match
 	stats, err := c.SearchVisitWith(ctx, db, index, q, eps, func(m seqdb.Match) bool {
@@ -262,14 +253,14 @@ func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, 
 	return ms, stats, nil
 }
 
-// SearchKNN returns the k nearest subsequences; order mirrors the
-// in-process SearchKNN (position order).
-func (c *Client) SearchKNN(ctx context.Context, db, index string, q []float64, k int) ([]seqdb.Match, seqdb.SearchStats, error) {
-	return c.SearchKNNWith(ctx, db, index, q, k, seqdb.SearchOptions{})
-}
-
-// SearchKNNWith is SearchKNN with execution options; see SearchVisitWith.
+// SearchKNNWith returns the k nearest subsequences; order mirrors the
+// in-process SearchKNNWith (position order). See SearchVisitWith for opts.
+// A non-positive k is refused here, with the engine's wording: the wire
+// carries k as a uint32, where a negative count would read as billions.
 func (c *Client) SearchKNNWith(ctx context.Context, db, index string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
+	if k <= 0 {
+		return nil, seqdb.SearchStats{}, errors.New("client: k must be positive")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hint, err := c.begin(ctx)

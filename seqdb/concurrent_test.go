@@ -28,7 +28,7 @@ func TestConcurrentSearches(t *testing.T) {
 	const eps = 12.0
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		ms, _, err := db.Search("c", q, eps)
+		ms, _, err := search(db, "c", q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q []float64) {
 			defer wg.Done()
-			ms, _, err := db.Search("c", q, eps)
+			ms, _, err := search(db, "c", q, eps)
 			if err != nil {
 				t.Errorf("query %d: %v", i, err)
 				return
@@ -52,7 +52,7 @@ func TestConcurrentSearches(t *testing.T) {
 		wg.Add(1)
 		go func(q []float64) {
 			defer wg.Done()
-			if _, _, err := db.SearchKNN("c", q, 3); err != nil {
+			if _, _, err := searchKNN(db, "c", q, 3); err != nil {
 				t.Errorf("knn: %v", err)
 			}
 		}(q)
@@ -60,7 +60,7 @@ func TestConcurrentSearches(t *testing.T) {
 		go func(q []float64) {
 			defer wg.Done()
 			n := 0
-			if _, err := db.SearchVisit("c", q, eps, func(Match) bool { n++; return true }); err != nil {
+			if _, err := searchVisit(db, "c", q, eps, func(Match) bool { n++; return true }); err != nil {
 				t.Errorf("visit: %v", err)
 			}
 		}(q)
@@ -98,7 +98,7 @@ func sameMatches(a, b []Match) bool {
 
 // TestConcurrentHammerOneHandle drives many goroutines through one warmed
 // handle, each replaying the full query batch several times with a mix of
-// Search, SearchVisitCtx, and SearchKNN. Every answer must be byte-identical
+// SearchWith, SearchVisitWith, and SearchKNNWith. Every answer must be byte-identical
 // to the serial baseline: the pooled query contexts may be reused in any
 // order by any goroutine and must never leak state between queries.
 func TestConcurrentHammerOneHandle(t *testing.T) {
@@ -118,12 +118,12 @@ func TestConcurrentHammerOneHandle(t *testing.T) {
 	wantRange := make([][]Match, len(queries))
 	wantKNN := make([][]Match, len(queries))
 	for i, q := range queries {
-		ms, _, err := db.Search("h", q, eps)
+		ms, _, err := search(db, "h", q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantRange[i] = ms
-		ks, _, err := db.SearchKNN("h", q, k)
+		ks, _, err := searchKNN(db, "h", q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestConcurrentHammerOneHandle(t *testing.T) {
 				for i, q := range queries {
 					switch (w + r + i) % 3 {
 					case 0:
-						ms, _, err := db.SearchCtx(ctx, "h", q, eps)
+						ms, _, err := db.SearchWith(ctx, "h", q, eps, SearchOptions{})
 						if err != nil {
 							t.Errorf("worker %d search %d: %v", w, i, err)
 							return
@@ -153,10 +153,10 @@ func TestConcurrentHammerOneHandle(t *testing.T) {
 						}
 					case 1:
 						var got []Match
-						_, err := db.SearchVisitCtx(ctx, "h", q, eps, func(m Match) bool {
+						_, err := db.SearchVisitWith(ctx, "h", q, eps, func(m Match) bool {
 							got = append(got, m)
 							return true
-						})
+						}, SearchOptions{})
 						if err != nil {
 							t.Errorf("worker %d visit %d: %v", w, i, err)
 							return
@@ -179,7 +179,7 @@ func TestConcurrentHammerOneHandle(t *testing.T) {
 							}
 						}
 					case 2:
-						ks, _, err := db.SearchKNNCtx(ctx, "h", q, k)
+						ks, _, err := db.SearchKNNWith(ctx, "h", q, k, SearchOptions{})
 						if err != nil {
 							t.Errorf("worker %d knn %d: %v", w, i, err)
 							return
@@ -219,7 +219,7 @@ func BenchmarkSearchConcurrent(b *testing.B) {
 		queries[i] = testValues(rng, 8)
 	}
 	const eps = 10.0
-	if _, _, err := db.Search("b", queries[0], eps); err != nil { // warm the pool
+	if _, _, err := search(db, "b", queries[0], eps); err != nil { // warm the pool
 		b.Fatal(err)
 	}
 
@@ -228,7 +228,7 @@ func BenchmarkSearchConcurrent(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, _, err := db.Search("b", queries[i%len(queries)], eps); err != nil {
+			if _, _, err := search(db, "b", queries[i%len(queries)], eps); err != nil {
 				b.Error(err)
 				return
 			}
@@ -269,7 +269,7 @@ func TestConcurrentBuildDrop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				if _, _, err := db.Search("stable", q, 10); err != nil {
+				if _, _, err := search(db, "stable", q, 10); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}

@@ -6,31 +6,34 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestContextVariantsMatchPlainAPI pins that the Ctx entry points with a
-// background context return exactly what the historical signatures do.
+// TestContextVariantsMatchPlainAPI pins that a live context — cancellable,
+// carrying a deadline that never fires — changes nothing: every entry point
+// returns exactly what it returns under context.Background().
 func TestContextVariantsMatchPlainAPI(t *testing.T) {
 	db := newTestDB(t, 10, 60, 11)
 	if err := db.BuildIndex("fast", IndexSpec{Method: MethodMaxEntropy, Categories: 10, Sparse: true}); err != nil {
 		t.Fatal(err)
 	}
 	q := append([]float64(nil), db.Values("seq-2")[5:20]...)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 
-	want, _, err := db.Search("fast", q, 6)
+	want, _, err := search(db, "fast", q, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := db.SearchCtx(ctx, "fast", q, 6)
+	got, _, err := db.SearchWith(ctx, "fast", q, 6, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("SearchCtx(background) differs from Search")
+		t.Fatal("SearchWith under a live context differs from the background call")
 	}
 
-	wantScan, _, err := db.SeqScan(q, 6)
+	wantScan, _, err := seqScan(db, q, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,23 +42,23 @@ func TestContextVariantsMatchPlainAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantScan, gotScan) {
-		t.Fatal("SeqScanCtx(background) differs from SeqScan")
+		t.Fatal("SeqScanCtx under a live context differs from the background call")
 	}
 
-	wantKNN, _, err := db.SearchKNN("fast", q, 4)
+	wantKNN, _, err := searchKNN(db, "fast", q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKNN, _, err := db.SearchKNNCtx(ctx, "fast", q, 4)
+	gotKNN, _, err := db.SearchKNNWith(ctx, "fast", q, 4, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantKNN, gotKNN) {
-		t.Fatal("SearchKNNCtx(background) differs from SearchKNN")
+		t.Fatal("SearchKNNWith under a live context differs from the background call")
 	}
 }
 
-// TestContextCancellationAborts checks every Ctx entry point honors an
+// TestContextCancellationAborts checks every entry point honors an
 // already-canceled context and reports the context's error.
 func TestContextCancellationAborts(t *testing.T) {
 	db := newTestDB(t, 10, 60, 12)
@@ -66,14 +69,14 @@ func TestContextCancellationAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, _, err := db.SearchCtx(ctx, "fast", q, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchCtx err = %v, want Canceled", err)
+	if _, _, err := db.SearchWith(ctx, "fast", q, 5, SearchOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchWith err = %v, want Canceled", err)
 	}
-	if _, err := db.SearchVisitCtx(ctx, "fast", q, 5, func(Match) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchVisitCtx err = %v, want Canceled", err)
+	if _, err := db.SearchVisitWith(ctx, "fast", q, 5, func(Match) bool { return true }, SearchOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchVisitWith err = %v, want Canceled", err)
 	}
-	if _, _, err := db.SearchKNNCtx(ctx, "fast", q, 3); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchKNNCtx err = %v, want Canceled", err)
+	if _, _, err := db.SearchKNNWith(ctx, "fast", q, 3, SearchOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchKNNWith err = %v, want Canceled", err)
 	}
 	if _, _, err := db.SeqScanCtx(ctx, q, 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SeqScanCtx err = %v, want Canceled", err)
@@ -81,7 +84,7 @@ func TestContextCancellationAborts(t *testing.T) {
 
 	// Unknown indexes are reported with the typed sentinel regardless of
 	// context state.
-	if _, _, err := db.SearchCtx(context.Background(), "nope", q, 5); !errors.Is(err, ErrNoIndex) {
+	if _, _, err := db.SearchWith(context.Background(), "nope", q, 5, SearchOptions{}); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("unknown index err = %v, want ErrNoIndex", err)
 	}
 }
@@ -153,7 +156,7 @@ func TestSearchParallelEdgeCases(t *testing.T) {
 	}
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
-		ms, _, err := db.Search("fast", q, 5)
+		ms, _, err := search(db, "fast", q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +165,7 @@ func TestSearchParallelEdgeCases(t *testing.T) {
 
 	// workers <= 0 means "pick a sensible default", not "do nothing".
 	for _, workers := range []int{0, -1, 1, 2} {
-		got, err := db.SearchParallel("fast", queries, 5, workers)
+		got, err := db.SearchParallel(context.Background(), "fast", queries, 5, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -172,18 +175,18 @@ func TestSearchParallelEdgeCases(t *testing.T) {
 	}
 
 	// An empty batch is a no-op.
-	if got, err := db.SearchParallel("fast", nil, 5, 4); err != nil || got != nil {
+	if got, err := db.SearchParallel(context.Background(), "fast", nil, 5, 4); err != nil || got != nil {
 		t.Fatalf("empty batch: %v, %v", got, err)
 	}
 
 	// A bad query mid-batch fails the whole call rather than returning a
 	// silently incomplete result set.
 	bad := [][]float64{queries[0], {}, queries[2]}
-	if _, err := db.SearchParallel("fast", bad, 5, 2); err == nil {
+	if _, err := db.SearchParallel(context.Background(), "fast", bad, 5, 2); err == nil {
 		t.Fatal("empty query mid-batch accepted")
 	}
 
-	if _, err := db.SearchParallel("nope", queries, 5, 2); !errors.Is(err, ErrNoIndex) {
+	if _, err := db.SearchParallel(context.Background(), "nope", queries, 5, 2); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("unknown index err = %v, want ErrNoIndex", err)
 	}
 }

@@ -1,6 +1,7 @@
 package seqdb_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -33,7 +34,7 @@ func Example() {
 		Sparse:     true, // the paper's SST_C
 	})
 
-	matches, _, err := db.Search("main", []float64{20, 21, 20, 23}, 0)
+	matches, _, err := db.SearchWith(context.Background(), "main", []float64{20, 21, 20, 23}, 0, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func Example() {
 
 // Nearest-neighbor search expands the threshold until the k best answers
 // are certain.
-func ExampleDB_SearchKNN() {
+func ExampleDB_SearchKNNWith() {
 	dir, err := os.MkdirTemp("", "seqdb-knn-")
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +68,7 @@ func ExampleDB_SearchKNN() {
 	db.Save()
 	db.BuildIndex("i", seqdb.IndexSpec{Method: seqdb.MethodExact})
 
-	matches, _, err := db.SearchKNN("i", []float64{2, 3, 4}, 1)
+	matches, _, err := db.SearchKNNWith(context.Background(), "i", []float64{2, 3, 4}, 1, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func ExampleDB_Align() {
 	db.BuildIndex("i", seqdb.IndexSpec{Method: seqdb.MethodExact})
 
 	q := []float64{20, 21}
-	matches, _, err := db.Search("i", q, 0)
+	matches, _, err := db.SearchWith(context.Background(), "i", q, 0, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

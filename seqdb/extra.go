@@ -12,25 +12,14 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// SearchKNN returns the k subsequences nearest to q under the time warping
-// distance, through the named index. See the range Search for the matching
-// semantics; nearest-neighbor search expands the threshold until k answers
-// are certain.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable k-NN uses SearchKNNCtx
-func (db *DB) SearchKNN(indexName string, q []float64, k int) ([]Match, SearchStats, error) {
-	return db.SearchKNNCtx(context.Background(), indexName, q, k)
-}
-
 // SearchParallel runs one range search per query concurrently. The workers
 // share the index's one warmed handle — searches are natively concurrent
 // (pooled query contexts over a lock-striped buffer pool), so no per-worker
 // duplicate is opened and every worker benefits from the shared page cache.
 // Results are returned in query order. workers <= 0 means one worker per
-// query, capped at 8.
-//
-//twlint:ctx-root public batch wrapper with no caller deadline; each worker roots the batch's shared lifetime
-func (db *DB) SearchParallel(indexName string, queries [][]float64, eps float64, workers int) ([][]Match, error) {
+// query, capped at 8. Every worker searches under ctx, so one cancellation
+// aborts the whole batch.
+func (db *DB) SearchParallel(ctx context.Context, indexName string, queries [][]float64, eps float64, workers int) ([][]Match, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	oi, ok := db.indexes[indexName]
@@ -59,7 +48,7 @@ func (db *DB) SearchParallel(indexName string, queries [][]float64, eps float64,
 		go func(w int) {
 			defer wg.Done()
 			for j := range jobs {
-				ms, _, err := oi.ix.SearchCtx(context.Background(), queries[j], eps)
+				ms, _, err := oi.ix.SearchOpts(ctx, queries[j], eps, core.SearchOptions{})
 				if err != nil {
 					errs[w] = err
 					continue
@@ -179,14 +168,4 @@ func (db *DB) ImportCSV(r io.Reader) (int, error) {
 		}
 	}
 	return parsed.Len(), nil
-}
-
-// SearchVisit streams answers to fn instead of materializing them: fn is
-// called once per answer (unordered); returning false stops the search.
-// Use it when a permissive threshold would produce answer sets too large
-// to hold in memory.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable streaming uses SearchVisitCtx
-func (db *DB) SearchVisit(indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return db.SearchVisitCtx(context.Background(), indexName, q, eps, fn)
 }

@@ -1,7 +1,6 @@
 package seqdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +10,15 @@ import (
 	"twsearch/internal/core"
 	"twsearch/internal/disktree"
 )
+
+// ErrNoIndex reports a search against an index name the database does not
+// have. Errors returned by SearchWith and friends wrap it, so callers (and
+// the network server) can classify lookup failures with errors.Is.
+var ErrNoIndex = errors.New("no such index")
+
+func errNoIndex(name string) error {
+	return fmt.Errorf("seqdb: no index %q: %w", name, ErrNoIndex)
+}
 
 // Method selects how continuous values are turned into category symbols.
 type Method string
@@ -232,14 +240,4 @@ func (db *DB) Index(name string) (IndexInfo, error) {
 		Leaves:    oi.ix.Tree.NumLeaves(),
 		Nodes:     oi.ix.Tree.NumNodes(),
 	}, nil
-}
-
-// Search runs a similarity search through the named index: every
-// subsequence with time warping distance at most eps from q, sorted by
-// (sequence, start, end). No false dismissals. Concurrent Search calls on
-// the same index run in parallel on the one shared handle.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable searches use SearchCtx
-func (db *DB) Search(indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return db.SearchCtx(context.Background(), indexName, q, eps)
 }

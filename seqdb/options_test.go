@@ -38,18 +38,18 @@ func TestSearchWithDeterministic(t *testing.T) {
 		q := testValues(rng, 10)
 		eps := float64(rng.Intn(8)) + 0.5
 
-		want, wantStats, err := db.SearchCtx(ctx, "ix", q, eps)
+		want, wantStats, err := db.SearchWith(ctx, "ix", q, eps, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wantVisit []Match
-		if _, err := db.SearchVisitCtx(ctx, "ix", q, eps, func(m Match) bool {
+		if _, err := db.SearchVisitWith(ctx, "ix", q, eps, func(m Match) bool {
 			wantVisit = append(wantVisit, m)
 			return true
-		}); err != nil {
+		}, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		wantK, _, err := db.SearchKNNCtx(ctx, "ix", q, 4)
+		wantK, _, err := db.SearchKNNWith(ctx, "ix", q, 4, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,17 +15,21 @@
 //		Categories: 20,
 //		Sparse:     true, // the paper's SST_C
 //	})
-//	matches, stats, _ := db.Search("fast", query, 30)
+//	matches, stats, _ := db.SearchWith(ctx, "fast", query, 30, seqdb.SearchOptions{})
 //
-// Search returns every subsequence (of any length, any alignment) whose
+// SearchWith returns every subsequence (of any length, any alignment) whose
 // time warping distance from the query is at most the threshold — with no
 // false dismissals: the answer set is identical to what the exhaustive
-// SeqScan returns, typically at a small fraction of the work.
+// SeqScanCtx returns, typically at a small fraction of the work. Every
+// operation has one entry point, (ctx, …, opts): SearchWith,
+// SearchVisitWith (streaming), SearchKNNWith and SeqScanCtx, on a DB and on
+// a ShardedDB alike; the context's deadline or cancellation aborts the
+// traversal, and the zero SearchOptions is the serial search.
 //
 // A DB is safe for concurrent use: reads and searches may run in parallel
 // with each other, while mutations (Add, ImportCSV, BuildIndex, DropIndex,
-// Close) take exclusive ownership. Any number of Search/SearchKNN/
-// SearchVisit calls run concurrently on one index handle — the index is
+// Close) take exclusive ownership. Any number of SearchWith/SearchKNNWith/
+// SearchVisitWith calls run concurrently on one index handle — the index is
 // immutable at query time, per-query state is pooled, and the tree's
 // buffer pool is lock-striped — so one mounted database uses all the cores
 // the callers bring. SearchParallel fans a query batch out over that same
@@ -43,20 +47,16 @@ import (
 
 	"twsearch/internal/core"
 	"twsearch/internal/sequence"
+	"twsearch/internal/shard"
 )
 
 const dataFileName = "data.twdb"
 
 // Match is one answer subsequence. Start/End index the sequence's values as
 // a half-open interval; Distance is the exact time warping distance from
-// the query.
-type Match struct {
-	SeqID    string
-	Seq      int
-	Start    int
-	End      int
-	Distance float64
-}
+// the query. It is the scatter-gather coordinator's match type, so sharded
+// and routed answers reach the caller without a per-call copy.
+type Match = shard.Match
 
 // SearchStats re-exports the engine's work counters (nodes visited, table
 // cells computed, candidates, false alarms, I/O, wall clock).
@@ -221,11 +221,16 @@ func (db *DB) Stats() Stats {
 	return db.data.ComputeStats()
 }
 
-// SeqScan runs the exhaustive baseline: exact answers with no index.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable scans use SeqScanCtx
-func (db *DB) SeqScan(q []float64, eps float64) ([]Match, SearchStats, error) {
-	return db.SeqScanCtx(context.Background(), q, eps)
+// SeqScanCtx runs the exhaustive baseline: exact answers with no index.
+// ctx is polled once per suffix start.
+func (db *DB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ms, stats, err := core.SeqScanCtx(ctx, db.data, q, eps, -1)
+	if err != nil {
+		return nil, stats, err
+	}
+	return db.publicMatches(ms), stats, nil
 }
 
 // publicMatches converts engine matches to the public form. The caller

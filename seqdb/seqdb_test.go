@@ -2,6 +2,7 @@ package seqdb
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,6 +22,32 @@ func testValues(rng *rand.Rand, n int) []float64 {
 		vals[i] = v
 	}
 	return vals
+}
+
+// searcher is the search surface *DB and *ShardedDB share; search,
+// searchVisit, searchKNN and seqScan call it the way most tests here want:
+// serial, under a context that never fires.
+type searcher interface {
+	SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error)
+	SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error)
+	SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error)
+	SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error)
+}
+
+func search(db searcher, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return db.SearchWith(context.Background(), indexName, q, eps, SearchOptions{})
+}
+
+func searchVisit(db searcher, indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+	return db.SearchVisitWith(context.Background(), indexName, q, eps, fn, SearchOptions{})
+}
+
+func searchKNN(db searcher, indexName string, q []float64, k int) ([]Match, SearchStats, error) {
+	return db.SearchKNNWith(context.Background(), indexName, q, k, SearchOptions{})
+}
+
+func seqScan(db searcher, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return db.SeqScanCtx(context.Background(), q, eps)
 }
 
 func newTestDB(t *testing.T, nSeq, seqLen int, seed int64) *DB {
@@ -89,11 +116,11 @@ func TestAddAndQueryLifecycle(t *testing.T) {
 	}
 
 	q := append([]float64(nil), db.Values("seq-1")[5:15]...)
-	idxMatches, idxStats, err := db.Search("main", q, 10)
+	idxMatches, idxStats, err := search(db, "main", q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanMatches, _, err := db.SeqScan(q, 10)
+	scanMatches, _, err := seqScan(db, q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +170,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := append([]float64(nil), db.Values("s0")[3:12]...)
-	wantA, _, err := db.Search("a", q, 7)
+	wantA, _, err := search(db, "a", q, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, _, err := db.Search("b", q, 7)
+	wantB, _, err := search(db, "b", q, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +190,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(names, []string{"a", "b"}) {
 		t.Fatalf("indexes after reopen = %v", names)
 	}
-	gotA, _, err := re.Search("a", q, 7)
+	gotA, _, err := search(re, "a", q, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotB, _, err := re.Search("b", q, 7)
+	gotB, _, err := search(re, "b", q, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +262,13 @@ func TestBuildIndexValidation(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	db := newTestDB(t, 2, 15, 5)
-	if _, _, err := db.Search("nope", []float64{1}, 5); err == nil {
+	if _, _, err := search(db, "nope", []float64{1}, 5); err == nil {
 		t.Error("unknown index accepted")
 	}
 	if err := db.BuildIndex("x", IndexSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Search("x", nil, 5); err == nil {
+	if _, _, err := search(db, "x", nil, 5); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -251,7 +278,7 @@ func TestAllMethodsAgree(t *testing.T) {
 	db := newTestDB(t, 4, 30, 6)
 	rng := rand.New(rand.NewSource(7))
 	q := testValues(rng, 8)
-	want, _, err := db.SeqScan(q, 9)
+	want, _, err := seqScan(db, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +287,7 @@ func TestAllMethodsAgree(t *testing.T) {
 		if err := db.BuildIndex(name, IndexSpec{Method: m, Categories: 6, Sparse: i%2 == 0}); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		got, _, err := db.Search(name, q, 9)
+		got, _, err := search(db, name, q, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +321,7 @@ func TestSearchKNNPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := append([]float64(nil), db.Values("seq-2")[10:20]...)
-	matches, _, err := db.SearchKNN("k", q, 5)
+	matches, _, err := searchKNN(db, "k", q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +338,7 @@ func TestSearchKNNPublic(t *testing.T) {
 	if !found {
 		t.Fatal("verbatim subsequence missing from kNN result")
 	}
-	if _, _, err := db.SearchKNN("nope", q, 3); err == nil {
+	if _, _, err := searchKNN(db, "nope", q, 3); err == nil {
 		t.Error("unknown index accepted")
 	}
 }
@@ -326,7 +353,7 @@ func TestSearchParallel(t *testing.T) {
 	for i := range queries {
 		queries[i] = testValues(rng, 8)
 	}
-	got, err := db.SearchParallel("p", queries, 12, 4)
+	got, err := db.SearchParallel(context.Background(), "p", queries, 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +361,7 @@ func TestSearchParallel(t *testing.T) {
 		t.Fatalf("results = %d", len(got))
 	}
 	for i, q := range queries {
-		want, _, err := db.Search("p", q, 12)
+		want, _, err := search(db, "p", q, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,10 +369,10 @@ func TestSearchParallel(t *testing.T) {
 			t.Fatalf("query %d: parallel result differs (%d vs %d matches)", i, len(got[i]), len(want))
 		}
 	}
-	if _, err := db.SearchParallel("nope", queries, 12, 2); err == nil {
+	if _, err := db.SearchParallel(context.Background(), "nope", queries, 12, 2); err == nil {
 		t.Error("unknown index accepted")
 	}
-	if res, err := db.SearchParallel("p", nil, 12, 2); err != nil || len(res) != 0 {
+	if res, err := db.SearchParallel(context.Background(), "p", nil, 12, 2); err != nil || len(res) != 0 {
 		t.Errorf("empty query list: res=%v err=%v", res, err)
 	}
 }
@@ -363,7 +390,7 @@ func TestMinAnswerLenPublic(t *testing.T) {
 		t.Fatalf("spec MinAnswerLen = %d", info.Spec.MinAnswerLen)
 	}
 	q := append([]float64(nil), db.Values("seq-0")[2:12]...)
-	matches, _, err := db.Search("short", q, 15)
+	matches, _, err := search(db, "short", q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +403,7 @@ func TestMinAnswerLenPublic(t *testing.T) {
 		}
 	}
 	// Scan answers of >= 8 elements must all be present.
-	scan, _, err := db.SeqScan(q, 15)
+	scan, _, err := seqScan(db, q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +429,7 @@ func TestAlignPublic(t *testing.T) {
 	must(db.Save())
 	must(db.BuildIndex("a", IndexSpec{Method: MethodExact}))
 	q := []float64{20, 21, 20, 23}
-	matches, _, err := db.Search("a", q, 0)
+	matches, _, err := search(db, "a", q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,12 +589,12 @@ func TestSearchVisitPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := append([]float64(nil), db.Values("seq-1")[5:13]...)
-	want, _, err := db.Search("v", q, 9)
+	want, _, err := search(db, "v", q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Match
-	if _, err := db.SearchVisit("v", q, 9, func(m Match) bool {
+	if _, err := searchVisit(db, "v", q, 9, func(m Match) bool {
 		got = append(got, m)
 		return true
 	}); err != nil {
@@ -576,10 +603,10 @@ func TestSearchVisitPublic(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d, Search %d", len(got), len(want))
 	}
-	if _, err := db.SearchVisit("nope", q, 9, func(Match) bool { return true }); err == nil {
+	if _, err := searchVisit(db, "nope", q, 9, func(Match) bool { return true }); err == nil {
 		t.Error("unknown index accepted")
 	}
-	if _, err := db.SearchVisit("v", q, 9, nil); err == nil {
+	if _, err := searchVisit(db, "v", q, 9, nil); err == nil {
 		t.Error("nil visitor accepted")
 	}
 }

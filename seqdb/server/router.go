@@ -51,13 +51,11 @@ type remoteLeg struct {
 }
 
 func (l remoteLeg) Search(ctx context.Context, index string, q []float64, eps float64, opts shard.Options) ([]shard.Match, shard.Stats, error) {
-	ms, stats, err := l.c.SearchWith(ctx, l.db, index, q, eps, seqdb.SearchOptions{Parallelism: opts.Parallelism})
-	return routerMatches(ms), stats, err
+	return l.c.SearchWith(ctx, l.db, index, q, eps, seqdb.SearchOptions{Parallelism: opts.Parallelism})
 }
 
 func (l remoteLeg) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
-	ms, stats, err := l.c.SeqScan(ctx, l.db, q, eps)
-	return routerMatches(ms), stats, err
+	return l.c.SeqScan(ctx, l.db, q, eps)
 }
 
 // localLeg adapts a local Source to the coordinator Backend.
@@ -72,37 +70,14 @@ func (l localLeg) Search(ctx context.Context, index string, q []float64, eps flo
 	if err != nil {
 		return nil, stats, err
 	}
-	sortPositions(ms)
-	return routerMatches(ms), stats, nil
+	// An unsharded DB's visitor delivers in traversal order, so the leg
+	// sorts before the coordinator concatenates.
+	sort.Slice(ms, func(i, j int) bool { return shard.PositionLess(ms[i], ms[j]) })
+	return ms, stats, nil
 }
 
 func (l localLeg) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
-	ms, stats, err := l.src.SeqScanCtx(ctx, q, eps)
-	return routerMatches(ms), stats, err
-}
-
-// sortPositions orders matches by (sequence, start, end). An unsharded
-// DB's visitor delivers in traversal order, so the leg sorts before the
-// coordinator concatenates.
-func sortPositions(ms []seqdb.Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.End < b.End
-	})
-}
-
-func routerMatches(ms []seqdb.Match) []shard.Match {
-	out := make([]shard.Match, len(ms))
-	for i, m := range ms {
-		out[i] = shard.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-	}
-	return out
+	return l.src.SeqScanCtx(ctx, q, eps)
 }
 
 // NewRouter assembles a routing tier over the legs. It contacts every leg
@@ -159,36 +134,18 @@ func (r *Router) SearchVisitWith(ctx context.Context, index string, q []float64,
 	if fn == nil {
 		return seqdb.SearchStats{}, fmt.Errorf("server: nil visitor")
 	}
-	return r.coord.SearchVisit(ctx, index, q, eps, func(m shard.Match) bool {
-		return fn(seqdb.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance})
-	}, shard.Options{Parallelism: opts.Parallelism})
+	return r.coord.SearchVisit(ctx, index, q, eps, fn, shard.Options{Parallelism: opts.Parallelism})
 }
 
 // SearchKNNWith returns the k globally nearest subsequences across all
 // legs, byte-identical to the same search over the unpartitioned data.
 func (r *Router) SearchKNNWith(ctx context.Context, index string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
-	ms, stats, err := r.coord.SearchKNN(ctx, index, q, k, shard.Options{Parallelism: opts.Parallelism})
-	if err != nil {
-		return nil, stats, err
-	}
-	return fromCoordMatches(ms), stats, nil
+	return r.coord.SearchKNN(ctx, index, q, k, shard.Options{Parallelism: opts.Parallelism})
 }
 
 // SeqScanCtx fans the exhaustive baseline out over the legs.
 func (r *Router) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error) {
-	ms, stats, err := r.coord.Scan(ctx, q, eps)
-	if err != nil {
-		return nil, stats, err
-	}
-	return fromCoordMatches(ms), stats, nil
-}
-
-func fromCoordMatches(ms []shard.Match) []seqdb.Match {
-	out := make([]seqdb.Match, len(ms))
-	for i, m := range ms {
-		out[i] = seqdb.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-	}
-	return out
+	return r.coord.Scan(ctx, q, eps)
 }
 
 // SourceStats merges every leg's dataset summary and buffer-pool counters.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,14 +130,14 @@ func TestServerSearchMatchesInProcess(t *testing.T) {
 	q := testQuery(db, "seq-03", 10, 30)
 	const eps = 4.0
 
-	want, wantStats, err := db.Search("fast", q, eps)
+	want, wantStats, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("test query found no matches; pick a better query")
 	}
-	got, gotStats, err := c.Search(ctx, "main", "fast", q, eps)
+	got, gotStats, err := c.SearchWith(ctx, "main", "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestServerSearchMatchesInProcess(t *testing.T) {
 	}
 
 	// The empty DB name resolves to the single mounted database.
-	got2, _, err := c.Search(ctx, "", "fast", q, eps)
+	got2, _, err := c.SearchWith(ctx, "", "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestServerSearchMatchesInProcess(t *testing.T) {
 	}
 
 	// Scan and KNN mirror their in-process counterparts too.
-	wantScan, _, err := db.SeqScan(q, eps)
+	wantScan, _, err := db.SeqScanCtx(context.Background(), q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestServerSearchMatchesInProcess(t *testing.T) {
 	if !matchesBitIdentical(wantScan, gotScan) {
 		t.Fatal("server scan differs from in-process scan")
 	}
-	wantKNN, _, err := db.SearchKNN("fast", q, 5)
+	wantKNN, _, err := db.SearchKNNWith(context.Background(), "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKNN, _, err := c.SearchKNN(ctx, "main", "fast", q, 5)
+	gotKNN, _, err := c.SearchKNNWith(ctx, "main", "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,22 +222,80 @@ func TestServerErrorsAreTyped(t *testing.T) {
 	ctx := context.Background()
 	q := testQuery(db, "seq-00", 0, 10)
 
-	_, _, err = c.Search(ctx, "nope", "fast", q, 1)
+	_, _, err = c.SearchWith(ctx, "nope", "fast", q, 1, seqdb.SearchOptions{})
 	var we *wire.Error
 	if !errors.As(err, &we) || we.Code != wire.CodeNotFound {
 		t.Fatalf("unknown db error = %v, want not-found", err)
 	}
-	_, _, err = c.Search(ctx, "main", "nope", q, 1)
+	_, _, err = c.SearchWith(ctx, "main", "nope", q, 1, seqdb.SearchOptions{})
 	if !errors.As(err, &we) || we.Code != wire.CodeNotFound {
 		t.Fatalf("unknown index error = %v, want not-found", err)
 	}
 	// An invalid query is a bad request, and the connection survives it.
-	_, _, err = c.Search(ctx, "main", "fast", nil, 1)
+	_, _, err = c.SearchWith(ctx, "main", "fast", nil, 1, seqdb.SearchOptions{})
 	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
 		t.Fatalf("empty query error = %v, want bad-request", err)
 	}
-	if _, _, err := c.Search(ctx, "main", "fast", q, 1); err != nil {
+	if _, _, err := c.SearchWith(ctx, "main", "fast", q, 1, seqdb.SearchOptions{}); err != nil {
 		t.Fatalf("connection did not survive request errors: %v", err)
+	}
+}
+
+// TestServerKNNRejectsBadK: k travels as a uint32, so a non-positive k must
+// die before it is sent — with the in-process call's wording — and a frame
+// that carries one anyway (k = -1 reads as 0xFFFFFFFF) is a bad request,
+// not a search for four billion neighbors.
+func TestServerKNNRejectsBadK(t *testing.T) {
+	leakCheck(t)
+	db := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("main", db); err != nil {
+		t.Fatal(err)
+	}
+	addr := start(t, s)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	q := testQuery(db, "seq-00", 0, 10)
+
+	for _, k := range []int{0, -1} {
+		_, _, local := db.SearchKNNWith(ctx, "fast", q, k, seqdb.SearchOptions{})
+		_, _, remote := c.SearchKNNWith(ctx, "main", "fast", q, k, seqdb.SearchOptions{})
+		for _, err := range []error{local, remote} {
+			if err == nil || !strings.Contains(err.Error(), "k must be positive") {
+				t.Errorf("k=%d: err = %v, want k must be positive", k, err)
+			}
+		}
+	}
+	if m := s.Metrics(); m.Requests != 0 {
+		t.Fatalf("a non-positive k reached the server: %d requests", m.Requests)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	req := wire.KNNReq{DB: "main", Index: "fast", K: -1, Query: q}
+	if err := wire.WriteFrame(conn, wire.TKNN, req.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := wire.ReadFrame(conn)
+	if err != nil || typ != wire.TError {
+		t.Fatalf("reply frame = (%#x, %v), want TError", typ, err)
+	}
+	we, err := wire.DecodeError(body)
+	if err != nil || we.Code != wire.CodeBadRequest {
+		t.Fatalf("k=0xFFFFFFFF error = %v (%v), want bad-request", we, err)
 	}
 }
 
@@ -255,7 +314,7 @@ func TestServerDeadline(t *testing.T) {
 	defer c.Close()
 
 	q := testQuery(db, "seq-01", 0, 20)
-	_, _, err = c.Search(context.Background(), "main", "fast", q, 2)
+	_, _, err = c.SearchWith(context.Background(), "main", "fast", q, 2, seqdb.SearchOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline", err)
 	}
@@ -276,7 +335,7 @@ func TestServerDeadline(t *testing.T) {
 	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, _, err := c.Search(expired, "main", "fast", q, 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := c.SearchWith(expired, "main", "fast", q, 2, seqdb.SearchOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("client-side deadline err = %v", err)
 	}
 }
@@ -304,7 +363,7 @@ func TestServerOverloadFastFail(t *testing.T) {
 	defer c1.Close()
 	firstDone := make(chan error, 1)
 	go func() {
-		_, _, err := c1.Search(context.Background(), "main", "fast", q, 3)
+		_, _, err := c1.SearchWith(context.Background(), "main", "fast", q, 3, seqdb.SearchOptions{})
 		firstDone <- err
 	}()
 	<-admitted // the only slot is now held
@@ -314,7 +373,7 @@ func TestServerOverloadFastFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	_, _, err = c2.Search(context.Background(), "main", "fast", q, 3)
+	_, _, err = c2.SearchWith(context.Background(), "main", "fast", q, 3, seqdb.SearchOptions{})
 	if !errors.Is(err, wire.ErrOverloaded) {
 		t.Fatalf("second search err = %v, want ErrOverloaded", err)
 	}
@@ -354,7 +413,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	for i := range jobs {
 		seq := fmt.Sprintf("seq-%02d", (i*3)%20)
 		jobs[i] = job{q: testQuery(db, seq, i, 20+i), eps: 3 + float64(i%3)}
-		want, _, err := db.Search("fast", jobs[i].q, jobs[i].eps)
+		want, _, err := db.SearchWith(context.Background(), "fast", jobs[i].q, jobs[i].eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +435,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for round := 0; round < 3; round++ {
 				j := (w + round) % len(jobs)
-				got, _, err := c.Search(context.Background(), "main", "fast", jobs[j].q, jobs[j].eps)
+				got, _, err := c.SearchWith(context.Background(), "main", "fast", jobs[j].q, jobs[j].eps, seqdb.SearchOptions{})
 				if err != nil {
 					errs[w] = fmt.Errorf("client %d round %d: %w", w, round, err)
 					return
@@ -435,7 +494,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	q := testQuery(db, "seq-04", 0, 20)
 	searchErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Search(context.Background(), "main", "fast", q, 3)
+		_, _, err := c.SearchWith(context.Background(), "main", "fast", q, 3, seqdb.SearchOptions{})
 		searchErr <- err
 	}()
 	<-admitted // the search is admitted and in flight
@@ -490,7 +549,7 @@ func TestClientEarlyStopAndReconnect(t *testing.T) {
 	defer c.Close()
 
 	q := testQuery(db, "seq-03", 10, 30)
-	want, _, err := db.Search("fast", q, 4)
+	want, _, err := db.SearchWith(context.Background(), "fast", q, 4, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,17 +557,17 @@ func TestClientEarlyStopAndReconnect(t *testing.T) {
 		t.Fatalf("need >= 2 matches for an early stop, have %d", len(want))
 	}
 	seen := 0
-	if _, err := c.SearchVisit(context.Background(), "main", "fast", q, 4, func(seqdb.Match) bool {
+	if _, err := c.SearchVisitWith(context.Background(), "main", "fast", q, 4, func(seqdb.Match) bool {
 		seen++
 		return seen < 2
-	}); err != nil {
+	}, seqdb.SearchOptions{}); err != nil {
 		t.Fatalf("early-stopped visit: %v", err)
 	}
 	if seen != 2 {
 		t.Fatalf("visitor saw %d matches, want 2", seen)
 	}
 	// The stop dropped the connection; the next call redials and works.
-	got, _, err := c.Search(context.Background(), "main", "fast", q, 4)
+	got, _, err := c.SearchWith(context.Background(), "main", "fast", q, 4, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatalf("search after early stop: %v", err)
 	}
@@ -540,14 +599,14 @@ func TestServerParallelHint(t *testing.T) {
 	q := testQuery(db, "seq-03", 10, 30)
 	const eps = 4.0
 
-	want, wantStats, err := db.Search("fast", q, eps)
+	want, wantStats, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("test query found no matches; pick a better query")
 	}
-	wantKNN, _, err := db.SearchKNN("fast", q, 5)
+	wantKNN, _, err := db.SearchKNNWith(context.Background(), "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,31 +55,31 @@ func TestServerShardedByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	q := testQuery(db, "seq-03", 10, 30)
 	const eps = 4.0
-	want, _, err := db.Search("fast", q, eps)
+	want, _, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("test query found no matches; pick a better query")
 	}
-	wantKNN, _, err := db.SearchKNN("fast", q, 5)
+	wantKNN, _, err := db.SearchKNNWith(context.Background(), "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScan, _, err := db.SeqScan(q, eps)
+	wantScan, _, err := db.SeqScanCtx(context.Background(), q, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, n := range []int{1, 2, 3, 5} {
-		got, _, err := c.Search(ctx, names[n], "fast", q, eps)
+		got, _, err := c.SearchWith(ctx, names[n], "fast", q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
 		}
 		if !matchesBitIdentical(want, got) {
 			t.Errorf("shards=%d: Search differs from unsharded in-process", n)
 		}
-		gotKNN, _, err := c.SearchKNN(ctx, names[n], "fast", q, 5)
+		gotKNN, _, err := c.SearchKNNWith(ctx, names[n], "fast", q, 5, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
 		}
@@ -159,15 +159,15 @@ func TestServerBatch(t *testing.T) {
 		{Index: "fast", Eps: 2.0, Query: q2},
 	}
 
-	want1, _, err := db.Search("fast", q1, 4.0)
+	want1, _, err := db.SearchWith(context.Background(), "fast", q1, 4.0, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, _, err := db.SearchKNN("fast", q2, 5)
+	want2, _, err := db.SearchKNNWith(context.Background(), "fast", q2, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want4, _, err := db.Search("fast", q2, 2.0)
+	want4, _, err := db.SearchWith(context.Background(), "fast", q2, 2.0, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestServerBatch(t *testing.T) {
 	}
 
 	// The connection survives a batch: a plain search on the same client.
-	got, _, err := c.Search(ctx, "flat", "fast", q1, 4.0)
+	got, _, err := c.SearchWith(ctx, "flat", "fast", q1, 4.0, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,24 +278,24 @@ func TestRouterThroughDaemons(t *testing.T) {
 
 	q := testQuery(db, "seq-03", 10, 30)
 	const eps = 4.0
-	want, _, err := db.Search("fast", q, eps)
+	want, _, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKNN, _, err := db.SearchKNN("fast", q, 5)
+	wantKNN, _, err := db.SearchKNNWith(context.Background(), "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for name := range routers {
-		got, _, err := c.Search(ctx, name, "fast", q, eps)
+		got, _, err := c.SearchWith(ctx, name, "fast", q, eps, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !matchesBitIdentical(want, got) {
 			t.Errorf("%s: routed search differs from unsharded in-process", name)
 		}
-		gotKNN, _, err := c.SearchKNN(ctx, name, "fast", q, 5)
+		gotKNN, _, err := c.SearchKNNWith(ctx, name, "fast", q, 5, seqdb.SearchOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -373,7 +373,7 @@ func TestPartialFailureIsTyped(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.Search(context.Background(), "frail", "fast", []float64{1, 2, 3}, 1.0)
+	_, _, err = c.SearchWith(context.Background(), "frail", "fast", []float64{1, 2, 3}, 1.0, seqdb.SearchOptions{})
 	var we *wire.Error
 	if !errors.As(err, &we) {
 		t.Fatalf("want a typed *wire.Error, got %v", err)

@@ -48,29 +48,11 @@ type ShardedDB struct {
 type localShard struct{ db *DB }
 
 func (s localShard) Search(ctx context.Context, index string, q []float64, eps float64, opts shard.Options) ([]shard.Match, shard.Stats, error) {
-	ms, stats, err := s.db.SearchWith(ctx, index, q, eps, SearchOptions{Parallelism: opts.Parallelism})
-	return toShardMatches(ms), stats, err
+	return s.db.SearchWith(ctx, index, q, eps, SearchOptions{Parallelism: opts.Parallelism})
 }
 
 func (s localShard) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
-	ms, stats, err := s.db.SeqScanCtx(ctx, q, eps)
-	return toShardMatches(ms), stats, err
-}
-
-func toShardMatches(ms []Match) []shard.Match {
-	out := make([]shard.Match, len(ms))
-	for i, m := range ms {
-		out[i] = shard.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-	}
-	return out
-}
-
-func fromShardMatches(ms []shard.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-	}
-	return out
+	return s.db.SeqScanCtx(ctx, q, eps)
 }
 
 // PartitionInto splits the database into shards self-contained shard
@@ -360,51 +342,21 @@ func shardOpts(o SearchOptions) shard.Options { return shard.Options{Parallelism
 // merged into the global (sequence, start, end) order — byte-identical to
 // the unsharded SearchWith over the same data.
 func (s *ShardedDB) SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	ms, stats, err := s.coord.Search(ctx, indexName, q, eps, shardOpts(opts))
-	if err != nil {
-		return nil, stats, err
-	}
-	return fromShardMatches(ms), stats, nil
-}
-
-// SearchCtx is SearchWith with default options.
-func (s *ShardedDB) SearchCtx(ctx context.Context, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return s.SearchWith(ctx, indexName, q, eps, SearchOptions{})
-}
-
-// Search is the context-free compatibility form of SearchCtx.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable searches use SearchCtx
-func (s *ShardedDB) Search(indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return s.SearchCtx(context.Background(), indexName, q, eps)
+	return s.coord.Search(ctx, indexName, q, eps, shardOpts(opts))
 }
 
 // SearchVisitWith streams answers to fn in global (sequence, start, end)
 // order — shard i's answers are delivered as soon as shards 0..i have
 // completed, while later shards are still searching. Returning false stops
 // the search and cancels the remaining shards. Note the unsharded
-// SearchVisit delivers in the index's traversal order, which is NOT the
+// SearchVisitWith delivers in the index's traversal order, which is NOT the
 // global position order; the sharded stream is the sorted order, identical
 // to what SearchWith materializes.
 func (s *ShardedDB) SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
 	}
-	return s.coord.SearchVisit(ctx, indexName, q, eps, func(m shard.Match) bool {
-		return fn(Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance})
-	}, shardOpts(opts))
-}
-
-// SearchVisitCtx is SearchVisitWith with default options.
-func (s *ShardedDB) SearchVisitCtx(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return s.SearchVisitWith(ctx, indexName, q, eps, fn, SearchOptions{})
-}
-
-// SearchVisit is the context-free compatibility form of SearchVisitCtx.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable streaming uses SearchVisitCtx
-func (s *ShardedDB) SearchVisit(indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return s.SearchVisitCtx(context.Background(), indexName, q, eps, fn)
+	return s.coord.SearchVisit(ctx, indexName, q, eps, fn, shardOpts(opts))
 }
 
 // SearchKNNWith returns the k globally nearest subsequences, byte-identical
@@ -412,37 +364,10 @@ func (s *ShardedDB) SearchVisit(indexName string, q []float64, eps float64, fn f
 // concurrently while a bounded merge heap of the k best candidates so far
 // tightens the stopping bound across shards.
 func (s *ShardedDB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
-	ms, stats, err := s.coord.SearchKNN(ctx, indexName, q, k, shardOpts(opts))
-	if err != nil {
-		return nil, stats, err
-	}
-	return fromShardMatches(ms), stats, nil
-}
-
-// SearchKNNCtx is SearchKNNWith with default options.
-func (s *ShardedDB) SearchKNNCtx(ctx context.Context, indexName string, q []float64, k int) ([]Match, SearchStats, error) {
-	return s.SearchKNNWith(ctx, indexName, q, k, SearchOptions{})
-}
-
-// SearchKNN is the context-free compatibility form of SearchKNNCtx.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable k-NN uses SearchKNNCtx
-func (s *ShardedDB) SearchKNN(indexName string, q []float64, k int) ([]Match, SearchStats, error) {
-	return s.SearchKNNCtx(context.Background(), indexName, q, k)
+	return s.coord.SearchKNN(ctx, indexName, q, k, shardOpts(opts))
 }
 
 // SeqScanCtx fans the exhaustive baseline out over the shards.
 func (s *ShardedDB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	ms, stats, err := s.coord.Scan(ctx, q, eps)
-	if err != nil {
-		return nil, stats, err
-	}
-	return fromShardMatches(ms), stats, nil
-}
-
-// SeqScan is the context-free compatibility form of SeqScanCtx.
-//
-//twlint:ctx-root public compatibility wrapper for pre-context callers; cancellable scans use SeqScanCtx
-func (s *ShardedDB) SeqScan(q []float64, eps float64) ([]Match, SearchStats, error) {
-	return s.SeqScanCtx(context.Background(), q, eps)
+	return s.coord.Scan(ctx, q, eps)
 }

@@ -54,11 +54,11 @@ func TestShardedByteIdentical(t *testing.T) {
 		for qi, q := range queries {
 			name := fmt.Sprintf("shards=%d/q%d", shards, qi)
 
-			want, _, err := db.Search("s", q, eps)
+			want, _, err := search(db, "s", q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := sdb.Search("s", q, eps)
+			got, _, err := search(sdb, "s", q, eps)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -69,7 +69,7 @@ func TestShardedByteIdentical(t *testing.T) {
 			// The sharded visitor must stream exactly the materialized
 			// answer set, in global (sequence, start, end) order.
 			var visited []Match
-			if _, err := sdb.SearchVisit("s", q, eps, func(m Match) bool {
+			if _, err := searchVisit(sdb, "s", q, eps, func(m Match) bool {
 				visited = append(visited, m)
 				return true
 			}); err != nil {
@@ -80,11 +80,11 @@ func TestShardedByteIdentical(t *testing.T) {
 			}
 
 			for _, k := range []int{1, 3, 7} {
-				wantK, _, err := db.SearchKNN("s", q, k)
+				wantK, _, err := searchKNN(db, "s", q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotK, _, err := sdb.SearchKNN("s", q, k)
+				gotK, _, err := searchKNN(sdb, "s", q, k)
 				if err != nil {
 					t.Fatalf("%s k=%d: %v", name, k, err)
 				}
@@ -93,11 +93,11 @@ func TestShardedByteIdentical(t *testing.T) {
 				}
 			}
 
-			wantScan, _, err := db.SeqScan(q, eps)
+			wantScan, _, err := seqScan(db, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotScan, _, err := sdb.SeqScan(q, eps)
+			gotScan, _, err := seqScan(sdb, q, eps)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -119,7 +119,7 @@ func TestShardedVisitEarlyStop(t *testing.T) {
 	sdb := newShardedFrom(t, db, 3, spec)
 	q := db.Values("seq-0")[:8]
 
-	full, _, err := sdb.Search("s", q, 15)
+	full, _, err := search(sdb, "s", q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestShardedVisitEarlyStop(t *testing.T) {
 		t.Skipf("need at least 2 matches to test early stop, got %d", len(full))
 	}
 	var prefix []Match
-	if _, err := sdb.SearchVisit("s", q, 15, func(m Match) bool {
+	if _, err := searchVisit(sdb, "s", q, 15, func(m Match) bool {
 		prefix = append(prefix, m)
 		return len(prefix) < 2
 	}); err != nil {
@@ -313,11 +313,11 @@ func TestShardedBuildIndexRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db.Values("seq-0")[:8]
-	want, _, err := db.Search("ix", q, 2)
+	want, _, err := search(db, "ix", q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sdb.Search("ix", q, 2)
+	got, _, err := search(sdb, "ix", q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestShardedSearchContext(t *testing.T) {
 	sdb := newShardedFrom(t, db, 2, spec)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := sdb.SearchCtx(ctx, "s", db.Values("seq-0")[:6], 5)
+	_, _, err := sdb.SearchWith(ctx, "s", db.Values("seq-0")[:6], 5, SearchOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled through the fan-out, got %v", err)
 	}

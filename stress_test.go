@@ -1,6 +1,7 @@
 package twsearch_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,7 +71,7 @@ func TestStressFeatureMatrix(t *testing.T) {
 						}
 						for qi, q := range queries {
 							for _, eps := range []float64{1.5, 9.5} {
-								got, _, err := ix.Search(q, eps)
+								got, _, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
 								if err != nil {
 									t.Fatalf("%s: search: %v", name, err)
 								}
