@@ -105,13 +105,14 @@ race-mmap:
 
 # Index construction under -race, serial and concurrent: phase 1 of
 # disktree.Build sorts its suffix buckets on up to GOMAXPROCS goroutines, so
-# every build test of the three packages that construct trees (the
-# differential, determinism, failure and fuzz-seed tests among them) runs
-# once with one goroutine and once with four — the determinism test pins the
-# bytes across the two.
+# every build test of disktree and of multivar, which builds through it
+# (the differential, determinism, failure and fuzz-seed tests among them),
+# runs once with one goroutine and once with four — the determinism test
+# pins the bytes across the two. core's indexes are built by the same call
+# in every one of its tests; `make race` covers them.
 race-build:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/core ./internal/multivar
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/core ./internal/multivar
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/multivar
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/multivar
 
 # End-to-end server drill under the race detector: boot twsearchd on an
 # ephemeral port, stream matches over concurrent client connections,
@@ -121,8 +122,9 @@ smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
-# engine-equivalence (scalar and vector kernel), wire round-trip,
-# build-versus-naive, node-codec, scheme-reader and file-corruption targets.
+# engine-equivalence (scalar and vector kernel, range and k-NN), wire
+# round-trip, build-versus-naive, node-codec, scheme-reader, dataset-reader
+# and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
 # giving the two engine-equivalence targets twice the time.
 FUZZ_ENGINE = \
@@ -133,12 +135,12 @@ FUZZ_CI = \
 	./internal/dtw/:FuzzIntervalLowerBound \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \
+	./internal/sequence/:FuzzReadBinary \
 	./internal/disktree/:FuzzValidateCorruption \
 	./internal/wire/:FuzzFrameRoundTrip \
 	./internal/disktree/:FuzzBuildVsNaive \
 	./internal/disktree/:FuzzNodeCodecV2
 FUZZ_EXTRA = \
-	./internal/sequence/:FuzzReadBinary \
 	./internal/sequence/:FuzzReadCSV \
 	./internal/categorize/:FuzzFit
 # $(call fuzz-each,pairs,time): one bounded `go test -fuzz` per pair, seeds +

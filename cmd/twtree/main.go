@@ -84,7 +84,6 @@ func run(dbDir, name string, dump, pool int) error {
 	fmt.Printf("index %q of %s\n", name, dbDir)
 	fmt.Printf("  scheme:     %s, %d categories\n", scheme.Kind(), scheme.NumCategories())
 	fmt.Printf("  sparse:     %v\n", f.Sparse())
-	fmt.Printf("  layout:     %s\n", f.Layout())
 	fmt.Printf("  encoding:   %s\n", f.Encoding())
 	fmt.Printf("  file:       %d KB (%d nodes, %d leaves, %d label symbols)\n",
 		f.SizeBytes()/1024, f.NumNodes(), f.NumLeaves(), f.TotalLabelSymbols())
@@ -116,12 +115,7 @@ func dumpTree(f *disktree.File, store *suffixtree.TextStore, maxDepth int) error
 			if i > 0 {
 				label.WriteByte(' ')
 			}
-			var sym suffixtree.Symbol
-			if len(n.Label) > 0 {
-				sym = n.Label[i]
-			} else {
-				sym = store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
-			}
+			sym := store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
 			if suffixtree.IsTerminator(sym) {
 				fmt.Fprintf(&label, "$%d", -int(sym)-1)
 			} else {

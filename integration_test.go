@@ -105,21 +105,6 @@ func TestIntegrationLifecycle(t *testing.T) {
 		t.Fatal("empty alignment")
 	}
 
-	// Parallel search equals serial search.
-	par, err := db.SearchParallel(context.Background(), "me-sst", queries, eps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		want, _, err := db.SearchWith(context.Background(), "me-sst", q, eps, seqdb.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par[i], want) {
-			t.Fatalf("parallel query %d differs", i)
-		}
-	}
-
 	// Reopen and re-verify one query per index.
 	preClose := map[string][]seqdb.Match{}
 	for name := range specs {

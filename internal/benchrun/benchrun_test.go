@@ -46,6 +46,22 @@ func TestTable1Shapes(t *testing.T) {
 	if !strings.Contains(buf.String(), "Table 1") {
 		t.Error("no formatted output")
 	}
+	// The inline column is derived from the file's counters. These are the
+	// sizes of the files the retired inline layout wrote for three cells of
+	// this configuration, measured at the last commit that could write them
+	// (PR 21): the derivation must stay within a page of each.
+	for _, cell := range []struct {
+		name       string
+		got, wrote int64
+	}{
+		{"ST", res.ST.InlineKB, 2516},
+		{"STc-ME-10", res.Rows[0].STcME.InlineKB, 1628},
+		{"SSTc-ME-80", res.Rows[3].SSTcME.InlineKB, 1184},
+	} {
+		if d := cell.got - cell.wrote; d < -4 || d > 4 {
+			t.Errorf("%s: derived inline size %d KB, the inline file was %d KB", cell.name, cell.got, cell.wrote)
+		}
+	}
 }
 
 func TestTable2Shapes(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
-	"twsearch/internal/disktree"
 	"twsearch/internal/sequence"
 )
 
@@ -22,42 +21,40 @@ type IndexSize struct {
 	// FileKB is this implementation's tree file size (labels stored as
 	// references into the sequence store).
 	FileKB int64
-	// InlineKB is the measured file size of the same tree written in the
-	// paper's storage model (disktree.LayoutInline, labels copied into
-	// records). This is the column whose trend matches the paper's Table 1.
+	// InlineKB is the size of the same tree in the paper's storage model —
+	// labels copied into the records — derived from the file's own counters
+	// (see indexSize). This is the column whose trend matches the paper's
+	// Table 1.
 	InlineKB int64
 	Nodes    uint64
 	Leaves   uint64
 }
 
+// indexSize reads ix's storage record. A fixed-width record (v1, what the
+// harness builds) that carried its label would trade the 8-byte (sequence,
+// start) reference for 4 bytes per label symbol, and a leaf would name its
+// suffix's sequence in 4 bytes more, so the inline-label file is the
+// measured file − 8·nodes + 4·label symbols + 4·leaves: within a page of the
+// file the retired inline layout wrote (EXPERIMENTS.md, Table 1).
 func indexSize(ix *core.Index) IndexSize {
 	t := ix.Tree
+	inline := t.SizeBytes() - 8*int64(t.NumNodes()) + 4*int64(t.TotalLabelSymbols()) + 4*int64(t.NumLeaves())
 	return IndexSize{
-		FileKB: t.SizeBytes() / 1024,
-		Nodes:  t.NumNodes(),
-		Leaves: t.NumLeaves(),
+		FileKB:   t.SizeBytes() / 1024,
+		InlineKB: inline / 1024,
+		Nodes:    t.NumNodes(),
+		Leaves:   t.NumLeaves(),
 	}
 }
 
-// measureBothLayouts builds one configuration in both disk layouts and
-// returns the combined size record.
-func measureBothLayouts(cfg Config, data *sequence.Dataset, opts core.Options) (IndexSize, error) {
-	ref, err := core.Build(data, filepath.Join(cfg.Dir, "bench-size-ref.twt"), opts)
+// measureSize builds one configuration and returns its size record.
+func measureSize(cfg Config, data *sequence.Dataset, opts core.Options) (IndexSize, error) {
+	ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-size.twt"), opts)
 	if err != nil {
 		return IndexSize{}, err
 	}
-	size := indexSize(ref)
-	ref.RemoveFile()
-
-	opts.Layout = disktree.LayoutInline
-	opts.Build.Layout = disktree.LayoutInline
-	inl, err := core.Build(data, filepath.Join(cfg.Dir, "bench-size-inl.twt"), opts)
-	if err != nil {
-		return IndexSize{}, err
-	}
-	size.InlineKB = inl.SizeBytes() / 1024
-	inl.RemoveFile()
-	return size, nil
+	size := indexSize(ix)
+	return size, ix.RemoveFile()
 }
 
 // Table1Row is one line of Table 1.
@@ -85,7 +82,7 @@ func Table1(cfg Config) (Table1Result, error) {
 	res.DatabaseKB = int64(data.TotalElements()) * 8 / 1024
 
 	var err error
-	res.ST, err = measureBothLayouts(cfg, data, core.Options{Kind: categorize.KindIdentity})
+	res.ST, err = measureSize(cfg, data, core.Options{Kind: categorize.KindIdentity})
 	if err != nil {
 		return res, err
 	}
@@ -102,7 +99,7 @@ func Table1(cfg Config) (Table1Result, error) {
 			{categorize.KindEqualLength, true, &row.SSTcEL},
 			{categorize.KindMaxEntropy, true, &row.SSTcME},
 		} {
-			*cell.dst, err = measureBothLayouts(cfg, data, core.Options{
+			*cell.dst, err = measureSize(cfg, data, core.Options{
 				Kind: cell.kind, Categories: cats, Sparse: cell.sparse,
 			})
 			if err != nil {
@@ -113,7 +110,7 @@ func Table1(cfg Config) (Table1Result, error) {
 	}
 
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(cfg.Out, "Table 1: index sizes (KB, measured inline-label files — the paper's storage model; reference-layout KB in parens)\n")
+	fmt.Fprintf(cfg.Out, "Table 1: index sizes (KB, inline-label storage model — the paper's — derived from the file's counters; measured file KB in parens)\n")
 	fmt.Fprintf(cfg.Out, "database: %d KB, ST: %d KB (%d)\n", res.DatabaseKB, res.ST.InlineKB, res.ST.FileKB)
 	fmt.Fprintln(w, "#cats\tSTc-EL\tSTc-ME\tSSTc-EL\tSSTc-ME\t")
 	for _, r := range res.Rows {

@@ -403,6 +403,9 @@ func TestOpenExistingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bs := ix.BuildStats; bs.Suffixes != int(ix.Tree.NumLeaves()) || bs.Nodes != int(ix.Tree.NumNodes()) {
+		t.Errorf("BuildStats = %+v, tree has %d leaves / %d nodes", bs, ix.Tree.NumLeaves(), ix.Tree.NumNodes())
+	}
 	q := randomQuery(rng, 5)
 	want, _, err := search(ix, q, 7.5)
 	if err != nil {

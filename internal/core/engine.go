@@ -40,8 +40,7 @@ type Engine struct {
 	// of all sequence lengths.
 	seqOffsets    []int
 	totalElements int
-	// queries recycles per-query execution state. Behind a pointer so a
-	// copied Engine (Reopen) shares the pool instead of copying a sync.Pool.
+	// queries recycles per-query execution state (why a pointer: queryPool).
 	queries *queryPool
 	// newKernel equips a fresh pooled searcher with this index's kernel.
 	newKernel func() Kernel
@@ -143,19 +142,3 @@ func (e *Engine) MinAnswerLen() int { return e.minAnswerLen }
 
 // Close releases the underlying tree file.
 func (e *Engine) Close() error { return e.Tree.Close() }
-
-// Reopen returns a copy of the engine over its own handle on the same tree
-// file, with a private buffer pool of poolPages frames; the texts and the
-// searcher pool are shared. It is what the typed indexes' Dup is made of.
-func (e *Engine) Reopen(poolPages int) (Engine, error) {
-	if poolPages <= 0 {
-		poolPages = 256
-	}
-	tree, err := disktree.Open(e.Tree.Path(), poolPages, true)
-	if err != nil {
-		return Engine{}, err
-	}
-	dup := *e
-	dup.Tree = tree
-	return dup, nil
-}

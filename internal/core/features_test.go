@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
 	"twsearch/internal/categorize"
-	"twsearch/internal/disktree"
 )
 
 // Length-filtered indexes must return exactly the scan answers of at least
@@ -184,56 +182,6 @@ func TestSearchKNNExhaustsDatabase(t *testing.T) {
 	}
 }
 
-// Dup handles must be independently usable, including concurrently.
-func TestDupConcurrentSearches(t *testing.T) {
-	rng := rand.New(rand.NewSource(431))
-	data := randomWalkDataset(rng, 6, 40)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "dup.twt"), Options{
-		Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	queries := make([][]float64, 8)
-	for i := range queries {
-		queries[i] = randomQuery(rng, 8)
-	}
-	want := make([][]Match, len(queries))
-	for i, q := range queries {
-		want[i], _, err = search(ix, q, 8.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	got := make([][]Match, len(queries))
-	errs := make([]error, len(queries))
-	for i := range queries {
-		dup, err := ix.Dup(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, d *Index) {
-			defer wg.Done()
-			defer d.Close()
-			got[i], _, errs[i] = search(d, queries[i], 8.5)
-		}(i, dup)
-	}
-	wg.Wait()
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if !matchesEqual(got[i], want[i]) {
-			t.Fatalf("query %d: concurrent result differs", i)
-		}
-	}
-}
-
 func TestSelectCategories(t *testing.T) {
 	rng := rand.New(rand.NewSource(433))
 	data := randomWalkDataset(rng, 8, 40)
@@ -266,130 +214,6 @@ func TestSelectCategories(t *testing.T) {
 	if _, _, err := SelectCategories(data, nil, 8, counts,
 		categorize.CostModel{Wt: 1}, Options{}, t.TempDir()); err == nil {
 		t.Error("no queries accepted")
-	}
-}
-
-// Inline-layout indexes (the paper's storage model) must return the same
-// answers as reference-layout ones and the scan.
-func TestInlineLayoutNoFalseDismissals(t *testing.T) {
-	rng := rand.New(rand.NewSource(443))
-	for trial := 0; trial < 8; trial++ {
-		data := randomWalkDataset(rng, 3, 25)
-		q := randomQuery(rng, 6)
-		eps := float64(rng.Intn(10)) + 0.5
-		ix, err := Build(data, filepath.Join(t.TempDir(), "il.twt"), Options{
-			Kind: categorize.KindMaxEntropy, Categories: 5,
-			Sparse: trial%2 == 0, Layout: disktree.LayoutInline,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ix.Tree.Layout() != disktree.LayoutInline {
-			t.Fatal("layout not applied")
-		}
-		got, _, err := search(ix, q, eps)
-		ix.RemoveFile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := SeqScan(data, q, eps, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(got, want) {
-			t.Fatalf("trial %d: inline %d matches, scan %d", trial, len(got), len(want))
-		}
-	}
-}
-
-// In-memory indexes (no filesystem) must behave identically to disk ones.
-func TestInMemoryIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(457))
-	data := randomWalkDataset(rng, 4, 30)
-	q := randomQuery(rng, 7)
-	mem, err := Build(data, "", Options{
-		Kind: categorize.KindMaxEntropy, Categories: 6, Sparse: true, InMemory: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.Tree.Path() != ":memory:" {
-		t.Fatalf("path = %q", mem.Tree.Path())
-	}
-	got, _, err := search(mem, q, 8.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := SeqScan(data, q, 8.5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, want) {
-		t.Fatalf("in-memory index %d matches, scan %d", len(got), len(want))
-	}
-	// kNN and length floors work too.
-	if _, _, err := searchKNN(mem, q, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.RemoveFile(); err != nil {
-		t.Fatalf("RemoveFile on in-memory index: %v", err)
-	}
-
-	// Filtered in-memory variant.
-	mem2, err := Build(data, "", Options{
-		Kind: categorize.KindMaxEntropy, Categories: 6, InMemory: true, MinAnswerLen: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem2.Close()
-	got2, _, err := search(mem2, q, 8.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range got2 {
-		if m.Ref.Len() < 5 {
-			t.Fatalf("short answer from filtered in-memory index: %+v", m)
-		}
-	}
-}
-
-// A disk index is the same tree as the in-memory index — one construction
-// onto two backings: same answers, same traversal work.
-func TestBuildDiskMatchesInMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(463))
-	data := randomWalkDataset(rng, 11, 30)
-	opts := Options{Kind: categorize.KindMaxEntropy, Categories: 6}
-	mem, err := Build(data, "", Options{Kind: opts.Kind, Categories: opts.Categories, InMemory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	disk, err := Build(data, filepath.Join(t.TempDir(), "disk.twt"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	if bs := disk.BuildStats; bs.Suffixes != int(disk.Tree.NumLeaves()) || bs.Nodes != int(disk.Tree.NumNodes()) || bs.Nodes != mem.BuildStats.Nodes {
-		t.Errorf("BuildStats = %+v (in-memory %+v), tree has %d leaves / %d nodes", bs, mem.BuildStats, disk.Tree.NumLeaves(), disk.Tree.NumNodes())
-	}
-	for trial := 0; trial < 5; trial++ {
-		q := randomQuery(rng, 6)
-		got, gotStats, err := search(disk, q, 8.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantStats, err := search(mem, q, 8.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(got, want) {
-			t.Fatalf("trial %d: disk index %d matches, in-memory %d", trial, len(got), len(want))
-		}
-		if gotStats.NodesVisited != wantStats.NodesVisited || gotStats.FilterCells != wantStats.FilterCells {
-			t.Fatalf("trial %d: disk index visited %d nodes / %d cells, in-memory %d / %d", trial,
-				gotStats.NodesVisited, gotStats.FilterCells, wantStats.NodesVisited, wantStats.FilterCells)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -10,7 +11,10 @@ import (
 
 // FuzzSearchMatchesScan derives a tiny database and query from fuzz bytes
 // and asserts the end-to-end no-false-dismissal equality on a sparse ME
-// index — the whole stack under fuzz.
+// index — the whole stack under fuzz — for the range search and for the
+// k-NN loop, whose answer must be the k best of the exhaustive scan by
+// (distance, position). Values are small integers, so distances are exact
+// and ties at the k-th distance are common: position must break them.
 func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3))
 	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1))
@@ -58,6 +62,22 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		}
 		if !matchesEqual(got, want) {
 			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d)", len(got), len(want), eps, cats)
+		}
+
+		k := int(epsRaw)%9 + 1
+		nearest, _, err := searchKNN(ix, q, k)
+		if err != nil {
+			t.Fatalf("knn: %v", err)
+		}
+		all, _, err := SeqScan(data, q, 1e18, -1)
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
+		all = all[:min(k, len(all))]
+		sortMatches(all)
+		if !matchesEqual(nearest, all) {
+			t.Fatalf("k=%d cats=%d: index returned %v, the scan's k best are %v", k, cats, nearest, all)
 		}
 	})
 }

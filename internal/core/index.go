@@ -50,15 +50,8 @@ type Options struct {
 	MinAnswerLen int
 	// KMeansIters bounds k-means refinement (k-means only). Defaults to 20.
 	KMeansIters int
-	// Layout selects the disk node format: reference (default, compact) or
-	// inline (the paper's storage model; Table 1's sizes).
-	Layout disktree.Layout
-	// InMemory builds the index into an in-memory page file instead of the
-	// given path — no filesystem footprint, no persistence; the same
-	// construction, so this is for datasets whose tree fits in RAM.
-	InMemory bool
 	// Build tunes the disk construction (pool size, record encoding); its
-	// Sparse, MinSuffixLen and Layout are set from the fields above.
+	// Sparse and MinSuffixLen are set from the fields above.
 	Build disktree.BuildOptions
 }
 
@@ -77,7 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Build.Sparse = o.Sparse
 	o.Build.MinSuffixLen = o.MinAnswerLen
-	o.Build.Layout = o.Layout
 	return o
 }
 
@@ -134,13 +126,7 @@ func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path str
 	}
 	var buildStats disktree.BuildStats
 	opts.Build.Stats = &buildStats
-	var tree *disktree.File
-	var err error
-	if opts.InMemory {
-		tree, err = disktree.BuildMem(store, seqs, opts.Build)
-	} else {
-		tree, err = disktree.Build(store, seqs, path, opts.Build)
-	}
+	tree, err := disktree.Build(store, seqs, path, opts.Build)
 	if err != nil {
 		return nil, fmt.Errorf("core: building tree: %w", err)
 	}
@@ -167,35 +153,15 @@ func OpenWith(data *sequence.Dataset, scheme *categorize.Scheme, treePath string
 	return newIndex(data, scheme, encodeAll(data, scheme), tree, window), nil
 }
 
-// Dup returns an independent handle on the same index file with its own
-// buffer pool. An Index is already safe for concurrent searches — per-query
-// state is pooled, the tree's striped buffer pool takes concurrent readers —
-// so Dup is no longer needed for parallelism; it remains for callers that
-// want I/O isolation (a private page cache whose hit rate one noisy workload
-// cannot disturb). The duplicate shares the immutable dataset, scheme,
-// categorized texts and query-context pool; Close it independently.
-func (ix *Index) Dup(poolPages int) (*Index, error) {
-	engine, err := ix.Reopen(poolPages)
-	if err != nil {
-		return nil, err
-	}
-	dup := *ix
-	dup.Engine = engine
-	return &dup, nil
-}
-
 // SizeBytes returns the on-disk index size (Table 1's metric).
 func (ix *Index) SizeBytes() int64 { return ix.Tree.SizeBytes() }
 
-// RemoveFile closes the index and deletes its tree file (a no-op delete for
-// in-memory indexes); benchmarks use it to clean up throwaway indexes.
+// RemoveFile closes the index and deletes its tree file; benchmarks use it
+// to clean up throwaway indexes.
 func (ix *Index) RemoveFile() error {
 	path := ix.Tree.Path()
 	if err := ix.Tree.Close(); err != nil {
 		return err
-	}
-	if path == storage.MemoryPath {
-		return nil
 	}
 	return os.Remove(filepath.Clean(path))
 }

@@ -29,20 +29,23 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts Sea
 	for i := 1; i < len(q); i++ {
 		step += math.Abs(q[i] - q[i-1])
 	}
-	return RunKNN(ctx, k, step/float64(len(q)), func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+	return RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
 		return ix.run(ctx, q, eps, nil, opts)
 	})
 }
 
-// RunKNN is the threshold-expansion loop behind every k-NN entry point:
-// search runs one complete range search under ctx at the threshold it is
-// given, so as soon as a round yields at least k answers the k smallest of
-// them are exactly the k nearest neighbors. The first threshold is step —
-// the query's mean step, so exact occurrences surface in the first round or
-// two — and it quadruples until enough answers appear. The stats of every
-// round accumulate. Query validation is search's: an empty query fails the
-// first round.
-func RunKNN(ctx context.Context, k int, step float64, search func(ctx context.Context, eps float64) ([]Match, SearchStats, error)) ([]Match, SearchStats, error) {
+// RunKNN is the threshold-expansion loop behind every k-NN entry point: the
+// scalar and the vector index, and the shard coordinator, whose search is the
+// scatter-gather over its shards. search runs one complete range search
+// under ctx at the threshold it is given and returns the answers in position
+// order; as soon as a round yields at least k, the k smallest by dist — ties
+// at the k-th distance going to the earliest positions — are exactly the k
+// nearest neighbors, returned still in position order. The first threshold
+// is step — the query's mean step, so exact occurrences surface in the first
+// round or two — and it quadruples until enough answers appear. The stats of
+// every round accumulate. Query validation is search's: an empty query fails
+// the first round.
+func RunKNN[M any](ctx context.Context, k int, step float64, dist func(M) float64, search func(ctx context.Context, eps float64) ([]M, SearchStats, error)) ([]M, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("core: k must be positive")
 	}
@@ -58,13 +61,23 @@ func RunKNN(ctx context.Context, k int, step float64, search func(ctx context.Co
 		// distance — everything reachable has been found (window/length
 		// constraints can exclude the rest).
 		if len(matches) >= k || eps > 1e18 {
-			sort.SliceStable(matches, func(i, j int) bool {
-				return matches[i].Distance < matches[j].Distance
-			})
 			if len(matches) > k {
+				// Rank the indices stably by distance, keep the first k and
+				// put them back in index order: position order survives.
+				rank := make([]int, len(matches))
+				for i := range rank {
+					rank[i] = i
+				}
+				sort.SliceStable(rank, func(i, j int) bool {
+					return dist(matches[rank[i]]) < dist(matches[rank[j]])
+				})
+				rank = rank[:k]
+				sort.Ints(rank)
+				for i, j := range rank { // i <= j: nothing still needed is overwritten
+					matches[i] = matches[j]
+				}
 				matches = matches[:k]
 			}
-			sortMatches(matches)
 			total.Answers = uint64(len(matches))
 			return matches, total, nil
 		}

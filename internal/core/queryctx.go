@@ -14,9 +14,8 @@ import (
 // search one Engine concurrently, each holding its own searcher for the
 // duration of the call.
 //
-// The pool lives behind a pointer on Engine (not inline) so Reopen's copy
-// shares it instead of copying a sync.Pool; Dup handles see the same scheme
-// and dataset, so their searchers — kernels included — are interchangeable.
+// The pool lives behind a pointer on Engine (not inline) so the Engine value
+// the typed indexes embed copies without copying a sync.Pool.
 type queryPool struct {
 	p sync.Pool
 }

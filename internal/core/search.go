@@ -270,12 +270,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 	pendD := 0
 	pendDist := dtw.Inf
 	for i := 0; i < int(n.LabelLen); i++ {
-		var sym suffixtree.Symbol
-		if len(n.Label) > 0 {
-			sym = n.Label[i] // inline layout: label travels with the record
-		} else {
-			sym = s.e.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
-		}
+		sym := s.e.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
 		if suffixtree.IsTerminator(sym) {
 			// The suffix ends here; all its prefixes were handled at
 			// shallower depths. Nothing lies below a terminator.

@@ -27,9 +27,6 @@ type BuildOptions struct {
 	// PoolPages bounds the returned file's buffer pool. Defaults to 256
 	// (1 MiB).
 	PoolPages int
-	// Layout selects the node record format (reference by default; inline
-	// is the paper's storage model).
-	Layout Layout
 	// Encoding selects the record serialization (v1 fixed-width by default;
 	// v2 compact varints).
 	Encoding Encoding
@@ -117,7 +114,7 @@ func BuildMem(store *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File
 // finished tree open through a pool; on failure pf is closed.
 func buildOn(pf *storage.File, store *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File, error) {
 	started := time.Now()
-	w := newTreeWriter(pf, meta{sparse: opts.Sparse, minSuffixLen: lengthFilter(opts.MinSuffixLen), layout: opts.Layout, enc: opts.Encoding})
+	w := newTreeWriter(pf, meta{sparse: opts.Sparse, minSuffixLen: lengthFilter(opts.MinSuffixLen), enc: opts.Encoding})
 	b := &builder{store: store, w: w}
 	if err := b.sortSuffixes(seqs, opts.Sparse, opts.MinSuffixLen); err != nil {
 		return nil, w.abort(err)
@@ -350,12 +347,6 @@ func (b *builder) write(lead suffix, from, to int32, leaf bool, kids int) (Ptr, 
 	if leaf {
 		n.Pos = lead.pos
 		n.RunLen = int32(categorize.RunLengthAt(b.store.Text(int(lead.seq)), int(lead.pos)))
-	}
-	if b.w.meta.layout == LayoutInline {
-		n.Label = n.Label[:0]
-		for d := from; d < to; d++ {
-			n.Label = append(n.Label, b.sym(lead, d))
-		}
 	}
 	return b.w.emit(n, kids)
 }

@@ -14,25 +14,11 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-func sameFile(t *testing.T, a, b string) bool {
-	t.Helper()
-	ar, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(ar, br)
-}
-
 // The sort-and-stream build writes the tree the paper's construction —
 // Ukkonen per sequence plus binary merges — produces, in every cell of
-// alphabet × suffix set × layout × encoding, with an empty and a duplicated
-// text in the store: same nodes, same labels, same counters; the very bytes
-// where records hold no label references (inline), the very size where
-// references are fixed-width (reference v1).
+// alphabet × suffix set × encoding, with an empty and a duplicated text in
+// the store: same nodes, same label symbols, same counters, and the very
+// size where references are fixed-width (v1).
 func TestBuildEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	dir := t.TempDir()
@@ -48,58 +34,52 @@ func TestBuildEqualsReference(t *testing.T) {
 			ts.Add(append([]Symbol(nil), ts.Text(3)...))
 			want := suffixtree.BuildMergedFiltered(ts, allSeqs(ts), shape.sparse, shape.minLen)
 			wantStats := want.ComputeStats()
-			for _, layout := range []Layout{LayoutReference, LayoutInline} {
-				for _, enc := range []Encoding{EncodingV1, EncodingV2} {
-					name := fmt.Sprintf("alphabet=%d/%s/%s/%s", alphabet, shape.name, layout, enc)
-					out := filepath.Join(dir, "out.twt")
-					var stats BuildStats
-					f, err := Build(ts, allSeqs(ts), out, BuildOptions{
-						Sparse: shape.sparse, MinSuffixLen: shape.minLen, PoolPages: 1 + rng.Intn(8),
-						Layout: layout, Encoding: enc, Stats: &stats,
-					})
-					if err != nil {
-						t.Fatalf("%s: Build: %v", name, err)
-					}
-					if f.Layout() != layout || f.Encoding() != enc || f.Sparse() != shape.sparse || f.MinSuffixLen() != want.MinSuffixLen {
-						t.Fatalf("%s: build lost the file shape", name)
-					}
-					if _, err := f.Validate(ts); err != nil {
-						t.Fatalf("%s: Validate: %v", name, err)
-					}
-					got, err := f.Load(ts)
-					if err != nil {
-						t.Fatalf("%s: Load: %v", name, err)
-					}
-					if !suffixtree.Equal(want, got) {
-						t.Fatalf("%s: built tree differs from the reference construction", name)
-					}
-					if int(f.NumNodes()) != wantStats.Nodes || int(f.NumLeaves()) != wantStats.Leaves ||
-						int(f.TotalLabelSymbols()) != wantStats.TotalLabel {
-						t.Fatalf("%s: counters %d/%d/%d, reference %d/%d/%d", name, f.NumNodes(), f.NumLeaves(),
-							f.TotalLabelSymbols(), wantStats.Nodes, wantStats.Leaves, wantStats.TotalLabel)
-					}
-					if stats.Suffixes != wantStats.Leaves || stats.Nodes != wantStats.Nodes {
-						t.Fatalf("%s: BuildStats %+v, reference has %d leaves / %d nodes", name, stats, wantStats.Leaves, wantStats.Nodes)
-					}
-					if pinned := f.PinnedPages(); pinned != 0 {
-						t.Fatalf("%s: %d frames still pinned", name, pinned)
-					}
-					size := f.SizeBytes()
-					f.Close()
+			for _, enc := range []Encoding{EncodingV1, EncodingV2} {
+				name := fmt.Sprintf("alphabet=%d/%s/%s", alphabet, shape.name, enc)
+				out := filepath.Join(dir, "out.twt")
+				var stats BuildStats
+				f, err := Build(ts, allSeqs(ts), out, BuildOptions{
+					Sparse: shape.sparse, MinSuffixLen: shape.minLen, PoolPages: 1 + rng.Intn(8),
+					Encoding: enc, Stats: &stats,
+				})
+				if err != nil {
+					t.Fatalf("%s: Build: %v", name, err)
+				}
+				if f.Encoding() != enc || f.Sparse() != shape.sparse || f.MinSuffixLen() != want.MinSuffixLen {
+					t.Fatalf("%s: build lost the file shape", name)
+				}
+				if _, err := f.Validate(ts); err != nil {
+					t.Fatalf("%s: Validate: %v", name, err)
+				}
+				got, err := f.Load(ts)
+				if err != nil {
+					t.Fatalf("%s: Load: %v", name, err)
+				}
+				if !suffixtree.Equal(want, got) {
+					t.Fatalf("%s: built tree differs from the reference construction", name)
+				}
+				if int(f.NumNodes()) != wantStats.Nodes || int(f.NumLeaves()) != wantStats.Leaves ||
+					int(f.TotalLabelSymbols()) != wantStats.TotalLabel {
+					t.Fatalf("%s: counters %d/%d/%d, reference %d/%d/%d", name, f.NumNodes(), f.NumLeaves(),
+						f.TotalLabelSymbols(), wantStats.Nodes, wantStats.Leaves, wantStats.TotalLabel)
+				}
+				if stats.Suffixes != wantStats.Leaves || stats.Nodes != wantStats.Nodes {
+					t.Fatalf("%s: BuildStats %+v, reference has %d leaves / %d nodes", name, stats, wantStats.Leaves, wantStats.Nodes)
+				}
+				if pinned := f.PinnedPages(); pinned != 0 {
+					t.Fatalf("%s: %d frames still pinned", name, pinned)
+				}
+				size := f.SizeBytes()
+				f.Close()
 
-					direct := filepath.Join(dir, "direct.twt")
-					df, err := CreateEncoded(direct, want, 8, layout, enc)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					directSize := df.SizeBytes()
-					df.Close()
-					if layout == LayoutInline && !sameFile(t, direct, out) {
-						t.Fatalf("%s: built file is not byte-identical to the serialized reference tree", name)
-					}
-					if layout == LayoutReference && enc == EncodingV1 && size != directSize {
-						t.Fatalf("%s: built file is %d bytes, the serialized reference tree %d", name, size, directSize)
-					}
+				df, err := CreateEncoded(filepath.Join(dir, "direct.twt"), want, 8, LayoutReference, enc)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				directSize := df.SizeBytes()
+				df.Close()
+				if enc == EncodingV1 && size != directSize {
+					t.Fatalf("%s: built file is %d bytes, the serialized reference tree %d", name, size, directSize)
 				}
 			}
 		}
@@ -183,7 +163,7 @@ func TestWriteFailureSurfaces(t *testing.T) {
 		}
 		return pf
 	}
-	if _, err := createOn(readOnly(), suffixtree.BuildNaive(ts, []int{0}, false), 8, LayoutReference, EncodingV1); err == nil {
+	if _, err := createOn(readOnly(), suffixtree.BuildNaive(ts, []int{0}, false), 8, EncodingV1); err == nil {
 		t.Error("createOn onto a file that rejects appends succeeded")
 	}
 	if _, err := buildOn(readOnly(), ts, []int{0}, BuildOptions{PoolPages: 8}); err == nil {

@@ -14,48 +14,49 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-// TestEncodingV2RoundTrip: Create→Load is the identity in both layouts under
-// the compact encoding, and the reopened file reports v2.
+// TestEncodingV2RoundTrip: Create→Load is the identity under the compact
+// encoding, and the reopened file reports v2.
 func TestEncodingV2RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	ts := randomTexts(rng, 5, 40, 3)
 	tree := suffixtree.BuildMerged(ts, allSeqs(ts), false)
-	for _, layout := range []Layout{LayoutReference, LayoutInline} {
-		path := filepath.Join(t.TempDir(), "v2.twt")
-		f, err := CreateEncoded(path, tree, 64, layout, EncodingV2)
-		if err != nil {
-			t.Fatalf("%s: CreateEncoded: %v", layout, err)
-		}
-		if f.Encoding() != EncodingV2 {
-			t.Errorf("%s: Encoding() = %s, want v2", layout, f.Encoding())
-		}
-		got, err := f.Load(ts)
-		if err != nil {
-			t.Fatalf("%s: Load: %v", layout, err)
-		}
-		if !suffixtree.Equal(tree, got) {
-			t.Fatalf("%s: v2 tree differs from original", layout)
-		}
-		f.Close()
+	path := filepath.Join(t.TempDir(), "v2.twt")
+	f, err := CreateEncoded(path, tree, 64, LayoutReference, EncodingV2)
+	if err != nil {
+		t.Fatalf("CreateEncoded: %v", err)
+	}
+	if f.Encoding() != EncodingV2 {
+		t.Errorf("Encoding() = %s, want v2", f.Encoding())
+	}
+	got, err := f.Load(ts)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if !suffixtree.Equal(tree, got) {
+		t.Fatal("v2 tree differs from original")
+	}
+	f.Close()
 
-		f2, err := Open(path, 2, true)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", layout, err)
-		}
-		if f2.Encoding() != EncodingV2 {
-			t.Errorf("%s: reopened Encoding() = %s, want v2", layout, f2.Encoding())
-		}
-		got2, err := f2.Load(ts)
-		if err != nil {
-			t.Fatalf("%s: Load after reopen: %v", layout, err)
-		}
-		if !suffixtree.Equal(tree, got2) {
-			t.Fatalf("%s: v2 tree differs after reopen through a 2-page pool", layout)
-		}
-		if _, err := f2.Validate(ts); err != nil {
-			t.Fatalf("%s: Validate: %v", layout, err)
-		}
-		f2.Close()
+	f2, err := Open(path, 2, true)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer f2.Close()
+	if f2.Encoding() != EncodingV2 {
+		t.Errorf("reopened Encoding() = %s, want v2", f2.Encoding())
+	}
+	got2, err := f2.Load(ts)
+	if err != nil {
+		t.Fatalf("Load after reopen: %v", err)
+	}
+	if !suffixtree.Equal(tree, got2) {
+		t.Fatal("v2 tree differs after reopen through a 2-page pool")
+	}
+	if _, err := f2.Validate(ts); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if _, err := CreateEncoded(path, tree, 64, LayoutReference+1, EncodingV2); err == nil {
+		t.Error("CreateEncoded accepted a layout other than LayoutReference")
 	}
 }
 
@@ -84,7 +85,7 @@ func TestEncodingV2Smaller(t *testing.T) {
 	_, nodes := allNodes(t, v2)
 	recordBytes := 0
 	for i := range nodes {
-		recordBytes += len(encodeNode(nil, &nodes[i], LayoutReference, EncodingV2))
+		recordBytes += len(encodeNode(nil, &nodes[i], EncodingV2))
 	}
 	const ceiling = 8.26 // bytes per node; 8.255 measured
 	if perNode := float64(recordBytes) / float64(len(nodes)); perNode > ceiling {
@@ -100,7 +101,7 @@ var retiredVersions = []byte{3, 0, 4, 0xFF}
 // byte outside the supported set is refused with the typed error, naming
 // the version found and the remedy.
 func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
-	blob := encodeMeta(meta{root: Ptr(storage.PageSize), layout: LayoutReference, enc: EncodingV2})
+	blob := encodeMeta(meta{root: Ptr(storage.PageSize), enc: EncodingV2})
 	if len(blob) != metaBaseSize+1 {
 		t.Fatalf("v2 meta blob is %d bytes, want %d", len(blob), metaBaseSize+1)
 	}
@@ -125,12 +126,28 @@ func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 	if m.enc != EncodingV1 {
 		t.Fatalf("legacy blob decoded as %s, want v1", m.enc)
 	}
+	// A layout byte other than 0 was written by the retired inline layout (1)
+	// or by nothing at all: refused in both blob sizes, never read as
+	// reference records.
+	blob[metaBaseSize] = byte(EncodingV2)
+	for _, bad := range []byte{1, 2, 0xFF} {
+		blob[metaLayoutByte] = bad
+		for _, b := range [][]byte{blob, blob[:metaBaseSize]} {
+			_, err := decodeMeta(b)
+			if !errors.Is(err, ErrUnsupportedEncoding) {
+				t.Fatalf("layout byte %d: %v, want ErrUnsupportedEncoding", bad, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "retired inline label layout; rebuild the index") {
+				t.Errorf("layout byte %d: error %q names neither the layout nor the remedy", bad, msg)
+			}
+		}
+	}
 }
 
 // TestOpenRefusesRetiredEncodings: a tree file whose meta page names a
-// retired or unknown record encoding is refused by every way of opening it
-// with the typed error, and the refusal holds nothing open — the file can
-// be replaced and opened again.
+// retired or unknown record encoding — or the retired inline label layout —
+// is refused by every way of opening it with the typed error, and the
+// refusal holds nothing open — the file can be replaced and opened again.
 func TestOpenRefusesRetiredEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	ts := randomTexts(rng, 5, 40, 3)
@@ -151,7 +168,18 @@ func TestOpenRefusesRetiredEncodings(t *testing.T) {
 		"OpenBackend/pool": func() (*File, error) { return OpenBackend(path, 8, true, storage.BackendPool) },
 		"OpenBackend/mmap": func() (*File, error) { return OpenBackend(path, 8, true, storage.BackendMmap) },
 	}
+	// Each patch is a meta-blob offset and the byte to put there: the
+	// inline layout byte, then the retired versions in the encoding byte.
+	type patch struct {
+		off int
+		b   byte
+	}
+	patches := []patch{{metaLayoutByte, 1}}
 	for _, version := range retiredVersions {
+		patches = append(patches, patch{metaBaseSize, version})
+	}
+	for _, pt := range patches {
+		what := fmt.Sprintf("meta[%d]=%d", pt.off, pt.b)
 		create()
 		pf, err := storage.OpenFile(path, false)
 		if err != nil {
@@ -161,7 +189,7 @@ func TestOpenRefusesRetiredEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob[metaBaseSize] = version
+		blob[pt.off] = pt.b
 		if err := pf.SetMeta(blob); err != nil {
 			t.Fatal(err)
 		}
@@ -174,20 +202,20 @@ func TestOpenRefusesRetiredEncodings(t *testing.T) {
 				if f != nil {
 					f.Close()
 				}
-				t.Fatalf("version %d, %s: %v, want ErrUnsupportedEncoding", version, name, err)
+				t.Fatalf("%s, %s: %v, want ErrUnsupportedEncoding", what, name, err)
 			}
 		}
 		create() // replaces the refused file
 		for name, open := range opens {
 			f, err := open()
 			if err != nil {
-				t.Fatalf("version %d, %s after the file was replaced: %v", version, name, err)
+				t.Fatalf("%s, %s after the file was replaced: %v", what, name, err)
 			}
 			if _, err := f.Validate(ts); err != nil {
-				t.Errorf("version %d, %s after the file was replaced: Validate: %v", version, name, err)
+				t.Errorf("%s, %s after the file was replaced: Validate: %v", what, name, err)
 			}
 			if pinned := f.PinnedPages(); pinned != 0 {
-				t.Errorf("version %d, %s: %d pages pinned", version, name, pinned)
+				t.Errorf("%s, %s: %d pages pinned", what, name, pinned)
 			}
 			f.Close()
 		}
@@ -195,9 +223,9 @@ func TestOpenRefusesRetiredEncodings(t *testing.T) {
 }
 
 // writeRecordFile lays raw record bytes into a fresh in-memory page file
-// starting at page 1 and wraps it in a File with the given layout/encoding,
-// so decode paths can be driven with hand-built (or fuzz-built) bytes.
-func writeRecordFile(t *testing.T, raw []byte, layout Layout, enc Encoding) *File {
+// starting at page 1 and wraps it in a File with the given encoding, so
+// decode paths can be driven with hand-built (or fuzz-built) bytes.
+func writeRecordFile(t *testing.T, raw []byte, enc Encoding) *File {
 	t.Helper()
 	pf, err := storage.CreateMemFile()
 	if err != nil {
@@ -223,7 +251,7 @@ func writeRecordFile(t *testing.T, raw []byte, layout Layout, enc Encoding) *Fil
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &File{pf: pf, src: pool, meta: meta{root: Ptr(storage.PageSize), layout: layout, enc: enc}}
+	f := &File{pf: pf, src: pool, meta: meta{root: Ptr(storage.PageSize), enc: enc}}
 	t.Cleanup(func() { f.Close() })
 	return f
 }
@@ -233,13 +261,11 @@ func writeRecordFile(t *testing.T, raw []byte, layout Layout, enc Encoding) *Fil
 // and feeding v2 bytes to the v1 decoder (the cross-decode a
 // version-confused reader would attempt) terminates without panicking.
 func FuzzNodeCodecV2(f *testing.F) {
-	f.Add([]byte{0}, false, false)
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true, false)
-	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false, true)
-	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true, true)
-	f.Fuzz(func(t *testing.T, data []byte, leaf, inline bool) {
-		checkCodec(t, data, leaf, inline)
-	})
+	f.Add([]byte{0}, false)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
+	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false)
+	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true)
+	f.Fuzz(checkCodec)
 }
 
 // checkCodec derives a node deterministically from the fuzz bytes, encodes
@@ -249,7 +275,7 @@ func FuzzNodeCodecV2(f *testing.F) {
 // a verdict on a record that more bytes would complete — and the v1 decoder
 // over v2 bytes must terminate with an error or garbage, never panic or
 // hang.
-func checkCodec(t *testing.T, data []byte, leaf, inline bool) {
+func checkCodec(t *testing.T, data []byte, leaf bool) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
@@ -260,18 +286,8 @@ func checkCodec(t *testing.T, data []byte, leaf, inline bool) {
 		}
 		return v
 	}
-	layout := LayoutReference
-	if inline {
-		layout = LayoutInline
-	}
 	// No node has a negative label length; the decoders refuse one.
 	in := Node{LabelSeq: next(0), LabelStart: next(1), LabelLen: next(2) & math.MaxInt32, Leaf: leaf}
-	if inline {
-		in.Label = make([]Symbol, uint32(next(3))%200)
-		for i := range in.Label {
-			in.Label[i] = Symbol(next(4 + i))
-		}
-	}
 	if leaf {
 		in.Pos = next(5)
 		in.RunLen = next(6)
@@ -282,38 +298,26 @@ func checkCodec(t *testing.T, data []byte, leaf, inline bool) {
 		}
 	}
 
-	raw := encodeNode(nil, &in, layout, EncodingV2)
-	f := &File{meta: meta{layout: layout, enc: EncodingV2}}
+	raw := encodeNode(nil, &in, EncodingV2)
+	f := &File{meta: meta{enc: EncodingV2}}
 	var got Node
 	if err := f.decode(append(raw[:len(raw):len(raw)], 0xAB, 0xCD), &got, 0); err != nil {
 		t.Fatalf("decoding our own encoding: %v", err)
 	}
-	// What the decoder is specified to produce for this input.
-	want := in
-	if inline {
-		want.LabelLen = int32(len(in.Label))
-		want.LabelStart = -1
-		if !leaf {
-			want.LabelSeq = -1
-		}
-	}
-	if !nodesEqual(&want, &got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", want, got)
+	if !nodesEqual(&in, &got) {
+		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, got)
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		if err := f.decode(raw[:cut:cut], &got, 0); err != errShort {
 			t.Fatalf("the first %d of %d bytes decoded with error %v, want errShort", cut, len(raw), err)
 		}
 	}
-	fx := &File{meta: meta{layout: layout, enc: EncodingV1}}
+	fx := &File{meta: meta{enc: EncodingV1}}
 	var junk Node
 	_ = fx.decode(raw, &junk, 0)
 }
 
 func nodesEqual(a, b *Node) bool {
-	if a.LabelSeq != b.LabelSeq || a.LabelStart != b.LabelStart || a.LabelLen != b.LabelLen ||
-		a.Leaf != b.Leaf || a.Pos != b.Pos || a.RunLen != b.RunLen {
-		return false
-	}
-	return slices.Equal(a.Label, b.Label) && slices.Equal(a.Children, b.Children)
+	return a.LabelSeq == b.LabelSeq && a.LabelStart == b.LabelStart && a.LabelLen == b.LabelLen &&
+		a.Leaf == b.Leaf && a.Pos == b.Pos && a.RunLen == b.RunLen && slices.Equal(a.Children, b.Children)
 }

@@ -1,6 +1,7 @@
 package disktree
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"twsearch/internal/storage"
@@ -26,17 +27,21 @@ func Create(path string, tree *suffixtree.Tree, poolPages int) (*File, error) {
 	return CreateEncoded(path, tree, poolPages, LayoutReference, EncodingV1)
 }
 
-// CreateEncoded is Create with an explicit layout and record encoding.
+// CreateEncoded is Create with an explicit record encoding. layout must be
+// LayoutReference, the only layout there is.
 func CreateEncoded(path string, tree *suffixtree.Tree, poolPages int, layout Layout, enc Encoding) (*File, error) {
+	if layout != LayoutReference {
+		return nil, fmt.Errorf("disktree: unknown layout %d", layout)
+	}
 	pf, err := storage.CreateFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return createOn(pf, tree, poolPages, layout, enc)
+	return createOn(pf, tree, poolPages, enc)
 }
 
-func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Layout, enc Encoding) (*File, error) {
-	w := newTreeWriter(pf, meta{sparse: tree.Sparse, minSuffixLen: lengthFilter(tree.MinSuffixLen), layout: layout, enc: enc})
+func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, enc Encoding) (*File, error) {
+	w := newTreeWriter(pf, meta{sparse: tree.Sparse, minSuffixLen: lengthFilter(tree.MinSuffixLen), enc: enc})
 
 	// The write is post-order (children before parents): each recursion
 	// leaves its node's entry on the writer's stack for the parent's child
@@ -51,9 +56,6 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, layout Lay
 			}
 		}
 		out.LabelSeq, out.LabelStart, out.LabelLen, out.Leaf = n.LabelSeq, n.LabelStart, n.LabelLen, n.Leaf != nil
-		if layout == LayoutInline {
-			out.Label = tree.LabelSymbols(n)
-		}
 		if n.Leaf != nil {
 			out.LabelSeq = n.Leaf.Seq
 			out.Pos = n.Leaf.Pos
@@ -128,9 +130,6 @@ func (f *File) TotalLabelSymbols() uint64 { return f.meta.labelSyms }
 // MinSuffixLen returns the suffix length filter the tree was built with
 // (0 = every suffix stored).
 func (f *File) MinSuffixLen() int { return int(f.meta.minSuffixLen) }
-
-// Layout returns the node record layout of the file.
-func (f *File) Layout() Layout { return f.meta.layout }
 
 // Encoding returns the node record encoding of the file.
 func (f *File) Encoding() Encoding { return f.meta.enc }
@@ -209,17 +208,13 @@ func (f *File) ReadNode(p Ptr) (Node, error) {
 }
 
 // Load reconstructs the whole tree in memory — the inverse of Create, used
-// by tests and by tools that inspect small indexes. For inline-layout files
-// the reference labels are recovered from each subtree's leftmost leaf (the
-// path to any leaf below a node spells a prefix of that leaf's suffix).
+// by tests and by tools that inspect small indexes.
 func (f *File) Load(store *suffixtree.TextStore) (*suffixtree.Tree, error) {
-	// build returns the reconstructed node plus the (seq, pos) of the
-	// leftmost leaf below it; depth is the path length above the node.
-	var build func(p Ptr, depth int32) (*suffixtree.Node, int32, int32, error)
-	build = func(p Ptr, depth int32) (*suffixtree.Node, int32, int32, error) {
+	var build func(p Ptr) (*suffixtree.Node, error)
+	build = func(p Ptr) (*suffixtree.Node, error) {
 		dn, err := f.ReadNode(p)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		n := &suffixtree.Node{
 			LabelSeq:   dn.LabelSeq,
@@ -228,31 +223,17 @@ func (f *File) Load(store *suffixtree.TextStore) (*suffixtree.Tree, error) {
 		}
 		if dn.Leaf {
 			n.Leaf = &suffixtree.LeafInfo{Seq: dn.LabelSeq, Pos: dn.Pos, RunLen: dn.RunLen}
-			if f.meta.layout == LayoutInline {
-				n.LabelSeq = dn.LabelSeq
-				n.LabelStart = dn.Pos + depth
-			}
-			return n, dn.LabelSeq, dn.Pos, nil
+			return n, nil
 		}
 		n.Children = make([]*suffixtree.Node, len(dn.Children))
-		var seq, pos int32
 		for i, c := range dn.Children {
-			child, cseq, cpos, err := build(c.Ptr, depth+dn.LabelLen)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			n.Children[i] = child
-			if i == 0 {
-				seq, pos = cseq, cpos
+			if n.Children[i], err = build(c.Ptr); err != nil {
+				return nil, err
 			}
 		}
-		if f.meta.layout == LayoutInline {
-			n.LabelSeq = seq
-			n.LabelStart = pos + depth
-		}
-		return n, seq, pos, nil
+		return n, nil
 	}
-	root, _, _, err := build(f.meta.root, 0)
+	root, err := build(f.meta.root)
 	if err != nil {
 		return nil, err
 	}

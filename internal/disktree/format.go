@@ -30,29 +30,17 @@ type Ptr uint64
 // NilPtr is the absent node reference.
 const NilPtr Ptr = 0
 
-// Layout selects how edge labels are stored on disk.
+// Layout names how edge labels are stored on disk. It has one value — the
+// layout that copied the label symbols into each record (the paper's storage
+// model; benchrun derives its size for Table 1) is retired — and remains as
+// the parameter CreateEncoded's callers pass.
 type Layout uint8
 
-const (
-	// LayoutReference stores labels as (seq, start, len) references into
-	// the sequence store — compact, the default.
-	LayoutReference Layout = 0
-	// LayoutInline copies the label symbols into the node record — the
-	// paper's storage model, whose sizes Table 1 reports. Inline trees are
-	// self-contained for traversal but much larger when categorization is
-	// fine-grained (that size growth is the paper's Table 1 story).
-	LayoutInline Layout = 1
-)
+// LayoutReference stores labels as (seq, start, len) references into the
+// sequence store.
+const LayoutReference Layout = 0
 
-func (l Layout) String() string {
-	if l == LayoutInline {
-		return "inline"
-	}
-	return "reference"
-}
-
-// Encoding selects how node records are serialized. It is orthogonal to
-// Layout: both layouts exist in both encodings.
+// Encoding selects how node records are serialized.
 type Encoding uint8
 
 const (
@@ -87,33 +75,24 @@ func ParseEncoding(s string) (Encoding, error) {
 }
 
 // ErrUnsupportedEncoding reports a tree file whose meta page names a record
-// encoding this build does not read — format v3 (per-child subtree hulls)
-// is retired, and no other version was ever written. Nothing migrates such
-// a file: rebuild the index from the data.
+// encoding or label layout this build does not read — format v3 (per-child
+// subtree hulls) and the inline label layout are retired, and nothing else
+// was ever written. Nothing migrates such a file: rebuild the index from the
+// data.
 var ErrUnsupportedEncoding = errors.New("disktree: unsupported record encoding")
 
-// Node record layout, encoding v1 (little endian, fixed width).
+// Node record layout, encoding v1 (little endian, fixed width):
 //
-// Reference layout:
-//
-//	labelSeq   uint32   sequence the edge label references
+//	labelSeq   uint32   sequence the edge label references (a leaf's: the suffix owner)
 //	labelStart uint32   first symbol position (position len(text) = terminator)
 //	labelLen   uint32   label length
 //	flags      uint8    bit0: leaf
-//	leaf:      seq uint32 (suffix owner), pos uint32, runLen uint32
+//	leaf:      pos uint32, runLen uint32
 //	internal:  childCount uint32, childCount × { sym int32, ptr uint64 }
 //
-// Inline layout replaces the first 8 header bytes:
-//
-//	labelLen   uint32
-//	label      [labelLen]int32
-//	flags      uint8
-//	leaf/internal tails as above (leaf additionally stores seq explicitly,
-//	since there is no labelSeq to derive it from)
-//
 // Encoding v2 keeps the same field order but serializes integers as
-// varints: signed fields (labelSeq, labelStart, labelLen, label symbols,
-// leaf seq/pos/runLen) as zigzag varints, counts as uvarints, and the
+// varints: signed fields (labelSeq, labelStart, labelLen, leaf pos/runLen)
+// as zigzag varints, counts as uvarints, and the
 // child table as delta pairs — each entry stores zigzag(sym − prevSym) and
 // zigzag(ptr − prevPtr) with prev starting at zero, exploiting the sorted
 // symbols and the post-order (strictly increasing) child offsets. The
@@ -133,15 +112,13 @@ type ChildRef struct {
 	Ptr Ptr
 }
 
-// Node is a decoded node record. For reference-layout files the label is
-// (LabelSeq, LabelStart, LabelLen) into the text store and Label is nil;
-// for inline-layout files Label holds the symbols and LabelSeq is
-// meaningful only on leaves (the suffix's owning sequence).
+// Node is a decoded node record. The edge label is symbols [LabelStart,
+// LabelStart+LabelLen) of sequence LabelSeq in the text store; a leaf's
+// LabelSeq is also the sequence that owns its suffix.
 type Node struct {
 	LabelSeq   int32
 	LabelStart int32
 	LabelLen   int32
-	Label      []Symbol // inline layout only
 	Leaf       bool
 	Pos        int32 // leaf only: suffix start position
 	RunLen     int32 // leaf only: equal-symbol run length at Pos
@@ -153,41 +130,24 @@ type Node struct {
 	rd Reader
 }
 
-// encodeNode appends n's record bytes to buf in the given layout and
-// encoding, returning the extended slice. For LayoutInline, n.Label must
-// be filled.
-func encodeNode(buf []byte, n *Node, layout Layout, enc Encoding) []byte {
+// encodeNode appends n's record bytes to buf in the given encoding,
+// returning the extended slice.
+func encodeNode(buf []byte, n *Node, enc Encoding) []byte {
 	if enc == EncodingV2 {
-		return encodeNodeCompact(buf, n, layout)
+		return encodeNodeCompact(buf, n)
 	}
-	return encodeNodeV1(buf, n, layout)
+	return encodeNodeV1(buf, n)
 }
 
 // encodeNodeV1 is the fixed-width little-endian record encoder.
-func encodeNodeV1(buf []byte, n *Node, layout Layout) []byte {
-	if layout == LayoutInline {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(n.Label)))
-		buf = append(buf, l[:]...)
-		for _, s := range n.Label {
-			var sb [4]byte
-			binary.LittleEndian.PutUint32(sb[:], uint32(s))
-			buf = append(buf, sb[:]...)
-		}
-	} else {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(n.LabelSeq))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(n.LabelStart))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(n.LabelLen))
-		buf = append(buf, hdr[:]...)
-	}
+func encodeNodeV1(buf []byte, n *Node) []byte {
+	var hdr [12]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(n.LabelSeq))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.LabelStart))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(n.LabelLen))
+	buf = append(buf, hdr[:]...)
 	if n.Leaf {
 		buf = append(buf, flagLeaf)
-		if layout == LayoutInline {
-			var sb [4]byte
-			binary.LittleEndian.PutUint32(sb[:], uint32(n.LabelSeq))
-			buf = append(buf, sb[:]...)
-		}
 		var body [leafBodySize]byte
 		binary.LittleEndian.PutUint32(body[0:], uint32(n.Pos))
 		binary.LittleEndian.PutUint32(body[4:], uint32(n.RunLen))
@@ -210,22 +170,12 @@ func encodeNodeV1(buf []byte, n *Node, layout Layout) []byte {
 // with wrapping uint64 arithmetic, so the encode∘decode round trip is the
 // identity for any Node, not just well-formed trees (FuzzNodeCodecV2 pins
 // this).
-func encodeNodeCompact(buf []byte, n *Node, layout Layout) []byte {
-	if layout == LayoutInline {
-		buf = binary.AppendUvarint(buf, uint64(len(n.Label)))
-		for _, s := range n.Label {
-			buf = binary.AppendVarint(buf, int64(s))
-		}
-	} else {
-		buf = binary.AppendVarint(buf, int64(n.LabelSeq))
-		buf = binary.AppendVarint(buf, int64(n.LabelStart))
-		buf = binary.AppendVarint(buf, int64(n.LabelLen))
-	}
+func encodeNodeCompact(buf []byte, n *Node) []byte {
+	buf = binary.AppendVarint(buf, int64(n.LabelSeq))
+	buf = binary.AppendVarint(buf, int64(n.LabelStart))
+	buf = binary.AppendVarint(buf, int64(n.LabelLen))
 	if n.Leaf {
 		buf = append(buf, flagLeaf)
-		if layout == LayoutInline {
-			buf = binary.AppendVarint(buf, int64(n.LabelSeq))
-		}
 		buf = binary.AppendVarint(buf, int64(n.Pos))
 		return binary.AppendVarint(buf, int64(n.RunLen))
 	}
@@ -257,8 +207,6 @@ type meta struct {
 	// minSuffixLen is the conclusion-section length filter the tree was
 	// built with (0 = all suffixes stored).
 	minSuffixLen uint32
-	// layout selects the node record format.
-	layout Layout
 	// enc is the record encoding version. v1 files carry the original
 	// 46-byte meta blob with no encoding byte (so pre-v2 readers and the
 	// frozen v1 format goldens are untouched); v2 files append one byte.
@@ -268,6 +216,11 @@ type meta struct {
 // metaBaseSize is the original (v1) meta blob size; v2 blobs are one byte
 // longer, carrying the encoding version at the end.
 const metaBaseSize = len(metaMagic) + 8 + 8 + 8 + 8 + 1 + 4 + 1
+
+// metaLayoutByte is where the meta blob names the label layout: left at
+// LayoutReference (0) in every file this build writes, 1 in a file written
+// with the retired inline layout.
+const metaLayoutByte = 45
 
 func encodeMeta(m meta) []byte {
 	size := metaBaseSize
@@ -284,7 +237,6 @@ func encodeMeta(m meta) []byte {
 		buf[40] = 1
 	}
 	binary.LittleEndian.PutUint32(buf[41:], m.minSuffixLen)
-	buf[45] = byte(m.layout)
 	if m.enc > EncodingV1 {
 		buf[metaBaseSize] = byte(m.enc)
 	}
@@ -302,8 +254,8 @@ func decodeMeta(buf []byte) (meta, error) {
 			return meta{}, fmt.Errorf("disktree: tree file has record encoding version %d: %w; rebuild the index", buf[metaBaseSize], ErrUnsupportedEncoding)
 		}
 	}
-	if buf[45] > 1 {
-		return meta{}, fmt.Errorf("disktree: unknown layout %d", buf[45])
+	if buf[metaLayoutByte] != byte(LayoutReference) {
+		return meta{}, fmt.Errorf("disktree: tree file has label layout %d: %w: retired inline label layout; rebuild the index", buf[metaLayoutByte], ErrUnsupportedEncoding)
 	}
 	return meta{
 		root:         Ptr(binary.LittleEndian.Uint64(buf[8:])),
@@ -312,7 +264,6 @@ func decodeMeta(buf []byte) (meta, error) {
 		labelSyms:    binary.LittleEndian.Uint64(buf[32:]),
 		sparse:       buf[40] == 1,
 		minSuffixLen: binary.LittleEndian.Uint32(buf[41:]),
-		layout:       Layout(buf[45]),
 		enc:          enc,
 	}, nil
 }

@@ -10,19 +10,17 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-// Frozen digests of a deterministic tree serialized in each layout. A
+// Frozen digests of a deterministic tree serialized in each encoding. A
 // change here means the on-disk format changed: bump these constants ONLY
 // together with a deliberate, documented format revision — otherwise the
 // change is an accidental compatibility break (existing index files would
 // stop opening correctly).
 const (
-	refLayoutSHA256    = "fe928d2de7170aa18ea65bd9fa71dfca7d9bce00bf021e6e2ca4b19e1c99340d"
-	inlineLayoutSHA256 = "111a1d3f22536ab5e68cbc9daee5556191cfa8c5ec03b7a720ab2e43e1d1d7cc"
+	refLayoutSHA256 = "fe928d2de7170aa18ea65bd9fa71dfca7d9bce00bf021e6e2ca4b19e1c99340d"
 	// Encoding v2 (compact varint records; meta blob grows the encoding
-	// byte). Frozen separately — the v1 digests above must never move when
+	// byte). Frozen separately — the v1 digest above must never move when
 	// v2 changes, and vice versa.
-	refLayoutV2SHA256    = "024bbcd25960fd2fe96a5f72fb0bf6f39982c48709b4ac3a077231274993219f"
-	inlineLayoutV2SHA256 = "59cde46f546d5a64dcea956f9a1acab76387679f36906d1240d6db0f36a00de8"
+	refLayoutV2SHA256 = "024bbcd25960fd2fe96a5f72fb0bf6f39982c48709b4ac3a077231274993219f"
 )
 
 func formatFixtureStore() *suffixtree.TextStore {
@@ -37,17 +35,14 @@ func TestFormatStability(t *testing.T) {
 	ts := formatFixtureStore()
 	tree := suffixtree.BuildNaive(ts, []int{0, 1, 2}, false)
 	for _, tc := range []struct {
-		layout Layout
-		enc    Encoding
-		want   string
+		enc  Encoding
+		want string
 	}{
-		{LayoutReference, EncodingV1, refLayoutSHA256},
-		{LayoutInline, EncodingV1, inlineLayoutSHA256},
-		{LayoutReference, EncodingV2, refLayoutV2SHA256},
-		{LayoutInline, EncodingV2, inlineLayoutV2SHA256},
+		{EncodingV1, refLayoutSHA256},
+		{EncodingV2, refLayoutV2SHA256},
 	} {
 		path := filepath.Join(t.TempDir(), "fixture.twt")
-		f, err := CreateEncoded(path, tree, 16, tc.layout, tc.enc)
+		f, err := CreateEncoded(path, tree, 16, LayoutReference, tc.enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +57,10 @@ func TestFormatStability(t *testing.T) {
 			continue
 		}
 		if tc.want == "" {
-			t.Logf("%s layout %s digest: %s", tc.layout, tc.enc, got)
+			t.Logf("%s digest: %s", tc.enc, got)
 			t.Fatal("fill in the frozen digest above")
 		}
-		t.Errorf("%s layout %s serialized differently: %s (frozen: %s) — intentional format change?",
-			tc.layout, tc.enc, got, tc.want)
+		t.Errorf("%s serialized differently: %s (frozen: %s) — intentional format change?",
+			tc.enc, got, tc.want)
 	}
 }

@@ -66,8 +66,8 @@ func (r *Reader) view(id storage.PageID) error {
 	return nil
 }
 
-// ReadNodeInto decodes the node at p into n, reusing n's Children and
-// Label storage: with warm scratch nodes a read allocates nothing.
+// ReadNodeInto decodes the node at p into n, reusing n's Children
+// storage: with warm scratch nodes a read allocates nothing.
 // Nothing in n references the page.
 //
 //twlint:steady-state
@@ -114,11 +114,11 @@ func (r *Reader) readSpilled(head []byte, p Ptr, n *Node) error {
 //
 //twlint:steady-state
 func (f *File) decode(b []byte, n *Node, p Ptr) error {
-	n.Children, n.Label = n.Children[:0], n.Label[:0]
+	n.Children = n.Children[:0]
 	if f.meta.enc == EncodingV1 {
-		return decodeV1(b, n, f.meta.layout, p)
+		return decodeV1(b, n, p)
 	}
-	return decodeCompact(b, n, f.meta.layout, p)
+	return decodeCompact(b, n, p)
 }
 
 // resized returns s with n elements of undefined content, reallocating only
@@ -139,55 +139,28 @@ func implausible(what string, v uint64, p Ptr) error {
 	return fmt.Errorf("disktree: implausible %s %d at %d", what, v, p)
 }
 
-// maxCount bounds label lengths and child counts.
+// maxCount bounds child counts.
 const maxCount = 1 << 24
 
 // decodeV1 decodes a fixed-width v1 record.
 //
 //twlint:steady-state
-func decodeV1(b []byte, n *Node, layout Layout, p Ptr) error {
+func decodeV1(b []byte, n *Node, p Ptr) error {
 	le := binary.LittleEndian
-	if layout == LayoutInline {
-		if len(b) < 4 {
-			return errShort
-		}
-		labelLen := le.Uint32(b)
-		if labelLen > maxCount {
-			return implausible("label length", uint64(labelLen), p)
-		}
-		b = b[4:]
-		if len(b) < 4*int(labelLen) {
-			return errShort
-		}
-		n.Label = resized(n.Label, int(labelLen))
-		for i := range n.Label {
-			n.Label[i] = Symbol(int32(le.Uint32(b[4*i:])))
-		}
-		b = b[4*labelLen:]
-		n.LabelSeq, n.LabelStart, n.LabelLen = -1, -1, int32(labelLen)
-	} else {
-		if len(b) < 12 {
-			return errShort
-		}
-		n.LabelSeq, n.LabelStart, n.LabelLen = int32(le.Uint32(b)), int32(le.Uint32(b[4:])), int32(le.Uint32(b[8:]))
-		if n.LabelLen < 0 {
-			return implausible("label length", uint64(le.Uint32(b[8:])), p)
-		}
-		b = b[12:]
+	if len(b) < 12 {
+		return errShort
 	}
+	n.LabelSeq, n.LabelStart, n.LabelLen = int32(le.Uint32(b)), int32(le.Uint32(b[4:])), int32(le.Uint32(b[8:]))
+	if n.LabelLen < 0 {
+		return implausible("label length", uint64(le.Uint32(b[8:])), p)
+	}
+	b = b[12:]
 	if len(b) < 1 {
 		return errShort
 	}
 	n.Leaf = b[0]&flagLeaf != 0
 	b = b[1:]
 	if n.Leaf {
-		if layout == LayoutInline {
-			if len(b) < 4 {
-				return errShort
-			}
-			n.LabelSeq = int32(le.Uint32(b))
-			b = b[4:]
-		}
 		if len(b) < leafBodySize {
 			return errShort
 		}
@@ -266,36 +239,15 @@ func (v *varints) flags() byte {
 // encodeNodeCompact with the same wrapping arithmetic.
 //
 //twlint:steady-state
-func decodeCompact(b []byte, n *Node, layout Layout, p Ptr) error {
+func decodeCompact(b []byte, n *Node, p Ptr) error {
 	v := varints{b: b}
-	if layout == LayoutInline {
-		labelLen := v.uvarint()
-		if v.err != nil {
-			return v.err
-		}
-		if labelLen > maxCount {
-			return implausible("label length", labelLen, p)
-		}
-		if labelLen > uint64(len(b)-v.off) { // a symbol takes a byte or more
-			return errShort
-		}
-		n.Label = resized(n.Label, int(labelLen))
-		for i := range n.Label {
-			n.Label[i] = Symbol(int32(v.varint()))
-		}
-		n.LabelSeq, n.LabelStart, n.LabelLen = -1, -1, int32(labelLen)
-	} else {
-		n.LabelSeq, n.LabelStart = int32(v.varint()), int32(v.varint())
-		n.LabelLen = int32(v.varint())
-		if n.LabelLen < 0 {
-			return implausible("label length", uint64(uint32(n.LabelLen)), p)
-		}
+	n.LabelSeq, n.LabelStart = int32(v.varint()), int32(v.varint())
+	n.LabelLen = int32(v.varint())
+	if n.LabelLen < 0 {
+		return implausible("label length", uint64(uint32(n.LabelLen)), p)
 	}
 	n.Leaf = v.flags()&flagLeaf != 0
 	if n.Leaf {
-		if layout == LayoutInline {
-			n.LabelSeq = int32(v.varint())
-		}
 		n.Pos, n.RunLen = int32(v.varint()), int32(v.varint())
 		return v.err
 	}

@@ -14,7 +14,7 @@ import (
 // wideStore deals one shuffle of a large alphabet into short sequences, so
 // the root's child table — one entry per symbol and per terminator — is
 // wider than a page in every encoding (v1: 12 bytes an entry, v2: two or
-// more) while labels stay short enough for a small inline-layout file.
+// more).
 func wideStore(rng *rand.Rand) *suffixtree.TextStore {
 	const alphabet, seqLen = 2500, 50
 	ts := suffixtree.NewTextStore()
@@ -57,55 +57,53 @@ func TestReaderEqualsReadNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	ts := wideStore(rng)
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
-		for _, layout := range []Layout{LayoutReference, LayoutInline} {
-			path := filepath.Join(t.TempDir(), "wide.twt")
-			built, err := Build(ts, allSeqs(ts), path, BuildOptions{Layout: layout, Encoding: enc})
+		path := filepath.Join(t.TempDir(), "wide.twt")
+		built, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs, want := allNodes(t, built)
+		built.Close()
+		if kids := len(want[0].Children); kids < 400 {
+			t.Fatalf("%s: root has %d children, want a root wider than a page", enc, kids)
+		}
+		orders := map[string][]int{"dfs": make([]int, len(ptrs)), "reverse": make([]int, len(ptrs)), "random": rng.Perm(len(ptrs))}
+		for i := range ptrs {
+			orders["dfs"][i], orders["reverse"][i] = i, len(ptrs)-1-i
+		}
+		type source struct {
+			backend storage.Backend
+			pool    int
+		}
+		for _, src := range []source{{storage.BackendPool, 1}, {storage.BackendPool, 4}, {storage.BackendPool, 256}, {storage.BackendMmap, 1}} {
+			f, err := OpenBackend(path, src.pool, true, src.backend)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ptrs, want := allNodes(t, built)
-			built.Close()
-			if kids := len(want[0].Children); kids < 400 {
-				t.Fatalf("%s/%s: root has %d children, want a root wider than a page", enc, layout, kids)
-			}
-			orders := map[string][]int{"dfs": make([]int, len(ptrs)), "reverse": make([]int, len(ptrs)), "random": rng.Perm(len(ptrs))}
-			for i := range ptrs {
-				orders["dfs"][i], orders["reverse"][i] = i, len(ptrs)-1-i
-			}
-			type source struct {
-				backend storage.Backend
-				pool    int
-			}
-			for _, src := range []source{{storage.BackendPool, 1}, {storage.BackendPool, 4}, {storage.BackendPool, 256}, {storage.BackendMmap, 1}} {
-				f, err := OpenBackend(path, src.pool, true, src.backend)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var rd Reader
-				rd.Reset(f)
-				var got Node // one scratch node: stale slices must never show
-				for name, order := range orders {
-					for k, i := range order {
-						if err := rd.ReadNodeInto(ptrs[i], &got); err != nil {
-							t.Fatalf("%s/%s %s pool %d, %s order: node at %d: %v", enc, layout, src.backend, src.pool, name, ptrs[i], err)
-						}
-						if !got.Leaf {
-							got.Pos, got.RunLen = 0, 0 // leaf-only fields: a decode leaves them alone
-						}
-						if !nodesEqual(&want[i], &got) {
-							t.Fatalf("%s/%s %s pool %d, %s order: node at %d differs:\n reader: %+v\nReadNode: %+v", enc, layout, src.backend, src.pool, name, ptrs[i], got, want[i])
-						}
-						if k%101 == 0 && f.PinnedPages() > 1 { // the count walks the whole pool
-							t.Fatalf("reader holds %d pages", f.PinnedPages())
-						}
+			var rd Reader
+			rd.Reset(f)
+			var got Node // one scratch node: stale slices must never show
+			for name, order := range orders {
+				for k, i := range order {
+					if err := rd.ReadNodeInto(ptrs[i], &got); err != nil {
+						t.Fatalf("%s %s pool %d, %s order: node at %d: %v", enc, src.backend, src.pool, name, ptrs[i], err)
+					}
+					if !got.Leaf {
+						got.Pos, got.RunLen = 0, 0 // leaf-only fields: a decode leaves them alone
+					}
+					if !nodesEqual(&want[i], &got) {
+						t.Fatalf("%s %s pool %d, %s order: node at %d differs:\n reader: %+v\nReadNode: %+v", enc, src.backend, src.pool, name, ptrs[i], got, want[i])
+					}
+					if k%101 == 0 && f.PinnedPages() > 1 { // the count walks the whole pool
+						t.Fatalf("reader holds %d pages", f.PinnedPages())
 					}
 				}
-				rd.Close()
-				if f.PinnedPages() != 0 {
-					t.Fatalf("%d pages pinned after Close", f.PinnedPages())
-				}
-				f.Close()
 			}
+			rd.Close()
+			if f.PinnedPages() != 0 {
+				t.Fatalf("%d pages pinned after Close", f.PinnedPages())
+			}
+			f.Close()
 		}
 	}
 }
@@ -117,10 +115,10 @@ func TestReaderStraddle(t *testing.T) {
 	leaf := Node{LabelSeq: 1, LabelStart: 2, LabelLen: 300, Leaf: true, Pos: 129, RunLen: 4}
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		for _, want := range []*Node{&in, &leaf} {
-			rec := encodeNode(nil, want, LayoutReference, enc)
+			rec := encodeNode(nil, want, enc)
 			for before := 1; before <= 12 && before < len(rec); before++ {
 				raw := append(make([]byte, storage.PageSize-before), rec...)
-				f := writeRecordFile(t, raw, LayoutReference, enc)
+				f := writeRecordFile(t, raw, enc)
 				var got Node
 				if err := f.ReadNodeInto(Ptr(2*storage.PageSize-before), &got); err != nil {
 					t.Fatalf("%s, %d bytes before the boundary: %v", enc, before, err)

@@ -41,16 +41,12 @@ func (f *File) Validate(store *suffixtree.TextStore) (ValidateStats, error) {
 		if p == f.meta.root && n.LabelLen != 0 {
 			return fmt.Errorf("disktree: root at %d has a label of %d symbols", p, n.LabelLen)
 		}
-		if f.meta.layout == LayoutInline {
-			path = append(path, n.Label...)
-		} else {
-			for i := 0; i < int(n.LabelLen); i++ {
-				sym, err := symAt(store, int(n.LabelSeq), int(n.LabelStart)+i)
-				if err != nil {
-					return fmt.Errorf("disktree: node at %d: %w", p, err)
-				}
-				path = append(path, sym)
+		for i := 0; i < int(n.LabelLen); i++ {
+			sym, err := symAt(store, int(n.LabelSeq), int(n.LabelStart)+i)
+			if err != nil {
+				return fmt.Errorf("disktree: node at %d: %w", p, err)
 			}
+			path = append(path, sym)
 		}
 		if n.Leaf {
 			st.Leaves++
@@ -95,14 +91,9 @@ func (f *File) Validate(store *suffixtree.TextStore) (ValidateStats, error) {
 			if child.LabelLen <= 0 {
 				return fmt.Errorf("disktree: empty edge label at %d", c.Ptr)
 			}
-			var got Symbol
-			if f.meta.layout == LayoutInline {
-				got = child.Label[0]
-			} else {
-				got, err = symAt(store, int(child.LabelSeq), int(child.LabelStart))
-				if err != nil {
-					return fmt.Errorf("disktree: child at %d: %w", c.Ptr, err)
-				}
+			got, err := symAt(store, int(child.LabelSeq), int(child.LabelStart))
+			if err != nil {
+				return fmt.Errorf("disktree: child at %d: %w", c.Ptr, err)
 			}
 			if got != c.Sym {
 				return fmt.Errorf("disktree: child table at %d says %d, child label starts with %d", p, c.Sym, got)

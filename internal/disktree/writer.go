@@ -81,7 +81,7 @@ type treeWriter struct {
 }
 
 // newTreeWriter starts a tree of mt's shape (sparseness, length filter,
-// layout, encoding) on the freshly created pf.
+// encoding) on the freshly created pf.
 func newTreeWriter(pf *storage.File, mt meta) *treeWriter {
 	if mt.enc == 0 {
 		mt.enc = EncodingV1
@@ -109,7 +109,7 @@ func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
 		w.meta.leaves++
 	}
 	ptr := w.app.offset()
-	w.scratch = encodeNode(w.scratch[:0], n, w.meta.layout, w.meta.enc)
+	w.scratch = encodeNode(w.scratch[:0], n, w.meta.enc)
 	return ptr, w.app.write(w.scratch)
 }
 

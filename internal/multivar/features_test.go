@@ -2,7 +2,10 @@ package multivar
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -57,6 +60,33 @@ func TestDatasetFileRoundTrip(t *testing.T) {
 func TestDatasetBadMagic(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("XXXXXXXXgarbage"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A stream whose point count promises more than it holds — here every count
+// up to the largest the field can carry — is a short read, not an allocation
+// of whatever the count says; a zero dimension, whose points would never run
+// the stream dry, is refused outright.
+func TestDatasetDeclaredLengthBeyondStream(t *testing.T) {
+	d := NewDataset(2)
+	if _, err := d.Add(Sequence{ID: "seed", Points: [][]float64{{1, 2}, {2.5, -3}}}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const nAt = 8 + 2 + 4 + 2 + len("seed") // magic, dim, count, idLen, id
+	for _, n := range []uint32{3, 1 << 20, math.MaxUint32} {
+		binary.LittleEndian.PutUint32(raw[nAt:], n)
+		if _, err := ReadBinary(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d points declared, 2 present: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+	binary.LittleEndian.PutUint16(raw[8:], 0)
+	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		t.Error("points of dimension 0 accepted")
 	}
 }
 
@@ -369,38 +399,6 @@ func TestVectorAddRejectsNonFinite(t *testing.T) {
 	}
 	if _, err := d.Add(Sequence{ID: "inf", Points: [][]float64{{math.Inf(1), 0}}}); err == nil {
 		t.Error("Inf accepted")
-	}
-}
-
-func TestMultivarDup(t *testing.T) {
-	rng := rand.New(rand.NewSource(523))
-	data := randomVecDataset(rng, 4, 20, 2)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "dup.twt"), Options{CatsPerDim: 4, Sparse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.SearchOpts(bg, q, 8.5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup, err := ix.Dup(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dup.Close()
-	got, _, err := dup.SearchOpts(bg, q, 8.5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("dup %d, original %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match %d differs", i)
-		}
 	}
 }
 

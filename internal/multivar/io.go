@@ -87,13 +87,22 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		points := make([][]float64, n)
-		for j := range points {
+		if dim == 0 && n > 0 {
+			return nil, fmt.Errorf("multivar: seq %d: %d points of dimension 0", i, n)
+		}
+		// n is whatever the stream says, so the point list grows as points
+		// actually arrive: a corrupt length costs a short read, not n slice
+		// headers of allocation.
+		points := make([][]float64, 0, min(n, 1<<10))
+		for j := uint32(0); j < n; j++ {
 			p := make([]float64, dim)
 			if err := binary.Read(br, binary.LittleEndian, p); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
 				return nil, fmt.Errorf("multivar: seq %d point %d: %w", i, j, err)
 			}
-			points[j] = p
+			points = append(points, p)
 		}
 		if _, err := d.Add(Sequence{ID: string(idBuf), Points: points}); err != nil {
 			return nil, err

@@ -135,20 +135,6 @@ func newIndex(data *Dataset, grid *GridScheme, store *suffixtree.TextStore, tree
 	}
 }
 
-// Dup returns an independent handle on the same index file with its own
-// buffer pool. An Index already serves concurrent searches; Dup remains for
-// callers that want a private page cache. The duplicate shares the
-// immutable dataset, grid, texts and query-context pool.
-func (ix *Index) Dup(poolPages int) (*Index, error) {
-	engine, err := ix.Reopen(poolPages)
-	if err != nil {
-		return nil, err
-	}
-	dup := *ix
-	dup.Engine = engine
-	return &dup, nil
-}
-
 // run is the typed front of the engine: it rejects what only this layer
 // can see (an empty or mis-shaped query) and supplies the bind that points
 // a pooled vector kernel at q.
@@ -193,7 +179,7 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q [][]float64, k int, opts S
 	for i := 1; i < len(q); i++ {
 		step += Base(q[i], q[i-1])
 	}
-	return core.RunKNN(ctx, k, step/float64(len(q)), func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+	return core.RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
 		return ix.run(ctx, q, eps, nil, opts)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -89,8 +90,8 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d length: %w", i, err)
 		}
-		vals := make([]float64, n)
-		if err := binary.Read(br, binary.LittleEndian, vals); err != nil {
+		vals, err := readValues(br, n)
+		if err != nil {
 			return nil, fmt.Errorf("sequence: seq %d values: %w", i, err)
 		}
 		if _, err := d.Add(Sequence{ID: string(idBuf), Values: vals}); err != nil {
@@ -98,6 +99,33 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// readChunk is how many values ReadBinary makes room for before any have
+// arrived.
+const readChunk = 1 << 16
+
+// readValues reads the n little-endian float64s of one sequence. n is
+// whatever the stream says, so storage starts at readChunk values and
+// doubles only as values actually arrive: a corrupt length costs a short
+// read — io.ErrUnexpectedEOF — not n × 8 bytes of allocation.
+func readValues(r io.Reader, n uint32) ([]float64, error) {
+	vals := make([]float64, 0, min(n, readChunk))
+	for left := int64(n); left > 0; {
+		if len(vals) == cap(vals) {
+			vals = slices.Grow(vals, int(min(left, int64(len(vals)))))
+		}
+		have := len(vals)
+		vals = vals[:have+int(min(left, int64(cap(vals)-have)))]
+		if err := binary.Read(r, binary.LittleEndian, vals[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		left -= int64(len(vals) - have)
+	}
+	return vals, nil
 }
 
 // SaveFile writes the dataset to path in the binary format, creating or

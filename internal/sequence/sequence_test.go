@@ -2,6 +2,9 @@ package sequence
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -188,6 +191,16 @@ func TestBinaryTruncated(t *testing.T) {
 	for cut := 1; cut < len(full); cut += 3 {
 		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
+		}
+	}
+	// A length that promises more values than the stream holds — up to the
+	// largest the field can carry — is the same short read, not an
+	// allocation of whatever the length says.
+	const nAt = 8 + 4 + 2 + len("a") // magic, count, idLen, id
+	for _, n := range []uint32{4, readChunk + 1, math.MaxUint32} {
+		binary.LittleEndian.PutUint32(full[nAt:], n)
+		if _, err := ReadBinary(bytes.NewReader(full)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d values declared, 3 present: err = %v, want io.ErrUnexpectedEOF", n, err)
 		}
 	}
 }

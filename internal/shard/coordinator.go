@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -211,103 +210,23 @@ func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 	return out, stats, nil
 }
 
-// knnMaxEps mirrors the engine's expansion ceiling: past any plausible
-// distance, everything reachable has been found.
-const knnMaxEps = 1e18
-
-// initialKNNEps is the engine's starting threshold — one typical step of
-// the query — reproduced here so the per-shard expansion schedule matches
-// the unsharded one round for round.
-func initialKNNEps(q []float64) float64 {
-	eps := 0.0
-	for i := 1; i < len(q); i++ {
-		eps += math.Abs(q[i] - q[i-1])
-	}
-	return eps/float64(len(q)) + 1e-9
-}
-
 // SearchKNN returns the k globally nearest subsequences in (sequence,
-// start, end) order — byte-identical to the unsharded SearchKNN. Every
-// shard runs its own threshold-expansion rounds concurrently; completed
-// shards feed a bounded merge heap of the k best candidates so far, and the
-// heap's current kth-best distance caps the remaining shards' expansion: a
-// shard may stop as soon as its threshold covers that bound, because any
-// match it has not yet found is strictly farther than the bound and can
-// never enter the global top k.
+// start, end) order — byte-identical to the unsharded SearchKNN, because it
+// is the engine's own expansion loop over the coordinator's range search:
+// the union of the shards' complete answers at a threshold is the complete
+// global answer there, so a scatter-gather round is a round of the unsharded
+// loop. A failed shard fails the call with its round's *PartialError.
 func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int, opts Options) ([]Match, Stats, error) {
-	if k <= 0 {
-		return nil, Stats{}, errors.New("shard: k must be positive")
-	}
 	if len(q) == 0 {
 		return nil, Stats{}, errors.New("shard: empty query")
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	n := len(c.backends)
-	h := newKNNHeap(k)
-	errs := make([]error, n)
-	stats := make([]Stats, n)
-	started := time.Now()
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			eps := initialKNNEps(q)
-			for {
-				ms, st, err := c.backends[i].Search(ctx, index, q, eps, opts)
-				stats[i].Add(st)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				// The shard is exhausted for k-NN purposes when it holds k
-				// local answers (its kth best already bounds everything it
-				// has not found), when the shared bound says no unfound
-				// match can enter the global top k, or when the threshold
-				// has passed any plausible distance.
-				if len(ms) >= k || eps > knnMaxEps {
-					rebase(ms, c.bases[i])
-					h.merge(ms)
-					return
-				}
-				if bound, full := h.bound(); full && eps >= bound {
-					rebase(ms, c.bases[i])
-					h.merge(ms)
-					return
-				}
-				eps *= 4
-			}
-		}(i)
+	step := 0.0
+	for i := 1; i < len(q); i++ {
+		step += math.Abs(q[i] - q[i-1])
 	}
-	wg.Wait()
-
-	var merged Stats
-	for i := range stats {
-		merged.Add(stats[i])
-	}
-	merged.Elapsed = time.Since(started)
-	var answered, failed []int
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			failed = append(failed, i)
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-		} else {
-			answered = append(answered, i)
-		}
-	}
-	if firstErr != nil {
-		return nil, merged, &PartialError{Answered: answered, Failed: failed, Cause: firstErr}
-	}
-	out := h.take()
-	sort.Slice(out, func(i, j int) bool { return PositionLess(out[i], out[j]) })
-	merged.Answers = uint64(len(out))
-	return out, merged, nil
+	return core.RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+		return c.Search(ctx, index, q, eps, opts)
+	})
 }
 
 // PositionLess orders matches by (sequence, start, end) — the engine's
@@ -321,102 +240,4 @@ func PositionLess(a, b Match) bool {
 		return a.Start < b.Start
 	}
 	return a.End < b.End
-}
-
-// knnWorse orders candidates by (distance, sequence, start, end): exactly
-// the order a stable by-distance sort of the position-sorted unsharded
-// answer set produces, so the heap's k survivors are byte-identical to the
-// unsharded selection, ties and all.
-func knnWorse(a, b Match) bool {
-	if a.Distance > b.Distance {
-		return true
-	}
-	if a.Distance < b.Distance {
-		return false
-	}
-	return PositionLess(b, a)
-}
-
-// knnHeap is the bounded merge heap of the k best candidates seen so far,
-// shared by the shard workers under its own mutex. The root is the worst
-// retained candidate, so a full heap admits a new candidate only by
-// evicting the root, and the root's distance is the tightening bound.
-type knnHeap struct {
-	mu sync.Mutex
-	k  int
-	ms []Match
-}
-
-// newKNNHeap starts from an empty, non-nil slice: what take returns when no
-// shard found anything must equal the unsharded search's empty answer set.
-func newKNNHeap(k int) *knnHeap { return &knnHeap{k: k, ms: []Match{}} }
-
-// bound returns the current kth-best distance and whether the heap is full;
-// the bound is only meaningful when full is true.
-func (h *knnHeap) bound() (float64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.ms) < h.k {
-		return 0, false
-	}
-	return h.ms[0].Distance, true
-}
-
-// merge offers a shard's complete local answer set to the heap.
-func (h *knnHeap) merge(ms []Match) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, m := range ms {
-		h.add(m)
-	}
-}
-
-// add inserts one candidate, evicting the worst when full. Caller holds mu.
-func (h *knnHeap) add(m Match) {
-	if len(h.ms) < h.k {
-		h.ms = append(h.ms, m)
-		h.up(len(h.ms) - 1)
-		return
-	}
-	if !knnWorse(m, h.ms[0]) {
-		h.ms[0] = m
-		h.down(0)
-	}
-}
-
-// take drains the heap; the heap is unusable afterwards.
-func (h *knnHeap) take() []Match {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ms := h.ms
-	h.ms = nil
-	return ms
-}
-
-func (h *knnHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !knnWorse(h.ms[i], h.ms[parent]) {
-			return
-		}
-		h.ms[i], h.ms[parent] = h.ms[parent], h.ms[i]
-		i = parent
-	}
-}
-
-func (h *knnHeap) down(i int) {
-	for i < len(h.ms) {
-		worst := i
-		if l := 2*i + 1; l < len(h.ms) && knnWorse(h.ms[l], h.ms[worst]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < len(h.ms) && knnWorse(h.ms[r], h.ms[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.ms[i], h.ms[worst] = h.ms[worst], h.ms[i]
-		i = worst
-	}
 }

@@ -11,7 +11,10 @@
 // sequences and a subsequence lives in exactly one shard, the union of the
 // per-shard answer sets is exactly the unsharded answer set — the paper's
 // no-false-dismissal contract survives sharding untouched (Niennattrakul et
-// al. use the same argument for partitioned DTW indexes).
+// al. use the same argument for partitioned DTW indexes). The same fact
+// makes k-NN the engine's own threshold-expansion loop (core.RunKNN) run
+// over the scatter-gather range search: one round over the shards is one
+// round of the unsharded loop.
 //
 // The partitioner is deterministic and contiguous: shard i holds a
 // consecutive block of the global sequence numbering. That choice makes the

@@ -178,33 +178,58 @@ func TestOpenWithRestoresEncoding(t *testing.T) {
 func TestOpenRefusesRetiredEncoding(t *testing.T) {
 	dir := buildBackendDB(t)
 	treePath := filepath.Join(dir, "idx-ix-v2.twt")
-	pf, err := storage.OpenFile(treePath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := pf.Meta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-1] = 3 // the version byte ends a v2 meta blob
-	if err := pf.SetMeta(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, backend := range []Backend{BackendPool, BackendMmap} {
-		db, err := OpenWith(dir, OpenOptions{Backend: backend})
-		if !errors.Is(err, disktree.ErrUnsupportedEncoding) {
-			if db != nil {
-				db.Close()
+	// Each patch is one hand-edited byte of the tree file's meta blob (a
+	// negative offset counts from its end): the retired version 3 in the
+	// encoding byte that ends a v2 blob, and the retired inline label layout
+	// in byte 45.
+	for _, patch := range []struct {
+		what string
+		off  int
+		b    byte
+	}{
+		{"encoding 3", -1, 3},
+		{"inline layout", 45, 1},
+	} {
+		pf, err := storage.OpenFile(treePath, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := pf.Meta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := (len(blob) + patch.off) % len(blob)
+		orig := blob[at]
+		blob[at] = patch.b
+		if err := pf.SetMeta(blob); err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []Backend{BackendPool, BackendMmap} {
+			db, err := OpenWith(dir, OpenOptions{Backend: backend})
+			if !errors.Is(err, disktree.ErrUnsupportedEncoding) {
+				if db != nil {
+					db.Close()
+				}
+				t.Fatalf("%s, %s: OpenWith: %v, want ErrUnsupportedEncoding", patch.what, backend, err)
 			}
-			t.Fatalf("%s: OpenWith: %v, want ErrUnsupportedEncoding", backend, err)
+			if msg := err.Error(); !strings.Contains(msg, `"ix-v2"`) || !strings.Contains(msg, "rebuild the index") {
+				t.Errorf("%s, %s: error %q names neither the index nor the remedy", patch.what, backend, msg)
+			}
 		}
-		if msg := err.Error(); !strings.Contains(msg, `"ix-v2"`) || !strings.Contains(msg, "rebuild the index") {
-			t.Errorf("%s: error %q names neither the index nor the remedy", backend, msg)
+		blob[at] = orig
+		if err := pf.SetMeta(blob); err != nil {
+			t.Fatal(err)
 		}
+		if err := pf.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With the byte put back the database opens again: a refusal held
+	// nothing open and damaged nothing.
+	if db, err := Open(dir); err != nil {
+		t.Fatalf("Open after the meta page was restored: %v", err)
+	} else if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	for _, ext := range []string{".twt", ".cat", ".meta"} {

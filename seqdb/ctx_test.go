@@ -143,50 +143,3 @@ func TestImportCSVErrorPaths(t *testing.T) {
 		t.Fatalf("clean import after failures: n=%d err=%v", n, err)
 	}
 }
-
-func TestSearchParallelEdgeCases(t *testing.T) {
-	db := newTestDB(t, 8, 50, 14)
-	if err := db.BuildIndex("fast", IndexSpec{Method: MethodMaxEntropy, Categories: 8, Sparse: true}); err != nil {
-		t.Fatal(err)
-	}
-	queries := [][]float64{
-		db.Values("seq-0")[0:12],
-		db.Values("seq-3")[10:25],
-		db.Values("seq-5")[5:18],
-	}
-	want := make([][]Match, len(queries))
-	for i, q := range queries {
-		ms, _, err := search(db, "fast", q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ms
-	}
-
-	// workers <= 0 means "pick a sensible default", not "do nothing".
-	for _, workers := range []int{0, -1, 1, 2} {
-		got, err := db.SearchParallel(context.Background(), "fast", queries, 5, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: parallel results differ from serial", workers)
-		}
-	}
-
-	// An empty batch is a no-op.
-	if got, err := db.SearchParallel(context.Background(), "fast", nil, 5, 4); err != nil || got != nil {
-		t.Fatalf("empty batch: %v, %v", got, err)
-	}
-
-	// A bad query mid-batch fails the whole call rather than returning a
-	// silently incomplete result set.
-	bad := [][]float64{queries[0], {}, queries[2]}
-	if _, err := db.SearchParallel(context.Background(), "fast", bad, 5, 2); err == nil {
-		t.Fatal("empty query mid-batch accepted")
-	}
-
-	if _, err := db.SearchParallel(context.Background(), "nope", queries, 5, 2); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("unknown index err = %v, want ErrNoIndex", err)
-	}
-}

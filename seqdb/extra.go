@@ -1,74 +1,14 @@
 package seqdb
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
 	"twsearch/internal/dtw"
 	"twsearch/internal/sequence"
 )
-
-// SearchParallel runs one range search per query concurrently. The workers
-// share the index's one warmed handle — searches are natively concurrent
-// (pooled query contexts over a lock-striped buffer pool), so no per-worker
-// duplicate is opened and every worker benefits from the shared page cache.
-// Results are returned in query order. workers <= 0 means one worker per
-// query, capped at 8. Every worker searches under ctx, so one cancellation
-// aborts the whole batch.
-func (db *DB) SearchParallel(ctx context.Context, indexName string, queries [][]float64, eps float64, workers int) ([][]Match, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oi, ok := db.indexes[indexName]
-	if !ok {
-		return nil, errNoIndex(indexName)
-	}
-	if workers <= 0 {
-		workers = len(queries)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers == 0 {
-		return nil, nil
-	}
-
-	results := make([][]Match, len(queries))
-	errs := make([]error, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := range jobs {
-				ms, _, err := oi.ix.SearchOpts(ctx, queries[j], eps, core.SearchOptions{})
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				results[j] = db.publicMatches(ms)
-			}
-		}(w)
-	}
-	for j := range queries {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
 
 // AlignmentStep records that query element QueryIndex was matched to the
 // sequence element at absolute position SeqIndex by the optimal warping

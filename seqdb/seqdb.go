@@ -32,8 +32,7 @@
 // SearchVisitWith calls run concurrently on one index handle — the index is
 // immutable at query time, per-query state is pooled, and the tree's
 // buffer pool is lock-striped — so one mounted database uses all the cores
-// the callers bring. SearchParallel fans a query batch out over that same
-// shared handle.
+// the callers bring.
 package seqdb
 
 import (

@@ -343,40 +343,6 @@ func TestSearchKNNPublic(t *testing.T) {
 	}
 }
 
-func TestSearchParallel(t *testing.T) {
-	db := newTestDB(t, 6, 50, 10)
-	if err := db.BuildIndex("p", IndexSpec{Method: MethodMaxEntropy, Categories: 10, Sparse: true}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	queries := make([][]float64, 10)
-	for i := range queries {
-		queries[i] = testValues(rng, 8)
-	}
-	got, err := db.SearchParallel(context.Background(), "p", queries, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(queries) {
-		t.Fatalf("results = %d", len(got))
-	}
-	for i, q := range queries {
-		want, _, err := search(db, "p", q, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("query %d: parallel result differs (%d vs %d matches)", i, len(got[i]), len(want))
-		}
-	}
-	if _, err := db.SearchParallel(context.Background(), "nope", queries, 12, 2); err == nil {
-		t.Error("unknown index accepted")
-	}
-	if res, err := db.SearchParallel(context.Background(), "p", nil, 12, 2); err != nil || len(res) != 0 {
-		t.Errorf("empty query list: res=%v err=%v", res, err)
-	}
-}
-
 func TestMinAnswerLenPublic(t *testing.T) {
 	db := newTestDB(t, 4, 30, 12)
 	if err := db.BuildIndex("short", IndexSpec{Method: MethodMaxEntropy, Categories: 6, MinAnswerLen: 8}); err != nil {

@@ -360,9 +360,8 @@ func (s *ShardedDB) SearchVisitWith(ctx context.Context, indexName string, q []f
 }
 
 // SearchKNNWith returns the k globally nearest subsequences, byte-identical
-// to the unsharded SearchKNNWith: every shard expands its threshold
-// concurrently while a bounded merge heap of the k best candidates so far
-// tightens the stopping bound across shards.
+// to the unsharded SearchKNNWith: the same threshold-expansion loop, each
+// round one scatter-gather range search over every shard.
 func (s *ShardedDB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
 	return s.coord.SearchKNN(ctx, indexName, q, k, shardOpts(opts))
 }

@@ -80,16 +80,21 @@ func TestShardedByteIdentical(t *testing.T) {
 			}
 
 			for _, k := range []int{1, 3, 7} {
-				wantK, _, err := searchKNN(db, "s", q, k)
+				wantK, wantStats, err := searchKNN(db, "s", q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotK, _, err := searchKNN(sdb, "s", q, k)
+				gotK, gotStats, err := searchKNN(sdb, "s", q, k)
 				if err != nil {
 					t.Fatalf("%s k=%d: %v", name, k, err)
 				}
 				if !reflect.DeepEqual(gotK, wantK) {
 					t.Errorf("%s: SearchKNN(k=%d) diverged\n got %v\nwant %v", name, k, gotK, wantK)
+				}
+				// One loop runs both: over a single shard the coordinator
+				// makes the same expansion rounds, so visits the same nodes.
+				if shards == 1 && gotStats.NodesVisited != wantStats.NodesVisited {
+					t.Errorf("%s: SearchKNN(k=%d) visited %d nodes over one shard, %d unsharded", name, k, gotStats.NodesVisited, wantStats.NodesVisited)
 				}
 			}
 

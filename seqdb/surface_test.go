@@ -18,7 +18,7 @@ func TestSearchSurface(t *testing.T) {
 		handle any
 		want   []string
 	}{
-		{(*seqdb.DB)(nil), []string{"SearchKNNWith", "SearchParallel", "SearchVisitWith", "SearchWith", "SeqScanCtx"}},
+		{(*seqdb.DB)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScanCtx"}},
 		{(*seqdb.ShardedDB)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScanCtx"}},
 		{(*client.Client)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScan"}},
 	} {

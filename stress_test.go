@@ -10,13 +10,12 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
-	"twsearch/internal/disktree"
 	"twsearch/internal/sequence"
 )
 
 // TestStressFeatureMatrix sweeps the full cross product of index features —
-// categorization method × sparsity × disk layout × warping window × answer
-// length floor — against the correspondingly-constrained sequential scan.
+// categorization method × sparsity × warping window × answer length floor
+// — against the correspondingly-constrained sequential scan.
 // It is the widest single statement of the no-false-dismissal guarantee in
 // the repository.
 func TestStressFeatureMatrix(t *testing.T) {
@@ -52,52 +51,49 @@ func TestStressFeatureMatrix(t *testing.T) {
 	idx := 0
 	for _, kind := range []categorize.Kind{categorize.KindIdentity, categorize.KindEqualLength, categorize.KindMaxEntropy} {
 		for _, sparse := range []bool{false, true} {
-			for _, layout := range []disktree.Layout{disktree.LayoutReference, disktree.LayoutInline} {
-				for _, window := range []int{-1, 4} {
-					for _, minLen := range []int{0, 4} {
-						idx++
-						name := fmt.Sprintf("%s/sparse=%v/%s/w=%d/min=%d", kind, sparse, layout, window, minLen)
-						opts := core.Options{
-							Kind:         kind,
-							Categories:   6,
-							Sparse:       sparse,
-							Window:       window,
-							MinAnswerLen: minLen,
-							Layout:       layout,
-						}
-						ix, err := core.Build(data, filepath.Join(dir, fmt.Sprintf("m%d.twt", idx)), opts)
-						if err != nil {
-							t.Fatalf("%s: build: %v", name, err)
-						}
-						for qi, q := range queries {
-							for _, eps := range []float64{1.5, 9.5} {
-								got, _, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
-								if err != nil {
-									t.Fatalf("%s: search: %v", name, err)
+			for _, window := range []int{-1, 4} {
+				for _, minLen := range []int{0, 4} {
+					idx++
+					name := fmt.Sprintf("%s/sparse=%v/w=%d/min=%d", kind, sparse, window, minLen)
+					opts := core.Options{
+						Kind:         kind,
+						Categories:   6,
+						Sparse:       sparse,
+						Window:       window,
+						MinAnswerLen: minLen,
+					}
+					ix, err := core.Build(data, filepath.Join(dir, fmt.Sprintf("m%d.twt", idx)), opts)
+					if err != nil {
+						t.Fatalf("%s: build: %v", name, err)
+					}
+					for qi, q := range queries {
+						for _, eps := range []float64{1.5, 9.5} {
+							got, _, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
+							if err != nil {
+								t.Fatalf("%s: search: %v", name, err)
+							}
+							all, _, err := core.SeqScan(data, q, eps, window)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var want []core.Match
+							for _, m := range all {
+								if minLen == 0 || m.Ref.Len() >= minLen {
+									want = append(want, m)
 								}
-								all, _, err := core.SeqScan(data, q, eps, window)
-								if err != nil {
-									t.Fatal(err)
-								}
-								var want []core.Match
-								for _, m := range all {
-									if minLen == 0 || m.Ref.Len() >= minLen {
-										want = append(want, m)
-									}
-								}
-								if len(got) != len(want) {
-									t.Fatalf("%s q%d eps=%v: index %d, scan %d", name, qi, eps, len(got), len(want))
-								}
-								for i := range got {
-									if got[i].Ref != want[i].Ref || math.Abs(got[i].Distance-want[i].Distance) > 1e-9 {
-										t.Fatalf("%s q%d eps=%v: match %d differs", name, qi, eps, i)
-									}
+							}
+							if len(got) != len(want) {
+								t.Fatalf("%s q%d eps=%v: index %d, scan %d", name, qi, eps, len(got), len(want))
+							}
+							for i := range got {
+								if got[i].Ref != want[i].Ref || math.Abs(got[i].Distance-want[i].Distance) > 1e-9 {
+									t.Fatalf("%s q%d eps=%v: match %d differs", name, qi, eps, i)
 								}
 							}
 						}
-						if err := ix.RemoveFile(); err != nil {
-							t.Fatal(err)
-						}
+					}
+					if err := ix.RemoveFile(); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
