@@ -103,16 +103,20 @@ race-shard:
 race-mmap:
 	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2' ./seqdb/ ./internal/storage/ ./internal/disktree/
 
-# Index construction under -race, serial and concurrent: phase 1 of
-# disktree.Build sorts its suffix buckets on up to GOMAXPROCS goroutines, so
-# every build test of disktree and of multivar, which builds through it
-# (the differential, determinism, failure and fuzz-seed tests among them),
-# runs once with one goroutine and once with four — the determinism test
-# pins the bytes across the two. core's indexes are built by the same call
-# in every one of its tests; `make race` covers them.
+# The write path under -race, serial and concurrent: disktree.Build sorts its
+# suffix buckets on up to GOMAXPROCS goroutines while one streams the sorted
+# ones out and another flushes the chunks, core and multivar encode their
+# texts on as many, so every build test of disktree and of multivar, which
+# builds through it (the differential, determinism, failure-and-leak and
+# fuzz-seed tests among them), the flat text store, the selecting fit against
+# its sort-based reference and the bulk dataset I/O run once with one
+# scheduler thread and once with four — the determinism test pins the bytes
+# across them. core's indexes are built by the same call in every one of its
+# tests; `make race` covers them.
+RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
 race-build:
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/multivar
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'Build|TestWriteFailureSurfaces' ./internal/disktree ./internal/multivar
+	GOMAXPROCS=1 $(GO) test $(RACE_BUILD)
+	GOMAXPROCS=4 $(GO) test $(RACE_BUILD)
 
 # End-to-end server drill under the race detector: boot twsearchd on an
 # ephemeral port, stream matches over concurrent client connections,
@@ -123,8 +127,8 @@ smoke:
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
 # engine-equivalence (scalar and vector kernel, range and k-NN), wire
-# round-trip, build-versus-naive, node-codec, scheme-reader, dataset-reader
-# and file-corruption targets.
+# round-trip, build-versus-naive, node-codec, scheme-reader, the two
+# dataset-reader, fit-versus-reference and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
 # giving the two engine-equivalence targets twice the time.
 FUZZ_ENGINE = \
@@ -135,14 +139,15 @@ FUZZ_CI = \
 	./internal/dtw/:FuzzIntervalLowerBound \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \
+	./internal/categorize/:FuzzFit \
 	./internal/sequence/:FuzzReadBinary \
+	./internal/multivar/:FuzzReadBinary \
 	./internal/disktree/:FuzzValidateCorruption \
 	./internal/wire/:FuzzFrameRoundTrip \
 	./internal/disktree/:FuzzBuildVsNaive \
 	./internal/disktree/:FuzzNodeCodecV2
 FUZZ_EXTRA = \
-	./internal/sequence/:FuzzReadCSV \
-	./internal/categorize/:FuzzFit
+	./internal/sequence/:FuzzReadCSV
 # $(call fuzz-each,pairs,time): one bounded `go test -fuzz` per pair, seeds +
 # corpus only, stopping at the first failure.
 fuzz-each = set -e; for pt in $(1); do $(GO) test -fuzz "^$${pt\#\#*:}$$" -fuzztime $(2) "$${pt%%:*}"; done

@@ -251,7 +251,7 @@ func EqualLength(values []float64, c int) (*Scheme, error) {
 // MaxEntropy fits the paper's maximum-entropy (ME) categorization: category
 // boundaries are placed at quantiles so every category holds (as nearly as
 // possible, given ties) the same number of fitted values, which maximizes
-// H(C).
+// H(C). values is not modified.
 func MaxEntropy(values []float64, c int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
@@ -259,19 +259,24 @@ func MaxEntropy(values []float64, c int) (*Scheme, error) {
 	if c < 1 {
 		return nil, ErrBadCount
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	min, max := sorted[0], sorted[len(sorted)-1]
+	// Boundary i sits at the ((i+1)/c)-quantile: position (i+1)*n/c of the
+	// values in ascending order. With more categories than values several
+	// boundaries share a position.
+	ranks := make([]int, 0, min(c-1, len(values)))
+	for i := 0; i < c-1; i++ {
+		if r := (i + 1) * len(values) / c; len(ranks) == 0 || r > ranks[len(ranks)-1] {
+			ranks = append(ranks, r)
+		}
+	}
+	min, max, quantiles := orderStatistics(values, ranks)
 	//lint:ignore floateq exact equality detects fully degenerate data; quantile boundaries are valid for any nonzero spread
 	if min == max {
 		return newScheme(KindMaxEntropy, values, []float64{min}, []float64{max}), nil
 	}
-	// Boundary i sits at the ((i+1)/c)-quantile. Duplicate boundaries (heavy
-	// ties) are collapsed, so the scheme may end up with fewer than c
-	// categories rather than empty ones.
+	// Duplicate boundaries (heavy ties) are collapsed, so the scheme may end
+	// up with fewer than c categories rather than empty ones.
 	var uppers []float64
-	for i := 0; i < c-1; i++ {
-		q := sorted[(i+1)*len(sorted)/c]
+	for _, q := range quantiles {
 		if len(uppers) == 0 || q > uppers[len(uppers)-1] {
 			uppers = append(uppers, q)
 		}

@@ -3,6 +3,7 @@ package categorize
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -453,5 +454,169 @@ func TestReadSchemeErrors(t *testing.T) {
 	huge := append([]byte("TWCATSC1\x01\x00\xca\x9a\x3b"), make([]byte, 40)...)
 	if _, err := ReadScheme(bytes.NewReader(huge)); !errors.Is(err, ErrTruncatedScheme) {
 		t.Errorf("truncated stream: %v, want ErrTruncatedScheme", err)
+	}
+}
+
+// maxEntropyReference is the fit as the paper words it — sort everything,
+// read the boundaries off the quantile positions — and what MaxEntropy must
+// agree with byte for byte.
+func maxEntropyReference(values []float64, c int) *Scheme {
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	lo, hi := sorted[0], sorted[len(sorted)-1]
+	if lo == hi {
+		return newScheme(KindMaxEntropy, values, []float64{lo}, []float64{hi})
+	}
+	var uppers []float64
+	for i := 0; i < c-1; i++ {
+		if q := sorted[(i+1)*len(sorted)/c]; len(uppers) == 0 || q > uppers[len(uppers)-1] {
+			uppers = append(uppers, q)
+		}
+	}
+	if len(uppers) == 0 || hi > uppers[len(uppers)-1] {
+		uppers = append(uppers, hi)
+	}
+	lowers := append([]float64{lo}, uppers[:len(uppers)-1]...)
+	return newScheme(KindMaxEntropy, values, lowers, uppers)
+}
+
+// sameAsReference fails the test when MaxEntropy's scheme file is not the
+// reference's, or when fitting modified the values.
+func sameAsReference(t testing.TB, what string, values []float64, c int) {
+	t.Helper()
+	before := append([]float64(nil), values...)
+	got, err := MaxEntropy(values, c)
+	if err != nil {
+		t.Fatalf("%s: MaxEntropy(%d values, %d): %v", what, len(values), c, err)
+	}
+	for i, v := range values {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("%s: MaxEntropy(%d values, %d) modified values[%d]", what, len(values), c, i)
+		}
+	}
+	var gotFile, wantFile bytes.Buffer
+	if err := errors.Join(got.Write(&gotFile), maxEntropyReference(values, c).Write(&wantFile)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFile.Bytes(), wantFile.Bytes()) {
+		t.Fatalf("%s: MaxEntropy(%d values, %d) writes a different scheme than the sort-based reference", what, len(values), c)
+	}
+}
+
+// The selecting fit and the sorting one write the same scheme file, for
+// every shape of input the selection treats differently: spread, skewed and
+// tied values, a constant, one outlier that leaves every other value in a
+// single cell, fewer values than categories, and sizes either side of the
+// cutoff below which the fit sorts.
+func TestQuickMaxEntropyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shapes := map[string]func(n int) []float64{
+		"uniform": func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = rng.Float64()*200 - 100
+			}
+			return vals
+		},
+		"skewed": func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = math.Exp(rng.ExpFloat64() * 3)
+			}
+			return vals
+		},
+		"ties": func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(rng.Intn(7)) / 2
+			}
+			return vals
+		},
+		"constant": func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = 42.5
+			}
+			return vals
+		},
+		"outlier": func(n int) []float64 {
+			vals := randValues(rng, n)
+			vals[rng.Intn(n)] = 1e15
+			return vals
+		},
+	}
+	names := []string{"uniform", "skewed", "ties", "constant", "outlier"}
+	sizes := []int{1, 2, 7, selectMinValues - 1, selectMinValues, selectMinValues + 1, 300_000}
+	f := func() bool {
+		n := sizes[rng.Intn(len(sizes))]
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(20_000)
+		}
+		c := 1 + rng.Intn(300) // often above n: fewer values than categories
+		name := names[rng.Intn(len(names))]
+		sameAsReference(t, name, shapes[name](n), c)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names { // the largest size in every shape, whatever the draw
+		sameAsReference(t, name, shapes[name](300_000), 200)
+	}
+}
+
+// Values a comparison cannot place — NaN, infinities, a -0 beside a +0 — and
+// a range whose width overflows go through the fit without a panic and come
+// out as the reference's scheme.
+func TestMaxEntropyOddValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for name, odd := range map[string][]float64{
+		"NaN":       {math.NaN()},
+		"+Inf":      {math.Inf(1)},
+		"-Inf":      {math.Inf(-1)},
+		"both Infs": {math.Inf(-1), math.Inf(1), math.NaN()},
+		"zeros":     {math.Copysign(0, -1), 0, math.Copysign(0, -1), 0},
+		"overflow":  {-math.MaxFloat64, math.MaxFloat64},
+		"subnormal": {5e-324},
+	} {
+		for _, n := range []int{len(odd), 100, 3 * selectMinValues} {
+			vals := randValues(rng, n)
+			if name == "subnormal" { // a range too narrow for a cell width
+				for i := range vals {
+					vals[i] = float64(rng.Intn(3)) * 5e-324
+				}
+			}
+			if name == "zeros" {
+				for i := range vals {
+					vals[i] = math.Round(vals[i] / 10) // plenty of +0 for the -0 to tie with
+				}
+			}
+			for _, v := range odd {
+				vals[rng.Intn(n)] = v
+			}
+			for _, c := range []int{1, 2, 9, 200} {
+				sameAsReference(t, name, vals, c)
+			}
+		}
+	}
+}
+
+// BenchmarkFitMaxEntropy fits the benchmark workloads' two shapes: the
+// scalar database's 253 k values into 200 categories, and one coordinate of
+// the trajectories into 12.
+func BenchmarkFitMaxEntropy(b *testing.B) {
+	vals := randValues(rand.New(rand.NewSource(31)), 253_000)
+	for i := 1; i < len(vals); i++ {
+		vals[i] = vals[i-1] + vals[i]/100 // a walk, like the stock data
+	}
+	for _, c := range []int{200, 12} {
+		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MaxEntropy(vals, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -37,9 +37,13 @@ func FuzzReadScheme(f *testing.F) {
 }
 
 // FuzzFit derives a value set and category count from fuzz input and checks
-// the fitting invariants for every method.
+// the fitting invariants for every method, and that the maximum-entropy fit
+// writes the scheme its sort-based reference does — on the values as they
+// are, and repeated at several scales and signs until the fit selects
+// instead of sorting.
 func FuzzFit(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 200}, uint8(4))
+	f.Add([]byte{128, 127, 128, 129, 0, 255}, uint8(199))
 	f.Fuzz(func(t *testing.T, data []byte, c uint8) {
 		if len(data) == 0 {
 			return
@@ -52,6 +56,13 @@ func FuzzFit(f *testing.F) {
 			vals[i] = float64(int(b)-128) / 3
 		}
 		count := int(c)%16 + 1
+		sameAsReference(t, "fuzz", vals, count)
+		many := make([]float64, 2*selectMinValues)
+		for i := range many {
+			round := i / len(vals)
+			many[i] = vals[i%len(vals)] * float64(1+round%5) * float64(1-round%3) // ×0 and ×-1 among them: zeros of both signs
+		}
+		sameAsReference(t, "fuzz, repeated", many, int(c)+1)
 		for _, kind := range []Kind{KindEqualLength, KindMaxEntropy, KindKMeans, KindIdentity} {
 			s, err := Fit(kind, vals, count, 8)
 			if err != nil {

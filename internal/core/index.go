@@ -22,6 +22,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/disktree"
@@ -166,11 +169,25 @@ func (ix *Index) RemoveFile() error {
 	return os.Remove(filepath.Clean(path))
 }
 
-// encodeAll categorizes every sequence into a text store.
+// encodeAll categorizes every sequence into a text store, the sequences
+// shared out among up to GOMAXPROCS goroutines.
 func encodeAll(data *sequence.Dataset, scheme *categorize.Scheme) *suffixtree.TextStore {
+	texts := make([][]suffixtree.Symbol, data.Len())
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(texts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(texts); i = int(next.Add(1)) - 1 {
+				texts[i] = scheme.Encode(data.Values(i))
+			}
+		}()
+	}
+	wg.Wait()
 	store := suffixtree.NewTextStore()
-	for i := 0; i < data.Len(); i++ {
-		store.Add(scheme.Encode(data.Values(i)))
+	for _, text := range texts {
+		store.Add(text)
 	}
 	return store
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
@@ -86,67 +87,166 @@ func TestBuildEqualsReference(t *testing.T) {
 	}
 }
 
-// Build's bytes depend on the inputs alone: not on how many goroutines
-// sort the buckets, and not on the run.
+// Build's bytes depend on the inputs alone: not on how many goroutines sort
+// the buckets or when the streamer gets each one, and not on the run. The
+// inputs are the shapes the pipeline treats differently: many even buckets,
+// a single bucket (the stages then run one after the other), an alphabet
+// wider than the bucket table (buckets chosen by high bits and sorted from
+// symbol 0), and a first bucket far larger than the rest, which the streamer
+// waits for while later ones are long sorted.
 func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(293))
-	ts := randomTexts(rng, 40, 40, 4)
-	var want []byte
-	for _, procs := range []int{1, 4, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		path := filepath.Join(t.TempDir(), "det.twt")
-		f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: EncodingV2})
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
+	text := func(n int, sym func() Symbol) []Symbol {
+		out := make([]Symbol, n)
+		for i := range out {
+			out[i] = sym()
 		}
+		return out
+	}
+	inputs := map[string]*suffixtree.TextStore{
+		"even":       randomTexts(rng, 40, 40, 4),
+		"one bucket": suffixtree.NewTextStore(),
+		"wide":       suffixtree.NewTextStore(),
+		"slow first": suffixtree.NewTextStore(),
+	}
+	for i := 0; i < 30; i++ {
+		inputs["one bucket"].Add(text(1+rng.Intn(40), func() Symbol { return 3 }))
+		inputs["wide"].Add(text(1+rng.Intn(40), func() Symbol { return Symbol(rng.Intn(4) + (maxBuckets+5)*rng.Intn(3)) }))
+		inputs["slow first"].Add(text(400, func() Symbol { return Symbol(rng.Intn(50) / 40 * rng.Intn(9)) })) // four in five are symbol 0
+	}
+	for name, ts := range inputs {
+		for _, enc := range []Encoding{EncodingV1, EncodingV2} {
+			var want []byte
+			for _, procs := range []int{1, 2, 4, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				path := filepath.Join(t.TempDir(), "det.twt")
+				f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: enc})
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, enc, err)
+				}
+				f.Close()
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = raw
+				} else if !bytes.Equal(want, raw) {
+					t.Fatalf("%s/%s: Build at GOMAXPROCS=%d differs from the GOMAXPROCS=1 file", name, enc, procs)
+				}
+			}
+		}
+		f, err := BuildMem(ts, allSeqs(ts), BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := f.Load(ts)
 		f.Close()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = raw
-		} else if !bytes.Equal(want, raw) {
-			t.Fatalf("Build at GOMAXPROCS=%d differs from the GOMAXPROCS=1 file", procs)
+		if err != nil || !suffixtree.Equal(suffixtree.BuildMerged(ts, allSeqs(ts), false), got) {
+			t.Fatalf("%s: built tree differs from the reference construction (Load: %v)", name, err)
 		}
 	}
 }
 
 // A build that fails — here on a sequence listed twice, whose suffixes tie
-// through their terminators — reports which suffix and leaves the index
-// directory exactly as it found it.
+// through their terminators — reports which suffix, leaves the index
+// directory exactly as it found it and no goroutine behind: with the
+// duplicate in the first bucket, before anything is written, and in the
+// last, found by a worker while the streamer is chunks into the file.
 func TestBuildFailureLeavesNoScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	ts := randomTexts(rng, 4, 20, 3)
-	dir := t.TempDir()
-	keep := filepath.Join(dir, "bystander")
-	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Build(ts, []int{0, 1, 2, 3, 0, 1}, filepath.Join(dir, "fail.twt"), BuildOptions{PoolPages: 8})
-	var dup *DuplicateSuffixError
-	if !errors.As(err, &dup) || dup.Seq > 1 {
-		t.Fatalf("sequences listed twice: err = %v, want a DuplicateSuffixError on sequence 0 or 1", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "bystander" {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
+	late := suffixtree.NewTextStore()
+	for i := 0; i < 40; i++ {
+		text := make([]Symbol, 400)
+		for j := range text {
+			text[j] = Symbol(rng.Intn(8))
 		}
-		t.Fatalf("failed build left %v in the index directory", names)
+		late.Add(text)
 	}
+	last := late.Add([]Symbol{9, 9, 9}) // alone in the last bucket
+	for _, c := range []struct {
+		name    string
+		ts      *suffixtree.TextStore
+		seqs    []int
+		culprit func(seq int) bool
+	}{
+		{"first bucket", ts, []int{0, 1, 2, 3, 0, 1}, func(seq int) bool { return seq <= 1 }},
+		{"last bucket", late, append(allSeqs(late), last), func(seq int) bool { return seq == last }},
+	} {
+		dir := t.TempDir()
+		keep := filepath.Join(dir, "bystander")
+		if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			before := runtime.NumGoroutine()
+			_, err := Build(c.ts, c.seqs, filepath.Join(dir, "fail.twt"), BuildOptions{PoolPages: 8})
+			after := goroutinesAfter(before)
+			runtime.GOMAXPROCS(prev)
+			var dup *DuplicateSuffixError
+			if !errors.As(err, &dup) || !c.culprit(dup.Seq) {
+				t.Fatalf("%s: sequences listed twice: err = %v, want a DuplicateSuffixError on one of them", c.name, err)
+			}
+			if after != before {
+				t.Errorf("%s, GOMAXPROCS=%d: %d goroutines after the failed build, %d before", c.name, procs, after, before)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != "bystander" {
+				names := make([]string, len(entries))
+				for i, e := range entries {
+					names[i] = e.Name()
+				}
+				t.Fatalf("%s: failed build left %v in the index directory", c.name, names)
+			}
+		}
+	}
+	var dup *DuplicateSuffixError
 	if _, err := BuildMem(ts, []int{2, 2}, BuildOptions{}); !errors.As(err, &dup) || dup.Seq != 2 {
 		t.Fatalf("BuildMem of {2, 2}: err = %v, want a DuplicateSuffixError on sequence 2", err)
 	}
 }
 
+// goroutinesAfter returns the goroutine count once it is back to before, or
+// what it still is after two seconds: a goroutine that has signalled its end
+// may be counted for a moment longer.
+func goroutinesAfter(before int) int {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n := runtime.NumGoroutine(); n <= before || time.Now().After(deadline) {
+			return n
+		}
+	}
+}
+
+// failingSink passes chunks on to the file until the one numbered failAt,
+// which it refuses, and counts what it is offered.
+type failingSink struct {
+	pf     *storage.File
+	failAt int
+	seen   int
+}
+
+var errInjected = errors.New("injected append failure")
+
+func (s *failingSink) AppendPages(buf []byte) (storage.PageID, error) {
+	s.seen++
+	if s.seen-1 == s.failAt {
+		return storage.InvalidPage, errInjected
+	}
+	return s.pf.AppendPages(buf)
+}
+
 // A page the sequential writer cannot append is an error from whatever was
-// writing the tree, not a silently short file.
+// writing the tree, not a silently short file: on a file that rejects every
+// append, and with the flusher's write of the first, a middle and the last
+// chunk failing under a build that is still sorting and streaming. The
+// error is the write's own, nothing is written after it, and every goroutine
+// of the build has exited when it is returned.
 func TestWriteFailureSurfaces(t *testing.T) {
 	ts := suffixtree.NewTextStore()
 	ts.Add([]Symbol{1, 2, 1})
@@ -169,6 +269,44 @@ func TestWriteFailureSurfaces(t *testing.T) {
 	if _, err := buildOn(readOnly(), ts, []int{0}, BuildOptions{PoolPages: 8}); err == nil {
 		t.Error("buildOn onto a file that rejects appends succeeded")
 	}
+
+	rng := rand.New(rand.NewSource(317))
+	big := randomTexts(rng, 120, 400, 6) // a tree of several chunks
+	build := func(failAt int) (*failingSink, error) {
+		pf, err := storage.CreateMemFile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newTreeWriter(pf, meta{})
+		sink := &failingSink{pf: pf, failAt: failAt}
+		w.app.sink = sink
+		before := runtime.NumGoroutine()
+		f, err := buildWith(w, big, allSeqs(big), BuildOptions{PoolPages: 8})
+		if after := goroutinesAfter(before); after != before {
+			t.Errorf("chunk %d failing: %d goroutines after the build, %d before", failAt, after, before)
+		}
+		if err == nil {
+			f.Close()
+		}
+		return sink, err
+	}
+	whole, err := build(-1)
+	if err != nil || whole.seen < 3 {
+		t.Fatalf("unhindered build: %d chunks, err = %v; the input should make at least 3", whole.seen, err)
+	}
+	for _, failAt := range []int{0, whole.seen / 2, whole.seen - 1} {
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			sink, err := build(failAt)
+			runtime.GOMAXPROCS(prev)
+			if !errors.Is(err, errInjected) {
+				t.Errorf("chunk %d of %d failing: err = %v, want the injected error", failAt, whole.seen, err)
+			}
+			if sink.seen != failAt+1 {
+				t.Errorf("chunk %d of %d failing: the file was offered %d chunks", failAt, whole.seen, sink.seen)
+			}
+		}
+	}
 }
 
 func TestBuildStats(t *testing.T) {
@@ -183,8 +321,11 @@ func TestBuildStats(t *testing.T) {
 	if stats.Suffixes != int(f.NumLeaves()) || stats.Nodes != int(f.NumNodes()) {
 		t.Errorf("stats count %d suffixes / %d nodes, the file %d / %d", stats.Suffixes, stats.Nodes, f.NumLeaves(), f.NumNodes())
 	}
-	if stats.SortElapsed <= 0 || stats.WriteElapsed <= 0 || stats.Elapsed < stats.SortElapsed+stats.WriteElapsed {
-		t.Errorf("phase times %v + %v do not fit in Elapsed %v", stats.SortElapsed, stats.WriteElapsed, stats.Elapsed)
+	// The two spans overlap, so each fits in Elapsed but their sum need not.
+	for name, span := range map[string]time.Duration{"SortElapsed": stats.SortElapsed, "WriteElapsed": stats.WriteElapsed} {
+		if span <= 0 || span > stats.Elapsed {
+			t.Errorf("%s = %v, want in (0, Elapsed = %v]", name, span, stats.Elapsed)
+		}
 	}
 }
 

@@ -70,11 +70,7 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, enc Encodi
 		w.attach(tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart)), ptr)
 		return ptr, nil
 	}
-	root, err := writeNode(tree.Root)
-	if err != nil {
-		return nil, w.abort(err)
-	}
-	return w.finish(root, poolPages)
+	return w.write(poolPages, func() (Ptr, error) { return writeNode(tree.Root) })
 }
 
 // Open opens an existing tree file through the buffer pool.

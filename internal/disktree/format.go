@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"twsearch/internal/suffixtree"
 )
@@ -139,29 +140,37 @@ func encodeNode(buf []byte, n *Node, enc Encoding) []byte {
 	return encodeNodeV1(buf, n)
 }
 
+// maxRecordSize bounds the bytes encodeNode appends for a node with the
+// given number of children, in either encoding: v1's header, flags and count
+// are 17 bytes and an entry 12; v2's flags and up to five varints of an
+// int32 are at most 26 and an entry's two varints at most 15.
+func maxRecordSize(children int) int { return 32 + 16*children }
+
 // encodeNodeV1 is the fixed-width little-endian record encoder.
 func encodeNodeV1(buf []byte, n *Node) []byte {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n.LabelSeq))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.LabelStart))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(n.LabelLen))
-	buf = append(buf, hdr[:]...)
-	if n.Leaf {
-		buf = append(buf, flagLeaf)
-		var body [leafBodySize]byte
-		binary.LittleEndian.PutUint32(body[0:], uint32(n.Pos))
-		binary.LittleEndian.PutUint32(body[4:], uint32(n.RunLen))
-		return append(buf, body[:]...)
+	size := 13 + leafBodySize
+	if !n.Leaf {
+		size = 13 + 4 + childEntrySize*len(n.Children)
 	}
-	buf = append(buf, 0)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(n.Children)))
-	buf = append(buf, cnt[:]...)
-	for _, c := range n.Children {
-		var ent [childEntrySize]byte
+	at := len(buf)
+	buf = slices.Grow(buf, size)[:at+size]
+	rec := buf[at:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(n.LabelSeq))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(n.LabelStart))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(n.LabelLen))
+	if n.Leaf {
+		rec[12] = flagLeaf
+		binary.LittleEndian.PutUint32(rec[13:], uint32(n.Pos))
+		binary.LittleEndian.PutUint32(rec[17:], uint32(n.RunLen))
+		return buf
+	}
+	rec[12] = 0
+	binary.LittleEndian.PutUint32(rec[13:], uint32(len(n.Children)))
+	rec = rec[17:]
+	for i, c := range n.Children {
+		ent := rec[i*childEntrySize : (i+1)*childEntrySize]
 		binary.LittleEndian.PutUint32(ent[0:], uint32(c.Sym))
 		binary.LittleEndian.PutUint64(ent[4:], uint64(c.Ptr))
-		buf = append(buf, ent[:]...)
 	}
 	return buf
 }

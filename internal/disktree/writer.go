@@ -6,24 +6,62 @@ import (
 
 // appendChunkPages is how many pages the appender gathers before one write:
 // large enough that a build is a few dozen sequential writes per megabyte
-// of tree, small enough (256 KiB) not to show in the build's footprint.
+// of tree, small enough (two chunks of 256 KiB) not to show in the build's
+// footprint.
 const appendChunkPages = 64
 
+// pageSink is where the appender's chunks go: the page file being built.
+type pageSink interface {
+	AppendPages(buf []byte) (storage.PageID, error)
+}
+
 // appender writes a byte stream into consecutive pages at the end of a page
-// file, returning absolute offsets. It buffers whole chunks and hands each
-// page to the file exactly once.
+// file, returning absolute offsets. It fills one chunk while the flusher
+// goroutine (flushLoop) writes the other, so encoding goes on while a write
+// waits for the page cache; each page is handed to the file exactly once, in
+// order.
 type appender struct {
-	pf   *storage.File
+	sink pageSink
 	base uint64 // absolute offset of buf[0]
 	buf  []byte
+	// full carries each filled chunk to the flusher; spare brings the other
+	// chunk back with what became of its write. Two chunks exist and the
+	// producer holds one, so spare never holds more than one.
+	full  chan []byte
+	spare chan flushed
+}
+
+// flushed is a chunk back from the flusher: empty again, with the error of
+// the first write that failed, if any has.
+type flushed struct {
+	buf []byte
+	err error
 }
 
 func newAppender(pf *storage.File) appender {
-	return appender{
-		pf:   pf,
-		base: uint64(pf.NumPages()) * storage.PageSize,
-		buf:  make([]byte, 0, appendChunkPages*storage.PageSize),
+	a := appender{
+		sink:  pf,
+		base:  uint64(pf.NumPages()) * storage.PageSize,
+		buf:   make([]byte, 0, appendChunkPages*storage.PageSize),
+		full:  make(chan []byte),
+		spare: make(chan flushed, 1),
 	}
+	a.spare <- flushed{buf: make([]byte, 0, cap(a.buf))}
+	return a
+}
+
+// flushLoop is the flusher: it appends each chunk the producer hands over to
+// the file and hands it back, until the producer closes full, and returns
+// the first write error. After a failed write nothing more is written.
+func (a *appender) flushLoop() error {
+	var err error
+	for buf := range a.full {
+		if err == nil {
+			_, err = a.sink.AppendPages(buf)
+		}
+		a.spare <- flushed{buf[:0], err}
+	}
+	return err
 }
 
 // offset returns the absolute byte offset the next write lands at.
@@ -43,21 +81,22 @@ func (a *appender) write(b []byte) error {
 	return nil
 }
 
-// flush appends the buffered pages (a whole number of them) to the file.
+// flush hands the buffered pages (a whole number of them) to the flusher and
+// carries on in the other chunk. The error is that of an earlier chunk's
+// write; this one's is reported with the next, or by flushLoop.
 func (a *appender) flush() error {
 	if len(a.buf) == 0 {
 		return nil
 	}
-	if _, err := a.pf.AppendPages(a.buf); err != nil {
-		return err
-	}
+	a.full <- a.buf
 	a.base += uint64(len(a.buf))
-	a.buf = a.buf[:0]
-	return nil
+	back := <-a.spare
+	a.buf = back.buf
+	return back.err
 }
 
-// close zero-pads the last page and writes out what is buffered.
-func (a *appender) close() error {
+// finish zero-pads the last page and hands over what is buffered.
+func (a *appender) finish() error {
 	pad := (storage.PageSize - len(a.buf)%storage.PageSize) % storage.PageSize
 	a.buf = append(a.buf, make([]byte, pad)...)
 	return a.flush()
@@ -109,6 +148,10 @@ func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
 		w.meta.leaves++
 	}
 	ptr := w.app.offset()
+	if a := &w.app; cap(a.buf)-len(a.buf) >= maxRecordSize(len(n.Children)) {
+		a.buf = encodeNode(a.buf, n, w.meta.enc) // fits the chunk whatever the encoding: no copy
+		return ptr, nil
+	}
 	w.scratch = encodeNode(w.scratch[:0], n, w.meta.enc)
 	return ptr, w.app.write(w.scratch)
 }
@@ -119,13 +162,25 @@ func (w *treeWriter) attach(first Symbol, ptr Ptr) {
 	w.kids = append(w.kids, ChildRef{Sym: first, Ptr: ptr})
 }
 
-// finish flushes the records, persists the meta blob naming root, syncs,
-// and returns the tree open through a pool of poolPages. On failure the
-// page file is closed; removing it is up to whoever named its path.
-func (w *treeWriter) finish(root Ptr, poolPages int) (*File, error) {
-	w.meta.root = root
-	err := w.app.close()
+// write runs records — which emits the tree's nodes through w and returns
+// the root's offset — beside the flusher goroutine, then persists the meta
+// blob naming the root, syncs, and returns the tree open through a pool of
+// poolPages. The flusher has exited when write returns, whatever failed. On
+// failure the page file is closed; removing it is up to whoever named its
+// path.
+func (w *treeWriter) write(poolPages int, records func() (Ptr, error)) (*File, error) {
+	flushing := make(chan error, 1)
+	go func() { flushing <- w.app.flushLoop() }()
+	root, err := records()
 	if err == nil {
+		err = w.app.finish()
+	}
+	close(w.app.full)
+	if ferr := <-flushing; err == nil {
+		err = ferr
+	}
+	if err == nil {
+		w.meta.root = root
 		err = w.pf.SetMeta(encodeMeta(w.meta))
 	}
 	if err == nil {

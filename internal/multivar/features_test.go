@@ -2,7 +2,9 @@ package multivar
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -455,4 +458,159 @@ func TestMultivarSearchVisit(t *testing.T) {
 	if _, err := ix.SearchVisitOpts(bg, q, 9.5, nil, SearchOptions{}); err == nil {
 		t.Error("nil visitor accepted")
 	}
+}
+
+// A grid small enough for a lookup table and the same grid with the map
+// alone encode alike, refuse the same unseen point and write the same file;
+// a grid too large for the table (41³ cells) goes by the map; and the texts
+// a fit hands to Build are the ones encodeAll makes at Open.
+func TestGridTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(521))
+	data := NewDataset(3)
+	for i := 0; i < 6; i++ {
+		points := make([][]float64, 60)
+		for j := range points {
+			points[j] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()} // no ties: every category asked for is made
+		}
+		data.MustAdd(Sequence{ID: fmt.Sprintf("m%d", i), Points: points})
+	}
+	for _, cats := range []int{5, 41} {
+		grid, fitted, err := fitGrid(data, categorize.KindMaxEntropy, cats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (grid.table != nil) != (cats == 5) {
+			t.Fatalf("%d categories per dimension: table of %d entries", cats, len(grid.table))
+		}
+		byMap := *grid
+		byMap.table = nil
+		reencoded, err := encodeAll(data, &byMap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < data.Len(); i++ {
+			want, err := grid.Encode(data.Points(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fitted.Text(i), want) || !reflect.DeepEqual(reencoded.Text(i), want) {
+				t.Fatalf("%d categories: sequence %d: the fit's text, the map's and the table's differ", cats, i)
+			}
+		}
+		unseen := [][]float64{{1e9, -1e9, 1e9}}
+		if _, err := grid.Encode(unseen); err == nil {
+			t.Errorf("%d categories: a point in no fitted cell was encoded", cats)
+		}
+		if _, err := byMap.Encode(unseen); err == nil {
+			t.Errorf("%d categories: a point in no fitted cell was encoded by the map", cats)
+		}
+		var a, b bytes.Buffer
+		if err := errors.Join(grid.Write(&a), byMap.Write(&b)); err != nil {
+			t.Fatal(err)
+		}
+		reread, err := ReadGrid(bytes.NewReader(a.Bytes()))
+		if err != nil || !bytes.Equal(a.Bytes(), b.Bytes()) || (reread.table != nil) != (grid.table != nil) {
+			t.Fatalf("%d categories: grid files differ between table and map, or the table is lost on reading (err = %v)", cats, err)
+		}
+	}
+}
+
+// WriteBinary's bytes are pinned: the digest is of what the per-point
+// binary.Write encoder this one replaced wrote for the same dataset.
+func TestWriteBinaryGolden(t *testing.T) {
+	d := NewDataset(3)
+	d.MustAdd(Sequence{ID: "p", Points: [][]float64{{1, -2.5, math.Copysign(0, -1)}, {5e-324, math.MaxFloat64, 0}}})
+	long := make([][]float64, 3000) // more coordinates than two conversion buffers
+	for i := range long {
+		long[i] = []float64{float64(i*i%1009) / 7, float64(i), -float64(i%13) / 3}
+	}
+	d.MustAdd(Sequence{ID: "long-" + strings.Repeat("x", 300), Points: long})
+	d.MustAdd(Sequence{ID: "z", Points: [][]float64{{4, 2, 0}}})
+	var buf bytes.Buffer
+	if err := d.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "d87c408f58e24b5e23a01f9a563fdfe0c7d80fb551ecf026e1ff7129f7bd08ac"
+	if sum := sha256.Sum256(buf.Bytes()); buf.Len() != 72411 || hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("WriteBinary wrote %d bytes with sha256 %x, want 72411 bytes with %s", buf.Len(), sum, want)
+	}
+}
+
+// An id the format's 16-bit length cannot carry is refused — with the
+// sequence named — not written with a wrapped length that no reader can
+// follow.
+func TestWriteBinaryLongID(t *testing.T) {
+	d := NewDataset(1)
+	d.MustAdd(Sequence{ID: "fine", Points: [][]float64{{1}}})
+	d.MustAdd(Sequence{ID: strings.Repeat("y", math.MaxUint16+1), Points: [][]float64{{2}}})
+	if err := d.WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "sequence 1") || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("id of %d bytes: err = %v, want a too-long error naming sequence 1", math.MaxUint16+1, err)
+	}
+}
+
+// Sequences with one point fewer than a backing array holds, exactly as
+// many, and one more come back point for point in every dimension, no point
+// reaching into its neighbour's coordinates; a stream cut among the points
+// of such a sequence is a wrapped io.ErrUnexpectedEOF.
+func TestBinaryChunkBoundaries(t *testing.T) {
+	for _, dim := range []int{1, 2, 7} {
+		perArray := readChunk / dim
+		for n := perArray - 1; n <= perArray+1; n++ {
+			points := make([][]float64, n)
+			for i := range points {
+				points[i] = make([]float64, dim)
+				for k := range points[i] {
+					points[i][k] = float64(i%977) + float64(k)/8
+				}
+			}
+			d := NewDataset(dim)
+			d.MustAdd(Sequence{ID: "first", Points: points[:1]})
+			d.MustAdd(Sequence{ID: "edge", Points: points})
+			var buf bytes.Buffer
+			if err := d.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			got, err := ReadBinary(bytes.NewReader(raw))
+			if err != nil || !reflect.DeepEqual(got.Points(1), points) {
+				t.Fatalf("dim %d, %d points: round trip differs (err = %v)", dim, n, err)
+			}
+			for _, p := range got.Points(1) {
+				if cap(p) != dim {
+					t.Fatalf("dim %d, %d points: a point has capacity %d", dim, n, cap(p))
+				}
+			}
+			for _, cut := range []int{len(raw) - 1, len(raw) - 8*dim, len(raw) - 8*dim*2, len(raw) - 8*dim*(n-1)} {
+				if _, err := ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("dim %d, %d points, stream cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", dim, n, cut, len(raw), err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDatasetBinaryIO writes and reads back the benchmark's trajectory
+// database shape: 800 sequences of 200 two-dimensional points.
+func BenchmarkDatasetBinaryIO(b *testing.B) {
+	d := NewDataset(2)
+	rng := rand.New(rand.NewSource(523))
+	for i := 0; i < 800; i++ {
+		points := make([][]float64, 200)
+		for j := range points {
+			points[j] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		d.MustAdd(Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: points})
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := d.WriteBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(8 * 2 * 200 * 800)
 }

@@ -1,7 +1,10 @@
 package multivar
 
 import (
+	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -60,6 +63,48 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		}
 		if !mMatchesBitIdentical(got, want) {
 			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d window=%d)", len(got), len(want), eps, cats, ix.Window)
+		}
+	})
+}
+
+// FuzzReadBinary must never panic — or allocate what a lying length asks
+// for — on arbitrary bytes, and anything it accepts must re-serialize to an
+// equal dataset.
+func FuzzReadBinary(f *testing.F) {
+	good := NewDataset(2)
+	good.MustAdd(Sequence{ID: "seed", Points: [][]float64{{1, 2.5}, {-3, 4}}})
+	var buf bytes.Buffer
+	if err := good.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// 46 bytes that declare 0xFF7F0003 points: 34 GB to a reader that sizes
+	// its storage from the stream.
+	huge := append([]byte(nil), buf.Bytes()[:8+2+4+2+len("seed")]...)
+	huge = binary.LittleEndian.AppendUint32(huge, 0xFF7F0003)
+	f.Add(append(huge, make([]byte, 46-len(huge))...))
+	f.Add([]byte("TWVECDB1"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := d.WriteBinary(&out); err != nil {
+			t.Fatalf("accepted dataset failed to serialize: %v", err)
+		}
+		d2, err := ReadBinary(&out)
+		if err != nil {
+			t.Fatalf("round trip of accepted dataset failed: %v", err)
+		}
+		if d2.Dim() != d.Dim() || d2.Len() != d.Len() {
+			t.Fatalf("round trip changed the shape: %d×%d vs %d×%d", d2.Len(), d2.Dim(), d.Len(), d.Dim())
+		}
+		for i := 0; i < d.Len(); i++ {
+			if d2.Seq(i).ID != d.Seq(i).ID || !reflect.DeepEqual(d2.Points(i), d.Points(i)) {
+				t.Fatalf("round trip changed sequence %d", i)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -24,32 +25,52 @@ var vecMagic = [8]byte{'T', 'W', 'V', 'E', 'C', 'D', 'B', '1'}
 // ErrBadVecMagic reports that a stream is not a vector dataset.
 var ErrBadVecMagic = errors.New("multivar: bad magic, not a TWVECDB1 stream")
 
+// ioChunk is how many coordinates cross a stream in one piece: the size of
+// the byte buffer WriteBinary and ReadBinary convert through. readChunk is
+// how many coordinates ReadBinary makes room for at a time: the points of a
+// sequence share one backing array per readChunk coordinates (per point, when
+// a point is larger).
+const (
+	ioChunk   = 1 << 12
+	readChunk = 1 << 16
+)
+
 // WriteBinary serializes the dataset.
 func (d *Dataset) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(vecMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(d.dim)); err != nil {
+	buf := make([]byte, 0, 8*ioChunk)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(d.dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.seqs)))
+	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(d.seqs))); err != nil {
-		return err
-	}
-	for _, s := range d.seqs {
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s.ID))); err != nil {
+	for i, s := range d.seqs {
+		if len(s.ID) > math.MaxUint16 {
+			return fmt.Errorf("multivar: sequence %d: id %q too long", i, s.ID[:32])
+		}
+		if _, err := bw.Write(binary.LittleEndian.AppendUint16(buf[:0], uint16(len(s.ID)))); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(s.ID); err != nil {
 			return err
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.Points))); err != nil {
-			return err
-		}
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(s.Points)))
 		for _, p := range s.Points {
-			if err := binary.Write(bw, binary.LittleEndian, p); err != nil {
-				return err
+			for _, v := range p {
+				if len(buf)+8 > cap(buf) {
+					if _, err := bw.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
+				}
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			}
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -65,50 +86,66 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if magic != vecMagic {
 		return nil, ErrBadVecMagic
 	}
-	var dim uint16
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
+	buf := make([]byte, 8*ioChunk)
+	if _, err := io.ReadFull(br, buf[:6]); err != nil {
 		return nil, err
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
+	dim, count := binary.LittleEndian.Uint16(buf), binary.LittleEndian.Uint32(buf[2:])
 	d := NewDataset(int(dim))
 	for i := uint32(0); i < count; i++ {
-		var idLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &idLen); err != nil {
+		if _, err := io.ReadFull(br, buf[:2]); err != nil {
 			return nil, fmt.Errorf("multivar: seq %d: %w", i, err)
 		}
-		idBuf := make([]byte, idLen)
+		idBuf := make([]byte, binary.LittleEndian.Uint16(buf))
 		if _, err := io.ReadFull(br, idBuf); err != nil {
 			return nil, err
 		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, err
 		}
+		n := binary.LittleEndian.Uint32(buf)
 		if dim == 0 && n > 0 {
 			return nil, fmt.Errorf("multivar: seq %d: %d points of dimension 0", i, n)
 		}
-		// n is whatever the stream says, so the point list grows as points
-		// actually arrive: a corrupt length costs a short read, not n slice
-		// headers of allocation.
+		// n is whatever the stream says, so room is made a chunk of points at
+		// a time, as they actually arrive: a corrupt length costs a short
+		// read, not n points of allocation.
 		points := make([][]float64, 0, min(n, 1<<10))
-		for j := uint32(0); j < n; j++ {
-			p := make([]float64, dim)
-			if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return nil, fmt.Errorf("multivar: seq %d point %d: %w", i, j, err)
+		for left := int(n); left > 0; {
+			take := min(left, max(1, readChunk/int(dim)))
+			coords := make([]float64, take*int(dim))
+			if err := readCoords(br, coords, buf); err != nil {
+				return nil, fmt.Errorf("multivar: seq %d points %d-%d: %w", i, len(points), len(points)+take-1, err)
 			}
-			points = append(points, p)
+			for ; len(coords) > 0; coords = coords[dim:] {
+				points = append(points, coords[:dim:dim])
+			}
+			left -= take
 		}
 		if _, err := d.Add(Sequence{ID: string(idBuf), Points: points}); err != nil {
 			return nil, err
 		}
 	}
 	return d, nil
+}
+
+// readCoords fills coords with little-endian float64s from r, ioChunk at a
+// time through buf. A stream that ends first is io.ErrUnexpectedEOF.
+func readCoords(r io.Reader, coords []float64, buf []byte) error {
+	for len(coords) > 0 {
+		raw := buf[:8*min(len(coords), ioChunk)]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		for i := range raw[:len(raw)/8] {
+			coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		coords = coords[len(raw)/8:]
+	}
+	return nil
 }
 
 // SaveFile writes the dataset to path.
@@ -202,17 +239,15 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
 		return nil, err
 	}
-	g := &GridScheme{
-		dims:  make([]*categorize.Scheme, dim),
-		cells: make(map[uint64]suffixtree.Symbol),
-	}
-	for k := range g.dims {
+	dims := make([]*categorize.Scheme, dim)
+	for k := range dims {
 		s, err := categorize.ReadScheme(br)
 		if err != nil {
 			return nil, fmt.Errorf("multivar: dim %d scheme: %w", k, err)
 		}
-		g.dims[k] = s
+		dims[k] = s
 	}
+	g := newGrid(dims)
 	var nCells uint32
 	if err := binary.Read(br, binary.LittleEndian, &nCells); err != nil {
 		return nil, err
@@ -227,7 +262,7 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 		if err := binary.Read(br, binary.LittleEndian, &sym); err != nil {
 			return nil, err
 		}
-		g.cells[key] = suffixtree.Symbol(sym)
+		g.setCell(key, suffixtree.Symbol(sym))
 		if suffixtree.Symbol(sym) > maxSym {
 			maxSym = suffixtree.Symbol(sym)
 		}

@@ -151,38 +151,76 @@ func Distance(a, b [][]float64) float64 {
 type GridScheme struct {
 	dims  []*categorize.Scheme
 	cells map[uint64]suffixtree.Symbol
+	// table is cells laid out by key, one more than the symbol so that zero
+	// is an unobserved cell, when the grid is small enough to afford every
+	// possible cell an entry; nil otherwise. Every point of the dataset is
+	// looked up at every fit, build and open.
+	table []suffixtree.Symbol
 	boxes []Box
+}
+
+// maxTableCells is the largest grid — the product of its per-dimension
+// category counts — that gets a lookup table beside the map (256 KiB).
+const maxTableCells = 1 << 16
+
+// newGrid returns the grid over the given per-dimension schemes with no
+// cell observed yet.
+func newGrid(dims []*categorize.Scheme) *GridScheme {
+	g := &GridScheme{dims: dims, cells: make(map[uint64]suffixtree.Symbol)}
+	product := 1
+	for _, s := range dims {
+		if product *= s.NumCategories(); product > maxTableCells {
+			return g
+		}
+	}
+	g.table = make([]suffixtree.Symbol, product)
+	return g
 }
 
 // FitGrid fits one univariate categorizer per dimension (catsPerDim
 // categories each) and assigns dense cell symbols to every observed
 // combination.
 func FitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, error) {
+	g, _, err := fitGrid(data, kind, catsPerDim)
+	return g, err
+}
+
+// fitGrid is FitGrid, also returning what it computed on the way: the
+// cell-symbol text of every sequence, as encodeAll gives them.
+func fitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, *suffixtree.TextStore, error) {
 	if data.Len() == 0 {
-		return nil, errors.New("multivar: empty dataset")
+		return nil, nil, errors.New("multivar: empty dataset")
 	}
 	dim := data.Dim()
-	g := &GridScheme{
-		dims:  make([]*categorize.Scheme, dim),
-		cells: make(map[uint64]suffixtree.Symbol),
+	total := 0
+	for i := 0; i < data.Len(); i++ {
+		total += len(data.Points(i))
 	}
+	dims := make([]*categorize.Scheme, dim)
+	vals := make([]float64, total) // a fit keeps nothing of its values, so every dimension uses it
 	for k := 0; k < dim; k++ {
-		var vals []float64
+		at := 0
 		for i := 0; i < data.Len(); i++ {
 			for _, p := range data.Points(i) {
-				vals = append(vals, p[k])
+				vals[at] = p[k]
+				at++
 			}
 		}
 		s, err := categorize.Fit(kind, vals, catsPerDim, 20)
 		if err != nil {
-			return nil, fmt.Errorf("multivar: fitting dim %d: %w", k, err)
+			return nil, nil, fmt.Errorf("multivar: fitting dim %d: %w", k, err)
 		}
-		g.dims[k] = s
+		dims[k] = s
 	}
 	// Register every observed cell and grow its box.
+	g := newGrid(dims)
+	store := suffixtree.NewTextStore()
+	var syms []suffixtree.Symbol
 	for i := 0; i < data.Len(); i++ {
+		syms = syms[:0]
 		for _, p := range data.Points(i) {
 			sym := g.symbolFor(p, true)
+			syms = append(syms, sym)
 			box := &g.boxes[sym]
 			for k := 0; k < dim; k++ {
 				if p[k] < box.Lo[k] {
@@ -193,8 +231,9 @@ func FitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, 
 				}
 			}
 		}
+		store.Add(syms)
 	}
-	return g, nil
+	return g, store, nil
 }
 
 // cellKey mixes per-dimension category indexes into one key.
@@ -210,22 +249,27 @@ func (g *GridScheme) cellKey(p []float64) uint64 {
 // is set. It returns -1 for an unseen cell when create is false.
 func (g *GridScheme) symbolFor(p []float64, create bool) suffixtree.Symbol {
 	key := g.cellKey(p)
-	if sym, ok := g.cells[key]; ok {
+	sym := suffixtree.Symbol(-1)
+	if g.table != nil {
+		sym = g.table[key] - 1
+	} else if seen, ok := g.cells[key]; ok {
+		sym = seen
+	}
+	if sym >= 0 || !create {
 		return sym
 	}
-	if !create {
-		return -1
-	}
-	sym := suffixtree.Symbol(len(g.boxes))
-	g.cells[key] = sym
-	lo := make([]float64, len(g.dims))
-	hi := make([]float64, len(g.dims))
-	for k := range g.dims {
-		lo[k] = p[k]
-		hi[k] = p[k]
-	}
-	g.boxes = append(g.boxes, Box{Lo: lo, Hi: hi})
+	sym = suffixtree.Symbol(len(g.boxes))
+	g.setCell(key, sym)
+	g.boxes = append(g.boxes, Box{Lo: append([]float64(nil), p...), Hi: append([]float64(nil), p...)})
 	return sym
+}
+
+// setCell records that the cell with the given key has symbol sym.
+func (g *GridScheme) setCell(key uint64, sym suffixtree.Symbol) {
+	g.cells[key] = sym
+	if key < uint64(len(g.table)) {
+		g.table[key] = sym + 1
+	}
 }
 
 // NumCells returns the number of observed cells.

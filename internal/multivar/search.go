@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"twsearch/internal/categorize"
@@ -70,11 +73,7 @@ func Build(data *Dataset, path string, opts Options) (*Index, error) {
 	}
 	opts.Build.Sparse = opts.Sparse
 	opts.Build.MinSuffixLen = opts.MinAnswerLen
-	grid, err := FitGrid(data, opts.Kind, opts.CatsPerDim)
-	if err != nil {
-		return nil, err
-	}
-	store, err := encodeAll(data, grid)
+	grid, store, err := fitGrid(data, opts.Kind, opts.CatsPerDim)
 	if err != nil {
 		return nil, err
 	}
@@ -114,15 +113,29 @@ func OpenWith(data *Dataset, grid *GridScheme, treePath string, poolPages, windo
 	return newIndex(data, grid, store, tree, window), nil
 }
 
-// encodeAll turns every sequence into its cell-symbol text.
+// encodeAll turns every sequence into its cell-symbol text, the sequences
+// shared out among up to GOMAXPROCS goroutines.
 func encodeAll(data *Dataset, grid *GridScheme) (*suffixtree.TextStore, error) {
+	texts := make([][]suffixtree.Symbol, data.Len())
+	errs := make([]error, len(texts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(texts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(texts); i = int(next.Add(1)) - 1 {
+				texts[i], errs[i] = grid.Encode(data.Points(i))
+			}
+		}()
+	}
+	wg.Wait()
 	store := suffixtree.NewTextStore()
-	for i := 0; i < data.Len(); i++ {
-		syms, err := grid.Encode(data.Points(i))
-		if err != nil {
-			return nil, fmt.Errorf("multivar: encoding %q: %w", data.Seq(i).ID, err)
+	for i, text := range texts {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("multivar: encoding %q: %w", data.Seq(i).ID, errs[i])
 		}
-		store.Add(syms)
+		store.Add(text)
 	}
 	return store, nil
 }

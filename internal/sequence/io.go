@@ -31,32 +31,45 @@ var binaryMagic = [8]byte{'T', 'W', 'S', 'E', 'Q', 'D', 'B', '1'}
 // ErrBadMagic reports that a file is not a twsearch binary dataset.
 var ErrBadMagic = errors.New("sequence: bad magic, not a TWSEQDB1 file")
 
+// ioChunk is how many values cross a stream in one piece: the size of the
+// byte buffer WriteBinary and ReadBinary convert through.
+const ioChunk = 1 << 12
+
 // WriteBinary writes the dataset in the binary format.
 func (d *Dataset) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(d.seqs))); err != nil {
+	buf := make([]byte, 8*ioChunk)
+	binary.LittleEndian.PutUint32(buf, uint32(len(d.seqs)))
+	if _, err := bw.Write(buf[:4]); err != nil {
 		return err
 	}
 	for _, s := range d.seqs {
 		if len(s.ID) > math.MaxUint16 {
 			return fmt.Errorf("sequence: id %q too long", s.ID[:32])
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(s.ID))); err != nil {
+		binary.LittleEndian.PutUint16(buf, uint16(len(s.ID)))
+		if _, err := bw.Write(buf[:2]); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(s.ID); err != nil {
 			return err
 		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.Values))); err != nil {
+		binary.LittleEndian.PutUint32(buf, uint32(len(s.Values)))
+		if _, err := bw.Write(buf[:4]); err != nil {
 			return err
 		}
-		for _, v := range s.Values {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+		for vals := s.Values; len(vals) > 0; {
+			n := min(len(vals), ioChunk)
+			for i, v := range vals[:n] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+			}
+			if _, err := bw.Write(buf[:8*n]); err != nil {
 				return err
 			}
+			vals = vals[n:]
 		}
 	}
 	return bw.Flush()
@@ -72,25 +85,25 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if magic != binaryMagic {
 		return nil, ErrBadMagic
 	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	buf := make([]byte, 8*ioChunk)
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("sequence: reading count: %w", err)
 	}
+	count := binary.LittleEndian.Uint32(buf)
 	d := NewDataset()
 	for i := uint32(0); i < count; i++ {
-		var idLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &idLen); err != nil {
+		if _, err := io.ReadFull(br, buf[:2]); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d id length: %w", i, err)
 		}
-		idBuf := make([]byte, idLen)
+		idBuf := make([]byte, binary.LittleEndian.Uint16(buf))
 		if _, err := io.ReadFull(br, idBuf); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d id: %w", i, err)
 		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d length: %w", i, err)
 		}
-		vals, err := readValues(br, n)
+		n := binary.LittleEndian.Uint32(buf)
+		vals, err := readValues(br, n, buf)
 		if err != nil {
 			return nil, fmt.Errorf("sequence: seq %d values: %w", i, err)
 		}
@@ -105,23 +118,28 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 // arrived.
 const readChunk = 1 << 16
 
-// readValues reads the n little-endian float64s of one sequence. n is
-// whatever the stream says, so storage starts at readChunk values and
-// doubles only as values actually arrive: a corrupt length costs a short
-// read — io.ErrUnexpectedEOF — not n × 8 bytes of allocation.
-func readValues(r io.Reader, n uint32) ([]float64, error) {
+// readValues reads the n little-endian float64s of one sequence, ioChunk at
+// a time through buf. n is whatever the stream says, so storage starts at
+// readChunk values and doubles only as values actually arrive: a corrupt
+// length costs a short read — io.ErrUnexpectedEOF — not n × 8 bytes of
+// allocation.
+func readValues(r io.Reader, n uint32, buf []byte) ([]float64, error) {
 	vals := make([]float64, 0, min(n, readChunk))
 	for left := int64(n); left > 0; {
 		if len(vals) == cap(vals) {
 			vals = slices.Grow(vals, int(min(left, int64(len(vals)))))
 		}
 		have := len(vals)
-		vals = vals[:have+int(min(left, int64(cap(vals)-have)))]
-		if err := binary.Read(r, binary.LittleEndian, vals[have:]); err != nil {
+		vals = vals[:have+int(min(left, ioChunk, int64(cap(vals)-have)))]
+		raw := buf[:8*(len(vals)-have)]
+		if _, err := io.ReadFull(r, raw); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
+		}
+		for i := range vals[have:] {
+			vals[have+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 		left -= int64(len(vals) - have)
 	}

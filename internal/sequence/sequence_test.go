@@ -2,13 +2,16 @@ package sequence
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,4 +308,96 @@ func TestAddRejectsNonFinite(t *testing.T) {
 	if d.Len() != 0 {
 		t.Error("rejected sequences were stored")
 	}
+}
+
+// WriteBinary's bytes are pinned: the digest is of what the per-value
+// binary.Write encoder this one replaced wrote for the same dataset — values
+// of every kind, an id longer than a byte counts, a sequence longer than two
+// conversion buffers.
+func TestWriteBinaryGolden(t *testing.T) {
+	d := NewDataset()
+	d.MustAdd(Sequence{ID: "a", Values: []float64{1, -2.5, math.Copysign(0, -1), 5e-324, math.MaxFloat64}})
+	long := make([]float64, 2*ioChunk+3)
+	for i := range long {
+		long[i] = float64(i*i%1009) / 7
+	}
+	d.MustAdd(Sequence{ID: "long-" + strings.Repeat("x", 300), Values: long})
+	d.MustAdd(Sequence{ID: "z", Values: []float64{42}})
+	var buf bytes.Buffer
+	if err := d.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "e3b1f445953acaf3de6375f71b18a213c81cba323153f90e383e7c170c402852"
+	if sum := sha256.Sum256(buf.Bytes()); buf.Len() != 65945 || hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("WriteBinary wrote %d bytes with sha256 %x, want 65945 bytes with %s", buf.Len(), sum, want)
+	}
+}
+
+// An id the format's 16-bit length cannot carry is refused, not written with
+// a wrapped length.
+func TestWriteBinaryLongID(t *testing.T) {
+	d := NewDataset()
+	d.MustAdd(Sequence{ID: "fine", Values: []float64{1}})
+	d.MustAdd(Sequence{ID: strings.Repeat("y", math.MaxUint16+1), Values: []float64{2}})
+	if err := d.WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "too long") {
+		t.Fatalf("id of %d bytes: err = %v, want a too-long error", math.MaxUint16+1, err)
+	}
+}
+
+// Sequences whose lengths sit on either side of every size the reader and
+// writer work in pieces of — the conversion buffer, the first allocation, its
+// doubling — come back value for value, and a stream cut among the values of
+// the last of them is a wrapped io.ErrUnexpectedEOF.
+func TestBinaryChunkBoundaries(t *testing.T) {
+	for _, size := range []int{ioChunk, readChunk, 2 * readChunk} {
+		for n := size - 1; n <= size+1; n++ {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(i%977) - 1/float64(i+1)
+			}
+			d := NewDataset()
+			d.MustAdd(Sequence{ID: "first", Values: []float64{7}})
+			d.MustAdd(Sequence{ID: "edge", Values: vals})
+			var buf bytes.Buffer
+			if err := d.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			got, err := ReadBinary(bytes.NewReader(raw))
+			if err != nil || !datasetsEqual(d, got) {
+				t.Fatalf("%d values: round trip differs (err = %v)", n, err)
+			}
+			for _, cut := range []int{len(raw) - 1, len(raw) - 8, len(raw) - 8*min(ioChunk, n-1), len(raw) - 8*(n-1)} {
+				if _, err := ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("%d values, stream cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", n, cut, len(raw), err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDatasetBinaryIO writes and reads back the benchmark's scalar
+// database shape: 1090 sequences of 232 values.
+func BenchmarkDatasetBinaryIO(b *testing.B) {
+	rng := rand.New(rand.NewSource(41))
+	d := NewDataset()
+	for i := 0; i < 1090; i++ {
+		vals := make([]float64, 232)
+		for j := range vals {
+			vals[j] = rng.NormFloat64()
+		}
+		d.MustAdd(Sequence{ID: "stock-" + strconv.Itoa(i), Values: vals})
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := d.WriteBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(8 * d.TotalElements()))
 }

@@ -35,35 +35,50 @@ func IsTerminator(sym Symbol) bool { return sym < 0 }
 // TextStore owns the categorized symbol sequences a tree (or several trees
 // being merged) refers to. Edge labels are (seq, start, len) references into
 // the store; position len(text) of sequence seq reads as Terminator(seq).
+// The texts sit end to end in one array, each followed by its terminator, so
+// that position is a stored symbol like any other: reading a label, or
+// comparing two suffixes, is plain indexing with no end-of-text test.
 type TextStore struct {
-	texts [][]Symbol
+	flat   []Symbol
+	starts []int // text seq is flat[starts[seq] : starts[seq+1]-1]; one more entry than texts
 }
 
 // NewTextStore returns an empty store.
-func NewTextStore() *TextStore { return &TextStore{} }
+func NewTextStore() *TextStore { return &TextStore{starts: []int{0}} }
 
-// Add appends a sequence and returns its id. Empty sequences are allowed in
-// the store but cannot be indexed.
+// Add appends a copy of a sequence and returns its id. Empty sequences are
+// allowed in the store but cannot be indexed.
 func (ts *TextStore) Add(syms []Symbol) int {
-	ts.texts = append(ts.texts, syms)
-	return len(ts.texts) - 1
+	seq := ts.Len()
+	if need := len(ts.flat) + len(syms) + 1; need > cap(ts.flat) {
+		// Doubling, where append's growth for large slices is a quarter: a
+		// store filled text by text is copied twice over, not five times.
+		ts.flat = append(make([]Symbol, 0, max(need, 2*cap(ts.flat))), ts.flat...)
+	}
+	ts.flat = append(append(ts.flat, syms...), Terminator(seq))
+	ts.starts = append(ts.starts, len(ts.flat))
+	return seq
 }
 
 // Len returns the number of sequences.
-func (ts *TextStore) Len() int { return len(ts.texts) }
+func (ts *TextStore) Len() int { return len(ts.starts) - 1 }
 
-// Text returns the symbols of sequence seq (without terminator).
-func (ts *TextStore) Text(seq int) []Symbol { return ts.texts[seq] }
+// Text returns the symbols of sequence seq (without terminator). The caller
+// must not modify them.
+func (ts *TextStore) Text(seq int) []Symbol {
+	end := ts.starts[seq+1] - 1
+	return ts.flat[ts.starts[seq]:end:end]
+}
 
 // Sym reads position pos of sequence seq; pos == len(text) yields the
 // sequence's terminator.
-func (ts *TextStore) Sym(seq, pos int) Symbol {
-	t := ts.texts[seq]
-	if pos == len(t) {
-		return Terminator(seq)
-	}
-	return t[pos]
-}
+func (ts *TextStore) Sym(seq, pos int) Symbol { return ts.flat[ts.starts[seq]+pos] }
+
+// Flat returns the array the texts are stored in, each followed by its
+// terminator, and where each text starts in it (with one more entry, the
+// array's length). Text seq's symbol pos is syms[starts[seq]+pos]. Neither
+// slice may be modified.
+func (ts *TextStore) Flat() (syms []Symbol, starts []int) { return ts.flat, ts.starts }
 
 // Node is a suffix tree node. The edge from the parent is the label
 // (LabelSeq, LabelStart, LabelLen); the root has LabelLen == 0. Children are

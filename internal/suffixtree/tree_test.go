@@ -89,6 +89,51 @@ func TestTextStoreSym(t *testing.T) {
 	}
 }
 
+// The store keeps its texts end to end in one array; through Text, Sym, Len
+// and Flat it reads as the slice of slices it was filled from — an empty text
+// and a caller reusing its buffer included.
+func TestTextStoreFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ts := NewTextStore()
+	var model [][]Symbol
+	buf := make([]Symbol, 0, 64)
+	for i := 0; i < 200; i++ {
+		buf = buf[:0]
+		for n := rng.Intn(40) * rng.Intn(2); n > 0; n-- { // half of them empty
+			buf = append(buf, Symbol(rng.Intn(9)))
+		}
+		if id := ts.Add(buf); id != len(model) {
+			t.Fatalf("Add returned id %d for text %d", id, len(model))
+		}
+		model = append(model, append([]Symbol(nil), buf...))
+	}
+	if ts.Len() != len(model) {
+		t.Fatalf("Len = %d, want %d", ts.Len(), len(model))
+	}
+	flat, starts := ts.Flat()
+	if len(starts) != len(model)+1 || starts[len(model)] != len(flat) {
+		t.Fatalf("Flat: %d starts ending at %d for %d texts in %d symbols", len(starts), starts[len(starts)-1], len(model), len(flat))
+	}
+	for seq, want := range model {
+		got := ts.Text(seq)
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("Text(%d) has len %d cap %d, want both %d", seq, len(got), cap(got), len(want))
+		}
+		for pos := 0; pos <= len(want); pos++ {
+			sym := Terminator(seq)
+			if pos < len(want) {
+				sym = want[pos]
+				if got[pos] != sym {
+					t.Fatalf("Text(%d)[%d] = %d, want %d", seq, pos, got[pos], sym)
+				}
+			}
+			if ts.Sym(seq, pos) != sym || flat[starts[seq]+pos] != sym {
+				t.Fatalf("text %d position %d: Sym %d, Flat %d, want %d", seq, pos, ts.Sym(seq, pos), flat[starts[seq]+pos], sym)
+			}
+		}
+	}
+}
+
 // TestPaperFigure2 builds the suffix tree of the paper's Figure 2:
 // S5 = <4,5,6,7,6,6>, S6 = <4,6,7,8>.
 func TestPaperFigure2(t *testing.T) {

@@ -127,9 +127,15 @@ func (db *VectorDB) Add(id string, points [][]float64) error {
 	if len(db.indexes) > 0 {
 		return errors.New("seqdb: cannot add sequences while vector indexes exist; drop them first")
 	}
+	coords := 0
+	for _, p := range points {
+		coords += len(p)
+	}
+	backing := make([]float64, 0, coords) // one array under all the points
 	copied := make([][]float64, len(points))
 	for i, p := range points {
-		copied[i] = append([]float64(nil), p...)
+		backing = append(backing, p...)
+		copied[i] = backing[len(backing)-len(p) : len(backing) : len(backing)]
 	}
 	_, err := db.data.Add(multivar.Sequence{ID: id, Points: copied})
 	return err

@@ -194,4 +194,8 @@ func TestVectorDBAddCopiesPoints(t *testing.T) {
 	if db.Points("a")[0][0] != 1 {
 		t.Fatal("Add aliased the caller's points")
 	}
+	// The copies share one array; none may reach into the next.
+	if got := db.Points("a"); cap(got[0]) != 2 || got[1][0] != 3 || got[1][1] != 4 {
+		t.Fatalf("stored points %v, the first with capacity %d", got, cap(got[0]))
+	}
 }
