@@ -126,9 +126,9 @@ smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
-# engine-equivalence (scalar and vector kernel, range and k-NN), wire
-# round-trip, build-versus-naive, node-codec, scheme-reader, the two
-# dataset-reader, fit-versus-reference and file-corruption targets.
+# thresholded-row, engine-equivalence (scalar and vector kernel, range and
+# k-NN), wire round-trip, build-versus-naive, node-codec, scheme-reader, the
+# two dataset-reader, fit-versus-reference and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
 # giving the two engine-equivalence targets twice the time.
 FUZZ_ENGINE = \
@@ -137,6 +137,7 @@ FUZZ_ENGINE = \
 FUZZ_CI = \
 	./internal/dtw/:FuzzDistanceProperties \
 	./internal/dtw/:FuzzIntervalLowerBound \
+	./internal/dtw/:FuzzThresholdRows \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \
 	./internal/categorize/:FuzzFit \

@@ -52,10 +52,10 @@ type Engine struct {
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel once per table row, never per cell: at most Gap and
 // AddRow for a filter row (Base0 once per path), PostAddRow for a
-// verification row. Every method that returns a lower bound of a time
-// warping distance carries //twlint:bound-source, which is how the
-// boundscontract analyzer keeps checking the traversal's threshold tests
-// and Match distances through the interface.
+// verification row (PostReset once per start). Every method that returns a
+// lower bound of a time warping distance carries //twlint:bound-source,
+// which is how the boundscontract analyzer keeps checking the traversal's
+// threshold tests and Match distances through the interface.
 type Kernel interface {
 	// QueryLen is the bound query's length; Exact reports that filter
 	// distances over stored suffixes are exact distances (identity
@@ -84,25 +84,34 @@ type Kernel interface {
 	Fork(depth int) *dtw.Rows
 	CopyFrom(prefix *dtw.Rows)
 
-	// PostReset empties the verification table and points it at sequence
-	// seq.
-	PostReset(seq int)
+	// PostReset empties the verification table, points it at sequence seq
+	// and returns the exact base distance between the query's first element
+	// and element start of that sequence. Every warping path of a
+	// subsequence that begins at start pays it first, so it is a lower
+	// bound of every exact distance there.
+	//
+	//twlint:bound-source results=0
+	PostReset(seq, start int) float64
 	// PostAddRow appends the verification row for element pos of that
-	// sequence using the exact base distance and returns the exact prefix
-	// distance and the row minimum.
+	// sequence using the exact base distance and returns the prefix
+	// distance and the row minimum, each exact when at most the search's
+	// threshold and some value above it otherwise.
 	//
 	//twlint:bound-source results=1
 	PostAddRow(pos int) (dist, minDist float64)
 
-	// Cells returns the table cells computed since the kernel was bound.
+	// Cells returns the table cells charged since the kernel was bound: one
+	// per query element for a filter row, the cells computed for a
+	// verification row.
 	Cells() (filter, post uint64)
 }
 
 // BindFunc points a pooled kernel at one query: the filter table and the
 // envelope (when envelopes is set) under filterWindow, the verification
-// table under window. The typed entry points supply it — only they know the
-// query's element type — and the engine calls it once per searcher, on the
-// calling goroutine, before the traversal starts.
+// table under window with the search's eps as its threshold. The typed entry
+// points supply it — only they know the query's element type — and the
+// engine calls it once per searcher, on the calling goroutine, before the
+// traversal starts.
 type BindFunc func(k Kernel, filterWindow, window int, envelopes bool)
 
 // NewEngine assembles the engine over a tree and the texts it was built

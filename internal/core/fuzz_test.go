@@ -11,14 +11,19 @@ import (
 
 // FuzzSearchMatchesScan derives a tiny database and query from fuzz bytes
 // and asserts the end-to-end no-false-dismissal equality on a sparse ME
-// index — the whole stack under fuzz — for the range search and for the
-// k-NN loop, whose answer must be the k best of the exhaustive scan by
-// (distance, position). Values are small integers, so distances are exact
-// and ties at the k-th distance are common: position must break them.
+// index, with and without a warping window — the whole stack under fuzz,
+// deferred collection, first-element test and thresholded verification rows
+// included — for the range search, down to eps = 0 where only exact hits
+// are live, and for the k-NN loop, whose answer must be the k best of the
+// exhaustive scan by (distance, position). Values are small integers, so
+// distances are exact and ties at the k-th distance are common: position
+// must break them.
 func FuzzSearchMatchesScan(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3))
-	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1))
-	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0))
+	f.Add([]byte{4, 4, 4, 4, 9, 9, 9, 4, 4, 4, 4, 4, 9, 9, 2, 2}, []byte{4, 4, 9, 9}, uint8(250), uint8(2), uint8(2))
+	f.Add([]byte{1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 5, 5, 6, 5, 5, 1, 1}, []byte{1, 1, 5, 5, 5}, uint8(6), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw uint8) {
 		if len(seqBytes) < 4 || len(qBytes) == 0 {
 			return
 		}
@@ -43,10 +48,14 @@ func FuzzSearchMatchesScan(f *testing.F) {
 			q[j] = float64(int(b) % 32)
 		}
 		eps := float64(epsRaw%40) + 0.5
+		if epsRaw >= 240 {
+			eps = 0
+		}
 		cats := int(catsRaw)%8 + 1
+		window := int(windowRaw)%4 - 1 // -1: unconstrained; Build also reads 0 as that
 
 		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), Options{
-			Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: true,
+			Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: true, Window: window,
 		})
 		if err != nil {
 			t.Fatalf("build: %v", err)
@@ -56,12 +65,12 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}
-		want, _, err := SeqScan(data, q, eps, -1)
+		want, _, err := SeqScan(data, q, eps, ix.Window)
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
-		if !matchesEqual(got, want) {
-			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d)", len(got), len(want), eps, cats)
+		if !matchesBitIdentical(got, want) {
+			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d window=%d)", len(got), len(want), eps, cats, ix.Window)
 		}
 
 		k := int(epsRaw)%9 + 1
@@ -69,7 +78,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("knn: %v", err)
 		}
-		all, _, err := SeqScan(data, q, 1e18, -1)
+		all, _, err := SeqScan(data, q, 1e18, ix.Window)
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
@@ -77,7 +86,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		all = all[:min(k, len(all))]
 		sortMatches(all)
 		if !matchesEqual(nearest, all) {
-			t.Fatalf("k=%d cats=%d: index returned %v, the scan's k best are %v", k, cats, nearest, all)
+			t.Fatalf("k=%d cats=%d window=%d: index returned %v, the scan's k best are %v", k, cats, ix.Window, nearest, all)
 		}
 	})
 }

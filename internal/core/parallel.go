@@ -35,6 +35,10 @@ type parTask struct {
 	firstRun  int
 	firstSym  suffixtree.Symbol
 	base0     float64
+	// pendD and pendDist are the path's deferred collect (processEdge): the
+	// task's subtree is collected with them wherever its descents stop.
+	pendD    int
+	pendDist float64
 
 	// envSum is the envelope row gate's LB_Keogh prefix sum at the fork
 	// depth, and envBase0 its per-shift discount unit — the two scalars a
@@ -94,7 +98,7 @@ func (s *searcher) searchParallel(bind BindFunc, visit func(Match) bool, par int
 	if len(root.Children) >= frontierRootFanout*par {
 		prefix := s.kern.Fork(0)
 		for i := range root.Children {
-			s.tasks = append(s.tasks, parTask{ptr: root.Children[i].Ptr, prefix: prefix})
+			s.tasks = append(s.tasks, parTask{ptr: root.Children[i].Ptr, prefix: prefix, pendDist: dtw.Inf})
 		}
 	} else {
 		s.spawnLevel = 1
@@ -102,7 +106,7 @@ func (s *searcher) searchParallel(bind BindFunc, visit func(Match) bool, par int
 			if s.stopped {
 				break
 			}
-			if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0); err != nil {
+			if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
 				return err
 			}
 		}
@@ -147,7 +151,7 @@ func (s *searcher) searchParallel(bind BindFunc, visit func(Match) bool, par int
 				w.envBase0 = t.envBase0
 				w.setEnvSum(depth, t.envSum)
 				from := len(w.matches)
-				err := w.processEdge(t.ptr, 1, depth, t.runBroken, t.firstRun)
+				err := w.processEdge(t.ptr, 1, depth, t.runBroken, t.firstRun, t.pendD, t.pendDist)
 				results[k] = parResult{
 					matches: w.matches[from:len(w.matches):len(w.matches)],
 					err:     err,
@@ -246,7 +250,7 @@ func (s *searcher) searchParallel(bind BindFunc, visit func(Match) bool, par int
 // rows computed so far are forked once and shared read-only by all of n's
 // children; each task snapshots the path state a serial descent would carry
 // into that child.
-func (s *searcher) spawnSubtreeTasks(n *disktree.Node, depth int, runBroken bool, firstRun int) {
+func (s *searcher) spawnSubtreeTasks(n *disktree.Node, depth int, runBroken bool, firstRun, pendD int, pendDist float64) {
 	prefix := s.kern.Fork(depth)
 	var envSum float64
 	if s.envOn {
@@ -260,6 +264,8 @@ func (s *searcher) spawnSubtreeTasks(n *disktree.Node, depth int, runBroken bool
 			firstRun:     firstRun,
 			firstSym:     s.firstSym,
 			base0:        s.base0,
+			pendD:        pendD,
+			pendDist:     pendDist,
 			envSum:       envSum,
 			envBase0:     s.envBase0,
 			frontierMark: len(s.matches),

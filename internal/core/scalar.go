@@ -44,10 +44,11 @@ func newScalarKernel(data *sequence.Dataset, scheme *categorize.Scheme) *scalarK
 	return k
 }
 
-func (k *scalarKernel) bind(q []float64, filterWindow, window int, envelopes bool) {
+func (k *scalarKernel) bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
 	k.q = q
 	k.table.Bind(q, filterWindow)
 	k.post.Bind(q, window)
+	k.post.SetThreshold(eps)
 	if envelopes {
 		k.env.Bind(q, filterWindow)
 	}
@@ -81,9 +82,10 @@ func (k *scalarKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
 func (k *scalarKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
 
 //twlint:steady-state
-func (k *scalarKernel) PostReset(seq int) {
+func (k *scalarKernel) PostReset(seq, start int) float64 {
 	k.post.Truncate(0)
 	k.vals = k.data.Values(seq)
+	return dtw.Base(k.vals[start], k.q[0])
 }
 
 //twlint:steady-state
@@ -101,7 +103,7 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 		return nil, SearchStats{}, errors.New("core: empty query")
 	}
 	return ix.Run(ctx, func(k Kernel, filterWindow, window int, envelopes bool) {
-		k.(*scalarKernel).bind(q, filterWindow, window, envelopes)
+		k.(*scalarKernel).bind(q, filterWindow, window, eps, envelopes)
 	}, eps, visit, opts)
 }
 

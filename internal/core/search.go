@@ -25,9 +25,9 @@ import (
 //
 // When ctx is canceled or its deadline passes, the traversal aborts through
 // the same early-stop path a visitor uses, no further answer is delivered
-// and ctx.Err() is returned. Cancellation is checked every few tree nodes
-// and once per post-processing group, so an abort costs at most one group's
-// verification scan.
+// and ctx.Err() is returned. Cancellation is checked every cancelMask+1 tree
+// nodes and every cancelMask+1 post-processing groups, so an abort costs at
+// most 64 groups' verification scans.
 func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
 	if eps < 0 {
 		return nil, SearchStats{}, errors.New("core: negative distance threshold")
@@ -168,9 +168,10 @@ type searcher struct {
 }
 
 // checkCancel polls the context and converts a cancellation into the
-// early-stop flag. The traversal calls it every few nodes (cancelMask), the
-// post-processing scan once per pending group; both are frequent enough to
-// bound abort latency and rare enough to keep ctx.Err off the hot path.
+// early-stop flag. The traversal calls it every cancelMask+1 nodes, the
+// post-processing scan every cancelMask+1 pending groups; both are frequent
+// enough to bound abort latency and rare enough to keep ctx.Err — a mutex
+// round trip under a cancel context — off the hot path.
 //
 //twlint:steady-state
 func (s *searcher) checkCancel() {
@@ -186,7 +187,8 @@ func (s *searcher) checkCancel() {
 	}
 }
 
-// cancelMask thins traversal-side cancellation checks to one per 64 nodes.
+// cancelMask thins cancellation checks to one per 64 nodes, pending groups or
+// scanned start positions.
 const cancelMask = 63
 
 // walk is the serial filter pass: the depth-first traversal from the root.
@@ -200,7 +202,7 @@ func (s *searcher) walk() error {
 		if s.stopped {
 			break
 		}
-		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0); err != nil {
+		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
 			return err
 		}
 	}
@@ -241,15 +243,24 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 }
 
 // processEdge walks the edge label into the node at ptr, adding one table
-// row per symbol, emitting candidates whenever a row qualifies, pruning by
-// Theorem 1 (adjusted for the sparse shift discount), and recursing into
-// children. depth is the number of filter rows on entry — the traversal
-// counts them itself rather than asking the kernel — and runBroken/firstRun
-// describe the path's leading equal-symbol run; the table is restored to
-// its entry depth before returning.
+// row per symbol, noting whenever a row qualifies, pruning by Theorem 1
+// (adjusted for the sparse shift discount), and recursing into children.
+// depth is the number of filter rows on entry — the traversal counts them
+// itself rather than asking the kernel — and runBroken/firstRun describe the
+// path's leading equal-symbol run; the table is restored to its entry depth
+// before returning.
+//
+// Deferred emission: on non-exact indexes a candidate only contributes its
+// start and a max end to the pending table, so the path carries its deepest
+// qualifying depth pendD (0: none yet) and its smallest qualifying filter
+// distance pendDist — which only loosens bounds — from edge to edge, and the
+// subtree below is collected once, where the descent stops: every leaf under
+// a qualifying path is emitted once, not once per qualifying row above it.
+// Exact indexes emit answers with per-depth distances, so they collect at
+// every qualifying depth and carry nothing.
 //
 //twlint:steady-state
-func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken bool, firstRun int) error {
+func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken bool, firstRun, pendD int, pendDist float64) error {
 	n := s.node(level)
 	if err := s.rd.ReadNodeInto(ptr, n); err != nil {
 		return err
@@ -261,14 +272,6 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 
 	entryDepth := depth
 	descend := true
-	// Deferred emission: on non-exact indexes a candidate only contributes
-	// its start and a max end to the pending table, so one collect per edge
-	// at the deepest qualifying depth (with the smallest qualifying filter
-	// distance, which only loosens bounds) subsumes per-depth collects.
-	// Exact indexes emit answers with per-depth distances, so they collect
-	// at every qualifying depth.
-	pendD := 0
-	pendDist := dtw.Inf
 	for i := 0; i < int(n.LabelLen); i++ {
 		sym := s.e.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
 		if suffixtree.IsTerminator(sym) {
@@ -387,31 +390,32 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 		}
 	}
 
-	if pendD > 0 {
-		if err := s.collect(n, pendD, pendDist); err != nil {
-			return err
-		}
-	}
-
-	if descend && !n.Leaf && !s.stopped {
-		if s.spawnLevel > 0 && level == s.spawnLevel {
-			// Parallel frontier: each child subtree becomes a task carrying
-			// a fork of the shared prefix rows instead of being walked here.
-			s.spawnSubtreeTasks(n, depth, runBroken, firstRun)
-		} else {
-			if s.readAhead && len(n.Children) > 1 {
-				s.e.Tree.ReadAhead(n.Children)
+	switch {
+	case s.stopped:
+	case !descend || n.Leaf:
+		// The descent ends here — pruned, gated, out of text or at a leaf.
+		if pendD > 0 {
+			if err := s.collect(n, pendD, pendDist); err != nil {
+				return err
 			}
-			// n's Children may be overwritten by deeper levels reusing
-			// scratch; deeper levels use level+1 though, and collect uses
-			// its own pool, so iterating the slice here is safe.
-			for i := range n.Children {
-				if s.stopped {
-					break
-				}
-				if err := s.processEdge(n.Children[i].Ptr, level+1, depth, runBroken, firstRun); err != nil {
-					return err
-				}
+		}
+	case s.spawnLevel > 0 && level == s.spawnLevel:
+		// Parallel frontier: each child subtree becomes a task carrying a
+		// fork of the shared prefix rows instead of being walked here.
+		s.spawnSubtreeTasks(n, depth, runBroken, firstRun, pendD, pendDist)
+	default:
+		if s.readAhead && len(n.Children) > 1 {
+			s.e.Tree.ReadAhead(n.Children)
+		}
+		// n's Children may be overwritten by deeper levels reusing
+		// scratch; deeper levels use level+1 though, and collect uses
+		// its own pool, so iterating the slice here is safe.
+		for i := range n.Children {
+			if s.stopped {
+				break
+			}
+			if err := s.processEdge(n.Children[i].Ptr, level+1, depth, runBroken, firstRun, pendD, pendDist); err != nil {
+				return err
 			}
 		}
 	}
@@ -503,19 +507,23 @@ func (s *searcher) candidate(seq, start, end int, lb float64, exact bool) {
 
 // postProcess verifies the pending groups: one cumulative table per touched
 // start, scanned to the group's furthest end with Theorem-1 early abandon.
-// Every end with exact distance within eps is emitted. Iterating the sorted
-// touched offsets visits only this query's candidates — O(candidates), not
-// a scan of the whole database — in the same (seq, start) order the dense
-// scan used, since the global offset is monotone in (seq, start).
+// Every end with exact distance within eps is emitted. A start whose first
+// element alone is further than eps from the query's — every warping path
+// pays that base distance first — has no answer and grows no row; the rows
+// of the others are computed only where a path within eps can still run
+// (the kernel's verification table holds eps as its threshold). Iterating
+// the sorted touched offsets visits only this query's candidates —
+// O(candidates), not a scan of the whole database — in the same (seq, start)
+// order the dense scan used, since the global offset is monotone in
+// (seq, start).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {
 	seq := 0
-	for _, off := range s.pend.Sorted() {
-		if s.stopped {
-			break
+	for i, off := range s.pend.Sorted() {
+		if i&cancelMask == 0 {
+			s.checkCancel()
 		}
-		s.checkCancel()
 		if s.stopped {
 			break
 		}
@@ -523,8 +531,10 @@ func (s *searcher) postProcess() {
 			seq++
 		}
 		start := int(off) - s.seqOffsets[seq]
+		if s.kern.PostReset(seq, start) > s.eps {
+			continue
+		}
 		maxEnd := int(s.pend.MaxEnd(off))
-		s.kern.PostReset(seq)
 		for e := start; e < maxEnd && !s.stopped; e++ {
 			dist, minDist := s.kern.PostAddRow(e)
 			if dist <= s.eps && e+1-start >= s.e.minAnswerLen {

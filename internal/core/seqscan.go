@@ -20,9 +20,9 @@ func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Ma
 	return seqScan(context.Background(), data, q, eps, window, true)
 }
 
-// SeqScanCtx is SeqScan with cancellation: ctx is polled once per suffix
-// start, so an abort costs at most one cumulative-table scan and returns
-// ctx.Err().
+// SeqScanCtx is SeqScan with cancellation: ctx is polled every cancelMask+1
+// suffix starts, so an abort costs at most 64 cumulative-table scans and
+// returns ctx.Err().
 func SeqScanCtx(ctx context.Context, data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
 	return seqScan(ctx, data, q, eps, window, true)
 }
@@ -49,13 +49,17 @@ func seqScan(ctx context.Context, data *sequence.Dataset, q []float64, eps float
 	defer releaseScanTable(table)
 	var matches []Match
 	var stats SearchStats
+	starts := 0
 	for seq := 0; seq < data.Len(); seq++ {
 		vals := data.Values(seq)
 		for p := 0; p < len(vals); p++ {
-			if err := ctx.Err(); err != nil {
-				stats.Elapsed = time.Since(started)
-				return nil, stats, err
+			if starts&cancelMask == 0 {
+				if err := ctx.Err(); err != nil {
+					stats.Elapsed = time.Since(started)
+					return nil, stats, err
+				}
 			}
+			starts++
 			table.Truncate(0)
 			for r, v := range vals[p:] {
 				dist, minDist := table.AddRowValue(v)

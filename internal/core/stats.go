@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"twsearch/internal/sequence"
@@ -41,11 +42,16 @@ type SearchStats struct {
 	// filtering (the R_d·R_p-reduced work of Section 4.3).
 	FilterCells uint64
 	// PostCells counts table cells computed during post-processing (the
-	// n·L̄·|Q| term of Sections 5.5/6.5).
+	// n·L̄·|Q| term of Sections 5.5/6.5): cells computed, not rows times
+	// |Q| — a start dead on its first element costs none, and a row only
+	// the cells a warping path within eps can still reach, inside the band.
 	PostCells uint64
 	// Candidates counts filter emissions: candidate subsequences whose
-	// lower bound passed the filter, after per-edge grouping (so one
-	// emission may stand for several prefixes verified by one scan).
+	// lower bound passed the filter. On a non-exact index that is one
+	// emission per leaf and shift per query — the subtree under a
+	// qualifying path is collected once, so it is the number of starts
+	// the verification pass is handed, each standing for every prefix its
+	// one scan verifies; an exact index emits per qualifying depth.
 	Candidates uint64
 	// FalseAlarms counts emissions not confirmed by exact verification
 	// (0 when answers outnumber grouped emissions).
@@ -87,16 +93,22 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.Elapsed += other.Elapsed
 }
 
-// sortMatches puts matches in deterministic (seq, start, end) order.
+// sortMatches puts matches in deterministic (seq, start, end) order. The
+// verification pass and the scans emit in that order already — only the
+// filter-pass answers of an exact index arrive in DFS order — so the sort
+// runs only when one pass over the slice finds it out of order.
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i].Ref, ms[j].Ref
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.End < b.End
-	})
+	if !slices.IsSortedFunc(ms, compareRefs) {
+		slices.SortFunc(ms, compareRefs)
+	}
+}
+
+func compareRefs(a, b Match) int {
+	if c := cmp.Compare(a.Ref.Seq, b.Ref.Seq); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Ref.Start, b.Ref.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ref.End, b.Ref.End)
 }

@@ -78,26 +78,36 @@ func BenchmarkTableAddRowInterval(b *testing.B) {
 // The row kernels must not allocate once the table's row storage is warm:
 // AddRow* runs millions of times per search, and a hidden allocation per row
 // would dominate the traversal. Guarded as a test (benchmarks can report but
-// not assert), same warm-storage shape as the benchmarks above.
+// not assert), same warm-storage shape as the benchmarks above — without a
+// threshold, as the filter pass and the scans add rows, and with one, as
+// verification does (the live columns are a stack beside the rows).
 func TestAddRowNoAllocs(t *testing.T) {
 	_, q := benchSeqs(1, 20)
 	for _, w := range []int{-1, 5} {
+		for _, tau := range []float64{Inf, 40} {
+			tab := NewTableWindow(q, w)
+			tab.SetThreshold(tau)
+			for i := 0; i < 512; i++ { // warm the row storage to full depth
+				tab.AddRowValue(float64(i % 13))
+			}
+			tab.Truncate(0)
+			i := 0
+			if got := testing.AllocsPerRun(1000, func() {
+				tab.AddRowValue(float64(i % 13))
+				i++
+				if tab.Depth() >= 512 {
+					tab.Truncate(0)
+				}
+			}); got != 0 {
+				t.Errorf("window=%d tau=%v: AddRowValue allocates %.1f per row on a warm table, want 0", w, tau, got)
+			}
+		}
 		tab := NewTableWindow(q, w)
-		for i := 0; i < 512; i++ { // warm the row storage to full depth
-			tab.AddRowValue(float64(i % 13))
+		for i := 0; i < 512; i++ {
+			tab.AddRowInterval(0, 1)
 		}
 		tab.Truncate(0)
 		i := 0
-		if got := testing.AllocsPerRun(1000, func() {
-			tab.AddRowValue(float64(i % 13))
-			i++
-			if tab.Depth() >= 512 {
-				tab.Truncate(0)
-			}
-		}); got != 0 {
-			t.Errorf("window=%d: AddRowValue allocates %.1f per row on a warm table, want 0", w, got)
-		}
-		tab.Truncate(0)
 		if got := testing.AllocsPerRun(1000, func() {
 			v := float64(i % 13)
 			tab.AddRowInterval(v-0.5, v+0.5)

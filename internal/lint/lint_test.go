@@ -66,7 +66,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"ctxloop", CtxlessLoop, 1},
 		{"boundscontract", BoundsContract, 4},
 		{"boundmark", BoundsContract, 2},
-		{"boundiface", BoundsContract, 3},
+		{"boundiface", BoundsContract, 4},
 		{"lockbalance", LockBalance, 2},
 		{"goleak", GoLeak, 2},
 		{"deferinloop", DeferInLoop, 2},

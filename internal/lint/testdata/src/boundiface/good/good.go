@@ -15,6 +15,12 @@ type Kernel interface {
 	//
 	//twlint:bound-source results=0,1
 	AddRow(sym int) (dist, minDist float64)
+	// PostReset returns the base distance between the query's first
+	// element and the start's: a lower bound of every exact distance at
+	// that start.
+	//
+	//twlint:bound-source results=0
+	PostReset(seq, start int) float64
 	// Exact returns the verified distance of the rows so far.
 	Exact() float64
 }
@@ -23,6 +29,11 @@ type Kernel interface {
 func Prune(k Kernel, sym int, eps float64) bool {
 	_, minDist := k.AddRow(sym)
 	return minDist > eps
+}
+
+// SkipStart drops a start only when its first element alone is beyond eps.
+func SkipStart(k Kernel, seq, start int, eps float64) bool {
+	return k.PostReset(seq, start) > eps
 }
 
 // Publish lets the filter distance through only when it is exact.

@@ -12,12 +12,15 @@ import (
 
 // FuzzVectorSearchMatchesScan is core.FuzzSearchMatchesScan for the vector
 // kernel: a tiny 2-D database and query cut from fuzz bytes, a sparse grid
-// index (with and without a warping window) against the sequential scan.
+// index (with and without a warping window) against the sequential scan,
+// down to eps = 0 where only exact hits stay live in the verification rows.
 // Coordinates are small integers, so distances are exact sums and the
 // answers must agree bit for bit.
 func FuzzVectorSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2))
+	f.Add([]byte{4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 9, 2}, []byte{4, 4, 4, 4, 9, 2}, uint8(250), uint8(2), uint8(0))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 6}, []byte{1, 1, 5, 5, 5, 5}, uint8(244), uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw uint8) {
 		if len(seqBytes) < 8 || len(qBytes) < 2 {
 			return
@@ -43,6 +46,9 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		}
 		q := points(qBytes)
 		eps := float64(epsRaw%40) + 0.5
+		if epsRaw >= 240 {
+			eps = 0
+		}
 		cats := int(catsRaw)%6 + 1
 		window := int(windowRaw)%4 - 1 // -1: unconstrained; Build also reads 0 as that
 

@@ -27,10 +27,11 @@ type vectorKernel struct {
 	points [][]float64
 }
 
-func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, envelopes bool) {
+func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, eps float64, envelopes bool) {
 	k.q = q
 	k.table.Bind(q, filterWindow)
 	k.post.Bind(q, window)
+	k.post.SetThreshold(eps)
 	if !envelopes {
 		return
 	}
@@ -79,9 +80,10 @@ func (k *vectorKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
 func (k *vectorKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
 
 //twlint:steady-state
-func (k *vectorKernel) PostReset(seq int) {
+func (k *vectorKernel) PostReset(seq, start int) float64 {
 	k.post.Truncate(0)
 	k.points = k.data.Points(seq)
+	return Base(k.points[start], k.q[0])
 }
 
 //twlint:steady-state

@@ -161,7 +161,7 @@ func (ix *Index) run(ctx context.Context, q [][]float64, eps float64, visit func
 		}
 	}
 	return ix.Run(ctx, func(k core.Kernel, filterWindow, window int, envelopes bool) {
-		k.(*vectorKernel).bind(q, filterWindow, window, envelopes)
+		k.(*vectorKernel).bind(q, filterWindow, window, eps, envelopes)
 	}, eps, visit, opts)
 }
 

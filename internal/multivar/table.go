@@ -35,7 +35,9 @@ func (t *Table) Bind(q [][]float64, w int) {
 }
 
 // AddRowPoint appends the row for a data point using the exact base
-// distance; returns the last column (prefix distance) and row minimum.
+// distance; returns the last column (prefix distance) and row minimum —
+// both exact when at most the table's threshold, some value above it
+// otherwise (dtw.Rows.SetThreshold).
 //
 //twlint:bound-source results=1
 //twlint:steady-state
@@ -44,56 +46,57 @@ func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
 	n := len(q)
 	x := t.Depth()
 	curr := t.GrowRow(n, x)
-	bandLo, bandHi := t.BandFill(curr, n, x)
+	lo, mid, hi, tau := t.Reach(n, x)
 	minDist = dtw.Inf
-	t.CountRow(n)
-	if bandLo >= bandHi {
-		return curr[n-1], minDist
-	}
-	if x == 0 {
-		acc := Base(p, q[0])
-		curr[0] = acc
-		minDist = acc
-		for y := 1; y < bandHi; y++ {
-			acc += Base(p, q[y])
-			curr[y] = acc
-			if acc < minDist {
-				minDist = acc
-			}
-		}
-		return curr[n-1], minDist
-	}
-	prev := t.PrevRow(n, x)
-	y := bandLo
-	// left and diag carry curr[y-1] and prev[y-1] in registers, so the loop
-	// body reads prev exactly once per cell. The one out-of-band neighbour
-	// it reads, up at the band's right edge, holds the Inf the previous
-	// row's BandFill wrote, so the three-way min is safe at band edges.
+	y := lo
+	// left carries curr[y-1]; before the first cell of the first row it is
+	// the empty alignment, which costs nothing.
 	left := dtw.Inf
-	if y == 0 {
-		c := Base(p, q[0]) + prev[0]
-		curr[0] = c
-		minDist = c
-		left = c
-		y = 1
+	if x == 0 {
+		left = 0
 	}
-	if y < bandHi {
-		diag := prev[y-1]
-		// Equal-length reslices let the compiler drop the per-cell bounds
-		// checks: y < len(qb) covers all three.
-		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
-		for ; y < len(qb); y++ {
-			up := pb[y]
-			c := Base(p, qb[y]) + dtw.Min3(left, up, diag)
-			cb[y] = c
-			if c < minDist {
-				minDist = c
-			}
+	if y < mid {
+		prev := t.PrevRow(n, x)
+		if y == 0 {
+			c := Base(p, q[0]) + prev[0]
+			curr[0] = c
+			minDist = c
 			left = c
-			diag = up
+			y = 1
+		}
+		if y < mid {
+			// left and diag carry curr[y-1] and prev[y-1] in registers, so
+			// the loop body reads prev exactly once per cell. The two dead
+			// neighbours it can read, prev[lo-1] and prev[mid-1], hold the
+			// Inf the previous row's close wrote, so the three-way min is
+			// safe at both edges.
+			diag := prev[y-1]
+			// Equal-length reslices let the compiler drop the per-cell
+			// bounds checks: y < len(qb) covers all three.
+			qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
+			for ; y < len(qb); y++ {
+				up := pb[y]
+				c := Base(p, qb[y]) + dtw.Min3(left, up, diag)
+				cb[y] = c
+				if c < minDist {
+					minDist = c
+				}
+				left = c
+				diag = up
+			}
 		}
 	}
-	return curr[n-1], minDist
+	// Right of the previous row's live cells a path can only arrive from
+	// the left, for as long as the left neighbour is itself live. (The
+	// whole of the first row is this chain.)
+	for ; y < hi && left <= tau; y++ {
+		left += Base(p, q[y])
+		curr[y] = left
+		if left < minDist {
+			minDist = left
+		}
+	}
+	return t.CloseRow(curr, n, x, lo, y), minDist
 }
 
 // AddRowBox appends the row for a cell symbol's bounding box using the

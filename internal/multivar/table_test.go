@@ -113,3 +113,88 @@ func rowMin(row []float64) float64 {
 	}
 	return m
 }
+
+// A table with a threshold agrees with a plain one on everything a search
+// asks, under AddRowPoint / Truncate interleavings on storage full of stale
+// values, for windows -1 … n and thresholds from "exact hits only" to none:
+// after every row, whether the distance and the row minimum are within tau
+// and, if so, their bits; before rows are dropped and at the end, every cell
+// — one the plain table holds at or below tau has the same bits, every other
+// reads above tau. Without a threshold that is every bit and the cell count.
+// (dtw's FuzzThresholdRows is the scalar twin.)
+func TestThresholdRowsMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	step := func(p []float64) []float64 {
+		return []float64{p[0] + float64(rng.Intn(5)-2)/2, p[1] + float64(rng.Intn(3)-1)/2}
+	}
+	for _, n := range []int{1, 2, 5, 12} {
+		q := make([][]float64, n)
+		p := []float64{0, 0}
+		for i := range q {
+			p = step(p)
+			q[i] = p
+		}
+		for w := -1; w <= n; w++ {
+			for _, tau := range []float64{0, 0.5, 3, 12, dtw.Inf} {
+				plain := NewTableWindow(q, w)
+				wide := make([][]float64, n+9)
+				for i := range wide {
+					wide[i] = []float64{0, 0}
+				}
+				thr := NewTable(wide)
+				for x := 0; x < 6*n+10; x++ {
+					thr.AddRowPoint(wide[0])
+				}
+				for x := 0; x < thr.Depth(); x++ { // Row aliases the storage
+					stale := thr.Row(x)
+					for i := range stale {
+						stale[i] = -1e300
+					}
+				}
+				thr.Bind(q, w)
+				thr.SetThreshold(tau)
+
+				same := func(what string, x int, want, got float64) {
+					t.Helper()
+					if want <= tau {
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("n=%d w=%d tau=%v row %d %s: thresholded %v, plain %v <= tau", n, w, tau, x, what, got, want)
+						}
+					} else if !(got > tau) {
+						t.Fatalf("n=%d w=%d tau=%v row %d %s: thresholded %v reads within tau, plain %v does not", n, w, tau, x, what, got, want)
+					}
+				}
+				checkCells := func() {
+					t.Helper()
+					for x := 0; x < plain.Depth(); x++ {
+						want := append([]float64(nil), plain.Row(x)...)
+						for y, got := range thr.Row(x) {
+							same("cell", x, want[y], got)
+						}
+					}
+				}
+				p := q[0]
+				for i := 0; i < 6*n+10; i++ {
+					if rng.Intn(9) == 0 {
+						checkCells()
+						d := rng.Intn(plain.Depth() + 1)
+						plain.Truncate(d)
+						thr.Truncate(d)
+						p = q[0]
+						continue
+					}
+					p = step(p)
+					x := plain.Depth()
+					pd, pm := plain.AddRowPoint(p)
+					gd, gm := thr.AddRowPoint(p)
+					same("distance", x, pd, gd)
+					same("row minimum", x, pm, gm)
+				}
+				checkCells()
+				if thr.Cells() > plain.Cells() || (math.IsInf(tau, 1) && thr.Cells() != plain.Cells()) {
+					t.Fatalf("n=%d w=%d tau=%v: thresholded table computed %d cells, plain %d", n, w, tau, thr.Cells(), plain.Cells())
+				}
+			}
+		}
+	}
+}

@@ -13,8 +13,6 @@
 // step.
 package pending
 
-import "slices"
-
 // Set is an epoch-stamped sparse map from int32 offsets to the maximum
 // int32 end recorded for them. The zero value is unusable; call Reset with
 // the database's total element count first. A Set is not safe for
@@ -26,6 +24,7 @@ type Set struct {
 	stamp   []uint32 // per-offset epoch of last write
 	maxEnd  []int32  // valid only where stamp[i] == epoch
 	touched []int32  // offsets written this epoch, insertion order
+	scratch []int32  // Sorted's second buffer, swapped with touched
 	epoch   uint32
 }
 
@@ -84,13 +83,60 @@ func (s *Set) MergeFrom(o *Set) {
 	}
 }
 
-// Sorted returns this query's offsets in ascending order. The slice aliases
-// the set's storage and is invalidated by the next Reset.
+// Sorted returns this query's offsets in ascending order, in O(touched)
+// without a comparison. The slice aliases the set's storage and is
+// invalidated by the next Reset.
 //
 //twlint:steady-state
 func (s *Set) Sorted() []int32 {
-	slices.Sort(s.touched)
+	if cap(s.scratch) < len(s.touched) {
+		//lint:ignore steadystate amortized: the second buffer follows touched's capacity, which doubles toward the candidate high-water mark and is then reused
+		s.scratch = make([]int32, cap(s.touched))
+	}
+	s.touched, s.scratch = radixSort(s.touched, s.scratch[:len(s.touched)])
 	return s.touched
+}
+
+// radixSort orders a ascending by least-significant-digit radix passes over
+// its four bytes between a and the equally long b, and returns the buffer
+// that holds the result and the other one. One pass counts all four digits;
+// a digit on which every key agrees — the high bytes of offsets into a small
+// database — moves nothing and is skipped. The top byte is biased so
+// negative keys sort first.
+//
+//twlint:steady-state
+func radixSort(a, b []int32) (sorted, other []int32) {
+	if len(a) < 2 {
+		return a, b
+	}
+	var counts [4][256]int32
+	for _, v := range a {
+		u := uint32(v) ^ 1<<31
+		counts[0][u&0xff]++
+		counts[1][u>>8&0xff]++
+		counts[2][u>>16&0xff]++
+		counts[3][u>>24]++
+	}
+	first := uint32(a[0]) ^ 1<<31
+	for d := 0; d < 4; d++ {
+		shift := uint(8 * d)
+		c := &counts[d]
+		if int(c[first>>shift&0xff]) == len(a) {
+			continue
+		}
+		var sum int32
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, v := range a {
+			i := (uint32(v) ^ 1<<31) >> shift & 0xff
+			b[c[i]] = v
+			c[i]++
+		}
+		a, b = b, a
+	}
+	return a, b
 }
 
 // MaxEnd returns the largest end recorded for an offset this query. It must
