@@ -98,10 +98,12 @@ race-shard:
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from
 # 8 goroutines through the buffer pool and mmap backends — over both node
 # record encodings — must return answers byte-identical to the pool
-# baseline, and the PageSource contract and view-concurrency suites must
-# hold for both (mmap on a file that cannot be mapped is the pool).
+# baseline, a vector index built in v1 and one built by default in v2 must
+# reopen through both and answer alike, and the PageSource contract and
+# view-concurrency suites must hold for both (mmap on a file that cannot be
+# mapped is the pool).
 race-mmap:
-	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2' ./seqdb/ ./internal/storage/ ./internal/disktree/
+	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2|TestVectorEncodingsReopen' ./seqdb/ ./internal/storage/ ./internal/disktree/
 
 # The write path under -race, serial and concurrent: disktree.Build sorts its
 # suffix buckets on up to GOMAXPROCS goroutines while one streams the sorted
@@ -171,8 +173,9 @@ bench:
 # Where a query's time goes: CPU profiles of BenchmarkSearchSelective and
 # BenchmarkSearchBroad (internal/core: fixed walks and queries shaped like
 # the benchmark's two single-client workloads, ns/node and ns/cell beside
-# ns/op), written with the test binary to PROFILE_DIR; the top of each is
-# printed.
+# ns/op; each runs over a v1 and a v2 tree, so one profile holds decodeV1
+# and decodeCompact side by side), written with the test binary to
+# PROFILE_DIR; the top of each is printed.
 PROFILE_DIR ?= /tmp/twsearch-profile
 profile-search:
 	mkdir -p $(PROFILE_DIR)

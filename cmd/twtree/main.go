@@ -1,5 +1,6 @@
 // Command twtree inspects and validates the disk-resident suffix tree of a
-// twsearch database index.
+// twsearch database index — of a DB or of a VectorDB, told apart by the
+// data file in DIR.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/disktree"
+	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 	"twsearch/internal/suffixtree"
 )
@@ -36,53 +38,76 @@ func main() {
 	}
 }
 
-// loadStore rebuilds the categorized text store of one index from the
-// database's data and scheme files — what validation resolves
-// reference-layout edge labels through.
-func loadStore(dbDir, name string) (*suffixtree.TextStore, error) {
+// loadIndex finds index name in dbDir — a DB's idx-NAME files over
+// data.twdb, or a VectorDB's vidx-NAME files over vectors.twvdb — and
+// rebuilds the text store its reference-layout edge labels resolve
+// through. It returns a description of the categorization, the tree file's
+// path and the store.
+func loadIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.TextStore, err error) {
+	if _, err := os.Stat(filepath.Join(dbDir, "vectors.twvdb")); err == nil {
+		return loadVectorIndex(dbDir, name)
+	}
 	data, err := sequence.LoadFile(filepath.Join(dbDir, "data.twdb"))
 	if err != nil {
-		return nil, fmt.Errorf("loading dataset: %w", err)
+		return "", "", nil, fmt.Errorf("loading dataset: %w", err)
 	}
 	sf, err := os.Open(filepath.Join(dbDir, "idx-"+name+".cat"))
 	if err != nil {
-		return nil, fmt.Errorf("loading scheme: %w", err)
+		return "", "", nil, fmt.Errorf("loading scheme: %w", err)
 	}
-	scheme, err := categorize.ReadScheme(sf)
+	cat, err := categorize.ReadScheme(sf)
 	sf.Close()
 	if err != nil {
-		return nil, err
+		return "", "", nil, err
 	}
-	store := suffixtree.NewTextStore()
+	store = suffixtree.NewTextStore()
 	for i := 0; i < data.Len(); i++ {
-		store.Add(scheme.Encode(data.Values(i)))
+		store.Add(cat.Encode(data.Values(i)))
 	}
-	return store, nil
+	scheme = fmt.Sprintf("%s, %d categories", cat.Kind(), cat.NumCategories())
+	return scheme, filepath.Join(dbDir, "idx-"+name+".twt"), store, nil
+}
+
+// loadVectorIndex is loadIndex for a vector database.
+func loadVectorIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.TextStore, err error) {
+	data, err := multivar.LoadFile(filepath.Join(dbDir, "vectors.twvdb"))
+	if err != nil {
+		return "", "", nil, fmt.Errorf("loading vector dataset: %w", err)
+	}
+	gf, err := os.Open(filepath.Join(dbDir, "vidx-"+name+".grid"))
+	if err != nil {
+		return "", "", nil, fmt.Errorf("loading grid: %w", err)
+	}
+	grid, err := multivar.ReadGrid(gf)
+	gf.Close()
+	if err != nil {
+		return "", "", nil, err
+	}
+	store = suffixtree.NewTextStore()
+	for i := 0; i < data.Len(); i++ {
+		text, err := grid.Encode(data.Points(i))
+		if err != nil {
+			return "", "", nil, err
+		}
+		store.Add(text)
+	}
+	scheme = fmt.Sprintf("%d-D grid, %d cells", data.Dim(), grid.NumCells())
+	return scheme, filepath.Join(dbDir, "vidx-"+name+".twt"), store, nil
 }
 
 func run(dbDir, name string, dump, pool int) error {
-	sf, err := os.Open(filepath.Join(dbDir, "idx-"+name+".cat"))
-	if err != nil {
-		return fmt.Errorf("loading scheme: %w", err)
-	}
-	scheme, err := categorize.ReadScheme(sf)
-	sf.Close()
+	scheme, treePath, store, err := loadIndex(dbDir, name)
 	if err != nil {
 		return err
 	}
-	store, err := loadStore(dbDir, name)
-	if err != nil {
-		return err
-	}
-
-	f, err := disktree.Open(filepath.Join(dbDir, "idx-"+name+".twt"), pool, true)
+	f, err := disktree.Open(treePath, pool, true)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
 	fmt.Printf("index %q of %s\n", name, dbDir)
-	fmt.Printf("  scheme:     %s, %d categories\n", scheme.Kind(), scheme.NumCategories())
+	fmt.Printf("  scheme:     %s\n", scheme)
 	fmt.Printf("  sparse:     %v\n", f.Sparse())
 	fmt.Printf("  encoding:   %s\n", f.Encoding())
 	fmt.Printf("  file:       %d KB (%d nodes, %d leaves, %d label symbols)\n",

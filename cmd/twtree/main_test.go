@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,9 @@ func TestTwtreeValidateAndDump(t *testing.T) {
 	if !strings.Contains(out, "sparse:     true") {
 		t.Fatalf("sparse flag missing: %q", out)
 	}
+	if !strings.Contains(out, "encoding:   v1") { // a scalar index's default
+		t.Fatalf("encoding missing or not v1: %q", out)
+	}
 
 	out, err = captureStdout(t, func() error { return run(dir, "x", 2, 16) })
 	if err != nil {
@@ -70,5 +74,43 @@ func TestTwtreeValidateAndDump(t *testing.T) {
 	}
 	if err := run(t.TempDir(), "x", 0, 16); err == nil {
 		t.Error("missing database accepted")
+	}
+}
+
+// A vector database's index is found by its data file and validated against
+// its grid, and one built today is in the compact encoding.
+func TestTwtreeVectorIndex(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "vdb")
+	db, err := seqdb.CreateVector(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, walk := range [][][]float64{
+		{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 2}},
+		{{5, 5}, {4, 5}, {4, 4}, {3, 4}, {3, 3}},
+	} {
+		if err := db.Add(fmt.Sprintf("w%d", i), walk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex("g", seqdb.VectorIndexSpec{CatsPerDim: 3}); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	out, err := captureStdout(t, func() error { return run(dir, "g", 2, 16) })
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{"encoding:   v2", "validation: OK", "2-D grid", "root"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q: %q", want, out)
+		}
+	}
+	if err := run(dir, "missing", 0, 16); err == nil {
+		t.Error("missing vector index accepted")
 	}
 }

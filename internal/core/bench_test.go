@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/disktree"
 	"twsearch/internal/sequence"
 	"twsearch/internal/workload"
 )
@@ -56,12 +57,22 @@ func cutQueries(data *sequence.Dataset, count, qlen int) [][]float64 {
 	return queries
 }
 
+// benchEncodings runs benchSearch once per node record encoding, as the
+// sub-benchmarks /v1 and /v2: the same tree, traversal and answers, read
+// from records of either format.
+func benchEncodings(b *testing.B, sequences, qlen int, eps float64, opts Options) {
+	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
+		opts.Build.Encoding = enc
+		b.Run(enc.String(), func(b *testing.B) { benchSearch(b, sequences, qlen, eps, opts) })
+	}
+}
+
 // BenchmarkSearchSelective is shaped like the benchmark's `selective`
 // workload: a dense 200-category tree many times the pool, window 2,
 // 40-value queries with a handful of answers each — node reads, envelope
 // gates and banded filter rows do the work.
 func BenchmarkSearchSelective(b *testing.B) {
-	benchSearch(b, 1090, 40, 4, Options{Kind: categorize.KindMaxEntropy, Categories: 200, Window: 2})
+	benchEncodings(b, 1090, 40, 4, Options{Kind: categorize.KindMaxEntropy, Categories: 200, Window: 2})
 }
 
 // BenchmarkSearchBroad is shaped like the benchmark's `broad` workload: a
@@ -69,5 +80,5 @@ func BenchmarkSearchSelective(b *testing.B) {
 // with thousands of answers each — full-width filter rows and the exact
 // post-processing scan do the work.
 func BenchmarkSearchBroad(b *testing.B) {
-	benchSearch(b, 273, 20, 9, Options{Kind: categorize.KindMaxEntropy, Categories: 20, Sparse: true})
+	benchEncodings(b, 273, 20, 9, Options{Kind: categorize.KindMaxEntropy, Categories: 20, Sparse: true})
 }

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,8 +54,9 @@ type Options struct {
 	MinAnswerLen int
 	// KMeansIters bounds k-means refinement (k-means only). Defaults to 20.
 	KMeansIters int
-	// Build tunes the disk construction (pool size, record encoding); its
-	// Sparse and MinSuffixLen are set from the fields above.
+	// Build tunes the disk construction (pool size, record encoding — v1
+	// when none is named); its Sparse and MinSuffixLen are set from the
+	// fields above.
 	Build disktree.BuildOptions
 }
 
@@ -73,6 +75,11 @@ func (o Options) withDefaults() Options {
 	}
 	o.Build.Sparse = o.Sparse
 	o.Build.MinSuffixLen = o.MinAnswerLen
+	// Scalar trees are v1 unless v2 is asked for, for one reason: bench's
+	// TestSmoke needs storage.view_miss_ns, which its probe emits only for a
+	// lowmem smoke file larger than v2 writes it (HACKING.md "Why v1 is
+	// still here"). Deleting this line is the scalar flip to v2.
+	o.Build.Encoding = cmp.Or(o.Build.Encoding, disktree.EncodingV1)
 	return o
 }
 

@@ -27,8 +27,8 @@ type BuildOptions struct {
 	// PoolPages bounds the returned file's buffer pool. Defaults to 256
 	// (1 MiB).
 	PoolPages int
-	// Encoding selects the record serialization (v1 fixed-width by default;
-	// v2 compact varints).
+	// Encoding selects the record serialization (v2 compact varints by
+	// default; v1 fixed-width).
 	Encoding Encoding
 	// Stats, when non-nil, receives construction statistics.
 	Stats *BuildStats

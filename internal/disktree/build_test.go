@@ -271,13 +271,13 @@ func TestWriteFailureSurfaces(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(317))
-	big := randomTexts(rng, 120, 400, 6) // a tree of several chunks
+	big := randomTexts(rng, 120, 400, 6) // a tree of several chunks in v1's wide records
 	build := func(failAt int) (*failingSink, error) {
 		pf, err := storage.CreateMemFile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newTreeWriter(pf, meta{})
+		w := newTreeWriter(pf, meta{enc: EncodingV1})
 		sink := &failingSink{pf: pf, failAt: failAt}
 		w.app.sink = sink
 		before := runtime.NumGoroutine()

@@ -258,13 +258,31 @@ func writeRecordFile(t *testing.T, raw []byte, enc Encoding) *File {
 
 // FuzzNodeCodecV2: decode∘encode is the identity for arbitrary nodes in the
 // compact encoding, every strict prefix of the record asks for more bytes,
-// and feeding v2 bytes to the v1 decoder (the cross-decode a
-// version-confused reader would attempt) terminates without panicking.
+// feeding v2 bytes to the v1 decoder (the cross-decode a version-confused
+// reader would attempt) terminates without panicking, and on arbitrary and
+// corrupted bytes decodeCompact does what decodeCompactReference does.
 func FuzzNodeCodecV2(f *testing.F) {
 	f.Add([]byte{0}, false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
 	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false)
 	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true)
+	// Raw records for the differential arm. A 10-byte label field whose last
+	// byte overflows 64 bits, and one with an 11th continuation byte:
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0, 0}, false)
+	f.Add([]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, true)
+	// The same in a child delta, after a one-entry internal header.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
+	// A 2-byte field split at the slice end: the label start, the child
+	// count, a leaf's run length.
+	f.Add([]byte{0x04, 0x96}, false)
+	f.Add([]byte{0x04, 0x06, 0x02, 0, 0x83}, false)
+	f.Add([]byte{0x04, 0x06, 0x02, flagLeaf, 0x90, 0x03, 0xC1}, true)
+	// Three- and four-byte fields with their last byte at the top of its
+	// range, which uvarintSlow reads by hand.
+	f.Add([]byte{0x80, 0x80, 0x7F, 0, 0, flagLeaf, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0}, true)
+	// A child count at maxCount, and one past it.
+	f.Add([]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, false)
+	f.Add([]byte{0, 0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, false)
 	f.Fuzz(checkCodec)
 }
 
@@ -315,6 +333,62 @@ func checkCodec(t *testing.T, data []byte, leaf bool) {
 	fx := &File{meta: meta{enc: EncodingV1}}
 	var junk Node
 	_ = fx.decode(raw, &junk, 0)
+
+	// The fuzz bytes themselves, each of their first 64 prefixes, and the
+	// record with one byte corrupted go to both compact decoders.
+	for cut := 0; cut <= len(data) && cut <= 64; cut++ {
+		sameAsReference(t, data[:cut:cut])
+	}
+	sameAsReference(t, data)
+	bad := slices.Clone(raw)
+	bad[int(data[0])%len(bad)] ^= data[len(data)-1] | 1
+	sameAsReference(t, bad)
+}
+
+// TestDecodeCompactFailures: the raw seeds of FuzzNodeCodecV2 fail the way
+// their comments say, in both compact decoders.
+func TestDecodeCompactFailures(t *testing.T) {
+	for _, c := range []struct {
+		raw  []byte
+		want string
+	}{
+		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0, 0}, errVarintOverflow.Error()},
+		{[]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, errVarintOverflow.Error()},
+		{[]byte{0, 0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, errVarintOverflow.Error()},
+		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, errShort.Error()},
+		{[]byte{0x04, 0x96}, errShort.Error()},
+		{[]byte{0x04, 0x06, 0x02, 0, 0x83}, errShort.Error()},
+		{[]byte{0x04, 0x06, 0x02, flagLeaf, 0x90, 0x03, 0xC1}, errShort.Error()},
+		{[]byte{0x04, 0x06, 0x02}, errShort.Error()},
+		{[]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, errShort.Error()},
+		{[]byte{0, 0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, "disktree: implausible child count 16777217 at 7"},
+		{[]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}, "disktree: implausible label length 2147483648 at 7"},
+		{[]byte{0, 0, 0x01}, "disktree: implausible label length 4294967295 at 7"},
+	} {
+		for name, decode := range map[string]func([]byte, *Node, Ptr) error{"decodeCompact": decodeCompact, "reference": decodeCompactReference} {
+			var n Node
+			if err := decode(c.raw, &n, 7); err == nil || err.Error() != c.want {
+				t.Errorf("%s(% x) = %v, want %q", name, c.raw, err, c.want)
+			}
+		}
+	}
+}
+
+// sameAsReference decodes b with decodeCompact and decodeCompactReference:
+// they must return the same node, or the same error — errShort,
+// errVarintOverflow, or the same implausible count.
+func sameAsReference(t *testing.T, b []byte) {
+	t.Helper()
+	var got, want Node
+	gotErr, wantErr := decodeCompact(b, &got, 7), decodeCompactReference(b, &want, 7)
+	switch {
+	case gotErr == nil && wantErr == nil:
+		if !nodesEqual(&got, &want) {
+			t.Fatalf("% x decodes to\n %+v, the reference to\n %+v", b, got, want)
+		}
+	case gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error():
+		t.Fatalf("% x: error %v, the reference's %v", b, gotErr, wantErr)
+	}
 }
 
 func nodesEqual(a, b *Node) bool {

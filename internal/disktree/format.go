@@ -45,14 +45,13 @@ const LayoutReference Layout = 0
 type Encoding uint8
 
 const (
-	// EncodingV1 is the original fixed-width little-endian record format —
-	// what a zero Encoding value means.
+	// EncodingV1 is the original fixed-width little-endian record format.
 	EncodingV1 Encoding = 1
-	// EncodingV2 is the compact format: varint counts and labels, zigzag
-	// deltas for the child table's symbols and pointers. Children are
-	// written before parents at increasing offsets, so the pointer deltas
-	// of a real file are small positive numbers that varint-encode in a
-	// byte or two instead of eight.
+	// EncodingV2 is the compact format — what a zero Encoding value builds:
+	// varint counts and labels, zigzag deltas for the child table's symbols
+	// and pointers. Children are written before parents at increasing
+	// offsets, so the pointer deltas of a real file are small positive
+	// numbers that varint-encode in a byte or two instead of eight.
 	EncodingV2 Encoding = 2
 )
 
@@ -63,8 +62,8 @@ func (e Encoding) String() string {
 	return "v1"
 }
 
-// ParseEncoding reads an encoding name from a flag ("" means the default,
-// v1).
+// ParseEncoding reads an encoding name from a flag ("" means v1, the
+// encoding scalar indexes are built in).
 func ParseEncoding(s string) (Encoding, error) {
 	switch s {
 	case "", "v1", "1":
@@ -175,28 +174,49 @@ func encodeNodeV1(buf []byte, n *Node) []byte {
 	return buf
 }
 
-// encodeNodeCompact is the v2 varint record encoder. Deltas are computed
-// with wrapping uint64 arithmetic, so the encode∘decode round trip is the
-// identity for any Node, not just well-formed trees (FuzzNodeCodecV2 pins
-// this).
+// encodeNodeCompact is the v2 varint record encoder. Like encodeNodeV1 it
+// grows buf once, by the most the record can take, and writes the fields in
+// place. Deltas are computed with wrapping uint64 arithmetic, so the
+// encode∘decode round trip is the identity for any Node, not just
+// well-formed trees (FuzzNodeCodecV2 pins this).
 func encodeNodeCompact(buf []byte, n *Node) []byte {
-	buf = binary.AppendVarint(buf, int64(n.LabelSeq))
-	buf = binary.AppendVarint(buf, int64(n.LabelStart))
-	buf = binary.AppendVarint(buf, int64(n.LabelLen))
+	at := len(buf)
+	buf = slices.Grow(buf, maxRecordSize(len(n.Children)))
+	rec := buf[at:cap(buf)]
+	k := putVarint(rec, 0, int64(n.LabelSeq))
+	k = putVarint(rec, k, int64(n.LabelStart))
+	k = putVarint(rec, k, int64(n.LabelLen))
 	if n.Leaf {
-		buf = append(buf, flagLeaf)
-		buf = binary.AppendVarint(buf, int64(n.Pos))
-		return binary.AppendVarint(buf, int64(n.RunLen))
+		rec[k] = flagLeaf
+		k = putVarint(rec, k+1, int64(n.Pos))
+		k = putVarint(rec, k, int64(n.RunLen))
+		return buf[:at+k]
 	}
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
+	rec[k] = 0
+	k = putUvarint(rec, k+1, uint64(len(n.Children)))
 	prevSym, prevPtr := int64(0), uint64(0)
 	for _, c := range n.Children {
-		buf = binary.AppendVarint(buf, int64(c.Sym)-prevSym)
-		buf = binary.AppendVarint(buf, int64(uint64(c.Ptr)-prevPtr))
+		k = putVarint(rec, k, int64(c.Sym)-prevSym)
+		k = putVarint(rec, k, int64(uint64(c.Ptr)-prevPtr))
 		prevSym, prevPtr = int64(c.Sym), uint64(c.Ptr)
 	}
-	return buf
+	return buf[:at+k]
+}
+
+// putUvarint writes u at rec[k:] and returns the offset after it: a byte
+// inline, longer values through binary.PutUvarint.
+func putUvarint(rec []byte, k int, u uint64) int {
+	if u < 0x80 {
+		rec[k] = byte(u)
+		return k + 1
+	}
+	return k + binary.PutUvarint(rec[k:], u)
+}
+
+// putVarint writes v zigzag-coded at rec[k:] and returns the offset after
+// it.
+func putVarint(rec []byte, k int, v int64) int {
+	return putUvarint(rec, k, uint64(v<<1)^uint64(v>>63))
 }
 
 // Meta blob layout stored in the page file's meta page.

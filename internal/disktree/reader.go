@@ -186,87 +186,153 @@ func decodeV1(b []byte, n *Node, p Ptr) error {
 	return nil
 }
 
-// varints reads the varint fields of a compact record off a byte slice.
-// The first failure sticks in err — errShort when the bytes run out inside
-// a field, errVarintOverflow for a field no encoder writes — and every
-// later read yields zero, so a decoder checks err where a value sizes
-// something and once at the end.
-type varints struct {
-	b   []byte
-	off int
-	err error
+// The compact decoder reads its fields at a local offset. A read that fails
+// moves the offset past the end of the bytes, and how far past says why:
+// len(b)+pastShort when the bytes end inside a field, len(b)+pastOverflow
+// for a varint no encoder writes. A read from such an offset yields zero
+// and keeps it, so the first failure sticks, and the decoder looks at the
+// offset only where a value sizes something and once at the end.
+const (
+	pastShort    = 1
+	pastOverflow = 2
+)
+
+// failure returns the error a failed read left in the offset off.
+func failure(b []byte, off int) error {
+	if off == len(b)+pastOverflow {
+		return errVarintOverflow
+	}
+	return errShort
 }
 
-func (v *varints) uvarint() uint64 {
-	if v.off < len(v.b) && v.b[v.off] < 0x80 {
-		v.off++
-		return uint64(v.b[v.off-1])
-	}
-	u, k := binary.Uvarint(v.b[v.off:])
-	if k <= 0 {
-		if v.err == nil {
-			v.err = errShort
-			if k < 0 {
-				v.err = errVarintOverflow
-			}
+// unzigzag undoes the zigzag coding of a signed field.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// uvarint12 reads the uvarint at b[off:] if it is one or two bytes long —
+// nearly every label, leaf and count field of a real record, and most child
+// deltas — and both bytes are in b, and reports whether it did. It is small
+// enough to be inlined, which is the point: the decoder takes uvarintSlow
+// only where it reports false.
+//
+//twlint:steady-state
+func uvarint12(b []byte, off int) (u uint64, next int, ok bool) {
+	if off+1 < len(b) {
+		b0, b1 := b[off], b[off+1]
+		if b0 < 0x80 {
+			return uint64(b0), off + 1, true
 		}
-		v.off = len(v.b)
-		return 0
+		if b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, off + 2, true
+		}
 	}
-	v.off += k
-	return u
+	return 0, off, false
 }
 
-// varint reads a zigzag-coded signed field.
-func (v *varints) varint() int64 {
-	u := v.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// flags reads the one fixed byte of a compact record.
-func (v *varints) flags() byte {
-	if v.off < len(v.b) {
-		v.off++
-		return v.b[v.off-1]
+// uvarintSlow reads the uvarint at b[off:] that uvarint12 did not. Three
+// and four bytes — the first pointer of a child table, an absolute offset,
+// is that long — are read here by hand; anything else goes to
+// binary.Uvarint, a failure recorded in the returned offset.
+//
+//twlint:steady-state
+//go:noinline
+func uvarintSlow(b []byte, off int) (uint64, int) {
+	if off+3 < len(b) && b[off]&b[off+1] >= 0x80 {
+		u := uint64(b[off]&0x7f) | uint64(b[off+1]&0x7f)<<7
+		if b2 := b[off+2]; b2 < 0x80 {
+			return u | uint64(b2)<<14, off + 3
+		}
+		u |= uint64(b[off+2]&0x7f) << 14
+		if b3 := b[off+3]; b3 < 0x80 {
+			return u | uint64(b3)<<21, off + 4
+		}
 	}
-	if v.err == nil {
-		v.err = errShort
+	if off > len(b) {
+		return 0, off // an earlier read failed
 	}
-	return 0
+	u, k := binary.Uvarint(b[off:])
+	switch {
+	case k > 0:
+		return u, off + k
+	case k == 0:
+		return 0, len(b) + pastShort
+	}
+	return 0, len(b) + pastOverflow
 }
 
 // decodeCompact decodes a v2 record, undoing the delta coding of
-// encodeNodeCompact with the same wrapping arithmetic.
+// encodeNodeCompact with the same wrapping arithmetic. Each field is read
+// by uvarint12, inline, and by uvarintSlow where that declines.
 //
 //twlint:steady-state
 func decodeCompact(b []byte, n *Node, p Ptr) error {
-	v := varints{b: b}
-	n.LabelSeq, n.LabelStart = int32(v.varint()), int32(v.varint())
-	n.LabelLen = int32(v.varint())
+	var seq, start, length uint64
+	off, ok := 0, false
+	if seq, off, ok = uvarint12(b, off); !ok {
+		seq, off = uvarintSlow(b, off)
+	}
+	if start, off, ok = uvarint12(b, off); !ok {
+		start, off = uvarintSlow(b, off)
+	}
+	if length, off, ok = uvarint12(b, off); !ok {
+		length, off = uvarintSlow(b, off)
+	}
+	n.LabelSeq, n.LabelStart, n.LabelLen = int32(unzigzag(seq)), int32(unzigzag(start)), int32(unzigzag(length))
 	if n.LabelLen < 0 {
 		return implausible("label length", uint64(uint32(n.LabelLen)), p)
 	}
-	n.Leaf = v.flags()&flagLeaf != 0
-	if n.Leaf {
-		n.Pos, n.RunLen = int32(v.varint()), int32(v.varint())
-		return v.err
+	if off >= len(b) { // a field failed, or the flags byte is missing
+		return failure(b, off)
 	}
-	count := v.uvarint()
-	if v.err != nil {
-		return v.err
+	n.Leaf = b[off]&flagLeaf != 0
+	off++
+	if n.Leaf {
+		var pos, run uint64
+		if pos, off, ok = uvarint12(b, off); !ok {
+			pos, off = uvarintSlow(b, off)
+		}
+		if run, off, ok = uvarint12(b, off); !ok {
+			run, off = uvarintSlow(b, off)
+		}
+		if off > len(b) {
+			return failure(b, off)
+		}
+		n.Pos, n.RunLen = int32(unzigzag(pos)), int32(unzigzag(run))
+		return nil
+	}
+	var count uint64
+	if count, off, ok = uvarint12(b, off); !ok {
+		count, off = uvarintSlow(b, off)
+	}
+	if off > len(b) {
+		return failure(b, off)
 	}
 	if count > maxCount {
 		return implausible("child count", count, p)
 	}
-	if 2*count > uint64(len(b)-v.off) { // an entry takes two bytes or more
+	if 2*count > uint64(len(b)-off) { // an entry takes two bytes or more
 		return errShort
 	}
 	n.Children = resized(n.Children, int(count))
-	prevSym, prevPtr := int64(0), uint64(0)
+	sym, ptr := int64(0), uint64(0)
 	for i := range n.Children {
-		prevSym += v.varint()
-		prevPtr += uint64(v.varint())
-		n.Children[i] = ChildRef{Sym: Symbol(int32(prevSym)), Ptr: Ptr(prevPtr)}
+		var ds, dp uint64
+		if off+1 < len(b) && b[off]|b[off+1] < 0x80 { // two one-byte deltas, a leaf's entry: one step
+			ds, dp = uint64(b[off]), uint64(b[off+1])
+			off += 2
+		} else {
+			if ds, off, ok = uvarint12(b, off); !ok {
+				ds, off = uvarintSlow(b, off)
+			}
+			if dp, off, ok = uvarint12(b, off); !ok {
+				dp, off = uvarintSlow(b, off)
+			}
+		}
+		sym += unzigzag(ds)
+		ptr += uint64(unzigzag(dp))
+		n.Children[i] = ChildRef{Sym: Symbol(int32(sym)), Ptr: Ptr(ptr)}
 	}
-	return v.err
+	if off > len(b) {
+		return failure(b, off)
+	}
+	return nil
 }

@@ -120,10 +120,10 @@ type treeWriter struct {
 }
 
 // newTreeWriter starts a tree of mt's shape (sparseness, length filter,
-// encoding) on the freshly created pf.
+// encoding — v2 unless one is named) on the freshly created pf.
 func newTreeWriter(pf *storage.File, mt meta) *treeWriter {
 	if mt.enc == 0 {
-		mt.enc = EncodingV1
+		mt.enc = EncodingV2
 	}
 	return &treeWriter{pf: pf, app: newAppender(pf), meta: mt}
 }

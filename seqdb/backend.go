@@ -24,12 +24,14 @@ const (
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // Encoding selects the on-disk node record serialization of an index tree:
-// v1 fixed-width (the default) or v2 compact varints (files about a third
-// of the size). An index is built in one encoding; to change it, drop the
-// index and build it again.
+// v1 fixed-width or v2 compact varints (files about a third of the size).
+// A DB index is built in v1 unless its IndexSpec names v2; a VectorDB index
+// is built in v2, and one built in v1 before that still opens. An index is
+// built in one encoding; to change it, drop the index and build it again.
 type Encoding = disktree.Encoding
 
-// The available record encodings. The zero value means EncodingV1.
+// The available record encodings. In an IndexSpec the zero value means
+// EncodingV1.
 const (
 	EncodingV1 = disktree.EncodingV1
 	EncodingV2 = disktree.EncodingV2

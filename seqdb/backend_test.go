@@ -250,3 +250,33 @@ func TestOpenRefusesRetiredEncoding(t *testing.T) {
 		t.Fatalf("%d indexes after the refused build, want 1", got)
 	}
 }
+
+// TestScalarIndexDefaultsToV1: an IndexSpec that names no encoding builds a
+// v1 tree, and Index reports v1 before and after a reopen.
+func TestScalarIndexDefaultsToV1(t *testing.T) {
+	db := newTestDB(t, 4, 40, 43)
+	if err := db.BuildIndex("ix", IndexSpec{Categories: 8}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(db *DB, when string) {
+		t.Helper()
+		info, err := db.Index("ix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Spec.Encoding != EncodingV1 {
+			t.Errorf("%s: encoding = %s, want v1", when, info.Spec.Encoding)
+		}
+	}
+	check(db, "built")
+	dir := db.Dir()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "reopened")
+}

@@ -57,7 +57,7 @@ type IndexSpec struct {
 	PoolPages int
 	// Encoding selects the node record serialization of the tree file
 	// (zero value = EncodingV1; EncodingV2 is the compact varint format).
-	// BuildIndex rejects any other value.
+	// BuildIndex rejects any other value; Index reports the encoding built.
 	Encoding Encoding
 }
 
@@ -70,9 +70,6 @@ func (s IndexSpec) withDefaults() IndexSpec {
 	}
 	if s.Window <= 0 {
 		s.Window = -1
-	}
-	if s.Encoding == 0 {
-		s.Encoding = EncodingV1
 	}
 	return s
 }
@@ -116,7 +113,7 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 		return errors.New("seqdb: cannot index an empty database")
 	}
 	spec = spec.withDefaults()
-	if spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
+	if spec.Encoding != 0 && spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
 		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
 	}
 	ix, err := core.Build(db.data, db.treePath(name), core.Options{
@@ -131,6 +128,7 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 		return err
 	}
 	ix.DisableEnvelopes = db.envelopes == EnvelopesOff
+	spec.Encoding = ix.Tree.Encoding()
 	if err := db.persistIndexMeta(name, spec, ix); err != nil {
 		ix.RemoveFile()
 		return err

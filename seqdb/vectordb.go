@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/disktree"
 	"twsearch/internal/multivar"
 )
 
@@ -21,6 +22,7 @@ type VectorDB struct {
 	dir     string
 	data    *multivar.Dataset
 	indexes map[string]*openVectorIndex
+	backend Backend // the page source index trees are read through
 }
 
 type openVectorIndex struct {
@@ -78,13 +80,17 @@ func CreateVector(dir string, dim int) (*VectorDB, error) {
 	return db, nil
 }
 
-// OpenVector loads an existing vector database and its indexes.
-func OpenVector(dir string) (*VectorDB, error) {
+// OpenVector loads an existing vector database and its indexes. Index trees
+// are read in whichever encoding they were built in.
+func OpenVector(dir string) (*VectorDB, error) { return openVector(dir, BackendPool) }
+
+// openVector is OpenVector with the index trees read through backend.
+func openVector(dir string, backend Backend) (*VectorDB, error) {
 	data, err := multivar.LoadFile(filepath.Join(dir, vectorDataFileName))
 	if err != nil {
 		return nil, fmt.Errorf("seqdb: loading vector dataset: %w", err)
 	}
-	db := &VectorDB{dir: dir, data: data, indexes: map[string]*openVectorIndex{}}
+	db := &VectorDB{dir: dir, data: data, indexes: map[string]*openVectorIndex{}, backend: backend}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -168,8 +174,14 @@ func (db *VectorDB) metaPath(name string) string {
 	return filepath.Join(db.dir, "vidx-"+name+".meta")
 }
 
-// BuildIndex builds and persists a multivariate index.
+// BuildIndex builds and persists a multivariate index. Its tree is written
+// in the compact record encoding, v2.
 func (db *VectorDB) BuildIndex(name string, spec VectorIndexSpec) error {
+	return db.buildIndex(name, spec, 0)
+}
+
+// buildIndex is BuildIndex with the tree written in enc (0: the default).
+func (db *VectorDB) buildIndex(name string, spec VectorIndexSpec, enc Encoding) error {
 	if err := validIndexName(name); err != nil {
 		return err
 	}
@@ -191,6 +203,7 @@ func (db *VectorDB) BuildIndex(name string, spec VectorIndexSpec) error {
 		Sparse:       spec.Sparse,
 		Window:       spec.Window,
 		MinAnswerLen: spec.MinAnswerLen,
+		Build:        disktree.BuildOptions{Encoding: enc},
 	})
 	if err != nil {
 		return err
@@ -237,7 +250,7 @@ func (db *VectorDB) openIndexFiles(name string) error {
 	if err != nil {
 		return err
 	}
-	ix, err := multivar.Open(db.data, grid, db.treePath(name), poolPages, window)
+	ix, err := multivar.OpenWith(db.data, grid, db.treePath(name), poolPages, window, db.backend)
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,11 @@ package seqdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -197,5 +199,78 @@ func TestVectorDBAddCopiesPoints(t *testing.T) {
 	// The copies share one array; none may reach into the next.
 	if got := db.Points("a"); cap(got[0]) != 2 || got[1][0] != 3 || got[1][1] != 4 {
 		t.Fatalf("stored points %v, the first with capacity %d", got, cap(got[0]))
+	}
+}
+
+// TestVectorEncodingsReopen: a vector index built in v1 — what every vector
+// index was built in before v2 became the default — and one built by
+// default, in v2, reopen through OpenVector on the pool and the mmap
+// backends, each still in its own encoding, and answer range and k-NN
+// queries byte for byte as they did when built and as each other.
+func TestVectorEncodingsReopen(t *testing.T) {
+	db := newVectorTestDB(t, 12, 60, 2, 31)
+	spec := VectorIndexSpec{CatsPerDim: 5, Window: 3}
+	if err := db.buildIndex("old", spec, EncodingV1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex("new", spec); err != nil {
+		t.Fatal(err)
+	}
+	var queries [][][]float64
+	for i := 0; i < 4; i++ {
+		pts := db.Points(fmt.Sprintf("vec-%d", 3*i))
+		queries = append(queries, pts[5*i:5*i+8])
+	}
+	// answers renders every answer of an index, distances by their bits.
+	answers := func(db *VectorDB, name string) string {
+		t.Helper()
+		var sb strings.Builder
+		for _, q := range queries {
+			ms, err := db.Search(name, q, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kms, err := db.SearchKNN(name, q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range append(ms, kms...) {
+				fmt.Fprintf(&sb, "%s %d %d %d %x\n", m.SeqID, m.Seq, m.Start, m.End, math.Float64bits(m.Distance))
+			}
+			sb.WriteString("--\n")
+		}
+		return sb.String()
+	}
+	want := answers(db, "old")
+	if strings.Count(want, "\n") <= 2*len(queries) {
+		t.Fatal("the queries found nothing to compare")
+	}
+	if got := answers(db, "new"); got != want {
+		t.Fatalf("v2 index answers differ from v1's:\n%s\nwant\n%s", got, want)
+	}
+	dir := db.dir
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := map[Backend]func() (*VectorDB, error){
+		BackendPool: func() (*VectorDB, error) { return OpenVector(dir) },
+		BackendMmap: func() (*VectorDB, error) { return openVector(dir, BackendMmap) },
+	}
+	for backend, open := range reopen {
+		re, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, enc := range map[string]Encoding{"old": EncodingV1, "new": EncodingV2} {
+			if got := re.indexes[name].ix.Tree.Encoding(); got != enc {
+				t.Errorf("%s: index %q reopened as %s, want %s", backend, name, got, enc)
+			}
+			if got := answers(re, name); got != want {
+				t.Errorf("%s: index %q answers differ after reopening:\n%s\nwant\n%s", backend, name, got, want)
+			}
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
