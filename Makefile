@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-wire lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -23,13 +23,6 @@ lint:
 # the analysis code to the same no-unexplained-findings bar anyway.
 lint-self:
 	$(GO) run ./cmd/twlint ./cmd/twlint ./internal/lint ./internal/lint/cfg
-
-# Protocol-symmetry gate on the wire codecs alone: the wireconform analyzer
-# proves every encoder's field order, widths and loops are mirrored by its
-# decoder and that no layout is data-dependent, so codec skew fails fast
-# without running the whole suite.
-lint-wire:
-	$(GO) run ./cmd/twlint -only wireconform ./internal/wire
 
 # Golden diff over the bad fixtures: the full suite's JSON finding stream is
 # byte-deterministic, so any analyzer change that moves, adds or drops a
@@ -54,8 +47,10 @@ check: build vet lint test race
 # under the race detector, a bounded fuzz pass over the kernel fuzz
 # targets, the server smoke drill, the linter over its own sources, the
 # fixture golden diff, and the machine-readable lint gate (any finding
-# fails the run; the JSON lines feed CI annotations).
-ci: check race-concurrency race-parallel race-shard race-mmap race-build fuzz-ci smoke lint-self lint-wire lint-golden
+# fails the run; the JSON lines feed CI annotations). Wire codec skew is
+# tier-1's: TestWireBytesPinned pins every layout and
+# TestRoundTripZeroAndExtreme catches a field written only for some values.
+ci: check race-concurrency race-parallel race-shard race-mmap race-build fuzz-ci smoke lint-self lint-golden
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on

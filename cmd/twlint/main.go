@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	twlint [-json] [-only checks] [-skip checks] [packages]
+//	twlint [-checks] [-json] [packages]
 //
 // where packages are directory paths or "./..."-style patterns (default
-// "./..."). -only and -skip narrow the suite to (or away from) a
-// comma-separated list of check names; an unknown name is an error, not a
-// silent no-op. Findings print one per line as
+// "./..."). -checks lists the registered checks. Findings print one per
+// line as
 //
 //	file:line: [check-name] message
 //
@@ -20,9 +19,7 @@
 // In both modes the command exits 1 when any finding survives
 // //lint:ignore filtering, 2 on a load or type-check failure. The finding
 // stream on stdout is byte-deterministic — findings are sorted by position,
-// check and message — so golden diffs are stable; -timings prints the
-// per-analyzer wall time summed over all packages to stderr, keeping the
-// measurement out of the deterministic stream.
+// check and message — so golden diffs are stable.
 package main
 
 import (
@@ -32,8 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
 	"twsearch/internal/lint"
 )
@@ -47,13 +42,6 @@ type jsonFinding struct {
 	Message string `json:"message"`
 }
 
-// jsonTiming is the -json -timings wire form of one analyzer's wall time,
-// printed to stderr so the stdout finding stream stays deterministic.
-type jsonTiming struct {
-	Analyzer  string `json:"analyzer"`
-	ElapsedUS int64  `json:"elapsed_us"`
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -63,11 +51,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	listChecks := fs.Bool("checks", false, "list the registered checks and exit")
 	asJSON := fs.Bool("json", false, "emit findings as one JSON object per line")
-	timings := fs.Bool("timings", false, "print per-analyzer wall time to stderr")
-	only := fs.String("only", "", "comma-separated checks to run, all others skipped")
-	skip := fs.String("skip", "", "comma-separated checks to skip")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: twlint [-checks] [-json] [-timings] [-only checks] [-skip checks] [packages]\n")
+		fmt.Fprintf(stderr, "usage: twlint [-checks] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -100,12 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	analyzers, err := selectAnalyzers(lint.Analyzers(), *only, *skip)
-	if err != nil {
-		fmt.Fprintln(stderr, "twlint:", err)
-		return 2
-	}
-	elapsed := make(map[string]time.Duration, len(analyzers))
 	exit := 0
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
@@ -113,11 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "twlint:", err)
 			return 2
 		}
-		findings, times := lint.RunPackageTimed(pkg, analyzers)
-		for _, t := range times {
-			elapsed[t.Name] += t.Elapsed
-		}
-		for _, f := range findings {
+		for _, f := range lint.RunPackage(pkg, lint.Analyzers()) {
 			if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
 				f.Pos.Filename = rel
 			}
@@ -139,79 +114,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			exit = 1
 		}
 	}
-	if *timings {
-		// Analyzer registration order, not map order, so the report shape is
-		// stable even though the numbers are not. Timings go to stderr in
-		// both modes: stdout stays byte-deterministic for golden diffs.
-		for _, a := range analyzers {
-			if *asJSON {
-				line, err := json.Marshal(jsonTiming{
-					Analyzer:  a.Name,
-					ElapsedUS: elapsed[a.Name].Microseconds(),
-				})
-				if err != nil {
-					fmt.Fprintln(stderr, "twlint:", err)
-					return 2
-				}
-				fmt.Fprintln(stderr, string(line))
-			} else {
-				fmt.Fprintf(stderr, "twlint: %-14s %s\n", a.Name, elapsed[a.Name].Round(time.Microsecond))
-			}
-		}
-	}
 	return exit
-}
-
-// selectAnalyzers narrows the registered suite by the -only and -skip
-// lists. Unknown names are an error so a typo cannot silently run (or
-// skip) the wrong set. Directive staleness under a partial run is handled
-// by the lint package, which judges a //lint:ignore only when every check
-// it names is in the running set.
-func selectAnalyzers(all []*lint.Analyzer, only, skip string) ([]*lint.Analyzer, error) {
-	byName := make(map[string]bool, len(all))
-	for _, a := range all {
-		byName[a.Name] = true
-	}
-	parse := func(list, flagName string) (map[string]bool, error) {
-		if list == "" {
-			return nil, nil
-		}
-		set := make(map[string]bool)
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !byName[name] {
-				return nil, fmt.Errorf("-%s: unknown check %q (run twlint -checks for the list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse(only, "only")
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse(skip, "skip")
-	if err != nil {
-		return nil, err
-	}
-	if onlySet == nil && skipSet == nil {
-		return all, nil
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only/-skip selected no checks")
-	}
-	return out, nil
 }

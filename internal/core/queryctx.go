@@ -23,8 +23,6 @@ type queryPool struct {
 // acquire returns a searcher bound to this query, reusing a pooled one's
 // allocations (the kernel's tables and caches, scratch nodes, pending set)
 // when available. Callers must release it when the search finishes.
-//
-//twlint:pool-transfer the searcher is handed to the caller; release returns it via qp.p.Put
 func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps float64) *searcher {
 	s, _ := qp.p.Get().(*searcher)
 	if s == nil {
@@ -100,8 +98,6 @@ var scanTables = sync.Pool{New: func() any { return &dtw.Table{} }}
 
 // acquireScanTable returns a pooled table bound to q; hand it back with
 // releaseScanTable.
-//
-//twlint:pool-transfer the table is handed to the caller; releaseScanTable returns it
 func acquireScanTable(q []float64, window int) *dtw.Table {
 	t := scanTables.Get().(*dtw.Table)
 	t.Bind(q, window)

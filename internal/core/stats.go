@@ -33,8 +33,6 @@ type Match struct {
 // early stop (visitor returning false, cancellation) all counters reflect
 // only the work actually done, which under parallelism depends on worker
 // scheduling.
-//
-//twlint:join-merged
 type SearchStats struct {
 	// NodesVisited counts tree nodes read during filtering.
 	NodesVisited uint64

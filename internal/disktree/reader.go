@@ -57,7 +57,6 @@ func (r *Reader) Close() {
 // view swaps the held view for page id's.
 func (r *Reader) view(id storage.PageID) error {
 	r.Close()
-	//lint:ignore viewescape the reader is the audited owner: the one view it holds sits in its fields until the next view or Close, and every owner of a Reader closes it on every return path
 	page, release, err := r.f.src.View(id)
 	if err != nil {
 		return err

@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces context discipline along request paths, generalizing the
-// old ctxless-loop check with interprocedural reachability. Request-path
-// roots are functions that receive a context.Context parameter, plus the
-// handle*/serve* methods of a package named server; membership closes over
-// package-local static calls, and re-rooting flows across packages through
-// per-function context summaries computed next to the bound-taint fixpoint.
+// CtxFlow enforces context discipline along request paths, with
+// interprocedural reachability. Request-path roots are functions that
+// receive a context.Context parameter, plus the handle*/serve* methods of a
+// package named server; membership closes over package-local static calls,
+// and re-rooting flows across packages through per-function context
+// summaries computed next to the bound-taint fixpoint.
 //
 // Three rules follow:
 //

@@ -27,7 +27,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one analyzer report, anchored to a source position.
@@ -116,45 +115,23 @@ func Analyzers() []*Analyzer {
 		PanicPath,
 		ErrWrap,
 		FloatEq,
-		CloseCheck,
-		GlobalRand,
-		CtxlessLoop,
 		BoundsContract,
 		LockBalance,
 		GoLeak,
 		DeferInLoop,
-		PoolBalance,
-		AtomicMix,
-		JoinBarrier,
-		WireConform,
 		CtxFlow,
 		SteadyState,
-		ViewEscape,
 	}
 }
 
-// AnalyzerTiming is the wall-clock cost of one analyzer over one package.
-type AnalyzerTiming struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// RunPackage runs every analyzer in the suite over one loaded package and
-// returns the findings that survive ignore-directive filtering, plus
-// findings about malformed or stale directives themselves.
+// RunPackage runs the given analyzers over one loaded package and returns
+// the findings that survive ignore-directive filtering, plus findings about
+// malformed or stale directives themselves. The result is sorted by
+// position, check and message, so the finding stream is byte-deterministic.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
-	out, _ := RunPackageTimed(pkg, analyzers)
-	return out
-}
-
-// RunPackageTimed is RunPackage plus per-analyzer wall time, in analyzer
-// order. Timings are reported separately from findings so the finding
-// stream stays byte-deterministic for golden diffs.
-func RunPackageTimed(pkg *Package, analyzers []*Analyzer) ([]Finding, []AnalyzerTiming) {
 	var raw []Finding
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
 	for _, a := range analyzers {
-		pass := &Pass{
+		a.Run(&Pass{
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
@@ -164,10 +141,7 @@ func RunPackageTimed(pkg *Package, analyzers []*Analyzer) ([]Finding, []Analyzer
 			check:    a.Name,
 			findings: &raw,
 			src:      pkg,
-		}
-		start := time.Now()
-		a.Run(pass)
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: time.Since(start)})
+		})
 	}
 	dirs, bad := directives(pkg.Fset, pkg.Files)
 	out, used := filterIgnored(raw, dirs)
@@ -189,7 +163,7 @@ func RunPackageTimed(pkg *Package, analyzers []*Analyzer) ([]Finding, []Analyzer
 		}
 		return out[i].Message < out[j].Message
 	})
-	return out, timings
+	return out
 }
 
 // isTestFile reports whether the position's file is a _test.go file.

@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"bufio"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -61,22 +64,14 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"panicpath", PanicPath, 1},
 		{"errwrap", ErrWrap, 1},
 		{"floateq", FloatEq, 1},
-		{"closecheck", CloseCheck, 2},
-		{"globalrand", GlobalRand, 1},
-		{"ctxloop", CtxlessLoop, 1},
 		{"boundscontract", BoundsContract, 4},
 		{"boundmark", BoundsContract, 2},
 		{"boundiface", BoundsContract, 4},
 		{"lockbalance", LockBalance, 2},
 		{"goleak", GoLeak, 2},
 		{"deferinloop", DeferInLoop, 2},
-		{"poolbalance", PoolBalance, 2},
-		{"atomicmix", AtomicMix, 2},
-		{"joinbarrier", JoinBarrier, 2},
-		{"wireconform", WireConform, 2},
 		{"ctxflow", CtxFlow, 4},
 		{"steadystate", SteadyState, 7},
-		{"viewescape", ViewEscape, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -102,6 +97,64 @@ func TestAnalyzerFixtures(t *testing.T) {
 				t.Errorf("ignored fixture: directive did not suppress: %v", got)
 			}
 		})
+	}
+}
+
+// TestFixturesMatchRegistry keeps testdata in step with Analyzers(): one
+// fixture directory per registered check, named after it, plus the
+// infrastructure fixtures listed here, and golden lines only for checks
+// that exist. A deleted analyzer cannot leave its fixtures or golden lines
+// behind, and a registered one cannot lose its negative example.
+func TestFixturesMatchRegistry(t *testing.T) {
+	want := map[string]bool{
+		"directive":  true, // malformed //lint:ignore directives
+		"boundmark":  true, // boundscontract's //twlint:bound-source markers
+		"boundiface": true, // boundscontract through interface methods
+	}
+	checks := map[string]bool{"directive": true}
+	for _, a := range Analyzers() {
+		want[a.Name] = true
+		checks[a.Name] = true
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]bool)
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		got[e.Name()] = true
+		if !want[e.Name()] {
+			t.Errorf("testdata/src/%s belongs to no registered check", e.Name())
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("no fixture directory testdata/src/%s", name)
+		}
+	}
+
+	golden, err := os.Open(filepath.Join("testdata", "golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer golden.Close()
+	sc := bufio.NewScanner(golden)
+	for sc.Scan() {
+		var f struct {
+			Check string `json:"check"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatalf("golden line %q: %v", sc.Text(), err)
+		}
+		if !checks[f.Check] {
+			t.Errorf("golden line for unregistered check %q: %s", f.Check, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

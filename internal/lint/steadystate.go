@@ -22,8 +22,7 @@ import (
 //   - function literals that capture enclosing variables (a capturing
 //     closure allocates per call)
 //   - interface-boxing call sites (a concrete value passed to an interface
-//     parameter allocates), unless the call goes through an audited pool
-//     acquire (a package-local function carrying //twlint:pool-transfer)
+//     parameter allocates)
 //
 // Warmup-phase allocation that a growth guard bounds — the pending-set
 // Reset's touched-slice doubling, for instance — is audited in place with
@@ -57,10 +56,6 @@ func runSteadyState(pass *Pass) {
 	if !pass.Library {
 		return
 	}
-	// Audited pool acquires: calls to these are the sanctioned way a value
-	// enters a steady-state body, so their call sites are exempt from the
-	// boxing check.
-	pooled := make(map[*types.Func]bool)
 	attached := make(map[*ast.Comment]bool)
 	var markedDecls []*ast.FuncDecl
 	for _, file := range pass.Files {
@@ -71,11 +66,6 @@ func runSteadyState(pass *Pass) {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
-			}
-			if c, _ := poolTransferComment(fd.Doc); c != nil {
-				if fn, _ := pass.Info.Defs[fd.Name].(*types.Func); fn != nil {
-					pooled[fn] = true
-				}
 			}
 			c := steadyStateComment(fd.Doc)
 			if c == nil {
@@ -101,12 +91,12 @@ func runSteadyState(pass *Pass) {
 		}
 	}
 	for _, fd := range markedDecls {
-		checkSteadyState(pass, fd, pooled)
+		checkSteadyState(pass, fd)
 	}
 }
 
 // checkSteadyState walks one marked body and reports every allocation site.
-func checkSteadyState(pass *Pass, fd *ast.FuncDecl, pooled map[*types.Func]bool) {
+func checkSteadyState(pass *Pass, fd *ast.FuncDecl) {
 	name := fd.Name.Name
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -128,7 +118,7 @@ func checkSteadyState(pass *Pass, fd *ast.FuncDecl, pooled map[*types.Func]bool)
 				pass.Report(n, "steady-state %s builds a closure capturing %s, allocating per call; hoist the literal to a method or pass the state explicitly", name, strings.Join(caps, ", "))
 			}
 		case *ast.CallExpr:
-			checkSteadyCall(pass, name, n, pooled)
+			checkSteadyCall(pass, name, n)
 		}
 		return true
 	})
@@ -149,7 +139,7 @@ func compositeKind(t types.Type) string {
 
 // checkSteadyCall reports allocating calls: make/new/append builtins and
 // interface-boxing argument passing.
-func checkSteadyCall(pass *Pass, name string, call *ast.CallExpr, pooled map[*types.Func]bool) {
+func checkSteadyCall(pass *Pass, name string, call *ast.CallExpr) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
 			switch id.Name {
@@ -162,8 +152,8 @@ func checkSteadyCall(pass *Pass, name string, call *ast.CallExpr, pooled map[*ty
 		}
 	}
 	fn := calleeFunc(pass.Info, call)
-	if fn == nil || pooled[fn] {
-		return // dynamic call, or an audited pool acquire
+	if fn == nil {
+		return // dynamic call
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -193,7 +183,7 @@ func checkSteadyCall(pass *Pass, name string, call *ast.CallExpr, pooled map[*ty
 		if basic, ok := at.Underlying().(*types.Basic); ok && basic.Kind() == types.UntypedNil {
 			continue
 		}
-		pass.Report(arg, "steady-state %s boxes a concrete %s into interface parameter %q of %s, allocating per call; take a concrete type or route the value through an audited pool acquire", name, at.String(), paramName(fn, j), fn.Name())
+		pass.Report(arg, "steady-state %s boxes a concrete %s into interface parameter %q of %s, allocating per call; take a concrete type", name, at.String(), paramName(fn, j), fn.Name())
 	}
 }
 

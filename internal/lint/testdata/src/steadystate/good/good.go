@@ -1,14 +1,9 @@
 // Package good keeps its steady-state kernels allocation-free: state lives
-// in the pooled context, values enter through an audited pool acquire, and
-// plain struct values stay on the stack.
+// in the pooled context and plain struct values stay on the stack.
 package good
 
 type point struct {
 	x, y int
-}
-
-type sink interface {
-	Write(v int)
 }
 
 type logger struct {
@@ -17,44 +12,17 @@ type logger struct {
 
 func (l *logger) Write(v int) { l.n += v }
 
-type pool struct {
-	free  []*point
-	trace sink
-}
-
-// acquire hands a pooled point to the caller; the marker makes its
-// interface parameter an audited handoff rather than a boxing site.
-//
-//twlint:pool-transfer fixture: ownership of the point passes to the caller until release
-func (p *pool) acquire(t sink) *point {
-	if len(p.free) == 0 {
-		p.free = append(p.free, &point{})
-	}
-	pt := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.trace = t
-	return pt
-}
-
-// release returns a point to the pool.
-func (p *pool) release(pt *point) {
-	p.free = append(p.free, pt)
-}
-
 type kernel struct {
-	p   *pool
 	l   *logger
 	buf []float64
 	pt  *point
 }
 
-// step reuses pooled state only: the acquire call is exempt, the Write
-// call passes a concrete value to a concrete parameter, and the buffer is
-// written in place.
+// step reuses pooled state only: the Write call passes a concrete value to
+// a concrete parameter, and the buffer is written in place.
 //
 //twlint:steady-state
 func (k *kernel) step(v int) {
-	k.pt = k.p.acquire(k.l)
 	k.pt.x = v
 	k.buf[0] = float64(v)
 	k.l.Write(v)

@@ -18,8 +18,6 @@ package pending
 // the database's total element count first. A Set is not safe for
 // concurrent use; each pooled query context owns one, and the parallel
 // drivers merge worker sets only after the join barrier.
-//
-//twlint:join-merged
 type Set struct {
 	stamp   []uint32 // per-offset epoch of last write
 	maxEnd  []int32  // valid only where stamp[i] == epoch

@@ -85,8 +85,8 @@ func (c *Coordinator) Shards() int { return len(c.backends) }
 // reaches the caller before the slowest shard finishes.
 //
 // Work counters are aggregated exactly at the join barrier: each worker
-// owns its private Stats slot (core.SearchStats is //twlint:join-merged
-// state) and the driver sums the slots only after wg.Wait.
+// owns its private Stats slot and the driver sums the slots only after
+// wg.Wait.
 func (c *Coordinator) gather(
 	ctx context.Context,
 	run func(ctx context.Context, b Backend) ([]Match, Stats, error),

@@ -93,8 +93,7 @@ type File struct {
 
 	// pagesRead and pagesWritten count physical page transfers. They are
 	// typed atomics, not raw integers behind sync/atomic calls, so every
-	// access is atomic by construction — the discipline twlint's atomicmix
-	// check enforces on the function-style API.
+	// access is atomic by construction.
 	pagesRead, pagesWritten atomic.Uint64
 }
 

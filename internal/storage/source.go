@@ -14,9 +14,9 @@ import (
 type PageSource interface {
 	// View borrows page id. The returned slice is exactly PageSize bytes
 	// and is valid only until release is called; callers must not retain
-	// it, write to it, or let it escape past release (the twlint viewescape
-	// rule). release must be called exactly once, and is safe to call from
-	// the goroutine that called View.
+	// it, write to it, or let it escape past release. release must be
+	// called exactly once, and is safe to call from the goroutine that
+	// called View.
 	View(id PageID) (page []byte, release func(), err error)
 	// File returns the underlying page file.
 	File() *File

@@ -2,18 +2,19 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
 	"twsearch/internal/core"
+	"twsearch/internal/sequence"
 )
 
-// FuzzFrameRoundTrip is the dynamic counterpart to the wireconform static
-// analyzer: for every message type, any body the decoder accepts must
-// re-encode to the identical bytes. Because Reader rejects trailing bytes
-// and non-canonical booleans, every field layout is bijective on valid
-// frames — a skew between an encode/decode pair (wrong width, wrong order)
-// shows up as a byte diff.
+// FuzzFrameRoundTrip holds every message type to one property: any body
+// the decoder accepts must re-encode to the identical bytes. Because
+// Reader rejects trailing bytes and non-canonical booleans, every field
+// layout is bijective on valid frames — a skew between an encode/decode
+// pair (wrong width, wrong order) shows up as a byte diff.
 func FuzzFrameRoundTrip(f *testing.F) {
 	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second,
 		Parallelism: 4, Query: []float64{1, 2, 3}}
@@ -62,93 +63,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(TBatch, (&BatchReq{DB: "db", Items: []BatchItem{{Op: BatchOpKNN, Index: "ix", Query: []float64{4}}}}).Encode(nil))
 	f.Add(TShardsResp, []byte{})
 
+	// The zero value of every message, where a field written only when it
+	// is non-zero would show; TestRoundTripZeroAndExtreme checks these
+	// bodies directly.
+	for _, tc := range roundTripCases() {
+		if tc.zero {
+			f.Add(tc.typ, tc.body)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
-		var reenc []byte
-		var err error
-		switch typ {
-		case TSearch:
-			var m SearchReq
-			if m, err = DecodeSearchReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TKNN:
-			var m KNNReq
-			if m, err = DecodeKNNReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TScan:
-			var m ScanReq
-			if m, err = DecodeScanReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TStats:
-			var m StatsReq
-			if m, err = DecodeStatsReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TListIndexes:
-			var m ListIndexesReq
-			if m, err = DecodeListIndexesReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TMatch:
-			var m Match
-			if m, err = DecodeMatch(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TDone:
-			var m Done
-			if m, err = DecodeDone(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TError:
-			var e *Error
-			if e, err = DecodeError(body); err == nil {
-				reenc = EncodeError(nil, e)
-			}
-		case TStatsResp:
-			var m StatsResp
-			if m, err = DecodeStatsResp(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TIndexes:
-			var m IndexesResp
-			if m, err = DecodeIndexesResp(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TBatch:
-			var m BatchReq
-			if m, err = DecodeBatchReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TBatchMatch:
-			var m BatchMatch
-			if m, err = DecodeBatchMatch(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TBatchItemDone:
-			var m BatchItemDone
-			if m, err = DecodeBatchItemDone(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TBatchItemError:
-			var m BatchItemError
-			if m, err = DecodeBatchItemError(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TShards:
-			var m ShardsReq
-			if m, err = DecodeShardsReq(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		case TShardsResp:
-			var m ShardsResp
-			if m, err = DecodeShardsResp(body); err == nil {
-				reenc = m.Encode(nil)
-			}
-		default:
+		codec, ok := codecs[typ]
+		if !ok {
 			return
 		}
+		reenc, err := codec(body)
 		if err != nil {
 			return // malformed input rejected: nothing to compare
 		}
@@ -157,6 +86,149 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				typ, body, reenc)
 		}
 	})
+}
+
+// codecs maps each frame type to decode-then-encode over its body.
+var codecs = map[byte]func(body []byte) ([]byte, error){
+	TSearch:         reencode(DecodeSearchReq, (*SearchReq).Encode),
+	TKNN:            reencode(DecodeKNNReq, (*KNNReq).Encode),
+	TScan:           reencode(DecodeScanReq, (*ScanReq).Encode),
+	TStats:          reencode(DecodeStatsReq, (*StatsReq).Encode),
+	TListIndexes:    reencode(DecodeListIndexesReq, (*ListIndexesReq).Encode),
+	TMatch:          reencode(DecodeMatch, (*Match).Encode),
+	TDone:           reencode(DecodeDone, (*Done).Encode),
+	TError:          reencode(DecodeError, func(e **Error, b []byte) []byte { return EncodeError(b, *e) }),
+	TStatsResp:      reencode(DecodeStatsResp, (*StatsResp).Encode),
+	TIndexes:        reencode(DecodeIndexesResp, (*IndexesResp).Encode),
+	TBatch:          reencode(DecodeBatchReq, (*BatchReq).Encode),
+	TBatchMatch:     reencode(DecodeBatchMatch, (*BatchMatch).Encode),
+	TBatchItemDone:  reencode(DecodeBatchItemDone, (*BatchItemDone).Encode),
+	TBatchItemError: reencode(DecodeBatchItemError, (*BatchItemError).Encode),
+	TShards:         reencode(DecodeShardsReq, (*ShardsReq).Encode),
+	TShardsResp:     reencode(DecodeShardsResp, (*ShardsResp).Encode),
+}
+
+func reencode[M any](decode func([]byte) (M, error), encode func(*M, []byte) []byte) func([]byte) ([]byte, error) {
+	return func(body []byte) ([]byte, error) {
+		m, err := decode(body)
+		if err != nil {
+			return nil, err
+		}
+		return encode(&m, nil), nil
+	}
+}
+
+// roundTripCase is one encoded message: its frame type, and whether it is
+// the type's zero value (or, for KNNReq, the smallest valid one).
+type roundTripCase struct {
+	name string
+	typ  byte
+	zero bool
+	body []byte
+}
+
+// roundTripCases encodes every message type twice: as its zero value, and
+// with every field at a non-zero extreme — the widest unsigned ids,
+// negative floats and durations, empty and non-empty strings and slices.
+func roundTripCases() []roundTripCase {
+	const maxU32 = math.MaxUint32
+	stats := core.SearchStats{
+		NodesVisited: math.MaxUint64, FilterCells: math.MaxUint64, PostCells: math.MaxUint64,
+		Candidates: math.MaxUint64, FalseAlarms: math.MaxUint64, Answers: math.MaxUint64,
+		PagesRead: math.MaxUint64, PoolHits: math.MaxUint64, PoolMisses: math.MaxUint64,
+		EnvelopePruned: math.MaxUint64, LBCells: math.MaxUint64, Elapsed: math.MinInt64,
+	}
+	extreme := func(name string, typ byte, body []byte) roundTripCase {
+		return roundTripCase{name: name + "/extreme", typ: typ, body: body}
+	}
+	zero := func(name string, typ byte, body []byte) roundTripCase {
+		return roundTripCase{name: name + "/zero", typ: typ, zero: true, body: body}
+	}
+	return []roundTripCase{
+		zero("SearchReq", TSearch, (&SearchReq{}).Encode(nil)),
+		extreme("SearchReq", TSearch, (&SearchReq{DB: "", Index: "ix", Eps: -math.MaxFloat64,
+			Timeout: math.MinInt64, Parallelism: maxU32,
+			Query: []float64{-0.5, math.Inf(-1), math.MaxFloat64}}).Encode(nil)),
+		zero("KNNReq", TKNN, (&KNNReq{K: 1}).Encode(nil)),
+		extreme("KNNReq", TKNN, (&KNNReq{DB: "db", Index: "", K: math.MaxInt32,
+			Timeout: math.MaxInt64, Parallelism: maxU32, Query: []float64{}}).Encode(nil)),
+		zero("ScanReq", TScan, (&ScanReq{}).Encode(nil)),
+		extreme("ScanReq", TScan, (&ScanReq{DB: "db", Eps: -1.5, Timeout: -1,
+			Query: []float64{-math.SmallestNonzeroFloat64}}).Encode(nil)),
+		zero("StatsReq", TStats, (&StatsReq{}).Encode(nil)),
+		extreme("StatsReq", TStats, (&StatsReq{DB: "db"}).Encode(nil)),
+		zero("ListIndexesReq", TListIndexes, (&ListIndexesReq{}).Encode(nil)),
+		extreme("ListIndexesReq", TListIndexes, (&ListIndexesReq{DB: "db"}).Encode(nil)),
+		zero("Match", TMatch, (&Match{}).Encode(nil)),
+		extreme("Match", TMatch, (&Match{SeqID: "s", Seq: maxU32, Start: maxU32, End: maxU32,
+			Distance: -2.25}).Encode(nil)),
+		zero("Done", TDone, (&Done{}).Encode(nil)),
+		extreme("Done", TDone, (&Done{Stats: stats}).Encode(nil)),
+		zero("Error", TError, EncodeError(nil, &Error{})),
+		extreme("Error", TError, EncodeError(nil, &Error{Code: math.MaxUint8, Msg: "lost",
+			Answered: []int{0, maxU32}})),
+		zero("StatsResp", TStatsResp, (&StatsResp{}).Encode(nil)),
+		extreme("StatsResp", TStatsResp, (&StatsResp{
+			Stats: sequence.Stats{Sequences: math.MaxInt64, TotalElements: math.MinInt64,
+				MinLen: -1, MaxLen: math.MaxInt64, AvgLen: -1, MinValue: -math.MaxFloat64,
+				MaxValue: -0.5, MeanValue: -1e-300, StdDev: math.Inf(-1)},
+			Pools: []PoolInfo{
+				{Index: ""},
+				{Index: "ix", Shards: []PoolShard{{Hits: math.MaxUint64, Misses: math.MaxUint64, Evictions: math.MaxUint64}}},
+			},
+		}).Encode(nil)),
+		zero("IndexesResp", TIndexes, (&IndexesResp{}).Encode(nil)),
+		extreme("IndexesResp", TIndexes, (&IndexesResp{Indexes: []IndexInfo{
+			{Name: "", Method: "m", Categories: maxU32, Sparse: true, Window: math.MinInt64,
+				MinAnswerLen: maxU32, SizeBytes: math.MinInt64, Leaves: math.MaxUint64, Nodes: math.MaxUint64},
+			{},
+		}}).Encode(nil)),
+		zero("BatchReq", TBatch, (&BatchReq{}).Encode(nil)),
+		extreme("BatchReq", TBatch, (&BatchReq{DB: "", Timeout: math.MinInt64, Parallelism: maxU32,
+			Items: []BatchItem{
+				{Op: BatchOpKNN, Index: "", Eps: -math.MaxFloat64, K: math.MaxInt32},
+				{Op: BatchOpSearch, Index: "ix", Eps: -1, Query: []float64{-3, 4}},
+			}}).Encode(nil)),
+		zero("BatchMatch", TBatchMatch, (&BatchMatch{}).Encode(nil)),
+		extreme("BatchMatch", TBatchMatch, (&BatchMatch{ID: maxU32, SeqID: "", Seq: maxU32,
+			Start: maxU32, End: maxU32, Distance: -0.125}).Encode(nil)),
+		zero("BatchItemDone", TBatchItemDone, (&BatchItemDone{}).Encode(nil)),
+		extreme("BatchItemDone", TBatchItemDone, (&BatchItemDone{ID: maxU32, Stats: stats}).Encode(nil)),
+		zero("BatchItemError", TBatchItemError, (&BatchItemError{}).Encode(nil)),
+		extreme("BatchItemError", TBatchItemError, (&BatchItemError{ID: maxU32, Code: math.MaxUint8,
+			Msg: ""}).Encode(nil)),
+		zero("ShardsReq", TShards, (&ShardsReq{}).Encode(nil)),
+		extreme("ShardsReq", TShards, (&ShardsReq{DB: "db"}).Encode(nil)),
+		zero("ShardsResp", TShardsResp, (&ShardsResp{}).Encode(nil)),
+		extreme("ShardsResp", TShardsResp, (&ShardsResp{Ranges: []ShardRange{
+			{Start: math.MinInt64, Count: math.MaxInt64}, {},
+		}}).Encode(nil)),
+	}
+}
+
+// TestRoundTripZeroAndExtreme holds every message type to decode∘encode
+// being the identity on its zero value and on an extreme value. A field
+// whose presence depends on its value — written only when non-zero, say —
+// fails here: the decoder reads every field unconditionally, so the zero
+// body comes up short or re-encodes to other bytes.
+func TestRoundTripZeroAndExtreme(t *testing.T) {
+	seen := make(map[byte]int)
+	for _, tc := range roundTripCases() {
+		seen[tc.typ]++
+		reenc, err := codecs[tc.typ](tc.body)
+		if err != nil {
+			t.Errorf("%s: decoding its own encoding: %v", tc.name, err)
+			continue
+		}
+		if !bytes.Equal(reenc, tc.body) {
+			t.Errorf("%s: decode∘encode not identity:\n in:  %x\n out: %x", tc.name, tc.body, reenc)
+		}
+	}
+	for typ := range codecs {
+		if seen[typ] != 2 {
+			t.Errorf("frame type %#x: %d round-trip cases, want a zero and an extreme one", typ, seen[typ])
+		}
+	}
 }
 
 // oldSearchReq lays m out as protocol version 2 did: the current body
