@@ -123,9 +123,10 @@ smoke:
 	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
-# thresholded-row, engine-equivalence (scalar and vector kernel, range and
-# k-NN), wire round-trip, build-versus-naive, node-codec, scheme-reader, the
-# two dataset-reader, fit-versus-reference and file-corruption targets.
+# the verifier-against-table (scalar and vector), engine-equivalence (scalar
+# and vector kernel, range and k-NN), wire round-trip, build-versus-naive,
+# node-codec, scheme-reader, the two dataset-reader, fit-versus-reference and
+# file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
 # giving the two engine-equivalence targets twice the time.
 FUZZ_ENGINE = \
@@ -135,6 +136,7 @@ FUZZ_CI = \
 	./internal/dtw/:FuzzDistanceProperties \
 	./internal/dtw/:FuzzIntervalLowerBound \
 	./internal/dtw/:FuzzThresholdRows \
+	./internal/multivar/:FuzzThresholdRows \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \
 	./internal/categorize/:FuzzFit \
@@ -169,15 +171,18 @@ bench:
 # BenchmarkSearchBroad (internal/core: fixed walks and queries shaped like
 # the benchmark's two single-client workloads, ns/node and ns/cell beside
 # ns/op; each runs over a v1 and a v2 tree, so one profile holds decodeV1
-# and decodeCompact side by side), written with the test binary to
-# PROFILE_DIR; the top of each is printed.
+# and decodeCompact side by side) and of BenchmarkSearchTrajectory
+# (internal/multivar: the same engine over the vector kernel), written with
+# the test binaries to PROFILE_DIR; the top of each is printed.
 PROFILE_DIR ?= /tmp/twsearch-profile
 profile-search:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'SearchSelective$$' -benchtime 1000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/selective.prof ./internal/core
 	$(GO) test -run '^$$' -bench 'SearchBroad$$' -benchtime 300x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/broad.prof ./internal/core
+	$(GO) test -run '^$$' -bench 'SearchTrajectory$$' -benchtime 300x -o $(PROFILE_DIR)/multivar.test -cpuprofile $(PROFILE_DIR)/trajectory.prof ./internal/multivar
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/multivar.test $(PROFILE_DIR)/trajectory.prof
 
 # Short fuzz session over every fuzz target: 10s each, 20s for the engine
 # pair.

@@ -189,8 +189,69 @@ func TestSearchInputErrors(t *testing.T) {
 	if _, _, err := SeqScan(data, []float64{1}, -2, -1); err == nil {
 		t.Error("SeqScan negative eps accepted")
 	}
+	// A NaN threshold prunes nothing and accepts nothing, so a search would
+	// walk the whole tree for no answer; a NaN or infinite query value makes
+	// every distance NaN or +Inf. All are refused before any work is done.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, eps := range []float64{nan, -inf} {
+		if _, st, err := search(ix, []float64{1}, eps); err == nil || st.NodesVisited != 0 {
+			t.Errorf("eps %v: err %v after %d nodes, want a refusal before the traversal", eps, err, st.NodesVisited)
+		}
+		if _, _, err := SeqScan(data, []float64{1}, eps, -1); err == nil {
+			t.Errorf("SeqScan eps %v accepted", eps)
+		}
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		q := []float64{1, v, 2}
+		if _, _, err := search(ix, q, 5); err == nil {
+			t.Errorf("query value %v accepted", v)
+		}
+		if _, _, err := SeqScan(data, q, 5, -1); err == nil {
+			t.Errorf("SeqScan query value %v accepted", v)
+		}
+		if _, _, err := searchKNN(ix, q, 3); err == nil {
+			t.Errorf("k-NN query value %v accepted", v)
+		}
+	}
+	if _, _, err := RunKNN(context.Background(), 1, nan, func(m Match) float64 { return m.Distance }, func(context.Context, float64) ([]Match, SearchStats, error) {
+		t.Error("RunKNN ran a round with a NaN step")
+		return nil, SearchStats{}, nil
+	}); err == nil {
+		t.Error("RunKNN accepted a NaN step")
+	}
 	if _, err := Build(sequence.NewDataset(), filepath.Join(t.TempDir(), "e.twt"), Options{}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+}
+
+// An infinite threshold is a threshold: every subsequence is within it —
+// under a window, the ones the band keeps off the query's last column at
+// distance +Inf — and the index returns exactly the scan's answers, the
+// verifier scanning every reached start to the end of its sequence.
+func TestInfiniteThresholdMatchesScan(t *testing.T) {
+	data := randomWalkDataset(rand.New(rand.NewSource(5)), 3, 12)
+	q := []float64{1, 2, 2, 3}
+	for _, opts := range []Options{
+		{Kind: categorize.KindMaxEntropy, Categories: 3, Sparse: true},
+		{Kind: categorize.KindMaxEntropy, Categories: 3, Sparse: true, Window: 1},
+		{Kind: categorize.KindEqualLength, Categories: 4, Window: 1},
+	} {
+		ix, err := Build(data, filepath.Join(t.TempDir(), "inf.twt"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ix, q, math.Inf(1))
+		ix.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := SeqScan(data, q, math.Inf(1), ix.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, want) {
+			t.Errorf("%+v: index %d matches, scan %d", opts, len(got), len(want))
+		}
 	}
 }
 

@@ -50,12 +50,12 @@ type Engine struct {
 // table of the filter pass, the exact table of the verification pass and
 // the query's envelope, for one query at a time. The traversal owns every
 // decision — what to prune, what is a candidate, what is an answer — and
-// calls the kernel once per table row, never per cell: at most Gap and
-// AddRow for a filter row (Base0 once per path), PostAddRow for a
-// verification row (PostReset once per start). Every method that returns a
-// lower bound of a time warping distance carries //twlint:bound-source,
-// which is how the boundscontract analyzer keeps checking the traversal's
-// threshold tests and Match distances through the interface.
+// calls the kernel at most twice per filter row, never per cell: Gap and
+// AddRow (Base0 once per path); and once per verified start, Verify. Every
+// method that returns a lower bound of a time warping distance carries
+// //twlint:bound-source, which is how the boundscontract analyzer keeps
+// checking the traversal's threshold tests and Match distances through the
+// interface.
 type Kernel interface {
 	// QueryLen is the bound query's length; Exact reports that filter
 	// distances over stored suffixes are exact distances (identity
@@ -84,21 +84,13 @@ type Kernel interface {
 	Fork(depth int) *dtw.Rows
 	CopyFrom(prefix *dtw.Rows)
 
-	// PostReset empties the verification table, points it at sequence seq
-	// and returns the exact base distance between the query's first element
-	// and element start of that sequence. Every warping path of a
-	// subsequence that begins at start pays it first, so it is a lower
-	// bound of every exact distance there.
-	//
-	//twlint:bound-source results=0
-	PostReset(seq, start int) float64
-	// PostAddRow appends the verification row for element pos of that
-	// sequence using the exact base distance and returns the prefix
-	// distance and the row minimum, each exact when at most the search's
-	// threshold and some value above it otherwise.
-	//
-	//twlint:bound-source results=1
-	PostAddRow(pos int) (dist, minDist float64)
+	// Verify scans, with the exact distance, the subsequences of sequence
+	// seq that begin at start and end at most at end, and calls hit(e, d)
+	// for each one, [start, e), whose distance d is at most the search's
+	// threshold, in increasing e (dtw.Verifier.Scan): a start whose first
+	// element alone is further than the threshold from the query's costs
+	// no cell, and the scan stops at the first row Theorem 1 rules out.
+	Verify(seq, start, end int, hit func(end int, dist float64))
 
 	// Cells returns the table cells charged since the kernel was bound: one
 	// per query element for a filter row, the cells computed for a
@@ -107,10 +99,10 @@ type Kernel interface {
 }
 
 // BindFunc points a pooled kernel at one query: the filter table and the
-// envelope (when envelopes is set) under filterWindow, the verification
-// table under window with the search's eps as its threshold. The typed entry
-// points supply it — only they know the query's element type — and the
-// engine calls it once per searcher, on the calling goroutine, before the
+// envelope (when envelopes is set) under filterWindow, the verifier under
+// window with the search's eps as its threshold. The typed entry points
+// supply it — only they know the query's element type — and the engine
+// calls it once per searcher, on the calling goroutine, before the
 // traversal starts.
 type BindFunc func(k Kernel, filterWindow, window int, envelopes bool)
 
@@ -148,6 +140,14 @@ func NewEngine(tree *disktree.File, store *suffixtree.TextStore, window int, new
 // MinAnswerLen returns the answer length floor the index was built with
 // (0 = unrestricted).
 func (e *Engine) MinAnswerLen() int { return e.minAnswerLen }
+
+// seqLen returns the length of sequence seq.
+func (e *Engine) seqLen(seq int) int {
+	if seq+1 < len(e.seqOffsets) {
+		return e.seqOffsets[seq+1] - e.seqOffsets[seq]
+	}
+	return e.totalElements - e.seqOffsets[seq]
+}
 
 // Close releases the underlying tree file.
 func (e *Engine) Close() error { return e.Tree.Close() }

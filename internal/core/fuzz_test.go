@@ -10,20 +10,36 @@ import (
 )
 
 // FuzzSearchMatchesScan derives a tiny database and query from fuzz bytes
-// and asserts the end-to-end no-false-dismissal equality on a sparse ME
-// index, with and without a warping window — the whole stack under fuzz,
-// deferred collection, first-element test and thresholded verification rows
-// included — for the range search, down to eps = 0 where only exact hits
-// are live, and for the k-NN loop, whose answer must be the k best of the
-// exhaustive scan by (distance, position). Values are small integers, so
-// distances are exact and ties at the k-th distance are common: position
-// must break them.
+// and asserts the end-to-end no-false-dismissal equality on an ME index —
+// sparse, with and without a warping window, or dense, or an identity index,
+// optionally with an answer-length floor — the whole stack under fuzz:
+// deferred collection, leaf verification (an identity index with filter
+// distances that are exact walks its leaves instead), the first-element test
+// and thresholded verification rows included — for the range search, down to
+// eps = 0 where only exact hits are live, and for the k-NN loop, whose
+// answer must be the k best of the exhaustive scan by (distance, position).
+// Values are small integers, so distances are exact and ties at the k-th
+// distance are common: position must break them. shape picks the index:
+// bit 0 the identity categorization, bit 1 a dense tree, bits 2-3 the
+// answer-length floor.
 func FuzzSearchMatchesScan(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0))
-	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0))
-	f.Add([]byte{4, 4, 4, 4, 9, 9, 9, 4, 4, 4, 4, 4, 9, 9, 2, 2}, []byte{4, 4, 9, 9}, uint8(250), uint8(2), uint8(2))
-	f.Add([]byte{1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 5, 5, 6, 5, 5, 1, 1}, []byte{1, 1, 5, 5, 5}, uint8(6), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0), uint8(0))
+	f.Add([]byte{4, 4, 4, 4, 9, 9, 9, 4, 4, 4, 4, 4, 9, 9, 2, 2}, []byte{4, 4, 9, 9}, uint8(250), uint8(2), uint8(2), uint8(0))
+	f.Add([]byte{1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 5, 5, 6, 5, 5, 1, 1}, []byte{1, 1, 5, 5, 5}, uint8(6), uint8(1), uint8(3), uint8(0))
+	// Leading runs far longer than |Q|: a reached leaf hands over every
+	// shifted start of its run.
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4}, []byte{3, 7}, uint8(5), uint8(1), uint8(0), uint8(0))
+	// An answer-length floor of 3, over runs.
+	f.Add([]byte{2, 2, 2, 2, 2, 6, 6, 6, 2, 2, 2, 2, 2, 2, 6, 6, 6, 6, 2, 2}, []byte{2, 6, 6}, uint8(4), uint8(1), uint8(0), uint8(3<<2))
+	// Sparse under a window, runs longer than |Q| + w.
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1}, []byte{5, 5, 1}, uint8(3), uint8(1), uint8(2), uint8(0))
+	// Identity, dense: exact filter distances, the label walk kept.
+	f.Add([]byte{1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2}, []byte{2, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(3))
+	// Identity, sparse under a window: its filter is not exact, so its
+	// leaves are verified.
+	f.Add([]byte{1, 1, 1, 2, 3, 3, 2, 1, 1, 2, 2, 2, 3, 1}, []byte{1, 2, 3}, uint8(2), uint8(0), uint8(2), uint8(1|2<<2))
+	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw, shape uint8) {
 		if len(seqBytes) < 4 || len(qBytes) == 0 {
 			return
 		}
@@ -53,10 +69,12 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		}
 		cats := int(catsRaw)%8 + 1
 		window := int(windowRaw)%4 - 1 // -1: unconstrained; Build also reads 0 as that
+		opts := Options{Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: shape&2 == 0, Window: window, MinAnswerLen: int(shape>>2) % 4}
+		if shape&1 != 0 {
+			opts.Kind, opts.Categories = categorize.KindIdentity, 0
+		}
 
-		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), Options{
-			Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: true, Window: window,
-		})
+		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), opts)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -69,8 +87,9 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
+		want = atLeast(want, ix.MinAnswerLen())
 		if !matchesBitIdentical(got, want) {
-			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d window=%d)", len(got), len(want), eps, cats, ix.Window)
+			t.Fatalf("index %d matches, scan %d (eps=%v %+v)", len(got), len(want), eps, opts)
 		}
 
 		k := int(epsRaw)%9 + 1
@@ -82,11 +101,23 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
+		all = atLeast(all, ix.MinAnswerLen())
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
 		all = all[:min(k, len(all))]
 		sortMatches(all)
 		if !matchesEqual(nearest, all) {
-			t.Fatalf("k=%d cats=%d window=%d: index returned %v, the scan's k best are %v", k, cats, ix.Window, nearest, all)
+			t.Fatalf("k=%d %+v: index returned %v, the scan's k best are %v", k, opts, nearest, all)
 		}
 	})
+}
+
+// atLeast keeps the matches no shorter than minLen, in place.
+func atLeast(ms []Match, minLen int) []Match {
+	out := ms[:0]
+	for _, m := range ms {
+		if m.Ref.End-m.Ref.Start >= minLen {
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 )
@@ -25,6 +26,9 @@ import (
 // rounds — and therefore the result and the accumulated stats — are
 // byte-identical to the serial call at every parallelism level.
 func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
+	if err := CheckQuery(q); err != nil {
+		return nil, SearchStats{}, err
+	}
 	step := 0.0
 	for i := 1; i < len(q); i++ {
 		step += math.Abs(q[i] - q[i-1])
@@ -43,11 +47,15 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts Sea
 // nearest neighbors, returned still in position order. The first threshold
 // is step — the query's mean step, so exact occurrences surface in the first
 // round or two — and it quadruples until enough answers appear. The stats of
-// every round accumulate. Query validation is search's: an empty query fails
-// the first round.
+// every round accumulate. Query validation is the caller's (CheckQuery) or
+// search's; a NaN step — what a non-finite query makes — is refused here,
+// since every round would run at a NaN threshold.
 func RunKNN[M any](ctx context.Context, k int, step float64, dist func(M) float64, search func(ctx context.Context, eps float64) ([]M, SearchStats, error)) ([]M, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("core: k must be positive")
+	}
+	if !(step >= 0) {
+		return nil, SearchStats{}, fmt.Errorf("core: k-NN step %v is not a non-negative number", step)
 	}
 	eps := step + 1e-9
 	var total SearchStats

@@ -27,6 +27,7 @@ func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps 
 	s, _ := qp.p.Get().(*searcher)
 	if s == nil {
 		s = &searcher{kern: e.newKernel()}
+		s.onHit = s.verified
 	}
 
 	// On sparse trees the D_tw-lb2 shift moves a candidate's rows relative

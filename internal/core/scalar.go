@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/dtw"
@@ -26,10 +28,11 @@ type scalarKernel struct {
 
 	q     []float64
 	table dtw.Table
-	post  dtw.Table
-	env   dtw.Envelope
-	// vals is the sequence under verification (PostReset).
-	vals []float64
+	// bases caches each symbol's interval row against the query, so a
+	// filter row is a lookup and the DP.
+	bases  dtw.BaseRows
+	verify dtw.Verifier
+	env    dtw.Envelope
 }
 
 func newScalarKernel(data *sequence.Dataset, scheme *categorize.Scheme) *scalarKernel {
@@ -47,8 +50,8 @@ func newScalarKernel(data *sequence.Dataset, scheme *categorize.Scheme) *scalarK
 func (k *scalarKernel) bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
 	k.q = q
 	k.table.Bind(q, filterWindow)
-	k.post.Bind(q, window)
-	k.post.SetThreshold(eps)
+	k.bases.Bind(len(q), len(k.intervals))
+	k.verify.Bind(q, window, eps)
 	if envelopes {
 		k.env.Bind(q, filterWindow)
 	}
@@ -71,8 +74,14 @@ func (k *scalarKernel) Gap(x int, sym suffixtree.Symbol) float64 {
 
 //twlint:steady-state
 func (k *scalarKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
-	iv := k.intervals[sym]
-	return k.table.AddRowInterval(iv.Lo, iv.Hi)
+	row, cached := k.bases.Row(int32(sym))
+	if !cached {
+		iv := k.intervals[sym]
+		for y, v := range k.q {
+			row[y] = dtw.BaseInterval(v, iv.Lo, iv.Hi)
+		}
+	}
+	return k.table.AddRowBase(row)
 }
 
 //twlint:steady-state
@@ -82,25 +91,44 @@ func (k *scalarKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
 func (k *scalarKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
 
 //twlint:steady-state
-func (k *scalarKernel) PostReset(seq, start int) float64 {
-	k.post.Truncate(0)
-	k.vals = k.data.Values(seq)
-	return dtw.Base(k.vals[start], k.q[0])
+func (k *scalarKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
+	k.verify.Scan(k.data.Values(seq), start, end, hit)
 }
 
-//twlint:steady-state
-func (k *scalarKernel) PostAddRow(pos int) (dist, minDist float64) {
-	return k.post.AddRowValue(k.vals[pos])
+func (k *scalarKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }
+
+// CheckQuery refuses a scalar query no search can answer: an empty one, or
+// one holding a NaN or an infinity — its distance to every subsequence
+// would be NaN or +Inf, so the search would silently find nothing.
+func CheckQuery(q []float64) error {
+	if len(q) == 0 {
+		return errors.New("core: empty query")
+	}
+	for i, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: query value %d is %v, not a finite number", i, v)
+		}
+	}
+	return nil
 }
 
-func (k *scalarKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.post.Cells() }
+// CheckThreshold refuses a distance threshold that is negative or NaN. A
+// NaN compares false against every bound, so it would prune nothing and
+// accept nothing: a full traversal for an empty answer. +Inf is a
+// threshold — every subsequence is within it.
+func CheckThreshold(eps float64) error {
+	if !(eps >= 0) {
+		return fmt.Errorf("core: distance threshold %v is not a non-negative number", eps)
+	}
+	return nil
+}
 
 // run is the typed front of Engine.Run: it rejects what only this layer can
-// see (an empty query) and supplies the bind that points a pooled scalar
-// kernel at q.
+// see (an empty or non-finite query) and supplies the bind that points a
+// pooled scalar kernel at q.
 func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
-	if len(q) == 0 {
-		return nil, SearchStats{}, errors.New("core: empty query")
+	if err := CheckQuery(q); err != nil {
+		return nil, SearchStats{}, err
 	}
 	return ix.Run(ctx, func(k Kernel, filterWindow, window int, envelopes bool) {
 		k.(*scalarKernel).bind(q, filterWindow, window, eps, envelopes)

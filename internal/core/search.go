@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -29,8 +28,8 @@ import (
 // nodes and every cancelMask+1 post-processing groups, so an abort costs at
 // most 64 groups' verification scans.
 func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
-	if eps < 0 {
-		return nil, SearchStats{}, errors.New("core: negative distance threshold")
+	if err := CheckThreshold(eps); err != nil {
+		return nil, SearchStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, SearchStats{}, err
@@ -111,6 +110,11 @@ type searcher struct {
 	// allocated once per pooled searcher and survive across queries.
 	pend       pending.Set
 	seqOffsets []int
+	// onHit is the method value s.verified, made once per pooled searcher;
+	// the kernel's Verify calls it for every answer at the start
+	// (vseq, vstart) under verification.
+	onHit        func(end int, dist float64)
+	vseq, vstart int
 
 	// nodes[level] is the scratch node for DFS level; collectNodes[level]
 	// serves the leaf-collection recursion. Reuse keeps the traversal
@@ -256,8 +260,10 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 // distance pendDist — which only loosens bounds — from edge to edge, and the
 // subtree below is collected once, where the descent stops: every leaf under
 // a qualifying path is emitted once, not once per qualifying row above it.
-// Exact indexes emit answers with per-depth distances, so they collect at
-// every qualifying depth and carry nothing.
+// A leaf the descent reaches is not walked at all: all its starts go to
+// verification (verifyLeaf), which covers whatever pendD would have. Exact
+// indexes emit answers with per-depth distances, so they walk their leaves,
+// collect at every qualifying depth and carry nothing.
 //
 //twlint:steady-state
 func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken bool, firstRun, pendD int, pendDist float64) error {
@@ -268,6 +274,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 	s.stats.NodesVisited++
 	if s.stats.NodesVisited&cancelMask == 0 {
 		s.checkCancel()
+	}
+	if n.Leaf && !s.exactStored {
+		s.verifyLeaf(n)
+		return nil
 	}
 
 	entryDepth := depth
@@ -459,63 +469,84 @@ func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64)
 // emitLeaf produces the candidate for the stored suffix (pos, pos+d) and,
 // on sparse trees, the D_tw-lb2 candidates for the non-stored suffixes
 // inside the leaf's leading run (Definition 4: shift j up to
-// min(runLen, d) - 1).
+// min(runLen, d) - 1). When the filter distance is exact (identity
+// categorization, unshifted suffix) the stored suffix's candidate is an
+// answer outright. (No bound-source marker: the summary fixpoint infers
+// that dist receives lower bounds from the collect call sites.)
 //
 //twlint:steady-state
 func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 	seq := int(leaf.LabelSeq)
 	pos := int(leaf.Pos)
 	if dist <= s.eps {
-		s.candidate(seq, pos, pos+d, dist, s.exactStored)
+		if s.exactStored {
+			if d >= s.e.minAnswerLen {
+				s.stats.Candidates++
+				s.emit(Match{
+					Ref:      sequence.Ref{Seq: seq, Start: pos, End: pos + d},
+					Distance: dist,
+				})
+			}
+		} else {
+			s.candidate(seq, pos, pos+d)
+		}
 	}
 	if !s.sparse {
 		return
 	}
-	jMax := int(leaf.RunLen)
-	if d < jMax {
-		jMax = d
-	}
+	jMax := min(int(leaf.RunLen), d)
 	for j := 1; j < jMax; j++ {
-		lb2 := dist - float64(j)*s.base0
-		if lb2 <= s.eps {
-			s.candidate(seq, pos+j, pos+d, lb2, false)
+		if dist-float64(j)*s.base0 <= s.eps {
+			s.candidate(seq, pos+j, pos+d)
 		}
 	}
 }
 
-// candidate records a filtered subsequence. When the filter distance is
-// exact (identity categorization, unshifted suffix) the candidate is an
-// answer outright; otherwise it joins its start's pending group for the
-// post-processing scan. (No bound-source marker: the summary fixpoint
-// infers that lb receives lower bounds from the emitLeaf call sites.)
+// verifyLeaf hands every start a leaf reached on a non-exact index stands
+// for to verification, each up to the end of its sequence: the stored
+// suffix and, on a sparse tree, the non-stored suffixes of its leading run.
+// Below a leaf the path is one suffix, so interval rows there share nothing
+// (R_d = 1) and would only decide again what the exact rows decide anyway,
+// at no lower cost: verification abandons each start by Theorem 1 no later
+// than the lower-bound rows would have (THEORY.md §11).
 //
 //twlint:steady-state
-func (s *searcher) candidate(seq, start, end int, lb float64, exact bool) {
+func (s *searcher) verifyLeaf(leaf *disktree.Node) {
+	seq, pos := int(leaf.LabelSeq), int(leaf.Pos)
+	end := s.e.seqLen(seq)
+	starts := 1
+	if s.sparse {
+		starts = int(leaf.RunLen)
+	}
+	for j := 0; j < starts; j++ {
+		s.candidate(seq, pos+j, end)
+	}
+}
+
+// candidate hands the subsequences of sequence seq that begin at start and
+// end at most at end to verification: the start joins its pending group,
+// which keeps the furthest end. A start with no subsequence as long as the
+// index's answer floor is dropped.
+//
+//twlint:steady-state
+func (s *searcher) candidate(seq, start, end int) {
 	if end-start < s.e.minAnswerLen {
 		return
 	}
 	s.stats.Candidates++
-	if exact {
-		s.emit(Match{
-			Ref:      sequence.Ref{Seq: seq, Start: start, End: end},
-			Distance: lb,
-		})
-		return
-	}
 	s.pend.Add(int32(s.seqOffsets[seq]+start), int32(end))
 }
 
-// postProcess verifies the pending groups: one cumulative table per touched
-// start, scanned to the group's furthest end with Theorem-1 early abandon.
-// Every end with exact distance within eps is emitted. A start whose first
-// element alone is further than eps from the query's — every warping path
-// pays that base distance first — has no answer and grows no row; the rows
-// of the others are computed only where a path within eps can still run
-// (the kernel's verification table holds eps as its threshold). Iterating
-// the sorted touched offsets visits only this query's candidates —
-// O(candidates), not a scan of the whole database — in the same (seq, start)
-// order the dense scan used, since the global offset is monotone in
-// (seq, start).
+// postProcess verifies the pending groups: one kernel call per touched
+// start, scanning to the group's furthest end with Theorem-1 early abandon
+// and reporting every end with exact distance within eps. A start whose
+// first element alone is further than eps from the query's — every warping
+// path pays that base distance first — has no answer and costs no cell; the
+// rows of the others are computed only where a path within eps can still
+// run (dtw.Verifier). Iterating the sorted touched offsets visits only this
+// query's candidates — O(candidates), not a scan of the whole database — in
+// the same (seq, start) order the dense scan used, since the global offset
+// is monotone in (seq, start).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {
@@ -530,25 +561,23 @@ func (s *searcher) postProcess() {
 		for seq+1 < len(s.seqOffsets) && int(off) >= s.seqOffsets[seq+1] {
 			seq++
 		}
-		start := int(off) - s.seqOffsets[seq]
-		if s.kern.PostReset(seq, start) > s.eps {
-			continue
-		}
-		maxEnd := int(s.pend.MaxEnd(off))
-		for e := start; e < maxEnd && !s.stopped; e++ {
-			dist, minDist := s.kern.PostAddRow(e)
-			if dist <= s.eps && e+1-start >= s.e.minAnswerLen {
-				s.emit(Match{
-					Ref:      sequence.Ref{Seq: seq, Start: start, End: e + 1},
-					Distance: dist,
-				})
-			}
-			if minDist > s.eps {
-				break
-			}
-		}
+		s.vseq, s.vstart = seq, int(off)-s.seqOffsets[seq]
+		s.kern.Verify(seq, s.vstart, int(s.pend.MaxEnd(off)), s.onHit)
 	}
 	if s.stats.Candidates >= s.stats.Answers {
 		s.stats.FalseAlarms = s.stats.Candidates - s.stats.Answers
+	}
+}
+
+// verified emits the answer [vstart, end) of the start under verification,
+// at its exact distance, when it is no shorter than the index's floor.
+//
+//twlint:steady-state
+func (s *searcher) verified(end int, dist float64) {
+	if end-s.vstart >= s.e.minAnswerLen {
+		s.emit(Match{
+			Ref:      sequence.Ref{Seq: s.vseq, Start: s.vstart, End: end},
+			Distance: dist,
+		})
 	}
 }

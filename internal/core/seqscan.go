@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"twsearch/internal/sequence"
@@ -38,11 +37,11 @@ func SeqScanFull(data *sequence.Dataset, q []float64, eps float64, window int) (
 }
 
 func seqScan(ctx context.Context, data *sequence.Dataset, q []float64, eps float64, window int, abandon bool) ([]Match, SearchStats, error) {
-	if len(q) == 0 {
-		return nil, SearchStats{}, errors.New("core: empty query")
+	if err := CheckQuery(q); err != nil {
+		return nil, SearchStats{}, err
 	}
-	if eps < 0 {
-		return nil, SearchStats{}, errors.New("core: negative distance threshold")
+	if err := CheckThreshold(eps); err != nil {
+		return nil, SearchStats{}, err
 	}
 	started := time.Now()
 	table := acquireScanTable(q, window)

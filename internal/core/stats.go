@@ -43,16 +43,20 @@ type SearchStats struct {
 	// n·L̄·|Q| term of Sections 5.5/6.5): cells computed, not rows times
 	// |Q| — a start dead on its first element costs none, and a row only
 	// the cells a warping path within eps can still reach, inside the band.
+	// A reached leaf's label costs exact cells here and no filter cells.
 	PostCells uint64
-	// Candidates counts filter emissions: candidate subsequences whose
-	// lower bound passed the filter. On a non-exact index that is one
-	// emission per leaf and shift per query — the subtree under a
-	// qualifying path is collected once, so it is the number of starts
-	// the verification pass is handed, each standing for every prefix its
-	// one scan verifies; an exact index emits per qualifying depth.
+	// Candidates counts filter emissions: the starts the verification pass
+	// is handed, each standing for every prefix its one scan verifies. On a
+	// non-exact index a leaf the traversal reaches contributes all its
+	// starts — its suffix and, on a sparse tree, every shifted start of its
+	// leading run — unfiltered; a leaf collected under a qualifying path
+	// contributes the starts whose lower bound passed. Either way a start is
+	// emitted once per query. An exact index emits per qualifying depth.
 	Candidates uint64
 	// FalseAlarms counts emissions not confirmed by exact verification
-	// (0 when answers outnumber grouped emissions).
+	// (0 when answers outnumber emissions). Since a reached leaf hands over
+	// every start unfiltered, most of them are false alarms that cost a
+	// first-element test and a few exact cells each.
 	FalseAlarms uint64
 	// Answers counts returned matches.
 	Answers uint64

@@ -78,45 +78,74 @@ func BenchmarkTableAddRowInterval(b *testing.B) {
 // The row kernels must not allocate once the table's row storage is warm:
 // AddRow* runs millions of times per search, and a hidden allocation per row
 // would dominate the traversal. Guarded as a test (benchmarks can report but
-// not assert), same warm-storage shape as the benchmarks above — without a
-// threshold, as the filter pass and the scans add rows, and with one, as
-// verification does (the live columns are a stack beside the rows).
+// not assert), same warm-storage shape as the benchmarks above. Likewise the
+// filter pass's base-row lookup with its AddRowBase row, and a verifier
+// scan, with and without a threshold.
 func TestAddRowNoAllocs(t *testing.T) {
 	_, q := benchSeqs(1, 20)
 	for _, w := range []int{-1, 5} {
-		for _, tau := range []float64{Inf, 40} {
+		kernels := []struct {
+			name string
+			add  func(tab *Table, v float64)
+		}{
+			{"AddRowValue", func(tab *Table, v float64) { tab.AddRowValue(v) }},
+			{"AddRowInterval", func(tab *Table, v float64) { tab.AddRowInterval(v-0.5, v+0.5) }},
+		}
+		for _, k := range kernels {
 			tab := NewTableWindow(q, w)
-			tab.SetThreshold(tau)
 			for i := 0; i < 512; i++ { // warm the row storage to full depth
-				tab.AddRowValue(float64(i % 13))
+				k.add(tab, float64(i%13))
 			}
 			tab.Truncate(0)
 			i := 0
 			if got := testing.AllocsPerRun(1000, func() {
-				tab.AddRowValue(float64(i % 13))
+				k.add(tab, float64(i%13))
 				i++
 				if tab.Depth() >= 512 {
 					tab.Truncate(0)
 				}
 			}); got != 0 {
-				t.Errorf("window=%d tau=%v: AddRowValue allocates %.1f per row on a warm table, want 0", w, tau, got)
+				t.Errorf("window=%d: %s allocates %.1f per row on a warm table, want 0", w, k.name, got)
 			}
 		}
+
 		tab := NewTableWindow(q, w)
+		var bases BaseRows
+		bases.Bind(len(q), 13)
 		for i := 0; i < 512; i++ {
-			tab.AddRowInterval(0, 1)
+			tab.AddRowValue(0)
 		}
 		tab.Truncate(0)
 		i := 0
 		if got := testing.AllocsPerRun(1000, func() {
-			v := float64(i % 13)
-			tab.AddRowInterval(v-0.5, v+0.5)
+			row, cached := bases.Row(int32(i % 13))
+			if !cached {
+				for y, v := range q {
+					row[y] = BaseInterval(v, float64(i%13)-0.5, float64(i%13)+0.5)
+				}
+			}
+			tab.AddRowBase(row)
 			i++
 			if tab.Depth() >= 512 {
 				tab.Truncate(0)
 			}
 		}); got != 0 {
-			t.Errorf("window=%d: AddRowInterval allocates %.1f per row on a warm table, want 0", w, got)
+			t.Errorf("window=%d: BaseRows.Row + AddRowBase allocate %.1f per row, want 0", w, got)
+		}
+
+		s, _ := benchSeqs(232, 1)
+		for _, tau := range []float64{Inf, 40} {
+			var v Verifier
+			v.Bind(q, w, tau)
+			hits := 0
+			hit := func(int, float64) { hits++ }
+			start := 0
+			if got := testing.AllocsPerRun(1000, func() {
+				v.Scan(s, start, len(s), hit)
+				start = (start + 1) % len(s)
+			}); got != 0 {
+				t.Errorf("window=%d tau=%v: Verifier.Scan allocates %.1f per start, want 0", w, tau, got)
+			}
 		}
 	}
 }
@@ -127,4 +156,22 @@ func BenchmarkAlign64x64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Align(x, q)
 	}
+}
+
+// BenchmarkVerifierScan scans every start of a walk near a 20-value query at
+// a threshold that keeps a few columns of each row live — the shape of the
+// verification pass on a broad query.
+func BenchmarkVerifierScan(b *testing.B) {
+	s, q := benchSeqs(232, 20)
+	var v Verifier
+	v.Bind(q, -1, 9)
+	hits := 0
+	hit := func(int, float64) { hits++ }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for start := range s {
+			v.Scan(s, start, len(s), hit)
+		}
+	}
+	b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
 }

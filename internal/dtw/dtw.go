@@ -12,25 +12,26 @@ import "math"
 var Inf = math.Inf(1)
 
 // Base is the paper's D_base: the city-block distance between two elements.
+// IEEE subtraction is sign-symmetric, so |a-b| has the bits of the larger
+// minus the smaller, and never reads as -0.
 func Base(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
+	return math.Abs(a - b)
 }
 
 // BaseInterval is the paper's D_base-lb (Definition 3): the smallest possible
 // city-block distance between the value a and any value inside [lo, hi].
-// It is zero when a lies inside the interval.
+// It is zero when a lies inside the interval. Without a branch: at most one
+// of a-hi and lo-a is positive, each is clamped at +0, and adding +0 to the
+// other leaves its bits — a-hi, lo-a or +0, as the three-way test would give.
 func BaseInterval(a, lo, hi float64) float64 {
-	switch {
-	case a > hi:
-		return a - hi
-	case a < lo:
-		return lo - a
-	default:
-		return 0
-	}
+	return clampZero(a-hi) + clampZero(lo-a)
+}
+
+// clampZero returns x when its sign bit is clear and +0 otherwise, by masking
+// the bits with the sign bit spread across the word.
+func clampZero(x float64) float64 {
+	b := math.Float64bits(x)
+	return math.Float64frombits(b &^ uint64(int64(b)>>63))
 }
 
 // Distance returns the time warping distance D_tw(a, b) of Definition 1,
@@ -179,16 +180,14 @@ func MinMaxAnswerLength(qLen, w int) (minLen, maxLen int) {
 }
 
 // Min3 returns the smallest of three cells — the recurrence's choice of
-// predecessor, shared by every row kernel (multivar's included).
+// predecessor, shared by every row kernel (multivar's included). It takes
+// the minimum of the IEEE bit patterns, which order non-negative floats,
+// +Inf included, exactly as their values do; every cell is a sum of base
+// distances (never -0) or +Inf, and the search entry points refuse the NaN
+// inputs that could make one NaN (THEORY.md §10). Row kernels pass the cell
+// to the left last: the minimum of the other two does not wait for it.
 func Min3(a, b, c float64) float64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
+	return math.Float64frombits(min(math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)))
 }
 
 func abs(x int) int {

@@ -1,5 +1,7 @@
 package dtw
 
+import "math"
+
 // Table is the cumulative time warping distance table of Definition 2,
 // grown one row at a time. The query sequence runs along the columns; each
 // AddRow* call appends the row for one more element of the subsequence being
@@ -19,28 +21,19 @@ type Table struct {
 }
 
 // Rows is the row storage of a cumulative distance table: depth rows of one
-// cell per query element under an optional Sakoe–Chiba band and an optional
-// threshold (SetThreshold), pushed and popped by a depth-first traversal. It
-// knows nothing of the element type — Table embeds it for scalar queries and
-// multivar.Table for vector ones, so the band and live-column arithmetic,
-// the growth policy and the parallel frontier's Fork/CopyFrom exist once.
+// cell per query element under an optional Sakoe–Chiba band, pushed and
+// popped by a depth-first traversal. It knows nothing of the element type —
+// Table embeds it for scalar queries and multivar.Table for vector ones, so
+// the band arithmetic, the growth policy, the parallel frontier's
+// Fork/CopyFrom and the row kernel over precomputed base distances
+// (AddRowBase) exist once.
 type Rows struct {
 	n      int       // cells per row: the query length
 	window int       // Sakoe–Chiba half-width; <0 means unconstrained
 	rows   []float64 // depth*n cells, row-major
 	depth  int
 	cells  uint64 // number of DP cells computed since Reset
-	// tau is the threshold of SetThreshold, Inf when none is bound, and
-	// live[r] the columns of row r that hold its cells <= tau: every cell of
-	// the row outside them is dead — above tau, or never computed — and the
-	// exact row kernels compute a row only where a live cell of the row
-	// above, or of the row itself, can be reached from.
-	tau  float64
-	live []span
 }
-
-// span is the column range [lo, hi).
-type span struct{ lo, hi int32 }
 
 // NewTable returns a table for the given query with no warping-window
 // constraint. It panics on an empty query.
@@ -68,8 +61,8 @@ func (t *Table) Bind(q []float64, w int) {
 func (t *Table) Query() []float64 { return t.q }
 
 // Bind re-targets the storage at rows of n cells under window w, dropping
-// all rows, any threshold and zeroing the cell counter but keeping the
-// capacity. It panics on n == 0: an empty query has no table.
+// all rows and zeroing the cell counter but keeping the capacity. It panics
+// on n == 0: an empty query has no table.
 func (t *Rows) Bind(n, w int) {
 	if n == 0 {
 		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any table exists
@@ -77,28 +70,7 @@ func (t *Rows) Bind(n, w int) {
 	}
 	t.n = n
 	t.window = w
-	t.tau = Inf
 	t.Reset()
-}
-
-// SetThreshold tells an empty table that its caller only ever asks whether
-// a distance or a row minimum is at most tau, which lets the exact row
-// kernels (AddRowValue, multivar's AddRowPoint) skip every cell no warping
-// path of cost <= tau can pass through: base distances are non-negative, so
-// the cost along a path never falls, and a cell above tau — or reachable
-// only from such cells — lies on no path that ends at or below it. Every
-// cell <= tau keeps the bits the full row would give it; every other cell,
-// the returned distance and row minimum included, reads as some value > tau
-// (Inf where it was never computed), and Cells counts what was computed.
-// Without a threshold (Inf, what Bind leaves) rows are computed whole. The
-// lower-bound kernels fill their whole band and read the row above the same
-// way, so they belong on a table that has no threshold.
-func (t *Rows) SetThreshold(tau float64) {
-	if t.depth != 0 {
-		//lint:ignore panicpath row-discipline assertion: rows computed under another threshold would be read as if their dead cells were live
-		panic("dtw: SetThreshold on a table that holds rows")
-	}
-	t.tau = tau
 }
 
 // Depth returns the number of rows currently in the table.
@@ -151,9 +123,8 @@ func (t *Rows) Fork(depth int) *Rows {
 		//lint:ignore panicpath row-discipline assertion: forking past the stack means traversal bookkeeping is already corrupt
 		panic("dtw: bad Fork depth")
 	}
-	f := &Rows{n: t.n, window: t.window, depth: depth, tau: t.tau}
+	f := &Rows{n: t.n, window: t.window, depth: depth}
 	f.rows = append(f.rows, t.rows[:depth*t.n]...)
-	f.live = append(f.live, t.live[:depth]...)
 	return f
 }
 
@@ -176,143 +147,160 @@ func (t *Rows) CopyFrom(src *Rows) {
 		t.rows = make([]float64, need)
 	}
 	copy(t.rows, src.rows)
-	t.live = append(t.live[:0], src.live[:src.depth]...)
 }
 
 // AddRowValue appends the row for a numeric element v using the exact base
 // distance and returns the row's last column (the distance between the query
 // and the subsequence accumulated so far, per Definition 2) and its minimum
-// column (the Theorem-1 pruning value) — both exact when at most the
-// table's threshold, some value above it otherwise (SetThreshold).
+// column (the Theorem-1 pruning value). It charges the cells of its band.
 //
 //twlint:bound-source results=1
 //twlint:steady-state
 func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
-	q := t.q
-	n := len(q)
-	x := t.depth // row index of the new row
-	curr := t.GrowRow(n, x)
-	lo, mid, hi, tau := t.Reach(n, x)
-	minDist = Inf
-	y := lo
-	// left carries curr[y-1]; before the first cell of the first row it is
-	// the empty alignment, which costs nothing.
-	left := Inf
-	if x == 0 {
-		left = 0
-	}
-	if y < mid {
-		prev := t.PrevRow(n, x)
-		if y == 0 {
-			c := Base(v, q[0]) + prev[0]
-			curr[0] = c
-			minDist = c
-			left = c
-			y = 1
-		}
-		if y < mid {
-			// left and diag carry curr[y-1] and prev[y-1] in registers, so
-			// the loop body reads prev exactly once per cell. The two dead
-			// neighbours it can read, prev[lo-1] and prev[mid-1], hold the
-			// Inf the previous row's close wrote, so the three-way min is
-			// safe at both edges.
-			diag := prev[y-1]
-			// Equal-length reslices let the compiler drop the per-cell
-			// bounds checks: y < len(qb) covers all three.
-			qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
-			for ; y < len(qb); y++ {
-				up := pb[y]
-				c := Base(v, qb[y]) + Min3(left, up, diag)
-				cb[y] = c
-				if c < minDist {
-					minDist = c
-				}
-				left = c
-				diag = up
-			}
-		}
-	}
-	// Right of the previous row's live cells a path can only arrive from
-	// the left, for as long as the left neighbour is itself live. (The
-	// whole of the first row is this chain.)
-	for ; y < hi && left <= tau; y++ {
-		left += Base(v, q[y])
-		curr[y] = left
-		if left < minDist {
-			minDist = left
-		}
-	}
-	return t.CloseRow(curr, n, x, lo, y), minDist
+	return t.addRow(v, v, false)
 }
 
 // AddRowInterval appends the row for a category symbol whose observed value
 // range is [lo, hi], using the lower-bound base distance D_base-lb of
-// Definition 3.
+// Definition 3. Like every lower-bound row it charges one cell per query
+// element.
 //
 //twlint:bound-source results=0,1
 //twlint:steady-state
 func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
+	return t.addRow(lo, hi, true)
+}
+
+// addRow appends the row whose base distances are D_base-lb(q[y], [lo, hi]),
+// which for lo == hi == v is D_base(v, q[y]) bit for bit (see BaseInterval).
+// lowerBound selects what the row charges: the query's length, or the band.
+//
+//twlint:steady-state
+func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) {
 	q := t.q
 	n := len(q)
 	x := t.depth // row index of the new row
 	curr := t.GrowRow(n, x)
 	bandLo, bandHi := t.BandFill(curr, n, x)
-	minDist = Inf
-	t.CountRow(n)
-	if bandLo >= bandHi {
-		return curr[n-1], minDist
+	if lowerBound {
+		t.CountRow(n)
+	} else {
+		t.CountRow(bandHi - bandLo)
 	}
+	if bandLo >= bandHi {
+		return curr[n-1], Inf
+	}
+	// mb carries the row minimum as bits (see Min3), so the loop keeps it
+	// without a branch.
+	var mb uint64
 	if x == 0 {
 		acc := BaseInterval(q[0], lo, hi)
 		curr[0] = acc
-		minDist = acc
-		for y := 1; y < bandHi; y++ {
-			acc += BaseInterval(q[y], lo, hi)
-			curr[y] = acc
-			if acc < minDist {
-				minDist = acc
-			}
+		mb = math.Float64bits(acc)
+		qb, cb := q[:bandHi], curr[:bandHi]
+		for y := 1; y < len(qb); y++ {
+			acc += BaseInterval(qb[y], lo, hi)
+			cb[y] = acc
+			mb = min(mb, math.Float64bits(acc))
 		}
-		return curr[n-1], minDist
+		return curr[n-1], math.Float64frombits(mb)
 	}
 	prev := t.PrevRow(n, x)
 	y := bandLo
 	left := Inf
+	mb = math.Float64bits(Inf)
 	if y == 0 {
 		c := BaseInterval(q[0], lo, hi) + prev[0]
 		curr[0] = c
-		minDist = c
+		mb = math.Float64bits(c)
+		left = c
+		y = 1
+	}
+	if y < bandHi {
+		// left and diag carry curr[y-1] and prev[y-1] in registers, so the
+		// loop body reads prev exactly once per cell. Equal-length reslices
+		// let the compiler drop the per-cell bounds checks.
+		diag := prev[y-1]
+		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
+		for ; y < len(qb); y++ {
+			up := pb[y]
+			c := BaseInterval(qb[y], lo, hi) + Min3(up, diag, left)
+			cb[y] = c
+			mb = min(mb, math.Float64bits(c))
+			left = c
+			diag = up
+		}
+	}
+	return curr[n-1], math.Float64frombits(mb)
+}
+
+// AddRowBase appends the lower-bound row whose base distances are
+// base[0 … n-1], one per query column, and returns its last column and its
+// minimum, like AddRowInterval — which it is, cell for cell, when base[y] is
+// D_base-lb(q[y], [lo, hi]). A search computes each symbol's base row once
+// and looks it up for every later row of that symbol (BaseRows), so the
+// filter row costs a load, Min3 and an add per cell, whatever the element
+// type. It charges one cell per query element.
+//
+//twlint:bound-source results=0,1
+//twlint:steady-state
+func (t *Rows) AddRowBase(base []float64) (dist, minDist float64) {
+	n := t.n
+	x := t.depth // row index of the new row
+	curr := t.GrowRow(n, x)
+	bandLo, bandHi := t.BandFill(curr, n, x)
+	t.CountRow(n)
+	if bandLo >= bandHi {
+		return curr[n-1], Inf
+	}
+	var mb uint64
+	if x == 0 {
+		acc := base[0]
+		curr[0] = acc
+		mb = math.Float64bits(acc)
+		bb, cb := base[:bandHi], curr[:bandHi]
+		for y := 1; y < len(bb); y++ {
+			acc += bb[y]
+			cb[y] = acc
+			mb = min(mb, math.Float64bits(acc))
+		}
+		return curr[n-1], math.Float64frombits(mb)
+	}
+	prev := t.PrevRow(n, x)
+	y := bandLo
+	left := Inf
+	mb = math.Float64bits(Inf)
+	if y == 0 {
+		c := base[0] + prev[0]
+		curr[0] = c
+		mb = math.Float64bits(c)
 		left = c
 		y = 1
 	}
 	if y < bandHi {
 		diag := prev[y-1]
-		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
-		for ; y < len(qb); y++ {
+		bb, cb, pb := base[:bandHi], curr[:bandHi], prev[:bandHi]
+		for ; y < len(bb); y++ {
 			up := pb[y]
-			c := BaseInterval(qb[y], lo, hi) + Min3(left, up, diag)
+			c := bb[y] + Min3(up, diag, left)
 			cb[y] = c
-			if c < minDist {
-				minDist = c
-			}
+			mb = min(mb, math.Float64bits(c))
 			left = c
 			diag = up
 		}
 	}
-	return curr[n-1], minDist
+	return curr[n-1], math.Float64frombits(mb)
 }
 
-// A row kernel — dtw's two and multivar's two — appends a row in inlinable
-// steps. All take GrowRow for the storage and PrevRow for the row the
-// recurrence reads. A lower-bound kernel then takes BandFill for the band and
-// the out-of-band cells that are read raw and CountRow to charge the row and
-// advance the depth, and writes the band; an exact kernel takes Reach for the
-// part of the band a path within the threshold can enter, writes it, and
-// hands what it wrote to CloseRow.
+// A row kernel — dtw's and multivar's — appends a row in inlinable steps:
+// GrowRow for the storage, BandFill for the band and the out-of-band cells
+// that are read raw, CountRow to charge the row and advance the depth, and
+// PrevRow for the row the recurrence reads; then it writes the band.
 
-// CountRow charges one row of n cells to the counter and makes it current.
-func (t *Rows) CountRow(n int) {
-	t.cells += uint64(n)
+// CountRow charges one row of the given number of cells to the counter and
+// makes it current.
+func (t *Rows) CountRow(cells int) {
+	t.cells += uint64(cells)
 	t.depth++
 }
 
@@ -339,24 +327,22 @@ func (t *Rows) GrowRow(n, x int) []float64 {
 // band returns the Sakoe–Chiba band [bandLo, bandHi) of row x: the columns
 // within the window of the diagonal, [0, n) without a window, empty
 // (bandLo == bandHi == n) once the row lies wholly past the band.
-func (t *Rows) band(n, x int) (bandLo, bandHi int) {
-	if t.window < 0 {
+func band(n, window, x int) (bandLo, bandHi int) {
+	if window < 0 {
 		return 0, n
 	}
-	return min(max(x-t.window, 0), n), min(x+t.window+1, n)
+	return min(max(x-window, 0), n), min(x+window+1, n)
 }
 
-// BandFill returns the band of row x, records it as the row's live columns
-// and writes Inf into the only two out-of-band cells of curr anything reads
-// raw: curr[bandHi], the "up" neighbour of the last cell of the next row,
-// whose band ends one column further right (its first cell's "left" is
-// carried in a register and its "diag" lies inside this band), and
-// curr[n-1], the row's distance to the whole query. Every other out-of-band
-// cell keeps whatever the storage held — a banded row costs O(window), not
-// O(n) — and is presented as Inf by Row.
+// BandFill returns the band of row x and writes Inf into the only two
+// out-of-band cells of curr anything reads raw: curr[bandHi], the "up"
+// neighbour of the last cell of the next row, whose band ends one column
+// further right (its first cell's "left" is carried in a register and its
+// "diag" lies inside this band), and curr[n-1], the row's distance to the
+// whole query. Every other out-of-band cell keeps whatever the storage held
+// — a banded row costs O(window), not O(n) — and is presented as Inf by Row.
 func (t *Rows) BandFill(curr []float64, n, x int) (bandLo, bandHi int) {
-	bandLo, bandHi = t.band(n, x)
-	t.live = append(t.live[:x], span{int32(bandLo), int32(bandHi)})
+	bandLo, bandHi = band(n, t.window, x)
 	if bandHi < n {
 		curr[bandHi] = Inf
 	}
@@ -366,68 +352,18 @@ func (t *Rows) BandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 	return bandLo, bandHi
 }
 
-// Reach returns the columns of row x that a warping path of cost at most
-// the threshold can enter: [lo, mid) lies in the band next to a live cell of
-// row x-1 (below it or diagonally), [mid, hi) is the rest of the band to the
-// right, which such a path enters only along row x itself. Row 0 is all
-// chain (lo == mid == 0), a row under a row without live cells is empty, and
-// without a threshold [lo, mid) is the band and [mid, hi) empty. tau is the
-// threshold, which the kernel holds the chain to.
-func (t *Rows) Reach(n, x int) (lo, mid, hi int, tau float64) {
-	lo, hi = t.band(n, x)
-	if x == 0 {
-		return lo, lo, hi, t.tau
-	}
-	p := t.live[x-1]
-	if p.lo == p.hi {
-		return hi, hi, hi, t.tau
-	}
-	lo = max(lo, int(p.lo))
-	return lo, max(lo, min(int(p.hi)+1, hi)), hi, t.tau
-}
-
-// CloseRow makes the row whose cells [lo, end) a kernel has just written the
-// table's last: it charges those cells, records the columns from the first
-// to the last cell within the threshold as live, and writes Inf into the
-// cells either side of them — all of the row outside them that the next row
-// reads — and, when the last column is not live, into it. It returns the
-// last column.
-func (t *Rows) CloseRow(curr []float64, n, x, lo, end int) (dist float64) {
-	t.cells += uint64(end - lo)
-	t.depth++
-	hi := end
-	for hi > lo && curr[hi-1] > t.tau {
-		hi--
-	}
-	for lo < hi && curr[lo] > t.tau {
-		lo++
-	}
-	t.live = append(t.live[:x], span{int32(lo), int32(hi)})
-	if lo > 0 {
-		curr[lo-1] = Inf
-	}
-	if hi < n {
-		curr[hi] = Inf
-	}
-	if hi < n || lo == hi {
-		curr[n-1] = Inf
-	}
-	return curr[n-1]
-}
-
-// Row returns the cells of row r (0-based), Inf in every column that is not
-// live — out of band, or dead under the threshold: the kernels leave those
-// undefined, so Row fills them in, at O(n) per call. The slice aliases the
-// table's storage, is for reading only, and is invalidated by the next
-// AddRow*/Pop/Truncate/Bind.
+// Row returns the cells of row r (0-based), Inf in every column outside the
+// band: the kernels leave those undefined, so Row fills them in, at O(n) per
+// call. The slice aliases the table's storage, is for reading only, and is
+// invalidated by the next AddRow*/Pop/Truncate/Bind.
 func (t *Rows) Row(r int) []float64 {
 	n := t.n
 	row := t.rows[r*n : (r+1)*n]
-	live := t.live[r]
-	for y := range row[:live.lo] {
+	lo, hi := band(n, t.window, r)
+	for y := range row[:lo] {
 		row[y] = Inf
 	}
-	for y := int(live.hi); y < n; y++ {
+	for y := hi; y < n; y++ {
 		row[y] = Inf
 	}
 	return row

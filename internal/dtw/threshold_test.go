@@ -6,116 +6,162 @@ import (
 	"testing"
 )
 
-// thresholdOp is one step of a row-stack script: a row to add, or (add
-// false) a truncation to the given depth, taken modulo the depth it meets.
-type thresholdOp struct {
-	add   bool
-	v     float64
-	depth int
+// scanSpec is what a verification scan of the rows s[start:end] must do,
+// derived from the plain table's rows over them (Row: every in-band cell,
+// Inf outside the band) and the first element's base distance:
+//
+//   - the ends it reports are the rows whose last column is at most tau,
+//     with those bits — Theorem 1 puts none after the first row whose
+//     minimum exceeds tau;
+//   - the cells it charges are the ones the live-column recurrence reaches
+//     (THEORY.md §1b): in row x the band from the first live column of row
+//     x-1 to one past its last, then rightwards while the cell to the left is
+//     live — all of row 0 is that chain — stopping after the first row with
+//     no live cell, and none at all when the first element is out of reach.
+//
+// A cell is live when the plain table holds it at most tau: the thresholded
+// recurrence gives those cells the same bits and every other one a value
+// above tau, so liveness can be read off the plain rows.
+func scanSpec(rows [][]float64, w int, tau, first float64) (hits []int, dists []float64, cells uint64) {
+	for x, row := range rows {
+		if row[len(row)-1] <= tau {
+			hits = append(hits, x+1)
+			dists = append(dists, row[len(row)-1])
+		}
+	}
+	if first > tau {
+		return nil, nil, 0
+	}
+	n := len(rows[0])
+	plo, phi := 0, 0
+	for x, row := range rows {
+		lo, hi := band(n, w, x)
+		mid := lo
+		if x > 0 {
+			lo = max(lo, plo)
+			mid = max(lo, min(phi+1, hi))
+		}
+		y := mid
+		for y < hi && ((x == 0 && y == 0) || (y > lo && row[y-1] <= tau)) {
+			y++
+		}
+		cells += uint64(y - lo)
+		plo, phi = -1, -1
+		for c := lo; c < y; c++ {
+			if row[c] <= tau {
+				if plo < 0 {
+					plo = c
+				}
+				phi = c + 1
+			}
+		}
+		if plo < 0 {
+			break
+		}
+	}
+	return hits, dists, cells
 }
 
-// checkThresholdRows drives a table with threshold tau and a plain one over
-// the same query, window and script, the thresholded one on storage full of
-// stale values no kernel may read. After every row the two must agree on
-// what a search asks — is the distance, is the row minimum at most tau, and
-// if so on its bits — and whenever rows are about to be dropped, and at the
-// end, on every cell: a cell the plain table holds at or below tau has the
-// same bits in the thresholded one, every other reads above tau there.
-// Without a threshold (tau = Inf) that is every bit of every cell, and the
-// cell counters agree too.
-func checkThresholdRows(t *testing.T, q []float64, w int, tau float64, ops []thresholdOp) {
+// poisonedVerifier returns a verifier bound to q, w and tau whose rolling
+// rows were last used by a wider query and have since been filled with a
+// value that would win every min: a scan that reads a cell it — or Close —
+// did not write comes out hugely negative.
+func poisonedVerifier(q []float64, w int, tau float64) *Verifier {
+	v := &Verifier{}
+	v.Bind(make([]float64, len(q)+9), -1, Inf)
+	prev, curr := v.Rows()
+	for _, row := range [][]float64{prev[:cap(prev)], curr[:cap(curr)]} {
+		for i := range row {
+			row[i] = -1e300
+		}
+	}
+	v.Bind(q, w, tau)
+	return v
+}
+
+// checkVerifier scans every start of s, to the end of s and to one end
+// short of it, on a poisoned verifier, and holds each scan to scanSpec over
+// the plain table's rows: the same ends with the same distance bits, and
+// exactly the cells the live-column recurrence reaches. Without a threshold
+// (tau = Inf) that is every in-band cell, as the plain table charges.
+func checkVerifier(t *testing.T, q, s []float64, w int, tau float64) {
 	t.Helper()
-	n := len(q)
-	plain := NewTableWindow(q, w)
-	thr := poisoned(q, w, len(ops)+1)
-	thr.SetThreshold(tau)
-
-	sameWithin := func(what string, x int, p, g float64) {
-		t.Helper()
-		if p <= tau {
-			if math.Float64bits(g) != math.Float64bits(p) {
-				t.Fatalf("w=%d tau=%v row %d %s: thresholded %v, plain %v <= tau", w, tau, x, what, g, p)
+	v := poisonedVerifier(q, w, tau)
+	var gotEnds []int
+	var gotDists []float64
+	hit := func(end int, dist float64) {
+		gotEnds = append(gotEnds, end)
+		gotDists = append(gotDists, dist)
+	}
+	for start := range s {
+		for _, end := range []int{len(s), start + 1 + (len(s)-start)/2} {
+			plain := NewTableWindow(q, w)
+			rows := make([][]float64, 0, end-start)
+			for _, val := range s[start:end] {
+				plain.AddRowValue(val)
+				rows = append(rows, append([]float64(nil), plain.Row(plain.Depth()-1)...))
 			}
-		} else if !(g > tau) {
-			t.Fatalf("w=%d tau=%v row %d %s: thresholded %v reads within tau, plain %v does not", w, tau, x, what, g, p)
-		}
-	}
-	checkCells := func() {
-		t.Helper()
-		for x := 0; x < plain.Depth(); x++ {
-			want := append([]float64(nil), plain.Row(x)...)
-			got := thr.Row(x)
-			for y := 0; y < n; y++ {
-				sameWithin("cell", x, want[y], got[y])
-			}
-			sameWithin("LastColumn", x, plain.LastColumn(x), thr.LastColumn(x))
-		}
-	}
-	for _, op := range ops {
-		if !op.add {
-			checkCells()
-			d := op.depth % (plain.Depth() + 1)
-			plain.Truncate(d)
-			thr.Truncate(d)
-			continue
-		}
-		x := plain.Depth()
-		pd, pm := plain.AddRowValue(op.v)
-		gd, gm := thr.AddRowValue(op.v)
-		sameWithin("distance", x, pd, gd)
-		sameWithin("row minimum", x, pm, gm)
-		if thr.Depth() != plain.Depth() {
-			t.Fatalf("depth %d, plain %d", thr.Depth(), plain.Depth())
-		}
-	}
-	checkCells()
-	if thr.Cells() > plain.Cells() || (math.IsInf(tau, 1) && thr.Cells() != plain.Cells()) {
-		t.Fatalf("w=%d tau=%v: thresholded table computed %d cells, plain %d", w, tau, thr.Cells(), plain.Cells())
-	}
-}
+			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, Base(s[start], q[0]))
 
-// thresholdOps cuts a script from fuzz bytes: one in eight is a truncation.
-func thresholdOps(raw []byte) []thresholdOp {
-	if len(raw) > 64 {
-		raw = raw[:64]
-	}
-	ops := make([]thresholdOp, len(raw))
-	for i, b := range raw {
-		if b%8 == 7 {
-			ops[i] = thresholdOp{depth: int(b / 8)}
-		} else {
-			ops[i] = thresholdOp{add: true, v: float64(int(b)-128) / 4}
+			gotEnds, gotDists = gotEnds[:0], gotDists[:0]
+			before := v.Cells()
+			v.Scan(s, start, end, hit)
+			cells := v.Cells() - before
+			if len(gotEnds) != len(wantEnds) {
+				t.Fatalf("w=%d tau=%v [%d,%d): ends %v, plain table %v", w, tau, start, end, gotEnds, wantEnds)
+			}
+			for i := range wantEnds {
+				if gotEnds[i] != start+wantEnds[i] || math.Float64bits(gotDists[i]) != math.Float64bits(wantDists[i]) {
+					t.Fatalf("w=%d tau=%v [%d,%d): hit %d is (%d, %v), plain table (%d, %v)", w, tau, start, end, i, gotEnds[i], gotDists[i], start+wantEnds[i], wantDists[i])
+				}
+			}
+			if cells != wantCells {
+				t.Fatalf("w=%d tau=%v [%d,%d): %d cells, the live-column recurrence reaches %d", w, tau, start, end, cells, wantCells)
+			}
+			if math.IsInf(tau, 1) && cells != plain.Cells() {
+				t.Fatalf("w=%d [%d,%d): %d cells without a threshold, plain table %d", w, start, end, cells, plain.Cells())
+			}
 		}
 	}
-	return ops
 }
 
 // thresholdTau picks the threshold classes that matter: nothing but exact
-// hits is live, one grid step, a middling budget, and none at all.
-func thresholdTau(sel uint8) float64 {
-	switch sel % 4 {
+// hits is live, one grid step, a middling budget, a tie — exactly the
+// distance of one of the subsequences, which must be reported — and none at
+// all.
+func thresholdTau(sel uint8, q, s []float64, w int) float64 {
+	switch sel % 5 {
 	case 0:
 		return 0
 	case 1:
 		return 0.25
 	case 2:
-		return float64(sel / 4)
+		return float64(sel / 5)
+	case 3:
+		tab := NewTableWindow(q, w)
+		var d float64
+		for _, v := range s[:1+int(sel/5)%len(s)] {
+			d, _ = tab.AddRowValue(v)
+		}
+		return d
 	}
 	return Inf
 }
 
-// FuzzThresholdRows checks a thresholded table against a plain one under
-// arbitrary AddRowValue / Truncate interleavings, for windows -1 … n and
-// thresholds 0, tiny, middling and +Inf.
+// FuzzThresholdRows checks the verifier against the plain table on every
+// start of a fuzzed sequence, for windows -1 … n and thresholds 0, tiny,
+// middling, tied and +Inf.
 func FuzzThresholdRows(f *testing.F) {
-	f.Add([]byte{128, 130, 126, 128}, []byte{128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+4*3))
+	f.Add([]byte{128, 130, 126, 128}, []byte{128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+5*3))
 	f.Add([]byte{128, 128, 128}, []byte{128, 128, 15, 128, 132, 128, 7, 128}, int8(1), uint8(0))
 	f.Add([]byte{100, 160, 128, 90}, []byte{100, 160, 128, 90, 39, 101, 161}, int8(0), uint8(1))
-	f.Add([]byte{1, 255, 3}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(3))
-	f.Fuzz(func(t *testing.T, qRaw, opsRaw []byte, wRaw int8, tauSel uint8) {
+	f.Add([]byte{1, 255, 3}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(4))
+	f.Add([]byte{120, 124, 132, 128}, []byte{121, 123, 131, 129, 128, 116, 124, 140}, int8(-1), uint8(3+5*6))
+	f.Fuzz(func(t *testing.T, qRaw, sRaw []byte, wRaw int8, tauSel uint8) {
 		q := bytesToSeq(qRaw, 12)
+		s := bytesToSeq(sRaw, 24)
 		w := (int(wRaw)%(len(q)+2)+len(q)+2)%(len(q)+2) - 1
-		checkThresholdRows(t, q, w, thresholdTau(tauSel), thresholdOps(opsRaw))
+		checkVerifier(t, q, s, w, thresholdTau(tauSel, q, s, w))
 	})
 }
 
@@ -131,32 +177,16 @@ func TestThresholdRowsMatchPlain(t *testing.T) {
 			v += float64(rng.Intn(5)-2) / 2
 			q[i] = v
 		}
+		s := make([]float64, 4*n+10)
+		v = q[0]
+		for i := range s {
+			v += float64(rng.Intn(5)-2) / 2
+			s[i] = v
+		}
 		for w := -1; w <= n; w++ {
-			for _, tau := range []float64{0, 0.5, 3, 12, Inf} {
-				ops := make([]thresholdOp, 6*n+10)
-				v := q[0]
-				for i := range ops {
-					if rng.Intn(9) == 0 {
-						ops[i] = thresholdOp{depth: rng.Intn(2 * n)}
-						v = q[0]
-						continue
-					}
-					v += float64(rng.Intn(5)-2) / 2
-					ops[i] = thresholdOp{add: true, v: v}
-				}
-				checkThresholdRows(t, q, w, tau, ops)
+			for sel := uint8(0); sel < 10; sel++ {
+				checkVerifier(t, q, s, w, thresholdTau(sel, q, s, w))
 			}
 		}
 	}
-}
-
-func TestSetThresholdOnRowsPanics(t *testing.T) {
-	tab := NewTable([]float64{1, 2})
-	tab.AddRowValue(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetThreshold on a table that holds rows did not panic")
-		}
-	}()
-	tab.SetThreshold(3)
 }

@@ -11,17 +11,28 @@ import (
 )
 
 // FuzzVectorSearchMatchesScan is core.FuzzSearchMatchesScan for the vector
-// kernel: a tiny 2-D database and query cut from fuzz bytes, a sparse grid
-// index (with and without a warping window) against the sequential scan,
-// down to eps = 0 where only exact hits stay live in the verification rows.
+// kernel: a tiny 2-D database and query cut from fuzz bytes, a grid index —
+// sparse with and without a warping window, or dense, or per-dimension
+// identity, optionally with an answer-length floor — against the sequential
+// scan, down to eps = 0 where only exact hits stay live in the verification
+// rows. A grid filter is never exact, so every reached leaf is verified.
 // Coordinates are small integers, so distances are exact sums and the
-// answers must agree bit for bit.
+// answers must agree bit for bit. shape picks the index: bit 0 identity
+// categories, bit 1 a dense tree, bits 2-3 the answer-length floor.
 func FuzzVectorSearchMatchesScan(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0))
-	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2))
-	f.Add([]byte{4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 9, 2}, []byte{4, 4, 4, 4, 9, 2}, uint8(250), uint8(2), uint8(0))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 6}, []byte{1, 1, 5, 5, 5, 5}, uint8(244), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2), uint8(0))
+	f.Add([]byte{4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 9, 2}, []byte{4, 4, 4, 4, 9, 2}, uint8(250), uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 6}, []byte{1, 1, 5, 5, 5, 5}, uint8(244), uint8(1), uint8(3), uint8(0))
+	// Leading runs far longer than |Q|.
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3}, []byte{3, 3, 7, 7}, uint8(4), uint8(1), uint8(0), uint8(0))
+	// An answer-length floor of 3, over runs.
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 6, 6, 6, 6, 2, 2, 2, 2, 2, 2, 6, 6, 6, 6}, []byte{2, 2, 6, 6, 6, 6}, uint8(5), uint8(1), uint8(0), uint8(3<<2))
+	// Sparse under a window, runs longer than |Q| + w.
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 5, 5, 5, 5}, []byte{5, 5, 1, 1}, uint8(3), uint8(1), uint8(2), uint8(0))
+	// Identity cells, dense.
+	f.Add([]byte{1, 2, 2, 3, 3, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3}, []byte{2, 3, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw, shape uint8) {
 		if len(seqBytes) < 8 || len(qBytes) < 2 {
 			return
 		}
@@ -51,10 +62,12 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		}
 		cats := int(catsRaw)%6 + 1
 		window := int(windowRaw)%4 - 1 // -1: unconstrained; Build also reads 0 as that
+		opts := Options{Kind: categorize.KindMaxEntropy, CatsPerDim: cats, Sparse: shape&2 == 0, Window: window, MinAnswerLen: int(shape>>2) % 4}
+		if shape&1 != 0 {
+			opts.Kind = categorize.KindIdentity
+		}
 
-		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), Options{
-			Kind: categorize.KindMaxEntropy, CatsPerDim: cats, Sparse: true, Window: window,
-		})
+		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), opts)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -63,12 +76,18 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}
-		want, _, err := SeqScan(data, q, eps, ix.Window)
+		all, _, err := SeqScan(data, q, eps, ix.Window)
 		if err != nil {
 			t.Fatalf("scan: %v", err)
 		}
+		var want []Match
+		for _, m := range all {
+			if m.Ref.End-m.Ref.Start >= ix.MinAnswerLen() {
+				want = append(want, m)
+			}
+		}
 		if !mMatchesBitIdentical(got, want) {
-			t.Fatalf("index %d matches, scan %d (eps=%v cats=%d window=%d)", len(got), len(want), eps, cats, ix.Window)
+			t.Fatalf("index %d matches, scan %d (eps=%v %+v)", len(got), len(want), eps, opts)
 		}
 	})
 }

@@ -18,20 +18,21 @@ type vectorKernel struct {
 
 	q     [][]float64
 	table Table
-	post  Table
+	// bases caches each cell's box row against the query, so a filter row
+	// is a lookup and the DP.
+	bases  dtw.BaseRows
+	verify Verifier
 	// envs[k] is the envelope of the query's k-th coordinate series under
 	// the filter window (constant on sparse trees); qDim[k] backs it.
 	envs []dtw.Envelope
 	qDim [][]float64
-	// points is the sequence under verification (PostReset).
-	points [][]float64
 }
 
 func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, eps float64, envelopes bool) {
 	k.q = q
 	k.table.Bind(q, filterWindow)
-	k.post.Bind(q, window)
-	k.post.SetThreshold(eps)
+	k.bases.Bind(len(q), k.grid.NumCells())
+	k.verify.Bind(q, window, eps)
 	if !envelopes {
 		return
 	}
@@ -70,7 +71,14 @@ func (k *vectorKernel) Gap(x int, sym suffixtree.Symbol) float64 {
 
 //twlint:steady-state
 func (k *vectorKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
-	return k.table.AddRowBox(k.grid.Box(sym))
+	row, cached := k.bases.Row(int32(sym))
+	if !cached {
+		box := k.grid.Box(sym)
+		for y, p := range k.q {
+			row[y] = BaseBox(p, box)
+		}
+	}
+	return k.table.AddRowBase(row)
 }
 
 //twlint:steady-state
@@ -80,15 +88,8 @@ func (k *vectorKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
 func (k *vectorKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
 
 //twlint:steady-state
-func (k *vectorKernel) PostReset(seq, start int) float64 {
-	k.post.Truncate(0)
-	k.points = k.data.Points(seq)
-	return Base(k.points[start], k.q[0])
+func (k *vectorKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
+	k.verify.Scan(k.data.Points(seq), start, end, hit)
 }
 
-//twlint:steady-state
-func (k *vectorKernel) PostAddRow(pos int) (dist, minDist float64) {
-	return k.post.AddRowPoint(k.points[pos])
-}
-
-func (k *vectorKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.post.Cells() }
+func (k *vectorKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }

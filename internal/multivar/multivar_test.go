@@ -203,6 +203,24 @@ func TestSearchValidation(t *testing.T) {
 	if _, _, err := ix.SearchOpts(bg, [][]float64{{1, 2}}, -1, SearchOptions{}); err == nil {
 		t.Error("negative eps accepted")
 	}
+	if _, st, err := ix.SearchOpts(bg, [][]float64{{1, 2}}, math.NaN(), SearchOptions{}); err == nil || st.NodesVisited != 0 {
+		t.Errorf("NaN eps: err %v after %d nodes, want a refusal before the traversal", err, st.NodesVisited)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := [][]float64{{1, 2}, {3, v}}
+		if _, _, err := ix.SearchOpts(bg, q, 1, SearchOptions{}); err == nil {
+			t.Errorf("query coordinate %v accepted", v)
+		}
+		if _, _, err := ix.SearchKNNOpts(bg, q, 2, SearchOptions{}); err == nil {
+			t.Errorf("k-NN query coordinate %v accepted", v)
+		}
+		if _, _, err := SeqScan(data, q, 1, -1); err == nil {
+			t.Errorf("SeqScan query coordinate %v accepted", v)
+		}
+	}
+	if _, _, err := SeqScan(data, [][]float64{{1, 2}}, math.NaN(), -1); err == nil {
+		t.Error("SeqScan NaN eps accepted")
+	}
 }
 
 func TestTableMatchesDistance(t *testing.T) {

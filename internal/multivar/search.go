@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -148,17 +149,33 @@ func newIndex(data *Dataset, grid *GridScheme, store *suffixtree.TextStore, tree
 	}
 }
 
-// run is the typed front of the engine: it rejects what only this layer
-// can see (an empty or mis-shaped query) and supplies the bind that points
-// a pooled vector kernel at q.
-func (ix *Index) run(ctx context.Context, q [][]float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, Stats, error) {
+// checkQuery refuses a vector query no search can answer: an empty one, a
+// point of the wrong dimension, or a coordinate that is NaN or infinite —
+// its distance to every subsequence would be NaN or +Inf, so the search
+// would silently find nothing.
+func checkQuery(q [][]float64, dim int) error {
 	if len(q) == 0 {
-		return nil, Stats{}, errors.New("multivar: empty query")
+		return errors.New("multivar: empty query")
 	}
 	for i, p := range q {
-		if len(p) != ix.Data.Dim() {
-			return nil, Stats{}, fmt.Errorf("multivar: query point %d has %d dims, want %d", i, len(p), ix.Data.Dim())
+		if len(p) != dim {
+			return fmt.Errorf("multivar: query point %d has %d dims, want %d", i, len(p), dim)
 		}
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("multivar: query point %d has coordinate %v, not a finite number", i, v)
+			}
+		}
+	}
+	return nil
+}
+
+// run is the typed front of the engine: it rejects what only this layer
+// can see (an empty, mis-shaped or non-finite query) and supplies the bind
+// that points a pooled vector kernel at q.
+func (ix *Index) run(ctx context.Context, q [][]float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, Stats, error) {
+	if err := checkQuery(q, ix.Data.Dim()); err != nil {
+		return nil, Stats{}, err
 	}
 	return ix.Run(ctx, func(k core.Kernel, filterWindow, window int, envelopes bool) {
 		k.(*vectorKernel).bind(q, filterWindow, window, eps, envelopes)
@@ -188,6 +205,9 @@ func (ix *Index) SearchVisitOpts(ctx context.Context, q [][]float64, eps float64
 // time warping distance, by the same complete threshold expansion as the
 // univariate index (core.RunKNN), each round one range search under opts.
 func (ix *Index) SearchKNNOpts(ctx context.Context, q [][]float64, k int, opts SearchOptions) ([]Match, Stats, error) {
+	if err := checkQuery(q, ix.Data.Dim()); err != nil {
+		return nil, Stats{}, err
+	}
 	step := 0.0
 	for i := 1; i < len(q); i++ {
 		step += Base(q[i], q[i-1])
@@ -210,8 +230,11 @@ func SeqScanFull(data *Dataset, q [][]float64, eps float64, window int) ([]Match
 }
 
 func seqScan(data *Dataset, q [][]float64, eps float64, window int, abandon bool) ([]Match, Stats, error) {
-	if len(q) == 0 {
-		return nil, Stats{}, errors.New("multivar: empty query")
+	if err := checkQuery(q, data.Dim()); err != nil {
+		return nil, Stats{}, err
+	}
+	if err := core.CheckThreshold(eps); err != nil {
+		return nil, Stats{}, err
 	}
 	started := time.Now()
 	table := NewTableWindow(q, window)

@@ -1,12 +1,17 @@
 package multivar
 
-import "twsearch/internal/dtw"
+import (
+	"math"
+
+	"twsearch/internal/dtw"
+)
 
 // Table is the multivariate counterpart of dtw.Table: the cumulative time
 // warping distance table with the query's points along the columns, grown
 // (and popped) one row at a time by the tree traversal. The row storage —
-// band, growth, Truncate, Fork/CopyFrom, Row — is dtw.Rows, shared with the
-// scalar table; what lives here is the vector query and its two row kernels.
+// band, growth, Truncate, Fork/CopyFrom, Row, and the filter rows over
+// cached base rows (AddRowBase) — is dtw.Rows, shared with the scalar table;
+// what lives here is the vector query and its exact row kernel.
 type Table struct {
 	q [][]float64
 	dtw.Rows
@@ -35,9 +40,8 @@ func (t *Table) Bind(q [][]float64, w int) {
 }
 
 // AddRowPoint appends the row for a data point using the exact base
-// distance; returns the last column (prefix distance) and row minimum —
-// both exact when at most the table's threshold, some value above it
-// otherwise (dtw.Rows.SetThreshold).
+// distance and returns the last column (prefix distance) and row minimum.
+// It charges the cells of its band.
 //
 //twlint:bound-source results=1
 //twlint:steady-state
@@ -46,95 +50,32 @@ func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
 	n := len(q)
 	x := t.Depth()
 	curr := t.GrowRow(n, x)
-	lo, mid, hi, tau := t.Reach(n, x)
-	minDist = dtw.Inf
-	y := lo
-	// left carries curr[y-1]; before the first cell of the first row it is
-	// the empty alignment, which costs nothing.
-	left := dtw.Inf
-	if x == 0 {
-		left = 0
-	}
-	if y < mid {
-		prev := t.PrevRow(n, x)
-		if y == 0 {
-			c := Base(p, q[0]) + prev[0]
-			curr[0] = c
-			minDist = c
-			left = c
-			y = 1
-		}
-		if y < mid {
-			// left and diag carry curr[y-1] and prev[y-1] in registers, so
-			// the loop body reads prev exactly once per cell. The two dead
-			// neighbours it can read, prev[lo-1] and prev[mid-1], hold the
-			// Inf the previous row's close wrote, so the three-way min is
-			// safe at both edges.
-			diag := prev[y-1]
-			// Equal-length reslices let the compiler drop the per-cell
-			// bounds checks: y < len(qb) covers all three.
-			qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
-			for ; y < len(qb); y++ {
-				up := pb[y]
-				c := Base(p, qb[y]) + dtw.Min3(left, up, diag)
-				cb[y] = c
-				if c < minDist {
-					minDist = c
-				}
-				left = c
-				diag = up
-			}
-		}
-	}
-	// Right of the previous row's live cells a path can only arrive from
-	// the left, for as long as the left neighbour is itself live. (The
-	// whole of the first row is this chain.)
-	for ; y < hi && left <= tau; y++ {
-		left += Base(p, q[y])
-		curr[y] = left
-		if left < minDist {
-			minDist = left
-		}
-	}
-	return t.CloseRow(curr, n, x, lo, y), minDist
-}
-
-// AddRowBox appends the row for a cell symbol's bounding box using the
-// lower-bound base distance.
-//
-//twlint:bound-source results=0,1
-//twlint:steady-state
-func (t *Table) AddRowBox(b Box) (dist, minDist float64) {
-	q := t.q
-	n := len(q)
-	x := t.Depth()
-	curr := t.GrowRow(n, x)
 	bandLo, bandHi := t.BandFill(curr, n, x)
-	minDist = dtw.Inf
-	t.CountRow(n)
+	t.CountRow(bandHi - bandLo)
 	if bandLo >= bandHi {
-		return curr[n-1], minDist
+		return curr[n-1], dtw.Inf
 	}
+	// mb carries the row minimum as bits (see dtw.Min3).
+	var mb uint64
 	if x == 0 {
-		acc := BaseBox(q[0], b)
+		acc := Base(p, q[0])
 		curr[0] = acc
-		minDist = acc
+		mb = math.Float64bits(acc)
 		for y := 1; y < bandHi; y++ {
-			acc += BaseBox(q[y], b)
+			acc += Base(p, q[y])
 			curr[y] = acc
-			if acc < minDist {
-				minDist = acc
-			}
+			mb = min(mb, math.Float64bits(acc))
 		}
-		return curr[n-1], minDist
+		return curr[n-1], math.Float64frombits(mb)
 	}
 	prev := t.PrevRow(n, x)
 	y := bandLo
 	left := dtw.Inf
+	mb = math.Float64bits(dtw.Inf)
 	if y == 0 {
-		c := BaseBox(q[0], b) + prev[0]
+		c := Base(p, q[0]) + prev[0]
 		curr[0] = c
-		minDist = c
+		mb = math.Float64bits(c)
 		left = c
 		y = 1
 	}
@@ -143,14 +84,88 @@ func (t *Table) AddRowBox(b Box) (dist, minDist float64) {
 		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
 		for ; y < len(qb); y++ {
 			up := pb[y]
-			c := BaseBox(qb[y], b) + dtw.Min3(left, up, diag)
+			c := Base(p, qb[y]) + dtw.Min3(up, diag, left)
 			cb[y] = c
-			if c < minDist {
-				minDist = c
-			}
+			mb = min(mb, math.Float64bits(c))
 			left = c
 			diag = up
 		}
 	}
-	return curr[n-1], minDist
+	return curr[n-1], math.Float64frombits(mb)
+}
+
+// Verifier is the vector twin of dtw.Verifier: the verification pass's
+// exact table for one start at a time, over dtw.VerifyRows.
+type Verifier struct {
+	q [][]float64
+	dtw.VerifyRows
+}
+
+// Bind re-targets the verifier at a new, non-empty query, a window (< 0:
+// none) and a threshold, zeroing the cell counter.
+func (v *Verifier) Bind(q [][]float64, w int, tau float64) {
+	v.q = q
+	v.VerifyRows.Bind(len(q), w, tau)
+}
+
+// Scan is dtw.Verifier.Scan over points: it calls hit(e, D_tw) for every
+// subsequence points[start:e], e ≤ end, within the threshold, dismissing a
+// start on its first element and stopping at the first row without a live
+// cell.
+//
+//twlint:steady-state
+func (v *Verifier) Scan(points [][]float64, start, end int, hit func(end int, dist float64)) {
+	q := v.q
+	n := len(q)
+	tau := v.Threshold()
+	if Base(points[start], q[0]) > tau {
+		return
+	}
+	// Every end is within an infinite threshold, at distance +Inf where
+	// the band keeps paths off the last column, and no row ends the scan.
+	unbounded := math.IsInf(tau, 1)
+	prev, curr := v.Rows()
+	plo, phi := 0, 0
+	for x, e := 0, start; e < end; x, e = x+1, e+1 {
+		p := points[e]
+		lo, mid, hi := v.Reach(x, plo, phi)
+		y := lo
+		left := dtw.Inf
+		if x == 0 {
+			left = 0
+		}
+		if y < mid {
+			if y == 0 {
+				c := Base(p, q[0]) + prev[0]
+				curr[0] = c
+				left = c
+				y = 1
+			}
+			if y < mid {
+				diag := prev[y-1]
+				qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
+				for ; y < len(qb); y++ {
+					up := pb[y]
+					c := Base(p, qb[y]) + dtw.Min3(up, diag, left)
+					cb[y] = c
+					left = c
+					diag = up
+				}
+			}
+		}
+		for ; y < hi && left <= tau; y++ {
+			left += Base(p, q[y])
+			curr[y] = left
+		}
+		plo, phi = v.Close(curr, lo, y)
+		switch {
+		case plo < phi && phi == n:
+			hit(e+1, curr[n-1])
+		case unbounded:
+			hit(e+1, dtw.Inf)
+		case plo == phi:
+			return
+		}
+		prev, curr = curr, prev
+	}
 }

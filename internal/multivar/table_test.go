@@ -39,12 +39,12 @@ func fullMatrix(base [][]float64, w int) [][]float64 {
 	return tab
 }
 
-// The point and box kernels agree with the full-matrix DP bit for bit, for
-// every window width incl. rows wholly past the band: in the distance and
-// row minimum they return and through Row in the whole table (in-band cells
-// raw, as the kernels wrote them) — on row storage a wider table left full
-// of stale values, which a read of an unwritten cell would drag hugely
-// negative.
+// The point kernel and the box rows the filter pass adds (AddRowBase over
+// BaseBox distances) agree with the full-matrix DP bit for bit, for every
+// window width incl. rows wholly past the band: in the distance and row
+// minimum they return and through Row in the whole table — on row storage a
+// wider table left full of stale values, which a read of an unwritten cell
+// would drag hugely negative.
 func TestAddRowPointMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	const dim = 2
@@ -85,10 +85,10 @@ func TestAddRowPointMatchesReference(t *testing.T) {
 				} else {
 					lo := point()
 					b := Box{Lo: lo, Hi: []float64{lo[0] + rng.Float64(), lo[1] + rng.Float64()}}
-					dists[x], mins[x] = tab.AddRowBox(b)
 					for y := range q {
 						base[x][y] = BaseBox(q[y], b)
 					}
+					dists[x], mins[x] = tab.AddRowBase(base[x])
 				}
 			}
 			want := fullMatrix(base, w)
@@ -114,14 +114,110 @@ func rowMin(row []float64) float64 {
 	return m
 }
 
-// A table with a threshold agrees with a plain one on everything a search
-// asks, under AddRowPoint / Truncate interleavings on storage full of stale
-// values, for windows -1 … n and thresholds from "exact hits only" to none:
-// after every row, whether the distance and the row minimum are within tau
-// and, if so, their bits; before rows are dropped and at the end, every cell
-// — one the plain table holds at or below tau has the same bits, every other
-// reads above tau. Without a threshold that is every bit and the cell count.
-// (dtw's FuzzThresholdRows is the scalar twin.)
+// scanSpec is dtw's test oracle for a verification scan, over the plain
+// vector table's rows: the ends whose last column is at most tau with those
+// bits, and the cells the live-column recurrence reaches — none when the
+// first element is out of reach.
+func scanSpec(rows [][]float64, w int, tau, first float64) (hits []int, dists []float64, cells uint64) {
+	for x, row := range rows {
+		if row[len(row)-1] <= tau {
+			hits = append(hits, x+1)
+			dists = append(dists, row[len(row)-1])
+		}
+	}
+	if first > tau {
+		return nil, nil, 0
+	}
+	n := len(rows[0])
+	plo, phi := 0, 0
+	for x, row := range rows {
+		lo, hi := 0, n
+		if w >= 0 {
+			lo, hi = min(max(x-w, 0), n), min(x+w+1, n)
+		}
+		mid := lo
+		if x > 0 {
+			lo = max(lo, plo)
+			mid = max(lo, min(phi+1, hi))
+		}
+		y := mid
+		for y < hi && ((x == 0 && y == 0) || (y > lo && row[y-1] <= tau)) {
+			y++
+		}
+		cells += uint64(y - lo)
+		plo, phi = -1, -1
+		for c := lo; c < y; c++ {
+			if row[c] <= tau {
+				if plo < 0 {
+					plo = c
+				}
+				phi = c + 1
+			}
+		}
+		if plo < 0 {
+			break
+		}
+	}
+	return hits, dists, cells
+}
+
+// checkVerifier is dtw's: every start of s, to the end and to one end short
+// of it, scanned by a verifier whose rows hold stale values no scan may
+// read, must report the plain table's ends within tau with the same bits and
+// charge exactly the cells the live-column recurrence reaches.
+func checkVerifier(t *testing.T, q, s [][]float64, w int, tau float64) {
+	t.Helper()
+	var v Verifier
+	wide := make([][]float64, len(q)+9)
+	for i := range wide {
+		wide[i] = []float64{0, 0}
+	}
+	v.Bind(wide, -1, dtw.Inf)
+	prev, curr := v.Rows()
+	for _, row := range [][]float64{prev[:cap(prev)], curr[:cap(curr)]} {
+		for i := range row {
+			row[i] = -1e300
+		}
+	}
+	v.Bind(q, w, tau)
+	var gotEnds []int
+	var gotDists []float64
+	hit := func(end int, dist float64) {
+		gotEnds = append(gotEnds, end)
+		gotDists = append(gotDists, dist)
+	}
+	for start := range s {
+		for _, end := range []int{len(s), start + 1 + (len(s)-start)/2} {
+			plain := NewTableWindow(q, w)
+			rows := make([][]float64, 0, end-start)
+			for _, p := range s[start:end] {
+				plain.AddRowPoint(p)
+				rows = append(rows, append([]float64(nil), plain.Row(plain.Depth()-1)...))
+			}
+			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, Base(s[start], q[0]))
+			gotEnds, gotDists = gotEnds[:0], gotDists[:0]
+			before := v.Cells()
+			v.Scan(s, start, end, hit)
+			cells := v.Cells() - before
+			if len(gotEnds) != len(wantEnds) {
+				t.Fatalf("w=%d tau=%v [%d,%d): ends %v, plain table %v", w, tau, start, end, gotEnds, wantEnds)
+			}
+			for i := range wantEnds {
+				if gotEnds[i] != start+wantEnds[i] || math.Float64bits(gotDists[i]) != math.Float64bits(wantDists[i]) {
+					t.Fatalf("w=%d tau=%v [%d,%d): hit %d is (%d, %v), plain table (%d, %v)", w, tau, start, end, i, gotEnds[i], gotDists[i], start+wantEnds[i], wantDists[i])
+				}
+			}
+			if cells != wantCells {
+				t.Fatalf("w=%d tau=%v [%d,%d): %d cells, the live-column recurrence reaches %d", w, tau, start, end, cells, wantCells)
+			}
+		}
+	}
+}
+
+// The vector verifier against the plain vector table on random walks near
+// the query, for windows -1 … n and thresholds from "exact hits only" to
+// none, a tie at one subsequence's exact distance among them. (dtw's
+// TestThresholdRowsMatchPlain is the scalar twin.)
 func TestThresholdRowsMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	step := func(p []float64) []float64 {
@@ -134,67 +230,59 @@ func TestThresholdRowsMatchPlain(t *testing.T) {
 			p = step(p)
 			q[i] = p
 		}
+		s := make([][]float64, 4*n+10)
+		p = q[0]
+		for i := range s {
+			p = step(p)
+			s[i] = p
+		}
+		tie, _ := NewTable(q).AddRowPoint(s[0])
 		for w := -1; w <= n; w++ {
-			for _, tau := range []float64{0, 0.5, 3, 12, dtw.Inf} {
-				plain := NewTableWindow(q, w)
-				wide := make([][]float64, n+9)
-				for i := range wide {
-					wide[i] = []float64{0, 0}
-				}
-				thr := NewTable(wide)
-				for x := 0; x < 6*n+10; x++ {
-					thr.AddRowPoint(wide[0])
-				}
-				for x := 0; x < thr.Depth(); x++ { // Row aliases the storage
-					stale := thr.Row(x)
-					for i := range stale {
-						stale[i] = -1e300
-					}
-				}
-				thr.Bind(q, w)
-				thr.SetThreshold(tau)
-
-				same := func(what string, x int, want, got float64) {
-					t.Helper()
-					if want <= tau {
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("n=%d w=%d tau=%v row %d %s: thresholded %v, plain %v <= tau", n, w, tau, x, what, got, want)
-						}
-					} else if !(got > tau) {
-						t.Fatalf("n=%d w=%d tau=%v row %d %s: thresholded %v reads within tau, plain %v does not", n, w, tau, x, what, got, want)
-					}
-				}
-				checkCells := func() {
-					t.Helper()
-					for x := 0; x < plain.Depth(); x++ {
-						want := append([]float64(nil), plain.Row(x)...)
-						for y, got := range thr.Row(x) {
-							same("cell", x, want[y], got)
-						}
-					}
-				}
-				p := q[0]
-				for i := 0; i < 6*n+10; i++ {
-					if rng.Intn(9) == 0 {
-						checkCells()
-						d := rng.Intn(plain.Depth() + 1)
-						plain.Truncate(d)
-						thr.Truncate(d)
-						p = q[0]
-						continue
-					}
-					p = step(p)
-					x := plain.Depth()
-					pd, pm := plain.AddRowPoint(p)
-					gd, gm := thr.AddRowPoint(p)
-					same("distance", x, pd, gd)
-					same("row minimum", x, pm, gm)
-				}
-				checkCells()
-				if thr.Cells() > plain.Cells() || (math.IsInf(tau, 1) && thr.Cells() != plain.Cells()) {
-					t.Fatalf("n=%d w=%d tau=%v: thresholded table computed %d cells, plain %d", n, w, tau, thr.Cells(), plain.Cells())
-				}
+			for _, tau := range []float64{0, 0.5, 3, 12, tie, dtw.Inf} {
+				checkVerifier(t, q, s, w, tau)
 			}
 		}
 	}
+}
+
+// FuzzThresholdRows is dtw's FuzzThresholdRows for the vector verifier:
+// query and sequence points cut from fuzz bytes (coordinates in quarter
+// steps, so distances are exact), windows -1 … n, and thresholds 0, one
+// step, middling, tied at the distance of a prefix of the sequence, and
+// none.
+func FuzzThresholdRows(f *testing.F) {
+	f.Add([]byte{128, 128, 130, 126, 126, 128}, []byte{128, 128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+5*3))
+	f.Add([]byte{128, 128, 128, 128}, []byte{128, 128, 15, 128, 132, 128, 7, 128}, int8(1), uint8(0))
+	f.Add([]byte{100, 160, 128, 90}, []byte{100, 160, 128, 90, 39, 101, 161, 100}, int8(0), uint8(3+5*2))
+	f.Add([]byte{1, 255, 3, 4}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(4))
+	f.Fuzz(func(t *testing.T, qRaw, sRaw []byte, wRaw int8, tauSel uint8) {
+		points := func(b []byte, max int) [][]float64 {
+			b = b[:min(len(b), 2*max)]
+			out := make([][]float64, len(b)/2)
+			for j := range out {
+				out[j] = []float64{float64(int(b[2*j])-128) / 4, float64(int(b[2*j+1])-128) / 4}
+			}
+			return out
+		}
+		q, s := points(qRaw, 8), points(sRaw, 16)
+		if len(q) == 0 || len(s) == 0 {
+			return
+		}
+		w := (int(wRaw)%(len(q)+2)+len(q)+2)%(len(q)+2) - 1
+		tau := dtw.Inf
+		switch tauSel % 5 {
+		case 0:
+			tau = 0
+		case 1:
+			tau = 0.25
+		case 2:
+			tau = float64(tauSel / 5)
+		case 3:
+			tab := NewTableWindow(q, w)
+			for _, p := range s[:1+int(tauSel/5)%len(s)] {
+				tau, _ = tab.AddRowPoint(p)
+			}
+		}
+		checkVerifier(t, q, s, w, tau)
+	})
 }

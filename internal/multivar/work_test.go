@@ -78,6 +78,10 @@ func workVectorData() (*Dataset, [][]float64) {
 // identity rows keep their candidates (exact indexes emit per depth) and
 // move only in PostCells (vector/identity verifies every candidate; the
 // scalar identity index verifies none).
+//
+// Re-captured (all but scalar/identity) when a reached leaf went to
+// verification whole: its label's filter rows become exact cells, its starts
+// candidates.
 func TestEngineWorkPinned(t *testing.T) {
 	dir := t.TempDir()
 	sdata, sq := workScalarData()
@@ -93,21 +97,21 @@ func TestEngineWorkPinned(t *testing.T) {
 		want   counters
 	}{
 		{"scalar/dense", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 12}, nil,
-			counters{668, 25250, 11957, 222, 0, 281, 110, 2635}},
+			counters{668, 3650, 15950, 350, 69, 281, 18, 383}},
 		{"scalar/sparse", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true}, nil,
-			counters{472, 17570, 14408, 509, 228, 281, 168, 1925}},
+			counters{472, 2820, 18135, 1043, 762, 281, 23, 305}},
 		{"scalar/sparse+window", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true, Window: 4}, nil,
-			counters{472, 15790, 11107, 509, 380, 129, 145, 1724}},
+			counters{472, 2820, 14655, 1043, 914, 129, 23, 305}},
 		{"scalar/identity", &core.Options{Kind: categorize.KindIdentity}, nil,
 			counters{725, 19100, 0, 281, 0, 281, 128, 2038}},
 		{"vector/dense", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 4},
-			counters{862, 62514, 6935, 289, 244, 45, 144, 7090}},
+			counters{862, 4797, 10391, 490, 445, 45, 32, 565}},
 		{"vector/sparse", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 3, Sparse: true},
-			counters{423, 21555, 8946, 680, 635, 45, 134, 2529}},
+			counters{423, 2898, 12607, 1185, 1140, 45, 10, 332}},
 		{"vector/sparse+window", nil, &Options{Kind: categorize.KindEqualLength, CatsPerDim: 4, Sparse: true, Window: 4},
-			counters{317, 10395, 8729, 697, 657, 40, 112, 1267}},
+			counters{317, 2169, 11812, 1202, 1162, 40, 10, 251}},
 		{"vector/identity", nil, &Options{Kind: categorize.KindIdentity},
-			counters{1287, 18747, 643, 9, 0, 45, 489, 2572}},
+			counters{1287, 3312, 12079, 855, 810, 45, 75, 443}},
 	}
 	for i, r := range rows {
 		path := filepath.Join(dir, fmt.Sprintf("w%d.twt", i))

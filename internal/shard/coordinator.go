@@ -164,6 +164,15 @@ func (c *Coordinator) gather(
 	return merged, &PartialError{Answered: answered, Failed: failed, Cause: firstErr}
 }
 
+// checkRange refuses, before any shard is asked, a query or threshold every
+// shard would refuse: the failure is the request's, not a partial outage.
+func checkRange(q []float64, eps float64) error {
+	if err := core.CheckQuery(q); err != nil {
+		return err
+	}
+	return core.CheckThreshold(eps)
+}
+
 // rebase maps a shard's local sequence numbers into the global numbering.
 func rebase(ms []Match, base int) {
 	for i := range ms {
@@ -176,6 +185,9 @@ func rebase(ms []Match, base int) {
 // remaining shards. The answer set — matches and exact distances — is
 // identical to the unsharded search over the same data at any shard count.
 func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool, opts Options) (Stats, error) {
+	if err := checkRange(q, eps); err != nil {
+		return Stats{}, err
+	}
 	return c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
 		return b.Search(ctx, index, q, eps, opts)
 	}, fn)
@@ -197,6 +209,9 @@ func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps
 
 // Scan fans the exhaustive sequential-scan baseline out over the shards.
 func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
+	if err := checkRange(q, eps); err != nil {
+		return nil, Stats{}, err
+	}
 	out := []Match{}
 	stats, err := c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
 		return b.Scan(ctx, q, eps)
@@ -217,8 +232,8 @@ func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 // global answer there, so a scatter-gather round is a round of the unsharded
 // loop. A failed shard fails the call with its round's *PartialError.
 func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int, opts Options) ([]Match, Stats, error) {
-	if len(q) == 0 {
-		return nil, Stats{}, errors.New("shard: empty query")
+	if err := core.CheckQuery(q); err != nil {
+		return nil, Stats{}, err
 	}
 	step := 0.0
 	for i := 1; i < len(q); i++ {

@@ -3,6 +3,7 @@ package seqdb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -270,6 +271,40 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, _, err := search(db, "x", nil, 5); err == nil {
 		t.Error("empty query accepted")
+	}
+	checkNonFiniteRefused(t, db, "x")
+}
+
+// checkNonFiniteRefused holds a database to refusing a NaN threshold and a
+// query with a NaN or infinite value on every search path — range, visit,
+// k-NN and scan — instead of running them to an empty answer. On a sharded
+// database the refusal is the request's, not a shard outage.
+func checkNonFiniteRefused(t *testing.T, db searcher, index string) {
+	t.Helper()
+	refused := func(what string, err error) {
+		t.Helper()
+		var pe *PartialError
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		} else if errors.As(err, &pe) {
+			t.Errorf("%s: %v, want a refusal before any shard is asked", what, err)
+		}
+	}
+	q := []float64{1, 2, 3}
+	_, _, err := search(db, index, q, math.NaN())
+	refused("NaN eps", err)
+	_, err = searchVisit(db, index, q, math.NaN(), func(Match) bool { return true })
+	refused("NaN eps visit", err)
+	_, _, err = seqScan(db, q, math.NaN())
+	refused("NaN eps scan", err)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := []float64{1, v, 3}
+		_, _, err := search(db, index, bad, 5)
+		refused(fmt.Sprintf("query value %v", v), err)
+		_, _, err = searchKNN(db, index, bad, 2)
+		refused(fmt.Sprintf("k-NN query value %v", v), err)
+		_, _, err = seqScan(db, bad, 5)
+		refused(fmt.Sprintf("scan query value %v", v), err)
 	}
 }
 

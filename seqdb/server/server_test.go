@@ -236,6 +236,27 @@ func TestServerErrorsAreTyped(t *testing.T) {
 	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
 		t.Fatalf("empty query error = %v, want bad-request", err)
 	}
+	// So are a NaN threshold and a NaN or infinite query value, on every
+	// operation that takes them.
+	_, _, err = c.SearchWith(ctx, "main", "fast", q, math.NaN(), seqdb.SearchOptions{})
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("NaN eps error = %v, want bad-request", err)
+	}
+	_, _, err = c.SeqScan(ctx, "main", q, math.NaN())
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("NaN eps scan error = %v, want bad-request", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := append([]float64{v}, q...)
+		_, _, err = c.SearchWith(ctx, "main", "fast", bad, 1, seqdb.SearchOptions{})
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+			t.Fatalf("query value %v error = %v, want bad-request", v, err)
+		}
+		_, _, err = c.SearchKNNWith(ctx, "main", "fast", bad, 3, seqdb.SearchOptions{})
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+			t.Fatalf("k-NN query value %v error = %v, want bad-request", v, err)
+		}
+	}
 	if _, _, err := c.SearchWith(ctx, "main", "fast", q, 1, seqdb.SearchOptions{}); err != nil {
 		t.Fatalf("connection did not survive request errors: %v", err)
 	}

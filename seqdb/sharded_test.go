@@ -389,3 +389,11 @@ func statsOf(vs []float64) Stats {
 	st.StdDev = math.Sqrt(varSum / float64(len(vs)))
 	return st
 }
+
+// A NaN threshold or a non-finite query value is the request's fault: a
+// sharded database refuses it before the scatter, as the unsharded one
+// does, rather than reporting every shard failed.
+func TestShardedRefusesNonFinite(t *testing.T) {
+	db := newTestDB(t, 4, 20, 9)
+	checkNonFiniteRefused(t, newShardedFrom(t, db, 2, IndexSpec{Method: MethodMaxEntropy, Categories: 4}), "s")
+}
