@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -350,6 +351,80 @@ func TestNoFalseDismissalsWindowed(t *testing.T) {
 					trial, v.name, w, eps, len(got), len(want))
 			}
 			ix.RemoveFile()
+		}
+	}
+}
+
+// runsDataset builds sequences over the alphabet {0, …, alphabet-1} in runs
+// of one to five equal values, so sparse trees store runs and a leaf stands
+// for shifted starts.
+func runsDataset(rng *rand.Rand, nSeq, length, alphabet int) *sequence.Dataset {
+	d := sequence.NewDataset()
+	for i := 0; i < nSeq; i++ {
+		vals := make([]float64, 0, length)
+		for len(vals) < length {
+			v := float64(rng.Intn(alphabet))
+			for r := 1 + rng.Intn(5); r > 0 && len(vals) < length; r-- {
+				vals = append(vals, v)
+			}
+		}
+		d.MustAdd(sequence.Sequence{ID: fmt.Sprintf("r%d", i), Values: vals})
+	}
+	return d
+}
+
+// TestNoFalseDismissalsAtTies is the no-false-dismissal contract where it
+// is sharpest: eps set to each distinct exact distance of the scan's
+// answers, so some answer lies exactly at eps and every lower bound of it is
+// at most eps. A pruning or candidate test that keeps only bound < eps, or
+// prunes on bound >= eps, dismisses that answer; a lower bound published as
+// a distance changes a Match. Every variant, and the first six under a
+// window, must return the scan's answers bit for bit at every such eps.
+func TestNoFalseDismissalsAtTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(337))
+	dir := t.TempDir()
+	for trial := 0; trial < 4; trial++ {
+		data := runsDataset(rng, 3, 30, 4)
+		q := []float64{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
+		q = append(q, q[2], float64(rng.Intn(4)))
+		vs := variants()
+		for _, v := range variants()[:6] {
+			v.name += fmt.Sprintf(",w=%d", 1+trial%3)
+			v.opts.Window = 1 + trial%3
+			vs = append(vs, v)
+		}
+		for vi, v := range vs {
+			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d-%d.twt", trial, vi)), v.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, _, err := SeqScan(data, q, 12, ix.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ties []float64
+			for _, m := range all {
+				ties = append(ties, m.Distance)
+			}
+			slices.Sort(ties)
+			for _, eps := range slices.Compact(ties) {
+				want, _, err := SeqScan(data, q, eps, ix.Window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := search(ix, q, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !matchesBitIdentical(got, want) {
+					t.Errorf("trial %d %s q=%v eps=%v: index %d answers, scan %d",
+						trial, v.name, q, eps, len(got), len(want))
+					break
+				}
+			}
+			if err := ix.RemoveFile(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -51,11 +51,12 @@ type Engine struct {
 // the query's envelope, for one query at a time. The traversal owns every
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel at most twice per filter row, never per cell: Gap and
-// AddRow (Base0 once per path); and once per verified start, Verify. Every
-// method that returns a lower bound of a time warping distance carries
-// //twlint:bound-source, which is how the boundscontract analyzer keeps
-// checking the traversal's threshold tests and Match distances through the
-// interface.
+// AddRow (Base0 once per path); and once per verified start, Verify. The
+// lower bounds Gap and AddRow return may only prune through bound > eps,
+// and never become a Match distance; TestNoFalseDismissalsAtTies (here and
+// in multivar) holds both kernels to that with eps set to the exact
+// distances of the scan's answers: the ties at which a >= in place of the >
+// would dismiss an answer.
 type Kernel interface {
 	// QueryLen is the bound query's length; Exact reports that filter
 	// distances over stored suffixes are exact distances (identity
@@ -69,13 +70,9 @@ type Kernel interface {
 	// Gap returns the gap between sym's value range and the query's
 	// envelope at row x: a lower bound of every base distance the row could
 	// produce.
-	//
-	//twlint:bound-source results=0
 	Gap(x int, sym suffixtree.Symbol) float64
 	// AddRow appends the filter row for sym and returns its last column
 	// (D_tw-lb of the path so far) and its minimum (Theorem 1's value).
-	//
-	//twlint:bound-source results=0,1
 	AddRow(sym suffixtree.Symbol) (dist, minDist float64)
 	// Truncate pops filter rows until depth remain.
 	Truncate(depth int)

@@ -39,6 +39,11 @@ func FuzzSearchMatchesScan(f *testing.F) {
 	// Identity, sparse under a window: its filter is not exact, so its
 	// leaves are verified.
 	f.Add([]byte{1, 1, 1, 2, 3, 3, 2, 1, 1, 2, 2, 2, 3, 1}, []byte{1, 2, 3}, uint8(2), uint8(0), uint8(2), uint8(1|2<<2))
+	// eps at an answer's exact distance, over long runs: a sparse identity
+	// tree, whose shifted starts are candidates by their discounted filter
+	// distance, and a sparse ME tree.
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1, 1, 2, 1, 0, 0, 0, 0}, []byte{3, 0, 0, 3}, uint8(31), uint8(0), uint8(0), uint8(1|16))
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 1, 1, 1, 0, 0, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0}, uint8(2), uint8(1), uint8(0), uint8(16))
 	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw, shape uint8) {
 		if len(seqBytes) < 4 || len(qBytes) == 0 {
 			return
@@ -79,6 +84,14 @@ func FuzzSearchMatchesScan(f *testing.F) {
 			t.Fatalf("build: %v", err)
 		}
 		defer ix.Close()
+		all, _, err := SeqScan(data, q, 1e18, ix.Window)
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		all = atLeast(all, ix.MinAnswerLen())
+		if shape&16 != 0 && len(all) > 0 {
+			eps = all[int(epsRaw)%len(all)].Distance
+		}
 		got, _, err := search(ix, q, eps)
 		if err != nil {
 			t.Fatalf("search: %v", err)
@@ -97,11 +110,6 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("knn: %v", err)
 		}
-		all, _, err := SeqScan(data, q, 1e18, ix.Window)
-		if err != nil {
-			t.Fatalf("scan: %v", err)
-		}
-		all = atLeast(all, ix.MinAnswerLen())
 		sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
 		all = all[:min(k, len(all))]
 		sortMatches(all)

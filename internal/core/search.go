@@ -471,8 +471,8 @@ func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64)
 // inside the leaf's leading run (Definition 4: shift j up to
 // min(runLen, d) - 1). When the filter distance is exact (identity
 // categorization, unshifted suffix) the stored suffix's candidate is an
-// answer outright. (No bound-source marker: the summary fixpoint infers
-// that dist receives lower bounds from the collect call sites.)
+// answer outright; a shifted one is only ever a candidate, since its
+// discounted dist is a lower bound.
 //
 //twlint:steady-state
 func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {

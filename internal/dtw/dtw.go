@@ -136,8 +136,6 @@ type Interval struct {
 // D_tw-lb(a, ivs) of Definition 3: the same recurrence as D_tw but with the
 // interval base distance. By Theorem 2 the result never exceeds D_tw(a, b)
 // for any b whose elements lie inside ivs.
-//
-//twlint:bound-source results=0
 func DistanceIntervals(a []float64, ivs []Interval) float64 {
 	if len(a) == 0 || len(ivs) == 0 {
 		//lint:ignore panicpath precondition assertion: an empty query or edge label cannot reach the lower-bound kernel; D_tw-lb of nothing is undefined

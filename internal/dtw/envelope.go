@@ -133,8 +133,6 @@ func (e *Envelope) Bounds() (lo, hi []float64) { return e.lo, e.hi }
 // envelope interval, it lower-bounds every base distance a table row over
 // that symbol could produce, which is what lets the cascade prune without
 // computing the row.
-//
-//twlint:bound-source results=0
 func GapInterval(aLo, aHi, bLo, bHi float64) float64 {
 	g := bLo - aHi
 	if d := aLo - bHi; d > g {
@@ -153,8 +151,6 @@ func GapInterval(aLo, aHi, bLo, bHi float64) float64 {
 // call. LB_Keogh(c, Env(Q,w)) <= DistanceWindow(c, Q, w) for every c (and
 // <= Distance(c, Q) when unconstrained), so pruning via "> eps" keeps the
 // no-false-dismissal contract.
-//
-//twlint:bound-source results=0
 func LBKeogh(c []float64, e *Envelope) float64 {
 	if len(c) == 0 {
 		//lint:ignore panicpath precondition assertion: the engine validates candidates before the kernel; a silent zero bound would be claimed sound when it is vacuous

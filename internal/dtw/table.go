@@ -154,7 +154,6 @@ func (t *Rows) CopyFrom(src *Rows) {
 // and the subsequence accumulated so far, per Definition 2) and its minimum
 // column (the Theorem-1 pruning value). It charges the cells of its band.
 //
-//twlint:bound-source results=1
 //twlint:steady-state
 func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 	return t.addRow(v, v, false)
@@ -165,7 +164,6 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 // Definition 3. Like every lower-bound row it charges one cell per query
 // element.
 //
-//twlint:bound-source results=0,1
 //twlint:steady-state
 func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
 	return t.addRow(lo, hi, true)
@@ -242,7 +240,6 @@ func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) 
 // filter row costs a load, Min3 and an add per cell, whatever the element
 // type. It charges one cell per query element.
 //
-//twlint:bound-source results=0,1
 //twlint:steady-state
 func (t *Rows) AddRowBase(base []float64) (dist, minDist float64) {
 	n := t.n

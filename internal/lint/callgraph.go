@@ -4,30 +4,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"twsearch/internal/lint/cfg"
 )
 
 // funcNode is one declared function of a package under analysis: its type
-// object, declaration, signature, and the parameter/result objects in
-// signature order. The control-flow graph is built once on first use and
-// shared across fixpoint rounds.
+// object, declaration and signature.
 type funcNode struct {
-	fn      *types.Func
-	decl    *ast.FuncDecl
-	sig     *types.Signature
-	params  []types.Object // signature order; nil entries for unnamed params
-	results []types.Object // named result objects; nil entries when unnamed
-	graph   *cfg.Graph
+	fn   *types.Func
+	decl *ast.FuncDecl
+	sig  *types.Signature
 }
 
-// callGraph indexes a package's function declarations so the summary
+// callGraph indexes a package's function declarations so ctxflow's summary
 // fixpoint can resolve package-local call sites. Resolution is static —
 // plain calls and method calls through calleeFunc — so calls through
 // function values or interfaces stay unresolved, the same conservative
 // stance the rest of the suite takes.
 type callGraph struct {
-	fset  *token.FileSet
 	info  *types.Info
 	funcs map[*types.Func]*funcNode
 	// order lists the functions in file/declaration order, so fixpoint
@@ -38,7 +30,7 @@ type callGraph struct {
 // buildCallGraph indexes every bodied function declaration of the package's
 // non-test files.
 func buildCallGraph(fset *token.FileSet, files []*ast.File, info *types.Info) *callGraph {
-	cg := &callGraph{fset: fset, info: info, funcs: make(map[*types.Func]*funcNode)}
+	cg := &callGraph{info: info, funcs: make(map[*types.Func]*funcNode)}
 	for _, file := range files {
 		if isTestFile(fset.Position(file.Pos())) {
 			continue
@@ -52,26 +44,12 @@ func buildCallGraph(fset *token.FileSet, files []*ast.File, info *types.Info) *c
 			if obj == nil {
 				continue
 			}
-			fn := &funcNode{
-				fn:      obj,
-				decl:    fd,
-				sig:     obj.Type().(*types.Signature),
-				params:  fieldObjs(info, fd.Type.Params),
-				results: fieldObjs(info, fd.Type.Results),
-			}
+			fn := &funcNode{fn: obj, decl: fd, sig: obj.Type().(*types.Signature)}
 			cg.funcs[obj] = fn
 			cg.order = append(cg.order, fn)
 		}
 	}
 	return cg
-}
-
-// graphOf returns the function's CFG, building it on first use.
-func (cg *callGraph) graphOf(fn *funcNode) *cfg.Graph {
-	if fn.graph == nil {
-		fn.graph = cfg.Build(cg.fset, fn.decl)
-	}
-	return fn.graph
 }
 
 // callee resolves a call expression to a declared function of this package,
@@ -82,30 +60,6 @@ func (cg *callGraph) callee(call *ast.CallExpr) *funcNode {
 		return nil
 	}
 	return cg.funcs[fn]
-}
-
-// fieldObjs flattens a parameter or result list into per-position objects:
-// multi-name fields expand, unnamed fields contribute a nil placeholder, so
-// the slice aligns with types.Tuple indexing.
-func fieldObjs(info *types.Info, fl *ast.FieldList) []types.Object {
-	if fl == nil {
-		return nil
-	}
-	var out []types.Object
-	for _, f := range fl.List {
-		if len(f.Names) == 0 {
-			out = append(out, nil)
-			continue
-		}
-		for _, name := range f.Names {
-			if name.Name == "_" {
-				out = append(out, nil)
-				continue
-			}
-			out = append(out, info.Defs[name])
-		}
-	}
-	return out
 }
 
 // paramIndex maps argument position i of a call to fn's receiving parameter

@@ -1,9 +1,8 @@
 // Package cfg builds per-function control-flow graphs from go/ast, with no
 // dependencies beyond the standard library. It is the substrate of twlint's
-// flow-sensitive analyzers: the paper's no-false-dismissal guarantee is a
-// property of *paths* — a lock released on all exits, a goroutine joined on
-// all exits, a lower bound that only ever gates pruning — and those
-// properties cannot be checked by pattern-matching syntax alone.
+// flow-sensitive analyzers: a lock released on all exits and a goroutine
+// joined on all exits are properties of *paths*, and those cannot be checked
+// by pattern-matching syntax alone.
 //
 // The graph is deliberately simple: a list of basic blocks holding the
 // function's simple statements and branch-condition leaves in execution
@@ -479,19 +478,6 @@ func terminatesPath(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// Cond returns the block's trailing condition leaf, or nil if the block does
-// not end in a two-way branch.
-func (b *Block) Cond() ast.Expr {
-	if len(b.Succs) != 2 || len(b.Nodes) == 0 {
-		return nil
-	}
-	e, ok := b.Nodes[len(b.Nodes)-1].(ast.Expr)
-	if !ok {
-		return nil
-	}
-	return e
 }
 
 // String renders the graph in the compact stable form the golden tests pin:

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -215,8 +213,7 @@ b3(if.done) [return x] -> b1
 			// The chain lowers with Go's precedence — (a && b && c) || d —
 			// so every false edge of the && spine lands on the || leaf, and
 			// only d's false edge reaches if.done. Succs[0] is always the
-			// true edge, which the exactness-guard domination check relies
-			// on.
+			// true edge.
 			name: "short-circuit-chain",
 			src: `package p
 func f(a, b, c, d bool) int {
@@ -372,35 +369,6 @@ b4(range.done) [return total] -> b1
 	}
 }
 
-// TestDominators checks dominance on the for-loop shape: the head dominates
-// body, post and done; the body does not dominate done (the cond can skip
-// it on the zeroth iteration... it cannot here, but domination is about all
-// paths from entry, and entry->head->done bypasses the body).
-func TestDominators(t *testing.T) {
-	g := buildFirstFunc(t, `package p
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s += i
-	}
-	return s
-}`)
-	dom := g.Dominators()
-	head, body, done := g.Blocks[2], g.Blocks[3], g.Blocks[4]
-	if !dom.Dominates(g.Entry, done) {
-		t.Errorf("entry must dominate every block")
-	}
-	if !dom.Dominates(head, body) || !dom.Dominates(head, done) {
-		t.Errorf("for.head must dominate body and done")
-	}
-	if dom.Dominates(body, done) {
-		t.Errorf("for.body must not dominate for.done")
-	}
-	if !dom.Dominates(body, body) {
-		t.Errorf("a block dominates itself")
-	}
-}
-
 // TestPathToExit checks the discipline query: with the unlock deferred
 // right after the lock, no path escapes to exit without passing it; with
 // the unlock only on one branch, the other branch leaks.
@@ -452,169 +420,5 @@ func f(ok bool) {
 }`)
 	if panics.PathToExit(panics.Entry, 0, stopAtUnlock) {
 		t.Errorf("a panicking path never reaches exit and must not count as a leak")
-	}
-}
-
-// TestTaint checks the reaching-values lattice: taint enters through a
-// designated source result, survives arithmetic and conversions, joins as
-// may-taint at merge points, and does not leak into untouched variables.
-func TestTaint(t *testing.T) {
-	src := `package p
-func source() (float64, float64) { return 0, 1 }
-func f(eps float64) (bool, bool) {
-	lb, v := source()
-	d := lb - v
-	var clean float64
-	if d > eps {
-		clean = v
-	} else {
-		clean = d
-	}
-	return clean > eps, v > eps
-}`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "x.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types: make(map[ast.Expr]types.TypeAndValue),
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-	}
-	conf := types.Config{}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	var fn *ast.FuncDecl
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			fn = fd
-		}
-	}
-	g := Build(fset, fn)
-	ta := &Taint{
-		Info: info,
-		SourceCall: func(call *ast.CallExpr) []bool {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "source" {
-				return []bool{true, false} // only the first result is a bound
-			}
-			return nil
-		},
-	}
-	facts := ta.Run(g)
-
-	// Find the block holding the return statement and the idents within it.
-	var retBlock *Block
-	var ret *ast.ReturnStmt
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if r, ok := n.(*ast.ReturnStmt); ok {
-				retBlock, ret = b, r
-			}
-		}
-	}
-	if retBlock == nil {
-		t.Fatal("no return block")
-	}
-	fact := facts[retBlock.Index]
-	identTaint := func(name string) bool {
-		tainted := false
-		ast.Inspect(ret, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == name {
-				tainted = ta.ExprTainted(fact, id)
-			}
-			return true
-		})
-		return tainted
-	}
-	if !identTaint("clean") {
-		t.Errorf("clean is assigned a bound on one branch; must be may-tainted after the join")
-	}
-	if identTaint("v") {
-		t.Errorf("v never carries a bound; must stay clean")
-	}
-	if !strings.Contains(g.String(), "d > eps") {
-		t.Errorf("condition leaf missing from graph:\n%s", g.String())
-	}
-}
-
-// TestTaintMidGraphSource pins the worklist seeding: a source call inside a
-// loop body introduces taint in a block whose entry fact is empty, so the
-// fixpoint must visit every block at least once — seeding only the entry
-// block would drain the worklist before the source is ever seen. This is
-// exactly the shape of core.(*searcher).processEdge, where AddRowInterval
-// runs inside the per-symbol loop.
-func TestTaintMidGraphSource(t *testing.T) {
-	src := `package p
-func source() (float64, float64) { return 0, 1 }
-func f(n int, eps float64) bool {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		_, lb := source()
-		bound := lb
-		if n > 3 {
-			bound = lb - float64(i)
-		}
-		if bound > eps {
-			return false
-		}
-		total += bound
-	}
-	return total > eps
-}`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "x.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types: make(map[ast.Expr]types.TypeAndValue),
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-	}
-	conf := types.Config{}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	var fn *ast.FuncDecl
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "f" {
-			fn = fd
-		}
-	}
-	g := Build(fset, fn)
-	ta := &Taint{
-		Info: info,
-		SourceCall: func(call *ast.CallExpr) []bool {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "source" {
-				return []bool{false, true}
-			}
-			return nil
-		},
-	}
-	facts := ta.Run(g)
-
-	// Every use of `bound` in a condition leaf must see it tainted at the
-	// block's entry — the comparison lives blocks away from the source call.
-	checked := 0
-	for _, b := range g.Blocks {
-		c := b.Cond()
-		if c == nil {
-			continue
-		}
-		bin, ok := c.(*ast.BinaryExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := bin.X.(*ast.Ident); ok && id.Name == "bound" {
-			checked++
-			if !ta.ExprTainted(facts[b.Index], id) {
-				t.Errorf("bound not tainted at its comparison block (entry fact has %d objects)", len(facts[b.Index]))
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no `bound > eps` condition leaf found in the graph")
 	}
 }

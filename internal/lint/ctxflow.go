@@ -12,7 +12,7 @@ import (
 // receive a context.Context parameter, plus the handle*/serve* methods of a
 // package named server; membership closes over package-local static calls,
 // and re-rooting flows across packages through per-function context
-// summaries computed next to the bound-taint fixpoint.
+// summaries (see pkgAnalysis).
 //
 // Three rules follow:
 //
@@ -40,9 +40,9 @@ import (
 //     checkCancel idiom). `for range ch` needs no poll — it ends when the
 //     channel closes.
 //
-// Markers are themselves checked like bound-source: a reasonless, floating,
-// or stale marker (on a function that never re-roots), or one on a function
-// with a ctx parameter, is a finding.
+// Markers are themselves checked: a reasonless, floating, or stale marker
+// (on a function that never re-roots), or one on a function with a ctx
+// parameter, is a finding.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "request-path context discipline: context.Background()/TODO() " +
@@ -60,6 +60,44 @@ type ctxSummary struct {
 	// polls: the function touches a context or receives from a channel
 	// somewhere beneath it, so calling it inside a loop is a poll.
 	polls bool
+}
+
+// pkgAnalysis caches one package's interprocedural artifacts: the call
+// graph and the context-flow summaries ctxflow resolves cross-package calls
+// through.
+type pkgAnalysis struct {
+	cg  *callGraph
+	ctx map[*types.Func]*ctxSummary
+}
+
+// analysisFor computes (and caches) a package's call graph and context-flow
+// summaries. Cross-package callees resolve through the loader cache: every
+// module-internal import was loaded (with full ASTs) while type-checking,
+// and module imports are acyclic, so the recursion terminates.
+func (l *Loader) analysisFor(pkg *Package) *pkgAnalysis {
+	if a, ok := l.analyses[pkg.Path]; ok {
+		return a
+	}
+	a := &pkgAnalysis{cg: buildCallGraph(pkg.Fset, pkg.Files, pkg.Info)}
+	a.ctx = computeCtxSummaries(a.cg, l.ctxDepResolver(pkg))
+	l.analyses[pkg.Path] = a
+	return a
+}
+
+// ctxDepResolver resolves a function of another module package to its
+// ctxSummary, or nil for stdlib and unresolved callees.
+func (l *Loader) ctxDepResolver(pkg *Package) func(*types.Func) *ctxSummary {
+	return func(fn *types.Func) *ctxSummary {
+		tp := fn.Pkg()
+		if tp == nil || tp.Path() == pkg.Path {
+			return nil
+		}
+		dpkg := l.cache[tp.Path()]
+		if dpkg == nil {
+			return nil
+		}
+		return l.analysisFor(dpkg).ctx[fn]
+	}
 }
 
 // computeCtxSummaries runs the context-flow fixpoint over one package's

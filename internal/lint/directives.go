@@ -19,18 +19,35 @@ type ignoreDirective struct {
 	checks []string
 }
 
+// markerKinds are the //twlint: directive kinds some analyzer reads:
+// ctx-root (ctxflow) and steady-state (steadystate). An analyzer that reads
+// a new kind adds it here.
+var markerKinds = map[string]bool{"ctx-root": true, "steady-state": true}
+
 // directives scans the comments of every file for //lint:ignore annotations.
 // A directive suppresses findings of the named check on its own line and on
 // the line directly below it (so it can sit above the statement it audits).
 // Malformed directives — a missing check name or a missing reason — are
 // returned as findings in their own right: an unexplained exception is not
-// an audited exception.
+// an audited exception. So is a //twlint: marker of a kind no analyzer
+// reads: a misspelt or leftover marker would otherwise declare nothing,
+// silently.
 func directives(fset *token.FileSet, files []*ast.File) ([]ignoreDirective, []Finding) {
 	var dirs []ignoreDirective
 	var bad []Finding
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				if kind, ok := strings.CutPrefix(c.Text, "//twlint:"); ok {
+					if i := strings.IndexAny(kind, " \t"); i >= 0 {
+						kind = kind[:i]
+					}
+					if !markerKinds[kind] {
+						bad = append(bad, Finding{Pos: fset.Position(c.Pos()), Check: "directive",
+							Message: "//twlint:" + kind + " is a marker kind no check reads (known: ctx-root, steady-state); fix the kind or delete the marker"})
+					}
+					continue
+				}
 				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
 				if !ok {
 					continue

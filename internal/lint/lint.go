@@ -1,10 +1,13 @@
 // Package lint is twsearch's project-specific static-analysis suite. It is
 // built purely on the standard library (go/ast, go/parser, go/types,
 // go/token) so the module stays dependency-free, and it encodes invariants
-// that generic tooling cannot know about: the exactness of the search rests
-// on lower-bound ordering and careful error propagation, so one unchecked
-// Close or one panic on a library path silently breaks the no-false-dismissal
-// guarantee the paper proves.
+// that generic tooling cannot know about: careful error propagation, no
+// panic on a library path, locks and goroutines released on every exit,
+// context cancellation threaded through request paths, and an allocation-free
+// per-query path. Each check is kept only for a mutation of real code that
+// the tests miss; the search's no-false-dismissal contract is held by the
+// tests themselves (answers against the sequential scan, ties at eps
+// included).
 //
 // The driver (cmd/twlint) loads every package in the module, type-checks it,
 // and runs each registered Analyzer. Findings print as
@@ -77,22 +80,13 @@ type Pass struct {
 }
 
 // analysis returns the package's interprocedural artifacts (call graph,
-// bound-source markers, bound-taint summaries), or nil when the pass was
-// built without a loader-backed package.
+// context-flow summaries), or nil when the pass was built without a
+// loader-backed package.
 func (p *Pass) analysis() *pkgAnalysis {
 	if p.src == nil || p.src.loader == nil {
 		return nil
 	}
 	return p.src.loader.analysisFor(p.src)
-}
-
-// depSummary resolves a function of another module package to its
-// bound-taint summary, or nil for stdlib and unresolved callees.
-func (p *Pass) depSummary(fn *types.Func) *FuncSummary {
-	if p.src == nil || p.src.loader == nil {
-		return nil
-	}
-	return p.src.loader.depResolver(p.src)(fn)
 }
 
 // Report records a finding at the given node's position.
@@ -115,7 +109,6 @@ func Analyzers() []*Analyzer {
 		PanicPath,
 		ErrWrap,
 		FloatEq,
-		BoundsContract,
 		LockBalance,
 		GoLeak,
 		DeferInLoop,

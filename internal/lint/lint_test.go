@@ -64,9 +64,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"panicpath", PanicPath, 1},
 		{"errwrap", ErrWrap, 1},
 		{"floateq", FloatEq, 1},
-		{"boundscontract", BoundsContract, 4},
-		{"boundmark", BoundsContract, 2},
-		{"boundiface", BoundsContract, 4},
 		{"lockbalance", LockBalance, 2},
 		{"goleak", GoLeak, 2},
 		{"deferinloop", DeferInLoop, 2},
@@ -107,9 +104,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 // behind, and a registered one cannot lose its negative example.
 func TestFixturesMatchRegistry(t *testing.T) {
 	want := map[string]bool{
-		"directive":  true, // malformed //lint:ignore directives
-		"boundmark":  true, // boundscontract's //twlint:bound-source markers
-		"boundiface": true, // boundscontract through interface methods
+		"directive": true, // malformed //lint:ignore directives, unknown //twlint: kinds
 	}
 	checks := map[string]bool{"directive": true}
 	for _, a := range Analyzers() {
@@ -159,15 +154,17 @@ func TestFixturesMatchRegistry(t *testing.T) {
 }
 
 // TestMalformedDirective checks that a lint:ignore without a reason is
-// itself reported and suppresses nothing.
+// itself reported and suppresses nothing, and that a //twlint: marker of a
+// kind no check reads is reported.
 func TestMalformedDirective(t *testing.T) {
 	loader := newTestLoader(t)
 	all := []*Analyzer{FloatEq}
 
 	bad := loadFixture(t, loader, "directive", "bad")
 	got := RunPackage(bad, all)
-	if len(findingsOf(got, "directive")) != 1 {
-		t.Errorf("want 1 directive finding, got: %v", got)
+	dirs := findingsOf(got, "directive")
+	if len(dirs) != 2 || !strings.Contains(dirs[1].Message, "//twlint:steady-sate") {
+		t.Errorf("want the reasonless ignore and the unknown marker kind, got: %v", got)
 	}
 	if len(findingsOf(got, "floateq")) != 1 {
 		t.Errorf("reasonless directive must not suppress; got: %v", got)

@@ -43,7 +43,7 @@ type Loader struct {
 	std   types.Importer
 	cache map[string]*Package
 	// analyses caches per-package interprocedural artifacts (call graph,
-	// bound-taint summaries) keyed by import path.
+	// context-flow summaries) keyed by import path.
 	analyses map[string]*pkgAnalysis
 	// loading guards against import cycles, which go/types would otherwise
 	// chase forever through our recursive importer.

@@ -28,7 +28,7 @@ import (
 // Reset's touched-slice doubling, for instance — is audited in place with
 // //lint:ignore steadystate <reason>, so each amortization argument is
 // written down where it holds. A floating marker not attached to a
-// function declaration is itself a finding, like bound-source.
+// function declaration is itself a finding, like ctx-root.
 var SteadyState = &Analyzer{
 	Name: "steadystate",
 	Doc: "a //twlint:steady-state function allocates: make/new, composite " +
@@ -183,7 +183,7 @@ func checkSteadyCall(pass *Pass, name string, call *ast.CallExpr) {
 		if basic, ok := at.Underlying().(*types.Basic); ok && basic.Kind() == types.UntypedNil {
 			continue
 		}
-		pass.Report(arg, "steady-state %s boxes a concrete %s into interface parameter %q of %s, allocating per call; take a concrete type", name, at.String(), paramName(fn, j), fn.Name())
+		pass.Report(arg, "steady-state %s boxes a concrete %s into interface parameter %q of %s, allocating per call; take a concrete type", name, at.String(), sig.Params().At(j).Name(), fn.Name())
 	}
 }
 

@@ -7,3 +7,9 @@ func SameDistance(a, b float64) bool {
 	//lint:ignore floateq
 	return a == b
 }
+
+// Step carries a misspelt marker kind, which no check reads, so it pins
+// nothing.
+//
+//twlint:steady-sate
+func Step(x int) int { return x + 1 }

@@ -6,3 +6,8 @@ func SameDistance(a, b float64) bool {
 	//lint:ignore floateq fixture: exact comparison audited with a written reason
 	return a == b
 }
+
+// Step carries a marker of a kind a check reads.
+//
+//twlint:steady-state
+func Step(x int) int { return x + 1 }

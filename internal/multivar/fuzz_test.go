@@ -18,7 +18,9 @@ import (
 // rows. A grid filter is never exact, so every reached leaf is verified.
 // Coordinates are small integers, so distances are exact sums and the
 // answers must agree bit for bit. shape picks the index: bit 0 identity
-// categories, bit 1 a dense tree, bits 2-3 the answer-length floor.
+// categories, bit 1 a dense tree, bits 2-3 the answer-length floor; bit 4
+// sets eps to the exact distance of one scan answer (epsRaw picks which), a
+// tie that every pruning and candidate test must keep.
 func FuzzVectorSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2), uint8(0))
@@ -32,6 +34,10 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 5, 5, 5, 5}, []byte{5, 5, 1, 1}, uint8(3), uint8(1), uint8(2), uint8(0))
 	// Identity cells, dense.
 	f.Add([]byte{1, 2, 2, 3, 3, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3}, []byte{2, 3, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(3))
+	// eps at an answer's exact distance, over long runs: sparse identity
+	// cells and a sparse ME grid.
+	f.Add([]byte{2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0, 0, 2, 0, 2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0}, []byte{0, 2, 0, 2}, uint8(156), uint8(0), uint8(0), uint8(1|16))
+	f.Add([]byte{2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 1, 0, 1, 0, 1, 0}, []byte{2, 2, 2, 2}, uint8(149), uint8(1), uint8(0), uint8(16))
 	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw, shape uint8) {
 		if len(seqBytes) < 8 || len(qBytes) < 2 {
 			return
@@ -72,6 +78,15 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 			t.Fatalf("build: %v", err)
 		}
 		defer ix.Close()
+		if shape&16 != 0 {
+			every, _, err := SeqScan(data, q, 1e18, ix.Window)
+			if err != nil {
+				t.Fatalf("scan: %v", err)
+			}
+			if len(every) > 0 {
+				eps = every[int(epsRaw)%len(every)].Distance
+			}
+		}
 		got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
 		if err != nil {
 			t.Fatalf("search: %v", err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -182,6 +183,77 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 			if stats.Candidates == 0 && stats.Answers > 0 {
 				t.Error("answers found without any candidates")
 			}
+		}
+	}
+}
+
+// TestNoFalseDismissalsAtTies is core.TestNoFalseDismissalsAtTies for the
+// vector kernel: 2-D points on a 3×3 integer lattice in runs of one to six
+// equal points, eps set to each distinct exact distance of the scan's
+// answers, and every grid shape — ME and identity cells, dense and sparse,
+// with and without a window — must return the scan's answers bit for bit.
+// The grid filter is never exact, so a shifted start reaches verification
+// only through a leaf the descent collects below a pruned node: the tree
+// must be deep enough to prune under a qualifying path, hence eight
+// sequences.
+func TestNoFalseDismissalsAtTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(421))
+	dir := t.TempDir()
+	point := func() []float64 { return []float64{float64(rng.Intn(3)), float64(rng.Intn(3))} }
+	runs := func(n, maxRun int) [][]float64 {
+		var out [][]float64
+		for len(out) < n {
+			p := point()
+			for r := 1 + rng.Intn(maxRun); r > 0 && len(out) < n; r-- {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 4; trial++ {
+		data := NewDataset(2)
+		for i := 0; i < 8; i++ {
+			data.MustAdd(Sequence{ID: fmt.Sprintf("r%d", i), Points: runs(48, 6)})
+		}
+		q := runs(2+rng.Intn(5), 3)
+		window := 1 + trial%3
+		for oi, opts := range []Options{
+			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2},
+			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true},
+			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true, Window: window},
+			{Kind: categorize.KindIdentity, Window: window},
+			{Kind: categorize.KindIdentity, Sparse: true},
+			{Kind: categorize.KindIdentity, Sparse: true, Window: window},
+		} {
+			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d-%d.twt", trial, oi)), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, _, err := SeqScan(data, q, 10, ix.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ties []float64
+			for _, m := range all {
+				ties = append(ties, m.Distance)
+			}
+			slices.Sort(ties)
+			for _, eps := range slices.Compact(ties) {
+				want, _, err := SeqScan(data, q, eps, ix.Window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !mMatchesBitIdentical(got, want) {
+					t.Errorf("trial %d %v sparse=%v w=%d q=%v eps=%v: index %d answers, scan %d",
+						trial, opts.Kind, opts.Sparse, opts.Window, q, eps, len(got), len(want))
+					break
+				}
+			}
+			ix.Close()
 		}
 	}
 }

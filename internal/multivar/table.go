@@ -43,7 +43,6 @@ func (t *Table) Bind(q [][]float64, w int) {
 // distance and returns the last column (prefix distance) and row minimum.
 // It charges the cells of its band.
 //
-//twlint:bound-source results=1
 //twlint:steady-state
 func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
 	q := t.q

@@ -120,25 +120,42 @@ func WriteFrame(w io.Writer, t byte, body []byte) error {
 	return err
 }
 
+// frameChunk is the largest frame ReadFrame allocates whole before its
+// bytes arrive: every match and request frame of a real query.
+const frameChunk = 1 << 16
+
 // ReadFrame reads one frame, enforcing the MaxFrame bound before
-// allocating. The returned body aliases a fresh buffer.
+// allocating. The returned body aliases a fresh buffer. The length prefix is
+// the peer's word, so a frame above frameChunk grows its buffer only as its
+// bytes arrive, doubling: a peer that announces MaxFrame and stalls pins
+// frameChunk bytes, not 64 MiB. A stream that ends inside a frame is
+// io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 {
+	size := binary.LittleEndian.Uint32(hdr[:])
+	if size == 0 {
 		return 0, nil, errors.New("wire: zero-length frame")
 	}
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", n)
+	if size > MaxFrame {
+		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", size)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
+	n := int(size)
+	buf := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
+		if have = len(buf); have == n {
+			return buf[0], buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(n-have, have))...)
 	}
-	return buf[0], buf[1:], nil
 }
 
 // Code classifies a server-side failure for the wire. It survives the trip

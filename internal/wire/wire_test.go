@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +92,44 @@ func TestFrameLengthBounds(t *testing.T) {
 	// Truncated body.
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{5, 0, 0, 0, TMatch, 'x'})); err == nil {
 		t.Fatal("want error on truncated body")
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a header claiming MaxFrame followed
+// by ten bytes and the end of the stream is a short read, and what it costs
+// is what arrived rounded up to one chunk — not the 64 MiB the prefix asked
+// for, which a stalled peer would otherwise pin per connection. Frames that
+// do arrive whole read back intact on either side of the chunk size.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	hostile := binary.LittleEndian.AppendUint32(nil, MaxFrame)
+	hostile = append(hostile, TMatch, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated MaxFrame frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a 10-byte body claiming MaxFrame allocated %d bytes", grew)
+	}
+
+	for _, n := range []int{1, frameChunk - 1, frameChunk, frameChunk + 1, 5*frameChunk + 3} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, TMatch, body); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, err := ReadFrame(&buf)
+		if err != nil || typ != TMatch || !bytes.Equal(got, body) {
+			t.Errorf("%d-byte body: type %#x, %d bytes back, err %v", n, typ, len(got), err)
+		}
+		if _, _, err := ReadFrame(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, uint32(n+1)))); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d-byte frame with no body: %v, want io.ErrUnexpectedEOF", n, err)
+		}
 	}
 }
 
