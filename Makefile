@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-parallel race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -35,7 +35,10 @@ lint-golden-update:
 
 # Serial and concurrent: the buffer pool, the build's sorting goroutines and
 # the shared-handle search paths behave differently with one scheduler
-# thread and with several, so the suite must be green at both ends.
+# thread and with several, so the suite must be green at both ends. Every
+# search runs serially, so the work pin (TestEngineWorkPinned), the envelope
+# gate's on/off identity (TestEnvelope*, TestMultivarEnvelope*) and the
+# options' identity (TestSearchWithDeterministic) are ordinary tests here.
 test:
 	GOMAXPROCS=1 $(GO) test ./...
 	GOMAXPROCS=4 $(GO) test ./...
@@ -50,7 +53,7 @@ check: build vet lint test race
 # fails the run; the JSON lines feed CI annotations). Wire codec skew is
 # tier-1's: TestWireBytesPinned pins every layout and
 # TestRoundTripZeroAndExtreme catches a field written only for some values.
-ci: check race-concurrency race-parallel race-shard race-mmap race-build fuzz-ci smoke lint-self lint-golden
+ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke lint-self lint-golden
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on
@@ -65,19 +68,6 @@ RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoo
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)
-
-# Intra-query parallelism determinism under -race, run twice for warm
-# sync.Pools: every worker count must return answers byte-identical to the
-# serial traversal, over both row kernels of the one engine, the seqdb
-# layer, and the server's request-hint path — doing exactly the pinned work
-# — and every worker's node reader must be closed when the search returns.
-# The envelope row gate rides the same suites: serial and parallel, on and
-# off, it must change only work counters, never answers. With one scheduler
-# thread and with four.
-RACE_PARALLEL = -race -count=2 -run 'TestParallel|TestMultivarParallel|TestEngineWorkPinned|TestSearchWithDeterministic|TestServerParallelHint|SearchReleasesReader|TestEnvelope|TestMultivarEnvelope' ./internal/core/ ./internal/multivar/ ./seqdb/ ./seqdb/server/
-race-parallel:
-	GOMAXPROCS=1 $(GO) test $(RACE_PARALLEL)
-	GOMAXPROCS=4 $(GO) test $(RACE_PARALLEL)
 
 # Horizontal-sharding determinism under -race, run twice: at shard counts
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return

@@ -192,7 +192,7 @@ func BenchmarkSearchSparseEps5(b *testing.B) {
 	ix, queries := benchStockIndex(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 5, core.SearchOptions{}); err != nil {
+		if _, _, err := ix.Search(context.Background(), queries[i%len(queries)], 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func BenchmarkSearchSparseEps30(b *testing.B) {
 	ix, queries := benchStockIndex(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 30, core.SearchOptions{}); err != nil {
+		if _, _, err := ix.Search(context.Background(), queries[i%len(queries)], 30); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkSearchDenseEps5(b *testing.B) {
 	ix, queries := benchStockIndex(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.SearchOpts(context.Background(), queries[i%len(queries)], 5, core.SearchOptions{}); err != nil {
+		if _, _, err := ix.Search(context.Background(), queries[i%len(queries)], 5); err != nil {
 			b.Fatal(err)
 		}
 	}

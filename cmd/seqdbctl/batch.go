@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"twsearch/seqdb"
 	"twsearch/seqdb/client"
 )
 
@@ -80,7 +79,6 @@ func cmdBatch(args []string) error {
 	file := fs.String("file", "", "query file: one search/knn query per line")
 	timeout := fs.Duration("timeout", 0, "abort the whole batch after this long (0 = none)")
 	limit := fs.Int("limit", 5, "max matches to print per query")
-	par := fs.Int("par", 0, "per-query parallelism hint sent to the server")
 	fs.Parse(args)
 	if *addr == "" || *file == "" {
 		return fmt.Errorf("batch: -addr and -file required")
@@ -99,7 +97,7 @@ func cmdBatch(args []string) error {
 		return err
 	}
 	defer c.Close()
-	results, agg, err := c.Batch(ctx, *dbName, queries, seqdb.SearchOptions{Parallelism: *par})
+	results, agg, err := c.Batch(ctx, *dbName, queries)
 	if err != nil {
 		return err
 	}

@@ -117,7 +117,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
 	maxInFlight := fs.Int("max-in-flight", 0, "max concurrent searches before overload fast-fail (0 = default)")
 	searchTimeout := fs.Duration("search-timeout", 0, "server-side cap per search (0 = none)")
-	maxPar := fs.Int("max-par", 0, "max worker goroutines one search may use; caps the client hint (0 = serial only)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "drop connections idle this long (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	backendName := fs.String("backend", "", "storage backend for local index trees: pool (default) or mmap")
@@ -143,10 +142,9 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		fmt.Fprintf(stdout, time.Now().Format("2006-01-02T15:04:05.000 ")+format+"\n", args...)
 	}
 	cfg := server.Config{
-		MaxInFlight:         *maxInFlight,
-		SearchTimeout:       *searchTimeout,
-		IdleTimeout:         *idleTimeout,
-		MaxQueryParallelism: *maxPar,
+		MaxInFlight:   *maxInFlight,
+		SearchTimeout: *searchTimeout,
+		IdleTimeout:   *idleTimeout,
 	}
 	if !*quiet {
 		cfg.Logf = logf

@@ -135,7 +135,7 @@ func average(total core.SearchStats, n int) AlgoResult {
 func runIndexQueries(ix *core.Index, queries [][]float64, eps float64) (AlgoResult, error) {
 	var total core.SearchStats
 	for _, q := range queries {
-		_, stats, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
+		_, stats, err := ix.Search(context.Background(), q, eps)
 		if err != nil {
 			return AlgoResult{}, err
 		}

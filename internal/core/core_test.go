@@ -16,23 +16,22 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// search, searchVisit and searchKNN are the serial, uncancellable form of
-// the index's three entry points, which most tests here want.
+// search, searchVisit and searchKNN are the uncancellable form of the
+// index's three entry points, which most tests here want.
 func search(ix *Index, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.SearchOpts(context.Background(), q, eps, SearchOptions{})
+	return ix.Search(context.Background(), q, eps)
 }
 
 func searchVisit(ix *Index, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
-	return ix.SearchVisitOpts(context.Background(), q, eps, fn, SearchOptions{})
+	return ix.SearchVisit(context.Background(), q, eps, fn)
 }
 
 func searchKNN(ix *Index, q []float64, k int) ([]Match, SearchStats, error) {
-	return ix.SearchKNNOpts(context.Background(), q, k, SearchOptions{})
+	return ix.SearchKNN(context.Background(), q, k)
 }
 
-// TestSearchSurface pins the index's search entry points: one
-// (ctx, …, opts) form per operation. A re-added ctx-less or options-less
-// shim changes the list and fails here.
+// TestSearchSurface pins the index's search entry points: one ctx-taking
+// form per operation. A re-added shim changes the list and fails here.
 func TestSearchSurface(t *testing.T) {
 	var got []string
 	typ := reflect.TypeOf((*Index)(nil))
@@ -41,7 +40,7 @@ func TestSearchSurface(t *testing.T) {
 			got = append(got, name)
 		}
 	}
-	want := []string{"SearchKNNOpts", "SearchOpts", "SearchVisitOpts"}
+	want := []string{"Search", "SearchKNN", "SearchVisit"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("*Index search methods = %v, want %v", got, want)
 	}
@@ -98,6 +97,21 @@ func bruteForce(data *sequence.Dataset, q []float64, eps float64, window int) []
 	}
 	sortMatches(out)
 	return out
+}
+
+// matchesBitIdentical demands byte-identical results: same locations, same
+// IEEE-754 bits in every distance, same order.
+func matchesBitIdentical(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Ref != b[i].Ref ||
+			math.Float64bits(a[i].Distance) != math.Float64bits(b[i].Distance) {
+			return false
+		}
+	}
+	return true
 }
 
 func matchesEqual(a, b []Match) bool {
@@ -214,11 +228,13 @@ func TestSearchInputErrors(t *testing.T) {
 			t.Errorf("k-NN query value %v accepted", v)
 		}
 	}
-	if _, _, err := RunKNN(context.Background(), 1, nan, func(m Match) float64 { return m.Distance }, func(context.Context, float64) ([]Match, SearchStats, error) {
-		t.Error("RunKNN ran a round with a NaN step")
-		return nil, SearchStats{}, nil
-	}); err == nil {
-		t.Error("RunKNN accepted a NaN step")
+	for _, c := range []struct{ step, bound float64 }{{nan, 1}, {1, nan}, {1, -1}} {
+		if _, _, err := RunKNN(context.Background(), 1, c.step, c.bound, func(m Match) float64 { return m.Distance }, func(context.Context, float64) ([]Match, SearchStats, error) {
+			t.Errorf("RunKNN ran a round with step %v and bound %v", c.step, c.bound)
+			return nil, SearchStats{}, nil
+		}); err == nil {
+			t.Errorf("RunKNN accepted step %v and bound %v", c.step, c.bound)
+		}
 	}
 	if _, err := Build(sequence.NewDataset(), filepath.Join(t.TempDir(), "e.twt"), Options{}); err == nil {
 		t.Error("empty dataset accepted")

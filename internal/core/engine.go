@@ -2,7 +2,6 @@ package core
 
 import (
 	"twsearch/internal/disktree"
-	"twsearch/internal/dtw"
 	"twsearch/internal/suffixtree"
 )
 
@@ -37,9 +36,10 @@ type Engine struct {
 	maxRun int
 	// seqOffsets[i] is the global element offset of sequence i; searches
 	// use it to key their pending candidate sets. totalElements is the sum
-	// of all sequence lengths.
+	// of all sequence lengths, maxLen the longest.
 	seqOffsets    []int
 	totalElements int
+	maxLen        int
 	// queries recycles per-query execution state (why a pointer: queryPool).
 	queries *queryPool
 	// newKernel equips a fresh pooled searcher with this index's kernel.
@@ -76,10 +76,6 @@ type Kernel interface {
 	AddRow(sym suffixtree.Symbol) (dist, minDist float64)
 	// Truncate pops filter rows until depth remain.
 	Truncate(depth int)
-	// Fork copies the first depth filter rows for a parallel task;
-	// CopyFrom rebuilds a worker's filter table from such a copy.
-	Fork(depth int) *dtw.Rows
-	CopyFrom(prefix *dtw.Rows)
 
 	// Verify scans, with the exact distance, the subsequences of sequence
 	// seq that begin at start and end at most at end, and calls hit(e, d)
@@ -120,6 +116,7 @@ func NewEngine(tree *disktree.File, store *suffixtree.TextStore, window int, new
 		syms := store.Text(i)
 		e.seqOffsets[i] = e.totalElements
 		e.totalElements += len(syms)
+		e.maxLen = max(e.maxLen, len(syms))
 		run := 1
 		for j := 1; j < len(syms); j++ {
 			if syms[j] != syms[j-1] {
@@ -137,6 +134,10 @@ func NewEngine(tree *disktree.File, store *suffixtree.TextStore, window int, new
 // MinAnswerLen returns the answer length floor the index was built with
 // (0 = unrestricted).
 func (e *Engine) MinAnswerLen() int { return e.minAnswerLen }
+
+// KNNBound is RunKNN's bound for a query of qLen elements when no base
+// distance between it and the data exceeds span (DistanceBound).
+func (e *Engine) KNNBound(qLen int, span float64) float64 { return DistanceBound(e.maxLen, qLen, span) }
 
 // seqLen returns the length of sequence seq.
 func (e *Engine) seqLen(seq int) int {

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/sequence"
 )
 
 // Length-filtered indexes must return exactly the scan answers of at least
@@ -179,6 +182,79 @@ func TestSearchKNNExhaustsDatabase(t *testing.T) {
 	}
 	if len(got) != total {
 		t.Fatalf("got %d, want all %d subsequences", len(got), total)
+	}
+}
+
+// knnRounds replays ix.SearchKNN's expansion loop, counting its rounds and
+// keeping the last round's threshold, and checks the replay against the
+// entry point: same answers, same work counters, so the same rounds.
+func knnRounds(t *testing.T, ix *Index, q []float64, k int) (ms []Match, rounds int, lastEps float64) {
+	t.Helper()
+	step := 0.0
+	for i := 1; i < len(q); i++ {
+		step += math.Abs(q[i] - q[i-1])
+	}
+	ms, st, err := RunKNN(context.Background(), k, step/float64(len(q)), ix.DistanceBound(q), func(m Match) float64 { return m.Distance },
+		func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+			rounds++
+			lastEps = eps
+			return ix.Search(ctx, q, eps)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := searchKNN(ix, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesBitIdentical(got, ms) || gotStats.Cells() != st.Cells() || gotStats.NodesVisited != st.NodesVisited {
+		t.Fatalf("k=%d: SearchKNN (%d answers, %d cells) is not the replayed loop (%d answers, %d cells)", k, len(got), gotStats.Cells(), len(ms), st.Cells())
+	}
+	return ms, rounds, lastEps
+}
+
+// TestSearchKNNStopsAtBound: with k above the number of subsequences there
+// are, the expansion stops at the first round whose threshold reaches the
+// index's distance bound. That is at most one round after the round that
+// found them all, where the loop used to quadruple the threshold to 1e18 —
+// some twenty-odd extra full enumerations — and a flat query, whose step is
+// 0, used to start at 1e-9 and climb for 46 rounds.
+func TestSearchKNNStopsAtBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(443))
+	data := sequence.NewDataset()
+	for i := 0; i < 20; i++ {
+		vals := make([]float64, 60)
+		v := float64(rng.Intn(20))
+		for j := range vals {
+			v += float64(rng.Intn(5) - 2)
+			vals[j] = v
+		}
+		data.MustAdd(sequence.Sequence{ID: fmt.Sprintf("w%d", i), Values: vals})
+	}
+	const reachable = 20 * 60 * 61 / 2
+	ix, err := Build(data, filepath.Join(t.TempDir(), "bound.twt"), Options{Kind: categorize.KindMaxEntropy, Categories: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+
+	q := randomQuery(rng, 8)
+	all, roundsAll, _ := knnRounds(t, ix, q, reachable)
+	over, roundsOver, _ := knnRounds(t, ix, q, reachable+1)
+	if len(all) != reachable || !matchesBitIdentical(over, all) {
+		t.Fatalf("k = %d and %d: %d and %d answers, want all %d", reachable, reachable+1, len(all), len(over), reachable)
+	}
+	if roundsOver > roundsAll+1 {
+		t.Errorf("k = reachable+1 took %d rounds, k = reachable %d: more than one round more", roundsOver, roundsAll)
+	}
+
+	flat := []float64{3, 3, 3, 3}
+	bound := ix.DistanceBound(flat)
+	got, rounds, last := knnRounds(t, ix, flat, reachable+1)
+	t.Logf("rounds: %d at k = reachable, %d at k = reachable+1, %d for the flat query", roundsAll, roundsOver, rounds)
+	if len(got) != reachable || last < bound || last/4 >= bound {
+		t.Errorf("flat query: %d answers after %d rounds ending at eps %v, want all %d and the first round at or past the bound %v",
+			len(got), rounds, last, reachable, bound)
 	}
 }
 

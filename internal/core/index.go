@@ -99,16 +99,21 @@ type Index struct {
 	// BuildStats records how the disk tree was constructed (zero for
 	// indexes attached with Open).
 	BuildStats disktree.BuildStats
+
+	// lo and hi are the data's smallest and largest values.
+	lo, hi float64
 }
 
 // newIndex wraps an opened tree and its texts into a searchable index.
 func newIndex(data *sequence.Dataset, scheme *categorize.Scheme, store *suffixtree.TextStore, tree *disktree.File, window int) *Index {
-	return &Index{
+	ix := &Index{
 		Engine: NewEngine(tree, store, window, func() Kernel { return newScalarKernel(data, scheme) }),
 		Data:   data,
 		Scheme: scheme,
 		Exact:  scheme.Kind() == categorize.KindIdentity,
 	}
+	ix.lo, ix.hi = data.MinMax()
+	return ix
 }
 
 // Build fits the categorizer on the dataset, encodes every sequence, and

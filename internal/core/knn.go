@@ -8,7 +8,7 @@ import (
 	"sort"
 )
 
-// SearchKNNOpts returns the k subsequences with the smallest time warping
+// SearchKNN returns the k subsequences with the smallest time warping
 // distance to q (ties broken by position), found by iterative threshold
 // expansion: the range search at a threshold ε is complete, so as soon as
 // it yields at least k answers the k smallest of them are exactly the k
@@ -21,11 +21,9 @@ import (
 // (a narrow band can make every distance infinite), the reachable ones are
 // returned.
 //
-// Every expansion round runs under ctx as one (possibly parallel) range
-// search, so a cancellation aborts mid-round and returns ctx.Err(), and the
-// rounds — and therefore the result and the accumulated stats — are
-// byte-identical to the serial call at every parallelism level.
-func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
+// Every expansion round runs under ctx as one range search, so a
+// cancellation aborts mid-round and returns ctx.Err().
+func (ix *Index) SearchKNN(ctx context.Context, q []float64, k int) ([]Match, SearchStats, error) {
 	if err := CheckQuery(q); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -33,9 +31,33 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts Sea
 	for i := 1; i < len(q); i++ {
 		step += math.Abs(q[i] - q[i-1])
 	}
-	return RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
-		return ix.run(ctx, q, eps, nil, opts)
+	return RunKNN(ctx, k, step/float64(len(q)), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+		return ix.run(ctx, q, eps, nil)
 	})
+}
+
+// DistanceBound is RunKNN's bound for q over the index's data.
+func (ix *Index) DistanceBound(q []float64) float64 {
+	return ix.KNNBound(len(q), ValueSpan(ix.lo, ix.hi, q))
+}
+
+// ValueSpan returns the width of the smallest interval holding [lo, hi] and
+// every value of q: no base distance between q and data in [lo, hi] is
+// larger.
+func ValueSpan(lo, hi float64, q []float64) float64 {
+	for _, v := range q {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return hi - lo
+}
+
+// DistanceBound returns a number no finite time warping distance between a
+// query of qLen elements and a subsequence at most maxLen long exceeds when
+// no base distance exceeds span: a warping path has at most maxLen+qLen-1
+// cells. The margin covers the rounding of a sum of that many terms.
+func DistanceBound(maxLen, qLen int, span float64) float64 {
+	n := float64(maxLen + qLen - 1)
+	return n * span * (1 + n*0x1p-52)
 }
 
 // RunKNN is the threshold-expansion loop behind every k-NN entry point: the
@@ -46,16 +68,21 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q []float64, k int, opts Sea
 // at the k-th distance going to the earliest positions — are exactly the k
 // nearest neighbors, returned still in position order. The first threshold
 // is step — the query's mean step, so exact occurrences surface in the first
-// round or two — and it quadruples until enough answers appear. The stats of
-// every round accumulate. Query validation is the caller's (CheckQuery) or
-// search's; a NaN step — what a non-finite query makes — is refused here,
-// since every round would run at a NaN threshold.
-func RunKNN[M any](ctx context.Context, k int, step float64, dist func(M) float64, search func(ctx context.Context, eps float64) ([]M, SearchStats, error)) ([]M, SearchStats, error) {
+// round or two — and it quadruples until enough answers appear or a round
+// has run at or past bound, an upper bound of every finite distance
+// (DistanceBound): that round found every reachable subsequence. The stats
+// of every round accumulate. Query validation is the caller's (CheckQuery)
+// or search's; a NaN step — what a non-finite query makes — or bound is
+// refused here.
+func RunKNN[M any](ctx context.Context, k int, step, bound float64, dist func(M) float64, search func(ctx context.Context, eps float64) ([]M, SearchStats, error)) ([]M, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("core: k must be positive")
 	}
 	if !(step >= 0) {
 		return nil, SearchStats{}, fmt.Errorf("core: k-NN step %v is not a non-negative number", step)
+	}
+	if !(bound >= 0) {
+		return nil, SearchStats{}, fmt.Errorf("core: k-NN distance bound %v is not a non-negative number", bound)
 	}
 	eps := step + 1e-9
 	var total SearchStats
@@ -65,10 +92,7 @@ func RunKNN[M any](ctx context.Context, k int, step float64, dist func(M) float6
 		if err != nil {
 			return nil, total, err
 		}
-		// Termination: enough answers, or a threshold past any plausible
-		// distance — everything reachable has been found (window/length
-		// constraints can exclude the rest).
-		if len(matches) >= k || eps > 1e18 {
+		if len(matches) >= k || eps >= bound {
 			if len(matches) > k {
 				// Rank the indices stably by distance, keep the first k and
 				// put them back in index order: position order survives.

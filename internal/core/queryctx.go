@@ -58,9 +58,6 @@ func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps 
 	s.matches = nil // ownership of the previous slice passed to its caller
 	s.firstSym = 0
 	s.base0 = 0
-	s.spawnLevel = 0
-	s.extStop = nil
-	s.readAhead = false
 
 	// The envelope gate runs under the same window as the filter table, so
 	// its bounds are never tighter than what the table itself enforces.
@@ -88,8 +85,6 @@ func (qp *queryPool) release(s *searcher) {
 	s.visit = nil
 	s.matches = nil
 	s.seqOffsets = nil
-	s.tasks = nil // tasks reference forked rows; don't pin them in the pool
-	s.extStop = nil
 	qp.p.Put(s)
 }
 

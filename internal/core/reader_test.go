@@ -11,9 +11,9 @@ import (
 )
 
 // Every way out of a search — answers, a visitor that stops, a context
-// cancelled before and during the traversal, a page that cannot be read,
-// several workers — leaves no page of the tree pinned: the searchers' node
-// readers hold one between reads, and releasing the searcher closes them.
+// cancelled before and during the traversal, a page that cannot be read —
+// leaves no page of the tree pinned: the searcher's node reader holds one
+// between reads, and releasing the searcher closes it.
 func TestSearchReleasesReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	data := randomWalkDataset(rng, 40, 120)
@@ -55,23 +55,16 @@ func TestSearchReleasesReader(t *testing.T) {
 	unpinned("a visitor stop")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err = ix.SearchVisitOpts(ctx, q, eps, func(Match) bool { cancel(); return true }, SearchOptions{})
+	_, err = ix.SearchVisit(ctx, q, eps, func(Match) bool { cancel(); return true })
 	if err != context.Canceled {
 		t.Fatalf("search cancelled from its visitor: %v", err)
 	}
 	unpinned("a cancellation during the search")
-	if _, _, err := ix.SearchOpts(ctx, q, eps, SearchOptions{}); err != context.Canceled {
+	if _, _, err := ix.Search(ctx, q, eps); err != context.Canceled {
 		t.Fatalf("search under a cancelled context: %v", err)
 	}
 	unpinned("a cancelled context")
 
-	for _, par := range []int{2, 4} {
-		pms, _, err := ix.SearchOpts(context.Background(), q, eps, SearchOptions{Parallelism: par})
-		if err != nil || !matchesEqual(pms, ms) {
-			t.Fatalf("parallel search (%d workers): %d matches, want %d, %v", par, len(pms), len(ms), err)
-		}
-		unpinned("a parallel search")
-	}
 	if _, _, err := searchKNN(ix, q, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +75,8 @@ func TestSearchReleasesReader(t *testing.T) {
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		if _, _, err := ix.SearchOpts(context.Background(), q, eps, SearchOptions{Parallelism: par}); err == nil {
-			t.Fatalf("search over a truncated file (%d workers) succeeded", par)
-		}
-		unpinned("a failed page read")
+	if _, _, err := search(ix, q, eps); err == nil {
+		t.Fatal("search over a truncated file succeeded")
 	}
+	unpinned("a failed page read")
 }

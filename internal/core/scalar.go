@@ -87,9 +87,6 @@ func (k *scalarKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 //twlint:steady-state
 func (k *scalarKernel) Truncate(depth int) { k.table.Truncate(depth) }
 
-func (k *scalarKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
-func (k *scalarKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
-
 //twlint:steady-state
 func (k *scalarKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.verify.Scan(k.data.Values(seq), start, end, hit)
@@ -126,36 +123,33 @@ func CheckThreshold(eps float64) error {
 // run is the typed front of Engine.Run: it rejects what only this layer can
 // see (an empty or non-finite query) and supplies the bind that points a
 // pooled scalar kernel at q.
-func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
+func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
 	if err := CheckQuery(q); err != nil {
 		return nil, SearchStats{}, err
 	}
 	return ix.Run(ctx, func(k Kernel, filterWindow, window int, envelopes bool) {
 		k.(*scalarKernel).bind(q, filterWindow, window, eps, envelopes)
-	}, eps, visit, opts)
+	}, eps, visit)
 }
 
-// SearchOpts finds every subsequence whose time warping distance from q is
-// at most eps; see Engine.Run. Results are sorted by (sequence, start, end),
+// Search finds every subsequence whose time warping distance from q is at
+// most eps; see Engine.Run. Results are sorted by (sequence, start, end),
 // and the returned set is exactly what SeqScan returns. When ctx is canceled
 // or its deadline passes the search aborts and ctx.Err() is returned.
-// Results — matches, distances, order, and the machine-independent stats —
-// are byte-identical at every parallelism level; see SearchOptions.
-func (ix *Index) SearchOpts(ctx context.Context, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	return ix.run(ctx, q, eps, nil, opts)
+func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return ix.run(ctx, q, eps, nil)
 }
 
-// SearchVisitOpts streams answers to fn instead of materializing them;
+// SearchVisit streams answers to fn instead of materializing them;
 // returning false stops the search early. Use it when a permissive threshold
-// would produce answer sets too large to hold in memory. fn is always
-// called from the calling goroutine, never concurrently, and sees answers
-// in exactly the order the serial traversal would deliver them: filter-pass
-// answers in DFS order, then post-processed answers in (seq, start) order.
-// After a cancellation no further answers are delivered to fn.
-func (ix *Index) SearchVisitOpts(ctx context.Context, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
+// would produce answer sets too large to hold in memory. fn is called from
+// the calling goroutine, filter-pass answers in DFS order, then
+// post-processed answers in (seq, start) order. After a cancellation no
+// further answers are delivered to fn.
+func (ix *Index) SearchVisit(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, errors.New("core: nil visitor")
 	}
-	_, stats, err := ix.run(ctx, q, eps, fn, opts)
+	_, stats, err := ix.run(ctx, q, eps, fn)
 	return stats, err
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"twsearch/internal/disktree"
@@ -19,15 +18,14 @@ import (
 // start, end); otherwise they stream to visit (returning false stops the
 // search) from the calling goroutine, filter-pass answers in DFS order, then
 // verified answers in (seq, start) order. The guarantee is no false
-// dismissals, and matches, order and the traversal counters are
-// byte-identical at every opts.Parallelism.
+// dismissals.
 //
 // When ctx is canceled or its deadline passes, the traversal aborts through
 // the same early-stop path a visitor uses, no further answer is delivered
 // and ctx.Err() is returned. Cancellation is checked every cancelMask+1 tree
 // nodes and every cancelMask+1 post-processing groups, so an abort costs at
 // most 64 groups' verification scans.
-func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, SearchStats, error) {
+func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
 	if err := CheckThreshold(eps); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -35,30 +33,30 @@ func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func
 		return nil, SearchStats{}, err
 	}
 	started := time.Now()
-	// Pool counters are index-wide: under concurrent searches (and this
-	// search's own workers) the deltas attribute other goroutines' traffic
-	// too. Matches stay byte-identical; only these advisory counters blur.
+	// Pool counters are index-wide: under concurrent searches the deltas
+	// attribute other goroutines' traffic too. Matches stay byte-identical;
+	// only these advisory counters blur.
 	poolBefore := e.Tree.PoolStats()
 	pagesBefore := e.Tree.PagesRead()
 
 	s := e.queries.acquire(e, ctx, bind, eps)
 	defer e.queries.release(s)
 
-	var err error
-	if opts.Parallelism > 1 {
-		err = s.searchParallel(bind, visit, opts.Parallelism)
-	} else {
-		s.visit = visit
-		err = s.walk()
-	}
-	if err != nil {
+	// The filter pass: the depth-first traversal from the root.
+	s.visit = visit
+	root := s.node(0)
+	if err := s.rd.ReadNodeInto(e.Tree.Root(), root); err != nil {
 		return nil, SearchStats{}, err
+	}
+	s.stats.NodesVisited++
+	for i := 0; i < len(root.Children) && !s.stopped; i++ {
+		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
+			return nil, SearchStats{}, err
+		}
 	}
 	s.postProcess()
 
-	filterCells, postCells := s.kern.Cells()
-	s.stats.FilterCells += filterCells // searchParallel has added the workers'
-	s.stats.PostCells = postCells
+	s.stats.FilterCells, s.stats.PostCells = s.kern.Cells()
 	poolAfter := e.Tree.PoolStats()
 	s.stats.PoolHits = poolAfter.Hits - poolBefore.Hits
 	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
@@ -153,22 +151,6 @@ type searcher struct {
 	// accumulating them in matches; stopped records an early stop request.
 	visit   func(Match) bool
 	stopped bool
-
-	// spawnLevel, when > 0, turns the traversal into the frontier-expansion
-	// pass of a parallel search: processEdge stops descending at that tree
-	// level and queues each child subtree as a task (in DFS order) instead
-	// of recursing. tasks collects them; see parallel.go.
-	spawnLevel int
-	tasks      []parTask
-	// extStop, when set, is the search-wide stop flag shared by all workers
-	// of one parallel query; checkCancel folds it into stopped so a visitor
-	// stop or a failed sibling task halts every worker at the same cadence
-	// as context cancellation.
-	extStop *atomic.Bool
-	// readAhead batches child page fetches ahead of the per-child DP work;
-	// set only on parallel workers, where a worker blocked on a read-ahead
-	// overlaps with the other workers' table rows.
-	readAhead bool
 }
 
 // checkCancel polls the context and converts a cancellation into the
@@ -179,9 +161,6 @@ type searcher struct {
 //
 //twlint:steady-state
 func (s *searcher) checkCancel() {
-	if s.extStop != nil && s.extStop.Load() {
-		s.stopped = true
-	}
 	if s.ctxErr != nil {
 		return
 	}
@@ -194,24 +173,6 @@ func (s *searcher) checkCancel() {
 // cancelMask thins cancellation checks to one per 64 nodes, pending groups or
 // scanned start positions.
 const cancelMask = 63
-
-// walk is the serial filter pass: the depth-first traversal from the root.
-func (s *searcher) walk() error {
-	root := s.node(0)
-	if err := s.rd.ReadNodeInto(s.e.Tree.Root(), root); err != nil {
-		return err
-	}
-	s.stats.NodesVisited++
-	for i := range root.Children {
-		if s.stopped {
-			break
-		}
-		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // emit delivers one verified answer, either into the result slice or to the
 // streaming visitor. After an early stop nothing further is delivered.
@@ -409,14 +370,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 				return err
 			}
 		}
-	case s.spawnLevel > 0 && level == s.spawnLevel:
-		// Parallel frontier: each child subtree becomes a task carrying a
-		// fork of the shared prefix rows instead of being walked here.
-		s.spawnSubtreeTasks(n, depth, runBroken, firstRun, pendD, pendDist)
 	default:
-		if s.readAhead && len(n.Children) > 1 {
-			s.e.Tree.ReadAhead(n.Children)
-		}
 		// n's Children may be overwritten by deeper levels reusing
 		// scratch; deeper levels use level+1 though, and collect uses
 		// its own pool, so iterating the slice here is safe.

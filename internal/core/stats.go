@@ -19,20 +19,14 @@ type Match struct {
 // the numbers the benchmark harness reports next to wall-clock time, so the
 // paper's shape comparisons survive hardware differences.
 //
-// Under a parallel search (SearchOptions.Parallelism > 1) each worker
-// counts on its own pooled context and the driver sums them at the join
-// barrier, so no counter is ever written by two goroutines. The traversal
-// counters — NodesVisited, FilterCells, PostCells, Candidates, FalseAlarms,
-// Answers, EnvelopePruned, LBCells — are exact and byte-identical to the
-// serial run (pruning is path-local and shared prefix rows are counted once,
-// by the goroutine that computed them; the envelope cascade's decisions
-// depend only on the path, so its counters merge exactly too). PagesRead, PoolHits and PoolMisses are approximate: they
-// are deltas of index-wide atomic counters, so they attribute every
-// concurrent goroutine's traffic — including sibling workers and the
-// read-ahead batching — to this search. Elapsed is wall clock. After an
-// early stop (visitor returning false, cancellation) all counters reflect
-// only the work actually done, which under parallelism depends on worker
-// scheduling.
+// The traversal counters — NodesVisited, FilterCells, PostCells,
+// Candidates, FalseAlarms, Answers, EnvelopePruned, LBCells — are exact:
+// one search counts them on its own pooled context, and they depend only on
+// the index, the query and eps. PagesRead, PoolHits and PoolMisses are
+// approximate: they are deltas of index-wide atomic counters, so they
+// attribute every concurrent search's traffic to this one. Elapsed is wall
+// clock. After an early stop (visitor returning false, cancellation) all
+// counters reflect only the work actually done.
 type SearchStats struct {
 	// NodesVisited counts tree nodes read during filtering.
 	NodesVisited uint64

@@ -44,7 +44,7 @@ func SelectCategories(
 		}
 		start := time.Now()
 		for _, q := range queries {
-			if _, _, err := ix.SearchOpts(context.Background(), q, eps, SearchOptions{}); err != nil {
+			if _, _, err := ix.Search(context.Background(), q, eps); err != nil {
 				ix.RemoveFile()
 				return categorize.Measure{}, nil, err
 			}

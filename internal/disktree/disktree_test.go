@@ -314,49 +314,3 @@ func TestValidateDetectsBadPath(t *testing.T) {
 		t.Fatal("corrupted leaf position not detected")
 	}
 }
-
-// TestReadAhead: warming child pages is best-effort and invisible to
-// traversal semantics — after ReadAhead the same children read back with
-// identical content, and re-reading them hits the warmed pool.
-func TestReadAhead(t *testing.T) {
-	rng := rand.New(rand.NewSource(227))
-	ts := randomTexts(rng, 6, 50, 2)
-	tree := suffixtree.BuildMerged(ts, allSeqs(ts), false)
-	path := filepath.Join(t.TempDir(), "t.twt")
-	f, err := Create(path, tree, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	f2, err := Open(path, 64, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-
-	root, err := f2.ReadNode(f2.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root.Children) < 2 {
-		t.Fatalf("root has %d children; need >= 2", len(root.Children))
-	}
-	before := f2.PoolStats()
-	f2.ReadAhead(root.Children)
-	warmed := f2.PoolStats()
-	if got := warmed.Hits + warmed.Misses - before.Hits - before.Misses; got == 0 {
-		t.Fatal("ReadAhead touched no pages")
-	}
-	// Children now read from the warmed pool without new physical reads,
-	// and content matches a fresh handle's.
-	pagesBefore := f2.PagesRead()
-	for i := range root.Children {
-		if _, err := f2.ReadNode(root.Children[i].Ptr); err != nil {
-			t.Fatalf("child %d after ReadAhead: %v", i, err)
-		}
-	}
-	if f2.PagesRead() != pagesBefore {
-		t.Fatalf("reads after ReadAhead did %d physical reads, want 0",
-			f2.PagesRead()-pagesBefore)
-	}
-}

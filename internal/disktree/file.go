@@ -2,7 +2,6 @@ package disktree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
@@ -10,7 +9,7 @@ import (
 
 // File is a disk-resident suffix tree, read through a PageSource — the
 // lock-striped LRU buffer pool by default, or a zero-copy mmap source. The
-// read path (ReadNode, ReadNodeInto, ReadAhead, any number of Readers) is
+// read path (ReadNode, ReadNodeInto, any number of Readers) is
 // safe for any number of concurrent goroutines; one open File serves all
 // searches on an index.
 // Files come into being through a treeWriter, which appends pages straight
@@ -155,36 +154,6 @@ func (f *File) PinnedPages() int {
 
 // PagesRead returns physical page reads since open.
 func (f *File) PagesRead() uint64 { return f.pf.PagesRead() }
-
-// readAheadSink publishes a byte of each prefetched page so the compiler
-// cannot elide the touch that faults mmap'd pages in.
-var readAheadSink atomic.Uint32
-
-// ReadAhead warms the page source with the first page of each child node,
-// deduplicating consecutive pages (children are laid out in DFS write
-// order, so siblings usually share pages). Parallel search workers call it
-// before descending into a node's children: one worker blocked on the
-// batched physical reads overlaps with the other workers' DP rows, instead
-// of every child edge paying its page fault in the middle of table work.
-// Best-effort: a read error is left for the node read to surface.
-func (f *File) ReadAhead(children []ChildRef) {
-	last := storage.PageID(0)
-	var sink byte
-	for i := range children {
-		id := storage.PageID(uint64(children[i].Ptr) / storage.PageSize)
-		if i > 0 && id == last {
-			continue
-		}
-		last = id
-		page, release, err := f.src.View(id)
-		if err != nil {
-			return
-		}
-		sink += page[0]
-		release()
-	}
-	readAheadSink.Store(uint32(sink))
-}
 
 // ReadNodeInto decodes the node at p into n — one record through n's own
 // Reader, opened and closed around it, so nothing stays borrowed. A

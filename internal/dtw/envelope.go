@@ -22,8 +22,8 @@ package dtw
 // allocations for it.
 
 // Envelope is the per-position value hull of a query under a Sakoe–Chiba
-// band (constant without one). It is not safe for concurrent use; parallel
-// search workers bind one each.
+// band (constant without one). It is not safe for concurrent use;
+// concurrent searches bind one each.
 type Envelope struct {
 	// lo/hi are the envelope per candidate position. With a window they
 	// have length len(q)+window (positions beyond are unreachable under the

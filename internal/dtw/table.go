@@ -13,8 +13,8 @@ import "math"
 // backtrack → Pop. Sharing the table across all suffixes with a common
 // prefix is the paper's R_d reduction factor.
 //
-// A Table is not safe for concurrent use; searches that run in parallel use
-// one Table each.
+// A Table is not safe for concurrent use; concurrent searches use one Table
+// each.
 type Table struct {
 	q []float64
 	Rows
@@ -24,9 +24,8 @@ type Table struct {
 // cell per query element under an optional Sakoe–Chiba band, pushed and
 // popped by a depth-first traversal. It knows nothing of the element type —
 // Table embeds it for scalar queries and multivar.Table for vector ones, so
-// the band arithmetic, the growth policy, the parallel frontier's
-// Fork/CopyFrom and the row kernel over precomputed base distances
-// (AddRowBase) exist once.
+// the band arithmetic, the growth policy and the row kernel over
+// precomputed base distances (AddRowBase) exist once.
 type Rows struct {
 	n      int       // cells per row: the query length
 	window int       // Sakoe–Chiba half-width; <0 means unconstrained
@@ -110,43 +109,6 @@ func (t *Rows) Truncate(depth int) {
 	}
 	t.depth = depth
 	t.rows = t.rows[:depth*t.n]
-}
-
-// Fork returns a copy of the first depth rows — the paper's R_d prefix
-// sharing cut at a parallel frontier: one traversal computes the shared
-// prefix once, and each subtree task extends its own copy of it (see
-// CopyFrom). The fork owns separate storage and starts with a zero cell
-// counter, so prefix cells are counted exactly once, by the table that
-// computed them.
-func (t *Rows) Fork(depth int) *Rows {
-	if depth < 0 || depth > t.depth {
-		//lint:ignore panicpath row-discipline assertion: forking past the stack means traversal bookkeeping is already corrupt
-		panic("dtw: bad Fork depth")
-	}
-	f := &Rows{n: t.n, window: t.window, depth: depth}
-	f.rows = append(f.rows, t.rows[:depth*t.n]...)
-	return f
-}
-
-// CopyFrom makes t's rows a copy of src's, reusing t's storage when it is
-// large enough; src must come from a table over the same query and window
-// (a worker's table is bound like the driver's before it takes a fork).
-// The cell counter is left untouched: copied rows were computed (and
-// counted) elsewhere, so a worker table keeps accumulating only the cells
-// it computes itself across the tasks it executes.
-func (t *Rows) CopyFrom(src *Rows) {
-	if src.n != t.n || src.window != t.window {
-		//lint:ignore panicpath row-discipline assertion: rows of another query's shape under this table's kernels would yield distances that bound nothing
-		panic("dtw: CopyFrom across differently bound tables")
-	}
-	t.depth = src.depth
-	need := src.depth * src.n
-	if cap(t.rows) >= need {
-		t.rows = t.rows[:need]
-	} else {
-		t.rows = make([]float64, need)
-	}
-	copy(t.rows, src.rows)
 }
 
 // AddRowValue appends the row for a numeric element v using the exact base

@@ -107,92 +107,3 @@ func TestAddRowMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// A forked table must continue exactly like the table it was forked from:
-// same rows in, same distances and row minima out, bit for bit.
-func TestTableForkContinuesIdentically(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, w := range []int{-1, 2} {
-		q := []float64{1, 3, 2, 5, 4, 0.5}
-		tab := NewTableWindow(q, w)
-		vals := make([]float64, 12)
-		for i := range vals {
-			vals[i] = rng.NormFloat64() * 3
-		}
-		for _, v := range vals[:5] {
-			tab.AddRowValue(v)
-		}
-		prefix := tab.Fork(3)
-		if prefix.Depth() != 3 {
-			t.Fatalf("fork depth = %d, want 3", prefix.Depth())
-		}
-		if prefix.Cells() != 0 {
-			t.Fatalf("fork cell counter = %d, want 0 (prefix cells are counted by the parent)", prefix.Cells())
-		}
-		fork := NewTableWindow(q, w)
-		fork.CopyFrom(prefix)
-		// Rewind the parent to the fork point; both must now evolve in
-		// lockstep on the same suffix of rows.
-		tab.Truncate(3)
-		for _, v := range vals[5:] {
-			d1, m1 := tab.AddRowValue(v)
-			d2, m2 := fork.AddRowValue(v)
-			if math.Float64bits(d1) != math.Float64bits(d2) || math.Float64bits(m1) != math.Float64bits(m2) {
-				t.Fatalf("w=%d: fork diverged: (%v, %v) != (%v, %v)", w, d2, m2, d1, m1)
-			}
-		}
-		// The fork owns its storage: popping it must not disturb the parent.
-		parentLast := tab.LastColumn(tab.Depth() - 1)
-		fork.Truncate(0)
-		if got := tab.LastColumn(tab.Depth() - 1); math.Float64bits(got) != math.Float64bits(parentLast) {
-			t.Fatalf("truncating the fork changed the parent: %v != %v", got, parentLast)
-		}
-	}
-}
-
-func TestTableForkBadDepthPanics(t *testing.T) {
-	tab := NewTable([]float64{1, 2})
-	tab.AddRowValue(1)
-	for _, d := range []int{-1, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Fork(%d) on depth-1 table did not panic", d)
-				}
-			}()
-			tab.Fork(d)
-		}()
-	}
-}
-
-// CopyFrom must reproduce the source rows (continuations agree bit for bit)
-// while reusing the receiver's storage and leaving its cell counter alone.
-func TestTableCopyFrom(t *testing.T) {
-	q := []float64{2, 1, 4, 3}
-	src := NewTable(q)
-	for _, v := range []float64{1, 5, 2} {
-		src.AddRowValue(v)
-	}
-	prefix := src.Fork(src.Depth())
-
-	dst := NewTable(q)
-	dst.AddRowValue(1) // leave a stale row and a counted cell behind
-	cellsBefore := dst.Cells()
-	dst.CopyFrom(prefix)
-	if dst.Depth() != 3 {
-		t.Fatalf("depth after CopyFrom = %d, want 3", dst.Depth())
-	}
-	if dst.Cells() != cellsBefore {
-		t.Fatalf("CopyFrom changed the cell counter: %d != %d", dst.Cells(), cellsBefore)
-	}
-	for _, v := range []float64{0.5, 7, 3} {
-		d1, m1 := src.AddRowValue(v)
-		d2, m2 := dst.AddRowValue(v)
-		if math.Float64bits(d1) != math.Float64bits(d2) || math.Float64bits(m1) != math.Float64bits(m2) {
-			t.Fatalf("copy diverged from source: (%v, %v) != (%v, %v)", d2, m2, d1, m1)
-		}
-	}
-	if want := cellsBefore + 3*uint64(len(q)); dst.Cells() != want {
-		t.Fatalf("cells after 3 rows = %d, want %d", dst.Cells(), want)
-	}
-}

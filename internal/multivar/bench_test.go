@@ -62,7 +62,7 @@ func BenchmarkSearchTrajectory(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err := ix.SearchOpts(bg, queries[i%len(queries)], 20, SearchOptions{})
+				_, st, err := ix.Search(bg, queries[i%len(queries)], 20)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,9 +10,8 @@ import (
 )
 
 // TestMultivarEnvelopeCascade: the per-dimension envelope row tier changes
-// only the work done — answers are identical across (cascade on, off) ×
-// (serial, parallel), the counters are zero when disabled, and serial and
-// parallel runs count the cascade identically.
+// only the work done — answers are identical with the cascade on and off,
+// and the counters are zero when disabled.
 func TestMultivarEnvelopeCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	dir := t.TempDir()
@@ -32,34 +31,26 @@ func TestMultivarEnvelopeCascade(t *testing.T) {
 				}
 				for _, eps := range []float64{1.5, 8.5} {
 					label := fmt.Sprintf("trial=%d dim=%d sparse=%v w=%d eps=%v", trial, dim, sparse, window, eps)
-					on, onStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+					on, onStats, err := ix.Search(bg, q, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
 					ix.DisableEnvelopes = true
-					off, offStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+					off, offStats, err := ix.Search(bg, q, eps)
 					ix.DisableEnvelopes = false
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, parStats, err := ix.SearchOpts(bg, q, eps, SearchOptions{Parallelism: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(on) != len(off) || len(on) != len(par) {
-						t.Fatalf("%s: answer counts diverge: on=%d off=%d par=%d", label, len(on), len(off), len(par))
+					if len(on) != len(off) {
+						t.Fatalf("%s: answer counts diverge: on=%d off=%d", label, len(on), len(off))
 					}
 					for i := range on {
-						if on[i] != off[i] || on[i] != par[i] {
-							t.Fatalf("%s: answer %d diverges: %+v / %+v / %+v", label, i, on[i], off[i], par[i])
+						if on[i] != off[i] {
+							t.Fatalf("%s: answer %d diverges: %+v / %+v", label, i, on[i], off[i])
 						}
 					}
 					if offStats.EnvelopePruned != 0 || offStats.LBCells != 0 {
 						t.Errorf("%s: disabled cascade counted work", label)
-					}
-					if onStats.EnvelopePruned != parStats.EnvelopePruned || onStats.LBCells != parStats.LBCells {
-						t.Errorf("%s: serial/parallel cascade counters diverge: (%d,%d) vs (%d,%d)",
-							label, onStats.EnvelopePruned, onStats.LBCells, parStats.EnvelopePruned, parStats.LBCells)
 					}
 					if onStats.FilterCells > offStats.FilterCells {
 						t.Errorf("%s: cascade increased filter work: %d > %d", label, onStats.FilterCells, offStats.FilterCells)

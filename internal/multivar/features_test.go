@@ -156,7 +156,7 @@ func TestMultivarWindowedNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+			got, _, err := ix.Search(bg, q, eps)
 			ix.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +191,7 @@ func TestMultivarMinAnswerLen(t *testing.T) {
 		if ix.MinAnswerLen() != minLen {
 			t.Fatalf("MinAnswerLen = %d", ix.MinAnswerLen())
 		}
-		got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+		got, _, err := ix.Search(bg, q, eps)
 		ix.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestMultivarKNN(t *testing.T) {
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
 	k := 7
-	got, gotStats, err := ix.SearchKNNOpts(bg, q, k, SearchOptions{})
+	got, gotStats, err := ix.SearchKNN(bg, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMultivarKNN(t *testing.T) {
 	}
 	var want Stats
 	for eps := step/float64(len(q)) + 1e-9; ; eps *= 4 {
-		ms, st, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+		ms, st, err := ix.Search(bg, q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +266,38 @@ func TestMultivarKNN(t *testing.T) {
 			t.Fatalf("kNN distance %v beyond true kth %v", m.Distance, kth)
 		}
 	}
-	if _, _, err := ix.SearchKNNOpts(bg, q, 0, SearchOptions{}); err == nil {
+	if _, _, err := ix.SearchKNN(bg, q, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ix.SearchKNNOpts(bg, nil, 2, SearchOptions{}); err == nil {
+	if _, _, err := ix.SearchKNN(bg, nil, 2); err == nil {
 		t.Error("empty query accepted")
+	}
+}
+
+// A k above the number of subsequences there are returns all of them, as
+// the scan finds them at an infinite threshold: the distance bound the
+// expansion stops at, summed over dimensions, is no smaller than any
+// vector distance. A flat query (step 0) climbs from 1e-9 to that bound.
+func TestMultivarKNNAboveReachable(t *testing.T) {
+	rng := rand.New(rand.NewSource(521))
+	data := randomVecDataset(rng, 4, 15, 3)
+	ix, err := Build(data, filepath.Join(t.TempDir(), "all.twt"), Options{CatsPerDim: 3, Sparse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, q := range [][][]float64{randomVecQuery(rng, 4, 3), {{1, 2, 3}, {1, 2, 3}}} {
+		all, _, err := SeqScan(data, q, math.Inf(1), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ix.SearchKNN(bg, q, len(all)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mMatchesBitIdentical(got, all) {
+			t.Fatalf("q=%v: k-NN with k = %d returned %d, want the %d subsequences there are", q, len(all)+1, len(got), len(all))
+		}
 	}
 }
 
@@ -285,7 +312,7 @@ func TestMultivarOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.SearchOpts(bg, q, 9.5, SearchOptions{})
+	want, _, err := ix.Search(bg, q, 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +331,7 @@ func TestMultivarOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, _, err := re.SearchOpts(bg, q, 9.5, SearchOptions{})
+	got, _, err := re.Search(bg, q, 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +415,7 @@ func TestMultivarBuildOptionErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if _, _, err := ix.SearchOpts(bg, [][]float64{{2}}, 1, SearchOptions{}); err != nil {
+		if _, _, err := ix.Search(bg, [][]float64{{2}}, 1); err != nil {
 			t.Fatalf("%+v: search: %v", opts, err)
 		}
 		ix.Close()
@@ -414,15 +441,15 @@ func TestMultivarSearchVisit(t *testing.T) {
 	}
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.SearchOpts(bg, q, 9.5, SearchOptions{})
+	want, _, err := ix.Search(bg, q, 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Match
-	if _, err := ix.SearchVisitOpts(bg, q, 9.5, func(m Match) bool {
+	if _, err := ix.SearchVisit(bg, q, 9.5, func(m Match) bool {
 		got = append(got, m)
 		return true
-	}, SearchOptions{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Slice(got, func(i, j int) bool {
@@ -445,17 +472,17 @@ func TestMultivarSearchVisit(t *testing.T) {
 	}
 	if len(want) > 2 {
 		count := 0
-		if _, err := ix.SearchVisitOpts(bg, q, 9.5, func(Match) bool {
+		if _, err := ix.SearchVisit(bg, q, 9.5, func(Match) bool {
 			count++
 			return count < 2
-		}, SearchOptions{}); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if count != 2 {
 			t.Fatalf("early stop delivered %d", count)
 		}
 	}
-	if _, err := ix.SearchVisitOpts(bg, q, 9.5, nil, SearchOptions{}); err == nil {
+	if _, err := ix.SearchVisit(bg, q, 9.5, nil); err == nil {
 		t.Error("nil visitor accepted")
 	}
 }

@@ -87,7 +87,7 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 				eps = every[int(epsRaw)%len(every)].Distance
 			}
 		}
-		got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+		got, _, err := ix.Search(bg, q, eps)
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}

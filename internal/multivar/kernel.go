@@ -84,9 +84,6 @@ func (k *vectorKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 //twlint:steady-state
 func (k *vectorKernel) Truncate(depth int) { k.table.Truncate(depth) }
 
-func (k *vectorKernel) Fork(depth int) *dtw.Rows  { return k.table.Fork(depth) }
-func (k *vectorKernel) CopyFrom(prefix *dtw.Rows) { k.table.CopyFrom(prefix) }
-
 //twlint:steady-state
 func (k *vectorKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.verify.Scan(k.data.Points(seq), start, end, hit)

@@ -14,6 +14,25 @@ import (
 
 var bg = context.Background()
 
+func mMatchesBitIdentical(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Ref != b[i].Ref ||
+			math.Float64bits(a[i].Distance) != math.Float64bits(b[i].Distance) {
+			return false
+		}
+	}
+	return true
+}
+
+// mExactStats strips Stats to the counters a search pins exactly
+// (everything but wall clock and the index-wide pool deltas).
+func mExactStats(s Stats) [8]uint64 {
+	return [8]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers, s.EnvelopePruned, s.LBCells}
+}
+
 func randomVecDataset(rng *rand.Rand, nSeq, maxLen, dim int) *Dataset {
 	d := NewDataset(dim)
 	for i := 0; i < nSeq; i++ {
@@ -165,7 +184,7 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+			got, stats, err := ix.Search(bg, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +262,7 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+				got, _, err := ix.Search(bg, q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,24 +285,24 @@ func TestSearchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if _, _, err := ix.SearchOpts(bg, nil, 1, SearchOptions{}); err == nil {
+	if _, _, err := ix.Search(bg, nil, 1); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := ix.SearchOpts(bg, [][]float64{{1}}, 1, SearchOptions{}); err == nil {
+	if _, _, err := ix.Search(bg, [][]float64{{1}}, 1); err == nil {
 		t.Error("wrong-dim query accepted")
 	}
-	if _, _, err := ix.SearchOpts(bg, [][]float64{{1, 2}}, -1, SearchOptions{}); err == nil {
+	if _, _, err := ix.Search(bg, [][]float64{{1, 2}}, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, st, err := ix.SearchOpts(bg, [][]float64{{1, 2}}, math.NaN(), SearchOptions{}); err == nil || st.NodesVisited != 0 {
+	if _, st, err := ix.Search(bg, [][]float64{{1, 2}}, math.NaN()); err == nil || st.NodesVisited != 0 {
 		t.Errorf("NaN eps: err %v after %d nodes, want a refusal before the traversal", err, st.NodesVisited)
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		q := [][]float64{{1, 2}, {3, v}}
-		if _, _, err := ix.SearchOpts(bg, q, 1, SearchOptions{}); err == nil {
+		if _, _, err := ix.Search(bg, q, 1); err == nil {
 			t.Errorf("query coordinate %v accepted", v)
 		}
-		if _, _, err := ix.SearchKNNOpts(bg, q, 2, SearchOptions{}); err == nil {
+		if _, _, err := ix.SearchKNN(bg, q, 2); err == nil {
 			t.Errorf("k-NN query coordinate %v accepted", v)
 		}
 		if _, _, err := SeqScan(data, q, 1, -1); err == nil {

@@ -12,8 +12,7 @@ import (
 
 // The vector kernel's side of core.TestSearchReleasesReader: every way out
 // of a search — answers, a visitor that stops, a context cancelled before
-// and during the traversal, several workers, k-NN, a page that cannot be
-// read — returns what the engine promises (ctx.Err() on cancellation, no
+// and during the traversal, k-NN, a page that cannot be read — returns what the engine promises (ctx.Err() on cancellation, no
 // answer delivered after a visitor's stop) and leaves no page of the tree
 // pinned.
 func TestMultivarSearchReleasesReader(t *testing.T) {
@@ -47,54 +46,49 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 		}
 	}
 
-	ms, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{})
+	ms, _, err := ix.Search(bg, q, eps)
 	if err != nil || len(ms) < 4 {
 		t.Fatalf("search: %d matches, %v", len(ms), err)
 	}
 	unpinned("a search")
 
-	for _, par := range []int{1, 2, 4} {
-		opts := SearchOptions{Parallelism: par}
-		seen := 0
-		if _, err := ix.SearchVisitOpts(bg, q, eps, func(Match) bool { seen++; return false }, opts); err != nil || seen != 1 {
-			t.Fatalf("par=%d: stopping visitor saw %d matches, %v", par, seen, err)
-		}
-		unpinned("a visitor stop")
-
-		ctx, cancel := context.WithCancel(bg)
-		_, err = ix.SearchVisitOpts(ctx, q, eps, func(Match) bool { cancel(); return true }, opts)
-		if err != context.Canceled {
-			t.Fatalf("par=%d: search cancelled from its visitor: %v", par, err)
-		}
-		unpinned("a cancellation during the search")
-		if ms, _, err := ix.SearchOpts(ctx, q, eps, opts); err != context.Canceled || ms != nil {
-			t.Fatalf("par=%d: search under a cancelled context: %d matches, %v", par, len(ms), err)
-		}
-		if ms, _, err := ix.SearchKNNOpts(ctx, q, 3, opts); err != context.Canceled || ms != nil {
-			t.Fatalf("par=%d: k-NN under a cancelled context: %d matches, %v", par, len(ms), err)
-		}
-		unpinned("a cancelled context")
-
-		pms, _, err := ix.SearchOpts(bg, q, eps, opts)
-		if err != nil || !mMatchesBitIdentical(pms, ms) {
-			t.Fatalf("par=%d: %d matches, want %d, %v", par, len(pms), len(ms), err)
-		}
-		unpinned("a parallel search")
-		if _, _, err := ix.SearchKNNOpts(bg, q, 3, opts); err != nil {
-			t.Fatal(err)
-		}
-		unpinned("a k-NN search")
+	seen := 0
+	if _, err := ix.SearchVisit(bg, q, eps, func(Match) bool { seen++; return false }); err != nil || seen != 1 {
+		t.Fatalf("stopping visitor saw %d matches, %v", seen, err)
 	}
+	unpinned("a visitor stop")
+
+	ctx, cancel := context.WithCancel(bg)
+	_, err = ix.SearchVisit(ctx, q, eps, func(Match) bool { cancel(); return true })
+	if err != context.Canceled {
+		t.Fatalf("search cancelled from its visitor: %v", err)
+	}
+	unpinned("a cancellation during the search")
+	if ms, _, err := ix.Search(ctx, q, eps); err != context.Canceled || ms != nil {
+		t.Fatalf("search under a cancelled context: %d matches, %v", len(ms), err)
+	}
+	if ms, _, err := ix.SearchKNN(ctx, q, 3); err != context.Canceled || ms != nil {
+		t.Fatalf("k-NN under a cancelled context: %d matches, %v", len(ms), err)
+	}
+	unpinned("a cancelled context")
+
+	again, _, err := ix.Search(bg, q, eps)
+	if err != nil || !mMatchesBitIdentical(again, ms) {
+		t.Fatalf("repeated search: %d matches, want %d, %v", len(again), len(ms), err)
+	}
+	unpinned("a repeated search")
+	if _, _, err := ix.SearchKNN(bg, q, 3); err != nil {
+		t.Fatal(err)
+	}
+	unpinned("a k-NN search")
 
 	// The fault: the file loses everything past its meta page while the
 	// index is open, so every page not in the pool fails to read.
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		if _, _, err := ix.SearchOpts(bg, q, eps, SearchOptions{Parallelism: par}); err == nil {
-			t.Fatalf("search over a truncated file (%d workers) succeeded", par)
-		}
-		unpinned("a failed page read")
+	if _, _, err := ix.Search(bg, q, eps); err == nil {
+		t.Fatal("search over a truncated file succeeded")
 	}
+	unpinned("a failed page read")
 }

@@ -21,13 +21,12 @@ import (
 // The multivariate search is core's traversal engine run over the vector
 // kernel (kernel.go), so its result types are the engine's: a Ref
 // identifies the subsequence Points[Start:End] of sequence Seq, a Match
-// carries its exact multivariate time warping distance, Stats are the
-// engine's work counters and SearchOptions its execution options.
+// carries its exact multivariate time warping distance, and Stats are the
+// engine's work counters.
 type (
-	Ref           = sequence.Ref
-	Match         = core.Match
-	Stats         = core.SearchStats
-	SearchOptions = core.SearchOptions
+	Ref   = sequence.Ref
+	Match = core.Match
+	Stats = core.SearchStats
 )
 
 // Options configures a multivariate index build.
@@ -173,38 +172,38 @@ func checkQuery(q [][]float64, dim int) error {
 // run is the typed front of the engine: it rejects what only this layer
 // can see (an empty, mis-shaped or non-finite query) and supplies the bind
 // that points a pooled vector kernel at q.
-func (ix *Index) run(ctx context.Context, q [][]float64, eps float64, visit func(Match) bool, opts SearchOptions) ([]Match, Stats, error) {
+func (ix *Index) run(ctx context.Context, q [][]float64, eps float64, visit func(Match) bool) ([]Match, Stats, error) {
 	if err := checkQuery(q, ix.Data.Dim()); err != nil {
 		return nil, Stats{}, err
 	}
 	return ix.Run(ctx, func(k core.Kernel, filterWindow, window int, envelopes bool) {
 		k.(*vectorKernel).bind(q, filterWindow, window, eps, envelopes)
-	}, eps, visit, opts)
+	}, eps, visit)
 }
 
-// SearchOpts returns every subsequence within time warping distance eps of
-// the vector query q — the multivariate SimSearch, with no false dismissals
-// — sorted by (sequence, start, end). Cancellation and opts behave as in
-// core.Index.SearchOpts: results are byte-identical at every parallelism.
-func (ix *Index) SearchOpts(ctx context.Context, q [][]float64, eps float64, opts SearchOptions) ([]Match, Stats, error) {
-	return ix.run(ctx, q, eps, nil, opts)
+// Search returns every subsequence within time warping distance eps of the
+// vector query q — the multivariate SimSearch, with no false dismissals —
+// sorted by (sequence, start, end). Cancellation behaves as in
+// core.Index.Search.
+func (ix *Index) Search(ctx context.Context, q [][]float64, eps float64) ([]Match, Stats, error) {
+	return ix.run(ctx, q, eps, nil)
 }
 
-// SearchVisitOpts streams answers to fn instead of materializing them;
+// SearchVisit streams answers to fn instead of materializing them;
 // returning false stops the search early. fn is always called from the
-// calling goroutine, in the serial delivery order.
-func (ix *Index) SearchVisitOpts(ctx context.Context, q [][]float64, eps float64, fn func(Match) bool, opts SearchOptions) (Stats, error) {
+// calling goroutine, in the traversal's delivery order.
+func (ix *Index) SearchVisit(ctx context.Context, q [][]float64, eps float64, fn func(Match) bool) (Stats, error) {
 	if fn == nil {
 		return Stats{}, errors.New("multivar: nil visitor")
 	}
-	_, stats, err := ix.run(ctx, q, eps, fn, opts)
+	_, stats, err := ix.run(ctx, q, eps, fn)
 	return stats, err
 }
 
-// SearchKNNOpts returns the k nearest subsequences under the multivariate
-// time warping distance, by the same complete threshold expansion as the
-// univariate index (core.RunKNN), each round one range search under opts.
-func (ix *Index) SearchKNNOpts(ctx context.Context, q [][]float64, k int, opts SearchOptions) ([]Match, Stats, error) {
+// SearchKNN returns the k nearest subsequences under the multivariate time
+// warping distance, by the same complete threshold expansion as the
+// univariate index (core.RunKNN), each round one range search.
+func (ix *Index) SearchKNN(ctx context.Context, q [][]float64, k int) ([]Match, Stats, error) {
 	if err := checkQuery(q, ix.Data.Dim()); err != nil {
 		return nil, Stats{}, err
 	}
@@ -212,9 +211,28 @@ func (ix *Index) SearchKNNOpts(ctx context.Context, q [][]float64, k int, opts S
 	for i := 1; i < len(q); i++ {
 		step += Base(q[i], q[i-1])
 	}
-	return core.RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
-		return ix.run(ctx, q, eps, nil, opts)
+	return core.RunKNN(ctx, k, step/float64(len(q)), ix.distanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+		return ix.run(ctx, q, eps, nil)
 	})
+}
+
+// distanceBound is core.RunKNN's bound for q over the index's data, whose
+// every point lies in one of the grid's observed cell boxes. The base
+// distance sums over dimensions, so the spans do, in the same order.
+func (ix *Index) distanceBound(q [][]float64) float64 {
+	span := 0.0
+	for d := range q[0] {
+		lo, hi := q[0][d], q[0][d]
+		for _, p := range q {
+			lo, hi = min(lo, p[d]), max(hi, p[d])
+		}
+		for sym := 0; sym < ix.Grid.NumCells(); sym++ {
+			box := ix.Grid.Box(suffixtree.Symbol(sym))
+			lo, hi = min(lo, box.Lo[d]), max(hi, box.Hi[d])
+		}
+		span += hi - lo
+	}
+	return ix.KNNBound(len(q), span)
 }
 
 // SeqScan is the multivariate sequential-scanning baseline and ground

@@ -9,7 +9,7 @@ import (
 // Table is the multivariate counterpart of dtw.Table: the cumulative time
 // warping distance table with the query's points along the columns, grown
 // (and popped) one row at a time by the tree traversal. The row storage —
-// band, growth, Truncate, Fork/CopyFrom, Row, and the filter rows over
+// band, growth, Truncate, Row, and the filter rows over
 // cached base rows (AddRowBase) — is dtw.Rows, shared with the scalar table;
 // what lives here is the vector query and its exact row kernel.
 type Table struct {

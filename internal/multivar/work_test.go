@@ -63,7 +63,7 @@ func workVectorData() (*Dataset, [][]float64) {
 // data, each kernel × index shape must visit the nodes, compute the cells,
 // raise the candidates and cut the rows that core.Index.Search and
 // multivar.Index.Search did at the commit before the two engines became one
-// (the literals were captured there), serially and with 2 and 4 workers.
+// (the literals were captured there).
 // No benchmark workload exposes the vector kernel's counters, so this is
 // what shows the shared traversal does the same work for vectors.
 //
@@ -115,15 +115,15 @@ func TestEngineWorkPinned(t *testing.T) {
 	}
 	for i, r := range rows {
 		path := filepath.Join(dir, fmt.Sprintf("w%d.twt", i))
-		var search func(opts SearchOptions) (Stats, error)
+		var search func() (Stats, error)
 		if r.scalar != nil {
 			ix, err := core.Build(sdata, path, *r.scalar)
 			if err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 			defer ix.Close()
-			search = func(opts SearchOptions) (Stats, error) {
-				_, st, err := ix.SearchOpts(bg, sq, seps, opts)
+			search = func() (Stats, error) {
+				_, st, err := ix.Search(bg, sq, seps)
 				return st, err
 			}
 		} else {
@@ -132,21 +132,19 @@ func TestEngineWorkPinned(t *testing.T) {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 			defer ix.Close()
-			search = func(opts SearchOptions) (Stats, error) {
-				_, st, err := ix.SearchOpts(bg, vq, veps, opts)
+			search = func() (Stats, error) {
+				_, st, err := ix.Search(bg, vq, veps)
 				return st, err
 			}
 		}
-		for _, par := range []int{1, 2, 4} {
-			st, err := search(SearchOptions{Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", r.name, par, err)
-			}
-			got := counters{st.NodesVisited, st.FilterCells, st.PostCells, st.Candidates,
-				st.FalseAlarms, st.Answers, st.EnvelopePruned, st.LBCells}
-			if got != r.want {
-				t.Errorf("%s par=%d: counters %v, want %v", r.name, par, got, r.want)
-			}
+		st, err := search()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		got := counters{st.NodesVisited, st.FilterCells, st.PostCells, st.Candidates,
+			st.FalseAlarms, st.Answers, st.EnvelopePruned, st.LBCells}
+		if got != r.want {
+			t.Errorf("%s: counters %v, want %v", r.name, got, r.want)
 		}
 	}
 }

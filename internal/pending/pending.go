@@ -16,8 +16,7 @@ package pending
 // Set is an epoch-stamped sparse map from int32 offsets to the maximum
 // int32 end recorded for them. The zero value is unusable; call Reset with
 // the database's total element count first. A Set is not safe for
-// concurrent use; each pooled query context owns one, and the parallel
-// drivers merge worker sets only after the join barrier.
+// concurrent use; each pooled query context owns one.
 type Set struct {
 	stamp   []uint32 // per-offset epoch of last write
 	maxEnd  []int32  // valid only where stamp[i] == epoch
@@ -66,20 +65,6 @@ func (s *Set) Add(offset, end int32) {
 
 // Len returns the number of distinct offsets recorded this query.
 func (s *Set) Len() int { return len(s.touched) }
-
-// MergeFrom folds every candidate recorded in o this query into s — the
-// shard merge of a parallel search, where each worker collects candidates
-// on its own set and one ordered verification pass runs on the union. The
-// result is independent of merge order and of how candidates were sharded:
-// Add keeps the maximum end per offset, and Sorted orders the offsets, so
-// the union equals the set a serial pass would have built.
-//
-//twlint:steady-state
-func (s *Set) MergeFrom(o *Set) {
-	for _, off := range o.touched {
-		s.Add(off, o.maxEnd[off])
-	}
-}
 
 // Sorted returns this query's offsets in ascending order, in O(touched)
 // without a comparison. The slice aliases the set's storage and is

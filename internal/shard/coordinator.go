@@ -24,9 +24,12 @@ type Stats = core.SearchStats
 type Backend interface {
 	// Search runs a range search through the named index and returns the
 	// complete local answer set sorted by (sequence, start, end).
-	Search(ctx context.Context, index string, q []float64, eps float64, opts Options) ([]Match, Stats, error)
+	Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error)
 	// Scan runs the exhaustive sequential-scan baseline.
 	Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error)
+	// DistanceBound returns a number no finite distance between q and a
+	// subsequence the named index can return exceeds (core.DistanceBound).
+	DistanceBound(ctx context.Context, index string, q []float64) (float64, error)
 }
 
 // PartialError reports a scatter-gather search in which one or more shards
@@ -184,23 +187,23 @@ func rebase(ms []Match, base int) {
 // start, end) order; returning false stops the search and cancels the
 // remaining shards. The answer set — matches and exact distances — is
 // identical to the unsharded search over the same data at any shard count.
-func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool, opts Options) (Stats, error) {
+func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool) (Stats, error) {
 	if err := checkRange(q, eps); err != nil {
 		return Stats{}, err
 	}
 	return c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
-		return b.Search(ctx, index, q, eps, opts)
+		return b.Search(ctx, index, q, eps)
 	}, fn)
 }
 
 // Search materializes a range search's full answer set in global order. Like
 // the unsharded search, an empty answer set is an empty slice, not nil.
-func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps float64, opts Options) ([]Match, Stats, error) {
+func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error) {
 	out := []Match{}
 	stats, err := c.SearchVisit(ctx, index, q, eps, func(m Match) bool {
 		out = append(out, m)
 		return true
-	}, opts)
+	})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -230,8 +233,10 @@ func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 // is the engine's own expansion loop over the coordinator's range search:
 // the union of the shards' complete answers at a threshold is the complete
 // global answer there, so a scatter-gather round is a round of the unsharded
-// loop. A failed shard fails the call with its round's *PartialError.
-func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int, opts Options) ([]Match, Stats, error) {
+// loop, and its bound is the largest of the shards'. A failed shard fails
+// the call with a *PartialError: its round's, or, when it could not give
+// its bound, one that names only it, before any round runs.
+func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int) ([]Match, Stats, error) {
 	if err := core.CheckQuery(q); err != nil {
 		return nil, Stats{}, err
 	}
@@ -239,8 +244,16 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 	for i := 1; i < len(q); i++ {
 		step += math.Abs(q[i] - q[i-1])
 	}
-	return core.RunKNN(ctx, k, step/float64(len(q)), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
-		return c.Search(ctx, index, q, eps, opts)
+	bound := 0.0
+	for i, b := range c.backends {
+		bi, err := b.DistanceBound(ctx, index, q)
+		if err != nil {
+			return nil, Stats{}, &PartialError{Failed: []int{i}, Cause: err}
+		}
+		bound = max(bound, bi)
+	}
+	return core.RunKNN(ctx, k, step/float64(len(q)), bound, func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+		return c.Search(ctx, index, q, eps)
 	})
 }
 

@@ -24,9 +24,11 @@ type fakeBackend struct {
 	// returned, when set, is closed as the call returns (single-call tests
 	// only).
 	returned chan struct{}
+	// boundErr is returned by DistanceBound when set.
+	boundErr error
 }
 
-func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps float64, opts Options) ([]Match, Stats, error) {
+func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error) {
 	if b.returned != nil {
 		defer close(b.returned)
 	}
@@ -54,7 +56,20 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 }
 
 func (b *fakeBackend) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
-	return b.Search(ctx, "", q, eps, Options{})
+	return b.Search(ctx, "", q, eps)
+}
+
+// DistanceBound is the largest distance the fake holds: every one of its
+// answers is reachable.
+func (b *fakeBackend) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+	if b.boundErr != nil {
+		return 0, b.boundErr
+	}
+	bound := 0.0
+	for _, m := range b.ms {
+		bound = max(bound, m.Distance)
+	}
+	return bound, nil
 }
 
 func mkCoord(t *testing.T, backends ...*fakeBackend) *Coordinator {
@@ -92,7 +107,7 @@ func TestSearchMergesInGlobalOrder(t *testing.T) {
 	b1 := &fakeBackend{ms: []Match{{SeqID: "c", Seq: 0, Start: 3, End: 8, Distance: 0.5}}}
 	c := mkCoord(t, b0, b1)
 
-	ms, stats, err := c.Search(context.Background(), "ix", []float64{1, 2}, 5, Options{})
+	ms, stats, err := c.Search(context.Background(), "ix", []float64{1, 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +136,7 @@ func TestSearchVisitEarlyStop(t *testing.T) {
 	_, err := c.SearchVisit(context.Background(), "ix", []float64{1}, 5, func(Match) bool {
 		seen++
 		return false
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatalf("visitor stop must not surface an error, got %v", err)
 	}
@@ -166,7 +181,7 @@ func TestSearchPartialFailure(t *testing.T) {
 			_, err := c.SearchVisit(context.Background(), "ix", []float64{1}, 5, func(m Match) bool {
 				streamed = append(streamed, m)
 				return true
-			}, Options{})
+			})
 			var pe *PartialError
 			if !errors.As(err, &pe) {
 				t.Fatalf("want *PartialError, got %v", err)
@@ -214,7 +229,7 @@ func TestSearchKNNAcrossShards(t *testing.T) {
 	}}
 	c := mkCoord(t, b0, b1)
 
-	ms, stats, err := c.SearchKNN(context.Background(), "ix", []float64{1, 2, 30}, 3, Options{})
+	ms, stats, err := c.SearchKNN(context.Background(), "ix", []float64{1, 2, 30}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +256,7 @@ func TestSearchKNNTieEviction(t *testing.T) {
 		{SeqID: "y", Seq: 0, Start: 1, End: 3, Distance: 3.0},
 	}}
 	c := mkCoord(t, b0, b1)
-	ms, _, err := c.SearchKNN(context.Background(), "ix", []float64{1, 50}, 2, Options{})
+	ms, _, err := c.SearchKNN(context.Background(), "ix", []float64{1, 50}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +274,7 @@ func TestSearchKNNPartialFailure(t *testing.T) {
 	b0 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}}
 	b1 := &fakeBackend{err: cause}
 	c := mkCoord(t, b0, b1)
-	_, _, err := c.SearchKNN(context.Background(), "ix", []float64{1, 2}, 1, Options{})
+	_, _, err := c.SearchKNN(context.Background(), "ix", []float64{1, 2}, 1)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PartialError, got %v", err)
@@ -272,12 +287,57 @@ func TestSearchKNNPartialFailure(t *testing.T) {
 	}
 }
 
+// TestSearchKNNAboveReachable: with k above every shard's answer count the
+// expansion stops at the first round at or past the largest shard bound —
+// not the first or the last shard's, which would stop before shard 1's far
+// answer — and returns everything there is. A flat query's step is 0, so
+// the rounds climb from 1e-9 by fours; each round is one fake call per
+// shard.
+func TestSearchKNNAboveReachable(t *testing.T) {
+	b0 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}, {Seq: 1, Start: 0, End: 3, Distance: 2}}}
+	b1 := &fakeBackend{ms: []Match{{Seq: 0, Start: 1, End: 4, Distance: 1000}}}
+	b2 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 1, Distance: 1}}}
+	c := mkCoord(t, b0, b1, b2)
+	ms, stats, err := c.SearchKNN(context.Background(), "ix", []float64{5, 5}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 4 || ms[2].Distance != 1000 {
+		t.Fatalf("got %v, want all four answers", ms)
+	}
+	rounds := 0
+	for eps := 1e-9; ; eps *= 4 {
+		rounds++
+		if eps >= 1000 {
+			break
+		}
+	}
+	if got := int(stats.NodesVisited) / 3; got != rounds {
+		t.Errorf("%d rounds, want %d: the first at or past the largest bound", got, rounds)
+	}
+}
+
+// A shard that cannot give its bound fails the k-NN before any round runs,
+// as a partial failure that names it.
+func TestSearchKNNBoundFailure(t *testing.T) {
+	cause := errors.New("leg down")
+	c := mkCoord(t, &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}}, &fakeBackend{boundErr: cause})
+	_, stats, err := c.SearchKNN(context.Background(), "ix", []float64{1, 2}, 1)
+	var pe *PartialError
+	if !errors.As(err, &pe) || !errors.Is(err, cause) {
+		t.Fatalf("want a *PartialError wrapping the cause, got %v", err)
+	}
+	if len(pe.Answered) != 0 || !reflect.DeepEqual(pe.Failed, []int{1}) || stats.NodesVisited != 0 {
+		t.Errorf("answered=%v failed=%v after %d node visits, want none, [1], 0", pe.Answered, pe.Failed, stats.NodesVisited)
+	}
+}
+
 func TestSearchKNNValidation(t *testing.T) {
 	c := mkCoord(t, &fakeBackend{})
-	if _, _, err := c.SearchKNN(context.Background(), "ix", []float64{1}, 0, Options{}); err == nil {
+	if _, _, err := c.SearchKNN(context.Background(), "ix", []float64{1}, 0); err == nil {
 		t.Error("k=0 should be an error")
 	}
-	if _, _, err := c.SearchKNN(context.Background(), "ix", nil, 1, Options{}); err == nil {
+	if _, _, err := c.SearchKNN(context.Background(), "ix", nil, 1); err == nil {
 		t.Error("empty query should be an error")
 	}
 }
@@ -286,7 +346,7 @@ func TestCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := mkCoord(t, &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 1, Distance: 0}}})
-	_, _, err := c.Search(ctx, "ix", []float64{1}, 5, Options{})
+	_, _, err := c.Search(ctx, "ix", []float64{1}, 5)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled through the partial error, got %v", err)
 	}

@@ -57,14 +57,6 @@ type Match struct {
 	Distance float64
 }
 
-// Options carries the per-search execution options that travel to every
-// shard of a fanned-out query.
-type Options struct {
-	// Parallelism is the intra-query worker hint forwarded to each shard's
-	// engine; the shards themselves always run concurrently with each other.
-	Parallelism int
-}
-
 // Contiguous deterministically assigns n sequences to shards contiguous
 // blocks: the first n%shards shards hold one extra sequence, so any two
 // builds over the same inputs produce byte-identical shard contents.

@@ -32,22 +32,19 @@ type BatchItem struct {
 	Query []float64
 }
 
-// BatchReq asks for many searches in one round-trip. Timeout and
-// Parallelism carry the same per-request semantics as SearchReq, applied
-// once to the whole batch: one deadline and one admission slot cover all
-// items.
+// BatchReq asks for many searches in one round-trip. Timeout carries the
+// same per-request semantics as SearchReq's, applied once to the whole
+// batch: one deadline and one admission slot cover all items.
 type BatchReq struct {
-	DB          string
-	Timeout     time.Duration
-	Parallelism int
-	Items       []BatchItem
+	DB      string
+	Timeout time.Duration
+	Items   []BatchItem
 }
 
 // Encode appends the request body to b.
 func (m *BatchReq) Encode(b []byte) []byte {
 	b = appendString(b, m.DB)
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Items)))
 	for _, it := range m.Items {
 		b = append(b, it.Op)
@@ -66,7 +63,6 @@ func DecodeBatchReq(body []byte) (BatchReq, error) {
 	var m BatchReq
 	m.DB = r.String()
 	m.Timeout = time.Duration(r.I64())
-	m.Parallelism = int(r.U32())
 	n := r.U32()
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		it := BatchItem{

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -16,16 +17,14 @@ import (
 // layout is bijective on valid frames — a skew between an encode/decode
 // pair (wrong width, wrong order) shows up as a byte diff.
 func FuzzFrameRoundTrip(f *testing.F) {
-	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second,
-		Parallelism: 4, Query: []float64{1, 2, 3}}
-	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second,
-		Parallelism: 2, Query: []float64{4, 5}}
+	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second, Query: []float64{1, 2, 3}}
+	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second, Query: []float64{4, 5}}
 	screq := ScanReq{DB: "db", Eps: 1.25, Query: []float64{6}}
 	match := Match{SeqID: "s", Seq: 1, Start: 2, End: 9, Distance: 0.75}
 	done := Done{Stats: core.SearchStats{NodesVisited: 3, Answers: 1, Elapsed: time.Millisecond}}
 	stats := StatsResp{Pools: []PoolInfo{{Index: "ix", Shards: []PoolShard{{Hits: 1}}}}}
 	idx := IndexesResp{Indexes: []IndexInfo{{Name: "ix", Method: "paa", Sparse: true, Window: -1}}}
-	breq := BatchReq{DB: "db", Timeout: time.Second, Parallelism: 2, Items: []BatchItem{
+	breq := BatchReq{DB: "db", Timeout: time.Second, Items: []BatchItem{
 		{Op: BatchOpSearch, Index: "ix", Eps: 0.5, Query: []float64{1, 2}},
 		{Op: BatchOpKNN, Index: "ix", K: 3, Query: []float64{4}},
 	}}
@@ -57,7 +56,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	// the layouts of retired protocol versions and the k-NN counts no sender
 	// can mean. They start the fuzzer at the boundary between accepted and
 	// rejected frames.
-	f.Add(TSearch, oldSearchReq(&sreq))
+	f.Add(TSearch, v5SearchReq(&sreq, 4))
 	f.Add(TKNN, (&KNNReq{DB: "db", Index: "ix", K: -1, Query: []float64{4}}).Encode(nil))
 	f.Add(TError, oldError(partial))
 	f.Add(TBatch, (&BatchReq{DB: "db", Items: []BatchItem{{Op: BatchOpKNN, Index: "ix", Query: []float64{4}}}}).Encode(nil))
@@ -147,11 +146,11 @@ func roundTripCases() []roundTripCase {
 	return []roundTripCase{
 		zero("SearchReq", TSearch, (&SearchReq{}).Encode(nil)),
 		extreme("SearchReq", TSearch, (&SearchReq{DB: "", Index: "ix", Eps: -math.MaxFloat64,
-			Timeout: math.MinInt64, Parallelism: maxU32,
-			Query: []float64{-0.5, math.Inf(-1), math.MaxFloat64}}).Encode(nil)),
+			Timeout: math.MinInt64,
+			Query:   []float64{-0.5, math.Inf(-1), math.MaxFloat64}}).Encode(nil)),
 		zero("KNNReq", TKNN, (&KNNReq{K: 1}).Encode(nil)),
 		extreme("KNNReq", TKNN, (&KNNReq{DB: "db", Index: "", K: math.MaxInt32,
-			Timeout: math.MaxInt64, Parallelism: maxU32, Query: []float64{}}).Encode(nil)),
+			Timeout: math.MaxInt64, Query: []float64{}}).Encode(nil)),
 		zero("ScanReq", TScan, (&ScanReq{}).Encode(nil)),
 		extreme("ScanReq", TScan, (&ScanReq{DB: "db", Eps: -1.5, Timeout: -1,
 			Query: []float64{-math.SmallestNonzeroFloat64}}).Encode(nil)),
@@ -184,7 +183,7 @@ func roundTripCases() []roundTripCase {
 			{},
 		}}).Encode(nil)),
 		zero("BatchReq", TBatch, (&BatchReq{}).Encode(nil)),
-		extreme("BatchReq", TBatch, (&BatchReq{DB: "", Timeout: math.MinInt64, Parallelism: maxU32,
+		extreme("BatchReq", TBatch, (&BatchReq{DB: "", Timeout: math.MinInt64,
 			Items: []BatchItem{
 				{Op: BatchOpKNN, Index: "", Eps: -math.MaxFloat64, K: math.MaxInt32},
 				{Op: BatchOpSearch, Index: "ix", Eps: -1, Query: []float64{-3, 4}},
@@ -231,12 +230,13 @@ func TestRoundTripZeroAndExtreme(t *testing.T) {
 	}
 }
 
-// oldSearchReq lays m out as protocol version 2 did: the current body
-// without the 4-byte parallelism word in front of the query.
-func oldSearchReq(m *SearchReq) []byte {
+// v5SearchReq lays m out as protocol version 5 did: the current body with
+// a 4-byte parallelism word in front of the query.
+func v5SearchReq(m *SearchReq, parallelism uint32) []byte {
 	b := m.Encode(nil)
-	at := len(b) - (4 + 8*len(m.Query)) - 4
-	return append(b[:at:at], b[at+4:]...)
+	at := len(b) - (4 + 8*len(m.Query))
+	v5 := binary.LittleEndian.AppendUint32(append([]byte(nil), b[:at]...), parallelism)
+	return append(v5, b[at:]...)
 }
 
 // oldError lays e out as protocol versions before 4 did: code and message,

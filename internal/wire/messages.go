@@ -13,17 +13,13 @@ import (
 
 // SearchReq asks for a range search through an index of the named DB.
 // Timeout, when positive, is the client's deadline hint; the server applies
-// the tighter of this and its own per-search ceiling. Parallelism, when
-// above 1, asks the server to run this search across that many worker
-// goroutines; the server caps it at its configured per-query maximum (0
-// means serial). Answers are byte-identical either way.
+// the tighter of this and its own per-search ceiling.
 type SearchReq struct {
-	DB          string
-	Index       string
-	Eps         float64
-	Timeout     time.Duration
-	Parallelism int
-	Query       []float64
+	DB      string
+	Index   string
+	Eps     float64
+	Timeout time.Duration
+	Query   []float64
 }
 
 // Encode appends the request body to b.
@@ -32,7 +28,6 @@ func (m *SearchReq) Encode(b []byte) []byte {
 	b = appendString(b, m.Index)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Eps))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
 	return appendFloats(b, m.Query)
 }
 
@@ -40,25 +35,23 @@ func (m *SearchReq) Encode(b []byte) []byte {
 func DecodeSearchReq(body []byte) (SearchReq, error) {
 	r := NewReader(body)
 	m := SearchReq{
-		DB:          r.String(),
-		Index:       r.String(),
-		Eps:         r.F64(),
-		Timeout:     time.Duration(r.I64()),
-		Parallelism: int(r.U32()),
+		DB:      r.String(),
+		Index:   r.String(),
+		Eps:     r.F64(),
+		Timeout: time.Duration(r.I64()),
 	}
 	m.Query = r.Floats()
 	return m, r.Err()
 }
 
-// KNNReq asks for the K nearest subsequences through an index. Parallelism
-// is the same per-request hint as SearchReq's.
+// KNNReq asks for the K nearest subsequences through an index. Timeout is
+// the same per-request hint as SearchReq's.
 type KNNReq struct {
-	DB          string
-	Index       string
-	K           int
-	Timeout     time.Duration
-	Parallelism int
-	Query       []float64
+	DB      string
+	Index   string
+	K       int
+	Timeout time.Duration
+	Query   []float64
 }
 
 // Encode appends the request body to b.
@@ -67,7 +60,6 @@ func (m *KNNReq) Encode(b []byte) []byte {
 	b = appendString(b, m.Index)
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.K))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.Timeout))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Parallelism))
 	return appendFloats(b, m.Query)
 }
 
@@ -75,11 +67,10 @@ func (m *KNNReq) Encode(b []byte) []byte {
 func DecodeKNNReq(body []byte) (KNNReq, error) {
 	r := NewReader(body)
 	m := KNNReq{
-		DB:          r.String(),
-		Index:       r.String(),
-		K:           int(r.U32()),
-		Timeout:     time.Duration(r.I64()),
-		Parallelism: int(r.U32()),
+		DB:      r.String(),
+		Index:   r.String(),
+		K:       int(r.U32()),
+		Timeout: time.Duration(r.I64()),
 	}
 	m.Query = r.Floats()
 	if err := r.Err(); err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
@@ -11,22 +12,22 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// TestWireBytesPinned holds the version-5 layout of every message type to
-// the bytes the version-gated codecs produced before their gates were
-// folded: each digest is the SHA-256 of Encode's output captured at commit
-// fac562e, the last one whose encoders still took a version. A codec edit
-// that moves, widens or drops a field changes a digest; a deliberate layout
-// change bumps Version and re-captures them.
+// TestWireBytesPinned holds the version-6 layout of every message type, and
+// the hello that announces it, to captured bytes: each digest is the
+// SHA-256 of Encode's output (WriteHello's, for the hello). Version 6 is
+// version 5 without the parallelism word of SearchReq, KNNReq and
+// BatchReq; those three and the hello were re-captured then, every other
+// digest is unchanged since commit fac562e, the last whose encoders still
+// took a version. A codec edit that moves, widens or drops a field changes
+// a digest; a deliberate layout change bumps Version and re-captures them.
 func TestWireBytesPinned(t *testing.T) {
 	stats := core.SearchStats{
 		NodesVisited: 11, FilterCells: 12, PostCells: 13, Candidates: 14,
 		FalseAlarms: 15, Answers: 16, PagesRead: 17, PoolHits: 18, PoolMisses: 19,
 		EnvelopePruned: 20, LBCells: 21, Elapsed: 22 * time.Millisecond,
 	}
-	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second,
-		Parallelism: 4, Query: []float64{1, -2.5, math.Pi}}
-	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second,
-		Parallelism: 2, Query: []float64{4, 5}}
+	sreq := SearchReq{DB: "db", Index: "ix", Eps: 0.5, Timeout: time.Second, Query: []float64{1, -2.5, math.Pi}}
+	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second, Query: []float64{4, 5}}
 	screq := ScanReq{DB: "db", Eps: 1.25, Timeout: time.Minute, Query: []float64{6}}
 	match := Match{SeqID: "stock-0001", Seq: 1, Start: 2, End: 9, Distance: 0.75}
 	done := Done{Stats: stats}
@@ -45,7 +46,7 @@ func TestWireBytesPinned(t *testing.T) {
 			Window: -1, MinAnswerLen: 3, SizeBytes: 1 << 20, Leaves: 100, Nodes: 130},
 		{Name: "exact", Method: "identity", Window: 8},
 	}}
-	breq := BatchReq{DB: "db", Timeout: time.Second, Parallelism: 2, Items: []BatchItem{
+	breq := BatchReq{DB: "db", Timeout: time.Second, Items: []BatchItem{
 		{Op: BatchOpSearch, Index: "ix", Eps: 0.5, Query: []float64{1, 2}},
 		{Op: BatchOpKNN, Index: "ix", K: 3, Query: []float64{4}},
 	}}
@@ -54,14 +55,19 @@ func TestWireBytesPinned(t *testing.T) {
 	berr := BatchItemError{ID: 1, Code: CodeNotFound, Msg: "no such index"}
 	shresp := ShardsResp{Ranges: []ShardRange{{Start: 0, Count: 3}, {Start: 3, Count: 2}}}
 	partial := &Error{Code: CodeShardUnavailable, Msg: "shard 1 lost", Answered: []int{0, 2}}
+	var hello bytes.Buffer
+	if err := WriteHello(&hello); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name string
 		body []byte
 		want string
 	}{
-		{"SearchReq", sreq.Encode(nil), "54f331601ee1d52904878ebe3e4768020e069652edfe32a24e345ad4e5e5fab4"},
-		{"KNNReq", kreq.Encode(nil), "7e07993b63c04cb2b23e3fe61bad3b66333780b3895b58bb1c8149007850acaf"},
+		{"Hello", hello.Bytes(), "982761c122d88563a7e6d63fb3ebba164cc581013b1a25225989a70c47d84368"},
+		{"SearchReq", sreq.Encode(nil), "381c01e73a9bafe7316b17c242fb9d7fd8ea5770f1a950f59676eb00dcb1a494"},
+		{"KNNReq", kreq.Encode(nil), "96dfe0330559a2e75d1457ece1d8708e7d11ab8b3ed1a8117f1e012b135a9548"},
 		{"ScanReq", screq.Encode(nil), "1a8da6c87fcc6c031981d75ee2bc3fecb75df9295c618687baaae03a449cf3fa"},
 		{"StatsReq", (&StatsReq{DB: "db"}).Encode(nil), "eaeb001f36aae4e5d20e470a76f97f55b3168a1f0ce591b4fa773442aedac7b2"},
 		{"ListIndexesReq", (&ListIndexesReq{DB: "db"}).Encode(nil), "eaeb001f36aae4e5d20e470a76f97f55b3168a1f0ce591b4fa773442aedac7b2"},
@@ -71,7 +77,7 @@ func TestWireBytesPinned(t *testing.T) {
 		{"ErrorPlain", EncodeError(nil, ErrOverloaded), "d488c73f2b0cf65ca989cb79616835a5ec984596984f445dc40ae8df6b8477d5"},
 		{"StatsResp", sresp.Encode(nil), "9ab20669caa780c24a28478f39ba779b6b57fb9e96723bfcce86358517a08503"},
 		{"IndexesResp", iresp.Encode(nil), "baae96161f65b6fd97777723414731df89d6fd2c89dd05d9737a6b1994fdfd16"},
-		{"BatchReq", breq.Encode(nil), "5693d4a3a31da0cff77da62c17be4b3befe156e8d17eda599a2e33f8af9d3d7c"},
+		{"BatchReq", breq.Encode(nil), "738df509155658cfe285365c372a9fc4b6a27bb6ca29e2eda7b3829386f3cd4d"},
 		{"BatchMatch", bmatch.Encode(nil), "f5b803abb1df64686f8df74cae40c2eaa2f9c02fdde9fc097b06411d4f7cc2de"},
 		{"BatchItemDone", bdone.Encode(nil), "23fae0fade5a38fd735aee97e66bb2fc6b35abbf1e8dc3c93a73db96c506c22c"},
 		{"BatchItemError", berr.Encode(nil), "63cb3b8123a5d14fbe652fa72d58d627900fd4ca6778e866ff947c6a94955ce6"},

@@ -38,7 +38,7 @@ import (
 // the codecs know: the handshake refuses a peer with any other version, so
 // every message has one Encode and one Decode. Changing a layout means
 // bumping Version and rebuilding both sides.
-const Version = 5
+const Version = 6
 
 // magic identifies a twsearchd connection.
 var magic = [4]byte{'T', 'W', 'S', 'D'}

@@ -43,8 +43,10 @@ func TestHelloBadVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	// The neighbors of the one supported version are refused like any other.
-	for _, v := range []uint16{Version - 1, Version + 1, 0xFFFF} {
+	// The neighbors of the one supported version are refused like any other;
+	// 5 is the layout that still carried a parallelism word in the search,
+	// k-NN and batch requests.
+	for _, v := range []uint16{5, Version - 1, Version + 1, 0xFFFF} {
 		b[4], b[5] = byte(v), byte(v>>8)
 		got, err := ReadHello(bytes.NewReader(b))
 		if !errors.Is(err, ErrVersion) || got != v {
@@ -135,12 +137,11 @@ func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 
 func TestSearchReqRoundTrip(t *testing.T) {
 	in := SearchReq{
-		DB:          "default",
-		Index:       "fast",
-		Eps:         3.75,
-		Timeout:     1500 * time.Millisecond,
-		Parallelism: 4,
-		Query:       []float64{1, -2.5, math.Pi, 0},
+		DB:      "default",
+		Index:   "fast",
+		Eps:     3.75,
+		Timeout: 1500 * time.Millisecond,
+		Query:   []float64{1, -2.5, math.Pi, 0},
 	}
 	out, err := DecodeSearchReq(in.Encode(nil))
 	if err != nil {
@@ -152,7 +153,7 @@ func TestSearchReqRoundTrip(t *testing.T) {
 }
 
 func TestKNNReqRoundTrip(t *testing.T) {
-	in := KNNReq{DB: "d", Index: "i", K: 7, Parallelism: 2, Query: []float64{42}}
+	in := KNNReq{DB: "d", Index: "i", K: 7, Query: []float64{42}}
 	out, err := DecodeKNNReq(in.Encode(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +321,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeScanReq(badFloats); err == nil {
 		t.Fatal("oversized float count decoded successfully")
 	}
-	// A body in a retired version's layout (version 2 had no parallelism
-	// word) is refused by the reader, not mis-parsed.
-	old := oldSearchReq(&SearchReq{DB: "d", Index: "i", Eps: 1, Query: []float64{1, 2, 3}})
-	if _, err := DecodeSearchReq(old); err == nil || !strings.Contains(err.Error(), "wire:") {
-		t.Fatalf("version-2 SearchReq body: err = %v, want a reader error", err)
+	// A body in a retired version's layout (version 5 carried a parallelism
+	// word before the query) is refused by the reader, not mis-parsed.
+	for _, par := range []uint32{0, 4} {
+		old := v5SearchReq(&SearchReq{DB: "d", Index: "i", Eps: 1, Query: []float64{1, 2, 3}}, par)
+		if _, err := DecodeSearchReq(old); err == nil || !strings.Contains(err.Error(), "wire:") {
+			t.Fatalf("version-5 SearchReq body, parallelism %d: err = %v, want a reader error", par, err)
+		}
 	}
 	// K travels as a uint32: zero and anything above MaxInt32 (a negative k
 	// on the sending side: -1 is 0xFFFFFFFF, MinInt32 is MaxInt32+1) must be

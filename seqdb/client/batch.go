@@ -46,7 +46,7 @@ type BatchResult struct {
 // result's Err; Batch itself fails only when the whole batch did
 // (transport, overload, deadline, unknown DB). The returned stats are the
 // batch-wide aggregate the server measured.
-func (c *Client) Batch(ctx context.Context, db string, queries []BatchQuery, opts seqdb.SearchOptions) ([]BatchResult, seqdb.SearchStats, error) {
+func (c *Client) Batch(ctx context.Context, db string, queries []BatchQuery) ([]BatchResult, seqdb.SearchStats, error) {
 	var agg seqdb.SearchStats
 	items := make([]wire.BatchItem, len(queries))
 	for i, q := range queries {
@@ -65,7 +65,7 @@ func (c *Client) Batch(ctx context.Context, db string, queries []BatchQuery, opt
 	if err != nil {
 		return nil, agg, err
 	}
-	req := wire.BatchReq{DB: db, Timeout: hint, Parallelism: opts.Parallelism, Items: items}
+	req := wire.BatchReq{DB: db, Timeout: hint, Items: items}
 	if err := c.send(ctx, wire.TBatch, req.Encode(nil)); err != nil {
 		return nil, agg, err
 	}

@@ -179,9 +179,7 @@ func (c *Client) finish() {
 // from the server; returning false stops the stream. Stopping early drops
 // the connection — that is the wire's cancellation signal; the server
 // aborts the search when its next write fails — and the client redials on
-// the next call. The parallelism hint travels with the request; the server
-// caps it at its own configured maximum, and answers are byte-identical
-// either way.
+// the next call. opts changes nothing (see seqdb.SearchOptions).
 func (c *Client) SearchVisitWith(ctx context.Context, db, index string, q []float64, eps float64, fn func(seqdb.Match) bool, opts seqdb.SearchOptions) (seqdb.SearchStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,7 +188,7 @@ func (c *Client) SearchVisitWith(ctx context.Context, db, index string, q []floa
 	if err != nil {
 		return stats, err
 	}
-	req := wire.SearchReq{DB: db, Index: index, Eps: eps, Timeout: hint, Parallelism: opts.Parallelism, Query: q}
+	req := wire.SearchReq{DB: db, Index: index, Eps: eps, Timeout: hint, Query: q}
 	if err := c.send(ctx, wire.TSearch, req.Encode(nil)); err != nil {
 		return stats, err
 	}
@@ -267,7 +265,7 @@ func (c *Client) SearchKNNWith(ctx context.Context, db, index string, q []float6
 	if err != nil {
 		return nil, seqdb.SearchStats{}, err
 	}
-	req := wire.KNNReq{DB: db, Index: index, K: k, Timeout: hint, Parallelism: opts.Parallelism, Query: q}
+	req := wire.KNNReq{DB: db, Index: index, K: k, Timeout: hint, Query: q}
 	if err := c.send(ctx, wire.TKNN, req.Encode(nil)); err != nil {
 		return nil, seqdb.SearchStats{}, err
 	}

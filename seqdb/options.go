@@ -7,19 +7,13 @@ import (
 	"twsearch/internal/core"
 )
 
-// SearchOptions tunes how one search call executes. The zero value is the
-// serial traversal.
+// SearchOptions is the last argument of every search entry point. No
+// option in it changes a search.
 type SearchOptions struct {
-	// Parallelism is the maximum number of worker goroutines one search may
-	// use to walk disjoint subtrees concurrently; <= 1 means serial. Results
-	// are byte-identical to the serial search at every setting — parallelism
-	// changes latency, never answers. Values above runtime.GOMAXPROCS(0) are
-	// honored (the engine does not clamp) but buy nothing beyond it.
+	// Parallelism is ignored: every search is one serial traversal
+	// (HACKING.md "Searches are serial"). The field stays only because the
+	// benchmark under bench/ sets it.
 	Parallelism int
-}
-
-func (o SearchOptions) core() core.SearchOptions {
-	return core.SearchOptions{Parallelism: o.Parallelism}
 }
 
 // SearchWith runs a similarity search through the named index: every
@@ -36,7 +30,7 @@ func (db *DB) SearchWith(ctx context.Context, indexName string, q []float64, eps
 	if !ok {
 		return nil, SearchStats{}, errNoIndex(indexName)
 	}
-	ms, stats, err := oi.ix.SearchOpts(ctx, q, eps, opts.core())
+	ms, stats, err := oi.ix.Search(ctx, q, eps)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -59,7 +53,7 @@ func (db *DB) SearchVisitWith(ctx context.Context, indexName string, q []float64
 	if fn == nil {
 		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
 	}
-	return oi.ix.SearchVisitOpts(ctx, q, eps, func(m core.Match) bool {
+	return oi.ix.SearchVisit(ctx, q, eps, func(m core.Match) bool {
 		return fn(Match{
 			SeqID:    db.data.Seq(m.Ref.Seq).ID,
 			Seq:      m.Ref.Seq,
@@ -67,14 +61,14 @@ func (db *DB) SearchVisitWith(ctx context.Context, indexName string, q []float64
 			End:      m.Ref.End,
 			Distance: m.Distance,
 		})
-	}, opts.core())
+	})
 }
 
 // SearchKNNWith returns the k subsequences nearest to q under the time
 // warping distance, through the named index, in position order. See
 // SearchWith for the matching semantics; nearest-neighbor search expands
 // the threshold until k answers are certain, and every expansion round runs
-// under ctx with the same options.
+// under ctx.
 func (db *DB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -82,7 +76,7 @@ func (db *DB) SearchKNNWith(ctx context.Context, indexName string, q []float64, 
 	if !ok {
 		return nil, SearchStats{}, errNoIndex(indexName)
 	}
-	ms, stats, err := oi.ix.SearchKNNOpts(ctx, q, k, opts.core())
+	ms, stats, err := oi.ix.SearchKNN(ctx, q, k)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -24,7 +24,7 @@
 // operation has one entry point, (ctx, …, opts): SearchWith,
 // SearchVisitWith (streaming), SearchKNNWith and SeqScanCtx, on a DB and on
 // a ShardedDB alike; the context's deadline or cancellation aborts the
-// traversal, and the zero SearchOptions is the serial search.
+// traversal. Every search is one serial traversal.
 //
 // A DB is safe for concurrent use: reads and searches may run in parallel
 // with each other, while mutations (Add, ImportCSV, BuildIndex, DropIndex,

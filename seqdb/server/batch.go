@@ -45,7 +45,6 @@ func (s *Server) handleBatch(conn net.Conn, bw *bufio.Writer, body []byte) (reqR
 	}
 	ctx, cleanup := s.requestCtx(conn, req.Timeout)
 	defer cleanup()
-	opts := s.searchOpts(req.Parallelism)
 
 	var agg seqdb.SearchStats
 	buf := make([]byte, 0, 256)
@@ -65,14 +64,14 @@ func (s *Server) handleBatch(conn net.Conn, bw *bufio.Writer, body []byte) (reqR
 				}
 				res.matches++
 				return true
-			}, opts)
+			}, seqdb.SearchOptions{})
 			if ioErr != nil {
 				res.stats, res.counted = agg, true
 				return res, ioErr
 			}
 		case wire.BatchOpKNN:
 			var ms []seqdb.Match
-			ms, stats, itemErr = db.SearchKNNWith(ctx, item.Index, item.Query, item.K, opts)
+			ms, stats, itemErr = db.SearchKNNWith(ctx, item.Index, item.Query, item.K, seqdb.SearchOptions{})
 			if itemErr == nil {
 				for _, m := range ms {
 					buf = buf[:0]

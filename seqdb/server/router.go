@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"twsearch/internal/core"
 	"twsearch/internal/shard"
 	"twsearch/seqdb"
 	"twsearch/seqdb/client"
@@ -50,23 +51,30 @@ type remoteLeg struct {
 	db string
 }
 
-func (l remoteLeg) Search(ctx context.Context, index string, q []float64, eps float64, opts shard.Options) ([]shard.Match, shard.Stats, error) {
-	return l.c.SearchWith(ctx, l.db, index, q, eps, seqdb.SearchOptions{Parallelism: opts.Parallelism})
+func (l remoteLeg) Search(ctx context.Context, index string, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
+	return l.c.SearchWith(ctx, l.db, index, q, eps, seqdb.SearchOptions{})
 }
 
 func (l remoteLeg) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
 	return l.c.SeqScan(ctx, l.db, q, eps)
 }
 
+// DistanceBound bounds the leg's distances by its dataset summary: its
+// longest sequence and its value range.
+func (l remoteLeg) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+	st, err := l.c.Stats(ctx, l.db)
+	return core.DistanceBound(st.MaxLen, len(q), core.ValueSpan(st.MinValue, st.MaxValue, q)), err
+}
+
 // localLeg adapts a local Source to the coordinator Backend.
 type localLeg struct{ src Source }
 
-func (l localLeg) Search(ctx context.Context, index string, q []float64, eps float64, opts shard.Options) ([]shard.Match, shard.Stats, error) {
+func (l localLeg) Search(ctx context.Context, index string, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
 	var ms []seqdb.Match
 	stats, err := l.src.SearchVisitWith(ctx, index, q, eps, func(m seqdb.Match) bool {
 		ms = append(ms, m)
 		return true
-	}, seqdb.SearchOptions{Parallelism: opts.Parallelism})
+	}, seqdb.SearchOptions{})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -78,6 +86,11 @@ func (l localLeg) Search(ctx context.Context, index string, q []float64, eps flo
 
 func (l localLeg) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
 	return l.src.SeqScanCtx(ctx, q, eps)
+}
+
+func (l localLeg) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+	st, _, err := l.src.SourceStats(ctx)
+	return core.DistanceBound(st.MaxLen, len(q), core.ValueSpan(st.MinValue, st.MaxValue, q)), err
 }
 
 // NewRouter assembles a routing tier over the legs. It contacts every leg
@@ -134,13 +147,13 @@ func (r *Router) SearchVisitWith(ctx context.Context, index string, q []float64,
 	if fn == nil {
 		return seqdb.SearchStats{}, fmt.Errorf("server: nil visitor")
 	}
-	return r.coord.SearchVisit(ctx, index, q, eps, fn, shard.Options{Parallelism: opts.Parallelism})
+	return r.coord.SearchVisit(ctx, index, q, eps, fn)
 }
 
 // SearchKNNWith returns the k globally nearest subsequences across all
 // legs, byte-identical to the same search over the unpartitioned data.
 func (r *Router) SearchKNNWith(ctx context.Context, index string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
-	return r.coord.SearchKNN(ctx, index, q, k, shard.Options{Parallelism: opts.Parallelism})
+	return r.coord.SearchKNN(ctx, index, q, k)
 }
 
 // SeqScanCtx fans the exhaustive baseline out over the legs.

@@ -49,11 +49,9 @@ type Config struct {
 	// IdleTimeout closes connections with no request activity; <= 0 means
 	// 5 minutes.
 	IdleTimeout time.Duration
-	// MaxQueryParallelism caps the per-request parallelism hint: one search
-	// may use at most this many worker goroutines. <= 0 means every search
-	// runs serial regardless of the client's hint — intra-query parallelism
-	// trades per-query latency for machine-wide throughput, so turning it on
-	// is the operator's call, not the client's.
+	// MaxQueryParallelism is ignored: every search is one serial traversal
+	// (HACKING.md "Searches are serial"). The field stays only because the
+	// benchmark under bench/ sets it.
 	MaxQueryParallelism int
 	// Logf, when set, receives one access-log line per request and
 	// connection event (printf-style).
@@ -426,15 +424,6 @@ func writeError(bw *bufio.Writer, err error) error {
 	return wire.WriteFrame(bw, wire.TError, wire.EncodeError(nil, err))
 }
 
-// searchOpts folds a request's parallelism hint against the server cap.
-func (s *Server) searchOpts(hint int) seqdb.SearchOptions {
-	par := hint
-	if par > s.cfg.MaxQueryParallelism {
-		par = s.cfg.MaxQueryParallelism
-	}
-	return seqdb.SearchOptions{Parallelism: par}
-}
-
 // admit claims an admission slot, or fails fast when all are in use.
 func (s *Server) admit() (release func(), ok bool) {
 	select {
@@ -502,7 +491,7 @@ func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, body []byte) (req
 		}
 		res.matches++
 		return true
-	}, s.searchOpts(req.Parallelism))
+	}, seqdb.SearchOptions{})
 	res.stats, res.counted = stats, true
 	if ioErr != nil {
 		return res, ioErr
@@ -540,7 +529,7 @@ func (s *Server) handleKNN(conn net.Conn, bw *bufio.Writer, body []byte) (reqRes
 	ctx, cleanup := s.requestCtx(conn, req.Timeout)
 	defer cleanup()
 
-	ms, stats, err := db.SearchKNNWith(ctx, req.Index, req.Query, req.K, s.searchOpts(req.Parallelism))
+	ms, stats, err := db.SearchKNNWith(ctx, req.Index, req.Query, req.K, seqdb.SearchOptions{})
 	res.stats, res.counted = stats, true
 	if err != nil {
 		res.err = classify(err)

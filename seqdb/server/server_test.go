@@ -597,20 +597,18 @@ func TestClientEarlyStopAndReconnect(t *testing.T) {
 	}
 }
 
-// TestServerParallelHint: a request-level parallelism hint, capped by the
-// server's MaxQueryParallelism, returns answers byte-identical to the serial
-// in-process search — for range search and KNN — and a hint against a
-// serial-only server (the zero config) is silently ignored.
-func TestServerParallelHint(t *testing.T) {
+// TestServerIgnoresParallelism: the options' Parallelism and the server's
+// MaxQueryParallelism are ignored, so a search and a k-NN asking for eight
+// workers through a server configured for eight return the answers and the
+// work counters of the in-process search with the zero options.
+func TestServerIgnoresParallelism(t *testing.T) {
 	leakCheck(t)
 	db := newTestDB(t)
-	s := New(Config{MaxQueryParallelism: 3})
+	s := New(Config{MaxQueryParallelism: 8})
 	if err := s.AddDB("main", db); err != nil {
 		t.Fatal(err)
 	}
-	addr := start(t, s)
-
-	c, err := client.Dial(addr)
+	c, err := client.Dial(start(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,59 +617,69 @@ func TestServerParallelHint(t *testing.T) {
 	ctx := context.Background()
 	q := testQuery(db, "seq-03", 10, 30)
 	const eps = 4.0
+	par := seqdb.SearchOptions{Parallelism: 8}
 
-	want, wantStats, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
+	want, wantStats, err := db.SearchWith(ctx, "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("test query found no matches; pick a better query")
 	}
-	wantKNN, _, err := db.SearchKNNWith(context.Background(), "fast", q, 5, seqdb.SearchOptions{})
+	wantKNN, wantKNNStats, err := db.SearchKNNWith(ctx, "fast", q, 5, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, gotStats, err := c.SearchWith(ctx, "main", "fast", q, eps, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesBitIdentical(want, got) || workCounters(gotStats) != workCounters(wantStats) {
+		t.Fatalf("search: %d answers, counters %v; want %d, %v", len(got), workCounters(gotStats), len(want), workCounters(wantStats))
+	}
+	gotKNN, gotKNNStats, err := c.SearchKNNWith(ctx, "main", "fast", q, 5, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesBitIdentical(wantKNN, gotKNN) || workCounters(gotKNNStats) != workCounters(wantKNNStats) {
+		t.Fatalf("k-NN: counters %v, want %v", workCounters(gotKNNStats), workCounters(wantKNNStats))
+	}
+}
 
-	// A hint above the cap (8 > 3) is capped server-side, never rejected.
-	for _, par := range []int{2, 8} {
-		opts := seqdb.SearchOptions{Parallelism: par}
-		got, gotStats, err := c.SearchWith(ctx, "main", "fast", q, eps, opts)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if !matchesBitIdentical(want, got) {
-			t.Fatalf("par=%d: parallel server answers differ from serial in-process", par)
-		}
-		if gotStats.Answers != wantStats.Answers || gotStats.FilterCells != wantStats.FilterCells {
-			t.Fatalf("par=%d: exact stats differ: answers %d/%d cells %d/%d", par,
-				gotStats.Answers, wantStats.Answers, gotStats.FilterCells, wantStats.FilterCells)
-		}
-		gotKNN, _, err := c.SearchKNNWith(ctx, "main", "fast", q, 5, opts)
-		if err != nil {
-			t.Fatalf("par=%d knn: %v", par, err)
-		}
-		if !matchesBitIdentical(wantKNN, gotKNN) {
-			t.Fatalf("par=%d: parallel server KNN differs from serial in-process", par)
-		}
-	}
+// workCounters is the part of SearchStats a search pins exactly: every
+// counter but the index-wide pool deltas and the wall clock.
+func workCounters(s seqdb.SearchStats) [8]uint64 {
+	return [8]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers, s.EnvelopePruned, s.LBCells}
+}
 
-	// Serial-only server: the hint is capped to 0 (serial) and the request
-	// still succeeds with identical answers.
-	s2 := New(Config{})
-	if err := s2.AddDB("main", db); err != nil {
+// TestServerKNNAboveReachable: a remote k-NN whose k exceeds the number of
+// subsequences there are returns every one of them — what the scan finds
+// at an infinite threshold — after the rounds reach the index's distance
+// bound, not after a threshold no distance comes near.
+func TestServerKNNAboveReachable(t *testing.T) {
+	leakCheck(t)
+	db := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("main", db); err != nil {
 		t.Fatal(err)
 	}
-	addr2 := start(t, s2)
-	c2, err := client.Dial(addr2)
+	c, err := client.Dial(start(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	got, _, err := c2.SearchWith(ctx, "main", "fast", q, eps, seqdb.SearchOptions{Parallelism: 8})
+	defer c.Close()
+
+	ctx := context.Background()
+	q := testQuery(db, "seq-03", 10, 14)
+	all, _, err := db.SeqScanCtx(ctx, q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matchesBitIdentical(want, got) {
-		t.Fatal("serial-only server with a hint differs from in-process")
+	got, _, err := c.SearchKNNWith(ctx, "main", "fast", q, len(all)+1, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesBitIdentical(all, got) {
+		t.Fatalf("k-NN with k = %d: %d answers, want the %d subsequences there are", len(all)+1, len(got), len(all))
 	}
 }

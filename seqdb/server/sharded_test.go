@@ -173,7 +173,7 @@ func TestServerBatch(t *testing.T) {
 	}
 
 	for _, mount := range []string{"flat", "sh3"} {
-		results, agg, err := c.Batch(ctx, mount, queries, seqdb.SearchOptions{})
+		results, agg, err := c.Batch(ctx, mount, queries)
 		if err != nil {
 			t.Fatalf("%s: %v", mount, err)
 		}
@@ -314,7 +314,7 @@ func TestRouterThroughDaemons(t *testing.T) {
 		results, _, err := c.Batch(ctx, name, []client.BatchQuery{
 			{Index: "fast", Eps: eps, Query: q},
 			{Index: "fast", K: 5, Query: q},
-		}, seqdb.SearchOptions{})
+		})
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)
 		}

@@ -47,12 +47,22 @@ type ShardedDB struct {
 // It reports shard-local sequence numbers; the coordinator rebases them.
 type localShard struct{ db *DB }
 
-func (s localShard) Search(ctx context.Context, index string, q []float64, eps float64, opts shard.Options) ([]shard.Match, shard.Stats, error) {
-	return s.db.SearchWith(ctx, index, q, eps, SearchOptions{Parallelism: opts.Parallelism})
+func (s localShard) Search(ctx context.Context, index string, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
+	return s.db.SearchWith(ctx, index, q, eps, SearchOptions{})
 }
 
 func (s localShard) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
 	return s.db.SeqScanCtx(ctx, q, eps)
+}
+
+func (s localShard) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	oi, ok := s.db.indexes[index]
+	if !ok {
+		return 0, errNoIndex(index)
+	}
+	return oi.ix.DistanceBound(q), nil
 }
 
 // PartitionInto splits the database into shards self-contained shard
@@ -335,14 +345,11 @@ func (s *ShardedDB) PoolStats() []IndexPoolStats {
 	return out
 }
 
-// shardOpts converts public search options to the coordinator's form.
-func shardOpts(o SearchOptions) shard.Options { return shard.Options{Parallelism: o.Parallelism} }
-
 // SearchWith runs a sharded range search: every shard in parallel, results
 // merged into the global (sequence, start, end) order — byte-identical to
 // the unsharded SearchWith over the same data.
 func (s *ShardedDB) SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	return s.coord.Search(ctx, indexName, q, eps, shardOpts(opts))
+	return s.coord.Search(ctx, indexName, q, eps)
 }
 
 // SearchVisitWith streams answers to fn in global (sequence, start, end)
@@ -356,14 +363,14 @@ func (s *ShardedDB) SearchVisitWith(ctx context.Context, indexName string, q []f
 	if fn == nil {
 		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
 	}
-	return s.coord.SearchVisit(ctx, indexName, q, eps, fn, shardOpts(opts))
+	return s.coord.SearchVisit(ctx, indexName, q, eps, fn)
 }
 
 // SearchKNNWith returns the k globally nearest subsequences, byte-identical
 // to the unsharded SearchKNNWith: the same threshold-expansion loop, each
 // round one scatter-gather range search over every shard.
 func (s *ShardedDB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
-	return s.coord.SearchKNN(ctx, indexName, q, k, shardOpts(opts))
+	return s.coord.SearchKNN(ctx, indexName, q, k)
 }
 
 // SeqScanCtx fans the exhaustive baseline out over the shards.

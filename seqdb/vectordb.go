@@ -297,7 +297,7 @@ func (db *VectorDB) Search(indexName string, q [][]float64, eps float64) ([]Vect
 	if !ok {
 		return nil, fmt.Errorf("seqdb: no vector index %q", indexName)
 	}
-	ms, _, err := oi.ix.SearchOpts(context.Background(), q, eps, multivar.SearchOptions{})
+	ms, _, err := oi.ix.Search(context.Background(), q, eps)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,7 @@ func (db *VectorDB) SearchKNN(indexName string, q [][]float64, k int) ([]VectorM
 	if !ok {
 		return nil, fmt.Errorf("seqdb: no vector index %q", indexName)
 	}
-	ms, _, err := oi.ix.SearchKNNOpts(context.Background(), q, k, multivar.SearchOptions{})
+	ms, _, err := oi.ix.SearchKNN(context.Background(), q, k)
 	if err != nil {
 		return nil, err
 	}

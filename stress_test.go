@@ -68,7 +68,7 @@ func TestStressFeatureMatrix(t *testing.T) {
 					}
 					for qi, q := range queries {
 						for _, eps := range []float64{1.5, 9.5} {
-							got, _, err := ix.SearchOpts(context.Background(), q, eps, core.SearchOptions{})
+							got, _, err := ix.Search(context.Background(), q, eps)
 							if err != nil {
 								t.Fatalf("%s: search: %v", name, err)
 							}
