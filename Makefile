@@ -71,13 +71,12 @@ race-concurrency:
 
 # Horizontal-sharding determinism under -race, run twice: at shard counts
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
-# answers byte-identical to the unsharded database — in process, through a
-# sharded twsearchd mount, through the routing tier (remote and mixed
-# legs), and over the batch RPC. Also covers the scatter-gather
+# answers byte-identical to the unsharded database — in process and through
+# a sharded twsearchd mount. Also covers the scatter-gather
 # coordinator's partial-failure and merge paths; the partial-failure test
 # orders its shards with gates, and fifty runs hold it to that.
 race-shard:
-	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestServerBatch|TestRouterThroughDaemons|TestPartialFailure|TestSearch|TestScanMerges|TestManifest' ./internal/shard/ ./seqdb/ ./seqdb/server/
+	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest' ./internal/shard/ ./seqdb/ ./seqdb/server/
 	$(GO) test -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from

@@ -11,7 +11,6 @@
 //	seqdbctl query   -db DIR -name NAME -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl scan    -db DIR -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl shard   -db DIR -out DIR -shards N [-name NAME -method ... -cats N]
-//	seqdbctl batch   -addr host:port -file FILE [-dbname NAME] [-timeout D]
 //
 // Wherever -db takes a directory, a sharded database root (a directory
 // holding a MANIFEST.shards, as written by the shard subcommand) works
@@ -20,8 +19,7 @@
 //
 // query, scan, and knn also run against a twsearchd daemon instead of a
 // local directory: pass -addr host:port (with -q, since the server does
-// not expose raw sequence values for -from cuts). batch is remote-only:
-// it ships a whole query file in one round-trip.
+// not expose raw sequence values for -from cuts).
 //
 // Exit codes: 0 success, 1 generic error, 2 usage, 3 deadline exceeded
 // (-timeout hit locally or on the server), 4 server overloaded.
@@ -75,8 +73,6 @@ func main() {
 		err = cmdTune(args)
 	case "shard":
 		err = cmdShard(args)
-	case "batch":
-		err = cmdBatch(args)
 	default:
 		usage()
 	}
@@ -168,7 +164,7 @@ func parseQueryValues(s string) ([]float64, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: seqdbctl create|gen|import|stats|index|drop|query|scan|knn|align|tune|shard|batch [flags]")
+	fmt.Fprintln(os.Stderr, "usage: seqdbctl create|gen|import|stats|index|drop|query|scan|knn|align|tune|shard [flags]")
 	os.Exit(2)
 }
 

@@ -5,15 +5,11 @@
 //
 // Usage:
 //
-//	twsearchd -db [name=]dir [-db ...] [-route [name=]leg,leg,...] [-addr host:port] [flags]
+//	twsearchd -db [name=]dir [-db ...] [-addr host:port] [flags]
 //
 // A -db dir may be a plain database directory or a sharded database root
 // (holding a MANIFEST.shards); sharding is auto-detected and searches fan
-// out over the shards. A -route mount assembles a routing tier over
-// comma-separated legs — each leg a local directory (plain or sharded) or
-// `@addr/db`, a database mounted on another twsearchd — serving them as
-// one logical database with consecutive legs holding consecutive slices
-// of the sequence numbering.
+// out over the shards.
 //
 // SIGINT/SIGTERM trigger a graceful drain: listeners close, in-flight
 // searches are canceled through their contexts, and the process exits
@@ -62,42 +58,6 @@ func (f *dbFlag) Set(v string) error {
 	return nil
 }
 
-// routeFlag collects repeated -route [name=]leg,leg,... routed mounts.
-type routeFlag struct {
-	names []string
-	specs [][]string
-}
-
-func (f *routeFlag) String() string {
-	parts := make([]string, len(f.specs))
-	for i, legs := range f.specs {
-		parts[i] = strings.Join(legs, ",")
-	}
-	return strings.Join(parts, " ")
-}
-
-func (f *routeFlag) Set(v string) error {
-	name, spec := "", v
-	if i := strings.IndexByte(v, '='); i >= 0 {
-		name, spec = v[:i], v[i+1:]
-	}
-	if spec == "" {
-		return errors.New("empty route spec")
-	}
-	if name == "" {
-		name = "routed"
-	}
-	legs := strings.Split(spec, ",")
-	for _, leg := range legs {
-		if strings.TrimSpace(leg) == "" {
-			return fmt.Errorf("route %q has an empty leg", v)
-		}
-	}
-	f.names = append(f.names, name)
-	f.specs = append(f.specs, legs)
-	return nil
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "twsearchd:", err)
@@ -112,8 +72,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	fs.SetOutput(stdout)
 	var dbs dbFlag
 	fs.Var(&dbs, "db", "database to serve, `[name=]dir` (repeatable; name defaults to the dir's base name; sharded roots auto-detected)")
-	var routes routeFlag
-	fs.Var(&routes, "route", "routed database, `[name=]leg,leg,...` where a leg is a local dir or @addr/db (repeatable; name defaults to \"routed\")")
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
 	maxInFlight := fs.Int("max-in-flight", 0, "max concurrent searches before overload fast-fail (0 = default)")
 	searchTimeout := fs.Duration("search-timeout", 0, "server-side cap per search (0 = none)")
@@ -125,8 +83,8 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if len(dbs.dirs) == 0 && len(routes.specs) == 0 {
-		return errors.New("no databases: pass at least one -db [name=]dir or -route [name=]leg,...")
+	if len(dbs.dirs) == 0 {
+		return errors.New("no databases: pass at least one -db [name=]dir")
 	}
 	backend, err := seqdb.ParseBackend(*backendName)
 	if err != nil {
@@ -180,30 +138,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		}
 		logf("mounted db %q from %s (%d sequences, indexes: %s)",
 			dbs.names[i], dir, db.Len(), strings.Join(db.Indexes(), ", "))
-	}
-	for i, legSpecs := range routes.specs {
-		legs := make([]server.Leg, len(legSpecs))
-		for j, spec := range legSpecs {
-			leg, closeFn, err := server.ParseLegSpecWith(spec, openOpts)
-			if err != nil {
-				return fmt.Errorf("route %q leg %s: %w", routes.names[i], spec, err)
-			}
-			mounted = append(mounted, closeFn)
-			legs[j] = leg
-		}
-		router, err := server.NewRouter(context.Background(), legs)
-		if err != nil {
-			return fmt.Errorf("route %q: %w", routes.names[i], err)
-		}
-		if err := s.AddSource(routes.names[i], router); err != nil {
-			return err
-		}
-		total := 0
-		for _, r := range router.ShardRanges() {
-			total += r.Count
-		}
-		logf("mounted routed db %q over %d legs (%d sequences, %d shards)",
-			routes.names[i], router.Legs(), total, len(router.ShardRanges()))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -38,13 +38,13 @@ func (ix *Index) SearchKNN(ctx context.Context, q []float64, k int) ([]Match, Se
 
 // DistanceBound is RunKNN's bound for q over the index's data.
 func (ix *Index) DistanceBound(q []float64) float64 {
-	return ix.KNNBound(len(q), ValueSpan(ix.lo, ix.hi, q))
+	return ix.KNNBound(len(q), valueSpan(ix.lo, ix.hi, q))
 }
 
-// ValueSpan returns the width of the smallest interval holding [lo, hi] and
+// valueSpan returns the width of the smallest interval holding [lo, hi] and
 // every value of q: no base distance between q and data in [lo, hi] is
 // larger.
-func ValueSpan(lo, hi float64, q []float64) float64 {
+func valueSpan(lo, hi float64, q []float64) float64 {
 	for _, v := range q {
 		lo, hi = min(lo, v), max(hi, v)
 	}

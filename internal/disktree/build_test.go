@@ -190,7 +190,7 @@ func TestBuildFailureLeavesNoScratch(t *testing.T) {
 			if !errors.As(err, &dup) || !c.culprit(dup.Seq) {
 				t.Fatalf("%s: sequences listed twice: err = %v, want a DuplicateSuffixError on one of them", c.name, err)
 			}
-			if after != before {
+			if after > before {
 				t.Errorf("%s, GOMAXPROCS=%d: %d goroutines after the failed build, %d before", c.name, procs, after, before)
 			}
 			entries, err := os.ReadDir(dir)
@@ -214,7 +214,9 @@ func TestBuildFailureLeavesNoScratch(t *testing.T) {
 
 // goroutinesAfter returns the goroutine count once it is back to before, or
 // what it still is after two seconds: a goroutine that has signalled its end
-// may be counted for a moment longer.
+// may be counted for a moment longer. Callers fail only on a count above
+// before: an earlier test's goroutine still exiting when before was sampled
+// may be gone by now, while a leak stays above before for the whole wait.
 func goroutinesAfter(before int) int {
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		if n := runtime.NumGoroutine(); n <= before || time.Now().After(deadline) {
@@ -282,7 +284,7 @@ func TestWriteFailureSurfaces(t *testing.T) {
 		w.app.sink = sink
 		before := runtime.NumGoroutine()
 		f, err := buildWith(w, big, allSeqs(big), BuildOptions{PoolPages: 8})
-		if after := goroutinesAfter(before); after != before {
+		if after := goroutinesAfter(before); after > before {
 			t.Errorf("chunk %d failing: %d goroutines after the build, %d before", failAt, after, before)
 		}
 		if err == nil {

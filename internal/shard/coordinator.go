@@ -19,8 +19,8 @@ type Stats = core.SearchStats
 // answers range searches (and scans) over its own slice of the sequences.
 // Matches come back in the shard's local (sequence, start, end) order with
 // shard-local sequence numbers; the coordinator adds the shard's base
-// offset. A *seqdb.DB, a remote twsearchd reached through seqdb/client, and
-// a test fake all implement it.
+// offset. seqdb's in-process shard of a ShardedDB and a test fake implement
+// it.
 type Backend interface {
 	// Search runs a range search through the named index and returns the
 	// complete local answer set sorted by (sequence, start, end).
@@ -29,7 +29,7 @@ type Backend interface {
 	Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error)
 	// DistanceBound returns a number no finite distance between q and a
 	// subsequence the named index can return exceeds (core.DistanceBound).
-	DistanceBound(ctx context.Context, index string, q []float64) (float64, error)
+	DistanceBound(index string, q []float64) (float64, error)
 }
 
 // PartialError reports a scatter-gather search in which one or more shards
@@ -246,7 +246,7 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 	}
 	bound := 0.0
 	for i, b := range c.backends {
-		bi, err := b.DistanceBound(ctx, index, q)
+		bi, err := b.DistanceBound(index, q)
 		if err != nil {
 			return nil, Stats{}, &PartialError{Failed: []int{i}, Cause: err}
 		}
@@ -259,7 +259,7 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 
 // PositionLess orders matches by (sequence, start, end) — the engine's
 // deterministic output order, and the one comparison every layer that sorts
-// matches (coordinator, client, routing tier) shares.
+// matches (coordinator, client) shares.
 func PositionLess(a, b Match) bool {
 	if a.Seq != b.Seq {
 		return a.Seq < b.Seq

@@ -61,7 +61,7 @@ func (b *fakeBackend) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 
 // DistanceBound is the largest distance the fake holds: every one of its
 // answers is reachable.
-func (b *fakeBackend) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+func (b *fakeBackend) DistanceBound(index string, q []float64) (float64, error) {
 	if b.boundErr != nil {
 		return 0, b.boundErr
 	}

@@ -24,14 +24,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	done := Done{Stats: core.SearchStats{NodesVisited: 3, Answers: 1, Elapsed: time.Millisecond}}
 	stats := StatsResp{Pools: []PoolInfo{{Index: "ix", Shards: []PoolShard{{Hits: 1}}}}}
 	idx := IndexesResp{Indexes: []IndexInfo{{Name: "ix", Method: "paa", Sparse: true, Window: -1}}}
-	breq := BatchReq{DB: "db", Timeout: time.Second, Items: []BatchItem{
-		{Op: BatchOpSearch, Index: "ix", Eps: 0.5, Query: []float64{1, 2}},
-		{Op: BatchOpKNN, Index: "ix", K: 3, Query: []float64{4}},
-	}}
-	bmatch := BatchMatch{ID: 1, SeqID: "s", Seq: 2, Start: 3, End: 9, Distance: 0.5}
-	bdone := BatchItemDone{ID: 1, Stats: core.SearchStats{Answers: 2, Elapsed: time.Millisecond}}
-	berr := BatchItemError{ID: 1, Code: CodeNotFound, Msg: "no such index"}
-	shresp := ShardsResp{Ranges: []ShardRange{{Start: 0, Count: 3}, {Start: 3, Count: 2}}}
 	partial := &Error{Code: CodeShardUnavailable, Msg: "shard 1 lost", Answered: []int{0, 2}}
 
 	// One well-formed body per frame type.
@@ -46,29 +38,25 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(TError, EncodeError(nil, partial))
 	f.Add(TStatsResp, stats.Encode(nil))
 	f.Add(TIndexes, idx.Encode(nil))
-	f.Add(TBatch, breq.Encode(nil))
-	f.Add(TBatchMatch, bmatch.Encode(nil))
-	f.Add(TBatchItemDone, bdone.Encode(nil))
-	f.Add(TBatchItemError, berr.Encode(nil))
-	f.Add(TShards, (&ShardsReq{DB: "db"}).Encode(nil))
-	f.Add(TShardsResp, shresp.Encode(nil))
 	// Bodies one edit away from well-formed that the decoders must refuse:
-	// the layouts of retired protocol versions and the k-NN counts no sender
-	// can mean. They start the fuzzer at the boundary between accepted and
-	// rejected frames.
-	f.Add(TSearch, v5SearchReq(&sreq, 4))
+	// the layouts of retired protocol versions, the k-NN counts no sender
+	// can mean, a non-canonical boolean and an empty body. They start the
+	// fuzzer at the boundary between accepted and rejected frames.
+	f.Add(TSearch, v5Req(sreq.Encode(nil), len(sreq.Query), 4))
+	f.Add(TKNN, v5Req(kreq.Encode(nil), len(kreq.Query), 4))
 	f.Add(TKNN, (&KNNReq{DB: "db", Index: "ix", K: -1, Query: []float64{4}}).Encode(nil))
+	f.Add(TKNN, (&KNNReq{DB: "db", Index: "ix", Query: []float64{4}}).Encode(nil))
 	f.Add(TError, oldError(partial))
-	f.Add(TBatch, (&BatchReq{DB: "db", Items: []BatchItem{{Op: BatchOpKNN, Index: "ix", Query: []float64{4}}}}).Encode(nil))
-	f.Add(TShardsResp, []byte{})
+	sparse := (&IndexesResp{Indexes: []IndexInfo{{}}}).Encode(nil)
+	sparse[16] = 2 // count, name, method, categories: the Sparse byte
+	f.Add(TIndexes, sparse)
+	f.Add(TStatsResp, []byte{})
 
-	// The zero value of every message, where a field written only when it
-	// is non-zero would show; TestRoundTripZeroAndExtreme checks these
-	// bodies directly.
+	// The zero and the extreme value of every message, where a field
+	// written only for some values would show; TestRoundTripZeroAndExtreme
+	// checks these bodies directly.
 	for _, tc := range roundTripCases() {
-		if tc.zero {
-			f.Add(tc.typ, tc.body)
-		}
+		f.Add(tc.typ, tc.body)
 	}
 
 	f.Fuzz(func(t *testing.T, typ byte, body []byte) {
@@ -89,22 +77,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 // codecs maps each frame type to decode-then-encode over its body.
 var codecs = map[byte]func(body []byte) ([]byte, error){
-	TSearch:         reencode(DecodeSearchReq, (*SearchReq).Encode),
-	TKNN:            reencode(DecodeKNNReq, (*KNNReq).Encode),
-	TScan:           reencode(DecodeScanReq, (*ScanReq).Encode),
-	TStats:          reencode(DecodeStatsReq, (*StatsReq).Encode),
-	TListIndexes:    reencode(DecodeListIndexesReq, (*ListIndexesReq).Encode),
-	TMatch:          reencode(DecodeMatch, (*Match).Encode),
-	TDone:           reencode(DecodeDone, (*Done).Encode),
-	TError:          reencode(DecodeError, func(e **Error, b []byte) []byte { return EncodeError(b, *e) }),
-	TStatsResp:      reencode(DecodeStatsResp, (*StatsResp).Encode),
-	TIndexes:        reencode(DecodeIndexesResp, (*IndexesResp).Encode),
-	TBatch:          reencode(DecodeBatchReq, (*BatchReq).Encode),
-	TBatchMatch:     reencode(DecodeBatchMatch, (*BatchMatch).Encode),
-	TBatchItemDone:  reencode(DecodeBatchItemDone, (*BatchItemDone).Encode),
-	TBatchItemError: reencode(DecodeBatchItemError, (*BatchItemError).Encode),
-	TShards:         reencode(DecodeShardsReq, (*ShardsReq).Encode),
-	TShardsResp:     reencode(DecodeShardsResp, (*ShardsResp).Encode),
+	TSearch:      reencode(DecodeSearchReq, (*SearchReq).Encode),
+	TKNN:         reencode(DecodeKNNReq, (*KNNReq).Encode),
+	TScan:        reencode(DecodeScanReq, (*ScanReq).Encode),
+	TStats:       reencode(DecodeStatsReq, (*StatsReq).Encode),
+	TListIndexes: reencode(DecodeListIndexesReq, (*ListIndexesReq).Encode),
+	TMatch:       reencode(DecodeMatch, (*Match).Encode),
+	TDone:        reencode(DecodeDone, (*Done).Encode),
+	TError:       reencode(DecodeError, func(e **Error, b []byte) []byte { return EncodeError(b, *e) }),
+	TStatsResp:   reencode(DecodeStatsResp, (*StatsResp).Encode),
+	TIndexes:     reencode(DecodeIndexesResp, (*IndexesResp).Encode),
 }
 
 func reencode[M any](decode func([]byte) (M, error), encode func(*M, []byte) []byte) func([]byte) ([]byte, error) {
@@ -117,16 +99,15 @@ func reencode[M any](decode func([]byte) (M, error), encode func(*M, []byte) []b
 	}
 }
 
-// roundTripCase is one encoded message: its frame type, and whether it is
-// the type's zero value (or, for KNNReq, the smallest valid one).
+// roundTripCase is one encoded message and its frame type.
 type roundTripCase struct {
 	name string
 	typ  byte
-	zero bool
 	body []byte
 }
 
-// roundTripCases encodes every message type twice: as its zero value, and
+// roundTripCases encodes every message type twice: as its zero value (for
+// KNNReq, the smallest valid one), and
 // with every field at a non-zero extreme — the widest unsigned ids,
 // negative floats and durations, empty and non-empty strings and slices.
 func roundTripCases() []roundTripCase {
@@ -141,7 +122,7 @@ func roundTripCases() []roundTripCase {
 		return roundTripCase{name: name + "/extreme", typ: typ, body: body}
 	}
 	zero := func(name string, typ byte, body []byte) roundTripCase {
-		return roundTripCase{name: name + "/zero", typ: typ, zero: true, body: body}
+		return roundTripCase{name: name + "/zero", typ: typ, body: body}
 	}
 	return []roundTripCase{
 		zero("SearchReq", TSearch, (&SearchReq{}).Encode(nil)),
@@ -182,26 +163,6 @@ func roundTripCases() []roundTripCase {
 				MinAnswerLen: maxU32, SizeBytes: math.MinInt64, Leaves: math.MaxUint64, Nodes: math.MaxUint64},
 			{},
 		}}).Encode(nil)),
-		zero("BatchReq", TBatch, (&BatchReq{}).Encode(nil)),
-		extreme("BatchReq", TBatch, (&BatchReq{DB: "", Timeout: math.MinInt64,
-			Items: []BatchItem{
-				{Op: BatchOpKNN, Index: "", Eps: -math.MaxFloat64, K: math.MaxInt32},
-				{Op: BatchOpSearch, Index: "ix", Eps: -1, Query: []float64{-3, 4}},
-			}}).Encode(nil)),
-		zero("BatchMatch", TBatchMatch, (&BatchMatch{}).Encode(nil)),
-		extreme("BatchMatch", TBatchMatch, (&BatchMatch{ID: maxU32, SeqID: "", Seq: maxU32,
-			Start: maxU32, End: maxU32, Distance: -0.125}).Encode(nil)),
-		zero("BatchItemDone", TBatchItemDone, (&BatchItemDone{}).Encode(nil)),
-		extreme("BatchItemDone", TBatchItemDone, (&BatchItemDone{ID: maxU32, Stats: stats}).Encode(nil)),
-		zero("BatchItemError", TBatchItemError, (&BatchItemError{}).Encode(nil)),
-		extreme("BatchItemError", TBatchItemError, (&BatchItemError{ID: maxU32, Code: math.MaxUint8,
-			Msg: ""}).Encode(nil)),
-		zero("ShardsReq", TShards, (&ShardsReq{}).Encode(nil)),
-		extreme("ShardsReq", TShards, (&ShardsReq{DB: "db"}).Encode(nil)),
-		zero("ShardsResp", TShardsResp, (&ShardsResp{}).Encode(nil)),
-		extreme("ShardsResp", TShardsResp, (&ShardsResp{Ranges: []ShardRange{
-			{Start: math.MinInt64, Count: math.MaxInt64}, {},
-		}}).Encode(nil)),
 	}
 }
 
@@ -230,11 +191,11 @@ func TestRoundTripZeroAndExtreme(t *testing.T) {
 	}
 }
 
-// v5SearchReq lays m out as protocol version 5 did: the current body with
-// a 4-byte parallelism word in front of the query.
-func v5SearchReq(m *SearchReq, parallelism uint32) []byte {
-	b := m.Encode(nil)
-	at := len(b) - (4 + 8*len(m.Query))
+// v5Req lays a search or k-NN request body out as protocol version 5 did:
+// the current body, whose query holds n values, with a 4-byte parallelism
+// word in front of the query.
+func v5Req(b []byte, n int, parallelism uint32) []byte {
+	at := len(b) - (4 + 8*n)
 	v5 := binary.LittleEndian.AppendUint32(append([]byte(nil), b[:at]...), parallelism)
 	return append(v5, b[at:]...)
 }

@@ -63,7 +63,10 @@ func (m *KNNReq) Encode(b []byte) []byte {
 	return appendFloats(b, m.Query)
 }
 
-// DecodeKNNReq parses a TKNN body, refusing a K that checkK rejects.
+// DecodeKNNReq parses a TKNN body, refusing a K no sender can mean. K
+// travels as a uint32, so a negative int on the sending side arrives above
+// math.MaxInt32 (or negative where int is 32 bits) and would pass every
+// k <= 0 check downstream; a k-NN request also needs at least one neighbor.
 func DecodeKNNReq(body []byte) (KNNReq, error) {
 	r := NewReader(body)
 	m := KNNReq{
@@ -76,18 +79,10 @@ func DecodeKNNReq(body []byte) (KNNReq, error) {
 	if err := r.Err(); err != nil {
 		return m, err
 	}
-	return m, checkK(m.K, true)
-}
-
-// checkK refuses a K no sender can mean. K travels as a uint32, so a
-// negative int on the sending side arrives above math.MaxInt32 (or negative
-// where int is 32 bits) and would pass every k <= 0 check downstream; a
-// k-NN request also needs at least one neighbor.
-func checkK(k int, knn bool) error {
-	if k < 0 || k > math.MaxInt32 || (knn && k == 0) {
-		return fmt.Errorf("wire: bad frame: k = %d (k must be positive)", uint32(k))
+	if m.K <= 0 || m.K > math.MaxInt32 {
+		return m, fmt.Errorf("wire: bad frame: k = %d (k must be positive)", uint32(m.K))
 	}
-	return nil
+	return m, nil
 }
 
 // ScanReq asks for the exhaustive sequential-scan baseline.

@@ -38,7 +38,7 @@ import (
 // the codecs know: the handshake refuses a peer with any other version, so
 // every message has one Encode and one Decode. Changing a layout means
 // bumping Version and rebuilding both sides.
-const Version = 6
+const Version = 7
 
 // magic identifies a twsearchd connection.
 var magic = [4]byte{'T', 'W', 'S', 'D'}
@@ -55,18 +55,12 @@ const (
 	TScan        byte = 0x03 // ScanReq: exhaustive sequential scan
 	TStats       byte = 0x04 // StatsReq: dataset summary statistics
 	TListIndexes byte = 0x05 // ListIndexesReq: open indexes of a DB
-	TBatch       byte = 0x06 // BatchReq: many queries in one round-trip
-	TShards      byte = 0x07 // ShardsReq: shard topology of a DB
 
-	TMatch          byte = 0x10 // Match: one streamed answer
-	TDone           byte = 0x11 // Done: end of a match stream, with stats
-	TError          byte = 0x12 // ErrorFrame: request failed
-	TStatsResp      byte = 0x13 // StatsResp: answer to TStats
-	TIndexes        byte = 0x14 // IndexesResp: answer to TListIndexes
-	TBatchMatch     byte = 0x15 // BatchMatch: one answer of one batch item
-	TBatchItemDone  byte = 0x16 // BatchItemDone: one batch item finished
-	TBatchItemError byte = 0x17 // BatchItemError: one batch item failed
-	TShardsResp     byte = 0x18 // ShardsResp: answer to TShards
+	TMatch     byte = 0x10 // Match: one streamed answer
+	TDone      byte = 0x11 // Done: end of a match stream, with stats
+	TError     byte = 0x12 // ErrorFrame: request failed
+	TStatsResp byte = 0x13 // StatsResp: answer to TStats
+	TIndexes   byte = 0x14 // IndexesResp: answer to TListIndexes
 )
 
 // ErrBadMagic reports a handshake that is not a twsearchd hello.

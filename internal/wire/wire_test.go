@@ -45,8 +45,8 @@ func TestHelloBadVersion(t *testing.T) {
 	b := buf.Bytes()
 	// The neighbors of the one supported version are refused like any other;
 	// 5 is the layout that still carried a parallelism word in the search,
-	// k-NN and batch requests.
-	for _, v := range []uint16{5, Version - 1, Version + 1, 0xFFFF} {
+	// k-NN and batch requests, 6 the last with the batch and topology frames.
+	for _, v := range []uint16{5, 6, Version - 1, Version + 1, 0xFFFF} {
 		b[4], b[5] = byte(v), byte(v>>8)
 		got, err := ReadHello(bytes.NewReader(b))
 		if !errors.Is(err, ErrVersion) || got != v {
@@ -324,7 +324,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// A body in a retired version's layout (version 5 carried a parallelism
 	// word before the query) is refused by the reader, not mis-parsed.
 	for _, par := range []uint32{0, 4} {
-		old := v5SearchReq(&SearchReq{DB: "d", Index: "i", Eps: 1, Query: []float64{1, 2, 3}}, par)
+		old := v5Req((&SearchReq{DB: "d", Index: "i", Eps: 1, Query: []float64{1, 2, 3}}).Encode(nil), 3, par)
 		if _, err := DecodeSearchReq(old); err == nil || !strings.Contains(err.Error(), "wire:") {
 			t.Fatalf("version-5 SearchReq body, parallelism %d: err = %v, want a reader error", par, err)
 		}
@@ -336,13 +336,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		body := (&KNNReq{DB: "d", Index: "i", K: k, Query: []float64{1}}).Encode(nil)
 		if _, err := DecodeKNNReq(body); err == nil || !strings.Contains(err.Error(), "k must be positive") {
 			t.Errorf("KNNReq k=%d: err = %v, want k must be positive", k, err)
-		}
-		batch := (&BatchReq{DB: "d", Items: []BatchItem{
-			{Op: BatchOpSearch, Index: "i", Eps: 1, Query: []float64{1}},
-			{Op: BatchOpKNN, Index: "i", K: k, Query: []float64{1}},
-		}}).Encode(nil)
-		if _, err := DecodeBatchReq(batch); err == nil || !strings.Contains(err.Error(), "k must be positive") {
-			t.Errorf("BatchReq k-NN item k=%d: err = %v, want k must be positive", k, err)
 		}
 	}
 	if _, err := DecodeKNNReq((&KNNReq{DB: "d", Index: "i", K: math.MaxInt32, Query: []float64{1}}).Encode(nil)); err != nil {

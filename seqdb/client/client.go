@@ -15,9 +15,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
+	"twsearch/internal/shard"
 	"twsearch/internal/wire"
 	"twsearch/seqdb"
 )
@@ -249,6 +251,12 @@ func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, 
 	}
 	sortMatches(ms)
 	return ms, stats, nil
+}
+
+// sortMatches puts matches in the deterministic (sequence, start, end)
+// order the in-process seqdb API returns.
+func sortMatches(ms []seqdb.Match) {
+	sort.Slice(ms, func(i, j int) bool { return shard.PositionLess(ms[i], ms[j]) })
 }
 
 // SearchKNNWith returns the k nearest subsequences; order mirrors the

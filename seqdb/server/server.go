@@ -81,7 +81,7 @@ type Server struct {
 
 	// mu guards dbs, lns, conns and draining. Never held across I/O.
 	mu       sync.Mutex
-	dbs      map[string]Source
+	dbs      map[string]source
 	lns      map[net.Listener]struct{}
 	conns    map[net.Conn]struct{}
 	draining bool
@@ -114,7 +114,7 @@ func New(cfg Config) *Server {
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		ctx:    ctx,
 		cancel: cancel,
-		dbs:    map[string]Source{},
+		dbs:    map[string]source{},
 		lns:    map[net.Listener]struct{}{},
 		conns:  map[net.Conn]struct{}{},
 	}
@@ -123,19 +123,18 @@ func New(cfg Config) *Server {
 // AddDB mounts an open unsharded database under name. The server does not
 // own the DB: closing it remains the caller's job, after Shutdown returns.
 func (s *Server) AddDB(name string, db *seqdb.DB) error {
-	return s.AddSource(name, dbSource{db})
+	return s.addSource(name, db)
 }
 
 // AddSharded mounts an open sharded database under name; searches against
 // it fan out over its shards. Ownership stays with the caller, as with
 // AddDB.
 func (s *Server) AddSharded(name string, db *seqdb.ShardedDB) error {
-	return s.AddSource(name, shardedSource{db})
+	return s.addSource(name, db)
 }
 
-// AddSource mounts any Source — including a Router spanning local
-// directories and remote daemons — under name.
-func (s *Server) AddSource(name string, src Source) error {
+// addSource mounts a database of either kind under name.
+func (s *Server) addSource(name string, src source) error {
 	if name == "" {
 		return errors.New("server: empty db name")
 	}
@@ -165,7 +164,7 @@ func (s *Server) DBNames() []string {
 
 // lookupDB resolves a request's database name. The empty name is a
 // convenience that resolves iff exactly one DB is mounted.
-func (s *Server) lookupDB(name string) (Source, error) {
+func (s *Server) lookupDB(name string) (source, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if name == "" {
@@ -400,10 +399,6 @@ func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, t byte, body []b
 		res, ioErr = s.handleStats(bw, body)
 	case wire.TListIndexes:
 		res, ioErr = s.handleListIndexes(bw, body)
-	case wire.TBatch:
-		res, ioErr = s.handleBatch(conn, bw, body)
-	case wire.TShards:
-		res, ioErr = s.handleShards(bw, body)
 	default:
 		res.op = fmt.Sprintf("frame-%#x", t)
 		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unknown frame type %#x", t)}
@@ -602,13 +597,8 @@ func (s *Server) handleStats(bw *bufio.Writer, body []byte) (reqResult, error) {
 		res.err = err
 		return res, writeError(bw, err)
 	}
-	stats, pools, err := db.SourceStats(s.ctx)
-	if err != nil {
-		res.err = classify(err)
-		return res, writeError(bw, res.err)
-	}
-	resp := wire.StatsResp{Stats: stats}
-	for _, p := range pools {
+	resp := wire.StatsResp{Stats: db.Stats()}
+	for _, p := range db.PoolStats() {
 		info := wire.PoolInfo{Index: p.Index, Shards: make([]wire.PoolShard, len(p.Shards))}
 		for i, sh := range p.Shards {
 			info.Shards[i] = wire.PoolShard{Hits: sh.Hits, Misses: sh.Misses, Evictions: sh.Evictions}
@@ -631,13 +621,15 @@ func (s *Server) handleListIndexes(bw *bufio.Writer, body []byte) (reqResult, er
 		res.err = err
 		return res, writeError(bw, err)
 	}
-	infos, err := db.SourceIndexes(s.ctx)
-	if err != nil {
-		res.err = classify(err)
-		return res, writeError(bw, res.err)
-	}
+	names := db.Indexes()
+	sort.Strings(names)
 	var resp wire.IndexesResp
-	for _, info := range infos {
+	for _, name := range names {
+		info, err := db.Index(name)
+		if err != nil {
+			res.err = classify(err)
+			return res, writeError(bw, res.err)
+		}
 		resp.Indexes = append(resp.Indexes, wire.IndexInfo{
 			Name:         info.Name,
 			Method:       string(info.Spec.Method),
@@ -655,12 +647,12 @@ func (s *Server) handleListIndexes(bw *bufio.Writer, body []byte) (reqResult, er
 
 // classify folds a search error into its wire shape: lookup failures are
 // not-found, context outcomes keep their deadline/shutdown meaning, a
-// scatter-gather partial failure becomes shard-unavailable carrying the
-// answered shards, and anything else is a bad request from the client's
-// point of view (the search engine validates inputs, it does not fail
-// spontaneously). The context cases run first even for partial failures: a
-// request whose deadline expired mid-fan-out is a deadline outcome, not a
-// shard outage.
+// scatter-gather partial failure over a sharded mount becomes
+// shard-unavailable carrying the answered shards, and anything else is a
+// bad request from the client's point of view (the search engine validates
+// inputs, it does not fail spontaneously). The context cases run first even
+// for partial failures: a request whose deadline expired mid-fan-out is a
+// deadline outcome, not a shard outage.
 func classify(err error) error {
 	switch {
 	case errors.Is(err, seqdb.ErrNoIndex):
@@ -670,10 +662,6 @@ func classify(err error) error {
 	case errors.Is(err, context.Canceled):
 		return &wire.Error{Code: wire.CodeShutdown, Msg: err.Error()}
 	}
-	// The partial-failure check precedes the generic typed-error
-	// passthrough: a remote leg's own wire error (say, overloaded) wrapped
-	// in a PartialError describes one shard, while this request's outcome
-	// is "the search lost shards".
 	var pe *seqdb.PartialError
 	if errors.As(err, &pe) {
 		return &wire.Error{
@@ -681,10 +669,6 @@ func classify(err error) error {
 			Msg:      err.Error(),
 			Answered: append([]int(nil), pe.Answered...),
 		}
-	}
-	var we *wire.Error
-	if errors.As(err, &we) {
-		return we
 	}
 	return &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 }

@@ -320,6 +320,74 @@ func TestServerKNNRejectsBadK(t *testing.T) {
 	}
 }
 
+// TestServerRefusesFreedFrameTypes: up to protocol version 6, frame types
+// 0x06 and 0x07 carried the batch and topology requests. After a version-7
+// hello each is an unknown frame type, answered with a bad-request error
+// frame, and the same connection then streams a search's answers
+// bit-identically to the in-process visitor.
+func TestServerRefusesFreedFrameTypes(t *testing.T) {
+	leakCheck(t)
+	db := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("main", db); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []byte{0x06, 0x07} {
+		if err := wire.WriteFrame(conn, typ, (&wire.StatsReq{DB: "main"}).Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		rt, body, err := wire.ReadFrame(conn)
+		if err != nil || rt != wire.TError {
+			t.Fatalf("frame %#x: reply = (%#x, %v), want TError", typ, rt, err)
+		}
+		we, err := wire.DecodeError(body)
+		if err != nil || we.Code != wire.CodeBadRequest || !strings.Contains(we.Msg, "unknown frame type") {
+			t.Fatalf("frame %#x: error = %v (%v), want bad-request unknown frame type", typ, we, err)
+		}
+	}
+
+	q := testQuery(db, "seq-03", 10, 30)
+	var want, got []seqdb.Match
+	if _, err := db.SearchVisitWith(context.Background(), "fast", q, 4, func(m seqdb.Match) bool {
+		want = append(want, m)
+		return true
+	}, seqdb.SearchOptions{}); err != nil || len(want) == 0 {
+		t.Fatalf("in-process search: %d matches, %v", len(want), err)
+	}
+	req := wire.SearchReq{DB: "main", Index: "fast", Eps: 4, Query: q}
+	if err := wire.WriteFrame(conn, wire.TSearch, req.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		rt, body, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt == wire.TDone {
+			break
+		}
+		wm, err := wire.DecodeMatch(body)
+		if rt != wire.TMatch || err != nil {
+			t.Fatalf("frame %#x in the match stream (%v)", rt, err)
+		}
+		got = append(got, seqdb.Match{SeqID: wm.SeqID, Seq: wm.Seq, Start: wm.Start, End: wm.End, Distance: wm.Distance})
+	}
+	if !matchesBitIdentical(want, got) {
+		t.Errorf("search after the refused frames: %d matches, want %d bit-identical", len(got), len(want))
+	}
+}
+
 func TestServerDeadline(t *testing.T) {
 	leakCheck(t)
 	db := newTestDB(t)

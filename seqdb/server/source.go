@@ -2,82 +2,29 @@ package server
 
 import (
 	"context"
-	"sort"
 
 	"twsearch/seqdb"
 )
 
-// Source is what the server mounts under a database name: anything that
-// can answer the search-shaped requests and the metadata requests of the
-// wire protocol. A local unsharded database, a local sharded database, and
-// the Router (which fans out over local directories and remote daemons)
-// all implement it, so every handler is agnostic about where the sequences
-// actually live.
-//
-// The metadata methods take a context because a Source may need the
-// network to answer them (a Router with remote legs); purely local sources
-// ignore it.
-type Source interface {
+// source is what the server mounts under a database name: the methods
+// *seqdb.DB and *seqdb.ShardedDB share, which answer the search-shaped and
+// the metadata requests of the wire protocol. Every handler is therefore
+// agnostic about whether a database is sharded.
+type source interface {
 	// SearchVisitWith streams a range search's answers to fn; returning
-	// false stops the search. Sharded sources deliver in global (sequence,
-	// start, end) order.
+	// false stops the search. Sharded databases deliver in global
+	// (sequence, start, end) order.
 	SearchVisitWith(ctx context.Context, index string, q []float64, eps float64, fn func(seqdb.Match) bool, opts seqdb.SearchOptions) (seqdb.SearchStats, error)
 	// SearchKNNWith returns the k nearest subsequences in position order.
 	SearchKNNWith(ctx context.Context, index string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error)
 	// SeqScanCtx runs the exhaustive sequential-scan baseline.
 	SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error)
-	// SourceStats returns the dataset summary and per-index buffer-pool
-	// counters.
-	SourceStats(ctx context.Context) (seqdb.Stats, []seqdb.IndexPoolStats, error)
-	// SourceIndexes returns the open indexes' metadata, sorted by name.
-	SourceIndexes(ctx context.Context) ([]seqdb.IndexInfo, error)
-	// ShardRanges reports the shard topology: each shard's slice of the
-	// global sequence numbering. An unsharded source reports one range.
-	ShardRanges() []seqdb.ShardRange
-}
-
-// dbSource adapts an unsharded *seqdb.DB to the Source interface: the
-// search methods and ShardRanges come from the embedded DB; the metadata
-// methods drop the context the local DB does not need.
-type dbSource struct{ *seqdb.DB }
-
-func (s dbSource) SourceStats(ctx context.Context) (seqdb.Stats, []seqdb.IndexPoolStats, error) {
-	return s.Stats(), s.PoolStats(), nil
-}
-
-func (s dbSource) SourceIndexes(ctx context.Context) ([]seqdb.IndexInfo, error) {
-	return localIndexes(s.DB)
-}
-
-// shardedSource adapts a *seqdb.ShardedDB the same way.
-type shardedSource struct{ *seqdb.ShardedDB }
-
-func (s shardedSource) SourceStats(ctx context.Context) (seqdb.Stats, []seqdb.IndexPoolStats, error) {
-	return s.Stats(), s.PoolStats(), nil
-}
-
-func (s shardedSource) SourceIndexes(ctx context.Context) ([]seqdb.IndexInfo, error) {
-	return localIndexes(s.ShardedDB)
-}
-
-// indexLister is the slice of the seqdb API localIndexes needs; both DB and
-// ShardedDB provide it.
-type indexLister interface {
+	// Stats returns the dataset summary.
+	Stats() seqdb.Stats
+	// PoolStats returns each open index's buffer-pool counters.
+	PoolStats() []seqdb.IndexPoolStats
+	// Indexes lists the open indexes' names.
 	Indexes() []string
+	// Index returns one open index's metadata.
 	Index(name string) (seqdb.IndexInfo, error)
-}
-
-// localIndexes materializes a local database's index metadata, sorted.
-func localIndexes(db indexLister) ([]seqdb.IndexInfo, error) {
-	names := db.Indexes()
-	sort.Strings(names)
-	out := make([]seqdb.IndexInfo, 0, len(names))
-	for _, name := range names {
-		info, err := db.Index(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, info)
-	}
-	return out, nil
 }

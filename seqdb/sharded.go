@@ -55,7 +55,7 @@ func (s localShard) Scan(ctx context.Context, q []float64, eps float64) ([]shard
 	return s.db.SeqScanCtx(ctx, q, eps)
 }
 
-func (s localShard) DistanceBound(ctx context.Context, index string, q []float64) (float64, error) {
+func (s localShard) DistanceBound(index string, q []float64) (float64, error) {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
 	oi, ok := s.db.indexes[index]
@@ -172,13 +172,6 @@ func (s *ShardedDB) ShardRanges() []ShardRange {
 	return append([]ShardRange(nil), s.manifest.Ranges...)
 }
 
-// ShardRanges reports an unsharded DB's topology: one shard covering the
-// whole sequence numbering. It lets a DB and a ShardedDB answer the serving
-// tier's topology query uniformly.
-func (db *DB) ShardRanges() []ShardRange {
-	return []ShardRange{{Start: 0, Count: db.Len()}}
-}
-
 // Shard returns the i'th shard's database — read-only access for tools and
 // tests; mutating a shard directly desynchronizes it from the manifest.
 func (s *ShardedDB) Shard(i int) *DB { return s.shards[i] }
@@ -284,8 +277,8 @@ func (s *ShardedDB) Stats() Stats {
 // the union. Counts and extrema combine directly; mean and standard
 // deviation recombine through the population moments (sums and sums of
 // squares), so the result equals a single pass over the union up to
-// floating-point rounding. The serving tier uses it to aggregate shard and
-// remote-leg statistics.
+// floating-point rounding. ShardedDB.Stats uses it to aggregate its shards'
+// statistics.
 func MergeStats(parts []Stats) Stats {
 	var out Stats
 	sum, sumSq := 0.0, 0.0

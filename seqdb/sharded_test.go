@@ -168,10 +168,6 @@ func TestShardedOpenAndTopology(t *testing.T) {
 	if got := sdb.SequenceIDs(); !reflect.DeepEqual(got, db.SequenceIDs()) {
 		t.Errorf("SequenceIDs = %v, want the unsharded order", got)
 	}
-	// The unsharded topology answer: one range covering everything.
-	if got := db.ShardRanges(); !reflect.DeepEqual(got, []ShardRange{{Start: 0, Count: 7}}) {
-		t.Errorf("DB.ShardRanges = %v, want one full range", got)
-	}
 	// Stats must recombine to the single-pass summary.
 	flat, merged := db.Stats(), sdb.Stats()
 	if flat.Sequences != merged.Sequences || flat.TotalElements != merged.TotalElements ||
