@@ -179,7 +179,8 @@ fuzz:
 	$(call fuzz-each,$(filter-out $(FUZZ_ENGINE),$(FUZZ_CI)) $(FUZZ_EXTRA),10s)
 	$(call fuzz-each,$(FUZZ_ENGINE),20s)
 
-# Regenerate the paper's tables and figures at full scale (minutes).
+# Regenerate the paper's tables and figures at full scale, in work counters
+# (about a minute; the output is benchtables_full.txt).
 tables:
 	$(GO) run ./cmd/benchtables -scale 1 -queries 5 -seed 1
 

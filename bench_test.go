@@ -5,137 +5,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"twsearch/internal/benchrun"
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
 	"twsearch/internal/dtw"
 	"twsearch/internal/workload"
 )
-
-// benchScale keeps -bench runs quick; cmd/benchtables runs the same
-// harness at the paper's full scale (-scale 1).
-const benchScale = 0.06
-
-func benchConfig(b *testing.B) benchrun.Config {
-	b.Helper()
-	return benchrun.Config{Scale: benchScale, Queries: 2, Dir: b.TempDir(), Seed: 9}
-}
-
-// BenchmarkTable1 regenerates Table 1 (index sizes vs category count).
-func BenchmarkTable1(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		res, err := benchrun.Table1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(res.ST.InlineKB), "ST-inline-KB")
-			b.ReportMetric(float64(res.Rows[0].SSTcME.InlineKB), "SSTcME10-inline-KB")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2 (query effort vs category count).
-func BenchmarkTable2(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		res, err := benchrun.Table2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.ST.FilterCells, "ST-cells/query")
-			b.ReportMetric(res.Rows[3].SSTcME.FilterCells, "SSTcME80-cells/query")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (SeqScan vs SimSearch-SSTc by eps).
-func BenchmarkTable3(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := benchrun.Table3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			first := rows[0]
-			b.ReportMetric(first.ScanFull.Cells(), "scanfull-cells-eps5")
-			b.ReportMetric(first.SST80.Cells(), "sst80-cells-eps5")
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (effort vs sequence length).
-func BenchmarkFigure4(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := benchrun.Figure4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[len(rows)-1].SST.Cells(), "sst-cells-len1000")
-		}
-	}
-}
-
-// BenchmarkFigure5 regenerates Figure 5 (effort vs sequence count).
-func BenchmarkFigure5(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := benchrun.Figure5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(rows[len(rows)-1].SST.Cells(), "sst-cells-10k")
-		}
-	}
-}
-
-// BenchmarkAblationSparse compares dense vs sparse trees (DESIGN.md A1).
-func BenchmarkAblationSparse(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := benchrun.AblationSparse(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPruning measures Theorem-1 pruning (A5).
-func BenchmarkAblationPruning(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := benchrun.AblationPruning(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationWindow measures the warping-window extension (A3).
-func BenchmarkAblationWindow(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := benchrun.AblationWindow(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBufferPool measures pool size vs physical reads (A4).
-func BenchmarkAblationBufferPool(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := benchrun.AblationBufferPool(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- micro benchmarks on the core primitives ---
 
 func benchSeqPair(n, m int) ([]float64, []float64) {
 	a := make([]float64, n)
@@ -227,18 +101,6 @@ func BenchmarkSeqScanEps5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.SeqScan(data, queries[i%len(queries)], 5, -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSeqScanFullEps5 measures the paper's no-abandon baseline.
-func BenchmarkSeqScanFullEps5(b *testing.B) {
-	data := workload.Stocks(workload.StockConfig{NumSequences: 60, Seed: 21})
-	queries := workload.Queries(data, workload.QueryConfig{Count: 8, Seed: 22})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SeqScanFull(data, queries[i%len(queries)], 5, -1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package benchrun
+package main
 
 import (
 	"fmt"
@@ -56,11 +56,10 @@ func AblationSparse(cfg Config) ([]AblationSparseRow, error) {
 
 	fmt.Fprintln(cfg.Out, "Ablation: sparse (SSTc) vs dense (STc) suffix tree, ME, eps=30")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "#cats\tdenseKB\tsparseKB\tr\tdense t\tsparse t\tdense cells\tsparse cells\t")
+	fmt.Fprintln(w, "#cats\tdenseKB\tsparseKB\tr\tdense cells\tsparse cells\t")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%.2f\t%s\t%s\t%s\t%s\t\n",
+		fmt.Fprintf(w, "%d\t%d\t%d\t%.2f\t%s\t%s\t\n",
 			r.Categories, r.DenseSize.FileKB, r.SparseSize.FileKB, r.SparseRatio,
-			fmtDur(r.Dense.AvgTime), fmtDur(r.Sparse.AvgTime),
 			fmtCount(r.Dense.Cells()), fmtCount(r.Sparse.Cells()))
 	}
 	w.Flush()
@@ -104,12 +103,11 @@ func AblationPruning(cfg Config) ([]AblationPruningRow, error) {
 
 	fmt.Fprintln(cfg.Out, "Ablation: Theorem-1 branch pruning (SSTc ME-40)")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "eps\tpruned t\tunpruned t\tpruned nodes\tunpruned nodes\tRp(nodes)\t")
+	fmt.Fprintln(w, "eps\tpruned nodes\tunpruned nodes\tRp(nodes)\t")
 	for _, r := range rows {
 		rp := r.Unpruned.NodesViews / r.Pruned.NodesViews
-		fmt.Fprintf(w, "%.0f\t%s\t%s\t%s\t%s\t%.1fx\t\n",
-			r.Eps, fmtDur(r.Pruned.AvgTime), fmtDur(r.Unpruned.AvgTime),
-			fmtCount(r.Pruned.NodesViews), fmtCount(r.Unpruned.NodesViews), rp)
+		fmt.Fprintf(w, "%.0f\t%s\t%s\t%.1fx\t\n",
+			r.Eps, fmtCount(r.Pruned.NodesViews), fmtCount(r.Unpruned.NodesViews), rp)
 	}
 	w.Flush()
 	return rows, nil
@@ -153,15 +151,14 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 
 	fmt.Fprintln(cfg.Out, "Ablation: warping-window constraint × envelope row gate (STc ME-40, eps=30)")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "window\tenv t\tno-env t\tenv cells\tno-env cells\tpruned/q\tanswers/q\t")
+	fmt.Fprintln(w, "window\tenv cells\tno-env cells\tpruned/q\tanswers/q\t")
 	for _, r := range rows {
 		win := "none"
 		if r.Window >= 0 {
 			win = fmt.Sprintf("%d", r.Window)
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			win, fmtDur(r.Result.AvgTime), fmtDur(r.NoEnvelope.AvgTime),
-			fmtCount(r.Result.FilterCells), fmtCount(r.NoEnvelope.FilterCells),
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t\n",
+			win, fmtCount(r.Result.FilterCells), fmtCount(r.NoEnvelope.FilterCells),
 			fmtCount(r.Result.EnvelopePruned), fmtCount(r.Result.Answers))
 	}
 	w.Flush()
@@ -210,9 +207,9 @@ func AblationBufferPool(cfg Config) ([]AblationPoolRow, error) {
 
 	fmt.Fprintln(cfg.Out, "Ablation: buffer pool size (SSTc ME-40, eps=30)")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "pages\ttime\tpages read/q\t")
+	fmt.Fprintln(w, "pages\tpages read/q\t")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%s\t%s\t\n", r.PoolPages, fmtDur(r.Result.AvgTime), fmtCount(r.Result.PagesRead))
+		fmt.Fprintf(w, "%d\t%s\t\n", r.PoolPages, fmtCount(r.Result.PagesRead))
 	}
 	w.Flush()
 	return rows, nil
@@ -250,7 +247,7 @@ func AblationQueryLength(cfg Config) ([]AblationQueryLenRow, error) {
 		if row.SST, err = runIndexQueries(ix, queries, eps); err != nil {
 			return nil, err
 		}
-		if row.Scan, err = runScanQueries(data, queries, eps, false); err != nil {
+		if row.Scan, _, err = runScanQueries(data, queries, eps); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -258,11 +255,10 @@ func AblationQueryLength(cfg Config) ([]AblationQueryLenRow, error) {
 
 	fmt.Fprintln(cfg.Out, "Ablation: query length (SSTc ME-40, eps = 0.75*|Q|)")
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "|Q|\teps\tscan t\tsst t\tscan cells\tsst cells\tanswers/q\t")
+	fmt.Fprintln(w, "|Q|\teps\tscan cells\tsst cells\tanswers/q\t")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.1f\t%s\t%s\t%s\t%s\t%s\t\n",
-			r.QueryLen, r.Eps, fmtDur(r.Scan.AvgTime), fmtDur(r.SST.AvgTime),
-			fmtCount(r.Scan.Cells()), fmtCount(r.SST.Cells()), fmtCount(r.SST.Answers))
+		fmt.Fprintf(w, "%d\t%.1f\t%s\t%s\t%s\t\n",
+			r.QueryLen, r.Eps, fmtCount(r.Scan.Cells()), fmtCount(r.SST.Cells()), fmtCount(r.SST.Answers))
 	}
 	w.Flush()
 	return rows, nil

@@ -1,18 +1,10 @@
-// Package benchrun regenerates every table and figure of the paper's
-// evaluation (Section 7): Table 1 (index sizes vs number of categories),
-// Table 2 (query times vs number of categories), Table 3 (SeqScan vs
-// SimSearch-SST_C across distance thresholds), Figure 4 (scalability in
-// sequence length), and Figure 5 (scalability in sequence count) — plus the
-// ablations DESIGN.md calls out. It is shared by the root bench_test.go
-// (go test -bench) and cmd/benchtables (full paper-scale runs).
-package benchrun
+package main
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"twsearch/internal/core"
 	"twsearch/internal/sequence"
@@ -33,8 +25,8 @@ const (
 // Config scales and directs one harness run.
 type Config struct {
 	// Scale multiplies dataset sizes; 1.0 is the paper's scale
-	// (545 stock sequences, average length 232). Benchmarks use a smaller
-	// scale to keep -bench runs quick.
+	// (545 stock sequences, average length 232). Tests use a smaller
+	// scale to stay quick.
 	Scale float64
 	// Queries is how many queries each measurement averages over.
 	Queries int
@@ -98,9 +90,9 @@ func (c Config) stockWorkload() (*sequence.Dataset, [][]float64) {
 	return data, queries
 }
 
-// AlgoResult is one algorithm's averaged measurement over the query set.
+// AlgoResult is one algorithm's averaged work over the query set, in the
+// paper's cost units.
 type AlgoResult struct {
-	AvgTime        time.Duration
 	FilterCells    float64
 	PostCells      float64
 	Candidates     float64
@@ -117,7 +109,6 @@ func (r AlgoResult) Cells() float64 { return r.FilterCells + r.PostCells }
 func average(total core.SearchStats, n int) AlgoResult {
 	f := float64(n)
 	return AlgoResult{
-		AvgTime:        total.Elapsed / time.Duration(n),
 		FilterCells:    float64(total.FilterCells) / f,
 		PostCells:      float64(total.PostCells) / f,
 		Candidates:     float64(total.Candidates) / f,
@@ -130,8 +121,6 @@ func average(total core.SearchStats, n int) AlgoResult {
 }
 
 // runIndexQueries averages index searches over the query set.
-//
-//twlint:ctx-root offline measurement loop: the tables average whole searches, so every query runs to completion
 func runIndexQueries(ix *core.Index, queries [][]float64, eps float64) (AlgoResult, error) {
 	var total core.SearchStats
 	for _, q := range queries {
@@ -144,36 +133,42 @@ func runIndexQueries(ix *core.Index, queries [][]float64, eps float64) (AlgoResu
 	return average(total, len(queries)), nil
 }
 
-// runScanQueries averages sequential scans; full selects the paper's
-// no-abandon baseline.
-func runScanQueries(data *sequence.Dataset, queries [][]float64, eps float64, full bool) (AlgoResult, error) {
-	var total core.SearchStats
+// runScanQueries averages the Theorem-1 abandoning scan over the query set,
+// and returns beside it the paper's no-abandon baseline (Section 4.3), which
+// is not run: it computes one full cumulative table per suffix, so its
+// answers are the abandoning scan's and its cells are fullScanCells.
+func runScanQueries(data *sequence.Dataset, queries [][]float64, eps float64) (AlgoResult, AlgoResult, error) {
+	var total, full core.SearchStats
 	for _, q := range queries {
-		var stats core.SearchStats
-		var err error
-		if full {
-			_, stats, err = core.SeqScanFull(data, q, eps, -1)
-		} else {
-			_, stats, err = core.SeqScan(data, q, eps, -1)
-		}
+		_, stats, err := core.SeqScan(data, q, eps, -1)
 		if err != nil {
-			return AlgoResult{}, err
+			return AlgoResult{}, AlgoResult{}, err
 		}
 		total.Add(stats)
+		cells, err := fullScanCells(data, q, -1)
+		if err != nil {
+			return AlgoResult{}, AlgoResult{}, err
+		}
+		full.FilterCells += cells
+		full.Answers += stats.Answers
 	}
-	return average(total, len(queries)), nil
+	return average(total, len(queries)), average(full, len(queries)), nil
 }
 
-// fmtDur renders a duration compactly for table cells.
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
-	default:
-		return fmt.Sprintf("%dµs", d.Microseconds())
+// fullScanCells is the DP cells of the paper's baseline for query q: the
+// table of a suffix of length m has m rows of |Q| cells, so a sequence of
+// length L costs |Q|·L(L+1)/2. Under a warping window a row costs its band
+// instead, which this does not model, so a window >= 0 is refused.
+func fullScanCells(data *sequence.Dataset, q []float64, window int) (uint64, error) {
+	if window >= 0 {
+		return 0, fmt.Errorf("no closed form for the full scan under window %d", window)
 	}
+	var rows uint64
+	for seq := 0; seq < data.Len(); seq++ {
+		l := uint64(len(data.Values(seq)))
+		rows += l * (l + 1) / 2
+	}
+	return uint64(len(q)) * rows, nil
 }
 
 // fmtCount renders large averages compactly.

@@ -1,4 +1,4 @@
-package benchrun
+package main
 
 import (
 	"fmt"
@@ -141,9 +141,9 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// Table2 reproduces Table 2: average query processing effort of the three
-// SimSearch algorithms across category counts at the paper's average
-// distance threshold of 30.
+// Table2 reproduces Table 2: average query processing effort, in filter and
+// post-processing cells, of the three SimSearch algorithms across category
+// counts at the paper's average distance threshold of 30.
 func Table2(cfg Config) (Table2Result, error) {
 	cfg = cfg.effective()
 	data, queries := cfg.stockWorkload()
@@ -187,25 +187,26 @@ func Table2(cfg Config) (Table2Result, error) {
 	}
 
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(cfg.Out, "Table 2: avg query processing (eps=%.0f); time / filter cells\n", res.Eps)
-	fmt.Fprintf(cfg.Out, "SimSearch-ST: %s / %s cells\n", fmtDur(res.ST.AvgTime), fmtCount(res.ST.FilterCells))
+	fmt.Fprintf(cfg.Out, "Table 2: avg query processing (eps=%.0f); filter + post cells\n", res.Eps)
+	fmt.Fprintf(cfg.Out, "SimSearch-ST: %s cells\n", fmtCells(res.ST))
 	fmt.Fprintln(w, "#cats\tSTc-EL\tSTc-ME\tSSTc-EL\tSSTc-ME\t")
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%d\t%s/%s\t%s/%s\t%s/%s\t%s/%s\t\n",
-			r.Categories,
-			fmtDur(r.STcEL.AvgTime), fmtCount(r.STcEL.FilterCells),
-			fmtDur(r.STcME.AvgTime), fmtCount(r.STcME.FilterCells),
-			fmtDur(r.SSTcEL.AvgTime), fmtCount(r.SSTcEL.FilterCells),
-			fmtDur(r.SSTcME.AvgTime), fmtCount(r.SSTcME.FilterCells))
+		fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\t\n",
+			r.Categories, fmtCells(r.STcEL), fmtCells(r.STcME), fmtCells(r.SSTcEL), fmtCells(r.SSTcME))
 	}
 	w.Flush()
 	return res, nil
 }
 
+// fmtCells renders a result's filter + post-processing cells.
+func fmtCells(a AlgoResult) string {
+	return fmtCount(a.FilterCells) + "+" + fmtCount(a.PostCells)
+}
+
 // Table3Row is one line of Table 3.
 type Table3Row struct {
 	Eps      float64
-	ScanFull AlgoResult // the paper's baseline: no early abandon
+	ScanFull AlgoResult // the paper's baseline: no early abandon, in closed form
 	Scan     AlgoResult // modern baseline with Theorem-1 abandon
 	SST10    AlgoResult
 	SST20    AlgoResult
@@ -235,10 +236,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	for _, eps := range EpsThresholds {
 		row := Table3Row{Eps: eps}
 		var err error
-		if row.ScanFull, err = runScanQueries(data, queries, eps, true); err != nil {
-			return nil, err
-		}
-		if row.Scan, err = runScanQueries(data, queries, eps, false); err != nil {
+		if row.Scan, row.ScanFull, err = runScanQueries(data, queries, eps); err != nil {
 			return nil, err
 		}
 		for i, dst := range []*AlgoResult{&row.SST10, &row.SST20, &row.SST80} {
@@ -250,20 +248,25 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	}
 
 	w := tabwriter.NewWriter(cfg.Out, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(cfg.Out, "Table 3: SeqScan vs SimSearch-SSTc(ME); time (speedup vs paper baseline)")
+	fmt.Fprintln(cfg.Out, "Table 3: SeqScan vs SimSearch-SSTc(ME); filter + post cells (speedup in cells vs paper baseline)")
 	fmt.Fprintln(w, "eps\tSeqScan(paper)\tSeqScan(+T1)\tSSTc(10)\tSSTc(20)\tSSTc(80)\tanswers/q\t")
 	for _, r := range rows {
-		base := r.ScanFull.AvgTime
 		su := func(a AlgoResult) string {
-			if a.AvgTime <= 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%s (%.1fx)", fmtDur(a.AvgTime), float64(base)/float64(a.AvgTime))
+			return fmt.Sprintf("%s (%s)", fmtCount(a.Cells()), cellRatio(r.ScanFull, a))
 		}
 		fmt.Fprintf(w, "%.0f\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			r.Eps, fmtDur(r.ScanFull.AvgTime), su(r.Scan), su(r.SST10), su(r.SST20), su(r.SST80),
+			r.Eps, fmtCount(r.ScanFull.Cells()), su(r.Scan), su(r.SST10), su(r.SST20), su(r.SST80),
 			fmtCount(r.SST20.Answers))
 	}
 	w.Flush()
 	return rows, nil
+}
+
+// cellRatio renders base's cells over a's, the speedup in the paper's cost
+// unit.
+func cellRatio(base, a AlgoResult) string {
+	if a.Cells() <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1fx", base.Cells()/a.Cells())
 }

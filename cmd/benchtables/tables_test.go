@@ -1,7 +1,8 @@
-package benchrun
+package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -97,7 +98,7 @@ func TestTable3Shapes(t *testing.T) {
 	for i, r := range rows {
 		// Answer counts grow with eps, and all engines agree on them.
 		if r.Scan.Answers != r.SST10.Answers || r.Scan.Answers != r.SST20.Answers ||
-			r.Scan.Answers != r.SST80.Answers || r.Scan.Answers != r.ScanFull.Answers {
+			r.Scan.Answers != r.SST80.Answers {
 			t.Fatalf("eps=%v: answer counts disagree: scan %v sst %v/%v/%v",
 				r.Eps, r.Scan.Answers, r.SST10.Answers, r.SST20.Answers, r.SST80.Answers)
 		}
@@ -113,9 +114,18 @@ func TestTable3Shapes(t *testing.T) {
 		if r.SST80.Cells() >= r.ScanFull.Cells() {
 			t.Errorf("eps=%v: SST80 cells %v >= paper baseline %v", r.Eps, r.SST80.Cells(), r.ScanFull.Cells())
 		}
+		// The baseline's closed form against the FilterCells that the
+		// no-abandon scan, since deleted, counted on this data.
+		if r.ScanFull.FilterCells != 11652283.5 {
+			t.Errorf("eps=%v: paper baseline %v cells, the full scan counted 11652283.5", r.Eps, r.ScanFull.FilterCells)
+		}
 	}
 	if !strings.Contains(buf.String(), "Table 3") {
 		t.Error("no formatted output")
+	}
+	data, queries := cfg.stockWorkload()
+	if _, err := fullScanCells(data, queries[0], 0); err == nil {
+		t.Error("the closed form accepted a warping window")
 	}
 }
 
@@ -131,6 +141,10 @@ func TestFiguresShapes(t *testing.T) {
 	// Work grows with sequence length for the quadratic baseline.
 	if rows4[len(rows4)-1].ScanFull.FilterCells <= rows4[0].ScanFull.FilterCells {
 		t.Error("fig4: baseline work did not grow with length")
+	}
+	// As in TestTable3Shapes, on one artificial point.
+	if got := rows4[0].ScanFull.FilterCells; got != 2733600 {
+		t.Errorf("fig4 len 200: paper baseline %v cells, the full scan counted 2733600", got)
 	}
 
 	rows5, err := Figure5(cfg)
@@ -274,44 +288,29 @@ func TestArtificialWorkloadTables(t *testing.T) {
 	}
 }
 
-func TestCSVWriters(t *testing.T) {
-	cfg, _ := tinyConfig(t)
-	res1, err := Table1(cfg)
-	if err != nil {
+func TestRun(t *testing.T) {
+	var buf bytes.Buffer
+	args := []string{"-scale", "0.04", "-queries", "2", "-only", "t1,t3,f4", "-dir", t.TempDir()}
+	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var b1 bytes.Buffer
-	if err := WriteTable1CSV(&b1, res1); err != nil {
-		t.Fatal(err)
+	for _, h := range []string{"Table 1:", "Table 3:", "Figure 4:"} {
+		if !strings.Contains(buf.String(), h) {
+			t.Errorf("no %q in the output", h)
+		}
 	}
-	if lines := strings.Count(b1.String(), "\n"); lines != len(res1.Rows)+2 {
-		t.Fatalf("table1 csv lines = %d", lines)
+	if strings.Contains(buf.String(), "Table 2:") {
+		t.Error("ran a table -only did not ask for")
 	}
-	if !strings.HasPrefix(b1.String(), "categories,") {
-		t.Fatalf("table1 header: %q", b1.String()[:40])
-	}
+}
 
-	rows3, err := Table3(cfg)
-	if err != nil {
-		t.Fatal(err)
+func TestRunRefusesUnknownSection(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-only", "t4"}, &buf)
+	if !errors.Is(err, errUsage) {
+		t.Fatalf("-only t4: got %v, want a usage error", err)
 	}
-	var b3 bytes.Buffer
-	if err := WriteTable3CSV(&b3, rows3); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(b3.String(), "\n"); lines != len(rows3)+1 {
-		t.Fatalf("table3 csv lines = %d", lines)
-	}
-
-	rows4, err := Figure4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b4 bytes.Buffer
-	if err := WriteFigureCSV(&b4, "avg_len", rows4); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(b4.String(), "avg_len,") {
-		t.Fatalf("figure header: %q", b4.String()[:30])
+	if buf.Len() != 0 {
+		t.Errorf("-only t4 printed %q", buf.String())
 	}
 }

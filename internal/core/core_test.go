@@ -617,26 +617,3 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 }
-
-// SeqScanFull must return the same answers as the abandoning SeqScan, at
-// strictly more work.
-func TestSeqScanFullAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(353))
-	data := randomWalkDataset(rng, 4, 30)
-	q := randomQuery(rng, 6)
-	got, fullStats, err := SeqScanFull(data, q, 4.5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, prunedStats, err := SeqScan(data, q, 4.5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, want) {
-		t.Fatal("SeqScanFull differs from SeqScan")
-	}
-	if fullStats.FilterCells < prunedStats.FilterCells {
-		t.Errorf("full scan did less work (%d) than pruned scan (%d)",
-			fullStats.FilterCells, prunedStats.FilterCells)
-	}
-}

@@ -16,27 +16,13 @@ import (
 //
 //twlint:ctx-root the benchmark's probes and the ground-truth tests call this form; cancellable scans use SeqScanCtx
 func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
-	return seqScan(context.Background(), data, q, eps, window, true)
+	return SeqScanCtx(context.Background(), data, q, eps, window)
 }
 
 // SeqScanCtx is SeqScan with cancellation: ctx is polled every cancelMask+1
 // suffix starts, so an abort costs at most 64 cumulative-table scans and
 // returns ctx.Err().
 func SeqScanCtx(ctx context.Context, data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
-	return seqScan(ctx, data, q, eps, window, true)
-}
-
-// SeqScanFull is the paper's own baseline (Section 4.3): one full
-// cumulative table per suffix, O(M·L̄²·|Q|) regardless of eps — no early
-// abandon, which is why the paper's measured scan times barely vary with
-// the threshold. Table 3's speedup factors are quoted against this.
-//
-//twlint:ctx-root measurement baseline, run to completion by design; the paper's timings assume no early abort
-func SeqScanFull(data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
-	return seqScan(context.Background(), data, q, eps, window, false)
-}
-
-func seqScan(ctx context.Context, data *sequence.Dataset, q []float64, eps float64, window int, abandon bool) ([]Match, SearchStats, error) {
 	if err := CheckQuery(q); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -68,7 +54,7 @@ func seqScan(ctx context.Context, data *sequence.Dataset, q []float64, eps float
 						Distance: dist,
 					})
 				}
-				if abandon && minDist > eps {
+				if minDist > eps {
 					break
 				}
 			}

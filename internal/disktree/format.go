@@ -33,7 +33,7 @@ const NilPtr Ptr = 0
 
 // Layout names how edge labels are stored on disk. It has one value — the
 // layout that copied the label symbols into each record (the paper's storage
-// model; benchrun derives its size for Table 1) is retired — and remains as
+// model; cmd/benchtables derives its size for Table 1) is retired — and remains as
 // the parameter CreateEncoded's callers pass.
 type Layout uint8
 

@@ -345,31 +345,6 @@ func TestMultivarOpen(t *testing.T) {
 	}
 }
 
-func TestMultivarSeqScanFullAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(519))
-	data := randomVecDataset(rng, 3, 15, 2)
-	q := randomVecQuery(rng, 5, 2)
-	want, ps, err := SeqScan(data, q, 6.5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, fs, err := SeqScanFull(data, q, 6.5, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("full %d vs pruned %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("match %d differs", i)
-		}
-	}
-	if fs.FilterCells < ps.FilterCells {
-		t.Error("full scan did less work than pruned scan")
-	}
-}
-
 func TestMultivarWindowTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(521))
 	for trial := 0; trial < 50; trial++ {

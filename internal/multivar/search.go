@@ -239,15 +239,6 @@ func (ix *Index) distanceBound(q [][]float64) float64 {
 // truth: exact distances for every suffix, early-abandoned by Theorem 1.
 // window < 0 disables the warping-window constraint.
 func SeqScan(data *Dataset, q [][]float64, eps float64, window int) ([]Match, Stats, error) {
-	return seqScan(data, q, eps, window, true)
-}
-
-// SeqScanFull is the paper's no-abandon baseline, multivariate.
-func SeqScanFull(data *Dataset, q [][]float64, eps float64, window int) ([]Match, Stats, error) {
-	return seqScan(data, q, eps, window, false)
-}
-
-func seqScan(data *Dataset, q [][]float64, eps float64, window int, abandon bool) ([]Match, Stats, error) {
 	if err := checkQuery(q, data.Dim()); err != nil {
 		return nil, Stats{}, err
 	}
@@ -267,7 +258,7 @@ func seqScan(data *Dataset, q [][]float64, eps float64, window int, abandon bool
 				if dist <= eps {
 					matches = append(matches, Match{Ref: Ref{Seq: seq, Start: p, End: r + 1}, Distance: dist})
 				}
-				if abandon && minDist > eps {
+				if minDist > eps {
 					break
 				}
 			}

@@ -150,18 +150,6 @@ func (s *Server) addSource(name string, src source) error {
 	return nil
 }
 
-// DBNames lists the mounted database names, sorted.
-func (s *Server) DBNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.dbs))
-	for name := range s.dbs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // lookupDB resolves a request's database name. The empty name is a
 // convenience that resolves iff exactly one DB is mounted.
 func (s *Server) lookupDB(name string) (source, error) {
