@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-shard race-mmap race-build cover bench profile-search fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-shard race-mmap race-build cover bench profile-search profile-serve fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -172,6 +172,17 @@ profile-search:
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/multivar.test $(PROFILE_DIR)/trajectory.prof
+
+# Where a served query's time goes: a CPU profile of
+# BenchmarkServeSearchBroad (seqdb/server: the broad-shaped queries of
+# BenchmarkSearchBroad through a loopback server and client.SearchWith in
+# one process, so the engine, the batched match stream and the client's
+# decode share one profile; ns/answer and allocs/answer beside ns/op),
+# written with the test binary to PROFILE_DIR; the top 20 is printed.
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'ServeSearchBroad$$' -benchtime 300x -o $(PROFILE_DIR)/server.test -cpuprofile $(PROFILE_DIR)/serve.prof ./seqdb/server
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/server.test $(PROFILE_DIR)/serve.prof
 
 # Short fuzz session over every fuzz target: 10s each, 20s for the engine
 # pair.

@@ -51,12 +51,12 @@ type Engine struct {
 // the query's envelope, for one query at a time. The traversal owns every
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel at most twice per filter row, never per cell: Gap and
-// AddRow (Base0 once per path); and once per verified start, Verify. The
-// lower bounds Gap and AddRow return may only prune through bound > eps,
-// and never become a Match distance; TestNoFalseDismissalsAtTies (here and
-// in multivar) holds both kernels to that with eps set to the exact
-// distances of the scan's answers: the ties at which a >= in place of the >
-// would dismiss an answer.
+// AddRow (Base0 once per path); once per candidate start, Dead; and once
+// per verified start, Verify. The lower bounds Gap and AddRow return may
+// only prune through bound > eps, and never become a Match distance;
+// TestNoFalseDismissalsAtTies (here and in multivar) holds both kernels to
+// that with eps set to the exact distances of the scan's answers: the ties
+// at which a >= in place of the > would dismiss an answer.
 type Kernel interface {
 	// QueryLen is the bound query's length; Exact reports that filter
 	// distances over stored suffixes are exact distances (identity
@@ -77,12 +77,17 @@ type Kernel interface {
 	// Truncate pops filter rows until depth remain.
 	Truncate(depth int)
 
+	// Dead reports that sequence seq's element at start alone is further
+	// than the search's threshold from the query's first element, by the
+	// base distance Verify uses (dtw.Verifier.Dead): no subsequence that
+	// begins there is an answer. The test is strict, so a start at exactly
+	// the threshold is verified.
+	Dead(seq, start int) bool
 	// Verify scans, with the exact distance, the subsequences of sequence
 	// seq that begin at start and end at most at end, and calls hit(e, d)
 	// for each one, [start, e), whose distance d is at most the search's
-	// threshold, in increasing e (dtw.Verifier.Scan): a start whose first
-	// element alone is further than the threshold from the query's costs
-	// no cell, and the scan stops at the first row Theorem 1 rules out.
+	// threshold, in increasing e (dtw.Verifier.Scan): a Dead start costs no
+	// cell, and the scan stops at the first row Theorem 1 rules out.
 	Verify(seq, start, end int, hit func(end int, dist float64))
 
 	// Cells returns the table cells charged since the kernel was bound: one

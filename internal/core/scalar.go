@@ -88,6 +88,9 @@ func (k *scalarKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 func (k *scalarKernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
+func (k *scalarKernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Values(seq), start) }
+
+//twlint:steady-state
 func (k *scalarKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.verify.Scan(k.data.Values(seq), start, end, hit)
 }

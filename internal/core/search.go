@@ -480,7 +480,11 @@ func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 // candidate hands the subsequences of sequence seq that begin at start and
 // end at most at end to verification: the start joins its pending group,
 // which keeps the furthest end. A start with no subsequence as long as the
-// index's answer floor is dropped.
+// index's answer floor is dropped uncounted. A Dead start is counted as a
+// candidate — the filter offered it — but admitted to no group: Verify
+// would dismiss it on the same test before its first cell, so it costs the
+// search one base distance instead of a pending entry, its share of the
+// sort and a kernel call.
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int) {
@@ -488,19 +492,21 @@ func (s *searcher) candidate(seq, start, end int) {
 		return
 	}
 	s.stats.Candidates++
+	if s.kern.Dead(seq, start) {
+		return
+	}
 	s.pend.Add(int32(s.seqOffsets[seq]+start), int32(end))
 }
 
-// postProcess verifies the pending groups: one kernel call per touched
+// postProcess verifies the pending groups: one kernel call per admitted
 // start, scanning to the group's furthest end with Theorem-1 early abandon
-// and reporting every end with exact distance within eps. A start whose
-// first element alone is further than eps from the query's — every warping
-// path pays that base distance first — has no answer and costs no cell; the
-// rows of the others are computed only where a path within eps can still
-// run (dtw.Verifier). Iterating the sorted touched offsets visits only this
-// query's candidates — O(candidates), not a scan of the whole database — in
-// the same (seq, start) order the dense scan used, since the global offset
-// is monotone in (seq, start).
+// and reporting every end with exact distance within eps. The dead starts
+// never joined a group (candidate); the rows of the others are computed
+// only where a path within eps can still run (dtw.Verifier). Iterating the
+// sorted touched offsets visits only this query's candidates —
+// O(candidates), not a scan of the whole database — in the same (seq,
+// start) order the dense scan used, since the global offset is monotone in
+// (seq, start).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -29,44 +31,51 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 	return data
 }
 
-// verifySpy wraps a scalar kernel and watches the verification pass: which
-// starts it was pointed at, how many of them pass the first-element test,
-// and whether a start dead on its first element was charged a cell.
+// verifySpy wraps a scalar kernel and watches admission and the
+// verification pass: how many offered starts Dead dismissed, which starts
+// Verify was pointed at, and whether one of those was dead on its first
+// element after all.
 type verifySpy struct {
 	*scalarKernel
-	eps                float64
-	starts, past, dead int
-	deadCharged        int
+	eps                  float64
+	dead, starts         int
+	deadVerified, misled int
+}
+
+func (k *verifySpy) Dead(seq, start int) bool {
+	dead := k.scalarKernel.Dead(seq, start)
+	if dead != (dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps) {
+		k.misled++
+	}
+	if dead {
+		k.dead++
+	}
+	return dead
 }
 
 func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64)) {
-	_, before := k.scalarKernel.Cells()
-	k.scalarKernel.Verify(seq, start, end, hit)
-	_, after := k.scalarKernel.Cells()
 	k.starts++
 	if dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps {
-		k.dead++
-		if after != before {
-			k.deadCharged++
-		}
-	} else {
-		k.past++
+		k.deadVerified++
 	}
+	k.scalarKernel.Verify(seq, start, end, hit)
 }
 
 // TestVerificationCostsItsAnswers pins what the verification pass costs, on
 // a sparse tree with long runs where one path crosses several qualifying
 // edges: (1) every start is emitted once — the subtree under a qualifying
 // path is collected once, where the descent stops, and a reached leaf hands
-// over all its starts itself — so Candidates is one per verified start, one
-// kernel call each; (2) a start whose first element alone is further than
-// eps from q[0] costs no cell; (3) the answers are still exactly the
-// sequential scan's; (4) the exact cells that replace a reached leaf's
-// interval rows are no more than those rows: filter and verification cells
-// together stay within 1% of what this search cost when leaves were
-// filtered. On these long runs every shifted start is verified on its own,
-// so the two come out even (32273 → 32288 and 2911 → 2882 cells); on the
-// benchmark's broad workload the total halves (815k → 375k per query).
+// over all its starts itself — so Candidates is one per offered start, and
+// each one is either dismissed by Dead or verified by one kernel call; (2) a
+// start whose first element alone is further than eps from q[0] never
+// reaches Verify, and Dead says so by the base distance; (3) the answers
+// are still exactly the sequential scan's; (4) the exact cells that replace
+// a reached leaf's interval rows are no more than those rows: filter and
+// verification cells together stay within 1% of what this search cost when
+// leaves were filtered. On these long runs every shifted start is verified
+// on its own, so the two come out even (32273 → 32288 and 2911 → 2882
+// cells); on the benchmark's broad workload the total halves (815k → 375k
+// per query).
 func TestVerificationCostsItsAnswers(t *testing.T) {
 	data := plateauDataset(rand.New(rand.NewSource(2407)), 24, 150)
 	ix, err := Build(data, filepath.Join(t.TempDir(), "plateau.twt"),
@@ -107,19 +116,55 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		if !matchesBitIdentical(got, want) {
 			t.Fatalf("|Q|=%d: index %d matches, scan %d", len(c.q), len(got), len(want))
 		}
-		t.Logf("|Q|=%d: candidates %d, starts %d, past the first element %d, cells %d+%d (leaf rows: %d), answers %d",
-			len(c.q), st.Candidates, spy.starts, spy.past, st.FilterCells, st.PostCells, c.leafRows, st.Answers)
-		if st.Candidates != uint64(spy.starts) {
-			t.Errorf("|Q|=%d: %d candidates for %d verified starts, want one emission and one call per start", len(c.q), st.Candidates, spy.starts)
+		t.Logf("|Q|=%d: candidates %d, dismissed at admission %d, verified %d, cells %d+%d (leaf rows: %d), answers %d",
+			len(c.q), st.Candidates, spy.dead, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.Answers)
+		if st.Candidates != uint64(spy.dead+spy.starts) {
+			t.Errorf("|Q|=%d: %d candidates for %d dismissed and %d verified starts, want one emission and one decision per start", len(c.q), st.Candidates, spy.dead, spy.starts)
 		}
 		if cells := st.FilterCells + st.PostCells; 100*cells > 101*c.leafRows {
 			t.Errorf("|Q|=%d: %d filter + verification cells, want at most 1%% over the %d of filtered leaves", len(c.q), cells, c.leafRows)
 		}
-		if spy.deadCharged != 0 {
-			t.Errorf("|Q|=%d: %d starts dead on their first element were charged cells", len(c.q), spy.deadCharged)
+		if spy.deadVerified != 0 || spy.misled != 0 {
+			t.Errorf("|Q|=%d: %d starts dead on their first element were verified, %d admission verdicts disagree with the base distance", len(c.q), spy.deadVerified, spy.misled)
 		}
-		if spy.past == 0 || spy.dead == 0 {
-			t.Errorf("|Q|=%d: %d of %d starts pass the first-element test: the fixture does not exercise it", len(c.q), spy.past, spy.starts)
+		if spy.starts == 0 || spy.dead == 0 {
+			t.Errorf("|Q|=%d: %d dismissed and %d verified starts: the fixture does not exercise admission", len(c.q), spy.dead, spy.starts)
+		}
+	}
+}
+
+// TestAdmissionKeepsTies: a start whose first element is exactly eps from
+// the query's first, and whose later elements match the query's exactly, is
+// an answer at distance eps, so the admission test must be strict: with
+// Dead's > made >= the start never reaches verification and its answers are
+// lost on every index that verifies, while the scan keeps them.
+func TestAdmissionKeepsTies(t *testing.T) {
+	data := sequence.NewDataset()
+	data.MustAdd(sequence.Sequence{ID: "tie", Values: []float64{7, 0, 3, 2, 2, 2, 9, 5, 1, 8}})
+	data.MustAdd(sequence.Sequence{ID: "other", Values: []float64{4, 6, 0, 9, 1, 3, 2, 2, 7, 5}})
+	q := []float64{2, 2, 2}
+	const eps = 1.0
+	tie := sequence.Ref{Seq: 0, Start: 2, End: 5}
+	want, _, err := SeqScan(data, q, eps, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
+		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
+	}
+	dir := t.TempDir()
+	for vi, v := range variants() {
+		ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d.twt", vi)), v.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ix, q, eps)
+		ix.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, want) {
+			t.Errorf("%s: index %d answers, scan %d (a start at exactly eps must be verified)", v.name, len(got), len(want))
 		}
 	}
 }

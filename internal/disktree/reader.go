@@ -9,7 +9,8 @@ import (
 )
 
 // ErrTruncated reports a node record that runs past the last page of its
-// file.
+// file. A Reader returns it, like every failure to read a node, wrapped with
+// storage.ErrRead.
 var ErrTruncated = errors.New("disktree: node record runs past the end of the file")
 
 var (
@@ -78,12 +79,22 @@ func (r *Reader) ReadNodeInto(p Ptr, n *Node) error {
 		}
 	}
 	head := r.page[uint64(p)%storage.PageSize:]
-	err := r.f.decode(head, n, p)
-	if err == errShort {
+	switch err := r.f.decode(head, n, p); err {
+	case nil:
+		return nil
+	case errShort:
 		return r.readSpilled(head, p, n)
+	default:
+		return damaged(err)
 	}
-	return err
 }
+
+// damaged marks a record the file holds but that cannot be read as a node
+// — cut short, or with counts no record carries — as a read failure of the
+// file (storage.ErrRead), the class a page that cannot be read is in.
+//
+//go:noinline
+func damaged(err error) error { return fmt.Errorf("%w: %w", err, storage.ErrRead) }
 
 // readSpilled decodes the record at p, of which the held page has only the
 // head: the record is gathered into the spill buffer, a doubling number of
@@ -100,10 +111,13 @@ func (r *Reader) readSpilled(head []byte, p Ptr, n *Node) error {
 			r.spill = append(r.spill, r.page...)
 		}
 		if len(r.spill) == gathered {
-			return fmt.Errorf("disktree: node at %d: %w", p, ErrTruncated)
+			return damaged(fmt.Errorf("disktree: node at %d: %w", p, ErrTruncated))
 		}
 		if err := r.f.decode(r.spill, n, p); err != errShort {
-			return err
+			if err != nil {
+				return damaged(err)
+			}
+			return nil
 		}
 	}
 }

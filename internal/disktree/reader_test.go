@@ -135,7 +135,8 @@ func TestReaderStraddle(t *testing.T) {
 }
 
 // A file cut off inside a record — here the root's, the last and widest —
-// reads as ErrTruncated: no panic, no wrong node, no pin left behind.
+// reads as ErrTruncated, a storage.ErrRead: no panic, no wrong node, no pin
+// left behind.
 func TestReaderTruncatedFile(t *testing.T) {
 	ts := wideStore(rand.New(rand.NewSource(1702)))
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
@@ -157,8 +158,8 @@ func TestReaderTruncatedFile(t *testing.T) {
 			var rd Reader
 			rd.Reset(f)
 			var n Node
-			if err := rd.ReadNodeInto(f.Root(), &n); !errors.Is(err, ErrTruncated) {
-				t.Fatalf("%s %s: reading the cut root: %v, want ErrTruncated", enc, backend, err)
+			if err := rd.ReadNodeInto(f.Root(), &n); !errors.Is(err, ErrTruncated) || !errors.Is(err, storage.ErrRead) {
+				t.Fatalf("%s %s: reading the cut root: %v, want ErrTruncated and storage.ErrRead", enc, backend, err)
 			}
 			rd.Close()
 			if _, err := f.ReadNode(f.Root()); !errors.Is(err, ErrTruncated) {

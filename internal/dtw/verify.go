@@ -99,21 +99,28 @@ func (v *VerifyRows) Close(curr []float64, lo, end int) (liveLo, liveHi int) {
 	return lo, hi
 }
 
+// Dead reports that no subsequence beginning at s[start] is within the
+// threshold: its first element alone is further than the threshold from
+// the query's, and every warping path pays that base distance first
+// (THEORY.md §1a). The test is strict, so a start at exactly the threshold
+// lives on.
+//
+//twlint:steady-state
+func (v *Verifier) Dead(s []float64, start int) bool { return Base(s[start], v.q[0]) > v.tau }
+
 // Scan verifies the subsequences s[start:e] for e = start+1 … end: it calls
 // hit(e, D_tw) for each one whose exact distance from the query is at most
 // the threshold, in increasing e, with the bits the full table would give
-// it. A start whose first element alone is further than the threshold from
-// the query's — every warping path pays that base distance first (THEORY.md
-// §1a) — is dismissed before any cell is computed; otherwise the scan stops
-// at the first row without a live cell. The cells it computes are exactly
-// those the live-column recurrence reaches (Reach, Close).
+// it. A Dead start is dismissed before any cell is computed; otherwise the
+// scan stops at the first row without a live cell. The cells it computes
+// are exactly those the live-column recurrence reaches (Reach, Close).
 //
 //twlint:steady-state
 func (v *Verifier) Scan(s []float64, start, end int, hit func(end int, dist float64)) {
 	q := v.q
 	n := len(q)
 	tau := v.tau
-	if Base(s[start], q[0]) > tau {
+	if v.Dead(s, start) {
 		return
 	}
 	// Every end is within an infinite threshold, at distance +Inf where

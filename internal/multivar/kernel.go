@@ -85,6 +85,9 @@ func (k *vectorKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 func (k *vectorKernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
+func (k *vectorKernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Points(seq), start) }
+
+//twlint:steady-state
 func (k *vectorKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.verify.Scan(k.data.Points(seq), start, end, hit)
 }

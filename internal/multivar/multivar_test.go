@@ -277,6 +277,53 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 	}
 }
 
+// TestAdmissionKeepsTies is core's tie test over the vector kernel: a start
+// whose first point is exactly eps from the query's first, by the
+// city-block base distance, and whose later points match exactly, is an
+// answer at distance eps, so it must pass admission (Dead's > is strict)
+// and be verified on every index.
+func TestAdmissionKeepsTies(t *testing.T) {
+	pts := func(vs ...float64) [][]float64 {
+		var out [][]float64
+		for i := 0; i < len(vs); i += 2 {
+			out = append(out, []float64{vs[i], vs[i+1]})
+		}
+		return out
+	}
+	data := NewDataset(2)
+	data.MustAdd(Sequence{ID: "tie", Points: pts(7, 1, 0, 4, 3, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 1, 3)})
+	data.MustAdd(Sequence{ID: "other", Points: pts(4, 4, 6, 1, 0, 0, 9, 8, 1, 2, 3, 5, 2, 2, 7, 7)})
+	q := pts(2, 2, 2, 2, 2, 2)
+	const eps = 1.0
+	tie := Ref{Seq: 0, Start: 2, End: 5}
+	want, _, err := SeqScan(data, q, eps, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
+		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
+	}
+	for oi, opts := range []Options{
+		{Kind: categorize.KindMaxEntropy, CatsPerDim: 2},
+		{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true},
+		{Kind: categorize.KindIdentity},
+		{Kind: categorize.KindIdentity, Sparse: true},
+	} {
+		ix, err := Build(data, filepath.Join(t.TempDir(), fmt.Sprintf("tie-%d.twt", oi)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ix.Search(bg, q, eps)
+		ix.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mMatchesBitIdentical(got, want) {
+			t.Errorf("%+v: index %d answers, scan %d (a start at exactly eps must be verified)", opts, len(got), len(want))
+		}
+	}
+}
+
 func TestSearchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	data := randomVecDataset(rng, 2, 10, 2)

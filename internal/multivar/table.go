@@ -107,6 +107,14 @@ func (v *Verifier) Bind(q [][]float64, w int, tau float64) {
 	v.VerifyRows.Bind(len(q), w, tau)
 }
 
+// Dead is dtw.Verifier.Dead over points: the start's first point alone is
+// further than the threshold from the query's.
+//
+//twlint:steady-state
+func (v *Verifier) Dead(points [][]float64, start int) bool {
+	return Base(points[start], v.q[0]) > v.Threshold()
+}
+
 // Scan is dtw.Verifier.Scan over points: it calls hit(e, D_tw) for every
 // subsequence points[start:e], e ≤ end, within the threshold, dismissing a
 // start on its first element and stopping at the first row without a live
@@ -117,7 +125,7 @@ func (v *Verifier) Scan(points [][]float64, start, end int, hit func(end int, di
 	q := v.q
 	n := len(q)
 	tau := v.Threshold()
-	if Base(points[start], q[0]) > tau {
+	if v.Dead(points, start) {
 		return
 	}
 	// Every end is within an infinite threshold, at distance +Inf where

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -257,15 +258,15 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 	})
 }
 
-// PositionLess orders matches by (sequence, start, end) — the engine's
+// PositionCompare orders matches by (sequence, start, end) — the engine's
 // deterministic output order, and the one comparison every layer that sorts
-// matches (coordinator, client) shares.
-func PositionLess(a, b Match) bool {
+// matches (coordinator, client) shares — in the form slices.SortFunc takes.
+func PositionCompare(a, b Match) int {
 	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	}
 	if a.Start != b.Start {
-		return a.Start < b.Start
+		return cmp.Compare(a.Start, b.Start)
 	}
-	return a.End < b.End
+	return cmp.Compare(a.End, b.End)
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -51,7 +51,7 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return PositionLess(out[i], out[j]) })
+	slices.SortFunc(out, PositionCompare)
 	return out, Stats{NodesVisited: 1, Answers: uint64(len(out))}, nil
 }
 

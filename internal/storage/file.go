@@ -26,6 +26,13 @@ type PageID uint32
 // InvalidPage is the nil page reference.
 const InvalidPage PageID = ^PageID(0)
 
+// ErrRead marks a failure to read what an index file should hold: the
+// backing failed, or the file is shorter than it was when opened, or a
+// record in it cannot be what it claims. errors.Is finds it under every
+// page read failure here and every node read failure in disktree. It is a
+// fault of the files, never of the request that met it.
+var ErrRead = errors.New("index file unreadable")
+
 const (
 	fileMagic   = "TWPAGES1"
 	metaCapSize = PageSize - len(fileMagic) - 4 // magic + meta length prefix
@@ -218,10 +225,15 @@ func (pf *File) ReadPage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: ReadPage buffer is %d bytes", len(buf))
 	}
 	if id >= pf.numPages {
-		return fmt.Errorf("storage: ReadPage %d beyond end (%d pages)", id, pf.numPages)
+		return fmt.Errorf("storage: ReadPage %d beyond end (%d pages): %w", id, pf.numPages, ErrRead)
 	}
 	if _, err := pf.f.ReadAt(buf, int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: reading page %d: %w", id, err)
+		if err == io.EOF {
+			// The page was inside the file when it was opened: the file
+			// has been cut since, and the read came up short.
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("storage: reading page %d: %w: %w", id, ErrRead, err)
 	}
 	pf.pagesRead.Add(1)
 	return nil

@@ -111,7 +111,7 @@ func newMappedSource(f *File) (*mmapSource, error) {
 func (s *mmapSource) View(id PageID) ([]byte, func(), error) {
 	off := int64(id) * PageSize
 	if off < 0 || off+PageSize > int64(len(s.data)) {
-		return nil, nil, fmt.Errorf("storage: View %d beyond end (%d pages mapped)", id, len(s.data)/PageSize)
+		return nil, nil, fmt.Errorf("storage: View %d beyond end (%d pages mapped): %w", id, len(s.data)/PageSize, ErrRead)
 	}
 	s.views.Add(1)
 	return s.data[off : off+PageSize : off+PageSize], noopRelease, nil

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -93,6 +95,42 @@ func TestFileBoundsAndModes(t *testing.T) {
 	}
 	if err := ro.SetMeta([]byte("x")); err == nil {
 		t.Error("SetMeta on read-only file accepted")
+	}
+}
+
+// TestReadPageOfCutFile: a page the file held when it was opened but no
+// longer holds whole reads as io.ErrUnexpectedEOF — a page that comes up
+// short is not the end of anything — and, like a read past the last page,
+// as ErrRead.
+func TestReadPageOfCutFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.bin")
+	pfw, err := CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pfw.AppendPages(make([]byte, 3*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	pfw.Close()
+	pf, err := OpenFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	if err := os.Truncate(path, 2*PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	for _, id := range []PageID{2, 3} {
+		if err := pf.ReadPage(id, buf); !errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, ErrRead) {
+			t.Errorf("page %d of a cut file: %v, want ErrRead and io.ErrUnexpectedEOF", id, err)
+		}
+	}
+	if err := pf.ReadPage(4, buf); !errors.Is(err, ErrRead) {
+		t.Errorf("page past the end: %v, want ErrRead", err)
+	}
+	if err := pf.ReadPage(1, buf); err != nil {
+		t.Errorf("a page the cut left whole: %v", err)
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(TScan, screq.Encode(nil))
 	f.Add(TStats, (&StatsReq{DB: "db"}).Encode(nil))
 	f.Add(TListIndexes, (&ListIndexesReq{DB: "db"}).Encode(nil))
-	f.Add(TMatch, match.Encode(nil))
+	f.Add(TMatch, (&MatchBatch{Matches: []Match{match, match, {SeqID: "t", Seq: 2}}}).Encode(nil))
 	f.Add(TDone, done.Encode(nil))
 	f.Add(TError, EncodeError(nil, ErrOverloaded))
 	f.Add(TError, EncodeError(nil, partial))
@@ -40,7 +40,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(TIndexes, idx.Encode(nil))
 	// Bodies one edit away from well-formed that the decoders must refuse:
 	// the layouts of retired protocol versions, the k-NN counts no sender
-	// can mean, a non-canonical boolean and an empty body. They start the
+	// can mean, a non-canonical boolean, an empty body and the broken match
+	// batches of badBatches. They start the
 	// fuzzer at the boundary between accepted and rejected frames.
 	f.Add(TSearch, v5Req(sreq.Encode(nil), len(sreq.Query), 4))
 	f.Add(TKNN, v5Req(kreq.Encode(nil), len(kreq.Query), 4))
@@ -51,6 +52,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	sparse[16] = 2 // count, name, method, categories: the Sparse byte
 	f.Add(TIndexes, sparse)
 	f.Add(TStatsResp, []byte{})
+	for _, body := range badBatches() {
+		f.Add(TMatch, body)
+	}
 
 	// The zero and the extreme value of every message, where a field
 	// written only for some values would show; TestRoundTripZeroAndExtreme
@@ -82,7 +86,7 @@ var codecs = map[byte]func(body []byte) ([]byte, error){
 	TScan:        reencode(DecodeScanReq, (*ScanReq).Encode),
 	TStats:       reencode(DecodeStatsReq, (*StatsReq).Encode),
 	TListIndexes: reencode(DecodeListIndexesReq, (*ListIndexesReq).Encode),
-	TMatch:       reencode(DecodeMatch, (*Match).Encode),
+	TMatch:       reencode(DecodeMatchBatch, (*MatchBatch).Encode),
 	TDone:        reencode(DecodeDone, (*Done).Encode),
 	TError:       reencode(DecodeError, func(e **Error, b []byte) []byte { return EncodeError(b, *e) }),
 	TStatsResp:   reencode(DecodeStatsResp, (*StatsResp).Encode),
@@ -107,7 +111,7 @@ type roundTripCase struct {
 }
 
 // roundTripCases encodes every message type twice: as its zero value (for
-// KNNReq, the smallest valid one), and
+// KNNReq and MatchBatch, the smallest valid one), and
 // with every field at a non-zero extreme — the widest unsigned ids,
 // negative floats and durations, empty and non-empty strings and slices.
 func roundTripCases() []roundTripCase {
@@ -139,9 +143,12 @@ func roundTripCases() []roundTripCase {
 		extreme("StatsReq", TStats, (&StatsReq{DB: "db"}).Encode(nil)),
 		zero("ListIndexesReq", TListIndexes, (&ListIndexesReq{}).Encode(nil)),
 		extreme("ListIndexesReq", TListIndexes, (&ListIndexesReq{DB: "db"}).Encode(nil)),
-		zero("Match", TMatch, (&Match{}).Encode(nil)),
-		extreme("Match", TMatch, (&Match{SeqID: "s", Seq: maxU32, Start: maxU32, End: maxU32,
-			Distance: -2.25}).Encode(nil)),
+		zero("MatchBatch", TMatch, (&MatchBatch{Matches: []Match{{}}}).Encode(nil)),
+		extreme("MatchBatch", TMatch, (&MatchBatch{Matches: []Match{
+			{SeqID: "s", Seq: maxU32, Start: maxU32, End: maxU32, Distance: -2.25},
+			{SeqID: "s", Seq: maxU32, Start: 0, End: maxU32, Distance: math.Inf(1)},
+			{},
+		}}).Encode(nil)),
 		zero("Done", TDone, (&Done{}).Encode(nil)),
 		extreme("Done", TDone, (&Done{Stats: stats}).Encode(nil)),
 		zero("Error", TError, EncodeError(nil, &Error{})),
@@ -204,4 +211,24 @@ func v5Req(b []byte, n int, parallelism uint32) []byte {
 // no answered-shards list.
 func oldError(e *Error) []byte {
 	return appendString([]byte{byte(e.Code)}, e.Msg)
+}
+
+// badBatches are TMatch bodies one edit away from a valid batch of two
+// records, keyed by what is wrong with them.
+func badBatches() map[string][]byte {
+	two := (&MatchBatch{Matches: []Match{{SeqID: "s", Start: 1, End: 3}, {SeqID: "s", Start: 2, End: 3}}}).Encode(nil)
+	withCount := func(n uint32) []byte {
+		return binary.LittleEndian.AppendUint32(nil, n)
+	}
+	longID := append([]byte(nil), two...)
+	binary.LittleEndian.PutUint32(longID[4:], uint32(len(two)))
+	return map[string][]byte{
+		"count 0":                      withCount(0),
+		"count 0 and a record":         append(withCount(0), two[4:]...),
+		"a count above the records":    append(withCount(3), two[4:]...),
+		"a count of 2^32-1":            append(withCount(math.MaxUint32), two[4:]...),
+		"trailing bytes":               append(append([]byte(nil), two...), 0),
+		"a SeqID running past the end": longID,
+		"no count":                     {1, 0},
+	}
 }

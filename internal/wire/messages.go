@@ -140,8 +140,9 @@ func DecodeListIndexesReq(body []byte) (ListIndexesReq, error) {
 	return m, r.Err()
 }
 
-// Match is one streamed answer. The float64 distance travels as bits, so a
-// streamed answer set is byte-identical to the in-process one.
+// Match is one streamed answer: a record of a TMatch frame's batch
+// (MatchBatch). The float64 distance travels as bits, so a streamed answer
+// set is byte-identical to the in-process one.
 type Match struct {
 	SeqID    string
 	Seq      int
@@ -150,7 +151,7 @@ type Match struct {
 	Distance float64
 }
 
-// Encode appends the match body to b.
+// Encode appends the match record to b.
 func (m *Match) Encode(b []byte) []byte {
 	b = appendString(b, m.SeqID)
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.Seq))
@@ -159,7 +160,7 @@ func (m *Match) Encode(b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Distance))
 }
 
-// DecodeMatch parses a TMatch body.
+// DecodeMatch parses exactly one match record.
 func DecodeMatch(body []byte) (Match, error) {
 	r := NewReader(body)
 	m := Match{

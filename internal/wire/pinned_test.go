@@ -12,9 +12,11 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// TestWireBytesPinned holds the version-7 layout of every message type, and
+// TestWireBytesPinned holds the version-8 layout of every message type, and
 // the hello that announces it, to captured bytes: each digest is the
-// SHA-256 of Encode's output (WriteHello's, for the hello). Version 7 is
+// SHA-256 of Encode's output (WriteHello's, for the hello). Version 8 made
+// a TMatch body a batch of match records: the hello was re-captured and the
+// MatchBatch digest added; a record ("Match") kept its bytes. Version 7 was
 // version 6 without the batch and topology messages: only the hello was
 // re-captured then. Version 6 dropped the parallelism word of SearchReq and
 // KNNReq, and re-captured those two; every other digest is unchanged since
@@ -31,6 +33,7 @@ func TestWireBytesPinned(t *testing.T) {
 	kreq := KNNReq{DB: "db", Index: "ix", K: 7, Timeout: time.Second, Query: []float64{4, 5}}
 	screq := ScanReq{DB: "db", Eps: 1.25, Timeout: time.Minute, Query: []float64{6}}
 	match := Match{SeqID: "stock-0001", Seq: 1, Start: 2, End: 9, Distance: 0.75}
+	batch := MatchBatch{Matches: []Match{match, {SeqID: "stock-0001", Seq: 1, Start: 3, End: 9, Distance: 0.5}, {SeqID: "stock-0002", Seq: 2, End: 4}}}
 	done := Done{Stats: stats}
 	sresp := StatsResp{
 		Stats: sequence.Stats{
@@ -58,13 +61,14 @@ func TestWireBytesPinned(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"Hello", hello.Bytes(), "ed86d73d0b9fccfe5c53e6cf86dbc953f17922978b866be1bb8a4073ae2cb1d7"},
+		{"Hello", hello.Bytes(), "4818bbf539a1efb3e97e66e36b9616ca84fd05aa79d7aca3f1e96f3dc1917138"},
 		{"SearchReq", sreq.Encode(nil), "381c01e73a9bafe7316b17c242fb9d7fd8ea5770f1a950f59676eb00dcb1a494"},
 		{"KNNReq", kreq.Encode(nil), "96dfe0330559a2e75d1457ece1d8708e7d11ab8b3ed1a8117f1e012b135a9548"},
 		{"ScanReq", screq.Encode(nil), "1a8da6c87fcc6c031981d75ee2bc3fecb75df9295c618687baaae03a449cf3fa"},
 		{"StatsReq", (&StatsReq{DB: "db"}).Encode(nil), "eaeb001f36aae4e5d20e470a76f97f55b3168a1f0ce591b4fa773442aedac7b2"},
 		{"ListIndexesReq", (&ListIndexesReq{DB: "db"}).Encode(nil), "eaeb001f36aae4e5d20e470a76f97f55b3168a1f0ce591b4fa773442aedac7b2"},
 		{"Match", match.Encode(nil), "78eb24feb2d795f860f0e72a693e1183161f01ba306445417aeafd6e29850098"},
+		{"MatchBatch", batch.Encode(nil), "05880c7d7d9943f7130b4c294ca8374c420232699e10a907526251082c58f479"},
 		{"Done", done.Encode(nil), "91d119986648c5b12f50d340f171419d6e4324ceca2428f224a16194eb2fcf76"},
 		{"Error", EncodeError(nil, partial), "ab7ab1f80b7345a2a2e38d54a66a16ad9dd039b1e71435c62c52064e465bbe56"},
 		{"ErrorPlain", EncodeError(nil, ErrOverloaded), "d488c73f2b0cf65ca989cb79616835a5ec984596984f445dc40ae8df6b8477d5"},

@@ -18,8 +18,11 @@
 // Requests (client to server) are one frame each; the connection is
 // half-duplex, one request at a time. A search-shaped request is answered
 // by a stream of TMatch frames terminated by exactly one TDone (carrying
-// the search's work counters) or one TError; large answer sets are never
-// buffered on either side. Stats and ListIndexes are answered by a single
+// the search's work counters) or one TError. A TMatch frame carries a batch
+// of answers (MatchBatch), sent once about 32 KiB of them are pending and
+// before the terminating frame (MatchWriter), so a large answer set is
+// never buffered whole on either side and a frame's fixed costs are paid
+// per batch, not per answer. Stats and ListIndexes are answered by a single
 // TStatsResp / TIndexes frame. All integers are little endian; float64s
 // travel as their IEEE-754 bits, so values round-trip exactly and server
 // answers are byte-identical to in-process results.
@@ -37,8 +40,9 @@ import (
 // Version is the protocol version this package speaks, and the only layout
 // the codecs know: the handshake refuses a peer with any other version, so
 // every message has one Encode and one Decode. Changing a layout means
-// bumping Version and rebuilding both sides.
-const Version = 7
+// bumping Version and rebuilding both sides. Version 8 batches the
+// answers of a TMatch frame.
+const Version = 8
 
 // magic identifies a twsearchd connection.
 var magic = [4]byte{'T', 'W', 'S', 'D'}
@@ -56,7 +60,7 @@ const (
 	TStats       byte = 0x04 // StatsReq: dataset summary statistics
 	TListIndexes byte = 0x05 // ListIndexesReq: open indexes of a DB
 
-	TMatch     byte = 0x10 // Match: one streamed answer
+	TMatch     byte = 0x10 // MatchBatch: a batch of streamed answers
 	TDone      byte = 0x11 // Done: end of a match stream, with stats
 	TError     byte = 0x12 // ErrorFrame: request failed
 	TStatsResp byte = 0x13 // StatsResp: answer to TStats
@@ -124,12 +128,21 @@ const frameChunk = 1 << 16
 // bytes arrive, doubling: a peer that announces MaxFrame and stalls pins
 // frameChunk bytes, not 64 MiB. A stream that ends inside a frame is
 // io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) (byte, []byte, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame reading into buf's storage: a frame that fits
+// in cap(buf) allocates nothing, and its body aliases buf until the next
+// read into it; a larger one is read as ReadFrame reads it, into a fresh
+// buffer.
+func ReadFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:])
+	size := binary.LittleEndian.Uint32(hdr)
 	if size == 0 {
 		return 0, nil, errors.New("wire: zero-length frame")
 	}
@@ -137,7 +150,11 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", size)
 	}
 	n := int(size)
-	buf := make([]byte, min(n, frameChunk))
+	if n <= cap(buf) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, min(n, frameChunk))
+	}
 	for have := 0; ; {
 		if _, err := io.ReadFull(r, buf[have:]); err != nil {
 			if err == io.EOF {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"twsearch/internal/core"
 	"twsearch/internal/sequence"
@@ -45,8 +47,9 @@ func TestHelloBadVersion(t *testing.T) {
 	b := buf.Bytes()
 	// The neighbors of the one supported version are refused like any other;
 	// 5 is the layout that still carried a parallelism word in the search,
-	// k-NN and batch requests, 6 the last with the batch and topology frames.
-	for _, v := range []uint16{5, 6, Version - 1, Version + 1, 0xFFFF} {
+	// k-NN and batch requests, 6 the last with the batch and topology frames,
+	// 7 the last with one answer per match frame.
+	for _, v := range []uint16{5, 6, 7, Version - 1, Version + 1, 0xFFFF} {
 		b[4], b[5] = byte(v), byte(v>>8)
 		got, err := ReadHello(bytes.NewReader(b))
 		if !errors.Is(err, ErrVersion) || got != v {
@@ -203,6 +206,97 @@ func TestMatchRoundTripExactBits(t *testing.T) {
 	}
 }
 
+// TestMatchBatchRoundTrip: a batch decodes to its records in order, with
+// their distances' bits, and a run of records in one sequence shares one
+// SeqID string.
+func TestMatchBatchRoundTrip(t *testing.T) {
+	in := MatchBatch{Matches: []Match{
+		{SeqID: "a", Seq: 0, Start: 1, End: 4, Distance: 0.5},
+		{SeqID: "a", Seq: 0, Start: 2, End: 4, Distance: math.Float64frombits(0x7FF8_0000_DEAD_BEEF)},
+		{SeqID: "", Seq: 1, Start: 0, End: 1},
+		{SeqID: "stock-0002", Seq: 2, Start: 7, End: 9, Distance: -0.0},
+	}}
+	out, err := DecodeMatchBatch(in.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Matches) != len(in.Matches) {
+		t.Fatalf("%d records back, want %d", len(out.Matches), len(in.Matches))
+	}
+	for i, m := range out.Matches {
+		w := in.Matches[i]
+		if m.SeqID != w.SeqID || m.Seq != w.Seq || m.Start != w.Start || m.End != w.End ||
+			math.Float64bits(m.Distance) != math.Float64bits(w.Distance) {
+			t.Errorf("record %d: %+v, want %+v", i, m, w)
+		}
+	}
+	if unsafe.StringData(out.Matches[0].SeqID) != unsafe.StringData(out.Matches[1].SeqID) {
+		t.Error("two records of one sequence decoded to two SeqID strings")
+	}
+}
+
+// TestMatchWriterBatches: records reach the writer only in TMatch frames of
+// at least 32 KiB of records, except the last, which Flush sends; the
+// frames read back, through one reused buffer, to the records in order.
+func TestMatchWriterBatches(t *testing.T) {
+	var buf bytes.Buffer
+	mw := NewMatchWriter(&buf)
+	mw.Start()
+	const n = 5000
+	for i := 0; i < n; i++ {
+		m := Match{SeqID: fmt.Sprintf("s%d", i/300), Seq: i / 300, Start: i, End: i + 3, Distance: float64(i)}
+		if err := mw.Add(&m); err != nil {
+			t.Fatal(err)
+		}
+		if (buf.Len() > 0) != (mw.Sent() > 0) {
+			t.Fatalf("after %d records: %d bytes written, %d records sent", i+1, buf.Len(), mw.Sent())
+		}
+	}
+	pending := n - mw.Sent()
+	if pending == 0 || pending == n {
+		t.Fatalf("%d of %d records pending before Flush: want the batches full and a remainder", pending, n)
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if mw.Sent() != n {
+		t.Fatalf("sent %d, want %d", mw.Sent(), n)
+	}
+	var dec MatchDecoder
+	frame := make([]byte, 0, 64<<10)
+	got, frames := 0, 0
+	for buf.Len() > 0 {
+		typ, body, err := ReadFrameInto(&buf, frame)
+		if err != nil || typ != TMatch {
+			t.Fatalf("frame %d: type %#x, %v", frames, typ, err)
+		}
+		if &body[0] != &frame[:2][1] {
+			t.Fatalf("frame %d of %d bytes was not read into the buffer", frames, len(body))
+		}
+		cnt, err := dec.Reset(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Match
+		for dec.Next(&m) {
+			if m.Start != got || m.SeqID != fmt.Sprintf("s%d", got/300) {
+				t.Fatalf("record %d: %+v", got, m)
+			}
+			got++
+			cnt--
+		}
+		if err := dec.Err(); err != nil || cnt != 0 {
+			t.Fatalf("frame %d: %v, %d records short", frames, err, cnt)
+		}
+		if frames++; buf.Len() > 0 && len(body)-4 < batchBytes {
+			t.Errorf("frame %d carries %d bytes of records, want at least %d", frames, len(body)-4, batchBytes)
+		}
+	}
+	if got != n || frames < 3 {
+		t.Fatalf("%d records in %d frames, want %d in at least 3", got, frames, n)
+	}
+}
+
 func TestDoneRoundTrip(t *testing.T) {
 	in := Done{Stats: core.SearchStats{
 		NodesVisited: 1, FilterCells: 2, PostCells: 3, Candidates: 4,
@@ -340,5 +434,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeKNNReq((&KNNReq{DB: "d", Index: "i", K: math.MaxInt32, Query: []float64{1}}).Encode(nil)); err != nil {
 		t.Errorf("KNNReq k=MaxInt32: %v", err)
+	}
+	// A match batch is refused whole when its count is zero or claims more
+	// records than are there, when bytes trail its last record, or when a
+	// record's SeqID length runs past the body.
+	for name, body := range badBatches() {
+		if _, err := DecodeMatchBatch(body); err == nil || !strings.Contains(err.Error(), "wire:") {
+			t.Errorf("match batch with %s: err = %v, want a reader error", name, err)
+		}
 	}
 }

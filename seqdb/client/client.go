@@ -7,6 +7,12 @@
 // A Client serializes its calls (the protocol is one request at a time per
 // connection); for concurrent query streams, use one Client per goroutine
 // — the server side is built for many connections.
+//
+// Answers arrive in batched match frames (wire.MatchBatch). The client reads
+// each frame into a buffer it owns and decodes the answers where they lie,
+// sharing one SeqID string across a run of answers in one sequence; the
+// calls that return an answer set gather it in fixed-size chunks and copy
+// it once into an exactly sized slice.
 package client
 
 import (
@@ -15,7 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,16 +41,40 @@ const defaultDialTimeout = 5 * time.Second
 
 // Client is a twsearchd connection handle. Safe for concurrent use;
 // requests serialize on the single underlying connection.
+//
+// Between calls a Client keeps, beside the connection and its two 64 KiB
+// bufio buffers, the 64 KiB buffer match frames are read into, the last
+// answer's SeqID, and the chunks of the largest answer set a call gathered,
+// up to keptChunks of chunkLen answers (about 384 KiB). Close releases the
+// connection; the buffers go with the Client.
 type Client struct {
 	addr string
 	opts Options
 
-	// mu serializes requests and guards the connection state below.
+	// mu serializes requests and guards the state below.
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+
+	// frame is the buffer match-stream frames up to its capacity are read
+	// into; dec decodes their answers in place.
+	frame []byte
+	dec   wire.MatchDecoder
+	// chunks gather a materialized answer set (collectMatchStream).
+	chunks [][]seqdb.Match
 }
+
+// frameBuf is the capacity of Client.frame: a whole batch of answers and
+// the record that filled it (wire.MatchWriter).
+const frameBuf = 64 << 10
+
+// chunkLen is the answers in one gathering chunk; keptChunks bounds the
+// chunks a Client keeps between calls.
+const (
+	chunkLen   = 1024
+	keptChunks = 8
+)
 
 // Dial connects to a twsearchd server and validates the handshake. The
 // returned client redials automatically if the connection later fails.
@@ -185,37 +215,51 @@ func (c *Client) finish() {
 func (c *Client) SearchVisitWith(ctx context.Context, db, index string, q []float64, eps float64, fn func(seqdb.Match) bool, opts seqdb.SearchOptions) (seqdb.SearchStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var stats seqdb.SearchStats
-	hint, err := c.begin(ctx)
-	if err != nil {
-		return stats, err
-	}
-	req := wire.SearchReq{DB: db, Index: index, Eps: eps, Timeout: hint, Query: q}
-	if err := c.send(ctx, wire.TSearch, req.Encode(nil)); err != nil {
-		return stats, err
+	if err := c.sendSearch(ctx, db, index, q, eps); err != nil {
+		return seqdb.SearchStats{}, err
 	}
 	return c.readMatchStream(ctx, fn)
 }
 
-// readMatchStream consumes TMatch frames until TDone or TError. Caller
-// holds c.mu and has sent a search-shaped request.
+// sendSearch sends a range search request under ctx. Caller holds c.mu.
+func (c *Client) sendSearch(ctx context.Context, db, index string, q []float64, eps float64) error {
+	hint, err := c.begin(ctx)
+	if err != nil {
+		return err
+	}
+	req := wire.SearchReq{DB: db, Index: index, Eps: eps, Timeout: hint, Query: q}
+	return c.send(ctx, wire.TSearch, req.Encode(nil))
+}
+
+// readMatchStream consumes TMatch frames until TDone or TError, handing
+// their answers to fn in stream order. Frames are read into c.frame and
+// decoded in place, so the stream allocates per frame larger than the
+// buffer and per run of answers in one sequence (the SeqID string), not per
+// answer. Caller holds c.mu and has sent a search-shaped request.
 func (c *Client) readMatchStream(ctx context.Context, fn func(seqdb.Match) bool) (seqdb.SearchStats, error) {
 	var stats seqdb.SearchStats
+	if c.frame == nil {
+		c.frame = make([]byte, 0, frameBuf)
+	}
+	var wm wire.Match
 	for {
-		t, body, err := wire.ReadFrame(c.br)
+		t, body, err := wire.ReadFrameInto(c.br, c.frame)
 		if err != nil {
 			return stats, c.fail(ctx, err)
 		}
 		switch t {
 		case wire.TMatch:
-			wm, err := wire.DecodeMatch(body)
-			if err != nil {
+			if _, err := c.dec.Reset(body); err != nil {
 				return stats, c.fail(ctx, err)
 			}
-			m := seqdb.Match{SeqID: wm.SeqID, Seq: wm.Seq, Start: wm.Start, End: wm.End, Distance: wm.Distance}
-			if !fn(m) {
-				c.dropLocked()
-				return stats, nil
+			for c.dec.Next(&wm) {
+				if !fn(seqdb.Match{SeqID: wm.SeqID, Seq: wm.Seq, Start: wm.Start, End: wm.End, Distance: wm.Distance}) {
+					c.dropLocked()
+					return stats, nil
+				}
+			}
+			if err := c.dec.Err(); err != nil {
+				return stats, c.fail(ctx, err)
 			}
 		case wire.TDone:
 			d, err := wire.DecodeDone(body)
@@ -241,11 +285,12 @@ func (c *Client) readMatchStream(ctx context.Context, fn func(seqdb.Match) bool)
 // (sequence, start, end) — the same order, distances and stats the
 // in-process seqdb.DB.SearchWith produces. See SearchVisitWith for opts.
 func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, eps float64, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
-	var ms []seqdb.Match
-	stats, err := c.SearchVisitWith(ctx, db, index, q, eps, func(m seqdb.Match) bool {
-		ms = append(ms, m)
-		return true
-	}, opts)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.sendSearch(ctx, db, index, q, eps); err != nil {
+		return nil, seqdb.SearchStats{}, err
+	}
+	ms, stats, err := c.collectMatchStream(ctx)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -254,9 +299,13 @@ func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, 
 }
 
 // sortMatches puts matches in the deterministic (sequence, start, end)
-// order the in-process seqdb API returns.
+// order the in-process seqdb API returns. A stream already in that order —
+// a flat mount's on an index that verifies every answer — is left as it
+// came.
 func sortMatches(ms []seqdb.Match) {
-	sort.Slice(ms, func(i, j int) bool { return shard.PositionLess(ms[i], ms[j]) })
+	if !slices.IsSortedFunc(ms, shard.PositionCompare) {
+		slices.SortFunc(ms, shard.PositionCompare)
+	}
 }
 
 // SearchKNNWith returns the k nearest subsequences; order mirrors the
@@ -295,18 +344,34 @@ func (c *Client) SeqScan(ctx context.Context, db string, q []float64, eps float6
 	return c.collectMatchStream(ctx)
 }
 
-// collectMatchStream materializes a match stream in server order. Caller
-// holds c.mu.
+// collectMatchStream materializes a match stream in server order: the
+// answers fill chunks of chunkLen, and one exactly sized slice receives
+// them at the end — one copy per answer, where a growing slice copies each
+// answer again at every doubling. The first keptChunks chunks stay with
+// the Client for its next call. Caller holds c.mu.
 func (c *Client) collectMatchStream(ctx context.Context) ([]seqdb.Match, seqdb.SearchStats, error) {
-	var ms []seqdb.Match
+	n := 0
 	stats, err := c.readMatchStream(ctx, func(m seqdb.Match) bool {
-		ms = append(ms, m)
+		i := n / chunkLen
+		if i == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]seqdb.Match, chunkLen))
+		}
+		c.chunks[i][n%chunkLen] = m
+		n++
 		return true
 	})
-	if err != nil {
-		return nil, stats, err
+	var ms []seqdb.Match
+	if err == nil {
+		ms = make([]seqdb.Match, n)
+		for i := 0; i*chunkLen < n; i++ {
+			copy(ms[i*chunkLen:], c.chunks[i])
+		}
 	}
-	return ms, stats, nil
+	if len(c.chunks) > keptChunks {
+		clear(c.chunks[keptChunks:])
+		c.chunks = c.chunks[:keptChunks]
+	}
+	return ms, stats, err
 }
 
 // Stats returns the dataset summary of a mounted DB.

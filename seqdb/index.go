@@ -9,12 +9,20 @@ import (
 	"twsearch/internal/categorize"
 	"twsearch/internal/core"
 	"twsearch/internal/disktree"
+	"twsearch/internal/storage"
 )
 
 // ErrNoIndex reports a search against an index name the database does not
 // have. Errors returned by SearchWith and friends wrap it, so callers (and
 // the network server) can classify lookup failures with errors.Is.
 var ErrNoIndex = errors.New("no such index")
+
+// ErrIndexRead reports a search that failed reading an index file: a page
+// read came up short or failed, or a node record is not what it claims to
+// be — the file was cut or damaged after it was opened. errors.Is finds it
+// under such a search's error; the network server reports it as internal,
+// not as the client's fault.
+var ErrIndexRead = storage.ErrRead
 
 func errNoIndex(name string) error {
 	return fmt.Errorf("seqdb: no index %q: %w", name, ErrNoIndex)

@@ -15,9 +15,10 @@
 //     timeout hint; cancellation aborts the search through the engine's
 //     early-stop path and the deadline is mirrored onto the connection so
 //     a blocked write fails with it too.
-//   - Streaming: answers flow to the client as individual match frames as
-//     the traversal finds them; an answer set is never materialized
-//     server-side for range searches.
+//   - Streaming: answers flow to the client in match frames of about
+//     32 KiB of answers each (wire.MatchWriter), as the traversal finds
+//     them; an answer set is never materialized server-side for range
+//     searches.
 //   - Shutdown: Shutdown stops accepting, closes the listeners, cancels
 //     every in-flight search, nudges idle connections, and joins every
 //     goroutine the server started before returning.
@@ -321,6 +322,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	mw := wire.NewMatchWriter(bw)
 
 	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return
@@ -350,7 +352,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // clean close, idle timeout, or drain nudge
 		}
-		if err := s.handleRequest(conn, bw, t, body); err != nil {
+		if err := s.handleRequest(conn, bw, mw, t, body); err != nil {
 			s.logf("conn %s: %v", conn.RemoteAddr(), err)
 			return
 		}
@@ -371,18 +373,19 @@ type reqResult struct {
 }
 
 // handleRequest dispatches one frame, flushes the response, and records
-// the outcome. The returned error is connection-fatal.
-func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, t byte, body []byte) error {
+// the outcome. mw is the connection's match-stream writer over bw. The
+// returned error is connection-fatal.
+func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) error {
 	started := time.Now()
 	var res reqResult
 	var ioErr error
 	switch t {
 	case wire.TSearch:
-		res, ioErr = s.handleSearch(conn, bw, body)
+		res, ioErr = s.handleSearch(conn, bw, mw, body)
 	case wire.TKNN:
-		res, ioErr = s.handleKNN(conn, bw, body)
+		res, ioErr = s.handleKNN(conn, bw, mw, body)
 	case wire.TScan:
-		res, ioErr = s.handleScan(conn, bw, body)
+		res, ioErr = s.handleScan(conn, bw, mw, body)
 	case wire.TStats:
 		res, ioErr = s.handleStats(bw, body)
 	case wire.TListIndexes:
@@ -437,7 +440,7 @@ func (s *Server) requestCtx(conn net.Conn, hint time.Duration) (context.Context,
 	}
 }
 
-func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, body []byte) (reqResult, error) {
+func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
 	res := reqResult{op: "search"}
 	req, err := wire.DecodeSearchReq(body)
 	if err != nil {
@@ -463,19 +466,16 @@ func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, body []byte) (req
 	defer cleanup()
 
 	var ioErr error
-	buf := make([]byte, 0, 256)
+	mw.Start()
 	stats, searchErr := db.SearchVisitWith(ctx, req.Index, req.Query, req.Eps, func(m seqdb.Match) bool {
-		buf = buf[:0]
-		wm := wire.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-		buf = wm.Encode(buf)
-		if err := wire.WriteFrame(bw, wire.TMatch, buf); err != nil {
-			ioErr = err
-			return false
-		}
-		res.matches++
-		return true
+		ioErr = addMatch(mw, m)
+		return ioErr == nil
 	}, seqdb.SearchOptions{})
 	res.stats, res.counted = stats, true
+	if ioErr == nil {
+		ioErr = mw.Flush()
+	}
+	res.matches = mw.Sent()
 	if ioErr != nil {
 		return res, ioErr
 	}
@@ -483,11 +483,10 @@ func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, body []byte) (req
 		res.err = classify(searchErr)
 		return res, writeError(bw, res.err)
 	}
-	done := wire.Done{Stats: stats}
-	return res, wire.WriteFrame(bw, wire.TDone, done.Encode(nil))
+	return res, writeDone(bw, stats)
 }
 
-func (s *Server) handleKNN(conn net.Conn, bw *bufio.Writer, body []byte) (reqResult, error) {
+func (s *Server) handleKNN(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
 	res := reqResult{op: "knn"}
 	req, err := wire.DecodeKNNReq(body)
 	if err != nil {
@@ -518,10 +517,10 @@ func (s *Server) handleKNN(conn net.Conn, bw *bufio.Writer, body []byte) (reqRes
 		res.err = classify(err)
 		return res, writeError(bw, res.err)
 	}
-	return s.streamMatches(bw, &res, ms, stats)
+	return streamMatches(bw, mw, res, ms, stats)
 }
 
-func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, body []byte) (reqResult, error) {
+func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
 	res := reqResult{op: "scan"}
 	req, err := wire.DecodeScanReq(body)
 	if err != nil {
@@ -552,24 +551,39 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, body []byte) (reqRe
 		res.err = classify(err)
 		return res, writeError(bw, res.err)
 	}
-	return s.streamMatches(bw, &res, ms, stats)
+	return streamMatches(bw, mw, res, ms, stats)
 }
 
 // streamMatches writes a materialized answer set as the same match-frame
 // stream a visitor search produces, then the done frame.
-func (s *Server) streamMatches(bw *bufio.Writer, res *reqResult, ms []seqdb.Match, stats seqdb.SearchStats) (reqResult, error) {
-	buf := make([]byte, 0, 256)
+func streamMatches(bw *bufio.Writer, mw *wire.MatchWriter, res reqResult, ms []seqdb.Match, stats seqdb.SearchStats) (reqResult, error) {
+	mw.Start()
+	var err error
 	for _, m := range ms {
-		buf = buf[:0]
-		wm := wire.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-		buf = wm.Encode(buf)
-		if err := wire.WriteFrame(bw, wire.TMatch, buf); err != nil {
-			return *res, err
+		if err = addMatch(mw, m); err != nil {
+			break
 		}
-		res.matches++
 	}
+	if err == nil {
+		err = mw.Flush()
+	}
+	res.matches = mw.Sent()
+	if err != nil {
+		return res, err
+	}
+	return res, writeDone(bw, stats)
+}
+
+// addMatch appends one answer to the stream's pending batch.
+func addMatch(mw *wire.MatchWriter, m seqdb.Match) error {
+	wm := wire.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
+	return mw.Add(&wm)
+}
+
+// writeDone ends a match stream with the search's work counters.
+func writeDone(bw *bufio.Writer, stats seqdb.SearchStats) error {
 	done := wire.Done{Stats: stats}
-	return *res, wire.WriteFrame(bw, wire.TDone, done.Encode(nil))
+	return wire.WriteFrame(bw, wire.TDone, done.Encode(nil))
 }
 
 func (s *Server) handleStats(bw *bufio.Writer, body []byte) (reqResult, error) {
@@ -636,11 +650,13 @@ func (s *Server) handleListIndexes(bw *bufio.Writer, body []byte) (reqResult, er
 // classify folds a search error into its wire shape: lookup failures are
 // not-found, context outcomes keep their deadline/shutdown meaning, a
 // scatter-gather partial failure over a sharded mount becomes
-// shard-unavailable carrying the answered shards, and anything else is a
-// bad request from the client's point of view (the search engine validates
-// inputs, it does not fail spontaneously). The context cases run first even
-// for partial failures: a request whose deadline expired mid-fan-out is a
-// deadline outcome, not a shard outage.
+// shard-unavailable carrying the answered shards, a failed read of an index
+// file is internal — the server's files are at fault, not the request — and
+// anything else is a bad request from the client's point of view (the
+// search engine validates inputs; reading its files is the only way it
+// fails on its own). The context cases run first even for partial failures:
+// a request whose deadline expired mid-fan-out is a deadline outcome, not a
+// shard outage.
 func classify(err error) error {
 	switch {
 	case errors.Is(err, seqdb.ErrNoIndex):
@@ -657,6 +673,9 @@ func classify(err error) error {
 			Msg:      err.Error(),
 			Answered: append([]int(nil), pe.Answered...),
 		}
+	}
+	if errors.Is(err, seqdb.ErrIndexRead) {
+		return &wire.Error{Code: wire.CodeInternal, Msg: err.Error()}
 	}
 	return &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -262,6 +264,65 @@ func TestServerErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestServerTreeReadFailureIsInternal: a search whose index file was cut
+// after the DB opened it fails reading a page — a fault of the server's
+// files, so the client sees CodeInternal, not bad-request — the page the
+// failed read was for is not left pinned, and another mounted DB goes on
+// answering.
+func TestServerTreeReadFailureIsInternal(t *testing.T) {
+	leakCheck(t)
+	dir := newTestDB(t).Dir()
+	// Reopen the built database so its pool holds no page of the tree yet.
+	cut, err := seqdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.Close()
+	tree := filepath.Join(dir, "idx-fast.twt")
+	st, err := os.Stat(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
+		t.Fatal(err)
+	}
+	healthy := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("cut", cut); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddDB("healthy", healthy); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	q := testQuery(healthy, "seq-03", 10, 30)
+
+	_, _, err = c.SearchWith(ctx, "cut", "fast", q, 4, seqdb.SearchOptions{})
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeInternal {
+		t.Fatalf("search of a cut tree: %v, want an internal error", err)
+	}
+	if !strings.Contains(we.Msg, "unexpected EOF") {
+		t.Errorf("a short page read reads %q, want unexpected EOF", we.Msg)
+	}
+	if n := cut.PinnedPages(); n != 0 {
+		t.Errorf("%d pages pinned after the failed search", n)
+	}
+	want, _, err := healthy.SearchWith(ctx, "fast", q, 4, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.SearchWith(ctx, "healthy", "fast", q, 4, seqdb.SearchOptions{})
+	if err != nil || !matchesBitIdentical(got, want) {
+		t.Fatalf("the other DB after the failure: %d answers, %v; want %d", len(got), err, len(want))
+	}
+}
+
 // TestServerKNNRejectsBadK: k travels as a uint32, so a non-positive k must
 // die before it is sent — with the in-process call's wording — and a frame
 // that carries one anyway (k = -1 reads as 0xFFFFFFFF) is a bad request,
@@ -377,11 +438,13 @@ func TestServerRefusesFreedFrameTypes(t *testing.T) {
 		if rt == wire.TDone {
 			break
 		}
-		wm, err := wire.DecodeMatch(body)
+		batch, err := wire.DecodeMatchBatch(body)
 		if rt != wire.TMatch || err != nil {
 			t.Fatalf("frame %#x in the match stream (%v)", rt, err)
 		}
-		got = append(got, seqdb.Match{SeqID: wm.SeqID, Seq: wm.Seq, Start: wm.Start, End: wm.End, Distance: wm.Distance})
+		for _, wm := range batch.Matches {
+			got = append(got, seqdb.Match{SeqID: wm.SeqID, Seq: wm.Seq, Start: wm.Start, End: wm.End, Distance: wm.Distance})
+		}
 	}
 	if !matchesBitIdentical(want, got) {
 		t.Errorf("search after the refused frames: %d matches, want %d bit-identical", len(got), len(want))
@@ -622,7 +685,9 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 
 // TestClientEarlyStopAndReconnect exercises the streaming visitor's early
 // stop (which drops the connection by design) and the transparent redial
-// on the next request.
+// on the next request. The visitor stops halfway through the second match
+// frame: the rest of that batch and the stream after it are dropped with
+// the connection, and none of it leaks into the next call.
 func TestClientEarlyStopAndReconnect(t *testing.T) {
 	leakCheck(t)
 	db := newTestDB(t)
@@ -638,25 +703,31 @@ func TestClientEarlyStopAndReconnect(t *testing.T) {
 	defer c.Close()
 
 	q := testQuery(db, "seq-03", 10, 30)
-	want, _, err := db.SearchWith(context.Background(), "fast", q, 4, seqdb.SearchOptions{})
+	const eps = 20.0
+	want, _, err := db.SearchWith(context.Background(), "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) < 2 {
-		t.Fatalf("need >= 2 matches for an early stop, have %d", len(want))
+	// Every record of this DB has the same size ("seq-NN"), so a batch is
+	// sent once it holds perBatch of them.
+	rec := len((&wire.Match{SeqID: want[0].SeqID}).Encode(nil))
+	perBatch := (32<<10 + rec - 1) / rec
+	stop := perBatch + perBatch/2
+	if len(want) < 2*perBatch {
+		t.Fatalf("need two batches (%d matches) for a stop inside the second, have %d", 2*perBatch, len(want))
 	}
 	seen := 0
-	if _, err := c.SearchVisitWith(context.Background(), "main", "fast", q, 4, func(seqdb.Match) bool {
+	if _, err := c.SearchVisitWith(context.Background(), "main", "fast", q, eps, func(seqdb.Match) bool {
 		seen++
-		return seen < 2
+		return seen < stop
 	}, seqdb.SearchOptions{}); err != nil {
 		t.Fatalf("early-stopped visit: %v", err)
 	}
-	if seen != 2 {
-		t.Fatalf("visitor saw %d matches, want 2", seen)
+	if seen != stop {
+		t.Fatalf("visitor saw %d matches, want %d", seen, stop)
 	}
 	// The stop dropped the connection; the next call redials and works.
-	got, _, err := c.SearchWith(context.Background(), "main", "fast", q, 4, seqdb.SearchOptions{})
+	got, _, err := c.SearchWith(context.Background(), "main", "fast", q, eps, seqdb.SearchOptions{})
 	if err != nil {
 		t.Fatalf("search after early stop: %v", err)
 	}

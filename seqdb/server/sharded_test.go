@@ -163,3 +163,67 @@ func TestPartialFailureIsTyped(t *testing.T) {
 		t.Error("errors.Is must match ErrShardUnavailable")
 	}
 }
+
+// TestServerBatchedStreams: answer sets that span at least three match
+// frames — search, k-NN and scan, on a flat mount and on a 3-shard mount —
+// arrive byte-identical to the unsharded in-process calls, batch boundaries
+// and all.
+func TestServerBatchedStreams(t *testing.T) {
+	leakCheck(t)
+	db := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("flat", db); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddSharded("sh3", newSharded(t, db, 3)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := context.Background()
+	q := testQuery(db, "seq-03", 10, 30)
+	const eps = 20.0
+	want, _, err := db.SearchWith(ctx, "fast", q, eps, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(want) - 7
+	wantKNN, _, err := db.SearchKNNWith(ctx, "fast", q, k, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScan, _, err := db.SeqScanCtx(ctx, q, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A batch is sent once its records reach 32 KiB, so a stream of more
+	// than 96 KiB of records takes at least three frames.
+	for name, ms := range map[string][]seqdb.Match{"search": want, "k-NN": wantKNN, "scan": wantScan} {
+		size := 0
+		for _, m := range ms {
+			size += len((&wire.Match{SeqID: m.SeqID}).Encode(nil))
+		}
+		if size <= 3*32<<10 {
+			t.Fatalf("%s: %d answers in %d bytes of records, not three batches: pick a broader query", name, len(ms), size)
+		}
+	}
+
+	for _, mount := range []string{"flat", "sh3"} {
+		got, _, err := c.SearchWith(ctx, mount, "fast", q, eps, seqdb.SearchOptions{})
+		if err != nil || !matchesBitIdentical(want, got) {
+			t.Errorf("%s: search: %d answers, %v; want %d bit-identical", mount, len(got), err, len(want))
+		}
+		gotKNN, _, err := c.SearchKNNWith(ctx, mount, "fast", q, k, seqdb.SearchOptions{})
+		if err != nil || !matchesBitIdentical(wantKNN, gotKNN) {
+			t.Errorf("%s: k-NN: %d answers, %v; want %d bit-identical", mount, len(gotKNN), err, len(wantKNN))
+		}
+		gotScan, _, err := c.SeqScan(ctx, mount, q, eps)
+		if err != nil || !matchesBitIdentical(wantScan, gotScan) {
+			t.Errorf("%s: scan: %d answers, %v; want %d bit-identical", mount, len(gotScan), err, len(wantScan))
+		}
+	}
+}

@@ -34,3 +34,17 @@ func (db *DB) PoolStats() []IndexPoolStats {
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
 }
+
+// PinnedPages returns how many buffer-pool frames the open indexes hold
+// pinned right now: zero whenever no search is in flight, on every path out
+// of one — a failed page read included. Indexes read through mmap pin
+// nothing.
+func (db *DB) PinnedPages() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	for _, oi := range db.indexes {
+		n += oi.ix.Tree.PinnedPages()
+	}
+	return n
+}
