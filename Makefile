@@ -72,11 +72,14 @@ race-concurrency:
 # Horizontal-sharding determinism under -race, run twice: at shard counts
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
 # answers byte-identical to the unsharded database — in process and through
-# a sharded twsearchd mount. Also covers the scatter-gather
-# coordinator's partial-failure and merge paths; the partial-failure test
-# orders its shards with gates, and fifty runs hold it to that.
+# a sharded twsearchd mount — and a flat directory must answer as its
+# 1-shard root does. Also covers the scatter-gather coordinator's
+# partial-failure and merge paths, the refusal of shards that disagree
+# with their manifest or each other, and the cleanup of a failed
+# partition; the partial-failure test orders its shards with gates, and
+# fifty runs hold it to that.
 race-shard:
-	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest' ./internal/shard/ ./seqdb/ ./seqdb/server/
+	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat' ./internal/shard/ ./seqdb/ ./seqdb/server/
 	$(GO) test -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from

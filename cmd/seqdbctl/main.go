@@ -14,8 +14,7 @@
 //
 // Wherever -db takes a directory, a sharded database root (a directory
 // holding a MANIFEST.shards, as written by the shard subcommand) works
-// too: stats, index, drop, query, scan, and knn auto-detect sharding and
-// fan out over the shards.
+// too, and searches fan out over its shards; tune needs a flat database.
 //
 // query, scan, and knn also run against a twsearchd daemon instead of a
 // local directory: pass -addr host:port (with -q, since the server does
@@ -103,27 +102,10 @@ func queryContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// database is the surface of a plain or sharded database that the
-// subcommands use; *seqdb.DB and *seqdb.ShardedDB both satisfy it.
-type database interface {
-	Close() error
-	Values(id string) []float64
-	Indexes() []string
-	Index(name string) (seqdb.IndexInfo, error)
-	Stats() seqdb.Stats
-	PoolStats() []seqdb.IndexPoolStats
-	BuildIndex(name string, spec seqdb.IndexSpec) error
-	DropIndex(name string) error
-	SearchWith(ctx context.Context, name string, q []float64, eps float64, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error)
-	SearchKNNWith(ctx context.Context, name string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error)
-	SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]seqdb.Match, seqdb.SearchStats, error)
-}
-
-// openAny opens dir as a sharded database when it holds a shard manifest
-// and as a plain database otherwise, reading index trees through the
-// -backend storage backend ("" = buffer pool) with the -envelopes cascade
-// mode ("" = on).
-func openAny(dir, backendName, envName string) (database, error) {
+// openDB opens dir, a flat database or a sharded root, reading index trees
+// through the -backend storage backend ("" = buffer pool) with the
+// -envelopes cascade mode ("" = on).
+func openDB(dir, backendName, envName string) (*seqdb.DB, error) {
 	backend, err := seqdb.ParseBackend(backendName)
 	if err != nil {
 		return nil, err
@@ -132,11 +114,7 @@ func openAny(dir, backendName, envName string) (database, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := seqdb.OpenOptions{Backend: backend, Envelopes: envelopes}
-	if seqdb.IsSharded(dir) {
-		return seqdb.OpenShardedWith(dir, opts)
-	}
-	return seqdb.OpenWith(dir, opts)
+	return seqdb.OpenWith(dir, seqdb.OpenOptions{Backend: backend, Envelopes: envelopes})
 }
 
 // backendFlag registers the shared -backend flag on a subcommand FlagSet.
@@ -337,7 +315,7 @@ func cmdKNN(args []string) error {
 	if *db == "" || *from == "" {
 		return fmt.Errorf("knn: -db and -from required (or -addr with -q)")
 	}
-	d, err := openAny(*db, *backend, *envmode)
+	d, err := openDB(*db, *backend, *envmode)
 	if err != nil {
 		return err
 	}
@@ -468,7 +446,7 @@ func cmdStats(args []string) error {
 	backend := backendFlag(fs)
 	envmode := envelopesFlag(fs)
 	fs.Parse(args)
-	d, err := openAny(*db, *backend, *envmode)
+	d, err := openDB(*db, *backend, *envmode)
 	if err != nil {
 		return err
 	}
@@ -523,20 +501,11 @@ func cmdIndex(args []string) error {
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	var m seqdb.Method
-	switch *method {
-	case "me":
-		m = seqdb.MethodMaxEntropy
-	case "el":
-		m = seqdb.MethodEqualLength
-	case "kmeans":
-		m = seqdb.MethodKMeans
-	case "exact":
-		m = seqdb.MethodExact
-	default:
-		return fmt.Errorf("index: unknown method %q", *method)
+	m, err := parseMethod(*method)
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
-	d, err := openAny(*db, *backend, *envmode)
+	d, err := openDB(*db, *backend, *envmode)
 	if err != nil {
 		return err
 	}
@@ -559,7 +528,7 @@ func cmdDrop(args []string) error {
 	db := fs.String("db", "", "database directory")
 	name := fs.String("name", "", "index name")
 	fs.Parse(args)
-	d, err := openAny(*db, "", "")
+	d, err := openDB(*db, "", "")
 	if err != nil {
 		return err
 	}
@@ -620,7 +589,7 @@ func cmdQuery(args []string, useIndex bool) error {
 		return printMatches(matches, stats, *limit)
 	}
 
-	d, err := openAny(*db, *backend, *envmode)
+	d, err := openDB(*db, *backend, *envmode)
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,8 @@
 //
 //	twsearchd -db [name=]dir [-db ...] [-addr host:port] [flags]
 //
-// A -db dir may be a plain database directory or a sharded database root
-// (holding a MANIFEST.shards); sharding is auto-detected and searches fan
-// out over the shards.
+// A -db dir may be a flat database directory or a sharded database root
+// (holding a MANIFEST.shards), whose searches fan out over its shards.
 //
 // SIGINT/SIGTERM trigger a graceful drain: listeners close, in-flight
 // searches are canceled through their contexts, and the process exits
@@ -71,7 +70,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("twsearchd", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var dbs dbFlag
-	fs.Var(&dbs, "db", "database to serve, `[name=]dir` (repeatable; name defaults to the dir's base name; sharded roots auto-detected)")
+	fs.Var(&dbs, "db", "database to serve, `[name=]dir` (repeatable; name defaults to the dir's base name; flat or sharded)")
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
 	maxInFlight := fs.Int("max-in-flight", 0, "max concurrent searches before overload fast-fail (0 = default)")
 	searchTimeout := fs.Duration("search-timeout", 0, "server-side cap per search (0 = none)")
@@ -115,19 +114,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		}
 	}()
 	for i, dir := range dbs.dirs {
-		if seqdb.IsSharded(dir) {
-			db, err := seqdb.OpenShardedWith(dir, openOpts)
-			if err != nil {
-				return fmt.Errorf("open sharded %s: %w", dir, err)
-			}
-			mounted = append(mounted, db.Close)
-			if err := s.AddSharded(dbs.names[i], db); err != nil {
-				return err
-			}
-			logf("mounted sharded db %q from %s (%d sequences over %d shards, indexes: %s)",
-				dbs.names[i], dir, db.Len(), db.Shards(), strings.Join(db.Indexes(), ", "))
-			continue
-		}
 		db, err := seqdb.OpenWith(dir, openOpts)
 		if err != nil {
 			return fmt.Errorf("open %s: %w", dir, err)
@@ -136,8 +122,8 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		if err := s.AddDB(dbs.names[i], db); err != nil {
 			return err
 		}
-		logf("mounted db %q from %s (%d sequences, indexes: %s)",
-			dbs.names[i], dir, db.Len(), strings.Join(db.Indexes(), ", "))
+		logf("mounted db %q from %s (%d sequences, %d shards, indexes: %s)",
+			dbs.names[i], dir, db.Len(), db.Shards(), strings.Join(db.Indexes(), ", "))
 	}
 
 	ln, err := net.Listen("tcp", *addr)

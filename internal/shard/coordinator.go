@@ -20,8 +20,8 @@ type Stats = core.SearchStats
 // answers range searches (and scans) over its own slice of the sequences.
 // Matches come back in the shard's local (sequence, start, end) order with
 // shard-local sequence numbers; the coordinator adds the shard's base
-// offset. seqdb's in-process shard of a ShardedDB and a test fake implement
-// it.
+// offset. Each shard of a sharded seqdb.DB implements it, and so does this
+// package's test fake, which fails and stalls shards on cue.
 type Backend interface {
 	// Search runs a range search through the named index and returns the
 	// complete local answer set sorted by (sequence, start, end).
@@ -76,9 +76,6 @@ func NewCoordinator(backends []Backend, ranges []Range) (*Coordinator, error) {
 	}
 	return &Coordinator{backends: backends, bases: bases}, nil
 }
-
-// Shards returns the number of shards behind the coordinator.
-func (c *Coordinator) Shards() int { return len(c.backends) }
 
 // gather runs one scatter-gather round: `run` executes on every backend
 // concurrently, and completed shards' matches (rebased to global sequence

@@ -318,7 +318,7 @@ func TestConcurrentSearchesTinyPool(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tree := db.indexes["tiny"].ix.Tree
+	tree := db.parts[0].indexes["tiny"].ix.Tree
 	if n := tree.PinnedPages(); n != 0 {
 		t.Fatalf("%d pages still pinned after the searches", n)
 	}

@@ -24,9 +24,7 @@ type AlignmentStep struct {
 // match's Distance for an unconstrained index) and the path in forward
 // order.
 func (db *DB) Align(m Match, q []float64) (float64, []AlignmentStep, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	vals := db.valuesByID(m.SeqID)
+	vals := db.Values(m.SeqID)
 	if vals == nil {
 		return 0, nil, fmt.Errorf("seqdb: no sequence %q", m.SeqID)
 	}
@@ -58,16 +56,20 @@ type CategoryMeasure = categorize.Measure
 // queries and the index size, and returns the count minimizing
 // model.Wt*seconds + model.Ws*KB, along with every measurement.
 func (db *DB) SelectCategories(spec IndexSpec, counts []int, queries [][]float64, eps float64, model CostModel) (int, []CategoryMeasure, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	p, err := db.flat("select categories for")
+	if err != nil {
+		return 0, nil, err
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	spec = spec.withDefaults()
-	best, measures, err := core.SelectCategories(db.data, queries, eps, counts, model,
+	best, measures, err := core.SelectCategories(p.data, queries, eps, counts, model,
 		core.Options{
 			Kind:         categorize.Kind(spec.Method),
 			Sparse:       spec.Sparse,
 			Window:       spec.Window,
 			MinAnswerLen: spec.MinAnswerLen,
-		}, db.dir)
+		}, p.dir)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -77,18 +79,28 @@ func (db *DB) SelectCategories(spec IndexSpec, counts []int, queries [][]float64
 // ExportCSV writes every sequence as an id,v1,v2,... line — a portable dump
 // readable by ImportCSV and by cmd/seqdbctl import.
 func (db *DB) ExportCSV(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.data.WriteCSV(w)
+	for _, p := range db.parts {
+		p.mu.RLock()
+		err := p.data.WriteCSV(w)
+		p.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ImportCSV appends all sequences from an id,v1,v2,... stream (blank lines
 // and '#' comments skipped). Like Add, it is rejected while indexes exist.
 // On a malformed line nothing is imported.
 func (db *DB) ImportCSV(r io.Reader) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(db.indexes) > 0 {
+	p, err := db.flat("import into")
+	if err != nil {
+		return 0, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.indexes) > 0 {
 		return 0, fmt.Errorf("seqdb: cannot import while indexes exist; drop indexes first")
 	}
 	parsed, err := sequence.ReadCSV(r)
@@ -97,13 +109,13 @@ func (db *DB) ImportCSV(r io.Reader) (int, error) {
 	}
 	// Validate every id against the current dataset before mutating.
 	for i := 0; i < parsed.Len(); i++ {
-		if db.data.ByID(parsed.Seq(i).ID) >= 0 {
+		if p.data.ByID(parsed.Seq(i).ID) >= 0 {
 			return 0, fmt.Errorf("seqdb: sequence %q already exists", parsed.Seq(i).ID)
 		}
 	}
 	for i := 0; i < parsed.Len(); i++ {
 		s := parsed.Seq(i)
-		if _, err := db.data.Add(s); err != nil {
+		if _, err := p.data.Add(s); err != nil {
 			return i, err
 		}
 	}

@@ -94,37 +94,55 @@ func validIndexName(name string) error {
 	return nil
 }
 
-func (db *DB) treePath(name string) string {
-	return filepath.Join(db.dir, "idx-"+name+".twt")
+func (p *part) treePath(name string) string {
+	return filepath.Join(p.dir, "idx-"+name+".twt")
 }
 
-func (db *DB) schemePath(name string) string {
-	return filepath.Join(db.dir, "idx-"+name+".cat")
+func (p *part) schemePath(name string) string {
+	return filepath.Join(p.dir, "idx-"+name+".cat")
 }
 
-func (db *DB) metaPath(name string) string {
-	return filepath.Join(db.dir, "idx-"+name+".meta")
+func (p *part) metaPath(name string) string {
+	return filepath.Join(p.dir, "idx-"+name+".meta")
 }
 
-// BuildIndex builds and persists a new index. The database is exclusively
-// locked for the duration of the build.
+// BuildIndex builds and persists a new index, shard by shard; each shard is
+// exclusively locked for the duration of its build. It is all or nothing:
+// when a shard fails, the index is dropped again from the shards this call
+// had already built, so the call can simply be repeated after fixing the
+// cause. Shards that had the index before the call keep it.
 func (db *DB) BuildIndex(name string, spec IndexSpec) error {
+	for i, p := range db.parts {
+		if err := p.buildIndex(name, spec); err != nil {
+			errs := []error{db.inShard(i, err)}
+			for j, built := range db.parts[:i] {
+				if err := built.dropIndex(name); err != nil {
+					errs = append(errs, fmt.Errorf("seqdb: rolling back index %q: %w", name, db.inShard(j, err)))
+				}
+			}
+			return errors.Join(errs...)
+		}
+	}
+	return nil
+}
+
+func (p *part) buildIndex(name string, spec IndexSpec) error {
 	if err := validIndexName(name); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.indexes[name]; exists {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, exists := p.indexes[name]; exists {
 		return fmt.Errorf("seqdb: index %q already exists", name)
 	}
-	if db.data.Len() == 0 {
+	if p.data.Len() == 0 {
 		return errors.New("seqdb: cannot index an empty database")
 	}
 	spec = spec.withDefaults()
 	if spec.Encoding != 0 && spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
 		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
 	}
-	ix, err := core.Build(db.data, db.treePath(name), core.Options{
+	ix, err := core.Build(p.data, p.treePath(name), core.Options{
 		Kind:         categorize.Kind(spec.Method),
 		Categories:   spec.Categories,
 		Sparse:       spec.Sparse,
@@ -135,18 +153,18 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 	if err != nil {
 		return err
 	}
-	ix.DisableEnvelopes = db.envelopes == EnvelopesOff
+	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
 	spec.Encoding = ix.Tree.Encoding()
-	if err := db.persistIndexMeta(name, spec, ix); err != nil {
+	if err := p.persistIndexMeta(name, spec, ix); err != nil {
 		ix.RemoveFile()
 		return err
 	}
-	db.indexes[name] = &openIndex{spec: spec, ix: ix}
+	p.indexes[name] = &openIndex{spec: spec, ix: ix}
 	return nil
 }
 
-func (db *DB) persistIndexMeta(name string, spec IndexSpec, ix *core.Index) error {
-	sf, err := os.Create(db.schemePath(name))
+func (p *part) persistIndexMeta(name string, spec IndexSpec, ix *core.Index) error {
+	sf, err := os.Create(p.schemePath(name))
 	if err != nil {
 		return err
 	}
@@ -158,12 +176,12 @@ func (db *DB) persistIndexMeta(name string, spec IndexSpec, ix *core.Index) erro
 		return err
 	}
 	meta := fmt.Sprintf("window=%d\npool_pages=%d\n", spec.Window, spec.PoolPages)
-	return os.WriteFile(db.metaPath(name), []byte(meta), 0o644)
+	return os.WriteFile(p.metaPath(name), []byte(meta), 0o644)
 }
 
 // openIndexFiles attaches a persisted index during Open.
-func (db *DB) openIndexFiles(name string) error {
-	sf, err := os.Open(db.schemePath(name))
+func (p *part) openIndexFiles(name string) error {
+	sf, err := os.Open(p.schemePath(name))
 	if err != nil {
 		return err
 	}
@@ -172,16 +190,16 @@ func (db *DB) openIndexFiles(name string) error {
 	if err != nil {
 		return err
 	}
-	window, poolPages, err := readIndexMeta(db.metaPath(name))
+	window, poolPages, err := readIndexMeta(p.metaPath(name))
 	if err != nil {
 		return err
 	}
-	ix, err := core.OpenWith(db.data, scheme, db.treePath(name), poolPages, window, db.backend)
+	ix, err := core.OpenWith(p.data, scheme, p.treePath(name), poolPages, window, p.backend)
 	if err != nil {
 		return err
 	}
-	ix.DisableEnvelopes = db.envelopes == EnvelopesOff
-	db.indexes[name] = &openIndex{
+	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
+	p.indexes[name] = &openIndex{
 		spec: IndexSpec{
 			Method:       Method(scheme.Kind()),
 			Categories:   scheme.NumCategories(),
@@ -196,27 +214,52 @@ func (db *DB) openIndexFiles(name string) error {
 	return nil
 }
 
-// DropIndex closes and deletes an index.
+// DropIndex closes and deletes an index on every shard that has it.
 func (db *DB) DropIndex(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	oi, ok := db.indexes[name]
+	var errs []error
+	found := false
+	for i, p := range db.parts {
+		err := p.dropIndex(name)
+		switch {
+		case err == nil:
+			found = true
+		case errors.Is(err, ErrNoIndex):
+		default:
+			errs = append(errs, db.inShard(i, err))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	if !found {
+		return errNoIndex(name)
+	}
+	return nil
+}
+
+func (p *part) dropIndex(name string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	oi, ok := p.indexes[name]
 	if !ok {
 		return errNoIndex(name)
 	}
-	delete(db.indexes, name)
+	delete(p.indexes, name)
 	if err := oi.ix.Close(); err != nil {
 		return err
 	}
-	return removeIndexFiles(db.metaPath(name), db.schemePath(name), db.treePath(name))
+	return removeIndexFiles(p.metaPath(name), p.schemePath(name), p.treePath(name))
 }
 
-// Indexes lists the open indexes' names.
-func (db *DB) Indexes() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.indexes))
-	for name := range db.indexes {
+// Indexes lists the open indexes' names. Open refuses a sharded root whose
+// shards disagree on them, so shard 0 speaks for every shard.
+func (db *DB) Indexes() []string { return db.parts[0].indexNames() }
+
+func (p *part) indexNames() []string {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	out := make([]string, 0, len(p.indexes))
+	for name := range p.indexes {
 		out = append(out, name)
 	}
 	return out
@@ -231,19 +274,25 @@ type IndexInfo struct {
 	Nodes     uint64
 }
 
-// Index returns metadata for a named index.
+// Index returns metadata for a named index: the spec of shard 0, and sizes
+// and counts summed over the shards.
 func (db *DB) Index(name string) (IndexInfo, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oi, ok := db.indexes[name]
-	if !ok {
-		return IndexInfo{}, errNoIndex(name)
+	info := IndexInfo{Name: name}
+	for i, p := range db.parts {
+		p.mu.RLock()
+		oi, ok := p.indexes[name]
+		if ok {
+			info.SizeBytes += oi.ix.SizeBytes()
+			info.Leaves += oi.ix.Tree.NumLeaves()
+			info.Nodes += oi.ix.Tree.NumNodes()
+			if i == 0 {
+				info.Spec = oi.spec
+			}
+		}
+		p.mu.RUnlock()
+		if !ok {
+			return IndexInfo{}, errNoIndex(name)
+		}
 	}
-	return IndexInfo{
-		Name:      name,
-		Spec:      oi.spec,
-		SizeBytes: oi.ix.SizeBytes(),
-		Leaves:    oi.ix.Tree.NumLeaves(),
-		Nodes:     oi.ix.Tree.NumNodes(),
-	}, nil
+	return info, nil
 }

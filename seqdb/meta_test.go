@@ -78,7 +78,7 @@ func TestDropIndexReportsRemoveErrors(t *testing.T) {
 	if err := db.BuildIndex("d", IndexSpec{Method: MethodMaxEntropy, Categories: 6}); err != nil {
 		t.Fatal(err)
 	}
-	schemePath := db.schemePath("d")
+	schemePath := db.parts[0].schemePath("d")
 	if err := os.Remove(schemePath); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDropIndexReportsRemoveErrors(t *testing.T) {
 	}
 	// The removable files must still be gone: partial cleanup is reported,
 	// not abandoned.
-	for _, p := range []string{db.metaPath("d"), db.treePath("d")} {
+	for _, p := range []string{db.parts[0].metaPath("d"), db.parts[0].treePath("d")} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s still present after DropIndex", p)
 		}

@@ -24,9 +24,17 @@ type SearchOptions struct {
 // path and ctx.Err() is returned — a canceled search returns an error,
 // never a silently truncated answer set.
 func (db *DB) SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oi, ok := db.indexes[indexName]
+	if db.coord == nil {
+		return db.parts[0].Search(ctx, indexName, q, eps)
+	}
+	return db.coord.Search(ctx, indexName, q, eps)
+}
+
+// Search is SearchWith on one part, in its own numbering.
+func (p *part) Search(ctx context.Context, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	oi, ok := p.indexes[indexName]
 	if !ok {
 		return nil, SearchStats{}, errNoIndex(indexName)
 	}
@@ -34,33 +42,33 @@ func (db *DB) SearchWith(ctx context.Context, indexName string, q []float64, eps
 	if err != nil {
 		return nil, stats, err
 	}
-	return db.publicMatches(ms), stats, nil
+	return p.publicMatches(ms), stats, nil
 }
 
 // SearchVisitWith streams answers to fn instead of materializing them: fn
-// is called once per answer, from the calling goroutine, in the serial
-// traversal's delivery order (not position order); returning false stops
-// the search. Use it when a permissive threshold would produce answer sets
-// too large to hold in memory. After a cancellation no further answers are
-// delivered to fn.
+// is called once per answer, from the calling goroutine; returning false
+// stops the search. Use it when a permissive threshold would produce answer
+// sets too large to hold in memory. After a cancellation no further answers
+// are delivered to fn. A flat database delivers in the serial traversal's
+// order, not position order. A sharded root delivers in global (sequence,
+// start, end) order, the order SearchWith materializes: shard i's answers
+// as soon as shards 0..i have completed, while later shards still search.
 func (db *DB) SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oi, ok := db.indexes[indexName]
-	if !ok {
-		return SearchStats{}, errNoIndex(indexName)
-	}
 	if fn == nil {
 		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
 	}
+	if db.coord != nil {
+		return db.coord.SearchVisit(ctx, indexName, q, eps, fn)
+	}
+	p := db.parts[0]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	oi, ok := p.indexes[indexName]
+	if !ok {
+		return SearchStats{}, errNoIndex(indexName)
+	}
 	return oi.ix.SearchVisit(ctx, q, eps, func(m core.Match) bool {
-		return fn(Match{
-			SeqID:    db.data.Seq(m.Ref.Seq).ID,
-			Seq:      m.Ref.Seq,
-			Start:    m.Ref.Start,
-			End:      m.Ref.End,
-			Distance: m.Distance,
-		})
+		return fn(p.publicMatch(m))
 	})
 }
 
@@ -68,11 +76,15 @@ func (db *DB) SearchVisitWith(ctx context.Context, indexName string, q []float64
 // warping distance, through the named index, in position order. See
 // SearchWith for the matching semantics; nearest-neighbor search expands
 // the threshold until k answers are certain, and every expansion round runs
-// under ctx.
+// under ctx. On a sharded root each round is one search of every shard.
 func (db *DB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	oi, ok := db.indexes[indexName]
+	if db.coord != nil {
+		return db.coord.SearchKNN(ctx, indexName, q, k)
+	}
+	p := db.parts[0]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	oi, ok := p.indexes[indexName]
 	if !ok {
 		return nil, SearchStats{}, errNoIndex(indexName)
 	}
@@ -80,5 +92,17 @@ func (db *DB) SearchKNNWith(ctx context.Context, indexName string, q []float64, 
 	if err != nil {
 		return nil, stats, err
 	}
-	return db.publicMatches(ms), stats, nil
+	return p.publicMatches(ms), stats, nil
+}
+
+// DistanceBound is the bound a sharded k-NN's rounds stop at, over one
+// part's index (core.Index.DistanceBound).
+func (p *part) DistanceBound(indexName string, q []float64) (float64, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	oi, ok := p.indexes[indexName]
+	if !ok {
+		return 0, errNoIndex(indexName)
+	}
+	return oi.ix.DistanceBound(q), nil
 }

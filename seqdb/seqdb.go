@@ -22,9 +22,17 @@
 // false dismissals: the answer set is identical to what the exhaustive
 // SeqScanCtx returns, typically at a small fraction of the work. Every
 // operation has one entry point, (ctx, …, opts): SearchWith,
-// SearchVisitWith (streaming), SearchKNNWith and SeqScanCtx, on a DB and on
-// a ShardedDB alike; the context's deadline or cancellation aborts the
-// traversal. Every search is one serial traversal.
+// SearchVisitWith (streaming), SearchKNNWith and SeqScanCtx; the context's
+// deadline or cancellation aborts the traversal. Every search is one serial
+// traversal.
+//
+// A DB holds one or more shards. A flat directory is a database of one
+// shard, searched by the engine directly. A sharded root, written by
+// PartitionInto, holds a MANIFEST.shards and one complete database per
+// contiguous slice of the sequence numbering; Open reads it through the
+// manifest, and its searches run on every shard at once and merge back into
+// the global (sequence, start, end) order, with the answers of the flat
+// database.
 //
 // A DB is safe for concurrent use: reads and searches may run in parallel
 // with each other, while mutations (Add, ImportCSV, BuildIndex, DropIndex,
@@ -39,6 +47,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,7 +63,7 @@ const dataFileName = "data.twdb"
 // Match is one answer subsequence. Start/End index the sequence's values as
 // a half-open interval; Distance is the exact time warping distance from
 // the query. It is the scatter-gather coordinator's match type, so sharded
-// and routed answers reach the caller without a per-call copy.
+// answers reach the caller without a per-call copy.
 type Match = shard.Match
 
 // SearchStats re-exports the engine's work counters (nodes visited, table
@@ -64,14 +73,27 @@ type SearchStats = core.SearchStats
 // Stats re-exports dataset summary statistics.
 type Stats = sequence.Stats
 
-// DB is a sequence database bound to a directory.
+// DB is a sequence database bound to a directory: one shard, or the shards
+// of a sharded root. Every method but the searches is a loop over the
+// shards; see the package doc for how a search reaches them.
 type DB struct {
+	dir   string
+	parts []*part
+	// coord searches a sharded root's parts; it is nil for a flat
+	// database, whose searches call its one part directly.
+	coord *shard.Coordinator
+}
+
+// part is one shard of a DB: a directory with its own dataset and indexes,
+// searched in its own sequence numbering. It is the coordinator's
+// shard.Backend.
+type part struct {
 	dir string
 	// backend is the page source every index tree is opened through;
 	// "" means the buffer pool.
 	backend Backend
 	// envelopes is the envelope-cascade mode applied to every index this
-	// handle opens or builds; the zero value (auto) runs the cascade.
+	// part opens or builds; the zero value (auto) runs the cascade.
 	envelopes EnvelopeMode
 
 	// mu guards data and the indexes map: readers and searches share it,
@@ -85,8 +107,8 @@ type DB struct {
 // openIndex pairs an index handle with the spec it was built from. The
 // handle needs no lock of its own: a core.Index is safe for concurrent
 // searches, and lifecycle transitions (build, drop, close) happen under
-// db.mu held exclusively, which excludes every in-flight search holding it
-// shared.
+// part.mu held exclusively, which excludes every in-flight search holding
+// it shared.
 type openIndex struct {
 	spec IndexSpec
 	ix   *core.Index
@@ -102,7 +124,7 @@ func Create(dir string) (*DB, error) {
 	if _, err := os.Stat(dataPath); err == nil {
 		return nil, fmt.Errorf("seqdb: %s already holds a database", dir)
 	}
-	db := &DB{dir: dir, data: sequence.NewDataset(), indexes: map[string]*openIndex{}}
+	db := &DB{dir: dir, parts: []*part{{dir: dir, data: sequence.NewDataset(), indexes: map[string]*openIndex{}}}}
 	if err := db.Save(); err != nil {
 		return nil, err
 	}
@@ -116,13 +138,31 @@ func Open(dir string) (*DB, error) {
 }
 
 // OpenWith loads an existing database and all its indexes, reading index
-// trees through the chosen storage backend.
+// trees through the chosen storage backend. A directory holding a shard
+// manifest opens as a sharded root (see OpenShardedWith); any other as a
+// flat database.
 func OpenWith(dir string, opts OpenOptions) (*DB, error) {
+	m, err := shard.ReadManifest(filepath.Join(dir, shard.ManifestName))
+	if err == nil {
+		return openSharded(dir, m, opts)
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	p, err := openPart(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &DB{dir: dir, parts: []*part{p}}, nil
+}
+
+// openPart loads one shard's dataset and indexes.
+func openPart(dir string, opts OpenOptions) (*part, error) {
 	data, err := sequence.LoadFile(filepath.Join(dir, dataFileName))
 	if err != nil {
 		return nil, fmt.Errorf("seqdb: loading dataset: %w", err)
 	}
-	db := &DB{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
+	p := &part{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -133,25 +173,51 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 			continue
 		}
 		idxName := strings.TrimSuffix(strings.TrimPrefix(name, "idx-"), ".twt")
-		if err := db.openIndexFiles(idxName); err != nil {
-			db.Close()
+		if err := p.openIndexFiles(idxName); err != nil {
+			p.close()
 			return nil, fmt.Errorf("seqdb: opening index %q: %w", idxName, err)
 		}
 	}
-	return db, nil
+	return p, nil
+}
+
+// inShard names the shard an error came from; a flat database's errors
+// stay as its one shard reported them.
+func (db *DB) inShard(i int, err error) error {
+	if err == nil || db.coord == nil {
+		return err
+	}
+	return fmt.Errorf("shard %d: %w", i, err)
+}
+
+// flat returns a flat database's one part. A sharded root refuses op: its
+// manifest fixes which sequences each shard holds.
+func (db *DB) flat(op string) (*part, error) {
+	if db.coord != nil {
+		return nil, fmt.Errorf("seqdb: cannot %s a sharded database; do it on the flat database and partition that again", op)
+	}
+	return db.parts[0], nil
 }
 
 // Close releases every open index. The dataset is not implicitly saved.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	var errs []error
+	for i, p := range db.parts {
+		errs = append(errs, db.inShard(i, p.close()))
+	}
+	return errors.Join(errs...)
+}
+
+func (p *part) close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var first error
-	for _, oi := range db.indexes {
+	for _, oi := range p.indexes {
 		if err := oi.ix.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	db.indexes = map[string]*openIndex{}
+	p.indexes = map[string]*openIndex{}
 	return first
 }
 
@@ -161,37 +227,54 @@ func (db *DB) Dir() string { return db.dir }
 // Add appends a sequence. Adding is rejected while indexes exist, because
 // they would silently go stale; drop indexes first and rebuild after.
 func (db *DB) Add(id string, values []float64) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(db.indexes) > 0 {
+	p, err := db.flat("add sequences to")
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.indexes) > 0 {
 		return errors.New("seqdb: cannot add sequences while indexes exist; drop indexes first")
 	}
 	vals := append([]float64(nil), values...)
-	_, err := db.data.Add(sequence.Sequence{ID: id, Values: vals})
+	_, err = p.data.Add(sequence.Sequence{ID: id, Values: vals})
 	return err
 }
 
 // Save persists the dataset to disk.
 func (db *DB) Save() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.data.SaveFile(filepath.Join(db.dir, dataFileName))
+	for i, p := range db.parts {
+		p.mu.RLock()
+		err := p.data.SaveFile(filepath.Join(p.dir, dataFileName))
+		p.mu.RUnlock()
+		if err != nil {
+			return db.inShard(i, err)
+		}
+	}
+	return nil
 }
 
 // Len returns the number of sequences.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.data.Len()
+	n := 0
+	for _, p := range db.parts {
+		p.mu.RLock()
+		n += p.data.Len()
+		p.mu.RUnlock()
+	}
+	return n
 }
 
-// SequenceIDs returns all sequence ids in insertion order.
+// SequenceIDs returns all sequence ids in insertion order, which is the
+// global order of a sharded root.
 func (db *DB) SequenceIDs() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, db.data.Len())
-	for i := range out {
-		out[i] = db.data.Seq(i).ID
+	out := []string{}
+	for _, p := range db.parts {
+		p.mu.RLock()
+		for i := 0; i < p.data.Len(); i++ {
+			out = append(out, p.data.Seq(i).ID)
+		}
+		p.mu.RUnlock()
 	}
 	return out
 }
@@ -199,51 +282,72 @@ func (db *DB) SequenceIDs() []string {
 // Values returns the elements of the sequence with the given id, or nil if
 // absent. The slice must not be mutated.
 func (db *DB) Values(id string) []float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.valuesByID(id)
-}
-
-// valuesByID looks a sequence up by id. The caller holds db.mu.
-func (db *DB) valuesByID(id string) []float64 {
-	i := db.data.ByID(id)
-	if i < 0 {
-		return nil
+	var v []float64
+	for _, p := range db.parts {
+		p.mu.RLock()
+		if i := p.data.ByID(id); i >= 0 {
+			v = p.data.Values(i)
+		}
+		p.mu.RUnlock()
+		if v != nil {
+			return v
+		}
 	}
-	return db.data.Values(i)
+	return nil
 }
 
-// Stats summarizes the dataset.
+// Stats summarizes the dataset. A sharded root merges its shards'
+// summaries; see MergeStats.
 func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.data.ComputeStats()
+	parts := make([]Stats, len(db.parts))
+	for i, p := range db.parts {
+		p.mu.RLock()
+		parts[i] = p.data.ComputeStats()
+		p.mu.RUnlock()
+	}
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return MergeStats(parts)
 }
 
 // SeqScanCtx runs the exhaustive baseline: exact answers with no index.
 // ctx is polled once per suffix start.
 func (db *DB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ms, stats, err := core.SeqScanCtx(ctx, db.data, q, eps, -1)
+	if db.coord == nil {
+		return db.parts[0].Scan(ctx, q, eps)
+	}
+	return db.coord.Scan(ctx, q, eps)
+}
+
+// Scan is SeqScanCtx on one part, in its own numbering.
+func (p *part) Scan(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	ms, stats, err := core.SeqScanCtx(ctx, p.data, q, eps, -1)
 	if err != nil {
 		return nil, stats, err
 	}
-	return db.publicMatches(ms), stats, nil
+	return p.publicMatches(ms), stats, nil
 }
 
 // publicMatches converts engine matches to the public form. The caller
-// holds db.mu.
-func (db *DB) publicMatches(ms []core.Match) []Match {
+// holds p.mu.
+func (p *part) publicMatches(ms []core.Match) []Match {
 	out := make([]Match, len(ms))
 	for i, m := range ms {
-		out[i] = Match{
-			SeqID:    db.data.Seq(m.Ref.Seq).ID,
-			Seq:      m.Ref.Seq,
-			Start:    m.Ref.Start,
-			End:      m.Ref.End,
-			Distance: m.Distance,
-		}
+		out[i] = p.publicMatch(m)
 	}
 	return out
+}
+
+// publicMatch converts one engine match. The caller holds p.mu.
+func (p *part) publicMatch(m core.Match) Match {
+	return Match{
+		SeqID:    p.data.Seq(m.Ref.Seq).ID,
+		Seq:      m.Ref.Seq,
+		Start:    m.Ref.Start,
+		End:      m.Ref.End,
+		Distance: m.Distance,
+	}
 }

@@ -25,29 +25,21 @@ func testValues(rng *rand.Rand, n int) []float64 {
 	return vals
 }
 
-// searcher is the search surface *DB and *ShardedDB share; search,
-// searchVisit, searchKNN and seqScan call it the way most tests here want:
-// serial, under a context that never fires.
-type searcher interface {
-	SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error)
-	SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error)
-	SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error)
-	SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error)
-}
-
-func search(db searcher, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
+// search, searchVisit, searchKNN and seqScan call a database the way most
+// tests here want: serial, under a context that never fires.
+func search(db *DB, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
 	return db.SearchWith(context.Background(), indexName, q, eps, SearchOptions{})
 }
 
-func searchVisit(db searcher, indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+func searchVisit(db *DB, indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	return db.SearchVisitWith(context.Background(), indexName, q, eps, fn, SearchOptions{})
 }
 
-func searchKNN(db searcher, indexName string, q []float64, k int) ([]Match, SearchStats, error) {
+func searchKNN(db *DB, indexName string, q []float64, k int) ([]Match, SearchStats, error) {
 	return db.SearchKNNWith(context.Background(), indexName, q, k, SearchOptions{})
 }
 
-func seqScan(db searcher, q []float64, eps float64) ([]Match, SearchStats, error) {
+func seqScan(db *DB, q []float64, eps float64) ([]Match, SearchStats, error) {
 	return db.SeqScanCtx(context.Background(), q, eps)
 }
 
@@ -279,7 +271,7 @@ func TestSearchErrors(t *testing.T) {
 // query with a NaN or infinite value on every search path — range, visit,
 // k-NN and scan — instead of running them to an empty answer. On a sharded
 // database the refusal is the request's, not a shard outage.
-func checkNonFiniteRefused(t *testing.T, db searcher, index string) {
+func checkNonFiniteRefused(t *testing.T, db *DB, index string) {
 	t.Helper()
 	refused := func(what string, err error) {
 		t.Helper()

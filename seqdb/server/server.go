@@ -82,7 +82,7 @@ type Server struct {
 
 	// mu guards dbs, lns, conns and draining. Never held across I/O.
 	mu       sync.Mutex
-	dbs      map[string]source
+	dbs      map[string]*seqdb.DB
 	lns      map[net.Listener]struct{}
 	conns    map[net.Conn]struct{}
 	draining bool
@@ -115,27 +115,16 @@ func New(cfg Config) *Server {
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		ctx:    ctx,
 		cancel: cancel,
-		dbs:    map[string]source{},
+		dbs:    map[string]*seqdb.DB{},
 		lns:    map[net.Listener]struct{}{},
 		conns:  map[net.Conn]struct{}{},
 	}
 }
 
-// AddDB mounts an open unsharded database under name. The server does not
-// own the DB: closing it remains the caller's job, after Shutdown returns.
+// AddDB mounts an open database, flat or sharded, under name. The server
+// does not own the DB: closing it remains the caller's job, after Shutdown
+// returns.
 func (s *Server) AddDB(name string, db *seqdb.DB) error {
-	return s.addSource(name, db)
-}
-
-// AddSharded mounts an open sharded database under name; searches against
-// it fan out over its shards. Ownership stays with the caller, as with
-// AddDB.
-func (s *Server) AddSharded(name string, db *seqdb.ShardedDB) error {
-	return s.addSource(name, db)
-}
-
-// addSource mounts a database of either kind under name.
-func (s *Server) addSource(name string, src source) error {
 	if name == "" {
 		return errors.New("server: empty db name")
 	}
@@ -147,13 +136,18 @@ func (s *Server) addSource(name string, src source) error {
 	if _, ok := s.dbs[name]; ok {
 		return fmt.Errorf("server: db %q already mounted", name)
 	}
-	s.dbs[name] = src
+	s.dbs[name] = db
 	return nil
+}
+
+// AddSharded is AddDB, under the name the benchmark in bench/ calls.
+func (s *Server) AddSharded(name string, db *seqdb.ShardedDB) error {
+	return s.AddDB(name, db)
 }
 
 // lookupDB resolves a request's database name. The empty name is a
 // convenience that resolves iff exactly one DB is mounted.
-func (s *Server) lookupDB(name string) (source, error) {
+func (s *Server) lookupDB(name string) (*seqdb.DB, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if name == "" {

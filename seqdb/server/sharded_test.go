@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -39,7 +40,7 @@ func TestServerShardedByteIdentical(t *testing.T) {
 	sharded := map[int]*seqdb.ShardedDB{}
 	for _, n := range []int{1, 2, 3, 5} {
 		sharded[n] = newSharded(t, db, n)
-		if err := s.AddSharded(names[n], sharded[n]); err != nil {
+		if err := s.AddDB(names[n], sharded[n]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,26 +119,33 @@ func TestServerShardedByteIdentical(t *testing.T) {
 // names maps shard counts to mount names for the sharded test server.
 var names = map[int]string{1: "sh1", 2: "sh2", 3: "sh3", 5: "sh5"}
 
-// failingSource is a source whose searches fail with a PartialError, as a
-// coordinator does when a shard dies mid-search.
-type failingSource struct {
-	*seqdb.DB // provides the non-search surface over a real DB
-	cause     error
-}
-
-func (f failingSource) SearchVisitWith(ctx context.Context, index string, q []float64, eps float64, fn func(seqdb.Match) bool, opts seqdb.SearchOptions) (seqdb.SearchStats, error) {
-	return seqdb.SearchStats{}, &seqdb.PartialError{Answered: []int{0, 2}, Failed: []int{1}, Cause: f.cause}
-}
-
 // TestPartialFailureIsTyped: a shard lost mid-search must surface to the
 // client as CodeShardUnavailable carrying the shards that answered — typed,
-// so callers can distinguish a partial outage from a bad request.
+// so callers can distinguish a partial outage from a bad request. The last
+// of three shards has its tree cut after open, so shards 0 and 1 answer
+// before its read fails.
 func TestPartialFailureIsTyped(t *testing.T) {
 	leakCheck(t)
 	db := newTestDB(t)
+	built := newSharded(t, db, 3)
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	frail, err := seqdb.Open(built.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frail.Close()
+	tree := filepath.Join(built.Dir(), "shard-002", "idx-fast.twt")
+	st, err := os.Stat(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
+		t.Fatal(err)
+	}
 	s := New(Config{})
-	cause := errors.New("shard 1 unreachable")
-	if err := s.addSource("frail", failingSource{db, cause}); err != nil {
+	if err := s.AddDB("frail", frail); err != nil {
 		t.Fatal(err)
 	}
 	addr := start(t, s)
@@ -148,7 +156,7 @@ func TestPartialFailureIsTyped(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, _, err = c.SearchWith(context.Background(), "frail", "fast", []float64{1, 2, 3}, 1.0, seqdb.SearchOptions{})
+	_, _, err = c.SearchWith(context.Background(), "frail", "fast", testQuery(db, "seq-03", 10, 30), 4, seqdb.SearchOptions{})
 	var we *wire.Error
 	if !errors.As(err, &we) {
 		t.Fatalf("want a typed *wire.Error, got %v", err)
@@ -156,8 +164,8 @@ func TestPartialFailureIsTyped(t *testing.T) {
 	if we.Code != wire.CodeShardUnavailable {
 		t.Errorf("code = %v, want shard-unavailable", we.Code)
 	}
-	if !reflect.DeepEqual(we.Answered, []int{0, 2}) {
-		t.Errorf("answered = %v, want [0 2]", we.Answered)
+	if !reflect.DeepEqual(we.Answered, []int{0, 1}) {
+		t.Errorf("answered = %v, want [0 1]", we.Answered)
 	}
 	if !errors.Is(err, wire.ErrShardUnavailable) {
 		t.Error("errors.Is must match ErrShardUnavailable")
@@ -175,7 +183,7 @@ func TestServerBatchedStreams(t *testing.T) {
 	if err := s.AddDB("flat", db); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddSharded("sh3", newSharded(t, db, 3)); err != nil {
+	if err := s.AddDB("sh3", newSharded(t, db, 3)); err != nil {
 		t.Fatal(err)
 	}
 	c, err := client.Dial(start(t, s))

@@ -1,12 +1,13 @@
 package seqdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"twsearch/internal/shard"
 )
@@ -19,60 +20,29 @@ type ShardRange = shard.Range
 // shards answered. errors.Is sees through it to the first shard's cause.
 type PartialError = shard.PartialError
 
+// ShardedDB is DB: a sharded root is a DB of more than one shard.
+type ShardedDB = DB
+
+// ErrShardMismatch reports a sharded root whose shards disagree with its
+// manifest or with each other: a shard holding another sequence count than
+// its manifest range, or an index that not every shard holds. Searching it
+// would misnumber answers or fail part way through a stream, so Open
+// refuses it; errors.Is finds it under Open's error.
+var ErrShardMismatch = errors.New("shards disagree")
+
 // shardDirName names shard i's directory under a sharded database root.
 func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
-// IsSharded reports whether dir is a sharded database root (it holds a
-// shard manifest) rather than a plain database directory.
-func IsSharded(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, shard.ManifestName))
-	return err == nil
-}
-
-// ShardedDB is one logical sequence database split across N self-contained
-// shards, each a complete DB in its own subdirectory with its own data file
-// and indexes. Searches fan out over all shards in parallel and merge back
-// into the global (sequence, start, end) order; results are byte-identical
-// to the same search on the unsharded database. A ShardedDB is safe for
-// concurrent searches; index builds and drops run shard by shard and are
-// not atomic across shards.
-type ShardedDB struct {
-	dir      string
-	manifest *shard.Manifest
-	shards   []*DB
-	coord    *shard.Coordinator
-}
-
-// localShard adapts one shard's *DB to the coordinator's Backend interface.
-// It reports shard-local sequence numbers; the coordinator rebases them.
-type localShard struct{ db *DB }
-
-func (s localShard) Search(ctx context.Context, index string, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
-	return s.db.SearchWith(ctx, index, q, eps, SearchOptions{})
-}
-
-func (s localShard) Scan(ctx context.Context, q []float64, eps float64) ([]shard.Match, shard.Stats, error) {
-	return s.db.SeqScanCtx(ctx, q, eps)
-}
-
-func (s localShard) DistanceBound(index string, q []float64) (float64, error) {
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	oi, ok := s.db.indexes[index]
-	if !ok {
-		return 0, errNoIndex(index)
-	}
-	return oi.ix.DistanceBound(q), nil
-}
-
 // PartitionInto splits the database into shards self-contained shard
-// databases under dir: a manifest plus one complete DB per shard, assigned
-// by the deterministic contiguous partitioner (so any two runs over the
-// same data produce byte-identical shard contents). Each shard must receive
-// at least one sequence — an empty shard could never be indexed — so
-// shards must not exceed the sequence count. Indexes are not copied; build
-// them on the returned ShardedDB.
-func (db *DB) PartitionInto(dir string, shards int) (*ShardedDB, error) {
+// databases under dir: a manifest plus one complete database per shard,
+// assigned by the deterministic contiguous partitioner (so any two runs over
+// the same data produce byte-identical shard contents). Each shard must
+// receive at least one sequence — an empty shard could never be indexed —
+// so shards must not exceed the sequence count. Indexes are not copied;
+// build them on the returned DB. On failure the shard directories and the
+// manifest this call created are removed again, so the call can be
+// repeated; nothing that existed before it is touched.
+func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
 	n := db.Len()
 	if shards > n {
 		return nil, fmt.Errorf("seqdb: cannot split %d sequences into %d shards (every shard needs at least one sequence)", n, shards)
@@ -81,204 +51,146 @@ func (db *DB) PartitionInto(dir string, shards int) (*ShardedDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	var created []string
+	defer func() {
+		if err != nil {
+			for _, p := range created {
+				os.RemoveAll(p)
+			}
+		}
+	}()
+	// claim records path as this call's to remove on failure if it does
+	// not exist yet.
+	claim := func(path string) {
+		if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
+			created = append(created, path)
+		}
+	}
+	claim(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ids := db.SequenceIDs()
 	for i, r := range m.Ranges {
-		sdb, err := Create(filepath.Join(dir, shardDirName(i)))
+		sdir := filepath.Join(dir, shardDirName(i))
+		claim(sdir)
+		claim(filepath.Join(sdir, dataFileName))
+		sdb, err := Create(sdir)
 		if err != nil {
 			return nil, fmt.Errorf("seqdb: creating shard %d: %w", i, err)
 		}
 		for g := r.Start; g < r.End(); g++ {
 			if err := sdb.Add(ids[g], db.Values(ids[g])); err != nil {
+				sdb.Close()
 				return nil, fmt.Errorf("seqdb: filling shard %d: %w", i, err)
 			}
 		}
-		if err := sdb.Save(); err != nil {
+		if err := errors.Join(sdb.Save(), sdb.Close()); err != nil {
 			return nil, fmt.Errorf("seqdb: saving shard %d: %w", i, err)
 		}
-		if err := sdb.Close(); err != nil {
-			return nil, fmt.Errorf("seqdb: closing shard %d: %w", i, err)
-		}
 	}
-	if err := m.Write(filepath.Join(dir, shard.ManifestName)); err != nil {
+	manifest := filepath.Join(dir, shard.ManifestName)
+	claim(manifest)
+	if err := m.Write(manifest); err != nil {
 		return nil, err
 	}
-	return OpenSharded(dir)
-}
-
-// OpenSharded opens a sharded database root: it reads and validates the
-// manifest, opens every shard, and cross-checks each shard's sequence count
-// against its manifest range — a mismatch means the manifest and the shard
-// directories have diverged, and searching would silently misnumber (or
-// drop) answers, so it is a loud error instead.
-func OpenSharded(dir string) (*ShardedDB, error) {
 	return OpenShardedWith(dir, OpenOptions{})
 }
 
-// OpenShardedWith is OpenSharded with open options — notably the storage
-// backend — applied to every shard.
-func OpenShardedWith(dir string, opts OpenOptions) (*ShardedDB, error) {
+// OpenShardedWith opens a sharded database root as OpenWith does, and
+// refuses a directory without a shard manifest.
+func OpenShardedWith(dir string, opts OpenOptions) (*DB, error) {
 	m, err := shard.ReadManifest(filepath.Join(dir, shard.ManifestName))
 	if err != nil {
 		return nil, err
 	}
-	sdb := &ShardedDB{dir: dir, manifest: m}
+	return openSharded(dir, m, opts)
+}
+
+// openSharded opens every shard a manifest names, applying opts to each. It
+// cross-checks each shard against the manifest and against shard 0: a
+// shard whose sequence count is not its range's, or whose index names are
+// not shard 0's, is refused with ErrShardMismatch, after every shard
+// already opened is closed.
+func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
+	db := &DB{dir: dir}
 	for i, r := range m.Ranges {
-		d, err := OpenWith(filepath.Join(dir, shardDirName(i)), opts)
+		p, err := openPart(filepath.Join(dir, shardDirName(i)), opts)
 		if err != nil {
-			sdb.Close()
+			db.Close()
 			return nil, fmt.Errorf("seqdb: opening shard %d: %w", i, err)
 		}
-		sdb.shards = append(sdb.shards, d)
-		if got := d.Len(); got != r.Count {
-			sdb.Close()
-			return nil, fmt.Errorf("seqdb: shard %d holds %d sequences but the manifest says %d", i, got, r.Count)
+		db.parts = append(db.parts, p)
+		if err := checkShard(i, r, db.parts[0], p); err != nil {
+			db.Close()
+			return nil, err
 		}
 	}
-	backends := make([]shard.Backend, len(sdb.shards))
-	for i, d := range sdb.shards {
-		backends[i] = localShard{db: d}
+	backends := make([]shard.Backend, len(db.parts))
+	for i, p := range db.parts {
+		backends[i] = p
 	}
 	coord, err := shard.NewCoordinator(backends, m.Ranges)
 	if err != nil {
-		sdb.Close()
+		db.Close()
 		return nil, err
 	}
-	sdb.coord = coord
-	return sdb, nil
+	db.coord = coord
+	return db, nil
 }
 
-// Close closes every shard.
-func (s *ShardedDB) Close() error {
-	var errs []error
-	for i, d := range s.shards {
-		if err := d.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+// checkShard compares shard i, p, with its manifest range r and with shard
+// 0, first.
+func checkShard(i int, r ShardRange, first, p *part) error {
+	if got := p.data.Len(); got != r.Count {
+		return fmt.Errorf("seqdb: shard %d holds %d sequences but the manifest says %d: %w", i, got, r.Count, ErrShardMismatch)
+	}
+	want, got := first.indexNames(), p.indexNames()
+	slices.Sort(want)
+	slices.Sort(got)
+	for _, name := range want {
+		if !slices.Contains(got, name) {
+			return fmt.Errorf("seqdb: shard %d lacks index %q, which shard 0 holds: %w", i, name, ErrShardMismatch)
 		}
 	}
-	return errors.Join(errs...)
+	for _, name := range got {
+		if !slices.Contains(want, name) {
+			return fmt.Errorf("seqdb: shard %d holds index %q, which shard 0 lacks: %w", i, name, ErrShardMismatch)
+		}
+	}
+	return nil
 }
 
-// Dir returns the sharded database root directory.
-func (s *ShardedDB) Dir() string { return s.dir }
-
-// Shards returns the shard count.
-func (s *ShardedDB) Shards() int { return len(s.shards) }
+// Shards returns the shard count: 1 for a flat database.
+func (db *DB) Shards() int { return len(db.parts) }
 
 // ShardRanges returns each shard's slice of the global sequence numbering.
-func (s *ShardedDB) ShardRanges() []ShardRange {
-	return append([]ShardRange(nil), s.manifest.Ranges...)
-}
-
-// Shard returns the i'th shard's database — read-only access for tools and
-// tests; mutating a shard directly desynchronizes it from the manifest.
-func (s *ShardedDB) Shard(i int) *DB { return s.shards[i] }
-
-// Len returns the total number of sequences across all shards.
-func (s *ShardedDB) Len() int { return s.manifest.Sequences() }
-
-// SequenceIDs returns all sequence ids in global order.
-func (s *ShardedDB) SequenceIDs() []string {
-	out := make([]string, 0, s.Len())
-	for _, d := range s.shards {
-		out = append(out, d.SequenceIDs()...)
+func (db *DB) ShardRanges() []ShardRange {
+	out := make([]ShardRange, len(db.parts))
+	start := 0
+	for i, p := range db.parts {
+		p.mu.RLock()
+		out[i] = ShardRange{Start: start, Count: p.data.Len()}
+		p.mu.RUnlock()
+		start += out[i].Count
 	}
 	return out
 }
 
-// Values returns the elements of the sequence with the given id, or nil.
-func (s *ShardedDB) Values(id string) []float64 {
-	for _, d := range s.shards {
-		if v := d.Values(id); v != nil {
-			return v
-		}
-	}
-	return nil
-}
-
-// BuildIndex builds the named index on every shard, shard by shard. It is
-// all or nothing: when a shard fails, the index is dropped again from the
-// shards this call had already built, so the call can simply be repeated
-// after fixing the cause. Shards that had the index before the call keep it.
-func (s *ShardedDB) BuildIndex(name string, spec IndexSpec) error {
-	for i, d := range s.shards {
-		if err := d.BuildIndex(name, spec); err != nil {
-			errs := []error{fmt.Errorf("seqdb: building index %q on shard %d: %w", name, i, err)}
-			for j, built := range s.shards[:i] {
-				if err := built.DropIndex(name); err != nil {
-					errs = append(errs, fmt.Errorf("seqdb: rolling back index %q on shard %d: %w", name, j, err))
-				}
-			}
-			return errors.Join(errs...)
-		}
-	}
-	return nil
-}
-
-// DropIndex drops the named index from every shard that has it.
-func (s *ShardedDB) DropIndex(name string) error {
-	var errs []error
-	found := false
-	for i, d := range s.shards {
-		err := d.DropIndex(name)
-		switch {
-		case err == nil:
-			found = true
-		case errors.Is(err, ErrNoIndex):
-		default:
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	if !found {
-		return errNoIndex(name)
-	}
-	return nil
-}
-
-// Indexes lists the index names present on shard 0 — the shards are built
-// in lockstep, so shard 0 is representative.
-func (s *ShardedDB) Indexes() []string { return s.shards[0].Indexes() }
-
-// Index aggregates a named index's metadata across shards: the spec from
-// shard 0 and sizes/counts summed over all shards.
-func (s *ShardedDB) Index(name string) (IndexInfo, error) {
-	info, err := s.shards[0].Index(name)
-	if err != nil {
-		return IndexInfo{}, err
-	}
-	for _, d := range s.shards[1:] {
-		ii, err := d.Index(name)
-		if err != nil {
-			return IndexInfo{}, err
-		}
-		info.SizeBytes += ii.SizeBytes
-		info.Leaves += ii.Leaves
-		info.Nodes += ii.Nodes
-	}
-	return info, nil
-}
-
-// Stats merges the shards' dataset summaries into the global summary; see
-// MergeStats for the recombination argument.
-func (s *ShardedDB) Stats() Stats {
-	parts := make([]Stats, len(s.shards))
-	for i, d := range s.shards {
-		parts[i] = d.Stats()
-	}
-	return MergeStats(parts)
+// Shard returns the i'th shard as a flat database of its own, numbered
+// from its first sequence — read-only access for tools and tests; mutating
+// a shard directly desynchronizes it from the manifest.
+func (db *DB) Shard(i int) *DB {
+	p := db.parts[i]
+	return &DB{dir: p.dir, parts: []*part{p}}
 }
 
 // MergeStats combines per-partition dataset summaries into the summary of
 // the union. Counts and extrema combine directly; mean and standard
 // deviation recombine through the population moments (sums and sums of
 // squares), so the result equals a single pass over the union up to
-// floating-point rounding. ShardedDB.Stats uses it to aggregate its shards'
-// statistics.
+// floating-point rounding. DB.Stats uses it to aggregate a sharded root's
+// shards.
 func MergeStats(parts []Stats) Stats {
 	var out Stats
 	sum, sumSq := 0.0, 0.0
@@ -313,60 +225,4 @@ func MergeStats(parts []Stats) Stats {
 		out.StdDev = math.Sqrt(v)
 	}
 	return out
-}
-
-// PoolStats merges every shard's buffer-pool counters; each entry's Shards
-// slice concatenates the pool shards of all database shards in shard order.
-func (s *ShardedDB) PoolStats() []IndexPoolStats {
-	merged := map[string]*IndexPoolStats{}
-	var order []string
-	for _, d := range s.shards {
-		for _, ps := range d.PoolStats() {
-			e, ok := merged[ps.Index]
-			if !ok {
-				e = &IndexPoolStats{Index: ps.Index}
-				merged[ps.Index] = e
-				order = append(order, ps.Index)
-			}
-			e.Shards = append(e.Shards, ps.Shards...)
-		}
-	}
-	out := make([]IndexPoolStats, 0, len(order))
-	for _, name := range order {
-		out = append(out, *merged[name])
-	}
-	return out
-}
-
-// SearchWith runs a sharded range search: every shard in parallel, results
-// merged into the global (sequence, start, end) order — byte-identical to
-// the unsharded SearchWith over the same data.
-func (s *ShardedDB) SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	return s.coord.Search(ctx, indexName, q, eps)
-}
-
-// SearchVisitWith streams answers to fn in global (sequence, start, end)
-// order — shard i's answers are delivered as soon as shards 0..i have
-// completed, while later shards are still searching. Returning false stops
-// the search and cancels the remaining shards. Note the unsharded
-// SearchVisitWith delivers in the index's traversal order, which is NOT the
-// global position order; the sharded stream is the sorted order, identical
-// to what SearchWith materializes.
-func (s *ShardedDB) SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
-	if fn == nil {
-		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
-	}
-	return s.coord.SearchVisit(ctx, indexName, q, eps, fn)
-}
-
-// SearchKNNWith returns the k globally nearest subsequences, byte-identical
-// to the unsharded SearchKNNWith: the same threshold-expansion loop, each
-// round one scatter-gather range search over every shard.
-func (s *ShardedDB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
-	return s.coord.SearchKNN(ctx, indexName, q, k)
-}
-
-// SeqScanCtx fans the exhaustive baseline out over the shards.
-func (s *ShardedDB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return s.coord.Scan(ctx, q, eps)
 }

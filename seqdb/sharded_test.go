@@ -1,9 +1,11 @@
 package seqdb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -152,11 +154,14 @@ func TestShardedOpenAndTopology(t *testing.T) {
 	}
 	defer sdb.Close()
 
-	if !IsSharded(dir) {
-		t.Error("IsSharded must detect the manifest")
+	// Open finds the manifest; a flat directory is one shard.
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if IsSharded(t.TempDir()) {
-		t.Error("IsSharded on an empty dir")
+	defer reopened.Close()
+	if reopened.Shards() != 3 || db.Shards() != 1 {
+		t.Errorf("Shards = %d reopened and %d flat, want 3 and 1", reopened.Shards(), db.Shards())
 	}
 	if sdb.Len() != 7 || sdb.Shards() != 3 {
 		t.Errorf("Len=%d Shards=%d, want 7 and 3", sdb.Len(), sdb.Shards())
@@ -175,6 +180,27 @@ func TestShardedOpenAndTopology(t *testing.T) {
 		math.Abs(flat.MeanValue-merged.MeanValue) > 1e-9 ||
 		math.Abs(flat.StdDev-merged.StdDev) > 1e-9 {
 		t.Errorf("merged stats %+v diverge from unsharded %+v", merged, flat)
+	}
+	// The methods that loop over the shards dump the global order; the
+	// ones that would renumber a shard refuse a sharded root.
+	var flatCSV, shardedCSV bytes.Buffer
+	if err := errors.Join(db.ExportCSV(&flatCSV), sdb.ExportCSV(&shardedCSV)); err != nil {
+		t.Fatal(err)
+	}
+	if shardedCSV.String() != flatCSV.String() {
+		t.Error("ExportCSV of the sharded root differs from the flat database's")
+	}
+	if err := sdb.Add("extra", []float64{1, 2, 3}); err == nil {
+		t.Error("Add on a sharded root succeeded")
+	}
+	if _, err := sdb.ImportCSV(strings.NewReader("extra,1,2,3\n")); err == nil {
+		t.Error("ImportCSV on a sharded root succeeded")
+	}
+	if _, _, err := sdb.SelectCategories(IndexSpec{}, []int{4}, [][]float64{{1, 2, 3}}, 1, CostModel{Wt: 1}); err == nil {
+		t.Error("SelectCategories on a sharded root succeeded")
+	}
+	if sdb.Len() != 7 {
+		t.Errorf("Len = %d after the refused writes, want 7", sdb.Len())
 	}
 }
 
@@ -202,15 +228,15 @@ func TestOpenShardedCorruption(t *testing.T) {
 		[]byte("shards=2\nassign=contiguous\nrange=0:0:2\nrange=1:2:4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir); err == nil {
-		t.Error("count mismatch between manifest and shard dir must fail")
+	if _, err := Open(dir); !errors.Is(err, ErrShardMismatch) {
+		t.Errorf("count mismatch between manifest and shard dir: %v, want ErrShardMismatch", err)
 	}
 
 	// Truncated manifest.
 	if err := os.WriteFile(manifest, []byte("shards=2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Error("truncated manifest must fail")
 	}
 
@@ -218,7 +244,7 @@ func TestOpenShardedCorruption(t *testing.T) {
 	if err := os.Remove(manifest); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir); err == nil {
+	if _, err := OpenShardedWith(dir, OpenOptions{}); err == nil {
 		t.Error("missing manifest must fail")
 	}
 
@@ -227,7 +253,7 @@ func TestOpenShardedCorruption(t *testing.T) {
 		[]byte("shards=3\nassign=contiguous\nrange=0:0:3\nrange=1:3:2\nrange=2:5:1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Error("missing shard directory must fail")
 	}
 }
@@ -282,7 +308,7 @@ func TestShardedBuildIndexRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sdb.Close()
-	block := sdb.Shard(2).treePath("ix")
+	block := sdb.parts[2].treePath("ix")
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -392,4 +418,156 @@ func statsOf(vs []float64) Stats {
 func TestShardedRefusesNonFinite(t *testing.T) {
 	db := newTestDB(t, 4, 20, 9)
 	checkNonFiniteRefused(t, newShardedFrom(t, db, 2, IndexSpec{Method: MethodMaxEntropy, Categories: 4}), "s")
+}
+
+// TestOpenRefusesShardMismatch: shards that disagree on their indexes are
+// refused at open with ErrShardMismatch, naming the shard and the index,
+// rather than opened to fail part way through a stream.
+func TestOpenRefusesShardMismatch(t *testing.T) {
+	db := newTestDB(t, 6, 40, 3)
+	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 8}
+	for _, tc := range []struct {
+		name  string
+		spoil func(sdb *DB) error
+		want  string
+	}{
+		{"shard lacks an index", func(sdb *DB) error {
+			p := sdb.parts[1]
+			return errors.Join(os.Remove(p.treePath("ix")), os.Remove(p.schemePath("ix")), os.Remove(p.metaPath("ix")))
+		}, `shard 1 lacks index "ix"`},
+		{"shard holds an extra index", func(sdb *DB) error {
+			return sdb.Shard(1).BuildIndex("solo", spec)
+		}, `shard 1 holds index "solo"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "sharded")
+			sdb, err := db.PartitionInto(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sdb.BuildIndex("ix", spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.spoil(sdb); err != nil {
+				t.Fatal(err)
+			}
+			if err := sdb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Open(dir)
+			if err == nil {
+				got.Close()
+				t.Fatal("shards with different indexes opened")
+			}
+			if !errors.Is(err, ErrShardMismatch) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Open = %v, want ErrShardMismatch naming %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPartitionIntoRetryAfterFailure: a failed PartitionInto removes what it
+// created, and only that, so the call succeeds once the obstacle is gone.
+func TestPartitionIntoRetryAfterFailure(t *testing.T) {
+	db := newTestDB(t, 6, 40, 4)
+	out := filepath.Join(t.TempDir(), "out")
+	// An empty shard-000 directory the call may use but must not remove,
+	// and a database in shard-001 it cannot overwrite.
+	if err := os.MkdirAll(filepath.Join(out, shardDirName(0)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	obstacle, err := Create(filepath.Join(out, shardDirName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obstacle.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sdb, err := db.PartitionInto(out, 3); err == nil {
+		sdb.Close()
+		t.Fatal("partitioned over an existing shard database")
+	}
+	for _, name := range []string{shardDirName(0), shardDirName(1), filepath.Join(shardDirName(1), dataFileName)} {
+		if _, err := os.Stat(filepath.Join(out, name)); err != nil {
+			t.Errorf("the failed call removed %s, which it did not create: %v", name, err)
+		}
+	}
+	for _, name := range []string{filepath.Join(shardDirName(0), dataFileName), shardDirName(2), shard.ManifestName} {
+		if _, err := os.Stat(filepath.Join(out, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("the failed call left %s behind: %v", name, err)
+		}
+	}
+
+	if err := os.RemoveAll(filepath.Join(out, shardDirName(1))); err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := db.PartitionInto(out, 3)
+	if err != nil {
+		t.Fatalf("retry after removing the obstacle: %v", err)
+	}
+	defer sdb.Close()
+	if got := sdb.SequenceIDs(); !reflect.DeepEqual(got, db.SequenceIDs()) {
+		t.Errorf("retried partition holds %v, want %v", got, db.SequenceIDs())
+	}
+}
+
+// TestOneShardRootMatchesFlat: a flat directory and a 1-shard root, opened
+// by the same OpenWith, give the same answers and the same Stats; the flat
+// one searches without a coordinator.
+func TestOneShardRootMatchesFlat(t *testing.T) {
+	src := newTestDB(t, 8, 50, 5)
+	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 10, Sparse: true}
+	if err := src.BuildIndex("s", spec); err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(t.TempDir(), "root")
+	one, err := src.PartitionInto(root, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(one.BuildIndex("s", spec), one.Close()); err != nil {
+		t.Fatal(err)
+	}
+	opts := OpenOptions{Backend: BackendMmap}
+	flat, err := OpenWith(src.Dir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	sharded, err := OpenWith(root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if flat.coord != nil || sharded.coord == nil {
+		t.Fatal("want a flat database without a coordinator and a 1-shard root with one")
+	}
+	if flat.Stats() != sharded.Stats() {
+		t.Errorf("Stats: flat %+v, 1-shard root %+v", flat.Stats(), sharded.Stats())
+	}
+
+	rng := rand.New(rand.NewSource(6))
+	for qi := 0; qi < 5; qi++ {
+		q := testValues(rng, 8)
+		for _, op := range []struct {
+			name string
+			run  func(db *DB) ([]Match, SearchStats, error)
+		}{
+			{"search", func(db *DB) ([]Match, SearchStats, error) { return search(db, "s", q, 10) }},
+			{"k-NN", func(db *DB) ([]Match, SearchStats, error) { return searchKNN(db, "s", q, 5) }},
+			{"scan", func(db *DB) ([]Match, SearchStats, error) { return seqScan(db, q, 10) }},
+		} {
+			want, _, err := op.run(flat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := op.run(sharded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("q%d %s: 1-shard root %v, flat %v", qi, op.name, got, want)
+			}
+		}
+	}
 }

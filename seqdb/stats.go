@@ -18,18 +18,25 @@ type IndexPoolStats struct {
 }
 
 // PoolStats returns per-shard buffer pool counters for every open index,
-// sorted by index name.
+// sorted by index name. On a sharded root each entry's Shards concatenates
+// the pool shards of every database shard, in shard order.
 func (db *DB) PoolStats() []IndexPoolStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]IndexPoolStats, 0, len(db.indexes))
-	for name, oi := range db.indexes {
-		ss := oi.ix.Tree.PoolShardStats()
-		shards := make([]PoolShardStats, len(ss))
-		for i, s := range ss {
-			shards[i] = PoolShardStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions}
+	out := []IndexPoolStats{}
+	at := map[string]int{}
+	for _, p := range db.parts {
+		p.mu.RLock()
+		for name, oi := range p.indexes {
+			i, ok := at[name]
+			if !ok {
+				i = len(out)
+				at[name] = i
+				out = append(out, IndexPoolStats{Index: name})
+			}
+			for _, s := range oi.ix.Tree.PoolShardStats() {
+				out[i].Shards = append(out[i].Shards, PoolShardStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions})
+			}
 		}
-		out = append(out, IndexPoolStats{Index: name, Shards: shards})
+		p.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
@@ -40,11 +47,13 @@ func (db *DB) PoolStats() []IndexPoolStats {
 // of one — a failed page read included. Indexes read through mmap pin
 // nothing.
 func (db *DB) PinnedPages() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	n := 0
-	for _, oi := range db.indexes {
-		n += oi.ix.Tree.PinnedPages()
+	for _, p := range db.parts {
+		p.mu.RLock()
+		for _, oi := range p.indexes {
+			n += oi.ix.Tree.PinnedPages()
+		}
+		p.mu.RUnlock()
 	}
 	return n
 }

@@ -19,7 +19,6 @@ func TestSearchSurface(t *testing.T) {
 		want   []string
 	}{
 		{(*seqdb.DB)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScanCtx"}},
-		{(*seqdb.ShardedDB)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScanCtx"}},
 		{(*client.Client)(nil), []string{"SearchKNNWith", "SearchVisitWith", "SearchWith", "SeqScan"}},
 	} {
 		typ := reflect.TypeOf(tc.handle)
