@@ -64,6 +64,8 @@ ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke lint-se
 # it evicts, so the suite — with the tests that every path out of a search
 # unpins (over the scalar and the vector kernel) and that a recycled frame
 # is never a pinned one — runs with one scheduler thread and with four.
+# TestConcurrentVectorSearches is the same contract over one handle of a
+# database of dimension 2.
 RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestSetEpochReuse|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/multivar/ ./internal/storage/ ./internal/pending/ ./internal/disktree/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
@@ -72,8 +74,8 @@ race-concurrency:
 # Horizontal-sharding determinism under -race, run twice: at shard counts
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
 # answers byte-identical to the unsharded database — in process and through
-# a sharded twsearchd mount — and a flat directory must answer as its
-# 1-shard root does. Also covers the scatter-gather coordinator's
+# a sharded twsearchd mount, and for a database of dimension 2 split into
+# two shards — and a flat directory must answer as its 1-shard root does. Also covers the scatter-gather coordinator's
 # partial-failure and merge paths, the refusal of shards that disagree
 # with their manifest or each other, and the cleanup of a failed
 # partition; the partial-failure test orders its shards with gates, and
@@ -85,8 +87,8 @@ race-shard:
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from
 # 8 goroutines through the buffer pool and mmap backends — over both node
 # record encodings — must return answers byte-identical to the pool
-# baseline, a vector index built in v1 and one built by default in v2 must
-# reopen through both and answer alike, and the PageSource contract and
+# baseline, an index of dimension 2 built in v1 and one built by default in
+# v2 must reopen through both and answer alike, and the PageSource contract and
 # view-concurrency suites must hold for both (mmap on a file that cannot be
 # mapped is the pool).
 race-mmap:
@@ -94,15 +96,17 @@ race-mmap:
 
 # The write path under -race, serial and concurrent: disktree.Build sorts its
 # suffix buckets on up to GOMAXPROCS goroutines while one streams the sorted
-# ones out and another flushes the chunks, core and multivar encode their
-# texts on as many, so every build test of disktree and of multivar, which
-# builds through it (the differential, determinism, failure-and-leak and
-# fuzz-seed tests among them), the flat text store, the selecting fit against
-# its sort-based reference and the bulk dataset I/O run once with one
+# ones out and another flushes the chunks, and core encodes the texts on as
+# many, so every build test of disktree and of multivar, whose indexes of
+# dimension d > 1 core builds through it (the differential, determinism,
+# failure-and-leak and fuzz-seed tests among them), the grid's fit and
+# encoding, core's parallel encode on reopening an index of dimension 2
+# (TestMultivarOpen), the flat text store, the selecting fit against its sort-based
+# reference and the bulk dataset I/O of both dimensions run once with one
 # scheduler thread and once with four — the determinism test pins the bytes
-# across them. core's indexes are built by the same call in every one of its
-# tests; `make race` covers them.
-RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
+# across them. core's scalar indexes are built by the same call in every one
+# of its tests; `make race` covers them.
+RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestMultivarOpen' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
 race-build:
 	GOMAXPROCS=1 $(GO) test $(RACE_BUILD)
 	GOMAXPROCS=4 $(GO) test $(RACE_BUILD)
@@ -117,8 +121,9 @@ smoke:
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
 # the verifier-against-table (scalar and vector), engine-equivalence (scalar
 # and vector kernel, range and k-NN), wire round-trip, build-versus-naive,
-# node-codec, scheme-reader, the two dataset-reader, fit-versus-reference and
-# file-corruption targets.
+# node-codec, scheme-reader, the dataset reader's (one target per magic:
+# sequence holds the TWSEQDB1 seeds, multivar the TWVECDB1 ones),
+# fit-versus-reference and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
 # giving the two engine-equivalence targets twice the time.
 FUZZ_ENGINE = \

@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	seqdbctl create  -db DIR
-//	seqdbctl gen     -db DIR [-kind stocks|artificial] [-n N] [-len L] [-seed S]
+//	seqdbctl create  -db DIR [-dim D]
+//	seqdbctl gen     -db DIR [-dim D] [-kind stocks|artificial] [-n N] [-len L] [-seed S]
 //	seqdbctl import  -db DIR -csv FILE
 //	seqdbctl stats   -db DIR [-backend pool|mmap]
 //	seqdbctl index   -db DIR -name NAME [-method me|el|kmeans|exact] [-cats N] [-sparse] [-window W] [-encoding v1|v2]
@@ -11,6 +11,11 @@
 //	seqdbctl query   -db DIR -name NAME -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl scan    -db DIR -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl shard   -db DIR -out DIR -shards N [-name NAME -method ... -cats N]
+//
+// A database holds sequences of D-dimensional points (-dim, default 1:
+// values); gen -dim D > 1 writes random-walk trajectories. A -q query or a
+// -from cut is point-major: -q "x1,y1,x2,y2,..." and -start/-len count
+// points. align, tune, import and serving (-addr) are for D = 1.
 //
 // Wherever -db takes a directory, a sharded database root (a directory
 // holding a MANIFEST.shards, as written by the shard subcommand) works
@@ -25,10 +30,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -141,6 +148,19 @@ func parseQueryValues(s string) ([]float64, error) {
 	return q, nil
 }
 
+// cutQuery copies the points [start, start+n) of sequence from as a query.
+func cutQuery(d *seqdb.DB, from string, start, n int) ([]float64, error) {
+	vals := d.Values(from)
+	if vals == nil {
+		return nil, fmt.Errorf("no sequence %q", from)
+	}
+	dim := d.Dim()
+	if start < 0 || n < 1 || (start+n)*dim > len(vals) {
+		return nil, fmt.Errorf("[%d, %d) out of range of %q (len %d)", start, start+n, from, len(vals)/dim)
+	}
+	return append([]float64(nil), vals[start*dim:(start+n)*dim]...), nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: seqdbctl create|gen|import|stats|index|drop|query|scan|knn|align|tune|shard [flags]")
 	os.Exit(2)
@@ -166,14 +186,10 @@ func cmdAlign(args []string) error {
 		return err
 	}
 	defer d.Close()
-	qvals := d.Values(*from)
-	if qvals == nil {
-		return fmt.Errorf("align: no sequence %q", *from)
+	q, err := cutQuery(d, *from, *qstart, *qlen)
+	if err != nil {
+		return fmt.Errorf("align: %w", err)
 	}
-	if *qstart < 0 || *qstart+*qlen > len(qvals) {
-		return fmt.Errorf("align: query range out of bounds")
-	}
-	q := append([]float64(nil), qvals[*qstart:*qstart+*qlen]...)
 	dist, steps, err := d.Align(seqdb.Match{SeqID: *seqID, Start: *start, End: *end}, q)
 	if err != nil {
 		return err
@@ -240,7 +256,7 @@ func cmdTune(args []string) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("tune: empty database")
 	}
-	rng := newRand(*seed)
+	rng := rand.New(rand.NewSource(*seed))
 	var qs [][]float64
 	for len(qs) < *queries {
 		vals := d.Values(ids[rng.Intn(len(ids))])
@@ -320,14 +336,10 @@ func cmdKNN(args []string) error {
 		return err
 	}
 	defer d.Close()
-	vals := d.Values(*from)
-	if vals == nil {
-		return fmt.Errorf("knn: no sequence %q", *from)
+	q, err := cutQuery(d, *from, *start, *qlen)
+	if err != nil {
+		return fmt.Errorf("knn: %w", err)
 	}
-	if *start < 0 || *start+*qlen > len(vals) {
-		return fmt.Errorf("knn: query range out of bounds")
-	}
-	q := append([]float64(nil), vals[*start:*start+*qlen]...)
 	matches, stats, err = d.SearchKNNWith(ctx, *name, q, *k, seqdb.SearchOptions{})
 	if err != nil {
 		return err
@@ -345,18 +357,28 @@ func printKNN(matches []seqdb.Match, stats seqdb.SearchStats) error {
 	return nil
 }
 
+// dimFlag registers the -dim flag of create and gen.
+func dimFlag(fs *flag.FlagSet) *int {
+	return fs.Int("dim", 1, "dimension of the points: 1 for values, 2 for planar trajectories, ...")
+}
+
 func cmdCreate(args []string) error {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
 	db := fs.String("db", "", "database directory")
+	dim := dimFlag(fs)
 	fs.Parse(args)
 	if *db == "" {
 		return fmt.Errorf("create: -db required")
 	}
-	d, err := seqdb.Create(*db)
+	d, err := seqdb.CreateDim(*db, *dim)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
+	if *dim > 1 {
+		fmt.Printf("created empty %d-dimensional database in %s\n", *dim, *db)
+		return nil
+	}
 	fmt.Printf("created empty database in %s\n", *db)
 	return nil
 }
@@ -364,29 +386,39 @@ func cmdCreate(args []string) error {
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	db := fs.String("db", "", "database directory")
-	kind := fs.String("kind", "stocks", "stocks or artificial")
-	n := fs.Int("n", 0, "number of sequences (0 = paper default)")
-	length := fs.Int("len", 0, "sequence length (0 = paper default)")
+	dim := dimFlag(fs)
+	kind := fs.String("kind", "stocks", "stocks or artificial (-dim 1)")
+	n := fs.Int("n", 0, "number of sequences (0 = paper default; 50 trajectories)")
+	length := fs.Int("len", 0, "sequence length (0 = paper default; 100 points)")
 	seed := fs.Int64("seed", 1, "generator seed")
 	fs.Parse(args)
 	if *db == "" {
 		return fmt.Errorf("gen: -db required")
 	}
-	d, err := seqdb.Create(*db)
+	d, err := seqdb.CreateDim(*db, *dim)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
 
-	switch *kind {
-	case "stocks":
+	switch {
+	case *dim > 1:
+		if err := genTrajectories(d, cmp.Or(*n, 50), cmp.Or(*length, 100), *seed); err != nil {
+			return err
+		}
+		if err := d.Save(); err != nil {
+			return err
+		}
+		fmt.Printf("generated %d trajectories of %d %d-D points into %s\n", d.Len(), cmp.Or(*length, 100), *dim, *db)
+		return nil
+	case *kind == "stocks":
 		data := workload.Stocks(workload.StockConfig{NumSequences: *n, AvgLen: *length, Seed: *seed})
 		for i := 0; i < data.Len(); i++ {
 			if err := d.Add(data.Seq(i).ID, data.Values(i)); err != nil {
 				return err
 			}
 		}
-	case "artificial":
+	case *kind == "artificial":
 		count, l := *n, *length
 		if count == 0 {
 			count = 200
@@ -411,6 +443,31 @@ func cmdGen(args []string) error {
 	return nil
 }
 
+// genTrajectories adds n random walks of length points, each starting at a
+// uniform point of [0, 20)^d and stepping by a standard normal per
+// coordinate.
+func genTrajectories(d *seqdb.DB, n, length int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	dim := d.Dim()
+	for i := 0; i < n; i++ {
+		v := make([]float64, dim)
+		for k := range v {
+			v[k] = rng.Float64() * 20
+		}
+		vals := make([]float64, 0, length*dim)
+		for j := 0; j < length; j++ {
+			for k := range v {
+				v[k] += rng.NormFloat64()
+				vals = append(vals, v[k])
+			}
+		}
+		if err := d.Add(fmt.Sprintf("traj-%04d", i), vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func cmdImport(args []string) error {
 	fs := flag.NewFlagSet("import", flag.ExitOnError)
 	db := fs.String("db", "", "database directory")
@@ -429,7 +486,7 @@ func cmdImport(args []string) error {
 		return err
 	}
 	defer d.Close()
-	imported, err := importCSV(d, f)
+	imported, err := d.ImportCSV(f)
 	if err != nil {
 		return err
 	}
@@ -452,6 +509,9 @@ func cmdStats(args []string) error {
 	}
 	defer d.Close()
 	st := d.Stats()
+	if d.Dim() > 1 {
+		fmt.Printf("dimension:      %d\n", d.Dim())
+	}
 	fmt.Printf("sequences:      %d\n", st.Sequences)
 	fmt.Printf("elements:       %d\n", st.TotalElements)
 	fmt.Printf("length:         avg %.1f, min %d, max %d\n", st.AvgLen, st.MinLen, st.MaxLen)
@@ -487,19 +547,22 @@ func cmdIndex(args []string) error {
 	db := fs.String("db", "", "database directory")
 	name := fs.String("name", "", "index name")
 	method := fs.String("method", "me", "me, el, kmeans, or exact")
-	cats := fs.Int("cats", 20, "number of categories")
+	cats := fs.Int("cats", 0, "number of categories, per dimension when -dim > 1 (0 = 20, or 8 per dimension)")
 	sparse := fs.Bool("sparse", false, "sparse suffix tree (SSTc)")
 	window := fs.Int("window", 0, "warping window half-width (0 = none)")
-	encName := fs.String("encoding", "", "node record encoding: v1 (default) or v2 (compact varint)")
+	encName := fs.String("encoding", "", "node record encoding: v1 or v2 (compact varint); default v1, v2 when -dim > 1")
 	backend := backendFlag(fs)
 	envmode := envelopesFlag(fs)
 	fs.Parse(args)
 	if *db == "" || *name == "" {
 		return fmt.Errorf("index: -db and -name required")
 	}
-	enc, err := seqdb.ParseEncoding(*encName)
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
+	var enc seqdb.Encoding
+	if *encName != "" {
+		var err error
+		if enc, err = seqdb.ParseEncoding(*encName); err != nil {
+			return fmt.Errorf("index: %w", err)
+		}
 	}
 	m, err := parseMethod(*method)
 	if err != nil {
@@ -603,14 +666,9 @@ func cmdQuery(args []string, useIndex bool) error {
 			return fmt.Errorf("query: %w", err)
 		}
 	case *from != "":
-		vals := d.Values(*from)
-		if vals == nil {
-			return fmt.Errorf("query: no sequence %q", *from)
+		if q, err = cutQuery(d, *from, *start, *qlen); err != nil {
+			return fmt.Errorf("query: %w", err)
 		}
-		if *start < 0 || *start+*qlen > len(vals) {
-			return fmt.Errorf("query: [%d, %d) out of range of %q (len %d)", *start, *start+*qlen, *from, len(vals))
-		}
-		q = append(q, vals[*start:*start+*qlen]...)
 	default:
 		return fmt.Errorf("query: need -q or -from")
 	}

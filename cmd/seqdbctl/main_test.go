@@ -320,3 +320,107 @@ func TestCLIRemote(t *testing.T) {
 		t.Fatal("remote -from accepted")
 	}
 }
+
+// TestVectorCLILifecycle drives a database of dimension 2 through every
+// verb that serves it: create and gen with -dim, index, stats, query and
+// scan (which agree), knn and drop; the verbs for values only refuse it.
+func TestVectorCLILifecycle(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "vdb")
+	out, err := captureStdout(t, func() error {
+		return cmdGen([]string{"-db", db, "-dim", "2", "-n", "10", "-len", "40", "-seed", "5"})
+	})
+	if err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if !strings.Contains(out, "generated 10 trajectories of 40 2-D points") {
+		t.Fatalf("gen output: %q", out)
+	}
+
+	if _, err := captureStdout(t, func() error {
+		return cmdIndex([]string{"-db", db, "-name", "g", "-cats", "5", "-sparse"})
+	}); err != nil {
+		t.Fatalf("index: %v", err)
+	}
+
+	out, err = captureStdout(t, func() error { return cmdStats([]string{"-db", db}) })
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	for _, want := range []string{"dimension:      2", "sequences:      10", `index "g": method=max-entropy cats=5 sparse=true window=-1 encoding=v2`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats output lacks %q: %q", want, out)
+		}
+	}
+
+	cutFlags := []string{"-db", db, "-eps", "4", "-from", "traj-0003", "-start", "5", "-len", "6", "-limit", "2"}
+	qOut, err := captureStdout(t, func() error { return cmdQuery(append([]string{"-name", "g"}, cutFlags...), true) })
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	sOut, err := captureStdout(t, func() error { return cmdQuery(cutFlags, false) })
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if n := strings.Fields(qOut)[0]; n == "0" || n != strings.Fields(sOut)[0] {
+		t.Fatalf("index %s matches vs scan %s", n, strings.Fields(sOut)[0])
+	}
+	// The same query as literal point-major values finds the same answers.
+	vals, err := seqdb.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lit []string
+	for _, v := range vals.Values("traj-0003")[2*5 : 2*11] {
+		lit = append(lit, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	vals.Close()
+	litOut, err := captureStdout(t, func() error {
+		return cmdQuery([]string{"-db", db, "-name", "g", "-eps", "4", "-q", strings.Join(lit, ","), "-limit", "2"}, true)
+	})
+	if err != nil || strings.Fields(litOut)[0] != strings.Fields(qOut)[0] {
+		t.Fatalf("literal query: %q (%v), want the -from query's count %s", litOut, err, strings.Fields(qOut)[0])
+	}
+	if err := cmdQuery([]string{"-db", db, "-name", "g", "-eps", "4", "-q", "1,2,3"}, true); !errors.Is(err, seqdb.ErrDimension) {
+		t.Errorf("a point and a half: err = %v, want ErrDimension", err)
+	}
+
+	kOut, err := captureStdout(t, func() error {
+		return cmdKNN([]string{"-db", db, "-name", "g", "-k", "3", "-from", "traj-0003", "-start", "5", "-len", "6"})
+	})
+	if err != nil {
+		t.Fatalf("knn: %v", err)
+	}
+	if !strings.HasPrefix(kOut, "3 nearest subsequences") {
+		t.Fatalf("knn output: %q", kOut)
+	}
+
+	for verb, err := range map[string]error{
+		"align": cmdAlign([]string{"-db", db, "-seq", "traj-0001", "-start", "0", "-end", "5", "-from", "traj-0003", "-qlen", "5"}),
+		"tune":  cmdTune([]string{"-db", db, "-counts", "2,4", "-queries", "1"}),
+	} {
+		if !errors.Is(err, seqdb.ErrDimension) {
+			t.Errorf("%s on a 2-dimensional database: err = %v, want ErrDimension", verb, err)
+		}
+	}
+
+	if _, err := captureStdout(t, func() error {
+		return cmdDrop([]string{"-db", db, "-name", "g"})
+	}); err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+}
+
+func TestVectorCLIErrors(t *testing.T) {
+	if err := cmdCreate([]string{"-dim", "2"}); err == nil {
+		t.Error("create without -db accepted")
+	}
+	if err := cmdCreate([]string{"-db", filepath.Join(t.TempDir(), "z"), "-dim", "0"}); err == nil {
+		t.Error("create -dim 0 accepted")
+	}
+	if err := cmdQuery([]string{"-db", "nowhere", "-name", "g", "-from", "x"}, true); err == nil {
+		t.Error("missing database accepted")
+	}
+	if err := cmdIndex([]string{"-db", "nowhere"}); err == nil {
+		t.Error("missing name accepted")
+	}
+}

@@ -1,6 +1,5 @@
 // Command twtree inspects and validates the disk-resident suffix tree of a
-// twsearch database index — of a DB or of a VectorDB, told apart by the
-// data file in DIR.
+// twsearch database index, of any dimension.
 //
 // Usage:
 //
@@ -15,7 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"twsearch/internal/categorize"
+	"twsearch/internal/core"
 	"twsearch/internal/disktree"
 	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
@@ -38,15 +37,11 @@ func main() {
 	}
 }
 
-// loadIndex finds index name in dbDir — a DB's idx-NAME files over
-// data.twdb, or a VectorDB's vidx-NAME files over vectors.twvdb — and
-// rebuilds the text store its reference-layout edge labels resolve
+// loadIndex finds index name in dbDir — its idx-NAME files over data.twdb —
+// and rebuilds the text store its reference-layout edge labels resolve
 // through. It returns a description of the categorization, the tree file's
 // path and the store.
 func loadIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.TextStore, err error) {
-	if _, err := os.Stat(filepath.Join(dbDir, "vectors.twvdb")); err == nil {
-		return loadVectorIndex(dbDir, name)
-	}
 	data, err := sequence.LoadFile(filepath.Join(dbDir, "data.twdb"))
 	if err != nil {
 		return "", "", nil, fmt.Errorf("loading dataset: %w", err)
@@ -55,44 +50,19 @@ func loadIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.T
 	if err != nil {
 		return "", "", nil, fmt.Errorf("loading scheme: %w", err)
 	}
-	cat, err := categorize.ReadScheme(sf)
+	sch, err := core.ReadScheme(sf)
 	sf.Close()
 	if err != nil {
 		return "", "", nil, err
 	}
-	store = suffixtree.NewTextStore()
-	for i := 0; i < data.Len(); i++ {
-		store.Add(cat.Encode(data.Values(i)))
-	}
-	scheme = fmt.Sprintf("%s, %d categories", cat.Kind(), cat.NumCategories())
-	return scheme, filepath.Join(dbDir, "idx-"+name+".twt"), store, nil
-}
-
-// loadVectorIndex is loadIndex for a vector database.
-func loadVectorIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.TextStore, err error) {
-	data, err := multivar.LoadFile(filepath.Join(dbDir, "vectors.twvdb"))
-	if err != nil {
-		return "", "", nil, fmt.Errorf("loading vector dataset: %w", err)
-	}
-	gf, err := os.Open(filepath.Join(dbDir, "vidx-"+name+".grid"))
-	if err != nil {
-		return "", "", nil, fmt.Errorf("loading grid: %w", err)
-	}
-	grid, err := multivar.ReadGrid(gf)
-	gf.Close()
-	if err != nil {
+	if store, err = core.Encode(data, sch); err != nil {
 		return "", "", nil, err
 	}
-	store = suffixtree.NewTextStore()
-	for i := 0; i < data.Len(); i++ {
-		text, err := grid.Encode(data.Points(i))
-		if err != nil {
-			return "", "", nil, err
-		}
-		store.Add(text)
+	scheme = fmt.Sprintf("%s, %d categories", sch.Kind(), sch.NumCategories())
+	if g, ok := sch.(*multivar.GridScheme); ok {
+		scheme = fmt.Sprintf("%d-D grid, %d cells", g.Dim(), g.NumCells())
 	}
-	scheme = fmt.Sprintf("%d-D grid, %d cells", data.Dim(), grid.NumCells())
-	return scheme, filepath.Join(dbDir, "vidx-"+name+".twt"), store, nil
+	return scheme, filepath.Join(dbDir, "idx-"+name+".twt"), store, nil
 }
 
 func run(dbDir, name string, dump, pool int) error {

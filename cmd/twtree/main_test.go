@@ -77,17 +77,17 @@ func TestTwtreeValidateAndDump(t *testing.T) {
 	}
 }
 
-// A vector database's index is found by its data file and validated against
-// its grid, and one built today is in the compact encoding.
+// The index of a database of dimension 2 is validated against its grid,
+// and is built by default in the compact encoding.
 func TestTwtreeVectorIndex(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "vdb")
-	db, err := seqdb.CreateVector(dir, 2)
+	db, err := seqdb.CreateDim(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, walk := range [][][]float64{
-		{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 2}, {3, 2}},
-		{{5, 5}, {4, 5}, {4, 4}, {3, 4}, {3, 3}},
+	for i, walk := range [][]float64{
+		{0, 0, 1, 0, 1, 1, 2, 1, 2, 2, 3, 2},
+		{5, 5, 4, 5, 4, 4, 3, 4, 3, 3},
 	} {
 		if err := db.Add(fmt.Sprintf("w%d", i), walk); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestTwtreeVectorIndex(t *testing.T) {
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.BuildIndex("g", seqdb.VectorIndexSpec{CatsPerDim: 3}); err != nil {
+	if err := db.BuildIndex("g", seqdb.IndexSpec{Categories: 3}); err != nil {
 		t.Fatal(err)
 	}
 	db.Close()

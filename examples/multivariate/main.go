@@ -1,6 +1,7 @@
 // Multivariate: the paper's conclusion-section extension — sequences of
 // vectors, categorized by a multi-dimensional (MTAH-style) grid, indexed
-// with the same suffix-tree machinery, through the public VectorDB API.
+// with the same suffix-tree machinery: a seqdb.DB of dimension 2, whose
+// sequences and queries are point-major (x1, y1, x2, y2, ...).
 //
 // The example stores 2-D mouse/gesture trajectories sampled at different
 // speeds and retrieves all occurrences of an "L"-shaped stroke regardless
@@ -10,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,27 +24,27 @@ import (
 // stroke generates an L-shaped 2-D trajectory starting at (x, y): 10 units
 // down, then 10 units right — always the same shape, but sampled with n1
 // and n2 points per leg. Fewer points = a faster hand drawing the same L.
-func stroke(rng *rand.Rand, x, y float64, n1, n2 int, jitter float64) [][]float64 {
-	var pts [][]float64
+func stroke(rng *rand.Rand, x, y float64, n1, n2 int, jitter float64) []float64 {
+	var pts []float64
 	for i := 1; i <= n1; i++ {
 		yy := y - 10*float64(i)/float64(n1)
-		pts = append(pts, []float64{x + rng.Float64()*jitter, yy + rng.Float64()*jitter})
+		pts = append(pts, x+rng.Float64()*jitter, yy+rng.Float64()*jitter)
 	}
 	for i := 1; i <= n2; i++ {
 		xx := x + 10*float64(i)/float64(n2)
-		pts = append(pts, []float64{xx + rng.Float64()*jitter, y - 10 + rng.Float64()*jitter})
+		pts = append(pts, xx+rng.Float64()*jitter, y-10+rng.Float64()*jitter)
 	}
 	return pts
 }
 
 // wander generates an unstructured random walk.
-func wander(rng *rand.Rand, n int) [][]float64 {
+func wander(rng *rand.Rand, n int) []float64 {
 	x, y := rng.Float64()*20, rng.Float64()*20
-	var pts [][]float64
+	var pts []float64
 	for i := 0; i < n; i++ {
 		x += rng.NormFloat64()
 		y += rng.NormFloat64()
-		pts = append(pts, []float64{x, y})
+		pts = append(pts, x, y)
 	}
 	return pts
 }
@@ -55,7 +57,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	rng := rand.New(rand.NewSource(5))
 
-	db, err := seqdb.CreateVector(filepath.Join(dir, "db"), 2)
+	db, err := seqdb.CreateDim(filepath.Join(dir, "db"), 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,9 +88,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := db.BuildIndex("gestures", seqdb.VectorIndexSpec{
+	if err := db.BuildIndex("gestures", seqdb.IndexSpec{
 		Method:     seqdb.MethodMaxEntropy,
-		CatsPerDim: 6,
+		Categories: 6, // per dimension
 		Sparse:     true,
 	}); err != nil {
 		log.Fatal(err)
@@ -98,14 +100,15 @@ func main() {
 	// Query: the canonical L at medium speed.
 	query := stroke(rand.New(rand.NewSource(99)), 10, 10, 8, 8, 0)
 
+	ctx := context.Background()
 	eps := 16.0
-	matches, err := db.Search("gestures", query, eps)
+	matches, _, err := db.SearchWith(ctx, "gestures", query, eps, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("L-stroke query (%d points), eps=%.0f: %d matches\n", len(query), eps, len(matches))
+	fmt.Printf("L-stroke query (%d points), eps=%.0f: %d matches\n", len(query)/2, eps, len(matches))
 
-	best := map[string]seqdb.VectorMatch{}
+	best := map[string]seqdb.Match{}
 	for _, m := range matches {
 		if b, ok := best[m.SeqID]; !ok || m.Distance < b.Distance {
 			best[m.SeqID] = m
@@ -126,7 +129,7 @@ func main() {
 
 	// Nearest-neighbor view of the same question: the closest subsequences
 	// all live inside the planted strokes.
-	knn, err := db.SearchKNN("gestures", query, 3)
+	knn, _, err := db.SearchKNNWith(ctx, "gestures", query, 3, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func main() {
 	}
 
 	// The guarantee carries over: the index equals the multivariate scan.
-	scan, err := db.SeqScan(query, eps)
+	scan, _, err := db.SeqScanCtx(ctx, query, eps)
 	if err != nil {
 		log.Fatal(err)
 	}

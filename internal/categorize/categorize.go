@@ -78,6 +78,10 @@ var ErrBadCount = errors.New("categorize: category count must be >= 1")
 // Kind returns the method that produced this scheme.
 func (s *Scheme) Kind() Kind { return s.kind }
 
+// Dim returns 1: a scheme categorizes values, the points of a
+// one-dimensional sequence.
+func (s *Scheme) Dim() int { return 1 }
+
 // NumCategories returns the number of categories.
 func (s *Scheme) NumCategories() int { return len(s.cats) }
 

@@ -15,12 +15,18 @@
 //     suffixes; subsequences starting inside a run are recovered through
 //     D_tw-lb2 (Definition 4) and verified in the same post-processing step.
 //
+// The same engine searches sequences of d-dimensional points, the paper's
+// conclusion-section extension: an index over a dataset of dimension d > 1
+// categorizes through a grid and runs the vector kernel (internal/multivar).
+//
 // The sequential-scanning baseline of Section 7 lives in seqscan.go.
 package core
 
 import (
-	"cmp"
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,17 +35,52 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/disktree"
+	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
+
+// ErrDimension reports data, a query, a scheme or an operation whose
+// dimension does not fit: a scheme file of another dimension than its
+// dataset, or an operation defined for one-dimensional sequences only
+// asked of a database of dimension d > 1. errors.Is finds it under the
+// error.
+var ErrDimension = errors.New("dimension does not fit")
+
+// Scheme is an index's categorization: a *categorize.Scheme over the values
+// of a one-dimensional dataset, or a *multivar.GridScheme over the points
+// of a d-dimensional one.
+type Scheme interface {
+	// Dim is the dimension of the points the scheme categorizes.
+	Dim() int
+	Kind() categorize.Kind
+	// NumCategories is the category count, per dimension for a grid.
+	NumCategories() int
+	Write(w io.Writer) error
+}
+
+// ReadScheme parses a scheme written by a Scheme's Write: a category
+// scheme or a grid, told apart by its magic.
+func ReadScheme(r io.Reader) (Scheme, error) {
+	br := bufio.NewReader(r)
+	magic, err := br.Peek(8)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading scheme magic: %w", err)
+	}
+	if string(magic) == multivar.GridMagic {
+		return multivar.ReadGrid(br)
+	}
+	return categorize.ReadScheme(br)
+}
 
 // Options configures an index build.
 type Options struct {
 	// Kind selects the categorization method. categorize.KindIdentity
 	// yields the exact suffix tree ST of Section 4.
 	Kind categorize.Kind
-	// Categories is the number of categories c (ignored by identity).
+	// Categories is the number of categories c (ignored by identity), per
+	// dimension for data of dimension d > 1.
 	Categories int
 	// Sparse selects the sparse suffix tree SST_C of Section 6.
 	Sparse bool
@@ -55,17 +96,21 @@ type Options struct {
 	// KMeansIters bounds k-means refinement (k-means only). Defaults to 20.
 	KMeansIters int
 	// Build tunes the disk construction (pool size, record encoding — v1
-	// when none is named); its Sparse and MinSuffixLen are set from the
-	// fields above.
+	// for one-dimensional data and v2 for vectors when none is named); its
+	// Sparse and MinSuffixLen are set from the fields above.
 	Build disktree.BuildOptions
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills in the defaults for data of dimension dim.
+func (o Options) withDefaults(dim int) Options {
 	if o.Kind == "" {
 		o.Kind = categorize.KindMaxEntropy
 	}
 	if o.Categories == 0 {
 		o.Categories = 20
+		if dim > 1 {
+			o.Categories = 8
+		}
 	}
 	if o.KMeansIters == 0 {
 		o.KMeansIters = 20
@@ -78,63 +123,77 @@ func (o Options) withDefaults() Options {
 	// Scalar trees are v1 unless v2 is asked for, for one reason: bench's
 	// TestSmoke needs storage.view_miss_ns, which its probe emits only for a
 	// lowmem smoke file larger than v2 writes it (HACKING.md "Why v1 is
-	// still here"). Deleting this line is the scalar flip to v2.
-	o.Build.Encoding = cmp.Or(o.Build.Encoding, disktree.EncodingV1)
+	// still here"). Deleting these lines is the scalar flip to v2.
+	if dim == 1 && o.Build.Encoding == 0 {
+		o.Build.Encoding = disktree.EncodingV1
+	}
 	return o
 }
 
 // Index bundles everything a search needs: the raw data (for
-// post-processing), the categorization scheme (for symbol intervals), and —
-// in the embedded Engine — the categorized texts and the disk-resident
-// tree. All of it is immutable at query time, and the per-query mutable
-// state lives in pooled query contexts, so one Index serves any number of
-// concurrent searches.
+// post-processing), the categorization scheme (for symbol intervals or cell
+// boxes), and — in the embedded Engine — the categorized texts and the
+// disk-resident tree. The kernel follows the data's dimension. All of it is
+// immutable at query time, and the per-query mutable state lives in pooled
+// query contexts, so one Index serves any number of concurrent searches.
 type Index struct {
 	Engine
 	Data   *sequence.Dataset
-	Scheme *categorize.Scheme
-	// Exact records that filtering distances are exact (identity scheme):
-	// stored-suffix candidates skip post-processing.
-	Exact bool
+	Scheme Scheme
 	// BuildStats records how the disk tree was constructed (zero for
 	// indexes attached with Open).
 	BuildStats disktree.BuildStats
 
-	// lo and hi are the data's smallest and largest values.
-	lo, hi float64
+	// lo and hi are the data's smallest and largest values, per dimension.
+	lo, hi []float64
 }
 
 // newIndex wraps an opened tree and its texts into a searchable index.
-func newIndex(data *sequence.Dataset, scheme *categorize.Scheme, store *suffixtree.TextStore, tree *disktree.File, window int) *Index {
+func newIndex(data *sequence.Dataset, scheme Scheme, store *suffixtree.TextStore, tree *disktree.File, window int) *Index {
+	var newKernel func() Kernel
+	switch s := scheme.(type) {
+	case *categorize.Scheme:
+		newKernel = func() Kernel { return newScalarKernel(data, s) }
+	case *multivar.GridScheme:
+		newKernel = func() Kernel { return multivar.NewKernel(data, s) }
+	}
 	ix := &Index{
-		Engine: NewEngine(tree, store, window, func() Kernel { return newScalarKernel(data, scheme) }),
+		Engine: NewEngine(tree, store, window, newKernel),
 		Data:   data,
 		Scheme: scheme,
-		Exact:  scheme.Kind() == categorize.KindIdentity,
 	}
-	ix.lo, ix.hi = data.MinMax()
+	ix.lo, ix.hi = data.Bounds()
 	return ix
 }
 
-// Build fits the categorizer on the dataset, encodes every sequence, and
-// constructs the disk-based suffix tree at path.
+// Build fits the categorization on the dataset — a category scheme for
+// dimension 1, a grid for more — encodes every sequence, and constructs
+// the disk-based suffix tree at path.
 func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(data.Dim())
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
+	}
+	if data.Dim() > 1 {
+		grid, store, err := multivar.FitGrid(data, opts.Kind, opts.Categories)
+		if err != nil {
+			return nil, err
+		}
+		return buildTree(data, grid, store, path, opts)
 	}
 	scheme, err := categorize.Fit(opts.Kind, data.AllValues(), opts.Categories, opts.KMeansIters)
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting categorizer: %w", err)
 	}
-	return BuildWithScheme(data, scheme, path, opts)
+	store, err := Encode(data, scheme)
+	if err != nil {
+		return nil, err
+	}
+	return buildTree(data, scheme, store, path, opts)
 }
 
-// BuildWithScheme is Build with a pre-fitted categorization scheme (used
-// when several indexes must share one scheme, or when reopening).
-func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path string, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	store := encodeAll(data, scheme)
+// buildTree builds the disk tree over the texts of data under scheme.
+func buildTree(data *sequence.Dataset, scheme Scheme, store *suffixtree.TextStore, path string, opts Options) (*Index, error) {
 	seqs := make([]int, data.Len())
 	for i := range seqs {
 		seqs[i] = i
@@ -152,20 +211,25 @@ func BuildWithScheme(data *sequence.Dataset, scheme *categorize.Scheme, path str
 
 // Open attaches an existing tree file to its dataset and scheme. window < 0
 // disables the warping-window constraint.
-func Open(data *sequence.Dataset, scheme *categorize.Scheme, treePath string, poolPages, window int) (*Index, error) {
+func Open(data *sequence.Dataset, scheme Scheme, treePath string, poolPages, window int) (*Index, error) {
 	return OpenWith(data, scheme, treePath, poolPages, window, storage.BackendPool)
 }
 
 // OpenWith is Open with an explicit page-source backend for the tree file.
-func OpenWith(data *sequence.Dataset, scheme *categorize.Scheme, treePath string, poolPages, window int, backend storage.Backend) (*Index, error) {
+// A scheme of another dimension than the data is refused with ErrDimension.
+func OpenWith(data *sequence.Dataset, scheme Scheme, treePath string, poolPages, window int, backend storage.Backend) (*Index, error) {
 	if poolPages <= 0 {
 		poolPages = 256
+	}
+	store, err := Encode(data, scheme)
+	if err != nil {
+		return nil, err
 	}
 	tree, err := disktree.OpenBackend(treePath, poolPages, true, backend)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(data, scheme, encodeAll(data, scheme), tree, window), nil
+	return newIndex(data, scheme, store, tree, window), nil
 }
 
 // SizeBytes returns the on-disk index size (Table 1's metric).
@@ -181,10 +245,23 @@ func (ix *Index) RemoveFile() error {
 	return os.Remove(filepath.Clean(path))
 }
 
-// encodeAll categorizes every sequence into a text store, the sequences
-// shared out among up to GOMAXPROCS goroutines.
-func encodeAll(data *sequence.Dataset, scheme *categorize.Scheme) *suffixtree.TextStore {
+// Encode categorizes every sequence of data under scheme into the text
+// store an index over them is built from, the sequences shared out among
+// up to GOMAXPROCS goroutines. A scheme of another dimension than the data
+// is refused with ErrDimension.
+func Encode(data *sequence.Dataset, scheme Scheme) (*suffixtree.TextStore, error) {
+	if scheme.Dim() != data.Dim() {
+		return nil, fmt.Errorf("core: a %d-dimensional scheme over %d-dimensional data: %w", scheme.Dim(), data.Dim(), ErrDimension)
+	}
+	var encode func(vals []float64) ([]suffixtree.Symbol, error)
+	switch s := scheme.(type) {
+	case *categorize.Scheme:
+		encode = func(vals []float64) ([]suffixtree.Symbol, error) { return s.Encode(vals), nil }
+	case *multivar.GridScheme:
+		encode = s.Encode
+	}
 	texts := make([][]suffixtree.Symbol, data.Len())
+	errs := make([]error, len(texts))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(texts)); w > 0; w-- {
@@ -192,14 +269,17 @@ func encodeAll(data *sequence.Dataset, scheme *categorize.Scheme) *suffixtree.Te
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(texts); i = int(next.Add(1)) - 1 {
-				texts[i] = scheme.Encode(data.Values(i))
+				texts[i], errs[i] = encode(data.Values(i))
 			}
 		}()
 	}
 	wg.Wait()
 	store := suffixtree.NewTextStore()
-	for _, text := range texts {
+	for i, text := range texts {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("core: encoding %q: %w", data.Seq(i).ID, errs[i])
+		}
 		store.Add(text)
 	}
-	return store
+	return store, nil
 }

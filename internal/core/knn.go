@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
+
+	"twsearch/internal/dtw"
 )
 
 // SearchKNN returns the k subsequences with the smallest time warping
@@ -24,31 +25,43 @@ import (
 // Every expansion round runs under ctx as one range search, so a
 // cancellation aborts mid-round and returns ctx.Err().
 func (ix *Index) SearchKNN(ctx context.Context, q []float64, k int) ([]Match, SearchStats, error) {
-	if err := CheckQuery(q); err != nil {
+	dim := ix.Data.Dim()
+	if err := CheckQuery(q, dim); err != nil {
 		return nil, SearchStats{}, err
 	}
-	step := 0.0
-	for i := 1; i < len(q); i++ {
-		step += math.Abs(q[i] - q[i-1])
-	}
-	return RunKNN(ctx, k, step/float64(len(q)), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+	return RunKNN(ctx, k, QueryStep(q, dim), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
 		return ix.run(ctx, q, eps, nil)
 	})
 }
 
-// DistanceBound is RunKNN's bound for q over the index's data.
-func (ix *Index) DistanceBound(q []float64) float64 {
-	return ix.KNNBound(len(q), valueSpan(ix.lo, ix.hi, q))
+// QueryStep is the mean base distance between consecutive points of q, a
+// point-major query of dimension dim: RunKNN's first threshold.
+func QueryStep(q []float64, dim int) float64 {
+	n := len(q) / dim
+	step := 0.0
+	for i := dim; i < len(q); i += dim {
+		s := 0.0
+		for k := i; k < i+dim; k++ {
+			s += dtw.Base(q[k], q[k-dim])
+		}
+		step += s
+	}
+	return step / float64(n)
 }
 
-// valueSpan returns the width of the smallest interval holding [lo, hi] and
-// every value of q: no base distance between q and data in [lo, hi] is
-// larger.
-func valueSpan(lo, hi float64, q []float64) float64 {
-	for _, v := range q {
-		lo, hi = min(lo, v), max(hi, v)
+// DistanceBound is RunKNN's bound for q over the index's data. The base
+// distance sums over dimensions, so the value spans do, in the same order.
+func (ix *Index) DistanceBound(q []float64) float64 {
+	dim := len(ix.lo)
+	span := 0.0
+	for k := 0; k < dim; k++ {
+		lo, hi := ix.lo[k], ix.hi[k]
+		for i := k; i < len(q); i += dim {
+			lo, hi = min(lo, q[i]), max(hi, q[i])
+		}
+		span += hi - lo
 	}
-	return hi - lo
+	return ix.KNNBound(len(q)/dim, span)
 }
 
 // DistanceBound returns a number no finite time warping distance between a

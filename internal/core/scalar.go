@@ -47,7 +47,10 @@ func newScalarKernel(data *sequence.Dataset, scheme *categorize.Scheme) *scalarK
 	return k
 }
 
-func (k *scalarKernel) bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
+// Bind points the kernel at q: the filter table and the envelope (when
+// envelopes is set) under filterWindow, the verifier under window with eps
+// as its threshold.
+func (k *scalarKernel) Bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
 	k.q = q
 	k.table.Bind(q, filterWindow)
 	k.bases.Bind(len(q), len(k.intervals))
@@ -97,12 +100,17 @@ func (k *scalarKernel) Verify(seq, start, end int, hit func(end int, dist float6
 
 func (k *scalarKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }
 
-// CheckQuery refuses a scalar query no search can answer: an empty one, or
-// one holding a NaN or an infinity — its distance to every subsequence
-// would be NaN or +Inf, so the search would silently find nothing.
-func CheckQuery(q []float64) error {
+// CheckQuery refuses a query no search of data of dimension dim can
+// answer: an empty one, one that is not a whole number of dim-dimensional
+// points (ErrDimension), or one holding a NaN or an infinity — its distance
+// to every subsequence would be NaN or +Inf, so the search would silently
+// find nothing.
+func CheckQuery(q []float64, dim int) error {
 	if len(q) == 0 {
 		return errors.New("core: empty query")
+	}
+	if len(q)%dim != 0 {
+		return fmt.Errorf("core: a query of %d values is not a whole number of %d-dimensional points: %w", len(q), dim, ErrDimension)
 	}
 	for i, v := range q {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -124,19 +132,26 @@ func CheckThreshold(eps float64) error {
 }
 
 // run is the typed front of Engine.Run: it rejects what only this layer can
-// see (an empty or non-finite query) and supplies the bind that points a
-// pooled scalar kernel at q.
+// see (an empty, misshapen or non-finite query) and supplies the bind that
+// points a pooled kernel of either dimension at q.
 func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
-	if err := CheckQuery(q); err != nil {
+	if err := CheckQuery(q, ix.Data.Dim()); err != nil {
 		return nil, SearchStats{}, err
 	}
 	return ix.Run(ctx, func(k Kernel, filterWindow, window int, envelopes bool) {
-		k.(*scalarKernel).bind(q, filterWindow, window, eps, envelopes)
+		k.(binder).Bind(q, filterWindow, window, eps, envelopes)
 	}, eps, visit)
 }
 
-// Search finds every subsequence whose time warping distance from q is at
-// most eps; see Engine.Run. Results are sorted by (sequence, start, end),
+// binder is the typed half of both kernels: the scalar one and
+// multivar.Kernel bind to a point-major query.
+type binder interface {
+	Bind(q []float64, filterWindow, window int, eps float64, envelopes bool)
+}
+
+// Search finds every subsequence whose time warping distance from q, a
+// point-major query of the data's dimension, is at most eps; see
+// Engine.Run. Results are sorted by (sequence, start, end),
 // and the returned set is exactly what SeqScan returns. When ctx is canceled
 // or its deadline passes the search aborts and ctx.Err() is returned.
 func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {

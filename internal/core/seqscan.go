@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 )
 
@@ -12,7 +13,9 @@ import (
 // cumulative distance table row by row, reporting each prefix within eps
 // and abandoning the suffix as soon as every column of a row exceeds eps.
 // Its exact answers double as the ground truth the index searches are
-// verified against. window < 0 disables the warping-window constraint.
+// verified against. q is a point-major query of the data's dimension; the
+// scan of data of dimension d > 1 is multivar.Scan's. window < 0 disables
+// the warping-window constraint.
 //
 //twlint:ctx-root the benchmark's probes and the ground-truth tests call this form; cancellable scans use SeqScanCtx
 func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
@@ -23,13 +26,18 @@ func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Ma
 // suffix starts, so an abort costs at most 64 cumulative-table scans and
 // returns ctx.Err().
 func SeqScanCtx(ctx context.Context, data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
-	if err := CheckQuery(q); err != nil {
+	if err := CheckQuery(q, data.Dim()); err != nil {
 		return nil, SearchStats{}, err
 	}
 	if err := CheckThreshold(eps); err != nil {
 		return nil, SearchStats{}, err
 	}
 	started := time.Now()
+	if data.Dim() > 1 {
+		matches, cells, err := multivar.Scan(ctx, data, q, eps, window)
+		stats := SearchStats{FilterCells: cells, Answers: uint64(len(matches)), Elapsed: time.Since(started)}
+		return matches, stats, err
+	}
 	table := acquireScanTable(q, window)
 	defer releaseScanTable(table)
 	var matches []Match

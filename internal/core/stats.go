@@ -10,10 +10,7 @@ import (
 
 // Match is one answer subsequence: its location and its exact time warping
 // distance from the query.
-type Match struct {
-	Ref      sequence.Ref
-	Distance float64
-}
+type Match = sequence.Match
 
 // SearchStats records machine-independent work counters for one search —
 // the numbers the benchmark harness reports next to wall-clock time, so the

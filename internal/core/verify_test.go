@@ -108,7 +108,7 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		got, st, err := ix.Run(context.Background(), func(k Kernel, filterWindow, window int, envelopes bool) {
 			spy = k.(*verifySpy)
 			*spy = verifySpy{scalarKernel: spy.scalarKernel, eps: c.eps}
-			spy.bind(c.q, filterWindow, window, c.eps, envelopes)
+			spy.Bind(c.q, filterWindow, window, c.eps, envelopes)
 		}, c.eps, nil)
 		if err != nil {
 			t.Fatalf("|Q|=%d: %v", len(c.q), err)

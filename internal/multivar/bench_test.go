@@ -1,4 +1,4 @@
-package multivar
+package multivar_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
 
 	"twsearch/internal/disktree"
 )
@@ -25,7 +27,7 @@ func trajectoryWalks(rng *rand.Rand, n, points int) *Dataset {
 			y += rng.NormFloat64()
 			walk[j] = []float64{math.Round(x*100) / 100, math.Round(y*100) / 100}
 		}
-		d.MustAdd(Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: walk})
+		mustAdd(d, Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: walk})
 	}
 	return d
 }
@@ -39,9 +41,9 @@ func trajectoryWalks(rng *rand.Rand, n, points int) *Dataset {
 func BenchmarkSearchTrajectory(b *testing.B) {
 	rng := rand.New(rand.NewSource(1719))
 	data := trajectoryWalks(rng, 800, 200)
-	queries := make([][][]float64, 40)
+	queries := make([][]float64, 40)
 	for i := range queries {
-		walk := data.Points(rng.Intn(data.Len()))
+		walk := points(data, rng.Intn(data.Len()))
 		n := 18 + rng.Intn(13)
 		start := rng.Intn(len(walk) - n + 1)
 		q := make([][]float64, n)
@@ -49,11 +51,11 @@ func BenchmarkSearchTrajectory(b *testing.B) {
 			p := walk[start+j]
 			q[j] = []float64{p[0] + rng.NormFloat64()*0.25, p[1] + rng.NormFloat64()*0.25}
 		}
-		queries[i] = q
+		queries[i] = Flatten(q)
 	}
 	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 		b.Run(enc.String(), func(b *testing.B) {
-			ix, err := Build(data, filepath.Join(b.TempDir(), "traj.twt"), Options{CatsPerDim: 12, Window: 3, Build: disktree.BuildOptions{Encoding: enc}})
+			ix, err := build(data, filepath.Join(b.TempDir(), "traj.twt"), core.Options{Categories: 12, Window: 3, Build: disktree.BuildOptions{Encoding: enc}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,10 +1,12 @@
-package multivar
+package multivar_test
 
 import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
 
 	"twsearch/internal/categorize"
 )
@@ -22,8 +24,8 @@ func TestMultivarEnvelopeCascade(t *testing.T) {
 		for _, sparse := range []bool{false, true} {
 			for _, window := range []int{-1, 3} {
 				path := filepath.Join(dir, fmt.Sprintf("ix-%d-%v-%d.twt", trial, sparse, window))
-				ix, err := Build(data, path, Options{
-					Kind: categorize.KindMaxEntropy, CatsPerDim: 4,
+				ix, err := build(data, path, core.Options{
+					Kind: categorize.KindMaxEntropy, Categories: 4,
 					Sparse: sparse, Window: window,
 				})
 				if err != nil {
@@ -31,12 +33,12 @@ func TestMultivarEnvelopeCascade(t *testing.T) {
 				}
 				for _, eps := range []float64{1.5, 8.5} {
 					label := fmt.Sprintf("trial=%d dim=%d sparse=%v w=%d eps=%v", trial, dim, sparse, window, eps)
-					on, onStats, err := ix.Search(bg, q, eps)
+					on, onStats, err := ix.Search(bg, Flatten(q), eps)
 					if err != nil {
 						t.Fatal(err)
 					}
 					ix.DisableEnvelopes = true
-					off, offStats, err := ix.Search(bg, q, eps)
+					off, offStats, err := ix.Search(bg, Flatten(q), eps)
 					ix.DisableEnvelopes = false
 					if err != nil {
 						t.Fatal(err)

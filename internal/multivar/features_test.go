@@ -1,4 +1,4 @@
-package multivar
+package multivar_test
 
 import (
 	"bytes"
@@ -15,6 +15,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
+	"twsearch/internal/sequence"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/suffixtree"
@@ -29,7 +32,7 @@ func TestDatasetBinaryRoundTrip(t *testing.T) {
 		if err := d.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadBinary(&buf)
+		got, err := sequence.ReadBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func TestDatasetBinaryRoundTrip(t *testing.T) {
 			t.Fatal("header mismatch")
 		}
 		for i := 0; i < d.Len(); i++ {
-			if got.Seq(i).ID != d.Seq(i).ID || !reflect.DeepEqual(got.Points(i), d.Points(i)) {
+			if got.Seq(i).ID != d.Seq(i).ID || !reflect.DeepEqual(points(got, i), points(d, i)) {
 				t.Fatalf("sequence %d differs", i)
 			}
 		}
@@ -47,11 +50,11 @@ func TestDatasetBinaryRoundTrip(t *testing.T) {
 func TestDatasetFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	d := randomVecDataset(rng, 3, 15, 2)
-	path := filepath.Join(t.TempDir(), "vec.twvdb")
+	path := filepath.Join(t.TempDir(), "data.twdb")
 	if err := d.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := sequence.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestDatasetFileRoundTrip(t *testing.T) {
 }
 
 func TestDatasetBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("XXXXXXXXgarbage"))); err == nil {
+	if _, err := sequence.ReadBinary(bytes.NewReader([]byte("XXXXXXXXgarbage"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -83,12 +86,12 @@ func TestDatasetDeclaredLengthBeyondStream(t *testing.T) {
 	const nAt = 8 + 2 + 4 + 2 + len("seed") // magic, dim, count, idLen, id
 	for _, n := range []uint32{3, 1 << 20, math.MaxUint32} {
 		binary.LittleEndian.PutUint32(raw[nAt:], n)
-		if _, err := ReadBinary(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := sequence.ReadBinary(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%d points declared, 2 present: err = %v, want io.ErrUnexpectedEOF", n, err)
 		}
 	}
 	binary.LittleEndian.PutUint16(raw[8:], 0)
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+	if _, err := sequence.ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Error("points of dimension 0 accepted")
 	}
 }
@@ -96,7 +99,7 @@ func TestDatasetDeclaredLengthBeyondStream(t *testing.T) {
 func TestGridRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(507))
 	data := randomVecDataset(rng, 4, 25, 3)
-	grid, err := FitGrid(data, categorize.KindMaxEntropy, 5)
+	grid, _, err := FitGrid(data.Dataset, categorize.KindMaxEntropy, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +116,11 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 	// Same encoding and boxes after the round trip.
 	for i := 0; i < data.Len(); i++ {
-		a, err := grid.Encode(data.Points(i))
+		a, err := grid.Encode(data.Values(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.Encode(data.Points(i))
+		b, err := got.Encode(data.Values(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +149,8 @@ func TestMultivarWindowedNoFalseDismissals(t *testing.T) {
 		eps := float64(rng.Intn(8)) + 0.5
 		window := 1 + rng.Intn(5)
 		for _, sparse := range []bool{false, true} {
-			ix, err := Build(data, filepath.Join(t.TempDir(), "w.twt"), Options{
-				CatsPerDim: 1 + rng.Intn(3), Sparse: sparse, Window: window,
+			ix, err := build(data, filepath.Join(t.TempDir(), "w.twt"), core.Options{
+				Categories: 1 + rng.Intn(3), Sparse: sparse, Window: window,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +159,7 @@ func TestMultivarWindowedNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := ix.Search(bg, q, eps)
+			got, _, err := ix.Search(bg, Flatten(q), eps)
 			ix.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -182,8 +185,8 @@ func TestMultivarMinAnswerLen(t *testing.T) {
 		q := randomVecQuery(rng, 5, 2)
 		eps := float64(rng.Intn(8)) + 0.5
 		minLen := 2 + rng.Intn(4)
-		ix, err := Build(data, filepath.Join(t.TempDir(), "ml.twt"), Options{
-			CatsPerDim: 3, Sparse: trial%2 == 0, MinAnswerLen: minLen,
+		ix, err := build(data, filepath.Join(t.TempDir(), "ml.twt"), core.Options{
+			Categories: 3, Sparse: trial%2 == 0, MinAnswerLen: minLen,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +194,7 @@ func TestMultivarMinAnswerLen(t *testing.T) {
 		if ix.MinAnswerLen() != minLen {
 			t.Fatalf("MinAnswerLen = %d", ix.MinAnswerLen())
 		}
-		got, _, err := ix.Search(bg, q, eps)
+		got, _, err := ix.Search(bg, Flatten(q), eps)
 		ix.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -220,14 +223,14 @@ func TestMultivarMinAnswerLen(t *testing.T) {
 func TestMultivarKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(513))
 	data := randomVecDataset(rng, 3, 20, 2)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "knn.twt"), Options{CatsPerDim: 3, Sparse: true})
+	ix, err := build(data, filepath.Join(t.TempDir(), "knn.twt"), core.Options{Categories: 3, Sparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
 	k := 7
-	got, gotStats, err := ix.SearchKNN(bg, q, k)
+	got, gotStats, err := ix.SearchKNN(bg, Flatten(q), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestMultivarKNN(t *testing.T) {
 	}
 	var want Stats
 	for eps := step/float64(len(q)) + 1e-9; ; eps *= 4 {
-		ms, st, err := ix.Search(bg, q, eps)
+		ms, st, err := ix.Search(bg, Flatten(q), eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,10 +269,10 @@ func TestMultivarKNN(t *testing.T) {
 			t.Fatalf("kNN distance %v beyond true kth %v", m.Distance, kth)
 		}
 	}
-	if _, _, err := ix.SearchKNN(bg, q, 0); err == nil {
+	if _, _, err := ix.SearchKNN(bg, Flatten(q), 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := ix.SearchKNN(bg, nil, 2); err == nil {
+	if _, _, err := ix.SearchKNN(bg, Flatten(nil), 2); err == nil {
 		t.Error("empty query accepted")
 	}
 }
@@ -281,7 +284,7 @@ func TestMultivarKNN(t *testing.T) {
 func TestMultivarKNNAboveReachable(t *testing.T) {
 	rng := rand.New(rand.NewSource(521))
 	data := randomVecDataset(rng, 4, 15, 3)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "all.twt"), Options{CatsPerDim: 3, Sparse: true})
+	ix, err := build(data, filepath.Join(t.TempDir(), "all.twt"), core.Options{Categories: 3, Sparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func TestMultivarKNNAboveReachable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ix.SearchKNN(bg, q, len(all)+1)
+		got, _, err := ix.SearchKNN(bg, Flatten(q), len(all)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,18 +310,18 @@ func TestMultivarOpen(t *testing.T) {
 	data := randomVecDataset(rng, 4, 20, 2)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mv.twt")
-	ix, err := Build(data, path, Options{CatsPerDim: 4, Sparse: true})
+	ix, err := build(data, path, core.Options{Categories: 4, Sparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.Search(bg, q, 9.5)
+	want, _, err := ix.Search(bg, Flatten(q), 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Persist and reload the grid, then reopen.
 	var buf bytes.Buffer
-	if err := ix.Grid.Write(&buf); err != nil {
+	if err := ix.Scheme.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ix.Close()
@@ -326,12 +329,12 @@ func TestMultivarOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(data, grid, path, 16, -1)
+	re, err := core.Open(data.Dataset, grid, path, 16, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, _, err := re.Search(bg, q, 9.5)
+	got, _, err := re.Search(bg, Flatten(q), 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,21 +379,21 @@ func TestMultivarWindowTable(t *testing.T) {
 
 func TestMultivarBuildOptionErrors(t *testing.T) {
 	d := NewDataset(1)
-	d.MustAdd(Sequence{ID: "a", Points: [][]float64{{1}, {2}, {3}}})
+	mustAdd(d, Sequence{ID: "a", Points: [][]float64{{1}, {2}, {3}}})
 	// Build with every option combination must produce a searchable index.
-	for _, opts := range []Options{
+	for _, opts := range []core.Options{
 		{},
 		{Sparse: true},
 		{Window: 2},
 		{MinAnswerLen: 2, Sparse: true},
-		{Kind: categorize.KindEqualLength, CatsPerDim: 2},
+		{Kind: categorize.KindEqualLength, Categories: 2},
 	} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("o%v%v.twt", opts.Sparse, opts.Window))
-		ix, err := Build(d, path, opts)
+		ix, err := build(d, path, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if _, _, err := ix.Search(bg, [][]float64{{2}}, 1); err != nil {
+		if _, _, err := ix.Search(bg, []float64{2}, 1); err != nil {
 			t.Fatalf("%+v: search: %v", opts, err)
 		}
 		ix.Close()
@@ -410,18 +413,18 @@ func TestVectorAddRejectsNonFinite(t *testing.T) {
 func TestMultivarSearchVisit(t *testing.T) {
 	rng := rand.New(rand.NewSource(541))
 	data := randomVecDataset(rng, 3, 20, 2)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "sv.twt"), Options{CatsPerDim: 3, Sparse: true})
+	ix, err := build(data, filepath.Join(t.TempDir(), "sv.twt"), core.Options{Categories: 3, Sparse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
 	q := randomVecQuery(rng, 5, 2)
-	want, _, err := ix.Search(bg, q, 9.5)
+	want, _, err := ix.Search(bg, Flatten(q), 9.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Match
-	if _, err := ix.SearchVisit(bg, q, 9.5, func(m Match) bool {
+	if _, err := ix.SearchVisit(bg, Flatten(q), 9.5, func(m Match) bool {
 		got = append(got, m)
 		return true
 	}); err != nil {
@@ -447,7 +450,7 @@ func TestMultivarSearchVisit(t *testing.T) {
 	}
 	if len(want) > 2 {
 		count := 0
-		if _, err := ix.SearchVisit(bg, q, 9.5, func(Match) bool {
+		if _, err := ix.SearchVisit(bg, Flatten(q), 9.5, func(Match) bool {
 			count++
 			return count < 2
 		}); err != nil {
@@ -457,63 +460,8 @@ func TestMultivarSearchVisit(t *testing.T) {
 			t.Fatalf("early stop delivered %d", count)
 		}
 	}
-	if _, err := ix.SearchVisit(bg, q, 9.5, nil); err == nil {
+	if _, err := ix.SearchVisit(bg, Flatten(q), 9.5, nil); err == nil {
 		t.Error("nil visitor accepted")
-	}
-}
-
-// A grid small enough for a lookup table and the same grid with the map
-// alone encode alike, refuse the same unseen point and write the same file;
-// a grid too large for the table (41³ cells) goes by the map; and the texts
-// a fit hands to Build are the ones encodeAll makes at Open.
-func TestGridTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(521))
-	data := NewDataset(3)
-	for i := 0; i < 6; i++ {
-		points := make([][]float64, 60)
-		for j := range points {
-			points[j] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()} // no ties: every category asked for is made
-		}
-		data.MustAdd(Sequence{ID: fmt.Sprintf("m%d", i), Points: points})
-	}
-	for _, cats := range []int{5, 41} {
-		grid, fitted, err := fitGrid(data, categorize.KindMaxEntropy, cats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (grid.table != nil) != (cats == 5) {
-			t.Fatalf("%d categories per dimension: table of %d entries", cats, len(grid.table))
-		}
-		byMap := *grid
-		byMap.table = nil
-		reencoded, err := encodeAll(data, &byMap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < data.Len(); i++ {
-			want, err := grid.Encode(data.Points(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fitted.Text(i), want) || !reflect.DeepEqual(reencoded.Text(i), want) {
-				t.Fatalf("%d categories: sequence %d: the fit's text, the map's and the table's differ", cats, i)
-			}
-		}
-		unseen := [][]float64{{1e9, -1e9, 1e9}}
-		if _, err := grid.Encode(unseen); err == nil {
-			t.Errorf("%d categories: a point in no fitted cell was encoded", cats)
-		}
-		if _, err := byMap.Encode(unseen); err == nil {
-			t.Errorf("%d categories: a point in no fitted cell was encoded by the map", cats)
-		}
-		var a, b bytes.Buffer
-		if err := errors.Join(grid.Write(&a), byMap.Write(&b)); err != nil {
-			t.Fatal(err)
-		}
-		reread, err := ReadGrid(bytes.NewReader(a.Bytes()))
-		if err != nil || !bytes.Equal(a.Bytes(), b.Bytes()) || (reread.table != nil) != (grid.table != nil) {
-			t.Fatalf("%d categories: grid files differ between table and map, or the table is lost on reading (err = %v)", cats, err)
-		}
 	}
 }
 
@@ -521,13 +469,13 @@ func TestGridTableMatchesMap(t *testing.T) {
 // binary.Write encoder this one replaced wrote for the same dataset.
 func TestWriteBinaryGolden(t *testing.T) {
 	d := NewDataset(3)
-	d.MustAdd(Sequence{ID: "p", Points: [][]float64{{1, -2.5, math.Copysign(0, -1)}, {5e-324, math.MaxFloat64, 0}}})
+	mustAdd(d, Sequence{ID: "p", Points: [][]float64{{1, -2.5, math.Copysign(0, -1)}, {5e-324, math.MaxFloat64, 0}}})
 	long := make([][]float64, 3000) // more coordinates than two conversion buffers
 	for i := range long {
 		long[i] = []float64{float64(i*i%1009) / 7, float64(i), -float64(i%13) / 3}
 	}
-	d.MustAdd(Sequence{ID: "long-" + strings.Repeat("x", 300), Points: long})
-	d.MustAdd(Sequence{ID: "z", Points: [][]float64{{4, 2, 0}}})
+	mustAdd(d, Sequence{ID: "long-" + strings.Repeat("x", 300), Points: long})
+	mustAdd(d, Sequence{ID: "z", Points: [][]float64{{4, 2, 0}}})
 	var buf bytes.Buffer
 	if err := d.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -543,47 +491,48 @@ func TestWriteBinaryGolden(t *testing.T) {
 // follow.
 func TestWriteBinaryLongID(t *testing.T) {
 	d := NewDataset(1)
-	d.MustAdd(Sequence{ID: "fine", Points: [][]float64{{1}}})
-	d.MustAdd(Sequence{ID: strings.Repeat("y", math.MaxUint16+1), Points: [][]float64{{2}}})
+	mustAdd(d, Sequence{ID: "fine", Points: [][]float64{{1}}})
+	mustAdd(d, Sequence{ID: strings.Repeat("y", math.MaxUint16+1), Points: [][]float64{{2}}})
 	if err := d.WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "sequence 1") || !strings.Contains(err.Error(), "too long") {
 		t.Fatalf("id of %d bytes: err = %v, want a too-long error naming sequence 1", math.MaxUint16+1, err)
 	}
 }
 
-// Sequences with one point fewer than a backing array holds, exactly as
-// many, and one more come back point for point in every dimension, no point
-// reaching into its neighbour's coordinates; a stream cut among the points
-// of such a sequence is a wrapped io.ErrUnexpectedEOF.
+// Sequences with one point fewer than the reader's first allocation (1<<16
+// values) holds, exactly as many, and one more come back point for point in
+// every dimension, no point reaching into its neighbour's coordinates; a
+// stream cut among the points of such a sequence is a wrapped
+// io.ErrUnexpectedEOF.
 func TestBinaryChunkBoundaries(t *testing.T) {
 	for _, dim := range []int{1, 2, 7} {
-		perArray := readChunk / dim
+		perArray := (1 << 16) / dim
 		for n := perArray - 1; n <= perArray+1; n++ {
-			points := make([][]float64, n)
-			for i := range points {
-				points[i] = make([]float64, dim)
-				for k := range points[i] {
-					points[i][k] = float64(i%977) + float64(k)/8
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, dim)
+				for k := range pts[i] {
+					pts[i][k] = float64(i%977) + float64(k)/8
 				}
 			}
 			d := NewDataset(dim)
-			d.MustAdd(Sequence{ID: "first", Points: points[:1]})
-			d.MustAdd(Sequence{ID: "edge", Points: points})
+			mustAdd(d, Sequence{ID: "first", Points: pts[:1]})
+			mustAdd(d, Sequence{ID: "edge", Points: pts})
 			var buf bytes.Buffer
 			if err := d.WriteBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
 			raw := buf.Bytes()
-			got, err := ReadBinary(bytes.NewReader(raw))
-			if err != nil || !reflect.DeepEqual(got.Points(1), points) {
+			got, err := sequence.ReadBinary(bytes.NewReader(raw))
+			if err != nil || !reflect.DeepEqual(points(got, 1), pts) {
 				t.Fatalf("dim %d, %d points: round trip differs (err = %v)", dim, n, err)
 			}
-			for _, p := range got.Points(1) {
+			for _, p := range points(got, 1) {
 				if cap(p) != dim {
 					t.Fatalf("dim %d, %d points: a point has capacity %d", dim, n, cap(p))
 				}
 			}
 			for _, cut := range []int{len(raw) - 1, len(raw) - 8*dim, len(raw) - 8*dim*2, len(raw) - 8*dim*(n-1)} {
-				if _, err := ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+				if _, err := sequence.ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("dim %d, %d points, stream cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", dim, n, cut, len(raw), err)
 				}
 			}
@@ -601,7 +550,7 @@ func BenchmarkDatasetBinaryIO(b *testing.B) {
 		for j := range points {
 			points[j] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		d.MustAdd(Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: points})
+		mustAdd(d, Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: points})
 	}
 	var buf bytes.Buffer
 	b.ReportAllocs()
@@ -610,7 +559,7 @@ func BenchmarkDatasetBinaryIO(b *testing.B) {
 		if err := d.WriteBinary(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadBinary(&buf); err != nil {
+		if _, err := sequence.ReadBinary(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

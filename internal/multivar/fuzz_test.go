@@ -1,4 +1,4 @@
-package multivar
+package multivar_test
 
 import (
 	"bytes"
@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
+	"twsearch/internal/sequence"
 
 	"twsearch/internal/categorize"
 )
@@ -59,7 +62,7 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		data := NewDataset(2)
 		half := len(seqBytes) / 4 * 2
 		for i, chunk := range [][]byte{seqBytes[:half], seqBytes[half:]} {
-			data.MustAdd(Sequence{ID: string(rune('a' + i)), Points: points(chunk)})
+			mustAdd(data, Sequence{ID: string(rune('a' + i)), Points: points(chunk)})
 		}
 		q := points(qBytes)
 		eps := float64(epsRaw%40) + 0.5
@@ -68,12 +71,12 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 		}
 		cats := int(catsRaw)%6 + 1
 		window := int(windowRaw)%4 - 1 // -1: unconstrained; Build also reads 0 as that
-		opts := Options{Kind: categorize.KindMaxEntropy, CatsPerDim: cats, Sparse: shape&2 == 0, Window: window, MinAnswerLen: int(shape>>2) % 4}
+		opts := core.Options{Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: shape&2 == 0, Window: window, MinAnswerLen: int(shape>>2) % 4}
 		if shape&1 != 0 {
 			opts.Kind = categorize.KindIdentity
 		}
 
-		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), opts)
+		ix, err := build(data, filepath.Join(t.TempDir(), "fz.twt"), opts)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -87,7 +90,7 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 				eps = every[int(epsRaw)%len(every)].Distance
 			}
 		}
-		got, _, err := ix.Search(bg, q, eps)
+		got, _, err := ix.Search(bg, Flatten(q), eps)
 		if err != nil {
 			t.Fatalf("search: %v", err)
 		}
@@ -112,7 +115,7 @@ func FuzzVectorSearchMatchesScan(f *testing.F) {
 // equal dataset.
 func FuzzReadBinary(f *testing.F) {
 	good := NewDataset(2)
-	good.MustAdd(Sequence{ID: "seed", Points: [][]float64{{1, 2.5}, {-3, 4}}})
+	mustAdd(good, Sequence{ID: "seed", Points: [][]float64{{1, 2.5}, {-3, 4}}})
 	var buf bytes.Buffer
 	if err := good.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
@@ -126,7 +129,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("TWVECDB1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadBinary(bytes.NewReader(data))
+		d, err := sequence.ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -134,7 +137,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err := d.WriteBinary(&out); err != nil {
 			t.Fatalf("accepted dataset failed to serialize: %v", err)
 		}
-		d2, err := ReadBinary(&out)
+		d2, err := sequence.ReadBinary(&out)
 		if err != nil {
 			t.Fatalf("round trip of accepted dataset failed: %v", err)
 		}
@@ -142,7 +145,7 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("round trip changed the shape: %d×%d vs %d×%d", d2.Len(), d2.Dim(), d.Len(), d.Dim())
 		}
 		for i := 0; i < d.Len(); i++ {
-			if d2.Seq(i).ID != d.Seq(i).ID || !reflect.DeepEqual(d2.Points(i), d.Points(i)) {
+			if d2.Seq(i).ID != d.Seq(i).ID || !reflect.DeepEqual(points(d2, i), points(d, i)) {
 				t.Fatalf("round trip changed sequence %d", i)
 			}
 		}

@@ -2,20 +2,22 @@ package multivar
 
 import (
 	"twsearch/internal/dtw"
+	"twsearch/internal/sequence"
 	"twsearch/internal/suffixtree"
 )
 
-// vectorKernel is the multivariate core.Kernel: symbols are grid cells with
+// Kernel is the multivariate core.Kernel: symbols are grid cells with
 // bounding boxes, filter rows use the box lower bound of the city-block
 // base distance, verification rows the exact distance to the raw point, and
 // the gate one Sakoe–Chiba envelope per dimension — sound dimension-wise
 // because the base distance and the envelope gap both sum over dimensions
 // independently. Grid filter distances are never taken as exact, so every
 // candidate is verified.
-type vectorKernel struct {
-	data *Dataset
+type Kernel struct {
+	data *sequence.Dataset
 	grid *GridScheme
 
+	// q is the bound query's points: row views into the caller's slice.
 	q     [][]float64
 	table Table
 	// bases caches each cell's box row against the query, so a filter row
@@ -28,7 +30,17 @@ type vectorKernel struct {
 	qDim [][]float64
 }
 
-func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, eps float64, envelopes bool) {
+// NewKernel returns a kernel over data and its grid.
+func NewKernel(data *sequence.Dataset, grid *GridScheme) *Kernel {
+	return &Kernel{data: data, grid: grid}
+}
+
+// Bind points the kernel at a point-major query of the grid's dimension:
+// the filter table and the envelopes (when envelopes is set) under
+// filterWindow, the verifier under window with eps as its threshold.
+func (k *Kernel) Bind(flat []float64, filterWindow, window int, eps float64, envelopes bool) {
+	dim := k.grid.Dim()
+	q := Rows(k.q[:0], flat, dim)
 	k.q = q
 	k.table.Bind(q, filterWindow)
 	k.bases.Bind(len(q), k.grid.NumCells())
@@ -36,7 +48,6 @@ func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, eps float64
 	if !envelopes {
 		return
 	}
-	dim := k.data.Dim()
 	for len(k.envs) < dim {
 		k.envs = append(k.envs, dtw.Envelope{})
 		k.qDim = append(k.qDim, nil)
@@ -51,15 +62,15 @@ func (k *vectorKernel) bind(q [][]float64, filterWindow, window int, eps float64
 	}
 }
 
-func (k *vectorKernel) QueryLen() int { return len(k.q) }
-func (k *vectorKernel) Exact() bool   { return false }
+func (k *Kernel) QueryLen() int { return len(k.q) }
+func (k *Kernel) Exact() bool   { return false }
 
-func (k *vectorKernel) Base0(sym suffixtree.Symbol) float64 {
+func (k *Kernel) Base0(sym suffixtree.Symbol) float64 {
 	return BaseBox(k.q[0], k.grid.Box(sym))
 }
 
 //twlint:steady-state
-func (k *vectorKernel) Gap(x int, sym suffixtree.Symbol) float64 {
+func (k *Kernel) Gap(x int, sym suffixtree.Symbol) float64 {
 	box := k.grid.Box(sym)
 	g := 0.0
 	for d := range k.envs {
@@ -70,7 +81,7 @@ func (k *vectorKernel) Gap(x int, sym suffixtree.Symbol) float64 {
 }
 
 //twlint:steady-state
-func (k *vectorKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
+func (k *Kernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 	row, cached := k.bases.Row(int32(sym))
 	if !cached {
 		box := k.grid.Box(sym)
@@ -82,14 +93,14 @@ func (k *vectorKernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 }
 
 //twlint:steady-state
-func (k *vectorKernel) Truncate(depth int) { k.table.Truncate(depth) }
+func (k *Kernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
-func (k *vectorKernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Points(seq), start) }
+func (k *Kernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Values(seq), start) }
 
 //twlint:steady-state
-func (k *vectorKernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
-	k.verify.Scan(k.data.Points(seq), start, end, hit)
+func (k *Kernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
+	k.verify.Scan(k.data.Values(seq), start, end, hit)
 }
 
-func (k *vectorKernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }
+func (k *Kernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }

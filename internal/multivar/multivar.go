@@ -4,85 +4,47 @@
 // multi-dimensional grid (an MTAH-style per-dimension categorization whose
 // cells are the categories). The same suffix-tree index construction and
 // the same lower-bound filtering then apply to the cell-symbol sequences.
+//
+// A vector sequence is a sequence.Dataset sequence of dimension d > 1, and
+// core.Index searches it: this package holds only what the dimension
+// changes — the grid, the point rows, the tables and verifier over them,
+// the kernel the engine runs, and the exhaustive scan.
 package multivar
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/dtw"
+	"twsearch/internal/sequence"
 	"twsearch/internal/suffixtree"
 )
 
-// Sequence is a named series of vector samples; all points of all sequences
-// in a Dataset share one dimensionality.
-type Sequence struct {
-	ID     string
-	Points [][]float64
+// Rows appends to dst one row per point of vals, a point-major sequence of
+// dim-dimensional points — views into vals, not copies — and returns the
+// extended slice: the form the kernel, its tables and Distance read points
+// in.
+func Rows(dst [][]float64, vals []float64, dim int) [][]float64 {
+	for i := 0; i+dim <= len(vals); i += dim {
+		dst = append(dst, vals[i:i+dim:i+dim])
+	}
+	return dst
 }
 
-// Dataset owns multivariate sequences.
-type Dataset struct {
-	dim  int
-	seqs []Sequence
-	byID map[string]int
+// Flatten returns points as one point-major slice: the form sequences and
+// queries of every dimension take in sequence.Dataset and seqdb.
+func Flatten(points [][]float64) []float64 {
+	n := 0
+	for _, p := range points {
+		n += len(p)
+	}
+	out := make([]float64, 0, n)
+	for _, p := range points {
+		out = append(out, p...)
+	}
+	return out
 }
-
-// NewDataset returns an empty dataset for vectors of the given dimension.
-func NewDataset(dim int) *Dataset {
-	return &Dataset{dim: dim, byID: make(map[string]int)}
-}
-
-// Dim returns the vector dimensionality.
-func (d *Dataset) Dim() int { return d.dim }
-
-// Add appends a sequence, validating id uniqueness and point shape.
-func (d *Dataset) Add(s Sequence) (int, error) {
-	if s.ID == "" {
-		return 0, errors.New("multivar: empty id")
-	}
-	if len(s.Points) == 0 {
-		return 0, fmt.Errorf("multivar: %q has no points", s.ID)
-	}
-	if _, dup := d.byID[s.ID]; dup {
-		return 0, fmt.Errorf("multivar: duplicate id %q", s.ID)
-	}
-	for i, p := range s.Points {
-		if len(p) != d.dim {
-			return 0, fmt.Errorf("multivar: %q point %d has %d dims, want %d", s.ID, i, len(p), d.dim)
-		}
-		for k, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, fmt.Errorf("multivar: %q point %d dim %d is %v", s.ID, i, k, v)
-			}
-		}
-	}
-	idx := len(d.seqs)
-	d.seqs = append(d.seqs, s)
-	d.byID[s.ID] = idx
-	return idx, nil
-}
-
-// MustAdd panics on error; for generators and tests.
-func (d *Dataset) MustAdd(s Sequence) int {
-	idx, err := d.Add(s)
-	if err != nil {
-		//lint:ignore panicpath Must-prefix constructor contract (regexp.MustCompile idiom): generators pass ids and points that are valid by construction; Add is the error-returning path
-		panic(err)
-	}
-	return idx
-}
-
-// Len returns the number of sequences.
-func (d *Dataset) Len() int { return len(d.seqs) }
-
-// Seq returns sequence i.
-func (d *Dataset) Seq(i int) Sequence { return d.seqs[i] }
-
-// Points returns the samples of sequence i (not to be mutated).
-func (d *Dataset) Points(i int) [][]float64 { return d.seqs[i].Points }
 
 // Base is the multivariate D_base: city-block distance summed over
 // dimensions.
@@ -177,32 +139,23 @@ func newGrid(dims []*categorize.Scheme) *GridScheme {
 	return g
 }
 
-// FitGrid fits one univariate categorizer per dimension (catsPerDim
+// FitGrid fits one univariate categorizer per dimension of data (catsPerDim
 // categories each) and assigns dense cell symbols to every observed
-// combination.
-func FitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, error) {
-	g, _, err := fitGrid(data, kind, catsPerDim)
-	return g, err
-}
-
-// fitGrid is FitGrid, also returning what it computed on the way: the
-// cell-symbol text of every sequence, as encodeAll gives them.
-func fitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, *suffixtree.TextStore, error) {
+// combination. It also returns what it computed on the way: the cell-symbol
+// text of every sequence, as Encode gives them.
+func FitGrid(data *sequence.Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, *suffixtree.TextStore, error) {
 	if data.Len() == 0 {
 		return nil, nil, errors.New("multivar: empty dataset")
 	}
 	dim := data.Dim()
-	total := 0
-	for i := 0; i < data.Len(); i++ {
-		total += len(data.Points(i))
-	}
 	dims := make([]*categorize.Scheme, dim)
-	vals := make([]float64, total) // a fit keeps nothing of its values, so every dimension uses it
+	vals := make([]float64, data.TotalElements()) // a fit keeps nothing of its values, so every dimension uses it
 	for k := 0; k < dim; k++ {
 		at := 0
 		for i := 0; i < data.Len(); i++ {
-			for _, p := range data.Points(i) {
-				vals[at] = p[k]
+			v := data.Values(i)
+			for j := k; j < len(v); j += dim {
+				vals[at] = v[j]
 				at++
 			}
 		}
@@ -218,7 +171,9 @@ func fitGrid(data *Dataset, kind categorize.Kind, catsPerDim int) (*GridScheme, 
 	var syms []suffixtree.Symbol
 	for i := 0; i < data.Len(); i++ {
 		syms = syms[:0]
-		for _, p := range data.Points(i) {
+		v := data.Values(i)
+		for j := 0; j < len(v); j += dim {
+			p := v[j : j+dim]
 			sym := g.symbolFor(p, true)
 			syms = append(syms, sym)
 			box := &g.boxes[sym]
@@ -278,13 +233,29 @@ func (g *GridScheme) NumCells() int { return len(g.boxes) }
 // Box returns the observed bounding box of a cell symbol.
 func (g *GridScheme) Box(sym suffixtree.Symbol) Box { return g.boxes[sym] }
 
-// Encode converts a point sequence drawn from the fitted data into cell
-// symbols. It returns an error on a point from an unseen cell, which cannot
-// happen for fitted sequences.
-func (g *GridScheme) Encode(points [][]float64) ([]suffixtree.Symbol, error) {
-	out := make([]suffixtree.Symbol, len(points))
-	for i, p := range points {
-		sym := g.symbolFor(p, false)
+// Dim returns the dimension of the points the grid categorizes.
+func (g *GridScheme) Dim() int { return len(g.dims) }
+
+// Kind returns the per-dimension categorization method.
+func (g *GridScheme) Kind() categorize.Kind { return g.dims[0].Kind() }
+
+// NumCategories returns the largest per-dimension category count.
+func (g *GridScheme) NumCategories() int {
+	n := 0
+	for _, s := range g.dims {
+		n = max(n, s.NumCategories())
+	}
+	return n
+}
+
+// Encode converts a point-major sequence of the grid's dimension, drawn
+// from the fitted data, into cell symbols. It returns an error on a point
+// from an unseen cell, which cannot happen for fitted sequences.
+func (g *GridScheme) Encode(vals []float64) ([]suffixtree.Symbol, error) {
+	dim := g.Dim()
+	out := make([]suffixtree.Symbol, len(vals)/dim)
+	for i := range out {
+		sym := g.symbolFor(vals[i*dim:(i+1)*dim], false)
 		if sym < 0 {
 			return nil, fmt.Errorf("multivar: point %d falls in an unfitted cell", i)
 		}

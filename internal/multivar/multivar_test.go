@@ -1,77 +1,17 @@
-package multivar
+package multivar_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
 
 	"twsearch/internal/categorize"
 )
-
-var bg = context.Background()
-
-func mMatchesBitIdentical(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Ref != b[i].Ref ||
-			math.Float64bits(a[i].Distance) != math.Float64bits(b[i].Distance) {
-			return false
-		}
-	}
-	return true
-}
-
-// mExactStats strips Stats to the counters a search pins exactly
-// (everything but wall clock and the index-wide pool deltas).
-func mExactStats(s Stats) [8]uint64 {
-	return [8]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers, s.EnvelopePruned, s.LBCells}
-}
-
-func randomVecDataset(rng *rand.Rand, nSeq, maxLen, dim int) *Dataset {
-	d := NewDataset(dim)
-	for i := 0; i < nSeq; i++ {
-		n := 2 + rng.Intn(maxLen-1)
-		points := make([][]float64, n)
-		v := make([]float64, dim)
-		for k := range v {
-			v[k] = float64(rng.Intn(10))
-		}
-		for j := range points {
-			p := make([]float64, dim)
-			for k := range p {
-				v[k] += float64(rng.Intn(3) - 1)
-				p[k] = v[k]
-			}
-			points[j] = p
-		}
-		d.MustAdd(Sequence{ID: fmt.Sprintf("m%d", i), Points: points})
-	}
-	return d
-}
-
-func randomVecQuery(rng *rand.Rand, maxLen, dim int) [][]float64 {
-	n := 1 + rng.Intn(maxLen)
-	q := make([][]float64, n)
-	v := make([]float64, dim)
-	for k := range v {
-		v[k] = float64(rng.Intn(10))
-	}
-	for j := range q {
-		p := make([]float64, dim)
-		for k := range p {
-			v[k] += float64(rng.Intn(3) - 1)
-			p[k] = v[k]
-		}
-		q[j] = p
-	}
-	return q
-}
 
 func TestBaseAndBox(t *testing.T) {
 	if Base([]float64{1, 2}, []float64{3, 0}) != 4 {
@@ -117,7 +57,7 @@ func TestDatasetValidation(t *testing.T) {
 func TestFitGridBoxesContainPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	data := randomVecDataset(rng, 5, 30, 3)
-	grid, err := FitGrid(data, categorize.KindMaxEntropy, 4)
+	grid, _, err := FitGrid(data.Dataset, categorize.KindMaxEntropy, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +65,11 @@ func TestFitGridBoxesContainPoints(t *testing.T) {
 		t.Fatal("no cells")
 	}
 	for i := 0; i < data.Len(); i++ {
-		syms, err := grid.Encode(data.Points(i))
+		syms, err := grid.Encode(data.Values(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, p := range data.Points(i) {
+		for j, p := range points(data, i) {
 			box := grid.Box(syms[j])
 			for k := range p {
 				if p[k] < box.Lo[k] || p[k] > box.Hi[k] {
@@ -148,15 +88,15 @@ func TestEncodeUnseenCellFails(t *testing.T) {
 	// Only the diagonal cells (low,low) and (high,high) are observed; the
 	// off-diagonal combination (low,high) has no cell symbol.
 	d := NewDataset(2)
-	d.MustAdd(Sequence{ID: "a", Points: [][]float64{{1, 1}, {10, 10}}})
-	grid, err := FitGrid(d, categorize.KindEqualLength, 2)
+	mustAdd(d, Sequence{ID: "a", Points: [][]float64{{1, 1}, {10, 10}}})
+	grid, _, err := FitGrid(d.Dataset, categorize.KindEqualLength, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if grid.NumCells() != 2 {
 		t.Fatalf("cells = %d, want 2", grid.NumCells())
 	}
-	if _, err := grid.Encode([][]float64{{1, 10}}); err == nil {
+	if _, err := grid.Encode([]float64{1, 10}); err == nil {
 		t.Error("point in unseen cell encoded")
 	}
 }
@@ -172,9 +112,9 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 		eps := float64(rng.Intn(10)) + 0.5
 		for _, sparse := range []bool{false, true} {
 			path := filepath.Join(dir, fmt.Sprintf("mix-%d-%v.twt", trial, sparse))
-			ix, err := Build(data, path, Options{
+			ix, err := build(data, path, core.Options{
 				Kind:       categorize.KindMaxEntropy,
-				CatsPerDim: 1 + rng.Intn(4),
+				Categories: 1 + rng.Intn(4),
 				Sparse:     sparse,
 			})
 			if err != nil {
@@ -184,7 +124,7 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := ix.Search(bg, q, eps)
+			got, stats, err := ix.Search(bg, Flatten(q), eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,19 +172,19 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		data := NewDataset(2)
 		for i := 0; i < 8; i++ {
-			data.MustAdd(Sequence{ID: fmt.Sprintf("r%d", i), Points: runs(48, 6)})
+			mustAdd(data, Sequence{ID: fmt.Sprintf("r%d", i), Points: runs(48, 6)})
 		}
 		q := runs(2+rng.Intn(5), 3)
 		window := 1 + trial%3
-		for oi, opts := range []Options{
-			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2},
-			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true},
-			{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true, Window: window},
+		for oi, opts := range []core.Options{
+			{Kind: categorize.KindMaxEntropy, Categories: 2},
+			{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
+			{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true, Window: window},
 			{Kind: categorize.KindIdentity, Window: window},
 			{Kind: categorize.KindIdentity, Sparse: true},
 			{Kind: categorize.KindIdentity, Sparse: true, Window: window},
 		} {
-			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d-%d.twt", trial, oi)), opts)
+			ix, err := build(data, filepath.Join(dir, fmt.Sprintf("tie-%d-%d.twt", trial, oi)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +202,7 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := ix.Search(bg, q, eps)
+				got, _, err := ix.Search(bg, Flatten(q), eps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,8 +231,8 @@ func TestAdmissionKeepsTies(t *testing.T) {
 		return out
 	}
 	data := NewDataset(2)
-	data.MustAdd(Sequence{ID: "tie", Points: pts(7, 1, 0, 4, 3, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 1, 3)})
-	data.MustAdd(Sequence{ID: "other", Points: pts(4, 4, 6, 1, 0, 0, 9, 8, 1, 2, 3, 5, 2, 2, 7, 7)})
+	mustAdd(data, Sequence{ID: "tie", Points: pts(7, 1, 0, 4, 3, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 1, 3)})
+	mustAdd(data, Sequence{ID: "other", Points: pts(4, 4, 6, 1, 0, 0, 9, 8, 1, 2, 3, 5, 2, 2, 7, 7)})
 	q := pts(2, 2, 2, 2, 2, 2)
 	const eps = 1.0
 	tie := Ref{Seq: 0, Start: 2, End: 5}
@@ -303,17 +243,17 @@ func TestAdmissionKeepsTies(t *testing.T) {
 	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
 		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
 	}
-	for oi, opts := range []Options{
-		{Kind: categorize.KindMaxEntropy, CatsPerDim: 2},
-		{Kind: categorize.KindMaxEntropy, CatsPerDim: 2, Sparse: true},
+	for oi, opts := range []core.Options{
+		{Kind: categorize.KindMaxEntropy, Categories: 2},
+		{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
 		{Kind: categorize.KindIdentity},
 		{Kind: categorize.KindIdentity, Sparse: true},
 	} {
-		ix, err := Build(data, filepath.Join(t.TempDir(), fmt.Sprintf("tie-%d.twt", oi)), opts)
+		ix, err := build(data, filepath.Join(t.TempDir(), fmt.Sprintf("tie-%d.twt", oi)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ix.Search(bg, q, eps)
+		got, _, err := ix.Search(bg, Flatten(q), eps)
 		ix.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +267,7 @@ func TestAdmissionKeepsTies(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	data := randomVecDataset(rng, 2, 10, 2)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "v.twt"), Options{})
+	ix, err := build(data, filepath.Join(t.TempDir(), "v.twt"), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,28 +275,28 @@ func TestSearchValidation(t *testing.T) {
 	if _, _, err := ix.Search(bg, nil, 1); err == nil {
 		t.Error("empty query accepted")
 	}
-	if _, _, err := ix.Search(bg, [][]float64{{1}}, 1); err == nil {
+	if _, _, err := ix.Search(bg, []float64{1}, 1); err == nil {
 		t.Error("wrong-dim query accepted")
 	}
-	if _, _, err := ix.Search(bg, [][]float64{{1, 2}}, -1); err == nil {
+	if _, _, err := ix.Search(bg, []float64{1, 2}, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, st, err := ix.Search(bg, [][]float64{{1, 2}}, math.NaN()); err == nil || st.NodesVisited != 0 {
+	if _, st, err := ix.Search(bg, []float64{1, 2}, math.NaN()); err == nil || st.NodesVisited != 0 {
 		t.Errorf("NaN eps: err %v after %d nodes, want a refusal before the traversal", err, st.NodesVisited)
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		q := [][]float64{{1, 2}, {3, v}}
-		if _, _, err := ix.Search(bg, q, 1); err == nil {
+		if _, _, err := ix.Search(bg, Flatten(q), 1); err == nil {
 			t.Errorf("query coordinate %v accepted", v)
 		}
-		if _, _, err := ix.SearchKNN(bg, q, 2); err == nil {
+		if _, _, err := ix.SearchKNN(bg, Flatten(q), 2); err == nil {
 			t.Errorf("k-NN query coordinate %v accepted", v)
 		}
-		if _, _, err := SeqScan(data, q, 1, -1); err == nil {
+		if _, _, err := core.SeqScan(data.Dataset, Flatten(q), 1, -1); err == nil {
 			t.Errorf("SeqScan query coordinate %v accepted", v)
 		}
 	}
-	if _, _, err := SeqScan(data, [][]float64{{1, 2}}, math.NaN(), -1); err == nil {
+	if _, _, err := core.SeqScan(data.Dataset, []float64{1, 2}, math.NaN(), -1); err == nil {
 		t.Error("SeqScan NaN eps accepted")
 	}
 }
@@ -367,7 +307,7 @@ func TestTableMatchesDistance(t *testing.T) {
 		dim := 1 + rng.Intn(3)
 		q := randomVecQuery(rng, 6, dim)
 		s := randomVecQuery(rng, 6, dim)
-		tab := NewTable(q)
+		tab := NewTableWindow(q, -1)
 		var last float64
 		for _, p := range s {
 			last, _ = tab.AddRowPoint(p)

@@ -1,4 +1,4 @@
-package multivar
+package multivar_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
 
 	"twsearch/internal/categorize"
 )
@@ -19,7 +21,7 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 	rng := rand.New(rand.NewSource(547))
 	data := randomVecDataset(rng, 40, 120, 2)
 	path := filepath.Join(t.TempDir(), "pins.twt")
-	ix, err := Build(data, path, Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 4, Window: 3})
+	ix, err := build(data, path, core.Options{Kind: categorize.KindMaxEntropy, Categories: 4, Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +29,14 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 	// Four pages of pool against a tree of dozens: reads keep evicting, so a
 	// pin that outlived its search would also show as a stripe stuck over
 	// capacity.
-	ix, err = Open(data, ix.Grid, path, 4, 3)
+	ix, err = core.Open(data.Dataset, ix.Scheme, path, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
 	var q [][]float64 // a stretch of the data, so answers exist
 	for i := 0; q == nil; i++ {
-		if p := data.Points(i); len(p) >= 32 {
+		if p := points(data, i); len(p) >= 32 {
 			q = p[20:32]
 		}
 	}
@@ -46,38 +48,38 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 		}
 	}
 
-	ms, _, err := ix.Search(bg, q, eps)
+	ms, _, err := ix.Search(bg, Flatten(q), eps)
 	if err != nil || len(ms) < 4 {
 		t.Fatalf("search: %d matches, %v", len(ms), err)
 	}
 	unpinned("a search")
 
 	seen := 0
-	if _, err := ix.SearchVisit(bg, q, eps, func(Match) bool { seen++; return false }); err != nil || seen != 1 {
+	if _, err := ix.SearchVisit(bg, Flatten(q), eps, func(Match) bool { seen++; return false }); err != nil || seen != 1 {
 		t.Fatalf("stopping visitor saw %d matches, %v", seen, err)
 	}
 	unpinned("a visitor stop")
 
 	ctx, cancel := context.WithCancel(bg)
-	_, err = ix.SearchVisit(ctx, q, eps, func(Match) bool { cancel(); return true })
+	_, err = ix.SearchVisit(ctx, Flatten(q), eps, func(Match) bool { cancel(); return true })
 	if err != context.Canceled {
 		t.Fatalf("search cancelled from its visitor: %v", err)
 	}
 	unpinned("a cancellation during the search")
-	if ms, _, err := ix.Search(ctx, q, eps); err != context.Canceled || ms != nil {
+	if ms, _, err := ix.Search(ctx, Flatten(q), eps); err != context.Canceled || ms != nil {
 		t.Fatalf("search under a cancelled context: %d matches, %v", len(ms), err)
 	}
-	if ms, _, err := ix.SearchKNN(ctx, q, 3); err != context.Canceled || ms != nil {
+	if ms, _, err := ix.SearchKNN(ctx, Flatten(q), 3); err != context.Canceled || ms != nil {
 		t.Fatalf("k-NN under a cancelled context: %d matches, %v", len(ms), err)
 	}
 	unpinned("a cancelled context")
 
-	again, _, err := ix.Search(bg, q, eps)
+	again, _, err := ix.Search(bg, Flatten(q), eps)
 	if err != nil || !mMatchesBitIdentical(again, ms) {
 		t.Fatalf("repeated search: %d matches, want %d, %v", len(again), len(ms), err)
 	}
 	unpinned("a repeated search")
-	if _, _, err := ix.SearchKNN(bg, q, 3); err != nil {
+	if _, _, err := ix.SearchKNN(bg, Flatten(q), 3); err != nil {
 		t.Fatal(err)
 	}
 	unpinned("a k-NN search")
@@ -87,7 +89,7 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 	if err := os.Truncate(path, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ix.Search(bg, q, eps); err == nil {
+	if _, _, err := ix.Search(bg, Flatten(q), eps); err == nil {
 		t.Fatal("search over a truncated file succeeded")
 	}
 	unpinned("a failed page read")

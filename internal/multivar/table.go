@@ -17,12 +17,6 @@ type Table struct {
 	dtw.Rows
 }
 
-// NewTable returns a table for the given query with no warping-window
-// constraint. It panics on an empty query.
-func NewTable(q [][]float64) *Table {
-	return NewTableWindow(q, -1)
-}
-
 // NewTableWindow returns a table whose rows apply a Sakoe–Chiba band of
 // half-width w; pass w < 0 for no constraint.
 func NewTableWindow(q [][]float64, w int) *Table {
@@ -96,36 +90,39 @@ func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
 // Verifier is the vector twin of dtw.Verifier: the verification pass's
 // exact table for one start at a time, over dtw.VerifyRows.
 type Verifier struct {
-	q [][]float64
+	q   [][]float64
+	dim int
 	dtw.VerifyRows
 }
 
 // Bind re-targets the verifier at a new, non-empty query, a window (< 0:
 // none) and a threshold, zeroing the cell counter.
 func (v *Verifier) Bind(q [][]float64, w int, tau float64) {
-	v.q = q
+	v.q, v.dim = q, len(q[0])
 	v.VerifyRows.Bind(len(q), w, tau)
 }
 
-// Dead is dtw.Verifier.Dead over points: the start's first point alone is
-// further than the threshold from the query's.
+// Dead is dtw.Verifier.Dead over the points of vals, point-major in the
+// query's dimension: the start's first point alone is further than the
+// threshold from the query's.
 //
 //twlint:steady-state
-func (v *Verifier) Dead(points [][]float64, start int) bool {
-	return Base(points[start], v.q[0]) > v.Threshold()
+func (v *Verifier) Dead(vals []float64, start int) bool {
+	return Base(vals[start*v.dim:(start+1)*v.dim], v.q[0]) > v.Threshold()
 }
 
-// Scan is dtw.Verifier.Scan over points: it calls hit(e, D_tw) for every
-// subsequence points[start:e], e ≤ end, within the threshold, dismissing a
-// start on its first element and stopping at the first row without a live
-// cell.
+// Scan is dtw.Verifier.Scan over the points of vals, point-major in the
+// query's dimension: it calls hit(e, D_tw) for every subsequence of points
+// [start, e), e ≤ end, within the threshold, dismissing a start on its
+// first element and stopping at the first row without a live cell.
 //
 //twlint:steady-state
-func (v *Verifier) Scan(points [][]float64, start, end int, hit func(end int, dist float64)) {
+func (v *Verifier) Scan(vals []float64, start, end int, hit func(end int, dist float64)) {
 	q := v.q
 	n := len(q)
+	dim := v.dim
 	tau := v.Threshold()
-	if v.Dead(points, start) {
+	if v.Dead(vals, start) {
 		return
 	}
 	// Every end is within an infinite threshold, at distance +Inf where
@@ -134,7 +131,7 @@ func (v *Verifier) Scan(points [][]float64, start, end int, hit func(end int, di
 	prev, curr := v.Rows()
 	plo, phi := 0, 0
 	for x, e := 0, start; e < end; x, e = x+1, e+1 {
-		p := points[e]
+		p := vals[e*dim : (e+1)*dim]
 		lo, mid, hi := v.Reach(x, plo, phi)
 		y := lo
 		left := dtw.Inf

@@ -1,9 +1,10 @@
-package multivar
+package multivar_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+	. "twsearch/internal/multivar"
 
 	"twsearch/internal/dtw"
 )
@@ -60,7 +61,7 @@ func TestAddRowPointMatchesReference(t *testing.T) {
 			for i := range wide {
 				wide[i] = point()
 			}
-			tab := NewTable(wide)
+			tab := NewTableWindow(wide, -1)
 			for x := 0; x < depth; x++ {
 				tab.AddRowPoint(point())
 			}
@@ -197,7 +198,7 @@ func checkVerifier(t *testing.T, q, s [][]float64, w int, tau float64) {
 			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, Base(s[start], q[0]))
 			gotEnds, gotDists = gotEnds[:0], gotDists[:0]
 			before := v.Cells()
-			v.Scan(s, start, end, hit)
+			v.Scan(Flatten(s), start, end, hit)
 			cells := v.Cells() - before
 			if len(gotEnds) != len(wantEnds) {
 				t.Fatalf("w=%d tau=%v [%d,%d): ends %v, plain table %v", w, tau, start, end, gotEnds, wantEnds)
@@ -236,7 +237,7 @@ func TestThresholdRowsMatchPlain(t *testing.T) {
 			p = step(p)
 			s[i] = p
 		}
-		tie, _ := NewTable(q).AddRowPoint(s[0])
+		tie, _ := NewTableWindow(q, -1).AddRowPoint(s[0])
 		for w := -1; w <= n; w++ {
 			for _, tau := range []float64{0, 0.5, 3, 12, tie, dtw.Inf} {
 				checkVerifier(t, q, s, w, tau)

@@ -1,14 +1,15 @@
-package multivar
+package multivar_test
 
 import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
+	"twsearch/internal/core"
+	. "twsearch/internal/multivar"
+	"twsearch/internal/sequence"
 
 	"twsearch/internal/categorize"
-	"twsearch/internal/core"
-	"twsearch/internal/sequence"
 )
 
 // workScalarData is a fixed-seed set of integer random walks and a query.
@@ -49,11 +50,11 @@ func workVectorData() (*Dataset, [][]float64) {
 		return out
 	}
 	for i := 0; i < 16; i++ {
-		data.MustAdd(Sequence{ID: fmt.Sprintf("v%d", i), Points: walk(60 + rng.Intn(40))})
+		mustAdd(data, Sequence{ID: fmt.Sprintf("v%d", i), Points: walk(60 + rng.Intn(40))})
 	}
 	q := make([][]float64, 9)
 	for j := range q {
-		p := data.Points(3)[10+j]
+		p := points(data, 3)[10+j]
 		q[j] = []float64{p[0] + float64(rng.Intn(3)-1), p[1]}
 	}
 	return data, q
@@ -93,7 +94,7 @@ func TestEngineWorkPinned(t *testing.T) {
 	rows := []struct {
 		name   string
 		scalar *core.Options
-		vector *Options
+		vector *core.Options
 		want   counters
 	}{
 		{"scalar/dense", &core.Options{Kind: categorize.KindMaxEntropy, Categories: 12}, nil,
@@ -104,13 +105,13 @@ func TestEngineWorkPinned(t *testing.T) {
 			counters{472, 2820, 14655, 1043, 914, 129, 23, 305}},
 		{"scalar/identity", &core.Options{Kind: categorize.KindIdentity}, nil,
 			counters{725, 19100, 0, 281, 0, 281, 128, 2038}},
-		{"vector/dense", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 4},
+		{"vector/dense", nil, &core.Options{Kind: categorize.KindMaxEntropy, Categories: 4},
 			counters{862, 4797, 10391, 490, 445, 45, 32, 565}},
-		{"vector/sparse", nil, &Options{Kind: categorize.KindMaxEntropy, CatsPerDim: 3, Sparse: true},
+		{"vector/sparse", nil, &core.Options{Kind: categorize.KindMaxEntropy, Categories: 3, Sparse: true},
 			counters{423, 2898, 12607, 1185, 1140, 45, 10, 332}},
-		{"vector/sparse+window", nil, &Options{Kind: categorize.KindEqualLength, CatsPerDim: 4, Sparse: true, Window: 4},
+		{"vector/sparse+window", nil, &core.Options{Kind: categorize.KindEqualLength, Categories: 4, Sparse: true, Window: 4},
 			counters{317, 2169, 11812, 1202, 1162, 40, 10, 251}},
-		{"vector/identity", nil, &Options{Kind: categorize.KindIdentity},
+		{"vector/identity", nil, &core.Options{Kind: categorize.KindIdentity},
 			counters{1287, 3312, 12079, 855, 810, 45, 75, 443}},
 	}
 	for i, r := range rows {
@@ -127,13 +128,13 @@ func TestEngineWorkPinned(t *testing.T) {
 				return st, err
 			}
 		} else {
-			ix, err := Build(vdata, path, *r.vector)
+			ix, err := build(vdata, path, *r.vector)
 			if err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 			defer ix.Close()
 			search = func() (Stats, error) {
-				_, st, err := ix.Search(bg, vq, veps)
+				_, st, err := ix.Search(bg, Flatten(vq), veps)
 				return st, err
 			}
 		}

@@ -13,42 +13,59 @@ import (
 	"strings"
 )
 
-// Binary dataset format:
+// Binary dataset formats. A dataset of dimension 1 is written as
 //
 //	magic   [8]byte  "TWSEQDB1"
 //	count   uint32   number of sequences
 //	per sequence:
 //	  idLen  uint16
 //	  id     [idLen]byte
-//	  n      uint32   number of elements
+//	  n      uint32   number of points
 //	  values [n]float64, little endian
 //
-// The format is deliberately flat: datasets are read fully into memory; the
-// disk-resident structure is the suffix-tree index, not the raw data.
+// and one of dimension d > 1 as
+//
+//	magic   [8]byte  "TWVECDB1"
+//	dim     uint16
+//	count   uint32
+//	per sequence: idLen uint16, id, n uint32, n*dim float64 (point-major)
+//
+// ReadBinary reads both. The formats are deliberately flat: datasets are
+// read fully into memory; the disk-resident structure is the suffix-tree
+// index, not the raw data.
 
-var binaryMagic = [8]byte{'T', 'W', 'S', 'E', 'Q', 'D', 'B', '1'}
+var (
+	binaryMagic = [8]byte{'T', 'W', 'S', 'E', 'Q', 'D', 'B', '1'}
+	vectorMagic = [8]byte{'T', 'W', 'V', 'E', 'C', 'D', 'B', '1'}
+)
 
 // ErrBadMagic reports that a file is not a twsearch binary dataset.
-var ErrBadMagic = errors.New("sequence: bad magic, not a TWSEQDB1 file")
+var ErrBadMagic = errors.New("sequence: bad magic, not a TWSEQDB1 or TWVECDB1 file")
 
 // ioChunk is how many values cross a stream in one piece: the size of the
 // byte buffer WriteBinary and ReadBinary convert through.
 const ioChunk = 1 << 12
 
-// WriteBinary writes the dataset in the binary format.
+// WriteBinary writes the dataset in the binary format of its dimension.
 func (d *Dataset) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	buf := make([]byte, 0, 8*ioChunk)
+	if dim := d.Dim(); dim == 1 {
+		buf = append(buf, binaryMagic[:]...)
+	} else {
+		if dim > math.MaxUint16 {
+			return fmt.Errorf("sequence: dimension %d too large", dim)
+		}
+		buf = binary.LittleEndian.AppendUint16(append(buf, vectorMagic[:]...), uint16(dim))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.seqs)))
+	if _, err := bw.Write(buf); err != nil {
 		return err
 	}
-	buf := make([]byte, 8*ioChunk)
-	binary.LittleEndian.PutUint32(buf, uint32(len(d.seqs)))
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
-	for _, s := range d.seqs {
+	buf = buf[:cap(buf)]
+	for i, s := range d.seqs {
 		if len(s.ID) > math.MaxUint16 {
-			return fmt.Errorf("sequence: id %q too long", s.ID[:32])
+			return fmt.Errorf("sequence: sequence %d: id %q too long", i, s.ID[:32])
 		}
 		binary.LittleEndian.PutUint16(buf, uint16(len(s.ID)))
 		if _, err := bw.Write(buf[:2]); err != nil {
@@ -57,7 +74,7 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 		if _, err := bw.WriteString(s.ID); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint32(buf, uint32(len(s.Values)))
+		binary.LittleEndian.PutUint32(buf, uint32(len(s.Values)/d.Dim()))
 		if _, err := bw.Write(buf[:4]); err != nil {
 			return err
 		}
@@ -75,22 +92,32 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a dataset written by WriteBinary.
+// ReadBinary parses a dataset written by WriteBinary, of any dimension.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("sequence: reading magic: %w", err)
 	}
-	if magic != binaryMagic {
+	buf := make([]byte, 8*ioChunk)
+	dim := 1
+	switch magic {
+	case binaryMagic:
+	case vectorMagic:
+		if _, err := io.ReadFull(br, buf[:2]); err != nil {
+			return nil, fmt.Errorf("sequence: reading dimension: %w", err)
+		}
+		if dim = int(binary.LittleEndian.Uint16(buf)); dim == 0 {
+			return nil, errors.New("sequence: dimension 0")
+		}
+	default:
 		return nil, ErrBadMagic
 	}
-	buf := make([]byte, 8*ioChunk)
 	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, fmt.Errorf("sequence: reading count: %w", err)
 	}
 	count := binary.LittleEndian.Uint32(buf)
-	d := NewDataset()
+	d := NewDatasetDim(dim)
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf[:2]); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d id length: %w", i, err)
@@ -102,7 +129,7 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("sequence: seq %d length: %w", i, err)
 		}
-		n := binary.LittleEndian.Uint32(buf)
+		n := int64(binary.LittleEndian.Uint32(buf)) * int64(dim)
 		vals, err := readValues(br, n, buf)
 		if err != nil {
 			return nil, fmt.Errorf("sequence: seq %d values: %w", i, err)
@@ -123,9 +150,9 @@ const readChunk = 1 << 16
 // readChunk values and doubles only as values actually arrive: a corrupt
 // length costs a short read — io.ErrUnexpectedEOF — not n × 8 bytes of
 // allocation.
-func readValues(r io.Reader, n uint32, buf []byte) ([]float64, error) {
+func readValues(r io.Reader, n int64, buf []byte) ([]float64, error) {
 	vals := make([]float64, 0, min(n, readChunk))
-	for left := int64(n); left > 0; {
+	for left := n; left > 0; {
 		if len(vals) == cap(vals) {
 			vals = slices.Grow(vals, int(min(left, int64(len(vals)))))
 		}
@@ -171,7 +198,8 @@ func LoadFile(path string) (*Dataset, error) {
 }
 
 // WriteCSV writes one line per sequence: id,v1,v2,...,vn. Values are
-// formatted with the shortest representation that round-trips.
+// formatted with the shortest representation that round-trips. The format
+// carries no dimension, so callers write only datasets of dimension 1.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range d.seqs {

@@ -100,7 +100,8 @@ func TestStats(t *testing.T) {
 	if math.Abs(st.MeanValue-2.2) > 1e-12 {
 		t.Fatalf("MeanValue = %v", st.MeanValue)
 	}
-	mn, mx := d.MinMax()
+	lo, hi := d.Bounds()
+	mn, mx := lo[0], hi[0]
 	if mn != -5 || mx != 10 {
 		t.Fatalf("MinMax = %v %v", mn, mx)
 	}
@@ -115,7 +116,8 @@ func TestStatsEmpty(t *testing.T) {
 	if d.AvgLen() != 0 {
 		t.Fatal("empty AvgLen not 0")
 	}
-	mn, mx := d.MinMax()
+	lo, hi := d.Bounds()
+	mn, mx := lo[0], hi[0]
 	if mn != 0 || mx != 0 {
 		t.Fatal("empty MinMax not (0,0)")
 	}

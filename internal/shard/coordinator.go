@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -59,11 +58,14 @@ func (e *PartialError) Unwrap() error { return e.Cause }
 type Coordinator struct {
 	backends []Backend
 	bases    []int
+	// dim is the dimension of every shard's points and of every query.
+	dim int
 }
 
-// NewCoordinator assembles a coordinator from the shard backends and the
-// manifest ranges that place each shard in the global sequence numbering.
-func NewCoordinator(backends []Backend, ranges []Range) (*Coordinator, error) {
+// NewCoordinator assembles a coordinator from the shard backends, the
+// manifest ranges that place each shard in the global sequence numbering,
+// and the dimension of the shards' points.
+func NewCoordinator(backends []Backend, ranges []Range, dim int) (*Coordinator, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("shard: no backends")
 	}
@@ -74,7 +76,7 @@ func NewCoordinator(backends []Backend, ranges []Range) (*Coordinator, error) {
 	for i, r := range ranges {
 		bases[i] = r.Start
 	}
-	return &Coordinator{backends: backends, bases: bases}, nil
+	return &Coordinator{backends: backends, bases: bases, dim: dim}, nil
 }
 
 // gather runs one scatter-gather round: `run` executes on every backend
@@ -167,8 +169,8 @@ func (c *Coordinator) gather(
 
 // checkRange refuses, before any shard is asked, a query or threshold every
 // shard would refuse: the failure is the request's, not a partial outage.
-func checkRange(q []float64, eps float64) error {
-	if err := core.CheckQuery(q); err != nil {
+func (c *Coordinator) checkRange(q []float64, eps float64) error {
+	if err := core.CheckQuery(q, c.dim); err != nil {
 		return err
 	}
 	return core.CheckThreshold(eps)
@@ -186,7 +188,7 @@ func rebase(ms []Match, base int) {
 // remaining shards. The answer set — matches and exact distances — is
 // identical to the unsharded search over the same data at any shard count.
 func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool) (Stats, error) {
-	if err := checkRange(q, eps); err != nil {
+	if err := c.checkRange(q, eps); err != nil {
 		return Stats{}, err
 	}
 	return c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
@@ -210,7 +212,7 @@ func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps
 
 // Scan fans the exhaustive sequential-scan baseline out over the shards.
 func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
-	if err := checkRange(q, eps); err != nil {
+	if err := c.checkRange(q, eps); err != nil {
 		return nil, Stats{}, err
 	}
 	out := []Match{}
@@ -235,12 +237,8 @@ func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 // the call with a *PartialError: its round's, or, when it could not give
 // its bound, one that names only it, before any round runs.
 func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int) ([]Match, Stats, error) {
-	if err := core.CheckQuery(q); err != nil {
+	if err := core.CheckQuery(q, c.dim); err != nil {
 		return nil, Stats{}, err
-	}
-	step := 0.0
-	for i := 1; i < len(q); i++ {
-		step += math.Abs(q[i] - q[i-1])
 	}
 	bound := 0.0
 	for i, b := range c.backends {
@@ -250,7 +248,7 @@ func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, 
 		}
 		bound = max(bound, bi)
 	}
-	return core.RunKNN(ctx, k, step/float64(len(q)), bound, func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+	return core.RunKNN(ctx, k, core.QueryStep(q, c.dim), bound, func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
 		return c.Search(ctx, index, q, eps)
 	})
 }

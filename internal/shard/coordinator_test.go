@@ -83,7 +83,7 @@ func mkCoord(t *testing.T, backends ...*fakeBackend) *Coordinator {
 		ranges[i] = Range{Start: start, Count: 10}
 		start += 10
 	}
-	c, err := NewCoordinator(bs, ranges)
+	c, err := NewCoordinator(bs, ranges, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func mkCoord(t *testing.T, backends ...*fakeBackend) *Coordinator {
 }
 
 func TestNewCoordinatorValidation(t *testing.T) {
-	if _, err := NewCoordinator(nil, nil); err == nil {
+	if _, err := NewCoordinator(nil, nil, 1); err == nil {
 		t.Error("no backends should be an error")
 	}
-	if _, err := NewCoordinator([]Backend{&fakeBackend{}}, []Range{{0, 1}, {1, 1}}); err == nil {
+	if _, err := NewCoordinator([]Backend{&fakeBackend{}}, []Range{{0, 1}, {1, 1}}, 1); err == nil {
 		t.Error("backend/range count mismatch should be an error")
 	}
 }

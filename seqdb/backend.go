@@ -25,13 +25,14 @@ func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // Encoding selects the on-disk node record serialization of an index tree:
 // v1 fixed-width or v2 compact varints (files about a third of the size).
-// A DB index is built in v1 unless its IndexSpec names v2; a VectorDB index
-// is built in v2, and one built in v1 before that still opens. An index is
-// built in one encoding; to change it, drop the index and build it again.
+// An index of a one-dimensional database is built in v1 unless its
+// IndexSpec names v2; one of a database of dimension d > 1 in v2 unless it
+// names v1. An index is built in one encoding; to change it, drop the index
+// and build it again.
 type Encoding = disktree.Encoding
 
 // The available record encodings. In an IndexSpec the zero value means
-// EncodingV1.
+// EncodingV1 for d = 1 and EncodingV2 for d > 1.
 const (
 	EncodingV1 = disktree.EncodingV1
 	EncodingV2 = disktree.EncodingV2

@@ -122,26 +122,28 @@ func ExampleDB_Align() {
 	// q[1] -> s[3]
 }
 
-// The multivariate extension: 2-D points, grid-categorized, same engine.
-func ExampleVectorDB() {
+// The multivariate extension: a database of dimension 2, whose sequences
+// and queries are point-major (x1, y1, x2, y2, ...), grid-categorized, same
+// engine.
+func ExampleCreateDim() {
 	dir, err := os.MkdirTemp("", "seqdb-vector-")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 
-	db, err := seqdb.CreateVector(dir+"/db", 2)
+	db, err := seqdb.CreateDim(dir+"/db", 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
 	// The same stroke sampled at full and double rate (every point twice).
-	db.Add("fast", [][]float64{{0, 0}, {2, 2}, {4, 4}})
-	db.Add("slow", [][]float64{{0, 0}, {0, 0}, {2, 2}, {2, 2}, {4, 4}, {4, 4}})
+	db.Add("fast", []float64{0, 0, 2, 2, 4, 4})
+	db.Add("slow", []float64{0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4})
 	db.Save()
-	db.BuildIndex("g", seqdb.VectorIndexSpec{CatsPerDim: 4, Sparse: true})
+	db.BuildIndex("g", seqdb.IndexSpec{Categories: 4, Sparse: true})
 
-	matches, err := db.Search("g", [][]float64{{0, 0}, {2, 2}, {4, 4}}, 0)
+	matches, _, err := db.SearchWith(context.Background(), "g", []float64{0, 0, 2, 2, 4, 4}, 0, seqdb.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,8 +22,11 @@ type AlignmentStep struct {
 // Figure 1(b)'s element mapping — so callers can explain which elements
 // were stretched or compressed. It returns the exact distance (equal to the
 // match's Distance for an unconstrained index) and the path in forward
-// order.
+// order. It is for one-dimensional databases only (ErrDimension).
 func (db *DB) Align(m Match, q []float64) (float64, []AlignmentStep, error) {
+	if err := db.scalarOnly("align in"); err != nil {
+		return 0, nil, err
+	}
 	vals := db.Values(m.SeqID)
 	if vals == nil {
 		return 0, nil, fmt.Errorf("seqdb: no sequence %q", m.SeqID)
@@ -54,15 +57,19 @@ type CategoryMeasure = categorize.Measure
 // builds a trial index per candidate count (with the given spec's method
 // and sparsity), measures average query time at eps over the sample
 // queries and the index size, and returns the count minimizing
-// model.Wt*seconds + model.Ws*KB, along with every measurement.
+// model.Wt*seconds + model.Ws*KB, along with every measurement. It is for
+// one-dimensional databases only (ErrDimension).
 func (db *DB) SelectCategories(spec IndexSpec, counts []int, queries [][]float64, eps float64, model CostModel) (int, []CategoryMeasure, error) {
+	if err := db.scalarOnly("select categories for"); err != nil {
+		return 0, nil, err
+	}
 	p, err := db.flat("select categories for")
 	if err != nil {
 		return 0, nil, err
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	spec = spec.withDefaults()
+	spec = spec.withDefaults(1)
 	best, measures, err := core.SelectCategories(p.data, queries, eps, counts, model,
 		core.Options{
 			Kind:         categorize.Kind(spec.Method),
@@ -77,8 +84,12 @@ func (db *DB) SelectCategories(spec IndexSpec, counts []int, queries [][]float64
 }
 
 // ExportCSV writes every sequence as an id,v1,v2,... line — a portable dump
-// readable by ImportCSV and by cmd/seqdbctl import.
+// readable by ImportCSV and by cmd/seqdbctl import. The format carries no
+// dimension, so it is for one-dimensional databases only (ErrDimension).
 func (db *DB) ExportCSV(w io.Writer) error {
+	if err := db.scalarOnly("export CSV from"); err != nil {
+		return err
+	}
 	for _, p := range db.parts {
 		p.mu.RLock()
 		err := p.data.WriteCSV(w)
@@ -92,8 +103,12 @@ func (db *DB) ExportCSV(w io.Writer) error {
 
 // ImportCSV appends all sequences from an id,v1,v2,... stream (blank lines
 // and '#' comments skipped). Like Add, it is rejected while indexes exist.
-// On a malformed line nothing is imported.
+// On a malformed line nothing is imported. It is for one-dimensional
+// databases only (ErrDimension).
 func (db *DB) ImportCSV(r io.Reader) (int, error) {
+	if err := db.scalarOnly("import CSV into"); err != nil {
+		return 0, err
+	}
 	p, err := db.flat("import into")
 	if err != nil {
 		return 0, err

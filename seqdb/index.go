@@ -3,6 +3,8 @@ package seqdb
 import (
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -47,8 +49,9 @@ type IndexSpec struct {
 	// Method defaults to MethodMaxEntropy — the configuration the paper
 	// recommends after its Section 7.1 study.
 	Method Method
-	// Categories is the number of categories (default 20; ignored by
-	// MethodExact).
+	// Categories is the number of categories (ignored by MethodExact): per
+	// dimension in a database of dimension d > 1, whose categories are the
+	// cells of a grid. The default is 20, and 8 per dimension when d > 1.
 	Categories int
 	// Sparse stores only run-head suffixes — the paper's SST_C.
 	Sparse bool
@@ -64,17 +67,22 @@ type IndexSpec struct {
 	// PoolPages bounds the tree file's buffer pool (default 256).
 	PoolPages int
 	// Encoding selects the node record serialization of the tree file
-	// (zero value = EncodingV1; EncodingV2 is the compact varint format).
-	// BuildIndex rejects any other value; Index reports the encoding built.
+	// (zero value = EncodingV1 when d = 1 and EncodingV2 when d > 1;
+	// EncodingV2 is the compact varint format). BuildIndex rejects any
+	// other value; Index reports the encoding built.
 	Encoding Encoding
 }
 
-func (s IndexSpec) withDefaults() IndexSpec {
+// withDefaults fills in the defaults for a database of dimension dim.
+func (s IndexSpec) withDefaults(dim int) IndexSpec {
 	if s.Method == "" {
 		s.Method = MethodMaxEntropy
 	}
 	if s.Categories == 0 {
 		s.Categories = 20
+		if dim > 1 {
+			s.Categories = 8
+		}
 	}
 	if s.Window <= 0 {
 		s.Window = -1
@@ -108,9 +116,11 @@ func (p *part) metaPath(name string) string {
 
 // BuildIndex builds and persists a new index, shard by shard; each shard is
 // exclusively locked for the duration of its build. It is all or nothing:
-// when a shard fails, the index is dropped again from the shards this call
-// had already built, so the call can simply be repeated after fixing the
-// cause. Shards that had the index before the call keep it.
+// when a shard fails, the files its build wrote are removed, and the index
+// is dropped again from the shards this call had already built, so the
+// call can simply be repeated after fixing the cause. Shards that had the
+// index before the call keep it, and no file that existed before the call
+// is removed.
 func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 	for i, p := range db.parts {
 		if err := p.buildIndex(name, spec); err != nil {
@@ -126,7 +136,7 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 	return nil
 }
 
-func (p *part) buildIndex(name string, spec IndexSpec) error {
+func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 	if err := validIndexName(name); err != nil {
 		return err
 	}
@@ -138,11 +148,28 @@ func (p *part) buildIndex(name string, spec IndexSpec) error {
 	if p.data.Len() == 0 {
 		return errors.New("seqdb: cannot index an empty database")
 	}
-	spec = spec.withDefaults()
+	spec = spec.withDefaults(p.data.Dim())
 	if spec.Encoding != 0 && spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
 		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
 	}
-	ix, err := core.Build(p.data, p.treePath(name), core.Options{
+	// On failure, remove the files this call writes that did not exist
+	// before it.
+	var created []string
+	for _, path := range []string{p.treePath(name), p.schemePath(name), p.metaPath(name)} {
+		if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
+			created = append(created, path)
+		}
+	}
+	var ix *core.Index
+	defer func() {
+		if err != nil {
+			if ix != nil {
+				ix.Close()
+			}
+			removeIndexFiles(created...)
+		}
+	}()
+	ix, err = core.Build(p.data, p.treePath(name), core.Options{
 		Kind:         categorize.Kind(spec.Method),
 		Categories:   spec.Categories,
 		Sparse:       spec.Sparse,
@@ -155,40 +182,45 @@ func (p *part) buildIndex(name string, spec IndexSpec) error {
 	}
 	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
 	spec.Encoding = ix.Tree.Encoding()
-	if err := p.persistIndexMeta(name, spec, ix); err != nil {
-		ix.RemoveFile()
+	if err := writeFile(p.schemePath(name), ix.Scheme.Write); err != nil {
+		return err
+	}
+	meta := fmt.Sprintf("window=%d\npool_pages=%d\n", spec.Window, spec.PoolPages)
+	if err := os.WriteFile(p.metaPath(name), []byte(meta), 0o644); err != nil {
 		return err
 	}
 	p.indexes[name] = &openIndex{spec: spec, ix: ix}
 	return nil
 }
 
-func (p *part) persistIndexMeta(name string, spec IndexSpec, ix *core.Index) error {
-	sf, err := os.Create(p.schemePath(name))
+// writeFile creates or truncates path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ix.Scheme.Write(sf); err != nil {
-		sf.Close()
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	if err := sf.Close(); err != nil {
-		return err
-	}
-	meta := fmt.Sprintf("window=%d\npool_pages=%d\n", spec.Window, spec.PoolPages)
-	return os.WriteFile(p.metaPath(name), []byte(meta), 0o644)
+	return f.Close()
 }
 
-// openIndexFiles attaches a persisted index during Open.
+// openIndexFiles attaches a persisted index during Open. A scheme file of
+// another dimension than the dataset is refused with ErrDimension, naming
+// the file.
 func (p *part) openIndexFiles(name string) error {
 	sf, err := os.Open(p.schemePath(name))
 	if err != nil {
 		return err
 	}
-	scheme, err := categorize.ReadScheme(sf)
+	scheme, err := core.ReadScheme(sf)
 	sf.Close()
 	if err != nil {
 		return err
+	}
+	if scheme.Dim() != p.data.Dim() {
+		return fmt.Errorf("seqdb: %s holds a %d-dimensional scheme for a %d-dimensional dataset: %w", p.schemePath(name), scheme.Dim(), p.data.Dim(), ErrDimension)
 	}
 	window, poolPages, err := readIndexMeta(p.metaPath(name))
 	if err != nil {

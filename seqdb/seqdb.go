@@ -5,7 +5,13 @@
 // Databases" (ICDE 2000).
 //
 // A database lives in a directory: the raw sequences in one binary file and
-// each index as a tree file plus its categorization scheme. Typical use:
+// each index as a tree file plus its categorization scheme. Its sequences
+// are of d-dimensional points, d ≥ 1 fixed at creation: Create makes a
+// database of values (d = 1), CreateDim one of vectors such as
+// trajectories, the paper's conclusion-section extension. Sequences and
+// queries are point-major []float64 in every dimension, and every call
+// below serves every d, except the few that say they are for d = 1 only.
+// Typical use:
 //
 //	db, _ := seqdb.Create(dir)
 //	db.Add("stock-A", prices)
@@ -48,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,7 +67,21 @@ import (
 
 const dataFileName = "data.twdb"
 
-// Match is one answer subsequence. Start/End index the sequence's values as
+// ErrDimension reports a dimension that does not fit: a query that is not
+// a whole number of the database's points, an index
+// scheme file of another dimension than its dataset, or an operation
+// defined for one-dimensional databases only — Align, SelectCategories,
+// ExportCSV, ImportCSV, and serving — asked of one of dimension d > 1.
+// errors.Is finds it under the error.
+var ErrDimension = core.ErrDimension
+
+// ErrOldLayout reports a directory in the layout vector databases had
+// before they became databases of dimension d > 1: a vectors.twvdb dataset
+// or vidx-* index files. Open refuses it; rebuild the database with
+// CreateDim, Add and BuildIndex.
+var ErrOldLayout = errors.New("old vector database layout; rebuild it with CreateDim and BuildIndex")
+
+// Match is one answer subsequence. Start/End index the sequence's points as
 // a half-open interval; Distance is the exact time warping distance from
 // the query. It is the scatter-gather coordinator's match type, so sharded
 // answers reach the caller without a per-call copy.
@@ -114,9 +135,17 @@ type openIndex struct {
 	ix   *core.Index
 }
 
-// Create initializes a new database in dir (creating the directory if
-// needed). It fails if dir already holds a database.
-func Create(dir string) (*DB, error) {
+// Create initializes a new database of values (dimension 1) in dir
+// (creating the directory if needed). It fails if dir already holds a
+// database.
+func Create(dir string) (*DB, error) { return CreateDim(dir, 1) }
+
+// CreateDim initializes a new database of dim-dimensional points in dir, as
+// Create does.
+func CreateDim(dir string, dim int) (*DB, error) {
+	if dim < 1 || dim > math.MaxUint16 {
+		return nil, fmt.Errorf("seqdb: dimension %d out of range [1, %d]", dim, math.MaxUint16)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -124,7 +153,7 @@ func Create(dir string) (*DB, error) {
 	if _, err := os.Stat(dataPath); err == nil {
 		return nil, fmt.Errorf("seqdb: %s already holds a database", dir)
 	}
-	db := &DB{dir: dir, parts: []*part{{dir: dir, data: sequence.NewDataset(), indexes: map[string]*openIndex{}}}}
+	db := &DB{dir: dir, parts: []*part{{dir: dir, data: sequence.NewDatasetDim(dim), indexes: map[string]*openIndex{}}}}
 	if err := db.Save(); err != nil {
 		return nil, err
 	}
@@ -156,17 +185,23 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 	return &DB{dir: dir, parts: []*part{p}}, nil
 }
 
-// openPart loads one shard's dataset and indexes.
+// openPart loads one shard's dataset and indexes. A directory holding
+// files of the old vector layout is refused with ErrOldLayout.
 func openPart(dir string, opts OpenOptions) (*part, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if name := e.Name(); name == "vectors.twvdb" || strings.HasPrefix(name, "vidx-") {
+			return nil, fmt.Errorf("seqdb: %s: %w", filepath.Join(dir, name), ErrOldLayout)
+		}
+	}
 	data, err := sequence.LoadFile(filepath.Join(dir, dataFileName))
 	if err != nil {
 		return nil, fmt.Errorf("seqdb: loading dataset: %w", err)
 	}
 	p := &part{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "idx-") || !strings.HasSuffix(name, ".twt") {
@@ -224,8 +259,23 @@ func (p *part) close() error {
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
-// Add appends a sequence. Adding is rejected while indexes exist, because
-// they would silently go stale; drop indexes first and rebuild after.
+// Dim returns the dimension of the database's points: 1 for a database of
+// values.
+func (db *DB) Dim() int { return db.parts[0].data.Dim() }
+
+// scalarOnly refuses op, which is defined for one-dimensional databases
+// only, on a database of dimension d > 1.
+func (db *DB) scalarOnly(op string) error {
+	if d := db.Dim(); d > 1 {
+		return fmt.Errorf("seqdb: cannot %s a %d-dimensional database: %w", op, d, ErrDimension)
+	}
+	return nil
+}
+
+// Add appends a sequence of points, point-major: point i of a
+// d-dimensional database is values[i*d : (i+1)*d]. Adding is rejected
+// while indexes exist, because they would silently go stale; drop indexes
+// first and rebuild after.
 func (db *DB) Add(id string, values []float64) error {
 	p, err := db.flat("add sequences to")
 	if err != nil {
@@ -279,8 +329,8 @@ func (db *DB) SequenceIDs() []string {
 	return out
 }
 
-// Values returns the elements of the sequence with the given id, or nil if
-// absent. The slice must not be mutated.
+// Values returns the points of the sequence with the given id, point-major,
+// or nil if absent. The slice must not be mutated.
 func (db *DB) Values(id string) []float64 {
 	var v []float64
 	for _, p := range db.parts {
@@ -312,7 +362,7 @@ func (db *DB) Stats() Stats {
 }
 
 // SeqScanCtx runs the exhaustive baseline: exact answers with no index.
-// ctx is polled once per suffix start.
+// ctx is polled every 64 suffix starts.
 func (db *DB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
 	if db.coord == nil {
 		return db.parts[0].Scan(ctx, q, eps)

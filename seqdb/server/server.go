@@ -136,6 +136,9 @@ func (s *Server) AddDB(name string, db *seqdb.DB) error {
 	if _, ok := s.dbs[name]; ok {
 		return fmt.Errorf("server: db %q already mounted", name)
 	}
+	if d := db.Dim(); d > 1 {
+		return fmt.Errorf("server: db %q is %d-dimensional, and only one-dimensional databases are served: %w", name, d, seqdb.ErrDimension)
+	}
 	s.dbs[name] = db
 	return nil
 }

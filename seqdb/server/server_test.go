@@ -208,6 +208,35 @@ func TestServerSearchMatchesInProcess(t *testing.T) {
 	}
 }
 
+// A database of dimension d > 1 is not served: mounting one, flat or
+// sharded, fails with seqdb.ErrDimension and leaves nothing mounted.
+func TestServerRefusesVectorDB(t *testing.T) {
+	db, err := seqdb.CreateDim(filepath.Join(t.TempDir(), "vdb"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 2; i++ {
+		if err := db.Add(fmt.Sprintf("v%d", i), []float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sharded, err := db.PartitionInto(filepath.Join(t.TempDir(), "sharded"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	s := New(Config{})
+	for name, d := range map[string]*seqdb.DB{"flat": db, "sharded": sharded} {
+		if err := s.AddDB(name, d); !errors.Is(err, seqdb.ErrDimension) {
+			t.Errorf("%s: mounting a 2-dimensional database: err = %v, want ErrDimension", name, err)
+		}
+	}
+	if err := s.AddDB("later", newTestDB(t)); err != nil {
+		t.Fatalf("a one-dimensional database after the refusals: %v", err)
+	}
+}
+
 func TestServerErrorsAreTyped(t *testing.T) {
 	leakCheck(t)
 	db := newTestDB(t)

@@ -25,7 +25,8 @@ type ShardedDB = DB
 
 // ErrShardMismatch reports a sharded root whose shards disagree with its
 // manifest or with each other: a shard holding another sequence count than
-// its manifest range, or an index that not every shard holds. Searching it
+// its manifest range, points of another dimension than shard 0's, or an
+// index that not every shard holds. Searching it
 // would misnumber answers or fail part way through a stream, so Open
 // refuses it; errors.Is finds it under Open's error.
 var ErrShardMismatch = errors.New("shards disagree")
@@ -75,7 +76,7 @@ func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
 		sdir := filepath.Join(dir, shardDirName(i))
 		claim(sdir)
 		claim(filepath.Join(sdir, dataFileName))
-		sdb, err := Create(sdir)
+		sdb, err := CreateDim(sdir, db.Dim())
 		if err != nil {
 			return nil, fmt.Errorf("seqdb: creating shard %d: %w", i, err)
 		}
@@ -130,7 +131,7 @@ func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
 	for i, p := range db.parts {
 		backends[i] = p
 	}
-	coord, err := shard.NewCoordinator(backends, m.Ranges)
+	coord, err := shard.NewCoordinator(backends, m.Ranges, db.Dim())
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -142,6 +143,9 @@ func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
 // checkShard compares shard i, p, with its manifest range r and with shard
 // 0, first.
 func checkShard(i int, r ShardRange, first, p *part) error {
+	if got, want := p.data.Dim(), first.data.Dim(); got != want {
+		return fmt.Errorf("seqdb: shard %d holds %d-dimensional points but shard 0 %d-dimensional ones: %w", i, got, want, ErrShardMismatch)
+	}
 	if got := p.data.Len(); got != r.Count {
 		return fmt.Errorf("seqdb: shard %d holds %d sequences but the manifest says %d: %w", i, got, r.Count, ErrShardMismatch)
 	}

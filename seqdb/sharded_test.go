@@ -37,24 +37,39 @@ func newShardedFrom(t *testing.T, db *DB, n int, spec IndexSpec) *ShardedDB {
 // scans return results deeply equal to the unsharded database — same
 // matches, same exact distances, same order. Run under -race (make
 // race-shard) this also exercises the scatter-gather concurrency.
+//
+// Its d = 2 arm partitions a database of dimension 2 into two shards.
 func TestShardedByteIdentical(t *testing.T) {
 	db := newTestDB(t, 11, 60, 3)
 	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 10, Sparse: true}
-	if err := db.BuildIndex("s", spec); err != nil {
-		t.Fatal(err)
-	}
-
 	rng := rand.New(rand.NewSource(4))
 	queries := make([][]float64, 6)
 	for i := range queries {
 		queries[i] = testValues(rng, 8)
 	}
-	const eps = 12.0
+	checkShardedByteIdentical(t, db, spec, queries, []int{1, 2, 3, 5})
 
-	for _, shards := range []int{1, 2, 3, 5} {
+	vdb := newVectorTestDB(t, 9, 40, 2, 5)
+	var vqueries [][]float64
+	for i := 0; i < 4; i++ {
+		vqueries = append(vqueries, cut(vdb, fmt.Sprintf("vec-%d", 2*i), 4*i, 4*i+6))
+	}
+	checkShardedByteIdentical(t, vdb, IndexSpec{Categories: 4, Sparse: true}, vqueries, []int{2})
+}
+
+// checkShardedByteIdentical builds spec on db, partitions it into each of
+// the shard counts and holds every search of each query at eps 12 on the
+// root to the same search on db.
+func checkShardedByteIdentical(t *testing.T, db *DB, spec IndexSpec, queries [][]float64, shardCounts []int) {
+	t.Helper()
+	if err := db.BuildIndex("s", spec); err != nil {
+		t.Fatal(err)
+	}
+	const eps = 12.0
+	for _, shards := range shardCounts {
 		sdb := newShardedFrom(t, db, shards, spec)
 		for qi, q := range queries {
-			name := fmt.Sprintf("shards=%d/q%d", shards, qi)
+			name := fmt.Sprintf("d=%d/shards=%d/q%d", db.Dim(), shards, qi)
 
 			want, _, err := search(db, "s", q, eps)
 			if err != nil {
