@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-shard race-mmap race-build cover bench profile-search profile-serve fuzz fuzz-ci smoke tables examples check ci clean
+.PHONY: all build vet lint lint-self lint-golden lint-golden-update test race race-concurrency race-shard race-mmap race-build run-lists cover bench profile-search profile-serve fuzz fuzz-ci smoke tables examples check ci clean
 
 all: build vet lint test
 
@@ -53,7 +53,7 @@ check: build vet lint test race
 # fails the run; the JSON lines feed CI annotations). Wire codec skew is
 # tier-1's: TestWireBytesPinned pins every layout and
 # TestRoundTripZeroAndExtreme catches a field written only for some values.
-ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke lint-self lint-golden
+ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lists lint-self lint-golden
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on
@@ -80,9 +80,11 @@ race-concurrency:
 # with their manifest or each other, and the cleanup of a failed
 # partition; the partial-failure test orders its shards with gates, and
 # fifty runs hold it to that.
+RACE_SHARD = -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat' ./internal/shard/ ./seqdb/ ./seqdb/server/
+RACE_SHARD_GATES = -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 race-shard:
-	$(GO) test -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat' ./internal/shard/ ./seqdb/ ./seqdb/server/
-	$(GO) test -race -count=50 -run TestSearchPartialFailure ./internal/shard/
+	$(GO) test $(RACE_SHARD)
+	$(GO) test $(RACE_SHARD_GATES)
 
 # Storage-backend determinism under -race, run twice: mixed Search/KNN from
 # 8 goroutines through the buffer pool and mmap backends — over both node
@@ -91,21 +93,23 @@ race-shard:
 # v2 must reopen through both and answer alike, and the PageSource contract and
 # view-concurrency suites must hold for both (mmap on a file that cannot be
 # mapped is the pool).
+RACE_MMAP = -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2|TestVectorEncodingsReopen' ./seqdb/ ./internal/storage/ ./internal/disktree/
 race-mmap:
-	$(GO) test -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2|TestVectorEncodingsReopen' ./seqdb/ ./internal/storage/ ./internal/disktree/
+	$(GO) test $(RACE_MMAP)
 
 # The write path under -race, serial and concurrent: disktree.Build sorts its
 # suffix buckets on up to GOMAXPROCS goroutines while one streams the sorted
 # ones out and another flushes the chunks, and core encodes the texts on as
 # many, so every build test of disktree and of multivar, whose indexes of
-# dimension d > 1 core builds through it (the differential, determinism,
-# failure-and-leak and fuzz-seed tests among them), the grid's fit and
-# encoding, core's parallel encode on reopening an index of dimension 2
-# (TestMultivarOpen), the flat text store, the selecting fit against its sort-based
-# reference and the bulk dataset I/O of both dimensions run once with one
-# scheduler thread and once with four — the determinism test pins the bytes
-# across them. core's scalar indexes are built by the same call in every one
-# of its tests; `make race` covers them.
+# dimension d > 1 core builds through the grid (the differential,
+# determinism, failure-and-leak and fuzz-seed tests among them), the grid's
+# fit and encoding (categorize's TestGridTableMatchesMap), core's parallel
+# encode on reopening an index of dimension 2 (TestMultivarOpen), the flat
+# text store, the selecting fit against its sort-based reference and the
+# bulk dataset I/O of both dimensions run once with one scheduler thread
+# and once with four — the determinism test pins the bytes across them.
+# core's scalar indexes are built by the same call in every one of its
+# tests; `make race` covers them.
 RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestMultivarOpen' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
 race-build:
 	GOMAXPROCS=1 $(GO) test $(RACE_BUILD)
@@ -115,13 +119,35 @@ race-build:
 # ephemeral port, stream matches over concurrent client connections,
 # deliver a real SIGTERM, and require a clean drain (zero leaked
 # goroutines — the same bar the seqdb/server integration tests enforce).
+SMOKE = -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
 smoke:
-	$(GO) test -race -count=1 -run 'TestDaemonSmoke|TestServer' ./cmd/twsearchd/ ./seqdb/server/
+	$(GO) test $(SMOKE)
+
+# Every -run list above names tests that exist: `go test -run` with a name
+# that matches nothing passes, running nothing, so a test renamed or moved
+# to another package would drop out of its race target silently. Each
+# |-alternative of each list must match a test, fuzz target or example of
+# the packages the list names (`go test -list`), or the run fails.
+comma := ,
+run-matches = set -e; set -- $(subst |,$(comma),$(subst ',,$(1))); pat=; pkgs=; \
+	while [ $$\# -gt 0 ]; do case "$$1" in -run) pat=$$2; shift;; ./*) pkgs="$$pkgs $$1";; esac; shift; done; \
+	names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Fuzz|Example)'); \
+	for alt in $$(echo "$$pat" | tr , ' '); do \
+		echo "$$names" | grep -Eq -- "$$alt" || { echo "-run alternative $$alt matches no test in$$pkgs" >&2; exit 1; }; \
+	done
+run-lists:
+	$(call run-matches,$(RACE_CONCURRENCY))
+	$(call run-matches,$(RACE_SHARD))
+	$(call run-matches,$(RACE_SHARD_GATES))
+	$(call run-matches,$(RACE_MMAP))
+	$(call run-matches,$(RACE_BUILD))
+	$(call run-matches,$(SMOKE))
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
-# the verifier-against-table (scalar and vector), engine-equivalence (scalar
-# and vector kernel, range and k-NN), wire round-trip, build-versus-naive,
-# node-codec, scheme-reader, the dataset reader's (one target per magic:
+# the verifier-against-table (dtw's over values, multivar's over points of
+# dimension 2, one dtw.Verifier), engine-equivalence (at dimension 1 and 2,
+# range and k-NN), wire round-trip, build-versus-naive, node-codec, the
+# scheme and grid readers, the dataset reader's (one target per magic:
 # sequence holds the TWSEQDB1 seeds, multivar the TWVECDB1 ones),
 # fit-versus-reference and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
@@ -136,6 +162,7 @@ FUZZ_CI = \
 	./internal/multivar/:FuzzThresholdRows \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \
+	./internal/categorize/:FuzzReadGrid \
 	./internal/categorize/:FuzzFit \
 	./internal/sequence/:FuzzReadBinary \
 	./internal/multivar/:FuzzReadBinary \
@@ -146,8 +173,11 @@ FUZZ_CI = \
 FUZZ_EXTRA = \
 	./internal/sequence/:FuzzReadCSV
 # $(call fuzz-each,pairs,time): one bounded `go test -fuzz` per pair, seeds +
-# corpus only, stopping at the first failure.
-fuzz-each = set -e; for pt in $(1); do $(GO) test -fuzz "^$${pt\#\#*:}$$" -fuzztime $(2) "$${pt%%:*}"; done
+# corpus only, stopping at the first failure — or at a pair whose package
+# has no such target, which `go test -fuzz` would pass having fuzzed nothing.
+fuzz-each = set -e; for pt in $(1); do \
+	$(GO) test -list "^$${pt\#\#*:}$$" "$${pt%%:*}" | grep -qx "$${pt\#\#*:}" || { echo "no fuzz target $${pt\#\#*:} in $${pt%%:*}" >&2; exit 1; }; \
+	$(GO) test -fuzz "^$${pt\#\#*:}$$" -fuzztime $(2) "$${pt%%:*}"; done
 
 # Bounded fuzzing for CI: every FUZZ_CI target, 10s each.
 fuzz-ci:
@@ -169,8 +199,9 @@ bench:
 # the benchmark's two single-client workloads, ns/node and ns/cell beside
 # ns/op; each runs over a v1 and a v2 tree, so one profile holds decodeV1
 # and decodeCompact side by side) and of BenchmarkSearchTrajectory
-# (internal/multivar: the same engine over the vector kernel), written with
-# the test binaries to PROFILE_DIR; the top of each is printed.
+# (internal/multivar: the same engine and kernel over points of dimension 2,
+# verified by dtw.Verifier's point loop), written with the test binaries to
+# PROFILE_DIR; the top of each is printed.
 PROFILE_DIR ?= /tmp/twsearch-profile
 profile-search:
 	mkdir -p $(PROFILE_DIR)

@@ -14,9 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 
+	"twsearch/internal/categorize"
 	"twsearch/internal/core"
 	"twsearch/internal/disktree"
-	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 	"twsearch/internal/suffixtree"
 )
@@ -59,7 +59,7 @@ func loadIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.T
 		return "", "", nil, err
 	}
 	scheme = fmt.Sprintf("%s, %d categories", sch.Kind(), sch.NumCategories())
-	if g, ok := sch.(*multivar.GridScheme); ok {
+	if g, ok := sch.(*categorize.GridScheme); ok {
 		scheme = fmt.Sprintf("%d-D grid, %d cells", g.Dim(), g.NumCells())
 	}
 	return scheme, filepath.Join(dbDir, "idx-"+name+".twt"), store, nil

@@ -3,6 +3,8 @@ package categorize
 import (
 	"bytes"
 	"testing"
+
+	"twsearch/internal/sequence"
 )
 
 // FuzzReadScheme must never panic; accepted schemes must encode values into
@@ -24,13 +26,59 @@ func FuzzReadScheme(f *testing.F) {
 			return
 		}
 		if got.NumCategories() == 0 {
-			return
+			t.Fatal("a scheme of zero categories was accepted")
 		}
 		// Symbol must be total and in range for any probe value.
 		for _, v := range []float64{-1e18, -1, 0, 1, 1e18} {
 			sym := got.Symbol(v)
 			if int(sym) < 0 || int(sym) >= got.NumCategories() {
 				t.Fatalf("Symbol(%v) = %d out of range", v, sym)
+			}
+		}
+	})
+}
+
+// FuzzReadGrid must never panic either: for any input the reader returns
+// an error, or a grid of at least one cell whose every symbol has a box of
+// the grid's dimension, and which encodes the points of the seed's data —
+// into symbols that have boxes, or refusing an unfitted cell — without
+// panicking.
+func FuzzReadGrid(f *testing.F) {
+	data := sequence.NewDatasetDim(2)
+	vals := []float64{0, 0, 1, 3, 2, 1, 5, 5, 3, 0, 4, 2}
+	if _, err := data.Add(sequence.Sequence{ID: "a", Values: vals}); err != nil {
+		f.Fatal(err)
+	}
+	g, _, err := FitGrid(data, KindMaxEntropy, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(GridMagic))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := ReadGrid(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		if got.NumCells() == 0 {
+			t.Fatal("a grid of no cells was accepted")
+		}
+		for sym := 0; sym < got.NumCells(); sym++ {
+			if box := got.Box(Symbol(sym)); len(box.Lo) != got.Dim() || len(box.Hi) != got.Dim() {
+				t.Fatalf("symbol %d: a box of %d and %d bounds in a grid of dimension %d", sym, len(box.Lo), len(box.Hi), got.Dim())
+			}
+		}
+		syms, err := got.Encode(vals)
+		if err != nil {
+			return
+		}
+		for i, sym := range syms {
+			if sym < 0 || int(sym) >= got.NumCells() {
+				t.Fatalf("point %d: symbol %d of %d cells", i, sym, got.NumCells())
 			}
 		}
 	})

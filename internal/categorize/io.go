@@ -28,6 +28,10 @@ var ErrBadSchemeFile = errors.New("categorize: not a TWCATSC1 scheme stream")
 // categories its header declares.
 var ErrTruncatedScheme = errors.New("categorize: scheme stream ends before its declared categories")
 
+// ErrNoCategories reports a scheme or grid stream that declares zero
+// categories or cells.
+var ErrNoCategories = errors.New("categorize: stream declares no categories")
+
 var kindCodes = map[Kind]uint8{
 	KindEqualLength: 0,
 	KindMaxEntropy:  1,
@@ -93,6 +97,11 @@ func ReadScheme(r io.Reader) (*Scheme, error) {
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("categorize: reading category count: %w", err)
+	}
+	if count == 0 {
+		// Every fit makes at least one category, and no value has a
+		// symbol in a scheme of none.
+		return nil, ErrNoCategories
 	}
 	// The count is whatever the stream says, so storage grows as records
 	// actually arrive: a corrupt count costs a short read, not count × 40

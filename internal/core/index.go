@@ -17,7 +17,9 @@
 //
 // The same engine searches sequences of d-dimensional points, the paper's
 // conclusion-section extension: an index over a dataset of dimension d > 1
-// categorizes through a grid and runs the vector kernel (internal/multivar).
+// categorizes through a grid (categorize.GridScheme), and its one kernel
+// sums the base distance over the dimensions; a value is a point of
+// dimension 1.
 //
 // The sequential-scanning baseline of Section 7 lives in seqscan.go.
 package core
@@ -35,7 +37,6 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/disktree"
-	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
@@ -49,7 +50,7 @@ import (
 var ErrDimension = errors.New("dimension does not fit")
 
 // Scheme is an index's categorization: a *categorize.Scheme over the values
-// of a one-dimensional dataset, or a *multivar.GridScheme over the points
+// of a one-dimensional dataset, or a *categorize.GridScheme over the points
 // of a d-dimensional one.
 type Scheme interface {
 	// Dim is the dimension of the points the scheme categorizes.
@@ -68,8 +69,8 @@ func ReadScheme(r io.Reader) (Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading scheme magic: %w", err)
 	}
-	if string(magic) == multivar.GridMagic {
-		return multivar.ReadGrid(br)
+	if string(magic) == categorize.GridMagic {
+		return categorize.ReadGrid(br)
 	}
 	return categorize.ReadScheme(br)
 }
@@ -131,40 +132,101 @@ func (o Options) withDefaults(dim int) Options {
 }
 
 // Index bundles everything a search needs: the raw data (for
-// post-processing), the categorization scheme (for symbol intervals or cell
-// boxes), and — in the embedded Engine — the categorized texts and the
-// disk-resident tree. The kernel follows the data's dimension. All of it is
-// immutable at query time, and the per-query mutable state lives in pooled
-// query contexts, so one Index serves any number of concurrent searches.
+// post-processing), the categorization scheme and the boxes of its symbols,
+// the categorized texts and the disk-resident tree. One kernel serves every
+// dimension. All of it is immutable at query time, and the per-query
+// mutable state lives in pooled searchers, so one Index serves any number
+// of concurrent searches.
 type Index struct {
-	Engine
 	Data   *sequence.Dataset
 	Scheme Scheme
+	// Store holds the categorized texts edge labels refer into.
+	Store *suffixtree.TextStore
+	Tree  *disktree.File
+	// Window is the warping-window half-width, or -1.
+	Window int
+	// DisablePruning turns off the Theorem-1 branch pruning (R_p -> 1).
+	// It exists only for the ablation benchmarks; results are unchanged,
+	// only the work done.
+	DisablePruning bool
+	// DisableEnvelopes turns off the envelope row gate (the O(1)-per-row
+	// prefilter in front of the table). Like DisablePruning it changes only
+	// the work done, never the answers; the ablation benchmarks toggle it to
+	// measure the gate.
+	DisableEnvelopes bool
 	// BuildStats records how the disk tree was constructed (zero for
 	// indexes attached with Open).
 	BuildStats disktree.BuildStats
 
 	// lo and hi are the data's smallest and largest values, per dimension.
 	lo, hi []float64
+	// minAnswerLen mirrors the tree's suffix length filter: searches emit
+	// only answers of at least this length.
+	minAnswerLen int
+	// maxRun is the longest equal-symbol run in any categorized sequence;
+	// it bounds the D_tw-lb2 shift during sparse branch pruning.
+	maxRun int
+	// seqOffsets[i] is the global element offset of sequence i; searches
+	// use it to key their pending candidate sets. totalElements is the sum
+	// of all sequence lengths, maxLen the longest.
+	seqOffsets    []int
+	totalElements int
+	maxLen        int
+	queries       queryPool
+	// newKernel equips a fresh pooled searcher with a kernel over the
+	// index's data and symbol boxes.
+	newKernel func() Kernel
 }
 
 // newIndex wraps an opened tree and its texts into a searchable index.
+// window < 0 disables the warping-window constraint.
 func newIndex(data *sequence.Dataset, scheme Scheme, store *suffixtree.TextStore, tree *disktree.File, window int) *Index {
-	var newKernel func() Kernel
-	switch s := scheme.(type) {
-	case *categorize.Scheme:
-		newKernel = func() Kernel { return newScalarKernel(data, s) }
-	case *multivar.GridScheme:
-		newKernel = func() Kernel { return multivar.NewKernel(data, s) }
-	}
+	boxes := newSymbolBoxes(scheme)
 	ix := &Index{
-		Engine: NewEngine(tree, store, window, newKernel),
-		Data:   data,
-		Scheme: scheme,
+		Data:         data,
+		Scheme:       scheme,
+		Store:        store,
+		Tree:         tree,
+		Window:       window,
+		minAnswerLen: tree.MinSuffixLen(),
+		maxRun:       1,
+		seqOffsets:   make([]int, store.Len()),
+		newKernel:    func() Kernel { return &kernel{data: data, boxes: boxes} },
 	}
 	ix.lo, ix.hi = data.Bounds()
+	for i := range ix.seqOffsets {
+		syms := store.Text(i)
+		ix.seqOffsets[i] = ix.totalElements
+		ix.totalElements += len(syms)
+		ix.maxLen = max(ix.maxLen, len(syms))
+		run := 1
+		for j := 1; j < len(syms); j++ {
+			if syms[j] != syms[j-1] {
+				run = 0
+			}
+			run++
+			if run > ix.maxRun {
+				ix.maxRun = run
+			}
+		}
+	}
 	return ix
 }
+
+// MinAnswerLen returns the answer length floor the index was built with
+// (0 = unrestricted).
+func (ix *Index) MinAnswerLen() int { return ix.minAnswerLen }
+
+// seqLen returns the length of sequence seq.
+func (ix *Index) seqLen(seq int) int {
+	if seq+1 < len(ix.seqOffsets) {
+		return ix.seqOffsets[seq+1] - ix.seqOffsets[seq]
+	}
+	return ix.totalElements - ix.seqOffsets[seq]
+}
+
+// Close releases the underlying tree file.
+func (ix *Index) Close() error { return ix.Tree.Close() }
 
 // Build fits the categorization on the dataset — a category scheme for
 // dimension 1, a grid for more — encodes every sequence, and constructs
@@ -175,9 +237,13 @@ func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
 	if data.Dim() > 1 {
-		grid, store, err := multivar.FitGrid(data, opts.Kind, opts.Categories)
+		grid, texts, err := categorize.FitGrid(data, opts.Kind, opts.Categories)
 		if err != nil {
 			return nil, err
+		}
+		store := suffixtree.NewTextStore()
+		for _, text := range texts {
+			store.Add(text)
 		}
 		return buildTree(data, grid, store, path, opts)
 	}
@@ -257,7 +323,7 @@ func Encode(data *sequence.Dataset, scheme Scheme) (*suffixtree.TextStore, error
 	switch s := scheme.(type) {
 	case *categorize.Scheme:
 		encode = func(vals []float64) ([]suffixtree.Symbol, error) { return s.Encode(vals), nil }
-	case *multivar.GridScheme:
+	case *categorize.GridScheme:
 		encode = s.Encode
 	}
 	texts := make([][]suffixtree.Symbol, data.Len())

@@ -61,7 +61,7 @@ func (ix *Index) DistanceBound(q []float64) float64 {
 		}
 		span += hi - lo
 	}
-	return ix.KNNBound(len(q)/dim, span)
+	return DistanceBound(ix.maxLen, len(q)/dim, span)
 }
 
 // DistanceBound returns a number no finite time warping distance between a

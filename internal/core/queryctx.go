@@ -11,22 +11,19 @@ import (
 // searches of one index. The index itself is immutable at query time — the
 // tree, scheme, texts and raw data never change during a search — so all
 // mutation lives in the pooled searcher, and any number of goroutines can
-// search one Engine concurrently, each holding its own searcher for the
+// search one Index concurrently, each holding its own searcher for the
 // duration of the call.
-//
-// The pool lives behind a pointer on Engine (not inline) so the Engine value
-// the typed indexes embed copies without copying a sync.Pool.
 type queryPool struct {
 	p sync.Pool
 }
 
-// acquire returns a searcher bound to this query, reusing a pooled one's
+// acquire returns a searcher bound to the query q, reusing a pooled one's
 // allocations (the kernel's tables and caches, scratch nodes, pending set)
 // when available. Callers must release it when the search finishes.
-func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps float64) *searcher {
+func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps float64) *searcher {
 	s, _ := qp.p.Get().(*searcher)
 	if s == nil {
-		s = &searcher{kern: e.newKernel()}
+		s = &searcher{kern: ix.newKernel()}
 		s.onHit = s.verified
 	}
 
@@ -39,19 +36,19 @@ func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps 
 	// post-processing enforce the exact semantics; an explicit
 	// answer-length cutoff (conclusion section) replaces the band's depth
 	// pruning.
-	filterWindow := e.Window
-	sparse := e.Tree.Sparse()
-	if sparse && e.Window >= 0 {
+	filterWindow := ix.Window
+	sparse := ix.Tree.Sparse()
+	if sparse && ix.Window >= 0 {
 		filterWindow = -1
 	}
 
-	s.e = e
-	s.rd.Reset(e.Tree)
+	s.ix = ix
+	s.rd.Reset(ix.Tree)
 	s.ctx = ctx
 	s.ctxErr = nil
 	s.eps = eps
 	s.sparse = sparse
-	s.seqOffsets = e.seqOffsets
+	s.seqOffsets = ix.seqOffsets
 	s.visit = nil
 	s.stopped = false
 	s.stats = SearchStats{}
@@ -61,11 +58,11 @@ func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps 
 
 	// The envelope gate runs under the same window as the filter table, so
 	// its bounds are never tighter than what the table itself enforces.
-	s.envOn = !e.DisableEnvelopes
-	bind(s.kern, filterWindow, e.Window, s.envOn)
+	s.envOn = !ix.DisableEnvelopes
+	s.kern.Bind(q, filterWindow, ix.Window, eps, s.envOn)
 	s.qLen = s.kern.QueryLen()
-	s.exactStored = s.kern.Exact() && filterWindow == e.Window
-	s.pend.Reset(e.totalElements)
+	s.exactStored = s.kern.Exact() && filterWindow == ix.Window
+	s.pend.Reset(ix.totalElements)
 	if len(s.envSums) == 0 {
 		s.envSums = append(s.envSums, 0)
 	}
@@ -80,7 +77,7 @@ func (qp *queryPool) acquire(e *Engine, ctx context.Context, bind BindFunc, eps 
 // slice header until its next bind; it is never read in between.)
 func (qp *queryPool) release(s *searcher) {
 	s.rd.Reset(nil)
-	s.e = nil
+	s.ix = nil
 	s.ctx = nil
 	s.visit = nil
 	s.matches = nil
@@ -92,11 +89,11 @@ func (qp *queryPool) release(s *searcher) {
 // which has no index (and so no queryPool) to hang per-query state on.
 var scanTables = sync.Pool{New: func() any { return &dtw.Table{} }}
 
-// acquireScanTable returns a pooled table bound to q; hand it back with
-// releaseScanTable.
-func acquireScanTable(q []float64, window int) *dtw.Table {
+// acquireScanTable returns a pooled table bound to q, point-major in
+// dimension dim; hand it back with releaseScanTable.
+func acquireScanTable(q []float64, dim, window int) *dtw.Table {
 	t := scanTables.Get().(*dtw.Table)
-	t.Bind(q, window)
+	t.Bind(q, dim, window)
 	return t
 }
 

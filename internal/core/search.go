@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"time"
 
 	"twsearch/internal/disktree"
@@ -11,21 +14,23 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-// Run executes one range search: every subsequence whose time warping
-// distance from the query bind supplies is at most eps — the paper's
-// SimSearch-ST / SimSearch-ST_C / SimSearch-SST_C, selected by how the index
-// was built. With a nil visit the answers are returned sorted by (sequence,
-// start, end); otherwise they stream to visit (returning false stops the
-// search) from the calling goroutine, filter-pass answers in DFS order, then
-// verified answers in (seq, start) order. The guarantee is no false
-// dismissals.
+// run executes one range search: every subsequence whose time warping
+// distance from q is at most eps. With a nil visit the answers are returned
+// sorted by (sequence, start, end); otherwise they stream to visit
+// (returning false stops the search) from the calling goroutine,
+// filter-pass answers in DFS order, then verified answers in (seq, start)
+// order. It refuses an empty, misshapen or non-finite query and a negative
+// or NaN threshold.
 //
 // When ctx is canceled or its deadline passes, the traversal aborts through
 // the same early-stop path a visitor uses, no further answer is delivered
 // and ctx.Err() is returned. Cancellation is checked every cancelMask+1 tree
 // nodes and every cancelMask+1 post-processing groups, so an abort costs at
 // most 64 groups' verification scans.
-func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
+func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
+	if err := CheckQuery(q, ix.Data.Dim()); err != nil {
+		return nil, SearchStats{}, err
+	}
 	if err := CheckThreshold(eps); err != nil {
 		return nil, SearchStats{}, err
 	}
@@ -36,16 +41,16 @@ func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func
 	// Pool counters are index-wide: under concurrent searches the deltas
 	// attribute other goroutines' traffic too. Matches stay byte-identical;
 	// only these advisory counters blur.
-	poolBefore := e.Tree.PoolStats()
-	pagesBefore := e.Tree.PagesRead()
+	poolBefore := ix.Tree.PoolStats()
+	pagesBefore := ix.Tree.PagesRead()
 
-	s := e.queries.acquire(e, ctx, bind, eps)
-	defer e.queries.release(s)
+	s := ix.queries.acquire(ix, ctx, q, eps)
+	defer ix.queries.release(s)
 
 	// The filter pass: the depth-first traversal from the root.
 	s.visit = visit
 	root := s.node(0)
-	if err := s.rd.ReadNodeInto(e.Tree.Root(), root); err != nil {
+	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, SearchStats{}, err
 	}
 	s.stats.NodesVisited++
@@ -57,10 +62,10 @@ func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func
 	s.postProcess()
 
 	s.stats.FilterCells, s.stats.PostCells = s.kern.Cells()
-	poolAfter := e.Tree.PoolStats()
+	poolAfter := ix.Tree.PoolStats()
 	s.stats.PoolHits = poolAfter.Hits - poolBefore.Hits
 	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
-	s.stats.PagesRead = e.Tree.PagesRead() - pagesBefore
+	s.stats.PagesRead = ix.Tree.PagesRead() - pagesBefore
 	s.stats.Elapsed = time.Since(started)
 	if s.ctxErr != nil {
 		return nil, s.stats, s.ctxErr
@@ -71,14 +76,70 @@ func (e *Engine) Run(ctx context.Context, bind BindFunc, eps float64, visit func
 	return matches, s.stats, nil
 }
 
+// Search finds every subsequence whose time warping distance from q, a
+// point-major query of the data's dimension, is at most eps — the paper's
+// SimSearch-ST, SimSearch-ST_C or SimSearch-SST_C, selected by how the
+// index was built. Results are sorted by (sequence, start, end), and the
+// returned set is exactly what SeqScan returns: the guarantee is no false
+// dismissals. When ctx is canceled or its deadline passes the search
+// aborts and ctx.Err() is returned.
+func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+	return ix.run(ctx, q, eps, nil)
+}
+
+// SearchVisit streams answers to fn instead of materializing them;
+// returning false stops the search early. Use it when a permissive threshold
+// would produce answer sets too large to hold in memory. fn is called from
+// the calling goroutine, filter-pass answers in DFS order, then
+// post-processed answers in (seq, start) order. After a cancellation no
+// further answers are delivered to fn.
+func (ix *Index) SearchVisit(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
+	if fn == nil {
+		return SearchStats{}, errors.New("core: nil visitor")
+	}
+	_, stats, err := ix.run(ctx, q, eps, fn)
+	return stats, err
+}
+
+// CheckQuery refuses a query no search of data of dimension dim can
+// answer: an empty one, one that is not a whole number of dim-dimensional
+// points (ErrDimension), or one holding a NaN or an infinity — its distance
+// to every subsequence would be NaN or +Inf, so the search would silently
+// find nothing.
+func CheckQuery(q []float64, dim int) error {
+	if len(q) == 0 {
+		return errors.New("core: empty query")
+	}
+	if len(q)%dim != 0 {
+		return fmt.Errorf("core: a query of %d values is not a whole number of %d-dimensional points: %w", len(q), dim, ErrDimension)
+	}
+	for i, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: query value %d is %v, not a finite number", i, v)
+		}
+	}
+	return nil
+}
+
+// CheckThreshold refuses a distance threshold that is negative or NaN. A
+// NaN compares false against every bound, so it would prune nothing and
+// accept nothing: a full traversal for an empty answer. +Inf is a
+// threshold — every subsequence is within it.
+func CheckThreshold(eps float64) error {
+	if !(eps >= 0) {
+		return fmt.Errorf("core: distance threshold %v is not a non-negative number", eps)
+	}
+	return nil
+}
+
 // searcher is the pooled per-query execution context: every piece of
-// mutable search state lives here, so the Engine it runs against stays
+// mutable search state lives here, so the Index it runs against stays
 // read-only and shareable across goroutines. One cumulative distance table
 // (the kernel's) is shared by the whole traversal: descend = AddRow,
 // backtrack = Truncate — the paper's R_d table-sharing. A searcher is reused
 // across queries via queryPool; acquire rebinds everything per call.
 type searcher struct {
-	e *Engine
+	ix *Index
 	// ctx carries the caller's cancellation; checkCancel folds it into the
 	// stopped flag so aborts flow through the one early-stop path shared
 	// with visitors. ctxErr records the reason for the final error return.
@@ -244,7 +305,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 	entryDepth := depth
 	descend := true
 	for i := 0; i < int(n.LabelLen); i++ {
-		sym := s.e.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
+		sym := s.ix.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
 		if suffixtree.IsTerminator(sym) {
 			// The suffix ends here; all its prefixes were handled at
 			// shallower depths. Nothing lies below a terminator.
@@ -282,13 +343,13 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 			if s.sparse {
 				j := firstRun - 1
 				if !runBroken {
-					j = s.e.maxRun - 1
+					j = s.ix.maxRun - 1
 				}
 				if j > 0 {
 					envBound = newSum - float64(j)*s.envBase0
 				}
 			}
-			if envBound > s.eps && !s.e.DisablePruning {
+			if envBound > s.eps && !s.ix.DisablePruning {
 				s.stats.EnvelopePruned++
 				descend = false
 				break
@@ -334,13 +395,13 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 		if s.sparse {
 			j := firstRun - 1
 			if !runBroken {
-				j = s.e.maxRun - 1
+				j = s.ix.maxRun - 1
 			}
 			if j > 0 {
 				pruneBound = minDist - float64(j)*s.base0
 			}
 		}
-		if pruneBound > s.eps && !s.e.DisablePruning {
+		if pruneBound > s.eps && !s.ix.DisablePruning {
 			descend = false
 			break
 		}
@@ -349,12 +410,12 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 		// depth-d row can produce has length d minus the largest shift; once
 		// that exceeds |Q|+w every deeper candidate is infeasible under the
 		// band. (Dense trees get this pruning from the banded table itself.)
-		if s.sparse && s.e.Window >= 0 {
+		if s.sparse && s.ix.Window >= 0 {
 			j := firstRun - 1
 			if !runBroken {
-				j = s.e.maxRun - 1
+				j = s.ix.maxRun - 1
 			}
-			if d-j > s.qLen+s.e.Window {
+			if d-j > s.qLen+s.ix.Window {
 				descend = false
 				break
 			}
@@ -434,7 +495,7 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 	pos := int(leaf.Pos)
 	if dist <= s.eps {
 		if s.exactStored {
-			if d >= s.e.minAnswerLen {
+			if d >= s.ix.minAnswerLen {
 				s.stats.Candidates++
 				s.emit(Match{
 					Ref:      sequence.Ref{Seq: seq, Start: pos, End: pos + d},
@@ -467,7 +528,7 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 //twlint:steady-state
 func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 	seq, pos := int(leaf.LabelSeq), int(leaf.Pos)
-	end := s.e.seqLen(seq)
+	end := s.ix.seqLen(seq)
 	starts := 1
 	if s.sparse {
 		starts = int(leaf.RunLen)
@@ -488,7 +549,7 @@ func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int) {
-	if end-start < s.e.minAnswerLen {
+	if end-start < s.ix.minAnswerLen {
 		return
 	}
 	s.stats.Candidates++
@@ -534,7 +595,7 @@ func (s *searcher) postProcess() {
 //
 //twlint:steady-state
 func (s *searcher) verified(end int, dist float64) {
-	if end-s.vstart >= s.e.minAnswerLen {
+	if end-s.vstart >= s.ix.minAnswerLen {
 		s.emit(Match{
 			Ref:      sequence.Ref{Seq: s.vseq, Start: s.vstart, End: end},
 			Distance: dist,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 )
 
@@ -13,9 +12,9 @@ import (
 // cumulative distance table row by row, reporting each prefix within eps
 // and abandoning the suffix as soon as every column of a row exceeds eps.
 // Its exact answers double as the ground truth the index searches are
-// verified against. q is a point-major query of the data's dimension; the
-// scan of data of dimension d > 1 is multivar.Scan's. window < 0 disables
-// the warping-window constraint.
+// verified against. q is a point-major query of the data's dimension, and
+// one loop scans every dimension. window < 0 disables the warping-window
+// constraint.
 //
 //twlint:ctx-root the benchmark's probes and the ground-truth tests call this form; cancellable scans use SeqScanCtx
 func SeqScan(data *sequence.Dataset, q []float64, eps float64, window int) ([]Match, SearchStats, error) {
@@ -33,19 +32,16 @@ func SeqScanCtx(ctx context.Context, data *sequence.Dataset, q []float64, eps fl
 		return nil, SearchStats{}, err
 	}
 	started := time.Now()
-	if data.Dim() > 1 {
-		matches, cells, err := multivar.Scan(ctx, data, q, eps, window)
-		stats := SearchStats{FilterCells: cells, Answers: uint64(len(matches)), Elapsed: time.Since(started)}
-		return matches, stats, err
-	}
-	table := acquireScanTable(q, window)
+	dim := data.Dim()
+	table := acquireScanTable(q, dim, window)
 	defer releaseScanTable(table)
 	var matches []Match
 	var stats SearchStats
 	starts := 0
 	for seq := 0; seq < data.Len(); seq++ {
 		vals := data.Values(seq)
-		for p := 0; p < len(vals); p++ {
+		n := len(vals) / dim
+		for p := 0; p < n; p++ {
 			if starts&cancelMask == 0 {
 				if err := ctx.Err(); err != nil {
 					stats.Elapsed = time.Since(started)
@@ -54,11 +50,11 @@ func SeqScanCtx(ctx context.Context, data *sequence.Dataset, q []float64, eps fl
 			}
 			starts++
 			table.Truncate(0)
-			for r, v := range vals[p:] {
-				dist, minDist := table.AddRowValue(v)
+			for r := p; r < n; r++ {
+				dist, minDist := table.AddRowPoint(vals[r*dim : (r+1)*dim])
 				if dist <= eps {
 					matches = append(matches, Match{
-						Ref:      sequence.Ref{Seq: seq, Start: p, End: p + r + 1},
+						Ref:      sequence.Ref{Seq: seq, Start: p, End: r + 1},
 						Distance: dist,
 					})
 				}

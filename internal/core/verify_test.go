@@ -31,19 +31,28 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 	return data
 }
 
-// verifySpy wraps a scalar kernel and watches admission and the
-// verification pass: how many offered starts Dead dismissed, which starts
-// Verify was pointed at, and whether one of those was dead on its first
-// element after all.
+// verifySpy wraps the kernel of a one-dimensional index and watches
+// admission and the verification pass: how many offered starts Dead
+// dismissed, which starts Verify was pointed at, and whether one of those
+// was dead on its first element after all.
 type verifySpy struct {
-	*scalarKernel
+	*kernel
+	// bound is where the test finds the spy of the latest search.
+	bound                **verifySpy
 	eps                  float64
 	dead, starts         int
 	deadVerified, misled int
 }
 
+// Bind starts the spy's counts afresh for a search at threshold eps.
+func (k *verifySpy) Bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
+	*k = verifySpy{kernel: k.kernel, bound: k.bound, eps: eps}
+	*k.bound = k
+	k.kernel.Bind(q, filterWindow, window, eps, envelopes)
+}
+
 func (k *verifySpy) Dead(seq, start int) bool {
-	dead := k.scalarKernel.Dead(seq, start)
+	dead := k.kernel.Dead(seq, start)
 	if dead != (dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps) {
 		k.misled++
 	}
@@ -58,7 +67,7 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 	if dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps {
 		k.deadVerified++
 	}
-	k.scalarKernel.Verify(seq, start, end, hit)
+	k.kernel.Verify(seq, start, end, hit)
 }
 
 // TestVerificationCostsItsAnswers pins what the verification pass costs, on
@@ -84,8 +93,9 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	inner := ix.Engine.newKernel
-	ix.Engine.newKernel = func() Kernel { return &verifySpy{scalarKernel: inner().(*scalarKernel)} }
+	inner := ix.newKernel
+	var spy *verifySpy
+	ix.newKernel = func() Kernel { return &verifySpy{kernel: inner().(*kernel), bound: &spy} }
 
 	for _, c := range []struct {
 		q   []float64
@@ -104,12 +114,7 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("|Q|=%d: no answers, the fixture verifies nothing", len(c.q))
 		}
-		var spy *verifySpy
-		got, st, err := ix.Run(context.Background(), func(k Kernel, filterWindow, window int, envelopes bool) {
-			spy = k.(*verifySpy)
-			*spy = verifySpy{scalarKernel: spy.scalarKernel, eps: c.eps}
-			spy.Bind(c.q, filterWindow, window, c.eps, envelopes)
-		}, c.eps, nil)
+		got, st, err := ix.Search(context.Background(), c.q, c.eps)
 		if err != nil {
 			t.Fatalf("|Q|=%d: %v", len(c.q), err)
 		}

@@ -1,6 +1,9 @@
 package dtw
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchSeqs(n, m int) ([]float64, []float64) {
 	a := make([]float64, n)
@@ -136,7 +139,7 @@ func TestAddRowNoAllocs(t *testing.T) {
 		s, _ := benchSeqs(232, 1)
 		for _, tau := range []float64{Inf, 40} {
 			var v Verifier
-			v.Bind(q, w, tau)
+			v.Bind(q, 1, w, tau)
 			hits := 0
 			hit := func(int, float64) { hits++ }
 			start := 0
@@ -158,20 +161,43 @@ func BenchmarkAlign64x64(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifierScan scans every start of a walk near a 20-value query at
-// a threshold that keeps a few columns of each row live — the shape of the
-// verification pass on a broad query.
-func BenchmarkVerifierScan(b *testing.B) {
-	s, q := benchSeqs(232, 20)
-	var v Verifier
-	v.Bind(q, -1, 9)
-	hits := 0
-	hit := func(int, float64) { hits++ }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for start := range s {
-			v.Scan(s, start, len(s), hit)
+// benchPoints is benchSeqs with every value repeated as the dim coordinates
+// of one point: every base distance is dim times the value's, exactly, so a
+// threshold dim times as large leaves the same cells live.
+func benchPoints(n, m, dim int) ([]float64, []float64) {
+	a, b := benchSeqs(n, m)
+	repeat := func(vals []float64) []float64 {
+		out := make([]float64, 0, len(vals)*dim)
+		for _, v := range vals {
+			for k := 0; k < dim; k++ {
+				out = append(out, v)
+			}
 		}
+		return out
 	}
-	b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
+	return repeat(a), repeat(b)
+}
+
+// BenchmarkVerifierScan scans every start of a walk of 232 points near a
+// 20-point query at a threshold that keeps a few columns of each row live —
+// the shape of the verification pass on a broad query — once per cell loop:
+// /d1 over values, /d2 over the same walk as points of dimension 2 at twice
+// the threshold, which computes the same cells.
+func BenchmarkVerifierScan(b *testing.B) {
+	for _, dim := range []int{1, 2} {
+		b.Run(fmt.Sprintf("d%d", dim), func(b *testing.B) {
+			s, q := benchPoints(232, 20, dim)
+			var v Verifier
+			v.Bind(q, dim, -1, 9*float64(dim))
+			hits := 0
+			hit := func(int, float64) { hits++ }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for start := 0; start < len(s)/dim; start++ {
+					v.Scan(s, start, len(s)/dim, hit)
+				}
+			}
+			b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
+		})
+	}
 }

@@ -18,6 +18,43 @@ func Base(a, b float64) float64 {
 	return math.Abs(a - b)
 }
 
+// BasePoint is D_base between two points of one dimension: the city-block
+// distance summed over the dimensions, from 0. A value is a point of
+// dimension 1, whose BasePoint is 0 + Base, which has Base's bits.
+func BasePoint(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += Base(a[i], b[i])
+	}
+	return s
+}
+
+// Box is a per-dimension interval: the observed bounding box of one
+// category or grid cell, the analogue of [B.lb, B.ub] for a point.
+type Box struct {
+	Lo, Hi []float64
+}
+
+// BaseBox is D_base-lb for a point: the smallest BasePoint between p and any
+// point inside the box, summed over the dimensions like BasePoint.
+func BaseBox(p []float64, b Box) float64 {
+	s := 0.0
+	for i := range p {
+		s += BaseInterval(p[i], b.Lo[i], b.Hi[i])
+	}
+	return s
+}
+
+// points appends to dst one row per point of vals, a point-major sequence
+// of dim-dimensional points — views into vals, not copies — and returns the
+// extended slice: the form the point loops of Table and Verifier read.
+func points(dst [][]float64, vals []float64, dim int) [][]float64 {
+	for i := 0; i+dim <= len(vals); i += dim {
+		dst = append(dst, vals[i:i+dim:i+dim])
+	}
+	return dst
+}
+
 // BaseInterval is the paper's D_base-lb (Definition 3): the smallest possible
 // city-block distance between the value a and any value inside [lo, hi].
 // It is zero when a lies inside the interval. Without a branch: at most one
@@ -72,6 +109,34 @@ func distance(a, b []float64, w int) float64 {
 				continue
 			}
 			base := Base(a[x], b[y])
+			switch {
+			case x == 0 && y == 0:
+				curr[y] = base
+			case x == 0:
+				curr[y] = base + curr[y-1]
+			case y == 0:
+				curr[y] = base + prev[y]
+			default:
+				curr[y] = base + Min3(curr[y-1], prev[y], prev[y-1])
+			}
+		}
+		prev, curr = curr, prev
+	}
+	return prev[len(b)-1]
+}
+
+// DistancePoints is Distance over sequences of points with the BasePoint
+// base distance: the reference the point rows are held to.
+func DistancePoints(a, b [][]float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		//lint:ignore panicpath precondition assertion: the engine validates queries before the kernel; a silent zero distance would break exactness
+		panic("dtw: distance of empty sequence")
+	}
+	prev := make([]float64, len(b))
+	curr := make([]float64, len(b))
+	for x := 0; x < len(a); x++ {
+		for y := 0; y < len(b); y++ {
+			base := BasePoint(a[x], b[y])
 			switch {
 			case x == 0 && y == 0:
 				curr[y] = base
@@ -178,7 +243,7 @@ func MinMaxAnswerLength(qLen, w int) (minLen, maxLen int) {
 }
 
 // Min3 returns the smallest of three cells — the recurrence's choice of
-// predecessor, shared by every row kernel (multivar's included). It takes
+// predecessor, shared by every row kernel. It takes
 // the minimum of the IEEE bit patterns, which order non-negative floats,
 // +Inf included, exactly as their values do; every cell is a sum of base
 // distances (never -0) or +Inf, and the search entry points refuse the NaN

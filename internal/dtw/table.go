@@ -13,74 +13,67 @@ import "math"
 // backtrack → Pop. Sharing the table across all suffixes with a common
 // prefix is the paper's R_d reduction factor.
 //
+// The query is point-major in the dimension Bind is given. AddRowValue and
+// AddRowInterval read it as values (dimension 1), AddRowPoint as points of
+// any dimension, and AddRowBase not at all.
+//
 // A Table is not safe for concurrent use; concurrent searches use one Table
 // each.
 type Table struct {
-	q []float64
-	Rows
-}
+	q   []float64
+	dim int
+	// pts views q's points when dim > 1, for AddRowPoint.
+	pts [][]float64
 
-// Rows is the row storage of a cumulative distance table: depth rows of one
-// cell per query element under an optional Sakoe–Chiba band, pushed and
-// popped by a depth-first traversal. It knows nothing of the element type —
-// Table embeds it for scalar queries and multivar.Table for vector ones, so
-// the band arithmetic, the growth policy and the row kernel over
-// precomputed base distances (AddRowBase) exist once.
-type Rows struct {
-	n      int       // cells per row: the query length
+	n      int       // cells per row: the query's length in points
 	window int       // Sakoe–Chiba half-width; <0 means unconstrained
 	rows   []float64 // depth*n cells, row-major
 	depth  int
 	cells  uint64 // number of DP cells computed since Reset
 }
 
-// NewTable returns a table for the given query with no warping-window
-// constraint. It panics on an empty query.
+// NewTable returns a table for the given query of values with no
+// warping-window constraint. It panics on an empty query.
 func NewTable(q []float64) *Table {
 	return NewTableWindow(q, -1)
 }
 
-// NewTableWindow returns a table whose rows apply a Sakoe–Chiba band of
-// half-width w; pass w < 0 for no constraint.
+// NewTableWindow returns a table for a query of values whose rows apply a
+// Sakoe–Chiba band of half-width w; pass w < 0 for no constraint.
 func NewTableWindow(q []float64, w int) *Table {
 	t := &Table{}
-	t.Bind(q, w)
+	t.Bind(q, 1, w)
 	return t
 }
 
-// Bind re-targets the table at a new query and window, dropping all rows
-// but keeping the row storage. Pooled query contexts use it so a reused
-// table serves its next search without reallocating.
-func (t *Table) Bind(q []float64, w int) {
-	t.q = q
-	t.Rows.Bind(len(q), w)
-}
-
-// Query returns the query sequence the table was built for.
-func (t *Table) Query() []float64 { return t.q }
-
-// Bind re-targets the storage at rows of n cells under window w, dropping
-// all rows and zeroing the cell counter but keeping the capacity. It panics
-// on n == 0: an empty query has no table.
-func (t *Rows) Bind(n, w int) {
+// Bind re-targets the table at a new point-major query of dimension dim and
+// a window, dropping all rows and zeroing the cell counter but keeping the
+// row storage. Pooled query contexts use it so a reused table serves its
+// next search without reallocating. It panics on an empty query: it has no
+// table.
+func (t *Table) Bind(q []float64, dim, w int) {
+	n := len(q) / dim
 	if n == 0 {
 		//lint:ignore panicpath precondition assertion: search entry points reject empty queries before any table exists
 		panic("dtw: empty query")
 	}
-	t.n = n
-	t.window = w
+	t.q, t.dim, t.n, t.window = q, dim, n, w
+	t.pts = t.pts[:0]
+	if dim > 1 {
+		t.pts = points(t.pts, q, dim)
+	}
 	t.Reset()
 }
 
 // Depth returns the number of rows currently in the table.
-func (t *Rows) Depth() int { return t.depth }
+func (t *Table) Depth() int { return t.depth }
 
 // Cells returns the number of DP cells computed since the last Reset — the
 // machine-independent work counter used by the benchmark harness.
-func (t *Rows) Cells() uint64 { return t.cells }
+func (t *Table) Cells() uint64 { return t.cells }
 
 // Reset drops all rows and zeroes the cell counter.
-func (t *Rows) Reset() {
+func (t *Table) Reset() {
 	t.rows = t.rows[:0]
 	t.depth = 0
 	t.cells = 0
@@ -89,7 +82,7 @@ func (t *Rows) Reset() {
 // Pop removes the most recently added row. It panics on an empty table.
 //
 //twlint:steady-state
-func (t *Rows) Pop() {
+func (t *Table) Pop() {
 	if t.depth == 0 {
 		//lint:ignore panicpath row-discipline assertion: an unmatched Pop means AddRow/Pop bookkeeping is already corrupt, so lower bounds can no longer be trusted
 		panic("dtw: Pop on empty table")
@@ -102,7 +95,7 @@ func (t *Rows) Pop() {
 // accumulating).
 //
 //twlint:steady-state
-func (t *Rows) Truncate(depth int) {
+func (t *Table) Truncate(depth int) {
 	if depth < 0 || depth > t.depth {
 		//lint:ignore panicpath row-discipline assertion: truncating past the stack means traversal bookkeeping is already corrupt
 		panic("dtw: bad Truncate depth")
@@ -111,10 +104,11 @@ func (t *Rows) Truncate(depth int) {
 	t.rows = t.rows[:depth*t.n]
 }
 
-// AddRowValue appends the row for a numeric element v using the exact base
-// distance and returns the row's last column (the distance between the query
-// and the subsequence accumulated so far, per Definition 2) and its minimum
-// column (the Theorem-1 pruning value). It charges the cells of its band.
+// AddRowValue appends the row for a value v (dimension 1) using the exact
+// base distance and returns the row's last column (the distance between the
+// query and the subsequence accumulated so far, per Definition 2) and its
+// minimum column (the Theorem-1 pruning value). It charges the cells of its
+// band.
 //
 //twlint:steady-state
 func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
@@ -123,8 +117,8 @@ func (t *Table) AddRowValue(v float64) (dist, minDist float64) {
 
 // AddRowInterval appends the row for a category symbol whose observed value
 // range is [lo, hi], using the lower-bound base distance D_base-lb of
-// Definition 3. Like every lower-bound row it charges one cell per query
-// element.
+// Definition 3 (dimension 1). Like every lower-bound row it charges one cell
+// per query element.
 //
 //twlint:steady-state
 func (t *Table) AddRowInterval(lo, hi float64) (dist, minDist float64) {
@@ -140,12 +134,12 @@ func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) 
 	q := t.q
 	n := len(q)
 	x := t.depth // row index of the new row
-	curr := t.GrowRow(n, x)
-	bandLo, bandHi := t.BandFill(curr, n, x)
+	curr := t.growRow(n, x)
+	bandLo, bandHi := t.bandFill(curr, n, x)
 	if lowerBound {
-		t.CountRow(n)
+		t.countRow(n)
 	} else {
-		t.CountRow(bandHi - bandLo)
+		t.countRow(bandHi - bandLo)
 	}
 	if bandLo >= bandHi {
 		return curr[n-1], Inf
@@ -165,7 +159,7 @@ func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) 
 		}
 		return curr[n-1], math.Float64frombits(mb)
 	}
-	prev := t.PrevRow(n, x)
+	prev := t.prevRow(n, x)
 	y := bandLo
 	left := Inf
 	mb = math.Float64bits(Inf)
@@ -194,6 +188,63 @@ func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) 
 	return curr[n-1], math.Float64frombits(mb)
 }
 
+// AddRowPoint appends the row for a point p of the query's dimension using
+// the exact base distance, and returns the last column and the row minimum
+// like AddRowValue — which it is, at dimension 1. It charges the cells of
+// its band.
+//
+//twlint:steady-state
+func (t *Table) AddRowPoint(p []float64) (dist, minDist float64) {
+	if t.dim == 1 {
+		return t.addRow(p[0], p[0], false)
+	}
+	q := t.pts
+	n := len(q)
+	x := t.depth
+	curr := t.growRow(n, x)
+	bandLo, bandHi := t.bandFill(curr, n, x)
+	t.countRow(bandHi - bandLo)
+	if bandLo >= bandHi {
+		return curr[n-1], Inf
+	}
+	var mb uint64
+	if x == 0 {
+		acc := BasePoint(p, q[0])
+		curr[0] = acc
+		mb = math.Float64bits(acc)
+		for y := 1; y < bandHi; y++ {
+			acc += BasePoint(p, q[y])
+			curr[y] = acc
+			mb = min(mb, math.Float64bits(acc))
+		}
+		return curr[n-1], math.Float64frombits(mb)
+	}
+	prev := t.prevRow(n, x)
+	y := bandLo
+	left := Inf
+	mb = math.Float64bits(Inf)
+	if y == 0 {
+		c := BasePoint(p, q[0]) + prev[0]
+		curr[0] = c
+		mb = math.Float64bits(c)
+		left = c
+		y = 1
+	}
+	if y < bandHi {
+		diag := prev[y-1]
+		qb, cb, pb := q[:bandHi], curr[:bandHi], prev[:bandHi]
+		for ; y < len(qb); y++ {
+			up := pb[y]
+			c := BasePoint(p, qb[y]) + Min3(up, diag, left)
+			cb[y] = c
+			mb = min(mb, math.Float64bits(c))
+			left = c
+			diag = up
+		}
+	}
+	return curr[n-1], math.Float64frombits(mb)
+}
+
 // AddRowBase appends the lower-bound row whose base distances are
 // base[0 … n-1], one per query column, and returns its last column and its
 // minimum, like AddRowInterval — which it is, cell for cell, when base[y] is
@@ -203,12 +254,12 @@ func (t *Table) addRow(lo, hi float64, lowerBound bool) (dist, minDist float64) 
 // type. It charges one cell per query element.
 //
 //twlint:steady-state
-func (t *Rows) AddRowBase(base []float64) (dist, minDist float64) {
+func (t *Table) AddRowBase(base []float64) (dist, minDist float64) {
 	n := t.n
 	x := t.depth // row index of the new row
-	curr := t.GrowRow(n, x)
-	bandLo, bandHi := t.BandFill(curr, n, x)
-	t.CountRow(n)
+	curr := t.growRow(n, x)
+	bandLo, bandHi := t.bandFill(curr, n, x)
+	t.countRow(n)
 	if bandLo >= bandHi {
 		return curr[n-1], Inf
 	}
@@ -225,7 +276,7 @@ func (t *Rows) AddRowBase(base []float64) (dist, minDist float64) {
 		}
 		return curr[n-1], math.Float64frombits(mb)
 	}
-	prev := t.PrevRow(n, x)
+	prev := t.prevRow(n, x)
 	y := bandLo
 	left := Inf
 	mb = math.Float64bits(Inf)
@@ -251,30 +302,30 @@ func (t *Rows) AddRowBase(base []float64) (dist, minDist float64) {
 	return curr[n-1], math.Float64frombits(mb)
 }
 
-// A row kernel — dtw's and multivar's — appends a row in inlinable steps:
-// GrowRow for the storage, BandFill for the band and the out-of-band cells
-// that are read raw, CountRow to charge the row and advance the depth, and
-// PrevRow for the row the recurrence reads; then it writes the band.
+// A row kernel appends a row in inlinable steps: growRow for the storage,
+// bandFill for the band and the out-of-band cells that are read raw,
+// countRow to charge the row and advance the depth, and prevRow for the row
+// the recurrence reads; then it writes the band.
 
-// CountRow charges one row of the given number of cells to the counter and
+// countRow charges one row of the given number of cells to the counter and
 // makes it current.
-func (t *Rows) CountRow(cells int) {
+func (t *Table) countRow(cells int) {
 	t.cells += uint64(cells)
 	t.depth++
 }
 
-// PrevRow returns row x-1 as the recurrence reads it (raw: out-of-band
-// cells other than the two BandFill writes are undefined).
-func (t *Rows) PrevRow(n, x int) []float64 {
+// prevRow returns row x-1 as the recurrence reads it (raw: out-of-band
+// cells other than the two bandFill writes are undefined).
+func (t *Table) prevRow(n, x int) []float64 {
 	return t.rows[(x-1)*n : x*n : x*n]
 }
 
-// GrowRow extends the row storage by one row of n cells and returns the new
+// growRow extends the row storage by one row of n cells and returns the new
 // row as a full slice expression (appends beyond it can never reach older
 // rows). Growing within capacity is safe even on a rebound table: the caller
-// writes every in-band cell and BandFill the out-of-band cells that are
+// writes every in-band cell and bandFill the out-of-band cells that are
 // read, so stale bytes from a previous binding are never observed.
-func (t *Rows) GrowRow(n, x int) []float64 {
+func (t *Table) growRow(n, x int) []float64 {
 	if need := (x + 1) * n; need <= cap(t.rows) {
 		t.rows = t.rows[:need]
 	} else {
@@ -293,14 +344,14 @@ func band(n, window, x int) (bandLo, bandHi int) {
 	return min(max(x-window, 0), n), min(x+window+1, n)
 }
 
-// BandFill returns the band of row x and writes Inf into the only two
+// bandFill returns the band of row x and writes Inf into the only two
 // out-of-band cells of curr anything reads raw: curr[bandHi], the "up"
 // neighbour of the last cell of the next row, whose band ends one column
 // further right (its first cell's "left" is carried in a register and its
 // "diag" lies inside this band), and curr[n-1], the row's distance to the
 // whole query. Every other out-of-band cell keeps whatever the storage held
 // — a banded row costs O(window), not O(n) — and is presented as Inf by Row.
-func (t *Rows) BandFill(curr []float64, n, x int) (bandLo, bandHi int) {
+func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 	bandLo, bandHi = band(n, t.window, x)
 	if bandHi < n {
 		curr[bandHi] = Inf
@@ -315,7 +366,7 @@ func (t *Rows) BandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 // band: the kernels leave those undefined, so Row fills them in, at O(n) per
 // call. The slice aliases the table's storage, is for reading only, and is
 // invalidated by the next AddRow*/Pop/Truncate/Bind.
-func (t *Rows) Row(r int) []float64 {
+func (t *Table) Row(r int) []float64 {
 	n := t.n
 	row := t.rows[r*n : (r+1)*n]
 	lo, hi := band(n, t.window, r)
@@ -331,7 +382,7 @@ func (t *Rows) Row(r int) []float64 {
 // LastColumn returns the final column of row r: the cumulative distance
 // between the full query and the first r+1 elements of the matched
 // subsequence.
-func (t *Rows) LastColumn(r int) float64 {
+func (t *Table) LastColumn(r int) float64 {
 	n := t.n
 	return t.rows[r*n+n-1]
 }

@@ -50,7 +50,7 @@ func poisoned(q []float64, w, rows int) *Table {
 	for i := range stale {
 		stale[i] = -1e300
 	}
-	tab.Bind(q, w)
+	tab.Bind(q, 1, w)
 	return tab
 }
 

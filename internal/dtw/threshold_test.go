@@ -68,14 +68,14 @@ func scanSpec(rows [][]float64, w int, tau, first float64) (hits []int, dists []
 // did not write comes out hugely negative.
 func poisonedVerifier(q []float64, w int, tau float64) *Verifier {
 	v := &Verifier{}
-	v.Bind(make([]float64, len(q)+9), -1, Inf)
+	v.Bind(make([]float64, len(q)+9), 1, -1, Inf)
 	prev, curr := v.Rows()
 	for _, row := range [][]float64{prev[:cap(prev)], curr[:cap(curr)]} {
 		for i := range row {
 			row[i] = -1e300
 		}
 	}
-	v.Bind(q, w, tau)
+	v.Bind(q, 1, w, tau)
 	return v
 }
 

@@ -11,33 +11,32 @@ import "math"
 // ones holding cells at most tau — decide where the new row starts and how
 // far it reaches, and they travel from row to row in locals.
 //
-// Verifier holds the scalar query; multivar.Verifier is the vector twin
-// over the same VerifyRows.
+// The query and the scanned sequences are point-major in one dimension.
+// Scan runs one of two cell loops, picked by it: the value loop at
+// dimension 1 and the point loop above it, which differ only in the base
+// distance each cell adds.
 type Verifier struct {
-	q []float64
-	VerifyRows
-}
+	q   []float64
+	dim int
+	// pts views q's points when dim > 1, for the point loop.
+	pts [][]float64
 
-// VerifyRows is a verifier's element-type-free half: two rolling rows of n
-// cells, the Sakoe–Chiba band, the threshold and the cell counter.
-type VerifyRows struct {
 	n, window  int
 	tau        float64
 	prev, curr []float64
 	cells      uint64
 }
 
-// Bind re-targets the verifier at a new, non-empty query, a window (< 0:
-// none) and a threshold, zeroing the cell counter and keeping the row
-// storage.
-func (v *Verifier) Bind(q []float64, w int, tau float64) {
-	v.q = q
-	v.VerifyRows.Bind(len(q), w, tau)
-}
-
-// Bind re-targets the storage at rows of n > 0 cells under window w and
-// threshold tau, zeroing the cell counter.
-func (v *VerifyRows) Bind(n, w int, tau float64) {
+// Bind re-targets the verifier at a new, non-empty point-major query of
+// dimension dim, a window (< 0: none) and a threshold, zeroing the cell
+// counter and keeping the row storage.
+func (v *Verifier) Bind(q []float64, dim, w int, tau float64) {
+	n := len(q) / dim
+	v.q, v.dim = q, dim
+	v.pts = v.pts[:0]
+	if dim > 1 {
+		v.pts = points(v.pts, q, dim)
+	}
 	v.n, v.window, v.tau = n, w, tau
 	if cap(v.prev) < n {
 		v.prev, v.curr = make([]float64, n), make([]float64, n)
@@ -48,23 +47,20 @@ func (v *VerifyRows) Bind(n, w int, tau float64) {
 
 // Cells returns the cells computed since Bind: only those a path within the
 // threshold can reach, and none at a start dead on its first element.
-func (v *VerifyRows) Cells() uint64 { return v.cells }
+func (v *Verifier) Cells() uint64 { return v.cells }
 
-// Threshold returns the bound tau the scans report within.
-func (v *VerifyRows) Threshold() float64 { return v.tau }
+// Rows returns the two rolling rows, each of one cell per query point; a
+// scan swaps them after every row.
+func (v *Verifier) Rows() (prev, curr []float64) { return v.prev, v.curr }
 
-// Rows returns the two rolling rows, each of n cells; a scan swaps them
-// after every row.
-func (v *VerifyRows) Rows() (prev, curr []float64) { return v.prev, v.curr }
-
-// Reach returns the columns row x computes when [plo, phi) are the live
+// reach returns the columns row x computes when [plo, phi) are the live
 // columns of row x-1: [lo, mid) lies in the band next to a live cell above
 // (below it or diagonally), [mid, hi) is the rest of the band, which a path
 // within the threshold enters only along row x itself, for as long as the
 // cell to its left is live. Row 0 is all such chain (lo == mid).
 //
 //twlint:steady-state
-func (v *VerifyRows) Reach(x, plo, phi int) (lo, mid, hi int) {
+func (v *Verifier) reach(x, plo, phi int) (lo, mid, hi int) {
 	lo, hi = band(v.n, v.window, x)
 	if x == 0 {
 		return lo, lo, hi
@@ -73,14 +69,14 @@ func (v *VerifyRows) Reach(x, plo, phi int) (lo, mid, hi int) {
 	return lo, max(lo, min(phi+1, hi)), hi
 }
 
-// Close charges the cells [lo, end) a scan has just written into curr and
+// close charges the cells [lo, end) a scan has just written into curr and
 // returns the live columns among them — from the first to the last cell at
 // most the threshold, empty when there is none, which is when the row's
 // minimum exceeds it and Theorem 1 ends the scan. It writes Inf either side
 // of the live columns: all of the row outside them the next row reads.
 //
 //twlint:steady-state
-func (v *VerifyRows) Close(curr []float64, lo, end int) (liveLo, liveHi int) {
+func (v *Verifier) close(curr []float64, lo, end int) (liveLo, liveHi int) {
 	v.cells += uint64(end - lo)
 	tau := v.tau
 	hi := end
@@ -99,38 +95,53 @@ func (v *VerifyRows) Close(curr []float64, lo, end int) (liveLo, liveHi int) {
 	return lo, hi
 }
 
-// Dead reports that no subsequence beginning at s[start] is within the
-// threshold: its first element alone is further than the threshold from
+// Dead reports that no subsequence beginning at point start of s is within
+// the threshold: its first point alone is further than the threshold from
 // the query's, and every warping path pays that base distance first
 // (THEORY.md §1a). The test is strict, so a start at exactly the threshold
 // lives on.
 //
 //twlint:steady-state
-func (v *Verifier) Dead(s []float64, start int) bool { return Base(s[start], v.q[0]) > v.tau }
+func (v *Verifier) Dead(s []float64, start int) bool {
+	d := v.dim
+	return BasePoint(s[start*d:(start+1)*d], v.q[:d]) > v.tau
+}
 
-// Scan verifies the subsequences s[start:e] for e = start+1 … end: it calls
-// hit(e, D_tw) for each one whose exact distance from the query is at most
-// the threshold, in increasing e, with the bits the full table would give
-// it. A Dead start is dismissed before any cell is computed; otherwise the
-// scan stops at the first row without a live cell. The cells it computes
-// are exactly those the live-column recurrence reaches (Reach, Close).
+// Scan verifies the subsequences of points s[start:e] for e = start+1 …
+// end: it calls hit(e, D_tw) for each one whose exact distance from the
+// query is at most the threshold, in increasing e, with the bits the full
+// table would give it. A Dead start is dismissed before any cell is
+// computed; otherwise the scan stops at the first row without a live cell.
+// The cells it computes are exactly those the live-column recurrence
+// reaches (reach, close).
 //
 //twlint:steady-state
 func (v *Verifier) Scan(s []float64, start, end int, hit func(end int, dist float64)) {
-	q := v.q
-	n := len(q)
-	tau := v.tau
 	if v.Dead(s, start) {
 		return
 	}
+	if v.dim == 1 {
+		v.scanValues(s, start, end, hit)
+	} else {
+		v.scanPoints(s, start, end, hit)
+	}
+}
+
+// scanValues is Scan's loop at dimension 1.
+//
+//twlint:steady-state
+func (v *Verifier) scanValues(s []float64, start, end int, hit func(end int, dist float64)) {
+	q := v.q
+	n := len(q)
+	tau := v.tau
 	// Every end is within an infinite threshold, at distance +Inf where
 	// the band keeps paths off the last column, and no row ends the scan.
 	unbounded := math.IsInf(tau, 1)
-	prev, curr := v.Rows()
+	prev, curr := v.prev, v.curr
 	plo, phi := 0, 0
 	for x, e := 0, start; e < end; x, e = x+1, e+1 {
 		val := s[e]
-		lo, mid, hi := v.Reach(x, plo, phi)
+		lo, mid, hi := v.reach(x, plo, phi)
 		y := lo
 		// left carries curr[y-1]; before the first cell of the first row it
 		// is the empty alignment, which costs nothing.
@@ -148,7 +159,7 @@ func (v *Verifier) Scan(s []float64, start, end int, hit func(end int, dist floa
 			if y < mid {
 				// left and diag carry curr[y-1] and prev[y-1] in registers.
 				// The two dead neighbours the loop can read, prev[lo-1] and
-				// prev[mid-1], hold the Inf the previous row's Close wrote.
+				// prev[mid-1], hold the Inf the previous row's close wrote.
 				diag := prev[y-1]
 				qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
 				for ; y < len(qb); y++ {
@@ -164,7 +175,63 @@ func (v *Verifier) Scan(s []float64, start, end int, hit func(end int, dist floa
 			left += Base(val, q[y])
 			curr[y] = left
 		}
-		plo, phi = v.Close(curr, lo, y)
+		plo, phi = v.close(curr, lo, y)
+		switch {
+		case plo < phi && phi == n:
+			hit(e+1, curr[n-1])
+		case unbounded:
+			hit(e+1, Inf)
+		case plo == phi:
+			return
+		}
+		prev, curr = curr, prev
+	}
+}
+
+// scanPoints is Scan's loop above dimension 1: scanValues with BasePoint
+// between points for Base between values.
+//
+//twlint:steady-state
+func (v *Verifier) scanPoints(s []float64, start, end int, hit func(end int, dist float64)) {
+	q := v.pts
+	n := len(q)
+	dim := v.dim
+	tau := v.tau
+	unbounded := math.IsInf(tau, 1)
+	prev, curr := v.prev, v.curr
+	plo, phi := 0, 0
+	for x, e := 0, start; e < end; x, e = x+1, e+1 {
+		p := s[e*dim : (e+1)*dim]
+		lo, mid, hi := v.reach(x, plo, phi)
+		y := lo
+		left := Inf
+		if x == 0 {
+			left = 0
+		}
+		if y < mid {
+			if y == 0 {
+				c := BasePoint(p, q[0]) + prev[0]
+				curr[0] = c
+				left = c
+				y = 1
+			}
+			if y < mid {
+				diag := prev[y-1]
+				qb, cb, pb := q[:mid], curr[:mid], prev[:mid]
+				for ; y < len(qb); y++ {
+					up := pb[y]
+					c := BasePoint(p, qb[y]) + Min3(up, diag, left)
+					cb[y] = c
+					left = c
+					diag = up
+				}
+			}
+		}
+		for ; y < hi && left <= tau; y++ {
+			left += BasePoint(p, q[y])
+			curr[y] = left
+		}
+		plo, phi = v.close(curr, lo, y)
 		switch {
 		case plo < phi && phi == n:
 			hit(e+1, curr[n-1])

@@ -35,9 +35,9 @@ func trajectoryWalks(rng *rand.Rand, n, points int) *Dataset {
 // BenchmarkSearchTrajectory is shaped like the benchmark's `trajectory`
 // workload: 800 walks of 200 points, a grid of 12 categories per axis,
 // window 3, and range queries of about 24 points cut from the walks with
-// Gaussian noise of 0.25 per coordinate, at ε 20 — the vector kernel's
-// filter rows and exact verification over a tree in each record encoding,
-// as /v1 and /v2.
+// Gaussian noise of 0.25 per coordinate, at ε 20 — the kernel's filter
+// rows at dimension 2 and the verifier's point loop, over a tree in each
+// record encoding, as /v1 and /v2.
 func BenchmarkSearchTrajectory(b *testing.B) {
 	rng := rand.New(rand.NewSource(1719))
 	data := trajectoryWalks(rng, 800, 200)

@@ -20,6 +20,7 @@ import (
 	"twsearch/internal/sequence"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/dtw"
 	"twsearch/internal/suffixtree"
 )
 
@@ -99,7 +100,7 @@ func TestDatasetDeclaredLengthBeyondStream(t *testing.T) {
 func TestGridRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(507))
 	data := randomVecDataset(rng, 4, 25, 3)
-	grid, _, err := FitGrid(data.Dataset, categorize.KindMaxEntropy, 5)
+	grid, _, err := categorize.FitGrid(data.Dataset, categorize.KindMaxEntropy, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestGridRoundTrip(t *testing.T) {
 	if err := grid.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGrid(&buf)
+	got, err := categorize.ReadGrid(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestGridRoundTrip(t *testing.T) {
 			t.Fatalf("box %d differs", s)
 		}
 	}
-	if _, err := ReadGrid(bytes.NewReader([]byte("XXXXXXXXjunkjunk"))); err == nil {
+	if _, err := categorize.ReadGrid(bytes.NewReader([]byte("XXXXXXXXjunkjunk"))); err == nil {
 		t.Fatal("garbage grid accepted")
 	}
 }
@@ -241,7 +242,7 @@ func TestMultivarKNN(t *testing.T) {
 	// counters included: replay the rounds as plain range searches.
 	step := 0.0
 	for i := 1; i < len(q); i++ {
-		step += Base(q[i], q[i-1])
+		step += dtw.BasePoint(q[i], q[i-1])
 	}
 	var want Stats
 	for eps := step/float64(len(q)) + 1e-9; ; eps *= 4 {
@@ -325,7 +326,7 @@ func TestMultivarOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Close()
-	grid, err := ReadGrid(&buf)
+	grid, err := categorize.ReadGrid(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,19 +356,19 @@ func TestMultivarWindowTable(t *testing.T) {
 		q := randomVecQuery(rng, 6, dim)
 		s := randomVecQuery(rng, 6, dim)
 		w := len(q) + len(s)
-		wide := NewTableWindow(q, w)
+		wide := newTable(q, w)
 		var last float64
 		for _, p := range s {
 			last, _ = wide.AddRowPoint(p)
 		}
-		if want := Distance(s, q); math.Abs(last-want) > 1e-9 {
+		if want := dtw.DistancePoints(s, q); math.Abs(last-want) > 1e-9 {
 			t.Fatalf("wide window %v != unconstrained %v", last, want)
 		}
 	}
 	// Too-narrow band yields Inf.
 	q := [][]float64{{0}}
 	s := [][]float64{{0}, {0}, {0}, {0}}
-	tab := NewTableWindow(q, 1)
+	tab := newTable(q, 1)
 	var last float64
 	for _, p := range s {
 		last, _ = tab.AddRowPoint(p)

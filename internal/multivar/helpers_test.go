@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"twsearch/internal/core"
+	"twsearch/internal/dtw"
 	. "twsearch/internal/multivar"
 	"twsearch/internal/sequence"
 )
@@ -37,7 +38,20 @@ func points(d interface {
 	Values(int) []float64
 	Dim() int
 }, i int) [][]float64 {
-	return Rows(nil, d.Values(i), d.Dim())
+	vals, dim := d.Values(i), d.Dim()
+	var rows [][]float64
+	for j := 0; j < len(vals); j += dim {
+		rows = append(rows, vals[j:j+dim:j+dim])
+	}
+	return rows
+}
+
+// newTable returns a table over the query points q, of q's dimension, under
+// window w.
+func newTable(q [][]float64, w int) *dtw.Table {
+	var t dtw.Table
+	t.Bind(Flatten(q), len(q[0]), w)
+	return &t
 }
 
 var bg = context.Background()

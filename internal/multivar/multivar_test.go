@@ -11,17 +11,18 @@ import (
 	. "twsearch/internal/multivar"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/dtw"
 )
 
 func TestBaseAndBox(t *testing.T) {
-	if Base([]float64{1, 2}, []float64{3, 0}) != 4 {
+	if dtw.BasePoint([]float64{1, 2}, []float64{3, 0}) != 4 {
 		t.Fatal("Base wrong")
 	}
-	box := Box{Lo: []float64{0, 10}, Hi: []float64{5, 20}}
-	if got := BaseBox([]float64{3, 15}, box); got != 0 {
+	box := dtw.Box{Lo: []float64{0, 10}, Hi: []float64{5, 20}}
+	if got := dtw.BaseBox([]float64{3, 15}, box); got != 0 {
 		t.Fatalf("inside box = %v", got)
 	}
-	if got := BaseBox([]float64{7, 25}, box); got != 2+5 {
+	if got := dtw.BaseBox([]float64{7, 25}, box); got != 2+5 {
 		t.Fatalf("outside box = %v, want 7", got)
 	}
 }
@@ -30,7 +31,7 @@ func TestDistanceReducesToUnivariate(t *testing.T) {
 	// dim=1 must agree with dtw.Distance semantics; spot check Figure 1.
 	a := [][]float64{{3}, {4}, {3}}
 	b := [][]float64{{4}, {5}, {6}, {7}, {6}, {6}}
-	if got := Distance(a, b); got != 12 {
+	if got := dtw.DistancePoints(a, b); got != 12 {
 		t.Fatalf("Distance = %v, want 12", got)
 	}
 }
@@ -57,7 +58,7 @@ func TestDatasetValidation(t *testing.T) {
 func TestFitGridBoxesContainPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	data := randomVecDataset(rng, 5, 30, 3)
-	grid, _, err := FitGrid(data.Dataset, categorize.KindMaxEntropy, 4)
+	grid, _, err := categorize.FitGrid(data.Dataset, categorize.KindMaxEntropy, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,8 @@ func TestFitGridBoxesContainPoints(t *testing.T) {
 				}
 			}
 			// Lower bound of the point against its own box must be zero.
-			if BaseBox(p, box) != 0 {
-				t.Fatalf("BaseBox of member point = %v", BaseBox(p, box))
+			if dtw.BaseBox(p, box) != 0 {
+				t.Fatalf("BaseBox of member point = %v", dtw.BaseBox(p, box))
 			}
 		}
 	}
@@ -89,7 +90,7 @@ func TestEncodeUnseenCellFails(t *testing.T) {
 	// off-diagonal combination (low,high) has no cell symbol.
 	d := NewDataset(2)
 	mustAdd(d, Sequence{ID: "a", Points: [][]float64{{1, 1}, {10, 10}}})
-	grid, _, err := FitGrid(d.Dataset, categorize.KindEqualLength, 2)
+	grid, _, err := categorize.FitGrid(d.Dataset, categorize.KindEqualLength, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,8 @@ func TestMultivarNoFalseDismissals(t *testing.T) {
 	}
 }
 
-// TestNoFalseDismissalsAtTies is core.TestNoFalseDismissalsAtTies for the
-// vector kernel: 2-D points on a 3×3 integer lattice in runs of one to six
+// TestNoFalseDismissalsAtTies is core.TestNoFalseDismissalsAtTies at
+// dimension 2: 2-D points on a 3×3 integer lattice in runs of one to six
 // equal points, eps set to each distinct exact distance of the scan's
 // answers, and every grid shape — ME and identity cells, dense and sparse,
 // with and without a window — must return the scan's answers bit for bit.
@@ -217,7 +218,7 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 	}
 }
 
-// TestAdmissionKeepsTies is core's tie test over the vector kernel: a start
+// TestAdmissionKeepsTies is core's tie test at dimension 2: a start
 // whose first point is exactly eps from the query's first, by the
 // city-block base distance, and whose later points match exactly, is an
 // answer at distance eps, so it must pass admission (Dead's > is strict)
@@ -307,12 +308,12 @@ func TestTableMatchesDistance(t *testing.T) {
 		dim := 1 + rng.Intn(3)
 		q := randomVecQuery(rng, 6, dim)
 		s := randomVecQuery(rng, 6, dim)
-		tab := NewTableWindow(q, -1)
+		tab := newTable(q, -1)
 		var last float64
 		for _, p := range s {
 			last, _ = tab.AddRowPoint(p)
 		}
-		if want := Distance(s, q); math.Abs(last-want) > 1e-9 {
+		if want := dtw.DistancePoints(s, q); math.Abs(last-want) > 1e-9 {
 			t.Fatalf("table %v != distance %v", last, want)
 		}
 	}

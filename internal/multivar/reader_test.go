@@ -12,7 +12,7 @@ import (
 	"twsearch/internal/categorize"
 )
 
-// The vector kernel's side of core.TestSearchReleasesReader: every way out
+// The dimension-2 side of core.TestSearchReleasesReader: every way out
 // of a search — answers, a visitor that stops, a context cancelled before
 // and during the traversal, k-NN, a page that cannot be read — returns what the engine promises (ctx.Err() on cancellation, no
 // answer delivered after a visitor's stop) and leaves no page of the tree

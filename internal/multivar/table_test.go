@@ -61,7 +61,7 @@ func TestAddRowPointMatchesReference(t *testing.T) {
 			for i := range wide {
 				wide[i] = point()
 			}
-			tab := NewTableWindow(wide, -1)
+			tab := newTable(wide, -1)
 			for x := 0; x < depth; x++ {
 				tab.AddRowPoint(point())
 			}
@@ -71,7 +71,7 @@ func TestAddRowPointMatchesReference(t *testing.T) {
 					stale[i] = -1e300
 				}
 			}
-			tab.Bind(q, w)
+			tab.Bind(Flatten(q), dim, w)
 
 			base := make([][]float64, depth)
 			dists, mins := make([]float64, depth), make([]float64, depth)
@@ -81,13 +81,13 @@ func TestAddRowPointMatchesReference(t *testing.T) {
 					p := point()
 					dists[x], mins[x] = tab.AddRowPoint(p)
 					for y := range q {
-						base[x][y] = Base(p, q[y])
+						base[x][y] = dtw.BasePoint(p, q[y])
 					}
 				} else {
 					lo := point()
-					b := Box{Lo: lo, Hi: []float64{lo[0] + rng.Float64(), lo[1] + rng.Float64()}}
+					b := dtw.Box{Lo: lo, Hi: []float64{lo[0] + rng.Float64(), lo[1] + rng.Float64()}}
 					for y := range q {
-						base[x][y] = BaseBox(q[y], b)
+						base[x][y] = dtw.BaseBox(q[y], b)
 					}
 					dists[x], mins[x] = tab.AddRowBase(base[x])
 				}
@@ -168,19 +168,19 @@ func scanSpec(rows [][]float64, w int, tau, first float64) (hits []int, dists []
 // charge exactly the cells the live-column recurrence reaches.
 func checkVerifier(t *testing.T, q, s [][]float64, w int, tau float64) {
 	t.Helper()
-	var v Verifier
+	var v dtw.Verifier
 	wide := make([][]float64, len(q)+9)
 	for i := range wide {
 		wide[i] = []float64{0, 0}
 	}
-	v.Bind(wide, -1, dtw.Inf)
+	v.Bind(Flatten(wide), 2, -1, dtw.Inf)
 	prev, curr := v.Rows()
 	for _, row := range [][]float64{prev[:cap(prev)], curr[:cap(curr)]} {
 		for i := range row {
 			row[i] = -1e300
 		}
 	}
-	v.Bind(q, w, tau)
+	v.Bind(Flatten(q), 2, w, tau)
 	var gotEnds []int
 	var gotDists []float64
 	hit := func(end int, dist float64) {
@@ -189,13 +189,13 @@ func checkVerifier(t *testing.T, q, s [][]float64, w int, tau float64) {
 	}
 	for start := range s {
 		for _, end := range []int{len(s), start + 1 + (len(s)-start)/2} {
-			plain := NewTableWindow(q, w)
+			plain := newTable(q, w)
 			rows := make([][]float64, 0, end-start)
 			for _, p := range s[start:end] {
 				plain.AddRowPoint(p)
 				rows = append(rows, append([]float64(nil), plain.Row(plain.Depth()-1)...))
 			}
-			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, Base(s[start], q[0]))
+			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, dtw.BasePoint(s[start], q[0]))
 			gotEnds, gotDists = gotEnds[:0], gotDists[:0]
 			before := v.Cells()
 			v.Scan(Flatten(s), start, end, hit)
@@ -237,7 +237,7 @@ func TestThresholdRowsMatchPlain(t *testing.T) {
 			p = step(p)
 			s[i] = p
 		}
-		tie, _ := NewTableWindow(q, -1).AddRowPoint(s[0])
+		tie, _ := newTable(q, -1).AddRowPoint(s[0])
 		for w := -1; w <= n; w++ {
 			for _, tau := range []float64{0, 0.5, 3, 12, tie, dtw.Inf} {
 				checkVerifier(t, q, s, w, tau)
@@ -279,7 +279,7 @@ func FuzzThresholdRows(f *testing.F) {
 		case 2:
 			tau = float64(tauSel / 5)
 		case 3:
-			tab := NewTableWindow(q, w)
+			tab := newTable(q, w)
 			for _, p := range s[:1+int(tauSel/5)%len(s)] {
 				tau, _ = tab.AddRowPoint(p)
 			}

@@ -65,8 +65,8 @@ func workVectorData() (*Dataset, [][]float64) {
 // raise the candidates and cut the rows that core.Index.Search and
 // multivar.Index.Search did at the commit before the two engines became one
 // (the literals were captured there).
-// No benchmark workload exposes the vector kernel's counters, so this is
-// what shows the shared traversal does the same work for vectors.
+// No benchmark workload exposes the counters at dimension 2, so this is
+// what shows the one traversal and kernel do the same work for points.
 //
 // Three columns were re-captured when verification was cut to the cost of
 // its answers, the other five repeating exactly: Candidates and with it

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"twsearch/internal/categorize"
 )
 
 // vecSeq is a random walk of n dim-dimensional points, point-major.
@@ -418,6 +420,36 @@ func TestOpenRefusesSchemeOfOtherDimension(t *testing.T) {
 	}
 	if _, err := Open(two.Dir()); !errors.Is(err, ErrDimension) || !strings.Contains(err.Error(), target) {
 		t.Fatalf("open with a 3-D grid over 2-D data: err = %v, want ErrDimension naming %s", err, target)
+	}
+}
+
+// A scheme file that declares zero categories — a TWCATSC1 scheme over a
+// database of dimension 1, a TWGRID01 grid of two such schemes over one of
+// dimension 2 — is refused at open. Accepted, the first search of the one
+// indexed a category table of length 0, and the open of the other indexed
+// an empty cell table while encoding, both with a panic.
+func TestOpenRefusesSchemeOfNoCategories(t *testing.T) {
+	scheme := append([]byte("TWCATSC1"), 0, 0, 0, 0, 0) // equal-length, count 0
+	grid := append([]byte("TWGRID01"), 2, 0)            // dimension 2
+	grid = append(append(append(grid, scheme...), scheme...), 0, 0, 0, 0)
+	for dim, file := range map[int][]byte{1: scheme, 2: grid} {
+		db := newVectorTestDB(t, 4, 30, dim, 81)
+		if err := db.BuildIndex("g", IndexSpec{Categories: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(db.Dir(), "idx-g.cat"), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(db.Dir())
+		if err == nil {
+			re.Close()
+		}
+		if !errors.Is(err, categorize.ErrNoCategories) {
+			t.Errorf("d=%d: open of a scheme of no categories: err = %v, want ErrNoCategories", dim, err)
+		}
 	}
 }
 
