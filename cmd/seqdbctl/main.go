@@ -546,25 +546,14 @@ func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	db := fs.String("db", "", "database directory")
 	name := fs.String("name", "", "index name")
-	method := fs.String("method", "me", "me, el, kmeans, or exact")
-	cats := fs.Int("cats", 0, "number of categories, per dimension when -dim > 1 (0 = 20, or 8 per dimension)")
-	sparse := fs.Bool("sparse", false, "sparse suffix tree (SSTc)")
-	window := fs.Int("window", 0, "warping window half-width (0 = none)")
-	encName := fs.String("encoding", "", "node record encoding: v1 or v2 (compact varint); default v1, v2 when -dim > 1")
+	indexSpec := indexFlags(fs)
 	backend := backendFlag(fs)
 	envmode := envelopesFlag(fs)
 	fs.Parse(args)
 	if *db == "" || *name == "" {
 		return fmt.Errorf("index: -db and -name required")
 	}
-	var enc seqdb.Encoding
-	if *encName != "" {
-		var err error
-		if enc, err = seqdb.ParseEncoding(*encName); err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-	}
-	m, err := parseMethod(*method)
+	spec, err := indexSpec()
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
@@ -573,9 +562,7 @@ func cmdIndex(args []string) error {
 		return err
 	}
 	defer d.Close()
-	if err := d.BuildIndex(*name, seqdb.IndexSpec{
-		Method: m, Categories: *cats, Sparse: *sparse, Window: *window, Encoding: enc,
-	}); err != nil {
+	if err := d.BuildIndex(*name, spec); err != nil {
 		return err
 	}
 	info, err := d.Index(*name)

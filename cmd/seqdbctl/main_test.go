@@ -410,6 +410,46 @@ func TestVectorCLILifecycle(t *testing.T) {
 	}
 }
 
+// TestCLIShardIndexFlags: `shard -name` reads the flags `index` reads, with
+// the same defaults — at d = 2 a grid of 8 categories per dimension, not
+// the 20 of a scalar index — and takes -encoding.
+func TestCLIShardIndexFlags(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "vdb")
+	if _, err := captureStdout(t, func() error {
+		return cmdGen([]string{"-db", db, "-dim", "2", "-n", "10", "-len", "40", "-seed", "5"})
+	}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if _, err := captureStdout(t, func() error { return cmdIndex([]string{"-db", db, "-name", "g"}) }); err != nil {
+		t.Fatalf("index: %v", err)
+	}
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{nil, `index "g": method=max-entropy cats=8 sparse=false window=-1 encoding=v2`},
+		{[]string{"-cats", "5", "-encoding", "v1"}, `index "g": method=max-entropy cats=5 sparse=false window=-1 encoding=v1`},
+	} {
+		out := filepath.Join(dir, fmt.Sprintf("sharded-%d", len(c.flags)))
+		if _, err := captureStdout(t, func() error {
+			return cmdShard(append([]string{"-db", db, "-out", out, "-shards", "2", "-name", "g"}, c.flags...))
+		}); err != nil {
+			t.Fatalf("shard %v: %v", c.flags, err)
+		}
+		dbs := []string{out}
+		if c.flags == nil {
+			dbs = append(dbs, db) // the unsharded index, built by `index` with no flags
+		}
+		for _, d := range dbs {
+			stats, err := captureStdout(t, func() error { return cmdStats([]string{"-db", d}) })
+			if err != nil || !strings.Contains(stats, c.want) {
+				t.Errorf("stats of %s after shard %v: %v\n%s\nwant %q", d, c.flags, err, stats, c.want)
+			}
+		}
+	}
+}
+
 func TestVectorCLIErrors(t *testing.T) {
 	if err := cmdCreate([]string{"-dim", "2"}); err == nil {
 		t.Error("create without -db accepted")

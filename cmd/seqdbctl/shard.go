@@ -22,6 +22,28 @@ func parseMethod(s string) (seqdb.Method, error) {
 	return "", fmt.Errorf("unknown method %q", s)
 }
 
+// indexFlags registers on fs the flags that describe an index to build —
+// one set for `index` and `shard -name` — and returns what reads them into
+// a spec once fs is parsed.
+func indexFlags(fs *flag.FlagSet) func() (seqdb.IndexSpec, error) {
+	method := fs.String("method", "me", "index method: me, el, kmeans, or exact")
+	cats := fs.Int("cats", 0, "number of categories, per dimension when -dim > 1 (0 = 20, or 8 per dimension)")
+	sparse := fs.Bool("sparse", false, "sparse suffix tree (SSTc)")
+	window := fs.Int("window", 0, "warping window half-width (0 = none)")
+	encName := fs.String("encoding", "", "node record encoding: v1 or v2 (compact varint); default v1, v2 when -dim > 1")
+	return func() (seqdb.IndexSpec, error) {
+		m, err := parseMethod(*method)
+		if err != nil {
+			return seqdb.IndexSpec{}, err
+		}
+		spec := seqdb.IndexSpec{Method: m, Categories: *cats, Sparse: *sparse, Window: *window}
+		if *encName != "" {
+			spec.Encoding, err = seqdb.ParseEncoding(*encName)
+		}
+		return spec, err
+	}
+}
+
 // cmdShard partitions an existing database into a sharded database root:
 // a MANIFEST.shards plus one self-contained shard database per contiguous
 // slice of the sequence numbering. With -name it also builds that index on
@@ -32,10 +54,7 @@ func cmdShard(args []string) error {
 	out := fs.String("out", "", "output directory for the sharded database")
 	shards := fs.Int("shards", 2, "number of shards")
 	name := fs.String("name", "", "build this index on every shard after partitioning (optional)")
-	method := fs.String("method", "me", "index method: me, el, kmeans, or exact")
-	cats := fs.Int("cats", 20, "number of categories")
-	sparse := fs.Bool("sparse", false, "sparse suffix tree (SSTc)")
-	window := fs.Int("window", 0, "warping window half-width (0 = none)")
+	indexSpec := indexFlags(fs)
 	fs.Parse(args)
 	if *db == "" || *out == "" {
 		return fmt.Errorf("shard: -db and -out required")
@@ -60,13 +79,11 @@ func cmdShard(args []string) error {
 	if *name == "" {
 		return nil
 	}
-	m, err := parseMethod(*method)
+	spec, err := indexSpec()
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	if err := sdb.BuildIndex(*name, seqdb.IndexSpec{
-		Method: m, Categories: *cats, Sparse: *sparse, Window: *window,
-	}); err != nil {
+	if err := sdb.BuildIndex(*name, spec); err != nil {
 		return err
 	}
 	info, err := sdb.Index(*name)

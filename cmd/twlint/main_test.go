@@ -14,16 +14,16 @@ const fixtures = "../../internal/lint/testdata/src/"
 func TestExitCodes(t *testing.T) {
 	var out, errOut bytes.Buffer
 
-	if code := run([]string{fixtures + "floateq/good"}, &out, &errOut); code != 0 {
+	if code := run([]string{fixtures + "errwrap/good"}, &out, &errOut); code != 0 {
 		t.Errorf("good fixture: exit %d, output:\n%s%s", code, out.String(), errOut.String())
 	}
 
 	out.Reset()
-	if code := run([]string{fixtures + "floateq/bad"}, &out, &errOut); code != 1 {
+	if code := run([]string{fixtures + "errwrap/bad"}, &out, &errOut); code != 1 {
 		t.Errorf("bad fixture: exit %d, want 1", code)
 	}
-	if !strings.Contains(out.String(), "[floateq]") {
-		t.Errorf("bad fixture output missing [floateq]: %q", out.String())
+	if !strings.Contains(out.String(), "[errwrap]") {
+		t.Errorf("bad fixture output missing [errwrap]: %q", out.String())
 	}
 
 	if code := run([]string{"no/such/dir"}, &out, &errOut); code != 2 {
@@ -35,7 +35,7 @@ func TestExitCodes(t *testing.T) {
 // the acceptance gate that each check fails its negative example.
 func TestNegativeFixtures(t *testing.T) {
 	for _, dir := range []string{
-		"panicpath", "errwrap", "floateq", "lockbalance", "goleak",
+		"panicpath", "errwrap", "lockbalance", "goleak",
 		"deferinloop", "ctxflow", "steadystate", "directive",
 	} {
 		var out, errOut bytes.Buffer
@@ -52,7 +52,7 @@ func TestChecksFlag(t *testing.T) {
 		t.Fatalf("-checks: exit %d", code)
 	}
 	for _, name := range []string{
-		"panicpath", "errwrap", "floateq", "lockbalance", "goleak",
+		"panicpath", "errwrap", "lockbalance", "goleak",
 		"deferinloop", "ctxflow", "steadystate",
 	} {
 		if !strings.Contains(out.String(), name) {
@@ -65,7 +65,7 @@ func TestChecksFlag(t *testing.T) {
 // line, check and message fields, same exit-code contract as text mode.
 func TestJSONOutput(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-json", fixtures + "floateq/bad"}, &out, &errOut); code != 1 {
+	if code := run([]string{"-json", fixtures + "errwrap/bad"}, &out, &errOut); code != 1 {
 		t.Fatalf("-json bad fixture: exit %d, want 1 (stderr: %s)", code, errOut.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
@@ -81,12 +81,12 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &f); err != nil {
 		t.Fatalf("finding is not valid JSON: %v\n%s", err, lines[0])
 	}
-	if f.Check != "floateq" || f.Line == 0 || f.File == "" || f.Message == "" {
+	if f.Check != "errwrap" || f.Line == 0 || f.File == "" || f.Message == "" {
 		t.Errorf("incomplete finding object: %+v", f)
 	}
 
 	out.Reset()
-	if code := run([]string{"-json", fixtures + "floateq/good"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-json", fixtures + "errwrap/good"}, &out, &errOut); code != 0 {
 		t.Errorf("-json good fixture: exit %d, want 0", code)
 	}
 	if out.Len() != 0 {

@@ -236,7 +236,8 @@ func EqualLength(values []float64, c int) (*Scheme, error) {
 		return nil, ErrBadCount
 	}
 	min, max := minMax(values)
-	//lint:ignore floateq exact equality detects fully degenerate data; any nonzero spread is a valid bin width
+	// Exact equality detects fully degenerate data; any nonzero spread is a
+	// valid bin width.
 	if min == max {
 		// Degenerate data: one real bin is enough regardless of c.
 		return newScheme(KindEqualLength, values, []float64{min}, []float64{max}), nil
@@ -273,7 +274,8 @@ func MaxEntropy(values []float64, c int) (*Scheme, error) {
 		}
 	}
 	min, max, quantiles := orderStatistics(values, ranks)
-	//lint:ignore floateq exact equality detects fully degenerate data; quantile boundaries are valid for any nonzero spread
+	// Exact equality detects fully degenerate data; quantile boundaries are
+	// valid for any nonzero spread.
 	if min == max {
 		return newScheme(KindMaxEntropy, values, []float64{min}, []float64{max}), nil
 	}
@@ -310,7 +312,8 @@ func KMeans(values []float64, c, iters int) (*Scheme, error) {
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
 	min, max := sorted[0], sorted[len(sorted)-1]
-	//lint:ignore floateq exact equality detects fully degenerate data; clustering is meaningful for any nonzero spread
+	// Exact equality detects fully degenerate data; clustering is meaningful
+	// for any nonzero spread.
 	if min == max || c == 1 {
 		return newScheme(KindKMeans, values, []float64{min}, []float64{max}), nil
 	}
@@ -344,7 +347,8 @@ func KMeans(values []float64, c, iters int) (*Scheme, error) {
 			if len(next) > 0 && m <= next[len(next)-1] {
 				continue // keep centroids strictly ascending
 			}
-			//lint:ignore floateq exact fixpoint test: iteration stops when centroids stop changing at all, and the loop is bounded by iters regardless
+			// Exact fixpoint test: iteration stops when centroids stop
+			// changing at all, and the loop is bounded by iters regardless.
 			if m != centroids[i] {
 				moved = true
 			}

@@ -62,7 +62,7 @@ func cutQueries(data *sequence.Dataset, count, qlen int) [][]float64 {
 // from records of either format.
 func benchEncodings(b *testing.B, sequences, qlen int, eps float64, opts Options) {
 	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
-		opts.Build.Encoding = enc
+		opts.Encoding = enc
 		b.Run(enc.String(), func(b *testing.B) { benchSearch(b, sequences, qlen, eps, opts) })
 	}
 }

@@ -40,7 +40,7 @@ func TestEnvelopeCascadeIdentity(t *testing.T) {
 				for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 					opts := v.opts
 					opts.Window = window
-					opts.Build.Encoding = enc
+					opts.Encoding = enc
 					path := filepath.Join(dir, fmt.Sprintf("ix-%d-%d-%d-%s.twt", trial, vi, window, enc))
 					ix, err := Build(data, path, opts)
 					if err != nil {
@@ -103,7 +103,7 @@ func TestEnvelopeCascadeReducesWork(t *testing.T) {
 	dir := t.TempDir()
 	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 		ix, err := Build(data, filepath.Join(dir, "ix-"+enc.String()+".twt"), Options{
-			Kind: categorize.KindMaxEntropy, Categories: 8, Build: disktree.BuildOptions{Encoding: enc},
+			Kind: categorize.KindMaxEntropy, Categories: 8, Encoding: enc,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -94,13 +94,19 @@ type Options struct {
 	// minimum query length qmin, dtw.MinMaxAnswerLength gives the right
 	// value (qmin - w).
 	MinAnswerLen int
-	// KMeansIters bounds k-means refinement (k-means only). Defaults to 20.
-	KMeansIters int
-	// Build tunes the disk construction (pool size, record encoding — v1
-	// for one-dimensional data and v2 for vectors when none is named); its
-	// Sparse and MinSuffixLen are set from the fields above.
-	Build disktree.BuildOptions
+	// Encoding selects the tree file's record serialization: v1 for
+	// one-dimensional data and v2 for vectors when none is named.
+	Encoding disktree.Encoding
+	// PoolPages bounds the buffer pool the built tree is read through
+	// (default 256).
+	PoolPages int
+	// Backend is the page source the built tree is read through ("" =
+	// the buffer pool).
+	Backend storage.Backend
 }
+
+// kMeansIters bounds k-means refinement.
+const kMeansIters = 20
 
 // withDefaults fills in the defaults for data of dimension dim.
 func (o Options) withDefaults(dim int) Options {
@@ -113,20 +119,15 @@ func (o Options) withDefaults(dim int) Options {
 			o.Categories = 8
 		}
 	}
-	if o.KMeansIters == 0 {
-		o.KMeansIters = 20
-	}
 	if o.Window == 0 {
 		o.Window = -1
 	}
-	o.Build.Sparse = o.Sparse
-	o.Build.MinSuffixLen = o.MinAnswerLen
 	// Scalar trees are v1 unless v2 is asked for, for one reason: bench's
 	// TestSmoke needs storage.view_miss_ns, which its probe emits only for a
 	// lowmem smoke file larger than v2 writes it (HACKING.md "Why v1 is
 	// still here"). Deleting these lines is the scalar flip to v2.
-	if dim == 1 && o.Build.Encoding == 0 {
-		o.Build.Encoding = disktree.EncodingV1
+	if dim == 1 && o.Encoding == 0 {
+		o.Encoding = disktree.EncodingV1
 	}
 	return o
 }
@@ -229,8 +230,9 @@ func (ix *Index) seqLen(seq int) int {
 func (ix *Index) Close() error { return ix.Tree.Close() }
 
 // Build fits the categorization on the dataset — a category scheme for
-// dimension 1, a grid for more — encodes every sequence, and constructs
-// the disk-based suffix tree at path.
+// dimension 1, a grid for more — encodes every sequence, constructs the
+// disk-based suffix tree at path and opens it read-only through
+// opts.Backend, as OpenWith would.
 func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 	opts = opts.withDefaults(data.Dim())
 	if data.Len() == 0 {
@@ -247,7 +249,7 @@ func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 		}
 		return buildTree(data, grid, store, path, opts)
 	}
-	scheme, err := categorize.Fit(opts.Kind, data.AllValues(), opts.Categories, opts.KMeansIters)
+	scheme, err := categorize.Fit(opts.Kind, data.AllValues(), opts.Categories, kMeansIters)
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting categorizer: %w", err)
 	}
@@ -258,20 +260,22 @@ func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 	return buildTree(data, scheme, store, path, opts)
 }
 
-// buildTree builds the disk tree over the texts of data under scheme.
+// buildTree builds the disk tree over the texts of data under scheme and
+// opens it.
 func buildTree(data *sequence.Dataset, scheme Scheme, store *suffixtree.TextStore, path string, opts Options) (*Index, error) {
 	seqs := make([]int, data.Len())
 	for i := range seqs {
 		seqs[i] = i
 	}
-	var buildStats disktree.BuildStats
-	opts.Build.Stats = &buildStats
-	tree, err := disktree.Build(store, seqs, path, opts.Build)
+	stats, err := disktree.Build(store, seqs, path, disktree.BuildOptions{Sparse: opts.Sparse, MinSuffixLen: opts.MinAnswerLen, Encoding: opts.Encoding})
 	if err != nil {
 		return nil, fmt.Errorf("core: building tree: %w", err)
 	}
-	ix := newIndex(data, scheme, store, tree, opts.Window)
-	ix.BuildStats = buildStats
+	ix, err := open(data, scheme, store, path, opts.PoolPages, opts.Window, opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	ix.BuildStats = stats
 	return ix, nil
 }
 
@@ -284,12 +288,18 @@ func Open(data *sequence.Dataset, scheme Scheme, treePath string, poolPages, win
 // OpenWith is Open with an explicit page-source backend for the tree file.
 // A scheme of another dimension than the data is refused with ErrDimension.
 func OpenWith(data *sequence.Dataset, scheme Scheme, treePath string, poolPages, window int, backend storage.Backend) (*Index, error) {
-	if poolPages <= 0 {
-		poolPages = 256
-	}
 	store, err := Encode(data, scheme)
 	if err != nil {
 		return nil, err
+	}
+	return open(data, scheme, store, treePath, poolPages, window, backend)
+}
+
+// open opens the tree file at treePath over the texts store already holds,
+// read-only through backend; poolPages <= 0 means 256.
+func open(data *sequence.Dataset, scheme Scheme, store *suffixtree.TextStore, treePath string, poolPages, window int, backend storage.Backend) (*Index, error) {
+	if poolPages <= 0 {
+		poolPages = 256
 	}
 	tree, err := disktree.OpenBackend(treePath, poolPages, true, backend)
 	if err != nil {

@@ -53,11 +53,10 @@ func BenchmarkBuild(b *testing.B) {
 				var sorting, writing time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					f, err := Build(in.ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{PoolPages: 64, Encoding: enc, Stats: &stats})
-					if err != nil {
+					var err error
+					if stats, err = Build(in.ts, seqs, filepath.Join(dir, "bench.twt"), BuildOptions{Encoding: enc}); err != nil {
 						b.Fatal(err)
 					}
-					f.Close()
 					sorting += stats.SortElapsed
 					writing += stats.WriteElapsed
 				}
@@ -77,7 +76,7 @@ func BenchmarkReadNode(b *testing.B) {
 	ts := benchStore(b, 16, 232, 12)
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		b.Run(enc.String(), func(b *testing.B) {
-			f, err := Build(ts, allSeqs(ts), filepath.Join(b.TempDir(), "rn.twt"), BuildOptions{PoolPages: 256, Encoding: enc})
+			f, _, err := buildOpen(ts, allSeqs(ts), filepath.Join(b.TempDir(), "rn.twt"), 256, BuildOptions{Encoding: enc})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,14 +24,9 @@ type BuildOptions struct {
 	// conclusion-section length filter for queries with a known minimum
 	// answer length.
 	MinSuffixLen int
-	// PoolPages bounds the returned file's buffer pool. Defaults to 256
-	// (1 MiB).
-	PoolPages int
 	// Encoding selects the record serialization (v2 compact varints by
 	// default; v1 fixed-width).
 	Encoding Encoding
-	// Stats, when non-nil, receives construction statistics.
-	Stats *BuildStats
 }
 
 // BuildStats describes one construction run and where its time went.
@@ -45,13 +40,6 @@ type BuildStats struct {
 	// is synced; Elapsed covers both, and is less than their sum by the
 	// overlap.
 	SortElapsed, WriteElapsed, Elapsed time.Duration
-}
-
-func (o BuildOptions) withDefaults() BuildOptions {
-	if o.PoolPages <= 0 {
-		o.PoolPages = 256
-	}
-	return o
 }
 
 // DuplicateSuffixError reports that two indexed suffixes spell the same
@@ -79,64 +67,48 @@ func (e *DuplicateSuffixError) Error() string {
 // the child tables of the nodes open on the current root-to-leaf path. The
 // file is written in a scratch directory next to outPath and renamed into
 // place, so a failed build leaves the directory as it found it. The bytes do
-// not depend on GOMAXPROCS.
-func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOptions) (*File, error) {
-	opts = opts.withDefaults()
+// not depend on GOMAXPROCS. Build opens nothing: readers open the finished
+// file with Open or OpenBackend.
+func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOptions) (BuildStats, error) {
 	scratch, err := os.MkdirTemp(filepath.Dir(outPath), ".twtree-build-*")
 	if err != nil {
-		return nil, err
+		return BuildStats{}, err
 	}
 	defer os.RemoveAll(scratch)
 	tmp := filepath.Join(scratch, "tree")
 	pf, err := storage.CreateFile(tmp)
 	if err != nil {
-		return nil, err
+		return BuildStats{}, err
 	}
-	f, err := buildOn(pf, store, seqs, opts)
-	if err != nil {
-		return nil, err
+	stats, err := buildOn(pf, store, seqs, opts)
+	if err == nil {
+		err = pf.Close()
 	}
-	// The handle is bound to the scratch path: close it, move the finished
-	// tree into place and reopen it there.
-	if err := f.Close(); err != nil {
-		return nil, err
+	if err == nil {
+		err = os.Rename(tmp, outPath)
 	}
-	if err := os.Rename(tmp, outPath); err != nil {
-		return nil, err
-	}
-	return Open(outPath, opts.PoolPages, false)
+	return stats, err
 }
 
-// BuildMem is Build onto an in-memory page file — an index with no
-// filesystem footprint, built by the same pass.
-func BuildMem(store *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File, error) {
-	pf, err := storage.CreateMemFile()
-	if err != nil {
-		return nil, err
-	}
-	return buildOn(pf, store, seqs, opts.withDefaults())
-}
-
-// buildOn builds onto the freshly created pf and returns the finished tree
-// open through a pool; on failure pf is closed.
-func buildOn(pf *storage.File, store *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File, error) {
+// buildOn builds onto the freshly created pf, which it leaves open after a
+// success and closes after a failure.
+func buildOn(pf *storage.File, store *suffixtree.TextStore, seqs []int, opts BuildOptions) (BuildStats, error) {
 	return buildWith(newTreeWriter(pf, meta{sparse: opts.Sparse, minSuffixLen: lengthFilter(opts.MinSuffixLen), enc: opts.Encoding}), store, seqs, opts)
 }
 
 // buildWith is buildOn through a writer the caller made. Every goroutine the
 // build starts has exited when it returns.
-func buildWith(w *treeWriter, store *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File, error) {
+func buildWith(w *treeWriter, store *suffixtree.TextStore, seqs []int, opts BuildOptions) (BuildStats, error) {
 	b := &builder{w: w, started: time.Now()}
 	b.flat, b.starts = store.Flat()
-	f, err := w.write(opts.PoolPages, func() (Ptr, error) { return b.run(seqs, opts.Sparse, opts.MinSuffixLen) })
-	if err == nil && opts.Stats != nil {
-		done := time.Now()
-		*opts.Stats = BuildStats{
-			Suffixes: len(b.sa), Nodes: int(w.meta.nodes),
-			SortElapsed: b.sorted.Sub(b.started), WriteElapsed: done.Sub(b.streaming), Elapsed: done.Sub(b.started),
-		}
+	if err := w.write(func() (Ptr, error) { return b.run(seqs, opts.Sparse, opts.MinSuffixLen) }); err != nil {
+		return BuildStats{}, err
 	}
-	return f, err
+	done := time.Now()
+	return BuildStats{
+		Suffixes: len(b.sa), Nodes: int(w.meta.nodes),
+		SortElapsed: b.sorted.Sub(b.started), WriteElapsed: done.Sub(b.streaming), Elapsed: done.Sub(b.started),
+	}, nil
 }
 
 // builder holds the suffix list the stages share: sa, the indexed suffix

@@ -38,10 +38,8 @@ func TestBuildEqualsReference(t *testing.T) {
 			for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 				name := fmt.Sprintf("alphabet=%d/%s/%s", alphabet, shape.name, enc)
 				out := filepath.Join(dir, "out.twt")
-				var stats BuildStats
-				f, err := Build(ts, allSeqs(ts), out, BuildOptions{
-					Sparse: shape.sparse, MinSuffixLen: shape.minLen, PoolPages: 1 + rng.Intn(8),
-					Encoding: enc, Stats: &stats,
+				f, stats, err := buildOpen(ts, allSeqs(ts), out, 1+rng.Intn(8), BuildOptions{
+					Sparse: shape.sparse, MinSuffixLen: shape.minLen, Encoding: enc,
 				})
 				if err != nil {
 					t.Fatalf("%s: Build: %v", name, err)
@@ -120,12 +118,11 @@ func TestBuildDeterministic(t *testing.T) {
 			for _, procs := range []int{1, 2, 4, 4} {
 				prev := runtime.GOMAXPROCS(procs)
 				path := filepath.Join(t.TempDir(), "det.twt")
-				f, err := Build(ts, allSeqs(ts), path, BuildOptions{PoolPages: 8, Encoding: enc})
+				_, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc})
 				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, enc, err)
 				}
-				f.Close()
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -137,7 +134,7 @@ func TestBuildDeterministic(t *testing.T) {
 				}
 			}
 		}
-		f, err := BuildMem(ts, allSeqs(ts), BuildOptions{})
+		f, err := buildMem(ts, allSeqs(ts), BuildOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -183,7 +180,7 @@ func TestBuildFailureLeavesNoScratch(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
 			before := runtime.NumGoroutine()
-			_, err := Build(c.ts, c.seqs, filepath.Join(dir, "fail.twt"), BuildOptions{PoolPages: 8})
+			_, err := Build(c.ts, c.seqs, filepath.Join(dir, "fail.twt"), BuildOptions{})
 			after := goroutinesAfter(before)
 			runtime.GOMAXPROCS(prev)
 			var dup *DuplicateSuffixError
@@ -207,8 +204,8 @@ func TestBuildFailureLeavesNoScratch(t *testing.T) {
 		}
 	}
 	var dup *DuplicateSuffixError
-	if _, err := BuildMem(ts, []int{2, 2}, BuildOptions{}); !errors.As(err, &dup) || dup.Seq != 2 {
-		t.Fatalf("BuildMem of {2, 2}: err = %v, want a DuplicateSuffixError on sequence 2", err)
+	if _, err := buildMem(ts, []int{2, 2}, BuildOptions{}); !errors.As(err, &dup) || dup.Seq != 2 {
+		t.Fatalf("in-memory build of {2, 2}: err = %v, want a DuplicateSuffixError on sequence 2", err)
 	}
 }
 
@@ -265,10 +262,10 @@ func TestWriteFailureSurfaces(t *testing.T) {
 		}
 		return pf
 	}
-	if _, err := createOn(readOnly(), suffixtree.BuildNaive(ts, []int{0}, false), 8, EncodingV1); err == nil {
+	if err := createOn(readOnly(), suffixtree.BuildNaive(ts, []int{0}, false), EncodingV1); err == nil {
 		t.Error("createOn onto a file that rejects appends succeeded")
 	}
-	if _, err := buildOn(readOnly(), ts, []int{0}, BuildOptions{PoolPages: 8}); err == nil {
+	if _, err := buildOn(readOnly(), ts, []int{0}, BuildOptions{}); err == nil {
 		t.Error("buildOn onto a file that rejects appends succeeded")
 	}
 
@@ -283,12 +280,12 @@ func TestWriteFailureSurfaces(t *testing.T) {
 		sink := &failingSink{pf: pf, failAt: failAt}
 		w.app.sink = sink
 		before := runtime.NumGoroutine()
-		f, err := buildWith(w, big, allSeqs(big), BuildOptions{PoolPages: 8})
+		_, err = buildWith(w, big, allSeqs(big), BuildOptions{})
 		if after := goroutinesAfter(before); after > before {
 			t.Errorf("chunk %d failing: %d goroutines after the build, %d before", failAt, after, before)
 		}
 		if err == nil {
-			f.Close()
+			pf.Close()
 		}
 		return sink, err
 	}
@@ -314,8 +311,7 @@ func TestWriteFailureSurfaces(t *testing.T) {
 func TestBuildStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(239))
 	ts := randomTexts(rng, 10, 20, 3)
-	var stats BuildStats
-	f, err := Build(ts, allSeqs(ts), filepath.Join(t.TempDir(), "st.twt"), BuildOptions{PoolPages: 8, Stats: &stats})
+	f, stats, err := buildOpen(ts, allSeqs(ts), filepath.Join(t.TempDir(), "st.twt"), 8, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func FuzzBuildVsNaive(f *testing.F) {
 			ts.Add(text)
 		}
 		want := suffixtree.BuildFiltered(ts, allSeqs(ts), sparse, int(minLen%8))
-		df, err := BuildMem(ts, allSeqs(ts), BuildOptions{Sparse: sparse, MinSuffixLen: int(minLen % 8), Encoding: EncodingV2})
+		df, err := buildMem(ts, allSeqs(ts), BuildOptions{Sparse: sparse, MinSuffixLen: int(minLen % 8), Encoding: EncodingV2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +376,7 @@ func TestBuildWideAlphabet(t *testing.T) {
 		}
 		ts.Add(text)
 	}
-	f, err := BuildMem(ts, allSeqs(ts), BuildOptions{})
+	f, err := buildMem(ts, allSeqs(ts), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
 
@@ -30,6 +31,30 @@ func allSeqs(ts *suffixtree.TextStore) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// buildOpen builds the tree at path and opens it read-only through a pool of
+// poolPages, as a reader would.
+func buildOpen(ts *suffixtree.TextStore, seqs []int, path string, poolPages int, opts BuildOptions) (*File, BuildStats, error) {
+	stats, err := Build(ts, seqs, path, opts)
+	if err != nil {
+		return nil, stats, err
+	}
+	f, err := Open(path, poolPages, true)
+	return f, stats, err
+}
+
+// buildMem builds the tree onto an in-memory page file and opens it through
+// a pool of 256 pages.
+func buildMem(ts *suffixtree.TextStore, seqs []int, opts BuildOptions) (*File, error) {
+	pf, err := storage.CreateMemFile()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := buildOn(pf, ts, seqs, opts); err != nil {
+		return nil, err
+	}
+	return open(pf, 256, storage.BackendPool)
 }
 
 func TestCreateOpenRoundTrip(t *testing.T) {
@@ -126,7 +151,7 @@ func TestBuildPipeline(t *testing.T) {
 	ts := randomTexts(rng, 13, 30, 3)
 	want := suffixtree.BuildNaive(ts, allSeqs(ts), false)
 	dir := t.TempDir()
-	f, err := Build(ts, allSeqs(ts), filepath.Join(dir, "final.twt"), BuildOptions{PoolPages: 16})
+	f, _, err := buildOpen(ts, allSeqs(ts), filepath.Join(dir, "final.twt"), 16, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +175,7 @@ func TestBuildPipeline(t *testing.T) {
 func TestBuildEmpty(t *testing.T) {
 	ts := suffixtree.NewTextStore()
 	out := filepath.Join(t.TempDir(), "empty.twt")
-	f, err := Build(ts, nil, out, BuildOptions{})
+	f, _, err := buildOpen(ts, nil, out, 8, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +258,13 @@ func TestValidateOK(t *testing.T) {
 		ts := randomTexts(rng, 2+rng.Intn(5), 30, 1+rng.Intn(4))
 		sparse := rng.Intn(2) == 0
 		out := filepath.Join(t.TempDir(), "v.twt")
-		f, err := Build(ts, allSeqs(ts), out, BuildOptions{PoolPages: 8})
+		f, _, err := buildOpen(ts, allSeqs(ts), out, 8, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sparse {
 			f.Close()
-			f, err = Build(ts, allSeqs(ts), filepath.Join(t.TempDir(), "vs.twt"), BuildOptions{Sparse: true})
+			f, _, err = buildOpen(ts, allSeqs(ts), filepath.Join(t.TempDir(), "vs.twt"), 256, BuildOptions{Sparse: true})
 			if err != nil {
 				t.Fatal(err)
 			}

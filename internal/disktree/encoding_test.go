@@ -231,21 +231,10 @@ func writeRecordFile(t *testing.T, raw []byte, enc Encoding) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off < len(raw); off += storage.PageSize {
-		id, err := pf.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		page := make([]byte, storage.PageSize)
-		copy(page, raw[off:])
-		if err := pf.WritePage(id, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(raw) == 0 {
-		if _, err := pf.Alloc(); err != nil {
-			t.Fatal(err)
-		}
+	pages := make([]byte, max(1, (len(raw)+storage.PageSize-1)/storage.PageSize)*storage.PageSize)
+	copy(pages, raw)
+	if _, err := pf.AppendPages(pages); err != nil {
+		t.Fatal(err)
 	}
 	pool, err := storage.NewPool(pf, 4)
 	if err != nil {

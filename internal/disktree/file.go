@@ -12,8 +12,9 @@ import (
 // read path (ReadNode, ReadNodeInto, any number of Readers) is
 // safe for any number of concurrent goroutines; one open File serves all
 // searches on an index.
-// Files come into being through a treeWriter, which appends pages straight
-// to the page file; sources only read.
+// A tree file is written once, by a treeWriter that appends pages straight
+// to the page file, and closed; readers then open it with Open or
+// OpenBackend. Sources only read.
 type File struct {
 	pf   *storage.File
 	src  storage.PageSource
@@ -21,7 +22,8 @@ type File struct {
 }
 
 // Create serializes an in-memory tree to path in the reference layout and
-// returns the open file. poolPages bounds the returned file's buffer pool.
+// returns it opened read-only. poolPages bounds the returned file's buffer
+// pool.
 func Create(path string, tree *suffixtree.Tree, poolPages int) (*File, error) {
 	return CreateEncoded(path, tree, poolPages, LayoutReference, EncodingV1)
 }
@@ -36,10 +38,18 @@ func CreateEncoded(path string, tree *suffixtree.Tree, poolPages int, layout Lay
 	if err != nil {
 		return nil, err
 	}
-	return createOn(pf, tree, poolPages, enc)
+	if err := createOn(pf, tree, enc); err != nil {
+		return nil, err
+	}
+	if err := pf.Close(); err != nil {
+		return nil, err
+	}
+	return Open(path, poolPages, true)
 }
 
-func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, enc Encoding) (*File, error) {
+// createOn writes tree onto the freshly created pf, which it leaves open
+// after a success and closes after a failure.
+func createOn(pf *storage.File, tree *suffixtree.Tree, enc Encoding) error {
 	w := newTreeWriter(pf, meta{sparse: tree.Sparse, minSuffixLen: lengthFilter(tree.MinSuffixLen), enc: enc})
 
 	// The write is post-order (children before parents): each recursion
@@ -69,7 +79,7 @@ func createOn(pf *storage.File, tree *suffixtree.Tree, poolPages int, enc Encodi
 		w.attach(tree.Store.Sym(int(n.LabelSeq), int(n.LabelStart)), ptr)
 		return ptr, nil
 	}
-	return w.write(poolPages, func() (Ptr, error) { return writeNode(tree.Root) })
+	return w.write(func() (Ptr, error) { return writeNode(tree.Root) })
 }
 
 // Open opens an existing tree file through the buffer pool.
@@ -85,6 +95,12 @@ func OpenBackend(path string, poolPages int, readOnly bool, backend storage.Back
 	if err != nil {
 		return nil, err
 	}
+	return open(pf, poolPages, backend)
+}
+
+// open reads pf's meta page and puts the chosen page source in front of
+// it; on failure pf is closed.
+func open(pf *storage.File, poolPages int, backend storage.Backend) (*File, error) {
 	blob, err := pf.Meta()
 	if err != nil {
 		pf.Close()

@@ -58,7 +58,7 @@ func TestReaderEqualsReadNode(t *testing.T) {
 	ts := wideStore(rng)
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		path := filepath.Join(t.TempDir(), "wide.twt")
-		built, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc})
+		built, _, err := buildOpen(ts, allSeqs(ts), path, 256, BuildOptions{Encoding: enc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +141,14 @@ func TestReaderTruncatedFile(t *testing.T) {
 	ts := wideStore(rand.New(rand.NewSource(1702)))
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		path := filepath.Join(t.TempDir(), "cut.twt")
-		built, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc})
+		if _, err := Build(ts, allSeqs(ts), path, BuildOptions{Encoding: enc}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := built.SizeBytes()
-		built.Close()
+		size := st.Size()
 		if err := os.Truncate(path, size-storage.PageSize); err != nil {
 			t.Fatal(err)
 		}

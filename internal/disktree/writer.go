@@ -164,11 +164,10 @@ func (w *treeWriter) attach(first Symbol, ptr Ptr) {
 
 // write runs records — which emits the tree's nodes through w and returns
 // the root's offset — beside the flusher goroutine, then persists the meta
-// blob naming the root, syncs, and returns the tree open through a pool of
-// poolPages. The flusher has exited when write returns, whatever failed. On
-// failure the page file is closed; removing it is up to whoever named its
-// path.
-func (w *treeWriter) write(poolPages int, records func() (Ptr, error)) (*File, error) {
+// blob naming the root and syncs. The flusher has exited when write
+// returns, whatever failed. On failure the page file is closed; removing it
+// is up to whoever named its path.
+func (w *treeWriter) write(records func() (Ptr, error)) error {
 	flushing := make(chan error, 1)
 	go func() { flushing <- w.app.flushLoop() }()
 	root, err := records()
@@ -187,17 +186,7 @@ func (w *treeWriter) write(poolPages int, records func() (Ptr, error)) (*File, e
 		err = w.pf.Sync()
 	}
 	if err != nil {
-		return nil, w.abort(err)
+		w.pf.Close()
 	}
-	pool, err := storage.NewPool(w.pf, poolPages)
-	if err != nil {
-		return nil, w.abort(err)
-	}
-	return &File{pf: w.pf, src: pool, meta: w.meta}, nil
-}
-
-// abort closes the half-written page file and returns err.
-func (w *treeWriter) abort(err error) error {
-	w.pf.Close()
 	return err
 }

@@ -108,7 +108,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		PanicPath,
 		ErrWrap,
-		FloatEq,
 		LockBalance,
 		GoLeak,
 		DeferInLoop,

@@ -63,7 +63,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"panicpath", PanicPath, 1},
 		{"errwrap", ErrWrap, 1},
-		{"floateq", FloatEq, 1},
 		{"lockbalance", LockBalance, 2},
 		{"goleak", GoLeak, 2},
 		{"deferinloop", DeferInLoop, 2},
@@ -158,7 +157,7 @@ func TestFixturesMatchRegistry(t *testing.T) {
 // kind no check reads is reported.
 func TestMalformedDirective(t *testing.T) {
 	loader := newTestLoader(t)
-	all := []*Analyzer{FloatEq}
+	all := []*Analyzer{ErrWrap}
 
 	bad := loadFixture(t, loader, "directive", "bad")
 	got := RunPackage(bad, all)
@@ -166,7 +165,7 @@ func TestMalformedDirective(t *testing.T) {
 	if len(dirs) != 2 || !strings.Contains(dirs[1].Message, "//twlint:steady-sate") {
 		t.Errorf("want the reasonless ignore and the unknown marker kind, got: %v", got)
 	}
-	if len(findingsOf(got, "floateq")) != 1 {
+	if len(findingsOf(got, "errwrap")) != 1 {
 		t.Errorf("reasonless directive must not suppress; got: %v", got)
 	}
 
@@ -180,14 +179,14 @@ func TestMalformedDirective(t *testing.T) {
 // Makefile and editors rely on.
 func TestFindingFormat(t *testing.T) {
 	loader := newTestLoader(t)
-	pkg := loadFixture(t, loader, "floateq", "bad")
-	got := RunPackage(pkg, []*Analyzer{FloatEq})
+	pkg := loadFixture(t, loader, "errwrap", "bad")
+	got := RunPackage(pkg, []*Analyzer{ErrWrap})
 	if len(got) != 1 {
 		t.Fatalf("want 1 finding, got %v", got)
 	}
 	s := got[0].String()
-	want := filepath.Join("floateq", "bad", "bad.go")
-	if !strings.Contains(s, want) || !strings.Contains(s, ": [floateq] ") {
+	want := filepath.Join("errwrap", "bad", "bad.go")
+	if !strings.Contains(s, want) || !strings.Contains(s, ": [errwrap] ") {
 		t.Errorf("finding %q does not match file:line: [check] message", s)
 	}
 	if got[0].Pos.Line == 0 {

@@ -2,10 +2,12 @@
 // reason is not an audited exception (and therefore suppresses nothing).
 package bad
 
-// SameDistance compares exactly, with a reasonless ignore.
-func SameDistance(a, b float64) bool {
-	//lint:ignore floateq
-	return a == b
+import "fmt"
+
+// Wrap flattens err, with a reasonless ignore.
+func Wrap(err error) error {
+	//lint:ignore errwrap
+	return fmt.Errorf("bad: %v", err)
 }
 
 // Step carries a misspelt marker kind, which no check reads, so it pins

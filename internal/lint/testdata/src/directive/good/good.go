@@ -1,10 +1,12 @@
 // Package good must pass the directive check: well-formed directives only.
 package good
 
-// SameDistance compares exactly under a fully documented exception.
-func SameDistance(a, b float64) bool {
-	//lint:ignore floateq fixture: exact comparison audited with a written reason
-	return a == b
+import "fmt"
+
+// Wrap flattens err under a fully documented exception.
+func Wrap(err error) error {
+	//lint:ignore errwrap fixture: the cause is flattened on purpose, with a written reason
+	return fmt.Errorf("good: %v", err)
 }
 
 // Step carries a marker of a kind a check reads.

@@ -55,7 +55,7 @@ func BenchmarkSearchTrajectory(b *testing.B) {
 	}
 	for _, enc := range []disktree.Encoding{disktree.EncodingV1, disktree.EncodingV2} {
 		b.Run(enc.String(), func(b *testing.B) {
-			ix, err := build(data, filepath.Join(b.TempDir(), "traj.twt"), core.Options{Categories: 12, Window: 3, Build: disktree.BuildOptions{Encoding: enc}})
+			ix, err := build(data, filepath.Join(b.TempDir(), "traj.twt"), core.Options{Categories: 12, Window: 3, Encoding: enc})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 // Package storage provides the disk substrate for the disk-based suffix
 // tree: a page-addressed file that writers extend sequentially, and an LRU
-// buffer pool with pin counting that readers share.
+// buffer pool with pin counting that readers share. A page file is written
+// once, front to back, and afterwards only read.
 //
 // The paper (Section 4.1) keeps the tree on disk so that searches run in
 // limited main memory; the buffer pool is what bounds that memory, and its
@@ -19,8 +20,8 @@ import (
 // PageSize is the fixed size of every page in bytes.
 const PageSize = 4096
 
-// PageID addresses a page within a File. Page 0 is the meta page and is
-// never handed out by Alloc.
+// PageID addresses a page within a File. Page 0 is the meta page; data
+// pages follow it.
 type PageID uint32
 
 // InvalidPage is the nil page reference.
@@ -87,34 +88,24 @@ func (m *memBacking) Close() error { return nil }
 // MemoryPath is the Path() of in-memory page files.
 const MemoryPath = ":memory:"
 
-// File is a page-addressed file. Reads (ReadPage, Meta, Copy) are safe for
-// concurrent use — they go through ReaderAt and atomic counters — so any
-// number of searches may share one File through a Pool. Mutations
-// (AppendPages, Alloc, WritePage, SetMeta) are single-writer: a build owns
-// the file exclusively while it writes.
+// File is a page-addressed file. Reads (ReadPage, Meta) are safe for
+// concurrent use — they go through ReaderAt and an atomic counter — so any
+// number of searches may share one File through a PageSource. Writes
+// (AppendPages, SetMeta) are single-writer: a build owns the file it
+// created until it closes it. A file opened read-only holds a read-only
+// descriptor, so the OS refuses its writes.
 type File struct {
 	f        backing
 	path     string
 	numPages PageID
-	readOnly bool
 
-	// pagesRead and pagesWritten count physical page transfers. They are
-	// typed atomics, not raw integers behind sync/atomic calls, so every
-	// access is atomic by construction.
-	pagesRead, pagesWritten atomic.Uint64
+	// pagesRead counts physical page reads.
+	pagesRead atomic.Uint64
 }
 
 // CreateMemFile creates a page file backed by process memory — no
-// filesystem involved. Useful for ephemeral indexes and tests.
-func CreateMemFile() (*File, error) {
-	pf := &File{f: &memBacking{}, path: MemoryPath, numPages: 1}
-	meta := make([]byte, PageSize)
-	copy(meta, fileMagic)
-	if _, err := pf.f.WriteAt(meta, 0); err != nil {
-		return nil, err
-	}
-	return pf, nil
-}
+// filesystem involved. Tests and fuzz targets build on it.
+func CreateMemFile() (*File, error) { return newFile(&memBacking{}, MemoryPath) }
 
 // CreateFile creates (or truncates) a page file with an empty meta page.
 func CreateFile(path string) (*File, error) {
@@ -122,17 +113,22 @@ func CreateFile(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	pf := &File{f: f, path: path, numPages: 1}
-	meta := make([]byte, PageSize)
-	copy(meta, fileMagic)
-	if _, err := f.WriteAt(meta, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: writing meta page: %w", err)
+	return newFile(f, path)
+}
+
+// newFile starts a page file on b: an empty meta page and nothing after it.
+func newFile(b backing, path string) (*File, error) {
+	pf := &File{f: b, path: path, numPages: 1}
+	if err := pf.SetMeta(nil); err != nil {
+		b.Close()
+		return nil, err
 	}
 	return pf, nil
 }
 
-// OpenFile opens an existing page file, verifying its magic.
+// OpenFile opens an existing page file, verifying its magic. A read-only
+// open holds a read-only descriptor; readers open files that way, and a
+// read-write open is for tests that patch a written file in place.
 func OpenFile(path string, readOnly bool) (*File, error) {
 	flag := os.O_RDWR
 	if readOnly {
@@ -160,12 +156,7 @@ func OpenFile(path string, readOnly bool) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s: bad magic", path)
 	}
-	return &File{
-		f:        f,
-		path:     path,
-		numPages: PageID(st.Size() / PageSize),
-		readOnly: readOnly,
-	}, nil
+	return &File{f: f, path: path, numPages: PageID(st.Size() / PageSize)}, nil
 }
 
 // Path returns the file's path.
@@ -180,32 +171,10 @@ func (pf *File) SizeBytes() int64 { return int64(pf.numPages) * PageSize }
 // PagesRead returns the number of physical page reads since open.
 func (pf *File) PagesRead() uint64 { return pf.pagesRead.Load() }
 
-// PagesWritten returns the number of physical page writes since open.
-func (pf *File) PagesWritten() uint64 { return pf.pagesWritten.Load() }
-
-// Alloc extends the file by one zeroed page and returns its id.
-func (pf *File) Alloc() (PageID, error) {
-	if pf.readOnly {
-		return InvalidPage, errors.New("storage: Alloc on read-only file")
-	}
-	id := pf.numPages
-	zero := make([]byte, PageSize)
-	if _, err := pf.f.WriteAt(zero, int64(id)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("storage: extending to page %d: %w", id, err)
-	}
-	pf.numPages++
-	pf.pagesWritten.Add(1)
-	return id, nil
-}
-
 // AppendPages extends the file by len(buf)/PageSize pages holding buf (a
-// whole number of pages) and returns the id of the first. It is the
-// sequential writers' path: each page reaches the backing exactly once,
-// where Alloc plus WritePage touch it twice.
+// whole number of pages) and returns the id of the first: each page
+// reaches the backing exactly once, in order.
 func (pf *File) AppendPages(buf []byte) (PageID, error) {
-	if pf.readOnly {
-		return InvalidPage, errors.New("storage: AppendPages on read-only file")
-	}
 	if len(buf)%PageSize != 0 {
 		return InvalidPage, fmt.Errorf("storage: AppendPages buffer is %d bytes", len(buf))
 	}
@@ -213,9 +182,7 @@ func (pf *File) AppendPages(buf []byte) (PageID, error) {
 	if _, err := pf.f.WriteAt(buf, int64(id)*PageSize); err != nil {
 		return InvalidPage, fmt.Errorf("storage: appending at page %d: %w", id, err)
 	}
-	n := len(buf) / PageSize
-	pf.numPages += PageID(n)
-	pf.pagesWritten.Add(uint64(n))
+	pf.numPages += PageID(len(buf) / PageSize)
 	return id, nil
 }
 
@@ -239,31 +206,9 @@ func (pf *File) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// WritePage stores buf (PageSize bytes) as page id. The page must have been
-// allocated already.
-func (pf *File) WritePage(id PageID, buf []byte) error {
-	if pf.readOnly {
-		return errors.New("storage: WritePage on read-only file")
-	}
-	if len(buf) != PageSize {
-		return fmt.Errorf("storage: WritePage buffer is %d bytes", len(buf))
-	}
-	if id >= pf.numPages {
-		return fmt.Errorf("storage: WritePage %d beyond end (%d pages)", id, pf.numPages)
-	}
-	if _, err := pf.f.WriteAt(buf, int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: writing page %d: %w", id, err)
-	}
-	pf.pagesWritten.Add(1)
-	return nil
-}
-
 // SetMeta stores an application blob in the meta page. The blob must fit in
 // one page after the magic and length prefix (about 4 KiB).
 func (pf *File) SetMeta(blob []byte) error {
-	if pf.readOnly {
-		return errors.New("storage: SetMeta on read-only file")
-	}
 	if len(blob) > metaCapSize {
 		return fmt.Errorf("storage: meta blob %d bytes exceeds %d", len(blob), metaCapSize)
 	}
@@ -274,7 +219,6 @@ func (pf *File) SetMeta(blob []byte) error {
 	if _, err := pf.f.WriteAt(page, 0); err != nil {
 		return fmt.Errorf("storage: writing meta page: %w", err)
 	}
-	pf.pagesWritten.Add(1)
 	return nil
 }
 
@@ -295,18 +239,7 @@ func (pf *File) Meta() ([]byte, error) {
 }
 
 // Sync flushes the file to stable storage.
-func (pf *File) Sync() error {
-	if pf.readOnly {
-		return nil
-	}
-	return pf.f.Sync()
-}
+func (pf *File) Sync() error { return pf.f.Sync() }
 
 // Close closes the underlying file.
 func (pf *File) Close() error { return pf.f.Close() }
-
-// Copy duplicates the whole page file to w (used to snapshot indexes).
-func (pf *File) Copy(w io.Writer) error {
-	_, err := io.Copy(w, io.NewSectionReader(pf.f, 0, pf.SizeBytes()))
-	return err
-}

@@ -21,15 +21,11 @@ func sourceFixture(t *testing.T, pages int) (*File, [][]byte) {
 	}
 	var want [][]byte
 	for i := 0; i < pages; i++ {
-		id, err := pf.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
 		page := make([]byte, PageSize)
 		for j := range page {
 			page[j] = byte(i*31 + j)
 		}
-		if err := pf.WritePage(id, page); err != nil {
+		if _, err := pf.AppendPages(page); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, page)
@@ -101,9 +97,7 @@ func TestNewSourceSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := mem.Alloc(); err != nil {
-		t.Fatal(err)
-	}
+	fillPages(t, mem, 1)
 
 	src, err := NewSource(mem, BackendMmap, 4)
 	if err != nil {

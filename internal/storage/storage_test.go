@@ -33,17 +33,14 @@ func TestFileCreateOpen(t *testing.T) {
 	if pf.NumPages() != 1 {
 		t.Fatalf("new file has %d pages, want 1 (meta)", pf.NumPages())
 	}
-	id, err := pf.Alloc()
+	buf := make([]byte, PageSize)
+	copy(buf, "hello pages")
+	id, err := pf.AppendPages(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 1 {
-		t.Fatalf("first alloc = %d, want 1", id)
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, "hello pages")
-	if err := pf.WritePage(id, buf); err != nil {
-		t.Fatal(err)
+		t.Fatalf("first appended page = %d, want 1", id)
 	}
 	if err := pf.Close(); err != nil {
 		t.Fatal(err)
@@ -72,9 +69,6 @@ func TestFileBoundsAndModes(t *testing.T) {
 	if err := pf.ReadPage(99, buf); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	if err := pf.WritePage(99, buf); err == nil {
-		t.Error("out-of-range write accepted")
-	}
 	if err := pf.ReadPage(0, make([]byte, 10)); err == nil {
 		t.Error("short buffer accepted")
 	}
@@ -90,9 +84,6 @@ func TestFileBoundsAndModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if _, err := ro.Alloc(); err == nil {
-		t.Error("Alloc on read-only file accepted")
-	}
 	if err := ro.SetMeta([]byte("x")); err == nil {
 		t.Error("SetMeta on read-only file accepted")
 	}
@@ -199,8 +190,8 @@ func fillPages(t testing.TB, pf *File, n int) []PageID {
 func TestAppendPages(t *testing.T) {
 	pf := tempFile(t)
 	ids := fillPages(t, pf, 3)
-	if ids[0] != 1 || pf.NumPages() != 4 || pf.PagesWritten() != 3 {
-		t.Fatalf("first id %d, %d pages, %d written; want 1, 4, 3", ids[0], pf.NumPages(), pf.PagesWritten())
+	if ids[0] != 1 || pf.NumPages() != 4 {
+		t.Fatalf("first id %d, %d pages; want 1, 4", ids[0], pf.NumPages())
 	}
 	buf := make([]byte, PageSize)
 	if err := pf.ReadPage(ids[2], buf); err != nil || buf[0] != 2 {
@@ -215,8 +206,8 @@ func TestAppendPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if _, err := ro.AppendPages(buf); err == nil {
-		t.Error("AppendPages on a read-only file succeeded")
+	if _, err := ro.AppendPages(buf); err == nil || ro.NumPages() != 4 {
+		t.Errorf("AppendPages on a read-only file: err %v, %d pages; want an error and 4 pages", err, ro.NumPages())
 	}
 }
 
@@ -458,29 +449,6 @@ func mustCreate(t *testing.T) *File {
 	return pf
 }
 
-func TestFileCopy(t *testing.T) {
-	pf := tempFile(t)
-	id, err := pf.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, "copy me")
-	if err := pf.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := pf.Copy(&out); err != nil {
-		t.Fatal(err)
-	}
-	if int64(out.Len()) != pf.SizeBytes() {
-		t.Fatalf("copied %d bytes, want %d", out.Len(), pf.SizeBytes())
-	}
-	if !bytes.Contains(out.Bytes(), []byte("copy me")) {
-		t.Fatal("copy lost page content")
-	}
-}
-
 func TestFileSyncAndPath(t *testing.T) {
 	pf := tempFile(t)
 	if err := pf.Sync(); err != nil {
@@ -489,7 +457,7 @@ func TestFileSyncAndPath(t *testing.T) {
 	if pf.Path() == "" {
 		t.Fatal("empty path")
 	}
-	// Read-only sync is a no-op, not an error.
+	// Syncing a read-only file is not an error.
 	path := filepath.Join(t.TempDir(), "ro.bin")
 	w, err := CreateFile(path)
 	if err != nil {
@@ -504,19 +472,14 @@ func TestFileSyncAndPath(t *testing.T) {
 	if err := ro.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ro.WritePage(0, make([]byte, PageSize)); err == nil {
-		t.Fatal("read-only write accepted")
-	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	pf := tempFile(t)
-	id, _ := pf.Alloc()
-	buf := make([]byte, PageSize)
-	pf.WritePage(id, buf)
-	pf.ReadPage(id, buf)
-	if pf.PagesWritten() < 2 || pf.PagesRead() < 1 {
-		t.Fatalf("counters: wrote %d read %d", pf.PagesWritten(), pf.PagesRead())
+	ids := fillPages(t, pf, 1)
+	pf.ReadPage(ids[0], make([]byte, PageSize))
+	if pf.PagesRead() != 1 {
+		t.Fatalf("counters: read %d, want 1", pf.PagesRead())
 	}
 }
 
@@ -524,19 +487,7 @@ func TestStatsCounters(t *testing.T) {
 func TestPoolSharding(t *testing.T) {
 	pf := tempFile(t)
 	const pages = 40
-	ids := make([]PageID, pages)
-	buf := make([]byte, PageSize)
-	for i := range ids {
-		id, err := pf.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = byte(i)
-		if err := pf.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
+	ids := fillPages(t, pf, pages)
 	pool, err := NewPool(pf, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -585,19 +536,7 @@ func TestPoolSharding(t *testing.T) {
 func TestPoolConcurrentReaders(t *testing.T) {
 	pf := tempFile(t)
 	const pages = 64
-	ids := make([]PageID, pages)
-	buf := make([]byte, PageSize)
-	for i := range ids {
-		id, err := pf.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = byte(i + 1)
-		if err := pf.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
+	ids := fillPages(t, pf, pages)
 	pool, err := NewPool(pf, 16) // quarter of the pages: constant eviction
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +555,7 @@ func TestPoolConcurrentReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				if fr.Data()[0] != byte(id) {
+				if fr.Data()[0] != byte(id-1) {
 					errs <- fmt.Errorf("page %d holds %d", id, fr.Data()[0])
 					pool.Release(fr)
 					return

@@ -150,6 +150,59 @@ func TestBackendByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBackendServesBuiltIndex: a database opened with mmap reads an index it
+// has just built through mmap, not through a buffer pool until it is
+// reopened — one unstriped stats entry, nothing pinned even while a search
+// is delivering answers — and answers as a pool-backed database does.
+func TestBackendServesBuiltIndex(t *testing.T) {
+	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 8, Sparse: true}
+	pool := newTestDB(t, 8, 60, 43)
+	if err := pool.BuildIndex("ix", spec); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTestDB(t, 8, 60, 43)
+	fresh.Close()
+	mm, err := OpenWith(fresh.Dir(), OpenOptions{Backend: BackendMmap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mm.Close()
+	if err := mm.BuildIndex("ix", spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := mm.PoolStats(); len(st) != 1 || len(st[0].Shards) != 1 {
+		t.Fatalf("the built index reports %+v, want one index read through one mmap source", st)
+	}
+	q := mm.Values("seq-3")[10:28]
+	tree := mm.parts[0].indexes["ix"].ix.Tree
+	pinned, visited := 0, 0
+	if _, err := searchVisit(mm, "ix", q, 12, func(Match) bool {
+		pinned = max(pinned, tree.PinnedPages())
+		visited++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if pinned != 0 || tree.PinnedPages() != 0 {
+		t.Errorf("%d pages pinned during the search, %d after it; want none through mmap", pinned, tree.PinnedPages())
+	}
+	want, _, err := search(pool, "ix", q, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := search(mm, "ix", q, 12)
+	if err != nil || len(want) == 0 || visited != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("mmap answers %v (%d visited, %v), pool answers %v", got, visited, err, want)
+	}
+	wantKNN, _, err := searchKNN(pool, "ix", q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotKNN, _, err := searchKNN(mm, "ix", q, 4); err != nil || !reflect.DeepEqual(gotKNN, wantKNN) {
+		t.Fatalf("mmap k-NN %v (%v), pool k-NN %v", gotKNN, err, wantKNN)
+	}
+}
+
 // TestOpenWithRestoresEncoding checks that reopening a database reports each
 // index's persisted encoding rather than the zero value.
 func TestOpenWithRestoresEncoding(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -310,11 +311,15 @@ func sortMatches(ms []seqdb.Match) {
 
 // SearchKNNWith returns the k nearest subsequences; order mirrors the
 // in-process SearchKNNWith (position order). See SearchVisitWith for opts.
-// A non-positive k is refused here, with the engine's wording: the wire
-// carries k as a uint32, where a negative count would read as billions.
+// A non-positive k is refused here, with the engine's wording, and so is a
+// k above math.MaxInt32: the wire carries k as a uint32, where a negative
+// count would read as billions and a larger one would wrap.
 func (c *Client) SearchKNNWith(ctx context.Context, db, index string, q []float64, k int, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
 	if k <= 0 {
 		return nil, seqdb.SearchStats{}, errors.New("client: k must be positive")
+	}
+	if k > math.MaxInt32 {
+		return nil, seqdb.SearchStats{}, fmt.Errorf("client: k = %d, and the wire carries at most %d", k, math.MaxInt32)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -175,7 +175,9 @@ func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 		Sparse:       spec.Sparse,
 		Window:       spec.Window,
 		MinAnswerLen: spec.MinAnswerLen,
-		Build:        disktree.BuildOptions{PoolPages: spec.PoolPages, Encoding: spec.Encoding},
+		Encoding:     spec.Encoding,
+		PoolPages:    spec.PoolPages,
+		Backend:      p.backend,
 	})
 	if err != nil {
 		return err

@@ -369,29 +369,12 @@ type reqResult struct {
 	err     error
 }
 
-// handleRequest dispatches one frame, flushes the response, and records
-// the outcome. mw is the connection's match-stream writer over bw. The
-// returned error is connection-fatal.
+// handleRequest answers one frame, flushes the response, and records the
+// outcome. mw is the connection's match-stream writer over bw. The returned
+// error is connection-fatal.
 func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) error {
 	started := time.Now()
-	var res reqResult
-	var ioErr error
-	switch t {
-	case wire.TSearch:
-		res, ioErr = s.handleSearch(conn, bw, mw, body)
-	case wire.TKNN:
-		res, ioErr = s.handleKNN(conn, bw, mw, body)
-	case wire.TScan:
-		res, ioErr = s.handleScan(conn, bw, mw, body)
-	case wire.TStats:
-		res, ioErr = s.handleStats(bw, body)
-	case wire.TListIndexes:
-		res, ioErr = s.handleListIndexes(bw, body)
-	default:
-		res.op = fmt.Sprintf("frame-%#x", t)
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("unknown frame type %#x", t)}
-		ioErr = writeError(bw, res.err)
-	}
+	res, ioErr := s.serve(conn, bw, mw, t, body)
 	if ioErr == nil {
 		ioErr = bw.Flush()
 	}
@@ -400,6 +383,68 @@ func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWr
 	s.logf("access remote=%s op=%s db=%q index=%q dur=%v matches=%d err=%v",
 		conn.RemoteAddr(), res.op, res.db, res.index, dur.Round(time.Microsecond), res.matches, res.err)
 	return ioErr
+}
+
+// serve answers one frame the same way whatever it asks: decode it (a bad
+// request on failure) and find its database. A stats or list-indexes
+// request then gets its one response frame. A search-shaped one is
+// admitted, runs under its request context, and streams its answers to the
+// client through one visitor, ending with a done or an error frame. The
+// returned error is connection-fatal; res.err is the request's own outcome,
+// already reported to the client.
+func (s *Server) serve(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) (res reqResult, ioErr error) {
+	req, err := decodeRequest(t, body)
+	res.op = req.op
+	if err != nil {
+		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
+		return res, writeError(bw, res.err)
+	}
+	res.db, res.index = req.db, req.index
+	db, err := s.lookupDB(req.db)
+	if err != nil {
+		res.err = err
+		return res, writeError(bw, err)
+	}
+	if req.search == nil {
+		typ, resp, err := req.reply(db)
+		if err != nil {
+			res.err = classify(err)
+			return res, writeError(bw, res.err)
+		}
+		return res, wire.WriteFrame(bw, typ, resp)
+	}
+	release, ok := s.admit()
+	if !ok {
+		res.err = wire.ErrOverloaded
+		return res, writeError(bw, res.err)
+	}
+	defer release()
+	if s.testHookAdmitted != nil {
+		s.testHookAdmitted()
+	}
+	ctx, cleanup := s.requestCtx(conn, req.timeout)
+	defer cleanup()
+
+	mw.Start()
+	stats, searchErr := req.search(ctx, db, func(m seqdb.Match) bool {
+		wm := wire.Match(m)
+		ioErr = mw.Add(&wm)
+		return ioErr == nil
+	})
+	res.stats, res.counted = stats, true
+	if ioErr == nil {
+		ioErr = mw.Flush()
+	}
+	res.matches = mw.Sent()
+	if ioErr != nil {
+		return res, ioErr
+	}
+	if searchErr != nil {
+		res.err = classify(searchErr)
+		return res, writeError(bw, res.err)
+	}
+	done := wire.Done{Stats: stats}
+	return res, wire.WriteFrame(bw, wire.TDone, done.Encode(nil))
 }
 
 // writeError reports a request-level failure to the client.
@@ -437,165 +482,68 @@ func (s *Server) requestCtx(conn net.Conn, hint time.Duration) (context.Context,
 	}
 }
 
-func (s *Server) handleSearch(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
-	res := reqResult{op: "search"}
-	req, err := wire.DecodeSearchReq(body)
-	if err != nil {
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
-		return res, writeError(bw, res.err)
-	}
-	res.db, res.index = req.DB, req.Index
-	db, err := s.lookupDB(req.DB)
-	if err != nil {
-		res.err = err
-		return res, writeError(bw, err)
-	}
-	release, ok := s.admit()
-	if !ok {
-		res.err = wire.ErrOverloaded
-		return res, writeError(bw, res.err)
-	}
-	defer release()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-	ctx, cleanup := s.requestCtx(conn, req.Timeout)
-	defer cleanup()
+// searchFunc runs a search-shaped request on db, handing each answer to
+// visit in the order the wire carries them until visit declines one.
+type searchFunc func(ctx context.Context, db *seqdb.DB, visit func(seqdb.Match) bool) (seqdb.SearchStats, error)
 
-	var ioErr error
-	mw.Start()
-	stats, searchErr := db.SearchVisitWith(ctx, req.Index, req.Query, req.Eps, func(m seqdb.Match) bool {
-		ioErr = addMatch(mw, m)
-		return ioErr == nil
-	}, seqdb.SearchOptions{})
-	res.stats, res.counted = stats, true
-	if ioErr == nil {
-		ioErr = mw.Flush()
-	}
-	res.matches = mw.Sent()
-	if ioErr != nil {
-		return res, ioErr
-	}
-	if searchErr != nil {
-		res.err = classify(searchErr)
-		return res, writeError(bw, res.err)
-	}
-	return res, writeDone(bw, stats)
+// request is one decoded frame: the names the access log and the metrics
+// know it by, and what serving it takes — search for a search-shaped
+// request, reply (the response frame, or the error to report) for the
+// others.
+type request struct {
+	op, db, index string
+	timeout       time.Duration
+	search        searchFunc
+	reply         func(db *seqdb.DB) (t byte, body []byte, err error)
 }
 
-func (s *Server) handleKNN(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
-	res := reqResult{op: "knn"}
-	req, err := wire.DecodeKNNReq(body)
-	if err != nil {
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
-		return res, writeError(bw, res.err)
+// decodeRequest parses a frame of type t.
+func decodeRequest(t byte, body []byte) (request, error) {
+	switch t {
+	case wire.TSearch:
+		m, err := wire.DecodeSearchReq(body)
+		return request{op: "search", db: m.DB, index: m.Index, timeout: m.Timeout,
+			search: func(ctx context.Context, db *seqdb.DB, visit func(seqdb.Match) bool) (seqdb.SearchStats, error) {
+				return db.SearchVisitWith(ctx, m.Index, m.Query, m.Eps, visit, seqdb.SearchOptions{})
+			}}, err
+	case wire.TKNN:
+		m, err := wire.DecodeKNNReq(body)
+		return request{op: "knn", db: m.DB, index: m.Index, timeout: m.Timeout,
+			search: sorted(func(ctx context.Context, db *seqdb.DB) ([]seqdb.Match, seqdb.SearchStats, error) {
+				return db.SearchKNNWith(ctx, m.Index, m.Query, m.K, seqdb.SearchOptions{})
+			})}, err
+	case wire.TScan:
+		m, err := wire.DecodeScanReq(body)
+		return request{op: "scan", db: m.DB, timeout: m.Timeout,
+			search: sorted(func(ctx context.Context, db *seqdb.DB) ([]seqdb.Match, seqdb.SearchStats, error) {
+				return db.SeqScanCtx(ctx, m.Query, m.Eps)
+			})}, err
+	case wire.TStats:
+		m, err := wire.DecodeStatsReq(body)
+		return request{op: "stats", db: m.DB, reply: statsResp}, err
+	case wire.TListIndexes:
+		m, err := wire.DecodeListIndexesReq(body)
+		return request{op: "list-indexes", db: m.DB, reply: indexesResp}, err
 	}
-	res.db, res.index = req.DB, req.Index
-	db, err := s.lookupDB(req.DB)
-	if err != nil {
-		res.err = err
-		return res, writeError(bw, err)
-	}
-	release, ok := s.admit()
-	if !ok {
-		res.err = wire.ErrOverloaded
-		return res, writeError(bw, res.err)
-	}
-	defer release()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-	ctx, cleanup := s.requestCtx(conn, req.Timeout)
-	defer cleanup()
-
-	ms, stats, err := db.SearchKNNWith(ctx, req.Index, req.Query, req.K, seqdb.SearchOptions{})
-	res.stats, res.counted = stats, true
-	if err != nil {
-		res.err = classify(err)
-		return res, writeError(bw, res.err)
-	}
-	return streamMatches(bw, mw, res, ms, stats)
+	return request{op: fmt.Sprintf("frame-%#x", t)}, fmt.Errorf("unknown frame type %#x", t)
 }
 
-func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, body []byte) (reqResult, error) {
-	res := reqResult{op: "scan"}
-	req, err := wire.DecodeScanReq(body)
-	if err != nil {
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
-		return res, writeError(bw, res.err)
-	}
-	res.db = req.DB
-	db, err := s.lookupDB(req.DB)
-	if err != nil {
-		res.err = err
-		return res, writeError(bw, err)
-	}
-	release, ok := s.admit()
-	if !ok {
-		res.err = wire.ErrOverloaded
-		return res, writeError(bw, res.err)
-	}
-	defer release()
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted()
-	}
-	ctx, cleanup := s.requestCtx(conn, req.Timeout)
-	defer cleanup()
-
-	ms, stats, err := db.SeqScanCtx(ctx, req.Query, req.Eps)
-	res.stats, res.counted = stats, true
-	if err != nil {
-		res.err = classify(err)
-		return res, writeError(bw, res.err)
-	}
-	return streamMatches(bw, mw, res, ms, stats)
-}
-
-// streamMatches writes a materialized answer set as the same match-frame
-// stream a visitor search produces, then the done frame.
-func streamMatches(bw *bufio.Writer, mw *wire.MatchWriter, res reqResult, ms []seqdb.Match, stats seqdb.SearchStats) (reqResult, error) {
-	mw.Start()
-	var err error
-	for _, m := range ms {
-		if err = addMatch(mw, m); err != nil {
-			break
+// sorted is the searchFunc of a search that returns its whole answer set,
+// sorted: a failed one visits nothing.
+func sorted(run func(ctx context.Context, db *seqdb.DB) ([]seqdb.Match, seqdb.SearchStats, error)) searchFunc {
+	return func(ctx context.Context, db *seqdb.DB, visit func(seqdb.Match) bool) (seqdb.SearchStats, error) {
+		ms, stats, err := run(ctx, db)
+		for _, m := range ms {
+			if err != nil || !visit(m) {
+				break
+			}
 		}
+		return stats, err
 	}
-	if err == nil {
-		err = mw.Flush()
-	}
-	res.matches = mw.Sent()
-	if err != nil {
-		return res, err
-	}
-	return res, writeDone(bw, stats)
 }
 
-// addMatch appends one answer to the stream's pending batch.
-func addMatch(mw *wire.MatchWriter, m seqdb.Match) error {
-	wm := wire.Match{SeqID: m.SeqID, Seq: m.Seq, Start: m.Start, End: m.End, Distance: m.Distance}
-	return mw.Add(&wm)
-}
-
-// writeDone ends a match stream with the search's work counters.
-func writeDone(bw *bufio.Writer, stats seqdb.SearchStats) error {
-	done := wire.Done{Stats: stats}
-	return wire.WriteFrame(bw, wire.TDone, done.Encode(nil))
-}
-
-func (s *Server) handleStats(bw *bufio.Writer, body []byte) (reqResult, error) {
-	res := reqResult{op: "stats"}
-	req, err := wire.DecodeStatsReq(body)
-	if err != nil {
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
-		return res, writeError(bw, res.err)
-	}
-	res.db = req.DB
-	db, err := s.lookupDB(req.DB)
-	if err != nil {
-		res.err = err
-		return res, writeError(bw, err)
-	}
+// statsResp is the TStatsResp frame of db's counters.
+func statsResp(db *seqdb.DB) (byte, []byte, error) {
 	resp := wire.StatsResp{Stats: db.Stats()}
 	for _, p := range db.PoolStats() {
 		info := wire.PoolInfo{Index: p.Index, Shards: make([]wire.PoolShard, len(p.Shards))}
@@ -604,30 +552,18 @@ func (s *Server) handleStats(bw *bufio.Writer, body []byte) (reqResult, error) {
 		}
 		resp.Pools = append(resp.Pools, info)
 	}
-	return res, wire.WriteFrame(bw, wire.TStatsResp, resp.Encode(nil))
+	return wire.TStatsResp, resp.Encode(nil), nil
 }
 
-func (s *Server) handleListIndexes(bw *bufio.Writer, body []byte) (reqResult, error) {
-	res := reqResult{op: "list-indexes"}
-	req, err := wire.DecodeListIndexesReq(body)
-	if err != nil {
-		res.err = &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
-		return res, writeError(bw, res.err)
-	}
-	res.db = req.DB
-	db, err := s.lookupDB(req.DB)
-	if err != nil {
-		res.err = err
-		return res, writeError(bw, err)
-	}
+// indexesResp is the TIndexes frame listing db's indexes by name.
+func indexesResp(db *seqdb.DB) (byte, []byte, error) {
 	names := db.Indexes()
 	sort.Strings(names)
 	var resp wire.IndexesResp
 	for _, name := range names {
 		info, err := db.Index(name)
 		if err != nil {
-			res.err = classify(err)
-			return res, writeError(bw, res.err)
+			return 0, nil, err
 		}
 		resp.Indexes = append(resp.Indexes, wire.IndexInfo{
 			Name:         info.Name,
@@ -641,7 +577,7 @@ func (s *Server) handleListIndexes(bw *bufio.Writer, body []byte) (reqResult, er
 			Nodes:        info.Nodes,
 		})
 	}
-	return res, wire.WriteFrame(bw, wire.TIndexes, resp.Encode(nil))
+	return wire.TIndexes, resp.Encode(nil), nil
 }
 
 // classify folds a search error into its wire shape: lookup failures are

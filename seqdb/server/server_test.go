@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -407,6 +408,37 @@ func TestServerKNNRejectsBadK(t *testing.T) {
 	we, err := wire.DecodeError(body)
 	if err != nil || we.Code != wire.CodeBadRequest {
 		t.Fatalf("k=0xFFFFFFFF error = %v (%v), want bad-request", we, err)
+	}
+}
+
+// TestServerKNNRefusesKAboveInt32: a k the wire's uint32 cannot carry is
+// refused before it is sent, where it would wrap — 2³² + 3 into a search
+// for 3 neighbors, 2³² into a misleading k = 0 — and no request reaches the
+// server.
+func TestServerKNNRefusesKAboveInt32(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int is 32 bits: no k above math.MaxInt32")
+	}
+	leakCheck(t)
+	db := newTestDB(t)
+	s := New(Config{})
+	if err := s.AddDB("main", db); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := testQuery(db, "seq-00", 0, 10)
+	for _, k := range []int64{math.MaxInt32 + 1, 1 << 32, 1<<32 + 3} {
+		ms, _, err := c.SearchKNNWith(context.Background(), "main", "fast", q, int(k), seqdb.SearchOptions{})
+		if err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+			t.Errorf("k=%d: %d answers, err = %v; want the client to refuse it", k, len(ms), err)
+		}
+	}
+	if m := s.Metrics(); m.Requests != 0 {
+		t.Fatalf("a k above math.MaxInt32 reached the server: %d requests", m.Requests)
 	}
 }
 
