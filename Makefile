@@ -75,12 +75,15 @@ race-concurrency:
 # {1,2,3,5}, range searches, streamed visits, k-NN and scans must return
 # answers byte-identical to the unsharded database — in process and through
 # a sharded twsearchd mount, and for a database of dimension 2 split into
-# two shards — and a flat directory must answer as its 1-shard root does. Also covers the scatter-gather coordinator's
+# two shards — and a flat directory must answer as its 1-shard root does,
+# in the same order and with the same errors; every stream, an exact
+# index's included, in process and served, arrives in position order.
+# Also covers the scatter-gather coordinator's
 # partial-failure and merge paths, the refusal of shards that disagree
 # with their manifest or each other, and the cleanup of a failed
 # partition; the partial-failure test orders its shards with gates, and
 # fifty runs hold it to that.
-RACE_SHARD = -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat' ./internal/shard/ ./seqdb/ ./seqdb/server/
+RACE_SHARD = -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat|TestExactVisitOrder|TestServerExactOrder' ./internal/shard/ ./seqdb/ ./seqdb/server/
 RACE_SHARD_GATES = -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 race-shard:
 	$(GO) test $(RACE_SHARD)

@@ -16,8 +16,9 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// search, searchVisit and searchKNN are the uncancellable form of the
-// index's three entry points, which most tests here want.
+// search and searchVisit are the uncancellable form of the index's two
+// entry points, which most tests here want; searchKNN is the k-NN search
+// over it.
 func search(ix *Index, q []float64, eps float64) ([]Match, SearchStats, error) {
 	return ix.Search(context.Background(), q, eps)
 }
@@ -27,7 +28,20 @@ func searchVisit(ix *Index, q []float64, eps float64, fn func(Match) bool) (Sear
 }
 
 func searchKNN(ix *Index, q []float64, k int) ([]Match, SearchStats, error) {
-	return ix.SearchKNN(context.Background(), q, k)
+	return knn(context.Background(), ix, q, k)
+}
+
+// knn is the k-NN search over one index, as the shard coordinator runs it
+// over one shard: RunKNN over the index's range search, bounded by its
+// DistanceBound.
+func knn(ctx context.Context, ix *Index, q []float64, k int) ([]Match, SearchStats, error) {
+	dim := ix.Data.Dim()
+	if err := CheckQuery(q, dim); err != nil {
+		return nil, SearchStats{}, err
+	}
+	return RunKNN(ctx, k, QueryStep(q, dim), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
+		return ix.Search(ctx, q, eps)
+	})
 }
 
 // TestSearchSurface pins the index's search entry points: one ctx-taking
@@ -40,7 +54,7 @@ func TestSearchSurface(t *testing.T) {
 			got = append(got, name)
 		}
 	}
-	want := []string{"Search", "SearchKNN", "SearchVisit"}
+	want := []string{"Search", "SearchVisit"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("*Index search methods = %v, want %v", got, want)
 	}

@@ -185,7 +185,7 @@ func TestSearchKNNExhaustsDatabase(t *testing.T) {
 	}
 }
 
-// knnRounds replays ix.SearchKNN's expansion loop, counting its rounds and
+// knnRounds replays searchKNN's expansion loop, counting its rounds and
 // keeping the last round's threshold, and checks the replay against the
 // entry point: same answers, same work counters, so the same rounds.
 func knnRounds(t *testing.T, ix *Index, q []float64, k int) (ms []Match, rounds int, lastEps float64) {
@@ -208,7 +208,7 @@ func knnRounds(t *testing.T, ix *Index, q []float64, k int) (ms []Match, rounds 
 		t.Fatal(err)
 	}
 	if !matchesBitIdentical(got, ms) || gotStats.Cells() != st.Cells() || gotStats.NodesVisited != st.NodesVisited {
-		t.Fatalf("k=%d: SearchKNN (%d answers, %d cells) is not the replayed loop (%d answers, %d cells)", k, len(got), gotStats.Cells(), len(ms), st.Cells())
+		t.Fatalf("k=%d: searchKNN (%d answers, %d cells) is not the replayed loop (%d answers, %d cells)", k, len(got), gotStats.Cells(), len(ms), st.Cells())
 	}
 	return ms, rounds, lastEps
 }

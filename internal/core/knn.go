@@ -9,31 +9,6 @@ import (
 	"twsearch/internal/dtw"
 )
 
-// SearchKNN returns the k subsequences with the smallest time warping
-// distance to q (ties broken by position), found by iterative threshold
-// expansion: the range search at a threshold ε is complete, so as soon as
-// it yields at least k answers the k smallest of them are exactly the k
-// nearest neighbors. The threshold starts at the scale of one query step
-// and quadruples until enough answers appear.
-//
-// On a window-constrained or length-filtered index, "nearest" is relative
-// to that index's semantics: band-constrained distances, answers no shorter
-// than the index's floor. If fewer than k subsequences are reachable at all
-// (a narrow band can make every distance infinite), the reachable ones are
-// returned.
-//
-// Every expansion round runs under ctx as one range search, so a
-// cancellation aborts mid-round and returns ctx.Err().
-func (ix *Index) SearchKNN(ctx context.Context, q []float64, k int) ([]Match, SearchStats, error) {
-	dim := ix.Data.Dim()
-	if err := CheckQuery(q, dim); err != nil {
-		return nil, SearchStats{}, err
-	}
-	return RunKNN(ctx, k, QueryStep(q, dim), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, SearchStats, error) {
-		return ix.run(ctx, q, eps, nil)
-	})
-}
-
 // QueryStep is the mean base distance between consecutive points of q, a
 // point-major query of dimension dim: RunKNN's first threshold.
 func QueryStep(q []float64, dim int) float64 {
@@ -73,20 +48,24 @@ func DistanceBound(maxLen, qLen int, span float64) float64 {
 	return n * span * (1 + n*0x1p-52)
 }
 
-// RunKNN is the threshold-expansion loop behind every k-NN entry point: the
-// scalar and the vector index, and the shard coordinator, whose search is the
-// scatter-gather over its shards. search runs one complete range search
-// under ctx at the threshold it is given and returns the answers in position
-// order; as soon as a round yields at least k, the k smallest by dist — ties
-// at the k-th distance going to the earliest positions — are exactly the k
-// nearest neighbors, returned still in position order. The first threshold
-// is step — the query's mean step, so exact occurrences surface in the first
-// round or two — and it quadruples until enough answers appear or a round
-// has run at or past bound, an upper bound of every finite distance
-// (DistanceBound): that round found every reachable subsequence. The stats
-// of every round accumulate. Query validation is the caller's (CheckQuery)
-// or search's; a NaN step — what a non-finite query makes — or bound is
-// refused here.
+// RunKNN is the threshold-expansion loop behind every k-NN search — the
+// shard coordinator's, whose search is the scatter-gather over its shards,
+// at every shard count. search runs one complete range search under ctx at
+// the threshold it is given and returns the answers in position order; the
+// range search at a threshold is complete, so as soon as a round yields at
+// least k, the k smallest by dist — ties at the k-th distance going to the
+// earliest positions — are exactly the k nearest neighbors, returned still
+// in position order. The first threshold is step — the query's mean step,
+// so exact occurrences surface in the first round or two — and it
+// quadruples until enough answers appear or a round has run at or past
+// bound, an upper bound of every finite distance (DistanceBound): that
+// round found every reachable subsequence, and fewer than k are returned
+// when that is all there is (a narrow band can make every distance
+// infinite). On a window-constrained or length-filtered index "nearest" is
+// relative to that index's semantics: band-constrained distances, answers
+// no shorter than its floor. The stats of every round accumulate. Query
+// validation is the caller's (CheckQuery) or search's; a NaN step — what a
+// non-finite query makes — or bound is refused here.
 func RunKNN[M any](ctx context.Context, k int, step, bound float64, dist func(M) float64, search func(ctx context.Context, eps float64) ([]M, SearchStats, error)) ([]M, SearchStats, error) {
 	if k <= 0 {
 		return nil, SearchStats{}, errors.New("core: k must be positive")

@@ -51,6 +51,8 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	s.seqOffsets = ix.seqOffsets
 	s.visit = nil
 	s.stopped = false
+	s.held = s.held[:0]
+	s.next = 0
 	s.stats = SearchStats{}
 	s.matches = nil // ownership of the previous slice passed to its caller
 	s.firstSym = 0

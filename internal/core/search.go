@@ -15,12 +15,11 @@ import (
 )
 
 // run executes one range search: every subsequence whose time warping
-// distance from q is at most eps. With a nil visit the answers are returned
-// sorted by (sequence, start, end); otherwise they stream to visit
-// (returning false stops the search) from the calling goroutine,
-// filter-pass answers in DFS order, then verified answers in (seq, start)
-// order. It refuses an empty, misshapen or non-finite query and a negative
-// or NaN threshold.
+// distance from q is at most eps, in (sequence, start, end) order. With a
+// nil visit the answers are returned; otherwise they stream to visit
+// (returning false stops the search) from the calling goroutine. It
+// refuses an empty, misshapen or non-finite query and a negative or NaN
+// threshold.
 //
 // When ctx is canceled or its deadline passes, the traversal aborts through
 // the same early-stop path a visitor uses, no further answer is delivered
@@ -47,8 +46,11 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	s := ix.queries.acquire(ix, ctx, q, eps)
 	defer ix.queries.release(s)
 
-	// The filter pass: the depth-first traversal from the root.
+	// The filter pass: the depth-first traversal from the root. An exact
+	// index finds answers there in DFS order, so a visitor's are held until
+	// the pass ends.
 	s.visit = visit
+	s.holding = visit != nil && s.exactStored
 	root := s.node(0)
 	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
 		return nil, SearchStats{}, err
@@ -59,6 +61,8 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 			return nil, SearchStats{}, err
 		}
 	}
+	s.holding = false
+	sortMatches(s.held)
 	s.postProcess()
 
 	s.stats.FilterCells, s.stats.PostCells = s.kern.Cells()
@@ -90,8 +94,9 @@ func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match,
 // SearchVisit streams answers to fn instead of materializing them;
 // returning false stops the search early. Use it when a permissive threshold
 // would produce answer sets too large to hold in memory. fn is called from
-// the calling goroutine, filter-pass answers in DFS order, then
-// post-processed answers in (seq, start) order. After a cancellation no
+// the calling goroutine, in the (sequence, start, end) order Search returns:
+// verified answers as they are found, an exact index's filter-pass answers
+// held until the filter pass ends and merged in. After a cancellation no
 // further answers are delivered to fn.
 func (ix *Index) SearchVisit(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	if fn == nil {
@@ -212,6 +217,13 @@ type searcher struct {
 	// accumulating them in matches; stopped records an early stop request.
 	visit   func(Match) bool
 	stopped bool
+	// holding marks an exact index's filter pass under a visitor: its
+	// answers arrive in DFS order, so they wait in held, sorted when the
+	// pass ends, and merge into the verified stream; held[next] is the
+	// first not yet delivered.
+	holding bool
+	held    []Match
+	next    int
 }
 
 // checkCancel polls the context and converts a cancellation into the
@@ -235,23 +247,51 @@ func (s *searcher) checkCancel() {
 // scanned start positions.
 const cancelMask = 63
 
-// emit delivers one verified answer, either into the result slice or to the
-// streaming visitor. After an early stop nothing further is delivered.
+// emit delivers one answer: into the result slice, into held during an
+// exact index's filter pass under a visitor, or to the visitor after every
+// held answer that precedes it. After an early stop nothing further is
+// delivered.
 //
 //twlint:steady-state
 func (s *searcher) emit(m Match) {
-	if s.stopped {
-		return
-	}
-	s.stats.Answers++
-	if s.visit != nil {
-		if !s.visit(m) {
-			s.stopped = true
+	switch {
+	case s.stopped:
+	case s.holding:
+		//lint:ignore steadystate pooled scratch: held keeps its capacity across the queries of the pooled searcher
+		s.held = append(s.held, m)
+	case s.visit == nil:
+		s.stats.Answers++
+		//lint:ignore steadystate answer materialization: the slice is the result handed to the caller, so its growth is the answer set's own footprint, not per-query churn
+		s.matches = append(s.matches, m)
+	default:
+		if s.next < len(s.held) {
+			s.deliverHeld(&m)
 		}
-		return
+		s.deliver(m)
 	}
-	//lint:ignore steadystate answer materialization: the slice is the result handed to the caller, so its growth is the answer set's own footprint, not per-query churn
-	s.matches = append(s.matches, m)
+}
+
+// deliver hands one answer to the visitor.
+//
+//twlint:steady-state
+func (s *searcher) deliver(m Match) {
+	if !s.stopped {
+		s.stats.Answers++
+		s.stopped = !s.visit(m)
+	}
+}
+
+// deliverHeld hands the visitor the held answers not yet delivered that
+// precede *before in position order, or all of them when before is nil.
+//
+//twlint:steady-state
+func (s *searcher) deliverHeld(before *Match) {
+	for ; s.next < len(s.held) && !s.stopped; s.next++ {
+		if before != nil && compareRefs(s.held[s.next], *before) > 0 {
+			return
+		}
+		s.deliver(s.held[s.next])
+	}
 }
 
 func (s *searcher) node(level int) *disktree.Node {
@@ -585,6 +625,7 @@ func (s *searcher) postProcess() {
 		s.vseq, s.vstart = seq, int(off)-s.seqOffsets[seq]
 		s.kern.Verify(seq, s.vstart, int(s.pend.MaxEnd(off)), s.onHit)
 	}
+	s.deliverHeld(nil)
 	if s.stats.Candidates >= s.stats.Answers {
 		s.stats.FalseAlarms = s.stats.Candidates - s.stats.Answers
 	}

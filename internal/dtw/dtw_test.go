@@ -225,7 +225,7 @@ func TestQuickTablePrefixDistances(t *testing.T) {
 			if math.Abs(dist-Distance(s[:r+1], q)) > 1e-9 {
 				return false
 			}
-			if tab.LastColumn(r) != dist {
+			if row := tab.Row(r); row[len(row)-1] != dist {
 				return false
 			}
 		}
@@ -249,7 +249,7 @@ func TestTablePushPop(t *testing.T) {
 	if tab.Depth() != 1 {
 		t.Fatalf("depth = %d, want 1", tab.Depth())
 	}
-	if tab.LastColumn(0) != d1 {
+	if row := tab.Row(0); row[len(row)-1] != d1 {
 		t.Fatal("row 0 corrupted by Pop")
 	}
 	d2, m2 := tab.AddRowValue(1.5) // different branch, same value

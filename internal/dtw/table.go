@@ -378,11 +378,3 @@ func (t *Table) Row(r int) []float64 {
 	}
 	return row
 }
-
-// LastColumn returns the final column of row r: the cumulative distance
-// between the full query and the first r+1 elements of the matched
-// subsequence.
-func (t *Table) LastColumn(r int) float64 {
-	n := t.n
-	return t.rows[r*n+n-1]
-}

@@ -25,6 +25,19 @@ func build(data *Dataset, path string, opts core.Options) (*core.Index, error) {
 	return core.Build(data.Dataset, path, opts)
 }
 
+// searchKNN is the k-NN search over one index, as the shard coordinator
+// runs it over one shard: core.RunKNN over the index's range search,
+// bounded by its DistanceBound.
+func searchKNN(ctx context.Context, ix *core.Index, q []float64, k int) ([]Match, Stats, error) {
+	dim := ix.Data.Dim()
+	if err := core.CheckQuery(q, dim); err != nil {
+		return nil, Stats{}, err
+	}
+	return core.RunKNN(ctx, k, core.QueryStep(q, dim), ix.DistanceBound(q), func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
+		return ix.Search(ctx, q, eps)
+	})
+}
+
 // mustAdd adds s to d; the tests' sequences are valid by construction.
 func mustAdd(d *Dataset, s Sequence) {
 	if _, err := d.Add(s); err != nil {

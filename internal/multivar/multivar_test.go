@@ -290,7 +290,7 @@ func TestSearchValidation(t *testing.T) {
 		if _, _, err := ix.Search(bg, Flatten(q), 1); err == nil {
 			t.Errorf("query coordinate %v accepted", v)
 		}
-		if _, _, err := ix.SearchKNN(bg, Flatten(q), 2); err == nil {
+		if _, _, err := searchKNN(bg, ix, Flatten(q), 2); err == nil {
 			t.Errorf("k-NN query coordinate %v accepted", v)
 		}
 		if _, _, err := core.SeqScan(data.Dataset, Flatten(q), 1, -1); err == nil {

@@ -69,7 +69,7 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 	if ms, _, err := ix.Search(ctx, Flatten(q), eps); err != context.Canceled || ms != nil {
 		t.Fatalf("search under a cancelled context: %d matches, %v", len(ms), err)
 	}
-	if ms, _, err := ix.SearchKNN(ctx, Flatten(q), 3); err != context.Canceled || ms != nil {
+	if ms, _, err := searchKNN(ctx, ix, Flatten(q), 3); err != context.Canceled || ms != nil {
 		t.Fatalf("k-NN under a cancelled context: %d matches, %v", len(ms), err)
 	}
 	unpinned("a cancelled context")
@@ -79,7 +79,7 @@ func TestMultivarSearchReleasesReader(t *testing.T) {
 		t.Fatalf("repeated search: %d matches, want %d, %v", len(again), len(ms), err)
 	}
 	unpinned("a repeated search")
-	if _, _, err := ix.SearchKNN(bg, Flatten(q), 3); err != nil {
+	if _, _, err := searchKNN(bg, ix, Flatten(q), 3); err != nil {
 		t.Fatal(err)
 	}
 	unpinned("a k-NN search")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -173,18 +174,28 @@ func readValues(r io.Reader, n int64, buf []byte) ([]float64, error) {
 	return vals, nil
 }
 
-// SaveFile writes the dataset to path in the binary format, creating or
-// truncating the file.
+// SaveFile writes the dataset to path in the binary format. It writes a
+// scratch file next to path and renames it into place, so a failed save
+// leaves the file it would have replaced as it was.
 func (d *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
+	scratch, err := os.MkdirTemp(filepath.Dir(path), ".twdb-save-*")
 	if err != nil {
 		return err
 	}
-	if err := d.WriteBinary(f); err != nil {
-		f.Close()
+	defer os.RemoveAll(scratch)
+	tmp := filepath.Join(scratch, "data")
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	err = d.WriteBinary(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // LoadFile reads a binary dataset file written by SaveFile.

@@ -11,7 +11,6 @@ package sequence
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sequence is a named series of points, e.g. the daily closing prices of
@@ -82,6 +81,9 @@ func (d *Dataset) Dim() int { return max(d.dim, 1) }
 func (d *Dataset) Add(s Sequence) (int, error) {
 	if s.ID == "" {
 		return 0, fmt.Errorf("sequence: empty id")
+	}
+	if len(s.ID) > math.MaxUint16 {
+		return 0, fmt.Errorf("sequence: id of %d bytes, longer than the %d a dataset file holds", len(s.ID), math.MaxUint16)
 	}
 	if len(s.Values) == 0 {
 		return 0, fmt.Errorf("sequence: %q has no elements", s.ID)
@@ -188,14 +190,6 @@ func (d *Dataset) AllValues() []float64 {
 		out = append(out, s.Values...)
 	}
 	return out
-}
-
-// SortedValues returns AllValues sorted ascending. The maximum-entropy
-// categorizer uses it to place quantile boundaries.
-func (d *Dataset) SortedValues() []float64 {
-	vals := d.AllValues()
-	sort.Float64s(vals)
-	return vals
 }
 
 // Stats summarizes a dataset for reports and EXPERIMENTS.md tables.

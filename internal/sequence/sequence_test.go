@@ -9,8 +9,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,13 +125,17 @@ func TestStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestSortedValues(t *testing.T) {
+func TestAllValues(t *testing.T) {
 	d := NewDataset()
 	d.MustAdd(Sequence{ID: "a", Values: []float64{3, 1}})
 	d.MustAdd(Sequence{ID: "b", Values: []float64{2}})
-	got := d.SortedValues()
-	if !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Fatalf("SortedValues = %v", got)
+	got := d.AllValues()
+	if !reflect.DeepEqual(got, []float64{3, 1, 2}) {
+		t.Fatalf("AllValues = %v, want every value in dataset order", got)
+	}
+	sort.Float64s(got)
+	if vals := d.Values(0); vals[0] != 3 || vals[1] != 1 {
+		t.Fatalf("sorting AllValues reordered the dataset's own values: %v", vals)
 	}
 }
 
@@ -335,14 +341,62 @@ func TestWriteBinaryGolden(t *testing.T) {
 	}
 }
 
+// longID is one byte longer than the format's 16-bit id length carries.
+var longID = strings.Repeat("y", math.MaxUint16+1)
+
+// withLongID appends a sequence named longID to d behind Add's back, which
+// refuses it: what WriteBinary must still refuse to write.
+func withLongID(d *Dataset) *Dataset {
+	d.seqs = append(d.seqs, Sequence{ID: longID, Values: []float64{2}})
+	return d
+}
+
 // An id the format's 16-bit length cannot carry is refused, not written with
 // a wrapped length.
 func TestWriteBinaryLongID(t *testing.T) {
 	d := NewDataset()
 	d.MustAdd(Sequence{ID: "fine", Values: []float64{1}})
-	d.MustAdd(Sequence{ID: strings.Repeat("y", math.MaxUint16+1), Values: []float64{2}})
-	if err := d.WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "too long") {
+	if err := withLongID(d).WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "too long") {
 		t.Fatalf("id of %d bytes: err = %v, want a too-long error", math.MaxUint16+1, err)
+	}
+}
+
+// Add refuses an id the dataset file cannot hold, so the dataset never
+// holds one Save would fail on; the longest that fits is accepted.
+func TestAddRefusesLongID(t *testing.T) {
+	d := NewDataset()
+	if _, err := d.Add(Sequence{ID: longID, Values: []float64{1}}); err == nil {
+		t.Fatalf("id of %d bytes accepted", len(longID))
+	}
+	if _, err := d.Add(Sequence{ID: longID[1:], Values: []float64{1}}); err != nil {
+		t.Fatalf("id of %d bytes: %v", len(longID)-1, err)
+	}
+}
+
+// A save that fails leaves the file it would have replaced as it was, and
+// no scratch file beside it.
+func TestSaveFileFailureKeepsFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.twdb")
+	d := NewDataset()
+	d.MustAdd(Sequence{ID: "kept", Values: []float64{1, 2, 3}})
+	if err := d.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	bad := NewDataset()
+	bad.MustAdd(Sequence{ID: "new", Values: []float64{4}})
+	if err := withLongID(bad).SaveFile(path); err == nil {
+		t.Fatal("saved an id the format cannot hold")
+	}
+	got, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("after the failed save: %v", err)
+	}
+	if !datasetsEqual(d, got) {
+		t.Fatal("the failed save changed the saved dataset")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory after the failed save: %v, %v; want only the dataset", entries, err)
 	}
 }
 

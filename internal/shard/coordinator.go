@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,16 +16,18 @@ type Stats = core.SearchStats
 
 // Backend is one shard as the coordinator sees it: a complete database that
 // answers range searches (and scans) over its own slice of the sequences.
-// Matches come back in the shard's local (sequence, start, end) order with
-// shard-local sequence numbers; the coordinator adds the shard's base
-// offset. Each shard of a sharded seqdb.DB implements it, and so does this
+// Answers stream to the visitor in the shard's local (sequence, start, end)
+// order with shard-local sequence numbers; the coordinator adds the shard's
+// base offset. Each shard of a seqdb.DB implements it, and so does this
 // package's test fake, which fails and stalls shards on cue.
 type Backend interface {
-	// Search runs a range search through the named index and returns the
-	// complete local answer set sorted by (sequence, start, end).
-	Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error)
-	// Scan runs the exhaustive sequential-scan baseline.
-	Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error)
+	// Search runs a range search through the named index and hands every
+	// answer to fn in (sequence, start, end) order; fn returning false
+	// stops the search.
+	Search(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool) (Stats, error)
+	// Scan runs the exhaustive sequential-scan baseline, delivering as
+	// Search does.
+	Scan(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (Stats, error)
 	// DistanceBound returns a number no finite distance between q and a
 	// subsequence the named index can return exceeds (core.DistanceBound).
 	DistanceBound(index string, q []float64) (float64, error)
@@ -79,26 +80,31 @@ func NewCoordinator(backends []Backend, ranges []Range, dim int) (*Coordinator, 
 	return &Coordinator{backends: backends, bases: bases, dim: dim}, nil
 }
 
-// gather runs one scatter-gather round: `run` executes on every backend
-// concurrently, and completed shards' matches (rebased to global sequence
-// numbers) are delivered to fn strictly in shard order — which, with the
-// contiguous partitioner, is the global (sequence, start, end) order.
-// Delivery of shard i begins as soon as shards 0..i have completed, while
-// later shards are still searching, so the head of a large answer stream
-// reaches the caller before the slowest shard finishes.
+// gather runs one scatter-gather round: run executes on every backend, and
+// the answers (rebased to global sequence numbers) reach fn strictly in
+// shard order — which, with the contiguous partitioner, is the global
+// (sequence, start, end) order. Shard 0 runs on the calling goroutine and
+// streams straight to fn; shards 1..n-1 search concurrently into buffers,
+// each delivered once the shards before it are, while later shards still
+// search. A database of one shard so costs no goroutine, no buffer and no
+// merge, and its failure is returned as the shard reported it.
 //
-// Work counters are aggregated exactly at the join barrier: each worker
-// owns its private Stats slot and the driver sums the slots only after
-// wg.Wait.
+// A visitor stop or a shard failure cancels the remaining shards; delivery
+// never resumes after either, so the delivered stream is always an exact
+// prefix of the global order. Work counters are summed after every shard
+// has returned.
 func (c *Coordinator) gather(
 	ctx context.Context,
-	run func(ctx context.Context, b Backend) ([]Match, Stats, error),
+	run func(ctx context.Context, b Backend, fn func(Match) bool) (Stats, error),
 	fn func(Match) bool,
 ) (Stats, error) {
+	n := len(c.backends)
+	if n == 1 {
+		return run(ctx, c.backends[0], rebased(fn, c.bases[0]))
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	n := len(c.backends)
 	matches := make([][]Match, n)
 	errs := make([]error, n)
 	stats := make([]Stats, n)
@@ -106,46 +112,39 @@ func (c *Coordinator) gather(
 	started := time.Now()
 
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		done[i] = make(chan struct{})
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(done[i])
-			ms, st, err := run(ctx, c.backends[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rebase(ms, c.bases[i])
-			matches[i] = ms
-			stats[i] = st
+			stats[i], errs[i] = run(ctx, c.backends[i], rebased(func(m Match) bool {
+				matches[i] = append(matches[i], m)
+				return true
+			}, c.bases[i]))
 		}(i)
 	}
 
-	// Ordered incremental delivery: wait for each shard in shard order and
-	// stream its (already sorted) matches. The close of done[i] orders the
-	// worker's writes before the reads here. A visitor stop or a shard
-	// failure cancels the remaining shards; delivery never resumes after
-	// either, so the delivered stream is always an exact prefix of the
-	// global order.
 	stopped := false
-	var firstErr error
-	for i := 0; i < n && !stopped && firstErr == nil; i++ {
+	deliver := func(m Match) bool {
+		stopped = !fn(m)
+		return !stopped
+	}
+	stats[0], errs[0] = run(ctx, c.backends[0], rebased(deliver, c.bases[0]))
+	firstErr := errs[0]
+	// The close of done[i] orders shard i's writes before the reads here.
+	for i := 1; i < n && !stopped && firstErr == nil; i++ {
 		<-done[i]
-		if errs[i] != nil {
-			firstErr = errs[i]
-			cancel()
+		if firstErr = errs[i]; firstErr != nil {
 			break
 		}
 		for _, m := range matches[i] {
-			if !fn(m) {
-				stopped = true
-				cancel()
+			if !deliver(m) {
 				break
 			}
 		}
 	}
+	cancel()
 	wg.Wait()
 
 	var merged Stats
@@ -167,20 +166,30 @@ func (c *Coordinator) gather(
 	return merged, &PartialError{Answered: answered, Failed: failed, Cause: firstErr}
 }
 
+// rebased returns fn seeing a shard's answers under global sequence
+// numbers: its local ones plus base.
+func rebased(fn func(Match) bool, base int) func(Match) bool {
+	if base == 0 {
+		return fn
+	}
+	return func(m Match) bool {
+		m.Seq += base
+		return fn(m)
+	}
+}
+
 // checkRange refuses, before any shard is asked, a query or threshold every
 // shard would refuse: the failure is the request's, not a partial outage.
+// One shard's own refusal is already the request's, so a database of one
+// shard leaves the check to it.
 func (c *Coordinator) checkRange(q []float64, eps float64) error {
+	if len(c.backends) == 1 {
+		return nil
+	}
 	if err := core.CheckQuery(q, c.dim); err != nil {
 		return err
 	}
 	return core.CheckThreshold(eps)
-}
-
-// rebase maps a shard's local sequence numbers into the global numbering.
-func rebase(ms []Match, base int) {
-	for i := range ms {
-		ms[i].Seq += base
-	}
 }
 
 // SearchVisit streams a range search's answers to fn in global (sequence,
@@ -191,34 +200,36 @@ func (c *Coordinator) SearchVisit(ctx context.Context, index string, q []float64
 	if err := c.checkRange(q, eps); err != nil {
 		return Stats{}, err
 	}
-	return c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
-		return b.Search(ctx, index, q, eps)
+	return c.gather(ctx, func(ctx context.Context, b Backend, fn func(Match) bool) (Stats, error) {
+		return b.Search(ctx, index, q, eps, fn)
 	}, fn)
 }
 
-// Search materializes a range search's full answer set in global order. Like
-// the unsharded search, an empty answer set is an empty slice, not nil.
+// Search materializes a range search's full answer set in global order.
 func (c *Coordinator) Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error) {
-	out := []Match{}
-	stats, err := c.SearchVisit(ctx, index, q, eps, func(m Match) bool {
-		out = append(out, m)
-		return true
+	return collect(func(fn func(Match) bool) (Stats, error) {
+		return c.SearchVisit(ctx, index, q, eps, fn)
 	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return out, stats, nil
 }
 
-// Scan fans the exhaustive sequential-scan baseline out over the shards.
+// Scan fans the exhaustive sequential-scan baseline out over the shards and
+// materializes its answers in global order.
 func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
 	if err := c.checkRange(q, eps); err != nil {
 		return nil, Stats{}, err
 	}
+	return collect(func(fn func(Match) bool) (Stats, error) {
+		return c.gather(ctx, func(ctx context.Context, b Backend, fn func(Match) bool) (Stats, error) {
+			return b.Scan(ctx, q, eps, fn)
+		}, fn)
+	})
+}
+
+// collect materializes the answers visit streams. Like the engine's, an
+// empty answer set is an empty slice, not nil.
+func collect(visit func(fn func(Match) bool) (Stats, error)) ([]Match, Stats, error) {
 	out := []Match{}
-	stats, err := c.gather(ctx, func(ctx context.Context, b Backend) ([]Match, Stats, error) {
-		return b.Scan(ctx, q, eps)
-	}, func(m Match) bool {
+	stats, err := visit(func(m Match) bool {
 		out = append(out, m)
 		return true
 	})
@@ -229,39 +240,29 @@ func (c *Coordinator) Scan(ctx context.Context, q []float64, eps float64) ([]Mat
 }
 
 // SearchKNN returns the k globally nearest subsequences in (sequence,
-// start, end) order — byte-identical to the unsharded SearchKNN, because it
-// is the engine's own expansion loop over the coordinator's range search:
-// the union of the shards' complete answers at a threshold is the complete
-// global answer there, so a scatter-gather round is a round of the unsharded
-// loop, and its bound is the largest of the shards'. A failed shard fails
-// the call with a *PartialError: its round's, or, when it could not give
-// its bound, one that names only it, before any round runs.
+// start, end) order, because it is the engine's own expansion loop over the
+// coordinator's range search: the union of the shards' complete answers at
+// a threshold is the complete global answer there, so a scatter-gather
+// round is a round of the unsharded loop, and its bound is the largest of
+// the shards'. A shard that cannot give its bound fails the call before any
+// round runs — on a database of more than one shard with a *PartialError
+// that names only it — and a failed round fails it as the round did.
 func (c *Coordinator) SearchKNN(ctx context.Context, index string, q []float64, k int) ([]Match, Stats, error) {
-	if err := core.CheckQuery(q, c.dim); err != nil {
-		return nil, Stats{}, err
-	}
 	bound := 0.0
 	for i, b := range c.backends {
 		bi, err := b.DistanceBound(index, q)
 		if err != nil {
-			return nil, Stats{}, &PartialError{Failed: []int{i}, Cause: err}
+			if len(c.backends) > 1 {
+				err = &PartialError{Failed: []int{i}, Cause: err}
+			}
+			return nil, Stats{}, err
 		}
 		bound = max(bound, bi)
+	}
+	if err := core.CheckQuery(q, c.dim); err != nil {
+		return nil, Stats{}, err
 	}
 	return core.RunKNN(ctx, k, core.QueryStep(q, c.dim), bound, func(m Match) float64 { return m.Distance }, func(ctx context.Context, eps float64) ([]Match, Stats, error) {
 		return c.Search(ctx, index, q, eps)
 	})
-}
-
-// PositionCompare orders matches by (sequence, start, end) — the engine's
-// deterministic output order, and the one comparison every layer that sorts
-// matches (coordinator, client) shares — in the form slices.SortFunc takes.
-func PositionCompare(a, b Match) int {
-	if a.Seq != b.Seq {
-		return cmp.Compare(a.Seq, b.Seq)
-	}
-	if a.Start != b.Start {
-		return cmp.Compare(a.Start, b.Start)
-	}
-	return cmp.Compare(a.End, b.End)
 }

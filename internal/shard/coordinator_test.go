@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"reflect"
@@ -28,7 +29,7 @@ type fakeBackend struct {
 	boundErr error
 }
 
-func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps float64) ([]Match, Stats, error) {
+func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps float64, fn func(Match) bool) (Stats, error) {
 	if b.returned != nil {
 		defer close(b.returned)
 	}
@@ -36,14 +37,14 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 		select {
 		case <-b.gate:
 		case <-ctx.Done():
-			return nil, Stats{}, ctx.Err()
+			return Stats{}, ctx.Err()
 		}
 	}
 	if b.err != nil {
-		return nil, Stats{NodesVisited: 1}, b.err
+		return Stats{NodesVisited: 1}, b.err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	var out []Match
 	for _, m := range b.ms {
@@ -51,12 +52,19 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 			out = append(out, m)
 		}
 	}
-	slices.SortFunc(out, PositionCompare)
-	return out, Stats{NodesVisited: 1, Answers: uint64(len(out))}, nil
+	slices.SortFunc(out, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
+	})
+	for _, m := range out {
+		if !fn(m) {
+			break
+		}
+	}
+	return Stats{NodesVisited: 1, Answers: uint64(len(out))}, nil
 }
 
-func (b *fakeBackend) Scan(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
-	return b.Search(ctx, "", q, eps)
+func (b *fakeBackend) Scan(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (Stats, error) {
+	return b.Search(ctx, "", q, eps, fn)
 }
 
 // DistanceBound is the largest distance the fake holds: every one of its
@@ -348,6 +356,24 @@ func TestCanceledContext(t *testing.T) {
 	c := mkCoord(t, &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 1, Distance: 0}}})
 	_, _, err := c.Search(ctx, "ix", []float64{1}, 5)
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("want context.Canceled through the partial error, got %v", err)
+		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestOneShardFailsAsItself: over one shard the coordinator returns the
+// shard's failure as the shard reported it, with no PartialError around
+// it — from a range search, a scan and a k-NN whose bound the shard cannot
+// give.
+func TestOneShardFailsAsItself(t *testing.T) {
+	cause := errors.New("disk gone")
+	c := mkCoord(t, &fakeBackend{err: cause, boundErr: cause})
+	ctx := context.Background()
+	_, _, searchErr := c.Search(ctx, "ix", []float64{1}, 5)
+	_, _, scanErr := c.Scan(ctx, []float64{1}, 5)
+	_, _, knnErr := c.SearchKNN(ctx, "ix", []float64{1}, 1)
+	for name, err := range map[string]error{"search": searchErr, "scan": scanErr, "k-NN": knnErr} {
+		if err != cause {
+			t.Errorf("%s: %v, want the shard's own error", name, err)
+		}
 	}
 }

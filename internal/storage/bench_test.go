@@ -24,11 +24,11 @@ func BenchmarkPoolGetHit(b *testing.B) {
 	pool, ids := benchPool(b, 64, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fr, err := pool.Get(ids[i%len(ids)])
+		fr, err := pool.get(ids[i%len(ids)])
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool.Release(fr)
+		fr.release()
 	}
 }
 
@@ -36,10 +36,10 @@ func BenchmarkPoolGetMiss(b *testing.B) {
 	pool, ids := benchPool(b, 2, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fr, err := pool.Get(ids[i%len(ids)])
+		fr, err := pool.get(ids[i%len(ids)])
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool.Release(fr)
+		fr.release()
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Frame is a pinned page in the buffer pool. Callers must Release every
-// frame they Get; a pinned frame is never evicted. The frame's fields are
+// Frame is a pinned page in the buffer pool. Every frame get returns must be
+// released; a pinned frame is never evicted. The frame's fields are
 // guarded by its shard's mutex; the page bytes themselves are read-only and
 // may be read by any number of goroutines while the frame is pinned.
 type Frame struct {
@@ -26,7 +26,7 @@ type Frame struct {
 func (fr *Frame) ID() PageID { return fr.id }
 
 // Data returns the frame's page bytes. The slice remains valid until the
-// frame is released and evicted; do not retain it past Release.
+// frame is released and evicted; do not retain it past release.
 func (fr *Frame) Data() []byte { return fr.data }
 
 // PoolStats counts buffer pool activity since creation.
@@ -119,9 +119,6 @@ func (p *Pool) shard(id PageID) *poolShard {
 	return &p.shards[int(id)%len(p.shards)]
 }
 
-// NumShards returns the number of lock stripes.
-func (p *Pool) NumShards() int { return len(p.shards) }
-
 // Stats returns the pool's counters summed over all shards.
 func (p *Pool) Stats() PoolStats {
 	var total PoolStats
@@ -146,11 +143,11 @@ func (p *Pool) ShardStats() []PoolStats {
 	return out
 }
 
-// Get pins the page and returns its frame, reading it from disk on a miss.
-// Concurrent Gets for pages in different shards proceed independently; a
+// get pins the page and returns its frame, reading it from disk on a miss.
+// Concurrent gets for pages in different shards proceed independently; a
 // miss performs its disk read under the shard lock, so at most one reader
 // per shard faults a page in at a time.
-func (p *Pool) Get(id PageID) (*Frame, error) {
+func (p *Pool) get(id PageID) (*Frame, error) {
 	sh := p.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -199,18 +196,16 @@ func (sh *poolShard) allocFrame() *Frame {
 	return fr
 }
 
-// Release unpins a frame obtained from Get.
-func (p *Pool) Release(fr *Frame) { fr.release() }
-
-// release unpins the frame; it is both Release's body and the cached
-// closure View hands to borrowers.
+// release unpins a frame obtained from get; View hands it to borrowers as
+// the frame's cached closure.
 func (fr *Frame) release() {
 	sh := fr.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if fr.pins <= 0 {
-		//lint:ignore panicpath pin-accounting assertion: a double Release means some frame is mutable while another reader holds it; continuing would corrupt pages silently
-		panic("storage: Release of unpinned frame")
+		// A double release means some frame is mutable while another
+		// reader holds it; continuing would corrupt pages silently.
+		panic("storage: release of unpinned frame")
 	}
 	fr.pins--
 	if fr.pins == 0 {
@@ -225,7 +220,7 @@ func (fr *Frame) release() {
 // hit path nothing allocates, and neither does a miss that recycles the
 // frame it evicts.
 func (p *Pool) View(id PageID) ([]byte, func(), error) {
-	fr, err := p.Get(id)
+	fr, err := p.get(id)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -219,22 +219,22 @@ func TestPoolHitMissEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		fr, err := pool.Get(id)
+		fr, err := pool.get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool.Release(fr)
+		fr.release()
 	}
 	// Page ids[0] was evicted; re-fetching it is a miss with the same
 	// content.
-	fr, err := pool.Get(ids[0])
+	fr, err := pool.get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.Data()[0] != 0 || fr.ID() != ids[0] {
 		t.Fatalf("evicted page came back as %d holding %d", fr.ID(), fr.Data()[0])
 	}
-	pool.Release(fr)
+	fr.release()
 	st := pool.Stats()
 	if st.Evictions == 0 {
 		t.Error("no evictions recorded")
@@ -243,11 +243,11 @@ func TestPoolHitMissEvict(t *testing.T) {
 		t.Errorf("misses = %d, want 4", st.Misses)
 	}
 	// Immediate re-get is a hit.
-	fr, err = pool.Get(ids[0])
+	fr, err = pool.get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Release(fr)
+	fr.release()
 	if pool.Stats().Hits != 1 {
 		t.Error("re-get did not hit")
 	}
@@ -265,7 +265,7 @@ func TestPoolOverflowsWhenFullyPinned(t *testing.T) {
 	}
 	var held []*Frame
 	for k, id := range ids {
-		fr, err := pool.Get(id)
+		fr, err := pool.get(id)
 		if err != nil {
 			t.Fatalf("Get with %d frames pinned: %v", k, err)
 		}
@@ -280,7 +280,7 @@ func TestPoolOverflowsWhenFullyPinned(t *testing.T) {
 		t.Fatalf("stats %+v with %d pinned; want 2 overflows, no evictions, 3 pinned", st, pool.PinnedCount())
 	}
 	for _, fr := range held {
-		pool.Release(fr)
+		fr.release()
 	}
 	if n := len(pool.shards[0].frames); n != 1 || pool.PinnedCount() != 0 {
 		t.Fatalf("after release the stripe holds %d frames (%d pinned), want its capacity of 1", n, pool.PinnedCount())
@@ -325,16 +325,16 @@ func TestPoolRecyclesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := one.Get(ids[0])
+	held, err := one.get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := one.Get(ids[1])
+	first, err := one.get(ids[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	one.Release(first)
-	second, err := one.Get(ids[2])
+	first.release()
+	second, err := one.get(ids[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestPoolRecyclesFrames(t *testing.T) {
 	if held.ID() != ids[0] || held.Data()[0] != 0 {
 		t.Errorf("the pinned frame now holds page %d, first byte %d", held.ID(), held.Data()[0])
 	}
-	one.Release(second)
+	second.release()
 
 	// A read that fails: the frame goes back to being the spare, nothing
 	// stays pinned or cached under the failed id, and the next miss gets
@@ -352,21 +352,21 @@ func TestPoolRecyclesFrames(t *testing.T) {
 	if err := os.Truncate(pf.Path(), int64(ids[len(ids)-1])*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := one.Get(ids[len(ids)-1]); err == nil {
+	if _, err := one.get(ids[len(ids)-1]); err == nil {
 		t.Fatal("reading a page past the end of the truncated file succeeded")
 	}
 	if n := one.PinnedCount(); n != 1 {
 		t.Errorf("%d frames pinned after the failed read, want only the held one", n)
 	}
-	third, err := one.Get(ids[3])
+	third, err := one.get(ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if third != first || third.Data()[0] != 3 {
 		t.Errorf("the miss after a failed read got frame %p holding %d, want the spare %p holding 3", third, third.Data()[0], first)
 	}
-	one.Release(third)
-	one.Release(held)
+	third.release()
+	held.release()
 	if n := one.PinnedCount(); n != 0 {
 		t.Errorf("%d frames pinned at the end", n)
 	}
@@ -376,17 +376,17 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 	pf := tempFile(t)
 	ids := fillPages(t, pf, 1)
 	pool, _ := NewPool(pf, 2)
-	fr, err := pool.Get(ids[0])
+	fr, err := pool.get(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Release(fr)
+	fr.release()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double release did not panic")
 		}
 	}()
-	pool.Release(fr)
+	fr.release()
 }
 
 func TestNewPoolBadCapacity(t *testing.T) {
@@ -415,19 +415,19 @@ func TestQuickPoolTransparency(t *testing.T) {
 		for op := 0; op < 50; op++ {
 			if len(held) > 0 && rng.Intn(2) == 0 {
 				k := rng.Intn(len(held))
-				pool.Release(held[k])
+				held[k].release()
 				held = append(held[:k], held[k+1:]...)
 				continue
 			}
 			k := rng.Intn(len(ids))
-			fr, err := pool.Get(ids[k])
+			fr, err := pool.get(ids[k])
 			if err != nil || fr.Data()[0] != byte(k) {
 				return false
 			}
 			held = append(held, fr)
 		}
 		for _, fr := range held {
-			pool.Release(fr)
+			fr.release()
 		}
 		frames := 0
 		for i := range pool.shards {
@@ -492,34 +492,34 @@ func TestPoolSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.NumShards(); got != 8 {
-		t.Fatalf("NumShards = %d, want 8", got)
+	if got := len(pool.shards); got != 8 {
+		t.Fatalf("%d shards, want 8", got)
 	}
 	// Small pools collapse to one shard per frame.
 	small, err := NewPool(pf, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := small.NumShards(); got != 3 {
-		t.Fatalf("NumShards(cap 3) = %d, want 3", got)
+	if got := len(small.shards); got != 3 {
+		t.Fatalf("%d shards at capacity 3, want 3", got)
 	}
 	for _, id := range ids {
-		fr, err := pool.Get(id)
+		fr, err := pool.get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fr.Data()[0] != byte(id-1) {
 			t.Fatalf("page %d holds %d", id, fr.Data()[0])
 		}
-		pool.Release(fr)
+		fr.release()
 	}
 	agg := pool.Stats()
 	if agg.Misses != pages {
 		t.Fatalf("misses = %d, want %d", agg.Misses, pages)
 	}
 	shards := pool.ShardStats()
-	if len(shards) != pool.NumShards() {
-		t.Fatalf("ShardStats len %d != NumShards %d", len(shards), pool.NumShards())
+	if len(shards) != len(pool.shards) {
+		t.Fatalf("ShardStats len %d != %d shards", len(shards), len(pool.shards))
 	}
 	var sum PoolStats
 	for _, s := range shards {
@@ -550,17 +550,17 @@ func TestPoolConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				id := ids[(seed*31+i*7)%pages]
-				fr, err := pool.Get(id)
+				fr, err := pool.get(id)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if fr.Data()[0] != byte(id-1) {
 					errs <- fmt.Errorf("page %d holds %d", id, fr.Data()[0])
-					pool.Release(fr)
+					fr.release()
 					return
 				}
-				pool.Release(fr)
+				fr.release()
 			}
 		}(w)
 	}

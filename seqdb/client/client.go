@@ -22,11 +22,9 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
-	"twsearch/internal/shard"
 	"twsearch/internal/wire"
 	"twsearch/seqdb"
 )
@@ -282,31 +280,17 @@ func (c *Client) readMatchStream(ctx context.Context, fn func(seqdb.Match) bool)
 	}
 }
 
-// SearchWith runs a range search and returns the full answer set sorted by
-// (sequence, start, end) — the same order, distances and stats the
-// in-process seqdb.DB.SearchWith produces. See SearchVisitWith for opts.
+// SearchWith runs a range search and returns the full answer set in the
+// order the server streams it, (sequence, start, end) — the same order,
+// distances and stats the in-process seqdb.DB.SearchWith produces. See
+// SearchVisitWith for opts.
 func (c *Client) SearchWith(ctx context.Context, db, index string, q []float64, eps float64, opts seqdb.SearchOptions) ([]seqdb.Match, seqdb.SearchStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.sendSearch(ctx, db, index, q, eps); err != nil {
 		return nil, seqdb.SearchStats{}, err
 	}
-	ms, stats, err := c.collectMatchStream(ctx)
-	if err != nil {
-		return nil, stats, err
-	}
-	sortMatches(ms)
-	return ms, stats, nil
-}
-
-// sortMatches puts matches in the deterministic (sequence, start, end)
-// order the in-process seqdb API returns. A stream already in that order —
-// a flat mount's on an index that verifies every answer — is left as it
-// came.
-func sortMatches(ms []seqdb.Match) {
-	if !slices.IsSortedFunc(ms, shard.PositionCompare) {
-		slices.SortFunc(ms, shard.PositionCompare)
-	}
+	return c.collectMatchStream(ctx)
 }
 
 // SearchKNNWith returns the k nearest subsequences; order mirrors the
@@ -403,85 +387,77 @@ func (c *Client) StatsPools(ctx context.Context, db string) (seqdb.Stats, []seqd
 	return resp.Stats, pools, nil
 }
 
-func (c *Client) statsResp(ctx context.Context, db string) (wire.StatsResp, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.begin(ctx); err != nil {
-		return wire.StatsResp{}, err
-	}
+func (c *Client) statsResp(ctx context.Context, db string) (resp wire.StatsResp, err error) {
 	req := wire.StatsReq{DB: db}
-	if err := c.send(ctx, wire.TStats, req.Encode(nil)); err != nil {
-		return wire.StatsResp{}, err
-	}
-	t, body, err := wire.ReadFrame(c.br)
-	if err != nil {
-		return wire.StatsResp{}, c.fail(ctx, err)
-	}
-	switch t {
-	case wire.TStatsResp:
-		resp, err := wire.DecodeStatsResp(body)
-		if err != nil {
-			return wire.StatsResp{}, c.fail(ctx, err)
-		}
-		c.finish()
-		return resp, nil
-	case wire.TError:
-		e, err := wire.DecodeError(body)
-		if err != nil {
-			return wire.StatsResp{}, c.fail(ctx, err)
-		}
-		c.finish()
-		return wire.StatsResp{}, e
-	}
-	return wire.StatsResp{}, c.fail(ctx, fmt.Errorf("unexpected frame type %#x", t))
+	err = c.roundTrip(ctx, wire.TStats, req.Encode(nil), wire.TStatsResp, func(body []byte) (err error) {
+		resp, err = wire.DecodeStatsResp(body)
+		return err
+	})
+	return resp, err
 }
 
 // ListIndexes returns the open indexes of a mounted DB, sorted by name.
 func (c *Client) ListIndexes(ctx context.Context, db string) ([]seqdb.IndexInfo, error) {
+	var resp wire.IndexesResp
+	req := wire.ListIndexesReq{DB: db}
+	if err := c.roundTrip(ctx, wire.TListIndexes, req.Encode(nil), wire.TIndexes, func(body []byte) (err error) {
+		resp, err = wire.DecodeIndexesResp(body)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]seqdb.IndexInfo, len(resp.Indexes))
+	for i, ix := range resp.Indexes {
+		out[i] = seqdb.IndexInfo{
+			Name: ix.Name,
+			Spec: seqdb.IndexSpec{
+				Method:       seqdb.Method(ix.Method),
+				Categories:   ix.Categories,
+				Sparse:       ix.Sparse,
+				Window:       ix.Window,
+				MinAnswerLen: ix.MinAnswerLen,
+			},
+			SizeBytes: ix.SizeBytes,
+			Leaves:    ix.Leaves,
+			Nodes:     ix.Nodes,
+		}
+	}
+	return out, nil
+}
+
+// roundTrip runs one request answered by a single frame: it sends the
+// request frame of type t under ctx and reads the answer, handing a frame of
+// type want to decode and returning an error frame as the error. A
+// transport failure, an undecodable answer or a frame of any other type
+// drops the connection.
+func (c *Client) roundTrip(ctx context.Context, t byte, req []byte, want byte, decode func(body []byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.begin(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	req := wire.ListIndexesReq{DB: db}
-	if err := c.send(ctx, wire.TListIndexes, req.Encode(nil)); err != nil {
-		return nil, err
+	if err := c.send(ctx, t, req); err != nil {
+		return err
 	}
-	t, body, err := wire.ReadFrame(c.br)
+	got, body, err := wire.ReadFrame(c.br)
 	if err != nil {
-		return nil, c.fail(ctx, err)
+		return c.fail(ctx, err)
 	}
-	switch t {
-	case wire.TIndexes:
-		resp, err := wire.DecodeIndexesResp(body)
-		if err != nil {
-			return nil, c.fail(ctx, err)
-		}
-		c.finish()
-		out := make([]seqdb.IndexInfo, len(resp.Indexes))
-		for i, ix := range resp.Indexes {
-			out[i] = seqdb.IndexInfo{
-				Name: ix.Name,
-				Spec: seqdb.IndexSpec{
-					Method:       seqdb.Method(ix.Method),
-					Categories:   ix.Categories,
-					Sparse:       ix.Sparse,
-					Window:       ix.Window,
-					MinAnswerLen: ix.MinAnswerLen,
-				},
-				SizeBytes: ix.SizeBytes,
-				Leaves:    ix.Leaves,
-				Nodes:     ix.Nodes,
-			}
-		}
-		return out, nil
+	switch got {
+	case want:
+		err = decode(body)
 	case wire.TError:
-		e, err := wire.DecodeError(body)
-		if err != nil {
-			return nil, c.fail(ctx, err)
+		var e *wire.Error
+		if e, err = wire.DecodeError(body); err == nil {
+			c.finish()
+			return e
 		}
-		c.finish()
-		return nil, e
+	default:
+		err = fmt.Errorf("unexpected frame type %#x", got)
 	}
-	return nil, c.fail(ctx, fmt.Errorf("unexpected frame type %#x", t))
+	if err != nil {
+		return c.fail(ctx, err)
+	}
+	c.finish()
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"twsearch/internal/wire"
@@ -103,27 +102,5 @@ func TestCollectMatchStream(t *testing.T) {
 		if len(c.chunks) > keptChunks {
 			t.Errorf("%d answers: %d chunks kept, want at most %d", n, len(c.chunks), keptChunks)
 		}
-	}
-}
-
-// TestSortMatches: a stream out of position order — an exact index emits
-// its filter-pass answers in tree order — is sorted by (sequence, start,
-// end); sorting it again changes nothing.
-func TestSortMatches(t *testing.T) {
-	ms := []seqdb.Match{
-		{Seq: 1, Start: 4, End: 9}, {Seq: 0, Start: 7, End: 9}, {Seq: 1, Start: 4, End: 6},
-		{Seq: 0, Start: 2, End: 5}, {Seq: 0, Start: 2, End: 3},
-	}
-	sortMatches(ms)
-	want := []seqdb.Match{
-		{Seq: 0, Start: 2, End: 3}, {Seq: 0, Start: 2, End: 5}, {Seq: 0, Start: 7, End: 9},
-		{Seq: 1, Start: 4, End: 6}, {Seq: 1, Start: 4, End: 9},
-	}
-	if !slices.Equal(ms, want) {
-		t.Fatalf("sorted: %v, want %v", ms, want)
-	}
-	sortMatches(ms)
-	if !slices.Equal(ms, want) {
-		t.Fatalf("sorted again: %v, want %v", ms, want)
 	}
 }

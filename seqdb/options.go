@@ -3,8 +3,6 @@ package seqdb
 import (
 	"context"
 	"fmt"
-
-	"twsearch/internal/core"
 )
 
 // SearchOptions is the last argument of every search entry point. No
@@ -24,79 +22,47 @@ type SearchOptions struct {
 // path and ctx.Err() is returned — a canceled search returns an error,
 // never a silently truncated answer set.
 func (db *DB) SearchWith(ctx context.Context, indexName string, q []float64, eps float64, opts SearchOptions) ([]Match, SearchStats, error) {
-	if db.coord == nil {
-		return db.parts[0].Search(ctx, indexName, q, eps)
-	}
 	return db.coord.Search(ctx, indexName, q, eps)
 }
 
-// Search is SearchWith on one part, in its own numbering.
-func (p *part) Search(ctx context.Context, indexName string, q []float64, eps float64) ([]Match, SearchStats, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	oi, ok := p.indexes[indexName]
-	if !ok {
-		return nil, SearchStats{}, errNoIndex(indexName)
-	}
-	ms, stats, err := oi.ix.Search(ctx, q, eps)
-	if err != nil {
-		return nil, stats, err
-	}
-	return p.publicMatches(ms), stats, nil
-}
-
 // SearchVisitWith streams answers to fn instead of materializing them: fn
-// is called once per answer, from the calling goroutine; returning false
-// stops the search. Use it when a permissive threshold would produce answer
-// sets too large to hold in memory. After a cancellation no further answers
-// are delivered to fn. A flat database delivers in the serial traversal's
-// order, not position order. A sharded root delivers in global (sequence,
-// start, end) order, the order SearchWith materializes: shard i's answers
-// as soon as shards 0..i have completed, while later shards still search.
+// is called once per answer, from the calling goroutine, in the (sequence,
+// start, end) order SearchWith returns; returning false stops the search.
+// Use it when a permissive threshold would produce answer sets too large to
+// hold in memory. After a cancellation no further answers are delivered to
+// fn. Shard 0's answers stream as its search finds them; on a sharded root
+// shard i's follow as soon as shards 0..i have completed, while later shards
+// still search.
 func (db *DB) SearchVisitWith(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool, opts SearchOptions) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, fmt.Errorf("seqdb: nil visitor")
 	}
-	if db.coord != nil {
-		return db.coord.SearchVisit(ctx, indexName, q, eps, fn)
-	}
-	p := db.parts[0]
+	return db.coord.SearchVisit(ctx, indexName, q, eps, fn)
+}
+
+// Search is SearchVisitWith on one part, in its own numbering: the
+// coordinator's shard.Backend.
+func (p *part) Search(ctx context.Context, indexName string, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	oi, ok := p.indexes[indexName]
 	if !ok {
 		return SearchStats{}, errNoIndex(indexName)
 	}
-	return oi.ix.SearchVisit(ctx, q, eps, func(m core.Match) bool {
-		return fn(p.publicMatch(m))
-	})
+	return oi.ix.SearchVisit(ctx, q, eps, p.publicVisitor(fn))
 }
 
 // SearchKNNWith returns the k subsequences nearest to q under the time
 // warping distance, through the named index, in position order. See
 // SearchWith for the matching semantics; nearest-neighbor search expands
 // the threshold until k answers are certain, and every expansion round runs
-// under ctx. On a sharded root each round is one search of every shard.
+// under ctx as one search of every shard.
 func (db *DB) SearchKNNWith(ctx context.Context, indexName string, q []float64, k int, opts SearchOptions) ([]Match, SearchStats, error) {
-	if db.coord != nil {
-		return db.coord.SearchKNN(ctx, indexName, q, k)
-	}
-	p := db.parts[0]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	oi, ok := p.indexes[indexName]
-	if !ok {
-		return nil, SearchStats{}, errNoIndex(indexName)
-	}
-	ms, stats, err := oi.ix.SearchKNN(ctx, q, k)
-	if err != nil {
-		return nil, stats, err
-	}
-	return p.publicMatches(ms), stats, nil
+	return db.coord.SearchKNN(ctx, indexName, q, k)
 }
 
-// DistanceBound is the bound a sharded k-NN's rounds stop at, over one
-// part's index (core.Index.DistanceBound).
+// DistanceBound is the bound a k-NN's rounds stop at, over one part's index
+// (core.Index.DistanceBound).
 func (p *part) DistanceBound(indexName string, q []float64) (float64, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

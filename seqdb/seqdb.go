@@ -32,13 +32,15 @@
 // deadline or cancellation aborts the traversal. Every search is one serial
 // traversal.
 //
-// A DB holds one or more shards. A flat directory is a database of one
-// shard, searched by the engine directly. A sharded root, written by
-// PartitionInto, holds a MANIFEST.shards and one complete database per
+// A DB holds one or more shards, and every search reaches them through one
+// scatter-gather coordinator. A flat directory is a database of one shard,
+// searched on the calling goroutine with no merge. A sharded root, written
+// by PartitionInto, holds a MANIFEST.shards and one complete database per
 // contiguous slice of the sequence numbering; Open reads it through the
 // manifest, and its searches run on every shard at once and merge back into
 // the global (sequence, start, end) order, with the answers of the flat
-// database.
+// database. Every answer stream, materialized or visited, arrives in that
+// order.
 //
 // A DB is safe for concurrent use: reads and searches may run in parallel
 // with each other, while mutations (Add, ImportCSV, BuildIndex, DropIndex,
@@ -95,14 +97,16 @@ type SearchStats = core.SearchStats
 type Stats = sequence.Stats
 
 // DB is a sequence database bound to a directory: one shard, or the shards
-// of a sharded root. Every method but the searches is a loop over the
-// shards; see the package doc for how a search reaches them.
+// of a sharded root. Every search goes through the coordinator, and every
+// other method is a loop over the shards.
 type DB struct {
 	dir   string
 	parts []*part
-	// coord searches a sharded root's parts; it is nil for a flat
-	// database, whose searches call its one part directly.
+	// coord searches the parts: every search of every DB goes through it.
 	coord *shard.Coordinator
+	// sharded records that a manifest fixes which sequences each part
+	// holds: the DB is a sharded root, not a flat directory.
+	sharded bool
 }
 
 // part is one shard of a DB: a directory with its own dataset and indexes,
@@ -153,7 +157,7 @@ func CreateDim(dir string, dim int) (*DB, error) {
 	if _, err := os.Stat(dataPath); err == nil {
 		return nil, fmt.Errorf("seqdb: %s already holds a database", dir)
 	}
-	db := &DB{dir: dir, parts: []*part{{dir: dir, data: sequence.NewDatasetDim(dim), indexes: map[string]*openIndex{}}}}
+	db := newDB(dir, []*part{{dir: dir, data: sequence.NewDatasetDim(dim), indexes: map[string]*openIndex{}}}, false)
 	if err := db.Save(); err != nil {
 		return nil, err
 	}
@@ -182,7 +186,20 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{dir: dir, parts: []*part{p}}, nil
+	return newDB(dir, []*part{p}, false), nil
+}
+
+// newDB returns the DB over parts, whose searches all go through one
+// coordinator; sharded records that a manifest fixes the parts.
+func newDB(dir string, parts []*part, sharded bool) *DB {
+	db := &DB{dir: dir, parts: parts, sharded: sharded}
+	backends := make([]shard.Backend, len(parts))
+	for i, p := range parts {
+		backends[i] = p
+	}
+	// One range per part, and at least one part: nothing to refuse.
+	db.coord, _ = shard.NewCoordinator(backends, db.ShardRanges(), db.Dim())
+	return db
 }
 
 // openPart loads one shard's dataset and indexes. A directory holding
@@ -219,7 +236,7 @@ func openPart(dir string, opts OpenOptions) (*part, error) {
 // inShard names the shard an error came from; a flat database's errors
 // stay as its one shard reported them.
 func (db *DB) inShard(i int, err error) error {
-	if err == nil || db.coord == nil {
+	if err == nil || !db.sharded {
 		return err
 	}
 	return fmt.Errorf("shard %d: %w", i, err)
@@ -228,7 +245,7 @@ func (db *DB) inShard(i int, err error) error {
 // flat returns a flat database's one part. A sharded root refuses op: its
 // manifest fixes which sequences each shard holds.
 func (db *DB) flat(op string) (*part, error) {
-	if db.coord != nil {
+	if db.sharded {
 		return nil, fmt.Errorf("seqdb: cannot %s a sharded database; do it on the flat database and partition that again", op)
 	}
 	return db.parts[0], nil
@@ -364,40 +381,36 @@ func (db *DB) Stats() Stats {
 // SeqScanCtx runs the exhaustive baseline: exact answers with no index.
 // ctx is polled every 64 suffix starts.
 func (db *DB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	if db.coord == nil {
-		return db.parts[0].Scan(ctx, q, eps)
-	}
 	return db.coord.Scan(ctx, q, eps)
 }
 
-// Scan is SeqScanCtx on one part, in its own numbering.
-func (p *part) Scan(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
+// Scan is SeqScanCtx on one part, in its own numbering, streaming to fn.
+func (p *part) Scan(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	ms, stats, err := core.SeqScanCtx(ctx, p.data, q, eps, -1)
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
-	return p.publicMatches(ms), stats, nil
+	visit := p.publicVisitor(fn)
+	for _, m := range ms {
+		if !visit(m) {
+			break
+		}
+	}
+	return stats, nil
 }
 
-// publicMatches converts engine matches to the public form. The caller
-// holds p.mu.
-func (p *part) publicMatches(ms []core.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = p.publicMatch(m)
-	}
-	return out
-}
-
-// publicMatch converts one engine match. The caller holds p.mu.
-func (p *part) publicMatch(m core.Match) Match {
-	return Match{
-		SeqID:    p.data.Seq(m.Ref.Seq).ID,
-		Seq:      m.Ref.Seq,
-		Start:    m.Ref.Start,
-		End:      m.Ref.End,
-		Distance: m.Distance,
+// publicVisitor returns fn seeing engine matches in the public form. The
+// caller holds p.mu while it runs.
+func (p *part) publicVisitor(fn func(Match) bool) func(core.Match) bool {
+	return func(m core.Match) bool {
+		return fn(Match{
+			SeqID:    p.data.Seq(m.Ref.Seq).ID,
+			Seq:      m.Ref.Seq,
+			Start:    m.Ref.Start,
+			End:      m.Ref.End,
+			Distance: m.Distance,
+		})
 	}
 }

@@ -603,3 +603,35 @@ func TestSearchVisitPublic(t *testing.T) {
 		t.Error("nil visitor accepted")
 	}
 }
+
+// TestExactVisitOrder: an exact index finds its filter-pass answers in DFS
+// order, yet SearchVisitWith streams them, merged with the verified ones
+// of a sparse tree, in the (sequence, start, end) order SearchWith
+// returns, element for element.
+func TestExactVisitOrder(t *testing.T) {
+	db := newTestDB(t, 6, 40, 52)
+	for _, sparse := range []bool{false, true} {
+		name := fmt.Sprintf("exact-%v", sparse)
+		if err := db.BuildIndex(name, IndexSpec{Method: MethodExact, Sparse: sparse}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(53))
+		for qi := 0; qi < 6; qi++ {
+			q := testValues(rng, 3+qi)
+			want, _, err := search(db, name, q, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Match
+			if _, err := searchVisit(db, name, q, 8, func(m Match) bool {
+				got = append(got, m)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("%s q%d: streamed %d answers, not the %d SearchWith returns in its order", name, qi, len(got), len(want))
+			}
+		}
+	}
+}

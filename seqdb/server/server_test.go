@@ -294,6 +294,49 @@ func TestServerErrorsAreTyped(t *testing.T) {
 	}
 }
 
+// TestServerExactOrder: a served search of an exact index, whose filter
+// pass finds answers in DFS order, streams them in the (sequence, start,
+// end) order the in-process SearchWith returns, element for element — the
+// client sorts nothing.
+func TestServerExactOrder(t *testing.T) {
+	db := newTestDB(t)
+	if err := db.BuildIndex("exact", seqdb.IndexSpec{Method: seqdb.MethodExact}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	if err := s.AddDB("main", db); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	q := testQuery(db, "seq-03", 10, 30)
+	want, _, err := db.SearchWith(ctx, "exact", q, 6, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 2 {
+		t.Fatalf("%d answers: too few to have an order", len(want))
+	}
+	var streamed []seqdb.Match
+	if _, err := c.SearchVisitWith(ctx, "main", "exact", q, 6, func(m seqdb.Match) bool {
+		streamed = append(streamed, m)
+		return true
+	}, seqdb.SearchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.SearchWith(ctx, "main", "exact", q, 6, seqdb.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchesBitIdentical(streamed, want) || !matchesBitIdentical(got, want) {
+		t.Errorf("served %d streamed and %d materialized answers, not the %d in-process ones in their order", len(streamed), len(got), len(want))
+	}
+}
+
 // TestServerTreeReadFailureIsInternal: a search whose index file was cut
 // after the DB opened it fails reading a page — a fault of the server's
 // files, so the client sees CodeInternal, not bad-request — the page the

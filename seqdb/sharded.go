@@ -114,30 +114,24 @@ func OpenShardedWith(dir string, opts OpenOptions) (*DB, error) {
 // not shard 0's, is refused with ErrShardMismatch, after every shard
 // already opened is closed.
 func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
-	db := &DB{dir: dir}
+	var parts []*part
+	fail := func(err error) (*DB, error) {
+		for _, p := range parts {
+			p.close()
+		}
+		return nil, err
+	}
 	for i, r := range m.Ranges {
 		p, err := openPart(filepath.Join(dir, shardDirName(i)), opts)
 		if err != nil {
-			db.Close()
-			return nil, fmt.Errorf("seqdb: opening shard %d: %w", i, err)
+			return fail(fmt.Errorf("seqdb: opening shard %d: %w", i, err))
 		}
-		db.parts = append(db.parts, p)
-		if err := checkShard(i, r, db.parts[0], p); err != nil {
-			db.Close()
-			return nil, err
+		parts = append(parts, p)
+		if err := checkShard(i, r, parts[0], p); err != nil {
+			return fail(err)
 		}
 	}
-	backends := make([]shard.Backend, len(db.parts))
-	for i, p := range db.parts {
-		backends[i] = p
-	}
-	coord, err := shard.NewCoordinator(backends, m.Ranges, db.Dim())
-	if err != nil {
-		db.Close()
-		return nil, err
-	}
-	db.coord = coord
-	return db, nil
+	return newDB(dir, parts, true), nil
 }
 
 // checkShard compares shard i, p, with its manifest range r and with shard
@@ -185,8 +179,7 @@ func (db *DB) ShardRanges() []ShardRange {
 // from its first sequence — read-only access for tools and tests; mutating
 // a shard directly desynchronizes it from the manifest.
 func (db *DB) Shard(i int) *DB {
-	p := db.parts[i]
-	return &DB{dir: p.dir, parts: []*part{p}}
+	return newDB(db.parts[i].dir, []*part{db.parts[i]}, false)
 }
 
 // MergeStats combines per-partition dataset summaries into the summary of

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"math/rand"
@@ -527,8 +528,10 @@ func TestPartitionIntoRetryAfterFailure(t *testing.T) {
 }
 
 // TestOneShardRootMatchesFlat: a flat directory and a 1-shard root, opened
-// by the same OpenWith, give the same answers and the same Stats; the flat
-// one searches without a coordinator.
+// by the same OpenWith, give the same answers in the same order, the same
+// Stats and the same errors — a missing index and a tree that cannot be
+// read alike — with no PartialError and no shard prefix: one shard is one
+// path, whatever its directory holds.
 func TestOneShardRootMatchesFlat(t *testing.T) {
 	src := newTestDB(t, 8, 50, 5)
 	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 10, Sparse: true}
@@ -543,35 +546,57 @@ func TestOneShardRootMatchesFlat(t *testing.T) {
 	if err := errors.Join(one.BuildIndex("s", spec), one.Close()); err != nil {
 		t.Fatal(err)
 	}
-	opts := OpenOptions{Backend: BackendMmap}
-	flat, err := OpenWith(src.Dir(), opts)
-	if err != nil {
-		t.Fatal(err)
+	open := func(opts OpenOptions) (flat, sharded *DB) {
+		t.Helper()
+		flat, err := OpenWith(src.Dir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { flat.Close() })
+		sharded, err = OpenWith(root, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sharded.Close() })
+		if flat.sharded || !sharded.sharded {
+			t.Fatal("want a flat database and a 1-shard root")
+		}
+		return flat, sharded
 	}
-	defer flat.Close()
-	sharded, err := OpenWith(root, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	if flat.coord != nil || sharded.coord == nil {
-		t.Fatal("want a flat database without a coordinator and a 1-shard root with one")
-	}
+	flat, sharded := open(OpenOptions{Backend: BackendMmap})
 	if flat.Stats() != sharded.Stats() {
 		t.Errorf("Stats: flat %+v, 1-shard root %+v", flat.Stats(), sharded.Stats())
 	}
 
-	rng := rand.New(rand.NewSource(6))
-	for qi := 0; qi < 5; qi++ {
-		q := testValues(rng, 8)
-		for _, op := range []struct {
+	visit := func(db *DB, index string, q []float64) ([]Match, SearchStats, error) {
+		var out []Match
+		st, err := searchVisit(db, index, q, 10, func(m Match) bool {
+			out = append(out, m)
+			return true
+		})
+		return out, st, err
+	}
+	ops := func(index string, q []float64) []struct {
+		name string
+		run  func(db *DB) ([]Match, SearchStats, error)
+	} {
+		return []struct {
 			name string
 			run  func(db *DB) ([]Match, SearchStats, error)
 		}{
-			{"search", func(db *DB) ([]Match, SearchStats, error) { return search(db, "s", q, 10) }},
-			{"k-NN", func(db *DB) ([]Match, SearchStats, error) { return searchKNN(db, "s", q, 5) }},
-			{"scan", func(db *DB) ([]Match, SearchStats, error) { return seqScan(db, q, 10) }},
-		} {
+			{"search", func(db *DB) ([]Match, SearchStats, error) { return search(db, index, q, 10) }},
+			{"visit", func(db *DB) ([]Match, SearchStats, error) { return visit(db, index, q) }},
+			{"k-NN", func(db *DB) ([]Match, SearchStats, error) { return searchKNN(db, index, q, 5) }},
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	for qi := 0; qi < 5; qi++ {
+		q := testValues(rng, 8)
+		scan := struct {
+			name string
+			run  func(db *DB) ([]Match, SearchStats, error)
+		}{"scan", func(db *DB) ([]Match, SearchStats, error) { return seqScan(db, q, 10) }}
+		for _, op := range append(ops("s", q), scan) {
 			want, _, err := op.run(flat)
 			if err != nil {
 				t.Fatal(err)
@@ -585,4 +610,41 @@ func TestOneShardRootMatchesFlat(t *testing.T) {
 			}
 		}
 	}
+
+	// checkSameError holds the root's failure to the flat database's.
+	checkSameError := func(what string, flat, sharded *DB, index string, want error) {
+		t.Helper()
+		for _, op := range ops(index, testValues(rng, 8)) {
+			_, _, flatErr := op.run(flat)
+			_, _, rootErr := op.run(sharded)
+			var pe *PartialError
+			switch {
+			case !errors.Is(flatErr, want):
+				t.Errorf("%s %s: flat database returned %v, want %v", what, op.name, flatErr, want)
+			case rootErr == nil || rootErr.Error() != flatErr.Error():
+				t.Errorf("%s %s: 1-shard root returned %v, flat database %v", what, op.name, rootErr, flatErr)
+			case errors.As(rootErr, &pe):
+				t.Errorf("%s %s: 1-shard root returned a partial failure: %v", what, op.name, rootErr)
+			}
+		}
+	}
+	checkSameError("missing index", flat, sharded, "nope", ErrNoIndex)
+
+	// A tree cut short, read through the pool: both opened before the cut,
+	// so neither has read a page of it yet. The mappings go first.
+	if err := errors.Join(flat.Close(), sharded.Close()); err != nil {
+		t.Fatal(err)
+	}
+	flat, sharded = open(OpenOptions{})
+	for _, dir := range []string{src.Dir(), filepath.Join(root, shardDirName(0))} {
+		tree := filepath.Join(dir, "idx-s.twt")
+		st, err := os.Stat(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSameError("cut tree", flat, sharded, "s", io.ErrUnexpectedEOF)
 }
