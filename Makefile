@@ -148,7 +148,8 @@ run-lists:
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
 # the verifier-against-table (dtw's over values, multivar's over points of
-# dimension 2, one dtw.Verifier), engine-equivalence (at dimension 1 and 2,
+# dimension 2, one dtw.Verifier), the backward pass against the scan (at
+# dimension 1 and 2), engine-equivalence (at dimension 1 and 2,
 # range and k-NN), wire round-trip, build-versus-naive, node-codec, the
 # scheme and grid readers, the dataset reader's (one target per magic:
 # sequence holds the TWSEQDB1 seeds, multivar the TWVECDB1 ones),
@@ -162,6 +163,7 @@ FUZZ_CI = \
 	./internal/dtw/:FuzzDistanceProperties \
 	./internal/dtw/:FuzzIntervalLowerBound \
 	./internal/dtw/:FuzzThresholdRows \
+	./internal/dtw/:FuzzBackwardBound \
 	./internal/multivar/:FuzzThresholdRows \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \

@@ -367,3 +367,45 @@ func TestSearchVisit(t *testing.T) {
 		t.Fatalf("exact streamed %d, Search %d", len(got), len(wantExact))
 	}
 }
+
+// TestSeqScanVisitStreams: the index-free scan hands its answers over as it
+// finds them, already in (sequence, start, end) order — the slice SeqScan
+// returns is that stream, and no sort follows — and a visitor that returns
+// false ends the scan there: it gets exactly the first answers, and the
+// scan computes fewer cells than a full one.
+func TestSeqScanVisitStreams(t *testing.T) {
+	data := randomWalkDataset(rand.New(rand.NewSource(4101)), 5, 40)
+	q := []float64{3, 4, 4, 6}
+	const eps = 6.5
+	all, full, err := SeqScan(data, q, eps, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) < 20 {
+		t.Fatalf("%d answers: the fixture streams too little", len(all))
+	}
+	for i := 1; i < len(all); i++ {
+		if compareRefs(all[i-1], all[i]) >= 0 {
+			t.Fatalf("answer %d %v follows %v: the scan's stream is out of position order", i, all[i].Ref, all[i-1].Ref)
+		}
+	}
+	if full.Answers != uint64(len(all)) {
+		t.Errorf("full scan counts %d answers for %d delivered", full.Answers, len(all))
+	}
+	for _, stop := range []int{1, len(all) / 2} {
+		var got []Match
+		st, err := SeqScanVisit(context.Background(), data, q, eps, -1, func(m Match) bool {
+			got = append(got, m)
+			return len(got) < stop
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, all[:stop]) {
+			t.Fatalf("a visitor stopping after %d got %d answers, not the scan's first %d", stop, len(got), stop)
+		}
+		if st.Answers != uint64(stop) || st.FilterCells >= full.FilterCells {
+			t.Errorf("stopped after %d: %d answers and %d cells counted, full scan %d cells", stop, st.Answers, st.FilterCells, full.FilterCells)
+		}
+	}
+}

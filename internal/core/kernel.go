@@ -12,8 +12,9 @@ import (
 // query's envelope, for one query at a time. The traversal owns every
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel at most twice per filter row, never per cell: Gap and
-// AddRow (Base0 once per path); once per candidate start, Dead; and once
-// per verified start, Verify. The lower bounds Gap and AddRow return may
+// AddRow (Base0 once per path); once per candidate start, Dead; once per
+// sequence with pending starts, Backward; and once per start Backward
+// leaves live, Verify. The lower bounds Gap and AddRow return may
 // only prune through bound > eps, and never become a Match distance;
 // TestNoFalseDismissalsAtTies (in core at dimension 1, in multivar at 2)
 // holds the kernel to that with eps set to the exact distances of the
@@ -50,6 +51,13 @@ type Kernel interface {
 	// begins there is an answer. The test is strict, so a start at exactly
 	// the threshold is verified.
 	Dead(seq, start int) bool
+	// Backward runs the backward free-end pass over sequence seq for its
+	// pending starts, ascending, each with its furthest end, and sets
+	// live[i] to false when no subsequence beginning at starts[i] can be
+	// within the threshold (dtw.Verifier.Backward): such a start needs no
+	// Verify. It calls more every so many rows and stops when that returns
+	// false.
+	Backward(seq int, starts, ends []int32, live []bool, more func() bool)
 	// Verify scans, with the exact distance, the subsequences of sequence
 	// seq that begin at start and end at most at end, and calls hit(e, d)
 	// for each one, [start, e), whose distance d is at most the search's
@@ -59,7 +67,7 @@ type Kernel interface {
 
 	// Cells returns the table cells charged since the kernel was bound: one
 	// per query point for a filter row, the cells computed for a
-	// verification row.
+	// verification row or a row of the backward pass.
 	Cells() (filter, post uint64)
 }
 
@@ -184,6 +192,11 @@ func (k *kernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
 func (k *kernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Values(seq), start) }
+
+//twlint:steady-state
+func (k *kernel) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
+	k.verify.Backward(k.data.Values(seq), starts, ends, live, more)
+}
 
 //twlint:steady-state
 func (k *kernel) Verify(seq, start, end int, hit func(end int, dist float64)) {

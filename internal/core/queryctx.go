@@ -25,6 +25,7 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	if s == nil {
 		s = &searcher{kern: ix.newKernel()}
 		s.onHit = s.verified
+		s.onMore = s.more
 	}
 
 	// On sparse trees the D_tw-lb2 shift moves a candidate's rows relative

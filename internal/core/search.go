@@ -24,8 +24,9 @@ import (
 // When ctx is canceled or its deadline passes, the traversal aborts through
 // the same early-stop path a visitor uses, no further answer is delivered
 // and ctx.Err() is returned. Cancellation is checked every cancelMask+1 tree
-// nodes and every cancelMask+1 post-processing groups, so an abort costs at
-// most 64 groups' verification scans.
+// nodes, before every sequence's backward pass and every 256 of its rows,
+// and every cancelMask+1 verified starts, so an abort costs at most 256
+// backward rows or 64 starts' verification scans.
 func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
 	if err := CheckQuery(q, ix.Data.Dim()); err != nil {
 		return nil, SearchStats{}, err
@@ -179,6 +180,13 @@ type searcher struct {
 	// (vseq, vstart) under verification.
 	onHit        func(end int, dist float64)
 	vseq, vstart int
+	// starts and ends hold one sequence's pending starts and their
+	// furthest ends for its backward pass, live its verdict on each; onMore
+	// is the method value s.more that pass polls. All keep their capacity
+	// across the queries of the pooled searcher.
+	starts, ends []int32
+	live         []bool
+	onMore       func() bool
 
 	// nodes[level] is the scratch node for DFS level; collectNodes[level]
 	// serves the leaf-collection recursion. Reuse keeps the traversal
@@ -243,8 +251,17 @@ func (s *searcher) checkCancel() {
 	}
 }
 
-// cancelMask thins cancellation checks to one per 64 nodes, pending groups or
-// scanned start positions.
+// more polls the context for a backward pass and reports whether the
+// search goes on.
+//
+//twlint:steady-state
+func (s *searcher) more() bool {
+	s.checkCancel()
+	return !s.stopped
+}
+
+// cancelMask thins cancellation checks to one per 64 nodes, verified starts
+// or scanned start positions.
 const cancelMask = 63
 
 // emit delivers one answer: into the result slice, into held during an
@@ -599,31 +616,59 @@ func (s *searcher) candidate(seq, start, end int) {
 	s.pend.Add(int32(s.seqOffsets[seq]+start), int32(end))
 }
 
-// postProcess verifies the pending groups: one kernel call per admitted
-// start, scanning to the group's furthest end with Theorem-1 early abandon
-// and reporting every end with exact distance within eps. The dead starts
-// never joined a group (candidate); the rows of the others are computed
-// only where a path within eps can still run (dtw.Verifier). Iterating the
-// sorted touched offsets visits only this query's candidates —
-// O(candidates), not a scan of the whole database — in the same (seq,
-// start) order the dense scan used, since the global offset is monotone in
-// (seq, start).
+// postProcess verifies the pending groups, one sequence at a time: one
+// backward pass over the sequence's admitted starts dismisses every start
+// no subsequence of which is within eps (dtw.Verifier.Backward, THEORY.md
+// §12), then one kernel call per start it leaves live scans to the start's
+// furthest end with Theorem-1 early abandon and reports every end with
+// exact distance within eps. The dead starts never joined a group
+// (candidate); the rows of the others are computed only where a path
+// within eps can still run (dtw.Verifier). Iterating the sorted touched
+// offsets visits only this query's candidates — O(candidates), not a scan
+// of the whole database — in (seq, start) order, since the global offset
+// is monotone in (seq, start).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {
-	seq := 0
-	for i, off := range s.pend.Sorted() {
-		if i&cancelMask == 0 {
-			s.checkCancel()
-		}
+	offs := s.pend.Sorted()
+	seq, verified := 0, 0
+	for i := 0; i < len(offs); {
+		s.checkCancel()
 		if s.stopped {
 			break
 		}
-		for seq+1 < len(s.seqOffsets) && int(off) >= s.seqOffsets[seq+1] {
+		for seq+1 < len(s.seqOffsets) && int(offs[i]) >= s.seqOffsets[seq+1] {
 			seq++
 		}
-		s.vseq, s.vstart = seq, int(off)-s.seqOffsets[seq]
-		s.kern.Verify(seq, s.vstart, int(s.pend.MaxEnd(off)), s.onHit)
+		base := s.seqOffsets[seq]
+		limit := base + s.ix.seqLen(seq)
+		s.starts, s.ends = s.starts[:0], s.ends[:0]
+		for ; i < len(offs) && int(offs[i]) < limit; i++ {
+			//lint:ignore steadystate pooled scratch: starts and ends keep their capacity across the queries of the pooled searcher
+			s.starts = append(s.starts, offs[i]-int32(base))
+			//lint:ignore steadystate pooled scratch: as starts
+			s.ends = append(s.ends, s.pend.MaxEnd(offs[i]))
+		}
+		if cap(s.live) < len(s.starts) {
+			//lint:ignore steadystate pooled scratch: live grows once to the most pending starts of one sequence, then is reused
+			s.live = make([]bool, cap(s.starts))
+		}
+		live := s.live[:len(s.starts)]
+		s.kern.Backward(seq, s.starts, s.ends, live, s.onMore)
+		for k, start := range s.starts {
+			if s.stopped {
+				break
+			}
+			if !live[k] {
+				continue
+			}
+			if verified&cancelMask == 0 {
+				s.checkCancel()
+			}
+			verified++
+			s.vseq, s.vstart = seq, int(start)
+			s.kern.Verify(seq, s.vstart, int(s.ends[k]), s.onHit)
+		}
 	}
 	s.deliverHeld(nil)
 	if s.stats.Candidates >= s.stats.Answers {

@@ -33,15 +33,16 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 
 // verifySpy wraps the kernel of a one-dimensional index and watches
 // admission and the verification pass: how many offered starts Dead
-// dismissed, which starts Verify was pointed at, and whether one of those
-// was dead on its first element after all.
+// dismissed, how many admitted ones the backward pass dismissed, which
+// starts Verify was pointed at, and whether one of those was dead on its
+// first element after all.
 type verifySpy struct {
 	*kernel
 	// bound is where the test finds the spy of the latest search.
-	bound                **verifySpy
-	eps                  float64
-	dead, starts         int
-	deadVerified, misled int
+	bound                   **verifySpy
+	eps                     float64
+	dead, dismissed, starts int
+	deadVerified, misled    int
 }
 
 // Bind starts the spy's counts afresh for a search at threshold eps.
@@ -62,6 +63,15 @@ func (k *verifySpy) Dead(seq, start int) bool {
 	return dead
 }
 
+func (k *verifySpy) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
+	k.kernel.Backward(seq, starts, ends, live, more)
+	for _, l := range live {
+		if !l {
+			k.dismissed++
+		}
+	}
+}
+
 func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.starts++
 	if dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps {
@@ -75,16 +85,18 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // edges: (1) every start is emitted once — the subtree under a qualifying
 // path is collected once, where the descent stops, and a reached leaf hands
 // over all its starts itself — so Candidates is one per offered start, and
-// each one is either dismissed by Dead or verified by one kernel call; (2) a
-// start whose first element alone is further than eps from q[0] never
-// reaches Verify, and Dead says so by the base distance; (3) the answers
-// are still exactly the sequential scan's; (4) the exact cells that replace
-// a reached leaf's interval rows are no more than those rows: filter and
-// verification cells together stay within 1% of what this search cost when
-// leaves were filtered. On these long runs every shifted start is verified
-// on its own, so the two come out even (32273 → 32288 and 2911 → 2882
-// cells); on the benchmark's broad workload the total halves (815k → 375k
-// per query).
+// each one is dismissed by Dead, dismissed by the backward pass or verified
+// by one kernel call; (2) a start whose first element alone is further than
+// eps from q[0] never reaches Verify, and Dead says so by the base
+// distance; (3) the answers are still exactly the sequential scan's; (4)
+// the exact cells that replace a reached leaf's interval rows are no more
+// than those rows: filter and verification cells together stay within 1%
+// of what this search cost when leaves were filtered. On these long runs
+// every shifted start was verified on its own, so the two came out even
+// (32273 → 32288 and 2911 → 2882 cells); since the backward pass dismisses
+// the starts without an answer first, |Q|=8 costs 13453 (1387 of 1404
+// admitted starts dismissed), and |Q|=1, where the pass has nothing to add
+// to Dead, still 2882.
 func TestVerificationCostsItsAnswers(t *testing.T) {
 	data := plateauDataset(rand.New(rand.NewSource(2407)), 24, 150)
 	ix, err := Build(data, filepath.Join(t.TempDir(), "plateau.twt"),
@@ -121,10 +133,10 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		if !matchesBitIdentical(got, want) {
 			t.Fatalf("|Q|=%d: index %d matches, scan %d", len(c.q), len(got), len(want))
 		}
-		t.Logf("|Q|=%d: candidates %d, dismissed at admission %d, verified %d, cells %d+%d (leaf rows: %d), answers %d",
-			len(c.q), st.Candidates, spy.dead, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.Answers)
-		if st.Candidates != uint64(spy.dead+spy.starts) {
-			t.Errorf("|Q|=%d: %d candidates for %d dismissed and %d verified starts, want one emission and one decision per start", len(c.q), st.Candidates, spy.dead, spy.starts)
+		t.Logf("|Q|=%d: candidates %d, dismissed at admission %d, by the backward pass %d, verified %d, cells %d+%d (leaf rows: %d), answers %d",
+			len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.Answers)
+		if st.Candidates != uint64(spy.dead+spy.dismissed+spy.starts) {
+			t.Errorf("|Q|=%d: %d candidates for %d dismissed at admission, %d by the backward pass and %d verified starts, want one emission and one decision per start", len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts)
 		}
 		if cells := st.FilterCells + st.PostCells; 100*cells > 101*c.leafRows {
 			t.Errorf("|Q|=%d: %d filter + verification cells, want at most 1%% over the %d of filtered leaves", len(c.q), cells, c.leafRows)
@@ -134,6 +146,42 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		}
 		if spy.starts == 0 || spy.dead == 0 {
 			t.Errorf("|Q|=%d: %d dismissed and %d verified starts: the fixture does not exercise admission", len(c.q), spy.dead, spy.starts)
+		}
+	}
+}
+
+// TestBackwardKeepsRoundingTies: the scan adds the base distances 0.3, 0.2
+// and 0.1 of the answer [2, 5) to 0.6, and the backward pass adds the same
+// three in the opposite order to 0.6000000000000001, so at eps = 0.6 the
+// pass must test against eps raised by its rounding margin: at eps itself
+// every index that verifies would dismiss a start the scan answers at.
+func TestBackwardKeepsRoundingTies(t *testing.T) {
+	data := sequence.NewDataset()
+	data.MustAdd(sequence.Sequence{ID: "tie", Values: []float64{7, 5, 0.3, 0.2, 0.1, 4, 9, 6}})
+	data.MustAdd(sequence.Sequence{ID: "other", Values: []float64{4, 6, 2, 9, 1, 3, 8, 5}})
+	q := []float64{0, 0, 0}
+	const eps = 0.6
+	tie := sequence.Ref{Seq: 0, Start: 2, End: 5}
+	want, _, err := SeqScan(data, q, eps, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
+		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
+	}
+	dir := t.TempDir()
+	for vi, v := range variants() {
+		ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("round-%d.twt", vi)), v.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ix, q, eps)
+		ix.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, want) {
+			t.Errorf("%s: index %d answers, scan %d (the backward pass must allow for its rounding)", v.name, len(got), len(want))
 		}
 	}
 }

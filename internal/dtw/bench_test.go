@@ -83,7 +83,7 @@ func BenchmarkTableAddRowInterval(b *testing.B) {
 // would dominate the traversal. Guarded as a test (benchmarks can report but
 // not assert), same warm-storage shape as the benchmarks above. Likewise the
 // filter pass's base-row lookup with its AddRowBase row, and a verifier
-// scan, with and without a threshold.
+// scan and backward pass, with and without a threshold.
 func TestAddRowNoAllocs(t *testing.T) {
 	_, q := benchSeqs(1, 20)
 	for _, w := range []int{-1, 5} {
@@ -149,6 +149,14 @@ func TestAddRowNoAllocs(t *testing.T) {
 			}); got != 0 {
 				t.Errorf("window=%d tau=%v: Verifier.Scan allocates %.1f per start, want 0", w, tau, got)
 			}
+			starts, ends := []int32{3, 9, 40, 200}, []int32{232, 100, 232, 232}
+			live := make([]bool, len(starts))
+			more := func() bool { return true }
+			if got := testing.AllocsPerRun(1000, func() {
+				v.Backward(s, starts, ends, live, more)
+			}); got != 0 {
+				t.Errorf("window=%d tau=%v: Verifier.Backward allocates %.1f per pass, want 0", w, tau, got)
+			}
 		}
 	}
 }
@@ -196,6 +204,32 @@ func BenchmarkVerifierScan(b *testing.B) {
 				for start := 0; start < len(s)/dim; start++ {
 					v.Scan(s, start, len(s)/dim, hit)
 				}
+			}
+			b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
+		})
+	}
+}
+
+// BenchmarkVerifierBackward runs the backward pass over every start of
+// BenchmarkVerifierScan's walk, each to the end of it, at the same
+// threshold — one pass over the whole walk, deciding every start before
+// any forward row — once per cell loop: /d1 over values, /d2 over the same
+// walk as points of dimension 2.
+func BenchmarkVerifierBackward(b *testing.B) {
+	for _, dim := range []int{1, 2} {
+		b.Run(fmt.Sprintf("d%d", dim), func(b *testing.B) {
+			s, q := benchPoints(232, 20, dim)
+			n := len(s) / dim
+			starts, ends := make([]int32, n), make([]int32, n)
+			for i := range starts {
+				starts[i], ends[i] = int32(i), int32(n)
+			}
+			live := make([]bool, n)
+			var v Verifier
+			v.Bind(q, dim, -1, 9*float64(dim))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.Backward(s, starts, ends, live, nil)
 			}
 			b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
 		})

@@ -1,6 +1,9 @@
 package dtw
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Verifier is the exact table of the verification pass: for one start at a
 // time it grows the cumulative table of Definition 2 row by row along the
@@ -20,6 +23,10 @@ type Verifier struct {
 	dim int
 	// pts views q's points when dim > 1, for the point loop.
 	pts [][]float64
+	// rq is q's values last to first at dimension 1, rpts q's point views
+	// last to first above it: the columns of the backward pass.
+	rq   []float64
+	rpts [][]float64
 
 	n, window  int
 	tau        float64
@@ -33,9 +40,16 @@ type Verifier struct {
 func (v *Verifier) Bind(q []float64, dim, w int, tau float64) {
 	n := len(q) / dim
 	v.q, v.dim = q, dim
-	v.pts = v.pts[:0]
+	v.pts, v.rq, v.rpts = v.pts[:0], v.rq[:0], v.rpts[:0]
 	if dim > 1 {
 		v.pts = points(v.pts, q, dim)
+		for i := n - 1; i >= 0; i-- {
+			v.rpts = append(v.rpts, v.pts[i])
+		}
+	} else {
+		for i := n - 1; i >= 0; i-- {
+			v.rq = append(v.rq, q[i])
+		}
 	}
 	v.n, v.window, v.tau = n, w, tau
 	if cap(v.prev) < n {
@@ -78,7 +92,14 @@ func (v *Verifier) reach(x, plo, phi int) (lo, mid, hi int) {
 //twlint:steady-state
 func (v *Verifier) close(curr []float64, lo, end int) (liveLo, liveHi int) {
 	v.cells += uint64(end - lo)
-	tau := v.tau
+	return v.live(curr, lo, end, v.tau)
+}
+
+// live returns the live columns among curr[lo:end] under tau and writes
+// Inf either side of them, as close does.
+//
+//twlint:steady-state
+func (v *Verifier) live(curr []float64, lo, end int, tau float64) (liveLo, liveHi int) {
 	hi := end
 	for hi > lo && curr[hi-1] > tau {
 		hi--
@@ -241,6 +262,218 @@ func (v *Verifier) scanPoints(s []float64, start, end int, hit func(end int, dis
 			return
 		}
 		prev, curr = curr, prev
+	}
+}
+
+// backwardPoll is how many rows of a backward pass run between two calls of
+// its caller's more function.
+const backwardPoll = 256
+
+// margin is the threshold the backward pass tests against for tau when no
+// warping path it must keep has more than cells cells: tau raised by the
+// rounding of two sums of as many non-negative terms, added in opposite
+// orders (THEORY.md §12).
+func margin(tau float64, cells int) float64 {
+	return tau * (1 + float64(cells)*0x1p-50)
+}
+
+// Backward is the backward free-end pass (THEORY.md §12) over the points
+// of s. starts are ascending, ends[i] is the furthest end a scan of
+// starts[i] would reach, and Backward sets live[i] to false when no
+// subsequence that begins at starts[i] can be within the threshold — Scan
+// would report nothing there — and to true otherwise.
+//
+// The rows run bottom up with the query's columns last point first, so
+// cell (x, j) holds the cheapest warping path from s[x] and q[j] to the
+// query's last point at any end, and the column of q[0] decides start x.
+// One pass decides a run of nearby starts, computing only the cells a path
+// within the threshold can reach, as Scan does, and charging them to
+// Cells. A run begins past its last start where none of its answers
+// reaches: under a window past the band, above a row of Inf; without one
+// 2|Q| rows on, above a row of 0, which only lowers every cell; at the
+// furthest end when that comes sooner. Starts further apart than that take
+// runs of their own.
+//
+// Every start is live, at no cost, under an infinite threshold and against
+// a one-point query, whose smallest distance at a start is the base
+// distance Dead has already tested. more, when not nil, is called every
+// backwardPoll rows; when it returns false the pass stops, and the
+// verdicts it has not reached are undefined.
+//
+//twlint:steady-state
+func (v *Verifier) Backward(s []float64, starts, ends []int32, live []bool, more func() bool) {
+	if math.IsInf(v.tau, 1) || v.n == 1 {
+		for i := range starts {
+			live[i] = true
+		}
+		return
+	}
+	n, dim := v.n, v.dim
+	reach := 2 * n
+	if v.window >= 0 {
+		reach = n + v.window
+	}
+	rows := 0
+	for hi := len(starts) - 1; hi >= 0; {
+		lo := hi
+		for lo > 0 && int(starts[lo]-starts[lo-1]) <= reach {
+			lo--
+		}
+		first, last := int(starts[lo]), int(starts[hi])
+		furthest := int(slices.Max(ends[lo : hi+1]))
+		top := min(furthest, last+reach)
+		// A path of an answer within the threshold has at most
+		// furthest-first rows, each adding at most n-1 columns in all.
+		tau := margin(v.tau, furthest-first+n)
+		prev, curr := v.prev, v.curr
+		plo, phi := 0, 0
+		if v.window < 0 && furthest > top {
+			clear(prev)
+			phi = n
+		}
+		k := hi
+		for x := top - 1; x >= first; x-- {
+			if dim == 1 {
+				plo, phi = v.backValues(s[x], prev, curr, plo, phi, tau)
+			} else {
+				plo, phi = v.backPoints(s[x*dim:(x+1)*dim], prev, curr, plo, phi, tau)
+			}
+			if x == int(starts[k]) {
+				live[k] = phi == n
+				k--
+			}
+			prev, curr = curr, prev
+			if rows++; rows%backwardPoll == 0 && more != nil && !more() {
+				return
+			}
+		}
+		hi = lo - 1
+	}
+}
+
+// backValues computes one row of the backward pass at dimension 1 into
+// curr, for the value val, from the row below in prev with live columns
+// [plo, phi), and returns its own live columns under tau. Column 0, the
+// query's last point, is where a path may end, so every row starts a fresh
+// chain there that runs rightwards while the cell to its left is live, up
+// to the columns the row below reaches; from plo to one past phi the cells
+// take the full recurrence, and past them the chain runs on as in Scan.
+//
+//twlint:steady-state
+func (v *Verifier) backValues(val float64, prev, curr []float64, plo, phi int, tau float64) (liveLo, liveHi int) {
+	q := v.rq
+	n := len(q)
+	stop := n
+	if plo < phi {
+		stop = plo
+	}
+	y, left := 0, 0.0
+	for y < stop && left <= tau {
+		left += Base(val, q[y])
+		curr[y] = left
+		y++
+	}
+	lo, cells := 0, y
+	if plo < phi {
+		if y < plo {
+			// The chain died short of the reached columns: the gap is dead,
+			// and when the fresh cell itself died the row starts at plo.
+			if y == 1 {
+				lo = plo
+			} else {
+				fillInf(curr[y:plo])
+			}
+			y, left = plo, Inf
+		}
+		from := y
+		if y == 0 {
+			left = Base(val, q[0])
+			curr[0] = left
+			y = 1
+		}
+		if hi := min(phi+1, n); y < hi {
+			// prev[plo-1] and prev[phi] hold the Inf the row below's
+			// live wrote.
+			diag := prev[y-1]
+			qb, cb, pb := q[:hi], curr[:hi], prev[:hi]
+			for ; y < len(qb); y++ {
+				up := pb[y]
+				c := Base(val, qb[y]) + Min3(up, diag, left)
+				cb[y] = c
+				left = c
+				diag = up
+			}
+		}
+		for ; y < n && left <= tau; y++ {
+			left += Base(val, q[y])
+			curr[y] = left
+		}
+		cells += y - from
+	}
+	v.cells += uint64(cells)
+	return v.live(curr, lo, y, tau)
+}
+
+// backPoints is backValues above dimension 1: BasePoint between the point p
+// and the query's points for Base between values.
+//
+//twlint:steady-state
+func (v *Verifier) backPoints(p []float64, prev, curr []float64, plo, phi int, tau float64) (liveLo, liveHi int) {
+	q := v.rpts
+	n := len(q)
+	stop := n
+	if plo < phi {
+		stop = plo
+	}
+	y, left := 0, 0.0
+	for y < stop && left <= tau {
+		left += BasePoint(p, q[y])
+		curr[y] = left
+		y++
+	}
+	lo, cells := 0, y
+	if plo < phi {
+		if y < plo {
+			if y == 1 {
+				lo = plo
+			} else {
+				fillInf(curr[y:plo])
+			}
+			y, left = plo, Inf
+		}
+		from := y
+		if y == 0 {
+			left = BasePoint(p, q[0])
+			curr[0] = left
+			y = 1
+		}
+		if hi := min(phi+1, n); y < hi {
+			diag := prev[y-1]
+			qb, cb, pb := q[:hi], curr[:hi], prev[:hi]
+			for ; y < len(qb); y++ {
+				up := pb[y]
+				c := BasePoint(p, qb[y]) + Min3(up, diag, left)
+				cb[y] = c
+				left = c
+				diag = up
+			}
+		}
+		for ; y < n && left <= tau; y++ {
+			left += BasePoint(p, q[y])
+			curr[y] = left
+		}
+		cells += y - from
+	}
+	v.cells += uint64(cells)
+	return v.live(curr, lo, y, tau)
+}
+
+// fillInf sets every cell of row to Inf.
+//
+//twlint:steady-state
+func fillInf(row []float64) {
+	for i := range row {
+		row[i] = Inf
 	}
 }
 

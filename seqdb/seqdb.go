@@ -388,17 +388,7 @@ func (db *DB) SeqScanCtx(ctx context.Context, q []float64, eps float64) ([]Match
 func (p *part) Scan(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	ms, stats, err := core.SeqScanCtx(ctx, p.data, q, eps, -1)
-	if err != nil {
-		return stats, err
-	}
-	visit := p.publicVisitor(fn)
-	for _, m := range ms {
-		if !visit(m) {
-			break
-		}
-	}
-	return stats, nil
+	return core.SeqScanVisit(ctx, p.data, q, eps, -1, p.publicVisitor(fn))
 }
 
 // publicVisitor returns fn seeing engine matches in the public form. The
