@@ -106,14 +106,15 @@ race-mmap:
 # many, so every build test of disktree and of multivar, whose indexes of
 # dimension d > 1 core builds through the grid (the differential,
 # determinism, failure-and-leak and fuzz-seed tests among them), the grid's
-# fit and encoding (categorize's TestGridTableMatchesMap), core's parallel
+# fit and encoding (categorize's TestGridTableMatchesMap), the fit that
+# encodes on every core (TestFitOnceMatchesFit), core's parallel
 # encode on reopening an index of dimension 2 (TestMultivarOpen), the flat
 # text store, the selecting fit against its sort-based reference and the
 # bulk dataset I/O of both dimensions run once with one scheduler thread
 # and once with four — the determinism test pins the bytes across them.
 # core's scalar indexes are built by the same call in every one of its
 # tests; `make race` covers them.
-RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestMultivarOpen' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
+RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestFitOnceMatchesFit|TestMultivarOpen' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
 race-build:
 	GOMAXPROCS=1 $(GO) test $(RACE_BUILD)
 	GOMAXPROCS=4 $(GO) test $(RACE_BUILD)
@@ -148,8 +149,8 @@ run-lists:
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
 # the verifier-against-table (dtw's over values, multivar's over points of
-# dimension 2, one dtw.Verifier), the backward pass against the scan (at
-# dimension 1 and 2), engine-equivalence (at dimension 1 and 2,
+# dimension 2, one dtw.Verifier), the backward pass and the windowed
+# admission bound against the scan (at dimension 1 and 2), engine-equivalence (at dimension 1 and 2,
 # range and k-NN), wire round-trip, build-versus-naive, node-codec, the
 # scheme and grid readers, the dataset reader's (one target per magic:
 # sequence holds the TWSEQDB1 seeds, multivar the TWVECDB1 ones),
@@ -164,6 +165,7 @@ FUZZ_CI = \
 	./internal/dtw/:FuzzIntervalLowerBound \
 	./internal/dtw/:FuzzThresholdRows \
 	./internal/dtw/:FuzzBackwardBound \
+	./internal/dtw/:FuzzAdmissionBound \
 	./internal/multivar/:FuzzThresholdRows \
 	$(FUZZ_ENGINE) \
 	./internal/categorize/:FuzzReadScheme \

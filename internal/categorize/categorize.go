@@ -17,9 +17,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"twsearch/internal/dtw"
+	"twsearch/internal/sequence"
 )
 
 // Symbol is a category index. Symbols are dense, starting at 0. Negative
@@ -195,29 +199,43 @@ func (s *Scheme) Entropy() float64 {
 	return h
 }
 
-// newScheme assigns values to the given ascending boundaries and fills in
-// observed bounds and counts. uppers must be ascending; uppers[len-1] must
-// admit the largest value.
-func newScheme(kind Kind, values []float64, lowers, uppers []float64) *Scheme {
+// newScheme returns the scheme of the given ascending boundaries with
+// nothing observed yet: a fit fills the counts and observed bounds from
+// the fitted values (observe, or count per value and settle). uppers must
+// be ascending; uppers[len-1] must admit the largest value.
+func newScheme(kind Kind, lowers, uppers []float64) *Scheme {
 	cats := make([]Category, len(uppers))
 	for i := range cats {
 		cats[i] = Category{Lo: lowers[i], Hi: uppers[i], ObsLo: math.Inf(1), ObsHi: math.Inf(-1)}
 	}
-	s := (&Scheme{kind: kind, cats: cats, uppers: uppers}).withGrid()
+	return (&Scheme{kind: kind, cats: cats, uppers: uppers}).withGrid()
+}
+
+// observe counts every value in its category and settles the scheme.
+func (s *Scheme) observe(values []float64) *Scheme {
 	for _, v := range values {
-		i := s.Symbol(v)
-		c := &s.cats[i]
-		c.Count++
-		if v < c.ObsLo {
-			c.ObsLo = v
-		}
-		if v > c.ObsHi {
-			c.ObsHi = v
-		}
+		s.count(v, s.Symbol(v))
 	}
-	// Empty categories get their boundary range as the observed interval so
-	// Interval stays well-defined (they can still be produced by Symbol for
-	// out-of-sample values).
+	return s.settle()
+}
+
+// count records the fitted value v, of category sym, in that category's
+// count and observed bounds.
+func (s *Scheme) count(v float64, sym Symbol) {
+	c := &s.cats[sym]
+	c.Count++
+	if v < c.ObsLo {
+		c.ObsLo = v
+	}
+	if v > c.ObsHi {
+		c.ObsHi = v
+	}
+}
+
+// settle ends a fit's counting: empty categories get their boundary range
+// as the observed interval so Interval stays well-defined (they can still
+// be produced by Symbol for out-of-sample values).
+func (s *Scheme) settle() *Scheme {
 	for i := range s.cats {
 		if s.cats[i].Count == 0 {
 			s.cats[i].ObsLo, s.cats[i].ObsHi = s.cats[i].Lo, s.cats[i].Hi
@@ -229,6 +247,11 @@ func newScheme(kind Kind, values []float64, lowers, uppers []float64) *Scheme {
 // EqualLength fits the paper's equal-length (EL) categorization: c bins of
 // identical width (MAX-MIN)/c over the fitted values.
 func EqualLength(values []float64, c int) (*Scheme, error) {
+	return Fit(KindEqualLength, values, c, 0)
+}
+
+// equalLength is EqualLength's boundaries.
+func equalLength(values []float64, c int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
 	}
@@ -240,7 +263,7 @@ func EqualLength(values []float64, c int) (*Scheme, error) {
 	// valid bin width.
 	if min == max {
 		// Degenerate data: one real bin is enough regardless of c.
-		return newScheme(KindEqualLength, values, []float64{min}, []float64{max}), nil
+		return newScheme(KindEqualLength, []float64{min}, []float64{max}), nil
 	}
 	width := (max - min) / float64(c)
 	lowers := make([]float64, c)
@@ -250,7 +273,7 @@ func EqualLength(values []float64, c int) (*Scheme, error) {
 		uppers[i] = min + float64(i+1)*width
 	}
 	uppers[c-1] = max // avoid the largest value falling off the end
-	return newScheme(KindEqualLength, values, lowers, uppers), nil
+	return newScheme(KindEqualLength, lowers, uppers), nil
 }
 
 // MaxEntropy fits the paper's maximum-entropy (ME) categorization: category
@@ -258,6 +281,11 @@ func EqualLength(values []float64, c int) (*Scheme, error) {
 // possible, given ties) the same number of fitted values, which maximizes
 // H(C). values is not modified.
 func MaxEntropy(values []float64, c int) (*Scheme, error) {
+	return Fit(KindMaxEntropy, values, c, 0)
+}
+
+// maxEntropy is MaxEntropy's boundaries.
+func maxEntropy(values []float64, c int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
 	}
@@ -277,7 +305,7 @@ func MaxEntropy(values []float64, c int) (*Scheme, error) {
 	// Exact equality detects fully degenerate data; quantile boundaries are
 	// valid for any nonzero spread.
 	if min == max {
-		return newScheme(KindMaxEntropy, values, []float64{min}, []float64{max}), nil
+		return newScheme(KindMaxEntropy, []float64{min}, []float64{max}), nil
 	}
 	// Duplicate boundaries (heavy ties) are collapsed, so the scheme may end
 	// up with fewer than c categories rather than empty ones.
@@ -295,7 +323,7 @@ func MaxEntropy(values []float64, c int) (*Scheme, error) {
 	for i := 1; i < len(uppers); i++ {
 		lowers[i] = uppers[i-1]
 	}
-	return newScheme(KindMaxEntropy, values, lowers, uppers), nil
+	return newScheme(KindMaxEntropy, lowers, uppers), nil
 }
 
 // KMeans fits a 1-D k-means categorization (mentioned by the paper as an
@@ -303,6 +331,11 @@ func MaxEntropy(values []float64, c int) (*Scheme, error) {
 // with Lloyd iterations; category boundaries are the midpoints between
 // neighboring centroids.
 func KMeans(values []float64, c, iters int) (*Scheme, error) {
+	return Fit(KindKMeans, values, c, iters)
+}
+
+// kMeans is KMeans's boundaries.
+func kMeans(values []float64, c, iters int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
 	}
@@ -315,7 +348,7 @@ func KMeans(values []float64, c, iters int) (*Scheme, error) {
 	// Exact equality detects fully degenerate data; clustering is meaningful
 	// for any nonzero spread.
 	if min == max || c == 1 {
-		return newScheme(KindKMeans, values, []float64{min}, []float64{max}), nil
+		return newScheme(KindKMeans, []float64{min}, []float64{max}), nil
 	}
 	// Quantile initialization keeps centroids distinct and deterministic.
 	centroids := make([]float64, 0, c)
@@ -370,7 +403,7 @@ func KMeans(values []float64, c, iters int) (*Scheme, error) {
 		lowers[i+1] = uppers[i]
 	}
 	uppers[len(centroids)-1] = max
-	return newScheme(KindKMeans, values, lowers, uppers), nil
+	return newScheme(KindKMeans, lowers, uppers), nil
 }
 
 // Identity builds a scheme with one point category per distinct fitted
@@ -378,6 +411,11 @@ func KMeans(values []float64, c, iters int) (*Scheme, error) {
 // every symbol is a single point, D_base-lb degenerates to the exact
 // D_base, and the categorized suffix tree becomes the exact tree ST.
 func Identity(values []float64) (*Scheme, error) {
+	return Fit(KindIdentity, values, 0, 0)
+}
+
+// identity is Identity's boundaries.
+func identity(values []float64) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
 	}
@@ -390,24 +428,86 @@ func Identity(values []float64) (*Scheme, error) {
 		}
 	}
 	lowers := append([]float64(nil), uppers...)
-	return newScheme(KindIdentity, values, lowers, uppers), nil
+	return newScheme(KindIdentity, lowers, uppers), nil
 }
 
 // Fit dispatches on kind. The iters parameter is used by k-means only; the
 // count parameter is ignored by the identity scheme.
 func Fit(kind Kind, values []float64, count, iters int) (*Scheme, error) {
+	s, err := fitBounds(kind, values, count, iters)
+	if err != nil {
+		return nil, err
+	}
+	return s.observe(values), nil
+}
+
+// fitBounds is Fit's boundaries, with nothing observed yet.
+func fitBounds(kind Kind, values []float64, count, iters int) (*Scheme, error) {
 	switch kind {
 	case KindEqualLength:
-		return EqualLength(values, count)
+		return equalLength(values, count)
 	case KindMaxEntropy:
-		return MaxEntropy(values, count)
+		return maxEntropy(values, count)
 	case KindKMeans:
-		return KMeans(values, count, iters)
+		return kMeans(values, count, iters)
 	case KindIdentity:
-		return Identity(values)
+		return identity(values)
 	default:
 		return nil, fmt.Errorf("categorize: unknown kind %q", kind)
 	}
+}
+
+// FitTexts fits a scheme of the given kind, as Fit does, on every value of
+// data, a dataset of dimension 1, and returns it with the symbol text of
+// every sequence, as Encode gives them. Each value is categorized once: the
+// boundaries are fitted, the sequences encoded on up to GOMAXPROCS
+// goroutines (EncodeAll), and the counts and observed bounds filled from
+// the texts in one pass, in dataset order as Fit fills them, so the scheme
+// is Fit's to the bit.
+func FitTexts(data *sequence.Dataset, kind Kind, count, iters int) (*Scheme, [][]Symbol, error) {
+	if data.Dim() != 1 {
+		return nil, nil, fmt.Errorf("categorize: a scheme fits values, not points of dimension %d", data.Dim())
+	}
+	s, err := fitBounds(kind, data.AllValues(), count, iters)
+	if err != nil {
+		return nil, nil, err
+	}
+	texts, err := EncodeAll(data, func(vals []float64) ([]Symbol, error) { return s.Encode(vals), nil })
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, text := range texts {
+		for j, v := range data.Values(i) {
+			s.count(v, text[j])
+		}
+	}
+	return s.settle(), texts, nil
+}
+
+// EncodeAll encodes every sequence of data with encode, the sequences
+// shared out among up to GOMAXPROCS goroutines, and returns the texts in
+// sequence order, or the error of the first sequence that failed.
+func EncodeAll(data *sequence.Dataset, encode func(vals []float64) ([]Symbol, error)) ([][]Symbol, error) {
+	texts := make([][]Symbol, data.Len())
+	errs := make([]error, len(texts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(texts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(texts); i = int(next.Add(1)) - 1 {
+				texts[i], errs[i] = encode(data.Values(i))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("encoding %q: %w", data.Seq(i).ID, err)
+		}
+	}
+	return texts, nil
 }
 
 // RunHeads returns the indices p with syms[p] != syms[p-1] (and always 0):

@@ -465,7 +465,7 @@ func maxEntropyReference(values []float64, c int) *Scheme {
 	sort.Float64s(sorted)
 	lo, hi := sorted[0], sorted[len(sorted)-1]
 	if lo == hi {
-		return newScheme(KindMaxEntropy, values, []float64{lo}, []float64{hi})
+		return newScheme(KindMaxEntropy, []float64{lo}, []float64{hi}).observe(values)
 	}
 	var uppers []float64
 	for i := 0; i < c-1; i++ {
@@ -477,7 +477,7 @@ func maxEntropyReference(values []float64, c int) *Scheme {
 		uppers = append(uppers, hi)
 	}
 	lowers := append([]float64{lo}, uppers[:len(uppers)-1]...)
-	return newScheme(KindMaxEntropy, values, lowers, uppers)
+	return newScheme(KindMaxEntropy, lowers, uppers).observe(values)
 }
 
 // sameAsReference fails the test when MaxEntropy's scheme file is not the

@@ -49,7 +49,10 @@ func newGrid(dims []*Scheme) *GridScheme {
 // FitGrid fits one univariate categorizer per dimension of data (catsPerDim
 // categories each) and assigns dense cell symbols to every observed
 // combination. It also returns what it computed on the way: the cell-symbol
-// text of every sequence, as Encode gives them.
+// text of every sequence, as Encode gives them. Each coordinate is
+// categorized once: the per-dimension boundaries are fitted first, and the
+// one pass over the points that finds their cells also fills every
+// dimension's counts and observed bounds, in the order Fit would.
 func FitGrid(data *sequence.Dataset, kind Kind, catsPerDim int) (*GridScheme, [][]Symbol, error) {
 	if data.Len() == 0 {
 		return nil, nil, errors.New("categorize: empty dataset")
@@ -66,13 +69,14 @@ func FitGrid(data *sequence.Dataset, kind Kind, catsPerDim int) (*GridScheme, []
 				at++
 			}
 		}
-		s, err := Fit(kind, vals, catsPerDim, 20)
+		s, err := fitBounds(kind, vals, catsPerDim, 20)
 		if err != nil {
 			return nil, nil, fmt.Errorf("categorize: fitting dim %d: %w", k, err)
 		}
 		dims[k] = s
 	}
-	// Register every observed cell and grow its box.
+	// Register every observed cell and grow its box, counting each
+	// coordinate in its dimension's category on the way.
 	g := newGrid(dims)
 	syms := make([]Symbol, data.TotalElements())
 	texts := make([][]Symbol, data.Len())
@@ -82,7 +86,13 @@ func FitGrid(data *sequence.Dataset, kind Kind, catsPerDim int) (*GridScheme, []
 		syms = syms[len(text):]
 		for j := range text {
 			p := v[j*dim : (j+1)*dim]
-			sym := g.symbolFor(p, true)
+			key := uint64(0)
+			for k, s := range dims {
+				sym := s.Symbol(p[k])
+				s.count(p[k], sym)
+				key = key*uint64(s.NumCategories()) + uint64(sym)
+			}
+			sym := g.symbolFor(key, p, true)
 			text[j] = sym
 			box := &g.boxes[sym]
 			for k := 0; k < dim; k++ {
@@ -96,6 +106,9 @@ func FitGrid(data *sequence.Dataset, kind Kind, catsPerDim int) (*GridScheme, []
 		}
 		texts[i] = text
 	}
+	for _, s := range dims {
+		s.settle()
+	}
 	return g, texts, nil
 }
 
@@ -108,10 +121,10 @@ func (g *GridScheme) cellKey(p []float64) uint64 {
 	return key
 }
 
-// symbolFor returns the dense symbol of p's cell, creating it when create
-// is set. It returns -1 for an unseen cell when create is false.
-func (g *GridScheme) symbolFor(p []float64, create bool) Symbol {
-	key := g.cellKey(p)
+// symbolFor returns the dense symbol of the cell with the given key, p's,
+// creating it when create is set. It returns -1 for an unseen cell when
+// create is false.
+func (g *GridScheme) symbolFor(key uint64, p []float64, create bool) Symbol {
 	sym := Symbol(-1)
 	if g.table != nil {
 		sym = g.table[key] - 1
@@ -163,7 +176,8 @@ func (g *GridScheme) Encode(vals []float64) ([]Symbol, error) {
 	dim := g.Dim()
 	out := make([]Symbol, len(vals)/dim)
 	for i := range out {
-		sym := g.symbolFor(vals[i*dim:(i+1)*dim], false)
+		p := vals[i*dim : (i+1)*dim]
+		sym := g.symbolFor(g.cellKey(p), p, false)
 		if sym < 0 {
 			return nil, fmt.Errorf("categorize: point %d falls in an unfitted cell", i)
 		}

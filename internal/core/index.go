@@ -31,9 +31,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/disktree"
@@ -238,26 +235,31 @@ func Build(data *sequence.Dataset, path string, opts Options) (*Index, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
+	var scheme Scheme
+	var texts [][]suffixtree.Symbol
 	if data.Dim() > 1 {
-		grid, texts, err := categorize.FitGrid(data, opts.Kind, opts.Categories)
+		grid, gridTexts, err := categorize.FitGrid(data, opts.Kind, opts.Categories)
 		if err != nil {
 			return nil, err
 		}
-		store := suffixtree.NewTextStore()
-		for _, text := range texts {
-			store.Add(text)
+		scheme, texts = grid, gridTexts
+	} else {
+		values, valueTexts, err := categorize.FitTexts(data, opts.Kind, opts.Categories, kMeansIters)
+		if err != nil {
+			return nil, fmt.Errorf("core: fitting categorizer: %w", err)
 		}
-		return buildTree(data, grid, store, path, opts)
+		scheme, texts = values, valueTexts
 	}
-	scheme, err := categorize.Fit(opts.Kind, data.AllValues(), opts.Categories, kMeansIters)
-	if err != nil {
-		return nil, fmt.Errorf("core: fitting categorizer: %w", err)
+	return buildTree(data, scheme, textStore(texts), path, opts)
+}
+
+// textStore returns the text store of the given texts, in order.
+func textStore(texts [][]suffixtree.Symbol) *suffixtree.TextStore {
+	store := suffixtree.NewTextStore()
+	for _, text := range texts {
+		store.Add(text)
 	}
-	store, err := Encode(data, scheme)
-	if err != nil {
-		return nil, err
-	}
-	return buildTree(data, scheme, store, path, opts)
+	return store
 }
 
 // buildTree builds the disk tree over the texts of data under scheme and
@@ -323,7 +325,7 @@ func (ix *Index) RemoveFile() error {
 
 // Encode categorizes every sequence of data under scheme into the text
 // store an index over them is built from, the sequences shared out among
-// up to GOMAXPROCS goroutines. A scheme of another dimension than the data
+// up to GOMAXPROCS goroutines (categorize.EncodeAll). A scheme of another dimension than the data
 // is refused with ErrDimension.
 func Encode(data *sequence.Dataset, scheme Scheme) (*suffixtree.TextStore, error) {
 	if scheme.Dim() != data.Dim() {
@@ -336,26 +338,9 @@ func Encode(data *sequence.Dataset, scheme Scheme) (*suffixtree.TextStore, error
 	case *categorize.GridScheme:
 		encode = s.Encode
 	}
-	texts := make([][]suffixtree.Symbol, data.Len())
-	errs := make([]error, len(texts))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(texts)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(texts); i = int(next.Add(1)) - 1 {
-				texts[i], errs[i] = encode(data.Values(i))
-			}
-		}()
+	texts, err := categorize.EncodeAll(data, encode)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	wg.Wait()
-	store := suffixtree.NewTextStore()
-	for i, text := range texts {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("core: encoding %q: %w", data.Seq(i).ID, errs[i])
-		}
-		store.Add(text)
-	}
-	return store, nil
+	return textStore(texts), nil
 }

@@ -45,11 +45,14 @@ type Kernel interface {
 	// Truncate pops filter rows until depth remain.
 	Truncate(depth int)
 
-	// Dead reports that sequence seq's point at start alone is further
-	// than the search's threshold from the query's first point, by the
-	// base distance Verify uses (dtw.Verifier.Dead): no subsequence that
-	// begins there is an answer. The test is strict, so a start at exactly
-	// the threshold is verified.
+	// Dead reports that no subsequence of sequence seq that begins at start
+	// can be an answer: its point there alone is further than the search's
+	// threshold from the query's first point, by the base distance Verify
+	// uses (dtw.Verifier.Dead) — and, with envelopes on under a window, the
+	// start is too close to the sequence's end for an answer, or the
+	// windowed admission bound exceeds the threshold (dtw.Verifier.Admit,
+	// THEORY.md §13). The tests are strict, so a start at exactly the
+	// threshold is verified.
 	Dead(seq, start int) bool
 	// Backward runs the backward free-end pass over sequence seq for its
 	// pending starts, ascending, each with its furthest end, and sets
@@ -67,8 +70,9 @@ type Kernel interface {
 
 	// Cells returns the table cells charged since the kernel was bound: one
 	// per query point for a filter row, the cells computed for a
-	// verification row or a row of the backward pass.
-	Cells() (filter, post uint64)
+	// verification row or a row of the backward pass; and the envelope gap
+	// terms Dead summed, which are no table cells.
+	Cells() (filter, post, gaps uint64)
 }
 
 // symbolBoxes is the box of every symbol of an index's scheme — a
@@ -131,6 +135,9 @@ type kernel struct {
 	// the filter window (constant on sparse trees); qDim[k] backs it.
 	envs []dtw.Envelope
 	qDim [][]float64
+	// admit is set under a window with envelopes on: Dead is then the
+	// verifier's windowed admission bound.
+	admit bool
 }
 
 func (k *kernel) Bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
@@ -139,6 +146,7 @@ func (k *kernel) Bind(q []float64, filterWindow, window int, eps float64, envelo
 	k.table.Bind(q, dim, filterWindow)
 	k.bases.Bind(len(q)/dim, len(k.boxes.lo)/dim)
 	k.verify.Bind(q, dim, window, eps)
+	k.admit = envelopes && window >= 0
 	if !envelopes {
 		return
 	}
@@ -191,7 +199,12 @@ func (k *kernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 func (k *kernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
-func (k *kernel) Dead(seq, start int) bool { return k.verify.Dead(k.data.Values(seq), start) }
+func (k *kernel) Dead(seq, start int) bool {
+	if k.admit {
+		return !k.verify.Admit(k.data.Values(seq), start)
+	}
+	return k.verify.Dead(k.data.Values(seq), start)
+}
 
 //twlint:steady-state
 func (k *kernel) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
@@ -203,4 +216,6 @@ func (k *kernel) Verify(seq, start, end int, hit func(end int, dist float64)) {
 	k.verify.Scan(k.data.Values(seq), start, end, hit)
 }
 
-func (k *kernel) Cells() (filter, post uint64) { return k.table.Cells(), k.verify.Cells() }
+func (k *kernel) Cells() (filter, post, gaps uint64) {
+	return k.table.Cells(), k.verify.Cells(), k.verify.Gaps()
+}

@@ -66,7 +66,9 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	sortMatches(s.held)
 	s.postProcess()
 
-	s.stats.FilterCells, s.stats.PostCells = s.kern.Cells()
+	var gaps uint64
+	s.stats.FilterCells, s.stats.PostCells, gaps = s.kern.Cells()
+	s.stats.LBCells += gaps
 	poolAfter := ix.Tree.PoolStats()
 	s.stats.PoolHits = poolAfter.Hits - poolBefore.Hits
 	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
@@ -599,10 +601,11 @@ func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 // end at most at end to verification: the start joins its pending group,
 // which keeps the furthest end. A start with no subsequence as long as the
 // index's answer floor is dropped uncounted. A Dead start is counted as a
-// candidate — the filter offered it — but admitted to no group: Verify
-// would dismiss it on the same test before its first cell, so it costs the
-// search one base distance instead of a pending entry, its share of the
-// sort and a kernel call.
+// candidate — the filter offered it — but admitted to no group: no
+// subsequence of it is an answer (by its first value, or under a window by
+// the windowed admission bound, THEORY.md §13), so it costs the search one
+// base distance and a few gap terms instead of a pending entry, its share
+// of the sort, its rows of the backward pass and a kernel call.
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int) {

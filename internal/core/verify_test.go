@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -33,28 +34,57 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 
 // verifySpy wraps the kernel of a one-dimensional index and watches
 // admission and the verification pass: how many offered starts Dead
-// dismissed, how many admitted ones the backward pass dismissed, which
-// starts Verify was pointed at, and whether one of those was dead on its
-// first element after all.
+// dismissed, whether each verdict is the one admission's definition gives
+// (misled counts those that are not), how many admitted ones the backward
+// pass dismissed, which starts Verify was pointed at, and whether one of
+// those was dead on its first element after all.
 type verifySpy struct {
 	*kernel
 	// bound is where the test finds the spy of the latest search.
 	bound                   **verifySpy
 	eps                     float64
+	window                  int
+	envelopes               bool
 	dead, dismissed, starts int
 	deadVerified, misled    int
 }
 
 // Bind starts the spy's counts afresh for a search at threshold eps.
 func (k *verifySpy) Bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
-	*k = verifySpy{kernel: k.kernel, bound: k.bound, eps: eps}
+	*k = verifySpy{kernel: k.kernel, bound: k.bound, eps: eps, window: window, envelopes: envelopes}
 	*k.bound = k
 	k.kernel.Bind(q, filterWindow, window, eps, envelopes)
 }
 
+// admissionDead is admission's verdict from its definition (THEORY.md §1a,
+// §13): the start's first value alone is further than eps from the query's
+// first; or, with envelopes on under a window w that leaves every answer
+// n - w > 1 values, fewer than n - w values begin at the start, or the
+// windowed bound — that base distance plus, for each row i from 1 to
+// n - w - 1, the gap between the value there and the hull of q[i-w ..
+// i+w] — exceeds eps raised by the margin of 3n terms.
+func admissionDead(s, q []float64, start, w int, eps float64, envelopes bool) bool {
+	sum := dtw.Base(s[start], q[0])
+	if sum > eps {
+		return true
+	}
+	n := len(q)
+	if !envelopes || w < 0 || n-w <= 1 || math.IsInf(eps, 1) {
+		return false
+	}
+	if start+n-w > len(s) {
+		return true
+	}
+	for i := 1; i < n-w; i++ {
+		hull := q[max(0, i-w):min(n, i+w+1)]
+		sum += dtw.BaseInterval(s[start+i], slices.Min(hull), slices.Max(hull))
+	}
+	return sum > eps*(1+float64(3*n)*0x1p-50)
+}
+
 func (k *verifySpy) Dead(seq, start int) bool {
 	dead := k.kernel.Dead(seq, start)
-	if dead != (dtw.Base(k.data.Values(seq)[start], k.q[0]) > k.eps) {
+	if dead != admissionDead(k.data.Values(seq), k.q, start, k.window, k.eps, k.envelopes) {
 		k.misled++
 	}
 	if dead {
@@ -87,8 +117,10 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // over all its starts itself — so Candidates is one per offered start, and
 // each one is dismissed by Dead, dismissed by the backward pass or verified
 // by one kernel call; (2) a start whose first element alone is further than
-// eps from q[0] never reaches Verify, and Dead says so by the base
-// distance; (3) the answers are still exactly the sequential scan's; (4)
+// eps from q[0] never reaches Verify, and Dead's every verdict is the one
+// admission's definition gives (admissionDead) — on the windowed tree, the
+// windowed admission bound's; (3) the answers are still exactly the
+// sequential scan's; (4)
 // the exact cells that replace a reached leaf's interval rows are no more
 // than those rows: filter and verification cells together stay within 1%
 // of what this search cost when leaves were filtered. On these long runs
@@ -96,30 +128,40 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // (32273 → 32288 and 2911 → 2882 cells); since the backward pass dismisses
 // the starts without an answer first, |Q|=8 costs 13453 (1387 of 1404
 // admitted starts dismissed), and |Q|=1, where the pass has nothing to add
-// to Dead, still 2882.
+// to Dead, still 2882. The same tree under window 2 has no such pin: there
+// the windowed admission bound dismisses most starts before the pass.
 func TestVerificationCostsItsAnswers(t *testing.T) {
 	data := plateauDataset(rand.New(rand.NewSource(2407)), 24, 150)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "plateau.twt"),
-		Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	inner := ix.newKernel
+	dir := t.TempDir()
 	var spy *verifySpy
-	ix.newKernel = func() Kernel { return &verifySpy{kernel: inner().(*kernel), bound: &spy} }
+	spied := func(name string, opts Options) *Index {
+		ix, err := Build(data, filepath.Join(dir, name), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := ix.newKernel
+		ix.newKernel = func() Kernel { return &verifySpy{kernel: inner().(*kernel), bound: &spy} }
+		return ix
+	}
+	plain := spied("plateau.twt", Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true})
+	defer plain.Close()
+	windowed := spied("plateau-w2.twt", Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true, Window: 2})
+	defer windowed.Close()
 
 	for _, c := range []struct {
+		ix  *Index
 		q   []float64
 		eps float64
 		// leafRows is FilterCells + PostCells of this search at the commit
-		// before leaves were verified instead of filtered.
+		// before leaves were verified instead of filtered; 0 for none.
 		leafRows uint64
 	}{
-		{[]float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 32273},
-		{[]float64{8}, 2, 2911},
+		{plain, []float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 32273},
+		{plain, []float64{8}, 2, 2911},
+		{windowed, []float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 0},
 	} {
-		want, _, err := SeqScan(data, c.q, c.eps, -1)
+		ix := c.ix
+		want, _, err := SeqScan(data, c.q, c.eps, ix.Window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,16 +175,16 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		if !matchesBitIdentical(got, want) {
 			t.Fatalf("|Q|=%d: index %d matches, scan %d", len(c.q), len(got), len(want))
 		}
-		t.Logf("|Q|=%d: candidates %d, dismissed at admission %d, by the backward pass %d, verified %d, cells %d+%d (leaf rows: %d), answers %d",
-			len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.Answers)
+		t.Logf("w=%d |Q|=%d: candidates %d, dismissed at admission %d, by the backward pass %d, verified %d, cells %d+%d (leaf rows: %d), LB cells %d, answers %d",
+			ix.Window, len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.LBCells, st.Answers)
 		if st.Candidates != uint64(spy.dead+spy.dismissed+spy.starts) {
 			t.Errorf("|Q|=%d: %d candidates for %d dismissed at admission, %d by the backward pass and %d verified starts, want one emission and one decision per start", len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts)
 		}
-		if cells := st.FilterCells + st.PostCells; 100*cells > 101*c.leafRows {
+		if cells := st.FilterCells + st.PostCells; c.leafRows > 0 && 100*cells > 101*c.leafRows {
 			t.Errorf("|Q|=%d: %d filter + verification cells, want at most 1%% over the %d of filtered leaves", len(c.q), cells, c.leafRows)
 		}
 		if spy.deadVerified != 0 || spy.misled != 0 {
-			t.Errorf("|Q|=%d: %d starts dead on their first element were verified, %d admission verdicts disagree with the base distance", len(c.q), spy.deadVerified, spy.misled)
+			t.Errorf("w=%d |Q|=%d: %d starts dead on their first element were verified, %d admission verdicts disagree with its definition", ix.Window, len(c.q), spy.deadVerified, spy.misled)
 		}
 		if spy.starts == 0 || spy.dead == 0 {
 			t.Errorf("|Q|=%d: %d dismissed and %d verified starts: the fixture does not exercise admission", len(c.q), spy.dead, spy.starts)
@@ -191,33 +233,50 @@ func TestBackwardKeepsRoundingTies(t *testing.T) {
 // an answer at distance eps, so the admission test must be strict: with
 // Dead's > made >= the start never reaches verification and its answers are
 // lost on every index that verifies, while the scan keeps them.
+//
+// The windowed arms hold the windowed admission bound (THEORY.md §13) to
+// the same: under window 1 the answer [2, 6) of q = {2, 2, 2, 2} at
+// distance 0 has a bound of exactly 0, which a >= in the bound's test
+// dismisses at eps = 0; and the answer [12, 16) at distance 1 has a bound
+// of exactly 1, summed from its gap terms 0.5 and 0.5, not its first
+// value.
 func TestAdmissionKeepsTies(t *testing.T) {
 	data := sequence.NewDataset()
 	data.MustAdd(sequence.Sequence{ID: "tie", Values: []float64{7, 0, 3, 2, 2, 2, 9, 5, 1, 8}})
 	data.MustAdd(sequence.Sequence{ID: "other", Values: []float64{4, 6, 0, 9, 1, 3, 2, 2, 7, 5}})
-	q := []float64{2, 2, 2}
-	const eps = 1.0
-	tie := sequence.Ref{Seq: 0, Start: 2, End: 5}
-	want, _, err := SeqScan(data, q, eps, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
-		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
-	}
+	data.MustAdd(sequence.Sequence{ID: "windowed", Values: []float64{7, 0, 2, 2, 2, 2, 9, 5, 1, 8, 0, 6, 2, 2.5, 2.5, 2, 8, 0}})
 	dir := t.TempDir()
-	for vi, v := range variants() {
-		ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d.twt", vi)), v.opts)
+	for _, c := range []struct {
+		q      []float64
+		window int
+		eps    float64
+		tie    sequence.Ref
+	}{
+		{[]float64{2, 2, 2}, -1, 1, sequence.Ref{Seq: 0, Start: 2, End: 5}},
+		{[]float64{2, 2, 2, 2}, 1, 0, sequence.Ref{Seq: 2, Start: 2, End: 6}},
+		{[]float64{2, 2, 2, 2}, 1, 1, sequence.Ref{Seq: 2, Start: 12, End: 16}},
+	} {
+		want, _, err := SeqScan(data, c.q, c.eps, c.window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := search(ix, q, eps)
-		ix.Close()
-		if err != nil {
-			t.Fatal(err)
+		if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == c.tie && m.Distance == c.eps }) {
+			t.Fatalf("w=%d: the scan has no answer %v at distance %v: the fixture has no tie", c.window, c.tie, c.eps)
 		}
-		if !matchesBitIdentical(got, want) {
-			t.Errorf("%s: index %d answers, scan %d (a start at exactly eps must be verified)", v.name, len(got), len(want))
+		for vi, v := range variants() {
+			v.opts.Window = c.window
+			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d.twt", vi)), v.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := search(ix, c.q, c.eps)
+			ix.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matchesBitIdentical(got, want) {
+				t.Errorf("%s w=%d eps=%v: index %d answers, scan %d (a start at exactly eps must be verified)", v.name, c.window, c.eps, len(got), len(want))
+			}
 		}
 	}
 }

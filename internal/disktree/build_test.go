@@ -240,6 +240,8 @@ func (s *failingSink) AppendPages(buf []byte) (storage.PageID, error) {
 	return s.pf.AppendPages(buf)
 }
 
+func (s *failingSink) WriteBack(id storage.PageID, n int) { s.pf.WriteBack(id, n) }
+
 // A page the sequential writer cannot append is an error from whatever was
 // writing the tree, not a silently short file: on a file that rejects every
 // append, and with the flusher's write of the first, a middle and the last

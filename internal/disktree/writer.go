@@ -10,9 +10,11 @@ import (
 // footprint.
 const appendChunkPages = 64
 
-// pageSink is where the appender's chunks go: the page file being built.
+// pageSink is where the appender's chunks go: the page file being built,
+// which starts writing each chunk back to disk once it has it.
 type pageSink interface {
 	AppendPages(buf []byte) (storage.PageID, error)
+	WriteBack(id storage.PageID, n int)
 }
 
 // appender writes a byte stream into consecutive pages at the end of a page
@@ -51,13 +53,18 @@ func newAppender(pf *storage.File) appender {
 }
 
 // flushLoop is the flusher: it appends each chunk the producer hands over to
-// the file and hands it back, until the producer closes full, and returns
-// the first write error. After a failed write nothing more is written.
+// the file, starts its write-back, and hands it back, until the producer
+// closes full, and returns the first write error. After a failed write
+// nothing more is written. The write-back is only begun here, so the
+// build's closing Sync finds most of the tree on disk already.
 func (a *appender) flushLoop() error {
 	var err error
 	for buf := range a.full {
 		if err == nil {
-			_, err = a.sink.AppendPages(buf)
+			var id storage.PageID
+			if id, err = a.sink.AppendPages(buf); err == nil {
+				a.sink.WriteBack(id, len(buf)/storage.PageSize)
+			}
 		}
 		a.spare <- flushed{buf[:0], err}
 	}

@@ -83,7 +83,7 @@ func BenchmarkTableAddRowInterval(b *testing.B) {
 // would dominate the traversal. Guarded as a test (benchmarks can report but
 // not assert), same warm-storage shape as the benchmarks above. Likewise the
 // filter pass's base-row lookup with its AddRowBase row, and a verifier
-// scan and backward pass, with and without a threshold.
+// scan, backward pass and admission test, with and without a threshold.
 func TestAddRowNoAllocs(t *testing.T) {
 	_, q := benchSeqs(1, 20)
 	for _, w := range []int{-1, 5} {
@@ -156,6 +156,12 @@ func TestAddRowNoAllocs(t *testing.T) {
 				v.Backward(s, starts, ends, live, more)
 			}); got != 0 {
 				t.Errorf("window=%d tau=%v: Verifier.Backward allocates %.1f per pass, want 0", w, tau, got)
+			}
+			if got := testing.AllocsPerRun(1000, func() {
+				v.Admit(s, start)
+				start = (start + 1) % len(s)
+			}); got != 0 {
+				t.Errorf("window=%d tau=%v: Verifier.Admit allocates %.1f per start, want 0", w, tau, got)
 			}
 		}
 	}
@@ -232,6 +238,32 @@ func BenchmarkVerifierBackward(b *testing.B) {
 				v.Backward(s, starts, ends, live, nil)
 			}
 			b.ReportMetric(float64(v.Cells())/float64(b.N), "cells/op")
+		})
+	}
+}
+
+// BenchmarkVerifierAdmit runs the windowed admission bound over every start
+// of BenchmarkVerifierScan's walk under window 2, at the same threshold —
+// the test a candidate start pays before it may join the verification
+// pass — once per loop: /d1 over values, /d2 over the same walk as points
+// of dimension 2.
+func BenchmarkVerifierAdmit(b *testing.B) {
+	for _, dim := range []int{1, 2} {
+		b.Run(fmt.Sprintf("d%d", dim), func(b *testing.B) {
+			s, q := benchPoints(232, 20, dim)
+			var v Verifier
+			v.Bind(q, dim, 2, 9*float64(dim))
+			admitted := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for start := 0; start < len(s)/dim; start++ {
+					if v.Admit(s, start) {
+						admitted++
+					}
+				}
+			}
+			b.ReportMetric(float64(v.Gaps())/float64(b.N), "gaps/op")
+			b.ReportMetric(float64(admitted)/float64(b.N), "admitted/op")
 		})
 	}
 }

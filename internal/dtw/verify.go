@@ -32,6 +32,21 @@ type Verifier struct {
 	tau        float64
 	prev, curr []float64
 	cells      uint64
+
+	// The windowed admission bound (Admit): every answer of a start spans
+	// at least minLen rows, and row i of one lies in the hull of the query
+	// points the window lets it meet — lo and hi, point-major, from row 1
+	// on: row i's at [(i-1)*dim, i*dim). The sum is tested against
+	// admitTau; gaps counts its terms since Bind. minLen is 1, and there is
+	// no sum, without a window, under an infinite threshold or when the
+	// window lets a single row be an answer. env and col are Bind's
+	// scratch.
+	minLen   int
+	lo, hi   []float64
+	admitTau float64
+	gaps     uint64
+	env      Envelope
+	col      []float64
 }
 
 // Bind re-targets the verifier at a new, non-empty point-major query of
@@ -57,11 +72,45 @@ func (v *Verifier) Bind(q []float64, dim, w int, tau float64) {
 	}
 	v.prev, v.curr = v.prev[:n], v.curr[:n]
 	v.cells = 0
+	v.bindAdmit()
+}
+
+// bindAdmit sets up the windowed admission bound for the bound query:
+// under a window w that leaves every answer more than one row, minLen =
+// n - w and the hull of every row below it, one Envelope per coordinate
+// (THEORY.md §13).
+func (v *Verifier) bindAdmit() {
+	n, w, dim := v.n, v.window, v.dim
+	v.minLen, v.gaps = 1, 0
+	v.lo, v.hi = v.lo[:0], v.hi[:0]
+	if w < 0 || n-w <= 1 || math.IsInf(v.tau, 1) {
+		return
+	}
+	v.minLen = n - w
+	// Both sums have fewer than 3n terms: the bound's n - w and a path's
+	// at most (n + w) + n - 1.
+	v.admitTau = margin(v.tau, 3*n)
+	rows := (v.minLen - 1) * dim
+	v.lo, v.hi = grow(v.lo, rows), grow(v.hi, rows)
+	for k := 0; k < dim; k++ {
+		v.col = v.col[:0]
+		for i := k; i < len(v.q); i += dim {
+			v.col = append(v.col, v.q[i])
+		}
+		v.env.Bind(v.col, w)
+		elo, ehi := v.env.Bounds()
+		for i := 1; i < v.minLen; i++ {
+			v.lo[(i-1)*dim+k], v.hi[(i-1)*dim+k] = elo[i], ehi[i]
+		}
+	}
 }
 
 // Cells returns the cells computed since Bind: only those a path within the
 // threshold can reach, and none at a start dead on its first element.
 func (v *Verifier) Cells() uint64 { return v.cells }
+
+// Gaps returns the envelope gap terms Admit has summed since Bind.
+func (v *Verifier) Gaps() uint64 { return v.gaps }
 
 // Rows returns the two rolling rows, each of one cell per query point; a
 // scan swaps them after every row.
@@ -126,6 +175,78 @@ func (v *Verifier) live(curr []float64, lo, end int, tau float64) (liveLo, liveH
 func (v *Verifier) Dead(s []float64, start int) bool {
 	d := v.dim
 	return BasePoint(s[start*d:(start+1)*d], v.q[:d]) > v.tau
+}
+
+// Admit reports whether a subsequence beginning at point start of s can
+// still be within the threshold, by the windowed admission bound (THEORY.md
+// §13). Under a window w, every answer of the start is at least n - w
+// points long, so a start closer than that to the end of s has none; and
+// its row i pays at least the gap between s's point and the hull of the
+// query points q[i-w .. i+w], so base(s[start], q[0]) plus those gaps for
+// 1 <= i < n - w bounds every answer's distance from below. The base term
+// is Dead's test, strict at the threshold; the sum, abandoned as soon as it
+// exceeds it, is tested against the threshold raised by the rounding
+// margin. Without a window, under an infinite threshold or when the window
+// lets one point be an answer, Admit is Dead's negation.
+//
+//twlint:steady-state
+func (v *Verifier) Admit(s []float64, start int) bool {
+	d := v.dim
+	if start+v.minLen > len(s)/d {
+		return false
+	}
+	p := s[start*d : (start+v.minLen)*d]
+	sum := BasePoint(p[:d], v.q[:d])
+	if sum > v.tau {
+		return false
+	}
+	if v.minLen == 1 {
+		return true
+	}
+	if d == 1 {
+		return v.admitValues(sum, p[1:])
+	}
+	return v.admitPoints(sum, p[d:])
+}
+
+// admitValues is Admit's sum at dimension 1 over the values x of rows 1 on,
+// from the base term sum.
+//
+//twlint:steady-state
+func (v *Verifier) admitValues(sum float64, x []float64) bool {
+	tau := v.admitTau
+	lo, hi := v.lo[:len(x)], v.hi[:len(x)]
+	for i, val := range x {
+		sum += BaseInterval(val, lo[i], hi[i])
+		if sum > tau {
+			v.gaps += uint64(i + 1)
+			return false
+		}
+	}
+	v.gaps += uint64(len(x))
+	return true
+}
+
+// admitPoints is admitValues above dimension 1: each row's gap sums the
+// dimensions from 0, as BasePoint does, before it joins the sum.
+//
+//twlint:steady-state
+func (v *Verifier) admitPoints(sum float64, x []float64) bool {
+	d := v.dim
+	tau := v.admitTau
+	lo, hi := v.lo[:len(x)], v.hi[:len(x)]
+	for i := 0; i < len(x); i += d {
+		g := 0.0
+		for k := i; k < i+d; k++ {
+			g += BaseInterval(x[k], lo[k], hi[k])
+		}
+		if sum += g; sum > tau {
+			v.gaps += uint64(i/d + 1)
+			return false
+		}
+	}
+	v.gaps += uint64(len(x) / d)
+	return true
 }
 
 // Scan verifies the subsequences of points s[start:e] for e = start+1 …

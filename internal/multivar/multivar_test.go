@@ -222,7 +222,10 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 // whose first point is exactly eps from the query's first, by the
 // city-block base distance, and whose later points match exactly, is an
 // answer at distance eps, so it must pass admission (Dead's > is strict)
-// and be verified on every index.
+// and be verified on every index. Its windowed arms are core's too, with
+// the bound's gap terms summed over the dimensions: under window 1 the
+// answer [2, 6) at distance 0 has a bound of exactly 0, and [8, 12) at
+// distance 1 one of exactly 1, from the gaps 0.5 of (2.5, 2) and (2, 2.5).
 func TestAdmissionKeepsTies(t *testing.T) {
 	pts := func(vs ...float64) [][]float64 {
 		var out [][]float64
@@ -234,33 +237,43 @@ func TestAdmissionKeepsTies(t *testing.T) {
 	data := NewDataset(2)
 	mustAdd(data, Sequence{ID: "tie", Points: pts(7, 1, 0, 4, 3, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 1, 3)})
 	mustAdd(data, Sequence{ID: "other", Points: pts(4, 4, 6, 1, 0, 0, 9, 8, 1, 2, 3, 5, 2, 2, 7, 7)})
-	q := pts(2, 2, 2, 2, 2, 2)
-	const eps = 1.0
-	tie := Ref{Seq: 0, Start: 2, End: 5}
-	want, _, err := SeqScan(data, q, eps, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == tie && m.Distance == eps }) {
-		t.Fatalf("the scan has no answer %v at distance %v: the fixture has no tie", tie, eps)
-	}
-	for oi, opts := range []core.Options{
-		{Kind: categorize.KindMaxEntropy, Categories: 2},
-		{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
-		{Kind: categorize.KindIdentity},
-		{Kind: categorize.KindIdentity, Sparse: true},
+	mustAdd(data, Sequence{ID: "windowed", Points: pts(7, 1, 0, 4, 2, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 2, 2, 2.5, 2, 2, 2.5, 2, 2, 8, 0)})
+	for _, c := range []struct {
+		q      [][]float64
+		window int
+		eps    float64
+		tie    Ref
+	}{
+		{pts(2, 2, 2, 2, 2, 2), -1, 1, Ref{Seq: 0, Start: 2, End: 5}},
+		{pts(2, 2, 2, 2, 2, 2, 2, 2), 1, 0, Ref{Seq: 2, Start: 2, End: 6}},
+		{pts(2, 2, 2, 2, 2, 2, 2, 2), 1, 1, Ref{Seq: 2, Start: 8, End: 12}},
 	} {
-		ix, err := build(data, filepath.Join(t.TempDir(), fmt.Sprintf("tie-%d.twt", oi)), opts)
+		want, _, err := SeqScan(data, c.q, c.eps, c.window)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ix.Search(bg, Flatten(q), eps)
-		ix.Close()
-		if err != nil {
-			t.Fatal(err)
+		if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == c.tie && m.Distance == c.eps }) {
+			t.Fatalf("w=%d: the scan has no answer %v at distance %v: the fixture has no tie", c.window, c.tie, c.eps)
 		}
-		if !mMatchesBitIdentical(got, want) {
-			t.Errorf("%+v: index %d answers, scan %d (a start at exactly eps must be verified)", opts, len(got), len(want))
+		for oi, opts := range []core.Options{
+			{Kind: categorize.KindMaxEntropy, Categories: 2},
+			{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
+			{Kind: categorize.KindIdentity},
+			{Kind: categorize.KindIdentity, Sparse: true},
+		} {
+			opts.Window = c.window
+			ix, err := build(data, filepath.Join(t.TempDir(), fmt.Sprintf("tie-%d.twt", oi)), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ix.Search(bg, Flatten(c.q), c.eps)
+			ix.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mMatchesBitIdentical(got, want) {
+				t.Errorf("%+v eps=%v: index %d answers, scan %d (a start at exactly eps must be verified)", opts, c.eps, len(got), len(want))
+			}
 		}
 	}
 }

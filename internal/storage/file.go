@@ -186,6 +186,15 @@ func (pf *File) AppendPages(buf []byte) (PageID, error) {
 	return id, nil
 }
 
+// WriteBack asks the OS to start writing pages [id, id+n) back to stable
+// storage, and returns without waiting for it. It is a hint (writeBack):
+// Sync alone makes the pages durable, and finds less left to write after
+// it. A build calls it for each chunk it appends, so the disk works while
+// the rest of the tree is encoded.
+func (pf *File) WriteBack(id PageID, n int) {
+	writeBack(pf.f, int64(id)*PageSize, int64(n)*PageSize)
+}
+
 // ReadPage fills buf (which must be PageSize long) with page id.
 func (pf *File) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
