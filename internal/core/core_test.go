@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -111,6 +112,19 @@ func bruteForce(data *sequence.Dataset, q []float64, eps float64, window int) []
 	}
 	sortMatches(out)
 	return out
+}
+
+// sortMatches puts matches in (seq, start, end) order.
+func sortMatches(ms []Match) { slices.SortFunc(ms, compareRefs) }
+
+func compareRefs(a, b Match) int {
+	if c := cmp.Compare(a.Ref.Seq, b.Ref.Seq); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Ref.Start, b.Ref.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Ref.End, b.Ref.End)
 }
 
 // matchesBitIdentical demands byte-identical results: same locations, same

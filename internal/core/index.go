@@ -165,7 +165,7 @@ type Index struct {
 	// it bounds the D_tw-lb2 shift during sparse branch pruning.
 	maxRun int
 	// seqOffsets[i] is the global element offset of sequence i; searches
-	// use it to key their pending candidate sets. totalElements is the sum
+	// use it to key what their filter pass finds. totalElements is the sum
 	// of all sequence lengths, maxLen the longest.
 	seqOffsets    []int
 	totalElements int

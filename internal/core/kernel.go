@@ -13,7 +13,7 @@ import (
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel at most twice per filter row, never per cell: Gap and
 // AddRow (Base0 once per path); once per candidate start, Dead; once per
-// sequence with pending starts, Backward; and once per start Backward
+// sequence with starts to verify, Backward; and once per start Backward
 // leaves live, Verify. The lower bounds Gap and AddRow return may
 // only prune through bound > eps, and never become a Match distance;
 // TestNoFalseDismissalsAtTies (in core at dimension 1, in multivar at 2)
@@ -55,7 +55,7 @@ type Kernel interface {
 	// threshold is verified.
 	Dead(seq, start int) bool
 	// Backward runs the backward free-end pass over sequence seq for its
-	// pending starts, ascending, each with its furthest end, and sets
+	// admitted starts, ascending, each with its furthest end, and sets
 	// live[i] to false when no subsequence beginning at starts[i] can be
 	// within the threshold (dtw.Verifier.Backward): such a start needs no
 	// Verify. It calls more every so many rows and stops when that returns

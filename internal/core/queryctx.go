@@ -18,7 +18,7 @@ type queryPool struct {
 }
 
 // acquire returns a searcher bound to the query q, reusing a pooled one's
-// allocations (the kernel's tables and caches, scratch nodes, pending set)
+// allocations (the kernel's tables and caches, scratch nodes, found list)
 // when available. Callers must release it when the search finishes.
 func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps float64) *searcher {
 	s, _ := qp.p.Get().(*searcher)
@@ -52,10 +52,7 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	s.seqOffsets = ix.seqOffsets
 	s.visit = nil
 	s.stopped = false
-	s.held = s.held[:0]
-	s.next = 0
 	s.stats = SearchStats{}
-	s.matches = nil // ownership of the previous slice passed to its caller
 	s.firstSym = 0
 	s.base0 = 0
 
@@ -65,7 +62,7 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	s.kern.Bind(q, filterWindow, ix.Window, eps, s.envOn)
 	s.qLen = s.kern.QueryLen()
 	s.exactStored = s.kern.Exact() && filterWindow == ix.Window
-	s.pend.Reset(ix.totalElements)
+	s.found.reset()
 	if len(s.envSums) == 0 {
 		s.envSums = append(s.envSums, 0)
 	}
@@ -83,7 +80,6 @@ func (qp *queryPool) release(s *searcher) {
 	s.ix = nil
 	s.ctx = nil
 	s.visit = nil
-	s.matches = nil
 	s.seqOffsets = nil
 	qp.p.Put(s)
 }

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/sequence"
 )
 
 // TestQueryCtxReuse runs many sequential queries of varying shapes through
 // one index, so the pooled query contexts are reused over and over, and
 // checks every answer set against both a first-run baseline and the brute
-// force. Any pending-set epoch bug or table-rebind bug that leaks state
+// force. Any found-list reset bug or table-rebind bug that leaks state
 // from one query into the next shows up as a diff here.
 func TestQueryCtxReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -91,13 +92,10 @@ func bytesPerSearch(t *testing.T, ix *Index, q []float64, eps float64) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestSearchAllocationSteadyState checks the refactor's allocation bar:
-// per-query allocation must not scale with database size. The old dense
-// pending array alone was 4 bytes per database element per query (~200 KB
-// on the large index here); the pooled epoch-stamped contexts amortize to
-// near zero, so the bound is far below the old floor yet loose enough not
-// to flake.
-func TestSearchAllocationSteadyState(t *testing.T) {
+// allocationFixture builds a small and a large sparse index and returns
+// them with a query the filter prunes near the root and its threshold.
+func allocationFixture(t *testing.T) (ixSmall, ixLarge *Index, q []float64, eps float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation measurements")
 	}
@@ -113,34 +111,67 @@ func TestSearchAllocationSteadyState(t *testing.T) {
 	// element pending array and a full-database post-process scan.
 	// Candidate-proportional work is allowed to allocate; database-
 	// proportional work is not.
-	q := []float64{10000, 10001, 10000, 10002, 10001}
-	const eps = 4.0
-
+	q = []float64{10000, 10001, 10000, 10002, 10001}
 	dir := t.TempDir()
-	ixSmall, err := Build(small, filepath.Join(dir, "small.twt"), Options{
-		Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	build := func(data *sequence.Dataset, name string) *Index {
+		ix, err := Build(data, filepath.Join(dir, name), Options{
+			Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		return ix
 	}
-	defer ixSmall.Close()
-	ixLarge, err := Build(large, filepath.Join(dir, "large.twt"), Options{
-		Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ixLarge.Close()
+	return build(small, "small.twt"), build(large, "large.twt"), q, 4
+}
 
+// TestSearchAllocationSteadyState checks the refactor's allocation bar:
+// per-query allocation must not scale with database size. A dense 4-byte
+// per-element pending array would cost ~200 KB per query on the large
+// index here; the pooled searchers amortize to near zero, so the bound is
+// far below that floor yet loose enough not to flake.
+func TestSearchAllocationSteadyState(t *testing.T) {
+	ixSmall, ixLarge, q, eps := allocationFixture(t)
 	smallBytes := bytesPerSearch(t, ixSmall, q, eps)
 	largeBytes := bytesPerSearch(t, ixLarge, q, eps)
+	n := ixLarge.Data.TotalElements()
 	t.Logf("bytes/query: small=%.0f large=%.0f (large db: %d elements)",
-		smallBytes, largeBytes, large.TotalElements())
+		smallBytes, largeBytes, n)
 
-	// The dense pending array alone would cost 4*TotalElements bytes per
-	// query on the large index. Steady state must sit far below that.
-	limit := float64(large.TotalElements())
-	if largeBytes > limit {
+	// Steady state must sit far below a dense per-element array.
+	if limit := float64(n); largeBytes > limit {
 		t.Errorf("large-db search allocates %.0f bytes/query, want < %.0f", largeBytes, limit)
+	}
+}
+
+// TestFreshSearcherAllocation: a query that finds no pooled searcher —
+// the first one, or the first after the garbage collector has emptied the
+// pool — allocates a searcher whose size follows the query and what the
+// filter pass finds, never the database: nothing in it is an array of one
+// entry per database element (two of them cost 8 bytes per element).
+func TestFreshSearcherAllocation(t *testing.T) {
+	ixSmall, ixLarge, q, eps := allocationFixture(t)
+	for _, ix := range []*Index{ixSmall, ixLarge} {
+		if _, err := searchVisit(ix, q, eps, func(Match) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := func(ix *Index) uint64 {
+		runtime.GC() // the pool's searchers move to its victim cache,
+		runtime.GC() // and from there to the collector
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := searchVisit(ix, q, eps, func(Match) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	smallBytes, largeBytes := fresh(ixSmall), fresh(ixLarge)
+	n := ixLarge.Data.TotalElements()
+	t.Logf("fresh searcher: small=%d B large=%d B (large db: %d elements)", smallBytes, largeBytes, n)
+	if limit := 2 * uint64(n); largeBytes > limit {
+		t.Errorf("a query on a fresh searcher allocates %d bytes on the large index, want at most %d (2 per element)", largeBytes, limit)
 	}
 }

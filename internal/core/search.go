@@ -9,16 +9,14 @@ import (
 
 	"twsearch/internal/disktree"
 	"twsearch/internal/dtw"
-	"twsearch/internal/pending"
 	"twsearch/internal/sequence"
 	"twsearch/internal/suffixtree"
 )
 
 // run executes one range search: every subsequence whose time warping
-// distance from q is at most eps, in (sequence, start, end) order. With a
-// nil visit the answers are returned; otherwise they stream to visit
-// (returning false stops the search) from the calling goroutine. It
-// refuses an empty, misshapen or non-finite query and a negative or NaN
+// distance from q is at most eps streams to visit (returning false stops
+// the search) from the calling goroutine, in (sequence, start, end) order.
+// It refuses an empty, misshapen or non-finite query and a negative or NaN
 // threshold.
 //
 // When ctx is canceled or its deadline passes, the traversal aborts through
@@ -27,15 +25,15 @@ import (
 // nodes, before every sequence's backward pass and every 256 of its rows,
 // and every cancelMask+1 verified starts, so an abort costs at most 256
 // backward rows or 64 starts' verification scans.
-func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) ([]Match, SearchStats, error) {
+func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(Match) bool) (SearchStats, error) {
 	if err := CheckQuery(q, ix.Data.Dim()); err != nil {
-		return nil, SearchStats{}, err
+		return SearchStats{}, err
 	}
 	if err := CheckThreshold(eps); err != nil {
-		return nil, SearchStats{}, err
+		return SearchStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, SearchStats{}, err
+		return SearchStats{}, err
 	}
 	started := time.Now()
 	// Pool counters are index-wide: under concurrent searches the deltas
@@ -47,23 +45,19 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	s := ix.queries.acquire(ix, ctx, q, eps)
 	defer ix.queries.release(s)
 
-	// The filter pass: the depth-first traversal from the root. An exact
-	// index finds answers there in DFS order, so a visitor's are held until
-	// the pass ends.
+	// The filter pass: the depth-first traversal from the root, which
+	// only adds to s.found; the verification pass delivers.
 	s.visit = visit
-	s.holding = visit != nil && s.exactStored
 	root := s.node(0)
 	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
-		return nil, SearchStats{}, err
+		return SearchStats{}, err
 	}
 	s.stats.NodesVisited++
 	for i := 0; i < len(root.Children) && !s.stopped; i++ {
 		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
-			return nil, SearchStats{}, err
+			return SearchStats{}, err
 		}
 	}
-	s.holding = false
-	sortMatches(s.held)
 	s.postProcess()
 
 	var gaps uint64
@@ -74,13 +68,7 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	s.stats.PoolMisses = poolAfter.Misses - poolBefore.Misses
 	s.stats.PagesRead = ix.Tree.PagesRead() - pagesBefore
 	s.stats.Elapsed = time.Since(started)
-	if s.ctxErr != nil {
-		return nil, s.stats, s.ctxErr
-	}
-	sortMatches(s.matches)
-	matches := s.matches
-	s.matches = nil // ownership transfers to the caller; release must not pool it
-	return matches, s.stats, nil
+	return s.stats, s.ctxErr
 }
 
 // Search finds every subsequence whose time warping distance from q, a
@@ -91,22 +79,29 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 // dismissals. When ctx is canceled or its deadline passes the search
 // aborts and ctx.Err() is returned.
 func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match, SearchStats, error) {
-	return ix.run(ctx, q, eps, nil)
+	var ms []Match
+	stats, err := ix.run(ctx, q, eps, func(m Match) bool {
+		ms = append(ms, m)
+		return true
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	return ms, stats, nil
 }
 
 // SearchVisit streams answers to fn instead of materializing them;
 // returning false stops the search early. Use it when a permissive threshold
 // would produce answer sets too large to hold in memory. fn is called from
-// the calling goroutine, in the (sequence, start, end) order Search returns:
-// verified answers as they are found, an exact index's filter-pass answers
-// held until the filter pass ends and merged in. After a cancellation no
-// further answers are delivered to fn.
+// the calling goroutine, in the (sequence, start, end) order Search returns,
+// once the filter pass has ended: an exact index's answers from the filter
+// pass and verified ones in one stream. After a cancellation no further
+// answers are delivered to fn.
 func (ix *Index) SearchVisit(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, errors.New("core: nil visitor")
 	}
-	_, stats, err := ix.run(ctx, q, eps, fn)
-	return stats, err
+	return ix.run(ctx, q, eps, fn)
 }
 
 // CheckQuery refuses a query no search of data of dimension dim can
@@ -163,26 +158,23 @@ type searcher struct {
 	// (identity categorization with a band-consistent filter table).
 	exactStored bool
 
-	stats   SearchStats
-	matches []Match
+	stats SearchStats
 
-	// pend groups unverified candidates by (seq, start), keeping only the
-	// furthest end per start (key: seqOffsets[seq]+start). PostProcess then
-	// scans each touched start once: every end whose exact distance is
-	// within eps is an answer, and by the no-false-dismissal property those
-	// are exactly the true answers at that start — so one table per start
-	// verifies all its candidates at once, bounding post-processing by the
-	// baseline's total work. The epoch-stamped set makes per-query cost
-	// O(candidates), not O(total elements): its backing arrays are
-	// allocated once per pooled searcher and survive across queries.
-	pend       pending.Set
+	// found is what the filter pass found: the starts to verify, each with
+	// an end (key: seqOffsets[seq]+start), and an exact index's answers.
+	// postProcess scans each start once, to its furthest end: every end
+	// whose exact distance is within eps is an answer, and by the
+	// no-false-dismissal property those are exactly the true answers at
+	// that start — so one table per start verifies all its candidates at
+	// once, bounding post-processing by the baseline's total work.
+	found      findings
 	seqOffsets []int
 	// onHit is the method value s.verified, made once per pooled searcher;
 	// the kernel's Verify calls it for every answer at the start
 	// (vseq, vstart) under verification.
 	onHit        func(end int, dist float64)
 	vseq, vstart int
-	// starts and ends hold one sequence's pending starts and their
+	// starts and ends hold one sequence's starts to verify and their
 	// furthest ends for its backward pass, live its verdict on each; onMore
 	// is the method value s.more that pass polls. All keep their capacity
 	// across the queries of the pooled searcher.
@@ -223,22 +215,14 @@ type searcher struct {
 	envBase0 float64
 	envOn    bool
 
-	// visit, when set, receives answers as they are found instead of
-	// accumulating them in matches; stopped records an early stop request.
+	// visit receives the answers; stopped records an early stop request.
 	visit   func(Match) bool
 	stopped bool
-	// holding marks an exact index's filter pass under a visitor: its
-	// answers arrive in DFS order, so they wait in held, sorted when the
-	// pass ends, and merge into the verified stream; held[next] is the
-	// first not yet delivered.
-	holding bool
-	held    []Match
-	next    int
 }
 
 // checkCancel polls the context and converts a cancellation into the
 // early-stop flag. The traversal calls it every cancelMask+1 nodes, the
-// post-processing scan every cancelMask+1 pending groups; both are frequent
+// verification pass every cancelMask+1 verified starts; both are frequent
 // enough to bound abort latency and rare enough to keep ctx.Err — a mutex
 // round trip under a cancel context — off the hot path.
 //
@@ -266,50 +250,14 @@ func (s *searcher) more() bool {
 // or scanned start positions.
 const cancelMask = 63
 
-// emit delivers one answer: into the result slice, into held during an
-// exact index's filter pass under a visitor, or to the visitor after every
-// held answer that precedes it. After an early stop nothing further is
-// delivered.
+// emit hands one answer to the visitor. After an early stop nothing
+// further is delivered.
 //
 //twlint:steady-state
 func (s *searcher) emit(m Match) {
-	switch {
-	case s.stopped:
-	case s.holding:
-		//lint:ignore steadystate pooled scratch: held keeps its capacity across the queries of the pooled searcher
-		s.held = append(s.held, m)
-	case s.visit == nil:
-		s.stats.Answers++
-		//lint:ignore steadystate answer materialization: the slice is the result handed to the caller, so its growth is the answer set's own footprint, not per-query churn
-		s.matches = append(s.matches, m)
-	default:
-		if s.next < len(s.held) {
-			s.deliverHeld(&m)
-		}
-		s.deliver(m)
-	}
-}
-
-// deliver hands one answer to the visitor.
-//
-//twlint:steady-state
-func (s *searcher) deliver(m Match) {
 	if !s.stopped {
 		s.stats.Answers++
 		s.stopped = !s.visit(m)
-	}
-}
-
-// deliverHeld hands the visitor the held answers not yet delivered that
-// precede *before in position order, or all of them when before is nil.
-//
-//twlint:steady-state
-func (s *searcher) deliverHeld(before *Match) {
-	for ; s.next < len(s.held) && !s.stopped; s.next++ {
-		if before != nil && compareRefs(s.held[s.next], *before) > 0 {
-			return
-		}
-		s.deliver(s.held[s.next])
 	}
 }
 
@@ -336,7 +284,7 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 // before returning.
 //
 // Deferred emission: on non-exact indexes a candidate only contributes its
-// start and a max end to the pending table, so the path carries its deepest
+// start and an end to the found list, so the path carries its deepest
 // qualifying depth pendD (0: none yet) and its smallest qualifying filter
 // distance pendDist — which only loosens bounds — from edge to edge, and the
 // subtree below is collected once, where the descent stops: every leaf under
@@ -545,8 +493,8 @@ func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64)
 // inside the leaf's leading run (Definition 4: shift j up to
 // min(runLen, d) - 1). When the filter distance is exact (identity
 // categorization, unshifted suffix) the stored suffix's candidate is an
-// answer outright; a shifted one is only ever a candidate, since its
-// discounted dist is a lower bound.
+// answer outright, found for the verification pass to deliver; a shifted
+// one is only ever a candidate, since its discounted dist is a lower bound.
 //
 //twlint:steady-state
 func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
@@ -556,10 +504,7 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 		if s.exactStored {
 			if d >= s.ix.minAnswerLen {
 				s.stats.Candidates++
-				s.emit(Match{
-					Ref:      sequence.Ref{Seq: seq, Start: pos, End: pos + d},
-					Distance: dist,
-				})
+				s.found.add(s.seqOffsets[seq]+pos, pos+d, dist)
 			}
 		} else {
 			s.candidate(seq, pos, pos+d)
@@ -598,14 +543,14 @@ func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 }
 
 // candidate hands the subsequences of sequence seq that begin at start and
-// end at most at end to verification: the start joins its pending group,
-// which keeps the furthest end. A start with no subsequence as long as the
-// index's answer floor is dropped uncounted. A Dead start is counted as a
-// candidate — the filter offered it — but admitted to no group: no
-// subsequence of it is an answer (by its first value, or under a window by
-// the windowed admission bound, THEORY.md §13), so it costs the search one
-// base distance and a few gap terms instead of a pending entry, its share
-// of the sort, its rows of the backward pass and a kernel call.
+// end at most at end to verification: the start joins the found list. A
+// start with no subsequence as long as the index's answer floor is dropped
+// uncounted. A Dead start is counted as a candidate — the filter offered it
+// — but not added: no subsequence of it is an answer (by its first value,
+// or under a window by the windowed admission bound, THEORY.md §13), so it
+// costs the search one base distance and a few gap terms instead of an
+// entry, its share of the sort, its rows of the backward pass and a kernel
+// call.
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int) {
@@ -616,52 +561,77 @@ func (s *searcher) candidate(seq, start, end int) {
 	if s.kern.Dead(seq, start) {
 		return
 	}
-	s.pend.Add(int32(s.seqOffsets[seq]+start), int32(end))
+	s.found.add(s.seqOffsets[seq]+start, end, toVerify)
 }
 
-// postProcess verifies the pending groups, one sequence at a time: one
-// backward pass over the sequence's admitted starts dismisses every start
-// no subsequence of which is within eps (dtw.Verifier.Backward, THEORY.md
-// §12), then one kernel call per start it leaves live scans to the start's
-// furthest end with Theorem-1 early abandon and reports every end with
-// exact distance within eps. The dead starts never joined a group
-// (candidate); the rows of the others are computed only where a path
-// within eps can still run (dtw.Verifier). Iterating the sorted touched
-// offsets visits only this query's candidates — O(candidates), not a scan
-// of the whole database — in (seq, start) order, since the global offset
-// is monotone in (seq, start).
+// postProcess delivers what the filter pass found, one sequence at a time,
+// in (sequence, start, end) order. The sorted list visits only this query's
+// entries — O(entries), not a scan of the whole database — in (seq, start)
+// order, since the global offset is monotone in (seq, start). For each
+// sequence, one backward pass over its admitted starts, a start offered
+// twice merged into one with its furthest end, dismisses every start no
+// subsequence of which is within eps (dtw.Verifier.Backward, THEORY.md
+// §12). Then, in position order, each exact answer is delivered, and one
+// kernel call per start the pass leaves live scans to the start's furthest
+// end with Theorem-1 early abandon and reports every end with exact
+// distance within eps. The dead starts were never added (candidate); the
+// rows of the others are computed only where a path within eps can still
+// run (dtw.Verifier).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {
-	offs := s.pend.Sorted()
+	keys := s.found.sorted()
 	seq, verified := 0, 0
-	for i := 0; i < len(offs); {
+	for i := 0; i < len(keys); {
 		s.checkCancel()
 		if s.stopped {
 			break
 		}
-		for seq+1 < len(s.seqOffsets) && int(offs[i]) >= s.seqOffsets[seq+1] {
+		off, _ := s.found.at(keys[i])
+		for seq+1 < len(s.seqOffsets) && off >= s.seqOffsets[seq+1] {
 			seq++
 		}
 		base := s.seqOffsets[seq]
 		limit := base + s.ix.seqLen(seq)
+		// The sequence's entries are keys[i:j].
 		s.starts, s.ends = s.starts[:0], s.ends[:0]
-		for ; i < len(offs) && int(offs[i]) < limit; i++ {
+		j := i
+		for ; j < len(keys); j++ {
+			off, e := s.found.at(keys[j])
+			if off >= limit {
+				break
+			}
+			if e.dist != toVerify {
+				continue
+			}
+			start := int32(off - base)
+			if n := len(s.starts); n > 0 && s.starts[n-1] == start {
+				s.ends[n-1] = max(s.ends[n-1], e.end)
+				continue
+			}
 			//lint:ignore steadystate pooled scratch: starts and ends keep their capacity across the queries of the pooled searcher
-			s.starts = append(s.starts, offs[i]-int32(base))
+			s.starts = append(s.starts, start)
 			//lint:ignore steadystate pooled scratch: as starts
-			s.ends = append(s.ends, s.pend.MaxEnd(offs[i]))
+			s.ends = append(s.ends, e.end)
 		}
 		if cap(s.live) < len(s.starts) {
-			//lint:ignore steadystate pooled scratch: live grows once to the most pending starts of one sequence, then is reused
+			//lint:ignore steadystate pooled scratch: live grows once to the most admitted starts of one sequence, then is reused
 			s.live = make([]bool, cap(s.starts))
 		}
 		live := s.live[:len(s.starts)]
 		s.kern.Backward(seq, s.starts, s.ends, live, s.onMore)
-		for k, start := range s.starts {
-			if s.stopped {
-				break
+		k := -1 // the start of s.starts the walk is at
+		for ; i < j && !s.stopped; i++ {
+			off, e := s.found.at(keys[i])
+			start := off - base
+			if e.dist != toVerify {
+				s.emit(Match{Ref: sequence.Ref{Seq: seq, Start: start, End: int(e.end)}, Distance: e.dist})
+				continue
 			}
+			if k >= 0 && int(s.starts[k]) == start {
+				continue // merged into the entry before
+			}
+			k++
 			if !live[k] {
 				continue
 			}
@@ -669,11 +639,11 @@ func (s *searcher) postProcess() {
 				s.checkCancel()
 			}
 			verified++
-			s.vseq, s.vstart = seq, int(start)
-			s.kern.Verify(seq, s.vstart, int(s.ends[k]), s.onHit)
+			s.vseq, s.vstart = seq, start
+			s.kern.Verify(seq, start, int(s.ends[k]), s.onHit)
 		}
+		i = j
 	}
-	s.deliverHeld(nil)
 	if s.stats.Candidates >= s.stats.Answers {
 		s.stats.FalseAlarms = s.stats.Candidates - s.stats.Answers
 	}

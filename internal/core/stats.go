@@ -1,8 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"twsearch/internal/sequence"
@@ -84,24 +82,4 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.PoolHits += other.PoolHits
 	s.PoolMisses += other.PoolMisses
 	s.Elapsed += other.Elapsed
-}
-
-// sortMatches puts matches in deterministic (seq, start, end) order. The
-// verification pass and the scans emit in that order already — only the
-// filter-pass answers of an exact index arrive in DFS order — so the sort
-// runs only when one pass over the slice finds it out of order.
-func sortMatches(ms []Match) {
-	if !slices.IsSortedFunc(ms, compareRefs) {
-		slices.SortFunc(ms, compareRefs)
-	}
-}
-
-func compareRefs(a, b Match) int {
-	if c := cmp.Compare(a.Ref.Seq, b.Ref.Seq); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Ref.Start, b.Ref.Start); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Ref.End, b.Ref.End)
 }

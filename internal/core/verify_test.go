@@ -35,9 +35,10 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 // verifySpy wraps the kernel of a one-dimensional index and watches
 // admission and the verification pass: how many offered starts Dead
 // dismissed, whether each verdict is the one admission's definition gives
-// (misled counts those that are not), how many admitted ones the backward
-// pass dismissed, which starts Verify was pointed at, and whether one of
-// those was dead on its first element after all.
+// (misled counts those that are not), which starts it admitted and how
+// often, how often the backward pass saw each start and how many it
+// dismissed, which starts Verify was pointed at, and whether one of those
+// was dead on its first element after all.
 type verifySpy struct {
 	*kernel
 	// bound is where the test finds the spy of the latest search.
@@ -47,11 +48,15 @@ type verifySpy struct {
 	envelopes               bool
 	dead, dismissed, starts int
 	deadVerified, misled    int
+	// admitted and backward count, per (sequence, start), Dead's false
+	// verdicts and the backward pass's sightings.
+	admitted, backward map[[2]int]int
 }
 
 // Bind starts the spy's counts afresh for a search at threshold eps.
 func (k *verifySpy) Bind(q []float64, filterWindow, window int, eps float64, envelopes bool) {
-	*k = verifySpy{kernel: k.kernel, bound: k.bound, eps: eps, window: window, envelopes: envelopes}
+	*k = verifySpy{kernel: k.kernel, bound: k.bound, eps: eps, window: window, envelopes: envelopes,
+		admitted: map[[2]int]int{}, backward: map[[2]int]int{}}
 	*k.bound = k
 	k.kernel.Bind(q, filterWindow, window, eps, envelopes)
 }
@@ -89,13 +94,16 @@ func (k *verifySpy) Dead(seq, start int) bool {
 	}
 	if dead {
 		k.dead++
+	} else {
+		k.admitted[[2]int{seq, start}]++
 	}
 	return dead
 }
 
 func (k *verifySpy) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
 	k.kernel.Backward(seq, starts, ends, live, more)
-	for _, l := range live {
+	for i, l := range live {
+		k.backward[[2]int{seq, int(starts[i])}]++
 		if !l {
 			k.dismissed++
 		}
@@ -116,8 +124,11 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // path is collected once, where the descent stops, and a reached leaf hands
 // over all its starts itself — so Candidates is one per offered start, and
 // each one is dismissed by Dead, dismissed by the backward pass or verified
-// by one kernel call; (2) a start whose first element alone is further than
-// eps from q[0] never reaches Verify, and Dead's every verdict is the one
+// by one kernel call — on the exact sparse tree, where a stored suffix's
+// answers need no verification and the shifted starts of a run can be
+// offered more than once, the backward pass sees exactly the distinct
+// admitted starts, each once; (2) a start whose first element alone is
+// further than eps from q[0] never reaches Verify, and Dead's every verdict is the one
 // admission's definition gives (admissionDead) — on the windowed tree, the
 // windowed admission bound's; (3) the answers are still exactly the
 // sequential scan's; (4)
@@ -147,6 +158,8 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 	defer plain.Close()
 	windowed := spied("plateau-w2.twt", Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true, Window: 2})
 	defer windowed.Close()
+	exact := spied("plateau-id.twt", Options{Kind: categorize.KindIdentity, Sparse: true})
+	defer exact.Close()
 
 	for _, c := range []struct {
 		ix  *Index
@@ -159,6 +172,7 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		{plain, []float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 32273},
 		{plain, []float64{8}, 2, 2911},
 		{windowed, []float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 0},
+		{exact, []float64{8, 8, 9, 12, 12, 11, 16, 16}, 6, 0},
 	} {
 		ix := c.ix
 		want, _, err := SeqScan(data, c.q, c.eps, ix.Window)
@@ -177,7 +191,21 @@ func TestVerificationCostsItsAnswers(t *testing.T) {
 		}
 		t.Logf("w=%d |Q|=%d: candidates %d, dismissed at admission %d, by the backward pass %d, verified %d, cells %d+%d (leaf rows: %d), LB cells %d, answers %d",
 			ix.Window, len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts, st.FilterCells, st.PostCells, c.leafRows, st.LBCells, st.Answers)
-		if st.Candidates != uint64(spy.dead+spy.dismissed+spy.starts) {
+		offers := 0
+		for start, n := range spy.admitted {
+			offers += n
+			if spy.backward[start] != 1 {
+				t.Errorf("w=%d |Q|=%d: admitted start %v offered %d times reached the backward pass %d times, want once", ix.Window, len(c.q), start, n, spy.backward[start])
+			}
+		}
+		if len(spy.backward) != len(spy.admitted) {
+			t.Errorf("w=%d |Q|=%d: the backward pass saw %d starts, %d were admitted", ix.Window, len(c.q), len(spy.backward), len(spy.admitted))
+		}
+		if ix == exact {
+			if offers == len(spy.admitted) {
+				t.Errorf("|Q|=%d: %d admitted offers, all of distinct starts: the fixture repeats no start", len(c.q), offers)
+			}
+		} else if st.Candidates != uint64(spy.dead+spy.dismissed+spy.starts) {
 			t.Errorf("|Q|=%d: %d candidates for %d dismissed at admission, %d by the backward pass and %d verified starts, want one emission and one decision per start", len(c.q), st.Candidates, spy.dead, spy.dismissed, spy.starts)
 		}
 		if cells := st.FilterCells + st.PostCells; c.leafRows > 0 && 100*cells > 101*c.leafRows {

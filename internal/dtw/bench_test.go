@@ -33,14 +33,6 @@ func BenchmarkDistanceWindow232x20w10(b *testing.B) {
 	}
 }
 
-func BenchmarkDistanceEarlyAbandonTight(b *testing.B) {
-	x, q := benchSeqs(232, 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DistanceEarlyAbandon(x, q, 1)
-	}
-}
-
 func BenchmarkDistanceIntervals(b *testing.B) {
 	x, q := benchSeqs(232, 20)
 	ivs := make([]Interval, len(x))

@@ -153,43 +153,6 @@ func DistancePoints(a, b [][]float64) float64 {
 	return prev[len(b)-1]
 }
 
-// DistanceEarlyAbandon computes D_tw(a, b) but abandons as soon as Theorem 1
-// applies: if every column of some row exceeds eps, no extension of the table
-// can reach a distance <= eps, so the function returns (Inf, true).
-// Otherwise it returns the exact distance and false.
-func DistanceEarlyAbandon(a, b []float64, eps float64) (float64, bool) {
-	if len(a) == 0 || len(b) == 0 {
-		//lint:ignore panicpath precondition assertion: the engine validates queries before the kernel; a silent zero distance would break exactness
-		panic("dtw: distance of empty sequence")
-	}
-	prev := make([]float64, len(b))
-	curr := make([]float64, len(b))
-	for x := 0; x < len(a); x++ {
-		rowMin := Inf
-		for y := 0; y < len(b); y++ {
-			base := Base(a[x], b[y])
-			switch {
-			case x == 0 && y == 0:
-				curr[y] = base
-			case x == 0:
-				curr[y] = base + curr[y-1]
-			case y == 0:
-				curr[y] = base + prev[y]
-			default:
-				curr[y] = base + Min3(curr[y-1], prev[y], prev[y-1])
-			}
-			if curr[y] < rowMin {
-				rowMin = curr[y]
-			}
-		}
-		if rowMin > eps {
-			return Inf, true
-		}
-		prev, curr = curr, prev
-	}
-	return prev[len(b)-1], false
-}
-
 // Interval is a closed range of element values. Category symbols map to
 // intervals; a sequence of intervals stands for every numeric sequence whose
 // elements fall inside them element-wise.

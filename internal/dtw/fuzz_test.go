@@ -52,15 +52,6 @@ func FuzzDistanceProperties(f *testing.F) {
 		if math.Abs(last-d) > 1e-9 {
 			t.Fatalf("table %v != distance %v", last, d)
 		}
-		// Early abandon must never contradict the exact distance.
-		eps := d / 2
-		if got, abandoned := DistanceEarlyAbandon(x, y, eps); abandoned {
-			if d <= eps {
-				t.Fatalf("abandoned although distance %v <= eps %v", d, eps)
-			}
-		} else if math.Abs(got-d) > 1e-9 {
-			t.Fatalf("early-abandon distance %v != %v", got, d)
-		}
 	})
 }
 

@@ -12,7 +12,7 @@ import (
 //
 //	//twlint:steady-state [reason]
 //
-// is on the pooled per-query path — the AddRow* kernels, the pending-set
+// is on the pooled per-query path — the AddRow* kernels, the found list's
 // ops, the visitor plumbing — where TestSearchAllocationSteadyState pins
 // ~0 bytes/query after warmup. Such a body may not contain:
 //
@@ -24,8 +24,8 @@ import (
 //   - interface-boxing call sites (a concrete value passed to an interface
 //     parameter allocates)
 //
-// Warmup-phase allocation that a growth guard bounds — the pending-set
-// Reset's touched-slice doubling, for instance — is audited in place with
+// Warmup-phase allocation that a growth guard bounds — the found list's
+// doubling toward its high-water mark, for instance — is audited in place with
 // //lint:ignore steadystate <reason>, so each amortization argument is
 // written down where it holds. A floating marker not attached to a
 // function declaration is itself a finding, like ctx-root.

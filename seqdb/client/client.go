@@ -29,14 +29,8 @@ import (
 	"twsearch/seqdb"
 )
 
-// Options tunes a Client.
-type Options struct {
-	// DialTimeout bounds connection establishment (including the
-	// handshake); <= 0 means 5 seconds.
-	DialTimeout time.Duration
-}
-
-const defaultDialTimeout = 5 * time.Second
+// dialTimeout bounds connection establishment, the handshake included.
+const dialTimeout = 5 * time.Second
 
 // Client is a twsearchd connection handle. Safe for concurrent use;
 // requests serialize on the single underlying connection.
@@ -48,7 +42,6 @@ const defaultDialTimeout = 5 * time.Second
 // connection; the buffers go with the Client.
 type Client struct {
 	addr string
-	opts Options
 
 	// mu serializes requests and guards the state below.
 	mu   sync.Mutex
@@ -77,18 +70,10 @@ const (
 
 // Dial connects to a twsearchd server and validates the handshake. The
 // returned client redials automatically if the connection later fails.
-func Dial(addr string) (*Client, error) {
-	return DialOptions(addr, Options{})
-}
-
-// DialOptions is Dial with explicit options.
 //
-//twlint:ctx-root connection setup outside any request; the dial deadline comes from opts.DialTimeout, not a caller ctx
-func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = defaultDialTimeout
-	}
-	c := &Client{addr: addr, opts: opts}
+//twlint:ctx-root connection setup outside any request; the dial deadline is dialTimeout, not a caller ctx
+func Dial(addr string) (*Client, error) {
+	c := &Client{addr: addr}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensureConn(context.Background()); err != nil {
@@ -111,14 +96,14 @@ func (c *Client) ensureConn(ctx context.Context) error {
 	if c.conn != nil {
 		return nil
 	}
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return fmt.Errorf("client: dialing %s: %w", c.addr, err)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	if err := conn.SetDeadline(time.Now().Add(c.opts.DialTimeout)); err != nil {
+	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
 		conn.Close()
 		return err
 	}
