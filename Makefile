@@ -37,7 +37,7 @@ lint-golden-update:
 # the shared-handle search paths behave differently with one scheduler
 # thread and with several, so the suite must be green at both ends. Every
 # search runs serially, so the work pin (TestEngineWorkPinned), the envelope
-# gate's on/off identity (TestEnvelope*, TestMultivarEnvelope*) and the
+# gate's on/off identity (TestEnvelope*, at dimension 1 to 3) and the
 # options' identity (TestSearchWithDeterministic) are ordinary tests here.
 test:
 	GOMAXPROCS=1 $(GO) test ./...
@@ -61,12 +61,12 @@ ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lis
 # contexts must leak no state between queries. -count=2 reruns with warm
 # sync.Pools, the state-reuse case a single pass misses. Each search holds
 # one page pinned through its node reader and the pool recycles the frames
-# it evicts, so the suite — with the tests that every path out of a search
-# unpins (over the scalar and the vector kernel) and that a recycled frame
-# is never a pinned one — runs with one scheduler thread and with four.
-# TestConcurrentVectorSearches is the same contract over one handle of a
-# database of dimension 2.
-RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestFound|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/multivar/ ./internal/storage/ ./internal/disktree/
+# it evicts, so the suite — with the test that every path out of a search
+# unpins (core's TestSearchReleasesReader, at dimension 1 and 2) and that a
+# recycled frame is never a pinned one — runs with one scheduler thread and
+# with four. TestConcurrentVectorSearches is the same contract over one
+# handle of a database of dimension 2.
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestFound|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)
@@ -102,19 +102,18 @@ race-mmap:
 
 # The write path under -race, serial and concurrent: disktree.Build sorts its
 # suffix buckets on up to GOMAXPROCS goroutines while one streams the sorted
-# ones out and another flushes the chunks, and core encodes the texts on as
-# many, so every build test of disktree and of multivar, whose indexes of
-# dimension d > 1 core builds through the grid (the differential,
+# ones out and another flushes the chunks, and categorize encodes the texts
+# on as many, so every build test of disktree (the differential,
 # determinism, failure-and-leak and fuzz-seed tests among them), the grid's
 # fit and encoding (categorize's TestGridTableMatchesMap), the fit that
-# encodes on every core (TestFitOnceMatchesFit), core's parallel
-# encode on reopening an index of dimension 2 (TestMultivarOpen), the flat
-# text store, the selecting fit against its sort-based reference and the
-# bulk dataset I/O of both dimensions run once with one scheduler thread
-# and once with four — the determinism test pins the bytes across them.
-# core's scalar indexes are built by the same call in every one of its
+# encodes on every core (TestFitOnceMatchesFit), core's parallel encode on
+# reopening an index of dimension 1 and of 2 (TestOpenExistingIndex), the
+# flat text store, the selecting fit against its sort-based reference and
+# the bulk dataset I/O of both dimensions run once with one scheduler
+# thread and once with four — the determinism test pins the bytes across
+# them. core's other indexes are built by the same call in every one of its
 # tests; `make race` covers them.
-RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestFitOnceMatchesFit|TestMultivarOpen' ./internal/disktree ./internal/multivar ./internal/suffixtree ./internal/categorize ./internal/sequence
+RACE_BUILD = -race -count=1 -run 'Build|TestWriteFailureSurfaces|TestTextStoreFlat|MaxEntropy|Binary|TestGridTableMatchesMap|TestFitOnceMatchesFit|TestOpenExistingIndex' ./internal/disktree ./internal/core ./internal/suffixtree ./internal/categorize ./internal/sequence
 race-build:
 	GOMAXPROCS=1 $(GO) test $(RACE_BUILD)
 	GOMAXPROCS=4 $(GO) test $(RACE_BUILD)
@@ -148,31 +147,29 @@ run-lists:
 	$(call run-matches,$(SMOKE))
 
 # The fuzz targets CI runs, as package:target pairs — the distance-kernel,
-# the verifier-against-table (dtw's over values, multivar's over points of
-# dimension 2, one dtw.Verifier), the backward pass and the windowed
-# admission bound against the scan (at dimension 1 and 2), engine-equivalence (at dimension 1 and 2,
-# range and k-NN), wire round-trip, build-versus-naive, node-codec, the
-# scheme and grid readers, the dataset reader's (one target per magic:
-# sequence holds the TWSEQDB1 seeds, multivar the TWVECDB1 ones),
-# fit-versus-reference and file-corruption targets.
-# A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA,
-# giving the two engine-equivalence targets twice the time.
-FUZZ_ENGINE = \
-	./internal/core/:FuzzSearchMatchesScan \
-	./internal/multivar/:FuzzVectorSearchMatchesScan
+# the verifier-against-table, the backward pass and the windowed admission
+# bound against the scan, engine-equivalence (range and k-NN), each at
+# dimension 1 and 2, wire round-trip, build-versus-naive, node-codec, the
+# scheme and grid readers, the dataset reader's (the seeds of both
+# magics), fit-versus-reference and file-corruption targets.
+# A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA.
+# FUZZ_DIM2 are the three targets that each hold the seeds of a former
+# dimension-2 twin, and run as long as the two did together: 20s each in
+# `fuzz-ci`, and in `fuzz` 20s, but 40s for the engine target.
+FUZZ_ENGINE = ./internal/core/:FuzzSearchMatchesScan
+FUZZ_DIM2 = \
+	$(FUZZ_ENGINE) \
+	./internal/dtw/:FuzzThresholdRows \
+	./internal/sequence/:FuzzReadBinary
 FUZZ_CI = \
 	./internal/dtw/:FuzzDistanceProperties \
 	./internal/dtw/:FuzzIntervalLowerBound \
-	./internal/dtw/:FuzzThresholdRows \
 	./internal/dtw/:FuzzBackwardBound \
 	./internal/dtw/:FuzzAdmissionBound \
-	./internal/multivar/:FuzzThresholdRows \
-	$(FUZZ_ENGINE) \
+	$(FUZZ_DIM2) \
 	./internal/categorize/:FuzzReadScheme \
 	./internal/categorize/:FuzzReadGrid \
 	./internal/categorize/:FuzzFit \
-	./internal/sequence/:FuzzReadBinary \
-	./internal/multivar/:FuzzReadBinary \
 	./internal/disktree/:FuzzValidateCorruption \
 	./internal/wire/:FuzzFrameRoundTrip \
 	./internal/disktree/:FuzzBuildVsNaive \
@@ -186,9 +183,11 @@ fuzz-each = set -e; for pt in $(1); do \
 	$(GO) test -list "^$${pt\#\#*:}$$" "$${pt%%:*}" | grep -qx "$${pt\#\#*:}" || { echo "no fuzz target $${pt\#\#*:} in $${pt%%:*}" >&2; exit 1; }; \
 	$(GO) test -fuzz "^$${pt\#\#*:}$$" -fuzztime $(2) "$${pt%%:*}"; done
 
-# Bounded fuzzing for CI: every FUZZ_CI target, 10s each.
+# Bounded fuzzing for CI: every FUZZ_CI target, 10s each, 20s for
+# FUZZ_DIM2.
 fuzz-ci:
-	$(call fuzz-each,$(FUZZ_CI),10s)
+	$(call fuzz-each,$(filter-out $(FUZZ_DIM2),$(FUZZ_CI)),10s)
+	$(call fuzz-each,$(FUZZ_DIM2),20s)
 
 race:
 	$(GO) test -race ./...
@@ -205,19 +204,19 @@ bench:
 # BenchmarkSearchBroad (internal/core: fixed walks and queries shaped like
 # the benchmark's two single-client workloads, ns/node and ns/cell beside
 # ns/op; each runs over a v1 and a v2 tree, so one profile holds decodeV1
-# and decodeCompact side by side) and of BenchmarkSearchTrajectory
-# (internal/multivar: the same engine and kernel over points of dimension 2,
-# verified by dtw.Verifier's point loop), written with the test binaries to
-# PROFILE_DIR; the top of each is printed.
+# and decodeCompact side by side) and of BenchmarkSearchTrajectory (the
+# same engine and kernel over points of dimension 2, verified by
+# dtw.Verifier's point loop), written with the test binary to PROFILE_DIR;
+# the top of each is printed.
 PROFILE_DIR ?= /tmp/twsearch-profile
 profile-search:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'SearchSelective$$' -benchtime 1000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/selective.prof ./internal/core
 	$(GO) test -run '^$$' -bench 'SearchBroad$$' -benchtime 300x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/broad.prof ./internal/core
-	$(GO) test -run '^$$' -bench 'SearchTrajectory$$' -benchtime 300x -o $(PROFILE_DIR)/multivar.test -cpuprofile $(PROFILE_DIR)/trajectory.prof ./internal/multivar
+	$(GO) test -run '^$$' -bench 'SearchTrajectory$$' -benchtime 300x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/trajectory.prof ./internal/core
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/selective.prof
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/broad.prof
-	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/multivar.test $(PROFILE_DIR)/trajectory.prof
+	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/trajectory.prof
 
 # Where a served query's time goes: a CPU profile of
 # BenchmarkServeSearchBroad (seqdb/server: the broad-shaped queries of
@@ -230,11 +229,12 @@ profile-serve:
 	$(GO) test -run '^$$' -bench 'ServeSearchBroad$$' -benchtime 300x -o $(PROFILE_DIR)/server.test -cpuprofile $(PROFILE_DIR)/serve.prof ./seqdb/server
 	$(GO) tool pprof -top -nodecount=20 $(PROFILE_DIR)/server.test $(PROFILE_DIR)/serve.prof
 
-# Short fuzz session over every fuzz target: 10s each, 20s for the engine
-# pair.
+# Short fuzz session over every fuzz target: 10s each, 20s for FUZZ_DIM2
+# and 40s for the engine target.
 fuzz:
-	$(call fuzz-each,$(filter-out $(FUZZ_ENGINE),$(FUZZ_CI)) $(FUZZ_EXTRA),10s)
-	$(call fuzz-each,$(FUZZ_ENGINE),20s)
+	$(call fuzz-each,$(filter-out $(FUZZ_DIM2),$(FUZZ_CI)) $(FUZZ_EXTRA),10s)
+	$(call fuzz-each,$(filter-out $(FUZZ_ENGINE),$(FUZZ_DIM2)),20s)
+	$(call fuzz-each,$(FUZZ_ENGINE),40s)
 
 # Regenerate the paper's tables and figures at full scale, in work counters
 # (about a minute; the output is benchtables_full.txt).

@@ -244,13 +244,9 @@ func (s *Scheme) settle() *Scheme {
 	return s
 }
 
-// EqualLength fits the paper's equal-length (EL) categorization: c bins of
-// identical width (MAX-MIN)/c over the fitted values.
-func EqualLength(values []float64, c int) (*Scheme, error) {
-	return Fit(KindEqualLength, values, c, 0)
-}
-
-// equalLength is EqualLength's boundaries.
+// equalLength places the boundaries of the paper's equal-length (EL)
+// categorization: c bins of identical width (MAX-MIN)/c over the fitted
+// values.
 func equalLength(values []float64, c int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
@@ -276,15 +272,10 @@ func equalLength(values []float64, c int) (*Scheme, error) {
 	return newScheme(KindEqualLength, lowers, uppers), nil
 }
 
-// MaxEntropy fits the paper's maximum-entropy (ME) categorization: category
-// boundaries are placed at quantiles so every category holds (as nearly as
+// maxEntropy places the boundaries of the paper's maximum-entropy (ME)
+// categorization: at quantiles, so every category holds (as nearly as
 // possible, given ties) the same number of fitted values, which maximizes
 // H(C). values is not modified.
-func MaxEntropy(values []float64, c int) (*Scheme, error) {
-	return Fit(KindMaxEntropy, values, c, 0)
-}
-
-// maxEntropy is MaxEntropy's boundaries.
 func maxEntropy(values []float64, c int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
@@ -326,15 +317,10 @@ func maxEntropy(values []float64, c int) (*Scheme, error) {
 	return newScheme(KindMaxEntropy, lowers, uppers), nil
 }
 
-// KMeans fits a 1-D k-means categorization (mentioned by the paper as an
-// alternative method). Centroids are initialized at quantiles and refined
-// with Lloyd iterations; category boundaries are the midpoints between
-// neighboring centroids.
-func KMeans(values []float64, c, iters int) (*Scheme, error) {
-	return Fit(KindKMeans, values, c, iters)
-}
-
-// kMeans is KMeans's boundaries.
+// kMeans places the boundaries of a 1-D k-means categorization (mentioned
+// by the paper as an alternative method). Centroids are initialized at
+// quantiles and refined with Lloyd iterations; category boundaries are the
+// midpoints between neighboring centroids.
 func kMeans(values []float64, c, iters int) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues
@@ -406,15 +392,11 @@ func kMeans(values []float64, c, iters int) (*Scheme, error) {
 	return newScheme(KindKMeans, lowers, uppers), nil
 }
 
-// Identity builds a scheme with one point category per distinct fitted
-// value. Encoding with it loses no information: the observed interval of
-// every symbol is a single point, D_base-lb degenerates to the exact
-// D_base, and the categorized suffix tree becomes the exact tree ST.
-func Identity(values []float64) (*Scheme, error) {
-	return Fit(KindIdentity, values, 0, 0)
-}
-
-// identity is Identity's boundaries.
+// identity places the boundaries of the scheme with one point category per
+// distinct fitted value. Encoding with it loses no information: the
+// observed interval of every symbol is a single point, D_base-lb
+// degenerates to the exact D_base, and the categorized suffix tree becomes
+// the exact tree ST.
 func identity(values []float64) (*Scheme, error) {
 	if len(values) == 0 {
 		return nil, ErrNoValues

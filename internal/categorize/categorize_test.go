@@ -24,7 +24,7 @@ func randValues(rng *rand.Rand, n int) []float64 {
 
 func TestEqualLengthBasics(t *testing.T) {
 	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}
-	s, err := EqualLength(vals, 5)
+	s, err := Fit(KindEqualLength, vals, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEqualLengthPaperExample(t *testing.T) {
 	// spanning [0.1, 10.0]; the midpoint boundary 5.05 reproduces the same
 	// symbol pattern.
 	vals := []float64{0.1, 3.9, 4.0, 10.0, 5.27, 2.56, 3.85}
-	s, err := EqualLength(vals, 2)
+	s, err := Fit(KindEqualLength, vals, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEqualLengthPaperExample(t *testing.T) {
 func TestMaxEntropyEqualCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := randValues(rng, 10000)
-	s, err := MaxEntropy(vals, 10)
+	s, err := Fit(KindMaxEntropy, vals, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestMaxEntropyBeatsEqualLengthOnSkewedData(t *testing.T) {
 	for i := range vals {
 		vals[i] = math.Exp(rng.NormFloat64()) // log-normal
 	}
-	el, err := EqualLength(vals, 20)
+	el, err := Fit(KindEqualLength, vals, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := MaxEntropy(vals, 20)
+	me, err := Fit(KindMaxEntropy, vals, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMaxEntropyHeavyTies(t *testing.T) {
 			vals[i] = float64(i)
 		}
 	}
-	s, err := MaxEntropy(vals, 10)
+	s, err := Fit(KindMaxEntropy, vals, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestKMeans(t *testing.T) {
 			vals = append(vals, center+rng.Float64())
 		}
 	}
-	s, err := KMeans(vals, 3, 50)
+	s, err := Fit(KindKMeans, vals, 3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestKMeans(t *testing.T) {
 func TestIdentityIsLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vals := randValues(rng, 500)
-	s, err := Identity(vals)
+	s, err := Fit(KindIdentity, vals, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestDegenerateSingleValue(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := EqualLength(nil, 5); err != ErrNoValues {
-		t.Errorf("EqualLength(nil): err = %v", err)
+	if _, err := Fit(KindEqualLength, nil, 5, 0); err != ErrNoValues {
+		t.Errorf("Fit(EL, nil): err = %v", err)
 	}
-	if _, err := MaxEntropy([]float64{1}, 0); err != ErrBadCount {
+	if _, err := Fit(KindMaxEntropy, []float64{1}, 0, 0); err != ErrBadCount {
 		t.Errorf("MaxEntropy count 0: err = %v", err)
 	}
 	if _, err := Fit("bogus", []float64{1}, 2, 2); err == nil {
@@ -213,7 +213,7 @@ func TestFitErrors(t *testing.T) {
 
 func TestSymbolTotal(t *testing.T) {
 	// Out-of-sample values (queries can have them) must clamp, not panic.
-	s, err := EqualLength([]float64{0, 10}, 4)
+	s, err := Fit(KindEqualLength, []float64{0, 10}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,13 +485,13 @@ func maxEntropyReference(values []float64, c int) *Scheme {
 func sameAsReference(t testing.TB, what string, values []float64, c int) {
 	t.Helper()
 	before := append([]float64(nil), values...)
-	got, err := MaxEntropy(values, c)
+	got, err := Fit(KindMaxEntropy, values, c, 0)
 	if err != nil {
-		t.Fatalf("%s: MaxEntropy(%d values, %d): %v", what, len(values), c, err)
+		t.Fatalf("%s: Fit(ME, %d values, %d): %v", what, len(values), c, err)
 	}
 	for i, v := range values {
 		if math.Float64bits(v) != math.Float64bits(before[i]) {
-			t.Fatalf("%s: MaxEntropy(%d values, %d) modified values[%d]", what, len(values), c, i)
+			t.Fatalf("%s: Fit(ME, %d values, %d) modified values[%d]", what, len(values), c, i)
 		}
 	}
 	var gotFile, wantFile bytes.Buffer
@@ -499,7 +499,7 @@ func sameAsReference(t testing.TB, what string, values []float64, c int) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotFile.Bytes(), wantFile.Bytes()) {
-		t.Fatalf("%s: MaxEntropy(%d values, %d) writes a different scheme than the sort-based reference", what, len(values), c)
+		t.Fatalf("%s: Fit(ME, %d values, %d) writes a different scheme than the sort-based reference", what, len(values), c)
 	}
 }
 
@@ -613,7 +613,7 @@ func BenchmarkFitMaxEntropy(b *testing.B) {
 		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MaxEntropy(vals, c); err != nil {
+				if _, err := Fit(KindMaxEntropy, vals, c, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,7 @@ import (
 // FuzzReadScheme must never panic; accepted schemes must encode values into
 // categories that contain them within their boundary range.
 func FuzzReadScheme(f *testing.F) {
-	s, err := MaxEntropy([]float64{1, 2, 3, 4, 5}, 3)
+	s, err := Fit(KindMaxEntropy, []float64{1, 2, 3, 4, 5}, 3, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

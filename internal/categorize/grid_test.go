@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"twsearch/internal/dtw"
 	"twsearch/internal/sequence"
 )
 
@@ -144,5 +145,115 @@ func TestFitOnceMatchesFit(t *testing.T) {
 	}
 	if _, _, err := FitTexts(points, KindMaxEntropy, 6, 20); err == nil {
 		t.Error("FitTexts fitted a dataset of dimension 2")
+	}
+}
+
+// randomPointDataset is dim-dimensional integer walks, point-major: 2 to
+// maxLen points, every coordinate from a start in [0, 10) by steps of -1, 0
+// and 1.
+func randomPointDataset(rng *rand.Rand, nSeq, maxLen, dim int) *sequence.Dataset {
+	d := sequence.NewDatasetDim(dim)
+	for i := 0; i < nSeq; i++ {
+		n := 2 + rng.Intn(maxLen-1)
+		v := make([]float64, dim)
+		for k := range v {
+			v[k] = float64(rng.Intn(10))
+		}
+		vals := make([]float64, 0, n*dim)
+		for j := 0; j < n; j++ {
+			for k := range v {
+				v[k] += float64(rng.Intn(3) - 1)
+				vals = append(vals, v[k])
+			}
+		}
+		d.MustAdd(sequence.Sequence{ID: fmt.Sprintf("m%d", i), Values: vals})
+	}
+	return d
+}
+
+// Every point lies in the box of the cell it encodes to, at base distance
+// zero from it.
+func TestFitGridBoxesContainPoints(t *testing.T) {
+	data := randomPointDataset(rand.New(rand.NewSource(401)), 5, 30, 3)
+	grid, _, err := FitGrid(data, KindMaxEntropy, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.NumCells() == 0 {
+		t.Fatal("no cells")
+	}
+	for i := 0; i < data.Len(); i++ {
+		vals := data.Values(i)
+		syms, err := grid.Encode(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, sym := range syms {
+			p, box := vals[3*j:3*j+3], grid.Box(sym)
+			for k := range p {
+				if p[k] < box.Lo[k] || p[k] > box.Hi[k] {
+					t.Fatalf("point %v outside its cell box %+v", p, box)
+				}
+			}
+			if d := dtw.BaseBox(p, box); d != 0 {
+				t.Fatalf("BaseBox of member point = %v", d)
+			}
+		}
+	}
+}
+
+func TestEncodeUnseenCellFails(t *testing.T) {
+	// Only the diagonal cells (low,low) and (high,high) are observed; the
+	// off-diagonal combination (low,high) has no cell symbol.
+	d := sequence.NewDatasetDim(2)
+	d.MustAdd(sequence.Sequence{ID: "a", Values: []float64{1, 1, 10, 10}})
+	grid, _, err := FitGrid(d, KindEqualLength, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid.NumCells() != 2 {
+		t.Fatalf("cells = %d, want 2", grid.NumCells())
+	}
+	if _, err := grid.Encode([]float64{1, 10}); err == nil {
+		t.Error("point in unseen cell encoded")
+	}
+}
+
+// A grid written and read back encodes alike and keeps every box; garbage
+// is refused.
+func TestGridRoundTrip(t *testing.T) {
+	data := randomPointDataset(rand.New(rand.NewSource(507)), 4, 25, 3)
+	grid, _, err := FitGrid(data, KindMaxEntropy, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := grid.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadGrid(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumCells() != grid.NumCells() {
+		t.Fatalf("cells = %d, want %d", got.NumCells(), grid.NumCells())
+	}
+	for i := 0; i < data.Len(); i++ {
+		a, err := grid.Encode(data.Values(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Encode(data.Values(i))
+		if err != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("encoding differs for sequence %d (err = %v)", i, err)
+		}
+	}
+	for s := 0; s < grid.NumCells(); s++ {
+		if a, b := grid.Box(Symbol(s)), got.Box(Symbol(s)); !reflect.DeepEqual(a, b) {
+			t.Fatalf("box %d differs", s)
+		}
+	}
+	if _, err := ReadGrid(bytes.NewReader([]byte("XXXXXXXXjunkjunk"))); err == nil {
+		t.Fatal("garbage grid accepted")
 	}
 }

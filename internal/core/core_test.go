@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -88,6 +89,37 @@ func randomQuery(rng *rand.Rand, maxLen int) []float64 {
 		q[i] = v
 	}
 	return q
+}
+
+// randomPointDataset is randomWalkDataset for points of dimension dim,
+// point-major: every coordinate an integer walk in steps of -1, 0 and 1
+// from a start in [0, 10), over 2 to maxLen points.
+func randomPointDataset(rng *rand.Rand, nSeq, maxLen, dim int) *sequence.Dataset {
+	d := sequence.NewDatasetDim(dim)
+	for i := 0; i < nSeq; i++ {
+		d.MustAdd(sequence.Sequence{ID: fmt.Sprintf("m%d", i), Values: randomPoints(rng, 2+rng.Intn(maxLen-1), dim)})
+	}
+	return d
+}
+
+// randomPointQuery is a query of 1 to maxLen such points.
+func randomPointQuery(rng *rand.Rand, maxLen, dim int) []float64 {
+	return randomPoints(rng, 1+rng.Intn(maxLen), dim)
+}
+
+func randomPoints(rng *rand.Rand, n, dim int) []float64 {
+	v := make([]float64, dim)
+	for k := range v {
+		v[k] = float64(rng.Intn(10))
+	}
+	out := make([]float64, 0, n*dim)
+	for j := 0; j < n; j++ {
+		for k := range v {
+			v[k] += float64(rng.Intn(3) - 1)
+			out = append(out, v[k])
+		}
+	}
+	return out
 }
 
 // bruteForce enumerates every subsequence and computes its exact distance —
@@ -213,47 +245,67 @@ func TestSeqScanMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSearchInputErrors: a query that is empty, not a whole number of
+// points or holds a NaN or infinite coordinate, and a threshold that is
+// negative or NaN, are refused by every entry point of a database of
+// dimension 1 and of 2 before any work is done.
 func TestSearchInputErrors(t *testing.T) {
-	data := randomWalkDataset(rand.New(rand.NewSource(1)), 2, 10)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "ix.twt"), Options{Kind: categorize.KindMaxEntropy, Categories: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if _, _, err := search(ix, nil, 5); err == nil {
-		t.Error("empty query accepted")
-	}
-	if _, _, err := search(ix, []float64{1}, -1); err == nil {
-		t.Error("negative eps accepted")
-	}
-	if _, _, err := SeqScan(data, nil, 5, -1); err == nil {
-		t.Error("SeqScan empty query accepted")
-	}
-	if _, _, err := SeqScan(data, []float64{1}, -2, -1); err == nil {
-		t.Error("SeqScan negative eps accepted")
-	}
 	// A NaN threshold prunes nothing and accepts nothing, so a search would
 	// walk the whole tree for no answer; a NaN or infinite query value makes
-	// every distance NaN or +Inf. All are refused before any work is done.
+	// every distance NaN or +Inf.
 	nan, inf := math.NaN(), math.Inf(1)
-	for _, eps := range []float64{nan, -inf} {
-		if _, st, err := search(ix, []float64{1}, eps); err == nil || st.NodesVisited != 0 {
-			t.Errorf("eps %v: err %v after %d nodes, want a refusal before the traversal", eps, err, st.NodesVisited)
+	for _, fx := range []struct {
+		data *sequence.Dataset
+		opts Options
+		q    []float64 // a valid one-point query
+	}{
+		{randomWalkDataset(rand.New(rand.NewSource(1)), 2, 10), Options{Kind: categorize.KindMaxEntropy, Categories: 4}, []float64{1}},
+		{randomPointDataset(rand.New(rand.NewSource(419)), 2, 10, 2), Options{}, []float64{1, 2}},
+	} {
+		data, q := fx.data, fx.q
+		ix, err := Build(data, filepath.Join(t.TempDir(), "ix.twt"), fx.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, _, err := SeqScan(data, []float64{1}, eps, -1); err == nil {
-			t.Errorf("SeqScan eps %v accepted", eps)
+		defer ix.Close()
+		dim := len(q)
+		if _, _, err := search(ix, nil, 5); err == nil {
+			t.Errorf("d=%d: empty query accepted", dim)
 		}
-	}
-	for _, v := range []float64{nan, inf, -inf} {
-		q := []float64{1, v, 2}
-		if _, _, err := search(ix, q, 5); err == nil {
-			t.Errorf("query value %v accepted", v)
+		if _, _, err := SeqScan(data, nil, 5, -1); err == nil {
+			t.Errorf("d=%d: SeqScan empty query accepted", dim)
 		}
-		if _, _, err := SeqScan(data, q, 5, -1); err == nil {
-			t.Errorf("SeqScan query value %v accepted", v)
+		if _, _, err := search(ix, q, -1); err == nil {
+			t.Errorf("d=%d: negative eps accepted", dim)
 		}
-		if _, _, err := searchKNN(ix, q, 3); err == nil {
-			t.Errorf("k-NN query value %v accepted", v)
+		if _, _, err := SeqScan(data, q, -2, -1); err == nil {
+			t.Errorf("d=%d: SeqScan negative eps accepted", dim)
+		}
+		if dim > 1 {
+			if _, _, err := search(ix, q[:1], 1); err == nil {
+				t.Errorf("d=%d: query of a partial point accepted", dim)
+			}
+		}
+		for _, eps := range []float64{nan, -inf} {
+			if _, st, err := search(ix, q, eps); err == nil || st.NodesVisited != 0 {
+				t.Errorf("d=%d eps %v: err %v after %d nodes, want a refusal before the traversal", dim, eps, err, st.NodesVisited)
+			}
+			if _, _, err := SeqScan(data, q, eps, -1); err == nil {
+				t.Errorf("d=%d: SeqScan eps %v accepted", dim, eps)
+			}
+		}
+		for _, v := range []float64{nan, inf, -inf} {
+			bad := append(slices.Clone(q), q...)
+			bad[len(bad)-1] = v
+			if _, _, err := search(ix, bad, 5); err == nil {
+				t.Errorf("d=%d: query value %v accepted", dim, v)
+			}
+			if _, _, err := SeqScan(data, bad, 5, -1); err == nil {
+				t.Errorf("d=%d: SeqScan query value %v accepted", dim, v)
+			}
+			if _, _, err := searchKNN(ix, bad, 3); err == nil {
+				t.Errorf("d=%d: k-NN query value %v accepted", dim, v)
+			}
 		}
 	}
 	for _, c := range []struct{ step, bound float64 }{{nan, 1}, {1, nan}, {1, -1}} {
@@ -266,6 +318,26 @@ func TestSearchInputErrors(t *testing.T) {
 	}
 	if _, err := Build(sequence.NewDataset(), filepath.Join(t.TempDir(), "e.twt"), Options{}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+	// Every option builds an index that searches, even over one short
+	// sequence.
+	short := sequence.NewDataset()
+	short.MustAdd(sequence.Sequence{ID: "a", Values: []float64{1, 2, 3}})
+	for _, opts := range []Options{
+		{},
+		{Sparse: true},
+		{Window: 2},
+		{MinAnswerLen: 2, Sparse: true},
+		{Kind: categorize.KindEqualLength, Categories: 2},
+	} {
+		ix, err := Build(short, filepath.Join(t.TempDir(), "o.twt"), opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if _, _, err := search(ix, []float64{2}, 1); err != nil {
+			t.Errorf("%+v: search: %v", opts, err)
+		}
+		ix.Close()
 	}
 }
 
@@ -320,41 +392,44 @@ func variants() []variant {
 }
 
 // TestNoFalseDismissals is the paper's headline guarantee, end to end:
-// every index variant returns exactly the SeqScan answer set.
+// every index variant returns exactly the SeqScan answer set — over values,
+// and over points of dimension 1 to 3 on ME grids of one to four categories
+// per dimension, dense and sparse.
 func TestNoFalseDismissals(t *testing.T) {
-	rng := rand.New(rand.NewSource(307))
 	dir := t.TempDir()
+	check := func(label string, data *sequence.Dataset, ix *Index, q []float64, eps float64) {
+		t.Helper()
+		want, _, err := SeqScan(data, q, eps, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatalf("%s: Search: %v", label, err)
+		}
+		if !matchesEqual(got, want) {
+			t.Fatalf("%s eps=%v q=%v: index %d matches, seqscan %d", label, eps, q, len(got), len(want))
+		}
+		if stats.Answers != uint64(len(got)) {
+			t.Errorf("%s: Answers counter %d != %d", label, stats.Answers, len(got))
+		}
+		if stats.Candidates == 0 && stats.Answers > 0 {
+			t.Errorf("%s: answers without candidates", label)
+		}
+	}
+	rng := rand.New(rand.NewSource(307))
 	for trial := 0; trial < 12; trial++ {
 		data := randomWalkDataset(rng, 2+rng.Intn(4), 25)
 		queries := [][]float64{randomQuery(rng, 8), randomQuery(rng, 4)}
 		epses := []float64{0.5, float64(rng.Intn(10)) + 0.5, 25.5}
 		for vi, v := range variants() {
-			path := filepath.Join(dir, fmt.Sprintf("ix-%d-%d.twt", trial, vi))
-			opts := v.opts
-			ix, err := Build(data, path, opts)
+			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("ix-%d-%d.twt", trial, vi)), v.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: Build: %v", trial, v.name, err)
 			}
 			for _, q := range queries {
 				for _, eps := range epses {
-					want, _, err := SeqScan(data, q, eps, -1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, stats, err := search(ix, q, eps)
-					if err != nil {
-						t.Fatalf("trial %d %s: Search: %v", trial, v.name, err)
-					}
-					if !matchesEqual(got, want) {
-						t.Fatalf("trial %d %s eps=%v |q|=%d: index %d matches, seqscan %d",
-							trial, v.name, eps, len(q), len(got), len(want))
-					}
-					if stats.Answers != uint64(len(got)) {
-						t.Errorf("%s: Answers counter %d != %d", v.name, stats.Answers, len(got))
-					}
-					if stats.Candidates == 0 && stats.Answers > 0 {
-						t.Errorf("%s: answers without candidates", v.name)
-					}
+					check(fmt.Sprintf("trial %d %s", trial, v.name), data, ix, q, eps)
 				}
 			}
 			if err := ix.RemoveFile(); err != nil {
@@ -362,39 +437,68 @@ func TestNoFalseDismissals(t *testing.T) {
 			}
 		}
 	}
+	rng = rand.New(rand.NewSource(409))
+	for trial := 0; trial < 10; trial++ {
+		dim := 1 + rng.Intn(3)
+		data := randomPointDataset(rng, 2+rng.Intn(3), 20, dim)
+		q := randomPointQuery(rng, 6, dim)
+		eps := float64(rng.Intn(10)) + 0.5
+		for _, sparse := range []bool{false, true} {
+			opts := Options{Kind: categorize.KindMaxEntropy, Categories: 1 + rng.Intn(4), Sparse: sparse}
+			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("mix-%d-%v.twt", trial, sparse)), opts)
+			if err != nil {
+				t.Fatalf("trial %d: Build: %v", trial, err)
+			}
+			check(fmt.Sprintf("trial %d d=%d %+v", trial, dim, opts), data, ix, q, eps)
+			ix.Close()
+		}
+	}
 }
 
-// Window-constrained search must also agree with the window-constrained scan.
+// Window-constrained search must also agree with the window-constrained
+// scan, over values and over points of dimension 1 and 2.
 func TestNoFalseDismissalsWindowed(t *testing.T) {
-	rng := rand.New(rand.NewSource(311))
 	dir := t.TempDir()
+	check := func(label string, data *sequence.Dataset, opts Options, q []float64, eps float64) {
+		t.Helper()
+		ix, err := Build(data, filepath.Join(dir, "w.twt"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.RemoveFile()
+		want, _, err := SeqScan(data, q, eps, opts.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesEqual(got, want) {
+			t.Fatalf("%s w=%d eps=%v: index %d matches, seqscan %d", label, opts.Window, eps, len(got), len(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 10; trial++ {
 		data := randomWalkDataset(rng, 2+rng.Intn(3), 20)
 		q := randomQuery(rng, 6)
 		eps := float64(rng.Intn(8)) + 0.5
 		window := 1 + rng.Intn(5) // window 0 means "unset" in Options; lockstep is covered in dtw tests
-		for vi, v := range variants()[:6] {
-			opts := v.opts
-			opts.Window = window
-			path := filepath.Join(dir, fmt.Sprintf("wix-%d-%d.twt", trial, vi))
-			ix, err := Build(data, path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := opts.Window
-			want, _, err := SeqScan(data, q, eps, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := search(ix, q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matchesEqual(got, want) {
-				t.Fatalf("trial %d %s w=%d eps=%v: index %d matches, seqscan %d",
-					trial, v.name, w, eps, len(got), len(want))
-			}
-			ix.RemoveFile()
+		for _, v := range variants()[:6] {
+			v.opts.Window = window
+			check(fmt.Sprintf("trial %d %s", trial, v.name), data, v.opts, q, eps)
+		}
+	}
+	rng = rand.New(rand.NewSource(509))
+	for trial := 0; trial < 8; trial++ {
+		dim := 1 + rng.Intn(2)
+		data := randomPointDataset(rng, 2+rng.Intn(3), 18, dim)
+		q := randomPointQuery(rng, 6, dim)
+		eps := float64(rng.Intn(8)) + 0.5
+		window := 1 + rng.Intn(5)
+		for _, sparse := range []bool{false, true} {
+			check(fmt.Sprintf("trial %d d=%d sparse=%v", trial, dim, sparse), data,
+				Options{Categories: 1 + rng.Intn(3), Sparse: sparse, Window: window}, q, eps)
 		}
 	}
 }
@@ -424,9 +528,47 @@ func runsDataset(rng *rand.Rand, nSeq, length, alphabet int) *sequence.Dataset {
 // prunes on bound >= eps, dismisses that answer; a lower bound published as
 // a distance changes a Match. Every variant, and the first six under a
 // window, must return the scan's answers bit for bit at every such eps.
+//
+// At dimension 2 the points lie on a 3×3 integer lattice in runs of one to
+// six equal points, and every grid shape — ME and identity cells, dense and
+// sparse, with and without a window — must do the same. The grid filter is
+// never exact, so a shifted start reaches verification only through a leaf
+// the descent collects below a pruned node: the tree must be deep enough to
+// prune under a qualifying path, hence eight sequences.
 func TestNoFalseDismissalsAtTies(t *testing.T) {
-	rng := rand.New(rand.NewSource(337))
 	dir := t.TempDir()
+	atTies := func(label string, data *sequence.Dataset, opts Options, q []float64, reach float64) {
+		t.Helper()
+		ix, err := Build(data, filepath.Join(dir, "tie.twt"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.RemoveFile()
+		all, _, err := SeqScan(data, q, reach, ix.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ties []float64
+		for _, m := range all {
+			ties = append(ties, m.Distance)
+		}
+		slices.Sort(ties)
+		for _, eps := range slices.Compact(ties) {
+			want, _, err := SeqScan(data, q, eps, ix.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := search(ix, q, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matchesBitIdentical(got, want) {
+				t.Errorf("%s q=%v eps=%v: index %d answers, scan %d", label, q, eps, len(got), len(want))
+				return
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(337))
 	for trial := 0; trial < 4; trial++ {
 		data := runsDataset(rng, 3, 30, 4)
 		q := []float64{float64(rng.Intn(4)), float64(rng.Intn(4)), float64(rng.Intn(4))}
@@ -437,38 +579,38 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 			v.opts.Window = 1 + trial%3
 			vs = append(vs, v)
 		}
-		for vi, v := range vs {
-			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d-%d.twt", trial, vi)), v.opts)
-			if err != nil {
-				t.Fatal(err)
+		for _, v := range vs {
+			atTies(fmt.Sprintf("trial %d %s", trial, v.name), data, v.opts, q, 12)
+		}
+	}
+
+	rng = rand.New(rand.NewSource(421))
+	runs := func(n, maxRun int) []float64 { // n lattice points in runs
+		var out []float64
+		for len(out) < 2*n {
+			p := []float64{float64(rng.Intn(3)), float64(rng.Intn(3))}
+			for r := 1 + rng.Intn(maxRun); r > 0 && len(out) < 2*n; r-- {
+				out = append(out, p...)
 			}
-			all, _, err := SeqScan(data, q, 12, ix.Window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ties []float64
-			for _, m := range all {
-				ties = append(ties, m.Distance)
-			}
-			slices.Sort(ties)
-			for _, eps := range slices.Compact(ties) {
-				want, _, err := SeqScan(data, q, eps, ix.Window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := search(ix, q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !matchesBitIdentical(got, want) {
-					t.Errorf("trial %d %s q=%v eps=%v: index %d answers, scan %d",
-						trial, v.name, q, eps, len(got), len(want))
-					break
-				}
-			}
-			if err := ix.RemoveFile(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		return out
+	}
+	for trial := 0; trial < 4; trial++ {
+		data := sequence.NewDatasetDim(2)
+		for i := 0; i < 8; i++ {
+			data.MustAdd(sequence.Sequence{ID: fmt.Sprintf("r%d", i), Values: runs(48, 6)})
+		}
+		q := runs(2+rng.Intn(5), 3)
+		window := 1 + trial%3
+		for _, opts := range []Options{
+			{Kind: categorize.KindMaxEntropy, Categories: 2},
+			{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
+			{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true, Window: window},
+			{Kind: categorize.KindIdentity, Window: window},
+			{Kind: categorize.KindIdentity, Sparse: true},
+			{Kind: categorize.KindIdentity, Sparse: true, Window: window},
+		} {
+			atTies(fmt.Sprintf("trial %d d=2 %v sparse=%v w=%d", trial, opts.Kind, opts.Sparse, opts.Window), data, opts, q, 10)
 		}
 	}
 }
@@ -574,38 +716,53 @@ func TestHugeEpsReturnsAllSubsequences(t *testing.T) {
 	}
 }
 
+// TestOpenExistingIndex: an index reopened from its tree file and its
+// persisted scheme — a category scheme, or at dimension 2 a grid, by which
+// Encode re-encodes the data on every core — returns the answers it was
+// built to.
 func TestOpenExistingIndex(t *testing.T) {
+	reopens := func(data *sequence.Dataset, opts Options, q []float64, eps float64) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "keep.twt")
+		ix, err := Build(data, path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs := ix.BuildStats; bs.Suffixes != int(ix.Tree.NumLeaves()) || bs.Nodes != int(ix.Tree.NumNodes()) {
+			t.Errorf("BuildStats = %+v, tree has %d leaves / %d nodes", bs, ix.Tree.NumLeaves(), ix.Tree.NumNodes())
+		}
+		want, _, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Scheme.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ix.Close()
+		scheme, err := ReadScheme(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(data, scheme, path, 16, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		got, _, err := search(re, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, want) {
+			t.Fatalf("d=%d: reopened index returns %d answers, built one %d", data.Dim(), len(got), len(want))
+		}
+	}
 	rng := rand.New(rand.NewSource(347))
 	data := randomWalkDataset(rng, 4, 20)
-	path := filepath.Join(t.TempDir(), "keep.twt")
-	opts := Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true}
-	ix, err := Build(data, path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs := ix.BuildStats; bs.Suffixes != int(ix.Tree.NumLeaves()) || bs.Nodes != int(ix.Tree.NumNodes()) {
-		t.Errorf("BuildStats = %+v, tree has %d leaves / %d nodes", bs, ix.Tree.NumLeaves(), ix.Tree.NumNodes())
-	}
-	q := randomQuery(rng, 5)
-	want, _, err := search(ix, q, 7.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme := ix.Scheme
-	ix.Close()
-
-	re, err := Open(data, scheme, path, 16, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, _, err := search(re, q, 7.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, want) {
-		t.Fatal("reopened index returns different answers")
-	}
+	reopens(data, Options{Kind: categorize.KindMaxEntropy, Categories: 5, Sparse: true}, randomQuery(rng, 5), 7.5)
+	rng = rand.New(rand.NewSource(517))
+	vec := randomPointDataset(rng, 4, 20, 2)
+	reopens(vec, Options{Categories: 4, Sparse: true}, randomPointQuery(rng, 5, 2), 9.5)
 }
 
 func TestStatsPagesCounted(t *testing.T) {

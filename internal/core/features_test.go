@@ -10,52 +10,57 @@ import (
 	"testing"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/dtw"
 	"twsearch/internal/sequence"
 )
 
 // Length-filtered indexes must return exactly the scan answers of at least
 // the floor length — the conclusion-section space optimization must not
-// change the (restricted) answer set.
+// change the (restricted) answer set — over values and over points of
+// dimension 2.
 func TestMinAnswerLenNoFalseDismissals(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
 	dir := t.TempDir()
+	check := func(label string, data *sequence.Dataset, opts Options, q []float64, eps float64) {
+		t.Helper()
+		ix, err := Build(data, filepath.Join(dir, "ml.twt"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.MinAnswerLen() != opts.MinAnswerLen {
+			t.Fatalf("MinAnswerLen = %d, want %d", ix.MinAnswerLen(), opts.MinAnswerLen)
+		}
+		got, _, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.RemoveFile()
+		want, _, err := SeqScan(data, q, eps, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = atLeast(want, opts.MinAnswerLen); !matchesEqual(got, want) {
+			t.Fatalf("%s sparse=%v minLen=%d: got %d, want %d", label, opts.Sparse, opts.MinAnswerLen, len(got), len(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 10; trial++ {
 		data := randomWalkDataset(rng, 2+rng.Intn(4), 25)
 		q := randomQuery(rng, 6)
 		eps := float64(rng.Intn(10)) + 0.5
 		minLen := 2 + rng.Intn(5)
-		for vi, sparse := range []bool{false, true} {
-			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("ml-%d-%d.twt", trial, vi)), Options{
+		for _, sparse := range []bool{false, true} {
+			check(fmt.Sprintf("trial %d", trial), data, Options{
 				Kind: categorize.KindMaxEntropy, Categories: 6,
 				Sparse: sparse, MinAnswerLen: minLen,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ix.MinAnswerLen() != minLen {
-				t.Fatalf("MinAnswerLen = %d, want %d", ix.MinAnswerLen(), minLen)
-			}
-			got, _, err := search(ix, q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.RemoveFile()
-
-			all, _, err := SeqScan(data, q, eps, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []Match
-			for _, m := range all {
-				if m.Ref.Len() >= minLen {
-					want = append(want, m)
-				}
-			}
-			if !matchesEqual(got, want) {
-				t.Fatalf("trial %d sparse=%v minLen=%d: got %d, want %d",
-					trial, sparse, minLen, len(got), len(want))
-			}
+			}, q, eps)
 		}
+	}
+	rng = rand.New(rand.NewSource(511))
+	for trial := 0; trial < 6; trial++ {
+		data := randomPointDataset(rng, 3, 20, 2)
+		q := randomPointQuery(rng, 5, 2)
+		eps := float64(rng.Intn(8)) + 0.5
+		check(fmt.Sprintf("trial %d d=2", trial), data, Options{Categories: 3, Sparse: trial%2 == 0, MinAnswerLen: 2 + rng.Intn(4)}, q, eps)
 	}
 }
 
@@ -146,6 +151,67 @@ func TestSearchKNN(t *testing.T) {
 			}
 		}
 	}
+
+	// Dimension 2: the stats are every expansion round's, summed — the
+	// envelope gate's counters included: replay the rounds as plain range
+	// searches.
+	rng = rand.New(rand.NewSource(513))
+	data := randomPointDataset(rng, 3, 20, 2)
+	ix, err := Build(data, filepath.Join(t.TempDir(), "knn2.twt"), Options{Categories: 3, Sparse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	q := randomPointQuery(rng, 5, 2)
+	const k = 7
+	got, gotStats, err := searchKNN(ix, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != k {
+		t.Fatalf("d=2: kNN returned %d", len(got))
+	}
+	step := 0.0
+	for i := 2; i < len(q); i += 2 {
+		step += dtw.BasePoint(q[i:i+2], q[i-2:i])
+	}
+	var want SearchStats
+	for eps := step/float64(len(q)/2) + 1e-9; ; eps *= 4 {
+		ms, st, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(st)
+		if len(ms) >= k {
+			break
+		}
+	}
+	want.Answers = k
+	if exactStats(gotStats) != exactStats(want) || want.LBCells == 0 || want.EnvelopePruned == 0 {
+		t.Fatalf("d=2: kNN stats %v, want the rounds' sum %v", exactStats(gotStats), exactStats(want))
+	}
+	all, _, err := SeqScan(data, q, 1e18, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
+	for _, m := range got {
+		if m.Distance > all[k-1].Distance+1e-9 {
+			t.Fatalf("d=2: kNN distance %v beyond true kth %v", m.Distance, all[k-1].Distance)
+		}
+	}
+	if _, _, err := searchKNN(ix, q, 0); err == nil {
+		t.Error("d=2: k=0 accepted")
+	}
+	if _, _, err := searchKNN(ix, nil, 2); err == nil {
+		t.Error("d=2: empty query accepted")
+	}
+}
+
+// exactStats is the part of SearchStats a search pins exactly: everything
+// but wall clock and the index-wide pool deltas.
+func exactStats(s SearchStats) [8]uint64 {
+	return [8]uint64{s.NodesVisited, s.FilterCells, s.PostCells, s.Candidates, s.FalseAlarms, s.Answers, s.EnvelopePruned, s.LBCells}
 }
 
 func TestSearchKNNErrors(t *testing.T) {
@@ -165,7 +231,10 @@ func TestSearchKNNErrors(t *testing.T) {
 }
 
 // SearchKNN with k exceeding the total number of subsequences returns all
-// of them.
+// of them. At dimension 3 they come back as the scan finds them at an
+// infinite threshold: the distance bound the expansion stops at, summed
+// over dimensions, is no smaller than any vector distance. A flat query
+// (step 0) climbs from 1e-9 to that bound.
 func TestSearchKNNExhaustsDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(423))
 	data := randomWalkDataset(rng, 1, 6)
@@ -182,6 +251,27 @@ func TestSearchKNNExhaustsDatabase(t *testing.T) {
 	}
 	if len(got) != total {
 		t.Fatalf("got %d, want all %d subsequences", len(got), total)
+	}
+
+	rng = rand.New(rand.NewSource(521))
+	vec := randomPointDataset(rng, 4, 15, 3)
+	vix, err := Build(vec, filepath.Join(t.TempDir(), "all.twt"), Options{Categories: 3, Sparse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vix.Close()
+	for _, q := range [][]float64{randomPointQuery(rng, 4, 3), {1, 2, 3, 1, 2, 3}} {
+		all, _, err := SeqScan(vec, q, math.Inf(1), -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := searchKNN(vix, q, len(all)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(got, all) {
+			t.Fatalf("d=3 q=%v: k-NN with k = %d returned %d, want the %d subsequences there are", q, len(all)+1, len(got), len(all))
+		}
 	}
 }
 
@@ -294,76 +384,72 @@ func TestSelectCategories(t *testing.T) {
 }
 
 // SearchVisit streams exactly the Search answer set, in its order, and
-// honors early stop.
+// honors early stop: on an ME index, on an exact (identity) index, whose
+// filter-pass answers stream in the same order, and on a grid of
+// dimension 2.
 func TestSearchVisit(t *testing.T) {
-	rng := rand.New(rand.NewSource(461))
-	data := randomWalkDataset(rng, 4, 30)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "sv.twt"), Options{
-		Kind: categorize.KindMaxEntropy, Categories: 6, Sparse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	q := randomQuery(rng, 6)
-	want, _, err := search(ix, q, 12.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var streamed []Match
-	stats, err := searchVisit(ix, q, 12.5, func(m Match) bool {
-		streamed = append(streamed, m)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(streamed, want) {
-		t.Fatalf("streamed %d answers, Search found %d", len(streamed), len(want))
-	}
-	if stats.Answers != uint64(len(want)) {
-		t.Fatalf("stats.Answers = %d", stats.Answers)
-	}
-
-	// Early stop delivers no more answers after false (the one in-flight
-	// emit is the last).
-	if len(want) > 3 {
+	streams := func(label string, ix *Index, q []float64, eps float64) {
+		t.Helper()
+		want, _, err := search(ix, q, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed []Match
+		stats, err := searchVisit(ix, q, eps, func(m Match) bool {
+			streamed = append(streamed, m)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesBitIdentical(streamed, want) {
+			t.Fatalf("%s: streamed %d answers, Search found %d, or in another order", label, len(streamed), len(want))
+		}
+		if stats.Answers != uint64(len(want)) {
+			t.Fatalf("%s: stats.Answers = %d", label, stats.Answers)
+		}
+		// Early stop delivers no more answers after false (the one in-flight
+		// emit is the last).
+		if len(want) <= 3 {
+			t.Fatalf("%s: %d answers, too few to stop early", label, len(want))
+		}
 		count := 0
-		if _, err := searchVisit(ix, q, 12.5, func(Match) bool {
+		if _, err := searchVisit(ix, q, eps, func(Match) bool {
 			count++
 			return count < 3
 		}); err != nil {
 			t.Fatal(err)
 		}
 		if count != 3 {
-			t.Fatalf("early stop delivered %d answers, want 3", count)
+			t.Fatalf("%s: early stop delivered %d answers, want 3", label, count)
+		}
+		if _, err := searchVisit(ix, q, eps, nil); err == nil {
+			t.Errorf("%s: nil visitor accepted", label)
 		}
 	}
-	if _, err := searchVisit(ix, q, 12.5, nil); err == nil {
-		t.Error("nil visitor accepted")
-	}
-
-	// An exact (identity) index streams its filter-pass answers in the same
-	// order.
-	exact, err := Build(data, filepath.Join(t.TempDir(), "sve.twt"), Options{Kind: categorize.KindIdentity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exact.Close()
-	wantExact, _, err := search(exact, q, 12.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Match
-	if _, err := searchVisit(exact, q, 12.5, func(m Match) bool {
-		got = append(got, m)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !matchesEqual(got, wantExact) {
-		t.Fatalf("exact streamed %d, Search %d", len(got), len(wantExact))
+	rng := rand.New(rand.NewSource(461))
+	data := randomWalkDataset(rng, 4, 30)
+	q := randomQuery(rng, 6)
+	rng2 := rand.New(rand.NewSource(541))
+	vec := randomPointDataset(rng2, 3, 20, 2)
+	vq := randomPointQuery(rng2, 5, 2)
+	for _, c := range []struct {
+		label string
+		data  *sequence.Dataset
+		opts  Options
+		q     []float64
+		eps   float64
+	}{
+		{"ME", data, Options{Kind: categorize.KindMaxEntropy, Categories: 6, Sparse: true}, q, 12.5},
+		{"identity", data, Options{Kind: categorize.KindIdentity}, q, 12.5},
+		{"d=2", vec, Options{Categories: 3, Sparse: true}, vq, 9.5},
+	} {
+		ix, err := Build(c.data, filepath.Join(t.TempDir(), "sv.twt"), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams(c.label, ix, c.q, c.eps)
+		ix.Close()
 	}
 }
 

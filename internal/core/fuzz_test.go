@@ -21,7 +21,11 @@ import (
 // Values are small integers, so distances are exact and ties at the k-th
 // distance are common: position must break them. shape picks the index:
 // bit 0 the identity categorization, bit 1 a dense tree, bits 2-3 the
-// answer-length floor.
+// answer-length floor; bit 4 sets eps to the exact distance of one scan
+// answer (epsRaw picks which), a tie that every pruning and candidate test
+// must keep; bit 5 reads the bytes as points of dimension 2, searched
+// through a grid, whose filter is never exact, so every reached leaf is
+// verified.
 func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0), uint8(0))
@@ -44,30 +48,37 @@ func FuzzSearchMatchesScan(f *testing.F) {
 	// distance, and a sparse ME tree.
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1, 1, 2, 1, 0, 0, 0, 0}, []byte{3, 0, 0, 3}, uint8(31), uint8(0), uint8(0), uint8(1|16))
 	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 1, 1, 1, 0, 0, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0}, uint8(2), uint8(1), uint8(0), uint8(16))
+	// Dimension 2: the same shapes over points.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0), uint8(32))
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2), uint8(32))
+	f.Add([]byte{4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 4, 4, 4, 4, 4, 4, 9, 2, 9, 2, 9, 2}, []byte{4, 4, 4, 4, 9, 2}, uint8(250), uint8(2), uint8(0), uint8(32))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 6}, []byte{1, 1, 5, 5, 5, 5}, uint8(244), uint8(1), uint8(3), uint8(32))
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3}, []byte{3, 3, 7, 7}, uint8(4), uint8(1), uint8(0), uint8(32))
+	f.Add([]byte{2, 2, 2, 2, 2, 2, 6, 6, 6, 6, 2, 2, 2, 2, 2, 2, 6, 6, 6, 6}, []byte{2, 2, 6, 6, 6, 6}, uint8(5), uint8(1), uint8(0), uint8(32|3<<2))
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 5, 5, 5, 5}, []byte{5, 5, 1, 1}, uint8(3), uint8(1), uint8(2), uint8(32))
+	f.Add([]byte{1, 2, 2, 3, 3, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3}, []byte{2, 3, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(32|3))
+	f.Add([]byte{2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0, 0, 2, 0, 2, 0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0}, []byte{0, 2, 0, 2}, uint8(156), uint8(0), uint8(0), uint8(32|1|16))
+	f.Add([]byte{2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 1, 0, 1, 0, 1, 0}, []byte{2, 2, 2, 2}, uint8(149), uint8(1), uint8(0), uint8(32|16))
 	f.Fuzz(func(t *testing.T, seqBytes, qBytes []byte, epsRaw, catsRaw, windowRaw, shape uint8) {
-		if len(seqBytes) < 4 || len(qBytes) == 0 {
+		dim := 1 + int(shape>>5&1)
+		if len(seqBytes) < 4*dim || len(qBytes) < dim {
 			return
 		}
-		if len(seqBytes) > 48 {
-			seqBytes = seqBytes[:48]
-		}
-		if len(qBytes) > 8 {
-			qBytes = qBytes[:8]
+		seqBytes, qBytes = seqBytes[:min(len(seqBytes), 48*dim)], qBytes[:min(len(qBytes), 8*dim)]
+		values := func(b []byte) []float64 { // whole points only
+			vals := make([]float64, len(b)/dim*dim)
+			for j := range vals {
+				vals[j] = float64(int(b[j]) % 32)
+			}
+			return vals
 		}
 		// Two sequences cut from the byte stream.
-		data := sequence.NewDataset()
-		half := len(seqBytes) / 2
+		data := sequence.NewDatasetDim(dim)
+		half := len(seqBytes) / (2 * dim) * dim
 		for i, chunk := range [][]byte{seqBytes[:half], seqBytes[half:]} {
-			vals := make([]float64, len(chunk))
-			for j, b := range chunk {
-				vals[j] = float64(int(b) % 32)
-			}
-			data.MustAdd(sequence.Sequence{ID: string(rune('a' + i)), Values: vals})
+			data.MustAdd(sequence.Sequence{ID: string(rune('a' + i)), Values: values(chunk)})
 		}
-		q := make([]float64, len(qBytes))
-		for j, b := range qBytes {
-			q[j] = float64(int(b) % 32)
-		}
+		q := values(qBytes)
 		eps := float64(epsRaw%40) + 0.5
 		if epsRaw >= 240 {
 			eps = 0
@@ -102,7 +113,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		}
 		want = atLeast(want, ix.MinAnswerLen())
 		if !matchesBitIdentical(got, want) {
-			t.Fatalf("index %d matches, scan %d (eps=%v %+v)", len(got), len(want), eps, opts)
+			t.Fatalf("d=%d: index %d matches, scan %d (eps=%v %+v)", dim, len(got), len(want), eps, opts)
 		}
 
 		k := int(epsRaw)%9 + 1
@@ -114,7 +125,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		all = all[:min(k, len(all))]
 		sortMatches(all)
 		if !matchesEqual(nearest, all) {
-			t.Fatalf("k=%d %+v: index returned %v, the scan's k best are %v", k, opts, nearest, all)
+			t.Fatalf("d=%d k=%d %+v: index returned %v, the scan's k best are %v", dim, k, opts, nearest, all)
 		}
 	})
 }

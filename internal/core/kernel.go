@@ -16,8 +16,7 @@ import (
 // sequence with starts to verify, Backward; and once per start Backward
 // leaves live, Verify. The lower bounds Gap and AddRow return may
 // only prune through bound > eps, and never become a Match distance;
-// TestNoFalseDismissalsAtTies (in core at dimension 1, in multivar at 2)
-// holds the kernel to that with eps set to the exact distances of the
+// TestNoFalseDismissalsAtTies (at dimension 1 and 2) holds the kernel to that with eps set to the exact distances of the
 // scan's answers: the ties at which a >= in place of the > would dismiss
 // an answer.
 type Kernel interface {

@@ -309,16 +309,14 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 		return nil
 	}
 
+	// A label holds a terminator only at its end, where the text ends: the
+	// walk stops there, having handled every prefix of the suffix, and
+	// nothing lies below.
+	label := s.ix.Store.Text(int(n.LabelSeq))[n.LabelStart:]
+	descend := len(label) >= int(n.LabelLen)
+	label = label[:min(len(label), int(n.LabelLen))]
 	entryDepth := depth
-	descend := true
-	for i := 0; i < int(n.LabelLen); i++ {
-		sym := s.ix.Store.Sym(int(n.LabelSeq), int(n.LabelStart)+i)
-		if suffixtree.IsTerminator(sym) {
-			// The suffix ends here; all its prefixes were handled at
-			// shallower depths. Nothing lies below a terminator.
-			descend = false
-			break
-		}
+	for _, sym := range label {
 		x := depth // 0-based position of the row about to be added
 		if x == 0 {
 			s.firstSym = sym
@@ -329,6 +327,17 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 				firstRun++
 			} else {
 				runBroken = true
+			}
+		}
+		// The sparse shift: the largest number of leading-run rows a
+		// deeper candidate could shift away — (firstRun-1) once the run is
+		// broken (every leaf below has exactly that run), or (maxRun-1)
+		// while the path is still one run (deeper leaves may extend it).
+		shift := 0
+		if s.sparse {
+			shift = firstRun - 1
+			if !runBroken {
+				shift = s.ix.maxRun - 1
 			}
 		}
 
@@ -347,14 +356,8 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 			}
 			newSum := s.envSums[x] + g
 			envBound := newSum
-			if s.sparse {
-				j := firstRun - 1
-				if !runBroken {
-					j = s.ix.maxRun - 1
-				}
-				if j > 0 {
-					envBound = newSum - float64(j)*s.envBase0
-				}
+			if shift > 0 {
+				envBound = newSum - float64(shift)*s.envBase0
 			}
 			if envBound > s.eps && !s.ix.DisablePruning {
 				s.stats.EnvelopePruned++
@@ -395,18 +398,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 
 		// Branch pruning (Theorem 1). For sparse trees the row minimum must
 		// be discounted by the largest shift any deeper candidate could
-		// claim: (firstRun-1) once the run is broken (every leaf below has
-		// exactly that run), or (maxRun-1) while the path is still one run
-		// (deeper leaves may extend it).
+		// claim.
 		pruneBound := minDist
-		if s.sparse {
-			j := firstRun - 1
-			if !runBroken {
-				j = s.ix.maxRun - 1
-			}
-			if j > 0 {
-				pruneBound = minDist - float64(j)*s.base0
-			}
+		if shift > 0 {
+			pruneBound = minDist - float64(shift)*s.base0
 		}
 		if pruneBound > s.eps && !s.ix.DisablePruning {
 			descend = false
@@ -417,15 +412,9 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 		// depth-d row can produce has length d minus the largest shift; once
 		// that exceeds |Q|+w every deeper candidate is infeasible under the
 		// band. (Dense trees get this pruning from the banded table itself.)
-		if s.sparse && s.ix.Window >= 0 {
-			j := firstRun - 1
-			if !runBroken {
-				j = s.ix.maxRun - 1
-			}
-			if d-j > s.qLen+s.ix.Window {
-				descend = false
-				break
-			}
+		if s.sparse && s.ix.Window >= 0 && d-shift > s.qLen+s.ix.Window {
+			descend = false
+			break
 		}
 	}
 

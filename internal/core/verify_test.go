@@ -268,32 +268,57 @@ func TestBackwardKeepsRoundingTies(t *testing.T) {
 // dismisses at eps = 0; and the answer [12, 16) at distance 1 has a bound
 // of exactly 1, summed from its gap terms 0.5 and 0.5, not its first
 // value.
+//
+// At dimension 2 the same ties hold by the city-block base distance, the
+// bound's gap terms summed over the dimensions: under window 1 the answer
+// [8, 12) at distance 1 has a bound of exactly 1, from the gaps 0.5 of
+// (2.5, 2) and (2, 2.5).
 func TestAdmissionKeepsTies(t *testing.T) {
 	data := sequence.NewDataset()
 	data.MustAdd(sequence.Sequence{ID: "tie", Values: []float64{7, 0, 3, 2, 2, 2, 9, 5, 1, 8}})
 	data.MustAdd(sequence.Sequence{ID: "other", Values: []float64{4, 6, 0, 9, 1, 3, 2, 2, 7, 5}})
 	data.MustAdd(sequence.Sequence{ID: "windowed", Values: []float64{7, 0, 2, 2, 2, 2, 9, 5, 1, 8, 0, 6, 2, 2.5, 2.5, 2, 8, 0}})
+	var scalar []Options
+	for _, v := range variants() {
+		scalar = append(scalar, v.opts)
+	}
+	vec := sequence.NewDatasetDim(2)
+	vec.MustAdd(sequence.Sequence{ID: "tie", Values: []float64{7, 1, 0, 4, 3, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 1, 3}})
+	vec.MustAdd(sequence.Sequence{ID: "other", Values: []float64{4, 4, 6, 1, 0, 0, 9, 8, 1, 2, 3, 5, 2, 2, 7, 7}})
+	vec.MustAdd(sequence.Sequence{ID: "windowed", Values: []float64{7, 1, 0, 4, 2, 2, 2, 2, 2, 2, 2, 2, 9, 6, 5, 0, 2, 2, 2.5, 2, 2, 2.5, 2, 2, 8, 0}})
+	grids := []Options{
+		{Kind: categorize.KindMaxEntropy, Categories: 2},
+		{Kind: categorize.KindMaxEntropy, Categories: 2, Sparse: true},
+		{Kind: categorize.KindIdentity},
+		{Kind: categorize.KindIdentity, Sparse: true},
+	}
 	dir := t.TempDir()
 	for _, c := range []struct {
+		data   *sequence.Dataset
+		opts   []Options
 		q      []float64
 		window int
 		eps    float64
 		tie    sequence.Ref
 	}{
-		{[]float64{2, 2, 2}, -1, 1, sequence.Ref{Seq: 0, Start: 2, End: 5}},
-		{[]float64{2, 2, 2, 2}, 1, 0, sequence.Ref{Seq: 2, Start: 2, End: 6}},
-		{[]float64{2, 2, 2, 2}, 1, 1, sequence.Ref{Seq: 2, Start: 12, End: 16}},
+		{data, scalar, []float64{2, 2, 2}, -1, 1, sequence.Ref{Seq: 0, Start: 2, End: 5}},
+		{data, scalar, []float64{2, 2, 2, 2}, 1, 0, sequence.Ref{Seq: 2, Start: 2, End: 6}},
+		{data, scalar, []float64{2, 2, 2, 2}, 1, 1, sequence.Ref{Seq: 2, Start: 12, End: 16}},
+		{vec, grids, []float64{2, 2, 2, 2, 2, 2}, -1, 1, sequence.Ref{Seq: 0, Start: 2, End: 5}},
+		{vec, grids, []float64{2, 2, 2, 2, 2, 2, 2, 2}, 1, 0, sequence.Ref{Seq: 2, Start: 2, End: 6}},
+		{vec, grids, []float64{2, 2, 2, 2, 2, 2, 2, 2}, 1, 1, sequence.Ref{Seq: 2, Start: 8, End: 12}},
 	} {
-		want, _, err := SeqScan(data, c.q, c.eps, c.window)
+		dim := c.data.Dim()
+		want, _, err := SeqScan(c.data, c.q, c.eps, c.window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.ContainsFunc(want, func(m Match) bool { return m.Ref == c.tie && m.Distance == c.eps }) {
-			t.Fatalf("w=%d: the scan has no answer %v at distance %v: the fixture has no tie", c.window, c.tie, c.eps)
+			t.Fatalf("d=%d w=%d: the scan has no answer %v at distance %v: the fixture has no tie", dim, c.window, c.tie, c.eps)
 		}
-		for vi, v := range variants() {
-			v.opts.Window = c.window
-			ix, err := Build(data, filepath.Join(dir, fmt.Sprintf("tie-%d.twt", vi)), v.opts)
+		for _, opts := range c.opts {
+			opts.Window = c.window
+			ix, err := Build(c.data, filepath.Join(dir, "tie.twt"), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +328,7 @@ func TestAdmissionKeepsTies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !matchesBitIdentical(got, want) {
-				t.Errorf("%s w=%d eps=%v: index %d answers, scan %d (a start at exactly eps must be verified)", v.name, c.window, c.eps, len(got), len(want))
+				t.Errorf("d=%d %+v eps=%v: index %d answers, scan %d (a start at exactly eps must be verified)", dim, opts, c.eps, len(got), len(want))
 			}
 		}
 	}

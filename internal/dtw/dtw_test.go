@@ -33,9 +33,21 @@ func naiveDistance(a, b []float64) float64 {
 	return rec(0, 0)
 }
 
+// TestBase: the base distance of values, of points (city-block) and of a
+// point and a box (zero inside it).
 func TestBase(t *testing.T) {
 	if Base(3, 5) != 2 || Base(5, 3) != 2 || Base(4, 4) != 0 {
 		t.Fatal("Base wrong")
+	}
+	if BasePoint([]float64{1, 2}, []float64{3, 0}) != 4 {
+		t.Fatal("BasePoint wrong")
+	}
+	box := Box{Lo: []float64{0, 10}, Hi: []float64{5, 20}}
+	if got := BaseBox([]float64{3, 15}, box); got != 0 {
+		t.Fatalf("inside box = %v", got)
+	}
+	if got := BaseBox([]float64{7, 25}, box); got != 2+5 {
+		t.Fatalf("outside box = %v, want 7", got)
 	}
 }
 
@@ -136,7 +148,13 @@ func randSeq(rng *rand.Rand, maxLen int) []float64 {
 	return s
 }
 
+// TestDistanceMatchesNaive holds Distance to Definition 1, DistancePoints
+// over points of dimension 1 to Distance (Figure 1, then random
+// sequences), and the table's point rows to DistancePoints.
 func TestDistanceMatchesNaive(t *testing.T) {
+	if got := DistancePoints([][]float64{{3}, {4}, {3}}, [][]float64{{4}, {5}, {6}, {7}, {6}, {6}}); got != 12 {
+		t.Fatalf("DistancePoints of Figure 1 = %v, want 12", got)
+	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		a, b := randSeq(rng, 8), randSeq(rng, 8)
@@ -144,7 +162,49 @@ func TestDistanceMatchesNaive(t *testing.T) {
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("Distance(%v,%v) = %v, naive = %v", a, b, got, want)
 		}
+		if pts := DistancePoints(points(nil, a, 1), points(nil, b, 1)); pts != got {
+			t.Fatalf("DistancePoints(%v,%v) = %v, Distance %v", a, b, pts, got)
+		}
 	}
+	// The table's point rows reach DistancePoints in dimension 1 to 3.
+	rng = rand.New(rand.NewSource(421))
+	for trial := 0; trial < 100; trial++ {
+		dim := 1 + rng.Intn(3)
+		q, s := randPoints(rng, 6, dim), randPoints(rng, 6, dim)
+		if got, want := tableDistance(q, s, dim, -1), DistancePoints(points(nil, s, dim), points(nil, q, dim)); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("d=%d: table %v != distance %v", dim, got, want)
+		}
+	}
+}
+
+// randPoints is a random walk of 1 to maxLen points of dimension dim,
+// point-major: every coordinate starts in [0, 10) and moves by -1, 0 or 1.
+func randPoints(rng *rand.Rand, maxLen, dim int) []float64 {
+	n := 1 + rng.Intn(maxLen)
+	v := make([]float64, dim)
+	for k := range v {
+		v[k] = float64(rng.Intn(10))
+	}
+	out := make([]float64, 0, n*dim)
+	for j := 0; j < n; j++ {
+		for k := range v {
+			v[k] += float64(rng.Intn(3) - 1)
+			out = append(out, v[k])
+		}
+	}
+	return out
+}
+
+// tableDistance is the last column of the table over q, of points of
+// dimension dim under window w, after a row per point of s.
+func tableDistance(q, s []float64, dim, w int) float64 {
+	var tab Table
+	tab.Bind(q, dim, w)
+	last := Inf
+	for i := 0; i < len(s); i += dim {
+		last, _ = tab.AddRowPoint(s[i : i+dim])
+	}
+	return last
 }
 
 func TestQuickSymmetry(t *testing.T) {
@@ -394,6 +454,8 @@ func TestQuickTableIntervalRows(t *testing.T) {
 	}
 }
 
+// A window as wide as both sequences constrains nothing: for values, and
+// for the table's point rows in dimension 1 to 3.
 func TestWindowWideEqualsUnconstrained(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
@@ -401,6 +463,15 @@ func TestWindowWideEqualsUnconstrained(t *testing.T) {
 		w := len(a) + len(b)
 		if Distance(a, b) != DistanceWindow(a, b, w) {
 			t.Fatalf("wide window differs: %v vs %v", Distance(a, b), DistanceWindow(a, b, w))
+		}
+	}
+	rng = rand.New(rand.NewSource(521))
+	for trial := 0; trial < 50; trial++ {
+		dim := 1 + rng.Intn(3)
+		q, s := randPoints(rng, 6, dim), randPoints(rng, 6, dim)
+		got, want := tableDistance(q, s, dim, (len(q)+len(s))/dim), DistancePoints(points(nil, s, dim), points(nil, q, dim))
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("d=%d: wide window %v != unconstrained %v", dim, got, want)
 		}
 	}
 }
@@ -428,6 +499,10 @@ func TestWindowTooNarrow(t *testing.T) {
 	d := DistanceWindow([]float64{1, 1, 1, 1, 1}, []float64{1, 1}, 1)
 	if !math.IsInf(d, 1) {
 		t.Fatalf("narrow band distance = %v, want Inf", d)
+	}
+	// The table's point rows: four rows against one column under window 1.
+	if d := tableDistance([]float64{0}, []float64{0, 0, 0, 0}, 1, 1); !math.IsInf(d, 1) {
+		t.Fatalf("narrow band table distance = %v, want Inf", d)
 	}
 }
 

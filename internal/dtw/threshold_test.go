@@ -62,20 +62,20 @@ func scanSpec(rows [][]float64, w int, tau, first float64) (hits []int, dists []
 	return hits, dists, cells
 }
 
-// poisonedVerifier returns a verifier bound to q, w and tau whose rolling
-// rows were last used by a wider query and have since been filled with a
-// value that would win every min: a scan that reads a cell it — or Close —
-// did not write comes out hugely negative.
-func poisonedVerifier(q []float64, w int, tau float64) *Verifier {
+// poisonedVerifier returns a verifier bound to q, of points of dimension
+// dim, w and tau whose rolling rows were last used by a wider query and have
+// since been filled with a value that would win every min: a scan that reads
+// a cell it — or Close — did not write comes out hugely negative.
+func poisonedVerifier(q []float64, dim, w int, tau float64) *Verifier {
 	v := &Verifier{}
-	v.Bind(make([]float64, len(q)+9), 1, -1, Inf)
+	v.Bind(make([]float64, len(q)+9*dim), dim, -1, Inf)
 	prev, curr := v.Rows()
 	for _, row := range [][]float64{prev[:cap(prev)], curr[:cap(curr)]} {
 		for i := range row {
 			row[i] = -1e300
 		}
 	}
-	v.Bind(q, 1, w, tau)
+	v.Bind(q, dim, w, tau)
 	return v
 }
 
@@ -83,43 +83,46 @@ func poisonedVerifier(q []float64, w int, tau float64) *Verifier {
 // short of it, on a poisoned verifier, and holds each scan to scanSpec over
 // the plain table's rows: the same ends with the same distance bits, and
 // exactly the cells the live-column recurrence reaches. Without a threshold
-// (tau = Inf) that is every in-band cell, as the plain table charges.
-func checkVerifier(t *testing.T, q, s []float64, w int, tau float64) {
+// (tau = Inf) that is every in-band cell, as the plain table charges. q and
+// s are point-major, of dimension dim.
+func checkVerifier(t *testing.T, q, s []float64, dim, w int, tau float64) {
 	t.Helper()
-	v := poisonedVerifier(q, w, tau)
+	v := poisonedVerifier(q, dim, w, tau)
 	var gotEnds []int
 	var gotDists []float64
 	hit := func(end int, dist float64) {
 		gotEnds = append(gotEnds, end)
 		gotDists = append(gotDists, dist)
 	}
-	for start := range s {
-		for _, end := range []int{len(s), start + 1 + (len(s)-start)/2} {
-			plain := NewTableWindow(q, w)
+	sp := points(nil, s, dim)
+	for start := range sp {
+		for _, end := range []int{len(sp), start + 1 + (len(sp)-start)/2} {
+			var plain Table
+			plain.Bind(q, dim, w)
 			rows := make([][]float64, 0, end-start)
-			for _, val := range s[start:end] {
-				plain.AddRowValue(val)
+			for _, p := range sp[start:end] {
+				plain.AddRowPoint(p)
 				rows = append(rows, append([]float64(nil), plain.Row(plain.Depth()-1)...))
 			}
-			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, Base(s[start], q[0]))
+			wantEnds, wantDists, wantCells := scanSpec(rows, w, tau, BasePoint(sp[start], q[:dim]))
 
 			gotEnds, gotDists = gotEnds[:0], gotDists[:0]
 			before := v.Cells()
 			v.Scan(s, start, end, hit)
 			cells := v.Cells() - before
 			if len(gotEnds) != len(wantEnds) {
-				t.Fatalf("w=%d tau=%v [%d,%d): ends %v, plain table %v", w, tau, start, end, gotEnds, wantEnds)
+				t.Fatalf("d=%d w=%d tau=%v [%d,%d): ends %v, plain table %v", dim, w, tau, start, end, gotEnds, wantEnds)
 			}
 			for i := range wantEnds {
 				if gotEnds[i] != start+wantEnds[i] || math.Float64bits(gotDists[i]) != math.Float64bits(wantDists[i]) {
-					t.Fatalf("w=%d tau=%v [%d,%d): hit %d is (%d, %v), plain table (%d, %v)", w, tau, start, end, i, gotEnds[i], gotDists[i], start+wantEnds[i], wantDists[i])
+					t.Fatalf("d=%d w=%d tau=%v [%d,%d): hit %d is (%d, %v), plain table (%d, %v)", dim, w, tau, start, end, i, gotEnds[i], gotDists[i], start+wantEnds[i], wantDists[i])
 				}
 			}
 			if cells != wantCells {
-				t.Fatalf("w=%d tau=%v [%d,%d): %d cells, the live-column recurrence reaches %d", w, tau, start, end, cells, wantCells)
+				t.Fatalf("d=%d w=%d tau=%v [%d,%d): %d cells, the live-column recurrence reaches %d", dim, w, tau, start, end, cells, wantCells)
 			}
 			if math.IsInf(tau, 1) && cells != plain.Cells() {
-				t.Fatalf("w=%d [%d,%d): %d cells without a threshold, plain table %d", w, start, end, cells, plain.Cells())
+				t.Fatalf("d=%d w=%d [%d,%d): %d cells without a threshold, plain table %d", dim, w, start, end, cells, plain.Cells())
 			}
 		}
 	}
@@ -129,7 +132,7 @@ func checkVerifier(t *testing.T, q, s []float64, w int, tau float64) {
 // hits is live, one grid step, a middling budget, a tie — exactly the
 // distance of one of the subsequences, which must be reported — and none at
 // all.
-func thresholdTau(sel uint8, q, s []float64, w int) float64 {
+func thresholdTau(sel uint8, q, s []float64, dim, w int) float64 {
 	switch sel % 5 {
 	case 0:
 		return 0
@@ -138,54 +141,79 @@ func thresholdTau(sel uint8, q, s []float64, w int) float64 {
 	case 2:
 		return float64(sel / 5)
 	case 3:
-		tab := NewTableWindow(q, w)
-		var d float64
-		for _, v := range s[:1+int(sel/5)%len(s)] {
-			d, _ = tab.AddRowValue(v)
-		}
-		return d
+		return tableDistance(q, s[:(1+int(sel/5)%(len(s)/dim))*dim], dim, w)
 	}
 	return Inf
 }
 
 // FuzzThresholdRows checks the verifier against the plain table on every
 // start of a fuzzed sequence, for windows -1 … n and thresholds 0, tiny,
-// middling, tied and +Inf.
+// middling, tied and +Inf. shape bit 0 reads the bytes as points of
+// dimension 2.
 func FuzzThresholdRows(f *testing.F) {
-	f.Add([]byte{128, 130, 126, 128}, []byte{128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+5*3))
-	f.Add([]byte{128, 128, 128}, []byte{128, 128, 15, 128, 132, 128, 7, 128}, int8(1), uint8(0))
-	f.Add([]byte{100, 160, 128, 90}, []byte{100, 160, 128, 90, 39, 101, 161}, int8(0), uint8(1))
-	f.Add([]byte{1, 255, 3}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(4))
-	f.Add([]byte{120, 124, 132, 128}, []byte{121, 123, 131, 129, 128, 116, 124, 140}, int8(-1), uint8(3+5*6))
-	f.Fuzz(func(t *testing.T, qRaw, sRaw []byte, wRaw int8, tauSel uint8) {
-		q := bytesToSeq(qRaw, 12)
-		s := bytesToSeq(sRaw, 24)
-		w := (int(wRaw)%(len(q)+2)+len(q)+2)%(len(q)+2) - 1
-		checkVerifier(t, q, s, w, thresholdTau(tauSel, q, s, w))
+	f.Add([]byte{128, 130, 126, 128}, []byte{128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+5*3), uint8(0))
+	f.Add([]byte{128, 128, 128}, []byte{128, 128, 15, 128, 132, 128, 7, 128}, int8(1), uint8(0), uint8(0))
+	f.Add([]byte{100, 160, 128, 90}, []byte{100, 160, 128, 90, 39, 101, 161}, int8(0), uint8(1), uint8(0))
+	f.Add([]byte{1, 255, 3}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(4), uint8(0))
+	f.Add([]byte{120, 124, 132, 128}, []byte{121, 123, 131, 129, 128, 116, 124, 140}, int8(-1), uint8(3+5*6), uint8(0))
+	f.Add([]byte{128, 128, 130, 126, 126, 128}, []byte{128, 128, 129, 131, 127, 128, 140, 128}, int8(-1), uint8(2+5*3), uint8(1))
+	f.Add([]byte{128, 128, 128, 128}, []byte{128, 128, 15, 128, 132, 128, 7, 128}, int8(1), uint8(0), uint8(1))
+	f.Add([]byte{100, 160, 128, 90}, []byte{100, 160, 128, 90, 39, 101, 161, 100}, int8(0), uint8(3+5*2), uint8(1))
+	f.Add([]byte{1, 255, 3, 4}, []byte{200, 201, 202, 23, 1, 2}, int8(3), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, qRaw, sRaw []byte, wRaw int8, tauSel, shape uint8) {
+		dim := 1 + int(shape&1)
+		q, s := bytesToSeq(qRaw, 12*dim), bytesToSeq(sRaw, 24*dim)
+		if len(q) < dim || len(s) < dim {
+			return
+		}
+		q, s = q[:len(q)/dim*dim], s[:len(s)/dim*dim]
+		n := len(q) / dim
+		w := (int(wRaw)%(n+2)+n+2)%(n+2) - 1
+		checkVerifier(t, q, s, dim, w, thresholdTau(tauSel, q, s, dim, w))
 	})
 }
 
 // The same property on long random walks near the query, where rows stay
 // alive for many steps and the live columns drift right — the shape of a
-// verification scan — over every window and threshold class.
+// verification scan — over every window and threshold class, for values
+// and for points of dimension 2 (the second coordinate in half-steps of
+// -1, 0 or 1).
 func TestThresholdRowsMatchPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{1, 2, 5, 12} {
-		q := make([]float64, n)
-		v := 0.0
-		for i := range q {
-			v += float64(rng.Intn(5)-2) / 2
-			q[i] = v
+	for _, c := range []struct {
+		dim  int
+		seed int64
+	}{{1, 29}, {2, 31}} {
+		dim, rng := c.dim, rand.New(rand.NewSource(c.seed))
+		walk := func(p []float64, n int) []float64 { // n steps from p
+			var out []float64
+			for i := 0; i < n; i++ {
+				p = append([]float64(nil), p...)
+				for k := range p {
+					if k == 0 {
+						p[k] += float64(rng.Intn(5)-2) / 2
+					} else {
+						p[k] += float64(rng.Intn(3)-1) / 2
+					}
+				}
+				out = append(out, p...)
+			}
+			return out
 		}
-		s := make([]float64, 4*n+10)
-		v = q[0]
-		for i := range s {
-			v += float64(rng.Intn(5)-2) / 2
-			s[i] = v
-		}
-		for w := -1; w <= n; w++ {
-			for sel := uint8(0); sel < 10; sel++ {
-				checkVerifier(t, q, s, w, thresholdTau(sel, q, s, w))
+		for _, n := range []int{1, 2, 5, 12} {
+			q := walk(make([]float64, dim), n)
+			s := walk(q[:dim], 4*n+10)
+			for w := -1; w <= n; w++ {
+				var taus []float64
+				if dim == 1 {
+					for sel := uint8(0); sel < 10; sel++ {
+						taus = append(taus, thresholdTau(sel, q, s, dim, w))
+					}
+				} else {
+					taus = []float64{0, 0.5, 3, 12, tableDistance(q, s[:dim], dim, -1), Inf}
+				}
+				for _, tau := range taus {
+					checkVerifier(t, q, s, dim, w, tau)
+				}
 			}
 		}
 	}

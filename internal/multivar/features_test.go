@@ -21,7 +21,6 @@ import (
 
 	"twsearch/internal/categorize"
 	"twsearch/internal/dtw"
-	"twsearch/internal/suffixtree"
 )
 
 func TestDatasetBinaryRoundTrip(t *testing.T) {
@@ -94,49 +93,6 @@ func TestDatasetDeclaredLengthBeyondStream(t *testing.T) {
 	binary.LittleEndian.PutUint16(raw[8:], 0)
 	if _, err := sequence.ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Error("points of dimension 0 accepted")
-	}
-}
-
-func TestGridRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(507))
-	data := randomVecDataset(rng, 4, 25, 3)
-	grid, _, err := categorize.FitGrid(data.Dataset, categorize.KindMaxEntropy, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := grid.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := categorize.ReadGrid(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumCells() != grid.NumCells() {
-		t.Fatalf("cells = %d, want %d", got.NumCells(), grid.NumCells())
-	}
-	// Same encoding and boxes after the round trip.
-	for i := 0; i < data.Len(); i++ {
-		a, err := grid.Encode(data.Values(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := got.Encode(data.Values(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("encoding differs for sequence %d", i)
-		}
-	}
-	for s := 0; s < grid.NumCells(); s++ {
-		a, b := grid.Box(suffixtree.Symbol(s)), got.Box(suffixtree.Symbol(s))
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("box %d differs", s)
-		}
-	}
-	if _, err := categorize.ReadGrid(bytes.NewReader([]byte("XXXXXXXXjunkjunk"))); err == nil {
-		t.Fatal("garbage grid accepted")
 	}
 }
 
@@ -547,30 +503,4 @@ func TestBinaryChunkBoundaries(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkDatasetBinaryIO writes and reads back the benchmark's trajectory
-// database shape: 800 sequences of 200 two-dimensional points.
-func BenchmarkDatasetBinaryIO(b *testing.B) {
-	d := NewDataset(2)
-	rng := rand.New(rand.NewSource(523))
-	for i := 0; i < 800; i++ {
-		points := make([][]float64, 200)
-		for j := range points {
-			points[j] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-		}
-		mustAdd(d, Sequence{ID: fmt.Sprintf("traj-%05d", i), Points: points})
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := d.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sequence.ReadBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(8 * 2 * 200 * 800)
 }

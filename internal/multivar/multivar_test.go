@@ -55,53 +55,6 @@ func TestDatasetValidation(t *testing.T) {
 	}
 }
 
-func TestFitGridBoxesContainPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(401))
-	data := randomVecDataset(rng, 5, 30, 3)
-	grid, _, err := categorize.FitGrid(data.Dataset, categorize.KindMaxEntropy, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid.NumCells() == 0 {
-		t.Fatal("no cells")
-	}
-	for i := 0; i < data.Len(); i++ {
-		syms, err := grid.Encode(data.Values(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, p := range points(data, i) {
-			box := grid.Box(syms[j])
-			for k := range p {
-				if p[k] < box.Lo[k] || p[k] > box.Hi[k] {
-					t.Fatalf("point %v outside its cell box %+v", p, box)
-				}
-			}
-			// Lower bound of the point against its own box must be zero.
-			if dtw.BaseBox(p, box) != 0 {
-				t.Fatalf("BaseBox of member point = %v", dtw.BaseBox(p, box))
-			}
-		}
-	}
-}
-
-func TestEncodeUnseenCellFails(t *testing.T) {
-	// Only the diagonal cells (low,low) and (high,high) are observed; the
-	// off-diagonal combination (low,high) has no cell symbol.
-	d := NewDataset(2)
-	mustAdd(d, Sequence{ID: "a", Points: [][]float64{{1, 1}, {10, 10}}})
-	grid, _, err := categorize.FitGrid(d.Dataset, categorize.KindEqualLength, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grid.NumCells() != 2 {
-		t.Fatalf("cells = %d, want 2", grid.NumCells())
-	}
-	if _, err := grid.Encode([]float64{1, 10}); err == nil {
-		t.Error("point in unseen cell encoded")
-	}
-}
-
 // Multivariate no-false-dismissal: index search equals sequential scan.
 func TestMultivarNoFalseDismissals(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))

@@ -2,12 +2,14 @@ package sequence
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
-// FuzzReadBinary must never panic on arbitrary bytes, and anything it
-// accepts must re-serialize to an equal dataset.
+// FuzzReadBinary must never panic — or allocate what a lying length asks
+// for — on arbitrary bytes of either format, and anything it accepts must
+// re-serialize to an equal dataset: the same dimension, ids and values.
 func FuzzReadBinary(f *testing.F) {
 	good := NewDataset()
 	good.MustAdd(Sequence{ID: "seed", Values: []float64{1, 2.5, -3}})
@@ -18,6 +20,19 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("TWSEQDB1"))
 	f.Add([]byte{})
+	vec := NewDatasetDim(2)
+	vec.MustAdd(Sequence{ID: "seed", Values: []float64{1, 2.5, -3, 4}})
+	buf.Reset()
+	if err := vec.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// 46 bytes that declare 0xFF7F0003 points: 34 GB to a reader that sizes
+	// its storage from the stream.
+	huge := append([]byte(nil), buf.Bytes()[:8+2+4+2+len("seed")]...)
+	huge = binary.LittleEndian.AppendUint32(huge, 0xFF7F0003)
+	f.Add(append(huge, make([]byte, 46-len(huge))...))
+	f.Add([]byte("TWVECDB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -31,8 +46,8 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip of accepted dataset failed: %v", err)
 		}
-		if d2.Len() != d.Len() {
-			t.Fatalf("round trip changed length: %d vs %d", d2.Len(), d.Len())
+		if !datasetsEqual(d2, d) {
+			t.Fatalf("round trip changed the dataset: %d×%d vs %d×%d", d2.Len(), d2.Dim(), d.Len(), d.Dim())
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -53,6 +54,23 @@ func TestDatasetAddErrors(t *testing.T) {
 	}
 	if _, err := d.Add(Sequence{ID: "x", Values: []float64{2}}); err == nil {
 		t.Error("duplicate id accepted")
+	}
+	// Dimension 2: values that are no whole number of points are refused
+	// too.
+	d = NewDatasetDim(2)
+	for _, vals := range [][]float64{nil, {1}, {1, 2, 3}} {
+		if _, err := d.Add(Sequence{ID: "a", Values: vals}); err == nil {
+			t.Errorf("d=2: values %v accepted", vals)
+		}
+	}
+	if _, err := d.Add(Sequence{ID: "", Values: []float64{1, 2}}); err == nil {
+		t.Error("d=2: empty id accepted")
+	}
+	if _, err := d.Add(Sequence{ID: "a", Values: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Add(Sequence{ID: "a", Values: []float64{3, 4}}); err == nil {
+		t.Error("d=2: duplicate id accepted")
 	}
 }
 
@@ -152,8 +170,33 @@ func randomDataset(rng *rand.Rand, nSeq, maxLen int) *Dataset {
 	return d
 }
 
+// randomPointDataset is dim-dimensional integer walks, point-major: 2 to
+// maxLen points, every coordinate from a start in [0, 10) by steps of -1, 0
+// and 1.
+func randomPointDataset(rng *rand.Rand, nSeq, maxLen, dim int) *Dataset {
+	d := NewDatasetDim(dim)
+	for i := 0; i < nSeq; i++ {
+		n := 2 + rng.Intn(maxLen-1)
+		v := make([]float64, dim)
+		for k := range v {
+			v[k] = float64(rng.Intn(10))
+		}
+		vals := make([]float64, 0, n*dim)
+		for j := 0; j < n; j++ {
+			for k := range v {
+				v[k] += float64(rng.Intn(3) - 1)
+				vals = append(vals, v[k])
+			}
+		}
+		d.MustAdd(Sequence{ID: "m" + strconv.Itoa(i), Values: vals})
+	}
+	return d
+}
+
+// datasetsEqual reports whether a and b hold the same dimension and the
+// same sequences: ids, and every value bit for bit.
 func datasetsEqual(a, b *Dataset) bool {
-	if a.Len() != b.Len() {
+	if a.Dim() != b.Dim() || a.Len() != b.Len() {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {
@@ -169,8 +212,16 @@ func datasetsEqual(a, b *Dataset) bool {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var ds []*Dataset
 	for trial := 0; trial < 20; trial++ {
-		d := randomDataset(rng, 1+rng.Intn(10), 30)
+		ds = append(ds, randomDataset(rng, 1+rng.Intn(10), 30))
+	}
+	rng = rand.New(rand.NewSource(501))
+	for trial := 0; trial < 10; trial++ {
+		dim := 1 + rng.Intn(4)
+		ds = append(ds, randomPointDataset(rng, 1+rng.Intn(5), 20, dim))
+	}
+	for trial, d := range ds {
 		var buf bytes.Buffer
 		if err := d.WriteBinary(&buf); err != nil {
 			t.Fatalf("WriteBinary: %v", err)
@@ -186,8 +237,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTMAGIC\x00\x00\x00\x00")); err != ErrBadMagic {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	for _, in := range []string{"NOTMAGIC\x00\x00\x00\x00", "XXXXXXXXgarbage"} {
+		if _, err := ReadBinary(strings.NewReader(in)); err != ErrBadMagic {
+			t.Fatalf("%q: err = %v, want ErrBadMagic", in, err)
+		}
 	}
 }
 
@@ -214,21 +267,44 @@ func TestBinaryTruncated(t *testing.T) {
 			t.Errorf("%d values declared, 3 present: err = %v, want io.ErrUnexpectedEOF", n, err)
 		}
 	}
+
+	// Dimension 2 counts points, and a zero dimension, whose points would
+	// never run the stream dry, is refused outright.
+	vec := NewDatasetDim(2)
+	vec.MustAdd(Sequence{ID: "seed", Values: []float64{1, 2, 2.5, -3}})
+	buf.Reset()
+	if err := vec.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const pAt = 8 + 2 + 4 + 2 + len("seed") // magic, dim, count, idLen, id
+	for _, n := range []uint32{3, 1 << 20, math.MaxUint32} {
+		binary.LittleEndian.PutUint32(raw[pAt:], n)
+		if _, err := ReadBinary(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d points declared, 2 present: err = %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+	binary.LittleEndian.PutUint16(raw[8:], 0)
+	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		t.Error("points of dimension 0 accepted")
+	}
 }
 
 func TestFileRoundTrip(t *testing.T) {
 	d := NewDataset()
 	d.MustAdd(Sequence{ID: "stock-1", Values: []float64{10.5, 11.25, 10.75}})
-	path := filepath.Join(t.TempDir(), "data.bin")
-	if err := d.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if !datasetsEqual(d, got) {
-		t.Fatal("file round trip mismatch")
+	for _, d := range []*Dataset{d, randomPointDataset(rand.New(rand.NewSource(503)), 3, 15, 2)} {
+		path := filepath.Join(t.TempDir(), "data.bin")
+		if err := d.SaveFile(path); err != nil {
+			t.Fatalf("SaveFile: %v", err)
+		}
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("LoadFile: %v", err)
+		}
+		if !datasetsEqual(d, got) {
+			t.Fatalf("d=%d: file round trip mismatch", d.Dim())
+		}
 	}
 }
 
@@ -303,18 +379,18 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 }
 
 func TestAddRejectsNonFinite(t *testing.T) {
-	d := NewDataset()
-	if _, err := d.Add(Sequence{ID: "nan", Values: []float64{1, math.NaN()}}); err == nil {
-		t.Error("NaN accepted")
-	}
-	if _, err := d.Add(Sequence{ID: "inf", Values: []float64{math.Inf(1)}}); err == nil {
-		t.Error("+Inf accepted")
-	}
-	if _, err := d.Add(Sequence{ID: "ninf", Values: []float64{math.Inf(-1)}}); err == nil {
-		t.Error("-Inf accepted")
-	}
-	if d.Len() != 0 {
-		t.Error("rejected sequences were stored")
+	for _, dim := range []int{1, 2} {
+		d := NewDatasetDim(dim)
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			vals := make([]float64, 2*dim)
+			vals[dim+dim/2] = v
+			if _, err := d.Add(Sequence{ID: "bad", Values: vals}); err == nil {
+				t.Errorf("d=%d: %v accepted", dim, v)
+			}
+		}
+		if d.Len() != 0 {
+			t.Errorf("d=%d: rejected sequences were stored", dim)
+		}
 	}
 }
 
@@ -339,6 +415,24 @@ func TestWriteBinaryGolden(t *testing.T) {
 	if sum := sha256.Sum256(buf.Bytes()); buf.Len() != 65945 || hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("WriteBinary wrote %d bytes with sha256 %x, want 65945 bytes with %s", buf.Len(), sum, want)
 	}
+
+	// Dimension 3, against the per-point encoder of the vector format.
+	vec := NewDatasetDim(3)
+	vec.MustAdd(Sequence{ID: "p", Values: []float64{1, -2.5, math.Copysign(0, -1), 5e-324, math.MaxFloat64, 0}})
+	long = make([]float64, 0, 3*3000) // more coordinates than two conversion buffers
+	for i := 0; i < 3000; i++ {
+		long = append(long, float64(i*i%1009)/7, float64(i), -float64(i%13)/3)
+	}
+	vec.MustAdd(Sequence{ID: "long-" + strings.Repeat("x", 300), Values: long})
+	vec.MustAdd(Sequence{ID: "z", Values: []float64{4, 2, 0}})
+	buf.Reset()
+	if err := vec.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const wantVec = "d87c408f58e24b5e23a01f9a563fdfe0c7d80fb551ecf026e1ff7129f7bd08ac"
+	if sum := sha256.Sum256(buf.Bytes()); buf.Len() != 72411 || hex.EncodeToString(sum[:]) != wantVec {
+		t.Fatalf("d=3: WriteBinary wrote %d bytes with sha256 %x, want 72411 bytes with %s", buf.Len(), sum, wantVec)
+	}
 }
 
 // longID is one byte longer than the format's 16-bit id length carries.
@@ -347,17 +441,30 @@ var longID = strings.Repeat("y", math.MaxUint16+1)
 // withLongID appends a sequence named longID to d behind Add's back, which
 // refuses it: what WriteBinary must still refuse to write.
 func withLongID(d *Dataset) *Dataset {
-	d.seqs = append(d.seqs, Sequence{ID: longID, Values: []float64{2}})
+	d.seqs = append(d.seqs, Sequence{ID: longID, Values: make([]float64, d.Dim())})
 	return d
 }
 
 // An id the format's 16-bit length cannot carry is refused, not written with
-// a wrapped length.
+// a wrapped length, in either format; a dataset Add kept it out of writes
+// and reads back without it.
 func TestWriteBinaryLongID(t *testing.T) {
-	d := NewDataset()
-	d.MustAdd(Sequence{ID: "fine", Values: []float64{1}})
-	if err := withLongID(d).WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "too long") {
-		t.Fatalf("id of %d bytes: err = %v, want a too-long error", math.MaxUint16+1, err)
+	for _, dim := range []int{1, 2} {
+		d := NewDatasetDim(dim)
+		d.MustAdd(Sequence{ID: "fine", Values: make([]float64, dim)})
+		if _, err := d.Add(Sequence{ID: longID, Values: make([]float64, dim)}); err == nil {
+			t.Fatalf("d=%d: id of %d bytes accepted", dim, len(longID))
+		}
+		var buf bytes.Buffer
+		if err := d.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ReadBinary(&buf); err != nil || !datasetsEqual(back, d) {
+			t.Fatalf("d=%d: read back %v, %v; want the one sequence added", dim, back, err)
+		}
+		if err := withLongID(d).WriteBinary(io.Discard); err == nil || !strings.Contains(err.Error(), "too long") {
+			t.Fatalf("d=%d: id of %d bytes: err = %v, want a too-long error", dim, len(longID), err)
+		}
 	}
 }
 
@@ -402,58 +509,74 @@ func TestSaveFileFailureKeepsFile(t *testing.T) {
 
 // Sequences whose lengths sit on either side of every size the reader and
 // writer work in pieces of — the conversion buffer, the first allocation, its
-// doubling — come back value for value, and a stream cut among the values of
-// the last of them is a wrapped io.ErrUnexpectedEOF.
+// doubling, and at dimension 2 and 7 the first allocation in whole points —
+// come back value for value, and a stream cut among the values of the last
+// of them is a wrapped io.ErrUnexpectedEOF.
 func TestBinaryChunkBoundaries(t *testing.T) {
-	for _, size := range []int{ioChunk, readChunk, 2 * readChunk} {
-		for n := size - 1; n <= size+1; n++ {
-			vals := make([]float64, n)
-			for i := range vals {
-				vals[i] = float64(i%977) - 1/float64(i+1)
-			}
-			d := NewDataset()
-			d.MustAdd(Sequence{ID: "first", Values: []float64{7}})
-			d.MustAdd(Sequence{ID: "edge", Values: vals})
-			var buf bytes.Buffer
-			if err := d.WriteBinary(&buf); err != nil {
-				t.Fatal(err)
-			}
-			raw := buf.Bytes()
-			got, err := ReadBinary(bytes.NewReader(raw))
-			if err != nil || !datasetsEqual(d, got) {
-				t.Fatalf("%d values: round trip differs (err = %v)", n, err)
-			}
-			for _, cut := range []int{len(raw) - 1, len(raw) - 8, len(raw) - 8*min(ioChunk, n-1), len(raw) - 8*(n-1)} {
-				if _, err := ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("%d values, stream cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", n, cut, len(raw), err)
+	for _, dim := range []int{1, 2, 7} {
+		sizes := []int{readChunk / dim} // in points
+		if dim == 1 {
+			sizes = []int{ioChunk, readChunk, 2 * readChunk}
+		}
+		for _, size := range sizes {
+			for n := size - 1; n <= size+1; n++ {
+				vals := make([]float64, n*dim)
+				for i := range vals {
+					vals[i] = float64(i%977) - 1/float64(i+1)
+				}
+				d := NewDatasetDim(dim)
+				d.MustAdd(Sequence{ID: "first", Values: vals[:dim]})
+				d.MustAdd(Sequence{ID: "edge", Values: vals})
+				var buf bytes.Buffer
+				if err := d.WriteBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				raw := buf.Bytes()
+				got, err := ReadBinary(bytes.NewReader(raw))
+				if err != nil || !datasetsEqual(d, got) {
+					t.Fatalf("d=%d, %d points: round trip differs (err = %v)", dim, n, err)
+				}
+				for _, cut := range []int{len(raw) - 1, len(raw) - 8*dim, len(raw) - 8*min(ioChunk, dim*(n-1)), len(raw) - 8*dim*(n-1)} {
+					if _, err := ReadBinary(bytes.NewReader(raw[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("d=%d, %d points, stream cut at %d of %d: err = %v, want io.ErrUnexpectedEOF", dim, n, cut, len(raw), err)
+					}
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkDatasetBinaryIO writes and reads back the benchmark's scalar
-// database shape: 1090 sequences of 232 values.
+// BenchmarkDatasetBinaryIO writes and reads back the benchmark's database
+// shapes: as /d1 the scalar one, 1090 sequences of 232 values, and as /d2
+// the trajectory one, 800 sequences of 200 two-dimensional points.
 func BenchmarkDatasetBinaryIO(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	d := NewDataset()
-	for i := 0; i < 1090; i++ {
-		vals := make([]float64, 232)
-		for j := range vals {
-			vals[j] = rng.NormFloat64()
+	for _, c := range []struct {
+		dim, seqs, points int
+		seed              int64
+		id                string
+	}{{1, 1090, 232, 41, "stock-%d"}, {2, 800, 200, 523, "traj-%05d"}} {
+		rng := rand.New(rand.NewSource(c.seed))
+		d := NewDatasetDim(c.dim)
+		for i := 0; i < c.seqs; i++ {
+			vals := make([]float64, c.dim*c.points)
+			for j := range vals {
+				vals[j] = rng.NormFloat64()
+			}
+			d.MustAdd(Sequence{ID: fmt.Sprintf(c.id, i), Values: vals})
 		}
-		d.MustAdd(Sequence{ID: "stock-" + strconv.Itoa(i), Values: vals})
+		b.Run("d"+strconv.Itoa(c.dim), func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := d.WriteBinary(&buf); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ReadBinary(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(8 * c.dim * d.TotalElements()))
+		})
 	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := d.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ReadBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(8 * d.TotalElements()))
 }
