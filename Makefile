@@ -49,11 +49,13 @@ check: build vet lint test race
 # The full CI gate: the pre-PR gate, the shared-handle concurrency suite
 # under the race detector, a bounded fuzz pass over the kernel fuzz
 # targets, the server smoke drill, the linter over its own sources, the
-# fixture golden diff, and the machine-readable lint gate (any finding
-# fails the run; the JSON lines feed CI annotations). Wire codec skew is
-# tier-1's: TestWireBytesPinned pins every layout and
-# TestRoundTripZeroAndExtreme catches a field written only for some values.
-ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lists lint-self lint-golden
+# fixture golden diff, the examples (each creates, saves, indexes and
+# reopens a database, so every file writer runs end to end), and the
+# machine-readable lint gate (any finding fails the run; the JSON lines
+# feed CI annotations). Wire codec skew is tier-1's: TestWireBytesPinned
+# pins every layout and TestRoundTripZeroAndExtreme catches a field
+# written only for some values.
+ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lists lint-self lint-golden examples
 	$(GO) run ./cmd/twlint -json ./...
 
 # The concurrent-search suite under -race, run twice: many goroutines on

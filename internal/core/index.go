@@ -83,7 +83,7 @@ type Options struct {
 	// Sparse selects the sparse suffix tree SST_C of Section 6.
 	Sparse bool
 	// Window is the optional Sakoe–Chiba warping-window half-width from the
-	// paper's conclusion; < 0 disables the constraint.
+	// paper's conclusion; <= 0 disables the constraint.
 	Window int
 	// MinAnswerLen, when > 1, applies the conclusion's other space
 	// optimization: suffixes shorter than this are not indexed, and Search
@@ -105,7 +105,8 @@ type Options struct {
 // kMeansIters bounds k-means refinement.
 const kMeansIters = 20
 
-// withDefaults fills in the defaults for data of dimension dim.
+// withDefaults fills in the defaults for data of dimension dim. It is the
+// one place an index's defaults are set.
 func (o Options) withDefaults(dim int) Options {
 	if o.Kind == "" {
 		o.Kind = categorize.KindMaxEntropy
@@ -116,7 +117,7 @@ func (o Options) withDefaults(dim int) Options {
 			o.Categories = 8
 		}
 	}
-	if o.Window == 0 {
+	if o.Window <= 0 {
 		o.Window = -1
 	}
 	// Scalar trees are v1 unless v2 is asked for, for one reason: bench's

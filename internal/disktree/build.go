@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,28 +63,20 @@ func (e *DuplicateSuffixError) Error() string {
 // (suffixtree.BuildMergedFiltered, the reference this is tested against).
 // Beside the text store, construction holds 8 bytes per indexed suffix plus
 // the child tables of the nodes open on the current root-to-leaf path. The
-// file is written in a scratch directory next to outPath and renamed into
-// place, so a failed build leaves the directory as it found it. The bytes do
-// not depend on GOMAXPROCS. Build opens nothing: readers open the finished
-// file with Open or OpenBackend.
-func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOptions) (BuildStats, error) {
-	scratch, err := os.MkdirTemp(filepath.Dir(outPath), ".twtree-build-*")
-	if err != nil {
-		return BuildStats{}, err
-	}
-	defer os.RemoveAll(scratch)
-	tmp := filepath.Join(scratch, "tree")
-	pf, err := storage.CreateFile(tmp)
-	if err != nil {
-		return BuildStats{}, err
-	}
-	stats, err := buildOn(pf, store, seqs, opts)
-	if err == nil {
-		err = pf.Close()
-	}
-	if err == nil {
-		err = os.Rename(tmp, outPath)
-	}
+// file is committed with storage.CommitPath, so a failed build leaves the
+// directory as it found it. The bytes do not depend on GOMAXPROCS. Build
+// opens nothing: readers open the finished file with Open or OpenBackend.
+func Build(store *suffixtree.TextStore, seqs []int, outPath string, opts BuildOptions) (stats BuildStats, err error) {
+	err = storage.CommitPath(outPath, func(tmp string) error {
+		pf, err := storage.CreateFile(tmp)
+		if err != nil {
+			return err
+		}
+		if stats, err = buildOn(pf, store, seqs, opts); err != nil {
+			return err
+		}
+		return pf.Close()
+	})
 	return stats, err
 }
 

@@ -8,10 +8,11 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+
+	"twsearch/internal/storage"
 )
 
 // Binary dataset formats. A dataset of dimension 1 is written as
@@ -174,28 +175,11 @@ func readValues(r io.Reader, n int64, buf []byte) ([]float64, error) {
 	return vals, nil
 }
 
-// SaveFile writes the dataset to path in the binary format. It writes a
-// scratch file next to path and renames it into place, so a failed save
-// leaves the file it would have replaced as it was.
+// SaveFile writes the dataset to path in the binary format, committed with
+// storage.Commit, so a failed save leaves the file it would have replaced as
+// it was.
 func (d *Dataset) SaveFile(path string) error {
-	scratch, err := os.MkdirTemp(filepath.Dir(path), ".twdb-save-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
-	tmp := filepath.Join(scratch, "data")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = d.WriteBinary(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return storage.Commit(path, d.WriteBinary)
 }
 
 // LoadFile reads a binary dataset file written by SaveFile.

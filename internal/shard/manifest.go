@@ -3,9 +3,12 @@ package shard
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
+
+	"twsearch/internal/storage"
 )
 
 // Manifest describes a sharded database root: how many shards exist, which
@@ -77,7 +80,7 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Write persists the manifest to path, validating first.
+// Write persists the manifest to path with storage.Commit, validating first.
 func (m *Manifest) Write(path string) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -88,7 +91,10 @@ func (m *Manifest) Write(path string) error {
 	for i, r := range m.Ranges {
 		fmt.Fprintf(&b, "range=%d:%d:%d\n", i, r.Start, r.Count)
 	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return storage.Commit(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 // ReadManifest parses and validates a manifest file. Any malformed field is

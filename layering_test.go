@@ -1,7 +1,11 @@
 package twsearch_test
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,5 +45,55 @@ func TestEngineDoesNotImportMultivar(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFilesCommitThroughStorage holds every file a database writes to the
+// one commit path, storage.Commit and storage.CommitPath: no non-test file
+// outside internal/storage, cmd, examples and bench names os.Create,
+// os.WriteFile, os.Rename, os.CreateTemp or os.MkdirTemp.
+func TestFilesCommitThroughStorage(t *testing.T) {
+	banned := map[string]bool{"Create": true, "WriteFile": true, "Rename": true, "CreateTemp": true, "MkdirTemp": true}
+	skip := map[string]bool{"internal/storage": true, "cmd": true, "examples": true, "bench": true}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		slash := filepath.ToSlash(path)
+		if d.IsDir() {
+			if skip[slash] || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		osName := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"os"` {
+				osName = "os"
+				if imp.Name != nil {
+					osName = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && osName != "" && banned[sel.Sel.Name] {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == osName {
+					t.Errorf("%s: os.%s writes a file outside storage.Commit", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -69,7 +69,6 @@ func (db *DB) SelectCategories(spec IndexSpec, counts []int, queries [][]float64
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	spec = spec.withDefaults(1)
 	best, measures, err := core.SelectCategories(p.data, queries, eps, counts, model,
 		core.Options{
 			Kind:         categorize.Kind(spec.Method),

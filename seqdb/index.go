@@ -73,23 +73,6 @@ type IndexSpec struct {
 	Encoding Encoding
 }
 
-// withDefaults fills in the defaults for a database of dimension dim.
-func (s IndexSpec) withDefaults(dim int) IndexSpec {
-	if s.Method == "" {
-		s.Method = MethodMaxEntropy
-	}
-	if s.Categories == 0 {
-		s.Categories = 20
-		if dim > 1 {
-			s.Categories = 8
-		}
-	}
-	if s.Window <= 0 {
-		s.Window = -1
-	}
-	return s
-}
-
 func validIndexName(name string) error {
 	if name == "" {
 		return errors.New("seqdb: empty index name")
@@ -148,7 +131,6 @@ func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 	if p.data.Len() == 0 {
 		return errors.New("seqdb: cannot index an empty database")
 	}
-	spec = spec.withDefaults(p.data.Dim())
 	if spec.Encoding != 0 && spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
 		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
 	}
@@ -183,29 +165,34 @@ func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 		return err
 	}
 	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
-	spec.Encoding = ix.Tree.Encoding()
-	if err := writeFile(p.schemePath(name), ix.Scheme.Write); err != nil {
+	// The meta before the scheme: Open reads the scheme first, so a cut build
+	// leaves an index Open refuses, never one reopened with meta defaults.
+	if err := storage.Commit(p.metaPath(name), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "window=%d\npool_pages=%d\n", ix.Window, spec.PoolPages)
+		return err
+	}); err != nil {
 		return err
 	}
-	meta := fmt.Sprintf("window=%d\npool_pages=%d\n", spec.Window, spec.PoolPages)
-	if err := os.WriteFile(p.metaPath(name), []byte(meta), 0o644); err != nil {
+	if err := storage.Commit(p.schemePath(name), ix.Scheme.Write); err != nil {
 		return err
 	}
-	p.indexes[name] = &openIndex{spec: spec, ix: ix}
+	p.indexes[name] = &openIndex{spec: specOf(ix, spec.PoolPages), ix: ix}
 	return nil
 }
 
-// writeFile creates or truncates path and writes it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// specOf reports the spec of ix, opened with a pool of poolPages pages, as
+// its files hold it, so an index just built and the same index reopened
+// report alike.
+func specOf(ix *core.Index, poolPages int) IndexSpec {
+	return IndexSpec{
+		Method:       Method(ix.Scheme.Kind()),
+		Categories:   ix.Scheme.NumCategories(),
+		Sparse:       ix.Tree.Sparse(),
+		Window:       ix.Window,
+		MinAnswerLen: ix.MinAnswerLen(),
+		PoolPages:    poolPages,
+		Encoding:     ix.Tree.Encoding(),
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // openIndexFiles attaches a persisted index during Open. A scheme file of
@@ -233,18 +220,7 @@ func (p *part) openIndexFiles(name string) error {
 		return err
 	}
 	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
-	p.indexes[name] = &openIndex{
-		spec: IndexSpec{
-			Method:       Method(scheme.Kind()),
-			Categories:   scheme.NumCategories(),
-			Sparse:       ix.Tree.Sparse(),
-			Window:       window,
-			MinAnswerLen: ix.MinAnswerLen(),
-			PoolPages:    poolPages,
-			Encoding:     ix.Tree.Encoding(),
-		},
-		ix: ix,
-	}
+	p.indexes[name] = &openIndex{spec: specOf(ix, poolPages), ix: ix}
 	return nil
 }
 
@@ -308,8 +284,9 @@ type IndexInfo struct {
 	Nodes     uint64
 }
 
-// Index returns metadata for a named index: the spec of shard 0, and sizes
-// and counts summed over the shards.
+// Index returns metadata for a named index: the spec shard 0's files hold
+// (the fitted category count, not the one asked for; the same after a
+// reopen), and sizes and counts summed over the shards.
 func (db *DB) Index(name string) (IndexInfo, error) {
 	info := IndexInfo{Name: name}
 	for i, p := range db.parts {

@@ -1,8 +1,11 @@
 package seqdb
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -99,5 +102,71 @@ func TestDropIndexReportsRemoveErrors(t *testing.T) {
 	// And the index is gone from the handle regardless.
 	if _, err := db.Index("d"); err == nil {
 		t.Error("index still listed after DropIndex")
+	}
+}
+
+// TestIndexInfoSurvivesReopen holds what Index reports of an index just
+// built to what it reports after Close and Open, on a flat database and on
+// a 2-shard root of dimension 1 and 2. The data takes three values, so the
+// identity and maximum-entropy fits have fewer categories than asked, and
+// a MinAnswerLen of 1 is stored as no floor.
+func TestIndexInfoSurvivesReopen(t *testing.T) {
+	specs := map[string]IndexSpec{
+		"identity": {Method: MethodExact, Categories: 20},
+		"maxent":   {Method: MethodMaxEntropy, Categories: 8, Window: 3, MinAnswerLen: 1},
+		"equal":    {Method: MethodEqualLength, Categories: 4, Sparse: true, MinAnswerLen: 5},
+		"kmeans":   {Method: MethodKMeans, Categories: 3, Window: 2, MinAnswerLen: 5, PoolPages: 16},
+	}
+	for _, dim := range []int{1, 2} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("d=%d/shards=%d", dim, shards), func(t *testing.T) {
+				db, err := CreateDim(filepath.Join(t.TempDir(), "db"), dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				rng := rand.New(rand.NewSource(int64(dim)))
+				for i := 0; i < 6; i++ {
+					vals := make([]float64, 30*dim)
+					for j := range vals {
+						vals[j] = float64(rng.Intn(3))
+					}
+					if err := db.Add(fmt.Sprintf("s%d", i), vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Save(); err != nil {
+					t.Fatal(err)
+				}
+				if shards > 1 {
+					if db, err = db.PartitionInto(filepath.Join(t.TempDir(), "root"), shards); err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+				}
+				built := map[string]IndexInfo{}
+				for name, spec := range specs {
+					if err := db.BuildIndex(name, spec); err != nil {
+						t.Fatal(err)
+					}
+					if built[name], err = db.Index(name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := Open(db.Dir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				for name, want := range built {
+					if got, err := re.Index(name); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: reopened as %+v (%v), built as %+v", name, got, err, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -40,7 +40,8 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 // the same data produce byte-identical shard contents). Each shard must
 // receive at least one sequence — an empty shard could never be indexed —
 // so shards must not exceed the sequence count. Indexes are not copied;
-// build them on the returned DB. On failure the shard directories and the
+// build them on the returned DB, which reads them through db's backend and
+// envelope mode. On failure the shard directories and the
 // manifest this call created are removed again, so the call can be
 // repeated; nothing that existed before it is touched.
 func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
@@ -95,7 +96,7 @@ func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
 	if err := m.Write(manifest); err != nil {
 		return nil, err
 	}
-	return OpenShardedWith(dir, OpenOptions{})
+	return OpenShardedWith(dir, OpenOptions{Backend: db.parts[0].backend, Envelopes: db.parts[0].envelopes})
 }
 
 // OpenShardedWith opens a sharded database root as OpenWith does, and

@@ -648,3 +648,26 @@ func TestOneShardRootMatchesFlat(t *testing.T) {
 	}
 	checkSameError("cut tree", flat, sharded, "s", io.ErrUnexpectedEOF)
 }
+
+// TestPartitionIntoKeepsOpenOptions partitions a database opened through
+// mmap with the envelope gate off: every part of the result reads the index
+// built on it through mmap, one source with no pool stripes, with the gate
+// off, as Open with the same options would.
+func TestPartitionIntoKeepsOpenOptions(t *testing.T) {
+	src := newTestDB(t, 6, 40, 7)
+	src.Close()
+	db, err := OpenWith(src.Dir(), OpenOptions{Backend: BackendMmap, Envelopes: EnvelopesOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sdb := newShardedFrom(t, db, 2, IndexSpec{Categories: 6})
+	for i := 0; i < sdb.Shards(); i++ {
+		if st := sdb.Shard(i).PoolStats(); len(st) != 1 || len(st[0].Shards) != 1 {
+			t.Errorf("part %d reads its index through %+v, want one mmap source", i, st)
+		}
+		if !sdb.parts[i].indexes["s"].ix.DisableEnvelopes {
+			t.Errorf("part %d runs the envelope gate, which its parent turned off", i)
+		}
+	}
+}
