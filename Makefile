@@ -97,8 +97,11 @@ race-shard:
 # baseline, an index of dimension 2 built in v1 and one built by default in
 # v2 must reopen through both and answer alike, and the PageSource contract and
 # view-concurrency suites must hold for both (mmap on a file that cannot be
-# mapped is the pool).
-RACE_MMAP = -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2|TestVectorEncodingsReopen' ./seqdb/ ./internal/storage/ ./internal/disktree/
+# mapped is the pool). A tree cut after open must fail a read softly through
+# both, in process and over the wire: the mapping's fault guard
+# (TestMmapFaultGuard, TestValidateCutAfterOpen, and the cut-tree arms of
+# the last two tests).
+RACE_MMAP = -race -count=2 -run 'TestBackend|TestPageSource|TestMmap|TestViewConcurrent|TestBackingReadAt|TestEncodingV2|TestVectorEncodingsReopen|TestValidateCutAfterOpen|TestOneShardRootMatchesFlat|TestServerTreeReadFailureIsInternal' ./seqdb/ ./seqdb/server/ ./internal/storage/ ./internal/disktree/
 race-mmap:
 	$(GO) test $(RACE_MMAP)
 

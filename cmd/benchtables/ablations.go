@@ -30,7 +30,7 @@ func AblationSparse(cfg Config) ([]AblationSparseRow, error) {
 	for _, cats := range []int{10, 20, 80} {
 		row := AblationSparseRow{Categories: cats}
 		for _, sparse := range []bool{false, true} {
-			ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-abl.twt"), core.Options{
+			ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-abl.twt"), core.Options{
 				Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: sparse,
 			})
 			if err != nil {
@@ -78,7 +78,7 @@ type AblationPruningRow struct {
 func AblationPruning(cfg Config) ([]AblationPruningRow, error) {
 	cfg = cfg.effective()
 	data, queries := cfg.stockWorkload()
-	ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-prune.twt"), core.Options{
+	ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-prune.twt"), core.Options{
 		Kind: categorize.KindMaxEntropy, Categories: 40, Sparse: true,
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 	data, queries := cfg.stockWorkload()
 	var rows []AblationWindowRow
 	for _, window := range []int{-1, 20, 10, 5} {
-		ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-win.twt"), core.Options{
+		ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-win.twt"), core.Options{
 			Kind: categorize.KindMaxEntropy, Categories: 40, Window: window,
 		})
 		if err != nil {
@@ -177,7 +177,7 @@ func AblationBufferPool(cfg Config) ([]AblationPoolRow, error) {
 	cfg = cfg.effective()
 	data, queries := cfg.stockWorkload()
 	path := filepath.Join(cfg.Dir, "bench-pool.twt")
-	built, err := core.Build(data, path, core.Options{
+	built, err := buildIndex(data, path, core.Options{
 		Kind: categorize.KindMaxEntropy, Categories: 40, Sparse: true,
 	})
 	if err != nil {
@@ -229,7 +229,7 @@ type AblationQueryLenRow struct {
 func AblationQueryLength(cfg Config) ([]AblationQueryLenRow, error) {
 	cfg = cfg.effective()
 	data, _ := cfg.stockWorkload()
-	ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-qlen.twt"), core.Options{
+	ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-qlen.twt"), core.Options{
 		Kind: categorize.KindMaxEntropy, Categories: 40, Sparse: true,
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"twsearch/internal/core"
 	"twsearch/internal/sequence"
+	"twsearch/internal/storage"
 	"twsearch/internal/workload"
 )
 
@@ -183,4 +184,13 @@ func fmtCount(v float64) string {
 	default:
 		return fmt.Sprintf("%.0f", v)
 	}
+}
+
+// buildIndex builds an index read through the buffer pool, named: the
+// tables count the pages a search reads from its tree file, the paper's
+// disk accesses, and only the pool reads a page at a time (the default
+// mapping reads none the process can count).
+func buildIndex(data *sequence.Dataset, path string, opts core.Options) (*core.Index, error) {
+	opts.Backend = storage.BackendPool
+	return core.Build(data, path, opts)
 }

@@ -88,7 +88,7 @@ func figurePoint(cfg Config, data *sequence.Dataset, x int) (FigureRow, error) {
 	var ix *core.Index
 	for _, cats := range []int{40, 20, 10, 5, 2} {
 		var err error
-		ix, err = core.Build(data, path, core.Options{
+		ix, err = buildIndex(data, path, core.Options{
 			Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: true,
 		})
 		if err != nil {

@@ -49,7 +49,7 @@ func indexSize(ix *core.Index) IndexSize {
 
 // measureSize builds one configuration and returns its size record.
 func measureSize(cfg Config, data *sequence.Dataset, opts core.Options) (IndexSize, error) {
-	ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-size.twt"), opts)
+	ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-size.twt"), opts)
 	if err != nil {
 		return IndexSize{}, err
 	}
@@ -149,7 +149,7 @@ func Table2(cfg Config) (Table2Result, error) {
 	data, queries := cfg.stockWorkload()
 	res := Table2Result{Eps: 30}
 
-	st, err := core.Build(data, filepath.Join(cfg.Dir, "bench-st2.twt"), core.Options{Kind: categorize.KindIdentity})
+	st, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-st2.twt"), core.Options{Kind: categorize.KindIdentity})
 	if err != nil {
 		return res, err
 	}
@@ -171,7 +171,7 @@ func Table2(cfg Config) (Table2Result, error) {
 			{categorize.KindEqualLength, true, &row.SSTcEL},
 			{categorize.KindMaxEntropy, true, &row.SSTcME},
 		} {
-			ix, err := core.Build(data, filepath.Join(cfg.Dir, "bench-t2.twt"), core.Options{
+			ix, err := buildIndex(data, filepath.Join(cfg.Dir, "bench-t2.twt"), core.Options{
 				Kind: cell.kind, Categories: cats, Sparse: cell.sparse,
 			})
 			if err != nil {
@@ -221,7 +221,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 
 	var indexes []*core.Index
 	for _, cats := range []int{10, 20, 80} {
-		ix, err := core.Build(data, filepath.Join(cfg.Dir, fmt.Sprintf("bench-t3-%d.twt", cats)), core.Options{
+		ix, err := buildIndex(data, filepath.Join(cfg.Dir, fmt.Sprintf("bench-t3-%d.twt", cats)), core.Options{
 			Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: true,
 		})
 		if err != nil {

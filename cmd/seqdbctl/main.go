@@ -110,7 +110,7 @@ func queryContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 }
 
 // openDB opens dir, a flat database or a sharded root, reading index trees
-// through the -backend storage backend ("" = buffer pool) with the
+// through the -backend storage backend ("" = mmap) with the
 // -envelopes cascade mode ("" = on).
 func openDB(dir, backendName, envName string) (*seqdb.DB, error) {
 	backend, err := seqdb.ParseBackend(backendName)
@@ -126,7 +126,7 @@ func openDB(dir, backendName, envName string) (*seqdb.DB, error) {
 
 // backendFlag registers the shared -backend flag on a subcommand FlagSet.
 func backendFlag(fs *flag.FlagSet) *string {
-	return fs.String("backend", "", "storage backend for index trees: pool (default) or mmap")
+	return fs.String("backend", "", "storage backend for index trees: mmap (default) or pool (bounded memory)")
 }
 
 // envelopesFlag registers the shared -envelopes flag on a subcommand

@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	searchTimeout := fs.Duration("search-timeout", 0, "server-side cap per search (0 = none)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "drop connections idle this long (0 = default)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-	backendName := fs.String("backend", "", "storage backend for local index trees: pool (default) or mmap")
+	backendName := fs.String("backend", "", "storage backend for local index trees: mmap (default) or pool (bounded memory)")
 	envName := fs.String("envelopes", "", "envelope lower-bound cascade for local searches: auto (default, on), on, or off")
 	quiet := fs.Bool("q", false, "suppress per-request access logs")
 	if err := fs.Parse(args); err != nil {

@@ -21,7 +21,12 @@ type walkKernel struct {
 	verified [][2]int
 }
 
-func (k *walkKernel) Dead(seq, start int) bool { return false }
+func (k *walkKernel) Admit(seq, from, to int, live []int32) []int32 {
+	for start := from; start < to; start++ {
+		live = append(live, int32(start))
+	}
+	return live
+}
 
 func (k *walkKernel) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
 	k.backward = append(k.backward, [2][]int32{slices.Clone(starts), slices.Clone(ends)})

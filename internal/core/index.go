@@ -95,10 +95,10 @@ type Options struct {
 	// one-dimensional data and v2 for vectors when none is named.
 	Encoding disktree.Encoding
 	// PoolPages bounds the buffer pool the built tree is read through
-	// (default 256).
+	// when Backend names the pool, or mmap falls back to it (default 256).
 	PoolPages int
 	// Backend is the page source the built tree is read through ("" =
-	// the buffer pool).
+	// mmap).
 	Backend storage.Backend
 }
 

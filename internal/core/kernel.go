@@ -44,15 +44,17 @@ type Kernel interface {
 	// Truncate pops filter rows until depth remain.
 	Truncate(depth int)
 
-	// Dead reports that no subsequence of sequence seq that begins at start
-	// can be an answer: its point there alone is further than the search's
+	// Admit offers the starts [from, to) of sequence seq to admission and
+	// appends to live, ascending, each one that can still begin an answer.
+	// It dismisses a start whose point alone is further than the search's
 	// threshold from the query's first point, by the base distance Verify
-	// uses (dtw.Verifier.Dead) — and, with envelopes on under a window, the
-	// start is too close to the sequence's end for an answer, or the
-	// windowed admission bound exceeds the threshold (dtw.Verifier.Admit,
-	// THEORY.md §13). The tests are strict, so a start at exactly the
-	// threshold is verified.
-	Dead(seq, start int) bool
+	// uses (dtw.Verifier.Dead) — and, with envelopes on under a window, a
+	// start too close to the sequence's end for an answer, on its length
+	// alone, or one whose windowed admission bound exceeds the threshold
+	// (dtw.Verifier.Admit, THEORY.md §13). The tests are strict, so a start
+	// at exactly the threshold is verified. A reached leaf's whole run is
+	// one call.
+	Admit(seq, from, to int, live []int32) []int32
 	// Backward runs the backward free-end pass over sequence seq for its
 	// admitted starts, ascending, each with its furthest end, and sets
 	// live[i] to false when no subsequence beginning at starts[i] can be
@@ -134,8 +136,8 @@ type kernel struct {
 	// the filter window (constant on sparse trees); qDim[k] backs it.
 	envs []dtw.Envelope
 	qDim [][]float64
-	// admit is set under a window with envelopes on: Dead is then the
-	// verifier's windowed admission bound.
+	// admit is set under a window with envelopes on: Admit then asks the
+	// verifier's windowed admission bound, not Dead.
 	admit bool
 }
 
@@ -198,11 +200,15 @@ func (k *kernel) AddRow(sym suffixtree.Symbol) (dist, minDist float64) {
 func (k *kernel) Truncate(depth int) { k.table.Truncate(depth) }
 
 //twlint:steady-state
-func (k *kernel) Dead(seq, start int) bool {
-	if k.admit {
-		return !k.verify.Admit(k.data.Values(seq), start)
+func (k *kernel) Admit(seq, from, to int, live []int32) []int32 {
+	s := k.data.Values(seq)
+	for start := from; start < to; start++ {
+		if k.admit && k.verify.Admit(s, start) || !k.admit && !k.verify.Dead(s, start) {
+			//lint:ignore steadystate amortized: the caller's scratch keeps its capacity, which grows toward the longest run, across searches
+			live = append(live, int32(start))
+		}
 	}
-	return k.verify.Dead(k.data.Values(seq), start)
+	return live
 }
 
 //twlint:steady-state

@@ -45,18 +45,9 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	s := ix.queries.acquire(ix, ctx, q, eps)
 	defer ix.queries.release(s)
 
-	// The filter pass: the depth-first traversal from the root, which
-	// only adds to s.found; the verification pass delivers.
 	s.visit = visit
-	root := s.node(0)
-	if err := s.rd.ReadNodeInto(ix.Tree.Root(), root); err != nil {
+	if err := s.filter(); err != nil {
 		return SearchStats{}, err
-	}
-	s.stats.NodesVisited++
-	for i := 0; i < len(root.Children) && !s.stopped; i++ {
-		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
-			return SearchStats{}, err
-		}
 	}
 	s.postProcess()
 
@@ -69,6 +60,27 @@ func (ix *Index) run(ctx context.Context, q []float64, eps float64, visit func(M
 	s.stats.PagesRead = ix.Tree.PagesRead() - pagesBefore
 	s.stats.Elapsed = time.Since(started)
 	return s.stats, s.ctxErr
+}
+
+// filter is the filter pass: the depth-first traversal from the root,
+// which only adds to s.found (the verification pass, postProcess,
+// delivers). It is the only phase of a search that reads the tree, so the
+// tree's fault guard is armed around it alone: a page of a mapped tree cut
+// since open fails the search with storage.ErrRead instead of the process,
+// and a visitor's panic, which comes later, is not the guard's to see.
+func (s *searcher) filter() (err error) {
+	defer s.ix.Tree.GuardFaults().Recover(&err)
+	root := s.node(0)
+	if err := s.rd.ReadNodeInto(s.ix.Tree.Root(), root); err != nil {
+		return err
+	}
+	s.stats.NodesVisited++
+	for i := 0; i < len(root.Children) && !s.stopped; i++ {
+		if err := s.processEdge(root.Children[i].Ptr, 1, 0, false, 0, 0, dtw.Inf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Search finds every subsequence whose time warping distance from q, a
@@ -181,6 +193,9 @@ type searcher struct {
 	starts, ends []int32
 	live         []bool
 	onMore       func() bool
+	// admitted holds the starts of the run admit offers that admission
+	// leaves to verify; it keeps its capacity too.
+	admitted []int32
 
 	// nodes[level] is the scratch node for DFS level; collectNodes[level]
 	// serves the leaf-collection recursion. Reuse keeps the traversal
@@ -522,35 +537,45 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 func (s *searcher) verifyLeaf(leaf *disktree.Node) {
 	seq, pos := int(leaf.LabelSeq), int(leaf.Pos)
 	end := s.ix.seqLen(seq)
-	starts := 1
+	stop := pos + 1
 	if s.sparse {
-		starts = int(leaf.RunLen)
+		stop = pos + int(leaf.RunLen)
 	}
-	for j := 0; j < starts; j++ {
-		s.candidate(seq, pos+j, end)
-	}
+	s.admit(seq, pos, min(stop, end-s.ix.minAnswerLen+1), end)
 }
 
 // candidate hands the subsequences of sequence seq that begin at start and
-// end at most at end to verification: the start joins the found list. A
-// start with no subsequence as long as the index's answer floor is dropped
-// uncounted. A Dead start is counted as a candidate — the filter offered it
-// — but not added: no subsequence of it is an answer (by its first value,
-// or under a window by the windowed admission bound, THEORY.md §13), so it
-// costs the search one base distance and a few gap terms instead of an
-// entry, its share of the sort, its rows of the backward pass and a kernel
-// call.
+// end at most at end to verification, through admit. A start with no
+// subsequence as long as the index's answer floor is dropped uncounted.
 //
 //twlint:steady-state
 func (s *searcher) candidate(seq, start, end int) {
 	if end-start < s.ix.minAnswerLen {
 		return
 	}
-	s.stats.Candidates++
-	if s.kern.Dead(seq, start) {
+	s.admit(seq, start, start+1, end)
+}
+
+// admit counts the starts [from, to) of sequence seq as candidates and
+// offers them to admission in one kernel call; each it admits joins the
+// found list, to be verified up to end. A start admission dismisses is
+// counted — the filter offered it — but not added: no subsequence of it is
+// an answer (by its first value, or under a window by the windowed
+// admission bound, THEORY.md §13), so it costs the search one base distance
+// and a few gap terms instead of an entry, its share of the sort and its
+// rows of the backward pass.
+//
+//twlint:steady-state
+func (s *searcher) admit(seq, from, to, end int) {
+	if to <= from {
 		return
 	}
-	s.found.add(s.seqOffsets[seq]+start, end, toVerify)
+	s.stats.Candidates += uint64(to - from)
+	s.admitted = s.kern.Admit(seq, from, to, s.admitted[:0])
+	off := s.seqOffsets[seq]
+	for _, start := range s.admitted {
+		s.found.add(off+int(start), end, toVerify)
+	}
 }
 
 // postProcess delivers what the filter pass found, one sequence at a time,
@@ -563,7 +588,7 @@ func (s *searcher) candidate(seq, start, end int) {
 // §12). Then, in position order, each exact answer is delivered, and one
 // kernel call per start the pass leaves live scans to the start's furthest
 // end with Theorem-1 early abandon and reports every end with exact
-// distance within eps. The dead starts were never added (candidate); the
+// distance within eps. The dead starts were never added (admit); the
 // rows of the others are computed only where a path within eps can still
 // run (dtw.Verifier).
 //

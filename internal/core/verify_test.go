@@ -33,7 +33,7 @@ func plateauDataset(rng *rand.Rand, seqs, length int) *sequence.Dataset {
 }
 
 // verifySpy wraps the kernel of a one-dimensional index and watches
-// admission and the verification pass: how many offered starts Dead
+// admission and the verification pass: how many offered starts Admit
 // dismissed, whether each verdict is the one admission's definition gives
 // (misled counts those that are not), which starts it admitted and how
 // often, how often the backward pass saw each start and how many it
@@ -48,8 +48,8 @@ type verifySpy struct {
 	envelopes               bool
 	dead, dismissed, starts int
 	deadVerified, misled    int
-	// admitted and backward count, per (sequence, start), Dead's false
-	// verdicts and the backward pass's sightings.
+	// admitted and backward count, per (sequence, start), the starts Admit
+	// returned and the backward pass's sightings.
 	admitted, backward map[[2]int]int
 }
 
@@ -87,17 +87,27 @@ func admissionDead(s, q []float64, start, w int, eps float64, envelopes bool) bo
 	return sum > eps*(1+float64(3*n)*0x1p-50)
 }
 
-func (k *verifySpy) Dead(seq, start int) bool {
-	dead := k.kernel.Dead(seq, start)
-	if dead != admissionDead(k.data.Values(seq), k.q, start, k.window, k.eps, k.envelopes) {
+// Admit checks and counts the verdict on every start offered: a start it
+// does not return is one it dismissed.
+func (k *verifySpy) Admit(seq, from, to int, live []int32) []int32 {
+	n := len(live)
+	live = k.kernel.Admit(seq, from, to, live)
+	if !slices.IsSorted(live[n:]) {
 		k.misled++
 	}
-	if dead {
-		k.dead++
-	} else {
-		k.admitted[[2]int{seq, start}]++
+	for start := from; start < to; start++ {
+		_, admitted := slices.BinarySearch(live[n:], int32(start))
+		dead := !admitted
+		if dead != admissionDead(k.data.Values(seq), k.q, start, k.window, k.eps, k.envelopes) {
+			k.misled++
+		}
+		if dead {
+			k.dead++
+		} else {
+			k.admitted[[2]int{seq, start}]++
+		}
 	}
-	return dead
+	return live
 }
 
 func (k *verifySpy) Backward(seq int, starts, ends []int32, live []bool, more func() bool) {
@@ -123,12 +133,12 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // edges: (1) every start is emitted once — the subtree under a qualifying
 // path is collected once, where the descent stops, and a reached leaf hands
 // over all its starts itself — so Candidates is one per offered start, and
-// each one is dismissed by Dead, dismissed by the backward pass or verified
+// each one is dismissed by admission, dismissed by the backward pass or verified
 // by one kernel call — on the exact sparse tree, where a stored suffix's
 // answers need no verification and the shifted starts of a run can be
 // offered more than once, the backward pass sees exactly the distinct
 // admitted starts, each once; (2) a start whose first element alone is
-// further than eps from q[0] never reaches Verify, and Dead's every verdict is the one
+// further than eps from q[0] never reaches Verify, and admission's every verdict is the one
 // admission's definition gives (admissionDead) — on the windowed tree, the
 // windowed admission bound's; (3) the answers are still exactly the
 // sequential scan's; (4)
@@ -139,7 +149,7 @@ func (k *verifySpy) Verify(seq, start, end int, hit func(end int, dist float64))
 // (32273 → 32288 and 2911 → 2882 cells); since the backward pass dismisses
 // the starts without an answer first, |Q|=8 costs 13453 (1387 of 1404
 // admitted starts dismissed), and |Q|=1, where the pass has nothing to add
-// to Dead, still 2882. The same tree under window 2 has no such pin: there
+// to admission, still 2882. The same tree under window 2 has no such pin: there
 // the windowed admission bound dismisses most starts before the pass.
 func TestVerificationCostsItsAnswers(t *testing.T) {
 	data := plateauDataset(rand.New(rand.NewSource(2407)), 24, 150)

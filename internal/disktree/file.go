@@ -7,11 +7,11 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-// File is a disk-resident suffix tree, read through a PageSource — the
-// lock-striped LRU buffer pool by default, or a zero-copy mmap source. The
-// read path (ReadNode, ReadNodeInto, any number of Readers) is
-// safe for any number of concurrent goroutines; one open File serves all
-// searches on an index.
+// File is a disk-resident suffix tree, read through a PageSource — a
+// zero-copy mmap source or the lock-striped LRU buffer pool, as its opener
+// names (Open names the pool). The read path (ReadNode, ReadNodeInto, any
+// number of Readers) is safe for any number of concurrent goroutines; one
+// open File serves all searches on an index.
 // A tree file is written once, by a treeWriter that appends pages straight
 // to the page file, and closed; readers then open it with Open or
 // OpenBackend. Sources only read.
@@ -167,6 +167,11 @@ func (f *File) PinnedPages() int {
 	}
 	return 0
 }
+
+// GuardFaults arms the fault guard of the file's page source on the
+// calling goroutine (storage.FaultGuard): a traversal that reads the tree
+// defers its Recover once around the whole walk.
+func (f *File) GuardFaults() storage.FaultGuard { return storage.GuardFaults(f.src) }
 
 // PagesRead returns physical page reads since open.
 func (f *File) PagesRead() uint64 { return f.pf.PagesRead() }

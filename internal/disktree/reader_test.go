@@ -2,6 +2,7 @@ package disktree
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -172,5 +173,33 @@ func TestReaderTruncatedFile(t *testing.T) {
 			}
 			f.Close()
 		}
+	}
+}
+
+// A tree cut after it was opened fails the validation walk with
+// storage.ErrRead wrapping io.ErrUnexpectedEOF, through the pool, named,
+// and through the default mapping, whose read of a page past the new end
+// faults under the walk's fault guard.
+func TestValidateCutAfterOpen(t *testing.T) {
+	ts := wideStore(rand.New(rand.NewSource(1702)))
+	for _, backend := range []storage.Backend{storage.BackendPool, ""} {
+		path := filepath.Join(t.TempDir(), "cut.twt")
+		if _, err := Build(ts, allSeqs(ts), path, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := OpenBackend(path, 4, true, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, f.SizeBytes()/2/storage.PageSize*storage.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Validate(ts); !errors.Is(err, storage.ErrRead) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: validating a tree cut after open: %v, want storage.ErrRead and io.ErrUnexpectedEOF", backend, err)
+		}
+		if f.PinnedPages() != 0 {
+			t.Errorf("%s: %d pages pinned after the failed walk", backend, f.PinnedPages())
+		}
+		f.Close()
 	}
 }

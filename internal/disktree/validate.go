@@ -19,9 +19,11 @@ type ValidateStats struct {
 // that match the children's labels, internal nodes (except the root) with
 // at least two children, leaf paths spelling their suffix plus terminator,
 // leaf run lengths consistent with the text, and meta counters matching the
-// walk. It is what cmd/twtree runs and what the merge tests lean on.
-func (f *File) Validate(store *suffixtree.TextStore) (ValidateStats, error) {
-	var st ValidateStats
+// walk. It is what cmd/twtree runs and what the merge tests lean on. A
+// mapped file cut since it was opened fails the walk with storage.ErrRead,
+// as a read through the pool would.
+func (f *File) Validate(store *suffixtree.TextStore) (st ValidateStats, err error) {
+	defer f.GuardFaults().Recover(&err)
 	var walk func(p Ptr, path []Symbol, depth int) error
 	walk = func(p Ptr, path []Symbol, depth int) error {
 		n, err := f.ReadNode(p)

@@ -170,13 +170,16 @@ func (d *Dataset) Bounds() (lo, hi []float64) {
 	lo, hi = make([]float64, dim), make([]float64, dim)
 	first := true
 	for _, s := range d.seqs {
+		v := s.Values
 		if first {
-			copy(lo, s.Values)
-			copy(hi, s.Values)
+			copy(lo, v)
+			copy(hi, v)
 			first = false
 		}
-		for i, v := range s.Values {
-			lo[i%dim], hi[i%dim] = min(lo[i%dim], v), max(hi[i%dim], v)
+		for p := 0; p+dim <= len(v); p += dim {
+			for k, x := range v[p : p+dim] {
+				lo[k], hi[k] = min(lo[k], x), max(hi[k], x)
+			}
 		}
 	}
 	return lo, hi

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -578,5 +579,61 @@ func BenchmarkDatasetBinaryIO(b *testing.B) {
 			}
 			b.SetBytes(int64(8 * c.dim * d.TotalElements()))
 		})
+	}
+}
+
+// TestBoundsPerDimension holds Bounds, at dimension 1 and 2, to the
+// value-by-value fold over every coordinate it replaces, bit for bit: on
+// random data with signed zeros, which min and max tell apart, and on
+// zeros of one sign with one of the other sign at each position.
+func TestBoundsPerDimension(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(29))
+	for _, dim := range []int{1, 2} {
+		var cases [][][]float64
+		for i := 0; i < 4; i++ {
+			var seqs [][]float64
+			for j := 0; j < 5; j++ {
+				vals := make([]float64, dim*(1+rng.Intn(40)))
+				for k := range vals {
+					switch rng.Intn(2 + 2*(i%2)) {
+					case 0:
+						vals[k] = negZero
+					case 1:
+						vals[k] = 0
+					default:
+						vals[k] = rng.NormFloat64() * 100
+					}
+				}
+				seqs = append(seqs, vals)
+			}
+			cases = append(cases, seqs)
+		}
+		for _, zero := range []float64{0, negZero} {
+			for at := 0; at < 9*dim; at++ {
+				vals := make([]float64, 9*dim)
+				for k := range vals {
+					vals[k] = zero
+				}
+				vals[at] = -zero
+				cases = append(cases, [][]float64{vals})
+			}
+		}
+		for ci, seqs := range cases {
+			d := NewDatasetDim(dim)
+			wantLo, wantHi := slices.Clone(seqs[0][:dim]), slices.Clone(seqs[0][:dim])
+			for i, vals := range seqs {
+				d.MustAdd(Sequence{ID: fmt.Sprint(i), Values: vals})
+				for j, v := range vals {
+					wantLo[j%dim], wantHi[j%dim] = min(wantLo[j%dim], v), max(wantHi[j%dim], v)
+				}
+			}
+			lo, hi := d.Bounds()
+			for k := 0; k < dim; k++ {
+				if math.Float64bits(lo[k]) != math.Float64bits(wantLo[k]) || math.Float64bits(hi[k]) != math.Float64bits(wantHi[k]) {
+					t.Errorf("d=%d case %d coordinate %d: bounds [%v, %v], want [%v, %v]", dim, ci, k, lo[k], hi[k], wantLo[k], wantHi[k])
+				}
+			}
+		}
 	}
 }

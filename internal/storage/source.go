@@ -8,9 +8,11 @@ import (
 // PageSource is the read surface of a page file: every reader — the disk
 // tree's node decoder, its read-ahead, the validation walk — borrows pages
 // through View instead of owning copies. Two implementations ship: the
-// lock-striped LRU Pool (portable, copy-on-read, bounded memory) and the
-// mmap source (zero-copy slices straight out of the page cache, shared
-// across processes). Both are safe for any number of concurrent viewers.
+// mmap source (the default: zero-copy slices straight out of the page
+// cache, shared across processes) and the lock-striped LRU Pool (portable,
+// copy-on-read, bounded memory). Both are safe for any number of concurrent
+// viewers. A reader of a mapped source arms its FaultGuard around each walk
+// of the file, so a file cut after open fails a read as the pool would.
 type PageSource interface {
 	// View borrows page id. The returned slice is exactly PageSize bytes
 	// and is valid only until release is called; callers must not retain
@@ -35,41 +37,41 @@ type PageSource interface {
 type Backend string
 
 const (
-	// BackendPool reads through the lock-striped LRU buffer pool — the
-	// portable default with strictly bounded memory.
+	// BackendPool reads through the lock-striped LRU buffer pool: the
+	// low-memory mode, which holds at most its page budget of the file.
 	BackendPool Backend = "pool"
-	// BackendMmap maps the whole file and serves zero-copy views. Where the
-	// file cannot be mapped (a non-unix platform, an in-memory backing, a
-	// failed mmap call) it falls back to the pool.
+	// BackendMmap, the default, maps the whole file and serves zero-copy
+	// views. Where the file cannot be mapped (a non-unix platform, an
+	// in-memory backing, a failed mmap call) it falls back to the pool.
 	BackendMmap Backend = "mmap"
 )
 
 // ParseBackend validates a backend name from a flag or option. The empty
-// string means the default (pool).
+// string means the default (mmap).
 func ParseBackend(s string) (Backend, error) {
 	switch Backend(s) {
-	case "", BackendPool:
-		return BackendPool, nil
-	case BackendMmap:
+	case "", BackendMmap:
 		return BackendMmap, nil
+	case BackendPool:
+		return BackendPool, nil
 	}
-	return "", fmt.Errorf("storage: unknown backend %q (want pool or mmap)", s)
+	return "", fmt.Errorf("storage: unknown backend %q (want mmap or pool)", s)
 }
 
 func (b Backend) String() string {
 	if b == "" {
-		return string(BackendPool)
+		return string(BackendMmap)
 	}
 	return string(b)
 }
 
 // NewSource opens a PageSource over f. poolPages bounds the buffer pool
-// when the pool backend is selected, or when mmap falls back to it.
+// when the pool backend is named, or when mmap falls back to it.
 func NewSource(f *File, backend Backend, poolPages int) (PageSource, error) {
 	switch backend {
-	case "", BackendPool:
+	case BackendPool:
 		return NewPool(f, poolPages)
-	case BackendMmap:
+	case "", BackendMmap:
 		if src, err := newMappedSource(f); err == nil {
 			return src, nil
 		}

@@ -165,7 +165,7 @@ func TestParseBackend(t *testing.T) {
 		want Backend
 		ok   bool
 	}{
-		{"", BackendPool, true},
+		{"", BackendMmap, true},
 		{"pool", BackendPool, true},
 		{"mmap", BackendMmap, true},
 		{"auto", "", false},
@@ -176,8 +176,8 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %q, %v", tc.in, got, err)
 		}
 	}
-	if Backend("").String() != "pool" {
-		t.Error("empty backend does not stringify as pool")
+	if Backend("").String() != "mmap" {
+		t.Error("empty backend does not stringify as mmap")
 	}
 }
 

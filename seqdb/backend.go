@@ -7,20 +7,22 @@ import (
 	"twsearch/internal/storage"
 )
 
-// Backend selects the page source index files are read through: the
-// lock-striped LRU buffer pool (portable, bounded memory) or a zero-copy
-// mmap of the whole file, which falls back to the pool where the file
-// cannot be mapped.
+// Backend selects the page source index files are read through: a
+// zero-copy mmap of the whole file, the default, which falls back to the
+// pool where the file cannot be mapped, or the lock-striped LRU buffer
+// pool, the low-memory mode, which holds at most an index's PoolPages of
+// its file. A mapped tree file cut after it was opened fails a search with
+// ErrIndexRead, as a read through the pool does.
 type Backend = storage.Backend
 
-// The available storage backends. The zero value ("") means BackendPool.
+// The available storage backends. The zero value ("") means BackendMmap.
 const (
 	BackendPool = storage.BackendPool
 	BackendMmap = storage.BackendMmap
 )
 
 // ParseBackend validates a backend name from a flag or config value; the
-// empty string is the pool default.
+// empty string means the default, BackendMmap.
 func ParseBackend(s string) (Backend, error) { return storage.ParseBackend(s) }
 
 // Encoding selects the on-disk node record serialization of an index tree:
@@ -74,7 +76,8 @@ func ParseEnvelopeMode(s string) (EnvelopeMode, error) {
 // OpenOptions tunes how a database (or each shard of a sharded database) is
 // opened.
 type OpenOptions struct {
-	// Backend selects the page source for every index tree ("" = pool).
+	// Backend selects the page source for every index tree ("" = mmap;
+	// BackendPool bounds the memory the trees are read through).
 	Backend Backend
 
 	// Envelopes toggles the envelope lower-bound gate on every index

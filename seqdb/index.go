@@ -64,7 +64,9 @@ type IndexSpec struct {
 	// shorter than this (the conclusion's other space optimization);
 	// Search then returns only answers of at least this length.
 	MinAnswerLen int
-	// PoolPages bounds the tree file's buffer pool (default 256).
+	// PoolPages bounds the tree file's buffer pool (default 256) where the
+	// database is opened with BackendPool, or where mmap falls back to the
+	// pool; a mapped tree is not bounded by it.
 	PoolPages int
 	// Encoding selects the node record serialization of the tree file
 	// (zero value = EncodingV1 when d = 1 and EncodingV2 when d > 1;

@@ -46,9 +46,10 @@
 // with each other, while mutations (Add, ImportCSV, BuildIndex, DropIndex,
 // Close) take exclusive ownership. Any number of SearchWith/SearchKNNWith/
 // SearchVisitWith calls run concurrently on one index handle — the index is
-// immutable at query time, per-query state is pooled, and the tree's
-// buffer pool is lock-striped — so one mounted database uses all the cores
-// the callers bring.
+// immutable at query time, per-query state is pooled, and the tree is read
+// through a shared mapping or, in the low-memory mode, a lock-striped
+// buffer pool — so one mounted database uses all the cores the callers
+// bring.
 package seqdb
 
 import (
@@ -115,7 +116,7 @@ type DB struct {
 type part struct {
 	dir string
 	// backend is the page source every index tree is opened through;
-	// "" means the buffer pool.
+	// "" means mmap.
 	backend Backend
 	// envelopes is the envelope-cascade mode applied to every index this
 	// part opens or builds; the zero value (auto) runs the cascade.
@@ -157,7 +158,7 @@ func CreateDim(dir string, dim int) (*DB, error) {
 	if _, err := os.Stat(dataPath); err == nil {
 		return nil, fmt.Errorf("seqdb: %s already holds a database", dir)
 	}
-	db := newDB(dir, []*part{{dir: dir, data: sequence.NewDatasetDim(dim), indexes: map[string]*openIndex{}}}, false)
+	db := newDB(dir, []*part{newPart(dir, sequence.NewDatasetDim(dim), OpenOptions{})}, false)
 	if err := db.Save(); err != nil {
 		return nil, err
 	}
@@ -165,7 +166,7 @@ func CreateDim(dir string, dim int) (*DB, error) {
 }
 
 // Open loads an existing database and all its indexes through the default
-// (buffer pool) backend.
+// (mmap) backend.
 func Open(dir string) (*DB, error) {
 	return OpenWith(dir, OpenOptions{})
 }
@@ -202,6 +203,12 @@ func newDB(dir string, parts []*part, sharded bool) *DB {
 	return db
 }
 
+// newPart returns the part of directory dir over data, with no index open
+// yet, reading its indexes as opts says.
+func newPart(dir string, data *sequence.Dataset, opts OpenOptions) *part {
+	return &part{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
+}
+
 // openPart loads one shard's dataset and indexes. A directory holding
 // files of the old vector layout is refused with ErrOldLayout.
 func openPart(dir string, opts OpenOptions) (*part, error) {
@@ -218,7 +225,7 @@ func openPart(dir string, opts OpenOptions) (*part, error) {
 	if err != nil {
 		return nil, fmt.Errorf("seqdb: loading dataset: %w", err)
 	}
-	p := &part{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
+	p := newPart(dir, data, opts)
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, "idx-") || !strings.HasSuffix(name, ".twt") {

@@ -341,58 +341,63 @@ func TestServerExactOrder(t *testing.T) {
 // after the DB opened it fails reading a page — a fault of the server's
 // files, so the client sees CodeInternal, not bad-request — the page the
 // failed read was for is not left pinned, and another mounted DB goes on
-// answering.
+// answering. The cut tree is read once through the pool, named, and once
+// through the default mapping, where the read faults.
 func TestServerTreeReadFailureIsInternal(t *testing.T) {
-	leakCheck(t)
-	dir := newTestDB(t).Dir()
-	// Reopen the built database so its pool holds no page of the tree yet.
-	cut, err := seqdb.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cut.Close()
-	tree := filepath.Join(dir, "idx-fast.twt")
-	st, err := os.Stat(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
-		t.Fatal(err)
-	}
-	healthy := newTestDB(t)
-	s := New(Config{})
-	if err := s.AddDB("cut", cut); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddDB("healthy", healthy); err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.Dial(start(t, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	q := testQuery(healthy, "seq-03", 10, 30)
+	for _, backend := range []seqdb.Backend{seqdb.BackendPool, ""} {
+		t.Run(backend.String(), func(t *testing.T) {
+			leakCheck(t)
+			dir := newTestDB(t).Dir()
+			// Reopen the built database so it holds no page of the tree yet.
+			cut, err := seqdb.OpenWith(dir, seqdb.OpenOptions{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cut.Close()
+			tree := filepath.Join(dir, "idx-fast.twt")
+			st, err := os.Stat(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
+				t.Fatal(err)
+			}
+			healthy := newTestDB(t)
+			s := New(Config{})
+			if err := s.AddDB("cut", cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddDB("healthy", healthy); err != nil {
+				t.Fatal(err)
+			}
+			c, err := client.Dial(start(t, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			q := testQuery(healthy, "seq-03", 10, 30)
 
-	_, _, err = c.SearchWith(ctx, "cut", "fast", q, 4, seqdb.SearchOptions{})
-	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeInternal {
-		t.Fatalf("search of a cut tree: %v, want an internal error", err)
-	}
-	if !strings.Contains(we.Msg, "unexpected EOF") {
-		t.Errorf("a short page read reads %q, want unexpected EOF", we.Msg)
-	}
-	if n := cut.PinnedPages(); n != 0 {
-		t.Errorf("%d pages pinned after the failed search", n)
-	}
-	want, _, err := healthy.SearchWith(ctx, "fast", q, 4, seqdb.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := c.SearchWith(ctx, "healthy", "fast", q, 4, seqdb.SearchOptions{})
-	if err != nil || !matchesBitIdentical(got, want) {
-		t.Fatalf("the other DB after the failure: %d answers, %v; want %d", len(got), err, len(want))
+			_, _, err = c.SearchWith(ctx, "cut", "fast", q, 4, seqdb.SearchOptions{})
+			var we *wire.Error
+			if !errors.As(err, &we) || we.Code != wire.CodeInternal {
+				t.Fatalf("search of a cut tree: %v, want an internal error", err)
+			}
+			if !strings.Contains(we.Msg, "unexpected EOF") {
+				t.Errorf("a short page read reads %q, want unexpected EOF", we.Msg)
+			}
+			if n := cut.PinnedPages(); n != 0 {
+				t.Errorf("%d pages pinned after the failed search", n)
+			}
+			want, _, err := healthy.SearchWith(ctx, "fast", q, 4, seqdb.SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.SearchWith(ctx, "healthy", "fast", q, 4, seqdb.SearchOptions{})
+			if err != nil || !matchesBitIdentical(got, want) {
+				t.Fatalf("the other DB after the failure: %d answers, %v; want %d", len(got), err, len(want))
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"twsearch/internal/sequence"
 	"twsearch/internal/shard"
 )
 
@@ -73,6 +74,9 @@ func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
 		return nil, err
 	}
 	ids := db.SequenceIDs()
+	// The returned DB serves the datasets written here: a fresh shard holds
+	// no index, so there is nothing to close, and nothing to read back.
+	data := make([]*sequence.Dataset, len(m.Ranges))
 	for i, r := range m.Ranges {
 		sdir := filepath.Join(dir, shardDirName(i))
 		claim(sdir)
@@ -83,20 +87,23 @@ func (db *DB) PartitionInto(dir string, shards int) (_ *DB, err error) {
 		}
 		for g := r.Start; g < r.End(); g++ {
 			if err := sdb.Add(ids[g], db.Values(ids[g])); err != nil {
-				sdb.Close()
 				return nil, fmt.Errorf("seqdb: filling shard %d: %w", i, err)
 			}
 		}
-		if err := errors.Join(sdb.Save(), sdb.Close()); err != nil {
+		if err := sdb.Save(); err != nil {
 			return nil, fmt.Errorf("seqdb: saving shard %d: %w", i, err)
 		}
+		data[i] = sdb.parts[0].data
 	}
 	manifest := filepath.Join(dir, shard.ManifestName)
 	claim(manifest)
 	if err := m.Write(manifest); err != nil {
 		return nil, err
 	}
-	return OpenShardedWith(dir, OpenOptions{Backend: db.parts[0].backend, Envelopes: db.parts[0].envelopes})
+	opts := OpenOptions{Backend: db.parts[0].backend, Envelopes: db.parts[0].envelopes}
+	return shardedDB(dir, m, func(i int) (*part, error) {
+		return newPart(filepath.Join(dir, shardDirName(i)), data[i], opts), nil
+	})
 }
 
 // OpenShardedWith opens a sharded database root as OpenWith does, and
@@ -109,12 +116,19 @@ func OpenShardedWith(dir string, opts OpenOptions) (*DB, error) {
 	return openSharded(dir, m, opts)
 }
 
-// openSharded opens every shard a manifest names, applying opts to each. It
-// cross-checks each shard against the manifest and against shard 0: a
-// shard whose sequence count is not its range's, or whose index names are
-// not shard 0's, is refused with ErrShardMismatch, after every shard
-// already opened is closed.
+// openSharded opens every shard a manifest names, applying opts to each.
 func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
+	return shardedDB(dir, m, func(i int) (*part, error) {
+		return openPart(filepath.Join(dir, shardDirName(i)), opts)
+	})
+}
+
+// shardedDB returns the DB of the sharded root dir over the parts open(i)
+// returns, one per range of m, in order. It cross-checks each shard
+// against the manifest and against shard 0: a shard whose sequence count
+// is not its range's, or whose index names are not shard 0's, is refused
+// with ErrShardMismatch, after every shard already opened is closed.
+func shardedDB(dir string, m *shard.Manifest, open func(i int) (*part, error)) (*DB, error) {
 	var parts []*part
 	fail := func(err error) (*DB, error) {
 		for _, p := range parts {
@@ -123,7 +137,7 @@ func openSharded(dir string, m *shard.Manifest, opts OpenOptions) (*DB, error) {
 		return nil, err
 	}
 	for i, r := range m.Ranges {
-		p, err := openPart(filepath.Join(dir, shardDirName(i)), opts)
+		p, err := open(i)
 		if err != nil {
 			return fail(fmt.Errorf("seqdb: opening shard %d: %w", i, err))
 		}

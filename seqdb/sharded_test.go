@@ -611,15 +611,16 @@ func TestOneShardRootMatchesFlat(t *testing.T) {
 		}
 	}
 
-	// checkSameError holds the root's failure to the flat database's.
-	checkSameError := func(what string, flat, sharded *DB, index string, want error) {
+	// checkSameError holds the root's failure to the flat database's, which
+	// must wrap every error of want.
+	checkSameError := func(what string, flat, sharded *DB, index string, want ...error) {
 		t.Helper()
 		for _, op := range ops(index, testValues(rng, 8)) {
 			_, _, flatErr := op.run(flat)
 			_, _, rootErr := op.run(sharded)
 			var pe *PartialError
 			switch {
-			case !errors.Is(flatErr, want):
+			case !isAll(flatErr, want):
 				t.Errorf("%s %s: flat database returned %v, want %v", what, op.name, flatErr, want)
 			case rootErr == nil || rootErr.Error() != flatErr.Error():
 				t.Errorf("%s %s: 1-shard root returned %v, flat database %v", what, op.name, rootErr, flatErr)
@@ -630,23 +631,49 @@ func TestOneShardRootMatchesFlat(t *testing.T) {
 	}
 	checkSameError("missing index", flat, sharded, "nope", ErrNoIndex)
 
-	// A tree cut short, read through the pool: both opened before the cut,
-	// so neither has read a page of it yet. The mappings go first.
+	// A tree cut short, read once through the pool, named, and once through
+	// the default mapping: each arm opens both databases before it cuts a
+	// fresh copy of their trees, so neither has read a page of it yet.
 	if err := errors.Join(flat.Close(), sharded.Close()); err != nil {
 		t.Fatal(err)
 	}
-	flat, sharded = open(OpenOptions{})
-	for _, dir := range []string{src.Dir(), filepath.Join(root, shardDirName(0))} {
-		tree := filepath.Join(dir, "idx-s.twt")
-		st, err := os.Stat(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(tree, st.Size()/2/4096*4096); err != nil {
+	trees := []string{filepath.Join(src.Dir(), "idx-s.twt"), filepath.Join(root, shardDirName(0), "idx-s.twt")}
+	whole := make([][]byte, len(trees))
+	for i, tree := range trees {
+		if whole[i], err = os.ReadFile(tree); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkSameError("cut tree", flat, sharded, "s", io.ErrUnexpectedEOF)
+	for _, backend := range []Backend{BackendPool, ""} {
+		for i, tree := range trees {
+			if err := os.WriteFile(tree, whole[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flat, sharded := open(OpenOptions{Backend: backend})
+		for i, tree := range trees {
+			if err := os.Truncate(tree, int64(len(whole[i]))/2/4096*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkSameError("cut tree through "+backend.String(), flat, sharded, "s", ErrIndexRead, io.ErrUnexpectedEOF)
+		if n, m := flat.PinnedPages(), sharded.PinnedPages(); n != 0 || m != 0 {
+			t.Errorf("cut tree through %s: %d and %d pages pinned after the failed searches", backend, n, m)
+		}
+		if err := errors.Join(flat.Close(), sharded.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// isAll reports whether err wraps every error of targets.
+func isAll(err error, targets []error) bool {
+	for _, target := range targets {
+		if !errors.Is(err, target) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPartitionIntoKeepsOpenOptions partitions a database opened through
