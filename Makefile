@@ -83,9 +83,10 @@ race-concurrency:
 # Also covers the scatter-gather coordinator's
 # partial-failure and merge paths, the refusal of shards that disagree
 # with their manifest or each other, and the cleanup of a failed
-# partition; the partial-failure test orders its shards with gates, and
-# fifty runs hold it to that.
-RACE_SHARD = -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat|TestExactVisitOrder|TestServerExactOrder' ./internal/shard/ ./seqdb/ ./seqdb/server/
+# partition, and the reopen of a flat database or a root whose build was
+# cut before any shard committed its record; the partial-failure test
+# orders its shards with gates, and fifty runs hold it to that.
+RACE_SHARD = -race -count=2 -run 'TestSharded|TestShardedByteIdentical|TestServerSharded|TestPartialFailure|TestSearch|TestScanMerges|TestManifest|TestOpenShardedCorruption|TestOpenRefusesShardMismatch|TestPartitionInto|TestOneShardRootMatchesFlat|TestExactVisitOrder|TestServerExactOrder|TestInterruptedBuildOpens' ./internal/shard/ ./seqdb/ ./seqdb/server/
 RACE_SHARD_GATES = -race -count=50 -run TestSearchPartialFailure ./internal/shard/
 race-shard:
 	$(GO) test $(RACE_SHARD)
@@ -155,7 +156,7 @@ run-lists:
 # the verifier-against-table, the backward pass and the windowed admission
 # bound against the scan, engine-equivalence (range and k-NN), each at
 # dimension 1 and 2, wire round-trip, build-versus-naive, node-codec, the
-# scheme and grid readers, the dataset reader's (the seeds of both
+# scheme, grid and index record readers, the dataset reader's (the seeds of both
 # magics), fit-versus-reference and file-corruption targets.
 # A new target is added here, once; `fuzz` runs this list plus FUZZ_EXTRA.
 # FUZZ_DIM2 are the three targets that each hold the seeds of a former
@@ -174,6 +175,7 @@ FUZZ_CI = \
 	$(FUZZ_DIM2) \
 	./internal/categorize/:FuzzReadScheme \
 	./internal/categorize/:FuzzReadGrid \
+	./internal/core/:FuzzReadIndexRecord \
 	./internal/categorize/:FuzzFit \
 	./internal/disktree/:FuzzValidateCorruption \
 	./internal/wire/:FuzzFrameRoundTrip \

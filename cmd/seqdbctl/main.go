@@ -10,6 +10,7 @@
 //	seqdbctl drop    -db DIR -name NAME
 //	seqdbctl query   -db DIR -name NAME -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl scan    -db DIR -eps E (-q "v1,v2,..." | -from SEQID -start P -len L) [-limit N] [-timeout D] [-backend B] [-envelopes auto|on|off]
+//	seqdbctl knn     -db DIR -name NAME [-k K] (-q "v1,v2,..." | -from SEQID -start P -len L) [-timeout D] [-backend B] [-envelopes auto|on|off]
 //	seqdbctl shard   -db DIR -out DIR -shards N [-name NAME -method ... -cats N]
 //
 // A database holds sequences of D-dimensional points (-dim, default 1:
@@ -215,7 +216,7 @@ func abs64(v float64) float64 {
 func cmdTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
 	db := fs.String("db", "", "database directory")
-	method := fs.String("method", "me", "me, el, or kmeans")
+	method := fs.String("method", "me", "me, el, or kmeans (exact has no category count)")
 	sparse := fs.Bool("sparse", true, "sparse suffix tree")
 	eps := fs.Float64("eps", 10, "distance threshold for the trial queries")
 	countsStr := fs.String("counts", "5,10,20,40,80,160", "candidate category counts")
@@ -227,16 +228,12 @@ func cmdTune(args []string) error {
 	if *db == "" {
 		return fmt.Errorf("tune: -db required")
 	}
-	var m seqdb.Method
-	switch *method {
-	case "me":
-		m = seqdb.MethodMaxEntropy
-	case "el":
-		m = seqdb.MethodEqualLength
-	case "kmeans":
-		m = seqdb.MethodKMeans
-	default:
-		return fmt.Errorf("tune: unknown method %q", *method)
+	m, err := parseMethod(*method)
+	if err != nil {
+		return fmt.Errorf("tune: %w", err)
+	}
+	if m == seqdb.MethodExact {
+		return errors.New("tune: method exact has no category count to select")
 	}
 	var counts []int
 	for _, fld := range strings.Split(*countsStr, ",") {
@@ -287,60 +284,28 @@ func cmdTune(args []string) error {
 
 func cmdKNN(args []string) error {
 	fs := flag.NewFlagSet("knn", flag.ExitOnError)
-	db := fs.String("db", "", "database directory")
 	name := fs.String("name", "", "index name")
 	k := fs.Int("k", 10, "number of nearest subsequences")
-	qstr := fs.String("q", "", "query values: v1,v2,...")
-	from := fs.String("from", "", "take the query from this sequence id")
-	start := fs.Int("start", 0, "query start within -from (0-based)")
-	qlen := fs.Int("len", 20, "query length within -from")
-	timeout := fs.Duration("timeout", 0, "abort the search after this long (0 = none)")
-	addr := fs.String("addr", "", "twsearchd address for remote mode (requires -q)")
-	dbName := fs.String("dbname", "", "database name on the server (remote mode; empty = sole db)")
-	backend := backendFlag(fs)
-	envmode := envelopesFlag(fs)
+	src := queryFlags(fs)
 	fs.Parse(args)
 	if *name == "" {
 		return fmt.Errorf("knn: -name required")
 	}
-	ctx, cancel := queryContext(*timeout)
+	ctx, cancel := queryContext(*src.timeout)
 	defer cancel()
-
-	var matches []seqdb.Match
-	var stats seqdb.SearchStats
-	if *addr != "" {
-		if *qstr == "" {
-			return fmt.Errorf("knn: remote mode needs -q (the server does not expose -from cuts)")
-		}
-		q, err := parseQueryValues(*qstr)
-		if err != nil {
-			return fmt.Errorf("knn: %w", err)
-		}
-		c, err := client.Dial(*addr)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		matches, stats, err = c.SearchKNNWith(ctx, *dbName, *name, q, *k, seqdb.SearchOptions{})
-		if err != nil {
-			return err
-		}
-		return printKNN(matches, stats)
-	}
-
-	if *db == "" || *from == "" {
-		return fmt.Errorf("knn: -db and -from required (or -addr with -q)")
-	}
-	d, err := openDB(*db, *backend, *envmode)
+	d, c, q, err := src.open("knn")
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	q, err := cutQuery(d, *from, *start, *qlen)
-	if err != nil {
-		return fmt.Errorf("knn: %w", err)
+	var matches []seqdb.Match
+	var stats seqdb.SearchStats
+	if c != nil {
+		defer c.Close()
+		matches, stats, err = c.SearchKNNWith(ctx, *src.dbName, *name, q, *k, seqdb.SearchOptions{})
+	} else {
+		defer d.Close()
+		matches, stats, err = d.SearchKNNWith(ctx, *name, q, *k, seqdb.SearchOptions{})
 	}
-	matches, stats, err = d.SearchKNNWith(ctx, *name, q, *k, seqdb.SearchOptions{})
 	if err != nil {
 		return err
 	}
@@ -592,83 +557,104 @@ func cmdDrop(args []string) error {
 
 func cmdQuery(args []string, useIndex bool) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	db := fs.String("db", "", "database directory")
 	name := fs.String("name", "", "index name (query only)")
 	eps := fs.Float64("eps", 0, "distance threshold")
-	qstr := fs.String("q", "", "query values: v1,v2,...")
-	from := fs.String("from", "", "take the query from this sequence id")
-	start := fs.Int("start", 0, "query start within -from (0-based)")
-	qlen := fs.Int("len", 20, "query length within -from")
 	limit := fs.Int("limit", 20, "max matches to print")
-	timeout := fs.Duration("timeout", 0, "abort the search after this long (0 = none)")
-	addr := fs.String("addr", "", "twsearchd address for remote mode (requires -q)")
-	dbName := fs.String("dbname", "", "database name on the server (remote mode; empty = sole db)")
-	backend := backendFlag(fs)
-	envmode := envelopesFlag(fs)
+	src := queryFlags(fs)
 	fs.Parse(args)
-	ctx, cancel := queryContext(*timeout)
-	defer cancel()
-
 	if useIndex && *name == "" {
 		return fmt.Errorf("query: -name required (or use the scan subcommand)")
 	}
-
-	var matches []seqdb.Match
-	var stats seqdb.SearchStats
-	if *addr != "" {
-		if *qstr == "" {
-			return fmt.Errorf("query: remote mode needs -q (the server does not expose -from cuts)")
-		}
-		q, err := parseQueryValues(*qstr)
-		if err != nil {
-			return fmt.Errorf("query: %w", err)
-		}
-		c, err := client.Dial(*addr)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		if useIndex {
-			matches, stats, err = c.SearchWith(ctx, *dbName, *name, q, *eps, seqdb.SearchOptions{})
-		} else {
-			matches, stats, err = c.SeqScan(ctx, *dbName, q, *eps)
-		}
-		if err != nil {
-			return err
-		}
-		return printMatches(matches, stats, *limit)
-	}
-
-	d, err := openDB(*db, *backend, *envmode)
+	ctx, cancel := queryContext(*src.timeout)
+	defer cancel()
+	d, c, q, err := src.open("query")
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-
-	var q []float64
+	var matches []seqdb.Match
+	var stats seqdb.SearchStats
 	switch {
-	case *qstr != "":
-		q, err = parseQueryValues(*qstr)
-		if err != nil {
-			return fmt.Errorf("query: %w", err)
+	case c != nil:
+		defer c.Close()
+		if useIndex {
+			matches, stats, err = c.SearchWith(ctx, *src.dbName, *name, q, *eps, seqdb.SearchOptions{})
+		} else {
+			matches, stats, err = c.SeqScan(ctx, *src.dbName, q, *eps)
 		}
-	case *from != "":
-		if q, err = cutQuery(d, *from, *start, *qlen); err != nil {
-			return fmt.Errorf("query: %w", err)
-		}
-	default:
-		return fmt.Errorf("query: need -q or -from")
-	}
-
-	if useIndex {
+	case useIndex:
+		defer d.Close()
 		matches, stats, err = d.SearchWith(ctx, *name, q, *eps, seqdb.SearchOptions{})
-	} else {
+	default:
+		defer d.Close()
 		matches, stats, err = d.SeqScanCtx(ctx, q, *eps)
 	}
 	if err != nil {
 		return err
 	}
 	return printMatches(matches, stats, *limit)
+}
+
+// querySource holds the flags query, scan and knn share: where to search
+// (-db, or a twsearchd at -addr) and the query (-q values, or a -from cut
+// of the local database).
+type querySource struct {
+	db, addr, dbName, backend, envmode, q, from *string
+	start, qlen                                 *int
+	timeout                                     *time.Duration
+}
+
+// queryFlags registers the query flags on fs.
+func queryFlags(fs *flag.FlagSet) *querySource {
+	return &querySource{
+		db:      fs.String("db", "", "database directory"),
+		addr:    fs.String("addr", "", "twsearchd address for remote mode (requires -q)"),
+		dbName:  fs.String("dbname", "", "database name on the server (remote mode; empty = sole db)"),
+		backend: backendFlag(fs),
+		envmode: envelopesFlag(fs),
+		q:       fs.String("q", "", "query values: v1,v2,..."),
+		from:    fs.String("from", "", "take the query from this sequence id"),
+		start:   fs.Int("start", 0, "query start within -from (0-based)"),
+		qlen:    fs.Int("len", 20, "query length within -from"),
+		timeout: fs.Duration("timeout", 0, "abort the search after this long (0 = none)"),
+	}
+}
+
+// open opens the database cmd searches, or with -addr dials the server that
+// mounts it, and reads the query. Remote mode needs -q: the server does not
+// expose -from cuts.
+func (s *querySource) open(cmd string) (*seqdb.DB, *client.Client, []float64, error) {
+	if *s.addr != "" {
+		if *s.q == "" {
+			return nil, nil, nil, fmt.Errorf("%s: remote mode needs -q (the server does not expose -from cuts)", cmd)
+		}
+		q, err := parseQueryValues(*s.q)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("%s: %w", cmd, err)
+		}
+		c, err := client.Dial(*s.addr)
+		return nil, c, q, err
+	}
+	if *s.db == "" {
+		return nil, nil, nil, fmt.Errorf("%s: -db required (or -addr with -q)", cmd)
+	}
+	d, err := openDB(*s.db, *s.backend, *s.envmode)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var q []float64
+	switch {
+	case *s.q != "":
+		q, err = parseQueryValues(*s.q)
+	case *s.from != "":
+		q, err = cutQuery(d, *s.from, *s.start, *s.qlen)
+	default:
+		err = errors.New("need -q or -from")
+	}
+	if err != nil {
+		d.Close()
+		return nil, nil, nil, fmt.Errorf("%s: %w", cmd, err)
+	}
+	return d, nil, q, nil
 }
 
 func printMatches(matches []seqdb.Match, stats seqdb.SearchStats, limit int) error {

@@ -167,6 +167,9 @@ func TestCLIErrors(t *testing.T) {
 	if err := cmdTune([]string{"-db", "nowhere", "-counts", "zero"}); err == nil {
 		t.Error("bad counts accepted")
 	}
+	if err := cmdTune([]string{"-db", "nowhere", "-method", "exact"}); err == nil || !strings.Contains(err.Error(), "exact") {
+		t.Errorf("tune -method exact: %v, want a refusal naming it", err)
+	}
 }
 
 func TestExitCodes(t *testing.T) {
@@ -462,5 +465,94 @@ func TestVectorCLIErrors(t *testing.T) {
 	}
 	if err := cmdIndex([]string{"-db", "nowhere"}); err == nil {
 		t.Error("missing name accepted")
+	}
+}
+
+// TestCLIKNNQueryValues: knn reads its query as query and scan do, from
+// literal -q values as well as from a -from cut, and the two give the same
+// neighbors.
+func TestCLIKNNQueryValues(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "db")
+	if _, err := captureStdout(t, func() error {
+		return cmdGen([]string{"-db", db, "-kind", "stocks", "-n", "10", "-seed", "9"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := captureStdout(t, func() error {
+		return cmdIndex([]string{"-db", db, "-name", "fast", "-cats", "8", "-sparse"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := seqdb.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qparts []string
+	for _, v := range d.Values("stock-0002")[10:22] {
+		qparts = append(qparts, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	values, err := captureStdout(t, func() error {
+		return cmdKNN([]string{"-db", db, "-name", "fast", "-k", "4", "-q", strings.Join(qparts, ",")})
+	})
+	if err != nil {
+		t.Fatalf("knn -q: %v", err)
+	}
+	cut, err := captureStdout(t, func() error {
+		return cmdKNN([]string{"-db", db, "-name", "fast", "-k", "4", "-from", "stock-0002", "-start", "10", "-len", "12"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(s string) string {
+		_, rest, _ := strings.Cut(s, "\n")
+		return rest
+	}
+	if !strings.HasPrefix(values, "4 nearest subsequences") || rows(values) != rows(cut) {
+		t.Fatalf("knn -q printed\n%s\nknn -from printed\n%s", values, cut)
+	}
+	if err := cmdKNN([]string{"-db", db, "-name", "fast"}); err == nil || !strings.Contains(err.Error(), "need -q or -from") {
+		t.Fatalf("knn without a query: %v", err)
+	}
+}
+
+// TestCLIInterruptedBuild: a database whose build of b was cut between the
+// tree's rename and the record's (b's tree is there, its record is not)
+// opens: stats lists a and c, and index -name b rebuilds b over the
+// orphan tree.
+func TestCLIInterruptedBuild(t *testing.T) {
+	db := filepath.Join(t.TempDir(), "db")
+	if _, err := captureStdout(t, func() error {
+		return cmdGen([]string{"-db", db, "-kind", "stocks", "-n", "8", "-seed", "4"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := captureStdout(t, func() error {
+			return cmdIndex([]string{"-db", db, "-name", name, "-cats", "6"})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(db, "idx-b.cat")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return cmdStats([]string{"-db", db}) })
+	if err != nil {
+		t.Fatalf("stats over b's orphan tree: %v", err)
+	}
+	if !strings.Contains(out, `index "a"`) || !strings.Contains(out, `index "c"`) || strings.Contains(out, `index "b"`) {
+		t.Fatalf("stats output: %q", out)
+	}
+	if _, err := captureStdout(t, func() error {
+		return cmdIndex([]string{"-db", db, "-name", "b", "-cats", "6"})
+	}); err != nil {
+		t.Fatalf("rebuilding b: %v", err)
+	}
+	out, err = captureStdout(t, func() error { return cmdStats([]string{"-db", db}) })
+	if err != nil || !strings.Contains(out, `index "b"`) {
+		t.Fatalf("stats after the rebuild: %v\n%s", err, out)
 	}
 }

@@ -46,15 +46,16 @@ func loadIndex(dbDir, name string) (scheme, treePath string, store *suffixtree.T
 	if err != nil {
 		return "", "", nil, fmt.Errorf("loading dataset: %w", err)
 	}
-	sf, err := os.Open(filepath.Join(dbDir, "idx-"+name+".cat"))
+	rf, err := os.Open(filepath.Join(dbDir, "idx-"+name+".cat"))
 	if err != nil {
-		return "", "", nil, fmt.Errorf("loading scheme: %w", err)
+		return "", "", nil, fmt.Errorf("loading index record: %w", err)
 	}
-	sch, err := core.ReadScheme(sf)
-	sf.Close()
+	rec, err := core.ReadIndexRecord(rf)
+	rf.Close()
 	if err != nil {
 		return "", "", nil, err
 	}
+	sch := rec.Scheme
 	if store, err = core.Encode(data, sch); err != nil {
 		return "", "", nil, err
 	}

@@ -191,7 +191,7 @@ func (g *GridScheme) Encode(vals []float64) ([]Symbol, error) {
 //	magic   [8]byte "TWGRID01"
 //	dim     uint16
 //	per dim: one categorize scheme (its own framed format)
-//	cells   uint32, then per cell: key uint64, sym int32
+//	cells   uint32, then per cell in ascending key order: key uint64, sym int32
 //	boxes   per symbol (ascending): dim × (lo, hi float64)
 //
 // GridMagic opens every grid stream.
@@ -276,6 +276,7 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 		return nil, ErrNoCategories
 	}
 	maxSym := Symbol(-1)
+	var prevKey uint64
 	for i := uint32(0); i < nCells; i++ {
 		var key uint64
 		var sym int32
@@ -285,6 +286,10 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 		if err := binary.Read(br, binary.LittleEndian, &sym); err != nil {
 			return nil, err
 		}
+		if i > 0 && key <= prevKey {
+			return nil, fmt.Errorf("categorize: grid cell %d: key %d out of ascending order", i, key)
+		}
+		prevKey = key
 		g.setCell(key, Symbol(sym))
 		if Symbol(sym) > maxSym {
 			maxSym = Symbol(sym)

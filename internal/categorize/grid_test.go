@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"twsearch/internal/dtw"
@@ -255,5 +256,26 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadGrid(bytes.NewReader([]byte("XXXXXXXXjunkjunk"))); err == nil {
 		t.Fatal("garbage grid accepted")
+	}
+	// Cells come in the ascending key order Write puts them in. Out of
+	// order, or a key twice, a stream would read back as a grid that writes
+	// other bytes; it is refused.
+	cells := 8 + 2 + 4 // magic, dimension, then past the schemes: the cell count
+	for _, s := range grid.dims {
+		cells += 8 + 1 + 4 + 40*s.NumCategories()
+	}
+	var raw bytes.Buffer
+	if err := grid.Write(&raw); err != nil {
+		t.Fatal(err)
+	}
+	first, second := raw.Bytes()[cells:cells+12], raw.Bytes()[cells+12:cells+24]
+	swapped, repeated := bytes.Clone(raw.Bytes()), bytes.Clone(raw.Bytes())
+	copy(swapped[cells:], second)
+	copy(swapped[cells+12:], first)
+	copy(repeated[cells+12:], first[:8])
+	for name, b := range map[string][]byte{"swapped": swapped, "repeated": repeated} {
+		if _, err := ReadGrid(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "ascending") {
+			t.Errorf("%s cells: err = %v, want out of ascending order", name, err)
+		}
 	}
 }

@@ -717,7 +717,7 @@ func TestHugeEpsReturnsAllSubsequences(t *testing.T) {
 }
 
 // TestOpenExistingIndex: an index reopened from its tree file and its
-// persisted scheme — a category scheme, or at dimension 2 a grid, by which
+// record — whose scheme is a category scheme, or at dimension 2 a grid, by which
 // Encode re-encodes the data on every core — returns the answers it was
 // built to.
 func TestOpenExistingIndex(t *testing.T) {
@@ -736,15 +736,15 @@ func TestOpenExistingIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := ix.Scheme.Write(&buf); err != nil {
+		if err := (IndexRecord{Window: ix.Window, PoolPages: 16, Scheme: ix.Scheme}).Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		ix.Close()
-		scheme, err := ReadScheme(&buf)
+		rec, err := ReadIndexRecord(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(data, scheme, path, 16, -1)
+		re, err := Open(data, rec.Scheme, path, rec.PoolPages, rec.Window)
 		if err != nil {
 			t.Fatal(err)
 		}

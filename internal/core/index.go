@@ -26,6 +26,7 @@ package core
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -40,7 +41,7 @@ import (
 )
 
 // ErrDimension reports data, a query, a scheme or an operation whose
-// dimension does not fit: a scheme file of another dimension than its
+// dimension does not fit: a scheme of another dimension than its
 // dataset, or an operation defined for one-dimensional sequences only
 // asked of a database of dimension d > 1. errors.Is finds it under the
 // error.
@@ -58,18 +59,59 @@ type Scheme interface {
 	Write(w io.Writer) error
 }
 
-// ReadScheme parses a scheme written by a Scheme's Write: a category
-// scheme or a grid, told apart by its magic.
-func ReadScheme(r io.Reader) (Scheme, error) {
+// IndexRecord is the file that commits an index: the settings its tree
+// file does not hold, and its categorization. It is the magic "TWINDEX1",
+// the window (-1 for none) and the pool pages (0 for the default), each a
+// little-endian int64, then the stream the scheme's Write emits.
+type IndexRecord struct {
+	Window, PoolPages int
+	Scheme            Scheme
+}
+
+const indexRecordMagic = "TWINDEX1"
+
+// Write serializes the record.
+func (r IndexRecord) Write(w io.Writer) error {
+	head := binary.LittleEndian.AppendUint64([]byte(indexRecordMagic), uint64(r.Window))
+	if _, err := w.Write(binary.LittleEndian.AppendUint64(head, uint64(r.PoolPages))); err != nil {
+		return err
+	}
+	return r.Scheme.Write(w)
+}
+
+// ReadIndexRecord parses a record written by IndexRecord.Write: a category
+// scheme or a grid, told apart by its magic. It refuses bytes after the
+// scheme, and settings no build writes: a window neither -1 nor positive,
+// or a negative pool.
+func ReadIndexRecord(r io.Reader) (IndexRecord, error) {
 	br := bufio.NewReader(r)
+	var head [24]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return IndexRecord{}, fmt.Errorf("core: reading index record header: %w", err)
+	}
+	rec := IndexRecord{Window: int(binary.LittleEndian.Uint64(head[8:])), PoolPages: int(binary.LittleEndian.Uint64(head[16:]))}
+	if string(head[:8]) != indexRecordMagic {
+		return IndexRecord{}, fmt.Errorf("core: magic %q, not an index record", head[:8])
+	}
+	if rec.Window != -1 && rec.Window < 1 || rec.PoolPages < 0 {
+		return IndexRecord{}, fmt.Errorf("core: index record: bad settings: window %d, pool pages %d", rec.Window, rec.PoolPages)
+	}
 	magic, err := br.Peek(8)
 	if err != nil {
-		return nil, fmt.Errorf("core: reading scheme magic: %w", err)
+		return IndexRecord{}, fmt.Errorf("core: reading scheme magic: %w", err)
 	}
 	if string(magic) == categorize.GridMagic {
-		return categorize.ReadGrid(br)
+		rec.Scheme, err = categorize.ReadGrid(br)
+	} else {
+		rec.Scheme, err = categorize.ReadScheme(br)
 	}
-	return categorize.ReadScheme(br)
+	if err != nil {
+		return IndexRecord{}, err
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return IndexRecord{}, errors.New("core: index record: bytes after its scheme")
+	}
+	return rec, nil
 }
 
 // Options configures an index build.

@@ -167,7 +167,8 @@ func roundTripCases() []roundTripCase {
 		zero("IndexesResp", TIndexes, (&IndexesResp{}).Encode(nil)),
 		extreme("IndexesResp", TIndexes, (&IndexesResp{Indexes: []IndexInfo{
 			{Name: "", Method: "m", Categories: maxU32, Sparse: true, Window: math.MinInt64,
-				MinAnswerLen: maxU32, SizeBytes: math.MinInt64, Leaves: math.MaxUint64, Nodes: math.MaxUint64},
+				MinAnswerLen: maxU32, SizeBytes: math.MinInt64, Leaves: math.MaxUint64, Nodes: math.MaxUint64,
+				Encoding: math.MaxUint8, PoolPages: maxU32},
 			{},
 		}}).Encode(nil)),
 	}

@@ -326,6 +326,9 @@ type IndexInfo struct {
 	SizeBytes    int64
 	Leaves       uint64
 	Nodes        uint64
+	// Encoding is the tree's node record encoding (1 = v1, 2 = v2).
+	Encoding  uint8
+	PoolPages int
 }
 
 // IndexesResp answers TListIndexes.
@@ -348,6 +351,8 @@ func (m *IndexesResp) Encode(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(ix.SizeBytes))
 		b = binary.LittleEndian.AppendUint64(b, ix.Leaves)
 		b = binary.LittleEndian.AppendUint64(b, ix.Nodes)
+		b = append(b, ix.Encoding)
+		b = binary.LittleEndian.AppendUint32(b, uint32(ix.PoolPages))
 	}
 	return b
 }
@@ -369,6 +374,8 @@ func DecodeIndexesResp(body []byte) (IndexesResp, error) {
 		ix.SizeBytes = r.I64()
 		ix.Leaves = r.U64()
 		ix.Nodes = r.U64()
+		ix.Encoding = r.U8()
+		ix.PoolPages = int(r.U32())
 		m.Indexes = append(m.Indexes, ix)
 	}
 	return m, r.Err()

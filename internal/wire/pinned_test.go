@@ -12,9 +12,11 @@ import (
 	"twsearch/internal/sequence"
 )
 
-// TestWireBytesPinned holds the version-8 layout of every message type, and
+// TestWireBytesPinned holds the version-9 layout of every message type, and
 // the hello that announces it, to captured bytes: each digest is the
-// SHA-256 of Encode's output (WriteHello's, for the hello). Version 8 made
+// SHA-256 of Encode's output (WriteHello's, for the hello). Version 9 added
+// an index's encoding and pool pages to the end of each IndexInfo: the
+// hello and IndexesResp were re-captured. Version 8 made
 // a TMatch body a batch of match records: the hello was re-captured and the
 // MatchBatch digest added; a record ("Match") kept its bytes. Version 7 was
 // version 6 without the batch and topology messages: only the hello was
@@ -47,8 +49,9 @@ func TestWireBytesPinned(t *testing.T) {
 	}
 	iresp := IndexesResp{Indexes: []IndexInfo{
 		{Name: "fast", Method: "max-entropy", Categories: 20, Sparse: true,
-			Window: -1, MinAnswerLen: 3, SizeBytes: 1 << 20, Leaves: 100, Nodes: 130},
-		{Name: "exact", Method: "identity", Window: 8},
+			Window: -1, MinAnswerLen: 3, SizeBytes: 1 << 20, Leaves: 100, Nodes: 130,
+			Encoding: 2, PoolPages: 64},
+		{Name: "exact", Method: "identity", Window: 8, Encoding: 1},
 	}}
 	partial := &Error{Code: CodeShardUnavailable, Msg: "shard 1 lost", Answered: []int{0, 2}}
 	var hello bytes.Buffer
@@ -61,7 +64,7 @@ func TestWireBytesPinned(t *testing.T) {
 		body []byte
 		want string
 	}{
-		{"Hello", hello.Bytes(), "4818bbf539a1efb3e97e66e36b9616ca84fd05aa79d7aca3f1e96f3dc1917138"},
+		{"Hello", hello.Bytes(), "cd5666a0470ba8888d33b5eab2167ce94f85ad539fdfcff41176bbdd1513e572"},
 		{"SearchReq", sreq.Encode(nil), "381c01e73a9bafe7316b17c242fb9d7fd8ea5770f1a950f59676eb00dcb1a494"},
 		{"KNNReq", kreq.Encode(nil), "96dfe0330559a2e75d1457ece1d8708e7d11ab8b3ed1a8117f1e012b135a9548"},
 		{"ScanReq", screq.Encode(nil), "1a8da6c87fcc6c031981d75ee2bc3fecb75df9295c618687baaae03a449cf3fa"},
@@ -73,7 +76,7 @@ func TestWireBytesPinned(t *testing.T) {
 		{"Error", EncodeError(nil, partial), "ab7ab1f80b7345a2a2e38d54a66a16ad9dd039b1e71435c62c52064e465bbe56"},
 		{"ErrorPlain", EncodeError(nil, ErrOverloaded), "d488c73f2b0cf65ca989cb79616835a5ec984596984f445dc40ae8df6b8477d5"},
 		{"StatsResp", sresp.Encode(nil), "9ab20669caa780c24a28478f39ba779b6b57fb9e96723bfcce86358517a08503"},
-		{"IndexesResp", iresp.Encode(nil), "baae96161f65b6fd97777723414731df89d6fd2c89dd05d9737a6b1994fdfd16"},
+		{"IndexesResp", iresp.Encode(nil), "50499513cf8fdda2b758bf91dc2a2a73a31b5eaa870a218e27cacf7d8867ead4"},
 	} {
 		sum := sha256.Sum256(tc.body)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {

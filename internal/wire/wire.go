@@ -41,8 +41,9 @@ import (
 // the codecs know: the handshake refuses a peer with any other version, so
 // every message has one Encode and one Decode. Changing a layout means
 // bumping Version and rebuilding both sides. Version 8 batches the
-// answers of a TMatch frame.
-const Version = 8
+// answers of a TMatch frame; version 9 adds an index's encoding and pool
+// pages to its IndexInfo.
+const Version = 9
 
 // magic identifies a twsearchd connection.
 var magic = [4]byte{'T', 'W', 'S', 'D'}

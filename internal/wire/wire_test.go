@@ -375,8 +375,8 @@ func TestStatsRespRoundTrip(t *testing.T) {
 func TestIndexesRespRoundTrip(t *testing.T) {
 	in := IndexesResp{Indexes: []IndexInfo{
 		{Name: "fast", Method: "max-entropy", Categories: 20, Sparse: true,
-			Window: -1, MinAnswerLen: 0, SizeBytes: 1 << 20, Leaves: 100, Nodes: 130},
-		{Name: "exact", Method: "identity", Window: 8},
+			Window: -1, MinAnswerLen: 0, SizeBytes: 1 << 20, Leaves: 100, Nodes: 130, Encoding: 2, PoolPages: 64},
+		{Name: "exact", Method: "identity", Window: 8, Encoding: 1},
 	}}
 	out, err := DecodeIndexesResp(in.Encode(nil))
 	if err != nil {

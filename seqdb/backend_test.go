@@ -285,7 +285,7 @@ func TestOpenRefusesRetiredEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, ext := range []string{".twt", ".cat", ".meta"} {
+	for _, ext := range []string{".twt", ".cat"} {
 		if err := os.Remove(filepath.Join(dir, "idx-ix-v2"+ext)); err != nil {
 			t.Fatal(err)
 		}

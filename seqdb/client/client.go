@@ -401,6 +401,8 @@ func (c *Client) ListIndexes(ctx context.Context, db string) ([]seqdb.IndexInfo,
 				Sparse:       ix.Sparse,
 				Window:       ix.Window,
 				MinAnswerLen: ix.MinAnswerLen,
+				PoolPages:    ix.PoolPages,
+				Encoding:     seqdb.Encoding(ix.Encoding),
 			},
 			SizeBytes: ix.SizeBytes,
 			Leaves:    ix.Leaves,

@@ -399,9 +399,9 @@ func comparePosition(a, b Match) int {
 	return a.End - b.End
 }
 
-// An index whose scheme file is of another dimension than its dataset — a
-// 3-D grid copied over a 2-D index's — is refused at open with
-// ErrDimension, the file named, not encoded until it panics.
+// An index whose record holds a scheme of another dimension than its
+// dataset — a 3-D grid's record copied over a 2-D index's — is refused at
+// open with ErrDimension, the file named, not encoded until it panics.
 func TestOpenRefusesSchemeOfOtherDimension(t *testing.T) {
 	two := newVectorTestDB(t, 4, 30, 2, 51)
 	three := newVectorTestDB(t, 4, 30, 3, 52)
@@ -423,15 +423,17 @@ func TestOpenRefusesSchemeOfOtherDimension(t *testing.T) {
 	}
 }
 
-// A scheme file that declares zero categories — a TWCATSC1 scheme over a
-// database of dimension 1, a TWGRID01 grid of two such schemes over one of
-// dimension 2 — is refused at open. Accepted, the first search of the one
+// An index record whose scheme declares zero categories — a TWCATSC1
+// scheme over a database of dimension 1, a TWGRID01 grid of two such
+// schemes over one of dimension 2 — is refused at open. Accepted, the first search of the one
 // indexed a category table of length 0, and the open of the other indexed
 // an empty cell table while encoding, both with a panic.
 func TestOpenRefusesSchemeOfNoCategories(t *testing.T) {
 	scheme := append([]byte("TWCATSC1"), 0, 0, 0, 0, 0) // equal-length, count 0
 	grid := append([]byte("TWGRID01"), 2, 0)            // dimension 2
 	grid = append(append(append(grid, scheme...), scheme...), 0, 0, 0, 0)
+	// The record's header: window -1, the default pool.
+	head := append([]byte("TWINDEX1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0)
 	for dim, file := range map[int][]byte{1: scheme, 2: grid} {
 		db := newVectorTestDB(t, 4, 30, dim, 81)
 		if err := db.BuildIndex("g", IndexSpec{Categories: 3}); err != nil {
@@ -440,7 +442,7 @@ func TestOpenRefusesSchemeOfNoCategories(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(db.Dir(), "idx-g.cat"), file, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(db.Dir(), "idx-g.cat"), append(append([]byte(nil), head...), file...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(db.Dir())
@@ -453,50 +455,49 @@ func TestOpenRefusesSchemeOfNoCategories(t *testing.T) {
 	}
 }
 
-// TestBuildIndexFailureRemovesItsFiles: a build whose scheme or meta file
-// cannot be written fails, removes every file it wrote and none that was
-// there before it, and succeeds when repeated once the cause is gone — in
-// both dimensions.
+// TestBuildIndexFailureRemovesItsFiles: a build whose record cannot be
+// written fails, removes the tree it wrote and nothing else, and succeeds
+// when repeated once the cause is gone — in both dimensions.
 func TestBuildIndexFailureRemovesItsFiles(t *testing.T) {
+	const blocked = "idx-ix.cat"
 	for _, dim := range []int{1, 2} {
-		for _, blocked := range []string{"idx-ix.cat", "idx-ix.meta"} {
-			db := newVectorTestDB(t, 4, 30, dim, 61)
-			// A directory where a file is to be written cannot be created.
-			block := filepath.Join(db.Dir(), blocked)
-			if err := os.Mkdir(block, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.BuildIndex("ix", IndexSpec{Categories: 3}); err == nil {
-				t.Fatalf("d=%d, %s blocked: build succeeded", dim, blocked)
-			}
-			entries, err := os.ReadDir(db.Dir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var left []string
-			for _, e := range entries {
-				left = append(left, e.Name())
-			}
-			if want := []string{"data.twdb", blocked}; !reflect.DeepEqual(left, want) {
-				t.Errorf("d=%d, %s blocked: failed build left %v, want %v", dim, blocked, left, want)
-			}
-			if err := os.Remove(block); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.BuildIndex("ix", IndexSpec{Categories: 3}); err != nil {
-				t.Fatalf("d=%d, %s unblocked: retry: %v", dim, blocked, err)
-			}
-			if _, _, err := search(db, "ix", cut(db, "vec-0", 0, 4), 1); err != nil {
-				t.Fatalf("d=%d: search after retry: %v", dim, err)
-			}
+		db := newVectorTestDB(t, 4, 30, dim, 61)
+		// A directory where a file is to be written cannot be created.
+		block := filepath.Join(db.Dir(), blocked)
+		if err := os.Mkdir(block, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildIndex("ix", IndexSpec{Categories: 3}); err == nil {
+			t.Fatalf("d=%d, %s blocked: build succeeded", dim, blocked)
+		}
+		entries, err := os.ReadDir(db.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var left []string
+		for _, e := range entries {
+			left = append(left, e.Name())
+		}
+		if want := []string{"data.twdb", blocked}; !reflect.DeepEqual(left, want) {
+			t.Errorf("d=%d, %s blocked: failed build left %v, want %v", dim, blocked, left, want)
+		}
+		if err := os.Remove(block); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildIndex("ix", IndexSpec{Categories: 3}); err != nil {
+			t.Fatalf("d=%d, %s unblocked: retry: %v", dim, blocked, err)
+		}
+		if _, _, err := search(db, "ix", cut(db, "vec-0", 0, 4), 1); err != nil {
+			t.Fatalf("d=%d: search after retry: %v", dim, err)
 		}
 	}
 }
 
-// A directory in the old vector layout — a vectors.twvdb dataset, vidx-*
-// index files — is refused with ErrOldLayout, which names the file.
+// A directory in an old layout — a vectors.twvdb dataset, vidx-* index
+// files, or the idx-*.meta of an index of three files — is refused with
+// ErrOldLayout, which names the file.
 func TestOpenRefusesOldVectorLayout(t *testing.T) {
-	for _, file := range []string{"vectors.twvdb", "vidx-g.twt", "vidx-g.grid"} {
+	for _, file := range []string{"vectors.twvdb", "vidx-g.twt", "vidx-g.grid", "idx-g.meta"} {
 		db := newVectorTestDB(t, 2, 10, 2, 71)
 		path := filepath.Join(db.Dir(), file)
 		if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
@@ -508,10 +509,11 @@ func TestOpenRefusesOldVectorLayout(t *testing.T) {
 	}
 }
 
-// The files of a database of dimension 2 are pinned: its dataset, tree,
-// grid and meta files hold the bytes vector databases were written in
-// before they became databases of dimension d, under the names every
-// database uses (the digests were captured from that layout's files).
+// The files of a database of dimension 2 are pinned: its dataset and tree
+// files hold the bytes vector databases were written in before they became
+// databases of dimension d, under the names every database uses (the
+// digests were captured from that layout's files), and its index record
+// holds, after its 24-byte header, the bytes of that layout's grid file.
 func TestVectorFilesPinned(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "vdb")
 	db, err := CreateDim(dir, 2)
@@ -534,18 +536,22 @@ func TestVectorFilesPinned(t *testing.T) {
 	if err := db.BuildIndex("g", IndexSpec{Categories: 3, Window: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for file, want := range map[string]string{
-		"data.twdb":  "8ba4b26496fa1af3202dc3c348fd40431dd8103d19269c18536c07c667c8a3c9",
-		"idx-g.twt":  "b34d8b1729f65dde9d876024fb801fc2394c0adcc9a739eab8993d4fb7e60afc",
-		"idx-g.cat":  "514b9274487b74e005160d5e33c9bcb8f144a3ff89e88ddfbf49cd4812624c92",
-		"idx-g.meta": "61b0973f6c5a5ab9defddcb6206f4992c427e110b742f849437f777e59acd6ea",
+	for _, tc := range []struct {
+		file string
+		from int // the digest is of the bytes from this offset on
+		want string
+	}{
+		{"data.twdb", 0, "8ba4b26496fa1af3202dc3c348fd40431dd8103d19269c18536c07c667c8a3c9"},
+		{"idx-g.twt", 0, "b34d8b1729f65dde9d876024fb801fc2394c0adcc9a739eab8993d4fb7e60afc"},
+		{"idx-g.cat", 0, "76d3af778a273deb3aa3a5fb6158d96d7e471281f021ae7b17cbb04f2fadeba3"},
+		{"idx-g.cat", 24, "514b9274487b74e005160d5e33c9bcb8f144a3ff89e88ddfbf49cd4812624c92"},
 	} {
-		b, err := os.ReadFile(filepath.Join(dir, file))
+		b, err := os.ReadFile(filepath.Join(dir, tc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
-			t.Errorf("%s: sha256 %s, want %s", file, got, want)
+		if got := fmt.Sprintf("%x", sha256.Sum256(b[tc.from:])); got != tc.want {
+			t.Errorf("%s from byte %d: sha256 %s, want %s", tc.file, tc.from, got, tc.want)
 		}
 	}
 }

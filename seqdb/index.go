@@ -3,7 +3,6 @@ package seqdb
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -91,21 +90,18 @@ func (p *part) treePath(name string) string {
 	return filepath.Join(p.dir, "idx-"+name+".twt")
 }
 
-func (p *part) schemePath(name string) string {
+// recordPath is the index's record: its settings and scheme, and the file
+// that commits it.
+func (p *part) recordPath(name string) string {
 	return filepath.Join(p.dir, "idx-"+name+".cat")
-}
-
-func (p *part) metaPath(name string) string {
-	return filepath.Join(p.dir, "idx-"+name+".meta")
 }
 
 // BuildIndex builds and persists a new index, shard by shard; each shard is
 // exclusively locked for the duration of its build. It is all or nothing:
-// when a shard fails, the files its build wrote are removed, and the index
-// is dropped again from the shards this call had already built, so the
-// call can simply be repeated after fixing the cause. Shards that had the
-// index before the call keep it, and no file that existed before the call
-// is removed.
+// when a shard fails, the tree its build wrote is removed, and the index is
+// dropped again from the shards this call had already built, so the call
+// can simply be repeated after fixing the cause. Shards that had the index
+// before the call keep it.
 func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 	for i, p := range db.parts {
 		if err := p.buildIndex(name, spec); err != nil {
@@ -121,7 +117,11 @@ func (db *DB) BuildIndex(name string, spec IndexSpec) error {
 	return nil
 }
 
-func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
+// buildIndex commits the tree (inside core.Build) and then the record, the
+// index's one commit point: a tree without its record is an uncommitted
+// build, which Open does not open and the next build of the name
+// overwrites.
+func (p *part) buildIndex(name string, spec IndexSpec) error {
 	if err := validIndexName(name); err != nil {
 		return err
 	}
@@ -136,24 +136,7 @@ func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 	if spec.Encoding != 0 && spec.Encoding != EncodingV1 && spec.Encoding != EncodingV2 {
 		return fmt.Errorf("seqdb: index %q: record encoding %d: %w", name, spec.Encoding, disktree.ErrUnsupportedEncoding)
 	}
-	// On failure, remove the files this call writes that did not exist
-	// before it.
-	var created []string
-	for _, path := range []string{p.treePath(name), p.schemePath(name), p.metaPath(name)} {
-		if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
-			created = append(created, path)
-		}
-	}
-	var ix *core.Index
-	defer func() {
-		if err != nil {
-			if ix != nil {
-				ix.Close()
-			}
-			removeIndexFiles(created...)
-		}
-	}()
-	ix, err = core.Build(p.data, p.treePath(name), core.Options{
+	ix, err := core.Build(p.data, p.treePath(name), core.Options{
 		Kind:         categorize.Kind(spec.Method),
 		Categories:   spec.Categories,
 		Sparse:       spec.Sparse,
@@ -166,20 +149,20 @@ func (p *part) buildIndex(name string, spec IndexSpec) (err error) {
 	if err != nil {
 		return err
 	}
-	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
-	// The meta before the scheme: Open reads the scheme first, so a cut build
-	// leaves an index Open refuses, never one reopened with meta defaults.
-	if err := storage.Commit(p.metaPath(name), func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "window=%d\npool_pages=%d\n", ix.Window, spec.PoolPages)
-		return err
-	}); err != nil {
-		return err
+	rec := core.IndexRecord{Window: ix.Window, PoolPages: max(spec.PoolPages, 0), Scheme: ix.Scheme}
+	if err := storage.Commit(p.recordPath(name), rec.Write); err != nil {
+		ix.Close()
+		return errors.Join(err, removeFile(p.treePath(name)))
 	}
-	if err := storage.Commit(p.schemePath(name), ix.Scheme.Write); err != nil {
-		return err
-	}
-	p.indexes[name] = &openIndex{spec: specOf(ix, spec.PoolPages), ix: ix}
+	p.attach(name, ix, rec.PoolPages)
 	return nil
+}
+
+// attach adds an index, built or opened with a pool of poolPages pages, to
+// the part's open indexes.
+func (p *part) attach(name string, ix *core.Index, poolPages int) {
+	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
+	p.indexes[name] = &openIndex{spec: specOf(ix, poolPages), ix: ix}
 }
 
 // specOf reports the spec of ix, opened with a pool of poolPages pages, as
@@ -197,32 +180,28 @@ func specOf(ix *core.Index, poolPages int) IndexSpec {
 	}
 }
 
-// openIndexFiles attaches a persisted index during Open. A scheme file of
-// another dimension than the dataset is refused with ErrDimension, naming
-// the file.
+// openIndexFiles attaches a persisted index during Open. A record that
+// does not parse, or whose scheme is of another dimension than the dataset
+// (ErrDimension), is refused, naming the file.
 func (p *part) openIndexFiles(name string) error {
-	sf, err := os.Open(p.schemePath(name))
+	path := p.recordPath(name)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	scheme, err := core.ReadScheme(sf)
-	sf.Close()
+	rec, err := core.ReadIndexRecord(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("seqdb: %s: %w", path, err)
+	}
+	if rec.Scheme.Dim() != p.data.Dim() {
+		return fmt.Errorf("seqdb: %s holds a %d-dimensional scheme for a %d-dimensional dataset: %w", path, rec.Scheme.Dim(), p.data.Dim(), ErrDimension)
+	}
+	ix, err := core.OpenWith(p.data, rec.Scheme, p.treePath(name), rec.PoolPages, rec.Window, p.backend)
 	if err != nil {
 		return err
 	}
-	if scheme.Dim() != p.data.Dim() {
-		return fmt.Errorf("seqdb: %s holds a %d-dimensional scheme for a %d-dimensional dataset: %w", p.schemePath(name), scheme.Dim(), p.data.Dim(), ErrDimension)
-	}
-	window, poolPages, err := readIndexMeta(p.metaPath(name))
-	if err != nil {
-		return err
-	}
-	ix, err := core.OpenWith(p.data, scheme, p.treePath(name), poolPages, window, p.backend)
-	if err != nil {
-		return err
-	}
-	ix.DisableEnvelopes = p.envelopes == EnvelopesOff
-	p.indexes[name] = &openIndex{spec: specOf(ix, poolPages), ix: ix}
+	p.attach(name, ix, rec.PoolPages)
 	return nil
 }
 
@@ -260,7 +239,19 @@ func (p *part) dropIndex(name string) error {
 	if err := oi.ix.Close(); err != nil {
 		return err
 	}
-	return removeIndexFiles(p.metaPath(name), p.schemePath(name), p.treePath(name))
+	// The record first: while it stands, the index is whole on disk.
+	if err := removeFile(p.recordPath(name)); err != nil {
+		return err
+	}
+	return removeFile(p.treePath(name))
+}
+
+// removeFile deletes the file at path; one already gone is not an error.
+func removeFile(path string) error {
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 // Indexes lists the open indexes' names. Open refuses a sharded root whose

@@ -5,7 +5,8 @@
 // Databases" (ICDE 2000).
 //
 // A database lives in a directory: the raw sequences in one binary file and
-// each index as a tree file plus its categorization scheme. Its sequences
+// each index as a tree file plus a record of its settings and
+// categorization scheme, which commits it. Its sequences
 // are of d-dimensional points, d ≥ 1 fixed at creation: Create makes a
 // database of values (d = 1), CreateDim one of vectors such as
 // trajectories, the paper's conclusion-section extension. Sequences and
@@ -71,18 +72,20 @@ import (
 const dataFileName = "data.twdb"
 
 // ErrDimension reports a dimension that does not fit: a query that is not
-// a whole number of the database's points, an index
-// scheme file of another dimension than its dataset, or an operation
+// a whole number of the database's points, an index record whose scheme
+// is of another dimension than its dataset, or an operation
 // defined for one-dimensional databases only — Align, SelectCategories,
 // ExportCSV, ImportCSV, and serving — asked of one of dimension d > 1.
 // errors.Is finds it under the error.
 var ErrDimension = core.ErrDimension
 
-// ErrOldLayout reports a directory in the layout vector databases had
-// before they became databases of dimension d > 1: a vectors.twvdb dataset
-// or vidx-* index files. Open refuses it; rebuild the database with
-// CreateDim, Add and BuildIndex.
-var ErrOldLayout = errors.New("old vector database layout; rebuild it with CreateDim and BuildIndex")
+// ErrOldLayout reports a directory in a layout Open no longer reads: the
+// one vector databases had before they became databases of dimension
+// d > 1 (a vectors.twvdb dataset or vidx-* index files), or an index of
+// three files (an idx-*.meta beside its tree and scheme). Open refuses it;
+// rebuild the database with CreateDim, Add and BuildIndex, or, for the
+// second, remove the idx-* files and build the indexes again.
+var ErrOldLayout = errors.New("old database layout; rebuild it")
 
 // Match is one answer subsequence. Start/End index the sequence's points as
 // a half-open interval; Distance is the exact time warping distance from
@@ -209,15 +212,18 @@ func newPart(dir string, data *sequence.Dataset, opts OpenOptions) *part {
 	return &part{dir: dir, backend: opts.Backend, envelopes: opts.Envelopes, data: data, indexes: map[string]*openIndex{}}
 }
 
-// openPart loads one shard's dataset and indexes. A directory holding
-// files of the old vector layout is refused with ErrOldLayout.
+// openPart loads one shard's dataset and the indexes whose records it
+// holds; a tree without its record is an uncommitted build, and is not
+// opened. A directory holding a file of an old layout is refused with
+// ErrOldLayout.
 func openPart(dir string, opts OpenOptions) (*part, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range entries {
-		if name := e.Name(); name == "vectors.twvdb" || strings.HasPrefix(name, "vidx-") {
+		name := e.Name()
+		if name == "vectors.twvdb" || strings.HasPrefix(name, "vidx-") || strings.HasPrefix(name, "idx-") && strings.HasSuffix(name, ".meta") {
 			return nil, fmt.Errorf("seqdb: %s: %w", filepath.Join(dir, name), ErrOldLayout)
 		}
 	}
@@ -228,10 +234,10 @@ func openPart(dir string, opts OpenOptions) (*part, error) {
 	p := newPart(dir, data, opts)
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "idx-") || !strings.HasSuffix(name, ".twt") {
+		if !strings.HasPrefix(name, "idx-") || !strings.HasSuffix(name, ".cat") {
 			continue
 		}
-		idxName := strings.TrimSuffix(strings.TrimPrefix(name, "idx-"), ".twt")
+		idxName := strings.TrimSuffix(strings.TrimPrefix(name, "idx-"), ".cat")
 		if err := p.openIndexFiles(idxName); err != nil {
 			p.close()
 			return nil, fmt.Errorf("seqdb: opening index %q: %w", idxName, err)

@@ -548,7 +548,7 @@ func TestOpenCorruptedIndexFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	// Corrupt the scheme file: Open must fail cleanly, not panic.
+	// Corrupt the index record: Open must fail cleanly, not panic.
 	if err := os.WriteFile(filepath.Join(dir, "idx-x.cat"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,6 @@ func TestOpenCorruptedIndexFiles(t *testing.T) {
 	// Remove the stray index files: Open succeeds without the index.
 	os.Remove(filepath.Join(dir, "idx-x.cat"))
 	os.Remove(filepath.Join(dir, "idx-x.twt"))
-	os.Remove(filepath.Join(dir, "idx-x.meta"))
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -575,6 +575,8 @@ func indexesResp(db *seqdb.DB) (byte, []byte, error) {
 			SizeBytes:    info.SizeBytes,
 			Leaves:       info.Leaves,
 			Nodes:        info.Nodes,
+			Encoding:     uint8(info.Spec.Encoding),
+			PoolPages:    info.Spec.PoolPages,
 		})
 	}
 	return wire.TIndexes, resp.Encode(nil), nil

@@ -235,3 +235,55 @@ func TestServerBatchedStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestServerListIndexesMatchesIndex: what a client lists of an index is
+// what Index reports of it in process, field for field — a v1 index, a v2
+// index and one read through a 64-page pool, flat and on a 2-shard mount.
+func TestServerListIndexesMatchesIndex(t *testing.T) {
+	leakCheck(t)
+	db := newTestDB(t)
+	dbs := map[string]*seqdb.DB{"flat": db, "sharded": newSharded(t, db, 2)}
+	s := New(Config{})
+	for mount, d := range dbs {
+		for name, spec := range map[string]seqdb.IndexSpec{
+			"v2":     {Method: seqdb.MethodMaxEntropy, Categories: 10, Encoding: seqdb.EncodingV2},
+			"pooled": {Method: seqdb.MethodKMeans, Categories: 6, Window: 3, PoolPages: 64},
+		} {
+			if err := d.BuildIndex(name, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.AddDB(mount, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := client.Dial(start(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for mount, d := range dbs {
+		infos, err := c.ListIndexes(context.Background(), mount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 3 {
+			t.Fatalf("%s: listed %d indexes, want 3", mount, len(infos))
+		}
+		for _, got := range infos {
+			want, err := d.Index(got.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: listed %+v, Index reports %+v", mount, got, want)
+			}
+		}
+		if info, _ := d.Index("fast"); info.Spec.Encoding != seqdb.EncodingV1 {
+			t.Errorf("%s: fast is %s, want v1", mount, info.Spec.Encoding)
+		}
+		if info, _ := d.Index("pooled"); info.Spec.PoolPages != 64 {
+			t.Errorf("%s: pooled has %d pool pages, want 64", mount, info.Spec.PoolPages)
+		}
+	}
+}

@@ -449,7 +449,7 @@ func TestOpenRefusesShardMismatch(t *testing.T) {
 	}{
 		{"shard lacks an index", func(sdb *DB) error {
 			p := sdb.parts[1]
-			return errors.Join(os.Remove(p.treePath("ix")), os.Remove(p.schemePath("ix")), os.Remove(p.metaPath("ix")))
+			return errors.Join(os.Remove(p.treePath("ix")), os.Remove(p.recordPath("ix")))
 		}, `shard 1 lacks index "ix"`},
 		{"shard holds an extra index", func(sdb *DB) error {
 			return sdb.Shard(1).BuildIndex("solo", spec)
