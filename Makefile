@@ -68,7 +68,7 @@ ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lis
 # recycled frame is never a pinned one — runs with one scheduler thread and
 # with four. TestConcurrentVectorSearches is the same contract over one
 # handle of a database of dimension 2.
-RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|TestFound|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)

@@ -84,6 +84,13 @@ func BenchmarkSearchBroad(b *testing.B) {
 	benchEncodings(b, 273, 20, 9, Options{Kind: categorize.KindMaxEntropy, Categories: 20, Sparse: true})
 }
 
+// BenchmarkSearchExact is BenchmarkSearchBroad's data and queries over
+// the paper's plain ST: a sparse identity tree, whose filter rows are exact
+// and whose answers verification decides like every other tree's.
+func BenchmarkSearchExact(b *testing.B) {
+	benchEncodings(b, 273, 20, 9, Options{Kind: categorize.KindIdentity, Sparse: true})
+}
+
 // trajectoryWalks generates n two-dimensional random walks of points
 // samples each, point-major — unit-variance steps per axis, rounded to
 // hundredths, from starts spread evenly over a 100×100 field.

@@ -615,28 +615,6 @@ func TestNoFalseDismissalsAtTies(t *testing.T) {
 	}
 }
 
-// The identity index computes exact distances while filtering: stored
-// candidates bypass post-processing entirely on dense trees.
-func TestIdentityIndexSkipsPostProcessing(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	data := randomWalkDataset(rng, 3, 20)
-	ix, err := Build(data, filepath.Join(t.TempDir(), "id.twt"), Options{Kind: categorize.KindIdentity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	_, stats, err := search(ix, randomQuery(rng, 5), 6.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PostCells != 0 {
-		t.Errorf("identity dense index did post-processing: %d cells", stats.PostCells)
-	}
-	if stats.FalseAlarms != 0 {
-		t.Errorf("identity dense index had %d false alarms", stats.FalseAlarms)
-	}
-}
-
 // Lossy categorization must never report a distance below the true one —
 // every returned Distance is the exact D_tw.
 func TestReportedDistancesExact(t *testing.T) {

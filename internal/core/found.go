@@ -1,47 +1,33 @@
 package core
 
 // findings is what a search's filter pass found, for the verification pass
-// that follows it: starts to verify, each with the furthest end it stands
-// for, and on an exact index answers, each with its end and exact
-// distance. Entries are appended in discovery order and keyed by their
+// that follows it: the starts to verify, each with the furthest end it
+// stands for. Entries are appended in discovery order and keyed by their
 // global element offset (the sequence's offset plus the start), so sorted
-// hands them over in (sequence, start) order and, at one start, in
-// discovery order: a start offered twice is two neighbouring entries, which
-// the pass merges into one keeping the furthest end, and an exact start's
-// answers keep the rising ends the traversal finds them in, one qualifying
-// depth after another on its way down. No start is both: stored suffixes
-// are run heads, shifted starts are not. The slices keep their capacity
+// hands them over in (sequence, start) order. No start is offered twice: a
+// reached leaf hands over the starts of its own run, and a collected
+// subtree those of each of its leaves once. The slices keep their capacity
 // across the queries of the pooled searcher, so a query costs O(entries),
 // never O(database).
 type findings struct {
 	// keys[i] holds entry i's offset in its high half and i in its low
-	// half; spare is sorted's second buffer, swapped with keys.
+	// half; spare is sorted's second buffer, swapped with keys. ends[i] is
+	// entry i's end.
 	keys, spare []uint64
-	entries     []finding
+	ends        []int32
 }
-
-// finding is one entry: the end of a start to verify (dist toVerify) or of
-// an answer at exact distance dist.
-type finding struct {
-	end  int32
-	dist float64
-}
-
-// toVerify is the dist of a finding that is a start to verify; no distance
-// is negative.
-const toVerify = -1
 
 // reset forgets the last query's entries.
-func (f *findings) reset() { f.keys, f.entries = f.keys[:0], f.entries[:0] }
+func (f *findings) reset() { f.keys, f.ends = f.keys[:0], f.ends[:0] }
 
-// add appends an entry at offset off.
+// add appends the start at offset off, to be verified up to end.
 //
 //twlint:steady-state
-func (f *findings) add(off, end int, dist float64) {
+func (f *findings) add(off, end int) {
 	//lint:ignore steadystate amortized: keys doubles toward the high-water mark of entries per query, then reset reslices to 0 and reuses the array
-	f.keys = append(f.keys, uint64(off)<<32|uint64(len(f.entries)))
+	f.keys = append(f.keys, uint64(off)<<32|uint64(len(f.ends)))
 	//lint:ignore steadystate amortized: as keys
-	f.entries = append(f.entries, finding{end: int32(end), dist: dist})
+	f.ends = append(f.ends, int32(end))
 }
 
 // sorted returns the keys in ascending offset order, entries at one offset
@@ -58,11 +44,11 @@ func (f *findings) sorted() []uint64 {
 	return f.keys
 }
 
-// at returns the offset and the entry of a key sorted returned.
+// at returns the offset and the end of a key sorted returned.
 //
 //twlint:steady-state
-func (f *findings) at(key uint64) (off int, e finding) {
-	return int(key >> 32), f.entries[uint32(key)]
+func (f *findings) at(key uint64) (off int, end int32) {
+	return int(key >> 32), f.ends[uint32(key)]
 }
 
 // radixSort orders a by the high halves of its keys, stably, by

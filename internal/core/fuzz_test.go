@@ -14,9 +14,9 @@ import (
 // and asserts the end-to-end no-false-dismissal equality on an ME index —
 // sparse, with and without a warping window, or dense, or an identity index,
 // optionally with an answer-length floor — the whole stack under fuzz:
-// deferred collection, leaf verification (an identity index with filter
-// distances that are exact walks its leaves instead), the first-element test
-// and thresholded verification rows included — for the range search, down to
+// deferred collection, leaf verification (on every tree, an identity one's
+// exact filter rows included), the first-element test and thresholded
+// verification rows included — for the range search, down to
 // eps = 0 where only exact hits are live, and for the k-NN loop, whose
 // answer must be the k best of the exhaustive scan by (distance, position).
 // Values are small integers, so distances are exact and ties at the k-th
@@ -25,8 +25,7 @@ import (
 // answer-length floor; bit 4 sets eps to the exact distance of one scan
 // answer (epsRaw picks which), a tie that every pruning and candidate test
 // must keep; bit 5 reads the bytes as points of dimension 2, searched
-// through a grid, whose filter is never exact, so every reached leaf is
-// verified.
+// through a grid.
 func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0), uint8(0))
@@ -39,10 +38,11 @@ func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 2, 2, 6, 6, 6, 2, 2, 2, 2, 2, 2, 6, 6, 6, 6, 2, 2}, []byte{2, 6, 6}, uint8(4), uint8(1), uint8(0), uint8(3<<2))
 	// Sparse under a window, runs longer than |Q| + w.
 	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 1, 1, 1}, []byte{5, 5, 1}, uint8(3), uint8(1), uint8(2), uint8(0))
-	// Identity, dense: exact filter distances, the label walk kept.
+	// Identity, dense: exact filter rows prune, and verification decides
+	// the starts of the leaves they reach.
 	f.Add([]byte{1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2}, []byte{2, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(3))
-	// Identity, sparse under a window: its filter is not exact, so its
-	// leaves are verified.
+	// Identity, sparse under a window: an unconstrained filter under a
+	// banded answer.
 	f.Add([]byte{1, 1, 1, 2, 3, 3, 2, 1, 1, 2, 2, 2, 3, 1}, []byte{1, 2, 3}, uint8(2), uint8(0), uint8(2), uint8(1|2<<2))
 	// eps at an answer's exact distance, over long runs: a sparse identity
 	// tree, whose shifted starts are candidates by their discounted filter

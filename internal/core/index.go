@@ -7,7 +7,9 @@
 //   - SimSearch-ST (Section 4): the identity categorization gives every
 //     distinct value a point category, so the lower-bound base distance
 //     degenerates to the exact city-block distance and filtering distances
-//     are exact — no post-processing is needed.
+//     are exact. The paper needs no post-processing here; this engine
+//     verifies what the exact rows propose like every other index's, so
+//     there is one way to deliver an answer.
 //   - SimSearch-ST_C (Section 5): a lossy categorization (EL/ME/k-means)
 //     makes the tree compact; traversal computes D_tw-lb (Definition 3) and
 //     candidates are verified against the raw values (PostProcess).

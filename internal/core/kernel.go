@@ -12,13 +12,14 @@ import (
 // query's envelope, for one query at a time. The traversal owns every
 // decision — what to prune, what is a candidate, what is an answer — and
 // calls the kernel at most twice per filter row, never per cell: Gap and
-// AddRow (Base0 once per path); once per candidate start, Dead; once per
-// sequence with starts to verify, Backward; and once per start Backward
-// leaves live, Verify. The lower bounds Gap and AddRow return may
-// only prune through bound > eps, and never become a Match distance;
-// TestNoFalseDismissalsAtTies (at dimension 1 and 2) holds the kernel to that with eps set to the exact distances of the
-// scan's answers: the ties at which a >= in place of the > would dismiss
-// an answer.
+// AddRow (Base0 once per path); once per reached leaf's run or collected
+// start, Admit; once per sequence with starts to verify, Backward; and once
+// per start Backward leaves live, Verify. The lower bounds Gap and AddRow
+// return may only prune through bound > eps, and never become a Match
+// distance; TestNoFalseDismissalsAtTies (at dimension 1 and 2) holds the
+// kernel to that with eps set to the exact distances of the scan's
+// answers: the ties at which a >= in place of the > would dismiss an
+// answer.
 type Kernel interface {
 	// Bind points the kernel at q, a point-major query of the data's
 	// dimension: the filter table and the envelopes (when envelopes is set)
@@ -26,11 +27,8 @@ type Kernel interface {
 	// threshold. A search calls it once, before the traversal starts.
 	Bind(q []float64, filterWindow, window int, eps float64, envelopes bool)
 
-	// QueryLen is the bound query's length in points; Exact reports that
-	// filter distances over stored suffixes are exact distances (identity
-	// categorization), so those candidates need no verification.
+	// QueryLen is the bound query's length in points.
 	QueryLen() int
-	Exact() bool
 
 	// Base0 returns D_base-lb(q[0], sym), the per-shift discount of
 	// D_tw-lb2 (Definition 4) on a path whose first symbol is sym.
@@ -72,7 +70,7 @@ type Kernel interface {
 	// Cells returns the table cells charged since the kernel was bound: one
 	// per query point for a filter row, the cells computed for a
 	// verification row or a row of the backward pass; and the envelope gap
-	// terms Dead summed, which are no table cells.
+	// terms admission summed, which are no table cells.
 	Cells() (filter, post, gaps uint64)
 }
 
@@ -83,16 +81,12 @@ type Kernel interface {
 type symbolBoxes struct {
 	dim    int
 	lo, hi []float64
-	// exact records the identity categorization of values: every box is
-	// one value, so filter rows are exact rows.
-	exact bool
 }
 
 func newSymbolBoxes(scheme Scheme) *symbolBoxes {
 	b := &symbolBoxes{dim: scheme.Dim()}
 	switch s := scheme.(type) {
 	case *categorize.Scheme:
-		b.exact = s.Kind() == categorize.KindIdentity
 		for i := 0; i < s.NumCategories(); i++ {
 			iv := s.Interval(categorize.Symbol(i))
 			b.lo = append(b.lo, iv.Lo)
@@ -166,7 +160,6 @@ func (k *kernel) Bind(q []float64, filterWindow, window int, eps float64, envelo
 }
 
 func (k *kernel) QueryLen() int { return len(k.q) / k.boxes.dim }
-func (k *kernel) Exact() bool   { return k.boxes.exact }
 
 func (k *kernel) Base0(sym suffixtree.Symbol) float64 {
 	return dtw.BaseBox(k.q[:k.boxes.dim], k.boxes.box(sym))

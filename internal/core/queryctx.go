@@ -61,7 +61,6 @@ func (qp *queryPool) acquire(ix *Index, ctx context.Context, q []float64, eps fl
 	s.envOn = !ix.DisableEnvelopes
 	s.kern.Bind(q, filterWindow, ix.Window, eps, s.envOn)
 	s.qLen = s.kern.QueryLen()
-	s.exactStored = s.kern.Exact() && filterWindow == ix.Window
 	s.found.reset()
 	if len(s.envSums) == 0 {
 		s.envSums = append(s.envSums, 0)

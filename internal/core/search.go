@@ -106,9 +106,8 @@ func (ix *Index) Search(ctx context.Context, q []float64, eps float64) ([]Match,
 // returning false stops the search early. Use it when a permissive threshold
 // would produce answer sets too large to hold in memory. fn is called from
 // the calling goroutine, in the (sequence, start, end) order Search returns,
-// once the filter pass has ended: an exact index's answers from the filter
-// pass and verified ones in one stream. After a cancellation no further
-// answers are delivered to fn.
+// once the filter pass has ended. After a cancellation no further answers
+// are delivered to fn.
 func (ix *Index) SearchVisit(ctx context.Context, q []float64, eps float64, fn func(Match) bool) (SearchStats, error) {
 	if fn == nil {
 		return SearchStats{}, errors.New("core: nil visitor")
@@ -166,19 +165,16 @@ type searcher struct {
 	kern   Kernel
 	qLen   int
 	sparse bool
-	// exactStored marks stored-suffix filter distances as exact answers
-	// (identity categorization with a band-consistent filter table).
-	exactStored bool
 
 	stats SearchStats
 
 	// found is what the filter pass found: the starts to verify, each with
-	// an end (key: seqOffsets[seq]+start), and an exact index's answers.
-	// postProcess scans each start once, to its furthest end: every end
-	// whose exact distance is within eps is an answer, and by the
-	// no-false-dismissal property those are exactly the true answers at
-	// that start — so one table per start verifies all its candidates at
-	// once, bounding post-processing by the baseline's total work.
+	// an end (key: seqOffsets[seq]+start). postProcess scans each start
+	// once, to its furthest end: every end whose exact distance is within
+	// eps is an answer, and by the no-false-dismissal property those are
+	// exactly the true answers at that start — so one table per start
+	// verifies all its candidates at once, bounding post-processing by the
+	// baseline's total work.
 	found      findings
 	seqOffsets []int
 	// onHit is the method value s.verified, made once per pooled searcher;
@@ -298,16 +294,16 @@ func (s *searcher) collectNode(level int) *disktree.Node {
 // path's leading equal-symbol run; the table is restored to its entry depth
 // before returning.
 //
-// Deferred emission: on non-exact indexes a candidate only contributes its
-// start and an end to the found list, so the path carries its deepest
-// qualifying depth pendD (0: none yet) and its smallest qualifying filter
-// distance pendDist — which only loosens bounds — from edge to edge, and the
-// subtree below is collected once, where the descent stops: every leaf under
-// a qualifying path is emitted once, not once per qualifying row above it.
-// A leaf the descent reaches is not walked at all: all its starts go to
-// verification (verifyLeaf), which covers whatever pendD would have. Exact
-// indexes emit answers with per-depth distances, so they walk their leaves,
-// collect at every qualifying depth and carry nothing.
+// Deferred emission: a candidate only contributes its start and an end to
+// the found list, so the path carries its deepest qualifying depth pendD (0:
+// none yet) and its smallest qualifying filter distance pendDist — which
+// only loosens bounds — from edge to edge, and the subtree below is
+// collected once, where the descent stops: every leaf under a qualifying
+// path is emitted once, not once per qualifying row above it. A leaf the
+// descent reaches is not walked at all: all its starts go to verification
+// (verifyLeaf), which covers whatever pendD would have. On an identity tree
+// the filter rows are exact rows, and still only propose: verification
+// decides every answer, at the scan's distance (THEORY.md §11).
 //
 //twlint:steady-state
 func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken bool, firstRun, pendD int, pendDist float64) error {
@@ -319,7 +315,7 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 	if s.stats.NodesVisited&cancelMask == 0 {
 		s.checkCancel()
 	}
-	if n.Leaf && !s.exactStored {
+	if n.Leaf {
 		s.verifyLeaf(n)
 		return nil
 	}
@@ -399,15 +395,9 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 			emitBound = dist - float64(firstRun-1)*s.base0
 		}
 		if emitBound <= s.eps {
-			if s.exactStored {
-				if err := s.collect(n, d, dist); err != nil {
-					return err
-				}
-			} else {
-				pendD = d
-				if dist < pendDist {
-					pendDist = dist
-				}
+			pendD = d
+			if dist < pendDist {
+				pendDist = dist
 			}
 		}
 
@@ -435,10 +425,10 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 
 	switch {
 	case s.stopped:
-	case !descend || n.Leaf:
-		// The descent ends here — pruned, gated, out of text or at a leaf.
+	case !descend:
+		// The descent ends here — pruned, gated or out of text.
 		if pendD > 0 {
-			if err := s.collect(n, pendD, pendDist); err != nil {
+			if err := s.collect(n, 0, pendD, pendDist); err != nil {
 				return err
 			}
 		}
@@ -462,20 +452,12 @@ func (s *searcher) processEdge(ptr disktree.Ptr, level, depth int, runBroken boo
 	return nil
 }
 
-// collect emits candidates for every leaf in the subtree rooted at the node
-// n (already read), for the current depth d and filter distance dist.
+// collect emits candidates for every leaf in the subtree below the inner
+// node n (already read), at collection level level, for the depth d and
+// filter distance dist of the path that qualified.
 //
 //twlint:steady-state
-func (s *searcher) collect(n *disktree.Node, d int, dist float64) error {
-	if n.Leaf {
-		s.emitLeaf(n, d, dist)
-		return nil
-	}
-	return s.collectChildren(n, 0, d, dist)
-}
-
-//twlint:steady-state
-func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64) error {
+func (s *searcher) collect(n *disktree.Node, level, d int, dist float64) error {
 	for i := range n.Children {
 		c := s.collectNode(level)
 		if err := s.rd.ReadNodeInto(n.Children[i].Ptr, c); err != nil {
@@ -485,7 +467,7 @@ func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64)
 			s.emitLeaf(c, d, dist)
 			continue
 		}
-		if err := s.collectChildren(c, level+1, d, dist); err != nil {
+		if err := s.collect(c, level+1, d, dist); err != nil {
 			return err
 		}
 	}
@@ -495,24 +477,14 @@ func (s *searcher) collectChildren(n *disktree.Node, level, d int, dist float64)
 // emitLeaf produces the candidate for the stored suffix (pos, pos+d) and,
 // on sparse trees, the D_tw-lb2 candidates for the non-stored suffixes
 // inside the leaf's leading run (Definition 4: shift j up to
-// min(runLen, d) - 1). When the filter distance is exact (identity
-// categorization, unshifted suffix) the stored suffix's candidate is an
-// answer outright, found for the verification pass to deliver; a shifted
-// one is only ever a candidate, since its discounted dist is a lower bound.
+// min(runLen, d) - 1).
 //
 //twlint:steady-state
 func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 	seq := int(leaf.LabelSeq)
 	pos := int(leaf.Pos)
 	if dist <= s.eps {
-		if s.exactStored {
-			if d >= s.ix.minAnswerLen {
-				s.stats.Candidates++
-				s.found.add(s.seqOffsets[seq]+pos, pos+d, dist)
-			}
-		} else {
-			s.candidate(seq, pos, pos+d)
-		}
+		s.candidate(seq, pos, pos+d)
 	}
 	if !s.sparse {
 		return
@@ -525,13 +497,14 @@ func (s *searcher) emitLeaf(leaf *disktree.Node, d int, dist float64) {
 	}
 }
 
-// verifyLeaf hands every start a leaf reached on a non-exact index stands
-// for to verification, each up to the end of its sequence: the stored
-// suffix and, on a sparse tree, the non-stored suffixes of its leading run.
-// Below a leaf the path is one suffix, so interval rows there share nothing
-// (R_d = 1) and would only decide again what the exact rows decide anyway,
-// at no lower cost: verification abandons each start by Theorem 1 no later
-// than the lower-bound rows would have (THEORY.md §11).
+// verifyLeaf hands every start a reached leaf stands for to verification,
+// each up to the end of its sequence: the stored suffix and, on a sparse
+// tree, the non-stored suffixes of its leading run. Below a leaf the path
+// is one suffix, so filter rows there share nothing (R_d = 1) and would
+// only decide again what the exact rows decide anyway, at no lower cost:
+// verification abandons each start by Theorem 1 no later than the filter
+// rows would have (THEORY.md §11), and computes only the live cells where
+// a filter row, an identity tree's exact one included, computes |Q|.
 //
 //twlint:steady-state
 func (s *searcher) verifyLeaf(leaf *disktree.Node) {
@@ -574,7 +547,7 @@ func (s *searcher) admit(seq, from, to, end int) {
 	s.admitted = s.kern.Admit(seq, from, to, s.admitted[:0])
 	off := s.seqOffsets[seq]
 	for _, start := range s.admitted {
-		s.found.add(off+int(start), end, toVerify)
+		s.found.add(off+int(start), end)
 	}
 }
 
@@ -582,15 +555,13 @@ func (s *searcher) admit(seq, from, to, end int) {
 // in (sequence, start, end) order. The sorted list visits only this query's
 // entries — O(entries), not a scan of the whole database — in (seq, start)
 // order, since the global offset is monotone in (seq, start). For each
-// sequence, one backward pass over its admitted starts, a start offered
-// twice merged into one with its furthest end, dismisses every start no
-// subsequence of which is within eps (dtw.Verifier.Backward, THEORY.md
-// §12). Then, in position order, each exact answer is delivered, and one
-// kernel call per start the pass leaves live scans to the start's furthest
-// end with Theorem-1 early abandon and reports every end with exact
-// distance within eps. The dead starts were never added (admit); the
-// rows of the others are computed only where a path within eps can still
-// run (dtw.Verifier).
+// sequence, one backward pass over its admitted starts dismisses every
+// start no subsequence of which is within eps (dtw.Verifier.Backward,
+// THEORY.md §12). Then, in position order, one kernel call per start the
+// pass leaves live scans to the start's furthest end with Theorem-1 early
+// abandon and reports every end with exact distance within eps. The dead
+// starts were never added (admit); the rows of the others are computed only
+// where a path within eps can still run (dtw.Verifier).
 //
 //twlint:steady-state
 func (s *searcher) postProcess() {
@@ -611,22 +582,14 @@ func (s *searcher) postProcess() {
 		s.starts, s.ends = s.starts[:0], s.ends[:0]
 		j := i
 		for ; j < len(keys); j++ {
-			off, e := s.found.at(keys[j])
+			off, end := s.found.at(keys[j])
 			if off >= limit {
 				break
 			}
-			if e.dist != toVerify {
-				continue
-			}
-			start := int32(off - base)
-			if n := len(s.starts); n > 0 && s.starts[n-1] == start {
-				s.ends[n-1] = max(s.ends[n-1], e.end)
-				continue
-			}
 			//lint:ignore steadystate pooled scratch: starts and ends keep their capacity across the queries of the pooled searcher
-			s.starts = append(s.starts, start)
+			s.starts = append(s.starts, int32(off-base))
 			//lint:ignore steadystate pooled scratch: as starts
-			s.ends = append(s.ends, e.end)
+			s.ends = append(s.ends, end)
 		}
 		if cap(s.live) < len(s.starts) {
 			//lint:ignore steadystate pooled scratch: live grows once to the most admitted starts of one sequence, then is reused
@@ -634,18 +597,10 @@ func (s *searcher) postProcess() {
 		}
 		live := s.live[:len(s.starts)]
 		s.kern.Backward(seq, s.starts, s.ends, live, s.onMore)
-		k := -1 // the start of s.starts the walk is at
-		for ; i < j && !s.stopped; i++ {
-			off, e := s.found.at(keys[i])
-			start := off - base
-			if e.dist != toVerify {
-				s.emit(Match{Ref: sequence.Ref{Seq: seq, Start: start, End: int(e.end)}, Distance: e.dist})
-				continue
+		for k, start := range s.starts {
+			if s.stopped {
+				break
 			}
-			if k >= 0 && int(s.starts[k]) == start {
-				continue // merged into the entry before
-			}
-			k++
 			if !live[k] {
 				continue
 			}
@@ -653,8 +608,8 @@ func (s *searcher) postProcess() {
 				s.checkCancel()
 			}
 			verified++
-			s.vseq, s.vstart = seq, start
-			s.kern.Verify(seq, start, int(s.ends[k]), s.onHit)
+			s.vseq, s.vstart = seq, int(start)
+			s.kern.Verify(seq, int(start), int(s.ends[k]), s.onHit)
 		}
 		i = j
 	}

@@ -35,12 +35,12 @@ type SearchStats struct {
 	// A reached leaf's label costs exact cells here and no filter cells.
 	PostCells uint64
 	// Candidates counts filter emissions: the starts the verification pass
-	// is handed, each standing for every prefix its one scan verifies. On a
-	// non-exact index a leaf the traversal reaches contributes all its
-	// starts — its suffix and, on a sparse tree, every shifted start of its
-	// leading run — unfiltered; a leaf collected under a qualifying path
-	// contributes the starts whose lower bound passed. Either way a start is
-	// emitted once per query. An exact index emits per qualifying depth.
+	// is handed, each standing for every prefix its one scan verifies. A
+	// leaf the traversal reaches contributes all its starts — its suffix
+	// and, on a sparse tree, every shifted start of its leading run —
+	// unfiltered; a leaf collected under a qualifying path contributes the
+	// starts whose lower bound passed. Either way a start is emitted once
+	// per query, on every index.
 	Candidates uint64
 	// FalseAlarms counts emissions not confirmed by exact verification
 	// (0 when answers outnumber emissions). Since a reached leaf hands over

@@ -274,7 +274,8 @@ func TestQuickTablePrefixDistances(t *testing.T) {
 	}
 }
 
-// Pop must restore the table exactly, so a DFS can reuse one table.
+// Popping rows with Truncate must restore the table exactly, so a DFS can
+// reuse one table.
 func TestTablePushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	q := randSeq(rng, 8)
@@ -282,17 +283,15 @@ func TestTablePushPop(t *testing.T) {
 	d1, m1 := tab.AddRowValue(1.5)
 	tab.AddRowValue(2.5)
 	tab.AddRowValue(-1)
-	tab.Pop()
-	tab.Pop()
+	tab.Truncate(1)
 	if tab.Depth() != 1 {
 		t.Fatalf("depth = %d, want 1", tab.Depth())
 	}
 	if row := tab.Row(0); row[len(row)-1] != d1 {
-		t.Fatal("row 0 corrupted by Pop")
+		t.Fatal("row 0 corrupted by Truncate")
 	}
 	d2, m2 := tab.AddRowValue(1.5) // different branch, same value
-	tab.Pop()
-	tab.Pop()
+	tab.Truncate(0)
 	if tab.Depth() != 0 {
 		t.Fatal("not empty after pops")
 	}
@@ -384,13 +383,14 @@ func TestTablePointIntervalMinDist(t *testing.T) {
 	}
 }
 
+// Popping a row off an empty table — truncating it to depth -1 — panics.
 func TestTablePopEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	NewTable([]float64{1}).Pop()
+	NewTable([]float64{1}).Truncate(-1)
 }
 
 // Theorem 2 at the distance level: the interval lower bound never exceeds

@@ -10,7 +10,7 @@ import "math"
 //
 // Rows can also be popped, which is what lets one Table be shared by an
 // entire depth-first traversal of a suffix tree: descend → AddRow,
-// backtrack → Pop. Sharing the table across all suffixes with a common
+// backtrack → Truncate. Sharing the table across all suffixes with a common
 // prefix is the paper's R_d reduction factor.
 //
 // The query is point-major in the dimension Bind is given. AddRowValue and
@@ -77,18 +77,6 @@ func (t *Table) Reset() {
 	t.rows = t.rows[:0]
 	t.depth = 0
 	t.cells = 0
-}
-
-// Pop removes the most recently added row. It panics on an empty table.
-//
-//twlint:steady-state
-func (t *Table) Pop() {
-	if t.depth == 0 {
-		//lint:ignore panicpath row-discipline assertion: an unmatched Pop means AddRow/Pop bookkeeping is already corrupt, so lower bounds can no longer be trusted
-		panic("dtw: Pop on empty table")
-	}
-	t.depth--
-	t.rows = t.rows[:t.depth*t.n]
 }
 
 // Truncate pops rows until exactly depth rows remain (the cell counter keeps
@@ -365,7 +353,7 @@ func (t *Table) bandFill(curr []float64, n, x int) (bandLo, bandHi int) {
 // Row returns the cells of row r (0-based), Inf in every column outside the
 // band: the kernels leave those undefined, so Row fills them in, at O(n) per
 // call. The slice aliases the table's storage, is for reading only, and is
-// invalidated by the next AddRow*/Pop/Truncate/Bind.
+// invalidated by the next AddRow*/Truncate/Bind.
 func (t *Table) Row(r int) []float64 {
 	n := t.n
 	row := t.rows[r*n : (r+1)*n]

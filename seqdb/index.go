@@ -34,8 +34,9 @@ type Method string
 
 // The available categorization methods. MethodExact keeps every distinct
 // value as its own point category, giving the paper's exact suffix tree ST
-// (large index, no post-processing); the others give the compact lossy
-// indexes ST_C / SST_C.
+// (a large index whose filter distances are exact, so they prune as tightly
+// as any can; its answers are verified like every index's); the others
+// give the compact lossy indexes ST_C / SST_C.
 const (
 	MethodExact       Method = Method(categorize.KindIdentity)
 	MethodEqualLength Method = Method(categorize.KindEqualLength)

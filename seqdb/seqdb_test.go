@@ -603,10 +603,9 @@ func TestSearchVisitPublic(t *testing.T) {
 	}
 }
 
-// TestExactVisitOrder: an exact index finds its filter-pass answers in DFS
-// order, yet SearchVisitWith streams them, merged with the verified ones
-// of a sparse tree, in the (sequence, start, end) order SearchWith
-// returns, element for element.
+// TestExactVisitOrder: an exact index, dense or sparse, finds its starts
+// in DFS order, yet SearchVisitWith streams their answers in the
+// (sequence, start, end) order SearchWith returns, element for element.
 func TestExactVisitOrder(t *testing.T) {
 	db := newTestDB(t, 6, 40, 52)
 	for _, sparse := range []bool{false, true} {

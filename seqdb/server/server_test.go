@@ -295,9 +295,9 @@ func TestServerErrorsAreTyped(t *testing.T) {
 }
 
 // TestServerExactOrder: a served search of an exact index, whose filter
-// pass finds answers in DFS order, streams them in the (sequence, start,
-// end) order the in-process SearchWith returns, element for element — the
-// client sorts nothing.
+// pass finds its starts in DFS order, streams its answers in the
+// (sequence, start, end) order the in-process SearchWith returns, element
+// for element — the client sorts nothing.
 func TestServerExactOrder(t *testing.T) {
 	db := newTestDB(t)
 	if err := db.BuildIndex("exact", seqdb.IndexSpec{Method: seqdb.MethodExact}); err != nil {
