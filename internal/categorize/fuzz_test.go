@@ -39,10 +39,10 @@ func FuzzReadScheme(f *testing.F) {
 }
 
 // FuzzReadGrid must never panic either: for any input the reader returns
-// an error, or a grid of at least one cell whose every symbol has a box of
-// the grid's dimension, and which encodes the points of the seed's data —
-// into symbols that have boxes, or refusing an unfitted cell — without
-// panicking.
+// an error, or a grid of at least one cell whose every symbol names exactly
+// one cell and has a box of the grid's dimension, and which encodes the
+// points of the seed's data — into symbols that have boxes, or refusing an
+// unfitted cell — without panicking.
 func FuzzReadGrid(f *testing.F) {
 	data := sequence.NewDatasetDim(2)
 	vals := []float64{0, 0, 1, 3, 2, 1, 5, 5, 3, 0, 4, 2}
@@ -67,7 +67,17 @@ func FuzzReadGrid(f *testing.F) {
 		if got.NumCells() == 0 {
 			t.Fatal("a grid of no cells was accepted")
 		}
+		owners := make([]int, got.NumCells())
+		for _, sym := range got.cells {
+			if sym < 0 || int(sym) >= len(owners) {
+				t.Fatalf("a cell names symbol %d of %d", sym, len(owners))
+			}
+			owners[sym]++
+		}
 		for sym := 0; sym < got.NumCells(); sym++ {
+			if owners[sym] != 1 {
+				t.Fatalf("symbol %d names %d cells", sym, owners[sym])
+			}
 			if box := got.Box(Symbol(sym)); len(box.Lo) != got.Dim() || len(box.Hi) != got.Dim() {
 				t.Fatalf("symbol %d: a box of %d and %d bounds in a grid of dimension %d", sym, len(box.Lo), len(box.Hi), got.Dim())
 			}

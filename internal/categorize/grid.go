@@ -275,7 +275,11 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 	if nCells == 0 {
 		return nil, ErrNoCategories
 	}
-	maxSym := Symbol(-1)
+	// The symbols must name the cells one to one: a symbol shared by two
+	// cells would bound the points of both by one cell's box, which is no
+	// lower bound for the other's. The count is only the stream's word, so
+	// the check's table waits until every cell has arrived.
+	syms := make([]Symbol, 0, min(nCells, 1<<10))
 	var prevKey uint64
 	for i := uint32(0); i < nCells; i++ {
 		var key uint64
@@ -289,14 +293,19 @@ func ReadGrid(r io.Reader) (*GridScheme, error) {
 		if i > 0 && key <= prevKey {
 			return nil, fmt.Errorf("categorize: grid cell %d: key %d out of ascending order", i, key)
 		}
+		if sym < 0 || uint32(sym) >= nCells {
+			return nil, fmt.Errorf("categorize: grid cell %d: symbol %d of %d cells", i, sym, nCells)
+		}
 		prevKey = key
 		g.setCell(key, Symbol(sym))
-		if Symbol(sym) > maxSym {
-			maxSym = Symbol(sym)
-		}
+		syms = append(syms, Symbol(sym))
 	}
-	if int(maxSym)+1 != int(nCells) {
-		return nil, fmt.Errorf("categorize: grid symbols not dense (%d cells, max symbol %d)", nCells, maxSym)
+	seen := make([]bool, nCells)
+	for i, sym := range syms {
+		if seen[sym] {
+			return nil, fmt.Errorf("categorize: grid cell %d: symbol %d names an earlier cell too", i, sym)
+		}
+		seen[sym] = true
 	}
 	g.boxes = make([]dtw.Box, nCells)
 	for i := range g.boxes {

@@ -2,6 +2,7 @@ package categorize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -276,6 +277,19 @@ func TestGridRoundTrip(t *testing.T) {
 	for name, b := range map[string][]byte{"swapped": swapped, "repeated": repeated} {
 		if _, err := ReadGrid(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "ascending") {
 			t.Errorf("%s cells: err = %v, want out of ascending order", name, err)
+		}
+	}
+	// The symbols name the cells one to one: cells sharing a symbol would
+	// all be bounded by one cell's box, which is no lower bound for the
+	// others, and a symbol outside the table has no box.
+	n := grid.NumCells()
+	for name, sym := range map[string]int32{"shared": int32(n - 1), "negative": -1, "past the table": int32(n)} {
+		b := bytes.Clone(raw.Bytes())
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(b[cells+12*i+8:], uint32(sym))
+		}
+		if _, err := ReadGrid(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s symbol: a grid of %d cells all naming symbol %d was accepted", name, n, sym)
 		}
 	}
 }

@@ -17,28 +17,18 @@ func Align(a, b []float64) (float64, []Pair) {
 		//lint:ignore panicpath precondition assertion: the engine validates queries before the kernel; a silent zero-distance path would break exactness
 		panic("dtw: align of empty sequence")
 	}
-	na, nb := len(a), len(b)
-	cum := make([]float64, na*nb)
-	at := func(x, y int) float64 { return cum[x*nb+y] }
-	for x := 0; x < na; x++ {
-		for y := 0; y < nb; y++ {
-			base := Base(a[x], b[y])
-			switch {
-			case x == 0 && y == 0:
-				cum[x*nb+y] = base
-			case x == 0:
-				cum[x*nb+y] = base + at(x, y-1)
-			case y == 0:
-				cum[x*nb+y] = base + at(x-1, y)
-			default:
-				cum[x*nb+y] = base + Min3(at(x, y-1), at(x-1, y), at(x-1, y-1))
-			}
-		}
+	// The cumulative table: a row per element of a, a column per element
+	// of b.
+	t := NewTable(b)
+	dist := 0.0
+	for _, v := range a {
+		dist, _ = t.AddRowValue(v)
 	}
+	at := func(x, y int) float64 { return t.Row(x)[y] }
 
 	// Backtrace.
-	path := make([]Pair, 0, na+nb)
-	x, y := na-1, nb-1
+	path := make([]Pair, 0, len(a)+len(b))
+	x, y := len(a)-1, len(b)-1
 	for {
 		path = append(path, Pair{X: x, Y: y})
 		if x == 0 && y == 0 {
@@ -65,5 +55,5 @@ func Align(a, b []float64) (float64, []Pair) {
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
-	return at(na-1, nb-1), path
+	return dist, path
 }

@@ -557,7 +557,7 @@ func TestAlignMatchesDistance(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a, b := randSeq(rng, 10), randSeq(rng, 10)
 		d, path := Align(a, b)
-		if math.Abs(d-Distance(a, b)) > 1e-9 {
+		if math.Float64bits(d) != math.Float64bits(Distance(a, b)) {
 			t.Fatalf("Align distance %v != %v", d, Distance(a, b))
 		}
 		// Path validity: starts at origin, ends at the far corner, each step

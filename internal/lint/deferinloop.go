@@ -23,9 +23,6 @@ var DeferInLoop = &Analyzer{
 
 func runDeferInLoop(pass *Pass) {
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

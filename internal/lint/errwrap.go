@@ -28,9 +28,6 @@ func runErrWrap(pass *Pass) {
 	}
 	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) < 2 {

@@ -2,12 +2,11 @@
 // built purely on the standard library (go/ast, go/parser, go/types,
 // go/token) so the module stays dependency-free, and it encodes invariants
 // that generic tooling cannot know about: careful error propagation, no
-// panic on a library path, locks and goroutines released on every exit,
-// context cancellation threaded through request paths, and an allocation-free
-// per-query path. Each check is kept only for a mutation of real code that
-// the tests miss; the search's no-false-dismissal contract is held by the
-// tests themselves (answers against the sequential scan, ties at eps
-// included).
+// panic on a library path, locks and goroutines released on every exit, no
+// unaudited fresh root context, and an allocation-free per-query path. Each
+// check is kept only for a mutation of real code that the tests miss; the
+// search's no-false-dismissal contract is held by the tests themselves
+// (answers against the sequential scan, ties at eps included).
 //
 // The driver (cmd/twlint) loads every package in the module, type-checks it,
 // and runs each registered Analyzer. Findings print as
@@ -29,7 +28,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Finding is one analyzer report, anchored to a source position.
@@ -59,7 +57,8 @@ type Analyzer struct {
 // Pass hands one type-checked package to an analyzer.
 type Pass struct {
 	Fset *token.FileSet
-	// Files holds the parsed non-test source files of the package.
+	// Files holds the parsed non-test source files of the package (the
+	// loader never parses a _test.go file).
 	Files []*ast.File
 	// Pkg is the type-checked package object.
 	Pkg *types.Package
@@ -74,19 +73,6 @@ type Pass struct {
 
 	check    string
 	findings *[]Finding
-	// src is the loaded package behind the pass; it links back to the
-	// loader so analyzers can reach the interprocedural summary cache.
-	src *Package
-}
-
-// analysis returns the package's interprocedural artifacts (call graph,
-// context-flow summaries), or nil when the pass was built without a
-// loader-backed package.
-func (p *Pass) analysis() *pkgAnalysis {
-	if p.src == nil || p.src.loader == nil {
-		return nil
-	}
-	return p.src.loader.analysisFor(p.src)
 }
 
 // Report records a finding at the given node's position.
@@ -132,7 +118,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 			Library:  pkg.Library,
 			check:    a.Name,
 			findings: &raw,
-			src:      pkg,
 		})
 	}
 	dirs, bad := directives(pkg.Fset, pkg.Files)
@@ -156,11 +141,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 		return out[i].Message < out[j].Message
 	})
 	return out
-}
-
-// isTestFile reports whether the position's file is a _test.go file.
-func isTestFile(pos token.Position) bool {
-	return strings.HasSuffix(pos.Filename, "_test.go")
 }
 
 // fileOf returns the *ast.File containing pos.

@@ -46,7 +46,7 @@ func rawFindings(pkg *Package, a *Analyzer) []Finding {
 	a.Run(&Pass{
 		Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info,
 		Path: pkg.Path, Library: pkg.Library,
-		check: a.Name, findings: &raw, src: pkg,
+		check: a.Name, findings: &raw,
 	})
 	return raw
 }
@@ -66,7 +66,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"lockbalance", LockBalance, 2},
 		{"goleak", GoLeak, 2},
 		{"deferinloop", DeferInLoop, 2},
-		{"ctxflow", CtxFlow, 4},
+		{"ctxflow", CtxFlow, 2},
 		{"steadystate", SteadyState, 7},
 	}
 	for _, tc := range cases {

@@ -24,11 +24,6 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	Library bool
-
-	// loader links back to the Loader that produced the package, giving
-	// analyzers access to the cached dependency ASTs and the
-	// interprocedural summary cache.
-	loader *Loader
 }
 
 // Loader parses and type-checks module packages without any tooling beyond
@@ -42,9 +37,6 @@ type Loader struct {
 
 	std   types.Importer
 	cache map[string]*Package
-	// analyses caches per-package interprocedural artifacts (call graph,
-	// context-flow summaries) keyed by import path.
-	analyses map[string]*pkgAnalysis
 	// loading guards against import cycles, which go/types would otherwise
 	// chase forever through our recursive importer.
 	loading map[string]bool
@@ -58,13 +50,12 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:     fset,
-		root:     root,
-		modPath:  modPath,
-		std:      importer.ForCompiler(fset, "source", nil),
-		cache:    make(map[string]*Package),
-		analyses: make(map[string]*pkgAnalysis),
-		loading:  make(map[string]bool),
+		Fset:    fset,
+		root:    root,
+		modPath: modPath,
+		std:     importer.ForCompiler(fset, "source", nil),
+		cache:   make(map[string]*Package),
+		loading: make(map[string]bool),
 	}, nil
 }
 
@@ -187,7 +178,6 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Types:   tpkg,
 		Info:    info,
 		Library: l.isLibraryPath(path),
-		loader:  l,
 	}
 	l.cache[path] = pkg
 	return pkg, nil

@@ -33,9 +33,6 @@ func runLockBalance(pass *Pass) {
 		return
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -36,9 +36,6 @@ func runPanicPath(pass *Pass) {
 	fns := make(map[*types.Func]*fnInfo)
 
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -59,9 +59,6 @@ func runSteadyState(pass *Pass) {
 	attached := make(map[*ast.Comment]bool)
 	var markedDecls []*ast.FuncDecl
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -79,9 +76,6 @@ func runSteadyState(pass *Pass) {
 		}
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass.Fset.Position(file.Pos())) {
-			continue
-		}
 		for _, group := range file.Comments {
 			for _, c := range group.List {
 				if strings.HasPrefix(c.Text, "//twlint:steady-state") && !attached[c] {
@@ -213,4 +207,20 @@ func capturedVars(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) []string {
 		return true
 	})
 	return out
+}
+
+// paramIndex maps argument position i of a call to fn's receiving parameter
+// index, folding a variadic tail onto the variadic parameter. Returns -1
+// when the argument has no parameter (malformed code only).
+func paramIndex(sig *types.Signature, i int) int {
+	n := sig.Params().Len()
+	switch {
+	case n == 0:
+		return -1
+	case sig.Variadic() && i >= n-1:
+		return n - 1
+	case i >= n:
+		return -1
+	}
+	return i
 }

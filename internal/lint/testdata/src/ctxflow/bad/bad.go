@@ -1,13 +1,13 @@
-// Package server exercises every ctxflow rule: an unmarked re-root, a
-// re-root beneath a context parameter, a request path calling an audited
-// wrapper, and a handler loop that never polls. The package is named
-// server so the handle*/serve* root convention applies.
-package server
+// Package bad exercises ctxflow's rule: an unmarked re-root and a re-root
+// beneath a context parameter. The audited wrapper and its caller are no
+// findings: ctxflow reads one function body at a time, and a caller that
+// drops its context through a wrapper is the tests' to catch.
+package bad
 
 import "context"
 
 // Scan is an audited compatibility wrapper; the marker covers its root for
-// outside callers, not request-path calls to it.
+// context-free callers.
 //
 //twlint:ctx-root fixture: compat wrapper for context-free callers
 func Scan() int {
@@ -20,22 +20,19 @@ func Fresh() context.Context {
 	return context.Background()
 }
 
-// handleQuery is a request root by the server handle* convention; calling
-// the wrapper discards the request deadline beneath it.
-func handleQuery(q int) int {
+// Query receives a context and calls the audited wrapper, whose root is
+// in the wrapper's own body: no finding here.
+func Query(ctx context.Context, q int) int {
 	return q + Scan()
 }
 
-// serveBatch re-roots despite receiving ctx, and spins without polling.
+// serveBatch re-roots despite receiving ctx.
 func serveBatch(ctx context.Context, jobs []int) int {
 	c := context.TODO()
 	_ = c
-	i, n := 0, 0
-	for {
-		n += jobs[i%len(jobs)]
-		i++
-		if i == len(jobs) {
-			return n
-		}
+	n := 0
+	for _, j := range jobs {
+		n += j
 	}
+	return n
 }

@@ -1,75 +1,30 @@
-// Package good threads contexts correctly: every unbounded loop on a
-// request path polls for cancellation — through a select on ctx.Done, a
-// masked-counter helper whose summary touches the context, or a receive —
-// and the only re-root is an audited wrapper outside any request path.
+// Package good threads contexts correctly: a function that receives a
+// context derives from it, and the only fresh root is an audited wrapper.
 package good
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
-type searcher struct {
-	ctx context.Context
-	n   int
-}
-
-// checkCancel is the masked-counter poll: it touches the context, so its
-// summary makes any loop that calls it a polling loop.
-func (s *searcher) checkCancel() {
-	if s.n&63 == 0 {
-		_ = s.ctx.Err()
-	}
-}
-
-// Run polls through the helper every iteration.
-func Run(ctx context.Context, s *searcher) int {
-	s.ctx = ctx
-	for {
-		s.n++
-		s.checkCancel()
-		if s.n > 10 {
-			return s.n
-		}
-	}
-}
-
-// WaitDone selects on the context each turn.
-func WaitDone(ctx context.Context, work chan int) int {
+// Run bounds its work by a deadline derived from the caller's context and
+// polls it every turn.
+func Run(ctx context.Context, n int) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
 	total := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return total
-		case v := <-work:
-			total += v
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return total, err
 		}
+		total += i
 	}
+	return total, nil
 }
 
-// Collect re-checks the done channel with a receive each iteration.
-func Collect(ctx context.Context, done chan struct{}, src func() int) int {
-	total := 0
-	for {
-		select {
-		case <-done:
-			return total
-		default:
-		}
-		total += src()
-	}
-}
-
-// Drain ends when the channel closes; for range needs no poll.
-func Drain(ctx context.Context, ch chan int) int {
-	total := 0
-	for v := range ch {
-		total += v
-	}
-	return total
-}
-
-// RunCompat is a public wrapper for callers with no context; nothing on a
-// request path calls it.
+// RunCompat is a public wrapper for callers with no context.
 //
 //twlint:ctx-root fixture: public compatibility wrapper for context-free callers
-func RunCompat(s *searcher) int {
-	return Run(context.Background(), s)
+func RunCompat(n int) (int, error) {
+	return Run(context.Background(), n)
 }

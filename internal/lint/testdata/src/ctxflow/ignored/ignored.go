@@ -1,18 +1,11 @@
-// Package ignored must pass ctxflow only because the poll-free loop's
-// iteration bound is audited with a directive.
+// Package ignored must pass ctxflow only because its re-root beneath a
+// context parameter is audited with a directive.
 package ignored
 
 import "context"
 
-// Spin busy-waits a bounded number of turns; the bound, not a poll, caps
-// how long the request can be held.
-func Spin(ctx context.Context) int {
-	n := 0
-	//lint:ignore ctxflow fixture: the loop is bounded by the counter check below, so it cannot outlive the request
-	for {
-		n++
-		if n == 100 {
-			return n
-		}
-	}
+// Detach returns the root of work that must outlive the caller's request.
+func Detach(ctx context.Context) context.Context {
+	//lint:ignore ctxflow fixture: the returned context roots work that outlives the request, so the request's cancellation must not reach it
+	return context.Background()
 }

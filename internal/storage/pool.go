@@ -105,7 +105,9 @@ func NewPool(file *File, capacity int) (*Pool, error) {
 			sh.capacity++
 		}
 		sh.file = file
-		sh.frames = make(map[PageID]*Frame, sh.capacity)
+		// A shard never holds more frames than the file has pages, and a
+		// capacity read from an index record is only that record's word.
+		sh.frames = make(map[PageID]*Frame, min(sh.capacity, int(file.NumPages())))
 		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 	}
 	return p, nil

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,23 @@ func TestAppendPages(t *testing.T) {
 	defer ro.Close()
 	if _, err := ro.AppendPages(buf); err == nil || ro.NumPages() != 4 {
 		t.Errorf("AppendPages on a read-only file: err %v, %d pages; want an error and 4 pages", err, ro.NumPages())
+	}
+}
+
+// TestPoolSizedByFile: a pool's frame maps are sized by the pages its file
+// has, not by a capacity far past them, which an index record may carry.
+func TestPoolSizedByFile(t *testing.T) {
+	pf := tempFile(t)
+	fillPages(t, pf, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewPool(pf, 1<<22)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a pool of %d pages over a file of %d allocated %d bytes", 1<<22, pf.NumPages(), grew)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -102,5 +103,18 @@ func TestCollectMatchStream(t *testing.T) {
 		if len(c.chunks) > keptChunks {
 			t.Errorf("%d answers: %d chunks kept, want at most %d", n, len(c.chunks), keptChunks)
 		}
+	}
+}
+
+// TestStreamFailureNamesContextCause: a match stream that breaks after the
+// caller's context has ended fails with an error naming the context's end
+// as its cause, not only the transport's symptom.
+func TestStreamFailureNamesContextCause(t *testing.T) {
+	stream, _ := cannedStream(t, 100, 2)
+	c := &Client{br: bufio.NewReader(bytes.NewReader(stream[:len(stream)/2]))}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.readMatchStream(ctx, func(seqdb.Match) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the broken stream's error wrapping context.Canceled", err)
 	}
 }
