@@ -22,7 +22,7 @@ lint:
 # packages, so the strict checks skip them under ./... — this target holds
 # the analysis code to the same no-unexplained-findings bar anyway.
 lint-self:
-	$(GO) run ./cmd/twlint ./cmd/twlint ./internal/lint ./internal/lint/cfg
+	$(GO) run ./cmd/twlint ./cmd/twlint ./internal/lint
 
 # Golden diff over the bad fixtures: the full suite's JSON finding stream is
 # byte-deterministic, so any analyzer change that moves, adds or drops a
@@ -67,8 +67,13 @@ ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lis
 # unpins (core's TestSearchReleasesReader, at dimension 1 and 2) and that a
 # recycled frame is never a pinned one — runs with one scheduler thread and
 # with four. TestConcurrentVectorSearches is the same contract over one
-# handle of a database of dimension 2.
-RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|SearchReleasesReader|TestReader' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/
+# handle of a database of dimension 2. The lock and join tests run here
+# too: every DB, client and server call returns with its locks free, a loop
+# over shards or pool stripes holds one at a time, and Serve, Shutdown, a
+# shard round stopped early and a failed build join their goroutines
+# before they return; a client request's cancel or deadline aborts its
+# stalled stream or handshake.
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|SearchReleasesReader|TestReader|TestCallsReleaseLocks|TestLoopsReleaseEachPart|TestPoolCountersReleaseEachStripe|TestRefusedCallsReleaseLock|TestRequestCancelAbortsStream|TestRequestDeadlineBoundsHandshake|TestServeJoinsConnections|TestShutdownPastDeadlineJoins|TestRefusalsReleaseLock|TestVisitorStopJoinsShards|TestFailedBuildJoinsSorters' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/ ./seqdb/client/ ./seqdb/server/ ./internal/shard/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)

@@ -227,7 +227,8 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore deferinloop all three indexes are queried across every eps below, so they must live until the function returns; the loop is fixed at 3 iterations
+		// All three indexes are queried across every eps below, so they must
+		// live until the function returns; the loop is fixed at 3 iterations.
 		defer ix.RemoveFile()
 		indexes = append(indexes, ix)
 	}

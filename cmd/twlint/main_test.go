@@ -35,8 +35,7 @@ func TestExitCodes(t *testing.T) {
 // the acceptance gate that each check fails its negative example.
 func TestNegativeFixtures(t *testing.T) {
 	for _, dir := range []string{
-		"panicpath", "errwrap", "lockbalance", "goleak",
-		"deferinloop", "ctxflow", "steadystate", "directive",
+		"panicpath", "errwrap", "ctxflow", "steadystate", "directive",
 	} {
 		var out, errOut bytes.Buffer
 		if code := run([]string{fixtures + dir + "/bad"}, &out, &errOut); code != 1 {
@@ -52,8 +51,7 @@ func TestChecksFlag(t *testing.T) {
 		t.Fatalf("-checks: exit %d", code)
 	}
 	for _, name := range []string{
-		"panicpath", "errwrap", "lockbalance", "goleak",
-		"deferinloop", "ctxflow", "steadystate",
+		"panicpath", "errwrap", "ctxflow", "steadystate",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-checks output missing %s:\n%s", name, out.String())

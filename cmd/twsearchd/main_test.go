@@ -140,6 +140,15 @@ func TestDaemonRejectsNoDB(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsUnknownBackend: an unknown -backend stops the daemon
+// with an error naming it (main exits 1) before any database is opened.
+func TestDaemonRejectsUnknownBackend(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-db", t.TempDir(), "-backend", "bogus"}, &out, nil); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("err = %v, want an unknown-backend error", err)
+	}
+}
+
 func TestDBFlagParsing(t *testing.T) {
 	var f dbFlag
 	if err := f.Set("/data/stocks"); err != nil {

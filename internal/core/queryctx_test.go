@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"twsearch/internal/categorize"
@@ -173,5 +174,49 @@ func TestFreshSearcherAllocation(t *testing.T) {
 	t.Logf("fresh searcher: small=%d B large=%d B (large db: %d elements)", smallBytes, largeBytes, n)
 	if limit := 2 * uint64(n); largeBytes > limit {
 		t.Errorf("a query on a fresh searcher allocates %d bytes on the large index, want at most %d (2 per element)", largeBytes, limit)
+	}
+}
+
+// TestSearchAllocationFlatInRows: a warm search's bytes do not grow with
+// the rows its filter evaluates. At two query lengths, queries cut from the
+// data walk thousands of envelope rows (LBCells) each, and the search
+// allocates less than one byte per row — a per-row allocation anywhere on
+// the filter's path costs at least eight. The collector is off and one
+// scheduler thread runs the searches, so neither a collection nor a move
+// to another thread's pool cache makes a search allocate a fresh searcher.
+func TestSearchAllocationFlatInRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation measurements")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	data := randomWalkDataset(rand.New(rand.NewSource(79)), 200, 400)
+	ix, err := Build(data, filepath.Join(t.TempDir(), "rows.twt"), Options{
+		Kind: categorize.KindMaxEntropy, Categories: 8, Sparse: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	longest := 0
+	for i := 1; i < data.Len(); i++ {
+		if len(data.Values(i)) > len(data.Values(longest)) {
+			longest = i
+		}
+	}
+	for _, n := range []int{8, 32} {
+		q := data.Values(longest)[10 : 10+n]
+		st, err := searchVisit(ix, q, 1, func(Match) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := bytesPerSearch(t, ix, q, 1)
+		t.Logf("|Q| = %d: %.0f bytes/query over %d envelope rows", n, bytes, st.LBCells)
+		if st.LBCells < 1000 {
+			t.Fatalf("|Q| = %d: only %d envelope rows; the fixture should walk thousands", n, st.LBCells)
+		}
+		if bytes >= float64(st.LBCells) {
+			t.Errorf("|Q| = %d: %.0f bytes/query over %d envelope rows, want under one byte a row", n, bytes, st.LBCells)
+		}
 	}
 }

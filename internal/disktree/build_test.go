@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,6 +307,32 @@ func TestWriteFailureSurfaces(t *testing.T) {
 			if sink.seen != failAt+1 {
 				t.Errorf("chunk %d of %d failing: the file was offered %d chunks", failAt, whole.seen, sink.seen)
 			}
+		}
+	}
+}
+
+// TestFailedBuildJoinsSorters: a build whose first chunk write fails
+// returns only after its sorting goroutines have exited — none is left at
+// the moment it returns, with most of the suffixes still unsorted.
+func TestFailedBuildJoinsSorters(t *testing.T) {
+	big := randomTexts(rand.New(rand.NewSource(331)), 400, 600, 6)
+	buf := make([]byte, 1<<20)
+	for _, procs := range []int{1, 4} {
+		pf, err := storage.CreateMemFile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newTreeWriter(pf, meta{enc: EncodingV1})
+		w.app.sink = &failingSink{pf: pf, failAt: 0}
+		prev := runtime.GOMAXPROCS(procs)
+		_, err = buildWith(w, big, allSeqs(big), BuildOptions{})
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		runtime.GOMAXPROCS(prev)
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want the injected error", procs, err)
+		}
+		if strings.Contains(stacks, "disktree.(*builder).run.func") {
+			t.Errorf("GOMAXPROCS=%d: the failed build returned with sorting goroutines still running", procs)
 		}
 	}
 }

@@ -203,3 +203,17 @@ func TestValidateCutAfterOpen(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestOpenBackendRefusesUnknown: a backend name no page source knows fails
+// the open with an error; it never panics.
+func TestOpenBackendRefusesUnknown(t *testing.T) {
+	ts := randomTexts(rand.New(rand.NewSource(5)), 4, 20, 3)
+	path := filepath.Join(t.TempDir(), "t.twt")
+	if _, err := Build(ts, allSeqs(ts), path, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := OpenBackend(path, 4, true, storage.Backend("bogus")); err == nil {
+		f.Close()
+		t.Fatal("OpenBackend with an unknown backend succeeded")
+	}
+}

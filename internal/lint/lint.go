@@ -2,11 +2,13 @@
 // built purely on the standard library (go/ast, go/parser, go/types,
 // go/token) so the module stays dependency-free, and it encodes invariants
 // that generic tooling cannot know about: careful error propagation, no
-// panic on a library path, locks and goroutines released on every exit, no
-// unaudited fresh root context, and an allocation-free per-query path. Each
-// check is kept only for a mutation of real code that the tests miss; the
-// search's no-false-dismissal contract is held by the tests themselves
-// (answers against the sequential scan, ties at eps included).
+// panic on a library path, no unaudited fresh root context, and an
+// allocation-free per-query path. Every check reads one syntax tree at a
+// time; none builds a control-flow graph. Each check is kept only for a
+// mutation of real code that the tests miss; the search's
+// no-false-dismissal contract, and lock and goroutine discipline, are held
+// by the tests themselves (answers against the sequential scan, ties at eps
+// included; locks free and goroutines joined after every call).
 //
 // The driver (cmd/twlint) loads every package in the module, type-checks it,
 // and runs each registered Analyzer. Findings print as
@@ -94,9 +96,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		PanicPath,
 		ErrWrap,
-		LockBalance,
-		GoLeak,
-		DeferInLoop,
 		CtxFlow,
 		SteadyState,
 	}
@@ -141,14 +140,4 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 		return out[i].Message < out[j].Message
 	})
 	return out
-}
-
-// fileOf returns the *ast.File containing pos.
-func fileOf(fset *token.FileSet, files []*ast.File, pos token.Pos) *ast.File {
-	for _, f := range files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -63,9 +63,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"panicpath", PanicPath, 1},
 		{"errwrap", ErrWrap, 1},
-		{"lockbalance", LockBalance, 2},
-		{"goleak", GoLeak, 2},
-		{"deferinloop", DeferInLoop, 2},
 		{"ctxflow", CtxFlow, 2},
 		{"steadystate", SteadyState, 7},
 	}

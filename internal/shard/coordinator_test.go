@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // fakeBackend is one shard holding a fixed answer set with precomputed
@@ -25,6 +28,9 @@ type fakeBackend struct {
 	// returned, when set, is closed as the call returns (single-call tests
 	// only).
 	returned chan struct{}
+	// linger, when set, holds a gated call whose context was canceled until
+	// it is closed, as a search slow to notice its cancel would run on.
+	linger <-chan struct{}
 	// boundErr is returned by DistanceBound when set.
 	boundErr error
 }
@@ -37,6 +43,9 @@ func (b *fakeBackend) Search(ctx context.Context, index string, q []float64, eps
 		select {
 		case <-b.gate:
 		case <-ctx.Done():
+			if b.linger != nil {
+				<-b.linger
+			}
 			return Stats{}, ctx.Err()
 		}
 	}
@@ -150,6 +159,82 @@ func TestSearchVisitEarlyStop(t *testing.T) {
 	}
 	if seen != 1 {
 		t.Errorf("visitor ran %d times after stopping, want 1", seen)
+	}
+}
+
+// waitUntil polls the goroutine stacks until some goroutine in the frame fn
+// (such as "shard.(*Coordinator).gather") is also at at (a frame or a wait
+// state such as "[select"), or until done is closed, and fails the test if
+// neither happens within ten seconds.
+func waitUntil(t *testing.T, fn, at string, done <-chan struct{}) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, fn+"(") && strings.Contains(g, at) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s reached %s", fn, at)
+}
+
+// TestVisitorStopJoinsShards: a visitor stop cancels the other shards, and
+// SearchVisit returns only after each of their searches has returned —
+// here one that runs on after its cancel until the test lets it go.
+func TestVisitorStopJoinsShards(t *testing.T) {
+	b0 := &fakeBackend{ms: []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}}
+	release := make(chan struct{})
+	b1 := &fakeBackend{gate: make(chan struct{}), linger: release, returned: make(chan struct{})}
+	c := mkCoord(t, b0, b1)
+	returned := make(chan struct{})
+	joined := false
+	go func() {
+		defer close(returned)
+		c.SearchVisit(context.Background(), "ix", []float64{1}, 5, func(Match) bool { return false })
+		select {
+		case <-b1.returned:
+			joined = true
+		default:
+		}
+	}()
+	// SearchVisit parks joining shard 1, or returns without it.
+	waitUntil(t, "shard.(*Coordinator).gather", "sync.(*WaitGroup).Wait", returned)
+	close(release)
+	<-returned
+	if !joined {
+		t.Error("SearchVisit returned while shard 1's search still ran")
+	}
+}
+
+// TestSearchKNNCancelStopsRound: a cancel that arrives while a k-NN round
+// runs reaches every shard's search, so SearchKNN returns promptly with
+// the cancel's error — here over shards that block until their context
+// ends.
+func TestSearchKNNCancelStopsRound(t *testing.T) {
+	ms := []Match{{Seq: 0, Start: 0, End: 2, Distance: 1}}
+	c := mkCoord(t, &fakeBackend{ms: ms, gate: make(chan struct{})}, &fakeBackend{ms: ms, gate: make(chan struct{})})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.SearchKNN(ctx, "ix", []float64{1}, 1)
+		done <- err
+	}()
+	waitUntil(t, "shard.(*fakeBackend).Search", "[select", nil)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want one wrapping context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SearchKNN still running 10s after its cancel")
 	}
 }
 

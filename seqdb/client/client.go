@@ -2,7 +2,10 @@
 // mirror of the seqdb search API. A Client owns one connection, redials
 // transparently on the next call after any transport failure, and maps
 // context deadlines onto both the socket and the server's own per-request
-// deadline, so a timeout fires on whichever side notices first.
+// deadline, so a timeout fires on whichever side notices first. A request
+// whose context ends, by its deadline or by a cancel, aborts at once: the
+// socket read or write in flight fails, the handshake of a redial
+// included.
 //
 // A Client serializes its calls (the protocol is one request at a time per
 // connection); for concurrent query streams, use one Client per goroutine
@@ -55,7 +58,14 @@ type Client struct {
 	dec   wire.MatchDecoder
 	// chunks gather a materialized answer set (collectMatchStream).
 	chunks [][]seqdb.Match
+
+	// unwatch stops the watcher begin set on the request's context.
+	unwatch func() bool
 }
+
+// expired is a deadline long past: set on a connection, it fails the read
+// or write in flight at once.
+var expired = time.Unix(1, 0)
 
 // frameBuf is the capacity of Client.frame: a whole batch of answers and
 // the record that filled it (wire.MatchWriter).
@@ -91,7 +101,8 @@ func (c *Client) Close() error {
 }
 
 // ensureConn dials and performs the handshake if no live connection
-// exists. Caller holds c.mu.
+// exists. The handshake runs under the earlier of dialTimeout and ctx's
+// deadline, and fails when ctx ends. Caller holds c.mu.
 func (c *Client) ensureConn(ctx context.Context) error {
 	if c.conn != nil {
 		return nil
@@ -101,35 +112,49 @@ func (c *Client) ensureConn(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("client: dialing %s: %w", c.addr, err)
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
-		conn.Close()
+	c.conn, c.br, c.bw = conn, bufio.NewReaderSize(conn, 64<<10), bufio.NewWriterSize(conn, 64<<10)
+	deadline := time.Now().Add(dialTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	if err := c.watch(ctx, deadline); err != nil {
+		return c.fail(ctx, err)
+	}
+	err = wire.WriteHello(c.bw)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err == nil {
+		_, err = wire.ReadHello(c.br)
+	}
+	if err != nil {
+		return c.fail(ctx, fmt.Errorf("handshake: %w", err))
+	}
+	if !c.finish() {
+		return c.fail(ctx, errors.New("handshake: context ended"))
+	}
+	return nil
+}
+
+// watch bounds the connection by ctx until finish or dropLocked: deadline
+// now, and an expired one the moment ctx ends, so a cancel without a
+// deadline aborts a stalled read or write too. Caller holds c.mu.
+func (c *Client) watch(ctx context.Context, deadline time.Time) error {
+	if err := c.conn.SetDeadline(deadline); err != nil { // zero time clears
 		return err
 	}
-	if err := wire.WriteHello(bw); err != nil {
-		conn.Close()
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	if _, err := wire.ReadHello(br); err != nil {
-		conn.Close()
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return err
-	}
-	c.conn, c.br, c.bw = conn, br, bw
+	conn := c.conn
+	c.unwatch = context.AfterFunc(ctx, func() { conn.SetDeadline(expired) })
 	return nil
 }
 
 // dropLocked closes and forgets the connection; the next call redials.
 // Caller holds c.mu.
 func (c *Client) dropLocked() error {
+	if c.unwatch != nil {
+		c.unwatch()
+		c.unwatch = nil
+	}
 	if c.conn == nil {
 		return nil
 	}
@@ -150,8 +175,8 @@ func (c *Client) fail(ctx context.Context, err error) error {
 }
 
 // begin readies the connection for one request under ctx: redial if
-// needed, mirror the context deadline onto the socket, and return the
-// remaining budget as the server-side timeout hint. Caller holds c.mu.
+// needed, watch ctx on the socket (its deadline, and its end), and return
+// the remaining budget as the server-side timeout hint. Caller holds c.mu.
 func (c *Client) begin(ctx context.Context) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -167,7 +192,7 @@ func (c *Client) begin(ctx context.Context) (time.Duration, error) {
 			return 0, context.DeadlineExceeded
 		}
 	}
-	if err := c.conn.SetDeadline(deadline); err != nil { // zero time clears
+	if err := c.watch(ctx, deadline); err != nil {
 		return 0, c.fail(ctx, err)
 	}
 	return hint, nil
@@ -184,11 +209,20 @@ func (c *Client) send(ctx context.Context, t byte, body []byte) error {
 	return nil
 }
 
-// finish clears the per-request socket deadline. Caller holds c.mu.
-func (c *Client) finish() {
+// finish stops watching the request's context and clears the socket
+// deadline. When the watcher has already fired, the expired deadline may
+// land at any moment, so the connection is dropped instead, and finish
+// reports false. Caller holds c.mu.
+func (c *Client) finish() bool {
+	if c.unwatch != nil && !c.unwatch() {
+		c.dropLocked()
+		return false
+	}
+	c.unwatch = nil
 	if c.conn != nil {
 		c.conn.SetDeadline(time.Time{})
 	}
+	return true
 }
 
 // SearchVisitWith streams a range search's answers to fn as they arrive

@@ -118,3 +118,36 @@ func TestStreamFailureNamesContextCause(t *testing.T) {
 		t.Fatalf("err = %v, want the broken stream's error wrapping context.Canceled", err)
 	}
 }
+
+// TestRefusedCallsReleaseLock: every call that fails before it sends — on
+// a context already cancelled, which begin refuses before dialing —
+// returns with the client's lock free, so the client's next call runs.
+func TestRefusedCallsReleaseLock(t *testing.T) {
+	c := &Client{addr: "127.0.0.1:1"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := []float64{1, 2, 3}
+	opts := seqdb.SearchOptions{}
+	for _, tc := range []struct {
+		op   string
+		call func() error
+	}{
+		{"SearchVisitWith", func() error {
+			_, err := c.SearchVisitWith(ctx, "main", "ix", q, 1, func(seqdb.Match) bool { return true }, opts)
+			return err
+		}},
+		{"SearchWith", func() error { _, _, err := c.SearchWith(ctx, "main", "ix", q, 1, opts); return err }},
+		{"SearchKNNWith", func() error { _, _, err := c.SearchKNNWith(ctx, "main", "ix", q, 2, opts); return err }},
+		{"SeqScan", func() error { _, _, err := c.SeqScan(ctx, "main", q, 1); return err }},
+		{"Stats", func() error { _, err := c.Stats(ctx, "main"); return err }},
+		{"ListIndexes", func() error { _, err := c.ListIndexes(ctx, "main"); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.op, err)
+		}
+		if !c.mu.TryLock() {
+			t.Errorf("%s returned holding the client's lock", tc.op)
+		}
+		c.mu.Unlock() // ours, or the one the call kept
+	}
+}

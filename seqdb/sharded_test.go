@@ -274,6 +274,24 @@ func TestOpenShardedCorruption(t *testing.T) {
 	}
 }
 
+// TestOpenMissingShardIsNotExist: a sharded root whose shard directory is
+// gone fails to open with an error that names the shard and still wraps
+// fs.ErrNotExist, so a caller can tell a missing file from a corrupt one.
+func TestOpenMissingShardIsNotExist(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sharded")
+	sdb, err := newTestDB(t, 6, 30, 2).PartitionInto(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb.Close()
+	if err := os.RemoveAll(filepath.Join(dir, shardDirName(1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenWith(dir, OpenOptions{}); !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "shard 1") {
+		t.Errorf("opening a root missing shard 1: %v, want an error naming the shard and wrapping fs.ErrNotExist", err)
+	}
+}
+
 func TestShardedIndexLifecycle(t *testing.T) {
 	db := newTestDB(t, 5, 40, 6)
 	spec := IndexSpec{Method: MethodMaxEntropy, Categories: 8, Sparse: true}
