@@ -72,8 +72,9 @@ ci: check race-concurrency race-shard race-mmap race-build fuzz-ci smoke run-lis
 # over shards or pool stripes holds one at a time, and Serve, Shutdown, a
 # shard round stopped early and a failed build join their goroutines
 # before they return; a client request's cancel or deadline aborts its
-# stalled stream or handshake.
-RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|SearchReleasesReader|TestReader|TestCallsReleaseLocks|TestLoopsReleaseEachPart|TestPoolCountersReleaseEachStripe|TestRefusedCallsReleaseLock|TestRequestCancelAbortsStream|TestRequestDeadlineBoundsHandshake|TestServeJoinsConnections|TestShutdownPastDeadlineJoins|TestRefusalsReleaseLock|TestVisitorStopJoinsShards|TestFailedBuildJoinsSorters' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/ ./seqdb/client/ ./seqdb/server/ ./internal/shard/
+# stalled stream or handshake, and a server's write to a client that stops
+# reading gives up within the idle timeout, releasing the request's slot.
+RACE_CONCURRENCY = -race -count=2 -run 'TestConcurrent|TestQueryCtxReuse|TestPoolConcurrent|TestPoolRecyclesFrames|SearchReleasesReader|TestReader|TestCallsReleaseLocks|TestLoopsReleaseEachPart|TestPoolCountersReleaseEachStripe|TestRefusedCallsReleaseLock|TestRequestCancelAbortsStream|TestRequestDeadlineBoundsHandshake|TestServeJoinsConnections|TestShutdownPastDeadlineJoins|TestRefusalsReleaseLock|TestVisitorStopJoinsShards|TestFailedBuildJoinsSorters|TestStalledReaderReleasesSlot' ./seqdb/ ./internal/core/ ./internal/storage/ ./internal/disktree/ ./seqdb/client/ ./seqdb/server/ ./internal/shard/
 race-concurrency:
 	GOMAXPROCS=1 $(GO) test $(RACE_CONCURRENCY)
 	GOMAXPROCS=4 $(GO) test $(RACE_CONCURRENCY)

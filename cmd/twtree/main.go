@@ -120,7 +120,11 @@ func dumpTree(f *disktree.File, store *suffixtree.TextStore, maxDepth int) error
 		}
 		indent := strings.Repeat("  ", depth)
 		if n.Leaf {
-			fmt.Printf("%s<%s> leaf (seq=%d pos=%d run=%d)\n", indent, label.String(), n.LabelSeq, n.Pos, n.RunLen)
+			run := "" // only a sparse tree's searches read a run length, and only its v2 file holds one
+			if f.Sparse() {
+				run = fmt.Sprintf(" run=%d", n.RunLen)
+			}
+			fmt.Printf("%s<%s> leaf (seq=%d pos=%d%s)\n", indent, label.String(), n.LabelSeq, n.Pos, run)
 			return nil
 		}
 		what := "node"

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twsearch/internal/categorize"
+	"twsearch/internal/disktree"
 	"twsearch/internal/sequence"
 )
 
@@ -25,7 +26,9 @@ import (
 // answer-length floor; bit 4 sets eps to the exact distance of one scan
 // answer (epsRaw picks which), a tie that every pruning and candidate test
 // must keep; bit 5 reads the bytes as points of dimension 2, searched
-// through a grid.
+// through a grid; bit 6 builds a one-dimensional index in v2 instead of v1
+// (one of dimension 2 is v2 either way), so each record encoding is held to
+// the scan.
 func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4}, uint8(10), uint8(3), uint8(0), uint8(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 1}, []byte{9, 9}, uint8(2), uint8(1), uint8(0), uint8(0))
@@ -49,6 +52,12 @@ func FuzzSearchMatchesScan(f *testing.F) {
 	// distance, and a sparse ME tree.
 	f.Add([]byte{2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1, 1, 2, 1, 0, 0, 0, 0}, []byte{3, 0, 0, 3}, uint8(31), uint8(0), uint8(0), uint8(1|16))
 	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 1, 1, 1, 0, 0, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0}, uint8(2), uint8(1), uint8(0), uint8(16))
+	// The one-dimensional shapes above, over a v2 tree: sparse over long
+	// runs, dense, identity, and an answer-length floor.
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4}, []byte{3, 7}, uint8(5), uint8(1), uint8(0), uint8(64))
+	f.Add([]byte{4, 4, 4, 4, 9, 9, 9, 4, 4, 4, 4, 4, 9, 9, 2, 2}, []byte{4, 4, 9, 9}, uint8(250), uint8(2), uint8(2), uint8(64|2))
+	f.Add([]byte{1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2}, []byte{2, 3, 2}, uint8(2), uint8(0), uint8(0), uint8(64|3))
+	f.Add([]byte{2, 2, 2, 2, 2, 6, 6, 6, 2, 2, 2, 2, 2, 2, 6, 6, 6, 6, 2, 2}, []byte{2, 6, 6}, uint8(4), uint8(1), uint8(0), uint8(64|3<<2))
 	// Dimension 2: the same shapes over points.
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{2, 3, 4, 5}, uint8(10), uint8(3), uint8(0), uint8(32))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 9, 9}, []byte{9, 9, 9, 9}, uint8(2), uint8(1), uint8(2), uint8(32))
@@ -89,6 +98,9 @@ func FuzzSearchMatchesScan(f *testing.F) {
 		opts := Options{Kind: categorize.KindMaxEntropy, Categories: cats, Sparse: shape&2 == 0, Window: window, MinAnswerLen: int(shape>>2) % 4}
 		if shape&1 != 0 {
 			opts.Kind, opts.Categories = categorize.KindIdentity, 0
+		}
+		if shape&64 != 0 {
+			opts.Encoding = disktree.EncodingV2
 		}
 
 		ix, err := Build(data, filepath.Join(t.TempDir(), "fz.twt"), opts)

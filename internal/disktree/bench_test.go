@@ -9,8 +9,9 @@ import (
 	"twsearch/internal/suffixtree"
 )
 
-func benchStore(b *testing.B, nSeq, seqLen, alphabet int) *suffixtree.TextStore {
-	b.Helper()
+// benchStore is nSeq random texts of seqLen symbols over alphabet, the same
+// for every caller.
+func benchStore(nSeq, seqLen, alphabet int) *suffixtree.TextStore {
 	rng := rand.New(rand.NewSource(88))
 	ts := suffixtree.NewTextStore()
 	for i := 0; i < nSeq; i++ {
@@ -43,7 +44,7 @@ func BenchmarkBuild(b *testing.B) {
 	inputs := []struct {
 		name string
 		ts   *suffixtree.TextStore
-	}{{"random", benchStore(b, 256, 232, 12)}, {"runs", runs}}
+	}{{"random", benchStore(256, 232, 12)}, {"runs", runs}}
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		for _, in := range inputs {
 			b.Run(enc.String()+"/"+in.name, func(b *testing.B) {
@@ -73,7 +74,7 @@ func BenchmarkBuild(b *testing.B) {
 // order a search reads them in, sibling records sharing pages — through one
 // Reader, the page-run path searches use, in each record encoding.
 func BenchmarkReadNode(b *testing.B) {
-	ts := benchStore(b, 16, 232, 12)
+	ts := benchStore(16, 232, 12)
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		b.Run(enc.String(), func(b *testing.B) {
 			f, _, err := buildOpen(ts, allSeqs(ts), filepath.Join(b.TempDir(), "rn.twt"), 256, BuildOptions{Encoding: enc})

@@ -1,10 +1,13 @@
 package disktree
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
-// decodeCompactReference is the compact decoder as it was before the inline
-// fast paths: one sticky-error reader, binary.Uvarint for every field longer
-// than a byte. FuzzNodeCodecV2 holds decodeCompact to it on arbitrary bytes.
+// decodeCompactReference is the compact decoder without the inline fast
+// paths: one sticky-error reader, binary.Uvarint for every field longer than
+// a byte. FuzzNodeCodecV2 holds decodeCompact to it on arbitrary bytes.
 
 // varints reads the varint fields of a compact record off a byte slice.
 // The first failure sticks in err — errShort when the bytes run out inside
@@ -43,36 +46,37 @@ func (v *varints) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// flags reads the one fixed byte of a compact record.
-func (v *varints) flags() byte {
-	if v.off < len(v.b) {
-		v.off++
-		return v.b[v.off-1]
-	}
-	if v.err == nil {
-		v.err = errShort
-	}
-	return 0
-}
-
-// decodeCompactReference decodes a v2 record, undoing the delta coding of
-// encodeNodeCompact with the same wrapping arithmetic.
-func decodeCompactReference(b []byte, n *Node, p Ptr) error {
+// decodeCompactReference decodes the v2 record at p of a sparse or a dense
+// tree, undoing the offset and delta coding of encodeNodeCompact with the
+// same wrapping arithmetic.
+func decodeCompactReference(b []byte, n *Node, p Ptr, sparse bool) error {
 	v := varints{b: b}
-	n.LabelSeq, n.LabelStart = int32(v.varint()), int32(v.varint())
-	n.LabelLen = int32(v.varint())
-	if n.LabelLen < 0 {
-		return implausible("label length", uint64(uint32(n.LabelLen)), p)
-	}
-	n.Leaf = v.flags()&flagLeaf != 0
+	head := v.uvarint()
+	n.LabelSeq, n.Leaf = int32(uint32(head>>1)), head&1 != 0
 	if n.Leaf {
-		n.Pos, n.RunLen = int32(v.varint()), int32(v.varint())
-		return v.err
+		pos, lead, length := v.uvarint(), v.uvarint(), v.uvarint()
+		var run uint64
+		if sparse {
+			run = v.uvarint()
+		}
+		if v.err != nil {
+			return v.err
+		}
+		if length > math.MaxInt32 {
+			return implausible("label length", length, p)
+		}
+		n.Pos, n.RunLen = int32(pos), int32(run)
+		n.LabelStart, n.LabelLen = n.Pos+int32(lead), int32(length)
+		return nil
 	}
-	count := v.uvarint()
+	start, length, count := v.uvarint(), v.uvarint(), v.uvarint()
 	if v.err != nil {
 		return v.err
 	}
+	if length > math.MaxInt32 {
+		return implausible("label length", length, p)
+	}
+	n.LabelStart, n.LabelLen = int32(start), int32(length)
 	if count > maxCount {
 		return implausible("child count", count, p)
 	}
@@ -80,11 +84,13 @@ func decodeCompactReference(b []byte, n *Node, p Ptr) error {
 		return errShort
 	}
 	n.Children = resized(n.Children, int(count))
-	prevSym, prevPtr := int64(0), uint64(0)
 	for i := range n.Children {
-		prevSym += v.varint()
-		prevPtr += uint64(v.varint())
-		n.Children[i] = ChildRef{Sym: Symbol(int32(prevSym)), Ptr: Ptr(prevPtr)}
+		if i == 0 {
+			n.Children[0] = ChildRef{Sym: Symbol(int32(v.varint())), Ptr: p - Ptr(v.uvarint())}
+			continue
+		}
+		prev := n.Children[i-1]
+		n.Children[i] = ChildRef{Sym: prev.Sym + Symbol(int32(v.uvarint())), Ptr: prev.Ptr + Ptr(v.uvarint())}
 	}
 	return v.err
 }

@@ -280,10 +280,12 @@ func TestValidateOK(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsBadLeaf: a wrong run length in a sparse tree, the only
+// shape whose searches read one, fails Validate.
 func TestValidateDetectsBadLeaf(t *testing.T) {
 	ts := suffixtree.NewTextStore()
 	ts.Add([]Symbol{1, 1, 2})
-	tree := suffixtree.BuildNaive(ts, []int{0}, false)
+	tree := suffixtree.BuildNaive(ts, []int{0}, true)
 	// Corrupt one leaf's run length before serializing.
 	var corrupt func(n *suffixtree.Node) bool
 	corrupt = func(n *suffixtree.Node) bool {

@@ -61,7 +61,11 @@ func TestEncodingV2RoundTrip(t *testing.T) {
 }
 
 // TestEncodingV2Smaller: the varint records must be measurably smaller than
-// the fixed-width ones on a real tree — the point of the format.
+// the fixed-width ones on a real tree — the point of the format — and stay
+// as small as they are. BenchmarkBuild's random input, dense and sparse, is
+// held to its measured v2 size in record bytes and in file bytes: a change
+// that makes records larger fails here with a byte count, not only with a
+// digest mismatch in TestFormatStability.
 func TestEncodingV2Smaller(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
 	ts := randomTexts(rng, 20, 60, 4)
@@ -80,22 +84,37 @@ func TestEncodingV2Smaller(t *testing.T) {
 	if v2.SizeBytes() >= v1.SizeBytes() {
 		t.Fatalf("v2 file (%d bytes) not smaller than v1 (%d bytes)", v2.SizeBytes(), v1.SizeBytes())
 	}
-	// And stay as small as they are: a field that grows a compact record
-	// fails here, not in a benchmark. The ceiling is the measured size.
-	_, nodes := allNodes(t, v2)
-	recordBytes := 0
-	for i := range nodes {
-		recordBytes += len(encodeNode(nil, &nodes[i], EncodingV2))
-	}
-	const ceiling = 8.26 // bytes per node; 8.255 measured
-	if perNode := float64(recordBytes) / float64(len(nodes)); perNode > ceiling {
-		t.Fatalf("v2 records take %.3f B/node, ceiling %v", perNode, ceiling)
+
+	bs := benchStore(256, 232, 12)
+	for _, c := range []struct {
+		sparse            bool
+		records, fileSize int64
+	}{
+		{false, 627761, 634880},
+		{true, 631710, 638976},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("size-%v.twt", c.sparse))
+		f, _, err := buildOpen(bs, allSeqs(bs), path, 64, BuildOptions{Sparse: c.sparse, Encoding: EncodingV2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := f.ReadNode(f.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Page 0 is the meta page, and the root's record is the last.
+		records := int64(f.Root()) - storage.PageSize + int64(len(encodeNode(nil, &root, EncodingV2, f.Root(), c.sparse)))
+		if records != c.records || f.SizeBytes() != c.fileSize {
+			t.Errorf("sparse %v: %d record bytes in a file of %d bytes, pinned %d in %d", c.sparse, records, f.SizeBytes(), c.records, c.fileSize)
+		}
+		f.Close()
 	}
 }
 
 // retiredVersions are meta-blob version bytes no supported encoding uses:
-// 3 is the retired format v3, the others were never written.
-var retiredVersions = []byte{3, 0, 4, 0xFF}
+// 2 is the first layout of the compact record, 3 the retired format v3,
+// the others were never written.
+var retiredVersions = []byte{2, 3, 0, 1, 5, 0xFF}
 
 // TestDecodeMetaRejectsUnknownEncoding: a meta blob carrying an encoding
 // byte outside the supported set is refused with the typed error, naming
@@ -129,7 +148,7 @@ func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 	// A layout byte other than 0 was written by the retired inline layout (1)
 	// or by nothing at all: refused in both blob sizes, never read as
 	// reference records.
-	blob[metaBaseSize] = byte(EncodingV2)
+	blob[metaBaseSize] = metaCompact
 	for _, bad := range []byte{1, 2, 0xFF} {
 		blob[metaLayoutByte] = bad
 		for _, b := range [][]byte{blob, blob[:metaBaseSize]} {
@@ -148,6 +167,9 @@ func TestDecodeMetaRejectsUnknownEncoding(t *testing.T) {
 // retired or unknown record encoding — or the retired inline label layout —
 // is refused by every way of opening it with the typed error, and the
 // refusal holds nothing open — the file can be replaced and opened again.
+// Version byte 2 makes the meta page the one a file of the compact
+// record's first layout carries, byte for byte: such a file is refused
+// before any record of it is read.
 func TestOpenRefusesRetiredEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	ts := randomTexts(rng, 5, 40, 3)
@@ -223,8 +245,9 @@ func TestOpenRefusesRetiredEncodings(t *testing.T) {
 }
 
 // writeRecordFile lays raw record bytes into a fresh in-memory page file
-// starting at page 1 and wraps it in a File with the given encoding, so
-// decode paths can be driven with hand-built (or fuzz-built) bytes.
+// starting at page 1 and wraps it in a File of a sparse tree with the given
+// encoding — the shape whose records hold every field — so decode paths can
+// be driven with hand-built (or fuzz-built) bytes.
 func writeRecordFile(t *testing.T, raw []byte, enc Encoding) *File {
 	t.Helper()
 	pf, err := storage.CreateMemFile()
@@ -240,7 +263,7 @@ func writeRecordFile(t *testing.T, raw []byte, enc Encoding) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &File{pf: pf, src: pool, meta: meta{root: Ptr(storage.PageSize), enc: enc}}
+	f := &File{pf: pf, src: pool, meta: meta{root: Ptr(storage.PageSize), sparse: true, enc: enc}}
 	t.Cleanup(func() { f.Close() })
 	return f
 }
@@ -255,33 +278,36 @@ func FuzzNodeCodecV2(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
 	f.Add([]byte{0xFF, 0x80, 0x00, 0x7F}, false)
 	f.Add([]byte{9, 9, 9, 9, 200, 200, 1}, true)
-	// Raw records for the differential arm. A 10-byte label field whose last
-	// byte overflows 64 bits, and one with an 11th continuation byte:
+	// Raw records for the differential arm. A 10-byte head whose last byte
+	// overflows 64 bits, and a label start with an 11th continuation byte:
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0, 0}, false)
 	f.Add([]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, true)
-	// The same in a child delta, after a one-entry internal header.
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
+	// The same in the first entry's pointer, after a one-entry internal
+	// header, and in the second entry's.
+	f.Add([]byte{0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, false)
 	// A 2-byte field split at the slice end: the label start, the child
 	// count, a leaf's run length.
 	f.Add([]byte{0x04, 0x96}, false)
-	f.Add([]byte{0x04, 0x06, 0x02, 0, 0x83}, false)
-	f.Add([]byte{0x04, 0x06, 0x02, flagLeaf, 0x90, 0x03, 0xC1}, true)
+	f.Add([]byte{0x04, 0x06, 0x02, 0x83}, false)
+	f.Add([]byte{0x05, 0x06, 0x02, 0x90, 0x03, 0xC1}, true)
 	// Three- and four-byte fields with their last byte at the top of its
-	// range, which uvarintSlow reads by hand.
-	f.Add([]byte{0x80, 0x80, 0x7F, 0, 0, flagLeaf, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0}, true)
+	// range, which uvarintSlow reads by hand: a leaf's head and label length.
+	f.Add([]byte{0x81, 0x80, 0x7F, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0}, true)
 	// A child count at maxCount, and one past it.
-	f.Add([]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, false)
-	f.Add([]byte{0, 0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, false)
+	f.Add([]byte{0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, false)
+	f.Add([]byte{0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, false)
 	f.Fuzz(checkCodec)
 }
 
-// checkCodec derives a node deterministically from the fuzz bytes, encodes
-// it as a v2 record and drives the slice decoders directly: the whole
-// record (followed by bytes that are not part of it) must decode to the
-// node, every strict prefix must come back errShort — never a node, never
-// a verdict on a record that more bytes would complete — and the v1 decoder
-// over v2 bytes must terminate with an error or garbage, never panic or
-// hang.
+// checkCodec derives a node and the offset of its record deterministically
+// from the fuzz bytes, encodes it as a v2 record of a sparse and of a dense
+// tree and drives the slice decoders directly: the whole record (followed
+// by bytes that are not part of it) must decode to the node — a dense
+// tree's leaf with RunLen 0, which it does not store — every strict prefix
+// must come back errShort — never a node, never a verdict on a record that
+// more bytes would complete — and the v1 decoder over v2 bytes must
+// terminate with an error or garbage, never panic or hang.
 func checkCodec(t *testing.T, data []byte, leaf bool) {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -304,38 +330,51 @@ func checkCodec(t *testing.T, data []byte, leaf bool) {
 			in.Children[i] = ChildRef{Sym: Symbol(next(8 + i)), Ptr: Ptr(uint64(uint32(next(9 + i))))}
 		}
 	}
+	// Any offset: the children's pointers are taken from it with wrapping
+	// arithmetic.
+	at := Ptr(uint64(uint32(next(3)))<<32 | uint64(uint32(next(4))))
 
-	raw := encodeNode(nil, &in, EncodingV2)
-	f := &File{meta: meta{enc: EncodingV2}}
-	var got Node
-	if err := f.decode(append(raw[:len(raw):len(raw)], 0xAB, 0xCD), &got, 0); err != nil {
-		t.Fatalf("decoding our own encoding: %v", err)
-	}
-	if !nodesEqual(&in, &got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, got)
-	}
-	for cut := 0; cut < len(raw); cut++ {
-		if err := f.decode(raw[:cut:cut], &got, 0); err != errShort {
-			t.Fatalf("the first %d of %d bytes decoded with error %v, want errShort", cut, len(raw), err)
+	for _, sparse := range []bool{true, false} {
+		want := in
+		if !sparse {
+			want.RunLen = 0
 		}
-	}
-	fx := &File{meta: meta{enc: EncodingV1}}
-	var junk Node
-	_ = fx.decode(raw, &junk, 0)
+		raw := encodeNode(nil, &in, EncodingV2, at, sparse)
+		f := &File{meta: meta{enc: EncodingV2, sparse: sparse}}
+		var got Node
+		if leaf {
+			got.RunLen = -1 // a dense leaf's decode clears what a reused node held
+		}
+		if err := f.decode(append(raw[:len(raw):len(raw)], 0xAB, 0xCD), &got, at); err != nil {
+			t.Fatalf("sparse %v: decoding our own encoding: %v", sparse, err)
+		}
+		if !nodesEqual(&want, &got) {
+			t.Fatalf("sparse %v: round trip mismatch at %d:\n in: %+v\nout: %+v", sparse, at, want, got)
+		}
+		for cut := 0; cut < len(raw); cut++ {
+			if err := f.decode(raw[:cut:cut], &got, at); err != errShort {
+				t.Fatalf("sparse %v: the first %d of %d bytes decoded with error %v, want errShort", sparse, cut, len(raw), err)
+			}
+		}
+		fx := &File{meta: meta{enc: EncodingV1}}
+		var junk Node
+		_ = fx.decode(raw, &junk, at)
 
-	// The fuzz bytes themselves, each of their first 64 prefixes, and the
-	// record with one byte corrupted go to both compact decoders.
-	for cut := 0; cut <= len(data) && cut <= 64; cut++ {
-		sameAsReference(t, data[:cut:cut])
+		// The fuzz bytes themselves, each of their first 64 prefixes, and
+		// the record with one byte corrupted go to both compact decoders.
+		for cut := 0; cut <= len(data) && cut <= 64; cut++ {
+			sameAsReference(t, data[:cut:cut], sparse)
+		}
+		sameAsReference(t, data, sparse)
+		bad := slices.Clone(raw)
+		bad[int(data[0])%len(bad)] ^= data[len(data)-1] | 1
+		sameAsReference(t, bad, sparse)
 	}
-	sameAsReference(t, data)
-	bad := slices.Clone(raw)
-	bad[int(data[0])%len(bad)] ^= data[len(data)-1] | 1
-	sameAsReference(t, bad)
 }
 
 // TestDecodeCompactFailures: the raw seeds of FuzzNodeCodecV2 fail the way
-// their comments say, in both compact decoders.
+// their comments say, in both compact decoders, as records of a sparse
+// tree (whose leaves end in a run length).
 func TestDecodeCompactFailures(t *testing.T) {
 	for _, c := range []struct {
 		raw  []byte
@@ -343,20 +382,21 @@ func TestDecodeCompactFailures(t *testing.T) {
 	}{
 		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02, 0, 0, 0}, errVarintOverflow.Error()},
 		{[]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, errVarintOverflow.Error()},
-		{[]byte{0, 0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, errVarintOverflow.Error()},
+		{[]byte{0, 0, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, errVarintOverflow.Error()},
+		{[]byte{0, 0, 0, 2, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, errVarintOverflow.Error()},
 		{[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, errShort.Error()},
 		{[]byte{0x04, 0x96}, errShort.Error()},
-		{[]byte{0x04, 0x06, 0x02, 0, 0x83}, errShort.Error()},
-		{[]byte{0x04, 0x06, 0x02, flagLeaf, 0x90, 0x03, 0xC1}, errShort.Error()},
+		{[]byte{0x04, 0x06, 0x02, 0x83}, errShort.Error()},
+		{[]byte{0x05, 0x06, 0x02, 0x90, 0x03, 0xC1}, errShort.Error()},
 		{[]byte{0x04, 0x06, 0x02}, errShort.Error()},
-		{[]byte{0, 0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, errShort.Error()},
-		{[]byte{0, 0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, "disktree: implausible child count 16777217 at 7"},
-		{[]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}, "disktree: implausible label length 2147483648 at 7"},
-		{[]byte{0, 0, 0x01}, "disktree: implausible label length 4294967295 at 7"},
+		{[]byte{0, 0, 0, 0x80, 0x80, 0x80, 0x08, 2, 2}, errShort.Error()},
+		{[]byte{0, 0, 0, 0x81, 0x80, 0x80, 0x08, 2, 2}, "disktree: implausible child count 16777217 at 7"},
+		{[]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x08, 0}, "disktree: implausible label length 2147483648 at 7"},
+		{[]byte{0x01, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0}, "disktree: implausible label length 4294967295 at 7"},
 	} {
-		for name, decode := range map[string]func([]byte, *Node, Ptr) error{"decodeCompact": decodeCompact, "reference": decodeCompactReference} {
+		for name, decode := range map[string]func([]byte, *Node, Ptr, bool) error{"decodeCompact": decodeCompact, "reference": decodeCompactReference} {
 			var n Node
-			if err := decode(c.raw, &n, 7); err == nil || err.Error() != c.want {
+			if err := decode(c.raw, &n, 7, true); err == nil || err.Error() != c.want {
 				t.Errorf("%s(% x) = %v, want %q", name, c.raw, err, c.want)
 			}
 		}
@@ -366,10 +406,10 @@ func TestDecodeCompactFailures(t *testing.T) {
 // sameAsReference decodes b with decodeCompact and decodeCompactReference:
 // they must return the same node, or the same error — errShort,
 // errVarintOverflow, or the same implausible count.
-func sameAsReference(t *testing.T, b []byte) {
+func sameAsReference(t *testing.T, b []byte, sparse bool) {
 	t.Helper()
 	var got, want Node
-	gotErr, wantErr := decodeCompact(b, &got, 7), decodeCompactReference(b, &want, 7)
+	gotErr, wantErr := decodeCompact(b, &got, 7, sparse), decodeCompactReference(b, &want, 7, sparse)
 	switch {
 	case gotErr == nil && wantErr == nil:
 		if !nodesEqual(&got, &want) {

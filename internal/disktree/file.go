@@ -3,6 +3,7 @@ package disktree
 import (
 	"fmt"
 
+	"twsearch/internal/categorize"
 	"twsearch/internal/storage"
 	"twsearch/internal/suffixtree"
 )
@@ -194,7 +195,9 @@ func (f *File) ReadNode(p Ptr) (Node, error) {
 }
 
 // Load reconstructs the whole tree in memory — the inverse of Create, used
-// by tests and by tools that inspect small indexes.
+// by tests and by tools that inspect small indexes. A dense tree's leaves
+// get their run lengths from the store: only a sparse tree's are read from
+// the file, where a v2 file holds nothing else.
 func (f *File) Load(store *suffixtree.TextStore) (*suffixtree.Tree, error) {
 	var build func(p Ptr) (*suffixtree.Node, error)
 	build = func(p Ptr) (*suffixtree.Node, error) {
@@ -209,6 +212,9 @@ func (f *File) Load(store *suffixtree.TextStore) (*suffixtree.Tree, error) {
 		}
 		if dn.Leaf {
 			n.Leaf = &suffixtree.LeafInfo{Seq: dn.LabelSeq, Pos: dn.Pos, RunLen: dn.RunLen}
+			if seq, pos := int(dn.LabelSeq), int(dn.Pos); !f.meta.sparse && seq >= 0 && seq < store.Len() && pos >= 0 && pos < len(store.Text(seq)) {
+				n.Leaf.RunLen = int32(categorize.RunLengthAt(store.Text(seq), pos))
+			}
 			return n, nil
 		}
 		n.Children = make([]*suffixtree.Node, len(dn.Children))

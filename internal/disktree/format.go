@@ -48,10 +48,10 @@ const (
 	// EncodingV1 is the original fixed-width little-endian record format.
 	EncodingV1 Encoding = 1
 	// EncodingV2 is the compact format — what a zero Encoding value builds:
-	// varint counts and labels, zigzag deltas for the child table's symbols
-	// and pointers. Children are written before parents at increasing
-	// offsets, so the pointer deltas of a real file are small positive
-	// numbers that varint-encode in a byte or two instead of eight.
+	// uvarint fields, the leaf bit folded into the first, and a child table
+	// of offsets relative to the record and to each other. Children are
+	// written before parents at increasing offsets, so these are small
+	// positive numbers that take a byte or two instead of eight.
 	EncodingV2 Encoding = 2
 )
 
@@ -75,10 +75,10 @@ func ParseEncoding(s string) (Encoding, error) {
 }
 
 // ErrUnsupportedEncoding reports a tree file whose meta page names a record
-// encoding or label layout this build does not read — format v3 (per-child
-// subtree hulls) and the inline label layout are retired, and nothing else
-// was ever written. Nothing migrates such a file: rebuild the index from the
-// data.
+// encoding or label layout this build does not read — the first layout of
+// the compact record, format v3 (per-child subtree hulls) and the inline
+// label layout are retired, and nothing else was ever written. Nothing
+// migrates such a file: rebuild the index from the data.
 var ErrUnsupportedEncoding = errors.New("disktree: unsupported record encoding")
 
 // Node record layout, encoding v1 (little endian, fixed width):
@@ -90,13 +90,22 @@ var ErrUnsupportedEncoding = errors.New("disktree: unsupported record encoding")
 //	leaf:      pos uint32, runLen uint32
 //	internal:  childCount uint32, childCount × { sym int32, ptr uint64 }
 //
-// Encoding v2 keeps the same field order but serializes integers as
-// varints: signed fields (labelSeq, labelStart, labelLen, leaf pos/runLen)
-// as zigzag varints, counts as uvarints, and the
-// child table as delta pairs — each entry stores zigzag(sym − prevSym) and
-// zigzag(ptr − prevPtr) with prev starting at zero, exploiting the sorted
-// symbols and the post-order (strictly increasing) child offsets. The
-// flags byte is unchanged. Any float payloads a future record grows must
+// Encoding v2, the compact record, is a chain of uvarints, each field
+// written as the uint32 (a pointer: the uint64) it is, so a field no real
+// record makes negative costs no sign bit:
+//
+//	head       labelSeq<<1 | leaf
+//	leaf:      pos, labelStart−pos (the parent's depth), labelLen,
+//	           runLen (in a sparse tree only: no dense search reads it)
+//	internal:  labelStart, labelLen, childCount, then the child table
+//
+// The child table is the entries in symbol order. The first stores its
+// symbol zigzag-coded (a terminator is negative) and its pointer as the
+// record's own offset minus the child's; each later entry stores its
+// symbol and pointer as deltas from the entry before it. Children are
+// written before their parent, in symbol order, so every one of these
+// numbers is positive and small in a real file, and the arithmetic wraps,
+// so any Node round-trips. Any float payloads a future record grows must
 // stay raw little-endian for bit-exactness; v2 compresses only integers.
 const (
 	leafBodySize   = 8
@@ -121,7 +130,7 @@ type Node struct {
 	LabelLen   int32
 	Leaf       bool
 	Pos        int32 // leaf only: suffix start position
-	RunLen     int32 // leaf only: equal-symbol run length at Pos
+	RunLen     int32 // sparse tree's leaf only: equal-symbol run length at Pos
 	Children   []ChildRef
 
 	// rd serves File.ReadNodeInto's one-shot reads, kept on the node so a
@@ -130,19 +139,19 @@ type Node struct {
 	rd Reader
 }
 
-// encodeNode appends n's record bytes to buf in the given encoding,
-// returning the extended slice.
-func encodeNode(buf []byte, n *Node, enc Encoding) []byte {
+// encodeNode appends the record of n, written at offset at of a file of the
+// given encoding and sparseness, to buf, returning the extended slice.
+func encodeNode(buf []byte, n *Node, enc Encoding, at Ptr, sparse bool) []byte {
 	if enc == EncodingV2 {
-		return encodeNodeCompact(buf, n)
+		return encodeNodeCompact(buf, n, at, sparse)
 	}
 	return encodeNodeV1(buf, n)
 }
 
 // maxRecordSize bounds the bytes encodeNode appends for a node with the
 // given number of children, in either encoding: v1's header, flags and count
-// are 17 bytes and an entry 12; v2's flags and up to five varints of an
-// int32 are at most 26 and an entry's two varints at most 15.
+// are 17 bytes and an entry 12; v2's four or five uvarints of 33 bits at
+// most are at most 25 and an entry's two at most 15.
 func maxRecordSize(children int) int { return 32 + 16*children }
 
 // encodeNodeV1 is the fixed-width little-endian record encoder.
@@ -174,33 +183,42 @@ func encodeNodeV1(buf []byte, n *Node) []byte {
 	return buf
 }
 
-// encodeNodeCompact is the v2 varint record encoder. Like encodeNodeV1 it
-// grows buf once, by the most the record can take, and writes the fields in
-// place. Deltas are computed with wrapping uint64 arithmetic, so the
-// encode∘decode round trip is the identity for any Node, not just
-// well-formed trees (FuzzNodeCodecV2 pins this).
-func encodeNodeCompact(buf []byte, n *Node) []byte {
-	at := len(buf)
+// encodeNodeCompact is the v2 record encoder for a record written at
+// offset at of a sparse or a dense tree. Like encodeNodeV1 it grows buf
+// once, by the most the record can take, and writes the fields in place.
+// Differences are taken with wrapping arithmetic, so the encode∘decode
+// round trip is the identity for any Node at any offset, not just
+// well-formed trees, but for a dense tree's RunLen, which is not stored
+// (FuzzNodeCodecV2 pins this).
+func encodeNodeCompact(buf []byte, n *Node, at Ptr, sparse bool) []byte {
+	from := len(buf)
 	buf = slices.Grow(buf, maxRecordSize(len(n.Children)))
-	rec := buf[at:cap(buf)]
-	k := putVarint(rec, 0, int64(n.LabelSeq))
-	k = putVarint(rec, k, int64(n.LabelStart))
-	k = putVarint(rec, k, int64(n.LabelLen))
+	rec := buf[from:cap(buf)]
 	if n.Leaf {
-		rec[k] = flagLeaf
-		k = putVarint(rec, k+1, int64(n.Pos))
-		k = putVarint(rec, k, int64(n.RunLen))
-		return buf[:at+k]
+		k := putUvarint(rec, 0, uint64(uint32(n.LabelSeq))<<1|1)
+		k = putUvarint(rec, k, uint64(uint32(n.Pos)))
+		k = putUvarint(rec, k, uint64(uint32(n.LabelStart-n.Pos)))
+		k = putUvarint(rec, k, uint64(uint32(n.LabelLen)))
+		if sparse {
+			k = putUvarint(rec, k, uint64(uint32(n.RunLen)))
+		}
+		return buf[:from+k]
 	}
-	rec[k] = 0
-	k = putUvarint(rec, k+1, uint64(len(n.Children)))
-	prevSym, prevPtr := int64(0), uint64(0)
-	for _, c := range n.Children {
-		k = putVarint(rec, k, int64(c.Sym)-prevSym)
-		k = putVarint(rec, k, int64(uint64(c.Ptr)-prevPtr))
-		prevSym, prevPtr = int64(c.Sym), uint64(c.Ptr)
+	k := putUvarint(rec, 0, uint64(uint32(n.LabelSeq))<<1)
+	k = putUvarint(rec, k, uint64(uint32(n.LabelStart)))
+	k = putUvarint(rec, k, uint64(uint32(n.LabelLen)))
+	k = putUvarint(rec, k, uint64(len(n.Children)))
+	for i, c := range n.Children {
+		if i == 0 {
+			k = putUvarint(rec, k, uint64(int64(c.Sym)<<1)^uint64(int64(c.Sym)>>63))
+			k = putUvarint(rec, k, uint64(at-c.Ptr))
+			continue
+		}
+		prev := n.Children[i-1]
+		k = putUvarint(rec, k, uint64(uint32(c.Sym-prev.Sym)))
+		k = putUvarint(rec, k, uint64(c.Ptr-prev.Ptr))
 	}
-	return buf[:at+k]
+	return buf[:from+k]
 }
 
 // putUvarint writes u at rec[k:] and returns the offset after it: a byte
@@ -211,12 +229,6 @@ func putUvarint(rec []byte, k int, u uint64) int {
 		return k + 1
 	}
 	return k + binary.PutUvarint(rec[k:], u)
-}
-
-// putVarint writes v zigzag-coded at rec[k:] and returns the offset after
-// it.
-func putVarint(rec []byte, k int, v int64) int {
-	return putUvarint(rec, k, uint64(v<<1)^uint64(v>>63))
 }
 
 // Meta blob layout stored in the page file's meta page.
@@ -236,15 +248,22 @@ type meta struct {
 	// minSuffixLen is the conclusion-section length filter the tree was
 	// built with (0 = all suffixes stored).
 	minSuffixLen uint32
-	// enc is the record encoding version. v1 files carry the original
-	// 46-byte meta blob with no encoding byte (so pre-v2 readers and the
-	// frozen v1 format goldens are untouched); v2 files append one byte.
+	// enc is the record encoding. v1 files carry the original 46-byte meta
+	// blob with no encoding byte (so pre-v2 readers and the frozen v1
+	// format goldens are untouched); v2 files append metaCompact.
 	enc Encoding
 }
 
 // metaBaseSize is the original (v1) meta blob size; v2 blobs are one byte
-// longer, carrying the encoding version at the end.
+// longer, carrying the record layout's version byte at the end.
 const metaBaseSize = len(metaMagic) + 8 + 8 + 8 + 8 + 1 + 4 + 1
+
+// metaCompact is the version byte that ends the meta blob of a file of v2
+// records in today's layout. Each compact layout ever written has a byte of
+// its own, so no reader takes one for another: 2 named the first (zigzag
+// fields, a flags byte, an absolute first child offset) and 3 the retired
+// format with per-child subtree hulls, and both are refused.
+const metaCompact = 4
 
 // metaLayoutByte is where the meta blob names the label layout: left at
 // LayoutReference (0) in every file this build writes, 1 in a file written
@@ -267,7 +286,7 @@ func encodeMeta(m meta) []byte {
 	}
 	binary.LittleEndian.PutUint32(buf[41:], m.minSuffixLen)
 	if m.enc > EncodingV1 {
-		buf[metaBaseSize] = byte(m.enc)
+		buf[metaBaseSize] = metaCompact
 	}
 	return buf
 }
@@ -278,10 +297,10 @@ func decodeMeta(buf []byte) (meta, error) {
 	}
 	enc := EncodingV1
 	if len(buf) == metaBaseSize+1 {
-		enc = Encoding(buf[metaBaseSize])
-		if enc != EncodingV1 && enc != EncodingV2 {
-			return meta{}, fmt.Errorf("disktree: tree file has record encoding version %d: %w; rebuild the index", buf[metaBaseSize], ErrUnsupportedEncoding)
+		if v := buf[metaBaseSize]; v != metaCompact {
+			return meta{}, fmt.Errorf("disktree: tree file has record encoding version %d: %w; rebuild the index", v, ErrUnsupportedEncoding)
 		}
+		enc = EncodingV2
 	}
 	if buf[metaLayoutByte] != byte(LayoutReference) {
 		return meta{}, fmt.Errorf("disktree: tree file has label layout %d: %w: retired inline label layout; rebuild the index", buf[metaLayoutByte], ErrUnsupportedEncoding)

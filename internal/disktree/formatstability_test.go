@@ -20,7 +20,7 @@ const (
 	// Encoding v2 (compact varint records; meta blob grows the encoding
 	// byte). Frozen separately — the v1 digest above must never move when
 	// v2 changes, and vice versa.
-	refLayoutV2SHA256 = "024bbcd25960fd2fe96a5f72fb0bf6f39982c48709b4ac3a077231274993219f"
+	refLayoutV2SHA256 = "dc4952060214eacbeff22ed226f76752f5d16731b617a57dc5a6084accba50f1"
 )
 
 func formatFixtureStore() *suffixtree.TextStore {

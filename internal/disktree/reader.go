@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"twsearch/internal/storage"
 )
@@ -131,7 +132,7 @@ func (f *File) decode(b []byte, n *Node, p Ptr) error {
 	if f.meta.enc == EncodingV1 {
 		return decodeV1(b, n, p)
 	}
-	return decodeCompact(b, n, p)
+	return decodeCompact(b, n, p, f.meta.sparse)
 }
 
 // resized returns s with n elements of undefined content, reallocating only
@@ -218,7 +219,8 @@ func failure(b []byte, off int) error {
 	return errShort
 }
 
-// unzigzag undoes the zigzag coding of a signed field.
+// unzigzag undoes the zigzag coding of a signed field: the first symbol of
+// a child table.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // uvarint12 reads the uvarint at b[off:] if it is one or two bytes long —
@@ -272,53 +274,62 @@ func uvarintSlow(b []byte, off int) (uint64, int) {
 	return 0, len(b) + pastOverflow
 }
 
-// decodeCompact decodes a v2 record, undoing the delta coding of
-// encodeNodeCompact with the same wrapping arithmetic. Each field is read
-// by uvarint12, inline, and by uvarintSlow where that declines.
+// decodeCompact decodes the v2 record at p of a sparse or a dense tree,
+// undoing the offset and delta coding of encodeNodeCompact with the same
+// wrapping arithmetic; a dense tree's leaf gets RunLen 0. Each field is
+// read by uvarint12, inline, and by uvarintSlow where that declines.
 //
 //twlint:steady-state
-func decodeCompact(b []byte, n *Node, p Ptr) error {
-	var seq, start, length uint64
+func decodeCompact(b []byte, n *Node, p Ptr, sparse bool) error {
+	var head uint64
 	off, ok := 0, false
-	if seq, off, ok = uvarint12(b, off); !ok {
-		seq, off = uvarintSlow(b, off)
+	if head, off, ok = uvarint12(b, off); !ok {
+		head, off = uvarintSlow(b, off)
 	}
+	n.LabelSeq, n.Leaf = int32(uint32(head>>1)), head&1 != 0
+	if n.Leaf {
+		var pos, lead, length, run uint64
+		if pos, off, ok = uvarint12(b, off); !ok {
+			pos, off = uvarintSlow(b, off)
+		}
+		if lead, off, ok = uvarint12(b, off); !ok {
+			lead, off = uvarintSlow(b, off)
+		}
+		if length, off, ok = uvarint12(b, off); !ok {
+			length, off = uvarintSlow(b, off)
+		}
+		if sparse {
+			if run, off, ok = uvarint12(b, off); !ok {
+				run, off = uvarintSlow(b, off)
+			}
+		}
+		if off > len(b) {
+			return failure(b, off)
+		}
+		if length > math.MaxInt32 {
+			return implausible("label length", length, p)
+		}
+		n.Pos, n.RunLen = int32(pos), int32(run)
+		n.LabelStart, n.LabelLen = n.Pos+int32(lead), int32(length)
+		return nil
+	}
+	var start, length, count uint64
 	if start, off, ok = uvarint12(b, off); !ok {
 		start, off = uvarintSlow(b, off)
 	}
 	if length, off, ok = uvarint12(b, off); !ok {
 		length, off = uvarintSlow(b, off)
 	}
-	n.LabelSeq, n.LabelStart, n.LabelLen = int32(unzigzag(seq)), int32(unzigzag(start)), int32(unzigzag(length))
-	if n.LabelLen < 0 {
-		return implausible("label length", uint64(uint32(n.LabelLen)), p)
-	}
-	if off >= len(b) { // a field failed, or the flags byte is missing
-		return failure(b, off)
-	}
-	n.Leaf = b[off]&flagLeaf != 0
-	off++
-	if n.Leaf {
-		var pos, run uint64
-		if pos, off, ok = uvarint12(b, off); !ok {
-			pos, off = uvarintSlow(b, off)
-		}
-		if run, off, ok = uvarint12(b, off); !ok {
-			run, off = uvarintSlow(b, off)
-		}
-		if off > len(b) {
-			return failure(b, off)
-		}
-		n.Pos, n.RunLen = int32(unzigzag(pos)), int32(unzigzag(run))
-		return nil
-	}
-	var count uint64
 	if count, off, ok = uvarint12(b, off); !ok {
 		count, off = uvarintSlow(b, off)
 	}
 	if off > len(b) {
 		return failure(b, off)
 	}
+	if length > math.MaxInt32 {
+		return implausible("label length", length, p)
+	}
+	n.LabelStart, n.LabelLen = int32(start), int32(length)
 	if count > maxCount {
 		return implausible("child count", count, p)
 	}
@@ -326,8 +337,19 @@ func decodeCompact(b []byte, n *Node, p Ptr) error {
 		return errShort
 	}
 	n.Children = resized(n.Children, int(count))
-	sym, ptr := int64(0), uint64(0)
-	for i := range n.Children {
+	if count == 0 {
+		return nil
+	}
+	var s0, d0 uint64
+	if s0, off, ok = uvarint12(b, off); !ok {
+		s0, off = uvarintSlow(b, off)
+	}
+	if d0, off, ok = uvarint12(b, off); !ok {
+		d0, off = uvarintSlow(b, off)
+	}
+	sym, ptr := int32(unzigzag(s0)), uint64(p)-d0
+	n.Children[0] = ChildRef{Sym: Symbol(sym), Ptr: Ptr(ptr)}
+	for i := 1; i < len(n.Children); i++ {
 		var ds, dp uint64
 		if off+1 < len(b) && b[off]|b[off+1] < 0x80 { // two one-byte deltas, a leaf's entry: one step
 			ds, dp = uint64(b[off]), uint64(b[off+1])
@@ -340,9 +362,9 @@ func decodeCompact(b []byte, n *Node, p Ptr) error {
 				dp, off = uvarintSlow(b, off)
 			}
 		}
-		sym += unzigzag(ds)
-		ptr += uint64(unzigzag(dp))
-		n.Children[i] = ChildRef{Sym: Symbol(int32(sym)), Ptr: Ptr(ptr)}
+		sym += int32(ds)
+		ptr += dp
+		n.Children[i] = ChildRef{Sym: Symbol(sym), Ptr: Ptr(ptr)}
 	}
 	if off > len(b) {
 		return failure(b, off)

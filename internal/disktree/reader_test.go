@@ -116,12 +116,16 @@ func TestReaderStraddle(t *testing.T) {
 	leaf := Node{LabelSeq: 1, LabelStart: 2, LabelLen: 300, Leaf: true, Pos: 129, RunLen: 4}
 	for _, enc := range []Encoding{EncodingV1, EncodingV2} {
 		for _, want := range []*Node{&in, &leaf} {
-			rec := encodeNode(nil, want, enc)
-			for before := 1; before <= 12 && before < len(rec); before++ {
+			for before := 1; before <= 12; before++ {
+				at := Ptr(2*storage.PageSize - before)
+				rec := encodeNode(nil, want, enc, at, true)
+				if before >= len(rec) {
+					break
+				}
 				raw := append(make([]byte, storage.PageSize-before), rec...)
 				f := writeRecordFile(t, raw, enc)
 				var got Node
-				if err := f.ReadNodeInto(Ptr(2*storage.PageSize-before), &got); err != nil {
+				if err := f.ReadNodeInto(at, &got); err != nil {
 					t.Fatalf("%s, %d bytes before the boundary: %v", enc, before, err)
 				}
 				if !nodesEqual(want, &got) {

@@ -18,10 +18,11 @@ type ValidateStats struct {
 // against the text store: child tables sorted with distinct first symbols
 // that match the children's labels, internal nodes (except the root) with
 // at least two children, leaf paths spelling their suffix plus terminator,
-// leaf run lengths consistent with the text, and meta counters matching the
-// walk. It is what cmd/twtree runs and what the merge tests lean on. A
-// mapped file cut since it was opened fails the walk with storage.ErrRead,
-// as a read through the pool would.
+// leaf run lengths consistent with the text in a sparse tree (only a sparse
+// search reads them), and meta counters matching the walk. It is what
+// cmd/twtree runs and what the merge tests lean on. A mapped file cut since
+// it was opened fails the walk with storage.ErrRead, as a read through the
+// pool would.
 func (f *File) Validate(store *suffixtree.TextStore) (st ValidateStats, err error) {
 	defer f.GuardFaults().Recover(&err)
 	var walk func(p Ptr, path []Symbol, depth int) error
@@ -71,6 +72,9 @@ func (f *File) Validate(store *suffixtree.TextStore) (st ValidateStats, err erro
 				if path[i] != want[i] {
 					return fmt.Errorf("disktree: leaf (%d,%d) path differs at %d: %d != %d", seq, pos, i, path[i], want[i])
 				}
+			}
+			if !f.meta.sparse {
+				return nil
 			}
 			if got := categorize.RunLengthAt(text, pos); got != int(n.RunLen) {
 				return fmt.Errorf("disktree: leaf (%d,%d) run length %d, want %d", seq, pos, n.RunLen, got)

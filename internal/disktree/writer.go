@@ -156,10 +156,10 @@ func (w *treeWriter) emit(n *Node, first int) (Ptr, error) {
 	}
 	ptr := w.app.offset()
 	if a := &w.app; cap(a.buf)-len(a.buf) >= maxRecordSize(len(n.Children)) {
-		a.buf = encodeNode(a.buf, n, w.meta.enc) // fits the chunk whatever the encoding: no copy
+		a.buf = encodeNode(a.buf, n, w.meta.enc, ptr, w.meta.sparse) // fits the chunk whatever the encoding: no copy
 		return ptr, nil
 	}
-	w.scratch = encodeNode(w.scratch[:0], n, w.meta.enc)
+	w.scratch = encodeNode(w.scratch[:0], n, w.meta.enc, ptr, w.meta.sparse)
 	return ptr, w.app.write(w.scratch)
 }
 

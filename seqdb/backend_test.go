@@ -224,22 +224,25 @@ func TestOpenWithRestoresEncoding(t *testing.T) {
 }
 
 // TestOpenRefusesRetiredEncoding: a database whose catalog names a tree
-// file of a retired record encoding (format v3) fails to open with the
-// typed error naming the index, holds nothing open — the index can be
-// dropped on disk and the database opened — and BuildIndex refuses to write
-// such a file in the first place.
+// file of a retired record layout (the compact record's first, format v3)
+// fails to open with the typed error naming the index, holds nothing open —
+// the index can be dropped on disk and the database opened — and BuildIndex
+// refuses to write such a file in the first place.
 func TestOpenRefusesRetiredEncoding(t *testing.T) {
 	dir := buildBackendDB(t)
 	treePath := filepath.Join(dir, "idx-ix-v2.twt")
 	// Each patch is one hand-edited byte of the tree file's meta blob (a
-	// negative offset counts from its end): the retired version 3 in the
-	// encoding byte that ends a v2 blob, and the retired inline label layout
-	// in byte 45.
+	// negative offset counts from its end): in the version byte that ends a
+	// v2 blob, 2, which makes it the meta page of a file of the compact
+	// record's first layout, and the retired version 3; the retired inline
+	// label layout in byte 45. Open refuses the database with the typed
+	// error: it does not skip the index.
 	for _, patch := range []struct {
 		what string
 		off  int
 		b    byte
 	}{
+		{"first compact layout", -1, 2},
 		{"encoding 3", -1, 3},
 		{"inline layout", 45, 1},
 	} {

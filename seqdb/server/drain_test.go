@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"twsearch/internal/wire"
+	"twsearch/seqdb"
 )
 
 // pipeListener hands the server one end of in-memory connections
@@ -178,5 +180,72 @@ func TestRefusalsReleaseLock(t *testing.T) {
 			t.Errorf("%s returned holding the server's lock", c.op)
 		}
 		s.mu.Unlock() // ours, or the one the call kept
+	}
+}
+
+// TestStalledReaderReleasesSlot: a client that stops reading in the middle
+// of an answer stream, under the default Config but for a short
+// IdleTimeout, does not keep its request running. The stalled write fails
+// within the idle timeout, the handler returns its admission slot and its
+// pages, and Shutdown then finishes within its context, with no goroutine
+// left behind.
+func TestStalledReaderReleasesSlot(t *testing.T) {
+	leakCheck(t)
+	built := newTestDB(t)
+	if err := built.Save(); err != nil {
+		t.Fatal(err)
+	}
+	// Through the pool, so that a read in flight holds pages.
+	db, err := seqdb.OpenWith(built.Dir(), seqdb.OpenOptions{Backend: seqdb.BackendPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const idle = 100 * time.Millisecond
+	s := New(Config{IdleTimeout: idle})
+	if err := s.AddDB("main", db); err != nil {
+		t.Fatal(err)
+	}
+	ln := newPipeListener()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ln) }()
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	t.Cleanup(func() { // on a failure, before the leak check
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s.Shutdown(ctx)
+	})
+	ln.conns <- srv
+	if err := wire.WriteHello(cli); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHello(cli); err != nil {
+		t.Fatal(err)
+	}
+	// Every subsequence is an answer: megabytes of match frames, far more
+	// than the server's write buffer holds.
+	req := wire.SearchReq{DB: "main", Index: "fast", Eps: 1e9, Query: testQuery(built, "seq-04", 0, 4)}
+	if err := wire.WriteFrame(cli, wire.TSearch, req.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	// Read into the first batch, then stop reading.
+	if _, err := io.ReadFull(cli, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	started := time.Now()
+	for len(s.sem) != 0 || db.PinnedPages() != 0 {
+		if time.Since(started) > 50*idle {
+			t.Fatalf("after %v the stalled request still holds %d slots and %d pages", time.Since(started), len(s.sem), db.PinnedPages())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*idle)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }

@@ -14,7 +14,9 @@
 //     tighter of the server's Config.SearchTimeout and the client's own
 //     timeout hint; cancellation aborts the search through the engine's
 //     early-stop path and the deadline is mirrored onto the connection so
-//     a blocked write fails with it too.
+//     a blocked write fails with it too. Whatever the deadline, no write
+//     stalls longer than Config.IdleTimeout: a client that stops reading
+//     loses its connection, and its request the admission slot.
 //   - Streaming: answers flow to the client in match frames of about
 //     32 KiB of answers each (wire.MatchWriter), as the traversal finds
 //     them; an answer set is never materialized server-side for range
@@ -47,8 +49,8 @@ type Config struct {
 	// SearchTimeout is the server-side ceiling on one search; 0 disables
 	// it. A client may only tighten it, never extend it.
 	SearchTimeout time.Duration
-	// IdleTimeout closes connections with no request activity; <= 0 means
-	// 5 minutes.
+	// IdleTimeout closes connections with no request activity, and one
+	// write to a client that stalls this long fails; <= 0 means 5 minutes.
 	IdleTimeout time.Duration
 	// MaxQueryParallelism is ignored: every search is one serial traversal
 	// (HACKING.md "Searches are serial"). The field stays only because the
@@ -318,10 +320,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	sw := &stallWriter{conn: conn, stall: s.cfg.IdleTimeout}
+	bw := bufio.NewWriterSize(sw, 64<<10)
 	mw := wire.NewMatchWriter(bw)
 
-	if err := conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+	sw.until = time.Now().Add(handshakeTimeout)
+	if err := conn.SetDeadline(sw.until); err != nil {
 		return
 	}
 	if _, err := wire.ReadHello(br); err != nil {
@@ -334,6 +338,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := bw.Flush(); err != nil {
 		return
 	}
+	sw.until = time.Time{}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return
 	}
@@ -349,7 +354,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // clean close, idle timeout, or drain nudge
 		}
-		if err := s.handleRequest(conn, bw, mw, t, body); err != nil {
+		if err := s.handleRequest(sw, bw, mw, t, body); err != nil {
 			s.logf("conn %s: %v", conn.RemoteAddr(), err)
 			return
 		}
@@ -370,18 +375,18 @@ type reqResult struct {
 }
 
 // handleRequest answers one frame, flushes the response, and records the
-// outcome. mw is the connection's match-stream writer over bw. The returned
-// error is connection-fatal.
-func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) error {
+// outcome. mw is the connection's match-stream writer over bw, and bw's over
+// sw. The returned error is connection-fatal.
+func (s *Server) handleRequest(sw *stallWriter, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) error {
 	started := time.Now()
-	res, ioErr := s.serve(conn, bw, mw, t, body)
+	res, ioErr := s.serve(sw, bw, mw, t, body)
 	if ioErr == nil {
 		ioErr = bw.Flush()
 	}
 	dur := time.Since(started)
 	s.met.record(res, dur)
 	s.logf("access remote=%s op=%s db=%q index=%q dur=%v matches=%d err=%v",
-		conn.RemoteAddr(), res.op, res.db, res.index, dur.Round(time.Microsecond), res.matches, res.err)
+		sw.conn.RemoteAddr(), res.op, res.db, res.index, dur.Round(time.Microsecond), res.matches, res.err)
 	return ioErr
 }
 
@@ -392,7 +397,7 @@ func (s *Server) handleRequest(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWr
 // client through one visitor, ending with a done or an error frame. The
 // returned error is connection-fatal; res.err is the request's own outcome,
 // already reported to the client.
-func (s *Server) serve(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) (res reqResult, ioErr error) {
+func (s *Server) serve(sw *stallWriter, bw *bufio.Writer, mw *wire.MatchWriter, t byte, body []byte) (res reqResult, ioErr error) {
 	req, err := decodeRequest(t, body)
 	res.op = req.op
 	if err != nil {
@@ -422,7 +427,7 @@ func (s *Server) serve(conn net.Conn, bw *bufio.Writer, mw *wire.MatchWriter, t 
 	if s.testHookAdmitted != nil {
 		s.testHookAdmitted()
 	}
-	ctx, cleanup := s.requestCtx(conn, req.timeout)
+	ctx, cleanup := s.requestCtx(sw, req.timeout)
 	defer cleanup()
 
 	mw.Start()
@@ -464,9 +469,9 @@ func (s *Server) admit() (release func(), ok bool) {
 
 // requestCtx derives the context one admitted search runs under: the drain
 // context, bounded by the tighter of the server ceiling and the client's
-// hint. Any resulting deadline is mirrored onto the connection so a write
-// to a stalled client fails with it; cleanup clears it again.
-func (s *Server) requestCtx(conn net.Conn, hint time.Duration) (context.Context, func()) {
+// hint. Any resulting deadline is mirrored onto the connection's writer so
+// a write to a stalled client fails with it; cleanup clears it again.
+func (s *Server) requestCtx(sw *stallWriter, hint time.Duration) (context.Context, func()) {
 	limit := s.cfg.SearchTimeout
 	if hint > 0 && (limit <= 0 || hint < limit) {
 		limit = hint
@@ -475,11 +480,33 @@ func (s *Server) requestCtx(conn net.Conn, hint time.Duration) (context.Context,
 		return s.ctx, func() {}
 	}
 	ctx, cancel := context.WithTimeout(s.ctx, limit)
-	conn.SetWriteDeadline(time.Now().Add(limit))
+	sw.until = time.Now().Add(limit)
 	return ctx, func() {
 		cancel()
-		conn.SetWriteDeadline(time.Time{})
+		sw.until = time.Time{}
 	}
+}
+
+// stallWriter is a connection as its buffered writer sees it. No write may
+// stall longer than stall, the idle timeout, or past until, the deadline of
+// the exchange in progress when it has one: a client that stops reading in
+// the middle of a stream loses its connection, and its request the
+// admission slot and the pages it holds, as one that stops sending does.
+type stallWriter struct {
+	conn  net.Conn
+	stall time.Duration
+	until time.Time
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	deadline := time.Now().Add(w.stall)
+	if !w.until.IsZero() && w.until.Before(deadline) {
+		deadline = w.until
+	}
+	if err := w.conn.SetWriteDeadline(deadline); err != nil {
+		return 0, err
+	}
+	return w.conn.Write(p)
 }
 
 // searchFunc runs a search-shaped request on db, handing each answer to
